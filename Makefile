@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-sharded test-region test-persist test-query test-catalog test-replication test-tier serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier lint
+.PHONY: test test-sharded test-region test-persist test-query test-catalog test-replication test-tier serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -92,6 +92,15 @@ bench-replication:
 # >=5x compacted-replay speedup and records the tier section.
 bench-tier:
 	$(PYTHON) -m pytest -q benchmarks/test_tier.py -s
+
+# The end-to-end benchmark (BENCHMARK.json's command): one workload of
+# uplink_stream / dashboard_cold / dashboard_cached / dashboard_live,
+# five fresh-process trials, ~25 s.  `make bench-e2e W=dashboard_live SEED=3`;
+# see benchmarks/e2e/README.md for --trace and the A/A harness.
+W ?= dashboard_cached
+SEED ?= 7
+bench-e2e:
+	python3 -m benchmarks.e2e --workload $(W) --seed $(SEED)
 
 lint:
 	$(PYTHON) -m ruff check src/

@@ -23,6 +23,12 @@ Correctness comes from generation validators, not timers:
 
 Hits return the very result object the underlying store produced, so
 cached responses are byte-identical to uncached ``run_many`` output.
+
+The reply *text* is cached the same way, with no second cache:
+:func:`series_text` keeps a result series' encoded JSON on the series
+object itself, so the text of a cached result lives exactly as long as
+its entry does — dropped with it on eviction or invalidation — and a
+hit costs the server a ``bytes.join``.
 """
 
 from __future__ import annotations
@@ -31,10 +37,41 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
+from ..tsdb import wire
 from ..tsdb.interface import StoreApi
 from ..tsdb.plan import _canonical_key
-from ..tsdb.query import Query, QueryResult
+from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.wire import CatalogRequest
+
+#: Where a series keeps its encoded text: the instance dict, not a
+#: dataclass field, so equality, hash and repr do not see it.
+_TEXT_ATTR = "_wire_json"
+
+
+def cached_series_text(s: ResultSeries) -> bytes | None:
+    """The text :func:`series_text` left on ``s``, if any."""
+    return s.__dict__.get(_TEXT_ATTR)
+
+
+def remember_series_text(s: ResultSeries, text: bytes) -> None:
+    """Attach ``text`` — which must equal ``wire.series_json(s)``."""
+    s.__dict__[_TEXT_ATTR] = text
+
+
+def series_text(s: ResultSeries) -> bytes:
+    """``wire.series_json(s)``, encoded once per series object.
+
+    Planner results are immutable, and ``run_batch`` re-wraps a cached
+    :class:`QueryResult` per request but shares its ``series`` tuple, so
+    the series are the objects to remember on.  Two lane workers may
+    encode the same series at once; both store the same bytes, so the
+    last writer winning needs no lock.
+    """
+    text = cached_series_text(s)
+    if text is None:
+        text = wire.series_json(s)
+        remember_series_text(s, text)
+    return text
 
 
 @dataclass

@@ -29,6 +29,15 @@ series churn, window moving backwards).
 ``scanned_points`` on an incremental result counts only the points the
 *delta* actually scanned — that asymmetry is the speedup being
 measured; the series content is what is guaranteed identical.
+
+The reply text is spliced the same way.  Once a reply has encoded the
+previous result (:func:`~repro.serve.cache.series_text` leaves the text
+on each series), an incremental run keeps that text up to the end of
+the final prefix, encodes only the points that became final since the
+last cut plus the delta, and leaves the assembled text on the new
+series for the reply path to find.  Where there is nothing to extend —
+a full run, a moved window start, a result nobody encoded — the series
+carries no text and the reply path encodes it from scratch.
 """
 
 from __future__ import annotations
@@ -37,9 +46,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..tsdb import wire
 from ..tsdb.downsample import FillPolicy
+from ..tsdb.plan import ExprQuery, ExprResult, run_batch
 from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.series import SeriesSlice
+from .cache import cached_series_text, remember_series_text
 
 
 @dataclass
@@ -65,6 +77,9 @@ class _PanelState:
     metric_gen: int
     reshape_gens: tuple  # ((series key, reshape generation), ...)
     result: QueryResult
+    #: Per series label: (leading points below the cut this result was
+    #: spliced at, where their ``dps`` entries end in the series' text).
+    final_text: dict
 
 
 def _panel_key(q: Query) -> tuple:
@@ -97,6 +112,34 @@ def _splice(
         np.concatenate([ts[a:b], delta.timestamps]),
         np.concatenate([cached.values[a:b], delta.values]),
     )
+
+
+def _splice_text(
+    prev: ResultSeries, known: tuple[int, int] | None, kept: int,
+    delta: SeriesSlice,
+) -> tuple[bytes, tuple[int, int]] | None:
+    """Text of ``prev``'s first ``kept`` points followed by the delta's.
+
+    ``known`` says how much of ``prev``'s text is already the encoding
+    of a final prefix; only the ``kept - known[0]`` points that became
+    final since are encoded beside the delta.  Returns the text of the
+    spliced series and its own ``known``, or None when ``prev`` was
+    never encoded (nobody replies with these results).
+    """
+    text = cached_series_text(prev)
+    if text is None:
+        return None
+    if known is not None and known[0] <= kept:
+        n, end = known
+        final = text[:end]
+    else:
+        n, final = 0, wire.series_head_json(prev)
+    newly_final = wire.dps_json(prev.timestamps[n:kept], prev.values[n:kept])
+    if newly_final:
+        final += (b", " if n else b"") + newly_final
+    tail = wire.dps_json(delta.timestamps, delta.values)
+    sep = b", " if kept and tail else b""
+    return final + sep + tail + wire.SERIES_JSON_TAIL, (kept, len(final))
 
 
 class IncrementalRefresher:
@@ -140,6 +183,21 @@ class IncrementalRefresher:
         )
 
     # -- execution -------------------------------------------------------
+    def run_many(
+        self, queries: list[Query | ExprQuery]
+    ) -> list[QueryResult | ExprResult]:
+        """One ``refresh`` request: every panel through :meth:`run`.
+
+        The shared planner dedups the batch and evaluates expression
+        panels over their refreshed operands, as it does for any store.
+        """
+        return run_batch(self, queries)
+
+    def _run_unique_batch(
+        self, queries: list[Query], parallel: bool | None = None
+    ) -> list[QueryResult]:
+        return [self.run(q) for q in queries]
+
     def run(self, query: Query) -> QueryResult:
         ds = query.parsed_downsample()
         width = None if ds is None else ds.width
@@ -194,6 +252,7 @@ class IncrementalRefresher:
                 metric_gen=metric_gen,
                 reshape_gens=reshape_gens,
                 result=result,
+                final_text={},
             )
         else:
             self._panels.pop(key, None)
@@ -217,22 +276,21 @@ class IncrementalRefresher:
             # The whole window is final history already in cache (this
             # branch implies query.end == st.end, see the boundary
             # arithmetic in the module docstring).
-            series = tuple(
-                ResultSeries(
-                    metric=s.metric,
-                    group_tags=s.group_tags,
-                    slice=(
-                        s.slice
-                        if trim_lo is None
-                        else self._trim(s.slice, trim_lo)
-                    ),
-                    source_series=s.source_series,
+            series, final_text = st.result.series, st.final_text
+            if trim_lo is not None:
+                series = tuple(
+                    ResultSeries(
+                        metric=s.metric,
+                        group_tags=s.group_tags,
+                        slice=self._trim(s.slice, trim_lo),
+                        source_series=s.source_series,
+                    )
+                    for s in series
                 )
-                for s in st.result.series
-            )
+                final_text = {}
             out = QueryResult(query=query, series=series, scanned_points=0)
             self.stats.cache_only_runs += 1
-            self._remember(key, st, query, out, st.boundary)
+            self._remember(key, st, query, out, st.boundary, final_text)
             return out
         floor_start = (
             query.start if width is None else (query.start // width) * width
@@ -267,21 +325,30 @@ class IncrementalRefresher:
             tuple(sorted(s.group_tags.items())): s for s in st.result.series
         }
         series = []
+        final_text = {}
         for s in delta.series:
-            prev = cached_by_label.get(tuple(sorted(s.group_tags.items())))
+            label = tuple(sorted(s.group_tags.items()))
+            prev = cached_by_label.get(label)
             spliced = (
                 s.slice
                 if prev is None
                 else _splice(prev.slice, s.slice, trim_lo, cut)
             )
-            series.append(
-                ResultSeries(
-                    metric=s.metric,
-                    group_tags=s.group_tags,
-                    slice=spliced,
-                    source_series=s.source_series,
-                )
+            out_s = ResultSeries(
+                metric=s.metric,
+                group_tags=s.group_tags,
+                slice=spliced,
+                source_series=s.source_series,
             )
+            series.append(out_s)
+            if prev is not None and trim_lo is None:
+                extended = _splice_text(
+                    prev, st.final_text.get(label),
+                    len(spliced) - len(s.slice), s.slice,
+                )
+                if extended is not None:
+                    text, final_text[label] = extended
+                    remember_series_text(out_s, text)
         out = QueryResult(
             query=query,
             series=tuple(series),
@@ -289,7 +356,7 @@ class IncrementalRefresher:
         )
         self.stats.incremental_runs += 1
         boundary = st.boundary if boundary_now is None else boundary_now
-        self._remember(key, st, query, out, boundary)
+        self._remember(key, st, query, out, boundary, final_text)
         return out
 
     def _remember(
@@ -299,6 +366,7 @@ class IncrementalRefresher:
         query: Query,
         result: QueryResult,
         boundary: int,
+        final_text: dict,
     ) -> None:
         self._panels[key] = _PanelState(
             start=int(query.start),
@@ -307,6 +375,7 @@ class IncrementalRefresher:
             metric_gen=st.metric_gen,
             reshape_gens=st.reshape_gens,
             result=result,
+            final_text=final_text,
         )
 
     @staticmethod

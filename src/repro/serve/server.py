@@ -36,8 +36,11 @@ mapped onto a request queue:
   capacity are counted as spilled but all execute, in order.
 
 Query execution is offloaded to a thread pool (numpy scans release the
-GIL), so the event loop stays responsive while lanes execute
-concurrently.
+GIL), and so is reply encoding: the executor thread hands back the
+finished reply text — joined from per-series JSON that
+:func:`~repro.serve.cache.series_text` encodes once per result series —
+and the loop thread only splices in the request id and writes.  The
+event loop stays responsive while lanes execute concurrently.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from ..tsdb.catalog import CardinalityLimitError
 from ..tsdb.model import InvalidName
 from ..tsdb.plan import ExprQuery
 from ..tsdb.query import QueryError
-from .cache import CachingStore, CatalogCache
+from .cache import CachingStore, CatalogCache, series_text
 from .refresh import IncrementalRefresher
 
 
@@ -92,13 +95,13 @@ class _Job:
     """One admitted request: payload in, one reply line out."""
 
     __slots__ = (
-        "payload", "refresh", "request_id", "tenant", "writer", "write_lock",
+        "payload", "refresh", "id_json", "tenant", "writer", "write_lock",
     )
 
-    def __init__(self, payload, refresh, request_id, tenant, writer, write_lock):
+    def __init__(self, payload, refresh, id_json, tenant, writer, write_lock):
         self.payload = payload
         self.refresh = refresh
-        self.request_id = request_id
+        self.id_json = id_json  # the request id's JSON text, or None
         self.tenant = tenant
         self.writer = writer
         self.write_lock = write_lock
@@ -294,23 +297,36 @@ class QueryServer:
                     lane.not_full.set()
                 response = await loop.run_in_executor(None, self._execute, job)
                 await self._reply(job, response)
+            except Exception as exc:
+                # A reply that cannot be written must not take the
+                # lane's worker with it: requests admitted later would
+                # never be answered.
+                self.errors += 1
+                loop.call_exception_handler({
+                    "message": f"reply on lane {lane.name!r} failed",
+                    "exception": exc,
+                })
             finally:
                 lane.in_flight -= 1
 
     # -- execution -------------------------------------------------------
-    def _execute(self, job: _Job) -> dict:
-        """Runs on the executor thread: decode → run → encode, total."""
-        self.requests += 1
+    def _execute(self, job: _Job) -> bytes | dict:
+        """Runs on the executor thread: decode → run → encode, total.
+
+        Results come back as finished response text; errors and catalog
+        answers as their (small) dicts.
+        """
         try:
             if isinstance(job.payload, dict) and "catalog" in job.payload:
                 return self._serve_catalog(job.payload)
             queries = wire.decode_request(job.payload)
             self._guard_match_cardinality(queries, tenant=job.tenant)
-            if job.refresh:
-                results = [self.refresher.run(q) for q in queries]
-            else:
-                results = self.caching.run_many(queries)
-            return wire.encode_response(results)
+            run_many = (
+                self.refresher.run_many if job.refresh else self.caching.run_many
+            )
+            return wire.encode_response_json(
+                run_many(queries), series_json=series_text
+            )
         except (
             wire.WireError, QueryError, InvalidName, CardinalityLimitError
         ) as exc:
@@ -371,12 +387,10 @@ class QueryServer:
                         limit=limit,
                     )
 
-    async def _reply(self, job: _Job, response: dict) -> None:
-        if "error" in response:
+    async def _reply(self, job: _Job, response: bytes | dict) -> None:
+        if isinstance(response, dict) and "error" in response:
             self.errors += 1
-        if job.request_id is not None:
-            response = {**response, "id": job.request_id}
-        line = json.dumps(response, allow_nan=False).encode() + b"\n"
+        line = wire.reply_line(response, job.id_json)
         async with job.write_lock:
             if job.writer.is_closing():
                 return
@@ -403,6 +417,9 @@ class QueryServer:
                     continue
                 if self._stopping:
                     break  # draining: refuse work read after the stop
+                # Counted here, on the loop thread, with ``errors``: one
+                # per request line, each of which gets exactly one reply.
+                self.requests += 1
                 job = self._parse_line(line, writer, write_lock)
                 if job is None:
                     continue  # error already replied; connection lives on
@@ -418,9 +435,10 @@ class QueryServer:
         """Envelope parsing; replies with a wire error on junk input."""
         bad: str | None = None
         payload = None
+        id_json = None
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # huge ints, deep nesting
             bad = f"request is not valid JSON: {exc}"
         if bad is None and not isinstance(payload, dict):
             bad = "request must be a JSON object"
@@ -431,14 +449,20 @@ class QueryServer:
             refresh = bool(payload.pop("refresh", False))
             if not isinstance(tenant, str) or not tenant:
                 bad = "'tenant' must be a non-empty string"
+            elif request_id is not None:
+                # Encoded once, here: ``json.loads`` accepts NaN and
+                # Infinity, which no reply may echo.
+                try:
+                    id_json = json.dumps(request_id, allow_nan=False).encode()
+                except (ValueError, RecursionError) as exc:
+                    bad = f"'id' cannot be echoed as JSON: {exc}"
         if bad is not None:
-            self.requests += 1
             stub = _Job(None, False, None, "public", writer, write_lock)
             asyncio.get_running_loop().create_task(
                 self._reply(stub, wire.encode_error(wire.WireError(bad)))
             )
             return None
-        return _Job(payload, refresh, request_id, tenant, writer, write_lock)
+        return _Job(payload, refresh, id_json, tenant, writer, write_lock)
 
 
 def _error_dict(error_type: str, message: str) -> dict:

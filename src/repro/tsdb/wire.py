@@ -262,14 +262,21 @@ def _decode_value(v) -> float:
     return float(v)
 
 
+def _encode_dps(timestamps: np.ndarray, values: np.ndarray) -> dict:
+    return {
+        str(int(ts)): _encode_value(val)
+        for ts, val in zip(timestamps.tolist(), values.tolist())
+    }
+
+
+def _encode_series_head(s) -> dict:
+    return {"metric": s.metric, "tags": dict(sorted(s.group_tags.items()))}
+
+
 def _encode_series(s) -> dict:
     return {
-        "metric": s.metric,
-        "tags": dict(sorted(s.group_tags.items())),
-        "dps": {
-            str(int(ts)): _encode_value(val)
-            for ts, val in zip(s.timestamps.tolist(), s.values.tolist())
-        },
+        **_encode_series_head(s),
+        "dps": _encode_dps(s.timestamps, s.values),
     }
 
 
@@ -314,6 +321,83 @@ def response_to_json(
 def error_to_json(exc: BaseException, **dumps_kwargs) -> str:
     dumps_kwargs.setdefault("allow_nan", False)
     return json.dumps(encode_error(exc), **dumps_kwargs)
+
+
+# -- reply text ------------------------------------------------------------
+#
+# The same responses as JSON *text*, assembled from per-series pieces so a
+# server can encode a result series once and join it into every reply that
+# carries it.  ``json.dumps(encode_response(...), allow_nan=False)`` is the
+# reference: each piece is made by ``json.dumps`` itself and the pieces are
+# joined with its default ``", "`` / ``": "`` separators, so every function
+# here returns exactly the bytes the reference would.
+
+#: What closes a series' text after its last ``dps`` entry.
+SERIES_JSON_TAIL = b"}}"
+
+
+def series_json(s) -> bytes:
+    """JSON text of one result series."""
+    return json.dumps(_encode_series(s), allow_nan=False).encode()
+
+
+def series_head_json(s) -> bytes:
+    """:func:`series_json` up to and including its ``dps`` map's ``{``.
+
+    With :func:`dps_json` and :data:`SERIES_JSON_TAIL`, the three pieces
+    a splice reassembles a series' text from:
+    ``series_json(s) == series_head_json(s) + dps_json(ts, vals) + TAIL``.
+    """
+    head = json.dumps(_encode_series_head(s), allow_nan=False)
+    return head[:-1].encode() + b', "dps": {'
+
+
+def dps_json(timestamps: np.ndarray, values: np.ndarray) -> bytes:
+    """The entries of a ``dps`` map without its braces (empty: ``b""``)."""
+    return json.dumps(
+        _encode_dps(timestamps, values), allow_nan=False
+    )[1:-1].encode()
+
+
+def encode_response_json(
+    results: Sequence[QueryResult | ExprResult], *, series_json=series_json
+) -> bytes:
+    """``run_many`` output as the JSON text of its wire response.
+
+    ``series_json`` maps one result series to its text; a serving layer
+    passes a memoising one.
+    """
+    entries = []
+    for res in results:
+        head = b"{"
+        if isinstance(res, ExprResult):
+            head = b'{"expr": %s, ' % json.dumps(res.expr.formula).encode()
+        entries.append(
+            b'%s"series": [%s], "scannedPoints": %d}'
+            % (
+                head,
+                b", ".join([series_json(s) for s in res.series]),
+                int(res.scanned_points),
+            )
+        )
+    return b'{"version": %d, "results": [%s]}' % (
+        WIRE_VERSION, b", ".join(entries)
+    )
+
+
+def reply_line(response: bytes | Mapping, id_json: bytes | None = None) -> bytes:
+    """One newline-terminated reply: a response with the request id last.
+
+    ``response`` is a response object's JSON text, or the (small) dict
+    of an error or catalog response; ``id_json`` is the request id's own
+    JSON text, ``None`` for a request that carried none.  Equals
+    ``json.dumps({**response, "id": id}, allow_nan=False) + "\n"``.
+    """
+    if not isinstance(response, bytes):
+        response = json.dumps(response, allow_nan=False).encode()
+    if id_json is None:
+        return response + b"\n"
+    return b'%s, "id": %s}\n' % (response[:-1], id_json)
 
 
 @dataclass(frozen=True)

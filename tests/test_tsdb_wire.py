@@ -118,6 +118,55 @@ def test_response_value_round_trip(ts, data):
     assert decoded.scanned_points == res[0].scanned_points
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    ts=st.lists(st.integers(0, 2**40), min_size=0, max_size=12, unique=True),
+    split=st.integers(0, 12),
+    tags=st.dictionaries(names, names, max_size=2),
+    data=st.data(),
+)
+def test_reply_text_equals_dumps_of_the_dict_codec(ts, split, tags, data):
+    """The bytes-level encoder is ``json.dumps`` of the dict codec, in
+    pieces: a series from head + dps entries + tail at any split, an
+    entry and a response from series texts, a line from either form."""
+    values = data.draw(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
+                 min_size=len(ts), max_size=len(ts)))
+    db = TSDB()
+    if ts:
+        db.put_series("m", np.array(sorted(ts), np.int64),
+                      np.array(values, np.float64), {"k": "v", **tags})
+    q = Query("m", 0, 2**40, group_by=tuple(sorted(tags)))
+    results = db.run_many(
+        [q, wire.decode_query({"expr": "a + 1", "operands": {
+            "a": wire.encode_query(q)}}), Query("absent", 0, 1)])
+
+    def dumps(obj):
+        return json.dumps(obj, allow_nan=False).encode()
+
+    for s in results[0].series:
+        whole = wire.series_json(s)
+        assert whole == dumps(wire.encode_response(results)
+                              ["results"][0]["series"][0])
+        cut = min(split, len(s))
+        pieces = [wire.dps_json(s.timestamps[:cut], s.values[:cut]),
+                  wire.dps_json(s.timestamps[cut:], s.values[cut:])]
+        assert whole == (wire.series_head_json(s)
+                         + b", ".join(p for p in pieces if p)
+                         + wire.SERIES_JSON_TAIL)
+    for batch in (results, results[:1], []):
+        response = wire.encode_response(batch)
+        text = wire.encode_response_json(batch)
+        assert text == dumps(response)
+        for request_id in (7, "r-1", [1, {"a": None}], 0, ""):
+            want = dumps({**response, "id": request_id}) + b"\n"
+            assert wire.reply_line(text, dumps(request_id)) == want
+            assert wire.reply_line(response, dumps(request_id)) == want
+        assert wire.reply_line(text) == dumps(response) + b"\n"
+    error = wire.encode_error(WireError("nope"))
+    assert wire.reply_line(error, b"3") == dumps({**error, "id": 3}) + b"\n"
+
+
 @pytest.fixture()
 def db():
     db = TSDB()
