@@ -282,7 +282,7 @@ class IncrementalRefresher:
                     ResultSeries(
                         metric=s.metric,
                         group_tags=s.group_tags,
-                        slice=self._trim(s.slice, trim_lo),
+                        slice=s.slice.between(trim_lo, None),
                         source_series=s.source_series,
                     )
                     for s in series
@@ -377,11 +377,3 @@ class IncrementalRefresher:
             result=result,
             final_text=final_text,
         )
-
-    @staticmethod
-    def _trim(sl: SeriesSlice, lo: int) -> SeriesSlice:
-        ts = sl.timestamps
-        a = int(np.searchsorted(ts, lo, side="left"))
-        if a == 0:
-            return sl
-        return SeriesSlice(ts[a:], sl.values[a:])

@@ -10,12 +10,35 @@ Aggregators serve two roles, mirroring OpenTSDB:
 All scalar functions take a 1-D float array and return a float; NaNs
 are ignored (a bucket of all-NaN yields NaN).
 
-Each scalar aggregator also has two vectorized forms that the query
-engine prefers on the hot path:
+Each scalar aggregator also has vectorized forms that the query engine
+prefers on the hot path:
 
 - *columnar* (:func:`get_columnar`): takes a ``(n_series, n_instants)``
-  matrix and reduces down the columns in one numpy pass — this is what
-  replaced the per-timestamp Python loop in cross-series aggregation;
+  matrix, NaN where a series has no point, and reduces down the columns
+  in one numpy pass.  This is the public form and the *definition* of
+  cross-series aggregation: everything below is tested byte-for-byte
+  against it;
+- *scattered* (:func:`reduce_cells`): the same reduction over
+  :class:`Cells`, the matrix in coordinate form — only the cells that
+  hold a point.  This is what the planner runs: battery nodes never
+  report on the same second, so the matrix of a city-wide panel is
+  mostly NaN and a pass over it costs series × instants where the cells
+  cost points.  The folds (avg, sum, dev, count, min, max) accumulate
+  straight from the cells; order statistics (median, percentiles,
+  first, last) have no fold, so they fill the matrix from the cells
+  and run the columnar form.
+
+  min / max fold with ``ufunc.at`` from ±inf.  The float folds (avg,
+  sum, dev, count) use ``np.bincount(col, weights=...)``, which starts
+  every column at +0.0 and adds its cells in input (row) order — the
+  very additions numpy's axis-0 ``sum`` makes over a matrix whose
+  missing cells read 0.0, so not a bit changes.  (From two columns
+  up: numpy sums a lone column as a contiguous vector, pairwise.  The
+  cells keep row order there too, so one instant aggregates the same
+  alone as inside a wider window.)  ``np.add.reduceat``
+  over time-sorted cells would *not* do: numpy's reduce loop is
+  ``first + pairwise_sum(rest)``, unrolled eight ways from eight
+  elements up, and regrouping float additions moves the last ulp;
 - *grouped* (:func:`grouped`): takes a value column plus ``reduceat``
   segment starts and reduces every segment at once — downsampling's
   per-bucket loop, vectorized.  Segments must be non-empty (NaNs inside
@@ -25,6 +48,7 @@ engine prefers on the hot path:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -122,38 +146,36 @@ def _mask_empty(out: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moments(matrix: np.ndarray, cache: dict | None):
-    """(finite mask, per-column counts, per-column sums), memoized.
-
-    The shared first pass of avg/sum/dev: when the batched executor
-    reuses one stacked matrix for several aggregators, ``cache`` (a
-    per-stack dict) makes them pay for it once.  The arithmetic is
-    exactly what each aggregator computed inline, so sharing cannot
-    change a bit of the output.
-    """
-    if cache is not None:
-        cached = cache.get("moments")
-        if cached is not None:
-            return cached
+def _moments(matrix: np.ndarray):
+    """(finite mask, per-column counts, per-column sums): the shared
+    first pass of avg/sum/dev."""
     finite = ~np.isnan(matrix)
-    counts = finite.sum(axis=0)
-    sums = np.where(finite, matrix, 0.0).sum(axis=0)
-    if cache is not None:
-        cache["moments"] = (finite, counts, sums)
-    return finite, counts, sums
+    return finite, finite.sum(axis=0), np.where(finite, matrix, 0.0).sum(axis=0)
 
 
-def _col_sum(matrix: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    finite, counts, sums = _moments(matrix, cache)
-    out = np.asarray(sums, dtype=np.float64).copy()
+def _sum_of(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    out = np.array(sums, dtype=np.float64)
     out[counts == 0] = np.nan
     return out
 
 
-def _col_avg(matrix: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    finite, counts, sums = _moments(matrix, cache)
-    out = np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
+def _avg_of(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    return np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
+
+
+def _dev_of(counts: np.ndarray, square_sums: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.sqrt(square_sums / counts)
+    out[counts == 0] = np.nan
     return out
+
+
+def _col_sum(matrix: np.ndarray) -> np.ndarray:
+    return _sum_of(*_moments(matrix)[1:])
+
+
+def _col_avg(matrix: np.ndarray) -> np.ndarray:
+    return _avg_of(*_moments(matrix)[1:])
 
 
 def _col_min(matrix: np.ndarray) -> np.ndarray:
@@ -164,22 +186,14 @@ def _col_max(matrix: np.ndarray) -> np.ndarray:
     return _mask_empty(np.where(np.isnan(matrix), -np.inf, matrix).max(axis=0), matrix)
 
 
-def _col_dev(matrix: np.ndarray, cache: dict | None = None) -> np.ndarray:
+def _col_dev(matrix: np.ndarray) -> np.ndarray:
     # Two-pass (center first): the E[x²]-E[x]² shortcut cancels
     # catastrophically for large-offset values (epoch-like series).
-    finite, counts, sums = _moments(matrix, cache)
+    finite, counts, sums = _moments(matrix)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean = sums / counts
-        centered = np.where(finite, matrix - mean, 0.0)
-        var = (centered * centered).sum(axis=0) / counts
-    out = np.sqrt(var)
-    out[counts == 0] = np.nan
-    return out
-
-
-#: Columnar aggregators accepting the shared-moments cache as a second
-#: argument (the batched executor passes one dict per stacked matrix).
-MOMENT_AWARE_COLUMNAR = frozenset({_col_avg, _col_sum, _col_dev})
+        centered = np.where(finite, matrix - sums / counts, 0.0)
+        square_sums = (centered * centered).sum(axis=0)
+    return _dev_of(counts, square_sums)
 
 
 def _col_count(matrix: np.ndarray) -> np.ndarray:
@@ -190,10 +204,17 @@ def _col_count(matrix: np.ndarray) -> np.ndarray:
 #: identity: ``count`` of one series is 1-where-finite and ``dev`` is
 #: 0-where-finite, never the raw values.  ``aggregate_across``'s
 #: single-slice shortcut must fall through to the full reduction for
-#: these (every other registered aggregator — min/max/avg/sum/first/
-#: last/median/percentiles — returns the lone value at each instant,
-#: and NaN instants stay NaN, so skipping the stack is exact).
+#: these; for every other registered aggregator a lone series is its
+#: own aggregate (NaN instants stay NaN) — through :data:`ZERO_FOLDED`
+#: for the two that add.
 NON_IDENTITY_COLUMNAR = frozenset({_col_count, _col_dev})
+
+#: Columnar aggregators whose aggregate of a lone series is ``0.0 +
+#: value``, not the value: numpy's ``sum`` starts every column at +0.0,
+#: so a lone −0.0 folds to 0.0 — as it does beside any sibling.  The
+#: single-slice shortcut adds the same 0.0, or a refresher's delta scan
+#: (siblings empty) and the full window would differ in that one bit.
+ZERO_FOLDED = frozenset({_col_avg, _col_sum})
 
 
 def _col_first(matrix: np.ndarray) -> np.ndarray:
@@ -294,6 +315,112 @@ def mergeable(name: str) -> tuple[ColumnarAggregator, ColumnarAggregator] | None
     order-statistic aggregators run centrally instead)."""
     get(name)
     return _MERGEABLE.get(name)
+
+
+# ---------------------------------------------------------------------------
+# Scattered forms: the same column reductions over the cells that exist.
+# ---------------------------------------------------------------------------
+
+
+class Cells:
+    """A ``(n_series, n_instants)`` matrix in coordinate form.
+
+    Only cells that hold a point are stored: ``values[i]`` sits in column
+    ``col[i]``, cells are listed row by row (``lengths[r]`` of them for
+    row ``r``) and a row holds at most one cell per column.  Everything
+    derived is computed on first use and kept, so aggregators reducing
+    the same cells (a dashboard's ``avg`` and ``dev`` panels over one
+    metric) share the first pass; each quantity equals, bit for bit,
+    what the columnar forms compute from :attr:`matrix`.
+    """
+
+    def __init__(
+        self, lengths: np.ndarray, col: np.ndarray, values: np.ndarray, n_cols: int
+    ) -> None:
+        self.lengths = lengths
+        self.col = col
+        self.values = values
+        self.n_cols = n_cols
+
+    def fold(self, weights: np.ndarray) -> np.ndarray:
+        """Per-column sum of one weight per cell, added in row order
+        from +0.0 (see the module docstring: ``bincount``, not
+        ``reduceat``)."""
+        return np.bincount(self.col, weights=weights, minlength=self.n_cols)
+
+    @cached_property
+    def finite(self) -> np.ndarray:
+        return ~np.isnan(self.values)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return self.fold(self.finite)
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        return self.fold(np.where(self.finite, self.values, 0.0))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, NaN where there is no cell."""
+        out = np.full((self.lengths.shape[0], self.n_cols), np.nan)
+        out[np.repeat(np.arange(self.lengths.shape[0]), self.lengths), self.col] = (
+            self.values
+        )
+        return out
+
+
+def _sct_sum(cells: Cells) -> np.ndarray:
+    return _sum_of(cells.counts, cells.sums)
+
+
+def _sct_avg(cells: Cells) -> np.ndarray:
+    return _avg_of(cells.counts, cells.sums)
+
+
+def _sct_dev(cells: Cells) -> np.ndarray:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = cells.sums / cells.counts
+        centered = np.where(cells.finite, cells.values - mean[cells.col], 0.0)
+    return _dev_of(cells.counts, cells.fold(centered * centered))
+
+
+def _sct_count(cells: Cells) -> np.ndarray:
+    return cells.counts.copy()
+
+
+def _sct_count_merge(cells: Cells) -> np.ndarray:
+    return cells.sums.copy()
+
+
+def _sct_extreme(ufunc: np.ufunc, missing: float):
+    def scattered(cells: Cells) -> np.ndarray:
+        # ufunc.at folds each column's cells in row order from
+        # ``missing``, the value the columnar form puts in empty cells.
+        out = np.full(cells.n_cols, missing)
+        ufunc.at(out, cells.col, np.where(cells.finite, cells.values, missing))
+        out[cells.counts == 0] = np.nan
+        return out
+
+    return scattered
+
+
+_SCATTERED: dict[ColumnarAggregator, Callable[[Cells], np.ndarray]] = {
+    _col_avg: _sct_avg,
+    _col_sum: _sct_sum,
+    _col_dev: _sct_dev,
+    _col_count: _sct_count,
+    _col_count_merge: _sct_count_merge,
+    _col_min: _sct_extreme(np.minimum, np.inf),
+    _col_max: _sct_extreme(np.maximum, -np.inf),
+}
+
+
+def reduce_cells(agg: ColumnarAggregator, cells: Cells) -> np.ndarray:
+    """``agg(cells.matrix)``, bit for bit, without building the matrix
+    where ``agg`` is a fold (see the module docstring)."""
+    scattered = _SCATTERED.get(agg)
+    return agg(cells.matrix) if scattered is None else scattered(cells)
 
 
 # ---------------------------------------------------------------------------

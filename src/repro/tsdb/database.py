@@ -254,13 +254,13 @@ class TSDB(StoreApi):
             for key in keys:
                 scans.need(key, q.start, q.end)
         scans.resolve(lambda key, lo, hi: self._stores[key].scan(lo, hi))
-        stack_cache: dict = {}  # shared union+stack across the batch
+        align_cache: dict = {}  # shared alignments across the batch
         return [
             planner.execute_plan(
                 q,
                 keys,
                 lambda key, q=q: scans.slice_for(key, q.start, q.end),
-                stack_cache=stack_cache,
+                align_cache=align_cache,
             )
             for q, keys in zip(queries, matches)
         ]

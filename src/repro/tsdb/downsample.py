@@ -15,7 +15,6 @@ from enum import Enum
 import numpy as np
 
 from . import aggregators
-from .batch import run_boundaries
 from .series import SeriesSlice
 
 _SPEC_RE = re.compile(r"^(\d+)(s|m|h|d)-([a-z0-9]+)(?:-([a-z]+))?$")
@@ -82,31 +81,83 @@ def apply(
     start: int | None = None,
     end: int | None = None,
 ) -> SeriesSlice:
-    """Downsample a sorted slice.
+    """Downsample a sorted slice: :func:`apply_many` over a batch of one."""
+    return apply_many([slice_], ds, start, end)[0]
+
+
+def apply_many(
+    slices: list[SeriesSlice],
+    ds: Downsample,
+    start: int | None = None,
+    end: int | None = None,
+) -> list[SeriesSlice]:
+    """Downsample sorted slices over one range, all buckets in one pass.
 
     ``start``/``end`` bound the emitted bucket range; when given with a
     gap-filling policy, empty leading/trailing buckets are emitted too,
     which dashboards rely on for fixed-width windows.
 
-    Bucket aggregation is vectorized via ``reduceat`` when the
-    aggregator supports it; order statistics (median, percentiles) fall
-    back to a per-bucket loop.
+    The slices are laid end to end and cut into segments wherever the
+    bucket or the slice changes, so a panel grouped by node reduces
+    every node's buckets with one ``reduceat`` (order statistics —
+    median, percentiles — loop per segment).  A segment's reduction
+    reads its own points only, so each slice's buckets are what they are
+    when it is downsampled alone.
     """
+    if not slices:
+        return []
     w = ds.width
+    sparse = ds.fill is FillPolicy.NONE
+    if start is not None or end is not None:
+        # From the start's bucket to the end itself — or, on a gap-filled
+        # grid, to the end of the end's bucket.
+        lo = None if start is None else int(start // w) * w
+        hi = None if end is None else end if sparse else int(end // w) * w + w - 1
+        slices = [s.between(lo, hi) for s in slices]
+    bounds = np.cumsum([0] + [len(s) for s in slices])
+    bucket = np.concatenate([s.timestamps for s in slices]) // w
+    vals = np.concatenate([s.values for s in slices])
+    n = bucket.shape[0]
+    edge = np.zeros(n + 1, dtype=bool)
+    np.not_equal(bucket[1:], bucket[:-1], out=edge[1:n])
+    edge[bounds] = True
+    starts = np.flatnonzero(edge[:n])
+    seg_bucket = bucket[starts]
+    seg_vals = _reduce_segments(ds.agg, vals, starts) if n else vals
+    seg_bounds = np.searchsorted(starts, bounds)
 
-    if len(slice_) == 0 and (start is None or end is None):
-        return SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
-
-    if ds.fill is FillPolicy.NONE:
+    if sparse:
         # No gap filling: only occupied buckets are emitted, so work is
         # proportional to the number of points, not the time span.
-        return _sparse_buckets(slice_, w, ds.agg, start, end)
+        keep = ~np.isnan(seg_vals)
+        out_ts, out_vals = seg_bucket[keep] * w, seg_vals[keep]
+        kept = np.concatenate([[0], np.cumsum(keep)])[seg_bounds]
+        return [
+            SeriesSlice(out_ts[a:b], out_vals[a:b])
+            for a, b in zip(kept[:-1].tolist(), kept[1:].tolist())
+        ]
+    return [
+        _filled(s, seg_bucket[a:b], seg_vals[a:b], ds, start, end)
+        for s, a, b in zip(slices, seg_bounds[:-1], seg_bounds[1:])
+    ]
 
-    lo = slice_.timestamps[0] if start is None else start
-    hi = slice_.timestamps[-1] if end is None else end
-    first_bucket = int(lo // w) * w
-    last_bucket = int(hi // w) * w
-    n_buckets = (last_bucket - first_bucket) // w + 1
+
+def _filled(
+    s: SeriesSlice,
+    seg_bucket: np.ndarray,
+    seg_vals: np.ndarray,
+    ds: Downsample,
+    start: int | None,
+    end: int | None,
+) -> SeriesSlice:
+    """One slice's occupied buckets laid on its gap-filled grid."""
+    w = ds.width
+    if len(s) == 0 and (start is None or end is None):
+        return SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
+    lo = s.timestamps[0] if start is None else start
+    hi = s.timestamps[-1] if end is None else end
+    first = int(lo // w)
+    n_buckets = int(hi // w) - first + 1
     if n_buckets <= 0:
         return SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
     if n_buckets > MAX_FILLED_BUCKETS:
@@ -115,23 +166,12 @@ def apply(
             f"(limit {MAX_FILLED_BUCKETS}); narrow the range or widen the "
             "bucket"
         )
-
-    bucket_ts = first_bucket + w * np.arange(n_buckets, dtype=np.int64)
+    bucket_ts = (first + np.arange(n_buckets, dtype=np.int64)) * w
     bucket_vals = np.full(n_buckets, np.nan, dtype=np.float64)
+    bucket_vals[seg_bucket - first] = seg_vals
 
-    if len(slice_) > 0:
-        idx = (slice_.timestamps - first_bucket) // w
-        in_range = (idx >= 0) & (idx < n_buckets)
-        idx = idx[in_range]
-        vals = slice_.values[in_range]
-        # Group contiguous runs of equal bucket index (timestamps sorted).
-        if idx.size > 0:
-            starts, _ = run_boundaries(idx)
-            bucket_vals[idx[starts]] = _reduce_segments(ds.agg, vals, starts)
-
-    empty = np.isnan(bucket_vals)
     if ds.fill is FillPolicy.ZERO:
-        bucket_vals[empty] = 0.0
+        bucket_vals[np.isnan(bucket_vals)] = 0.0
     elif ds.fill is FillPolicy.PREVIOUS:
         bucket_vals = _fill_previous(bucket_vals)
     elif ds.fill is FillPolicy.LINEAR:
@@ -152,31 +192,6 @@ def _reduce_segments(agg_name: str, vals: np.ndarray, starts: np.ndarray) -> np.
     agg = aggregators.get(agg_name)
     ends = np.concatenate([starts[1:], [vals.shape[0]]])
     return np.array([agg(vals[s:e]) for s, e in zip(starts, ends)])
-
-
-def _sparse_buckets(
-    slice_: SeriesSlice,
-    w: int,
-    agg_name: str,
-    start: int | None,
-    end: int | None,
-) -> SeriesSlice:
-    """Downsample emitting only buckets that contain points."""
-    ts = slice_.timestamps
-    vals = slice_.values
-    if start is not None or end is not None:
-        lo = ts[0] if start is None else start
-        hi = ts[-1] if end is None else end
-        mask = (ts >= int(lo // w) * w) & (ts <= hi)
-        ts, vals = ts[mask], vals[mask]
-    if ts.shape[0] == 0:
-        return SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
-    bucket_of = (ts // w) * w
-    starts, _ = run_boundaries(bucket_of)
-    out_ts = bucket_of[starts]
-    out_vals = _reduce_segments(agg_name, vals, starts)
-    keep = ~np.isnan(out_vals)
-    return SeriesSlice(out_ts[keep].astype(np.int64), out_vals[keep])
 
 
 def _fill_previous(vals: np.ndarray) -> np.ndarray:

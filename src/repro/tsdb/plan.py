@@ -15,14 +15,16 @@ this module adds everything around it:
   evaluates expressions over the batch results;
 - :func:`execute_plan` — the seed scan → rate → group-by → aggregate →
   downsample plan, factored into reusable stages (:func:`group_keys`,
-  :func:`aggregate_across`, :func:`reduce_group`) so the single store,
+  :func:`aggregate_across`, :func:`reduce_groups`) so the single store,
   the sharded fan-out, and the per-shard pushdown all run the *same*
   code over the same slices — results are bit-identical no matter which
   engine executed them;
-- :class:`ScanPlan` / :func:`partial_aggregate` — the physical helpers:
-  one covering-range scan per touched series for a whole batch, and the
-  per-shard partial aggregates merged through
-  :func:`~repro.tsdb.aggregators.mergeable` pairs.
+- :class:`ScanPlan` / :func:`align` / :func:`partial_aggregate` — the
+  physical helpers: one covering-range scan per touched series for a
+  whole batch, one argsort alignment per group of slices (every point's
+  column in the timestamp union; the aggregators fold the points, no
+  series×instant matrix), and the per-shard partial aggregates merged
+  through :func:`~repro.tsdb.aggregators.mergeable` pairs.
 
 The old one-shot entry points (``TSDB.run``, ``StoreApi.query``,
 ``query_range``) are thin shims over this planner: a single query is
@@ -40,7 +42,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import aggregators
-from .downsample import Downsample, apply as apply_downsample
+from .downsample import Downsample, apply_many as downsample_many
 from .model import SeriesKey
 from .query import Query, QueryError, QueryResult, ResultSeries, compute_rate
 from .series import SeriesSlice
@@ -379,55 +381,59 @@ def group_keys(
     return {label: sorted(keys, key=str) for label, keys in groups.items()}
 
 
-def _sorted_union(parts: list[np.ndarray]) -> np.ndarray:
-    """Sorted unique union of sorted int64 arrays.
+def align(slices: list[SeriesSlice]) -> tuple[np.ndarray, aggregators.Cells]:
+    """Align non-empty slices on the union of their timestamps.
 
-    Output-identical to ``np.unique(np.concatenate(parts))`` but via a
-    stable sort (fast on concatenations of sorted runs, and it releases
-    the GIL, unlike numpy's hash-based unique) plus a dedup mask.
+    One stable argsort of the concatenated timestamps gives the sorted
+    union (a dedup mask over the sorted run) and, scattered back through
+    the permutation, every point's column in it — work proportional to
+    the points, where a (series, instant) matrix costs series × union
+    and is mostly NaN for feeds that never report on the same second.
+    Points stay in slice order, which is the order the folds add in.
     """
-    merged = np.sort(np.concatenate(parts), kind="stable")
-    if merged.shape[0] == 0:
-        return merged
-    keep = np.empty(merged.shape[0], dtype=bool)
-    keep[0] = True
-    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-    return merged[keep]
+    ts = np.concatenate([s.timestamps for s in slices])
+    order = np.argsort(ts, kind="stable")
+    merged = ts[order]
+    first = np.empty(merged.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    all_ts = merged[first]
+    # Rank of each sorted point's instant (cumsum of an integer copy:
+    # off the bool mask itself numpy runs its slow casting loop).
+    rank = first.astype(np.intp)
+    np.cumsum(rank, out=rank)
+    col = np.empty(merged.shape[0], dtype=np.intp)
+    col[order] = rank
+    col -= 1
+    return all_ts, aggregators.Cells(
+        np.array([len(s) for s in slices]),
+        col,
+        np.concatenate([s.values for s in slices]),
+        all_ts.shape[0],
+    )
 
 
-def build_stack(slices: list[SeriesSlice]) -> tuple[np.ndarray, np.ndarray]:
-    """Align slices on their timestamp union as a (series, instant) matrix."""
-    all_ts = _sorted_union([s.timestamps for s in slices])
-    stacked = np.full((len(slices), all_ts.shape[0]), np.nan)
-    for i, s in enumerate(slices):
-        stacked[i, np.searchsorted(all_ts, s.timestamps)] = s.values
-    return all_ts, stacked
-
-
-def _stacked_for(
-    slices: list[SeriesSlice], stack_cache: dict | None
-) -> tuple[np.ndarray, np.ndarray, dict | None]:
-    """Union+stack (+ shared-moments dict) for ``slices``, memoized per
-    batch when a cache is given.
+def _aligned_for(
+    slices: list[SeriesSlice], align_cache: dict | None
+) -> tuple[np.ndarray, aggregators.Cells]:
+    """:func:`align`, memoized per batch when a cache is given.
 
     Keys are slice identities; each entry pins its slices, so a freed
     slice's address can never be reused by an object that would collide
-    with a live key (no false hits).  The returned moments dict is
-    per-stack: aggregators that share a first pass (avg/sum/dev) store
-    their (finite, counts, sums) there once per matrix.
+    with a live key (no false hits).  The cells keep what aggregators
+    derive from them, so panels over the same slices share that too.
     """
-    if stack_cache is None:
-        return build_stack(slices) + (None,)
+    if align_cache is None:
+        return align(slices)
     key = tuple(map(id, slices))
-    entry = stack_cache.get(key)
+    entry = align_cache.get(key)
     if entry is None:
-        all_ts, stacked = build_stack(slices)
-        entry = stack_cache[key] = (list(slices), all_ts, stacked, {})
-    return entry[1], entry[2], entry[3]
+        entry = align_cache[key] = (list(slices), *align(slices))
+    return entry[1], entry[2]
 
 
 def aggregate_across(
-    slices: list[SeriesSlice], agg, *, stack_cache: dict | None = None
+    slices: list[SeriesSlice], agg, *, align_cache: dict | None = None
 ) -> SeriesSlice:
     """Combine several series into one by aggregating per timestamp.
 
@@ -438,16 +444,16 @@ def aggregate_across(
     interpolation is left to downsample fill policies.)
 
     ``agg`` is a *columnar* aggregator (see
-    :func:`~repro.tsdb.aggregators.get_columnar`): the whole
-    series×instant matrix reduces in one numpy pass instead of a Python
-    loop per timestamp.
+    :func:`~repro.tsdb.aggregators.get_columnar`) and the result is, bit
+    for bit, ``agg`` of the series×instant matrix — computed from the
+    aligned points alone (:func:`~repro.tsdb.aggregators.reduce_cells`).
 
-    ``stack_cache`` is the batched executor's cross-query win: queries
+    ``align_cache`` is the batched executor's cross-query win: queries
     in one batch that aggregate the *same* slice objects (a dashboard's
-    ``avg`` and ``p95`` panels over one metric) share the union+stack
-    work and differ only in the final reduction.  Keys are slice
-    identities, so the cache is only valid while the batch holds its
-    prepared slices — callers pass a per-batch dict.
+    ``avg`` and ``dev`` panels over one metric) share the alignment and
+    its first pass and differ only in the final reduction.  Keys are
+    slice identities, so the cache is only valid while the batch holds
+    its prepared slices — callers pass a per-batch dict.
     """
     slices = [s for s in slices if len(s) > 0]
     if not slices:
@@ -457,25 +463,29 @@ def aggregate_across(
         # count (→ 1-where-finite) and dev (→ 0) take the full path, or
         # a group whose siblings fall away (rate on a 1-point series,
         # empty shard partials) would return raw values instead.
-        return slices[0]
-    all_ts, stacked, moments = _stacked_for(slices, stack_cache)
-    if moments is not None and agg in aggregators.MOMENT_AWARE_COLUMNAR:
-        return SeriesSlice(all_ts, agg(stacked, moments))
-    return SeriesSlice(all_ts, agg(stacked))
+        only = slices[0]
+        if agg in aggregators.ZERO_FOLDED:
+            return SeriesSlice(only.timestamps, only.values + 0.0)
+        return only
+    all_ts, cells = _aligned_for(slices, align_cache)
+    return SeriesSlice(all_ts, aggregators.reduce_cells(agg, cells))
 
 
-def reduce_group(
+def reduce_groups(
     query: Query,
-    slices: list[SeriesSlice],
+    groups: list[list[SeriesSlice]],
     *,
     ds: Downsample | None,
     agg,
-    stack_cache: dict | None = None,
-) -> SeriesSlice:
-    """Finish one group: cross-series aggregate, then downsample."""
-    combined = aggregate_across(slices, agg, stack_cache=stack_cache)
+    align_cache: dict | None = None,
+) -> list[SeriesSlice]:
+    """Finish a query's groups: cross-series aggregate each, then
+    downsample them all in one pass."""
+    combined = [
+        aggregate_across(slices, agg, align_cache=align_cache) for slices in groups
+    ]
     if ds is not None:
-        combined = apply_downsample(combined, ds, query.start, query.end)
+        combined = downsample_many(combined, ds, query.start, query.end)
     return combined
 
 
@@ -484,7 +494,7 @@ def execute_plan(
     matched: Sequence[SeriesKey],
     scan: Callable[[SeriesKey], SeriesSlice],
     *,
-    stack_cache: dict | None = None,
+    align_cache: dict | None = None,
 ) -> QueryResult:
     """The group-by → aggregate → downsample plan over scanned slices.
 
@@ -496,12 +506,10 @@ def execute_plan(
     partitioned: groups form from the key set alone and slices always
     aggregate in sorted key order.
     """
-    ds = query.parsed_downsample()
-    agg = aggregators.get_columnar(query.aggregator)
-
     scanned = 0
-    series_out: list[ResultSeries] = []
-    for label, keys in sorted(group_keys(query, matched).items()):
+    groups = sorted(group_keys(query, matched).items())
+    prepared: list[list[SeriesSlice]] = []
+    for _, keys in groups:
         slices: list[SeriesSlice] = []
         for key in keys:
             sl = scan(key)
@@ -509,16 +517,23 @@ def execute_plan(
             if query.rate:
                 sl = compute_rate(sl)
             slices.append(sl)
-        series_out.append(
-            ResultSeries(
-                metric=query.metric,
-                group_tags=dict(label),
-                slice=reduce_group(
-                    query, slices, ds=ds, agg=agg, stack_cache=stack_cache
-                ),
-                source_series=tuple(keys),
-            )
+        prepared.append(slices)
+    reduced = reduce_groups(
+        query,
+        prepared,
+        ds=query.parsed_downsample(),
+        agg=aggregators.get_columnar(query.aggregator),
+        align_cache=align_cache,
+    )
+    series_out = [
+        ResultSeries(
+            metric=query.metric,
+            group_tags=dict(label),
+            slice=combined,
+            source_series=tuple(keys),
         )
+        for (label, keys), combined in zip(groups, reduced)
+    ]
     if not series_out:
         series_out.append(ResultSeries(query.metric, {}, _empty_slice(), ()))
     return QueryResult(query=query, series=tuple(series_out), scanned_points=scanned)
@@ -565,7 +580,7 @@ class ScanPlan:
     def slice_for(self, key: SeriesKey, start: int, end: int) -> SeriesSlice:
         """Sub-range of the covering scan; memoized so queries sharing a
         (key, range) see the *same* slice object (which is what lets the
-        batch's stack cache recognize shared aggregation work)."""
+        batch's alignment cache recognize shared aggregation work)."""
         sl = self._scans[key]
         lo, hi = self._ranges[key]
         if lo == start and hi == end:
@@ -573,20 +588,12 @@ class ScanPlan:
         memo_key = (key, start, end)
         sub = self._subslices.get(memo_key)
         if sub is None:
-            ts = sl.timestamps
-            a = int(np.searchsorted(ts, start, side="left"))
-            b = int(np.searchsorted(ts, end, side="right"))
-            sub = (
-                sl
-                if a == 0 and b == ts.shape[0]
-                else SeriesSlice(ts[a:b], sl.values[a:b])
-            )
-            self._subslices[memo_key] = sub
+            sub = self._subslices[memo_key] = sl.between(start, end)
         return sub
 
 
 def partial_aggregate(
-    slices: list[SeriesSlice], partial_fn, *, stack_cache: dict | None = None
+    slices: list[SeriesSlice], partial_fn, *, align_cache: dict | None = None
 ) -> SeriesSlice:
     """Partial cross-series aggregate of one shard's slices.
 
@@ -599,8 +606,8 @@ def partial_aggregate(
     slices = [s for s in slices if len(s) > 0]
     if not slices:
         return _empty_slice()
-    all_ts, stacked, _ = _stacked_for(slices, stack_cache)
-    return SeriesSlice(all_ts, partial_fn(stacked))
+    all_ts, cells = _aligned_for(slices, align_cache)
+    return SeriesSlice(all_ts, aggregators.reduce_cells(partial_fn, cells))
 
 
 def match_batch(

@@ -28,6 +28,16 @@ class SeriesSlice:
     def is_empty(self) -> bool:
         return len(self) == 0
 
+    def between(self, start: int | None, end: int | None) -> "SeriesSlice":
+        """View of the points with ``start <= t <= end`` (``None`` = open);
+        the slice itself when that is all of them."""
+        ts = self.timestamps
+        a = 0 if start is None else int(np.searchsorted(ts, start, side="left"))
+        b = ts.shape[0] if end is None else int(np.searchsorted(ts, end, side="right"))
+        if a == 0 and b == ts.shape[0]:
+            return self
+        return SeriesSlice(ts[a:b], self.values[a:b])
+
 
 class SeriesStore:
     """Append-optimized storage for one series.

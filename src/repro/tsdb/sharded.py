@@ -29,6 +29,8 @@ import re
 import zlib
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -415,23 +417,26 @@ class ShardedTSDB(StoreApi):
                 if q.rate:
                     sl = compute_rate(sl)
                 prepared[(qi, key)] = sl
-            stack_cache: dict = {}  # shared across this shard's jobs
+            align_cache: dict = {}  # shared across this shard's jobs
             finished: dict[tuple[int, tuple], SeriesSlice] = {}
-            for qi, label, keys in local_jobs[si]:
+            for qi, jobs in groupby(local_jobs[si], key=itemgetter(0)):
+                jobs = list(jobs)
                 ds, agg, _ = plans[qi]
-                finished[(qi, label)] = planner.reduce_group(
+                reduced = planner.reduce_groups(
                     queries[qi],
-                    [prepared[(qi, k)] for k in keys],
+                    [[prepared[(qi, k)] for k in keys] for _, _, keys in jobs],
                     ds=ds,
                     agg=agg,
-                    stack_cache=stack_cache,
+                    align_cache=align_cache,
                 )
+                for (_, label, _), combined in zip(jobs, reduced):
+                    finished[(qi, label)] = combined
             partials: dict[tuple[int, tuple], SeriesSlice] = {}
             for qi, label, keys in partial_jobs[si]:
                 partials[(qi, label)] = planner.partial_aggregate(
                     [prepared[(qi, k)] for k in keys],
                     plans[qi][2][0],
-                    stack_cache=stack_cache,
+                    align_cache=align_cache,
                 )
             return scanned, finished, partials, prepared
 
@@ -456,10 +461,10 @@ class ShardedTSDB(StoreApi):
         for _, _, _, prepared in shard_out:
             by_key.update(prepared)
         # Shared across the central jobs: two panels aggregating the same
-        # prepared slices (avg + p95 over one metric) stack once.  Dict
+        # prepared slices (avg + dev over one metric) align once.  Dict
         # get/set are atomic under the GIL; a rare concurrent double
         # compute of one key is wasted work, never wrong results.
-        stack_cache: dict = {}
+        align_cache: dict = {}
 
         def central(qi: int, label: tuple, keys: list[SeriesKey]) -> SeriesSlice:
             q = queries[qi]
@@ -473,7 +478,7 @@ class ShardedTSDB(StoreApi):
             else:  # gather: central aggregation in global sorted-key order
                 combined = planner.aggregate_across(
                     [by_key[(qi, k)] for k in keys], agg,
-                    stack_cache=stack_cache,
+                    align_cache=align_cache,
                 )
             if ds is not None:
                 combined = apply_downsample(combined, ds, q.start, q.end)

@@ -21,7 +21,13 @@ from repro.tsdb import (
     parse_line,
     shard_for_key,
 )
-from repro.tsdb.downsample import FillPolicy, apply as apply_downsample
+from repro.tsdb import aggregators
+from repro.tsdb.downsample import (
+    FillPolicy,
+    apply as apply_downsample,
+    apply_many as downsample_many,
+)
+from repro.tsdb.series import SeriesSlice
 
 timestamps = st.integers(min_value=0, max_value=2**40)
 values = st.floats(
@@ -165,6 +171,57 @@ class TestDownsampleProperties:
         finite = out.values[np.isfinite(out.values)]
         allowed = set(store.scan().values.tolist())
         assert all(v in allowed for v in finite.tolist())
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_slices=st.integers(1, 8),
+        width=st.sampled_from([1, 7, 60]),
+        agg=st.sampled_from(sorted(aggregators.names())),
+        fill=st.sampled_from(list(FillPolicy)),
+        start=st.none() | st.integers(-50, 400),
+        end=st.none() | st.integers(-50, 700),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_equals_each_slice_alone(self, seed, n_slices, width, agg,
+                                           fill, start, end):
+        """A query's groups are downsampled in one pass: whatever shares
+        the pass, a slice's buckets are the bytes it gets on its own —
+        and those are one scalar aggregate per occupied bucket."""
+        rng = np.random.default_rng(seed)
+        specials = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])
+        slices = []
+        for _ in range(n_slices):
+            ts = np.flatnonzero(rng.random(600) < rng.choice((0.0, 0.02, 0.2))) - 100
+            vals = rng.choice((-1.0, 1.0), ts.shape[0]) * 10.0 ** rng.uniform(
+                -3, 8, ts.shape[0])
+            odd = rng.random(ts.shape[0]) < 0.2
+            vals[odd] = rng.choice(specials, int(odd.sum()))
+            slices.append(SeriesSlice(ts.astype(np.int64), vals))
+        ds = Downsample(width, agg, fill)
+        batch = downsample_many(slices, ds, start, end)
+        assert len(batch) == n_slices
+        for sl, got in zip(slices, batch):
+            alone = apply_downsample(sl, ds, start, end)
+            assert got.timestamps.tobytes() == alone.timestamps.tobytes()
+            assert got.values.tobytes() == alone.values.tobytes()
+            assert got.timestamps.dtype == np.int64
+        if fill is FillPolicy.NONE and agg in ("count", "min", "max", "first", "last"):
+            # exact aggregators: check against the scalar definition
+            scalar = aggregators.get(agg)
+            for sl, got in zip(slices, batch):
+                lo = -np.inf if start is None else start // width * width
+                hi = np.inf if end is None else end
+                inside = (sl.timestamps >= lo) & (sl.timestamps <= hi)
+                ts, vals = sl.timestamps[inside], sl.values[inside]
+                want = {}
+                for b in np.unique(ts // width):
+                    v = scalar(vals[ts // width == b])
+                    if not np.isnan(v):
+                        want[int(b) * width] = v
+                assert got.timestamps.tolist() == sorted(want)
+                assert got.values.tolist() == [want[t] for t in sorted(want)]
 
 
 shard_counts = st.sampled_from([1, 2, 4, 7])

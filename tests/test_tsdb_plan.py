@@ -9,6 +9,9 @@ sharded stores for n ∈ {1, 2, 4, 7}, with the thread-pooled fan-out on
 and off, plus the semantics of the new surfaces themselves.
 """
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,11 +23,13 @@ from repro.tsdb import (
     QueryError,
     ShardedTSDB,
     TSDB,
+    aggregators,
     execute_query,
     expr,
     select,
 )
-from repro.tsdb.plan import ScanPlan
+from repro.tsdb.plan import ScanPlan, aggregate_across, partial_aggregate
+from repro.tsdb.series import SeriesSlice
 
 SHARD_COUNTS = (1, 2, 4, 7)
 METRICS = ("air.co2.ppm", "air.no2.ugm3", "weather.temperature.c",
@@ -469,3 +474,204 @@ def test_property_pushdown_equivalence(seed, n_shards, agg, downsample, rate,
                 sharded.run_many([q], parallel=False)[0],
                 single.run_many([q])[0]):
         assert_results_identical(res, ref)
+
+
+# ---------------------------------------------------------------------------
+# Scatter aggregation == the dense columnar definition, byte for byte
+# ---------------------------------------------------------------------------
+
+_SPECIALS = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])
+
+#: A lone series is its own median / percentile in the planner; numpy's
+#: interpolation, run on a one-row matrix, makes NaN of ±inf (inf − inf)
+#: and 0.0 of −0.0, so the dense form is not the reference there.
+_LONE_IS_ITSELF = ("median", "p50", "p90", "p95", "p99")
+
+
+@st.composite
+def _slice_groups(draw):
+    """1–40 series on aligned, offset, disjoint or partly overlapping
+    timestamps, some cut to one point or emptied, values spanning
+    1e-3…1e8 in both signs with NaN / ±0.0 / ±inf sprinkled in."""
+    n = draw(st.integers(1, 40))
+    layout = draw(st.sampled_from(("aligned", "offset", "disjoint", "overlap")))
+    length = draw(st.integers(1, 12))
+    special = draw(st.sampled_from((0.0, 0.1, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slices = []
+    for i in range(n):
+        if layout == "aligned":
+            ts = np.arange(length) * 60
+        elif layout == "offset":
+            ts = np.arange(length) * 60 + i % 7
+        elif layout == "disjoint":
+            ts = np.arange(length) * n + i
+        else:
+            ts = np.flatnonzero(rng.random(3 * length) < 0.4)
+        keep = draw(st.sampled_from(("all", "all", "all", "one", "none")))
+        if keep == "one":
+            ts = ts[-1:]
+        elif keep == "none":
+            ts = ts[:0]
+        values = rng.choice((-1.0, 1.0), ts.shape[0]) * 10.0 ** rng.uniform(
+            -3, 8, ts.shape[0])
+        odd = rng.random(ts.shape[0]) < special
+        values[odd] = rng.choice(_SPECIALS, int(odd.sum()))
+        slices.append(SeriesSlice(ts.astype(np.int64), values))
+    return slices
+
+
+def _dense(slices):
+    """The reference alignment: the (series, instant) NaN matrix."""
+    all_ts = np.unique(np.concatenate([s.timestamps for s in slices]))
+    matrix = np.full((len(slices), all_ts.shape[0]), np.nan)
+    for i, s in enumerate(slices):
+        matrix[i, np.searchsorted(all_ts, s.timestamps)] = s.values
+    return all_ts, matrix
+
+
+def _columnar(agg, matrix):
+    """``agg(matrix)`` as the row-order fold it is for any matrix of two
+    columns or more.  numpy reduces a lone column as a contiguous vector
+    — pairwise, unrolled — so one instant of eight series or more would
+    sum differently from the same instant inside a wider window; the
+    planner adds row by row whatever the window holds."""
+    if matrix.shape[1] == 1:
+        return agg(np.hstack([matrix, matrix]))[:1]
+    return agg(matrix)
+
+
+def _assert_bytes(got: SeriesSlice, all_ts, values, what):
+    assert got.timestamps.tobytes() == all_ts.tobytes(), what
+    assert got.values.dtype == np.float64, what
+    assert got.values.tobytes() == values.tobytes(), (what, got.values, values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
+@settings(max_examples=200, deadline=None)
+@given(slices=_slice_groups(), shared=st.booleans())
+def test_property_scatter_equals_dense_columnar(slices, shared):
+    """``aggregate_across`` / ``partial_aggregate`` return the bytes of
+    ``get_columnar(name)(matrix)`` for every registered aggregator
+    (as :func:`_columnar` reads a one-instant matrix).
+
+    This is what a fold that regroups additions fails: summing each
+    instant's time-sorted points with ``np.add.reduceat`` is ``first +
+    pairwise_sum(rest)`` in numpy, eight ways unrolled, and differs from
+    the row-order fold in the last ulp from nine series up.
+    """
+    rows = [s for s in slices if len(s) > 0]
+    cache = {} if shared else None  # a batch's panels share one alignment
+    for name in aggregators.names():
+        agg = aggregators.get_columnar(name)
+        got = aggregate_across(slices, agg, align_cache=cache)
+        if not rows:
+            assert len(got) == 0
+            continue
+        all_ts, matrix = _dense(rows)
+        if len(rows) == 1 and name in _LONE_IS_ITSELF:
+            _assert_bytes(got, all_ts, rows[0].values, name)
+        else:
+            _assert_bytes(got, all_ts, _columnar(agg, matrix), name)
+        pair = aggregators.mergeable(name)
+        if pair is not None:
+            partial, merge = pair
+            _assert_bytes(partial_aggregate(slices, partial, align_cache=cache),
+                          all_ts, _columnar(partial, matrix), f"{name} partial")
+            if len(rows) > 1:
+                _assert_bytes(aggregate_across(slices, merge), all_ts,
+                              _columnar(merge, matrix), f"{name} merge")
+
+
+def test_fold_adds_in_row_order_at_reduceat_width():
+    """Forty series on one clock, magnitudes 1e-3…1e8: wide enough for
+    numpy's unrolled pairwise reduce, so only a fold that adds row by
+    row reproduces the dense sums."""
+    rng = np.random.default_rng(14)
+    ts = np.arange(500, dtype=np.int64) * 60
+    slices = [SeriesSlice(ts, 10.0 ** rng.uniform(-3, 8, ts.shape[0]))
+              for _ in range(40)]
+    all_ts, matrix = _dense(slices)
+    for name in ("avg", "sum", "dev"):
+        agg = aggregators.get_columnar(name)
+        _assert_bytes(aggregate_across(slices, agg), all_ts, agg(matrix), name)
+
+
+def test_lone_negative_zero_folds_like_a_group():
+    """avg / sum of a lone series add the fold's +0.0 (−0.0 → 0.0), as
+    they do beside any sibling — so a delta scan whose siblings are
+    empty agrees with the full window byte for byte."""
+    lone = SeriesSlice(np.array([10, 20], np.int64), np.array([-0.0, 2.5]))
+    sibling = SeriesSlice(np.array([30], np.int64), np.array([1.0]))
+    empty = SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
+    for name in ("avg", "sum"):
+        agg = aggregators.get_columnar(name)
+        alone = aggregate_across([lone, empty], agg)
+        beside = aggregate_across([lone, sibling], agg)
+        assert alone.values.tobytes() == np.array([0.0, 2.5]).tobytes()
+        assert alone.values.tobytes() == beside.values[:2].tobytes()
+    for name in ("min", "max", "first", "last", "median", "p95"):
+        alone = aggregate_across([lone, empty], aggregators.get_columnar(name))
+        assert alone.values.tobytes() == lone.values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def frozen_seed_run():
+    """The frozen seed executor of ``benchmarks/test_query_throughput.py``
+    (np.unique union + dense NaN matrix + one scan per query and key)."""
+    import sys
+
+    bench_dir = str(Path(__file__).resolve().parents[1] / "benchmarks")
+    sys.path.insert(0, bench_dir)
+    try:
+        return importlib.import_module("test_query_throughput").seed_run
+    finally:
+        sys.path.remove(bench_dir)
+
+
+def test_unaligned_workload_equals_frozen_seed_executor(frozen_seed_run):
+    """Every engine ≡ the frozen seed executor, as bytes, on feeds that
+    never share a second (offsets 0…6 s, 1 % two minutes late)."""
+    rng = np.random.default_rng(2017)
+    n_series, rows = 4 * 13, 240
+    series = np.tile(np.arange(n_series), rows)
+    ts = np.repeat(np.arange(rows) * 60, n_series) + series % 7
+    ts[rng.random(ts.shape[0]) < 0.01] -= 120
+    values = rng.normal(400.0, 25.0, ts.shape[0])
+    values[rng.random(ts.shape[0]) < 0.01] = np.nan
+    single = TSDB()
+    shardeds = [ShardedTSDB(n) for n in SHARD_COUNTS]
+    for s, t, v in zip(series.tolist(), ts.tolist(), values.tolist()):
+        tags = {"node": NODES[s // 4 % len(NODES)] + f"-{s // 36}",
+                "city": "trondheim"}
+        for db in (single, *shardeds):
+            db.put(METRICS[s % 4], t, v, tags)
+    t_max = int(ts.max())
+    city = {"city": "trondheim"}
+    panels = [Query(m, 0, t_max, tags=city, aggregator=name, downsample=ds)
+              for m in METRICS[:2]
+              for name, ds in (("avg", "5m-avg"), ("dev", "15m-max"),
+                               ("sum", None), ("min", None), ("max", "1h-max"),
+                               ("count", None), ("p95", "5m-avg"),
+                               ("median", None), ("first", None),
+                               ("last", None))]
+    panels += [Query(m, 0, t_max, tags=city, downsample="5m-avg",
+                     group_by=("node",)) for m in METRICS]
+    panels.append(Query(METRICS[2], 600, t_max - 600, tags=city,
+                        aggregator="dev"))
+    reference = [frozen_seed_run(single, q) for q in panels]
+    runs = [single.run_many(panels), [single.run(q) for q in panels]]
+    for db in shardeds:
+        runs.append(db.run_many(panels, parallel=True))
+        runs.append(db.run_many(panels, parallel=False))
+    for run in runs:
+        for res, ref in zip(run, reference):
+            assert res.scanned_points == ref.scanned_points
+            assert len(res) == len(ref)
+            for a, b in zip(res, ref):
+                assert dict(a.group_tags) == dict(b.group_tags)
+                assert a.source_series == b.source_series
+                assert a.timestamps.tobytes() == b.timestamps.tobytes()
+                assert a.values.tobytes() == b.values.tobytes()
+    for db in shardeds:
+        db.close()
