@@ -19,8 +19,9 @@ test-region:
 test-persist:
 	$(PYTHON) -m pytest -q tests/test_tsdb_segments.py tests/test_tsdb_persistence.py
 
-# The query-engine gate: builder/run_many/pushdown/expression results
-# byte-identical to the seed run() path, plus wire codec round-trips.
+# The query-engine gate: builder/run_many/expression results on single
+# and sharded stores byte-identical to the seed run() path, plus wire
+# codec round-trips.
 test-query:
 	$(PYTHON) -m pytest -q tests/test_tsdb_plan.py tests/test_tsdb_wire.py
 

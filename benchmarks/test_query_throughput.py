@@ -12,11 +12,9 @@ records the ``query`` section of ``BENCH_ingest.json``:
   the acceptance gate measures against;
 - *sequential*: one ``run()`` per panel on today's engine — the shims
   share the planner's faster exact kernels but plan each call alone;
-- *batched_serial* / *batched*: one ``run_many`` over all panels —
-  shared matching, one scan per touched series, shared union+stack
-  across panels, pushdown into shards — without and with the
-  thread-pooled fan-out (identical results either way; the pool only
-  pays off with >1 core).
+- *batched*: one ``run_many`` over all panels — shared matching, one
+  scan per touched series, one alignment shared across panels; the
+  same executor on the single and the sharded store.
 
 Gate: on the 4-shard store, batched ``run_many`` must beat the
 sequential seed path by ≥2× — while every path returns byte-identical
@@ -262,18 +260,13 @@ def test_batched_dashboard_beats_sequential(workload):
         )
         # Today's one-shot shims (each call plans alone).
         seq_s, seq_results = median_seconds(
-            lambda: [db.run(q, parallel=False) for q in panels]
-        )
-        # The batched planner, without and with the thread pool.
-        plan_s, plan_results = median_seconds(
-            lambda: db.run_many(panels, parallel=False)
+            lambda: [db.run(q) for q in panels]
         )
         batch_s, batch_results = median_seconds(
             lambda: db.run_many(panels)
         )
 
         assert_identical(seq_results, seed_results)
-        assert_identical(plan_results, seed_results)
         assert_identical(batch_results, seed_results)
         assert_identical(seed_results, reference)
 
@@ -283,13 +276,11 @@ def test_batched_dashboard_beats_sequential(workload):
         report["stores"][f"sharded_{shards}"] = {
             "seed_sequential_ms": round(seed_s * 1e3, 2),
             "sequential_ms": round(seq_s * 1e3, 2),
-            "batched_serial_ms": round(plan_s * 1e3, 2),
             "batched_ms": round(batch_s * 1e3, 2),
             "batched_speedup_vs_seed": round(speedup, 2),
         }
         print(f"BENCH_query[{shards} shards]: seed {seed_s * 1e3:.1f} ms, "
               f"sequential {seq_s * 1e3:.1f} ms, "
-              f"batched-serial {plan_s * 1e3:.1f} ms, "
               f"batched {batch_s * 1e3:.1f} ms ({speedup:.2f}x vs seed)")
 
     update_section("query", report)

@@ -307,14 +307,13 @@ class RegionalHub:
         downsample: str | None = None,
         rate: bool = False,
         group_by: tuple[str, ...] = (),
-        parallel: bool | None = None,
     ) -> dict[str, QueryResult]:
         """One query per registered city, planned as a single batch.
 
         The regional ops convenience: N city-scoped queries over the
         same metric go through ``store.run_many`` together — shared
-        series matching and scans, one thread-pooled fan-out on a
-        sharded store — instead of N independent ``run()`` calls.
+        series matching and scans — instead of N independent ``run()``
+        calls.
         (Dashboard *panels* batch separately via
         ``Dashboard.prefetch_results``, which also covers non-per-city
         panels.)  Returns city → result in registration order.
@@ -332,7 +331,7 @@ class RegionalHub:
             )
             for city in self.cities
         ]
-        results = self.store.run_many(queries, parallel=parallel)
+        results = self.store.run_many(queries)
         return dict(zip(self.cities, results))
 
     # ------------------------------------------------------------------

@@ -254,7 +254,7 @@ class CachingStore(StoreApi):
 
     Implements the planner's ``_run_unique_batch`` hook: per unique
     query the cache answers or the miss set executes as one batch on
-    the wrapped store (keeping shared matching/scans/pushdown for the
+    the wrapped store (keeping shared matching/scans for the
     misses).  Everything else — writes, introspection, maintenance,
     generation tracking — delegates to the wrapped store, so a
     ``CachingStore`` is a drop-in :class:`TimeSeriesStore` and writes
@@ -278,9 +278,7 @@ class CachingStore(StoreApi):
     def run(self, query: Query) -> QueryResult:
         return self.run_many([query])[0]
 
-    def _run_unique_batch(
-        self, queries: Sequence[Query], parallel: bool | None = None
-    ) -> list[QueryResult]:
+    def _run_unique_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
         results: list[QueryResult | None] = [None] * len(queries)
         miss: list[int] = []
         for i, q in enumerate(queries):
@@ -294,7 +292,7 @@ class CachingStore(StoreApi):
             validators = [
                 self.cache.capture(self._store, q) for q in miss_qs
             ]
-            out = self._store._run_unique_batch(miss_qs, parallel=parallel)
+            out = self._store._run_unique_batch(miss_qs)
             for i, q, v, res in zip(miss, miss_qs, validators, out):
                 results[i] = res
                 self.cache.insert(self._store, q, v, res)

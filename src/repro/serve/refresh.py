@@ -193,9 +193,7 @@ class IncrementalRefresher:
         """
         return run_batch(self, queries)
 
-    def _run_unique_batch(
-        self, queries: list[Query], parallel: bool | None = None
-    ) -> list[QueryResult]:
+    def _run_unique_batch(self, queries: list[Query]) -> list[QueryResult]:
         return [self.run(q) for q in queries]
 
     def run(self, query: Query) -> QueryResult:

@@ -5,8 +5,8 @@ one metric + tag combination.  Queries support tag filtering (exact,
 ``*``, ``a|b``), cross-series aggregation, group-by, rate, and
 downsampling with gap-fill policies; the declarative :class:`Query`
 surface (plus the fluent :func:`select` builder and :func:`expr`
-arithmetic expression queries) executes through a batched planner
-(:mod:`~repro.tsdb.plan`) with per-shard pushdown, and speaks a
+arithmetic expression queries) executes through one batched planner
+(:mod:`~repro.tsdb.plan`) on single and sharded stores, and speaks a
 versioned OpenTSDB-style JSON wire format (:mod:`~repro.tsdb.wire`).
 Persistence is an append-only WAL
 with snapshot compaction in two interchangeable formats — a
@@ -105,7 +105,7 @@ from .wire import (
     handle_request,
 )
 from .series import SeriesSlice, SeriesStore, merge_slices
-from .sharded import ShardedTSDB, scatter_batch, shard_for_key
+from .sharded import ShardedTSDB, shard_for_key
 
 __all__ = [
     "ALL_AIR_METRICS",
@@ -197,7 +197,6 @@ __all__ = [
     "parse_series_key",
     "run_batch",
     "run_boundaries",
-    "scatter_batch",
     "select",
     "segment_point_count",
     "segment_stats",

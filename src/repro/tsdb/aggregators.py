@@ -284,40 +284,6 @@ def get_columnar(name: str) -> ColumnarAggregator:
 
 
 # ---------------------------------------------------------------------------
-# Mergeable forms: distributed partial aggregation for shard pushdown.
-# A (partial, merge) pair decomposes the cross-series aggregate: each
-# shard reduces its own series to a partial column (on its local
-# timestamp union) and the coordinator reduces the partial columns.
-# Only aggregators whose merge is *bit-identical* to a single pass over
-# all series are listed: min/max are exactly associative and
-# commutative, and count sums small integers (exact in float64).  Float
-# folds (avg/sum/dev) are excluded on purpose — regrouping the
-# additions by shard changes the last ulp — as are order statistics,
-# which have no fixed-size partial at all.
-# ---------------------------------------------------------------------------
-
-
-def _col_count_merge(matrix: np.ndarray) -> np.ndarray:
-    """Sum per-shard finite counts; a shard with no point contributes 0."""
-    return np.where(np.isnan(matrix), 0.0, matrix).sum(axis=0)
-
-
-_MERGEABLE: dict[str, tuple[ColumnarAggregator, ColumnarAggregator]] = {
-    "min": (_col_min, _col_min),
-    "max": (_col_max, _col_max),
-    "count": (_col_count, _col_count_merge),
-}
-
-
-def mergeable(name: str) -> tuple[ColumnarAggregator, ColumnarAggregator] | None:
-    """``(partial, merge)`` columnar pair, or None when the aggregator
-    cannot be decomposed without changing results (float-fold and
-    order-statistic aggregators run centrally instead)."""
-    get(name)
-    return _MERGEABLE.get(name)
-
-
-# ---------------------------------------------------------------------------
 # Scattered forms: the same column reductions over the cells that exist.
 # ---------------------------------------------------------------------------
 
@@ -389,10 +355,6 @@ def _sct_count(cells: Cells) -> np.ndarray:
     return cells.counts.copy()
 
 
-def _sct_count_merge(cells: Cells) -> np.ndarray:
-    return cells.sums.copy()
-
-
 def _sct_extreme(ufunc: np.ufunc, missing: float):
     def scattered(cells: Cells) -> np.ndarray:
         # ufunc.at folds each column's cells in row order from
@@ -410,7 +372,6 @@ _SCATTERED: dict[ColumnarAggregator, Callable[[Cells], np.ndarray]] = {
     _col_sum: _sct_sum,
     _col_dev: _sct_dev,
     _col_count: _sct_count,
-    _col_count_merge: _sct_count_merge,
     _col_min: _sct_extreme(np.minimum, np.inf),
     _col_max: _sct_extreme(np.maximum, -np.inf),
 }

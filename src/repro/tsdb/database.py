@@ -239,31 +239,10 @@ class TSDB(StoreApi):
     def _run_unique_batch(
         self, queries: Sequence[Query], parallel: bool | None = None
     ) -> list[QueryResult]:
-        """Execution hook behind ``run_many``: shared matching + scans.
-
-        Each distinct (metric, tags) filter matches once and each
-        touched series is scanned once over the covering range of every
-        query that needs it; per-query sub-ranges come from the shared
-        :class:`~repro.tsdb.plan.ScanPlan`.  ``parallel`` is accepted
-        for interface symmetry with the sharded engine; a single
-        in-process store has no fan-out to parallelize.
-        """
-        matches = planner.match_batch(self._match, queries)
-        scans = planner.ScanPlan()
-        for q, keys in zip(queries, matches):
-            for key in keys:
-                scans.need(key, q.start, q.end)
-        scans.resolve(lambda key, lo, hi: self._stores[key].scan(lo, hi))
-        align_cache: dict = {}  # shared alignments across the batch
-        return [
-            planner.execute_plan(
-                q,
-                keys,
-                lambda key, q=q: scans.slice_for(key, q.start, q.end),
-                align_cache=align_cache,
-            )
-            for q, keys in zip(queries, matches)
-        ]
+        """Execution hook behind ``run_many``: the planner's shared
+        executor over this store's catalog and series columns."""
+        # ``parallel`` is ignored: the frozen benchmarks/e2e ScanProxy passes it.
+        return planner.run_unique_batch(queries, self._match, self.series_slice)
 
     def series_slice(
         self, key: SeriesKey, start: int | None = None, end: int | None = None
@@ -341,9 +320,8 @@ def execute_query(
     """The group-by → aggregate → downsample plan over scanned slices.
 
     Kept as the stable name for the store-layout-independent execution
-    plan; the implementation lives in :mod:`~repro.tsdb.plan`, factored
-    into reusable stages so the batched executor and the per-shard
-    pushdown run the very same code.  See
-    :func:`~repro.tsdb.plan.execute_plan`.
+    plan (the equivalence suites use it as their reference); the
+    implementation is :func:`~repro.tsdb.plan.execute_plan`, the same
+    stages the batched executor runs.
     """
     return planner.execute_plan(query, matched, scan)

@@ -16,10 +16,9 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from .batch import BatchBuilder, PointBatch
-from .downsample import Downsample
 from .model import DataPoint, SeriesKey
 from .plan import ExprQuery, ExprResult, QueryBuilder, run_batch, select as _select
-from .query import Query, QueryResult, ResultSeries
+from .query import Query, QueryResult
 from .series import SeriesSlice
 
 
@@ -101,10 +100,7 @@ class TimeSeriesStore(Protocol):
     def run(self, query: Query) -> QueryResult: ...
 
     def run_many(
-        self,
-        queries: Sequence[Query | QueryBuilder | ExprQuery],
-        *,
-        parallel: bool | None = None,
+        self, queries: Sequence[Query | QueryBuilder | ExprQuery]
     ) -> list[QueryResult | ExprResult]: ...
 
     def select(self, metric: str) -> QueryBuilder: ...
@@ -151,76 +147,23 @@ class StoreApi:
         return n + self.put_batch(builder.build())
 
     def run_many(
-        self,
-        queries: Sequence[Query | QueryBuilder | ExprQuery],
-        *,
-        parallel: bool | None = None,
+        self, queries: Sequence[Query | QueryBuilder | ExprQuery]
     ) -> list[QueryResult | ExprResult]:
         """Plan and execute a batch of queries together.
 
         The dashboard entry point: all queries plan as one batch —
-        duplicate queries execute once, distinct queries share series
-        matching and physical scans, and on the sharded engine the
-        per-shard fan-out runs on a thread pool with group-by /
-        aggregate / downsample pushed down where that is bit-exact.
+        duplicate queries execute once and distinct queries share
+        series matching and physical scans, on either store.
         Accepts :class:`Query`, fluent builders, and :func:`expr`
         expression queries; results align with the input order.
         """
-        return run_batch(self, queries, parallel=parallel)
+        return run_batch(self, queries)
 
     def select(self, metric: str) -> QueryBuilder:
         """Start a fluent query builder bound to this store:
         ``store.select("air.co2.ppm").where(node="*").range(t0, t1).run()``.
         """
         return _select(metric, store=self)
-
-    def query(
-        self,
-        metric: str,
-        start: int,
-        end: int,
-        *,
-        tags: Mapping[str, str] | None = None,
-        aggregator: str = "avg",
-        downsample: str | Downsample | None = None,
-        rate: bool = False,
-        group_by: Sequence[str] = (),
-    ) -> QueryResult:
-        """Build and run a :class:`Query` in one call (planner shim)."""
-        return self.run(
-            Query(
-                metric,
-                start,
-                end,
-                tags=dict(tags or {}),
-                aggregator=aggregator,
-                downsample=downsample,
-                rate=rate,
-                group_by=tuple(group_by),
-            )
-        )
-
-    def query_range(
-        self,
-        metric: str,
-        start: int,
-        end: int,
-        *,
-        tags: Mapping[str, str] | None = None,
-        aggregator: str = "avg",
-        downsample: str | Downsample | None = None,
-        rate: bool = False,
-    ) -> ResultSeries:
-        """Ungrouped range query returning the single merged series."""
-        return self.query(
-            metric,
-            start,
-            end,
-            tags=tags,
-            aggregator=aggregator,
-            downsample=downsample,
-            rate=rate,
-        ).single()
 
     def iter_series(
         self, start: int | None = None, end: int | None = None

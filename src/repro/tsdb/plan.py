@@ -10,25 +10,27 @@ this module adds everything around it:
   sub-queries arithmetically (``expr("a - b", a=..., b=...)`` for
   CO2-minus-baseline style dashboard panels);
 - :func:`run_batch` — the batched executor behind ``store.run_many``:
-  deduplicates queries, shares series matching and physical scans
-  across the whole batch, dispatches to the store's execution hook, and
+  deduplicates queries, dispatches to the store's execution hook, and
   evaluates expressions over the batch results;
+- :func:`run_unique_batch` — the one executor behind that hook on both
+  stores: each distinct filter matches once, each touched series is
+  scanned once over its covering range, and every query runs
+  :func:`execute_plan` over the shared scans.  A store supplies only
+  how it matches and how it scans one series, so
+  :class:`~repro.tsdb.sharded.ShardedTSDB` (merged catalog, scan routed
+  to the owning shard) and :class:`~repro.tsdb.database.TSDB` execute
+  the *same* code over the same slices — results are bit-identical
+  for any shard count;
 - :func:`execute_plan` — the seed scan → rate → group-by → aggregate →
-  downsample plan, factored into reusable stages (:func:`group_keys`,
-  :func:`aggregate_across`, :func:`reduce_groups`) so the single store,
-  the sharded fan-out, and the per-shard pushdown all run the *same*
-  code over the same slices — results are bit-identical no matter which
-  engine executed them;
-- :class:`ScanPlan` / :func:`align` / :func:`partial_aggregate` — the
-  physical helpers: one covering-range scan per touched series for a
-  whole batch, one argsort alignment per group of slices (every point's
-  column in the timestamp union; the aggregators fold the points, no
-  series×instant matrix), and the per-shard partial aggregates merged
-  through :func:`~repro.tsdb.aggregators.mergeable` pairs.
+  downsample plan, in stages (:func:`group_keys`,
+  :func:`aggregate_across`, one downsample pass over the groups);
+- :class:`ScanPlan` / :func:`align` — the physical helpers: one
+  covering-range scan per touched series for a whole batch, one argsort
+  alignment per group of slices (every point's column in the timestamp
+  union; the aggregators fold the points, no series×instant matrix).
 
-The old one-shot entry points (``TSDB.run``, ``StoreApi.query``,
-``query_range``) are thin shims over this planner: a single query is
-just a batch of one.
+The one-shot entry points (``store.run``, ``QueryBuilder.run``) are thin
+shims over this planner: a single query is just a batch of one.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ class QueryBuilder:
             group_by=self._group_by,
         )
 
-    def run(self, store: object | None = None, *, parallel: bool | None = None):
+    def run(self, store: object | None = None):
         """Build and execute on ``store`` (or the bound store)."""
         target = store if store is not None else self._store
         if target is None:
@@ -142,7 +144,7 @@ class QueryBuilder:
                 "builder is not bound to a store; use store.select(...) or "
                 "pass one to run(store)"
             )
-        return run_batch(target, [self.build()], parallel=parallel)[0]
+        return run_batch(target, [self.build()])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +373,8 @@ def group_keys(
     """Partition matched keys into group-by labels; keys sorted per group.
 
     A pure function of the key set — independent of the order ``matched``
-    arrived in and of which shard each key lives on, which is what makes
-    pushdown safe: every engine forms the same groups.
+    arrived in and of which shard each key lives on, so every store
+    layout forms the same groups.
     """
     groups: dict[tuple, list[SeriesKey]] = defaultdict(list)
     for key in matched:
@@ -461,32 +463,14 @@ def aggregate_across(
     if len(slices) == 1 and agg not in aggregators.NON_IDENTITY_COLUMNAR:
         # Sound only where aggregating one series is the identity —
         # count (→ 1-where-finite) and dev (→ 0) take the full path, or
-        # a group whose siblings fall away (rate on a 1-point series,
-        # empty shard partials) would return raw values instead.
+        # a group whose siblings fall away (rate on a 1-point series)
+        # would return raw values instead.
         only = slices[0]
         if agg in aggregators.ZERO_FOLDED:
             return SeriesSlice(only.timestamps, only.values + 0.0)
         return only
     all_ts, cells = _aligned_for(slices, align_cache)
     return SeriesSlice(all_ts, aggregators.reduce_cells(agg, cells))
-
-
-def reduce_groups(
-    query: Query,
-    groups: list[list[SeriesSlice]],
-    *,
-    ds: Downsample | None,
-    agg,
-    align_cache: dict | None = None,
-) -> list[SeriesSlice]:
-    """Finish a query's groups: cross-series aggregate each, then
-    downsample them all in one pass."""
-    combined = [
-        aggregate_across(slices, agg, align_cache=align_cache) for slices in groups
-    ]
-    if ds is not None:
-        combined = downsample_many(combined, ds, query.start, query.end)
-    return combined
 
 
 def execute_plan(
@@ -500,11 +484,10 @@ def execute_plan(
 
     ``matched`` is the set of series the query touches and ``scan``
     produces each one's time-sorted slice; everything downstream of the
-    scan is store-layout-independent.  The single store, the sharded
-    fan-out, and the batched executor all run queries through these same
-    stages, so results are bit-identical regardless of how series are
-    partitioned: groups form from the key set alone and slices always
-    aggregate in sorted key order.
+    scan is store-layout-independent.  Every store runs its queries
+    through these same stages, so results are bit-identical regardless
+    of how series are partitioned: groups form from the key set alone
+    and slices always aggregate in sorted key order.
     """
     scanned = 0
     groups = sorted(group_keys(query, matched).items())
@@ -518,13 +501,13 @@ def execute_plan(
                 sl = compute_rate(sl)
             slices.append(sl)
         prepared.append(slices)
-    reduced = reduce_groups(
-        query,
-        prepared,
-        ds=query.parsed_downsample(),
-        agg=aggregators.get_columnar(query.aggregator),
-        align_cache=align_cache,
-    )
+    agg = aggregators.get_columnar(query.aggregator)
+    reduced = [
+        aggregate_across(slices, agg, align_cache=align_cache) for slices in prepared
+    ]
+    ds = query.parsed_downsample()
+    if ds is not None:  # all groups in one pass
+        reduced = downsample_many(reduced, ds, query.start, query.end)
     series_out = [
         ResultSeries(
             metric=query.metric,
@@ -540,7 +523,7 @@ def execute_plan(
 
 
 # ---------------------------------------------------------------------------
-# Physical helpers: shared scans and pushdown partials
+# Physical helpers: shared scans, and the one executor over them
 # ---------------------------------------------------------------------------
 
 
@@ -592,24 +575,6 @@ class ScanPlan:
         return sub
 
 
-def partial_aggregate(
-    slices: list[SeriesSlice], partial_fn, *, align_cache: dict | None = None
-) -> SeriesSlice:
-    """Partial cross-series aggregate of one shard's slices.
-
-    Like :func:`aggregate_across` but *without* the single-slice
-    shortcut: the partial form must apply even to one series (a lone
-    series' ``count`` partial is 1-where-finite, not its raw values).
-    Only aggregators with a :func:`~repro.tsdb.aggregators.mergeable`
-    pair ever reach this path.
-    """
-    slices = [s for s in slices if len(s) > 0]
-    if not slices:
-        return _empty_slice()
-    all_ts, cells = _aligned_for(slices, align_cache)
-    return SeriesSlice(all_ts, aggregators.reduce_cells(partial_fn, cells))
-
-
 def match_batch(
     match: Callable[[str, Mapping[str, str]], list],
     queries: Sequence[Query],
@@ -623,6 +588,37 @@ def match_batch(
             cache[mk] = match(q.metric, q.tags)
         out.append(cache[mk])
     return out
+
+
+def run_unique_batch(
+    queries: Sequence[Query],
+    match: Callable[[str, Mapping[str, str]], list[SeriesKey]],
+    scan: Callable[[SeriesKey, int, int], SeriesSlice],
+) -> list[QueryResult]:
+    """Execute deduplicated queries over shared matching and scans.
+
+    The executor behind every store's ``_run_unique_batch`` hook: each
+    distinct (metric, tags) filter goes through ``match`` once, each
+    touched series through ``scan`` once over the covering range of
+    every query that needs it, and panels aggregating the same slices
+    share one alignment.  Results align with ``queries``.
+    """
+    matches = match_batch(match, queries)
+    scans = ScanPlan()
+    for q, keys in zip(queries, matches):
+        for key in keys:
+            scans.need(key, q.start, q.end)
+    scans.resolve(scan)
+    align_cache: dict = {}
+    return [
+        execute_plan(
+            q,
+            keys,
+            lambda key, q=q: scans.slice_for(key, q.start, q.end),
+            align_cache=align_cache,
+        )
+        for q, keys in zip(queries, matches)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -648,19 +644,17 @@ def _canonical_key(q: Query) -> tuple:
 def run_batch(
     store: object,
     queries: Sequence[Query | QueryBuilder | ExprQuery],
-    *,
-    parallel: bool | None = None,
 ) -> list[QueryResult | ExprResult]:
     """Plan and execute a batch of queries together.
 
     Accepts a mix of :class:`Query`, builders, and :class:`ExprQuery`;
     duplicate queries (including expression operands equal to sibling
     panels) execute once.  Execution goes through the store's
-    ``_run_unique_batch`` hook — the shared-scan local executor on
-    :class:`~repro.tsdb.database.TSDB`, the pushdown fan-out on
-    :class:`~repro.tsdb.sharded.ShardedTSDB` — falling back to one
-    ``store.run`` per query for stores without the hook.  Results align
-    with the input order.
+    ``_run_unique_batch`` hook — :func:`run_unique_batch` on both
+    :class:`~repro.tsdb.database.TSDB` and
+    :class:`~repro.tsdb.sharded.ShardedTSDB`, the result cache on the
+    serving wrappers — falling back to one ``store.run`` per query for
+    stores without the hook.  Results align with the input order.
     """
     specs: list[tuple] = []
     flat: list[Query] = []
@@ -694,7 +688,7 @@ def run_batch(
     if runner is None:
         flat_results = [store.run(q) for q in flat]
     else:
-        flat_results = runner(flat, parallel=parallel)
+        flat_results = runner(flat)
 
     out: list[QueryResult | ExprResult] = []
     for kind, item, ref in specs:

@@ -4,18 +4,17 @@ Scaling past a single in-process store means partitioning: series keys
 hash-route to one of N independent :class:`~repro.tsdb.database.TSDB`
 shards, writes land shard-local (the columnar batch regroups per series
 via :meth:`~repro.tsdb.batch.PointBatch.by_series`, so each shard sees
-one `extend_batch` per touched series), and reads fan out to the owning
-shards before merging.
+one `extend_batch` per touched series), and retention, snapshots, paging
+and replication work shard by shard.
 
-Semantics are pinned to the single store: a series lives entirely in
-exactly one shard, every query runs through the shared
-:mod:`~repro.tsdb.plan` stages (groups form from the global key set,
-slices aggregate in sorted key order, pushdown engages only where the
-distributed merge is bit-exact), and the cross-series merge is the same
-sorted timestamp union — so query, aggregation, downsample, and
-retention results are byte-identical for any shard count, serial or
-thread-pooled (``tests/test_tsdb_sharded.py`` and
-``tests/test_tsdb_plan.py`` enforce this for n ∈ {1, 2, 4, 7}).
+This is a partitioning layer, not a second query engine: a series lives
+entirely in exactly one shard, filters match in the merged catalog, and
+queries run through the single store's own executor
+(:func:`~repro.tsdb.plan.run_unique_batch`) with each series' scan
+routed to its owning shard — so query, aggregation, downsample, and
+retention results are byte-identical for any shard count
+(``tests/test_tsdb_sharded.py`` and ``tests/test_tsdb_plan.py`` enforce
+this for n ∈ {1, 2, 4, 7}).
 
 Routing uses CRC-32 of the canonical key string: stable across
 processes and Python's per-run hash randomization, which is what lets a
@@ -24,25 +23,19 @@ snapshot taken by one process be restored shard-by-shard in another.
 
 from __future__ import annotations
 
-import os
 import re
 import zlib
-from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from . import aggregators, persistence
+from . import persistence
 from . import plan as planner
 from .batch import PointBatch
 from .catalog import MergedCatalog
 from .database import TSDB
-from .downsample import apply as apply_downsample
 from .interface import StoreApi
 from .model import DataPoint, SeriesKey
-from .query import Query, QueryResult, ResultSeries, compute_rate
+from .query import Query, QueryResult
 from .series import SeriesSlice
 
 
@@ -66,10 +59,6 @@ _SHARD_FILE_RE = re.compile(r"^shard-(\d+)-of-(\d+)\.(log|seg)$")
 _SHARD_EXT = {"text": "log", "binary": "seg"}
 
 
-def _fanout_workers(num_shards: int) -> int:
-    return min(num_shards, os.cpu_count() or 1)
-
-
 class ShardedTSDB(StoreApi):
     """Hash-partitioned store satisfying the same interface as :class:`TSDB`.
 
@@ -77,8 +66,7 @@ class ShardedTSDB(StoreApi):
     :class:`~repro.tsdb.interface.TimeSeriesStore` — the dataport's
     ``BatchingTsdbWriter``, persistence ``snapshot``/``dumps``/``load``,
     ``RetentionPolicy``, dashboards and analytics.  Writes route per
-    series; queries fan out and k-way merge per-series slices through
-    the shared execution plan.
+    series; queries run the shared execution plan over routed scans.
     """
 
     def __init__(
@@ -95,44 +83,16 @@ class ShardedTSDB(StoreApi):
         self._catalog = MergedCatalog(
             [sh.catalog for sh in self._shards], max_tag_values=max_tag_values
         )
-        # One fan-out pool per store, created lazily on first pooled
-        # operation and reused for every query/snapshot/restore fan-out.
-        # A per-call pool costs thread spawn + teardown on every
-        # request — ruinous at server request rates.
-        self._pool: ThreadPoolExecutor | None = None
 
-    # ------------------------------------------------------------------
-    # Fan-out pool lifecycle
-    # ------------------------------------------------------------------
-    def fanout_pool(self) -> ThreadPoolExecutor:
-        """The store's shared fan-out pool (created on first use).
-
-        Sized to ``min(num_shards, cpu_count)``; all pooled paths
-        (batched queries, snapshot, restore) share it.  Safe to call
-        after :meth:`close` — a fresh pool is created.
-        """
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=_fanout_workers(len(self._shards)),
-                thread_name_prefix="tsdb-fanout",
-            )
-        return self._pool
-
+    # No-ops, kept only because the frozen benchmarks/e2e calls them.
     def close(self) -> None:
-        """Shut down the fan-out pool (idempotent).
-
-        The store itself stays usable — serial paths keep working and
-        the next pooled operation lazily recreates the pool.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        pass
 
     def __enter__(self) -> "ShardedTSDB":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        pass
 
     # ------------------------------------------------------------------
     # Topology
@@ -292,246 +252,19 @@ class ShardedTSDB(StoreApi):
         return self._shards[self.shard_of(key)].series_latest(key)
 
     # ------------------------------------------------------------------
-    # Queries (fan out, then merge through the shared plan)
+    # Queries (the shared plan over routed scans)
     # ------------------------------------------------------------------
-    def run(self, query: Query, *, parallel: bool | None = None) -> QueryResult:
-        """Execute a query; a planner shim, like ``TSDB.run``.
-
-        A single query is a batch of one: matching, scanning, and the
-        pushdown decisions all go through ``_run_unique_batch``, so
-        one-shot and batched execution return identical results.
-        ``parallel`` picks serial vs thread-pooled fan-out (default:
-        pooled when there is more than one shard); both paths are
-        byte-identical.
-        """
-        return self.run_many([query], parallel=parallel)[0]
+    def run(self, query: Query) -> QueryResult:
+        """Execute a query; a planner shim, like ``TSDB.run``."""
+        return self.run_many([query])[0]
 
     def _run_unique_batch(
         self, queries: Sequence[Query], parallel: bool | None = None
     ) -> list[QueryResult]:
-        """Batched fan-out with per-shard pushdown behind ``run_many``.
-
-        Planning happens once for the whole batch:
-
-        1. *Match* (coordinator): each distinct (metric, tags) filter
-           matches once across all shards, recording the owning shard
-           per key.  Groups form from the global key set — identical to
-           the single store's grouping.
-        2. *Shard phase* (thread pool, one task per shard): each shard
-           scans every touched local series once over the covering
-           range of all queries needing it, applies per-series rate,
-           and then pushes work down as far as exactness allows: a
-           group whose series all live on this shard is finished here
-           (aggregate + downsample, same helpers as the central plan);
-           a group that spans shards with a
-           :func:`~repro.tsdb.aggregators.mergeable` aggregator
-           (min/max/count) reduces to a partial column; everything else
-           returns its post-rate slices for central aggregation.
-        3. *Merge phase* (coordinator, pooled when parallel): merge
-           partial columns, run the central plan over gathered slices
-           for the float-fold aggregators, and assemble each query's
-           series in sorted group order with exact scanned-point
-           accounting.
-
-        Every stage runs the same :mod:`~repro.tsdb.plan` helpers over
-        the same slices in the same sorted-key order as the single
-        store, so results are byte-identical for any shard count, with
-        ``parallel`` on or off.
-        """
-        n = len(self._shards)
-        if parallel is None:
-            # Pooling one worker only adds overhead: auto mode requires
-            # both multiple shards and multiple cores.
-            use_pool = n > 1 and _fanout_workers(n) > 1
-        else:
-            use_pool = bool(parallel)
-
-        # --- 1. match: distinct filters once, owner shard per key -----
-        match_cache: dict[tuple, list[tuple[SeriesKey, int]]] = {}
-        matched: list[list[tuple[SeriesKey, int]]] = []
-        for q in queries:
-            mk = (q.metric, tuple(sorted(q.tags.items())))
-            pairs = match_cache.get(mk)
-            if pairs is None:
-                pairs = [
-                    (key, si)
-                    for si, sh in enumerate(self._shards)
-                    for key in sh._match(q.metric, q.tags)
-                ]
-                match_cache[mk] = pairs
-            matched.append(pairs)
-
-        plans = [
-            (
-                q.parsed_downsample(),
-                aggregators.get_columnar(q.aggregator),
-                aggregators.mergeable(q.aggregator),
-            )
-            for q in queries
-        ]
-
-        # --- plan the shard tasks --------------------------------------
-        scan_plans = [planner.ScanPlan() for _ in range(n)]
-        prep: list[list[tuple[int, SeriesKey]]] = [[] for _ in range(n)]
-        local_jobs: list[list[tuple[int, tuple, list[SeriesKey]]]] = [
-            [] for _ in range(n)
-        ]
-        partial_jobs: list[list[tuple[int, tuple, list[SeriesKey]]]] = [
-            [] for _ in range(n)
-        ]
-        #: (qi, label) -> ("local", shard) | ("merge", shards) | ("gather",)
-        kinds: dict[tuple[int, tuple], tuple] = {}
-        groups_per_query: list[list[tuple[tuple, list[SeriesKey]]]] = []
-        for qi, (q, pairs) in enumerate(zip(queries, matched)):
-            shard_of = dict(pairs)
-            for key, si in pairs:
-                scan_plans[si].need(key, q.start, q.end)
-                prep[si].append((qi, key))
-            groups = sorted(planner.group_keys(q, [k for k, _ in pairs]).items())
-            groups_per_query.append(groups)
-            for label, keys in groups:
-                shards_here = sorted({shard_of[k] for k in keys})
-                if len(shards_here) == 1:
-                    kinds[(qi, label)] = ("local", shards_here[0])
-                    local_jobs[shards_here[0]].append((qi, label, keys))
-                elif plans[qi][2] is not None:
-                    kinds[(qi, label)] = ("merge", shards_here)
-                    for si in shards_here:
-                        partial_jobs[si].append(
-                            (qi, label, [k for k in keys if shard_of[k] == si])
-                        )
-                else:
-                    kinds[(qi, label)] = ("gather",)
-
-        # --- 2. shard phase --------------------------------------------
-        def shard_task(si: int):
-            shard = self._shards[si]
-            scans = scan_plans[si]
-            scans.resolve(lambda key, lo, hi: shard._stores[key].scan(lo, hi))
-            prepared: dict[tuple[int, SeriesKey], SeriesSlice] = {}
-            scanned: dict[int, int] = defaultdict(int)
-            for qi, key in prep[si]:
-                q = queries[qi]
-                sl = scans.slice_for(key, q.start, q.end)
-                scanned[qi] += len(sl)
-                if q.rate:
-                    sl = compute_rate(sl)
-                prepared[(qi, key)] = sl
-            align_cache: dict = {}  # shared across this shard's jobs
-            finished: dict[tuple[int, tuple], SeriesSlice] = {}
-            for qi, jobs in groupby(local_jobs[si], key=itemgetter(0)):
-                jobs = list(jobs)
-                ds, agg, _ = plans[qi]
-                reduced = planner.reduce_groups(
-                    queries[qi],
-                    [[prepared[(qi, k)] for k in keys] for _, _, keys in jobs],
-                    ds=ds,
-                    agg=agg,
-                    align_cache=align_cache,
-                )
-                for (_, label, _), combined in zip(jobs, reduced):
-                    finished[(qi, label)] = combined
-            partials: dict[tuple[int, tuple], SeriesSlice] = {}
-            for qi, label, keys in partial_jobs[si]:
-                partials[(qi, label)] = planner.partial_aggregate(
-                    [prepared[(qi, k)] for k in keys],
-                    plans[qi][2][0],
-                    align_cache=align_cache,
-                )
-            return scanned, finished, partials, prepared
-
-        if use_pool and n > 1:
-            pool = self.fanout_pool()
-            shard_out = list(pool.map(shard_task, range(n)))
-            results = self._merge_phase(
-                queries, plans, groups_per_query, kinds, shard_out, pool
-            )
-        else:
-            shard_out = [shard_task(si) for si in range(n)]
-            results = self._merge_phase(
-                queries, plans, groups_per_query, kinds, shard_out, None
-            )
-        return results
-
-    def _merge_phase(
-        self, queries, plans, groups_per_query, kinds, shard_out, pool
-    ) -> list[QueryResult]:
-        """Coordinator half of the batched fan-out: merge and assemble."""
-        by_key: dict[tuple[int, SeriesKey], SeriesSlice] = {}
-        for _, _, _, prepared in shard_out:
-            by_key.update(prepared)
-        # Shared across the central jobs: two panels aggregating the same
-        # prepared slices (avg + dev over one metric) align once.  Dict
-        # get/set are atomic under the GIL; a rare concurrent double
-        # compute of one key is wasted work, never wrong results.
-        align_cache: dict = {}
-
-        def central(qi: int, label: tuple, keys: list[SeriesKey]) -> SeriesSlice:
-            q = queries[qi]
-            ds, agg, merge_pair = plans[qi]
-            kind = kinds[(qi, label)]
-            if kind[0] == "merge":
-                combined = planner.aggregate_across(
-                    [shard_out[si][2][(qi, label)] for si in kind[1]],
-                    merge_pair[1],
-                )
-            else:  # gather: central aggregation in global sorted-key order
-                combined = planner.aggregate_across(
-                    [by_key[(qi, k)] for k in keys], agg,
-                    align_cache=align_cache,
-                )
-            if ds is not None:
-                combined = apply_downsample(combined, ds, q.start, q.end)
-            return combined
-
-        # Central reductions are independent; fan them out on the same
-        # pool (numpy's sort/reduce kernels release the GIL).
-        todo = [
-            (qi, label, keys)
-            for qi, groups in enumerate(groups_per_query)
-            for label, keys in groups
-            if kinds[(qi, label)][0] != "local"
-        ]
-        if pool is not None and len(todo) > 1:
-            combined_slices = list(
-                pool.map(lambda job: central(*job), todo)
-            )
-        else:
-            combined_slices = [central(*job) for job in todo]
-        central_done = {
-            (qi, label): sl for (qi, label, _), sl in zip(todo, combined_slices)
-        }
-
-        results: list[QueryResult] = []
-        for qi, (q, groups) in enumerate(zip(queries, groups_per_query)):
-            series_out: list[ResultSeries] = []
-            for label, keys in groups:
-                kind = kinds[(qi, label)]
-                if kind[0] == "local":
-                    combined = shard_out[kind[1]][1][(qi, label)]
-                else:
-                    combined = central_done[(qi, label)]
-                series_out.append(
-                    ResultSeries(
-                        metric=q.metric,
-                        group_tags=dict(label),
-                        slice=combined,
-                        source_series=tuple(keys),
-                    )
-                )
-            if not series_out:
-                series_out.append(
-                    ResultSeries(q.metric, {}, planner._empty_slice(), ())
-                )
-            scanned = sum(out[0].get(qi, 0) for out in shard_out)
-            results.append(
-                QueryResult(
-                    query=q,
-                    series=tuple(series_out),
-                    scanned_points=scanned,
-                )
-            )
-        return results
+        """Execution hook behind ``run_many``: the planner's shared
+        executor over the merged catalog, scans routed per series."""
+        # ``parallel`` is ignored: the frozen benchmarks/e2e ScanProxy passes it.
+        return planner.run_unique_batch(queries, self._match, self.series_slice)
 
     def series_slice(
         self, key: SeriesKey, start: int | None = None, end: int | None = None
@@ -559,15 +292,12 @@ class ShardedTSDB(StoreApi):
     def snapshot_to_dir(self, directory: str | Path, *, format: str = "text") -> int:
         """Snapshot every shard into ``<dir>/shard-<i>-of-<n>.log|seg``.
 
-        Shards snapshot independently (each file is a normal WAL in the
-        chosen format), so the fan-out runs on a thread pool: each
-        worker owns one shard and one file, results are byte-identical
-        to a serial pass, and numpy's column encoding releases the GIL
-        for the I/O-heavy part.  Workers write ``.tmp`` files that are
-        renamed into place — and any previous snapshot's files (other
-        format *or* other shard count) removed — only after *every*
-        shard succeeded, so a mid-snapshot failure (disk full) leaves
-        the prior snapshot restorable instead of a half-replaced mixed
+        Each file is a normal WAL of one shard in the chosen format.
+        Shards are written as ``.tmp`` files that are renamed into
+        place — and any previous snapshot's files (other format *or*
+        other shard count) removed — only after *every* shard
+        succeeded, so a mid-snapshot failure (disk full) leaves the
+        prior snapshot restorable instead of a half-replaced mixed
         directory.  Returns total points written.
         """
         if format not in _SHARD_EXT:
@@ -577,18 +307,13 @@ class ShardedTSDB(StoreApi):
         n = len(self._shards)
         ext = _SHARD_EXT[format]
 
-        def snap_one(i: int) -> int:
-            return persistence.snapshot(
-                self._shards[i],
-                directory / f"shard-{i}-of-{n}.{ext}.tmp",
-                format=format,
-            )
-
         try:
-            if n == 1:
-                total = snap_one(0)
-            else:
-                total = sum(self.fanout_pool().map(snap_one, range(n)))
+            total = sum(
+                persistence.snapshot(
+                    shard, directory / f"shard-{i}-of-{n}.{ext}.tmp", format=format
+                )
+                for i, shard in enumerate(self._shards)
+            )
         except BaseException:
             for i in range(n):
                 (directory / f"shard-{i}-of-{n}.{ext}.tmp").unlink(missing_ok=True)
@@ -617,23 +342,15 @@ class ShardedTSDB(StoreApi):
         after a partial migration) restore identically.  Every restored
         series is verified to hash-route to the shard it was found in,
         so a renamed or misplaced file fails loudly instead of silently
-        corrupting routing.  Shards replay on a thread pool — the files
-        are independent, so parallel replay is byte-identical to serial.
-        ``mmap=True`` replays binary shard files zero-copy out of the
-        page cache (see :func:`~repro.tsdb.persistence.load`).
+        corrupting routing.  ``mmap=True`` replays binary shard files
+        zero-copy out of the page cache (see
+        :func:`~repro.tsdb.persistence.load`).
         """
         n, files = scan_snapshot_dir(directory)
         db = cls(n)
-
-        def restore_one(i: int) -> None:
-            persistence.load(files[i], into=db._shards[i], mmap=mmap)
-            validate_shard_routing(db._shards[i], i, n)
-
-        if n == 1:
-            restore_one(0)
-        else:
-            for _ in db.fanout_pool().map(restore_one, range(n)):
-                pass
+        for i, shard in enumerate(db._shards):
+            persistence.load(files[i], into=shard, mmap=mmap)
+            validate_shard_routing(shard, i, n)
         return db
 
     # ------------------------------------------------------------------
@@ -691,31 +408,3 @@ def validate_shard_routing(shard: TSDB, index: int, num_shards: int) -> None:
                 f"series {key} found in shard {index} but routes to "
                 f"shard {shard_for_key(key, num_shards)}; snapshot files moved?"
             )
-
-
-def scatter_batch(batch: PointBatch, num_shards: int) -> list[PointBatch]:
-    """Split one batch into per-shard batches (routing preview/debug aid).
-
-    ``put_batch`` routes columns directly and never materializes these;
-    this helper exists for callers that ship batches to remote shards.
-    """
-    builders: dict[int, list] = {}
-    for key, ts, vals in batch.by_series():
-        builders.setdefault(shard_for_key(key, num_shards), []).append(
-            (key, ts, vals)
-        )
-    out: list[PointBatch] = []
-    for i in range(num_shards):
-        parts = builders.get(i)
-        if not parts:
-            out.append(PointBatch.empty())
-            continue
-        out.append(
-            PointBatch.concat(
-                [
-                    PointBatch.for_series(key.metric, ts, vals, key.tag_dict())
-                    for key, ts, vals in parts
-                ]
-            )
-        )
-    return out

@@ -491,7 +491,7 @@ def handle_request(store, request: str | bytes | Mapping) -> dict:
     """Decode a wire request, execute it as one batch, encode the reply.
 
     The whole request plans together through ``store.run_many`` —
-    shared matching, shared scans, pushdown — so a 12-panel dashboard
+    shared matching, shared scans — so a 12-panel dashboard
     request costs one planning pass, not twelve.
 
     Never raises for a bad *request*: malformed JSON, version

@@ -181,9 +181,8 @@ class Dashboard:
         """One batched ``run_many`` for every panel-bound query.
 
         The whole dashboard plans as a single batch: panels sharing
-        series share scans, duplicate queries execute once, and the
-        sharded engine fans the batch out in one thread-pooled pass
-        instead of once per panel.  Returns panel-index → result.
+        series share scans and alignments, and duplicate queries
+        execute once.  Returns panel-index → result.
         """
         bound = [
             (i, p.query)

@@ -340,9 +340,9 @@ def live_server(store, **kwargs):
 class _SlowStore(TSDB):
     """A store whose batch execution takes a visible amount of time."""
 
-    def _run_unique_batch(self, queries, parallel=None):
+    def _run_unique_batch(self, queries):
         time.sleep(0.05)
-        return super()._run_unique_batch(queries, parallel=parallel)
+        return super()._run_unique_batch(queries)
 
 
 def _raw_lines(address, *lines):
@@ -426,7 +426,7 @@ class TestQueryServer:
 
     def test_store_fault_answers_internal_error(self):
         class ExplodingStore(TSDB):
-            def _run_unique_batch(self, queries, parallel=None):
+            def _run_unique_batch(self, queries):
                 raise RuntimeError("disk on fire")
 
         with live_server(_seeded(ExplodingStore())) as server:
@@ -970,8 +970,6 @@ def test_property_reply_lines_equal_dumps_of_the_dict_codec(make_store, data):
                     exchange(sock, file, *last)
                 else:  # the identical request again
                     exchange(sock, file, *last)
-    if hasattr(inner, "close"):
-        inner.close()
 
 
 class TestEncodedTextLifetime:

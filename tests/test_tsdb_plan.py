@@ -1,12 +1,12 @@
 """Golden equivalence suite for the v2 query engine.
 
-The query API was redesigned (builder, batched ``run_many``, shard
-pushdown, expression queries) but *not* changed: every redesigned
-surface must return byte-identical results to the seed query path —
+The query API was redesigned (builder, batched ``run_many``,
+expression queries) but *not* changed: every redesigned surface must
+return byte-identical results to the seed query path —
 ``execute_query`` over per-query match + direct scans, exactly what the
 seed ``TSDB.run`` did.  This suite pins that equivalence on single and
-sharded stores for n ∈ {1, 2, 4, 7}, with the thread-pooled fan-out on
-and off, plus the semantics of the new surfaces themselves.
+sharded stores for n ∈ {1, 2, 4, 7}, plus the semantics of the new
+surfaces themselves.
 """
 
 import importlib
@@ -28,7 +28,7 @@ from repro.tsdb import (
     expr,
     select,
 )
-from repro.tsdb.plan import ScanPlan, aggregate_across, partial_aggregate
+from repro.tsdb.plan import ScanPlan, aggregate_across
 from repro.tsdb.series import SeriesSlice
 
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -97,11 +97,20 @@ def assert_results_identical(a, b):
         assert np.array_equal(ra.values, rb.values, equal_nan=True)
 
 
+def assert_results_same_bytes(a, b):
+    """``assert_results_identical``, down to the sign of zero and the
+    NaN payload."""
+    assert_results_identical(a, b)
+    for ra, rb in zip(a, b):
+        assert ra.timestamps.tobytes() == rb.timestamps.tobytes()
+        assert ra.values.tobytes() == rb.values.tobytes()
+
+
 #: Query mix covering every plan shape: plain merges, wildcard and
-#: alternation filters, mergeable pushdown aggregators (min/max/count),
-#: float-fold aggregators that must run centrally (avg/sum/dev/p95),
-#: group-by (single-series groups = full local pushdown), rate,
-#: downsampling with fill policies, and an unmatched metric.
+#: alternation filters, shard-spanning min/max/count groups, float folds
+#: and order statistics (avg/sum/dev/p95), group-by down to
+#: single-series (hence single-shard) groups, rate, downsampling with
+#: fill policies, and an unmatched metric.
 QUERIES = [
     Query("air.co2.ppm", 0, 400_000),
     Query("air.co2.ppm", 50_000, 200_000, tags={"city": "trondheim"}),
@@ -128,7 +137,7 @@ QUERIES = [
 
 
 class TestShimEquivalence:
-    """run / query / query_range are thin shims over the planner."""
+    """run / the bound builder are thin shims over the planner."""
 
     def test_single_store_run_matches_seed(self, stores):
         single, _ = stores
@@ -138,15 +147,13 @@ class TestShimEquivalence:
     def test_query_helper_matches_seed(self, stores):
         single, _ = stores
         q = QUERIES[1]
-        res = single.query(
-            q.metric, q.start, q.end, tags=dict(q.tags),
-        )
+        res = single.select(q.metric).where(q.tags).range(q.start, q.end).run()
         assert_results_identical(res, seed_run(single, q))
 
     def test_query_range_matches_seed(self, stores):
         single, _ = stores
         q = QUERIES[0]
-        rs = single.query_range(q.metric, q.start, q.end)
+        rs = single.select(q.metric).range(q.start, q.end).run().single()
         ref = seed_run(single, q).single()
         assert np.array_equal(rs.timestamps, ref.timestamps)
         assert np.array_equal(rs.values, ref.values, equal_nan=True)
@@ -154,8 +161,7 @@ class TestShimEquivalence:
 
 @pytest.mark.parametrize("n", SHARD_COUNTS)
 class TestShardedEquivalence:
-    """Pushdown fan-out == seed central plan, any shard count, serial
-    or thread-pooled."""
+    """Sharded store == seed plan on the single store, any shard count."""
 
     def _sharded(self, stores, n):
         return stores[1][SHARD_COUNTS.index(n)]
@@ -167,11 +173,13 @@ class TestShardedEquivalence:
             assert_results_identical(sharded.run(q), seed_run(single, q))
 
     def test_parallel_switch_byte_identical(self, stores, n):
-        sharded = self._sharded(stores, n)
-        serial = sharded.run_many(QUERIES, parallel=False)
-        pooled = sharded.run_many(QUERIES, parallel=True)
-        for a, b in zip(serial, pooled):
-            assert_results_identical(a, b)
+        """There is no switch: one batch on n shards is, as bytes, the
+        batch on the single store and the seed plan per query."""
+        single, _ = stores
+        batch = self._sharded(stores, n).run_many(QUERIES)
+        for q, res, one in zip(QUERIES, batch, single.run_many(QUERIES)):
+            assert_results_same_bytes(res, one)
+            assert_results_same_bytes(res, seed_run(single, q))
 
     def test_run_many_matches_sequential_runs(self, stores, n):
         sharded = self._sharded(stores, n)
@@ -461,7 +469,8 @@ class TestScanPlan:
 ).via('discovered failure')
 def test_property_pushdown_equivalence(seed, n_shards, agg, downsample, rate,
                                        group_by):
-    """Randomized workloads: batched sharded execution == seed plan."""
+    """Randomized workloads: sharded execution == single store == seed
+    plan, as bytes — groups spanning shards and groups on one shard."""
     rows = random_rows(seed, n=400)
     single, sharded = TSDB(), ShardedTSDB(n_shards)
     for metric, ts, value, tags in rows:
@@ -470,10 +479,8 @@ def test_property_pushdown_equivalence(seed, n_shards, agg, downsample, rate,
     q = Query("air.co2.ppm", 0, 300_000, aggregator=agg,
               downsample=downsample, rate=rate, group_by=group_by)
     ref = seed_run(single, q)
-    for res in (sharded.run_many([q], parallel=True)[0],
-                sharded.run_many([q], parallel=False)[0],
-                single.run_many([q])[0]):
-        assert_results_identical(res, ref)
+    for res in (sharded.run_many([q])[0], single.run_many([q])[0]):
+        assert_results_same_bytes(res, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +558,7 @@ def _assert_bytes(got: SeriesSlice, all_ts, values, what):
 @settings(max_examples=200, deadline=None)
 @given(slices=_slice_groups(), shared=st.booleans())
 def test_property_scatter_equals_dense_columnar(slices, shared):
-    """``aggregate_across`` / ``partial_aggregate`` return the bytes of
+    """``aggregate_across`` returns the bytes of
     ``get_columnar(name)(matrix)`` for every registered aggregator
     (as :func:`_columnar` reads a one-instant matrix).
 
@@ -573,14 +580,6 @@ def test_property_scatter_equals_dense_columnar(slices, shared):
             _assert_bytes(got, all_ts, rows[0].values, name)
         else:
             _assert_bytes(got, all_ts, _columnar(agg, matrix), name)
-        pair = aggregators.mergeable(name)
-        if pair is not None:
-            partial, merge = pair
-            _assert_bytes(partial_aggregate(slices, partial, align_cache=cache),
-                          all_ts, _columnar(partial, matrix), f"{name} partial")
-            if len(rows) > 1:
-                _assert_bytes(aggregate_across(slices, merge), all_ts,
-                              _columnar(merge, matrix), f"{name} merge")
 
 
 def test_fold_adds_in_row_order_at_reduceat_width():
@@ -661,9 +660,7 @@ def test_unaligned_workload_equals_frozen_seed_executor(frozen_seed_run):
                         aggregator="dev"))
     reference = [frozen_seed_run(single, q) for q in panels]
     runs = [single.run_many(panels), [single.run(q) for q in panels]]
-    for db in shardeds:
-        runs.append(db.run_many(panels, parallel=True))
-        runs.append(db.run_many(panels, parallel=False))
+    runs += [db.run_many(panels) for db in shardeds]
     for run in runs:
         for res, ref in zip(run, reference):
             assert res.scanned_points == ref.scanned_points
@@ -673,5 +670,3 @@ def test_unaligned_workload_equals_frozen_seed_executor(frozen_seed_run):
                 assert a.source_series == b.source_series
                 assert a.timestamps.tobytes() == b.timestamps.tobytes()
                 assert a.values.tobytes() == b.values.tobytes()
-    for db in shardeds:
-        db.close()

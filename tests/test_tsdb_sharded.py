@@ -8,6 +8,8 @@ for n ∈ {1, 2, 4, 7}.  All randomness is seeded: the suite is fully
 deterministic (the CI sharded-equivalence step relies on that).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,6 @@ from repro.tsdb import (
     TSDB,
     dumps,
     load,
-    scatter_batch,
     shard_for_key,
 )
 
@@ -160,11 +161,16 @@ class TestEquivalence:
 
     def test_query_convenience_wrappers(self, n):
         single, sharded = build_pair(n)
-        a = single.query("air.co2.ppm", 0, 400_000, tags={"city": "vejle"})
-        b = sharded.query("air.co2.ppm", 0, 400_000, tags={"city": "vejle"})
+        a, b = (
+            db.select("air.co2.ppm").where(city="vejle").range(0, 400_000).run()
+            for db in (single, sharded)
+        )
         assert_results_identical(a, b)
-        ra = single.query_range("air.co2.ppm", 0, 400_000, downsample="5m-avg")
-        rb = sharded.query_range("air.co2.ppm", 0, 400_000, downsample="5m-avg")
+        ra, rb = (
+            db.select("air.co2.ppm").range(0, 400_000).downsample("5m-avg")
+            .run().single()
+            for db in (single, sharded)
+        )
         assert np.array_equal(ra.timestamps, rb.timestamps)
         assert np.array_equal(ra.values, rb.values, equal_nan=True)
 
@@ -185,24 +191,6 @@ class TestRouting:
         key = a.put("m.x", 1, 1.0, {"node": "n1"})
         assert b.shard_of(key) == a.shard_of(key) == shard_for_key(key, 7)
         assert a.shard_for("m.x", {"node": "n1"}) == a.shard_of(key)
-
-    def test_scatter_batch_routes_like_put_batch(self):
-        rows = random_rows(7, n=500)
-        builder = BatchBuilder()
-        for metric, ts, value, tags in rows:
-            builder.add(metric, ts, value, tags)
-        batch = builder.build()
-        parts = scatter_batch(batch, 4)
-        assert sum(len(p) for p in parts) == len(batch)
-        via_scatter = ShardedTSDB(4)
-        for i, part in enumerate(parts):
-            if not part.is_empty():
-                for key in part.keys:
-                    assert shard_for_key(key, 4) == i
-            via_scatter.shards[i].put_batch(part)
-        via_route = ShardedTSDB(4)
-        via_route.put_batch(batch)
-        assert dumps(via_scatter) == dumps(via_route)
 
     def test_invalid_shard_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -253,6 +241,17 @@ class TestPerShardPersistence:
         assert dumps(restored) == dumps(sharded)
         for orig, back in zip(sharded.shards, restored.shards):
             assert dumps(back) == dumps(orig)
+
+    def test_snapshot_restore_query_leave_no_thread_behind(self, tmp_path):
+        """Nothing ever closes a restored store (the pager, ``repro
+        serve`` and ``compact`` never call ``close()``), so none of
+        these may start a thread that outlives the call."""
+        _, sharded = build_pair(4)
+        before = set(threading.enumerate())
+        sharded.snapshot_to_dir(tmp_path / "snap")
+        restored = ShardedTSDB.restore_from_dir(tmp_path / "snap")
+        restored.run_many(QUERIES)
+        assert set(threading.enumerate()) == before
 
     def test_restore_detects_misrouted_files(self, tmp_path):
         _, sharded = build_pair(4)
