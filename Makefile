@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-sharded test-region test-persist test-query test-catalog test-replication test-tier serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e lint
+.PHONY: test test-sharded test-region test-persist test-query test-catalog test-replication test-tier serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e lint loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -14,8 +14,10 @@ test-sharded:
 test-region:
 	$(PYTHON) -m pytest -q tests/test_region_queue.py tests/test_region_hub.py
 
-# The persistence-format gate: binary/text round-trip equivalence,
-# codec properties, corruption recovery, spill adoption.
+# The persistence-format gate: binary/text round-trip equivalence
+# (text is the import / export codec; the live journal is binary),
+# codec properties, corruption recovery, spill adoption, and the
+# dataport writer's write-ahead flush through DurableStore.
 test-persist:
 	$(PYTHON) -m pytest -q tests/test_tsdb_segments.py tests/test_tsdb_persistence.py
 
@@ -48,7 +50,7 @@ test-replication:
 # The tiered-storage gate: compact(log) restores byte-identical to
 # replay(log) under random op interleavings (hypothesis, both formats,
 # single + sharded), crash-safe swap-in, cold-shard paging equivalence,
-# rollup-tier cascade journaled through both WAL formats.
+# rollup-tier cascade journaled through DurableStore (the one journal).
 test-tier:
 	$(PYTHON) -m pytest -q tests/test_tsdb_tier.py
 
@@ -105,3 +107,7 @@ bench-e2e:
 
 lint:
 	$(PYTHON) -m ruff check src/
+
+# The src/ line count ROADMAP's standing item tracks (it should go down).
+loc:
+	@find src -name '*.py' | xargs cat | wc -l

@@ -76,13 +76,11 @@ class BatchingTsdbWriter:
     :class:`~repro.tsdb.TSDB` or a :class:`~repro.tsdb.ShardedTSDB`
     (the batch boundary is exactly the shard-routing boundary).
 
-    ``wal`` optionally attaches a write-ahead log: each flushed batch is
-    appended to the log *before* it reaches the store, so a crash
-    between the two replays losslessly.  Any writer with a
-    ``write_batch(batch)`` method fits — a
-    :class:`~repro.tsdb.SegmentWriter` (binary columnar segments, the
-    fast path: the batch is already columnar, so the append is a couple
-    of ``tobytes`` calls) or a legacy :class:`~repro.tsdb.LogWriter`.
+    The writer mutates the store it is handed and nothing else: for a
+    write-ahead log, hand it a :class:`~repro.tsdb.tier.DurableStore`,
+    whose ``put_batch`` appends the batch block to the journal *before*
+    the wrapped store sees it, so a crash between the two replays
+    losslessly.
     """
 
     def __init__(
@@ -91,13 +89,11 @@ class BatchingTsdbWriter:
         *,
         max_pending: int = 10_000,
         on_flush=None,
-        wal=None,
     ) -> None:
         if max_pending <= 0:
             raise ValueError("max_pending must be positive")
         self.db = db
         self.max_pending = max_pending
-        self.wal = wal
         self._builder = BatchBuilder()
         self._on_flush = on_flush
         self.flushes = 0
@@ -122,17 +118,14 @@ class BatchingTsdbWriter:
     def flush(self) -> int:
         """Write all buffered points as one batch; returns points written.
 
-        With a WAL attached, the batch hits the log first (write-ahead:
-        durability precedes visibility).  The builder is only cleared
-        once both writes succeed, so a failed WAL append (disk full,
-        say) keeps the points buffered and a later flush() retries them
-        — replay stays correct because re-appending the same rows is
-        last-write-wins idempotent."""
+        The builder is only cleared once ``put_batch`` succeeds, so a
+        failed write (a journaling store's disk full, say) keeps the
+        points buffered and a later flush() retries them — replay stays
+        correct because re-appending the same rows is last-write-wins
+        idempotent."""
         if not len(self._builder):
             return 0
         batch = self._builder.build(clear=False)
-        if self.wal is not None:
-            self.wal.write_batch(batch)
         n = self.db.put_batch(batch)
         self._builder = BatchBuilder()
         self.flushes += 1

@@ -13,10 +13,13 @@ Two pieces live here:
 - :class:`ReplicationLog` — the thread-safe record buffer itself, with
   ``ack``/``pending_after`` for the shipper and a listener hook so a
   synchronous writer thread can wake the asyncio shipper loop;
-- :class:`ReplicatedStore` — a store wrapper (same idiom as
-  :class:`~repro.serve.cache.CachingStore`) that commits each mutation
-  to the wrapped store first, then appends the matching block, under
-  one lock so log order always equals commit order.
+- :class:`ReplicatedStore` — a store wrapper
+  (:class:`~repro.tsdb.interface.StoreWrapper`) overriding the three
+  write primitives: each commits to the wrapped store first, then
+  appends the matching block, under one lock so log order always equals
+  commit order.  It sits under the journal in the one supported stack,
+  ``CachingStore(DurableStore(ReplicatedStore(store)))``, so WAL order ≡
+  commit order ≡ log order.
 
 Using framed blocks as the record payload means the wire format *is*
 the durability format: the follower validates each record with the same
@@ -27,12 +30,11 @@ CRC the WAL reader uses, and a drained region spill segment
 from __future__ import annotations
 
 import threading
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..tsdb.batch import PointBatch
-from ..tsdb.interface import StoreApi
-from ..tsdb.model import DataPoint, SeriesKey
+from ..tsdb.interface import StoreWrapper
+from ..tsdb.model import SeriesKey
 from ..tsdb.segments import (
     BLOCK_BATCH,
     BLOCK_MARKER,
@@ -244,16 +246,19 @@ class ReplicationLog:
                 pass
 
 
-class ReplicatedStore(StoreApi):
+class ReplicatedStore(StoreWrapper):
     """Store wrapper teeing every committed mutation into a
     :class:`ReplicationLog`.
 
     Reads and introspection delegate untouched to the wrapped store;
-    each write commits there first and then appends its block, under one
-    lock so the log's record order equals the store's commit order (the
-    property the follower's sequential replay relies on).  Failed writes
-    append nothing — an unacknowledged write is allowed to be lost, and
-    logging it would instead *invent* it on the follower.
+    each of the three write primitives commits there first and then
+    appends its block, under one lock so the log's record order equals
+    the store's commit order (the property the follower's sequential
+    replay relies on).  Every other write is
+    :class:`~repro.tsdb.interface.StoreApi`'s, in terms of
+    :meth:`put_batch`.  Failed writes append nothing — an
+    unacknowledged write is allowed to be lost, and logging it would
+    instead *invent* it on the follower.
 
     Wrap the innermost real store (single or sharded).  Note the
     at-ingest cardinality guard-rail is the one write surface that can
@@ -265,61 +270,16 @@ class ReplicatedStore(StoreApi):
     def __init__(
         self, store: "TimeSeriesStore", log: ReplicationLog | None = None
     ) -> None:
-        self._store = store
+        super().__init__(store)
         self.log = log if log is not None else ReplicationLog()
         self._write_lock = threading.Lock()
 
-    @property
-    def wrapped(self) -> "TimeSeriesStore":
-        """The underlying store (escape hatch, mirrors CachingStore)."""
-        return self._store
-
-    def __getattr__(self, name: str):
-        # Only called for attributes not found on this class: the whole
-        # read/introspection surface passes straight through.
-        return getattr(self._store, name)
-
     # -- teed writes -----------------------------------------------------
-    def put(
-        self,
-        metric: str,
-        timestamp: int,
-        value: float,
-        tags: Mapping[str, str] | None = None,
-    ) -> SeriesKey:
-        with self._write_lock:
-            key = self._store.put(metric, timestamp, value, tags)
-            self.log.append_batch(
-                PointBatch.from_points([DataPoint(key, int(timestamp), float(value))])
-            )
-        return key
-
-    def put_point(self, point: DataPoint) -> SeriesKey:
-        with self._write_lock:
-            key = self._store.put_point(point)
-            self.log.append_batch(PointBatch.from_points([point]))
-        return key
-
     def put_batch(self, batch: PointBatch) -> int:
         with self._write_lock:
             n = self._store.put_batch(batch)
             self.log.append_batch(batch)
         return n
-
-    def put_series(
-        self,
-        metric: str,
-        timestamps,
-        values,
-        tags: Mapping[str, str] | None = None,
-    ) -> SeriesKey:
-        batch = PointBatch.for_series(metric, timestamps, values, tags)
-        self.put_batch(batch)
-        return batch.keys[0]
-
-    def put_many(self, points: Iterable[DataPoint]) -> int:
-        # StoreApi.put_many chunks through self.put_batch, which tees.
-        return StoreApi.put_many(self, points)
 
     def delete_before(
         self, cutoff: int, *, exclude_suffix: str | None = None

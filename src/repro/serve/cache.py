@@ -3,10 +3,12 @@
 The serving layer's hot path: dashboards re-issue the same panel
 queries every few seconds, and most refreshes happen between writes to
 the series they touch.  :class:`CachingStore` wraps any
-:class:`~repro.tsdb.interface.TimeSeriesStore` and intercepts the
-batched execution hook, so ``run_many`` (and therefore the wire layer's
-``handle_request``) sees cache hits per *unique* query while expression
-recomposition, dedup, and result ordering stay in the shared planner.
+:class:`~repro.tsdb.interface.TimeSeriesStore` — as the outermost layer
+of the store stack — and intercepts the batched execution hook, so
+``run_many`` (and therefore the wire layer's ``handle_request``) sees
+cache hits per *unique* query while expression recomposition, dedup,
+and result ordering stay in the shared planner.  Writes are not
+intercepted: the three primitives pass through to the layers below.
 
 Correctness comes from generation validators, not timers:
 
@@ -38,7 +40,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from ..tsdb import wire
-from ..tsdb.interface import StoreApi
+from ..tsdb.interface import StoreWrapper
 from ..tsdb.plan import _canonical_key
 from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.wire import CatalogRequest
@@ -249,34 +251,23 @@ class CatalogCache:
         self._entries.clear()
 
 
-class CachingStore(StoreApi):
+class CachingStore(StoreWrapper):
     """A store wrapper serving ``run_many`` through a :class:`ResultCache`.
 
-    Implements the planner's ``_run_unique_batch`` hook: per unique
-    query the cache answers or the miss set executes as one batch on
-    the wrapped store (keeping shared matching/scans for the
-    misses).  Everything else — writes, introspection, maintenance,
-    generation tracking — delegates to the wrapped store, so a
+    Overrides the planner's ``_run_unique_batch`` hook and nothing else:
+    per unique query the cache answers or the miss set executes as one
+    batch on the wrapped store (keeping shared matching/scans for the
+    misses).  The write primitives, introspection, maintenance and
+    generation tracking pass through to the wrapped store, so a
     ``CachingStore`` is a drop-in :class:`TimeSeriesStore` and writes
-    through it invalidate exactly the entries they touch.
+    through it invalidate exactly the entries they touch.  It is the
+    outermost layer of the store stack:
+    ``CachingStore(DurableStore(ReplicatedStore(store)))``.
     """
 
     def __init__(self, store, *, capacity: int = 128) -> None:
-        self._store = store
+        super().__init__(store)
         self.cache = ResultCache(capacity)
-
-    @property
-    def wrapped(self):
-        """The underlying store."""
-        return self._store
-
-    def __getattr__(self, name: str):
-        # Only reached for names not defined here/on StoreApi: writes,
-        # introspection, generations, maintenance, persistence hooks.
-        return getattr(self._store, name)
-
-    def run(self, query: Query) -> QueryResult:
-        return self.run_many([query])[0]
 
     def _run_unique_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
         results: list[QueryResult | None] = [None] * len(queries)

@@ -111,18 +111,6 @@ class TSDB(StoreApi):
         self._puts += n
         return n
 
-    def put_series(
-        self,
-        metric: str,
-        timestamps,
-        values,
-        tags: Mapping[str, str] | None = None,
-    ) -> SeriesKey:
-        """Bulk-write parallel timestamp/value columns into one series."""
-        batch = PointBatch.for_series(metric, timestamps, values, tags)
-        self.put_batch(batch)
-        return batch.keys[0]
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -155,9 +143,6 @@ class TSDB(StoreApi):
 
     def tag_values(self, metric: str, tag_key: str) -> list[str]:
         """Distinct live values of one tag key under ``metric``, sorted."""
-        return self.catalog.tag_values(metric, tag_key)
-
-    def suggest_tag_values(self, metric: str, tag_key: str) -> list[str]:
         return self.catalog.tag_values(metric, tag_key)
 
     def cardinality(
@@ -227,15 +212,6 @@ class TSDB(StoreApi):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def run(self, query: Query) -> QueryResult:
-        """Execute a query; see :class:`~repro.tsdb.query.Query`.
-
-        A thin shim over the planner: a single query is a batch of one
-        (``run_many``), so every entry point — one-shot, batched, wire —
-        executes through the same plan and returns identical results.
-        """
-        return self.run_many([query])[0]
-
     def _run_unique_batch(
         self, queries: Sequence[Query], parallel: bool | None = None
     ) -> list[QueryResult]:

@@ -8,7 +8,10 @@ analytics — talks to a :class:`TimeSeriesStore`, so the single-process
 :class:`~repro.tsdb.sharded.ShardedTSDB` are interchangeable.
 
 :class:`StoreApi` is the concrete half: convenience methods every store
-gets for free, implemented purely in terms of the protocol surface.
+gets for free, implemented purely in terms of the protocol surface —
+including every write other than the three primitives.
+:class:`StoreWrapper` is the one base of the layers stacked on a store
+(journal, replication tee, result cache).
 """
 
 from __future__ import annotations
@@ -30,9 +33,24 @@ class TimeSeriesStore(Protocol):
     persistence (``snapshot``/``dumps``/``load(into=...)``), retention
     policies, dashboards, and analytics entry points all accept any
     object satisfying this protocol.
+
+    Writes are three primitives + derived: ``put_batch``,
+    ``delete_before`` and ``delete_series_before`` are what a store (or
+    a wrapper around one) implements; ``put``, ``put_point``,
+    ``put_series`` and ``put_many`` are :class:`StoreApi`'s, in terms of
+    ``put_batch``.
     """
 
-    # -- writes ----------------------------------------------------------
+    # -- writes: the three primitives (a batch block, two marker kinds) --
+    def put_batch(self, batch: PointBatch) -> int: ...
+
+    def delete_before(
+        self, cutoff: int, *, exclude_suffix: str | None = None
+    ) -> int: ...
+
+    def delete_series_before(self, key: SeriesKey, cutoff: int) -> int: ...
+
+    # -- writes: derived (StoreApi, in terms of put_batch) ---------------
     def put(
         self,
         metric: str,
@@ -42,8 +60,6 @@ class TimeSeriesStore(Protocol):
     ) -> SeriesKey: ...
 
     def put_point(self, point: DataPoint) -> SeriesKey: ...
-
-    def put_batch(self, batch: PointBatch) -> int: ...
 
     def put_series(
         self,
@@ -115,13 +131,6 @@ class TimeSeriesStore(Protocol):
 
     def iter_points(self) -> Iterator[DataPoint]: ...
 
-    # -- maintenance -----------------------------------------------------
-    def delete_before(
-        self, cutoff: int, *, exclude_suffix: str | None = None
-    ) -> int: ...
-
-    def delete_series_before(self, key: SeriesKey, cutoff: int) -> int: ...
-
 
 class StoreApi:
     """Store-agnostic convenience surface, mixed into every store.
@@ -132,6 +141,38 @@ class StoreApi:
 
     def suggest_metrics(self, prefix: str = "") -> list[str]:
         return [m for m in self.metrics() if m.startswith(prefix)]
+
+    def suggest_tag_values(self, metric: str, tag_key: str) -> list[str]:
+        return self.tag_values(metric, tag_key)
+
+    # -- derived writes: everything lands through put_batch --------------
+    def put(
+        self,
+        metric: str,
+        timestamp: int,
+        value: float,
+        tags: Mapping[str, str] | None = None,
+    ) -> SeriesKey:
+        """Write one data point, creating the series on first sight."""
+        return self.put_point(
+            DataPoint(SeriesKey.make(metric, tags), int(timestamp), float(value))
+        )
+
+    def put_point(self, point: DataPoint) -> SeriesKey:
+        self.put_batch(PointBatch.from_points([point]))
+        return point.key
+
+    def put_series(
+        self,
+        metric: str,
+        timestamps,
+        values,
+        tags: Mapping[str, str] | None = None,
+    ) -> SeriesKey:
+        """Bulk-write parallel timestamp/value columns into one series."""
+        batch = PointBatch.for_series(metric, timestamps, values, tags)
+        self.put_batch(batch)
+        return batch.keys[0]
 
     #: put_many flushes its builder at this size so streaming a huge
     #: iterable stays bounded-memory while keeping batch overhead tiny.
@@ -145,6 +186,15 @@ class StoreApi:
             if len(builder) >= self._PUT_MANY_CHUNK:
                 n += self.put_batch(builder.build())
         return n + self.put_batch(builder.build())
+
+    def run(self, query: Query) -> QueryResult:
+        """Execute a query; see :class:`~repro.tsdb.query.Query`.
+
+        A single query is a batch of one (``run_many``), so every entry
+        point — one-shot, batched, wire — executes through the same plan
+        and returns identical results.
+        """
+        return self.run_many([query])[0]
 
     def run_many(
         self, queries: Sequence[Query | QueryBuilder | ExprQuery]
@@ -183,3 +233,30 @@ class StoreApi:
         for key, sl in self.iter_series():
             for ts, val in zip(sl.timestamps.tolist(), sl.values.tolist()):
                 yield DataPoint(key, int(ts), float(val))
+
+
+class StoreWrapper(StoreApi):
+    """Base of the ``_store`` wrappers (``DurableStore``,
+    ``ReplicatedStore``, ``CachingStore``): owns the wrapped store and
+    passes through whatever the wrapper does not define.
+
+    A wrapper that intercepts writes overrides the three primitives; the
+    derived writes above then reach it through ``self.put_batch``.  The
+    pass-through is by name only — a wrapper never inspects the type of
+    what it wraps, so any stand-in with the same methods may sit between
+    two layers.
+    """
+
+    def __init__(self, store: TimeSeriesStore) -> None:
+        self._store = store
+
+    @property
+    def wrapped(self) -> TimeSeriesStore:
+        """The underlying store (escape hatch)."""
+        return self._store
+
+    def __getattr__(self, name: str):
+        # Only called for attributes not found on the wrapper's class:
+        # the primitives it leaves alone, introspection, generations and
+        # the ``_run_unique_batch`` / ``_match`` hooks pass straight through.
+        return getattr(self._store, name)

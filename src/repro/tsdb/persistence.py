@@ -242,7 +242,7 @@ class LogWriter:
     def write_batch(self, batch: PointBatch) -> int:
         """Append a columnar batch (row order, and thus last-write-wins
         semantics, preserved).  The text twin of
-        :meth:`SegmentWriter.write_batch`, so WAL hooks accept either."""
+        :meth:`SegmentWriter.write_batch`, so ``convert_log`` drives either."""
         return self.write_many(batch.iter_points())
 
     def delete_before(

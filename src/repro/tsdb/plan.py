@@ -653,8 +653,7 @@ def run_batch(
     ``_run_unique_batch`` hook — :func:`run_unique_batch` on both
     :class:`~repro.tsdb.database.TSDB` and
     :class:`~repro.tsdb.sharded.ShardedTSDB`, the result cache on the
-    serving wrappers — falling back to one ``store.run`` per query for
-    stores without the hook.  Results align with the input order.
+    serving wrappers.  Results align with the input order.
     """
     specs: list[tuple] = []
     flat: list[Query] = []
@@ -684,11 +683,7 @@ def run_batch(
                 f"got {type(item).__name__}"
             )
 
-    runner = getattr(store, "_run_unique_batch", None)
-    if runner is None:
-        flat_results = [store.run(q) for q in flat]
-    else:
-        flat_results = runner(flat)
+    flat_results = store._run_unique_batch(flat)
 
     out: list[QueryResult | ExprResult] = []
     for kind, item, ref in specs:

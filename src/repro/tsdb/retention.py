@@ -9,27 +9,29 @@ Two scoped variants serve the multi-city / sharded deployments:
 
 - :meth:`RetentionPolicy.enforce_scoped` limits a pass to series
   matching a tag filter (the regional hub's per-city horizons, scoped
-  to ``city=<name>``), optionally appending ``!delete_series_before``
-  markers (and teeing rollup writes) to a WAL so scoped retention
-  survives replay;
+  to ``city=<name>``);
 - :class:`PerShardRetention` applies a distinct policy per shard of a
-  :class:`~repro.tsdb.sharded.ShardedTSDB`, optionally appending the
-  matching ``!delete_before`` WAL marker to each shard's log so a
-  shard-by-shard replay (``restore_from_dir``) reproduces the
-  post-retention state.
+  :class:`~repro.tsdb.sharded.ShardedTSDB`.
+
+A pass mutates the store it is handed and nothing else, through the
+write protocol (``put`` for rollups, ``delete_before`` /
+``delete_series_before`` for drops).  Durability and replication are
+the store's business: hand the pass a
+:class:`~repro.tsdb.tier.DurableStore` /
+:class:`~repro.replication.ReplicatedStore` stack and every rollup and
+deletion is journaled and shipped in the order it was applied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .downsample import Downsample, apply as apply_downsample
-from .model import DataPoint, SeriesKey
+from .model import SeriesKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .interface import TimeSeriesStore
-    from .persistence import LogWriter, SegmentWriter
     from .sharded import ShardedTSDB
 
 
@@ -72,12 +74,7 @@ class RetentionPolicy:
         return RolledUp(dropped_points=dropped, rolled_points=rolled, cutoff=cutoff)
 
     def enforce_scoped(
-        self,
-        db: "TimeSeriesStore",
-        now: int,
-        tags: Mapping[str, str],
-        *,
-        wal: "LogWriter | SegmentWriter | None" = None,
+        self, db: "TimeSeriesStore", now: int, tags: Mapping[str, str]
     ) -> RolledUp:
         """Apply the policy to series matching ``tags`` only.
 
@@ -85,57 +82,56 @@ class RetentionPolicy:
         series (tag filters support the query syntax: exact, ``*``,
         ``a|b``).  Deletion goes series-by-series through
         ``delete_series_before``, so other tenants of the same store —
-        other cities, shared external feeds — are untouched.  With a
-        ``wal`` writer attached, every effective deletion appends the
-        matching ``!delete_series_before`` marker and rollup writes are
-        teed as point lines, so a replayed log reproduces the scoped
-        post-retention state (the same contract
-        :class:`PerShardRetention` keeps for whole shards).
+        other cities, shared external feeds — are untouched.
+        """
+        return self._enforce_selected(
+            db,
+            now,
+            lambda key: key.matches(tags),
+            self.rollup_suffix if self.rollup is not None else None,
+        )
+
+    def _enforce_selected(
+        self,
+        db: "TimeSeriesStore",
+        now: int,
+        selected: Callable[[SeriesKey], bool],
+        exclude: str | None,
+    ) -> RolledUp:
+        """One pass over the series ``selected`` picks: roll, then drop
+        through ``delete_series_before``, sparing ``exclude``-suffixed
+        metrics.  Every mutation is a write primitive of ``db`` itself,
+        so whatever wraps it (journal, replication log) sees the pass.
         """
         cutoff = now - self.raw_max_age
         rolled = 0
-        exclude = None
         if self.rollup is not None:
-            into = db if wal is None else _WalPutTee(db, wal)
-            rolled = self._roll_old_points(db, cutoff, tags=tags, into=into)
-            exclude = self.rollup_suffix
+            rolled = self._roll_old_points(db, cutoff, selected)
         dropped = 0
         for metric in list(db.metrics()):
             if exclude is not None and metric.endswith(exclude):
                 continue
             for key in list(db.series_for_metric(metric)):
-                if not key.matches(tags):
-                    continue
-                dropped_here = db.delete_series_before(key, cutoff)
-                if dropped_here and wal is not None:
-                    wal.delete_series_before(key, cutoff)
-                dropped += dropped_here
+                if selected(key):
+                    dropped += db.delete_series_before(key, cutoff)
         return RolledUp(dropped_points=dropped, rolled_points=rolled, cutoff=cutoff)
 
     def _roll_old_points(
         self,
         db: "TimeSeriesStore",
         cutoff: int,
-        *,
-        tags: Mapping[str, str] | None = None,
-        into: "TimeSeriesStore | None" = None,
+        selected: Callable[[SeriesKey], bool] | None = None,
     ) -> int:
-        """Aggregate pre-cutoff raw points into rollup series.
-
-        ``tags`` restricts the pass to matching series; ``into`` routes
-        the rollup *writes* to a different store than the one being read
-        (per-shard retention reads one shard but writes through the
-        sharded coordinator so rollup series hash-route correctly).
-        """
+        """Aggregate pre-cutoff raw points into rollup series;
+        ``selected`` restricts the pass to the series it picks."""
         assert self.rollup is not None
-        target_db = db if into is None else into
         rolled = 0
         # Materialize the key list first: we add rollup series while iterating.
         for metric in list(db.metrics()):
             if metric.endswith(self.rollup_suffix):
                 continue  # never roll a rollup
             for key in list(db.series_for_metric(metric)):
-                if tags is not None and not key.matches(tags):
+                if selected is not None and not selected(key):
                     continue
                 old = db.series_slice(key, end=cutoff - 1)
                 if len(old) == 0:
@@ -145,7 +141,7 @@ class RetentionPolicy:
                 for ts, val in zip(
                     buckets.timestamps.tolist(), buckets.values.tolist()
                 ):
-                    target_db.put(target.metric, int(ts), float(val), target.tag_dict())
+                    db.put(target.metric, int(ts), float(val), target.tag_dict())
                     rolled += 1
         return rolled
 
@@ -154,30 +150,24 @@ class RetentionPolicy:
 class PerShardRetention:
     """Distinct retention horizons per shard of a sharded store.
 
-    ``policies[i]`` governs shard ``i`` (None = shard exempt).  Rollups
-    read shard-local raw data but write through the *coordinator*, so a
-    rollup series lands in whichever shard its key hash-routes to —
-    exactly where queries will look for it.  When per-shard WAL writers
-    are supplied, each enforcement appends the matching
-    ``!delete_before`` marker to that shard's log, keeping shard-by-
-    shard replay faithful to the post-retention state.
+    ``policies[i]`` governs shard ``i`` (None = shard exempt): the
+    series whose key hash-routes there.  The pass runs on the store it
+    is handed — a :class:`~repro.tsdb.sharded.ShardedTSDB` or any
+    wrapper stack over one — through ``put`` and
+    ``delete_series_before``, so a rollup series lands in whichever
+    shard its key routes to (exactly where queries will look for it)
+    and a journal or replication log around the store records the pass.
     """
 
     policies: tuple["RetentionPolicy | None", ...]
 
     def enforce(
-        self,
-        db: "ShardedTSDB",
-        now: int,
-        *,
-        wal: "Sequence[LogWriter | SegmentWriter | None] | None" = None,
+        self, db: "ShardedTSDB", now: int
     ) -> tuple[RolledUp | None, ...]:
         if len(self.policies) != db.num_shards:
             raise ValueError(
                 f"{len(self.policies)} policies for {db.num_shards} shards"
             )
-        if wal is not None and len(wal) != db.num_shards:
-            raise ValueError(f"{len(wal)} WAL writers for {db.num_shards} shards")
         # Rollup series are *regional* state: a rollup written while
         # enforcing shard i hash-routes to whichever shard owns its key,
         # so every shard's delete pass must spare the suffix — not just
@@ -193,68 +183,12 @@ class PerShardRetention:
                 f"mixed rollup suffixes across shard policies: {sorted(suffixes)}"
             )
         exclude = next(iter(suffixes), None)
-        if wal is not None and exclude is not None and any(w is None for w in wal):
-            # A rollup may hash-route to *any* shard, including ones
-            # with no policy of their own; a missing writer would make
-            # that shard's replay silently diverge from the live store.
-            raise ValueError(
-                "rollup-bearing per-shard retention requires a WAL writer "
-                "for every shard (rollups may land in any shard)"
+        shard_of = db.shard_of  # resolved once: ``db`` may be a wrapper stack
+        return tuple(
+            None
+            if policy is None
+            else policy._enforce_selected(
+                db, now, lambda key, i=i: shard_of(key) == i, exclude
             )
-        out: list[RolledUp | None] = []
-        for i, (policy, shard) in enumerate(zip(self.policies, db.shards)):
-            if policy is None:
-                out.append(None)
-                continue
-            cutoff = now - policy.raw_max_age
-            rolled = 0
-            if policy.rollup is not None:
-                # Route rollup writes through the coordinator; with WALs
-                # attached, mirror each point into its owning shard's log
-                # so shard-by-shard replay reproduces the rollups too.
-                into = db if wal is None else _WalTeeStore(db, wal)
-                rolled = policy._roll_old_points(shard, cutoff, into=into)
-            dropped = shard.delete_before(cutoff, exclude_suffix=exclude)
-            if wal is not None and wal[i] is not None:
-                wal[i].delete_before(cutoff, exclude_suffix=exclude)
-            out.append(
-                RolledUp(dropped_points=dropped, rolled_points=rolled, cutoff=cutoff)
-            )
-        return tuple(out)
-
-
-class _WalPutTee:
-    """Write facade for scoped rollups: store put + a line in one WAL."""
-
-    def __init__(
-        self, db: "TimeSeriesStore", wal: "LogWriter | SegmentWriter"
-    ) -> None:
-        self._db = db
-        self._wal = wal
-
-    def put(self, metric, timestamp, value, tags=None) -> SeriesKey:
-        key = self._db.put(metric, timestamp, value, tags)
-        self._wal.write(DataPoint(key, int(timestamp), float(value)))
-        return key
-
-
-class _WalTeeStore:
-    """Write facade: coordinator put + a point line in the owner's WAL.
-
-    Only the ``put`` surface rollups use; everything the sharded store
-    accepts lands normally, and the same point is appended to the WAL of
-    the shard that owns the series, keeping per-shard logs replayable.
-    """
-
-    def __init__(
-        self, db: "ShardedTSDB", wal: "Sequence[LogWriter | SegmentWriter | None]"
-    ) -> None:
-        self._db = db
-        self._wal = wal
-
-    def put(self, metric, timestamp, value, tags=None) -> SeriesKey:
-        key = self._db.put(metric, timestamp, value, tags)
-        writer = self._wal[self._db.shard_of(key)]
-        if writer is not None:
-            writer.write(DataPoint(key, int(timestamp), float(value)))
-        return key
+            for i, policy in enumerate(self.policies)
+        )

@@ -322,7 +322,7 @@ class SegmentWriter:
     """Append-only segment writer; the binary twin of ``LogWriter``.
 
     Accepts whole batches (:meth:`write_batch`, the hot path) and the
-    per-point surface retention tees rely on (:meth:`write`,
+    per-point surface it shares with ``LogWriter`` (:meth:`write`,
     :meth:`write_many`, :meth:`delete_before`) — per-point writes buffer
     in a :class:`BatchBuilder` and land as one batch block, flushed
     before any marker or comment so stream order is preserved.

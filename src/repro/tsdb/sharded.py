@@ -127,18 +127,6 @@ class ShardedTSDB(StoreApi):
         if self._catalog.max_tag_values is not None and key not in shard._stores:
             self._catalog.check_add(key)
 
-    def put(
-        self,
-        metric: str,
-        timestamp: int,
-        value: float,
-        tags: Mapping[str, str] | None = None,
-    ) -> SeriesKey:
-        key = SeriesKey.make(metric, tags)
-        shard = self._shards[self.shard_of(key)]
-        self._admit(key, shard)
-        return shard.put_point(DataPoint(key, int(timestamp), float(value)))
-
     def put_point(self, point: DataPoint) -> SeriesKey:
         shard = self._shards[self.shard_of(point.key)]
         self._admit(point.key, shard)
@@ -156,18 +144,8 @@ class ShardedTSDB(StoreApi):
             shard.put_column(key, ts, vals)
         return len(batch)
 
-    def put_series(
-        self,
-        metric: str,
-        timestamps,
-        values,
-        tags: Mapping[str, str] | None = None,
-    ) -> SeriesKey:
-        batch = PointBatch.for_series(metric, timestamps, values, tags)
-        self.put_batch(batch)
-        return batch.keys[0]
-
-    # put_many comes from StoreApi (chunked builder → put_batch).
+    # put comes from StoreApi (→ put_point); put_series / put_many too
+    # (→ put_batch).
 
     # ------------------------------------------------------------------
     # Introspection (union over shards)
@@ -204,9 +182,6 @@ class ShardedTSDB(StoreApi):
 
     def tag_values(self, metric: str, tag_key: str) -> list[str]:
         """Distinct live values of one tag key, across all shards."""
-        return self._catalog.tag_values(metric, tag_key)
-
-    def suggest_tag_values(self, metric: str, tag_key: str) -> list[str]:
         return self._catalog.tag_values(metric, tag_key)
 
     def cardinality(
@@ -254,10 +229,6 @@ class ShardedTSDB(StoreApi):
     # ------------------------------------------------------------------
     # Queries (the shared plan over routed scans)
     # ------------------------------------------------------------------
-    def run(self, query: Query) -> QueryResult:
-        """Execute a query; a planner shim, like ``TSDB.run``."""
-        return self.run_many([query])[0]
-
     def _run_unique_batch(
         self, queries: Sequence[Query], parallel: bool | None = None
     ) -> list[QueryResult]:

@@ -10,10 +10,10 @@ layered on the CRC-framed segment format:
   first touch via the mmap zero-copy reader, instead of eagerly at
   startup;
 - :mod:`.rollup` — cascade aging data down through resolutions
-  (raw → 5m → 1h), journaled through both durability formats so the
-  tiered state survives restart and replicates;
-- :mod:`.wal` — the write-through journal wrapper that gives a live
-  store a compactable WAL.
+  (raw → 5m → 1h) through the store's own write protocol, so under the
+  journal the tiered state survives restart and replicates;
+- :mod:`.wal` — the journal: the one write-through wrapper that gives
+  a live store a compactable WAL.
 """
 
 from .compact import (

@@ -6,10 +6,11 @@ process can answer anything — cold-start latency and RAM both track the
 directory but replays a shard only the first time an operation actually
 touches it:
 
-- **keyed operations** (``series_slice``, ``put``/``put_batch``,
-  ``delete_series_before``, generation reads) hash-route exactly like
-  the store does, so they page in only the owning shard — an exact
-  read of one series costs one shard's replay, not N;
+- **keyed operations** (``series_slice``, ``put_batch`` — and through
+  it every derived write: ``put``, ``put_point``, ``put_series``,
+  ``put_many`` — ``delete_series_before``, generation reads) hash-route
+  exactly like the store does, so they page in only the owning shards —
+  an exact read of one series costs one shard's replay, not N;
 - **global operations** (queries, ``metrics``, wildcard matching,
   snapshots) page in everything on first use — tag filters are subset
   matches, so no shard can be ruled out without its key set.
@@ -27,11 +28,13 @@ from __future__ import annotations
 import os
 import threading
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ..batch import PointBatch
-from ..model import DataPoint, SeriesKey
+from ..interface import StoreApi
+from ..model import SeriesKey
 from ..persistence import load
+from ..query import Query, QueryResult
 from ..sharded import (
     ShardedTSDB,
     scan_snapshot_dir,
@@ -42,13 +45,15 @@ from ..sharded import (
 __all__ = ["ColdShardPager"]
 
 
-class ColdShardPager:
+class ColdShardPager(StoreApi):
     """A :class:`ShardedTSDB` whose shards replay lazily from disk.
 
-    Satisfies the ``TimeSeriesStore`` protocol by delegation: anything
-    not intercepted below pages in *all* remaining shards and then
-    passes through, so semantics never diverge from the eager store —
-    laziness only ever changes *when* a shard's file is read.
+    Satisfies the ``TimeSeriesStore`` protocol by delegation: the keyed
+    operations below page the owning shard, the derived writes reach
+    them through :class:`~repro.tsdb.interface.StoreApi`, and anything
+    else pages in *all* remaining shards and then passes through, so
+    semantics never diverge from the eager store — laziness only ever
+    changes *when* a shard's file is read.
     """
 
     def __init__(self, directory: str | os.PathLike[str], *, mmap: bool = True) -> None:
@@ -106,25 +111,12 @@ class ColdShardPager:
         self._page_in(self.shard_of(key))
         return self._db.series_generation(key)
 
-    def put(
-        self,
-        metric: str,
-        timestamp: int,
-        value: float,
-        tags: Mapping[str, str] | None = None,
-    ) -> SeriesKey:
-        # Page the owning shard *before* writing: replaying the snapshot
+    # put / put_point / put_series / put_many are StoreApi's, so they
+    # land here and page only the shards their batch touches.
+    def put_batch(self, batch: PointBatch) -> int:
+        # Page the owning shards *before* writing: replaying the snapshot
         # after a live write would resurrect snapshotted values over it
         # (replay is last-write-wins at equal timestamps).
-        key = SeriesKey.make(metric, tags)
-        self._page_in(self.shard_of(key))
-        return self._db.put(metric, timestamp, value, tags)
-
-    def put_point(self, point: DataPoint) -> SeriesKey:
-        self._page_in(self.shard_of(point.key))
-        return self._db.put_point(point)
-
-    def put_batch(self, batch: PointBatch) -> int:
         for key in batch.keys:
             self._page_in(self.shard_of(key))
         return self._db.put_batch(batch)
@@ -140,6 +132,10 @@ class ColdShardPager:
         # Named explicitly because __getattr__ refuses private names.
         self._page_all()
         return self._db._match(metric, tags)
+
+    def _run_unique_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
+        self._page_all()
+        return self._db._run_unique_batch(queries)
 
     def __getattr__(self, name: str):
         # Only reached for attributes not defined above.  Private/dunder

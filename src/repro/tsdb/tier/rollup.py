@@ -13,13 +13,14 @@ a month, and hour averages (``<metric>.1h``) forever.
 
 Mechanics reuse the retention machinery wholesale: downsampling via
 :func:`~repro.tsdb.downsample.apply`, per-series deletion through
-``delete_series_before`` (shard-safe, scope-safe), WAL journaling with
-the same put-tee + marker protocol as
-:meth:`RetentionPolicy.enforce_scoped` — so a replayed log reproduces
-the tiered state in either durability format, and a store wrapped in
-:class:`~repro.replication.ReplicatedStore` replicates tiering to its
-standby for free (the puts and scoped deletes *are* the replication
-stream's vocabulary).
+``delete_series_before`` (shard-safe, scope-safe).  Like
+:meth:`RetentionPolicy.enforce_scoped`, a pass mutates the store it is
+handed and nothing else — so a store wrapped in
+:class:`~repro.tsdb.tier.DurableStore` journals the tiering (a replayed
+WAL reproduces the tiered state) and one wrapped in
+:class:`~repro.replication.ReplicatedStore` replicates it to its
+standby for free (the puts and scoped deletes *are* the write
+protocol's vocabulary).
 
 Two deliberate choices:
 
@@ -46,11 +47,10 @@ from typing import TYPE_CHECKING, Mapping
 
 from ..downsample import Downsample, apply as apply_downsample
 from ..model import SeriesKey
-from ..retention import RolledUp, _WalPutTee
+from ..retention import RolledUp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..interface import TimeSeriesStore
-    from ..persistence import LogWriter, SegmentWriter
 
 __all__ = ["Tier", "TierPolicy", "TierReport"]
 
@@ -150,16 +150,12 @@ class TierPolicy:
         now: int,
         *,
         tags: Mapping[str, str] | None = None,
-        wal: "LogWriter | SegmentWriter | None" = None,
     ) -> TierReport:
         """Run every stage once, finest tier first.
 
         ``tags`` scopes the pass to matching series (the regional hub's
-        per-city horizons); ``wal`` journals every rollup put as a point
-        write and every deletion as a ``!delete_series_before`` marker,
-        so replaying the log reproduces the tiered state exactly.
+        per-city horizons).
         """
-        target_store: "TimeSeriesStore" = db if wal is None else _WalPutTee(db, wal)  # type: ignore[assignment]
         stages: list[RolledUp] = []
         for stage_idx, tier in enumerate(self.tiers):
             source_tier = stage_idx - 1  # -1 = raw
@@ -190,14 +186,9 @@ class TierPolicy:
                     for ts, val in zip(
                         buckets.timestamps.tolist(), buckets.values.tolist()
                     ):
-                        target_store.put(
-                            target.metric, int(ts), float(val), target.tag_dict()
-                        )
+                        db.put(target.metric, int(ts), float(val), target.tag_dict())
                         rolled += 1
-                    dropped_here = db.delete_series_before(key, cutoff)
-                    if dropped_here and wal is not None:
-                        wal.delete_series_before(key, cutoff)
-                    dropped += dropped_here
+                    dropped += db.delete_series_before(key, cutoff)
             stages.append(
                 RolledUp(dropped_points=dropped, rolled_points=rolled, cutoff=cutoff)
             )

@@ -1,11 +1,20 @@
-"""A write-through WAL tee with a compaction-safe pause protocol.
+"""The journal: a write-through WAL with a compaction-safe pause protocol.
 
 :class:`DurableStore` wraps any ``TimeSeriesStore`` and appends every
-mutation to a segment/log WAL *before* committing it to the store —
-durability precedes visibility, the same ordering the writers
-themselves promise (a flushed block precedes the in-memory write).
+mutation to a binary segment WAL *before* committing it to the store —
+durability precedes visibility, the same ordering the writer itself
+promises (a flushed block precedes the in-memory write).  It is the
+only journaling path: retention, tiering and the dataport writer mutate
+the store they are handed, and are journaled because that store is (or
+wraps) a ``DurableStore``.  The journal holds exactly what the write
+protocol's three primitives produce — a batch block per ``put_batch``,
+a marker block per ``delete_before`` / ``delete_series_before`` — in
+the same frames :class:`~repro.replication.ReplicatedStore` logs.
 Replaying the WAL rebuilds the store; compacting it (see
-:mod:`.compact`) keeps that replay proportional to live data.
+:mod:`.compact`) keeps that replay proportional to live data.  A legacy
+text log is not a journal: convert it first (``repro convert-log``) —
+pointing a ``DurableStore`` at one fails in ``SegmentWriter`` ("not a
+segment file; refusing to append").
 
 Compacting a *live* WAL needs the writer out of the way: the compactor
 replaces the file under ``os.replace``, and an open append handle would
@@ -22,12 +31,12 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator
 
 from ..batch import PointBatch
-from ..interface import StoreApi
-from ..model import DataPoint, SeriesKey
-from ..persistence import LogWriter, SegmentWriter
+from ..interface import StoreWrapper
+from ..model import SeriesKey
+from ..persistence import SegmentWriter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..interface import TimeSeriesStore
@@ -35,85 +44,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["DurableStore"]
 
 
-class DurableStore(StoreApi):
-    """Store wrapper journaling every mutation to a WAL file.
+class DurableStore(StoreWrapper):
+    """Store wrapper journaling every mutation to a segment WAL.
 
-    Reads and introspection delegate untouched; each write appends its
-    block/line first, then commits, under one lock so the WAL's order
-    equals the store's commit order.  ``format`` picks the journal
-    format ("binary" = the segment fast path).
+    Reads and introspection delegate untouched; each of the three write
+    primitives appends its block first, then commits, under one lock so
+    the WAL's order equals the store's commit order.  Every other write
+    (``put``, ``put_point``, ``put_series``, ``put_many``) is
+    :class:`~repro.tsdb.interface.StoreApi`'s, in terms of
+    :meth:`put_batch` — so it is journaled as a batch block too.
     """
 
     def __init__(
-        self,
-        store: "TimeSeriesStore",
-        path: str | os.PathLike[str],
-        *,
-        format: str = "binary",
+        self, store: "TimeSeriesStore", path: str | os.PathLike[str]
     ) -> None:
-        self._store = store
+        super().__init__(store)
         self._path = Path(path)
-        self._format = format
         self._lock = threading.RLock()
-        self._writer = self._open_writer()
-
-    def _open_writer(self) -> SegmentWriter | LogWriter:
-        cls = SegmentWriter if self._format == "binary" else LogWriter
-        return cls(self._path, append=True)
+        self._writer = SegmentWriter(self._path)
 
     @property
     def wal_path(self) -> Path:
         return self._path
 
-    @property
-    def wrapped(self) -> "TimeSeriesStore":
-        """The underlying store (escape hatch, mirrors CachingStore)."""
-        return self._store
-
-    def __getattr__(self, name: str):
-        # Only called for attributes not found on this class: the whole
-        # read/introspection surface passes straight through.
-        return getattr(self._store, name)
-
     # -- journaled writes ------------------------------------------------
-    def put(
-        self,
-        metric: str,
-        timestamp: int,
-        value: float,
-        tags: Mapping[str, str] | None = None,
-    ) -> SeriesKey:
-        key = SeriesKey.make(metric, tags)
-        with self._lock:
-            self._writer.write(DataPoint(key, int(timestamp), float(value)))
-            self._writer.flush()
-            return self._store.put(metric, timestamp, value, tags)
-
-    def put_point(self, point: DataPoint) -> SeriesKey:
-        with self._lock:
-            self._writer.write(point)
-            self._writer.flush()
-            return self._store.put_point(point)
-
     def put_batch(self, batch: PointBatch) -> int:
         with self._lock:
             self._writer.write_batch(batch)
             return self._store.put_batch(batch)
-
-    def put_series(
-        self,
-        metric: str,
-        timestamps,
-        values,
-        tags: Mapping[str, str] | None = None,
-    ) -> SeriesKey:
-        batch = PointBatch.for_series(metric, timestamps, values, tags)
-        self.put_batch(batch)
-        return batch.keys[0]
-
-    def put_many(self, points: Iterable[DataPoint]) -> int:
-        # StoreApi.put_many chunks through self.put_batch, which journals.
-        return StoreApi.put_many(self, points)
 
     def delete_before(
         self, cutoff: int, *, exclude_suffix: str | None = None
@@ -141,7 +99,7 @@ class DurableStore(StoreApi):
             try:
                 yield self._path
             finally:
-                self._writer = self._open_writer()
+                self._writer = SegmentWriter(self._path)
 
     def close(self) -> None:
         with self._lock:

@@ -28,6 +28,7 @@ from repro.tsdb import (
     DataPoint,
     DeleteBefore,
     DeleteSeriesBefore,
+    DurableStore,
     LogWriter,
     PointBatch,
     Query,
@@ -532,34 +533,41 @@ class TestDataportWalHook:
         assert w.written == 2
 
     def test_flushes_append_to_wal_before_store(self, tmp_path):
-        db = TSDB()
-        with SegmentWriter(tmp_path / "wal.seg") as wal:
-            writer = BatchingTsdbWriter(db, max_pending=16, wal=wal)
-            for i in range(50):
-                writer.add("air.co2.ppm", i, float(i), {"node": "n1"})
-            writer.flush()
-        assert writer.written == 50
-        replayed = load(tmp_path / "wal.seg")
-        assert dumps(replayed) == dumps(db)
+        """Through ``DurableStore`` the writer's flush is write-ahead:
+        the block is on disk when the store sees the batch, and the
+        journal replays to the store."""
+        path = tmp_path / "wal.seg"
+        on_disk_at_commit = []
 
-    def test_failed_wal_write_keeps_batch_for_retry(self, tmp_path):
+        class Watching(TSDB):
+            def put_batch(self, batch):
+                on_disk_at_commit.append(segment_point_count(path))
+                return super().put_batch(batch)
+
+        db = Watching()
+        store = DurableStore(db, path)
+        writer = BatchingTsdbWriter(store, max_pending=16)
+        for i in range(50):
+            writer.add("air.co2.ppm", i, float(i), {"node": "n1"})
+        writer.flush()
+        store.close()
+        assert writer.written == 50
+        assert on_disk_at_commit == [16, 32, 48, 50]
+        assert dumps(load(path)) == dumps(db)
+
+    def test_failed_wal_write_keeps_batch_for_retry(self, tmp_path, monkeypatch):
         """A WAL append failure (disk full) must not lose the buffered
         points: the builder retains them and a later flush retries."""
-
-        class FailingOnceWal:
-            def __init__(self):
-                self.fail = True
-                self.batches = []
-
-            def write_batch(self, batch):
-                if self.fail:
-                    self.fail = False
-                    raise OSError("no space left on device")
-                self.batches.append(batch)
-
         db = TSDB()
-        wal = FailingOnceWal()
-        writer = BatchingTsdbWriter(db, max_pending=100, wal=wal)
+        store = DurableStore(db, tmp_path / "wal.seg")
+        append = store._writer.write_batch
+
+        def failing_once(batch):
+            monkeypatch.setattr(store._writer, "write_batch", append)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(store._writer, "write_batch", failing_once)
+        writer = BatchingTsdbWriter(store, max_pending=100)
         for i in range(10):
             writer.add("air.co2.ppm", i, float(i), {"node": "n1"})
         with pytest.raises(OSError):
@@ -567,16 +575,9 @@ class TestDataportWalHook:
         assert writer.pending == 10  # retained, not lost
         assert db.exact_point_count() == 0  # store untouched too
         assert writer.flush() == 10  # retry succeeds
-        assert len(wal.batches) == 1 and db.exact_point_count() == 10
-
-    def test_text_wal_also_accepted(self, tmp_path):
-        db = TSDB()
-        with LogWriter(tmp_path / "wal.log") as wal:
-            writer = BatchingTsdbWriter(db, max_pending=16, wal=wal)
-            for i in range(20):
-                writer.add("air.co2.ppm", i, float(i), {"node": "n1"})
-            writer.flush()
-        assert dumps(load(tmp_path / "wal.log")) == dumps(db)
+        store.close()
+        assert db.exact_point_count() == 10
+        assert dumps(load(store.wal_path)) == dumps(db)
 
 
 # -- hypothesis: codec + equivalence over arbitrary workloads -------------

@@ -8,6 +8,7 @@ for n ∈ {1, 2, 4, 7}.  All randomness is seeded: the suite is fully
 deterministic (the CI sharded-equivalence step relies on that).
 """
 
+import io
 import threading
 
 import numpy as np
@@ -305,8 +306,8 @@ class TestShardLocality:
 
 
 class TestPerShardRetention:
-    """Satellite: distinct `delete_before` horizons per shard, with WAL
-    markers that replay faithfully through `restore_from_dir`."""
+    """Distinct retention horizons per shard, applied through the write
+    protocol of the store handed in — so wrapper stacks see the pass."""
 
     def test_distinct_horizons_per_shard(self):
         from repro.tsdb import PerShardRetention
@@ -419,34 +420,51 @@ class TestPerShardRetention:
             retention.enforce(db, 10)
 
     @pytest.mark.parametrize("with_rollup", (False, True))
-    def test_wal_markers_replay_through_restore_from_dir(
+    def test_wrapped_stack_records_the_pass(
         self, tmp_path, with_rollup
     ):
-        from repro.tsdb import LogWriter, PerShardRetention
+        """The pass runs on the store it is handed: over
+        ``DurableStore(ReplicatedStore(ShardedTSDB))`` the journal and
+        the replication log both carry every rollup and deletion, so WAL
+        replay ≡ log replay ≡ the live store, and the wrappers change
+        nothing about what the pass does."""
+        from repro.replication import ReplicatedStore
+        from repro.tsdb import DurableStore, PerShardRetention
+        from repro.tsdb.segments import SEGMENT_MAGIC
 
-        _, db = build_pair(3)
+        rows = random_rows(2018)
         now = 5_000 * 60
         rollup = Downsample.parse("1h-avg") if with_rollup else None
-        policies = (
-            RetentionPolicy(raw_max_age=100_000, rollup=rollup),
-            None,
-            RetentionPolicy(raw_max_age=250_000),
+        retention = PerShardRetention(
+            (
+                RetentionPolicy(raw_max_age=100_000, rollup=rollup),
+                None,
+                RetentionPolicy(raw_max_age=250_000),
+                RetentionPolicy(raw_max_age=150_000, rollup=rollup),
+            )
         )
-        snap = tmp_path / "snap"
-        db.snapshot_to_dir(snap)  # pre-retention state on disk
+        bare = ShardedTSDB(4)
+        ingest_mixed(bare, rows)
+        want = retention.enforce(bare, now)
 
-        # Live enforcement appends one `!delete_before` marker per shard
-        # WAL (plus any rollup points, mirrored to their owning shard's
-        # log); a shard-by-shard replay must land on the live state.
-        writers = [
-            LogWriter(snap / f"shard-{i}-of-3.log") for i in range(3)
-        ]
-        results = PerShardRetention(policies).enforce(db, now, wal=writers)
-        for w in writers:
-            w.close()
+        inner = ShardedTSDB(4)
+        replicated = ReplicatedStore(inner)
+        store = DurableStore(replicated, tmp_path / "wal.seg")
+        ingest_mixed(store, rows)
+        before = inner.exact_point_count()
+        got = retention.enforce(store, now)
+        store.close()
+
+        assert got == want  # per-shard RolledUp counts, wrapped ≡ bare
+        assert got[1] is None and got[0].dropped_points > 0
         if with_rollup:
-            assert results[0].rolled_points > 0
-
-        restored = ShardedTSDB.restore_from_dir(snap)
-        assert dumps(restored) == dumps(db)
-        assert restored.exact_point_count() == db.exact_point_count()
+            assert got[0].rolled_points > 0
+        assert inner.exact_point_count() < before
+        state = dumps(inner, format="binary")
+        assert state == dumps(bare, format="binary")
+        assert dumps(load(store.wal_path), format="binary") == state
+        frames = b"".join(f for _, f in replicated.log.pending_after(0))
+        assert (
+            dumps(load(io.BytesIO(SEGMENT_MAGIC + frames)), format="binary")
+            == state
+        )

@@ -14,8 +14,8 @@ The subsystem's contracts, in the order they stack:
   shard; a fully paged :class:`ColdShardPager` equals an eager
   ``restore_from_dir`` byte-for-byte;
 - **Rollup tiers**: the raw→5m→1h cascade is bucket-aligned, scoped,
-  journaled through both WAL formats (replay reproduces the tiered
-  state) and replicates through the standard replication vocabulary.
+  journaled by a ``DurableStore`` (replay reproduces the tiered state)
+  and replicates through the standard replication vocabulary.
 """
 
 import threading
@@ -41,6 +41,7 @@ from repro.tsdb import (
     TierPolicy,
     compact_dir,
     compact_log,
+    detect_format,
     dumps,
     load,
     segment_stats,
@@ -315,10 +316,10 @@ class TestCompactorPolicy:
 
 
 class TestDurableStore:
-    @pytest.mark.parametrize("fmt", ["binary", "text"])
+    @pytest.mark.parametrize("fmt", ["binary"])  # the one journal format
     def test_replay_rebuilds_store(self, tmp_path, fmt):
         wal = tmp_path / "wal"
-        store = DurableStore(TSDB(), wal, format=fmt)
+        store = DurableStore(TSDB(), wal)
         store.put("air.co2", 100, 400.0, {"node": "n1"})
         store.put_point(DataPoint(_key("air.co2", "n2"), 110, 401.0))
         store.put_batch(
@@ -332,15 +333,16 @@ class TestDurableStore:
         store.delete_before(50)
         store.delete_series_before(_key("air.no2", "n1"), 3)
         store.close()
+        assert detect_format(wal) == fmt
         assert dumps(load(wal, strict=True), format="binary") == dumps(
             store.wrapped, format="binary"
         )
 
     def test_wal_precedes_commit(self, tmp_path):
-        # Durability before visibility: the journal carries the write
-        # even though the store refused it.
+        # Durability before visibility: the journal carries the block
+        # even though the store refused the batch.
         class Refusing(TSDB):
-            def put(self, metric, timestamp, value, tags=None):
+            def put_batch(self, batch):
                 raise RuntimeError("store down")
 
         wal = tmp_path / "wal.seg"
@@ -428,6 +430,29 @@ class TestColdShardPager:
         pager.put("air.co2", 0, 999.0, {"node": "n1"})
         sl = pager.series_slice(key, 0, 0)
         assert sl.values[0] == 999.0
+
+    def test_derived_keyed_writes_page_only_owning_shards(self, snapshot_dir):
+        # put_series / put_many are keyed writes: they reach the pager's
+        # put_batch and page the shards their series route to, no more.
+        pager = ColdShardPager(snapshot_dir)
+        key = _key("air.co2", "n1")
+        pager.put_series("air.co2", [5000, 5060], [1.0, 2.0], {"node": "n1"})
+        assert pager.resident_shards == (pager.shard_of(key),)
+
+        pager = ColdShardPager(snapshot_dir)
+        points = [
+            DataPoint(_key("air.no2", "n2"), 5000, 1.0),
+            DataPoint(_key("weather.temp", "n3"), 5000, 2.0),
+        ]
+        assert pager.put_many(points) == 2
+        assert pager.resident_shards == tuple(
+            sorted({pager.shard_of(p.key) for p in points})
+        )
+        assert len(pager.resident_shards) < pager.num_shards
+        # Paging late changes nothing: the same write on an eager restore.
+        eager = ShardedTSDB.restore_from_dir(snapshot_dir)
+        eager.put_many(points)
+        assert dumps(pager, format="binary") == dumps(eager, format="binary")
 
     def test_global_query_pages_everything(self, snapshot_dir):
         pager = ColdShardPager(snapshot_dir)
@@ -551,35 +576,18 @@ class TestRollupTiers:
         assert second.rolled_points == 0 and second.dropped_points == 0
         assert dumps(db, format="binary") == state
 
-    @pytest.mark.parametrize("fmt", ["binary", "text"])
+    @pytest.mark.parametrize("fmt", ["binary"])  # the one journal format
     def test_wal_replay_reproduces_tiered_state(self, tmp_path, fmt):
         now = 30 * self.DAY
         wal = tmp_path / "wal"
         # Journal the ingest AND the tiering through the same WAL.
-        store = DurableStore(TSDB(), wal, format=fmt)
+        store = DurableStore(TSDB(), wal)
         self._aged_store(db=store, now=now)
         self._policy().enforce(store, now)
         store.close()
+        assert detect_format(wal) == fmt
         assert dumps(load(wal, strict=True), format="binary") == dumps(
             store.wrapped, format="binary"
-        )
-
-    @pytest.mark.parametrize("fmt", ["binary", "text"])
-    def test_explicit_wal_tee_reproduces_tiered_state(self, tmp_path, fmt):
-        # The raw-store path: no DurableStore, the pass itself journals
-        # its puts and markers into a caller-owned writer.
-        now = 30 * self.DAY
-        wal = tmp_path / "wal"
-        writer = SegmentWriter(wal) if fmt == "binary" else LogWriter(wal)
-        db = TSDB()
-        for t in range(0, now, self.HOUR):
-            p = DataPoint(_key("air.co2", "n1"), t, float(t % 5))
-            db.put_point(p)
-            writer.write(p)
-        self._policy().enforce(db, now, wal=writer)
-        writer.close()
-        assert dumps(load(wal, strict=True), format="binary") == dumps(
-            db, format="binary"
         )
 
     def test_tiering_replicates_through_the_log(self):
