@@ -48,8 +48,8 @@ test-replication:
 	$(PYTHON) -m pytest -q tests/test_replication.py
 
 # The tiered-storage gate: compact(log) restores byte-identical to
-# replay(log) under random op interleavings (hypothesis, both formats,
-# single + sharded), crash-safe swap-in, cold-shard paging equivalence,
+# replay(log) under random op interleavings (hypothesis, binary journals
+# and legacy text logs, single + sharded), crash-safe swap-in, cold-shard paging equivalence,
 # rollup-tier cascade journaled through DurableStore (the one journal).
 test-tier:
 	$(PYTHON) -m pytest -q tests/test_tsdb_tier.py
@@ -64,7 +64,8 @@ bench-sharded:
 bench-region:
 	$(PYTHON) -m pytest -q benchmarks/test_region_fanin.py -s
 
-# WAL append / replay / snapshot-restore, text vs binary segments;
+# WAL append / replay / snapshot-restore, the text import / export
+# codec vs the binary journal;
 # gates the >=10x binary speedup and records the persistence section.
 bench-persist:
 	$(PYTHON) -m pytest -q benchmarks/test_persistence.py -s

@@ -10,8 +10,8 @@ Records the ``tier`` section of ``BENCH_ingest.json``:
 - **cold_query** — time-to-first-answer for one keyed series read from
   a cold 4-shard snapshot: eager ``restore_from_dir`` (replays all
   shards) vs :class:`ColdShardPager` (replays exactly the owning
-  shard), mmap on both, plus the pager's paged-RAM footprint
-  (``resident_points``) against the full archive.
+  shard), plus the pager's paged-RAM footprint (``resident_points``)
+  against the full archive.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from bench_io import update_section
 from repro.tsdb import (
     ColdShardPager,
     DataPoint,
+    PointBatch,
     SeriesKey,
     ShardedTSDB,
     compact_log,
@@ -66,9 +67,12 @@ def aged_wal(tmp_path_factory):
     with SegmentWriter(path) as w:
         for tick in range(POINTS_PER_SERIES):
             ts = tick * CADENCE_S
-            for key in keys:
-                w.write(DataPoint(key, ts, float(tick % 17)))
-            w.flush()  # one block per cadence tick: append fragmentation
+            # one block per cadence tick: append fragmentation
+            w.write_batch(
+                PointBatch.from_points(
+                    DataPoint(key, ts, float(tick % 17)) for key in keys
+                )
+            )
             if tick and tick % 50 == 0:
                 w.delete_before(ts - KEEP_LAST_S)
     return path
@@ -77,12 +81,12 @@ def aged_wal(tmp_path_factory):
 def test_compaction_replay_cost(aged_wal):
     """The tentpole gate: compacted replay is >=5x cheaper."""
     before = segment_stats(aged_wal, strict=True)
-    replay_before_s, db_before = _best_of(lambda: load(aged_wal, mmap=True))
+    replay_before_s, db_before = _best_of(lambda: load(aged_wal))
     reference = db_before.point_count
 
     result = compact_log(aged_wal)
     after = segment_stats(aged_wal, strict=True)
-    replay_after_s, db_after = _best_of(lambda: load(aged_wal, mmap=True))
+    replay_after_s, db_after = _best_of(lambda: load(aged_wal))
     assert db_after.point_count == reference  # equivalence, cheaply
     assert after.marker_blocks == 0
 
@@ -117,7 +121,7 @@ def test_compaction_replay_cost(aged_wal):
 
 
 def test_cold_query_paging(tmp_path_factory):
-    """mmap pager vs eager restore: latency to the first keyed answer
+    """Pager vs eager restore: latency to the first keyed answer
     from a cold snapshot, and how much of the archive stays on disk."""
     directory = tmp_path_factory.mktemp("tier-bench-cold")
     db = ShardedTSDB(4)
@@ -126,16 +130,16 @@ def test_cold_query_paging(tmp_path_factory):
         for tick in range(POINTS_PER_SERIES):
             db.put(key.metric, tick * CADENCE_S, float(tick % 17),
                    key.tag_dict())
-    db.snapshot_to_dir(directory, format="binary")
+    db.snapshot_to_dir(directory)
     total_points = db.point_count
     probe = _series_key(0)
 
     def eager_query():
-        store = ShardedTSDB.restore_from_dir(directory, mmap=True)
+        store = ShardedTSDB.restore_from_dir(directory)
         return store.series_slice(probe)
 
     def paged_query():
-        pager = ColdShardPager(directory, mmap=True)
+        pager = ColdShardPager(directory)
         return pager.series_slice(probe), pager
 
     eager_s, eager_slice = _best_of(eager_query)
@@ -149,7 +153,7 @@ def test_cold_query_paging(tmp_path_factory):
             "shards": 4,
             "archive_points": total_points,
             "eager_restore_ms": round(eager_s * 1e3, 1),
-            "paged_mmap_ms": round(paged_s * 1e3, 1),
+            "paged_ms": round(paged_s * 1e3, 1),
             "speedup": round(eager_s / paged_s, 1),
             "resident_points": resident,
             "resident_fraction": round(resident / total_points, 3),

@@ -150,7 +150,7 @@ class AsyncBatchQueue:
             # a framing walk (no columnar decode — that happens once, at
             # drain); only legacy text files need a full parse.
             if detect_format(path) == "binary":
-                n = segment_point_count(path, strict=False, mmap=True)
+                n = segment_point_count(path, strict=False)
             else:
                 n = sum(
                     len(b)
@@ -339,13 +339,9 @@ class AsyncBatchQueue:
     def _read_segment(path: Path) -> PointBatch:
         """Recover one spill segment as a batch (format auto-detected,
         so legacy text segments replay alongside binary ones; lenient,
-        so a crash-torn tail yields the clean prefix).  Binary segments
-        decode zero-copy via mmap; ``concat`` copies the columns out
-        before the file is unlinked, so no view outlives the map."""
+        so a crash-torn tail yields the clean prefix)."""
         batches = [
-            b
-            for b in iter_batches(path, strict=False, mmap=True)
-            if isinstance(b, PointBatch)
+            b for b in iter_batches(path, strict=False) if isinstance(b, PointBatch)
         ]
         path.unlink()
         return PointBatch.concat(batches)

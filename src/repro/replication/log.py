@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Mapping
 from ..tsdb.batch import PointBatch
 from ..tsdb.interface import StoreWrapper
 from ..tsdb.model import SeriesKey
+from ..tsdb.persistence import iter_batches
 from ..tsdb.segments import (
     BLOCK_BATCH,
     BLOCK_MARKER,
@@ -43,7 +44,6 @@ from ..tsdb.segments import (
     encode_batch,
     encode_marker,
     frame_block,
-    iter_segments,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -167,13 +167,13 @@ class ReplicationLog:
     def append_segment(self, source, *, strict: bool = True) -> int:
         """Tee an existing segment file (e.g. a region lane's
         ``spill-<seq>.seg``) into the log, block by block; returns the
-        number of records appended.  Blocks are re-framed from their
-        decoded form, so a legacy text spill replays identically and a
-        lenient read (``strict=False``) skips damaged blocks exactly as
-        a local drain would.
+        number of records appended.  The format is auto-detected and
+        blocks are re-framed from their decoded form, so a legacy text
+        spill replays identically and a lenient read (``strict=False``)
+        skips damaged blocks exactly as a local drain would.
         """
         appended = 0
-        for item in iter_segments(source, strict=strict):
+        for item in iter_batches(source, strict=strict):
             if isinstance(item, PointBatch):
                 self.append_batch(item)
             elif isinstance(item, DeleteSeriesBefore):

@@ -9,10 +9,10 @@ arithmetic expression queries) executes through one batched planner
 (:mod:`~repro.tsdb.plan`) on single and sharded stores, and speaks a
 versioned OpenTSDB-style JSON wire format (:mod:`~repro.tsdb.wire`).
 Persistence is an append-only WAL
-with snapshot compaction in two interchangeable formats — a
-human-readable line protocol and binary columnar segments (the fast
-path; see :mod:`~repro.tsdb.segments`) — and retention optionally rolls
-old raw data up into coarser series.
+with snapshot compaction in binary columnar segments (see
+:mod:`~repro.tsdb.segments`; a human-readable line protocol survives as
+the import / export codec, and every read auto-detects it) — and
+retention optionally rolls old raw data up into coarser series.
 """
 
 from . import aggregators

@@ -1,9 +1,15 @@
-"""Durability: WAL and snapshot/restore in two interchangeable formats.
+"""Durability: WAL and snapshot/restore — one store format plus a text
+import / export codec.
 
-The cloud storage tier of the paper persists every measurement.  We
-reproduce it with two on-disk formats behind one API:
+The cloud storage tier of the paper persists every measurement.  The
+store writes **binary** — the columnar segment format of
+:mod:`~repro.tsdb.segments`: whole :class:`PointBatch` columns per
+CRC-checked block, markers as typed control blocks, no per-point Python
+objects on either side — durability at the same granularity as ingest.
 
-**Text** — a human-readable, append-only *line protocol*::
+**Text** is the import / export codec (``convert_log``,
+``dumps(format="text")``, ``snapshot(format="text")``) — a
+human-readable, append-only *line protocol*::
 
     <metric> <timestamp> <value> [tagk=tagv ...]
 
@@ -16,18 +22,12 @@ control markers are retention, store-wide and per-series::
 so a replayed log reproduces the post-retention state, not just the
 union of every point ever written.
 
-**Binary** — the columnar segment format of
-:mod:`~repro.tsdb.segments`: whole :class:`PointBatch` columns per
-CRC-checked block, markers as typed control blocks, no per-point Python
-objects on either side.  This is the fast path — durability at the same
-granularity as ingest.
-
-``load``, ``snapshot``, ``dumps``, and ``convert_log`` take a
-``format="text"|"binary"`` switch; reads auto-detect from the segment
-magic, so a restore never needs to be told what it is replaying.  Both
-formats restore byte-identical store state (the equivalence suite in
-``tests/test_tsdb_segments.py`` pins this), including interleaved
-retention markers and lenient truncated-tail recovery.  ``load`` replays
+Reads auto-detect from the segment magic, so a restore never needs to be
+told what it is replaying and pre-segment ``.log`` files keep
+restoring.  Both formats restore byte-identical store state (the
+equivalence suite in ``tests/test_tsdb_segments.py`` pins this),
+including interleaved retention markers and lenient truncated-tail
+recovery.  ``load`` replays
 into a fresh :class:`TSDB` (or, via ``into=``, any
 :class:`~repro.tsdb.interface.TimeSeriesStore`, e.g. one shard of a
 :class:`~repro.tsdb.sharded.ShardedTSDB`).
@@ -204,7 +204,8 @@ def parse_line(line: str, lineno: int = 0) -> DataPoint | None:
 
 
 class LogWriter:
-    """Append-only writer; flushes per batch, not per point."""
+    """Append-only line-protocol writer (the text export codec; a line
+    is a point, so the surface is per-point); flushes per batch."""
 
     def __init__(
         self, path: str | os.PathLike[str] | TextIO, *, append: bool = True
@@ -241,7 +242,7 @@ class LogWriter:
 
     def write_batch(self, batch: PointBatch) -> int:
         """Append a columnar batch (row order, and thus last-write-wins
-        semantics, preserved).  The text twin of
+        semantics, preserved).  Same signature as
         :meth:`SegmentWriter.write_batch`, so ``convert_log`` drives either."""
         return self.write_many(batch.iter_points())
 
@@ -385,7 +386,6 @@ def iter_batches(
     *,
     strict: bool = True,
     format: str = "auto",
-    mmap: bool = False,
 ) -> Iterator[PointBatch | DeleteBefore | DeleteSeriesBefore]:
     """Yield a log's contents as columnar batches plus control markers.
 
@@ -393,17 +393,10 @@ def iter_batches(
     blocks as decoded; text logs accumulate points into
     :class:`BatchBuilder` chunks (flushed at marker boundaries so the
     interleaving of data and retention is preserved exactly).
-
-    ``mmap=True`` applies only to binary path sources: batch columns
-    decode zero-copy out of the page cache (see
-    :func:`~repro.tsdb.segments.iter_segments`); text logs and handles
-    fall back to the streaming read.
     """
     fmt = _coerce_format(source, format)
     if fmt == "binary":
-        yield from iter_segments(
-            source, strict=strict, mmap=mmap and isinstance(source, (str, os.PathLike))
-        )
+        yield from iter_segments(source, strict=strict)
         return
     builder = BatchBuilder()
     for entry in iter_entries(source, strict=strict):
@@ -425,7 +418,6 @@ def load(
     strict: bool = True,
     into: "TimeSeriesStore | None" = None,
     format: str = "auto",
-    mmap: bool = False,
 ) -> "TimeSeriesStore":
     """Replay a WAL or snapshot — either format — into a store.
 
@@ -436,12 +428,10 @@ def load(
     did — including the index pruning of series the deletion emptied.
     ``into`` defaults to a fresh single-store :class:`TSDB`; pass any
     store (e.g. a :class:`~repro.tsdb.sharded.ShardedTSDB`) to replay
-    into it.  ``mmap=True`` makes binary path sources decode zero-copy
-    out of the page cache (the store copies columns on ingest, so the
-    mapping is released as soon as replay finishes).
+    into it.
     """
     db: "TimeSeriesStore" = into if into is not None else TSDB()
-    for item in iter_batches(source, strict=strict, format=format, mmap=mmap):
+    for item in iter_batches(source, strict=strict, format=format):
         if isinstance(item, DeleteBefore):
             db.delete_before(item.cutoff, exclude_suffix=item.exclude_suffix)
         elif isinstance(item, DeleteSeriesBefore):
@@ -456,17 +446,18 @@ _SNAPSHOT_CHUNK = 65_536
 
 
 def snapshot(
-    db: "TimeSeriesStore", path: str | os.PathLike[str], *, format: str = "text"
+    db: "TimeSeriesStore", path: str | os.PathLike[str], *, format: str = "binary"
 ) -> int:
-    """Write a whole store as a sorted, deduplicated log or segment.
+    """Write a whole store as a sorted, deduplicated segment (or, with
+    ``format="text"``, the line-protocol export of the same stream).
 
     Returns the number of points written.  Snapshots are normal WALs, so
     ``load`` restores them; they are smaller than the raw WAL because
     overwritten duplicates are gone.  Works on any store — the iteration
     order is canonical (metric, then key), so a sharded store snapshots
-    byte-identically to a single store with the same contents.  With
-    ``format="binary"`` whole series columns stream into segment blocks
-    and no per-point objects are created.
+    byte-identically to a single store with the same contents.  Whole
+    series columns stream into segment blocks; only the text export
+    creates per-point objects.
     """
     if _write_format(format) == "binary":
         with SegmentWriter(path, append=False) as writer:
@@ -500,7 +491,11 @@ def _snapshot_columns(db: "TimeSeriesStore", writer: SegmentWriter) -> None:
 
 def dumps(db: "TimeSeriesStore", *, format: str = "text") -> str | bytes:
     """Snapshot to a string (text) or bytes (binary); round-trips
-    through ``load`` either way."""
+    through ``load`` either way.
+
+    The default stays ``"text"`` on purpose, unlike :func:`snapshot`:
+    this is the human-readable export and returns ``str``; callers that
+    mean the store's bytes pass ``format="binary"``."""
     if _write_format(format) == "binary":
         buf = io.BytesIO()
         writer = SegmentWriter(buf)

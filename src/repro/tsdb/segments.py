@@ -48,18 +48,18 @@ positions.
 
 from __future__ import annotations
 
-import mmap as _mmap
 import os
 import struct
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .batch import BatchBuilder, PointBatch
-from .model import DataPoint, SeriesKey
+from .batch import PointBatch
+from .model import SeriesKey
 
 #: First bytes of every segment file (includes the format version).
 SEGMENT_MAGIC = b"RSEG\x00\x01\r\n"
@@ -164,15 +164,8 @@ def encode_batch(batch: PointBatch) -> bytes:
     return b"".join(parts)
 
 
-def decode_batch(payload: bytes | memoryview) -> PointBatch:
-    """Decode a batch payload; columns come straight off ``frombuffer``.
-
-    Accepts a ``memoryview`` (the mmap read path) as well as ``bytes``:
-    the column arrays are built with ``np.frombuffer`` over whatever
-    buffer came in, so an mmap-backed payload decodes without copying
-    the columns out of the page cache — only the (small) key strings
-    are materialized.
-    """
+def decode_batch(payload: bytes) -> PointBatch:
+    """Decode a batch payload; columns come straight off ``frombuffer``."""
     off = 0
     try:
         (n_keys,) = _U32.unpack_from(payload, off)
@@ -182,7 +175,7 @@ def decode_batch(payload: bytes | memoryview) -> PointBatch:
             (klen,) = _U16.unpack_from(payload, off)
             off += 2
             keys.append(
-                parse_series_key(bytes(payload[off : off + klen]).decode("utf-8"))
+                parse_series_key(payload[off : off + klen].decode("utf-8"))
             )
             off += klen
         (n_rows,) = _U32.unpack_from(payload, off)
@@ -217,11 +210,11 @@ def encode_marker(marker: DeleteBefore | DeleteSeriesBefore) -> bytes:
     return head + _U16.pack(len(suffix)) + suffix
 
 
-def decode_marker(payload: bytes | memoryview) -> DeleteBefore | DeleteSeriesBefore:
+def decode_marker(payload: bytes) -> DeleteBefore | DeleteSeriesBefore:
     try:
         kind, cutoff, has_exclude = _MARKER_HEAD.unpack_from(payload, 0)
         (slen,) = _U16.unpack_from(payload, _MARKER_HEAD.size)
-        raw = bytes(payload[_MARKER_HEAD.size + 2 : _MARKER_HEAD.size + 2 + slen])
+        raw = payload[_MARKER_HEAD.size + 2 : _MARKER_HEAD.size + 2 + slen]
         tail = raw.decode("utf-8")
     except (struct.error, UnicodeDecodeError) as exc:
         raise ValueError(f"bad marker block: {exc}") from None
@@ -276,7 +269,7 @@ def decode_frame(frame: bytes) -> tuple[int, bytes]:
 
 
 def decode_block(
-    block_type: int, payload: bytes | memoryview
+    block_type: int, payload: bytes
 ) -> PointBatch | DeleteBefore | DeleteSeriesBefore | None:
     """Decode a validated block payload into its typed value.
 
@@ -319,13 +312,12 @@ def _clean_length(path: Path) -> int:
 # Writer
 # ---------------------------------------------------------------------------
 class SegmentWriter:
-    """Append-only segment writer; the binary twin of ``LogWriter``.
+    """Append-only segment writer: the one thing the store writes.
 
-    Accepts whole batches (:meth:`write_batch`, the hot path) and the
-    per-point surface it shares with ``LogWriter`` (:meth:`write`,
-    :meth:`write_many`, :meth:`delete_before`) — per-point writes buffer
-    in a :class:`BatchBuilder` and land as one batch block, flushed
-    before any marker or comment so stream order is preserved.
+    One data entry point, :meth:`write_batch`, plus the two retention
+    markers and :meth:`comment`; each call frames exactly what it was
+    handed and puts it on disk before returning, so blocks land in call
+    order.
     """
 
     def __init__(
@@ -366,7 +358,6 @@ class SegmentWriter:
             if not self._fh.seekable() or self._fh.tell() == 0:
                 self._fh.write(SEGMENT_MAGIC)
         self._written = 0
-        self._pending = BatchBuilder()
 
     @property
     def written(self) -> int:
@@ -376,30 +367,15 @@ class SegmentWriter:
     def write_batch(self, batch: PointBatch) -> int:
         """Append one batch as (usually) one checksummed block.
 
-        Flushes per batch, like the text twin — WAL hooks rely on the
-        block being on disk before the batch becomes visible in the
-        store (durability precedes visibility)."""
-        frames, npend = self._pending_frames()
-        for lo in range(0, len(batch), _MAX_BLOCK_ROWS):
-            frames.append(
-                _frame(_BLOCK_BATCH, encode_batch(batch.rows(lo, lo + _MAX_BLOCK_ROWS)))
-            )
-        self._emit(frames, npend + len(batch))
+        Flushes per batch — WAL hooks rely on the block being on disk
+        before the batch becomes visible in the store (durability
+        precedes visibility)."""
+        frames = [
+            _frame(_BLOCK_BATCH, encode_batch(batch.rows(lo, lo + _MAX_BLOCK_ROWS)))
+            for lo in range(0, len(batch), _MAX_BLOCK_ROWS)
+        ]
+        self._emit(frames, len(batch))
         return len(batch)
-
-    def write(self, point: DataPoint) -> None:
-        """Buffer one point; it lands in the next batch block."""
-        self._pending.add_point(point)
-
-    def write_many(self, points: Iterable[DataPoint]) -> int:
-        """Buffer many points and flush them as one block; returns the
-        number of points passed in (not previously buffered ones)."""
-        before = len(self._pending)
-        for p in points:
-            self._pending.add_point(p)
-        n = len(self._pending) - before
-        self.flush()
-        return n
 
     def delete_before(
         self, cutoff: int, *, exclude_suffix: str | None = None
@@ -407,33 +383,17 @@ class SegmentWriter:
         """Append a retention marker block (flushes immediately — a
         buffered marker lost in a crash would resurrect deleted points
         on replay, exactly as in the text protocol)."""
-        frames, npend = self._pending_frames()
-        frames.append(
-            _frame(_BLOCK_MARKER, encode_marker(DeleteBefore(int(cutoff), exclude_suffix)))
-        )
-        self._emit(frames, npend)
+        marker = DeleteBefore(int(cutoff), exclude_suffix)
+        self._emit([_frame(_BLOCK_MARKER, encode_marker(marker))], 0)
 
     def delete_series_before(self, key: SeriesKey, cutoff: int) -> None:
         """Append a scoped-retention marker block (flushed immediately,
         like :meth:`delete_before` — same resurrect-on-replay hazard)."""
-        frames, npend = self._pending_frames()
-        frames.append(
-            _frame(_BLOCK_MARKER, encode_marker(DeleteSeriesBefore(key, int(cutoff))))
-        )
-        self._emit(frames, npend)
+        marker = DeleteSeriesBefore(key, int(cutoff))
+        self._emit([_frame(_BLOCK_MARKER, encode_marker(marker))], 0)
 
     def comment(self, text: str) -> None:
-        frames, npend = self._pending_frames()
-        frames.append(_frame(_BLOCK_COMMENT, text.encode("utf-8")))
-        self._emit(frames, npend)
-
-    def _pending_frames(self) -> tuple[list[bytes], int]:
-        """The buffered per-point writes as a frame, without clearing
-        them — the buffer resets only once the emit succeeds."""
-        if not len(self._pending):
-            return [], 0
-        batch = self._pending.build(clear=False)
-        return [_frame(_BLOCK_BATCH, encode_batch(batch))], len(batch)
+        self._emit([_frame(_BLOCK_COMMENT, text.encode("utf-8"))], 0)
 
     def _emit(self, frames: list[bytes], points: int) -> None:
         """Write and flush whole frames; all-or-nothing on disk.
@@ -459,8 +419,6 @@ class SegmentWriter:
             self._fh.write(data)
             self._fh.flush()
         self._written += points
-        if points:
-            self._pending = BatchBuilder()
 
     def _rollback(self, clean: int) -> None:
         """Drop torn frame bytes: close the (possibly dirty) handle,
@@ -477,8 +435,6 @@ class SegmentWriter:
         self._fh = open(self._path, "ab")
 
     def flush(self) -> None:
-        frames, npend = self._pending_frames()
-        self._emit(frames, npend)
         self._fh.flush()
 
     def close(self) -> None:
@@ -500,7 +456,6 @@ def iter_segments(
     source: str | os.PathLike[str] | BinaryIO,
     *,
     strict: bool = True,
-    mmap: bool = False,
 ) -> Iterator[PointBatch | DeleteBefore | DeleteSeriesBefore]:
     """Yield batch blocks and control markers from a segment, in order.
 
@@ -510,16 +465,8 @@ def iter_segments(
     cleanly after the last clean block — the unclean-shutdown recovery
     path.  A missing or wrong magic always raises: that is a different
     *format*, not a damaged segment.
-
-    With ``mmap=True`` (path sources only) the file is memory-mapped
-    and block payloads are ``memoryview`` slices of the map: column
-    decode runs ``np.frombuffer`` straight out of the page cache with
-    no read-and-copy pass.  The map stays alive for as long as any
-    decoded column still references it, so callers that keep batches
-    around keep pages mapped — the intended trade for cold-shard
-    paging, where the store copies columns on ingest anyway.
     """
-    for offset, block_type, payload in _iter_blocks(source, strict=strict, mmap=mmap):
+    for offset, block_type, payload in _iter_blocks(source, strict=strict):
         try:
             item = decode_block(block_type, payload)
         except ValueError as exc:
@@ -530,69 +477,13 @@ def iter_segments(
             yield item
 
 
-def _iter_blocks_mmap(
-    path: str | os.PathLike[str], *, strict: bool
-) -> Iterator[tuple[int, int, memoryview]]:
-    """mmap twin of :func:`_iter_blocks`: the same framing walk and
-    lenient skip/stop rules, but payloads are zero-copy ``memoryview``
-    slices of the mapped file.  The map is closed eagerly when the last
-    consumer releases its views; until then the OS pages it on demand.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < len(SEGMENT_MAGIC):
-            head = fh.read(len(SEGMENT_MAGIC))
-            raise SegmentCorruption(0, f"bad segment magic {head!r}")
-        mm = _mmap.mmap(fh.fileno(), 0, access=_mmap.ACCESS_READ)
-    view = memoryview(mm)
-    try:
-        if bytes(view[: len(SEGMENT_MAGIC)]) != SEGMENT_MAGIC:
-            raise SegmentCorruption(
-                0, f"bad segment magic {bytes(view[: len(SEGMENT_MAGIC)])!r}"
-            )
-        offset = len(SEGMENT_MAGIC)
-        while offset < size:
-            if size - offset < _HEADER.size:
-                if strict:
-                    raise SegmentCorruption(offset, "truncated block header")
-                return
-            block_type, plen, crc = _HEADER.unpack_from(view, offset)
-            start = offset
-            payload_start = offset + _HEADER.size
-            end = payload_start + plen
-            if end > size:
-                if strict:
-                    raise SegmentCorruption(
-                        start, f"truncated payload ({size - payload_start}/{plen} bytes)"
-                    )
-                return
-            payload = view[payload_start:end]
-            offset = end
-            expect = zlib.crc32(
-                payload, zlib.crc32(view[start : start + _HEADER_PREFIX.size])
-            )
-            if expect != crc:
-                if strict:
-                    raise SegmentCorruption(start, "block checksum mismatch")
-                continue
-            yield start, block_type, payload
-    finally:
-        view.release()
-        try:
-            mm.close()
-        except BufferError:
-            pass  # zero-copy consumers still hold views; GC frees the map
-
-
 def _iter_blocks(
-    source: str | os.PathLike[str] | BinaryIO, *, strict: bool, mmap: bool = False
-) -> Iterator[tuple[int, int, bytes | memoryview]]:
+    source: str | os.PathLike[str] | BinaryIO, *, strict: bool
+) -> Iterator[tuple[int, int, bytes]]:
     """The framing walk under every reader: yield CRC-validated
     ``(offset, block_type, payload)`` triples, applying the lenient
-    skip/stop rules for damaged or truncated blocks."""
-    if mmap and isinstance(source, (str, os.PathLike)):
-        yield from _iter_blocks_mmap(source, strict=strict)
-        return
+    skip/stop rules for damaged or truncated blocks; buffered reads,
+    one block resident at a time."""
     if isinstance(source, (str, os.PathLike)):
         fh: BinaryIO = open(source, "rb")
         owns = True
@@ -633,28 +524,33 @@ def _iter_blocks(
             fh.close()
 
 
-def segment_point_count(
-    source: str | os.PathLike[str] | BinaryIO,
-    *,
-    strict: bool = True,
-    mmap: bool = False,
-) -> int:
-    """Total rows across a segment's batch blocks (markers excluded).
-
-    A framing walk only — CRCs are validated but columns are never
-    decoded, so counting a large spill backlog at adoption time costs
-    one read pass, not a full columnar decode.
-    """
-    total = 0
-    for offset, block_type, payload in _iter_blocks(source, strict=strict, mmap=mmap):
+def _count_blocks(
+    source: str | os.PathLike[str] | BinaryIO, *, strict: bool
+) -> tuple[Counter[int], int]:
+    """Blocks per type and total batch rows.  A framing walk only —
+    CRCs are validated but columns are never decoded, so it costs one
+    read pass, not a full columnar decode."""
+    by_type: Counter[int] = Counter()
+    points = 0
+    for offset, block_type, payload in _iter_blocks(source, strict=strict):
+        by_type[block_type] += 1
         if block_type != _BLOCK_BATCH:
             continue
         try:
-            total += _batch_row_count(payload)
+            points += _batch_row_count(payload)
         except ValueError as exc:
             if strict:
                 raise SegmentCorruption(offset, str(exc)) from None
-    return total
+    return by_type, points
+
+
+def segment_point_count(
+    source: str | os.PathLike[str] | BinaryIO, *, strict: bool = True
+) -> int:
+    """Total rows across a segment's batch blocks (markers excluded);
+    columns are never decoded, so counting a large spill backlog at
+    adoption time stays cheap."""
+    return _count_blocks(source, strict=strict)[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -684,7 +580,7 @@ class SegmentStats:
 
 
 def segment_stats(
-    path: str | os.PathLike[str], *, strict: bool = False, mmap: bool = False
+    path: str | os.PathLike[str], *, strict: bool = False
 ) -> SegmentStats:
     """Summarize a segment file's block population and row count.
 
@@ -694,31 +590,18 @@ def segment_stats(
     """
     path = Path(path)
     size = path.stat().st_size
-    blocks = batch_blocks = marker_blocks = comment_blocks = points = 0
-    for offset, block_type, payload in _iter_blocks(path, strict=strict, mmap=mmap):
-        blocks += 1
-        if block_type == _BLOCK_BATCH:
-            batch_blocks += 1
-            try:
-                points += _batch_row_count(payload)
-            except ValueError as exc:
-                if strict:
-                    raise SegmentCorruption(offset, str(exc)) from None
-        elif block_type == _BLOCK_MARKER:
-            marker_blocks += 1
-        elif block_type == _BLOCK_COMMENT:
-            comment_blocks += 1
+    by_type, points = _count_blocks(path, strict=strict)
     return SegmentStats(
         size_bytes=size,
-        blocks=blocks,
-        batch_blocks=batch_blocks,
-        marker_blocks=marker_blocks,
-        comment_blocks=comment_blocks,
+        blocks=sum(by_type.values()),
+        batch_blocks=by_type[_BLOCK_BATCH],
+        marker_blocks=by_type[_BLOCK_MARKER],
+        comment_blocks=by_type[_BLOCK_COMMENT],
         points=points,
     )
 
 
-def _batch_row_count(payload: bytes | memoryview) -> int:
+def _batch_row_count(payload: bytes) -> int:
     """Row count of a batch payload, skipping the key dictionary and
     columns; validates the same structure ``decode_batch`` would."""
     off = 0

@@ -51,12 +51,10 @@ def shard_for_key(key: SeriesKey, num_shards: int) -> int:
     return zlib.crc32(str(key).encode("utf-8")) % num_shards
 
 
-#: Per-shard snapshot files inside a directory: ``shard-<i>-of-<n>.log``
-#: (text line protocol) or ``.seg`` (binary columnar segments).
+#: Per-shard snapshot files inside a directory: ``shard-<i>-of-<n>.seg``
+#: (what :meth:`ShardedTSDB.snapshot_to_dir` writes) or a legacy
+#: ``.log`` (text line protocol; restore still reads it).
 _SHARD_FILE_RE = re.compile(r"^shard-(\d+)-of-(\d+)\.(log|seg)$")
-
-#: Snapshot file extension per format.
-_SHARD_EXT = {"text": "log", "binary": "seg"}
 
 
 class ShardedTSDB(StoreApi):
@@ -260,41 +258,36 @@ class ShardedTSDB(StoreApi):
     # ------------------------------------------------------------------
     # Persistence (one snapshot file per shard)
     # ------------------------------------------------------------------
-    def snapshot_to_dir(self, directory: str | Path, *, format: str = "text") -> int:
-        """Snapshot every shard into ``<dir>/shard-<i>-of-<n>.log|seg``.
+    def snapshot_to_dir(self, directory: str | Path) -> int:
+        """Snapshot every shard into ``<dir>/shard-<i>-of-<n>.seg``.
 
-        Each file is a normal WAL of one shard in the chosen format.
-        Shards are written as ``.tmp`` files that are renamed into
-        place — and any previous snapshot's files (other format *or*
-        other shard count) removed — only after *every* shard
-        succeeded, so a mid-snapshot failure (disk full) leaves the
-        prior snapshot restorable instead of a half-replaced mixed
-        directory.  Returns total points written.
+        Each file is a normal binary WAL of one shard.  Shards are
+        written as ``.tmp`` files that are renamed into place — and any
+        previous snapshot's files (a legacy ``.log`` *or* another shard
+        count) removed — only after *every* shard succeeded, so a
+        mid-snapshot failure (disk full) leaves the prior snapshot
+        restorable instead of a half-replaced mixed directory.  Returns
+        total points written.
         """
-        if format not in _SHARD_EXT:
-            raise ValueError(f'unknown format {format!r}; pick "text" or "binary"')
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         n = len(self._shards)
-        ext = _SHARD_EXT[format]
 
         try:
             total = sum(
-                persistence.snapshot(
-                    shard, directory / f"shard-{i}-of-{n}.{ext}.tmp", format=format
-                )
+                persistence.snapshot(shard, directory / f"shard-{i}-of-{n}.seg.tmp")
                 for i, shard in enumerate(self._shards)
             )
         except BaseException:
             for i in range(n):
-                (directory / f"shard-{i}-of-{n}.{ext}.tmp").unlink(missing_ok=True)
+                (directory / f"shard-{i}-of-{n}.seg.tmp").unlink(missing_ok=True)
             raise
         keep = set()
         for i in range(n):
-            name = f"shard-{i}-of-{n}.{ext}"
+            name = f"shard-{i}-of-{n}.seg"
             (directory / f"{name}.tmp").replace(directory / name)
             keep.add(name)
-        # Drop every other snapshot file — other formats AND other shard
+        # Drop every other snapshot file — legacy text AND other shard
         # counts — so the directory always holds exactly one restorable
         # snapshot (restore_from_dir rejects mixed counts/duplicates).
         for path in directory.iterdir():
@@ -303,9 +296,7 @@ class ShardedTSDB(StoreApi):
         return total
 
     @classmethod
-    def restore_from_dir(
-        cls, directory: str | Path, *, mmap: bool = False
-    ) -> "ShardedTSDB":
+    def restore_from_dir(cls, directory: str | Path) -> "ShardedTSDB":
         """Rebuild a sharded store from :meth:`snapshot_to_dir` output.
 
         The shard count comes from the file names and each file's format
@@ -313,14 +304,12 @@ class ShardedTSDB(StoreApi):
         after a partial migration) restore identically.  Every restored
         series is verified to hash-route to the shard it was found in,
         so a renamed or misplaced file fails loudly instead of silently
-        corrupting routing.  ``mmap=True`` replays binary shard files
-        zero-copy out of the page cache (see
-        :func:`~repro.tsdb.persistence.load`).
+        corrupting routing.
         """
         n, files = scan_snapshot_dir(directory)
         db = cls(n)
         for i, shard in enumerate(db._shards):
-            persistence.load(files[i], into=shard, mmap=mmap)
+            persistence.load(files[i], into=shard)
             validate_shard_routing(shard, i, n)
         return db
 

@@ -7,8 +7,7 @@ layered on the CRC-framed segment format:
   (sorted, deduplicated, retention markers resolved), atomically and
   crash-safely, with a trigger policy for background maintenance;
 - :mod:`.pager` — replay cold shards from a snapshot directory on
-  first touch via the mmap zero-copy reader, instead of eagerly at
-  startup;
+  first touch, instead of eagerly at startup;
 - :mod:`.rollup` — cascade aging data down through resolutions
   (raw → 5m → 1h) through the store's own write protocol, so under the
   journal the tiered state survives restart and replicates;

@@ -128,38 +128,33 @@ def _fsync_dir(path: Path) -> None:
 def compact_log(
     path: str | os.PathLike[str],
     *,
-    format: str = "auto",
     strict: bool = False,
-    mmap: bool = True,
 ) -> CompactionResult:
     """Rewrite one WAL/snapshot file in place as its compacted form.
 
     The output is exactly what :func:`~repro.tsdb.persistence.snapshot`
     of the replayed store produces — sorted canonical series order,
     deduplicated, retention markers applied and dropped — in the same
-    format as the source unless ``format`` forces one (compacting a
-    text log to ``format="binary"`` doubles as the upgrade migration).
+    format as the source (upgrading a text log is
+    :func:`~repro.tsdb.persistence.convert_log`'s job).
     Lenient by default: a damaged block or torn tail compacts to the
-    recoverable prefix, same as restart recovery would read.  Binary
-    sources replay via mmap (``mmap=False`` opts out, e.g. for files on
-    filesystems that cannot map).
+    recoverable prefix, same as restart recovery would read.
 
     Crash-safe: stages into ``<name>.compact.tmp`` (fsynced), then
     atomically ``os.replace``s it over the source; stale staging files
     from an earlier crash are removed first, never trusted.
     """
     path = Path(path)
-    src_format = detect_format(path)
-    out_format = src_format if format == "auto" else format
-    before = segment_stats(path, strict=False) if src_format == "binary" else None
+    fmt = detect_format(path)
+    before = segment_stats(path, strict=False) if fmt == "binary" else None
     size_before = path.stat().st_size
     db = TSDB()
-    load(path, strict=strict, into=db, mmap=mmap and src_format == "binary")
+    load(path, strict=strict, into=db)
 
     stage = _stage_path(path)
     stage.unlink(missing_ok=True)  # a crashed predecessor's leftovers
     try:
-        points = snapshot(db, stage, format=out_format)
+        points = snapshot(db, stage, format=fmt)
         _fsync_path(stage)
         os.replace(stage, path)
     except BaseException:
@@ -167,7 +162,7 @@ def compact_log(
         raise
     _fsync_dir(path.parent)
 
-    after = segment_stats(path, strict=True) if out_format == "binary" else None
+    after = segment_stats(path, strict=True) if fmt == "binary" else None
     return CompactionResult(
         path=path,
         bytes_before=size_before,
@@ -193,7 +188,6 @@ class Compactor:
     path: Path
     policy: CompactionPolicy = field(default_factory=CompactionPolicy)
     strict: bool = False
-    mmap: bool = True
     runs: int = field(default=0, init=False)
     last_result: CompactionResult | None = field(default=None, init=False)
 
@@ -213,7 +207,7 @@ class Compactor:
 
     def compact(self) -> CompactionResult:
         """Compact unconditionally (same-format rewrite)."""
-        result = compact_log(self.path, strict=self.strict, mmap=self.mmap)
+        result = compact_log(self.path, strict=self.strict)
         self.runs += 1
         self.last_result = result
         return result
@@ -230,7 +224,6 @@ def compact_dir(
     *,
     policy: CompactionPolicy | None = None,
     strict: bool = False,
-    mmap: bool = True,
 ) -> dict[int, CompactionResult]:
     """Compact every shard file of a ``snapshot_to_dir`` layout.
 
@@ -249,5 +242,5 @@ def compact_dir(
                 continue
             if not policy.should_compact(segment_stats(path, strict=False)):
                 continue
-        out[index] = compact_log(path, strict=strict, mmap=mmap)
+        out[index] = compact_log(path, strict=strict)
     return out

@@ -15,8 +15,6 @@ touches it:
   snapshots) page in everything on first use — tag filters are subset
   matches, so no shard can be ruled out without its key set.
 
-Replays run through the mmap zero-copy reader by default, so paging a
-cold shard is a page-cache walk rather than a read-and-copy pass.
 Once a shard is resident it is exactly the shard ``restore_from_dir``
 would have built (including the routing validation), so a fully paged
 pager is byte-identical to an eager restore — pinned in
@@ -56,11 +54,10 @@ class ColdShardPager(StoreApi):
     changes *when* a shard's file is read.
     """
 
-    def __init__(self, directory: str | os.PathLike[str], *, mmap: bool = True) -> None:
+    def __init__(self, directory: str | os.PathLike[str]) -> None:
         self._directory = Path(directory)
         num_shards, files = scan_snapshot_dir(self._directory)
         self._files = files
-        self._mmap = mmap
         self._db = ShardedTSDB(num_shards)
         self._resident = [False] * num_shards
         self._lock = threading.Lock()
@@ -91,7 +88,7 @@ class ColdShardPager(StoreApi):
             if self._resident[index]:
                 return
             shard = self._db.shards[index]
-            load(self._files[index], into=shard, mmap=self._mmap)
+            load(self._files[index], into=shard)
             validate_shard_routing(shard, index, self._db.num_shards)
             self._resident[index] = True
 

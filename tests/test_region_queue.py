@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.region import AsyncBatchQueue, Backpressure
-from repro.tsdb import PointBatch
+from repro.tsdb import PointBatch, SegmentWriter
+from repro.tsdb.segments import SEGMENT_MAGIC
 
 
 def make_batch(start_ts: int, n: int, metric: str = "air.co2.ppm") -> PointBatch:
@@ -225,23 +226,58 @@ class TestSpill:
         assert list(tmp_path.iterdir()) == []
 
     def test_torn_leftover_segment_adopts_clean_prefix(self, tmp_path):
-        """A spill segment truncated by the crash itself must not kill
-        lane construction; its clean prefix is adopted and drains."""
-        q1 = AsyncBatchQueue(10, Backpressure.SPILL, spill_dir=tmp_path)
-        q1.offer(make_batch(0, 10))
-        q1.offer(make_batch(10, 10))   # spills batch 0
-        q1.offer(make_batch(20, 10))   # spills batch 1 (second segment)
-        (seg0, _seg1) = sorted(tmp_path.iterdir())
-        seg0.write_bytes(seg0.read_bytes()[:-5])  # torn tail on segment 0
-        del q1  # crash
+        """A spill segment damaged by the crash itself must not kill
+        lane construction; exactly what lenient recovery reads is
+        adopted and drains — a torn tail or a corrupted length field
+        keeps the clean prefix, a CRC-flipped middle block loses that
+        block alone — and conservation stays exact."""
+        for damage, surviving_blocks in (
+            ("torn-tail", [0, 1]),
+            ("torn-first-block", []),  # nothing recoverable: file dropped
+            ("crc-flip", [0, 2]),
+            ("length-field", [0]),
+        ):
+            spill = tmp_path / damage
+            spill.mkdir()
+            seg0 = spill / "spill-00000000.seg"
+            with SegmentWriter(seg0) as w:  # three identical-size blocks
+                for b in range(3):
+                    w.write_batch(make_batch(10 * b, 10))
+            with SegmentWriter(spill / "spill-00000001.seg") as w:
+                w.write_batch(make_batch(30, 10))  # the intact successor
+            raw = bytearray(seg0.read_bytes())
+            block = (len(raw) - len(SEGMENT_MAGIC)) // 3
+            middle = len(SEGMENT_MAGIC) + block
+            if damage == "torn-tail":
+                del raw[-5:]
+            elif damage == "torn-first-block":
+                del raw[len(SEGMENT_MAGIC) + block // 2 :]
+            elif damage == "crc-flip":
+                raw[middle + 20] ^= 0xFF  # payload byte
+            else:
+                raw[middle + 2] ^= 0x40  # length field
+            seg0.write_bytes(bytes(raw))
 
-        q2 = AsyncBatchQueue(10, Backpressure.SPILL, spill_dir=tmp_path)
-        # Segment 0's torn block is lost; segment 1 is intact.
-        assert q2.spill_pending_points == 10
-        out = []
-        while not q2.is_empty():
-            out.extend(drained_timestamps(q2.drain()))
-        assert out == list(range(10, 20))
+            q = AsyncBatchQueue(10, Backpressure.SPILL, spill_dir=spill)
+            expected = [
+                t for b in surviving_blocks for t in range(10 * b, 10 * b + 10)
+            ] + list(range(30, 40))
+            assert q.spill_pending_points == len(expected)
+            out = []
+            while not q.is_empty():
+                out.extend(drained_timestamps(q.drain()))
+            assert out == expected
+            assert q.stats.accepted_points == (
+                q.stats.drained_points
+                + q.stats.dropped_points
+                + q.depth_points
+                + q.spill_pending_points
+            )
+            assert q.stats.offered_points == (
+                q.stats.accepted_points + q.stats.refused_points
+            )
+            assert q.stats.drained_points == len(expected)
+            assert list(spill.iterdir()) == []
 
     def test_unrelated_files_in_spill_dir_are_ignored(self, tmp_path):
         """Files not matching the spill-<seq> naming (operator backups,

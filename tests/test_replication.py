@@ -200,6 +200,35 @@ class TestReplicationLog:
         replayed = replay_log(log.pending_after(0))
         assert dumps(replayed) == dumps(load(path))
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_append_segment_tees_a_legacy_text_spill(self, tmp_path, strict):
+        """A pre-segment ``spill-<n>.log`` and its ``convert_log``
+        binary twin append the same records, and a follower fed either
+        log equals a bare store."""
+        from repro.tsdb import LogWriter, convert_log
+
+        text, binary = tmp_path / "spill-0.log", tmp_path / "spill-0.seg"
+        bare = TSDB()
+        with LogWriter(text) as w:
+            for i in (1, 2, 3):
+                w.write_batch(small_batch(i))
+                bare.put_batch(small_batch(i))
+                if i == 2:
+                    w.delete_before(150)
+                    bare.delete_before(150)
+        convert_log(text, binary)
+        logs = []
+        for path in (text, binary):
+            log = ReplicationLog()
+            assert log.append_segment(path, strict=strict) == 3
+            logs.append(log)
+        assert logs[0].pending_after(0) == logs[1].pending_after(0)
+        for log in logs:
+            follower = ship(ReplicatedStore(TSDB(), log), Follower())
+            assert dumps(follower.store, format="binary") == dumps(
+                bare, format="binary"
+            )
+
     def test_append_segment_ships_region_spill_files(self, tmp_path):
         """A region lane's parked spill segments are directly shippable."""
         from repro.region.queue import AsyncBatchQueue, Backpressure

@@ -30,6 +30,7 @@ from repro.tsdb import (
     TSDB,
     dumps,
     load,
+    snapshot,
 )
 
 
@@ -365,7 +366,11 @@ class TestCatalogRebuild:
     @pytest.mark.parametrize("fmt", ["text", "binary"])
     def test_restore_from_dir_rebuilds_catalog(self, fmt, tmp_path):
         store = _seed(ShardedTSDB(3))
-        store.snapshot_to_dir(tmp_path, format=fmt)
+        if fmt == "binary":
+            store.snapshot_to_dir(tmp_path)
+        else:  # a legacy text directory: restore still adopts it
+            for i, shard in enumerate(store.shards):
+                snapshot(shard, tmp_path / f"shard-{i}-of-3.log", format="text")
         restored = ShardedTSDB.restore_from_dir(tmp_path)
         assert _catalog_view(restored) == _catalog_view(store)
         assert restored.cardinality("air.co2.ppm") == store.cardinality(

@@ -53,6 +53,14 @@ def make_point(metric="m", ts=100, val=1.5, tags=None):
     return DataPoint.make(metric, ts, val, tags or {"node": "a"})
 
 
+def sources(path):
+    """The two kinds of source every reader accepts — the path and a
+    binary handle over the same bytes — so each corruption case runs on
+    both (one walker serves them; production readers pass paths)."""
+    yield path
+    yield io.BytesIO(path.read_bytes())
+
+
 def mixed_batch() -> PointBatch:
     """Two series, interleaved rows, out-of-order + duplicate timestamps."""
     b = BatchBuilder()
@@ -120,20 +128,12 @@ class TestSegmentWriterAndReader:
         with pytest.raises(SegmentCorruption, match="not a segment file"):
             SegmentWriter(path)
 
-    def test_per_point_writes_buffer_into_one_block(self, tmp_path):
-        path = tmp_path / "wal.seg"
-        with SegmentWriter(path) as w:
-            for i in range(10):
-                w.write(make_point(ts=i, val=float(i)))
-        items = list(iter_segments(path))
-        assert len(items) == 1 and len(items[0]) == 10
-
     def test_marker_blocks_interleave_in_order(self, tmp_path):
         path = tmp_path / "wal.seg"
         with SegmentWriter(path) as w:
-            w.write(make_point(ts=1))
+            w.write_batch(PointBatch.from_points([make_point(ts=1)]))
             w.delete_before(5, exclude_suffix=".rollup")
-            w.write(make_point(ts=9))
+            w.write_batch(PointBatch.from_points([make_point(ts=9)]))
         items = list(iter_segments(path))
         assert [type(i).__name__ for i in items] == [
             "PointBatch", "DeleteBefore", "PointBatch",
@@ -144,11 +144,13 @@ class TestSegmentWriterAndReader:
     def test_reader_requires_magic(self, tmp_path):
         path = tmp_path / "not-a-segment.seg"
         path.write_text("m 1 2.0\n")
-        with pytest.raises(SegmentCorruption, match="magic"):
-            list(iter_segments(path))
+        for source in sources(path):
+            with pytest.raises(SegmentCorruption, match="magic"):
+                list(iter_segments(source))
         # ... even in lenient mode: a wrong format is not a damaged file.
-        with pytest.raises(SegmentCorruption, match="magic"):
-            list(iter_segments(path, strict=False))
+        for source in sources(path):
+            with pytest.raises(SegmentCorruption, match="magic"):
+                list(iter_segments(source, strict=False))
 
 
 class TestCorruptionRecovery:
@@ -156,7 +158,9 @@ class TestCorruptionRecovery:
         path = tmp_path / "wal.seg"
         with SegmentWriter(path) as w:
             for base in (0, 100, 200):
-                w.write_many([make_point(ts=base + i) for i in range(5)])
+                w.write_batch(
+                    PointBatch.from_points([make_point(ts=base + i) for i in range(5)])
+                )
         return path
 
     def corrupt_middle_block(self, path):
@@ -169,18 +173,20 @@ class TestCorruptionRecovery:
     def test_corrupt_block_raises_strict(self, tmp_path):
         path = self.three_block_file(tmp_path)
         self.corrupt_middle_block(path)
-        with pytest.raises(SegmentCorruption, match="checksum"):
-            list(iter_segments(path))
+        for source in sources(path):
+            with pytest.raises(SegmentCorruption, match="checksum"):
+                list(iter_segments(source))
 
     def test_corrupt_block_skipped_lenient(self, tmp_path):
         """The length prefix bounds the damage: one bad CRC loses one
         block, and the blocks after it still replay."""
         path = self.three_block_file(tmp_path)
         self.corrupt_middle_block(path)
-        items = list(iter_segments(path, strict=False))
-        assert [b.timestamps.min() for b in items] == [0, 200]
-        db = load(path, strict=False)
-        assert db.exact_point_count() == 10
+        for source in sources(path):
+            items = list(iter_segments(source, strict=False))
+            assert [b.timestamps.min() for b in items] == [0, 200]
+        for source in sources(path):
+            assert load(source, strict=False).exact_point_count() == 10
 
     def test_truncated_tail_recovery(self, tmp_path):
         """Unclean shutdown: a half-written final block is dropped, the
@@ -189,10 +195,11 @@ class TestCorruptionRecovery:
         raw = path.read_bytes()
         for cut in (1, 7, 15):  # mid-payload, mid-header
             path.write_bytes(raw[:-cut])
-            with pytest.raises(SegmentCorruption, match="truncated"):
-                list(iter_segments(path))
-            db = load(path, strict=False)
-            assert db.exact_point_count() == 10
+            for source in sources(path):
+                with pytest.raises(SegmentCorruption, match="truncated"):
+                    list(iter_segments(source))
+            for source in sources(path):
+                assert load(source, strict=False).exact_point_count() == 10
 
     def test_corrupted_length_field_keeps_clean_prefix(self, tmp_path):
         """Header damage is CRC-detected; a bogus length can't be
@@ -203,11 +210,15 @@ class TestCorruptionRecovery:
         block = (len(raw) - len(SEGMENT_MAGIC)) // 3
         raw[len(SEGMENT_MAGIC) + block + 2] ^= 0x40  # length field, block 2
         path.write_bytes(bytes(raw))
-        with pytest.raises(SegmentCorruption):
-            list(iter_segments(path))
-        recovered = load(path, strict=False)
-        assert recovered.exact_point_count() == 5  # block 1 survives
-        assert sorted(p.timestamp for p in recovered.iter_points()) == list(range(5))
+        for source in sources(path):
+            with pytest.raises(SegmentCorruption):
+                list(iter_segments(source))
+        for source in sources(path):
+            recovered = load(source, strict=False)
+            assert recovered.exact_point_count() == 5  # block 1 survives
+            assert sorted(p.timestamp for p in recovered.iter_points()) == list(
+                range(5)
+            )
 
     def test_append_after_torn_tail_truncates_and_stays_readable(self, tmp_path):
         """Reopening a WAL whose last block was torn by a crash must
@@ -218,7 +229,9 @@ class TestCorruptionRecovery:
         raw = path.read_bytes()
         path.write_bytes(raw[:-7])  # torn mid-payload
         with SegmentWriter(path) as w:  # restart: append mode
-            w.write_many([make_point(ts=500 + i) for i in range(5)])
+            w.write_batch(
+                PointBatch.from_points([make_point(ts=500 + i) for i in range(5)])
+            )
         db = load(path)  # strict: the file is clean again
         assert db.exact_point_count() == 15  # 2 clean blocks + 5 new
         assert sorted(p.timestamp for p in db.iter_points())[-1] == 504
@@ -285,8 +298,10 @@ class TestCorruptionRecovery:
     def test_empty_file_is_not_a_segment(self, tmp_path):
         path = tmp_path / "empty.seg"
         path.touch()
-        with pytest.raises(SegmentCorruption):
-            list(iter_segments(path))
+        for strict in (True, False):
+            for source in sources(path):
+                with pytest.raises(SegmentCorruption):
+                    list(iter_segments(source, strict=strict))
         assert detect_format(path) == "text"  # empty text log loads empty
         assert load(path).point_count == 0
 
@@ -303,15 +318,30 @@ def reference_ops(db):
 
 
 def write_reference_wal(writer) -> None:
-    """The same workload as :func:`reference_ops`, as a WAL stream."""
-    for i in range(60):
-        writer.write(
+    """The same workload as :func:`reference_ops`, as a WAL stream: one
+    batch per run of puts, a marker per deletion (either writer)."""
+    writer.write_batch(
+        PointBatch.from_points(
             DataPoint.make(f"m.{i % 4}", (i * 7) % 50, float(i), {"node": f"n{i % 3}"})
+            for i in range(60)
         )
+    )
     writer.delete_before(20)
-    for i in range(20):
-        writer.write(DataPoint.make("m.0", 5 + i, -float(i), {"node": "n9"}))
+    writer.write_batch(
+        PointBatch.from_points(
+            DataPoint.make("m.0", 5 + i, -float(i), {"node": "n9"}) for i in range(20)
+        )
+    )
     writer.delete_before(8, exclude_suffix=".rollup")
+
+
+def text_snapshot_dir(db: ShardedTSDB, directory) -> None:
+    """A legacy text snapshot directory (what ``snapshot_to_dir`` wrote
+    before it became binary-only): one ``.log`` per shard."""
+    directory.mkdir(parents=True, exist_ok=True)
+    n = db.num_shards
+    for i, shard in enumerate(db.shards):
+        snapshot(shard, directory / f"shard-{i}-of-{n}.log", format="text")
 
 
 class TestFormatEquivalence:
@@ -339,8 +369,8 @@ class TestFormatEquivalence:
     def test_sharded_snapshot_dir_round_trip(self, tmp_path, shards):
         db = ShardedTSDB(shards)
         reference_ops(db)
-        db.snapshot_to_dir(tmp_path / "text", format="text")
-        db.snapshot_to_dir(tmp_path / "bin", format="binary")
+        text_snapshot_dir(db, tmp_path / "text")
+        db.snapshot_to_dir(tmp_path / "bin")
         assert all(p.suffix == ".seg" for p in (tmp_path / "bin").iterdir())
         from_text = ShardedTSDB.restore_from_dir(tmp_path / "text")
         from_bin = ShardedTSDB.restore_from_dir(tmp_path / "bin")
@@ -355,7 +385,7 @@ class TestFormatEquivalence:
         .seg, some still .log) restores by per-file auto-detection."""
         db = ShardedTSDB(2)
         reference_ops(db)
-        db.snapshot_to_dir(tmp_path, format="text")
+        text_snapshot_dir(db, tmp_path)
         convert_log(
             tmp_path / "shard-0-of-2.log", tmp_path / "shard-0-of-2.seg"
         )
@@ -370,7 +400,7 @@ class TestFormatEquivalence:
 
         db = ShardedTSDB(2)
         reference_ops(db)
-        db.snapshot_to_dir(tmp_path, format="text")
+        text_snapshot_dir(db, tmp_path)
         real_snapshot = pmod.snapshot
 
         def failing_snapshot(store, path, **kw):
@@ -380,19 +410,19 @@ class TestFormatEquivalence:
 
         monkeypatch.setattr(pmod, "snapshot", failing_snapshot)
         with pytest.raises(OSError):
-            db.snapshot_to_dir(tmp_path, format="binary")
+            db.snapshot_to_dir(tmp_path)
         monkeypatch.undo()
         # The old text snapshot is whole and restorable; no .tmp litter.
         assert {p.suffix for p in tmp_path.iterdir()} == {".log"}
         assert dumps(ShardedTSDB.restore_from_dir(tmp_path)) == dumps(db)
 
     def test_resnapshot_in_other_format_replaces_stale_twins(self, tmp_path):
-        """Re-snapshotting a directory in the other format must not
-        leave the old format's files behind as duplicates."""
+        """Snapshotting over a legacy text snapshot must not leave the
+        old ``.log`` files behind as duplicates."""
         db = ShardedTSDB(2)
         reference_ops(db)
-        db.snapshot_to_dir(tmp_path, format="text")
-        db.snapshot_to_dir(tmp_path, format="binary")
+        text_snapshot_dir(db, tmp_path)
+        db.snapshot_to_dir(tmp_path)
         assert {p.suffix for p in tmp_path.iterdir()} == {".seg"}
         assert dumps(ShardedTSDB.restore_from_dir(tmp_path)) == dumps(db)
 
@@ -401,10 +431,10 @@ class TestFormatEquivalence:
         count's files, keeping the directory single-snapshot restorable."""
         big = ShardedTSDB(4)
         reference_ops(big)
-        big.snapshot_to_dir(tmp_path, format="binary")
+        big.snapshot_to_dir(tmp_path)
         small = ShardedTSDB(2)
         reference_ops(small)
-        small.snapshot_to_dir(tmp_path, format="binary")
+        small.snapshot_to_dir(tmp_path)
         assert {p.name for p in tmp_path.iterdir()} == {
             "shard-0-of-2.seg", "shard-1-of-2.seg",
         }
@@ -413,7 +443,7 @@ class TestFormatEquivalence:
     def test_duplicate_shard_files_fail_loudly(self, tmp_path):
         db = ShardedTSDB(2)
         reference_ops(db)
-        db.snapshot_to_dir(tmp_path, format="text")
+        text_snapshot_dir(db, tmp_path)
         convert_log(
             tmp_path / "shard-0-of-2.log", tmp_path / "shard-0-of-2.seg"
         )
@@ -526,12 +556,6 @@ class TestDataportWalHook:
         assert on_disk == len(mixed_batch())
         w.close()
 
-    def test_write_many_counts_only_its_own_points(self, tmp_path):
-        with SegmentWriter(tmp_path / "wal.seg") as w:
-            w.write(make_point(ts=1))
-            assert w.write_many([make_point(ts=2)]) == 1  # matches LogWriter
-        assert w.written == 2
-
     def test_flushes_append_to_wal_before_store(self, tmp_path):
         """Through ``DurableStore`` the writer's flush is write-ahead:
         the block is on disk when the store sees the batch, and the
@@ -619,12 +643,14 @@ class TestCodecProperties:
         text_buf, bin_buf = io.StringIO(), io.BytesIO()
         tw, bw = LogWriter(text_buf), SegmentWriter(bin_buf)
         half = len(finite_rows) // 2
+        before, after = (
+            PointBatch.from_points(DataPoint.make(m, t, v, tags) for m, t, v, tags in part)
+            for part in (finite_rows[:half], finite_rows[half:])
+        )
         for writers in (tw, bw):
-            for m, t, v, tags in finite_rows[:half]:
-                writers.write(DataPoint.make(m, t, v, tags))
+            writers.write_batch(before)
             writers.delete_before(cutoff)
-            for m, t, v, tags in finite_rows[half:]:
-                writers.write(DataPoint.make(m, t, v, tags))
+            writers.write_batch(after)
             writers.flush()
         text_buf.seek(0)
         bin_buf.seek(0)
@@ -662,7 +688,7 @@ class TestDeleteSeriesBeforeMarker:
         path = tmp_path / "wal.seg"
         _, key = self.reference()
         with SegmentWriter(path) as w:
-            w.write(make_point(ts=1))
+            w.write_batch(PointBatch.from_points([make_point(ts=1)]))
             w.delete_series_before(key, 15)
         items = list(iter_segments(path))
         assert items[1] == DeleteSeriesBefore(key, 15)
@@ -682,9 +708,15 @@ class TestDeleteSeriesBeforeMarker:
         live, key = self.reference()
         path = tmp_path / ("wal.log" if fmt == "text" else "wal.seg")
         with cls(path) as w:
-            w.write(DataPoint.make("m", 10, 1.0, {"node": "a"}))
-            w.write(DataPoint.make("m", 20, 2.0, {"node": "a"}))
-            w.write(DataPoint.make("m", 10, 3.0, {"node": "b"}))
+            w.write_batch(
+                PointBatch.from_points(
+                    [
+                        DataPoint.make("m", 10, 1.0, {"node": "a"}),
+                        DataPoint.make("m", 20, 2.0, {"node": "a"}),
+                        DataPoint.make("m", 10, 3.0, {"node": "b"}),
+                    ]
+                )
+            )
             w.delete_series_before(key, 15)
         assert dumps(load(path)) == dumps(live)
 
@@ -854,3 +886,94 @@ class TestTornWriteRecoveryProperty:
                 assert not (
                     {int(t) for t in items[hit].timestamps} & recovered_ts
                 )
+
+
+# -- one walker: path and handle sources agree, and nothing forks it again --
+
+
+def _outcome(source, strict):
+    """Everything a consumer can observe from one read: the items
+    yielded before the end, and the error (offset + reason) if any."""
+    items, error = [], None
+    try:
+        for item in iter_segments(source, strict=strict):
+            items.append(item)
+    except SegmentCorruption as exc:
+        error = (exc.offset, exc.reason)
+    return items, error
+
+
+class TestOneWalker:
+    @given(
+        spec=block_specs,
+        damage=st.lists(
+            st.tuples(
+                st.sampled_from(["flip", "cut", "insert", "delete"]),
+                st.floats(0.0, 1.0),
+                st.integers(1, 255),
+            ),
+            max_size=3,
+        ),
+        strict=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_path_and_handle_sources_read_identically(
+        self, tmp_path_factory, spec, damage, strict
+    ):
+        """For random byte damage (magic included), reading the file by
+        path and reading the same bytes through a handle give the same
+        items and the same error — offset and reason — strict and
+        lenient."""
+        raw = bytearray(TestTornWriteRecoveryProperty().build_wal(spec)[0])
+        for kind, frac, byte in damage:
+            at = min(int(frac * len(raw)), max(len(raw) - 1, 0))
+            if kind == "flip" and raw:
+                raw[at] ^= byte
+            elif kind == "cut":
+                del raw[at:]
+            elif kind == "insert":
+                raw[at:at] = bytes([byte]) * (byte % 7 + 1)
+            elif kind == "delete":
+                del raw[at : at + byte % 7 + 1]
+        path = tmp_path_factory.mktemp("walker") / "wal.seg"
+        path.write_bytes(bytes(raw))
+        by_path, path_error = _outcome(path, strict)
+        by_handle, handle_error = _outcome(io.BytesIO(bytes(raw)), strict)
+        assert path_error == handle_error
+        assert len(by_path) == len(by_handle)
+        for a, b in zip(by_path, by_handle):
+            if isinstance(a, PointBatch):
+                assert_batches_equal(a, b)
+            else:
+                assert a == b
+
+    def test_no_reader_forks_and_one_writer_entry_point(self):
+        """The options this format once carried stay gone: no ``mmap``
+        switch on any reader (one framing walk), no per-point surface
+        on ``SegmentWriter`` (``write_batch`` is the data entry point),
+        no ``format`` on the two paths that only ever write segments."""
+        import dataclasses
+        import inspect
+
+        from repro.tsdb import (
+            ColdShardPager,
+            Compactor,
+            compact_dir,
+            compact_log,
+            segment_stats,
+        )
+        from repro.tsdb.segments import _iter_blocks
+
+        readers = (
+            iter_segments, _iter_blocks, segment_point_count, segment_stats,
+            iter_batches, load, ShardedTSDB.restore_from_dir, compact_log,
+            Compactor, compact_dir, ColdShardPager,
+        )  # fmt: skip
+        for fn in readers:
+            assert "mmap" not in inspect.signature(fn).parameters, fn
+        assert "mmap" not in {f.name for f in dataclasses.fields(Compactor)}
+        for name in ("write", "write_many", "_pending", "_pending_frames"):
+            assert not hasattr(SegmentWriter, name)
+        assert "_pending" not in vars(SegmentWriter(io.BytesIO()))
+        for fn in (ShardedTSDB.snapshot_to_dir, compact_log):
+            assert "format" not in inspect.signature(fn).parameters, fn

@@ -264,9 +264,9 @@ class TestPerShardPersistence:
         )
         assert len(files) >= 2, "workload should populate at least two shards"
         a, b = files[0], files[1]
-        tmp = a.read_text()
-        a.write_text(b.read_text())
-        b.write_text(tmp)
+        tmp = a.read_bytes()
+        a.write_bytes(b.read_bytes())
+        b.write_bytes(tmp)
         with pytest.raises(ValueError, match="routes to"):
             ShardedTSDB.restore_from_dir(snap)
 
@@ -274,7 +274,7 @@ class TestPerShardPersistence:
         _, sharded = build_pair(4)
         snap = tmp_path / "snap"
         sharded.snapshot_to_dir(snap)
-        (snap / "shard-2-of-4.log").unlink()
+        (snap / "shard-2-of-4.seg").unlink()
         with pytest.raises(ValueError, match="missing shards"):
             ShardedTSDB.restore_from_dir(snap)
 

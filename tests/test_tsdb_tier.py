@@ -41,6 +41,7 @@ from repro.tsdb import (
     TierPolicy,
     compact_dir,
     compact_log,
+    convert_log,
     detect_format,
     dumps,
     load,
@@ -48,7 +49,7 @@ from repro.tsdb import (
     shard_for_key,
 )
 from repro.tsdb.persistence import LogWriter
-from repro.tsdb.segments import SegmentWriter
+from repro.tsdb.segments import SEGMENT_MAGIC, SegmentWriter
 from repro.tsdb.tier.compact import COMPACT_TMP_SUFFIX
 
 # -- shared op-interleaving machinery ------------------------------------
@@ -86,14 +87,18 @@ def _key(metric: str, node: str) -> SeriesKey:
     return SeriesKey.make(metric, {"node": node})
 
 
+def _one(key: SeriesKey, ts: int, val: float) -> PointBatch:
+    """A single-point batch: one flush-sized block in either writer."""
+    return PointBatch.from_points([DataPoint(key, ts, val)])
+
+
 def _write_ops(writer, ops) -> None:
     """Append an op interleaving to a WAL writer, one block per marker
     (flushes keep the file fragmented — the compactor's natural prey)."""
     for op in ops:
         if op[0] == "put":
             _, metric, node, ts, val = op
-            writer.write(DataPoint(_key(metric, node), ts, val))
-            writer.flush()
+            writer.write_batch(_one(_key(metric, node), ts, val))
         elif op[0] == "delete_before":
             writer.delete_before(op[1])
         else:
@@ -150,8 +155,7 @@ class TestCompactionEquivalence:
                 _, metric, node, ts, val = op
                 key = _key(metric, node)
                 w = writers[shard_for_key(key, n)]
-                w.write(DataPoint(key, ts, val))
-                w.flush()
+                w.write_batch(_one(key, ts, val))
             elif op[0] == "delete_before":
                 for w in writers:
                     w.delete_before(op[1])
@@ -167,7 +171,7 @@ class TestCompactionEquivalence:
         )
         results = compact_dir(directory)
         assert set(results) == set(range(n))
-        restored = ShardedTSDB.restore_from_dir(directory, mmap=True)
+        restored = ShardedTSDB.restore_from_dir(directory)
         assert dumps(restored, format="binary") == expected
         # Replaying ops directly agrees too (routing fidelity).
         direct = ShardedTSDB(n)
@@ -178,8 +182,7 @@ class TestCompactionEquivalence:
         wal = tmp_path / "w.seg"
         with SegmentWriter(wal) as w:
             for i in range(500):
-                w.write(DataPoint(_key("air.co2", "n1"), 1000 + i, float(i)))
-                w.flush()
+                w.write_batch(_one(_key("air.co2", "n1"), 1000 + i, float(i)))
             w.delete_before(1400)
         before = segment_stats(wal)
         result = compact_log(wal)
@@ -195,8 +198,14 @@ class TestCompactionEquivalence:
             for i in range(20):
                 w.write(DataPoint(_key("air.co2", "n1"), i, float(i)))
         expected = dumps(load(wal), format="binary")
-        compact_log(wal, format="binary")
-        assert segment_stats(wal, strict=True).batch_blocks == 1
+        # Upgrading is convert_log's job; compaction keeps the format.
+        seg = tmp_path / "w.seg"
+        convert_log(wal, seg)
+        compact_log(seg)
+        assert segment_stats(seg, strict=True).batch_blocks == 1
+        assert dumps(load(seg), format="binary") == expected
+        compact_log(wal)
+        assert detect_format(wal) == "text"
         assert dumps(load(wal), format="binary") == expected
 
 
@@ -204,8 +213,7 @@ class TestCompactionCrashSafety:
     def _fragmented(self, path, n=50):
         with SegmentWriter(path) as w:
             for i in range(n):
-                w.write(DataPoint(_key("air.co2", "n1"), i, float(i)))
-                w.flush()
+                w.write_batch(_one(_key("air.co2", "n1"), i, float(i)))
 
     def test_crash_mid_stage_leaves_original_intact(self, tmp_path, monkeypatch):
         wal = tmp_path / "w.seg"
@@ -243,14 +251,34 @@ class TestCompactionCrashSafety:
         assert not stage.exists()
 
     def test_torn_tail_compacts_to_recoverable_prefix(self, tmp_path):
-        wal = tmp_path / "w.seg"
-        self._fragmented(wal, n=50)
-        recoverable = dumps(load(wal, strict=False), format="binary")
-        with open(wal, "ab") as fh:  # torn final append
-            fh.write(b"\x01\xff\xff")
-        assert dumps(load(wal, strict=False), format="binary") == recoverable
-        compact_log(wal)  # lenient by default: recovers, then rewrites
-        assert dumps(load(wal, strict=True), format="binary") == recoverable
+        """Every damage kind compacts to exactly what lenient recovery
+        reads: a torn tail or a corrupted length field keeps the clean
+        prefix, a CRC-flipped middle block loses that block alone."""
+        n, hit = 50, 25
+        for damage, survivors in (
+            ("torn-tail", range(n)),
+            ("crc-flip", [i for i in range(n) if i != hit]),
+            ("length-field", range(hit)),
+        ):
+            wal = tmp_path / f"{damage}.seg"
+            self._fragmented(wal, n=n)
+            raw = bytearray(wal.read_bytes())
+            block = (len(raw) - len(SEGMENT_MAGIC)) // n  # identical blocks
+            start = len(SEGMENT_MAGIC) + hit * block
+            if damage == "torn-tail":
+                raw += b"\x01\xff\xff"  # torn final append
+            elif damage == "crc-flip":
+                raw[start + 20] ^= 0xFF  # payload byte, block `hit`
+            else:
+                raw[start + 2] ^= 0x40  # length field, block `hit`
+            wal.write_bytes(bytes(raw))
+            expected = TSDB()
+            for i in survivors:
+                expected.put("air.co2", i, float(i), {"node": "n1"})
+            recoverable = dumps(expected, format="binary")
+            assert dumps(load(wal, strict=False), format="binary") == recoverable
+            compact_log(wal)  # lenient by default: recovers, then rewrites
+            assert dumps(load(wal, strict=True), format="binary") == recoverable
 
 
 class TestCompactorPolicy:
@@ -258,8 +286,7 @@ class TestCompactorPolicy:
         wal = tmp_path / "w.seg"
         with SegmentWriter(wal) as w:
             for i in range(10):
-                w.write(DataPoint(_key("air.co2", "n1"), i, float(i)))
-                w.flush()
+                w.write_batch(_one(_key("air.co2", "n1"), i, float(i)))
         c = Compactor(wal, policy=CompactionPolicy(max_blocks=20))
         assert not c.should_compact()
         assert c.maybe_compact() is None and c.runs == 0
@@ -274,8 +301,7 @@ class TestCompactorPolicy:
         wal = tmp_path / "w.seg"
         with SegmentWriter(wal) as w:
             for i in range(10):
-                w.write(DataPoint(_key("air.co2", "n1"), i, float(i)))
-                w.flush()
+                w.write_batch(_one(_key("air.co2", "n1"), i, float(i)))
         c = Compactor(
             wal, policy=CompactionPolicy(max_blocks=4, min_bytes=1 << 30)
         )
@@ -301,7 +327,7 @@ class TestCompactorPolicy:
         db = ShardedTSDB(2)
         for i in range(20):
             db.put("air.co2", i, float(i), {"node": f"n{i % 4}"})
-        db.snapshot_to_dir(tmp_path, format="binary")
+        db.snapshot_to_dir(tmp_path)
         # Fragment exactly one shard with appended per-point blocks.
         key = next(
             k for k in (_key("air.co2", n) for n in _NODES)
@@ -309,8 +335,7 @@ class TestCompactorPolicy:
         )
         with SegmentWriter(tmp_path / "shard-0-of-2.seg", append=True) as w:
             for i in range(40):
-                w.write(DataPoint(key, 100 + i, float(i)))
-                w.flush()
+                w.write_batch(_one(key, 100 + i, float(i)))
         results = compact_dir(tmp_path, policy=CompactionPolicy(max_blocks=8))
         assert set(results) == {0}
 
@@ -403,7 +428,7 @@ class TestColdShardPager:
             for node in _NODES:
                 for t in range(25):
                     db.put(metric, t * 60, float(t), {"node": node})
-        db.snapshot_to_dir(tmp_path, format="binary")
+        db.snapshot_to_dir(tmp_path)
         self.eager = db
         return tmp_path
 
@@ -485,7 +510,7 @@ class TestColdShardPager:
         db = ShardedTSDB(2)
         for node in _NODES:
             db.put("air.co2", 0, 1.0, {"node": node})
-        db.snapshot_to_dir(tmp_path, format="binary")
+        db.snapshot_to_dir(tmp_path)
         a = (tmp_path / "shard-0-of-2.seg").read_bytes()
         b = (tmp_path / "shard-1-of-2.seg").read_bytes()
         (tmp_path / "shard-0-of-2.seg").write_bytes(b)
