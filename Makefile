@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-sharded test-region test-persist test-query test-catalog test-replication test-tier serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e lint loc
+.PHONY: test test-sharded test-region test-persist test-query test-catalog test-replication test-tier test-uplink serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e lint loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -53,6 +53,14 @@ test-replication:
 # rollup-tier cascade journaled through DurableStore (the one journal).
 test-tier:
 	$(PYTHON) -m pytest -q tests/test_tsdb_tier.py
+
+# The uplink-journey gate: what one uplink costs as counts (a series
+# named once, a flush framed once, cumulative acks, no polling), the
+# follower's buffer walk ≡ the record-at-a-time loop under any
+# segmentation, plus the replication, store-stack and dataport suites
+# that pin the bytes and orderings of the same path.
+test-uplink:
+	$(PYTHON) -m pytest -q tests/test_uplink_costs.py tests/test_replication_walk.py tests/test_replication.py tests/test_store_stack.py tests/test_dataport_app.py
 
 bench:
 	$(PYTHON) -m pytest -q benchmarks/test_ingest_throughput.py -s

@@ -67,8 +67,9 @@ class DataportStats:
 class BatchingTsdbWriter:
     """Hop 5 writer: accumulates decoded measurements, flushes columnar.
 
-    Points buffer in a :class:`~repro.tsdb.BatchBuilder` (series keys
-    interned once per series, values in growable columns) and reach the
+    Points buffer in one :class:`~repro.tsdb.BatchBuilder` for the
+    writer's lifetime (series keys interned once per series, not once
+    per flush; values in growable columns) and reach the
     database as one :meth:`~repro.tsdb.TSDB.put_batch` per flush —
     either when the dataport's scheduler tick fires, or when the buffer
     hits ``max_pending`` under burst load.  ``db`` is any
@@ -127,7 +128,7 @@ class BatchingTsdbWriter:
             return 0
         batch = self._builder.build(clear=False)
         n = self.db.put_batch(batch)
-        self._builder = BatchBuilder()
+        self._builder.clear()
         self.flushes += 1
         self.written += n
         if self._on_flush is not None:
@@ -250,7 +251,9 @@ class Dataport:
             return
         self.stats.uplinks_processed += 1
         node_id = received.uplink.dev_eui
-        city = self.node_city.get(node_id, message.topic.split("/")[1])
+        city = self.node_city.get(node_id)
+        if city is None:
+            city = message.topic.split("/")[1]
 
         # Hop 6: feed the twin hierarchy.
         fleet = self.fleet

@@ -15,6 +15,14 @@ applies records **strictly in sequence**:
   a record.  The follower drops the connection; the shipper reconnects
   and catch-up replay heals the hole.  Likewise for a corrupt frame.
 
+Records are taken off the socket as they have accumulated: one read,
+every complete record in it walked under the rules above, then **one
+cumulative ack** — the applied high-water mark, covering every record
+at or below it — for the whole read.  The read, the walk and the ack
+happen inside the event loop's own callback for the socket (an
+:class:`asyncio.Protocol`): no stream reader and no task to resume
+between a record's arrival and its ack.
+
 ``promote()`` turns the standby into a primary: the listener closes,
 in-flight connections stop applying, and the store — byte-identical to
 the acknowledged prefix of the primary's history — is handed to the
@@ -30,6 +38,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..tsdb import segments
 from ..tsdb.batch import PointBatch
 from ..tsdb.database import TSDB
 from ..tsdb.segments import (
@@ -40,7 +49,7 @@ from ..tsdb.segments import (
     decode_frame,
 )
 from ..tsdb.sharded import ShardedTSDB
-from .shipper import MAX_RECORD_BYTES, REPLICATION_MAGIC
+from .shipper import REPLICATION_MAGIC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tsdb.interface import TimeSeriesStore
@@ -62,6 +71,64 @@ class FollowerStats:
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
+
+
+class _Connection(asyncio.Protocol):
+    """One shipper connection, driven by the loop's callbacks: after
+    the handshake every socket read goes straight through
+    :meth:`Follower._apply_buffered` and is answered with one
+    cumulative ack."""
+
+    def __init__(self, follower: "Follower") -> None:
+        self.follower = follower
+        self.transport: asyncio.Transport | None = None
+        #: resolved when the socket is gone, for whatever reason
+        self.lost = asyncio.get_running_loop().create_future()
+        self._buf = bytearray()
+        self._handshaken = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.follower._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        follower, buf = self.follower, self._buf
+        buf += data
+        if not self._handshaken:
+            if len(buf) < len(REPLICATION_MAGIC):
+                return
+            if not buf.startswith(REPLICATION_MAGIC) or follower._promoted:
+                follower.stats.bad_handshakes += 1
+                self.transport.close()
+                return
+            del buf[: len(REPLICATION_MAGIC)]
+            self._handshaken = True
+            follower.stats.connections += 1
+            self.transport.write(_U64.pack(follower.applied_seq))
+        before = follower.applied_seq, follower.stats.duplicates
+        consumed, healthy = follower._apply_buffered(buf)
+        del buf[:consumed]
+        if before != (follower.applied_seq, follower.stats.duplicates):
+            # One cumulative ack for everything this read completed
+            # (a resend too: the shipper's window and retained log
+            # must advance even when nothing applies).
+            if follower._applied_wake is not None:
+                follower._applied_wake.set()
+            self.transport.write(_U64.pack(follower.applied_seq))
+        if not healthy:
+            self.transport.close()  # the shipper reconnects; catch-up heals
+
+    def eof_received(self) -> None:
+        if not self._handshaken:
+            self.follower.stats.bad_handshakes += 1
+        elif self._buf:
+            # A record cut mid-frame: the torn-tail of the wire.
+            self.follower.stats.torn_tails += 1
+
+    def connection_lost(self, exc) -> None:
+        self.follower._connections.discard(self)
+        if not self.lost.done():
+            self.lost.set_result(None)
 
 
 @dataclass
@@ -87,8 +154,7 @@ class Follower:
             raise ValueError("pass store= or shards=, not both")
         self.applied_seq = 0
         self._server: asyncio.base_events.Server | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._handlers: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
         self._promoted = False
         self._applied_wake: asyncio.Event | None = None
 
@@ -102,8 +168,8 @@ class Follower:
         if self._server is not None:
             raise RuntimeError("follower already started")
         self._applied_wake = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -114,14 +180,16 @@ class Follower:
         server, self._server = self._server, None
         if server is not None:
             server.close()
+        # Wait for the sockets to go, so no transport outlives the
+        # follower into loop teardown.
+        connections = list(self._connections)
+        for connection in connections:
+            connection.transport.close()
+        for connection in connections:
+            await connection.lost
+        if server is not None:
             with contextlib.suppress(Exception):
                 await server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
-        # Closing the transports unblocks any pending read; wait for the
-        # handlers so no task outlives the follower into loop teardown.
-        if self._handlers:
-            await asyncio.gather(*list(self._handlers), return_exceptions=True)
 
     def promote(self) -> "TimeSeriesStore":
         """Become the primary: stop accepting replication traffic and
@@ -135,8 +203,8 @@ class Follower:
         self._promoted = True
         if self._server is not None:
             self._server.close()
-        for writer in list(self._writers):
-            writer.close()
+        for connection in list(self._connections):
+            connection.transport.close()
         assert self.store is not None
         return self.store
 
@@ -156,80 +224,50 @@ class Follower:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self._applied_wake.wait(), 0.05)
 
-    # -- one replication connection --------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
-        self._writers.add(writer)
-        try:
-            try:
-                magic = await reader.readexactly(len(REPLICATION_MAGIC))
-            except asyncio.IncompleteReadError:
-                self.stats.bad_handshakes += 1
-                return
-            if magic != REPLICATION_MAGIC or self._promoted:
-                self.stats.bad_handshakes += 1
-                return
-            self.stats.connections += 1
-            writer.write(_U64.pack(self.applied_seq))
-            await writer.drain()
-            await self._apply_loop(reader, writer)
-        except (ConnectionError, OSError):
-            pass  # peer vanished; the shipper will reconnect
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _apply_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while not self._promoted:
-            try:
-                (length,) = _U32.unpack(await reader.readexactly(4))
-                if length < 8 or length > MAX_RECORD_BYTES:
-                    self.stats.corrupt_frames += 1
-                    return  # framing is unrecoverable; force a reconnect
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError as exc:
-                if exc.partial:
-                    # A record cut mid-frame: the torn-tail of the wire.
-                    self.stats.torn_tails += 1
-                return
-            (seq,) = _U64.unpack_from(body, 0)
-            frame = body[8:]
+    # -- applying what a connection has read ------------------------------
+    def _apply_buffered(self, buf: bytearray) -> tuple[int, bool]:
+        """Apply every complete record at the front of ``buf``, strictly
+        in sequence; returns the bytes consumed and whether the
+        connection is still good (False after a gap, a corrupt or
+        oversize frame, or a promotion: nothing further may apply)."""
+        off = 0
+        while len(buf) - off >= 4:
+            if self._promoted:
+                return off, False
+            (length,) = _U32.unpack_from(buf, off)
+            # (the bound is read through the module: it is the writer's
+            # bound too, one constant, and tests lower it)
+            if length < 8 or length > segments.MAX_RECORD_BYTES:
+                self.stats.corrupt_frames += 1
+                return off, False  # framing is unrecoverable
+            end = off + 4 + length
+            if end > len(buf):
+                break  # the rest of this record has not arrived yet
+            (seq,) = _U64.unpack_from(buf, off + 4)
             if seq <= self.applied_seq:
-                # At-least-once resend; ack so the shipper's window and
-                # retained log advance even when nothing applies.
-                self.stats.duplicates += 1
-                writer.write(_U64.pack(self.applied_seq))
-                await writer.drain()
+                self.stats.duplicates += 1  # at-least-once resend
+                off = end
                 continue
             if seq != self.applied_seq + 1:
                 # A gap: never apply out of order — drop the connection
                 # and let catch-up replay refill from applied_seq.
                 self.stats.gaps += 1
-                return
+                return off, False
             try:
-                block_type, payload = decode_frame(frame)
+                block_type, payload = decode_frame(
+                    bytes(memoryview(buf)[off + 12 : end])
+                )
                 item = decode_block(block_type, payload)
             except (SegmentCorruption, ValueError):
                 self.stats.corrupt_frames += 1
-                return  # same healing path as a gap
+                return off, False  # same healing path as a gap
             if self._promoted:  # promotion raced the decode: apply nothing
-                return
+                return off, False
             self._apply(item)
             self.applied_seq = seq
             self.stats.records_applied += 1
-            if self._applied_wake is not None:
-                self._applied_wake.set()
-            writer.write(_U64.pack(self.applied_seq))
-            await writer.drain()
+            off = end
+        return off, True
 
     def _apply(self, item) -> None:
         assert self.store is not None

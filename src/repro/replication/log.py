@@ -30,19 +30,19 @@ CRC the WAL reader uses, and a drained region spill segment
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..tsdb.batch import PointBatch
 from ..tsdb.interface import StoreWrapper
 from ..tsdb.model import SeriesKey
 from ..tsdb.persistence import iter_batches
 from ..tsdb.segments import (
-    BLOCK_BATCH,
     BLOCK_MARKER,
     DeleteBefore,
     DeleteSeriesBefore,
-    encode_batch,
+    carried_frames,
     encode_marker,
+    frame_batch,
     frame_block,
 )
 
@@ -78,7 +78,9 @@ class ReplicationLog:
         self._records: list[tuple[int, bytes]] = []
         self._next = 1
         self._cursors: dict[str, int] = {}
-        self._listeners: list[tuple["asyncio.AbstractEventLoop", "asyncio.Event"]] = []
+        self._listeners: list[
+            tuple["asyncio.AbstractEventLoop", Callable[[], None]]
+        ] = []
         self.appended_records = 0
         self.appended_points = 0
 
@@ -144,11 +146,14 @@ class ReplicationLog:
         return self._append(frame_block(block_type, payload))
 
     def append_batch(self, batch: PointBatch) -> int:
-        """Append a batch block; empty batches append nothing (returns
+        """Append a batch as the record(s) of its framed block(s) —
+        :func:`~repro.tsdb.segments.frame_batch`, so one record unless
+        the batch is too large for a follower to accept in one; returns
+        the last sequence number.  Empty batches append nothing (returns
         the current ``last_seq``) so replay stays free of no-op records."""
-        if not len(batch):
-            return self.last_seq
-        seq = self.append_block(BLOCK_BATCH, encode_batch(batch))
+        seq = self.last_seq
+        for frame in frame_batch(batch):
+            seq = self._append(frame)
         self.appended_points += len(batch)
         return seq
 
@@ -192,8 +197,8 @@ class ReplicationLog:
             self._records.append((seq, frame))
             self.appended_records += 1
             listeners = list(self._listeners)
-        for loop, event in listeners:
-            loop.call_soon_threadsafe(event.set)
+        for loop, wake in listeners:
+            loop.call_soon_threadsafe(wake)
         return seq
 
     # -- ship side (called from the shipper's event loop) ----------------
@@ -229,19 +234,20 @@ class ReplicationLog:
 
     # -- wakeups ---------------------------------------------------------
     def subscribe(
-        self, loop: "asyncio.AbstractEventLoop", event: "asyncio.Event"
+        self, loop: "asyncio.AbstractEventLoop", wake: Callable[[], None]
     ) -> None:
-        """Register an asyncio event to be set (thread-safely) on every
-        append — how the synchronous write path wakes the shipper."""
+        """Register a callback to be run on ``loop`` (thread-safely)
+        after every append — how the synchronous write path wakes the
+        shipper."""
         with self._lock:
-            self._listeners.append((loop, event))
+            self._listeners.append((loop, wake))
 
     def unsubscribe(
-        self, loop: "asyncio.AbstractEventLoop", event: "asyncio.Event"
+        self, loop: "asyncio.AbstractEventLoop", wake: Callable[[], None]
     ) -> None:
         with self._lock:
             try:
-                self._listeners.remove((loop, event))
+                self._listeners.remove((loop, wake))
             except ValueError:
                 pass
 
@@ -276,7 +282,10 @@ class ReplicatedStore(StoreWrapper):
 
     # -- teed writes -----------------------------------------------------
     def put_batch(self, batch: PointBatch) -> int:
-        with self._write_lock:
+        # Framed before the commit (a no-op under a journal, which
+        # carries its frames down): a batch that cannot be framed is
+        # refused whole, never committed here and missing on the follower.
+        with self._write_lock, carried_frames(batch):
             n = self._store.put_batch(batch)
             self.log.append_batch(batch)
         return n

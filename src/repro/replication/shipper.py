@@ -8,13 +8,18 @@ time, shipper dials the follower::
     shipper  → follower   record = u32 len · u64 seq · framed block
     follower → shipper    u64 ack (applied high-water mark)   (repeated)
 
+An ack is **cumulative**: it carries the follower's applied high-water
+mark and covers every record at or below it.  The follower sends one
+per socket read that completed at least one record, not one per record,
+so acks received ≤ records shipped.
+
 Delivery is **at-least-once**: the shipper resumes from the follower's
 handshake-reported high-water mark after any disconnect (catch-up
 replay), so records can arrive duplicated — the follower's
 sequence-based dedup makes apply idempotent.  Reliability mechanics:
 
 - **bounded in-flight window** — at most ``window`` unacknowledged
-  records on the wire; the sender parks until acks advance;
+  records on the wire; the next ack ships the rest;
 - **exponential backoff + jitter on reconnect** — seeded, so failover
   tests replay deterministically;
 - **acked trimming** — every ack frees log memory via
@@ -24,6 +29,12 @@ The framed block inside each record is byte-identical to what the WAL
 writer puts on disk, CRC and all; the follower re-validates it before
 applying, so wire corruption is caught by the same checksum that
 catches disk corruption.
+
+Nothing parks between the hops: the log's wake-up, an arriving ack and
+a drained transport each call :meth:`_Session.ship` straight from the
+event loop's callback (an :class:`asyncio.Protocol`, no stream reader
+and no task to resume), so one record costs the loop thread one pass
+for the write and one for the ack.
 """
 
 from __future__ import annotations
@@ -34,22 +45,113 @@ import random
 import struct
 from dataclasses import dataclass, field
 
+from ..tsdb.segments import MAX_RECORD_BYTES
 from .log import DEFAULT_FOLLOWER, ReplicationLog
 
 #: First bytes of every replication connection (includes the version).
 REPLICATION_MAGIC = b"RREP\x00\x01"
 
-_U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_RECORD_HEAD = struct.Struct("<IQ")  # length (of seq + frame), seq
 
-#: Records above this size are refused by the follower — a corrupted
-#: length prefix must not trigger a multi-GB read.
-MAX_RECORD_BYTES = 256 << 20
+#: How long :meth:`SegmentShipper.wait_caught_up` sleeps between looks
+#: at the log when no ack arrives to wake it — the safety net under the
+#: event, not a poll interval anyone should notice.
+_CAUGHT_UP_RECHECK_S = 0.05
+
+
+def _record_parts(seq: int, frame: bytes) -> tuple[bytes, bytes]:
+    """One wire record as the buffers a transport writes: the head
+    (length prefix, sequence number) and the framed block, uncopied."""
+    return _RECORD_HEAD.pack(8 + len(frame), seq), frame
 
 
 def encode_record(seq: int, frame: bytes) -> bytes:
-    """One wire record: length prefix, sequence number, framed block."""
-    return _U32.pack(8 + len(frame)) + _U64.pack(seq) + frame
+    """One wire record as contiguous bytes — for tests and tools; the
+    session hands the transport the same parts without joining them."""
+    return b"".join(_record_parts(seq, frame))
+
+
+class _Session(asyncio.Protocol):
+    """One connection to the follower, driven by the loop's callbacks.
+
+    :meth:`ship` writes every pending record the window has room for
+    and is called wherever records or room may have appeared: on the
+    log's wake-up, on an ack (the handshake reply is the first), when a
+    full transport drains.
+    """
+
+    def __init__(self, shipper: "SegmentShipper") -> None:
+        self.shipper = shipper
+        self.transport: asyncio.Transport | None = None
+        #: resolved when the socket is gone, for whatever reason
+        self.lost = asyncio.get_running_loop().create_future()
+        self._marks = bytearray()  # the follower's u64s, as they arrive
+        self._handshaken = False
+        self._writable = True
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        # From here on the log's wake-ups reach this connection: an
+        # append can land before run() has been resumed with it.
+        self.shipper._session = self
+        transport.write(REPLICATION_MAGIC)
+
+    def data_received(self, data: bytes) -> None:
+        shipper = self.shipper
+        marks = self._marks
+        marks += data
+        whole = len(marks) - len(marks) % 8
+        for (mark,) in _U64.iter_unpack(bytes(marks[:whole])):
+            if self._handshaken:
+                shipper.stats.acks_received += 1
+            else:
+                # Catch-up replay starts exactly at the follower's
+                # high-water mark: everything at or below it is already
+                # applied over there.
+                self._handshaken = True
+                shipper._cursor = mark
+                shipper.stats.connects += 1
+            shipper.log.ack(mark, follower=shipper.follower)
+        del marks[:whole]
+        if whole:
+            shipper._acked.set()
+            self.ship()
+
+    def pause_writing(self) -> None:
+        self._writable = False
+
+    def resume_writing(self) -> None:
+        self._writable = True
+        self.ship()
+
+    def connection_lost(self, exc) -> None:
+        self._writable = False
+        if self.shipper._session is self:
+            self.shipper._session = None
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+    def ship(self) -> None:
+        shipper = self.shipper
+        log = shipper.log
+        if shipper._cursor >= log.last_seq or not (
+            self._handshaken and self._writable
+        ):
+            return
+        free = shipper.window - (shipper._cursor - log.acked_for(shipper.follower))
+        if free <= 0:
+            return  # a full window: the next ack ships
+        records = log.pending_after(shipper._cursor, limit=free)
+        parts = []
+        for seq, frame in records:
+            parts.extend(_record_parts(seq, frame))
+            if seq <= shipper._max_shipped:
+                shipper.stats.records_resent += 1
+        shipper.stats.records_shipped += len(records)
+        shipper._cursor = records[-1][0]
+        shipper._max_shipped = max(shipper._max_shipped, shipper._cursor)
+        self.transport.writelines(parts)
 
 
 @dataclass
@@ -59,6 +161,8 @@ class ShipperStats:
     reconnects: int = 0
     records_shipped: int = 0
     records_resent: int = 0
+    #: cumulative acks read off the wire (one per follower read that
+    #: completed a record, each covering every record up to its mark)
     acks_received: int = 0
 
     def as_dict(self) -> dict:
@@ -97,7 +201,12 @@ class SegmentShipper:
         self._rng = random.Random(self.seed)
         self._stopping = False
         self._task: asyncio.Task | None = None
-        self._wake: asyncio.Event | None = None
+        self._session: _Session | None = None
+        # Set on every ack; wait_caught_up's wake.  Made here, not in
+        # run(): a caller may await wait_caught_up before run() has had
+        # its first step, and an asyncio.Event binds to a loop on its
+        # first wait, not at construction.
+        self._acked = asyncio.Event()
         self._cursor = 0  # highest seq written to the current connection
         self._max_shipped = 0  # highest seq ever put on any connection
         # Hold records from the moment the shipper exists: without the
@@ -114,8 +223,6 @@ class SegmentShipper:
     async def stop(self) -> None:
         """Stop shipping; in-flight but unacked records stay in the log."""
         self._stopping = True
-        if self._wake is not None:
-            self._wake.set()
         if self._task is not None:
             self._task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -125,14 +232,15 @@ class SegmentShipper:
     async def run(self) -> None:
         """Connect-ship-reconnect loop; returns only via :meth:`stop`."""
         loop = asyncio.get_running_loop()
-        self._wake = asyncio.Event()
-        self.log.subscribe(loop, self._wake)
+        self.log.subscribe(loop, self._on_append)
         failures = 0
         try:
             while not self._stopping:
                 try:
-                    reader, writer = await asyncio.wait_for(
-                        asyncio.open_connection(self.host, self.port),
+                    transport, session = await asyncio.wait_for(
+                        loop.create_connection(
+                            lambda: _Session(self), self.host, self.port
+                        ),
                         self.connect_timeout,
                     )
                 except (OSError, asyncio.TimeoutError):
@@ -141,19 +249,18 @@ class SegmentShipper:
                     failures += 1
                     continue
                 try:
-                    await self._session(reader, writer)
-                    failures = 0  # handshake + some traffic succeeded
-                except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                    failures += 1
+                    # Shielded: stop() cancels this task, not the future
+                    # the transport resolves when the socket is gone.
+                    await asyncio.shield(session.lost)
                 finally:
-                    writer.close()
-                    with contextlib.suppress(Exception):
-                        await writer.wait_closed()
+                    transport.close()
+                    await session.lost
+                failures += 1
                 if not self._stopping:
                     self.stats.reconnects += 1
                     await self._sleep_backoff(failures)
         finally:
-            self.log.unsubscribe(loop, self._wake)
+            self.log.unsubscribe(loop, self._on_append)
 
     async def _sleep_backoff(self, attempt: int) -> None:
         delay = min(self.max_backoff, self.backoff * (2 ** min(attempt, 16)))
@@ -161,61 +268,10 @@ class SegmentShipper:
         delay *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
         await asyncio.sleep(max(0.0, delay))
 
-    # -- one connection --------------------------------------------------
-    async def _session(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        writer.write(REPLICATION_MAGIC)
-        await writer.drain()
-        (applied,) = _U64.unpack(await reader.readexactly(8))
-        # Catch-up replay starts exactly at the follower's high-water
-        # mark: everything at or below it is already applied over there.
-        self.log.ack(applied, follower=self.follower)
-        self._cursor = applied
-        self.stats.connects += 1
-        sender = asyncio.create_task(self._send_loop(writer))
-        acker = asyncio.create_task(self._ack_loop(reader))
-        try:
-            done, _ = await asyncio.wait(
-                {sender, acker}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            for task in (sender, acker):
-                task.cancel()
-            await asyncio.gather(sender, acker, return_exceptions=True)
-        for task in done:
-            if not task.cancelled() and task.exception() is not None:
-                raise task.exception()
-
-    async def _send_loop(self, writer: asyncio.StreamWriter) -> None:
-        assert self._wake is not None
-        while not self._stopping:
-            free = self.window - (self._cursor - self.log.acked_for(self.follower))
-            records = (
-                self.log.pending_after(self._cursor, limit=free) if free > 0 else []
-            )
-            if not records:
-                await self._wake.wait()
-                self._wake.clear()
-                continue
-            chunk = bytearray()
-            for seq, frame in records:
-                chunk += encode_record(seq, frame)
-                if seq <= self._max_shipped:
-                    self.stats.records_resent += 1
-                self._cursor = seq
-                self._max_shipped = max(self._max_shipped, seq)
-                self.stats.records_shipped += 1
-            writer.write(bytes(chunk))
-            await writer.drain()
-
-    async def _ack_loop(self, reader: asyncio.StreamReader) -> None:
-        assert self._wake is not None
-        while True:
-            (seq,) = _U64.unpack(await reader.readexactly(8))
-            self.log.ack(seq, follower=self.follower)
-            self.stats.acks_received += 1
-            self._wake.set()  # acks free window slots for the sender
+    def _on_append(self) -> None:
+        """The log's wake-up, on the loop: ship what has accumulated."""
+        if self._session is not None:
+            self._session.ship()
 
     # -- synchronization helpers ----------------------------------------
     @property
@@ -225,15 +281,24 @@ class SegmentShipper:
 
     async def wait_caught_up(self, timeout: float | None = None) -> None:
         """Await full acknowledgment by this follower of everything
-        currently in the log."""
+        currently in the log.  Await it on the loop :meth:`run` runs on:
+        the wake-up is an :class:`asyncio.Event` every ack sets."""
         loop = asyncio.get_running_loop()
         deadline = None if timeout is None else loop.time() + timeout
         while self.log.acked_for(self.follower) < self.log.last_seq:
-            if deadline is not None and loop.time() >= deadline:
-                raise TimeoutError(
-                    f"follower {self.lag_records} records behind after {timeout}s"
-                )
-            await asyncio.sleep(0.005)
+            recheck = _CAUGHT_UP_RECHECK_S
+            if deadline is not None:
+                recheck = min(recheck, deadline - loop.time())
+                if recheck <= 0:
+                    raise TimeoutError(
+                        f"follower {self.lag_records} records behind after {timeout}s"
+                    )
+            # Acks land on this loop, so none can slip between clear()
+            # and wait(); the recheck is the safety net for a cursor
+            # moved by anyone else (``log.ack`` called directly).
+            self._acked.clear()
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._acked.wait(), recheck)
 
 
 __all__ = [

@@ -39,8 +39,8 @@ def _as_values(values) -> np.ndarray:
 def run_boundaries(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start/end offsets of contiguous equal-value runs in a column.
 
-    The workhorse of every grouping pass in the columnar pipeline
-    (series grouping, downsample buckets, window closes): one
+    The workhorse of the grouping passes in the columnar pipeline
+    (downsample buckets, window closes, bulk loaders): one
     ``np.diff`` finds all run edges at once.
     """
     n = column.shape[0]
@@ -126,13 +126,17 @@ class PointBatch:
         if len(self.keys) == 1:
             yield self.keys[0], self.timestamps, self.values
             return
-        order = np.argsort(self.key_idx, kind="stable")
-        idx_sorted = self.key_idx[order]
-        starts, ends = run_boundaries(idx_sorted)
-        ts = self.timestamps[order]
-        vals = self.values[order]
-        for s, e in zip(starts, ends):
-            yield self.keys[int(idx_sorted[s])], ts[s:e], vals[s:e]
+        idx, ts, vals = self.key_idx, self.timestamps, self.values
+        steps = idx[1:] - idx[:-1]
+        if steps.size and steps.min() < 0:
+            order = np.argsort(idx, kind="stable")
+            idx, ts, vals = idx[order], ts[order], vals[order]
+            steps = idx[1:] - idx[:-1]
+        # Rows already grouped in key order — a builder's flush, a
+        # decoded block — skip the sort and are sliced in place.
+        bounds = [0, *(np.flatnonzero(steps) + 1).tolist(), len(idx)]
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            yield self.keys[idx[s]], ts[s:e], vals[s:e]
 
     def rows(self, lo: int, hi: int) -> "PointBatch":
         """Row-range view ``[lo, hi)`` sharing the key dictionary.
@@ -195,13 +199,23 @@ class BatchBuilder:
 
     Scalar adds go to growable Python lists; columnar adds are kept as
     numpy chunks; ``build()`` concatenates everything once.
+
+    A series is named once per builder, not once per batch: the
+    ``(metric, tags) → SeriesKey`` interning outlives :meth:`clear`, so
+    a long-lived writer validates and sorts each series' name the first
+    time it sees it and never again.  The table is bounded by the
+    distinct series the builder was ever handed — the same keys the
+    store it feeds holds a column pair for.
     """
 
-    __slots__ = ("_keys", "_index", "_pend_idx", "_pend_ts", "_pend_vals", "_chunks")
+    __slots__ = (
+        "_names", "_keys", "_index", "_pend_idx", "_pend_ts", "_pend_vals", "_chunks",
+    )
 
     def __init__(self) -> None:
+        self._names: dict[tuple, SeriesKey] = {}
         self._keys: list[SeriesKey] = []
-        self._index: dict = {}
+        self._index: dict[SeriesKey, int] = {}
         self._pend_idx: list[int] = []
         self._pend_ts: list[int] = []
         self._pend_vals: list[float] = []
@@ -211,19 +225,17 @@ class BatchBuilder:
         return len(self._pend_ts) + sum(c[1].shape[0] for c in self._chunks)
 
     def _intern(self, metric: str, tags: Mapping[str, str] | None) -> int:
-        cache_key = (metric, tuple(sorted((tags or {}).items())))
-        idx = self._index.get(cache_key)
-        if idx is None:
-            idx = self._intern_key(SeriesKey.make(metric, tags))
-            self._index[cache_key] = idx
-        return idx
+        name = (metric, tuple(sorted((tags or {}).items())))
+        key = self._names.get(name)
+        if key is None:
+            key = self._names[name] = SeriesKey.make(metric, tags)
+        return self._intern_key(key)
 
     def _intern_key(self, key: SeriesKey) -> int:
         idx = self._index.get(key)
         if idx is None:
-            idx = len(self._keys)
+            idx = self._index[key] = len(self._keys)
             self._keys.append(key)
-            self._index[key] = idx
         return idx
 
     def add(
@@ -278,7 +290,7 @@ class BatchBuilder:
         self._pend_vals = []
 
     def build(self, *, clear: bool = True) -> PointBatch:
-        """Assemble the accumulated points; optionally reset the builder."""
+        """Assemble the accumulated points; optionally :meth:`clear`."""
         self._flush_pending()
         if not self._chunks:
             return PointBatch.empty()
@@ -289,7 +301,15 @@ class BatchBuilder:
             np.concatenate([c[2] for c in self._chunks]),
         )
         if clear:
-            self._keys = []
-            self._index = {}
-            self._chunks = []
+            self.clear()
         return batch
+
+    def clear(self) -> None:
+        """Drop the accumulated points and their key dictionary; the
+        series names already interned stay."""
+        self._keys = []
+        self._index = {}
+        self._pend_idx = []
+        self._pend_ts = []
+        self._pend_vals = []
+        self._chunks = []

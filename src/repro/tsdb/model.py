@@ -9,7 +9,7 @@ and a *series* is the unique combination of metric name and tag set.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._\-/]*$")
@@ -28,10 +28,17 @@ def validate_name(name: str, what: str = "name") -> str:
 
 @dataclass(frozen=True, slots=True)
 class SeriesKey:
-    """Canonical identity of one time series: metric + sorted tag pairs."""
+    """Canonical identity of one time series: metric + sorted tag pairs.
+
+    ``str(key)`` is the canonical text ``metric{k=v,...}`` — what shard
+    routing hashes and both durability codecs write — formatted on
+    first use and kept on the key (``_text``: not part of its identity,
+    so equality, hash and ``repr`` never see it).
+    """
 
     metric: str
     tags: tuple[tuple[str, str], ...]
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, metric: str, tags: Mapping[str, str] | None = None) -> "SeriesKey":
@@ -76,6 +83,13 @@ class SeriesKey:
         return True
 
     def __str__(self) -> str:  # e.g. air.co2{city=trondheim,node=ctt-07}
+        text = self._text
+        if text is None:
+            text = self._format()
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def _format(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.tags)
         return f"{self.metric}{{{inner}}}" if inner else self.metric
 

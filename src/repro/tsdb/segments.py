@@ -52,7 +52,9 @@ import os
 import struct
 import zlib
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -69,6 +71,7 @@ _HEADER_PREFIX = struct.Struct("<BI")  # the crc-covered header fields
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _MARKER_HEAD = struct.Struct("<bqB")  # kind, cutoff, has_exclude
+_ROW_BYTES = 20  # one batch row: u4 key_idx + i8 ts delta + f8 value
 
 #: Block type tags — public so frame-level consumers (the replication
 #: log tees pre-framed blocks; followers decode them) can speak the
@@ -80,8 +83,12 @@ BLOCK_COMMENT = _BLOCK_COMMENT = 0x03
 _KIND_DELETE_BEFORE = 1
 _KIND_DELETE_SERIES_BEFORE = 2
 
-#: Batches larger than this split across blocks (u32 payload bound).
-_MAX_BLOCK_ROWS = 1 << 26
+#: Largest replication record (u64 sequence number + framed block) a
+#: follower accepts — a corrupted length prefix must not trigger a
+#: multi-GB read.  It bounds what a writer may frame as well:
+#: :func:`frame_batch` splits a batch into blocks that each fit one
+#: record, so whatever a journal holds a follower can be shipped.
+MAX_RECORD_BYTES = 256 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,9 +166,30 @@ def encode_batch(batch: PointBatch) -> bytes:
     parts.append(_U32.pack(n))
     parts.append(np.ascontiguousarray(batch.key_idx, dtype="<u4").tobytes())
     ts = np.ascontiguousarray(batch.timestamps, dtype="<i8")
-    parts.append(np.diff(ts, prepend=ts.dtype.type(0)).tobytes())
+    deltas = np.empty_like(ts)
+    if n:
+        deltas[0] = ts[0]
+        np.subtract(ts[1:], ts[:-1], out=deltas[1:])
+    parts.append(deltas.tobytes())
     parts.append(np.ascontiguousarray(batch.values, dtype="<f8").tobytes())
     return b"".join(parts)
+
+
+@lru_cache(maxsize=1 << 16)
+def _key_from_utf8(raw: bytes) -> SeriesKey:
+    """The series key a block's dictionary entry names, interned.
+
+    A pure function of CRC-validated bytes, so a follower applying one
+    flush after another and ``load()`` of a WAL fragmented into
+    thousands of 8-point blocks parse and validate each distinct key
+    once, not once per block — and get the same key object back, with
+    its canonical text already formatted.  Bounded, not configurable:
+    65 536 entries of a few hundred bytes each is at most a few tens of
+    MB, a fraction of the 4 KB of columns the store itself allocates
+    per series; past the bound the least recently decoded keys are
+    simply parsed again.
+    """
+    return parse_series_key(raw.decode("utf-8"))
 
 
 def decode_batch(payload: bytes) -> PointBatch:
@@ -174,17 +202,15 @@ def decode_batch(payload: bytes) -> PointBatch:
         for _ in range(n_keys):
             (klen,) = _U16.unpack_from(payload, off)
             off += 2
-            keys.append(
-                parse_series_key(payload[off : off + klen].decode("utf-8"))
-            )
+            keys.append(_key_from_utf8(payload[off : off + klen]))
             off += klen
         (n_rows,) = _U32.unpack_from(payload, off)
         off += 4
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise ValueError(f"bad batch block: {exc}") from None
-    if len(payload) - off != n_rows * 20:  # u4 idx + i8 delta + f8 value
+    if len(payload) - off != n_rows * _ROW_BYTES:
         raise ValueError(
-            f"bad batch block: {n_rows} rows need {n_rows * 20} column bytes, "
+            f"bad batch block: {n_rows} rows need {n_rows * _ROW_BYTES} column bytes, "
             f"found {len(payload) - off}"
         )
     key_idx = np.frombuffer(payload, "<u4", n_rows, off).astype(np.intp)
@@ -244,6 +270,70 @@ def frame_block(block_type: int, payload: bytes) -> bytes:
 
 
 _frame = frame_block
+
+
+def frame_batch(batch: PointBatch) -> list[bytes]:
+    """One batch as its framed block(s): the bytes the journal writes
+    *and* the records the replication log retains.
+
+    Usually one block.  A batch too large for one replication record
+    (:data:`MAX_RECORD_BYTES`) splits by rows into blocks that each fit
+    — every block repeats the key dictionary — so the journal and the
+    log always hold the same frames and a follower never refuses what a
+    primary committed.  Inside :func:`carried_frames` the frames made
+    there are returned as they are, not encoded again.
+    """
+    carried = vars(batch).get("_frames")
+    if carried is not None:
+        return carried
+    n = len(batch)
+    if not n:
+        return []
+    room = MAX_RECORD_BYTES - 8 - _HEADER.size  # largest payload that ships
+    if _ROW_BYTES * n <= room:
+        payload = encode_batch(batch)
+        if len(payload) <= room:
+            return [_frame(_BLOCK_BATCH, payload)]
+        dictionary = len(payload) - _ROW_BYTES * n
+    else:  # too many rows for one block whatever the keys: size those alone
+        dictionary = len(encode_batch(batch.rows(0, 1))) - _ROW_BYTES
+    rows = (room - dictionary) // _ROW_BYTES
+    if rows < 1:
+        raise ValueError(
+            f"key dictionary of {dictionary} bytes leaves no room for a row "
+            f"in a {MAX_RECORD_BYTES}-byte record"
+        )
+    return [
+        _frame(_BLOCK_BATCH, encode_batch(batch.rows(lo, lo + rows)))
+        for lo in range(0, n, rows)
+    ]
+
+
+@contextmanager
+def carried_frames(batch: PointBatch) -> Iterator[None]:
+    """Frame ``batch`` once for every store layer under this call.
+
+    The journal and the replication log sit in one ``put_batch`` call
+    stack and write the same bytes; the outermost layer frames the
+    batch here and :func:`frame_batch` hands those frames to the layers
+    below.  They ride on the batch only for the duration of the
+    ``with`` block — a caller that keeps its batches alive (a bulk
+    loader, a retry buffer) must not keep a second, encoded copy of
+    each alive with them.
+    """
+    state = vars(batch)
+    if "_frames" in state:  # an outer layer is already carrying them
+        yield
+        return
+    frames = state["_frames"] = frame_batch(batch)
+    try:
+        yield
+    finally:
+        # Drop only our own carry, and never raise: one batch object put
+        # into two stacks from two threads can race the check above, and
+        # a KeyError here would fail a write that is already committed.
+        if state.get("_frames") is frames:
+            state.pop("_frames", None)
 
 
 def decode_frame(frame: bytes) -> tuple[int, bytes]:
@@ -365,16 +455,13 @@ class SegmentWriter:
         return self._written
 
     def write_batch(self, batch: PointBatch) -> int:
-        """Append one batch as (usually) one checksummed block.
+        """Append one batch as (usually) one checksummed block — the
+        frames of :func:`frame_batch`.
 
         Flushes per batch — WAL hooks rely on the block being on disk
         before the batch becomes visible in the store (durability
         precedes visibility)."""
-        frames = [
-            _frame(_BLOCK_BATCH, encode_batch(batch.rows(lo, lo + _MAX_BLOCK_ROWS)))
-            for lo in range(0, len(batch), _MAX_BLOCK_ROWS)
-        ]
-        self._emit(frames, len(batch))
+        self._emit(frame_batch(batch), len(batch))
         return len(batch)
 
     def delete_before(
@@ -615,6 +702,6 @@ def _batch_row_count(payload: bytes) -> int:
         off += 4
     except struct.error as exc:
         raise ValueError(f"bad batch block: {exc}") from None
-    if len(payload) - off != n_rows * 20:
+    if len(payload) - off != n_rows * _ROW_BYTES:
         raise ValueError("bad batch block: column bytes disagree with row count")
     return n_rows

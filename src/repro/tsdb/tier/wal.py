@@ -9,7 +9,9 @@ the store they are handed, and are journaled because that store is (or
 wraps) a ``DurableStore``.  The journal holds exactly what the write
 protocol's three primitives produce — a batch block per ``put_batch``,
 a marker block per ``delete_before`` / ``delete_series_before`` — in
-the same frames :class:`~repro.replication.ReplicatedStore` logs.
+the same frames :class:`~repro.replication.ReplicatedStore` logs (for a
+batch, literally the same ``bytes`` objects: :meth:`DurableStore.put_batch`
+frames once and carries the frames down the call).
 Replaying the WAL rebuilds the store; compacting it (see
 :mod:`.compact`) keeps that replay proportional to live data.  A legacy
 text log is not a journal: convert it first (``repro convert-log``) —
@@ -37,6 +39,7 @@ from ..batch import PointBatch
 from ..interface import StoreWrapper
 from ..model import SeriesKey
 from ..persistence import SegmentWriter
+from ..segments import carried_frames
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..interface import TimeSeriesStore
@@ -69,7 +72,9 @@ class DurableStore(StoreWrapper):
 
     # -- journaled writes ------------------------------------------------
     def put_batch(self, batch: PointBatch) -> int:
-        with self._lock:
+        # Framed once, here: the block the journal writes is the very
+        # object a ReplicatedStore below retains in its log.
+        with self._lock, carried_frames(batch):
             self._writer.write_batch(batch)
             return self._store.put_batch(batch)
 

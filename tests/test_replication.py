@@ -41,7 +41,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.replication import (
+    REPLICATION_MAGIC,
     Follower,
+    FollowerStats,
     ReplicatedStore,
     ReplicationLog,
     SegmentShipper,
@@ -52,6 +54,7 @@ from repro.tsdb import (
     DataPoint,
     DeleteBefore,
     DeleteSeriesBefore,
+    DurableStore,
     PointBatch,
     Query,
     SegmentWriter,
@@ -61,6 +64,7 @@ from repro.tsdb import (
     load,
     parse_series_key,
 )
+from repro.tsdb import segments
 from repro.tsdb.segments import decode_block, decode_frame
 
 # Tight timings so a full fault schedule replays in well under a second
@@ -352,6 +356,93 @@ class TestShipperFollower:
         follower = ship(primary, Follower(), plan=plan)
         assert follower.stats.gaps > 0  # reordering was actually seen
         assert dumps(follower.store) == dumps(primary.wrapped)
+
+    def test_a_batch_larger_than_one_record_ships_as_several(
+        self, tmp_path, monkeypatch
+    ):
+        """The framing function never produces a block the follower
+        would refuse: an oversize ``put_batch`` used to be shipped,
+        refused as a corrupt frame, reconnected and re-sent forever."""
+        monkeypatch.setattr(segments, "MAX_RECORD_BYTES", 512)
+        primary = ReplicatedStore(TSDB())
+        durable = DurableStore(primary, tmp_path / "wal.seg")
+        b = BatchBuilder()
+        for i in range(100):
+            b.add("air.co2.ppm", 1000 - 3 * (i % 17), float(i), {"node": "abc"[i % 3]})
+        durable.put_batch(b.build())
+        durable.close()
+        records = primary.log.last_seq
+        assert records > 1
+        follower = ship(primary, Follower(shards=3), timeout=5.0)
+        assert follower.stats.as_dict() == {
+            **FollowerStats().as_dict(),
+            "connections": 1,
+            "records_applied": records,
+            "points_applied": 100,
+        }
+        state = dumps(primary.wrapped, format="binary")
+        assert dumps(follower.store, format="binary") == state
+        assert dumps(load(durable.wal_path), format="binary") == state
+
+    def test_wait_caught_up_never_waits_past_its_deadline(self, monkeypatch):
+        """The event's recheck interval is a safety net, not a floor: a
+        short timeout bounds every wait — also before ``run()`` started."""
+        log = ReplicationLog()
+        log.append_batch(small_batch(0))
+        waits = []
+        wait_for = asyncio.wait_for
+
+        def recording(aw, timeout):
+            waits.append(timeout)
+            return wait_for(aw, timeout)
+
+        monkeypatch.setattr(asyncio, "wait_for", recording)
+
+        async def _run():
+            shipper = SegmentShipper(log, "127.0.0.1", 1, **FAST)  # never run
+            with pytest.raises(TimeoutError, match="1 records behind"):
+                await shipper.wait_caught_up(timeout=0.01)
+
+        asyncio.run(_run())
+        assert waits and all(0 < t <= 0.01 for t in waits)
+
+    def test_the_handshake_is_counted_however_the_bytes_arrive(self):
+        """Wrong magic, no bytes and half a magic are each one bad
+        handshake and no connection; a magic cut across two reads is
+        answered with the applied mark."""
+
+        async def dial(follower, *chunks, reply=0):
+            reader, writer = await asyncio.open_connection(
+                follower.host, follower.port
+            )
+            for chunk in chunks:
+                writer.write(chunk)
+                await writer.drain()
+                await asyncio.sleep(0.01)
+            got = await reader.readexactly(reply) if reply else b""
+            writer.close()
+            await writer.wait_closed()
+            return got
+
+        async def _run():
+            follower = Follower()
+            await follower.start()
+            await dial(follower, b"NOPE\x00\x01")
+            await dial(follower)
+            await dial(follower, REPLICATION_MAGIC[:3])
+            assert follower.stats.connections == 0
+            mark = await dial(
+                follower, REPLICATION_MAGIC[:2], REPLICATION_MAGIC[2:], reply=8
+            )
+            assert mark == (0).to_bytes(8, "little")
+            await asyncio.sleep(0.01)  # the last close reaches the follower
+            await follower.stop()
+            return follower
+
+        follower = asyncio.run(_run())
+        assert follower.stats.bad_handshakes == 3
+        assert follower.stats.connections == 1
+        assert follower.stats.torn_tails == 0
 
     def test_promote_freezes_the_store(self):
         primary = ReplicatedStore(TSDB())

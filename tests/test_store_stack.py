@@ -40,6 +40,7 @@ from repro.tsdb import (
     load,
     wire,
 )
+from repro.tsdb import segments
 from repro.tsdb.segments import SEGMENT_MAGIC
 
 _METRICS = ("air.co2", "air.no2")
@@ -143,6 +144,55 @@ def test_every_write_entry_point_reaches_wal_log_and_store_alike(
     assert dumps(bare, format="binary") == state
     assert dumps(load(durable.wal_path), format="binary") == state
     assert dumps(load(io.BytesIO(SEGMENT_MAGIC + frames)), format="binary") == state
+
+
+def test_a_batch_too_large_for_one_record_is_split_once_for_wal_and_log(
+    tmp_path, monkeypatch
+):
+    """One framing function: the journal writes the blocks the log
+    retains, also when a batch needs several — and none of them is
+    larger than a record a follower accepts."""
+    monkeypatch.setattr(segments, "MAX_RECORD_BYTES", 512)
+    inner = ShardedTSDB(4)
+    replicated = ReplicatedStore(inner)
+    durable = DurableStore(replicated, tmp_path / "wal.seg")
+    rows = [
+        ((_METRICS[i % 2], _NODES[i % 3], "a"), 1000 - 7 * (i % 13), float(i))
+        for i in range(100)
+    ]
+    batch = PointBatch.from_points([_point(r) for r in rows])
+    assert durable.put_batch(batch) == 100
+    assert "_frames" not in vars(batch)  # carried for the call, not kept
+
+    # A key dictionary that alone overflows a record cannot be framed:
+    # refused before anything is journaled, committed or logged.
+    wide = PointBatch.from_points(
+        [
+            DataPoint(SeriesKey.make("m", {"node": f"{i:03d}" + "x" * 60}), 1, 1.0)
+            for i in range(8)
+        ]
+    )
+    committed = dumps(inner, format="binary")
+    logged = len(replicated.log)
+    for layer in (durable, replicated):
+        with pytest.raises(ValueError, match="key dictionary"):
+            layer.put_batch(wide)
+    assert "_frames" not in vars(wide)
+    assert dumps(inner, format="binary") == committed
+    assert len(replicated.log) == logged
+    durable.close()
+
+    records = replicated.log.pending_after(0)
+    assert len(records) > 1
+    assert all(8 + len(frame) <= 512 for _, frame in records)
+    assert replicated.log.appended_points == 100
+    frames = b"".join(frame for _, frame in records)
+    assert durable.wal_path.read_bytes() == SEGMENT_MAGIC + frames
+    bare = TSDB()
+    bare.put_batch(batch)
+    state = dumps(bare, format="binary")
+    assert dumps(inner, format="binary") == state
+    assert dumps(load(durable.wal_path), format="binary") == state
 
 
 @pytest.mark.parametrize(

@@ -195,6 +195,22 @@ class TestPointBatch:
         ]
         assert len(PointBatch.from_points(pts)) == 2
 
+    def test_builder_names_a_series_once_but_keys_each_batch_afresh(self):
+        """``clear`` drops the points and the batch's key dictionary
+        (it is written into every block) — not the interned names."""
+        builder = BatchBuilder()
+        builder.add("m", 1, 1.0, {"n": "a"})
+        first = builder.build()
+        builder.add("m", 2, 2.0, {"n": "b"})
+        second = builder.build(clear=False)
+        assert [str(k) for k in second.keys] == ["m{n=b}"]
+        builder.clear()
+        assert len(builder) == 0 and builder.build().is_empty()
+        builder.add("m", 3, 3.0, {"n": "a"})
+        third = builder.build()
+        assert third.keys[0] is first.keys[0]  # the same key object
+        assert third.key_idx.tolist() == [0] and third.timestamps.tolist() == [3]
+
     def test_builder_add_series_interleaves_with_scalar_adds(self):
         builder = BatchBuilder()
         builder.add("m", 1, 1.0)

@@ -1,5 +1,8 @@
 """Tests for repro.tsdb.model and repro.tsdb.series."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,29 @@ class TestSeriesKey:
         k = SeriesKey.make("air.co2.ppm", {"node": "ctt-07", "city": "trondheim"})
         assert str(k) == "air.co2.ppm{city=trondheim,node=ctt-07}"
         assert str(SeriesKey.make("m")) == "m"
+
+    def test_canonical_text_is_kept_and_is_not_part_of_the_identity(self):
+        made = SeriesKey.make("air.co2.ppm", {"node": "ctt-07", "city": "trondheim"})
+        bare = SeriesKey("air.co2.ppm", (("city", "trondheim"), ("node", "ctt-07")))
+        fresh = SeriesKey.make("air.co2.ppm", {"node": "ctt-07", "city": "trondheim"})
+        plain = repr(fresh)
+        for key in (made, bare):
+            text = str(key)
+            assert text == "air.co2.ppm{city=trondheim,node=ctt-07}"
+            assert str(key) is text  # formatted once, then kept
+            # ... and invisible: a key that was formatted and one that
+            # never was are the same key.
+            assert key == fresh and hash(key) == hash(fresh)
+            assert repr(key) == plain and "_text" not in plain
+            assert {key: 1}[fresh] == 1
+        clone = pickle.loads(pickle.dumps(made))
+        assert clone == made and hash(clone) == hash(made)
+        assert str(clone) == str(made) and repr(clone) == plain
+        moved = dataclasses.replace(made, metric="air.no2.ugm3")
+        assert str(moved) == "air.no2.ugm3{city=trondheim,node=ctt-07}"
+        assert moved != made and str(made).startswith("air.co2.ppm{")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.metric = "other"  # type: ignore[misc]
 
     def test_tag_lookup(self):
         k = SeriesKey.make("m", {"node": "x"})

@@ -34,6 +34,7 @@ from repro.tsdb import (
     Query,
     SegmentCorruption,
     SegmentWriter,
+    SeriesKey,
     ShardedTSDB,
     TSDB,
     convert_log,
@@ -46,7 +47,13 @@ from repro.tsdb import (
     segment_point_count,
     snapshot,
 )
-from repro.tsdb.segments import SEGMENT_MAGIC, decode_batch, encode_batch
+from repro.tsdb.segments import (
+    SEGMENT_MAGIC,
+    carried_frames,
+    decode_batch,
+    encode_batch,
+    frame_batch,
+)
 
 
 def make_point(metric="m", ts=100, val=1.5, tags=None):
@@ -85,6 +92,38 @@ class TestCodec:
 
     def test_empty_batch_round_trip(self):
         assert len(decode_batch(encode_batch(PointBatch.empty()))) == 0
+
+    def test_delta_column_is_the_diff_with_a_leading_zero(self):
+        """delta[0] = ts[0], int64 wrap-around included — the bytes
+        ``np.diff(ts, prepend=0)`` would give."""
+        ts = np.array([5, 3, 3, 2**62, -(2**62), 7, -9], dtype=np.int64)
+        batch = PointBatch(
+            (SeriesKey.make("m"),), np.zeros(7, np.intp), ts, np.arange(7.0)
+        )
+        payload = encode_batch(batch)
+        head = len(payload) - 20 * 7
+        assert payload[head + 28 : head + 84] == (
+            np.diff(ts, prepend=np.int64(0)).astype("<i8").tobytes()
+        )
+        assert_batches_equal(decode_batch(payload), batch)
+
+    def test_decoded_keys_are_interned(self):
+        payload = encode_batch(mixed_batch())
+        first, again = decode_batch(payload), decode_batch(payload)
+        assert all(a is b for a, b in zip(first.keys, again.keys))
+        assert first.keys == mixed_batch().keys
+
+    def test_a_carry_drops_only_its_own_frames_and_never_raises(self):
+        """One batch object put into two stacks from two threads can
+        race the carry; the ``finally`` runs after the write committed,
+        so it must not turn a finished write into a failure."""
+        batch = mixed_batch()
+        with carried_frames(batch):
+            del vars(batch)["_frames"]  # the other stack's finally ran first
+        other = frame_batch(batch)
+        with carried_frames(batch):
+            vars(batch)["_frames"] = other  # the other stack's set ran last
+        assert vars(batch).pop("_frames") is other  # theirs to drop
 
     def test_parse_series_key_round_trip(self):
         for key in mixed_batch().keys:
