@@ -1,10 +1,16 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-sharded test-region test-persist test-query test-catalog test-replication test-tier test-uplink serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e lint loc
+.PHONY: test test-store test-sharded test-region test-persist test-query test-catalog test-replication test-tier test-uplink serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e lint loc
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The store-surface gate: every write and read the protocol names, on
+# every engine, through the wrapper stack and the pager, plus the suites
+# of everything derived from the primitives (catalog, tier, serving).
+test-store:
+	$(PYTHON) -m pytest -q tests/test_store_stack.py tests/test_store_reads.py tests/test_tsdb_sharded.py tests/test_tsdb_catalog.py tests/test_tsdb_tier.py tests/test_serve.py
 
 # The sharded-equivalence gate: fixed-seed, fully deterministic.
 test-sharded:

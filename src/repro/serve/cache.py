@@ -98,6 +98,10 @@ _Validators = tuple
 class ResultCache:
     """LRU of :class:`QueryResult` keyed by the planner's canonical
     query key, validated against store write generations on every hit.
+
+    The LRU body (look-up, insertion, eviction, :class:`CacheStats`) is
+    written against ``_key`` / :meth:`capture` / ``_holds``, three names
+    :class:`CatalogCache` overrides to share it.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -105,12 +109,12 @@ class ResultCache:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
         self.stats = CacheStats()
-        self._entries: OrderedDict[tuple, tuple[QueryResult, _Validators]] = (
-            OrderedDict()
-        )
+        self._entries: OrderedDict = OrderedDict()  # key -> (answer, validators)
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    _key = staticmethod(_canonical_key)
 
     def capture(self, store, q: Query) -> _Validators:
         """Snapshot the validators a result for ``q`` would depend on.
@@ -135,41 +139,39 @@ class ResultCache:
             store.series_generation(key) == gen for key, gen in series_gens
         )
 
-    def lookup(self, store, q: Query) -> QueryResult | None:
-        """A still-valid cached result for ``q``, or None.
+    def lookup(self, store, request):
+        """A still-valid cached answer for ``request``, or None.
 
         Invalid entries (a touched series was written or deleted, or
         the metric's series set changed) are dropped on sight.
         """
-        key = _canonical_key(q)
+        key = self._key(request)
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return None
-        result, validators = entry
-        if not self._holds(store, q, validators):
+        answer, validators = entry
+        if not self._holds(store, request, validators):
             del self._entries[key]
             self.stats.invalidated += 1
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return result
+        return answer
 
-    def insert(
-        self, store, q: Query, validators: _Validators, result: QueryResult
-    ) -> bool:
-        """Cache a freshly computed result, unless a write raced it.
+    def insert(self, store, request, validators: _Validators, answer) -> bool:
+        """Cache a freshly computed answer, unless a write raced it.
 
         ``validators`` must come from :meth:`capture` taken before the
-        execution; if they no longer hold the result may already be
+        execution; if they no longer hold the answer may already be
         stale and is *not* cached (returns False).
         """
-        if not self._holds(store, q, validators):
+        if not self._holds(store, request, validators):
             self.stats.skipped += 1
             return False
-        key = _canonical_key(q)
-        self._entries[key] = (result, validators)
+        key = self._key(request)
+        self._entries[key] = (answer, validators)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -180,7 +182,7 @@ class ResultCache:
         self._entries.clear()
 
 
-class CatalogCache:
+class CatalogCache(ResultCache):
     """LRU of catalog responses validated by catalog generations.
 
     Catalog answers are tiny but hot — dashboards hammer the suggest
@@ -194,61 +196,22 @@ class CatalogCache:
     """
 
     def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = int(capacity)
-        self.stats = CacheStats()
-        self._entries: OrderedDict[tuple, tuple[dict, _Validators]] = (
-            OrderedDict()
-        )
+        super().__init__(capacity)
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    _key = staticmethod(CatalogRequest.cache_key)
 
     def capture(self, store, req: CatalogRequest) -> _Validators:
         if req.op == "metrics":
             return ("catalog", store.catalog_generation())
         return ("metric", req.metric, store.metric_generation(req.metric))
 
-    def _holds(self, store, validators: _Validators) -> bool:
+    def _holds(
+        self, store, req: CatalogRequest, validators: _Validators
+    ) -> bool:
         if validators[0] == "catalog":
             return store.catalog_generation() == validators[1]
         _, metric, gen = validators
         return store.metric_generation(metric) == gen
-
-    def lookup(self, store, req: CatalogRequest) -> dict | None:
-        key = req.cache_key()
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        response, validators = entry
-        if not self._holds(store, validators):
-            del self._entries[key]
-            self.stats.invalidated += 1
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return response
-
-    def insert(
-        self, store, req: CatalogRequest, validators: _Validators,
-        response: dict,
-    ) -> bool:
-        if not self._holds(store, validators):
-            self.stats.skipped += 1
-            return False
-        key = req.cache_key()
-        self._entries[key] = (response, validators)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evicted += 1
-        return True
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 class CachingStore(StoreWrapper):
@@ -257,11 +220,10 @@ class CachingStore(StoreWrapper):
     Overrides the planner's ``_run_unique_batch`` hook and nothing else:
     per unique query the cache answers or the miss set executes as one
     batch on the wrapped store (keeping shared matching/scans for the
-    misses).  The write primitives, introspection, maintenance and
-    generation tracking pass through to the wrapped store, so a
-    ``CachingStore`` is a drop-in :class:`TimeSeriesStore` and writes
-    through it invalidate exactly the entries they touch.  It is the
-    outermost layer of the store stack:
+    misses).  Every primitive, write or read, passes through to the
+    wrapped store, so a ``CachingStore`` is a drop-in
+    :class:`TimeSeriesStore` and writes through it invalidate exactly the
+    entries they touch.  It is the outermost layer of the store stack:
     ``CachingStore(DurableStore(ReplicatedStore(store)))``.
     """
 

@@ -45,6 +45,7 @@ binary) through the same index/unindex hooks the live process used.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
 from .model import SeriesKey, validate_name
@@ -106,6 +107,10 @@ class SeriesCatalog:
         self.max_tag_values = max_tag_values
         self._metrics: dict[str, _MetricIndex] = {}
         self._generation = 0
+        # metric -> count of series created/removed under it.  Beside
+        # the postings, not in them: a metric's index is pruned with its
+        # last series, and a re-created metric must not repeat a value.
+        self._metric_generations: dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
     # Maintenance (the store's index/unindex hooks)
@@ -119,6 +124,11 @@ class SeriesCatalog:
         can have changed.
         """
         return self._generation
+
+    def metric_generation(self, metric: str) -> int:
+        """Counter of series added/removed under ``metric`` (monotonic,
+        also across the metric being emptied and created again)."""
+        return self._metric_generations.get(metric, 0)
 
     def __len__(self) -> int:
         return sum(len(idx.keys) for idx in self._metrics.values())
@@ -164,6 +174,7 @@ class SeriesCatalog:
             idx.by_key.setdefault(k, set()).add(key)
             idx.by_value.setdefault(k, {}).setdefault(v, set()).add(key)
         self._generation += 1
+        self._metric_generations[key.metric] += 1
 
     def discard(self, key: SeriesKey) -> None:
         """Unindex a dead series, pruning emptied postings (idempotent).
@@ -194,10 +205,7 @@ class SeriesCatalog:
         if not idx.keys:
             del self._metrics[key.metric]
         self._generation += 1
-
-    def clear(self) -> None:
-        self._metrics.clear()
-        self._generation += 1
+        self._metric_generations[key.metric] += 1
 
     # ------------------------------------------------------------------
     # Metadata API (the /api/suggest surface)
@@ -316,6 +324,15 @@ class MergedCatalog:
         """Sum of the per-shard generations (monotonic, changes exactly
         when any shard's series set does)."""
         return sum(part.generation for part in self._parts)
+
+    def metric_generation(self, metric: str) -> int:
+        """Create/remove counter for a metric, summed over shards.
+
+        Each shard's counter is monotonic, so the sum is monotonic and
+        changes exactly when any shard's series set for the metric
+        does — the same validity signal the single store provides.
+        """
+        return sum(part.metric_generation(metric) for part in self._parts)
 
     def __len__(self) -> int:
         return sum(len(part) for part in self._parts)

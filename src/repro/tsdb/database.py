@@ -8,10 +8,7 @@ cross-series aggregation → (optional) downsample.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Mapping
 
 from . import plan as planner
 from .batch import PointBatch
@@ -52,9 +49,6 @@ class TSDB(StoreApi):
         # series postings, maintained on every index/unindex path, so
         # matching and the metadata API are O(result), not O(series).
         self.catalog = SeriesCatalog(max_tag_values)
-        # metric -> count of series created/removed under it; a cached
-        # match set for the metric is valid only while this holds still.
-        self._metric_gen: dict[str, int] = defaultdict(int)
         self._puts = 0
 
     # ------------------------------------------------------------------
@@ -69,7 +63,6 @@ class TSDB(StoreApi):
             self.catalog.add(key)
             store = SeriesStore()
             self._stores[key] = store
-            self._metric_gen[key.metric] += 1
         return store
 
     def put(
@@ -112,11 +105,11 @@ class TSDB(StoreApi):
         return n
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Reads: ``catalog`` above and these; StoreApi derives every other
     # ------------------------------------------------------------------
-    @property
-    def series_count(self) -> int:
-        return len(self._stores)
+    def _series(self, key: SeriesKey) -> SeriesStore | None:
+        """Column store of one live series, or None for unknown keys."""
+        return self._stores.get(key)
 
     @property
     def point_count(self) -> int:
@@ -130,115 +123,6 @@ class TSDB(StoreApi):
     def write_count(self) -> int:
         """Total puts accepted (includes overwritten duplicates)."""
         return self._puts
-
-    def metrics(self) -> list[str]:
-        return self.catalog.metrics()
-
-    def series_for_metric(self, metric: str) -> list[SeriesKey]:
-        return self.catalog.series(metric)
-
-    def tag_keys(self, metric: str) -> list[str]:
-        """Tag keys appearing on any live series of ``metric``, sorted."""
-        return self.catalog.tag_keys(metric)
-
-    def tag_values(self, metric: str, tag_key: str) -> list[str]:
-        """Distinct live values of one tag key under ``metric``, sorted."""
-        return self.catalog.tag_values(metric, tag_key)
-
-    def cardinality(
-        self, metric: str, tags: Mapping[str, str] | None = None
-    ) -> int:
-        """Number of live series matching ``(metric, tags)`` — O(result)."""
-        return self.catalog.cardinality(metric, tags)
-
-    def last(
-        self, metric: str, tags: Mapping[str, str] | None = None
-    ) -> dict[SeriesKey, tuple[int, float]]:
-        """Latest point per matching series (dashboards' live tiles)."""
-        out: dict[SeriesKey, tuple[int, float]] = {}
-        for key in self._match(metric, tags or {}):
-            latest = self._stores[key].latest()
-            if latest is not None:
-                out[key] = latest
-        return out
-
-    # ------------------------------------------------------------------
-    # Write-generation tracking (serving-layer cache/refresh validity)
-    # ------------------------------------------------------------------
-    def series_generation(self, key: SeriesKey) -> int:
-        """Mutation counter of one series; 0 for unknown keys.
-
-        Monotonic per live series: any write or retention delete bumps
-        it, so a cached query result is exactly as fresh as the
-        generations of the series it touched.  (A removed-and-recreated
-        series restarts at small values — :meth:`metric_generation`
-        changes on both events, which is what cache validators check
-        alongside this.)
-        """
-        store = self._stores.get(key)
-        return 0 if store is None else store.generation
-
-    def series_reshape_generation(self, key: SeriesKey) -> int:
-        """Counter of non-append mutations of one series; 0 if unknown.
-
-        While it holds still, the series only grew past its previous
-        maximum timestamp — the invariant that makes incremental
-        dashboard refresh (splice new buckets onto cached ones) exact.
-        """
-        store = self._stores.get(key)
-        return 0 if store is None else store.reshape_generation
-
-    def metric_generation(self, metric: str) -> int:
-        """Counter of series created/removed under ``metric``.
-
-        A cached match set (and therefore grouping) for any filter on
-        this metric is valid only while this value holds still.
-        """
-        return self._metric_gen.get(metric, 0)
-
-    def catalog_generation(self) -> int:
-        """Counter of series created/removed anywhere in the store.
-
-        Whole-catalog answers (``metrics()``) are valid while it holds
-        still; metric-scoped answers use :meth:`metric_generation`.
-        """
-        return self.catalog.generation
-
-    def series_latest(self, key: SeriesKey) -> tuple[int, float] | None:
-        """Latest ``(timestamp, value)`` of one series, or None if unknown."""
-        store = self._stores.get(key)
-        return None if store is None else store.latest()
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def _run_unique_batch(
-        self, queries: Sequence[Query], parallel: bool | None = None
-    ) -> list[QueryResult]:
-        """Execution hook behind ``run_many``: the planner's shared
-        executor over this store's catalog and series columns."""
-        # ``parallel`` is ignored: the frozen benchmarks/e2e ScanProxy passes it.
-        return planner.run_unique_batch(queries, self._match, self.series_slice)
-
-    def series_slice(
-        self, key: SeriesKey, start: int | None = None, end: int | None = None
-    ) -> SeriesSlice:
-        """Raw sorted slice of one series; empty for unknown keys."""
-        store = self._stores.get(key)
-        if store is None:
-            return SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
-        return store.scan(start, end)
-
-    def _match(self, metric: str, tags: Mapping[str, str]) -> list[SeriesKey]:
-        """Series matching a filter, in canonical sorted order.
-
-        Resolved entirely in the catalog's postings: exact values
-        intersect, ``"a|b"`` alternations union, ``"*"`` uses has-key
-        postings, and ``key.matches`` runs only over the narrowed pool
-        as a final exactness check — O(result), not O(series-under-
-        metric), and deterministic regardless of set iteration order.
-        """
-        return self.catalog.match(metric, tags)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -284,7 +168,6 @@ class TSDB(StoreApi):
         index entries behind forever.
         """
         del self._stores[key]
-        self._metric_gen[key.metric] += 1
         self.catalog.discard(key)
 
 

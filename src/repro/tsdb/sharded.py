@@ -26,17 +26,15 @@ from __future__ import annotations
 import re
 import zlib
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import persistence
-from . import plan as planner
 from .batch import PointBatch
 from .catalog import MergedCatalog
 from .database import TSDB
 from .interface import StoreApi
 from .model import DataPoint, SeriesKey
-from .query import Query, QueryResult
-from .series import SeriesSlice
+from .series import SeriesStore
 
 
 def shard_for_key(key: SeriesKey, num_shards: int) -> int:
@@ -78,7 +76,7 @@ class ShardedTSDB(StoreApi):
         # per-shard limit would admit up to N distinct values *per
         # shard*, diverging from the single store's semantics — so the
         # guard check happens at routing time (:meth:`_admit`).
-        self._catalog = MergedCatalog(
+        self.catalog = MergedCatalog(
             [sh.catalog for sh in self._shards], max_tag_values=max_tag_values
         )
 
@@ -122,8 +120,8 @@ class ShardedTSDB(StoreApi):
         the check — a union over shard catalogs — runs once per new
         series, not per point.
         """
-        if self._catalog.max_tag_values is not None and key not in shard._stores:
-            self._catalog.check_add(key)
+        if self.catalog.max_tag_values is not None and key not in shard._stores:
+            self.catalog.check_add(key)
 
     def put_point(self, point: DataPoint) -> SeriesKey:
         shard = self._shards[self.shard_of(point.key)]
@@ -146,11 +144,11 @@ class ShardedTSDB(StoreApi):
     # (→ put_batch).
 
     # ------------------------------------------------------------------
-    # Introspection (union over shards)
+    # Reads: ``catalog`` above and these; StoreApi derives every other
     # ------------------------------------------------------------------
-    @property
-    def series_count(self) -> int:
-        return sum(sh.series_count for sh in self._shards)
+    def _series(self, key: SeriesKey) -> SeriesStore | None:
+        """Column store of one live series, from its owning shard."""
+        return self._shards[self.shard_of(key)]._series(key)
 
     @property
     def point_count(self) -> int:
@@ -162,83 +160,6 @@ class ShardedTSDB(StoreApi):
     @property
     def write_count(self) -> int:
         return sum(sh.write_count for sh in self._shards)
-
-    @property
-    def catalog(self) -> MergedCatalog:
-        """Read-only merged catalog over the per-shard inverted indexes."""
-        return self._catalog
-
-    def metrics(self) -> list[str]:
-        return self._catalog.metrics()
-
-    def series_for_metric(self, metric: str) -> list[SeriesKey]:
-        return self._catalog.series(metric)
-
-    def tag_keys(self, metric: str) -> list[str]:
-        """Tag keys on any live series of ``metric``, across all shards."""
-        return self._catalog.tag_keys(metric)
-
-    def tag_values(self, metric: str, tag_key: str) -> list[str]:
-        """Distinct live values of one tag key, across all shards."""
-        return self._catalog.tag_values(metric, tag_key)
-
-    def cardinality(
-        self, metric: str, tags: Mapping[str, str] | None = None
-    ) -> int:
-        """Matching-series count summed over the (disjoint) shards."""
-        return self._catalog.cardinality(metric, tags)
-
-    def last(
-        self, metric: str, tags: Mapping[str, str] | None = None
-    ) -> dict[SeriesKey, tuple[int, float]]:
-        out: dict[SeriesKey, tuple[int, float]] = {}
-        for sh in self._shards:
-            out.update(sh.last(metric, tags))  # key sets are disjoint
-        return out
-
-    # ------------------------------------------------------------------
-    # Write-generation tracking (routes like any other series access)
-    # ------------------------------------------------------------------
-    def series_generation(self, key: SeriesKey) -> int:
-        """Mutation counter of one series (owning shard's counter)."""
-        return self._shards[self.shard_of(key)].series_generation(key)
-
-    def series_reshape_generation(self, key: SeriesKey) -> int:
-        """Non-append mutation counter of one series (owning shard's)."""
-        return self._shards[self.shard_of(key)].series_reshape_generation(key)
-
-    def metric_generation(self, metric: str) -> int:
-        """Create/remove counter for a metric, summed over shards.
-
-        Each shard's counter is monotonic, so the sum is monotonic and
-        changes exactly when any shard's series set for the metric
-        does — the same validity signal the single store provides.
-        """
-        return sum(sh.metric_generation(metric) for sh in self._shards)
-
-    def catalog_generation(self) -> int:
-        """Series create/remove counter, summed over shards (monotonic)."""
-        return self._catalog.generation
-
-    def series_latest(self, key: SeriesKey) -> tuple[int, float] | None:
-        """Latest ``(timestamp, value)`` of one series, or None."""
-        return self._shards[self.shard_of(key)].series_latest(key)
-
-    # ------------------------------------------------------------------
-    # Queries (the shared plan over routed scans)
-    # ------------------------------------------------------------------
-    def _run_unique_batch(
-        self, queries: Sequence[Query], parallel: bool | None = None
-    ) -> list[QueryResult]:
-        """Execution hook behind ``run_many``: the planner's shared
-        executor over the merged catalog, scans routed per series."""
-        # ``parallel`` is ignored: the frozen benchmarks/e2e ScanProxy passes it.
-        return planner.run_unique_batch(queries, self._match, self.series_slice)
-
-    def series_slice(
-        self, key: SeriesKey, start: int | None = None, end: int | None = None
-    ) -> SeriesSlice:
-        return self._shards[self.shard_of(key)].series_slice(key, start, end)
 
     # ------------------------------------------------------------------
     # Maintenance (fan out)
@@ -312,15 +233,6 @@ class ShardedTSDB(StoreApi):
             persistence.load(files[i], into=shard)
             validate_shard_routing(shard, i, n)
         return db
-
-    # ------------------------------------------------------------------
-    # Internals shared with the single store's callers
-    # ------------------------------------------------------------------
-    def _match(self, metric: str, tags: Mapping[str, str]) -> list[SeriesKey]:
-        """Matching series in canonical sorted order — the merged
-        catalog's per-shard postings matches, so the result list is
-        identical to the single store's for any shard count."""
-        return self._catalog.match(metric, tags)
 
     def __repr__(self) -> str:
         per_shard = ",".join(str(sh.series_count) for sh in self._shards)

@@ -6,14 +6,17 @@ process can answer anything — cold-start latency and RAM both track the
 directory but replays a shard only the first time an operation actually
 touches it:
 
-- **keyed operations** (``series_slice``, ``put_batch`` — and through
-  it every derived write: ``put``, ``put_point``, ``put_series``,
-  ``put_many`` — ``delete_series_before``, generation reads) hash-route
-  exactly like the store does, so they page in only the owning shards —
-  an exact read of one series costs one shard's replay, not N;
-- **global operations** (queries, ``metrics``, wildcard matching,
-  snapshots) page in everything on first use — tag filters are subset
-  matches, so no shard can be ruled out without its key set.
+- **keyed operations** (``_series`` — and through it every keyed read:
+  ``series_slice``, ``series_latest``, both series generations —
+  ``put_batch`` — and through it every derived write: ``put``,
+  ``put_point``, ``put_series``, ``put_many`` — ``delete_series_before``)
+  hash-route exactly like the store does, so they page in only the
+  owning shards — an exact read of one series costs one shard's replay,
+  not N;
+- **global operations** (``catalog`` — and through it queries,
+  ``metrics``, wildcard matching — the counts, snapshots) page in
+  everything on first use — tag filters are subset matches, so no shard
+  can be ruled out without its key set.
 
 Once a shard is resident it is exactly the shard ``restore_from_dir``
 would have built (including the routing validation), so a fully paged
@@ -26,13 +29,11 @@ from __future__ import annotations
 import os
 import threading
 from pathlib import Path
-from typing import Mapping, Sequence
-
 from ..batch import PointBatch
 from ..interface import StoreApi
 from ..model import SeriesKey
 from ..persistence import load
-from ..query import Query, QueryResult
+from ..series import SeriesStore
 from ..sharded import (
     ShardedTSDB,
     scan_snapshot_dir,
@@ -47,11 +48,11 @@ class ColdShardPager(StoreApi):
     """A :class:`ShardedTSDB` whose shards replay lazily from disk.
 
     Satisfies the ``TimeSeriesStore`` protocol by delegation: the keyed
-    operations below page the owning shard, the derived writes reach
-    them through :class:`~repro.tsdb.interface.StoreApi`, and anything
-    else pages in *all* remaining shards and then passes through, so
-    semantics never diverge from the eager store — laziness only ever
-    changes *when* a shard's file is read.
+    operations below page the owning shard, the derived reads and writes
+    reach them through :class:`~repro.tsdb.interface.StoreApi`, and
+    anything else (``catalog`` first of all) pages in *all* remaining
+    shards and then passes through, so semantics never diverge from the
+    eager store — laziness only ever changes *when* a shard's file is read.
     """
 
     def __init__(self, directory: str | os.PathLike[str]) -> None:
@@ -78,9 +79,7 @@ class ColdShardPager(StoreApi):
         (deterministic, unlike RSS: unloaded shards contribute zero)."""
         with self._lock:
             return sum(
-                sum(len(sl) for _, sl in self._db.shards[i].iter_series())
-                for i, r in enumerate(self._resident)
-                if r
+                self._db.shards[i].exact_point_count() for i in self.resident_shards
             )
 
     def _page_in(self, index: int) -> None:
@@ -92,21 +91,14 @@ class ColdShardPager(StoreApi):
             validate_shard_routing(shard, index, self._db.num_shards)
             self._resident[index] = True
 
-    def _page_all(self) -> None:
-        for i in range(self._db.num_shards):
-            self._page_in(i)
-
     def shard_of(self, key: SeriesKey) -> int:
         return shard_for_key(key, self._db.num_shards)
 
     # -- keyed fast paths: page exactly the owning shard -----------------
-    def series_slice(self, key: SeriesKey, start=None, end=None):
+    # The one keyed read: every other is StoreApi's, in terms of it.
+    def _series(self, key: SeriesKey) -> SeriesStore | None:
         self._page_in(self.shard_of(key))
-        return self._db.series_slice(key, start, end)
-
-    def series_generation(self, key: SeriesKey) -> int:
-        self._page_in(self.shard_of(key))
-        return self._db.series_generation(key)
+        return self._db._series(key)
 
     # put / put_point / put_series / put_many are StoreApi's, so they
     # land here and page only the shards their batch touches.
@@ -123,23 +115,15 @@ class ColdShardPager(StoreApi):
         return self._db.delete_series_before(key, cutoff)
 
     # -- everything else: correctness needs the full key set -------------
-    def _match(self, metric: str, tags: Mapping[str, str]) -> list[SeriesKey]:
-        # Wildcard/alternation filters are subset matches over the key
-        # set — no shard can be ruled out, so matching pages everything.
-        # Named explicitly because __getattr__ refuses private names.
-        self._page_all()
-        return self._db._match(metric, tags)
-
-    def _run_unique_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
-        self._page_all()
-        return self._db._run_unique_batch(queries)
-
     def __getattr__(self, name: str):
-        # Only reached for attributes not defined above.  Private/dunder
-        # lookups never page (pickling, repr machinery, hasattr probes).
+        # Only reached for attributes not defined above or derived in
+        # StoreApi: ``catalog`` (matching needs the full key set), the
+        # counts, snapshots.  Private/dunder lookups never page
+        # (pickling, repr machinery, hasattr probes).
         if name.startswith("_"):
             raise AttributeError(name)
-        self._page_all()
+        for index in range(self._db.num_shards):
+            self._page_in(index)
         return getattr(self._db, name)
 
     def __repr__(self) -> str:

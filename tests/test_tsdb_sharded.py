@@ -138,6 +138,8 @@ class TestEquivalence:
             assert sharded.last(metric, {"city": "vejle"}) == (
                 single.last(metric, {"city": "vejle"})
             )
+            # dict == ignores order; the dashboards iterate it.
+            assert list(sharded.last(metric)) == list(single.last(metric))
 
     def test_delete_before_identical(self, n):
         single, sharded = build_pair(n)

@@ -446,6 +446,26 @@ class TestColdShardPager:
         # Footprint tracks only the resident shard.
         assert 0 < pager.resident_points < self.eager.point_count
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            "series_slice",
+            "series_latest",
+            "series_generation",
+            "series_reshape_generation",
+        ],
+    )
+    def test_every_keyed_read_pages_only_owning_shard(self, snapshot_dir, read):
+        # All four enter through the pager's one keyed lookup, _series.
+        pager = ColdShardPager(snapshot_dir)
+        eager = ShardedTSDB.restore_from_dir(snapshot_dir)
+        key = _key("air.no2", "n3")
+        got, want = getattr(pager, read)(key), getattr(eager, read)(key)
+        assert pager.resident_shards == (pager.shard_of(key),)
+        if read == "series_slice":
+            got, want = got.values.tolist(), want.values.tolist()
+        assert got == want
+
     def test_keyed_write_pages_before_committing(self, snapshot_dir):
         pager = ColdShardPager(snapshot_dir)
         key = _key("air.co2", "n1")
