@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-store test-sharded test-region test-persist test-query test-catalog test-replication test-tier test-uplink serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e lint loc
+.PHONY: test test-store test-sharded test-region test-persist test-query test-catalog test-replication test-tier test-uplink test-imports serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e lint loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -68,48 +68,56 @@ test-tier:
 test-uplink:
 	$(PYTHON) -m pytest -q tests/test_uplink_costs.py tests/test_replication_walk.py tests/test_replication.py tests/test_store_stack.py tests/test_dataport_app.py
 
+# The import-graph gate: fresh-interpreter checks that a store process
+# (tsdb / serve / replication, the e2e fixture, the CLI parser) loads no
+# domain model and no scipy, and that the root name table resolves.
+test-imports:
+	$(PYTHON) -m pytest -q tests/test_import_graph.py
+
+# Every bench* target passes --bench-record: only then do the benchmarks
+# rewrite BENCH_ingest.json (`make test` leaves the tree clean).
 bench:
-	$(PYTHON) -m pytest -q benchmarks/test_ingest_throughput.py -s
+	$(PYTHON) -m pytest -q benchmarks/test_ingest_throughput.py -s --bench-record
 
 bench-sharded:
-	$(PYTHON) -m pytest -q benchmarks/test_ingest_throughput.py -k sharded -s
+	$(PYTHON) -m pytest -q benchmarks/test_ingest_throughput.py -k sharded -s --bench-record
 
 # 1/2/4-city fan-in throughput, recorded into BENCH_ingest.json.
 bench-region:
-	$(PYTHON) -m pytest -q benchmarks/test_region_fanin.py -s
+	$(PYTHON) -m pytest -q benchmarks/test_region_fanin.py -s --bench-record
 
 # WAL append / replay / snapshot-restore, the text import / export
 # codec vs the binary journal;
 # gates the >=10x binary speedup and records the persistence section.
 bench-persist:
-	$(PYTHON) -m pytest -q benchmarks/test_persistence.py -s
+	$(PYTHON) -m pytest -q benchmarks/test_persistence.py -s --bench-record
 
 # 12-panel dashboard workload, seed vs batched planner, 1/4/8 shards;
 # gates the >=2x batched speedup and records the query section.
 bench-query:
-	$(PYTHON) -m pytest -q benchmarks/test_query_throughput.py -s
+	$(PYTHON) -m pytest -q benchmarks/test_query_throughput.py -s --bench-record
 
 # TCP end-to-end serving: cold vs cached vs incremental dashboard
 # refresh + sustained queries/sec at N concurrent clients; gates the
 # >=5x cached speedup and records the serve section.
 bench-serve:
-	$(PYTHON) -m pytest -q benchmarks/test_serve_throughput.py -s
+	$(PYTHON) -m pytest -q benchmarks/test_serve_throughput.py -s --bench-record
 
 # Inverted-index matching vs pre-catalog scan at 120k series; gates
 # the >=5x indexed speedup and records the catalog section.
 bench-catalog:
-	$(PYTHON) -m pytest -q benchmarks/test_catalog.py -s
+	$(PYTHON) -m pytest -q benchmarks/test_catalog.py -s --bench-record
 
 # Steady-state replication lag, catch-up replay throughput, and
 # promote-to-first-query failover time; gates catch-up >= 5x live
 # ingest and records the replication section.
 bench-replication:
-	$(PYTHON) -m pytest -q benchmarks/test_replication_throughput.py -s
+	$(PYTHON) -m pytest -q benchmarks/test_replication_throughput.py -s --bench-record
 
 # Marker-heavy aged-WAL compaction and cold-start paging; gates the
 # >=5x compacted-replay speedup and records the tier section.
 bench-tier:
-	$(PYTHON) -m pytest -q benchmarks/test_tier.py -s
+	$(PYTHON) -m pytest -q benchmarks/test_tier.py -s --bench-record
 
 # The end-to-end benchmark (BENCHMARK.json's command): one workload of
 # uplink_stream / dashboard_cold / dashboard_cached / dashboard_live,

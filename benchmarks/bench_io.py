@@ -8,6 +8,10 @@ existing section updates in its original position, a new one appends at
 the end — ``json.loads``/``dumps`` keep insertion order).  Route every
 write through :func:`update_section` / :func:`update_top_level` instead
 of hand-rolling the read-modify-write.
+
+The file is rewritten only under ``pytest --bench-record`` (what the
+``make bench*`` targets and CI's bench job pass); without it the
+benchmarks still run and assert, and the working tree stays clean.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from pathlib import Path
 #: The shared benchmark report at the repo root.
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_ingest.json"
 
+#: Set once per session by ``benchmarks/conftest.py`` from ``--bench-record``.
+recording = False
+
 __all__ = ["RESULT_PATH", "read_results", "update_section", "update_top_level"]
 
 
@@ -27,7 +34,8 @@ def read_results(path: Path = RESULT_PATH) -> dict:
 
 
 def _write(existing: dict, path: Path) -> None:
-    path.write_text(json.dumps(existing, indent=2) + "\n")
+    if recording:
+        path.write_text(json.dumps(existing, indent=2) + "\n")
 
 
 def _deep_merge(target: dict, payload: dict) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import bench_io
 from repro.core import (
     CttEcosystem,
     EcosystemConfig,
@@ -19,6 +20,10 @@ from repro.core import (
     vejle_deployment,
 )
 from repro.simclock import CTT_EPOCH, DAY, HOUR
+
+
+def pytest_configure(config):
+    bench_io.recording = config.getoption("--bench-record")
 
 
 @pytest.fixture(scope="session")

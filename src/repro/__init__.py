@@ -15,27 +15,20 @@ Quick start::
     eco.start()
     eco.run(6 * 3600)  # six simulated hours
     print(eco.city("trondheim").delivery_stats())
+
+``import repro`` itself is cheap: subpackages load on first use
+(``repro.tsdb``, ``from repro import serve``), so a store process never
+imports the domain model.
 """
+
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-from . import (  # noqa: F401
-    analytics,
-    core,
-    dataport,
-    geo,
-    integration,
-    lorawan,
-    mqtt,
-    region,
-    sensors,
-    simclock,
-    streams,
-    tsdb,
-    viz,
-)
-
-__all__ = [
+#: Every subpackage, resolved on first attribute access (PEP 562): a
+#: process imports what it runs, so ``import repro.tsdb`` loads the
+#: store and not the domain model (``core`` -> ``analytics`` -> scipy).
+_SUBPACKAGES = (
     "analytics",
     "core",
     "dataport",
@@ -44,10 +37,25 @@ __all__ = [
     "lorawan",
     "mqtt",
     "region",
+    "replication",
     "sensors",
+    "serve",
     "simclock",
     "streams",
     "tsdb",
     "viz",
-    "__version__",
-]
+)
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        # The import system binds the submodule on this package, so each
+        # name comes through here once.
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBPACKAGES})

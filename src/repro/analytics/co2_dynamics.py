@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,10 @@ def correlation_study(
     Lags are scanned in both directions (traffic leading or trailing) so
     a delayed response cannot masquerade as "no correlation".
     """
+    # Imported here, not at module level: scipy.stats is ~0.8 s and
+    # ~70 MB that no process importing repro.core for a store pays.
+    from scipy import stats
+
     co2 = np.asarray(co2, dtype=float)
     jam = np.asarray(jam, dtype=float)
     if co2.shape != jam.shape:

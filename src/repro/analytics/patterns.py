@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .imputation import diurnal_profile
 
@@ -59,6 +58,8 @@ def trend(values: np.ndarray, timestamps: np.ndarray, alpha: float = 0.05) -> Tr
 
     Robust to the spikes and gaps a low-cost network produces.
     """
+    from scipy import stats  # deferred: see co2_dynamics.correlation_study
+
     v = np.asarray(values, dtype=float)
     ts = np.asarray(timestamps, dtype=float)
     mask = np.isfinite(v)

@@ -31,20 +31,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import (
-    CttEcosystem,
-    EcosystemConfig,
-    build_air_quality_dashboard,
-    build_wall_display,
-    trondheim_deployment,
-    vejle_deployment,
-)
-from .integration import render_table1
-from .region import Backpressure, CityPolicy
+# Each command imports its own subsystem when it runs: the parser, and
+# the commands that talk to a store or a server (`query --connect`,
+# `follow`, `compact`, ...), never load the simulation (`repro.core`).
+from .backpressure import Backpressure
 from .simclock import HOUR
 
 
 def _deployment(city: str):
+    from .core import trondheim_deployment, vejle_deployment
+
     if city == "trondheim":
         return trondheim_deployment()
     if city == "vejle":
@@ -54,7 +50,10 @@ def _deployment(city: str):
 
 def _build(
     city: str, hours: int, seed: int, shards: int = 0
-) -> tuple[CttEcosystem, object]:
+) -> tuple:
+    """Simulate ``city`` for ``hours``; returns ``(ecosystem, city)``."""
+    from .core import CttEcosystem, EcosystemConfig
+
     eco = CttEcosystem(
         [_deployment(city)],
         config=EcosystemConfig(seed=seed, tsdb_shards=shards),
@@ -94,6 +93,9 @@ def _run_region(args: argparse.Namespace) -> int:
 
 
 def _run_region_inner(args, names: list[str], spill_dir: str | None) -> int:
+    from .core import CttEcosystem, EcosystemConfig
+    from .region import CityPolicy
+
     policies = tuple(
         CityPolicy(
             name,
@@ -142,6 +144,8 @@ def _run_region_inner(args, names: list[str], spill_dir: str | None) -> int:
 
 
 def cmd_dashboard(args: argparse.Namespace) -> int:
+    from .core import build_air_quality_dashboard
+
     eco, city = _build(args.city, args.hours, args.seed, args.shards)
     start = eco.now - args.hours * HOUR
     dash = build_air_quality_dashboard(city, start, eco.now)
@@ -150,6 +154,8 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
 
 
 def cmd_wall(args: argparse.Namespace) -> int:
+    from .core import build_wall_display
+
     eco, city = _build(args.city, args.hours, args.seed, args.shards)
     start = eco.now - args.hours * HOUR
     print(build_wall_display(city, start, eco.now).render_text())
@@ -157,6 +163,9 @@ def cmd_wall(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    from .core import CttEcosystem, EcosystemConfig
+    from .integration import render_table1
+
     eco = CttEcosystem([_deployment(args.city)],
                        config=EcosystemConfig(seed=args.seed))
     print(render_table1(eco.city(args.city).catalog))

@@ -26,35 +26,15 @@ only scheduler ticks, so queue behaviour replays identically run-to-run.
 
 from __future__ import annotations
 
-import enum
 import re
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from ..backpressure import Backpressure
 from ..tsdb.batch import PointBatch
 from ..tsdb.persistence import SegmentWriter, detect_format, iter_batches
 from ..tsdb.segments import segment_point_count
-
-
-class Backpressure(enum.Enum):
-    """What a full queue does with the overflow."""
-
-    BLOCK = "block"
-    DROP_OLDEST = "drop-oldest"
-    SPILL = "spill"
-
-    @classmethod
-    def coerce(cls, value: "Backpressure | str") -> "Backpressure":
-        if isinstance(value, Backpressure):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            options = ", ".join(p.value for p in cls)
-            raise ValueError(
-                f"unknown backpressure policy {value!r}; pick one of {options}"
-            ) from None
 
 
 @dataclass

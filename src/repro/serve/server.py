@@ -24,8 +24,8 @@ response for anything malformed (the connection always stays usable —
 that is the point of the ``handle_request`` bugfix underneath), or an
 ``InternalError`` response if the store itself faults.
 
-Admission control reuses the region layer's
-:class:`~repro.region.queue.Backpressure` vocabulary per tenant lane,
+Admission control uses the :class:`~repro.backpressure.Backpressure`
+vocabulary of the region layer's fan-in queues per tenant lane,
 mapped onto a request queue:
 
 - ``block``       — a full lane stops reading from the submitting
@@ -50,7 +50,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from ..region.queue import Backpressure
+from ..backpressure import Backpressure
 from ..tsdb import wire
 from ..tsdb.catalog import CardinalityLimitError
 from ..tsdb.model import InvalidName

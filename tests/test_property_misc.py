@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.geo import GeoPoint, haversine_m
@@ -31,9 +31,19 @@ class TestGeoProperties:
         assert d1 == pytest.approx(d2, rel=1e-9, abs=1e-6)
 
     @given(geo_points, geo_points, geo_points)
+    # Found by hypothesis: a -> c is ~1 degree short of antipodal and
+    # reads 1.75e-5 m over the two-leg path.
+    @example(GeoPoint(0.0, 0.99609375), GeoPoint(0.0, 0.0), GeoPoint(0.0, -179.0))
     @settings(max_examples=200, deadline=None)
     def test_triangle_inequality(self, a, b, c):
-        assert a.distance_to(c) <= a.distance_to(b) + b.distance_to(c) + 1e-6
+        # The slack is relative, from the haversine's conditioning: in
+        # 2R*asin(sqrt(h)) a rounding error eps in h becomes ~sqrt(2*eps)
+        # in the angle as h -> 1 (the antipode), i.e. a few 1e-8 rad, up
+        # to ~0.4 m on a 2e7 m distance (2e-8 relative); short distances
+        # keep ~1e-15 relative.  1e-7 bounds both; the absolute term only
+        # covers degenerate all-zero triangles.
+        two_legs = a.distance_to(b) + b.distance_to(c)
+        assert a.distance_to(c) <= two_legs * (1.0 + 1e-7) + 1e-6
 
     @given(geo_points, st.floats(0.0, 359.99), st.floats(0.0, 50_000.0))
     @settings(max_examples=200, deadline=None)
