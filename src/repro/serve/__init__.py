@@ -16,7 +16,9 @@ usable on its own:
   endpoint (newline-delimited JSON) with per-tenant admission control
   reusing the region layer's backpressure policies;
 - :mod:`~repro.serve.client` — :class:`QueryClient`, the synchronous
-  SDK (connection reuse, timeout, retry with backoff, batched calls).
+  SDK (connection reuse, timeout, retry with backoff, batched calls,
+  and the held replies that let the server answer *not modified* or
+  *the tail*).
 """
 
 from .cache import CacheStats, CachingStore, CatalogCache, ResultCache

@@ -31,12 +31,24 @@ The reply *text* is cached the same way, with no second cache:
 object itself, so the text of a cached result lives exactly as long as
 its entry does — dropped with it on eviction or invalidation — and a
 hit costs the server a ``bytes.join``.
+
+So is what a conditional reply needs (a client that says what it holds
+is answered *not modified* or *the tail*, see :mod:`repro.serve.server`):
+:func:`series_tag` keeps a 16-byte content digest beside the text, made
+once per series object, and :func:`entry_validator` names an entry's
+whole ``series`` array by the digests of its members — so a hit by a
+holding client costs a few look-ups and one short hash, never a pass
+over the reply.  The validator is a *content* digest rather than a
+per-process serial: it needs no state, it survives a reconnect, a
+server restart and a failover to a byte-identical follower, and a
+re-computed series that came out the same is still *not modified*.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
+from hashlib import blake2b
 from typing import Sequence
 
 from ..tsdb import wire
@@ -45,9 +57,12 @@ from ..tsdb.plan import _canonical_key
 from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.wire import CatalogRequest
 
-#: Where a series keeps its encoded text: the instance dict, not a
-#: dataclass field, so equality, hash and repr do not see it.
+#: Where a series keeps its encoded text, the digest of that text and
+#: (a spliced series) what it was spliced from: the instance dict, not
+#: dataclass fields, so equality, hash and repr do not see them.
 _TEXT_ATTR = "_wire_json"
+_TAG_ATTR = "_wire_tag"
+_TAIL_ATTR = "_wire_tail"
 
 
 def cached_series_text(s: ResultSeries) -> bytes | None:
@@ -74,6 +89,83 @@ def series_text(s: ResultSeries) -> bytes:
         text = wire.series_json(s)
         remember_series_text(s, text)
     return text
+
+
+def cached_series_tag(s: ResultSeries) -> bytes | None:
+    """The digest :func:`series_tag` left on ``s``, if any."""
+    return s.__dict__.get(_TAG_ATTR)
+
+
+def series_tag(s: ResultSeries) -> bytes:
+    """A 16-byte digest of ``series_text(s)``, taken once per series
+    object and dropped with it, like the text it names."""
+    tag = cached_series_tag(s)
+    if tag is None:
+        tag = s.__dict__[_TAG_ATTR] = blake2b(
+            series_text(s), digest_size=16
+        ).digest()
+    return tag
+
+
+def _validator(tags: Sequence[bytes]) -> str:
+    return blake2b(b"".join(tags), digest_size=16).hexdigest()
+
+
+def entry_validator(series: Sequence[ResultSeries]) -> str:
+    """The validator of one reply entry's ``series`` array: 32 hex
+    characters, equal for two arrays only if their text is equal."""
+    return _validator([series_tag(s) for s in series])
+
+
+def remember_series_tail(
+    s: ResultSeries, prev_tag: bytes, kept: int, tail: bytes
+) -> None:
+    """Note that ``s``'s ``dps`` are the first ``kept`` entries of the
+    series whose :func:`series_tag` is ``prev_tag``, then ``tail``
+    (:func:`~repro.tsdb.wire.dps_json` text)."""
+    s.__dict__[_TAIL_ATTR] = (prev_tag, kept, tail)
+
+
+def entry_tail(series: Sequence[ResultSeries], held: str) -> bytes | None:
+    """The *tail* form of an entry for a client holding ``held``, or
+    None unless every series was spliced from the array ``held`` names
+    (same series, same order)."""
+    tails = [s.__dict__.get(_TAIL_ATTR) for s in series]
+    if None in tails or _validator([t[0] for t in tails]) != held:
+        return None
+    return wire.tail_json([(kept, tail) for _, kept, tail in tails])
+
+
+class BoundedLRU(OrderedDict):
+    """A mapping that forgets its least recently used key past
+    ``capacity`` — the one LRU body under the result caches, the
+    refresher's panel table and the client's held replies."""
+
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        super().__init__()
+        self.capacity = int(capacity)
+
+    def use(self, key):
+        """The value under ``key``, now the most recently used; None
+        when absent (or dropped by another thread meanwhile)."""
+        try:
+            self.move_to_end(key)
+            return self[key]
+        except KeyError:
+            return None
+
+    def put(self, key, value) -> int:
+        """Set ``key`` as the most recently used; returns how many
+        older keys were evicted to make room."""
+        self.pop(key, None)  # re-inserted at the recent end
+        self[key] = value
+        evicted = 0
+        while len(self) > self.capacity:
+            self.popitem(last=False)
+            evicted += 1
+        return evicted
 
 
 @dataclass
@@ -105,14 +197,16 @@ class ResultCache:
     """
 
     def __init__(self, capacity: int = 128) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = int(capacity)
         self.stats = CacheStats()
-        self._entries: OrderedDict = OrderedDict()  # key -> (answer, validators)
+        # key -> (answer, validators)
+        self._entries: BoundedLRU = BoundedLRU(capacity)
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def capacity(self) -> int:
+        return self._entries.capacity
 
     _key = staticmethod(_canonical_key)
 
@@ -146,7 +240,7 @@ class ResultCache:
         the metric's series set changed) are dropped on sight.
         """
         key = self._key(request)
-        entry = self._entries.get(key)
+        entry = self._entries.use(key)
         if entry is None:
             self.stats.misses += 1
             return None
@@ -156,7 +250,6 @@ class ResultCache:
             self.stats.invalidated += 1
             self.stats.misses += 1
             return None
-        self._entries.move_to_end(key)
         self.stats.hits += 1
         return answer
 
@@ -170,12 +263,9 @@ class ResultCache:
         if not self._holds(store, request, validators):
             self.stats.skipped += 1
             return False
-        key = self._key(request)
-        self._entries[key] = (answer, validators)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evicted += 1
+        self.stats.evicted += self._entries.put(
+            self._key(request), (answer, validators)
+        )
         return True
 
     def clear(self) -> None:

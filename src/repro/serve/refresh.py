@@ -38,6 +38,12 @@ last cut plus the delta, and leaves the assembled text on the new
 series for the reply path to find.  Where there is nothing to extend —
 a full run, a moved window start, a result nobody encoded — the series
 carries no text and the reply path encodes it from scratch.
+
+Beside the text, a spliced series notes what it was spliced *from*
+(:func:`~repro.serve.cache.remember_series_tail`: the previous series'
+content digest, how many of its points were kept, the delta's ``dps``
+text), when a conditional reply has ever named the previous series — so
+a client that says it holds the previous reply is sent the tail alone.
 """
 
 from __future__ import annotations
@@ -51,7 +57,13 @@ from ..tsdb.downsample import FillPolicy
 from ..tsdb.plan import ExprQuery, ExprResult, run_batch
 from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.series import SeriesSlice
-from .cache import cached_series_text, remember_series_text
+from .cache import (
+    BoundedLRU,
+    cached_series_tag,
+    cached_series_text,
+    remember_series_tail,
+    remember_series_text,
+)
 
 
 @dataclass
@@ -62,6 +74,7 @@ class RefreshStats:
     incremental_runs: int = 0
     cache_only_runs: int = 0  # window advanced, but nothing to rescan
     invalidated: int = 0  # panel state dropped on a validator mismatch
+    evicted: int = 0  # panel state dropped as the least recently refreshed
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -117,14 +130,15 @@ def _splice(
 def _splice_text(
     prev: ResultSeries, known: tuple[int, int] | None, kept: int,
     delta: SeriesSlice,
-) -> tuple[bytes, tuple[int, int]] | None:
+) -> tuple[bytes, tuple[int, int], bytes] | None:
     """Text of ``prev``'s first ``kept`` points followed by the delta's.
 
     ``known`` says how much of ``prev``'s text is already the encoding
     of a final prefix; only the ``kept - known[0]`` points that became
     final since are encoded beside the delta.  Returns the text of the
-    spliced series and its own ``known``, or None when ``prev`` was
-    never encoded (nobody replies with these results).
+    spliced series, its own ``known`` and the delta's ``dps`` text, or
+    None when ``prev`` was never encoded (nobody replies with these
+    results).
     """
     text = cached_series_text(prev)
     if text is None:
@@ -139,7 +153,7 @@ def _splice_text(
         final += (b", " if n else b"") + newly_final
     tail = wire.dps_json(delta.timestamps, delta.values)
     sep = b", " if kept and tail else b""
-    return final + sep + tail + wire.SERIES_JSON_TAIL, (kept, len(final))
+    return final + sep + tail + wire.SERIES_JSON_TAIL, (kept, len(final)), tail
 
 
 class IncrementalRefresher:
@@ -153,8 +167,7 @@ class IncrementalRefresher:
 
     def __init__(self, store, *, max_panels: int = 256) -> None:
         self._store = store
-        self._panels: dict[tuple, _PanelState] = {}
-        self._max_panels = int(max_panels)
+        self._panels: BoundedLRU = BoundedLRU(max_panels)  # key -> _PanelState
         self.stats = RefreshStats()
 
     # -- validators ------------------------------------------------------
@@ -241,9 +254,7 @@ class IncrementalRefresher:
             and boundary is not None
             and self._holds(query, metric_gen, reshape_gens)
         ):
-            if len(self._panels) >= self._max_panels and key not in self._panels:
-                return result  # at capacity: serve, don't remember
-            self._panels[key] = _PanelState(
+            self._keep(key, _PanelState(
                 start=int(query.start),
                 end=int(query.end),
                 boundary=boundary,
@@ -251,7 +262,7 @@ class IncrementalRefresher:
                 reshape_gens=reshape_gens,
                 result=result,
                 final_text={},
-            )
+            ))
         else:
             self._panels.pop(key, None)
             if remember and boundary is not None:
@@ -340,13 +351,16 @@ class IncrementalRefresher:
             )
             series.append(out_s)
             if prev is not None and trim_lo is None:
+                kept = len(spliced) - len(s.slice)
                 extended = _splice_text(
-                    prev, st.final_text.get(label),
-                    len(spliced) - len(s.slice), s.slice,
+                    prev, st.final_text.get(label), kept, s.slice
                 )
                 if extended is not None:
-                    text, final_text[label] = extended
+                    text, final_text[label], tail = extended
                     remember_series_text(out_s, text)
+                    prev_tag = cached_series_tag(prev)
+                    if prev_tag is not None:  # some client may hold prev
+                        remember_series_tail(out_s, prev_tag, kept, tail)
         out = QueryResult(
             query=query,
             series=tuple(series),
@@ -366,7 +380,7 @@ class IncrementalRefresher:
         boundary: int,
         final_text: dict,
     ) -> None:
-        self._panels[key] = _PanelState(
+        self._keep(key, _PanelState(
             start=int(query.start),
             end=int(query.end),
             boundary=boundary,
@@ -374,4 +388,9 @@ class IncrementalRefresher:
             reshape_gens=st.reshape_gens,
             result=result,
             final_text=final_text,
-        )
+        ))
+
+    def _keep(self, key: tuple, state: _PanelState) -> None:
+        """Remember ``state`` as the most recently refreshed panel; past
+        ``max_panels`` the least recently refreshed is forgotten."""
+        self.stats.evicted += self._panels.put(key, state)

@@ -1,15 +1,27 @@
 """Asyncio TCP query server: newline-delimited JSON over the wire codec.
 
 One live store, many dashboard clients.  Each connection sends one JSON
-request per line — the :mod:`repro.tsdb.wire` request format plus three
+request per line — the :mod:`repro.tsdb.wire` request format plus four
 optional envelope fields stripped before decoding:
 
 - ``"tenant"``: admission-control lane (defaults to ``"public"``);
 - ``"id"``: opaque correlation value echoed on the reply, so clients
   may pipeline requests;
-- ``"refresh"``: route the batch through the server's
+- ``"refresh"`` (a JSON boolean): route the batch through the server's
   :class:`~repro.serve.refresh.IncrementalRefresher` (steady-state
-  dashboard polling) instead of the result cache.
+  dashboard polling) instead of the result cache;
+- ``"held"``: a list aligned with ``"queries"`` — per query, the
+  validator of the reply entry the client still holds for that panel,
+  or ``null``.  The reply then carries ``"validators"``, aligned with
+  ``"results"``, and an entry may come back in one of three forms:
+  *full* (``"series": [...]``, what every request without ``held``
+  gets, byte for byte), *not modified* (``"notModified": true`` — the
+  held ``series`` are still the answer) or, on the ``refresh`` path,
+  *tail* (``"tail": [{"keep": k, "dps": {...}}, ...]``, one element per
+  held series: keep its first ``k`` ``dps`` entries, append these).
+  ``scannedPoints`` (and an expression's ``expr``) are sent in every
+  form.  A validator is an opaque string naming the text of an entry's
+  ``series`` array (see :func:`~repro.serve.cache.entry_validator`).
 
 A payload carrying a ``"catalog"`` object instead of ``"queries"`` is a
 series-metadata lookup (the ``/api/suggest`` surface — see
@@ -56,8 +68,17 @@ from ..tsdb.catalog import CardinalityLimitError
 from ..tsdb.model import InvalidName
 from ..tsdb.plan import ExprQuery
 from ..tsdb.query import QueryError
-from .cache import CachingStore, CatalogCache, series_text
+from .cache import (
+    CachingStore,
+    CatalogCache,
+    entry_tail,
+    entry_validator,
+    series_text,
+)
 from .refresh import IncrementalRefresher
+
+#: Longest validator a request may name in ``held`` (ours are 32 chars).
+_MAX_VALIDATOR_CHARS = 64
 
 
 @dataclass(frozen=True)
@@ -95,16 +116,21 @@ class _Job:
     """One admitted request: payload in, one reply line out."""
 
     __slots__ = (
-        "payload", "refresh", "id_json", "tenant", "writer", "write_lock",
+        "payload", "refresh", "held", "id_json", "tenant", "writer",
+        "write_lock", "forms",
     )
 
-    def __init__(self, payload, refresh, id_json, tenant, writer, write_lock):
+    def __init__(
+        self, payload, refresh, held, id_json, tenant, writer, write_lock
+    ):
         self.payload = payload
         self.refresh = refresh
+        self.held = held  # what the client holds per query, or None
         self.id_json = id_json  # the request id's JSON text, or None
         self.tenant = tenant
         self.writer = writer
         self.write_lock = write_lock
+        self.forms: list[str] = []  # the form of each result entry sent
 
 
 class _Lane:
@@ -176,6 +202,8 @@ class QueryServer:
         self._stopping = False
         self.requests = 0
         self.errors = 0
+        #: Result entries sent, by form, and reply bytes written.
+        self.replies = {"full": 0, "not_modified": 0, "tail": 0, "bytes": 0}
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -236,6 +264,7 @@ class QueryServer:
         return {
             "requests": self.requests,
             "errors": self.errors,
+            "replies": dict(self.replies),
             "cache": self.caching.cache.stats.as_dict(),
             "catalog_cache": self.catalog_cache.stats.as_dict(),
             "refresh": self.refresher.stats.as_dict(),
@@ -324,9 +353,17 @@ class QueryServer:
             run_many = (
                 self.refresher.run_many if job.refresh else self.caching.run_many
             )
-            return wire.encode_response_json(
-                run_many(queries), series_json=series_text
+            forms: list[str] = []
+            text = wire.encode_response_json(
+                run_many(queries),
+                series_json=series_text,
+                held=job.held,
+                validator=entry_validator,
+                tail=entry_tail if job.refresh else None,
+                forms=forms,
             )
+            job.forms = forms  # only a reply that was encoded counts
+            return text
         except (
             wire.WireError, QueryError, InvalidName, CardinalityLimitError
         ) as exc:
@@ -394,6 +431,11 @@ class QueryServer:
         async with job.write_lock:
             if job.writer.is_closing():
                 return
+            # counted before the write: whoever reads this reply and
+            # then ``stats()`` finds it there
+            for form in job.forms:
+                self.replies[form] += 1
+            self.replies["bytes"] += len(line)
             job.writer.write(line)
             try:
                 await job.writer.drain()
@@ -446,9 +488,20 @@ class QueryServer:
             payload = dict(payload)
             tenant = payload.pop("tenant", "public")
             request_id = payload.pop("id", None)
-            refresh = bool(payload.pop("refresh", False))
+            refresh = payload.pop("refresh", False)
+            held = payload.pop("held", None)
             if not isinstance(tenant, str) or not tenant:
                 bad = "'tenant' must be a non-empty string"
+            elif not isinstance(refresh, bool):
+                bad = "'refresh' must be a JSON boolean"
+            elif held is not None and not _well_formed_held(
+                held, payload.get("queries")
+            ):
+                bad = (
+                    "'held' must be a list aligned with 'queries' of "
+                    "validators (strings of at most "
+                    f"{_MAX_VALIDATOR_CHARS} characters) or nulls"
+                )
             elif request_id is not None:
                 # Encoded once, here: ``json.loads`` accepts NaN and
                 # Infinity, which no reply may echo.
@@ -457,12 +510,25 @@ class QueryServer:
                 except (ValueError, RecursionError) as exc:
                     bad = f"'id' cannot be echoed as JSON: {exc}"
         if bad is not None:
-            stub = _Job(None, False, None, "public", writer, write_lock)
+            stub = _Job(None, False, None, None, "public", writer, write_lock)
             asyncio.get_running_loop().create_task(
                 self._reply(stub, wire.encode_error(wire.WireError(bad)))
             )
             return None
-        return _Job(payload, refresh, id_json, tenant, writer, write_lock)
+        return _Job(payload, refresh, held, id_json, tenant, writer, write_lock)
+
+
+def _well_formed_held(held, queries) -> bool:
+    """Is ``held`` one validator-or-null per item of ``queries``?"""
+    return (
+        isinstance(held, list)
+        and isinstance(queries, list)
+        and len(held) == len(queries)
+        and all(
+            v is None or (isinstance(v, str) and len(v) <= _MAX_VALIDATOR_CHARS)
+            for v in held
+        )
+    )
 
 
 def _error_dict(error_type: str, message: str) -> dict:

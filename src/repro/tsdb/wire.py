@@ -27,6 +27,12 @@ result series as ``dps`` maps (timestamp → value, NaN encoded as
          "scannedPoints": 1234}
     ]}
 
+A serving layer may answer a client that says what it still holds with
+less than that — an entry whose ``series`` are replaced by
+``"notModified": true`` or by the ``"tail"`` to append — see
+:func:`encode_response_json`; a client puts such entries back into the
+form above before decoding.
+
 Floats round-trip exactly (Python's JSON float repr is shortest
 round-trip); NaN encodes as ``null`` and ``±inf`` as the strings
 ``"Infinity"`` / ``"-Infinity"`` so the emitted text is always valid
@@ -359,29 +365,72 @@ def dps_json(timestamps: np.ndarray, values: np.ndarray) -> bytes:
     )[1:-1].encode()
 
 
+def tail_json(tails: Sequence[tuple[int, bytes]]) -> bytes:
+    """The elements of a *tail* entry's ``tail`` array, one ``(keep,
+    dps_json text)`` pair per series: keep that many leading ``dps``
+    entries of the series held, then append these."""
+    return b", ".join(
+        [b'{"keep": %d, "dps": {%s}}' % (keep, dps) for keep, dps in tails]
+    )
+
+
 def encode_response_json(
-    results: Sequence[QueryResult | ExprResult], *, series_json=series_json
+    results: Sequence[QueryResult | ExprResult],
+    *,
+    series_json=series_json,
+    held: Sequence[str | None] | None = None,
+    validator=None,
+    tail=None,
+    forms: list | None = None,
 ) -> bytes:
     """``run_many`` output as the JSON text of its wire response.
 
     ``series_json`` maps one result series to its text; a serving layer
     passes a memoising one.
+
+    ``held`` makes the reply conditional: aligned with ``results``, it
+    names per entry the ``series`` array the client says it still holds
+    (None: nothing).  ``validator`` maps an entry's series to the name
+    of their text, and the reply gains ``"validators"``, aligned with
+    ``"results"``.  An entry whose validator equals what is held is
+    answered ``"notModified": true`` in place of its ``"series"``;
+    otherwise ``tail`` (if given) maps ``(series, held validator)`` to
+    :func:`tail_json` text when the series extend the held ones, and the
+    entry carries ``"tail"``; otherwise it is the full entry.  ``expr``
+    and ``scannedPoints`` are sent in every form.  ``forms``, if given,
+    receives each entry's form: ``"full"``, ``"not_modified"`` or
+    ``"tail"``.
     """
     entries = []
-    for res in results:
+    validators = []
+    for i, res in enumerate(results):
         head = b"{"
         if isinstance(res, ExprResult):
             head = b'{"expr": %s, ' % json.dumps(res.expr.formula).encode()
-        entries.append(
-            b'%s"series": [%s], "scannedPoints": %d}'
-            % (
-                head,
-                b", ".join([series_json(s) for s in res.series]),
-                int(res.scanned_points),
+        form, body = "full", None
+        if held is not None:
+            name = validator(res.series)
+            validators.append(name)
+            if name == held[i]:
+                form, body = "not_modified", b'"notModified": true'
+            elif tail is not None and held[i] is not None:
+                tails = tail(res.series, held[i])
+                if tails is not None:
+                    form, body = "tail", b'"tail": [%s]' % tails
+        if body is None:
+            body = b'"series": [%s]' % b", ".join(
+                [series_json(s) for s in res.series]
             )
+        if forms is not None:
+            forms.append(form)
+        entries.append(
+            b'%s%s, "scannedPoints": %d}' % (head, body, int(res.scanned_points))
         )
-    return b'{"version": %d, "results": [%s]}' % (
-        WIRE_VERSION, b", ".join(entries)
+    return b'{"version": %d, "results": [%s]%s}' % (
+        WIRE_VERSION,
+        b", ".join(entries),
+        b"" if held is None
+        else b', "validators": %s' % json.dumps(validators).encode(),
     )
 
 
@@ -428,8 +477,68 @@ class WireResult:
         return iter(self.series)
 
 
-def decode_response(response: str | bytes | Mapping) -> list[WireResult]:
-    """A wire response back into numpy-backed client results."""
+def decode_series(series: Sequence[Mapping]) -> tuple[WireSeries, ...]:
+    """One entry's ``series`` array as numpy-backed series."""
+    return tuple(
+        _wire_series(
+            str(s.get("metric", "")),
+            s.get("tags", {}),
+            *_decode_dps(s.get("dps", {})),
+        )
+        for s in series
+    )
+
+
+def _decode_dps(dps: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return (
+            np.array([int(k) for k in dps], dtype=np.int64),
+            np.array([_decode_value(v) for v in dps.values()], dtype=np.float64),
+        )
+    except WireError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise WireError(f"malformed dps entry: {exc}") from None
+
+
+def _wire_series(
+    metric: str, tags: Mapping, ts: np.ndarray, vals: np.ndarray
+) -> WireSeries:
+    order = np.argsort(ts, kind="stable")
+    return WireSeries(
+        metric=metric, tags=dict(tags), timestamps=ts[order], values=vals[order]
+    )
+
+
+def extend_series(
+    prev: Sequence[WireSeries], tails: Sequence[Mapping]
+) -> tuple[WireSeries, ...]:
+    """:func:`decode_series` of the series a *tail* entry describes,
+    decoding only the tail: each of ``prev`` cut to its first ``keep``
+    points, followed by the tail's."""
+    out = []
+    for held, t in zip(prev, tails):
+        ts, vals = _decode_dps(t["dps"])
+        keep = t["keep"]
+        out.append(
+            _wire_series(
+                held.metric,
+                held.tags,
+                np.concatenate([held.timestamps[:keep], ts]),
+                np.concatenate([held.values[:keep], vals]),
+            )
+        )
+    return tuple(out)
+
+
+def decode_response(
+    response: str | bytes | Mapping, *, decode_series=decode_series
+) -> list[WireResult]:
+    """A wire response back into numpy-backed client results.
+
+    ``decode_series`` maps one entry's ``series`` array to its decoded
+    series; a client that holds replies passes a memoising one.
+    """
     if isinstance(response, (str, bytes)):
         try:
             response = json.loads(response)
@@ -448,38 +557,14 @@ def decode_response(response: str | bytes | Mapping) -> list[WireResult]:
         raise RemoteQueryError(
             str(error.get("type", "Error")), str(error.get("message", ""))
         )
-    out: list[WireResult] = []
-    for entry in response.get("results", ()):
-        series = []
-        for s in entry.get("series", ()):
-            dps = s.get("dps", {})
-            try:
-                ts = np.array([int(k) for k in dps], dtype=np.int64)
-                vals = np.array(
-                    [_decode_value(v) for v in dps.values()],
-                    dtype=np.float64,
-                )
-            except WireError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise WireError(f"malformed dps entry: {exc}") from None
-            order = np.argsort(ts, kind="stable")
-            series.append(
-                WireSeries(
-                    metric=str(s.get("metric", "")),
-                    tags=dict(s.get("tags", {})),
-                    timestamps=ts[order],
-                    values=vals[order],
-                )
-            )
-        out.append(
-            WireResult(
-                series=tuple(series),
-                scanned_points=int(entry.get("scannedPoints", 0)),
-                expr=entry.get("expr"),
-            )
+    return [
+        WireResult(
+            series=decode_series(entry.get("series", ())),
+            scanned_points=int(entry.get("scannedPoints", 0)),
+            expr=entry.get("expr"),
         )
-    return out
+        for entry in response.get("results", ())
+    ]
 
 
 # ---------------------------------------------------------------------------

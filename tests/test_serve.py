@@ -407,9 +407,15 @@ class TestQueryServer:
                    for lane in stats["tenants"].values()) == 32
 
     def test_malformed_lines_keep_connection_usable(self, store):
-        good = json.dumps(
-            {**wire.encode_request([Query("air.co2.ppm", 0, 4000)]),
-             "id": 7}) + "\n"
+        request = wire.encode_request([Query("air.co2.ppm", 0, 4000)])
+        good = json.dumps({**request, "id": 7}) + "\n"
+        # envelope fields are checked, not coerced: each of these used
+        # to turn the refresh path *on*
+        bad_refresh = [json.dumps({**request, "refresh": value}) + "\n"
+                       for value in ("false", "no", [0], 1, None)]
+        bad_held = [json.dumps({**request, "held": value}) + "\n"
+                    for value in ("abc", {"0": "abc"}, [], ["a", "b"], [7],
+                                  [["a"]], ["x" * 65])]
         with live_server(store) as server:
             replies = _raw_exchange(
                 server.address,
@@ -419,10 +425,27 @@ class TestQueryServer:
                 json.dumps({"version": wire.WIRE_VERSION,
                             "queries": [{"metric": "m", "start": True,
                                          "end": 4}]}) + "\n",
+                *bad_refresh,
+                *bad_held,
+                json.dumps({"version": wire.WIRE_VERSION, "held": [None],
+                            "catalog": {"op": "metrics"}}) + "\n",
+                json.dumps({**request, "refresh": False, "held": [None]})
+                + "\n",
+                json.dumps({**request, "refresh": True, "held": ["x" * 64]})
+                + "\n",
                 good,
             )
-        assert [r["error"]["type"] for r in replies[:4]] == ["WireError"] * 4
-        assert replies[4]["id"] == 7 and "results" in replies[4]
+            stats = server.stats()
+        errors, served = replies[:-3], replies[-3:]
+        assert [r["error"]["type"] for r in errors] == ["WireError"] * 17
+        for reply in errors[4:9]:
+            assert "'refresh'" in reply["error"]["message"]
+        for reply in errors[9:]:
+            assert "'held'" in reply["error"]["message"]
+        assert all("results" in r for r in served)
+        assert [len(r.get("validators", ())) for r in served] == [1, 1, 0]
+        assert served[2]["id"] == 7
+        assert stats["refresh"]["full_runs"] == 1  # the one that asked
 
     def test_store_fault_answers_internal_error(self):
         class ExplodingStore(TSDB):
