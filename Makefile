@@ -37,9 +37,11 @@ test-query:
 # uncached run_many, live asyncio server survives malformed requests,
 # per-tenant admission control, wire error paths, and conditional
 # replies (a holding client ≡ the dict codec; an unchanged dashboard
-# costs look-ups, as counts).
+# costs look-ups, as counts), and what one refresh request costs as
+# counts (validators read once, one planned batch of deltas, nothing
+# inserted into the result cache).
 serve-test:
-	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_conditional.py tests/test_tsdb_wire.py
+	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_conditional.py tests/test_refresh_costs.py tests/test_tsdb_wire.py
 
 # The catalog gate: postings-index matching byte-identical to the
 # brute-force scan under random ingest/retention/restore interleavings

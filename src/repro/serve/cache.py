@@ -26,6 +26,15 @@ Correctness comes from generation validators, not timers:
 Hits return the very result object the underlying store produced, so
 cached responses are byte-identical to uncached ``run_many`` output.
 
+Validators are read through a :class:`ValidatorView`: one request's
+look-ups and captures share one view (a 12-panel dashboard over four
+metrics resolves each of its 100 series once, not once per panel), its
+inserts a second, fresh one.  The rule that keeps this exact is the
+view's lifetime — **one phase of one request**: made before the
+execution or after it, a local, never kept on an object and never
+carried across the execution it brackets.  The refresher
+(:mod:`repro.serve.refresh`) reads its validators the same way.
+
 The reply *text* is cached the same way, with no second cache:
 :func:`series_text` keeps a result series' encoded JSON on the series
 object itself, so the text of a cached result lives exactly as long as
@@ -52,7 +61,7 @@ from hashlib import blake2b
 from typing import Sequence
 
 from ..tsdb import wire
-from ..tsdb.interface import StoreWrapper
+from ..tsdb.interface import StoreApi, StoreWrapper
 from ..tsdb.plan import _canonical_key
 from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.wire import CatalogRequest
@@ -96,14 +105,24 @@ def cached_series_tag(s: ResultSeries) -> bytes | None:
     return s.__dict__.get(_TAG_ATTR)
 
 
+def text_digest(text: bytes):
+    """The running hash :func:`series_tag` is the ``digest()`` of; the
+    refresher carries one over a spliced series' final prefix."""
+    return blake2b(text, digest_size=16)
+
+
+def remember_series_tag(s: ResultSeries, tag: bytes) -> None:
+    """Attach ``tag`` — which must equal ``text_digest(series_text(s))``'s."""
+    s.__dict__[_TAG_ATTR] = tag
+
+
 def series_tag(s: ResultSeries) -> bytes:
     """A 16-byte digest of ``series_text(s)``, taken once per series
     object and dropped with it, like the text it names."""
     tag = cached_series_tag(s)
     if tag is None:
-        tag = s.__dict__[_TAG_ATTR] = blake2b(
-            series_text(s), digest_size=16
-        ).digest()
+        tag = text_digest(series_text(s)).digest()
+        remember_series_tag(s, tag)
     return tag
 
 
@@ -180,6 +199,63 @@ class CacheStats:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+class ValidatorView:
+    """The five reads validators are made of, each made once.
+
+    What :meth:`ResultCache.capture` / ``_holds`` and the refresher's
+    ``_capture`` / ``_holds`` ask of "the store" — ``_match``,
+    ``metric_generation``, ``series_generation``,
+    ``series_reshape_generation``, ``series_latest`` — answered over
+    ``store`` with one underlying read per filter, per metric and per
+    series key (the last three share one ``_series(key)`` resolution,
+    instead of one walk down the wrapper stack per read per panel; the
+    counters are read off the resolved series, so they are never older
+    than the view).
+
+    **A view lives for one phase of one request**: it is a local, made
+    before an execution *or* after it, never stored on ``self`` and never
+    kept across the execution it brackets.  That is the whole
+    correctness argument — capture-before / check-after still brackets
+    every scan of the request; what a view remembers is only what was
+    read within its own side of the bracket, and a read made earlier on
+    the *before* side (or later on the *after* side) is the more
+    conservative one.
+    """
+
+    def __init__(self, store) -> None:
+        self._store = store
+        self._matches: dict[tuple, list] = {}
+        self._metric_generations: dict[str, int] = {}
+        self._resolved: dict = {}  # series key -> SeriesStore | None
+
+    def _match(self, metric: str, tags) -> list:
+        mk = (metric, tuple(sorted(tags.items())))
+        matched = self._matches.get(mk)
+        if matched is None:
+            matched = self._matches[mk] = self._store._match(metric, tags)
+        return matched
+
+    def metric_generation(self, metric: str) -> int:
+        gen = self._metric_generations.get(metric)
+        if gen is None:
+            gen = self._metric_generations[metric] = (
+                self._store.metric_generation(metric)
+            )
+        return gen
+
+    def _series(self, key):
+        try:
+            return self._resolved[key]
+        except KeyError:
+            series = self._resolved[key] = self._store._series(key)
+            return series
+
+    # derived where every store's are, over the one resolution above
+    series_generation = StoreApi.series_generation
+    series_reshape_generation = StoreApi.series_reshape_generation
+    series_latest = StoreApi.series_latest
 
 
 #: (metric generation, ((series key, series generation), ...)) — the
@@ -324,19 +400,25 @@ class CachingStore(StoreWrapper):
     def _run_unique_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
         results: list[QueryResult | None] = [None] * len(queries)
         miss: list[int] = []
+        before = ValidatorView(self._store)
         for i, q in enumerate(queries):
-            hit = self.cache.lookup(self._store, q)
+            hit = self.cache.lookup(before, q)
             if hit is not None:
                 results[i] = hit
             else:
                 miss.append(i)
         if miss:
             miss_qs = [queries[i] for i in miss]
-            validators = [
-                self.cache.capture(self._store, q) for q in miss_qs
-            ]
-            out = self._store._run_unique_batch(miss_qs)
+            validators = [self.cache.capture(before, q) for q in miss_qs]
+            out = self._run_uncached_batch(miss_qs)
+            after = ValidatorView(self._store)
             for i, q, v, res in zip(miss, miss_qs, validators, out):
                 results[i] = res
-                self.cache.insert(self._store, q, v, res)
+                self.cache.insert(after, q, v, res)
         return results  # type: ignore[return-value]
+
+    def _run_uncached_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
+        """What a miss costs: the batch on the wrapped store, nothing
+        looked up and nothing inserted (the refresher's deltas run
+        here — no later request can ask for a delta's window again)."""
+        return self._store._run_unique_batch(queries)

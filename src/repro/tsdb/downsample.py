@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +57,7 @@ class Downsample:
             raise InvalidDownsampleSpec(str(exc)) from None
 
     @classmethod
+    @lru_cache(maxsize=256)  # pure in the string; a raise is not kept
     def parse(cls, spec: str) -> "Downsample":
         """Parse ``"5m-avg"`` / ``"1h-max-nan"`` style specs."""
         m = _SPEC_RE.match(spec.strip().lower())

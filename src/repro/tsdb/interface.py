@@ -331,6 +331,12 @@ class StoreApi:
         # ``parallel`` is ignored: the frozen benchmarks/e2e ScanProxy passes it.
         return run_unique_batch(queries, self._match, self.series_slice)
 
+    def _run_uncached_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
+        """``_run_unique_batch`` below any result cache.  A store keeps
+        none, so here they are one hook; the serving layer's
+        ``CachingStore`` answers with what it runs on a miss."""
+        return self._run_unique_batch(queries)
+
     def select(self, metric: str) -> QueryBuilder:
         """Start a fluent query builder bound to this store:
         ``store.select("air.co2.ppm").where(node="*").range(t0, t1).run()``.

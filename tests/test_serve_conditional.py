@@ -20,6 +20,7 @@ answers *not modified* or *the tail*, and nobody can tell.
 import json
 import socket
 import threading
+from hashlib import blake2b
 
 import numpy as np
 import pytest
@@ -28,9 +29,19 @@ from hypothesis import strategies as st
 
 import repro.serve.cache as cache_module
 import repro.serve.client as client_module
-from repro.serve import IncrementalRefresher, QueryClient
-from repro.serve.cache import BoundedLRU
-from repro.tsdb import BatchBuilder, Query, SeriesKey, ShardedTSDB, TSDB, wire
+from repro.serve import CachingStore, IncrementalRefresher, QueryClient
+from repro.serve.cache import BoundedLRU, entry_validator, series_tag, series_text
+from repro.tsdb import (
+    BatchBuilder,
+    Query,
+    QueryError,
+    SeriesKey,
+    ShardedTSDB,
+    TSDB,
+    expr,
+    wire,
+)
+from repro.tsdb.interface import StoreWrapper
 from test_serve import _VALUES, _raw_lines, _wall_panels, live_server
 
 
@@ -576,3 +587,176 @@ def test_refresher_panel_table_evicts_the_least_recently_refreshed():
     assert refresher.stats.full_runs == 258
     assert refresher.stats.evicted == 2
     assert len(refresher._panels) == 256
+
+
+# -- a refresh is one batch -------------------------------------------------
+
+def _refreshed(refresher, panels, *, one_at_a_time: bool):
+    if not one_at_a_time:
+        return refresher.run_many(panels)
+    return [refresher.run(q) if isinstance(q, Query)
+            else refresher.run_many([q])[0] for q in panels]
+
+
+def _assert_refresh_is_exact(inner, refresher, panels, *, one_at_a_time=False):
+    """The refreshed reply, encoded the way the server encodes it, is
+    the dict codec on the innermost store — as a dict and as bytes
+    (``scannedPoints`` aside: a refresh reports the delta's) — and every
+    series' carried text and digest are what a from-scratch encoding
+    and a one-shot hash of it give."""
+    try:
+        results = _refreshed(refresher, panels, one_at_a_time=one_at_a_time)
+    except QueryError as exc:
+        results = wire.encode_error(exc)
+    # asked afterwards: a write may land in the middle of the refresh
+    want = wire.handle_request(inner, wire.encode_request(panels))
+    if isinstance(results, dict):
+        assert want == results
+        return
+    got = json.loads(wire.encode_response_json(
+        results, series_json=series_text, held=[None] * len(panels),
+        validator=entry_validator))
+    assert len(got.pop("validators")) == len(panels)
+    assert "error" not in want
+    for ours, theirs in zip(want["results"], got["results"]):
+        ours["scannedPoints"] = theirs["scannedPoints"]
+    assert got == want
+    assert (json.dumps(got, allow_nan=False)
+            == json.dumps(want, allow_nan=False))
+    for res in results:
+        for s in res.series:
+            assert series_text(s) == wire.series_json(s)
+            assert series_tag(s) == blake2b(
+                series_text(s), digest_size=16).digest()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
+@pytest.mark.parametrize("make_store", [TSDB, lambda: ShardedTSDB(4)],
+                         ids=["single", "sharded"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_property_batch_refresh_is_per_panel_refresh_is_from_scratch(
+        make_store, data):
+    """After every step, whatever it was — an append, a late write,
+    retention, churn, nothing, a slid window — one batched refresh of
+    the request ≡ a second refresher asked one panel at a time ≡
+    ``run_many`` on the innermost store.  The request may name one
+    panel shape twice (two windows) and carries expression panels whose
+    operands are sibling panels."""
+    inner = make_store()
+    draw = data.draw
+    batch = IncrementalRefresher(CachingStore(inner, capacity=3))
+    single = IncrementalRefresher(CachingStore(inner, capacity=3))
+    now, nodes, window = 0, ["a", "b"], (0, 0)
+    picks, twice = [0, 1, 4, 5, 6], None
+    ops = (("append",) * 4 + ("slide",) * 2
+           + ("late", "retention", "churn", "repeat"))
+    for _ in range(draw(st.integers(3, 20))):
+        op = draw(st.sampled_from(ops))
+        if op == "append":
+            for _ in range(draw(st.integers(1, 6))):
+                now += draw(st.integers(1, 9))
+                inner.put("m", now, draw(_VALUES),
+                          {"node": draw(st.sampled_from(nodes))})
+        elif op == "late":  # out of order, or a duplicate instant
+            inner.put("m", draw(st.integers(0, now)), draw(_VALUES),
+                      {"node": draw(st.sampled_from(nodes))})
+        elif op == "retention":
+            inner.delete_before(draw(st.integers(0, now + 1)))
+        elif op == "churn":
+            if draw(st.booleans()):
+                nodes.append(f"n{len(nodes)}")
+                inner.put("m", draw(st.integers(0, now + 1)), draw(_VALUES),
+                          {"node": nodes[-1]})
+            else:  # a whole series goes away
+                inner.delete_series_before(
+                    SeriesKey.make(
+                        "m", {"node": draw(st.sampled_from(nodes))}),
+                    now + 1)
+        elif op == "slide":
+            start = draw(st.sampled_from(  # the start moves, or stays
+                (window[0], 0, max(0, now - 60),
+                 max(0, (now - 60) // 10 * 10))))
+            window = (start, max(start, window[1], now + draw(
+                st.integers(0, 5))))
+            if draw(st.integers(0, 3)) == 0:
+                picks = draw(st.lists(st.integers(0, 8), max_size=5))
+            twice = draw(st.one_of(
+                st.none(), st.integers(0, 20), st.integers(0, 20).map(
+                    lambda back: back // 10 * 10)))
+        window = (window[0], max(window[1], now))
+        pool = _wall_panels(*window)
+        panels = [pool[i] for i in picks]
+        if twice is not None:  # the grouped panel again, a later start
+            lo = min(window[0] + twice, window[1])
+            panels.append(Query("m", lo, window[1], downsample="10s-avg",
+                                group_by=("node",)))
+        _assert_refresh_is_exact(inner, batch, panels)
+        _assert_refresh_is_exact(inner, single, panels, one_at_a_time=True)
+
+
+class _WritesMidRequest(StoreWrapper):
+    """A layer under the cache that lands a write inside the planner's
+    hook: once the request has read its validators and before the
+    scans, or after the scans and before they are read again."""
+
+    def __init__(self, store) -> None:
+        super().__init__(store)
+        self.before_scans = self.after_scans = None
+
+    def _run_unique_batch(self, queries):
+        write, self.before_scans = self.before_scans, None
+        if write is not None:
+            write()
+        out = self._store._run_unique_batch(queries)
+        write, self.after_scans = self.after_scans, None
+        if write is not None:
+            write()
+        return out
+
+
+@pytest.mark.parametrize("make_store", [TSDB, lambda: ShardedTSDB(4)],
+                         ids=["single", "sharded"])
+@pytest.mark.parametrize("when", ["before_scans", "after_scans"])
+@pytest.mark.parametrize("write", ["late", "churn"])
+def test_a_write_between_the_phases_sends_its_panels_down_the_full_path(
+        make_store, when, write):
+    """A view is one phase old.  Whatever reshapes a series — or the set
+    of series — between the reads before the scans and the reads after
+    them is seen by the second reads: the panels over it are dropped,
+    counted and re-run in full, the others are spliced, and the reply is
+    exact.  (Validators read once *per request* would stamp the churned
+    panels fresh and splice a series with no history below the cut.)"""
+    inner = make_store()
+    for t in range(0, 100, 7):
+        for node in ("a", "b"):
+            inner.put("m", t, float(t), {"node": node})
+            inner.put("other", t, float(-t), {"node": node})
+    middle = _WritesMidRequest(inner)
+    refresher = IncrementalRefresher(CachingStore(middle))
+
+    def panels(end):
+        by_node = Query("m", 0, end, downsample="10s-avg", group_by=("node",))
+        return [by_node, Query("m", 0, end), expr("a * 2", a=by_node),
+                Query("other", 0, end, downsample="10s-max")]
+
+    _assert_refresh_is_exact(inner, refresher, panels(100))
+    assert refresher.stats.full_runs == 3
+    for node in ("a", "b"):
+        inner.put("m", 105, 1.0, {"node": node})
+        inner.put("other", 105, 2.0, {"node": node})
+    setattr(middle, when, {
+        "late": lambda: inner.put("m", 50, 99.0, {"node": "a"}),
+        "churn": lambda: inner.put("m", 50, 99.0, {"node": "new"}),
+    }[write])
+    _assert_refresh_is_exact(inner, refresher, panels(110))
+    assert middle.before_scans is None and middle.after_scans is None
+    assert refresher.stats.as_dict() == {
+        "full_runs": 3 + 2, "incremental_runs": 1, "cache_only_runs": 0,
+        "invalidated": 2, "evicted": 0, "batches": 2, "delta_queries": 3}
+    # ... and what the full path remembered splices again
+    for node in ("a", "b", "new")[:3 if write == "churn" else 2]:
+        inner.put("m", 115, 3.0, {"node": node})
+    _assert_refresh_is_exact(inner, refresher, panels(120))
+    assert refresher.stats.incremental_runs == 1 + 3
+    assert refresher.stats.invalidated == 2
