@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-store test-sharded test-region test-persist test-query test-catalog test-replication test-tier test-uplink test-imports serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e lint loc
+.PHONY: test test-cold test-store test-sharded test-region test-persist test-query test-catalog test-replication test-tier test-uplink test-imports serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e bench-pairs lint loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -72,6 +72,15 @@ test-tier:
 test-uplink:
 	$(PYTHON) -m pytest -q tests/test_uplink_costs.py tests/test_replication_walk.py tests/test_replication.py tests/test_store_stack.py tests/test_dataport_app.py
 
+# The cold-path gate: what one cold dashboard batch costs as counts
+# (bytes copied by scans 0, one filter's alignment alive at a time,
+# traced peak below the bytes scanned, no NaN mask and no per-value
+# encode without a NaN, results that own their columns), a scan ≡ the
+# eager copy under any later write (hypothesis), and every aggregator
+# ≡ the dense columnar definition through both mask branches.
+test-cold:
+	$(PYTHON) -m pytest -q tests/test_cold_costs.py tests/test_property_tsdb.py tests/test_tsdb_plan.py
+
 # The import-graph gate: fresh-interpreter checks that a store process
 # (tsdb / serve / replication, the e2e fixture, the CLI parser) loads no
 # domain model and no scipy, and that the root name table resolves.
@@ -131,6 +140,15 @@ W ?= dashboard_cached
 SEED ?= 7
 bench-e2e:
 	python3 -m benchmarks.e2e --workload $(W) --seed $(SEED)
+
+# Parent / change pair runs of one workload, alternating which side
+# goes first, same seed on both sides; per metric medians, quartiles,
+# wins and a verdict against BENCHMARK.json's bound.
+# `make bench-pairs PARENT=HEAD~1 W=dashboard_cold PAIRS=10`.
+PARENT ?= HEAD
+PAIRS ?= 10
+bench-pairs:
+	python3 -m benchmarks.pairs --parent $(PARENT) --workload $(W) --pairs $(PAIRS)
 
 lint:
 	$(PYTHON) -m ruff check src/

@@ -24,7 +24,9 @@ Correctness comes from generation validators, not timers:
   cached (a stale result can never be stamped fresh).
 
 Hits return the very result object the underlying store produced, so
-cached responses are byte-identical to uncached ``run_many`` output.
+cached responses are byte-identical to uncached ``run_many`` output —
+with its columns made read-only on insertion, since every holder of a
+cached result holds the same arrays.
 
 Validators are read through a :class:`ValidatorView`: one request's
 look-ups and captures share one view (a 12-panel dashboard over four
@@ -380,6 +382,15 @@ class CatalogCache(ResultCache):
         return store.metric_generation(metric) == gen
 
 
+def _freeze(result: QueryResult) -> None:
+    """Make the columns of a result that is now shared — with the cache
+    and with every later caller it answers — read-only: a write through
+    one holder raises instead of changing what the others are served."""
+    for s in result.series:
+        s.timestamps.setflags(write=False)
+        s.values.setflags(write=False)
+
+
 class CachingStore(StoreWrapper):
     """A store wrapper serving ``run_many`` through a :class:`ResultCache`.
 
@@ -414,7 +425,8 @@ class CachingStore(StoreWrapper):
             after = ValidatorView(self._store)
             for i, q, v, res in zip(miss, miss_qs, validators, out):
                 results[i] = res
-                self.cache.insert(after, q, v, res)
+                if self.cache.insert(after, q, v, res):
+                    _freeze(res)
         return results  # type: ignore[return-value]
 
     def _run_uncached_batch(self, queries: Sequence[Query]) -> list[QueryResult]:

@@ -58,11 +58,18 @@ view outlives its phase.
 
 Full runs stay one panel at a time, each inside its own bracket and
 *through* the caching store (a first refresh may be answered by what a
-plain request cached): twelve full panels planned as one batch hold
-twelve panels' scans at once — the prototype of this design read
-``dashboard_live`` ``peak_rss_mb`` 186 → 215 that way, outside its 8 %
-bound.  A request that names one panel shape twice (two windows) is cut
-at the repeat, so the later entry sees the state the earlier one left.
+plain request cached): a bracket per panel sends one panel down the
+full path again when a write races it, a bracket around twelve sends
+twelve.  Memory is no longer the reason.  When a scan copied its
+columns and a batch kept every filter's alignment until its last panel,
+twelve full panels planned as one batch read ``dashboard_live``
+``peak_rss_mb`` 186 → 215, outside its 8 % bound; now that a batch
+holds views and one filter's cells (:func:`~repro.tsdb.plan.run_unique_batch`)
+the same variant reads 153.7 → 154.4 MB over six pairs, journey
+unchanged — so batching the full runs is open again, as an argument
+about the bracket alone.  A request that names one panel shape twice
+(two windows) is cut at the repeat, so the later entry sees the state
+the earlier one left.
 
 The reply text is spliced the same way.  Once a reply has encoded the
 previous result (:func:`~repro.serve.cache.series_text` leaves the text

@@ -39,6 +39,17 @@ prefers on the hot path:
   over time-sorted cells would *not* do: numpy's reduce loop is
   ``first + pairwise_sum(rest)``, unrolled eight ways from eight
   elements up, and regrouping float additions moves the last ulp;
+
+  Masks run only where something is masked.  One pass over the values
+  (:func:`_nan_free`) decides per :class:`Cells`, and per grouped call:
+  when nothing is NaN no finite mask is built, a column's count is the
+  number of its cells and the folds read the values as they lie.  No
+  bit moves: ``where(finite, x, missing)`` *is* ``x`` when every cell
+  is finite, a count of 1.0s is the exact integer it counts, and a
+  masked cell only ever added +0.0 to a column that started at +0.0 —
+  so a window without a NaN and a wider one with a NaN elsewhere still
+  agree on every column they share.  Which branch runs is chosen by
+  the data, and both are held to the columnar definition;
 - *grouped* (:func:`grouped`): takes a value column plus ``reduceat``
   segment starts and reduces every segment at once — downsampling's
   per-bucket loop, vectorized.  Segments must be non-empty (NaNs inside
@@ -288,6 +299,10 @@ def get_columnar(name: str) -> ColumnarAggregator:
 # ---------------------------------------------------------------------------
 
 
+def _nan_free(values: np.ndarray) -> bool:
+    return not np.isnan(values).any()
+
+
 class Cells:
     """A ``(n_series, n_instants)`` matrix in coordinate form.
 
@@ -301,12 +316,20 @@ class Cells:
     """
 
     def __init__(
-        self, lengths: np.ndarray, col: np.ndarray, values: np.ndarray, n_cols: int
+        self,
+        lengths: np.ndarray,
+        col: np.ndarray,
+        values: np.ndarray,
+        n_cols: int,
+        sizes: np.ndarray,
     ) -> None:
         self.lengths = lengths
         self.col = col
         self.values = values
         self.n_cols = n_cols
+        #: Cells per column as float64 — what :attr:`counts` is when no
+        #: cell is NaN; whoever aligned the cells has it for free.
+        self.sizes = sizes
 
     def fold(self, weights: np.ndarray) -> np.ndarray:
         """Per-column sum of one weight per cell, added in row order
@@ -315,16 +338,27 @@ class Cells:
         return np.bincount(self.col, weights=weights, minlength=self.n_cols)
 
     @cached_property
+    def nan_free(self) -> bool:
+        return _nan_free(self.values)
+
+    @cached_property
     def finite(self) -> np.ndarray:
+        """Which cells are not NaN; never built while :attr:`nan_free`."""
         return ~np.isnan(self.values)
+
+    def filled(self, missing: float) -> np.ndarray:
+        """The values with ``missing`` in place of NaN."""
+        if self.nan_free:
+            return self.values
+        return np.where(self.finite, self.values, missing)
 
     @cached_property
     def counts(self) -> np.ndarray:
-        return self.fold(self.finite)
+        return self.sizes if self.nan_free else self.fold(self.finite)
 
     @cached_property
     def sums(self) -> np.ndarray:
-        return self.fold(np.where(self.finite, self.values, 0.0))
+        return self.fold(self.filled(0.0))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -347,8 +381,11 @@ def _sct_avg(cells: Cells) -> np.ndarray:
 def _sct_dev(cells: Cells) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = cells.sums / cells.counts
-        centered = np.where(cells.finite, cells.values - mean[cells.col], 0.0)
-    return _dev_of(cells.counts, cells.fold(centered * centered))
+        centered = cells.values - mean[cells.col]
+        if not cells.nan_free:
+            centered = np.where(cells.finite, centered, 0.0)
+        np.multiply(centered, centered, out=centered)
+    return _dev_of(cells.counts, cells.fold(centered))
 
 
 def _sct_count(cells: Cells) -> np.ndarray:
@@ -360,8 +397,9 @@ def _sct_extreme(ufunc: np.ufunc, missing: float):
         # ufunc.at folds each column's cells in row order from
         # ``missing``, the value the columnar form puts in empty cells.
         out = np.full(cells.n_cols, missing)
-        ufunc.at(out, cells.col, np.where(cells.finite, cells.values, missing))
-        out[cells.counts == 0] = np.nan
+        ufunc.at(out, cells.col, cells.filled(missing))
+        if not cells.nan_free:
+            out[cells.counts == 0] = np.nan
         return out
 
     return scattered
@@ -391,56 +429,71 @@ def reduce_cells(agg: ColumnarAggregator, cells: Cells) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _seg_counts(finite: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    return np.add.reduceat(finite.astype(np.float64), starts)
+def segment_lengths(starts: np.ndarray, n: int) -> np.ndarray:
+    """Cells per segment, as the float64 a count of them is."""
+    lengths = np.empty(starts.shape[0], dtype=np.float64)
+    lengths[:-1] = starts[1:]
+    lengths[-1:] = n
+    lengths -= starts
+    return lengths
+
+
+def _seg_counts(
+    values: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """(which cells are not NaN, how many per segment) — no mask and the
+    segment lengths when nothing is NaN (see the module docstring)."""
+    if _nan_free(values):
+        return None, segment_lengths(starts, values.shape[0])
+    finite = ~np.isnan(values)
+    return finite, np.add.reduceat(finite.astype(np.float64), starts)
+
+
+def _filled(values: np.ndarray, finite: np.ndarray | None, missing: float):
+    return values if finite is None else np.where(finite, values, missing)
 
 
 def _grp_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    finite = ~np.isnan(values)
-    sums = np.add.reduceat(np.where(finite, values, 0.0), starts)
-    sums[_seg_counts(finite, starts) == 0] = np.nan
+    finite, counts = _seg_counts(values, starts)
+    sums = np.add.reduceat(_filled(values, finite, 0.0), starts)
+    sums[counts == 0] = np.nan
     return sums
 
 
 def _grp_avg(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    finite = ~np.isnan(values)
-    counts = _seg_counts(finite, starts)
-    sums = np.add.reduceat(np.where(finite, values, 0.0), starts)
-    return np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
+    finite, counts = _seg_counts(values, starts)
+    return _avg_of(counts, np.add.reduceat(_filled(values, finite, 0.0), starts))
 
 
-def _grp_min(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    finite = ~np.isnan(values)
-    out = np.minimum.reduceat(np.where(finite, values, np.inf), starts)
-    out[_seg_counts(finite, starts) == 0] = np.nan
-    return out
+def _grp_extreme(ufunc: np.ufunc, missing: float) -> GroupedAggregator:
+    def grouped(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        finite, counts = _seg_counts(values, starts)
+        out = ufunc.reduceat(_filled(values, finite, missing), starts)
+        out[counts == 0] = np.nan
+        return out
 
-
-def _grp_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    finite = ~np.isnan(values)
-    out = np.maximum.reduceat(np.where(finite, values, -np.inf), starts)
-    out[_seg_counts(finite, starts) == 0] = np.nan
-    return out
+    return grouped
 
 
 def _grp_dev(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     # Two-pass like _col_dev: center each segment on its own mean
     # before squaring to avoid catastrophic cancellation.
-    finite = ~np.isnan(values)
-    counts = _seg_counts(finite, starts)
-    sums = np.add.reduceat(np.where(finite, values, 0.0), starts)
-    lengths = np.diff(np.concatenate([starts, [values.shape[0]]]))
+    finite, counts = _seg_counts(values, starts)
+    lengths = np.diff(starts, append=values.shape[0])
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean = sums / counts
-        centered = np.where(finite, values - np.repeat(mean, lengths), 0.0)
-        var = np.add.reduceat(centered * centered, starts) / counts
+        mean = np.add.reduceat(_filled(values, finite, 0.0), starts) / counts
+        centered = values - np.repeat(mean, lengths)
+        if finite is not None:
+            centered = np.where(finite, centered, 0.0)
+        np.multiply(centered, centered, out=centered)
+        var = np.add.reduceat(centered, starts) / counts
     out = np.sqrt(var)
     out[counts == 0] = np.nan
     return out
 
 
 def _grp_count(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    return _seg_counts(~np.isnan(values), starts)
+    return _seg_counts(values, starts)[1]
 
 
 def _grp_first(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -467,8 +520,8 @@ _GROUPED: dict[str, GroupedAggregator] = {
     "avg": _grp_avg,
     "mean": _grp_avg,
     "sum": _grp_sum,
-    "min": _grp_min,
-    "max": _grp_max,
+    "min": _grp_extreme(np.minimum, np.inf),
+    "max": _grp_extreme(np.maximum, -np.inf),
     "dev": _grp_dev,
     "std": _grp_dev,
     "count": _grp_count,

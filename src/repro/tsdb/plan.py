@@ -20,14 +20,23 @@ this module adds everything around it:
   :class:`~repro.tsdb.sharded.ShardedTSDB` (merged catalog, scan routed
   to the owning shard) and :class:`~repro.tsdb.database.TSDB` execute
   the *same* code over the same slices — results are bit-identical
-  for any shard count;
+  for any shard count.  What a batch holds: the scans for its whole
+  length — they are read-only views of the stores' columns
+  (:meth:`~repro.tsdb.series.SeriesStore.scan`), nothing to free — and
+  the alignments of **one filter at a time**: only queries with the
+  same filter can share one, so the batch runs filter by filter and a
+  filter's cells, masks and concatenations die before the next
+  filter's are made.  A result owns its columns: where a plan would
+  hand a scan through unchanged it is copied out, once;
 - :func:`execute_plan` — the seed scan → rate → group-by → aggregate →
   downsample plan, in stages (:func:`group_keys`,
   :func:`aggregate_across`, one downsample pass over the groups);
 - :class:`ScanPlan` / :func:`align` — the physical helpers: one
   covering-range scan per touched series for a whole batch, one argsort
   alignment per group of slices (every point's column in the timestamp
-  union; the aggregators fold the points, no series×instant matrix).
+  union; the aggregators fold the points, no series×instant matrix, and
+  no NaN mask where no value is NaN — the alignment hands each column's
+  point count over, see :mod:`~repro.tsdb.aggregators`).
 
 The one-shot entry points (``store.run``, ``QueryBuilder.run``) are thin
 shims over this planner: a single query is just a batch of one.
@@ -399,7 +408,8 @@ def align(slices: list[SeriesSlice]) -> tuple[np.ndarray, aggregators.Cells]:
     first = np.empty(merged.shape[0], dtype=bool)
     first[0] = True
     np.not_equal(merged[1:], merged[:-1], out=first[1:])
-    all_ts = merged[first]
+    starts = np.flatnonzero(first)
+    all_ts = merged[starts]
     # Rank of each sorted point's instant (cumsum of an integer copy:
     # off the bool mask itself numpy runs its slow casting loop).
     rank = first.astype(np.intp)
@@ -412,6 +422,8 @@ def align(slices: list[SeriesSlice]) -> tuple[np.ndarray, aggregators.Cells]:
         col,
         np.concatenate([s.values for s in slices]),
         all_ts.shape[0],
+        # Each instant's run in the sorted union is its column's cells.
+        aggregators.segment_lengths(starts, merged.shape[0]),
     )
 
 
@@ -455,7 +467,11 @@ def aggregate_across(
     ``avg`` and ``dev`` panels over one metric) share the alignment and
     its first pass and differ only in the final reduction.  Keys are
     slice identities, so the cache is only valid while the batch holds
-    its prepared slices — callers pass a per-batch dict.
+    its prepared slices — callers pass a dict that lives as long as the
+    queries that can share do (:func:`run_unique_batch`: one filter).
+
+    A lone series that is its own aggregate comes back as it went in —
+    the scan's read-only view of the store, when that is what it was.
     """
     slices = [s for s in slices if len(s) > 0]
     if not slices:
@@ -471,6 +487,10 @@ def aggregate_across(
         return only
     all_ts, cells = _aligned_for(slices, align_cache)
     return SeriesSlice(all_ts, aggregators.reduce_cells(agg, cells))
+
+
+def _owned(column: np.ndarray) -> np.ndarray:
+    return column if column.flags.writeable else column.copy()
 
 
 def execute_plan(
@@ -508,6 +528,13 @@ def execute_plan(
     ds = query.parsed_downsample()
     if ds is not None:  # all groups in one pass
         reduced = downsample_many(reduced, ds, query.start, query.end)
+    else:
+        # A result owns its columns.  Undownsampled, a lone series is
+        # still the scan's view of the store's (read-only marks it):
+        # kept in a result cache it would pin the whole buffer.
+        reduced = [
+            SeriesSlice(_owned(sl.timestamps), _owned(sl.values)) for sl in reduced
+        ]
     series_out = [
         ResultSeries(
             metric=query.metric,
@@ -575,6 +602,12 @@ class ScanPlan:
         return sub
 
 
+def _filter_key(q: Query) -> tuple:
+    """What a query matches series by: two queries with equal keys
+    touch the same series, and only those can share an alignment."""
+    return (q.metric, tuple(sorted(q.tags.items())))
+
+
 def match_batch(
     match: Callable[[str, Mapping[str, str]], list],
     queries: Sequence[Query],
@@ -583,7 +616,7 @@ def match_batch(
     cache: dict[tuple, list] = {}
     out: list[list] = []
     for q in queries:
-        mk = (q.metric, tuple(sorted(q.tags.items())))
+        mk = _filter_key(q)
         if mk not in cache:
             cache[mk] = match(q.metric, q.tags)
         out.append(cache[mk])
@@ -602,23 +635,33 @@ def run_unique_batch(
     touched series through ``scan`` once over the covering range of
     every query that needs it, and panels aggregating the same slices
     share one alignment.  Results align with ``queries``.
+
+    The scans are views and cost nothing to hold for the whole batch;
+    an alignment is as large as the points it aligns, and only queries
+    with the same filter can share one.  So the batch runs one filter
+    at a time, in order of first appearance, and each filter's
+    alignments are dropped before the next one's are made.
     """
     matches = match_batch(match, queries)
     scans = ScanPlan()
-    for q, keys in zip(queries, matches):
+    by_filter: dict[tuple, list[int]] = {}
+    for i, (q, keys) in enumerate(zip(queries, matches)):
+        by_filter.setdefault(_filter_key(q), []).append(i)
         for key in keys:
             scans.need(key, q.start, q.end)
     scans.resolve(scan)
-    align_cache: dict = {}
-    return [
-        execute_plan(
-            q,
-            keys,
-            lambda key, q=q: scans.slice_for(key, q.start, q.end),
-            align_cache=align_cache,
-        )
-        for q, keys in zip(queries, matches)
-    ]
+    results: list[QueryResult | None] = [None] * len(queries)
+    for members in by_filter.values():
+        align_cache: dict = {}  # the previous filter's dies here
+        for i in members:
+            q = queries[i]
+            results[i] = execute_plan(
+                q,
+                matches[i],
+                lambda key, q=q: scans.slice_for(key, q.start, q.end),
+                align_cache=align_cache,
+            )
+    return results  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,12 @@ import numpy as np
 
 @dataclass(frozen=True, slots=True)
 class SeriesSlice:
-    """A contiguous, time-sorted view of one series."""
+    """A contiguous, time-sorted view of one series.
+
+    What :meth:`SeriesStore.scan` returns is a *read-only* view of the
+    store's own columns; slices computed from it (aggregates, buckets,
+    rates) own fresh arrays.
+    """
 
     timestamps: np.ndarray  # int64, strictly increasing
     values: np.ndarray  # float64, parallel to timestamps
@@ -41,6 +46,16 @@ class SeriesSlice:
 
 class SeriesStore:
     """Append-optimized storage for one series.
+
+    **Nothing below ``_n`` is ever written in place.**  The sorted
+    region ``_ts[:_n]`` / ``_vals[:_n]`` only grows: an in-order append
+    or bulk extend writes at ``>= _n``, and everything that would change
+    what is already there — growth past capacity, merging the unsorted
+    tail or an out-of-order batch, a retention delete — builds new
+    arrays and *replaces* the columns.  A :meth:`scan` is therefore a
+    snapshot without a copy: a read-only view of the columns as they
+    were, equal for as long as it is held to the copy it could have
+    been (and keeping a superseded buffer alive for exactly that long).
 
     Two monotonic counters make the store's mutation history observable
     without scanning it (the serving layer's cache/refresh validity
@@ -184,12 +199,17 @@ class SeriesStore:
         self._dirty = False
 
     def scan(self, start: int | None = None, end: int | None = None) -> SeriesSlice:
-        """Sorted slice of points with ``start <= t <= end`` (inclusive)."""
+        """Sorted slice of points with ``start <= t <= end`` (inclusive):
+        a read-only snapshot of the columns (see the class docstring),
+        not a copy — whoever keeps points past the request copies them."""
         self._compact()
         ts = self._ts[: self._n]
         lo = 0 if start is None else int(np.searchsorted(ts, start, side="left"))
         hi = self._n if end is None else int(np.searchsorted(ts, end, side="right"))
-        return SeriesSlice(ts[lo:hi].copy(), self._vals[lo:hi].copy())
+        ts, vals = ts[lo:hi], self._vals[lo:hi]
+        ts.setflags(write=False)
+        vals.setflags(write=False)
+        return SeriesSlice(ts, vals)
 
     def latest(self) -> tuple[int, float] | None:
         """Most recent ``(timestamp, value)`` or None when empty."""

@@ -8,13 +8,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.tsdb import (
+    ColdShardPager,
     DataPoint,
     Downsample,
     Query,
+    RetentionPolicy,
     SeriesKey,
     SeriesStore,
     ShardedTSDB,
     TSDB,
+    TierPolicy,
     dumps,
     format_point,
     load,
@@ -314,3 +317,212 @@ class TestQueryProperties:
             db.put("counter", t, running)
         res = db.run(Query("counter", 0, 2**41, rate=True)).single()
         assert (res.values >= 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# A scan is a snapshot: a read-only view that stays what it was
+# ---------------------------------------------------------------------------
+
+_SNAP_METRIC = "m"
+_SNAP_TAGS = ({"node": "a"}, {"node": "b"}, {"node": "c"})
+_SNAP_KEYS = tuple(SeriesKey.make(_SNAP_METRIC, tags) for tags in _SNAP_TAGS)
+_SNAP_PRELOAD = 10  # points per series before the first operation
+
+_snapshot_ops = st.lists(
+    st.tuples(
+        st.sampled_from((
+            "append", "late", "extend", "unordered", "grow", "compact",
+            "delete", "scan", "scan",
+        )),
+        st.integers(0, 2**16),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class _BareSeries:
+    """The operations on :class:`SeriesStore` itself."""
+
+    def __init__(self) -> None:
+        self.series = [SeriesStore() for _ in _SNAP_KEYS]
+
+    def append(self, i, t, v):
+        self.series[i].append(t, v)
+
+    def extend(self, i, ts, vals):
+        self.series[i].extend_batch(ts, vals)
+
+    def delete(self, i, cutoff):
+        self.series[i].delete_before(cutoff)
+
+    def compact(self, i):
+        self.series[i]._compact()
+
+    def scan(self, i, lo, hi):
+        return self.series[i].scan(lo, hi)
+
+
+class _ThroughStore:
+    """The same operations through a store's write and read surface."""
+
+    def __init__(self, db) -> None:
+        self.db = db
+
+    def append(self, i, t, v):
+        self.db.put(_SNAP_METRIC, t, v, _SNAP_TAGS[i])
+
+    def extend(self, i, ts, vals):
+        self.db.put_series(_SNAP_METRIC, ts, vals, _SNAP_TAGS[i])
+
+    def delete(self, i, cutoff):
+        self.db.delete_series_before(_SNAP_KEYS[i], cutoff)
+
+    def compact(self, i):
+        self.db.series_latest(_SNAP_KEYS[i])  # reads compact first
+
+    def scan(self, i, lo, hi):
+        return self.db.series_slice(_SNAP_KEYS[i], lo, hi)
+
+
+def _preload(target) -> list[int]:
+    ts = np.arange(1, _SNAP_PRELOAD + 1, dtype=np.int64) * 10
+    for i in range(len(_SNAP_KEYS)):
+        target.extend(i, ts, ts * 0.5 + i)
+    return [int(ts[-1])] * len(_SNAP_KEYS)
+
+
+def _drive_and_hold(target, ops, top: list[int]) -> list:
+    """Run ``ops``; return every scan taken with the eager copy of both
+    columns made at that moment.  ``top`` is the newest timestamp
+    written per series."""
+    held = []
+    for kind, seed in ops:
+        rng = np.random.default_rng(seed)
+        i = int(rng.integers(len(_SNAP_KEYS)))
+        if kind == "append":
+            top[i] += int(rng.integers(1, 100))
+            target.append(i, top[i], float(rng.normal()))
+        elif kind == "late":  # at or below the newest: the unsorted tail
+            target.append(i, int(rng.integers(0, top[i] + 1)), float(rng.normal()))
+        elif kind in ("extend", "grow"):  # in order; grow: past capacity
+            n = 300 if kind == "grow" else int(rng.integers(1, 20))
+            ts = top[i] + np.cumsum(rng.integers(1, 50, n))
+            top[i] = int(ts[-1])
+            target.extend(i, ts, rng.normal(size=n))
+        elif kind == "unordered":  # duplicates and history rewritten
+            n = int(rng.integers(1, 20))
+            ts = rng.integers(0, top[i] + 200, n)
+            top[i] = max(top[i], int(ts.max()))
+            target.extend(i, ts, rng.normal(size=n))
+        elif kind == "compact":
+            target.compact(i)
+        elif kind == "delete":
+            target.delete(i, int(rng.integers(0, top[i] + 2)))
+        else:
+            lo, hi = sorted(rng.integers(0, top[i] + 2, 2).tolist())
+            sl = target.scan(
+                i, None if rng.random() < 0.3 else lo,
+                None if rng.random() < 0.3 else hi,
+            )
+            held.append((sl, sl.timestamps.copy(), sl.values.copy()))
+    return held
+
+
+def _assert_still_the_snapshots(held) -> None:
+    for sl, ts, vals in held:
+        assert sl.timestamps.tobytes() == ts.tobytes()
+        assert sl.values.tobytes() == vals.tobytes()
+        assert not sl.timestamps.flags.writeable
+        assert not sl.values.flags.writeable
+        if len(sl):
+            with pytest.raises(ValueError, match="read-only"):
+                sl.values[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                sl.timestamps[:1] += 1
+
+
+@pytest.fixture(scope="module")
+def preloaded_snapshot_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("snap")
+    db = ShardedTSDB(4)
+    _preload(_ThroughStore(db))
+    db.snapshot_to_dir(directory)
+    return directory
+
+
+class TestScanIsASnapshot:
+    """Nothing below ``_n`` is written in place, so the view a scan
+    hands out equals, for as long as it is held, the copy it replaced —
+    whatever is appended, merged, grown, compacted or deleted after."""
+
+    @given(_snapshot_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_series_store(self, ops):
+        target = _BareSeries()
+        held = _drive_and_hold(target, ops, _preload(target))
+        _assert_still_the_snapshots(held)
+
+    @pytest.mark.parametrize("make", [TSDB, lambda: ShardedTSDB(4)],
+                             ids=["single", "sharded4"])
+    @given(ops=_snapshot_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_series_slice_through_a_store(self, make, ops):
+        target = _ThroughStore(make())
+        held = _drive_and_hold(target, ops, _preload(target))
+        _assert_still_the_snapshots(held)
+
+    @given(ops=_snapshot_ops)
+    @settings(max_examples=40, deadline=None)
+    def test_series_slice_through_a_pager(self, preloaded_snapshot_dir, ops):
+        """Views taken while one shard is resident outlive the paging
+        in of the others (a global read pages everything) and every
+        later write; the pager never drops a resident shard, so that is
+        all a held view can meet there."""
+        pager = ColdShardPager(preloaded_snapshot_dir)
+        target = _ThroughStore(pager)
+        first = target.scan(0, None, None)
+        held = [(first, first.timestamps.copy(), first.values.copy())]
+        assert len(pager.resident_shards) == 1
+        held += _drive_and_hold(target, ops, [_SNAP_PRELOAD * 10] * len(_SNAP_KEYS))
+        pager.metrics()
+        assert len(pager.resident_shards) == 4
+        _assert_still_the_snapshots(held)
+
+    @pytest.mark.parametrize("policy", [
+        RetentionPolicy(raw_max_age=500, rollup=Downsample.parse("5m-avg")),
+        TierPolicy.parse("500s:5m-avg:.5m", "1000s:10m-avg:.10m"),
+    ], ids=["retention", "tiers"])
+    def test_rollup_passes_hold_views_across_their_writes(
+        self, policy, monkeypatch
+    ):
+        """Both passes keep ``old = db.series_slice(...)`` across the
+        rollup puts and the delete that follows."""
+        def loaded():
+            db = ShardedTSDB(4)
+            ts = np.arange(0, 3_000, 30, dtype=np.int64)
+            for tags in _SNAP_TAGS:
+                db.put_series(_SNAP_METRIC, ts, np.sin(ts / 100.0), tags)
+            return db
+
+        held = []
+        real = ShardedTSDB.series_slice
+
+        def holding(store, key, start=None, end=None):
+            sl = real(store, key, start, end)
+            held.append((sl, sl.timestamps.copy(), sl.values.copy()))
+            return sl
+
+        def copying(store, key, start=None, end=None):
+            sl = real(store, key, start, end)
+            return SeriesSlice(sl.timestamps.copy(), sl.values.copy())
+
+        over_views, over_copies = loaded(), loaded()
+        monkeypatch.setattr(ShardedTSDB, "series_slice", holding)
+        report = policy.enforce(over_views, now=3_000)
+        monkeypatch.setattr(ShardedTSDB, "series_slice", copying)
+        assert policy.enforce(over_copies, now=3_000) == report
+        monkeypatch.undo()
+        assert len(held) >= len(_SNAP_TAGS)
+        _assert_still_the_snapshots(held)
+        assert dumps(over_views) == dumps(over_copies) != dumps(loaded())

@@ -614,6 +614,142 @@ def test_lone_negative_zero_folds_like_a_group():
         assert alone.values.tobytes() == lone.values.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# Masks only where something is masked: both branches ≡ the definition
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _nan_layouts(draw):
+    """2–12 series on one clock or on offsets, values 1e-3…1e8 in both
+    signs with ±0.0 / ±inf sprinkled in, and NaN laid out one of three
+    ways: nowhere; in every series at one shared instant (a column that
+    is all NaN); or sprinkled (which may empty a column too)."""
+    n = draw(st.integers(2, 12))
+    length = draw(st.integers(2, 12))
+    offset = draw(st.booleans())
+    nans = draw(st.sampled_from(("none", "column", "mixed")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hole = int(rng.integers(length))
+    slices = []
+    for i in range(n):
+        ts = np.arange(length) * 60 + (i % 7 if offset else 0)
+        values = rng.choice((-1.0, 1.0), length) * 10.0 ** rng.uniform(-3, 8, length)
+        odd = rng.random(length) < 0.1
+        values[odd] = rng.choice(_SPECIALS[1:], int(odd.sum()))
+        if nans == "column":
+            values[hole] = np.nan
+        elif nans == "mixed":
+            values[rng.random(length) < 0.3] = np.nan
+        slices.append(SeriesSlice(ts.astype(np.int64), values))
+    return nans, slices
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
+@settings(max_examples=200, deadline=None)
+@given(layout=_nan_layouts())
+def test_property_both_mask_branches_equal_dense_columnar(layout):
+    """Every aggregator ≡ ``get_columnar(name)(matrix)`` as bytes on
+    NaN-free, all-NaN-column and mixed cells — through the branch the
+    data picks, and, where nothing is NaN, through the masking branch
+    too (the one a NaN anywhere else in the window would pick)."""
+    from repro.tsdb.plan import align
+
+    nans, slices = layout
+    _, matrix = _dense(slices)
+    _, aligned = align(slices)
+    has_nan = bool(np.isnan(np.concatenate([s.values for s in slices])).any())
+    assert aligned.nan_free == (not has_nan)
+    assert has_nan == {"none": False, "column": True}.get(nans, has_nan)
+    # what align hands over is each column's cells, counted
+    counted = np.bincount(aligned.col, minlength=aligned.n_cols)
+    assert aligned.sizes.tobytes() == counted.astype(np.float64).tobytes()
+    masking = aggregators.Cells(
+        aligned.lengths, aligned.col, aligned.values, aligned.n_cols,
+        aligned.sizes)
+    masking.nan_free = False  # force the masks, whatever the data holds
+    for name in aggregators.names():
+        agg = aggregators.get_columnar(name)
+        want = _columnar(agg, matrix)
+        for what, cells in (("aligned", aligned), ("masking", masking)):
+            got = aggregators.reduce_cells(agg, cells)
+            assert got.dtype == np.float64, (name, what)
+            assert got.tobytes() == want.tobytes(), (name, what, got, want)
+    assert ("finite" in aligned.__dict__) == (not aligned.nan_free)
+    assert "finite" in masking.__dict__
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(layout=_nan_layouts(), cut_at=st.integers(1, 11))
+def test_property_delta_window_equals_full_window_across_a_nan(layout, cut_at):
+    """The refresher's case: the full window holds a NaN below the cut
+    (masking branch), the delta over ``[cut, end]`` holds none (NaN-free
+    branch) — and every instant they share aggregates to the same bytes,
+    across series and per downsample bucket."""
+    _, slices = layout
+    length = len(slices[0])
+    # on a bucket boundary, as the refresher cuts
+    cut = max(120, slices[0].timestamps[min(cut_at, length - 1)] // 120 * 120)
+    full, delta = [], []
+    for sl in slices:
+        values = sl.values.copy()
+        below = sl.timestamps < cut
+        values[~below] = np.where(np.isnan(values[~below]), 1.5, values[~below])
+        values[np.flatnonzero(below)[:1]] = np.nan
+        whole = SeriesSlice(sl.timestamps, values)
+        full.append(whole)
+        delta.append(whole.between(int(cut), None))
+    assert np.isnan(np.concatenate([s.values for s in full])).any()
+    assert not np.isnan(np.concatenate([s.values for s in delta])).any()
+    for name in aggregators.names():
+        agg = aggregators.get_columnar(name)
+        a = aggregate_across(full, agg).between(int(cut), None)
+        b = aggregate_across(delta, agg)
+        _assert_bytes(b, a.timestamps, a.values, name)
+    from repro.tsdb.downsample import Downsample, apply_many
+
+    for name in aggregators.names():
+        ds = Downsample(120, name)
+        whole = apply_many(full, ds, 0, None)
+        tail = apply_many(delta, ds, int(cut), None)
+        for a, b in zip(whole, tail):
+            a = a.between(int(cut), None)
+            _assert_bytes(b, a.timestamps, a.values, name)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nans=st.sampled_from((0.0, 0.05, 0.5)))
+def test_property_grouped_forms_equal_the_scalar_per_segment(seed, nans):
+    """Every ``reduceat`` form, through both branches: a NaN-free column
+    reduces to the bytes the masking branch gives it (forced by a NaN
+    in a segment of its own, in front), and the exact aggregators to
+    the scalar definition segment by segment."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    values = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3, 8, n)
+    odd = rng.random(n) < 0.1
+    values[odd] = rng.choice(_SPECIALS[1:], int(odd.sum()))
+    values[rng.random(n) < nans] = np.nan
+    starts = np.flatnonzero(np.r_[True, rng.random(n - 1) < 0.3])
+    ends = np.r_[starts[1:], n]
+    guarded, guarded_starts = np.r_[np.nan, values], np.r_[0, starts + 1]
+    for name in aggregators.names():
+        grouped = aggregators.grouped(name)
+        if grouped is None:
+            continue
+        got = grouped(values, starts)
+        assert got.dtype == np.float64 and got.shape == starts.shape, name
+        masked = grouped(guarded, guarded_starts)
+        assert np.isnan(masked[0]) or name == "count", name
+        assert got.tobytes() == masked[1:].tobytes(), (name, got, masked)
+        if name in ("count", "min", "max", "first", "last"):
+            scalar = aggregators.get(name)
+            want = np.array([scalar(values[a:b]) for a, b in zip(starts, ends)])
+            assert got.tobytes() == want.tobytes(), (name, got, want)
+
+
 @pytest.fixture(scope="module")
 def frozen_seed_run():
     """The frozen seed executor of ``benchmarks/test_query_throughput.py``
