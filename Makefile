@@ -76,10 +76,12 @@ test-uplink:
 # (bytes copied by scans 0, one filter's alignment alive at a time,
 # traced peak below the bytes scanned, no NaN mask and no per-value
 # encode without a NaN, results that own their columns), a scan ≡ the
-# eager copy under any later write (hypothesis), and every aggregator
-# ≡ the dense columnar definition through both mask branches.
+# eager copy under any later write (hypothesis), and every aggregator on
+# cells and on segments ≡ the frozen numpy oracle (quantiles: the stated
+# rule) through both mask branches, with no series × instant matrix and
+# no per-bucket call.
 test-cold:
-	$(PYTHON) -m pytest -q tests/test_cold_costs.py tests/test_property_tsdb.py tests/test_tsdb_plan.py
+	$(PYTHON) -m pytest -q tests/test_cold_costs.py tests/test_property_tsdb.py tests/test_tsdb_plan.py tests/test_tsdb_batch.py tests/test_aggregators.py
 
 # The import-graph gate: fresh-interpreter checks that a store process
 # (tsdb / serve / replication, the e2e fixture, the CLI parser) loads no

@@ -28,6 +28,7 @@ import pytest
 
 from repro.tsdb import TSDB
 
+import bench_io  # noqa: E402
 from bench_io import update_section  # noqa: E402
 
 METRICS = [
@@ -121,7 +122,8 @@ def test_indexed_match_vs_scan(store):
         for name in FILTERS))
 
     for name, speedup in speedups:
-        assert speedup >= MIN_SPEEDUP, (
-            f"indexed {name} matching only {speedup:.1f}x faster than the "
-            f"scan (gate: {MIN_SPEEDUP}x)"
-        )
+        if bench_io.recording:  # a wall-clock gate: make bench* / CI only
+            assert speedup >= MIN_SPEEDUP, (
+                f"indexed {name} matching only {speedup:.1f}x faster than the "
+                f"scan (gate: {MIN_SPEEDUP}x)"
+            )

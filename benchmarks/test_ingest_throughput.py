@@ -24,6 +24,7 @@ N_POINTS = 1_000_000
 N_NODES = 25
 METRICS = ["air.co2.ppm", "air.no2.ugm3", "air.pm10.ugm3", "weather.temperature.c"]
 N_SERIES = N_NODES * len(METRICS)
+import bench_io  # noqa: E402
 from bench_io import update_section, update_top_level  # noqa: E402
 
 
@@ -152,7 +153,8 @@ def test_batch_ingest_at_least_5x_faster_than_per_point(workload):
     print(f"\nBENCH_ingest: per-point {n / per_point_s:,.0f} pts/s, "
           f"batch {n / batch_s:,.0f} pts/s, speedup {speedup:.1f}x, "
           f"query {query_ms:.1f} ms")
-    assert speedup >= 5.0, f"batch path only {speedup:.1f}x faster"
+    if bench_io.recording:  # a wall-clock gate: make bench* / CI only
+        assert speedup >= 5.0, f"batch path only {speedup:.1f}x faster"
 
 
 def test_sharded_ingest_and_query(workload):
@@ -205,9 +207,10 @@ def test_sharded_ingest_and_query(workload):
     # Routing overhead stays bounded: sharded ingest must remain within
     # 3x of the single store (it is the same columnar path + crc32).
     worst = max(v["ingest_seconds"] for v in per_shard_count.values())
-    assert worst <= max(3.0 * single_s, single_s + 1.0), (
-        f"sharded ingest regressed: {worst:.3f}s vs single {single_s:.3f}s"
-    )
+    if bench_io.recording:  # a wall-clock gate: make bench* / CI only
+        assert worst <= max(3.0 * single_s, single_s + 1.0), (
+            f"sharded ingest regressed: {worst:.3f}s vs single {single_s:.3f}s"
+        )
 
 
 def test_small_batch_equivalence_snapshot():

@@ -23,6 +23,7 @@ from repro.tsdb import (
     snapshot,
 )
 
+import bench_io  # noqa: E402
 from bench_io import update_section  # noqa: E402
 from test_ingest_throughput import (  # same dir; pytest puts it on sys.path
     FLUSH_SIZE,
@@ -149,9 +150,10 @@ def test_binary_persistence_at_least_10x_faster(workload, tmp_path):  # noqa: F8
         f"{text_wal.stat().st_size:,} -> {bin_wal.stat().st_size:,}"
     )
 
-    assert replay_speedup >= REQUIRED_SPEEDUP, (
-        f"binary replay only {replay_speedup:.1f}x faster than text"
-    )
-    assert snap_restore_speedup >= REQUIRED_SPEEDUP, (
-        f"binary snapshot/restore only {snap_restore_speedup:.1f}x faster"
-    )
+    if bench_io.recording:  # wall-clock gates: make bench* / CI only
+        assert replay_speedup >= REQUIRED_SPEEDUP, (
+            f"binary replay only {replay_speedup:.1f}x faster than text"
+        )
+        assert snap_restore_speedup >= REQUIRED_SPEEDUP, (
+            f"binary snapshot/restore only {snap_restore_speedup:.1f}x faster"
+        )

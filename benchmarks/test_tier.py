@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+import bench_io
 from bench_io import update_section
 from repro.tsdb import (
     ColdShardPager,
@@ -114,10 +115,11 @@ def test_compaction_replay_cost(aged_wal):
           f"{result.bytes_ratio:.1f}x smaller, replay "
           f"{replay_before_s * 1e3:.0f} -> {replay_after_s * 1e3:.0f} ms "
           f"({replay_speedup:.1f}x)")
-    assert replay_speedup >= GATE_REPLAY_SPEEDUP, (
-        f"compacted replay only {replay_speedup:.1f}x faster "
-        f"(gate {GATE_REPLAY_SPEEDUP}x)"
-    )
+    if bench_io.recording:  # a wall-clock gate: make bench* / CI only
+        assert replay_speedup >= GATE_REPLAY_SPEEDUP, (
+            f"compacted replay only {replay_speedup:.1f}x faster "
+            f"(gate {GATE_REPLAY_SPEEDUP}x)"
+        )
 
 
 def test_cold_query_paging(tmp_path_factory):
@@ -163,7 +165,9 @@ def test_cold_query_paging(tmp_path_factory):
     print(f"\nBENCH_tier cold query: eager {eager_s * 1e3:.0f} ms vs "
           f"paged {paged_s * 1e3:.0f} ms ({eager_s / paged_s:.1f}x), "
           f"resident {resident:,}/{total_points:,} points")
-    # The pager must beat replaying the whole archive and keep most of
-    # it out of RAM (1 shard of 4 resident, modulo hash imbalance).
-    assert paged_s < eager_s
+    # The pager must beat replaying the whole archive (wall clock: make
+    # bench* / CI only) and keep most of it out of RAM (1 shard of 4
+    # resident, modulo hash imbalance).
+    if bench_io.recording:
+        assert paged_s < eager_s
     assert resident / total_points < 0.5

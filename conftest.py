@@ -1,5 +1,12 @@
 """Repo-root pytest options (``tests/`` and ``benchmarks/`` share them)."""
 
+import sys
+from pathlib import Path
+
+# tests/ import the frozen seed executor and its aggregation oracle from
+# benchmarks/test_query_throughput.py, also when run without benchmarks/.
+sys.path.insert(0, str(Path(__file__).resolve().parent / "benchmarks"))
+
 
 def pytest_addoption(parser):
     parser.addoption(

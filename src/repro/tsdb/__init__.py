@@ -18,7 +18,7 @@ retention optionally rolls old raw data up into coarser series.
 from . import aggregators
 from .batch import BatchBuilder, PointBatch, run_boundaries
 from .catalog import CardinalityLimitError, MergedCatalog, SeriesCatalog
-from .database import TSDB, execute_query
+from .database import TSDB
 from .downsample import Downsample, FillPolicy, InvalidDownsampleSpec
 from .interface import TimeSeriesStore
 from .model import (
@@ -179,7 +179,6 @@ __all__ = [
     "frame_block",
     "encode_catalog_request",
     "encode_error",
-    "execute_query",
     "expr",
     "handle_catalog_request",
     "handle_request",

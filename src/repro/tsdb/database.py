@@ -8,15 +8,13 @@ cross-series aggregation → (optional) downsample.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
-from . import plan as planner
 from .batch import PointBatch
 from .catalog import SeriesCatalog
 from .interface import StoreApi
 from .model import DataPoint, SeriesKey
-from .query import Query, QueryResult
-from .series import SeriesSlice, SeriesStore
+from .series import SeriesStore
 
 
 class TSDB(StoreApi):
@@ -169,18 +167,3 @@ class TSDB(StoreApi):
         """
         del self._stores[key]
         self.catalog.discard(key)
-
-
-def execute_query(
-    query: Query,
-    matched: list[SeriesKey],
-    scan: Callable[[SeriesKey], SeriesSlice],
-) -> QueryResult:
-    """The group-by → aggregate → downsample plan over scanned slices.
-
-    Kept as the stable name for the store-layout-independent execution
-    plan (the equivalence suites use it as their reference); the
-    implementation is :func:`~repro.tsdb.plan.execute_plan`, the same
-    stages the batched executor runs.
-    """
-    return planner.execute_plan(query, matched, scan)

@@ -52,7 +52,7 @@ class Downsample:
         if self.width <= 0:
             raise InvalidDownsampleSpec(f"width must be positive: {self.width}")
         try:
-            aggregators.get(self.agg)  # validate eagerly
+            aggregators.lookup(self.agg)  # validate eagerly
         except aggregators.UnknownAggregator as exc:
             raise InvalidDownsampleSpec(str(exc)) from None
 
@@ -99,10 +99,10 @@ def apply_many(
     gap-filling policy, empty leading/trailing buckets are emitted too,
     which dashboards rely on for fixed-width windows.
 
-    The slices are laid end to end and cut into segments wherever the
-    bucket or the slice changes, so a panel grouped by node reduces
-    every node's buckets with one ``reduceat`` (order statistics —
-    median, percentiles — loop per segment).  A segment's reduction
+    The slices are laid end to end and cut into
+    :class:`~repro.tsdb.aggregators.Segments` wherever the bucket or the
+    slice changes, so a panel grouped by node reduces every node's
+    buckets in one pass, whatever the aggregator.  A segment's reduction
     reads its own points only, so each slice's buckets are what they are
     when it is downsampled alone.
     """
@@ -125,7 +125,8 @@ def apply_many(
     edge[bounds] = True
     starts = np.flatnonzero(edge[:n])
     seg_bucket = bucket[starts]
-    seg_vals = _reduce_segments(ds.agg, vals, starts) if n else vals
+    reduce = aggregators.lookup(ds.agg).reduce
+    seg_vals = reduce(aggregators.Segments(vals, starts)) if n else vals
     seg_bounds = np.searchsorted(starts, bounds)
 
     if sparse:
@@ -180,20 +181,6 @@ def _filled(
         bucket_vals = _fill_linear(bucket_ts, bucket_vals)
     # FillPolicy.NAN leaves NaNs in place.
     return SeriesSlice(bucket_ts, bucket_vals)
-
-
-def _reduce_segments(agg_name: str, vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Aggregate contiguous non-empty segments of ``vals``.
-
-    Uses the vectorized reduceat form when the aggregator has one; order
-    statistics fall back to a per-segment loop over numpy slices.
-    """
-    gagg = aggregators.grouped(agg_name)
-    if gagg is not None:
-        return gagg(vals, starts)
-    agg = aggregators.get(agg_name)
-    ends = np.concatenate([starts[1:], [vals.shape[0]]])
-    return np.array([agg(vals[s:e]) for s, e in zip(starts, ends)])
 
 
 def _fill_previous(vals: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .batch import BatchBuilder, PointBatch
 from .catalog import MergedCatalog, SeriesCatalog
 from .model import DataPoint, SeriesKey
 from .plan import ExprQuery, ExprResult, QueryBuilder, run_batch, select as _select
-from .plan import _empty_slice, run_unique_batch
+from .plan import run_unique_batch
 from .query import Query, QueryResult
 from .series import SeriesSlice, SeriesStore
 
@@ -244,9 +244,11 @@ class StoreApi:
     def series_slice(
         self, key: SeriesKey, start: int | None = None, end: int | None = None
     ) -> SeriesSlice:
-        """Raw sorted slice of one series; empty for unknown keys."""
+        """Raw sorted slice of one series, a read-only view
+        (:meth:`~repro.tsdb.series.SeriesStore.scan`); for an unknown
+        key, the same of an empty series."""
         series = self._series(key)
-        return _empty_slice() if series is None else series.scan(start, end)
+        return (SeriesStore() if series is None else series).scan(start, end)
 
     def last(
         self, metric: str, tags: Mapping[str, str] | None = None

@@ -418,10 +418,8 @@ def align(slices: list[SeriesSlice]) -> tuple[np.ndarray, aggregators.Cells]:
     col[order] = rank
     col -= 1
     return all_ts, aggregators.Cells(
-        np.array([len(s) for s in slices]),
         col,
         np.concatenate([s.values for s in slices]),
-        all_ts.shape[0],
         # Each instant's run in the sorted union is its column's cells.
         aggregators.segment_lengths(starts, merged.shape[0]),
     )
@@ -447,7 +445,7 @@ def _aligned_for(
 
 
 def aggregate_across(
-    slices: list[SeriesSlice], agg, *, align_cache: dict | None = None
+    slices: list[SeriesSlice], name: str, *, align_cache: dict | None = None
 ) -> SeriesSlice:
     """Combine several series into one by aggregating per timestamp.
 
@@ -457,36 +455,37 @@ def aggregate_across(
     ingest pipeline, so exact alignment is the common case and
     interpolation is left to downsample fill policies.)
 
-    ``agg`` is a *columnar* aggregator (see
-    :func:`~repro.tsdb.aggregators.get_columnar`) and the result is, bit
-    for bit, ``agg`` of the series×instant matrix — computed from the
-    aligned points alone (:func:`~repro.tsdb.aggregators.reduce_cells`).
+    ``name`` is a registered aggregator; it reduces the aligned points
+    as :class:`~repro.tsdb.aggregators.Cells` — for the folds, bit for
+    bit the fold down the series × instant matrix, which is never built.
 
     ``align_cache`` is the batched executor's cross-query win: queries
     in one batch that aggregate the *same* slice objects (a dashboard's
-    ``avg`` and ``dev`` panels over one metric) share the alignment and
-    its first pass and differ only in the final reduction.  Keys are
-    slice identities, so the cache is only valid while the batch holds
-    its prepared slices — callers pass a dict that lives as long as the
-    queries that can share do (:func:`run_unique_batch`: one filter).
+    ``avg`` and ``dev`` panels, or its ``median`` and ``p95``) share the
+    alignment and what the aggregators derive from it, and differ only
+    in the final reduction.  Keys are slice identities, so the cache is
+    only valid while the batch holds its prepared slices — callers pass
+    a dict that lives as long as the queries that can share do
+    (:func:`run_unique_batch`: one filter).
 
     A lone series that is its own aggregate comes back as it went in —
     the scan's read-only view of the store, when that is what it was.
     """
+    agg = aggregators.lookup(name)
     slices = [s for s in slices if len(s) > 0]
     if not slices:
         return _empty_slice()
-    if len(slices) == 1 and agg not in aggregators.NON_IDENTITY_COLUMNAR:
+    if len(slices) == 1 and agg.lone_is_itself:
         # Sound only where aggregating one series is the identity —
         # count (→ 1-where-finite) and dev (→ 0) take the full path, or
         # a group whose siblings fall away (rate on a 1-point series)
         # would return raw values instead.
         only = slices[0]
-        if agg in aggregators.ZERO_FOLDED:
+        if agg.adds_zero:
             return SeriesSlice(only.timestamps, only.values + 0.0)
         return only
     all_ts, cells = _aligned_for(slices, align_cache)
-    return SeriesSlice(all_ts, aggregators.reduce_cells(agg, cells))
+    return SeriesSlice(all_ts, agg.reduce(cells))
 
 
 def _owned(column: np.ndarray) -> np.ndarray:
@@ -521,9 +520,9 @@ def execute_plan(
                 sl = compute_rate(sl)
             slices.append(sl)
         prepared.append(slices)
-    agg = aggregators.get_columnar(query.aggregator)
     reduced = [
-        aggregate_across(slices, agg, align_cache=align_cache) for slices in prepared
+        aggregate_across(slices, query.aggregator, align_cache=align_cache)
+        for slices in prepared
     ]
     ds = query.parsed_downsample()
     if ds is not None:  # all groups in one pass

@@ -66,7 +66,7 @@ class Query:
         if self.end < self.start:
             raise QueryError(f"end ({self.end}) precedes start ({self.start})")
         try:
-            aggregators.get(self.aggregator)
+            aggregators.lookup(self.aggregator)
         except aggregators.UnknownAggregator as exc:
             raise QueryError(str(exc)) from None
         if isinstance(self.downsample, str):

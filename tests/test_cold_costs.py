@@ -241,35 +241,35 @@ def test_a_cold_batch_allocates_less_than_it_scans(db):
 class _MaskCounts:
     def __init__(self, monkeypatch) -> None:
         self.cells = []  # every alignment of the batch, kept alive
-        self.grouped_masks = []  # per grouped reduction: was a mask built
+        self.decisions = []  # per mask decision: was a mask built
         real_align = plan_module.align
-        real_counts = aggregators_module._seg_counts
+        real_finite = aggregators_module._finite
 
         def align(slices):
             all_ts, cells = real_align(slices)
             self.cells.append(cells)
             return all_ts, cells
 
-        def _seg_counts(values, starts):
-            finite, counts = real_counts(values, starts)
-            self.grouped_masks.append(finite is not None)
-            return finite, counts
+        def _finite(values):
+            mask = real_finite(values)
+            self.decisions.append(mask is not None)
+            return mask
 
         monkeypatch.setattr(plan_module, "align", align)
-        monkeypatch.setattr(aggregators_module, "_seg_counts", _seg_counts)
+        monkeypatch.setattr(aggregators_module, "_finite", _finite)
 
     def masks_built(self) -> int:
-        return sum("finite" in c.__dict__ for c in self.cells) + sum(
-            self.grouped_masks)
+        return sum(self.decisions)
 
 
 def test_nan_free_data_builds_no_mask(db, monkeypatch):
     counts = _MaskCounts(monkeypatch)
     db.run_many(_wall())
     assert len(counts.cells) == len(METRICS)
-    assert len(counts.grouped_masks) == len(_wall())
+    # per metric: its alignment, then each panel's downsample
+    assert len(counts.decisions) == len(METRICS) + len(_wall())
     assert counts.masks_built() == 0
-    assert all(c.nan_free for c in counts.cells)
+    assert all(c.finite is None for c in counts.cells)
 
 
 def test_one_nan_is_masked_where_it_is_and_nowhere_else(monkeypatch):
@@ -280,9 +280,9 @@ def test_one_nan_is_masked_where_it_is_and_nowhere_else(monkeypatch):
     reply = wire.encode_response(results)
     # the first metric's alignment holds the NaN; its cross-node panels
     # reduce to finite values, its per-node panel downsamples the NaN
-    assert [c.nan_free for c in counts.cells] == [False, True, True, True]
+    assert [c.finite is None for c in counts.cells] == [False, True, True, True]
     assert counts.masks_built() == 2
-    assert counts.grouped_masks == [False, False, True] + [False] * 9
+    assert counts.decisions == [True, False, False, True] + [False] * 12
     monkeypatch.undo()
     # and away from the NaN not a bit differs from the clean history
     want = wire.encode_response(clean.run_many(_wall()))

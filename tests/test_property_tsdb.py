@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.tsdb import (
@@ -31,6 +31,7 @@ from repro.tsdb.downsample import (
     apply_many as downsample_many,
 )
 from repro.tsdb.series import SeriesSlice
+from test_query_throughput import SCALAR
 
 timestamps = st.integers(min_value=0, max_value=2**40)
 values = st.floats(
@@ -211,8 +212,8 @@ class TestDownsampleProperties:
             assert got.values.tobytes() == alone.values.tobytes()
             assert got.timestamps.dtype == np.int64
         if fill is FillPolicy.NONE and agg in ("count", "min", "max", "first", "last"):
-            # exact aggregators: check against the scalar definition
-            scalar = aggregators.get(agg)
+            # exact aggregators: check against the frozen scalar definition
+            scalar = SCALAR[agg]
             for sl, got in zip(slices, batch):
                 lo = -np.inf if start is None else start // width * width
                 hi = np.inf if end is None else end
@@ -466,6 +467,7 @@ class TestScanIsASnapshot:
     @pytest.mark.parametrize("make", [TSDB, lambda: ShardedTSDB(4)],
                              ids=["single", "sharded4"])
     @given(ops=_snapshot_ops)
+    @example(ops=[("delete", 316), ("scan", 14)])  # a series deleted whole
     @settings(max_examples=60, deadline=None)
     def test_series_slice_through_a_store(self, make, ops):
         target = _ThroughStore(make())

@@ -20,6 +20,8 @@ from repro.tsdb import (
     aggregators,
     dumps,
 )
+from repro.tsdb.aggregators import Cells, Segments
+from test_query_throughput import SCALAR
 
 
 def random_points(rng, n, n_nodes=4, t_max=2_000):
@@ -255,7 +257,8 @@ class TestSeriesStoreExtendBatch:
 
 
 class TestVectorizedAggregators:
-    """The columnar/grouped forms must match the scalar reference."""
+    """The algebra over cells and over segments must match the frozen
+    scalar definitions, column by column and segment by segment."""
 
     @pytest.mark.parametrize("name", sorted(set(aggregators.names())))
     def test_columnar_matches_scalar_per_column(self, name):
@@ -263,42 +266,37 @@ class TestVectorizedAggregators:
         matrix = rng.normal(size=(6, 40))
         matrix[rng.random(matrix.shape) < 0.3] = np.nan
         matrix[:, 7] = np.nan  # one all-NaN column
-        scalar = aggregators.get(name)
-        columnar = aggregators.get_columnar(name)
-        expected = np.array([scalar(matrix[:, j]) for j in range(matrix.shape[1])])
-        assert np.allclose(columnar(matrix), expected, equal_nan=True)
+        cells = Cells(np.tile(np.arange(40), 6), matrix.ravel(), np.full(40, 6.0))
+        expected = np.array([SCALAR[name](matrix[:, j]) for j in range(matrix.shape[1])])
+        got = aggregators.lookup(name).reduce(cells)
+        assert np.allclose(got, expected, equal_nan=True)
 
     @pytest.mark.parametrize("name", sorted(set(aggregators.names())))
     def test_grouped_matches_scalar_per_segment(self, name):
-        gagg = aggregators.grouped(name)
-        if gagg is None:
-            pytest.skip("order statistic: scalar fallback by design")
         rng = np.random.default_rng(4)
         values = rng.normal(size=200)
         values[rng.random(200) < 0.25] = np.nan
         starts = np.array([0, 3, 50, 51, 120])
         ends = np.concatenate([starts[1:], [200]])
-        scalar = aggregators.get(name)
-        expected = np.array([scalar(values[s:e]) for s, e in zip(starts, ends)])
-        assert np.allclose(gagg(values, starts), expected, equal_nan=True)
+        expected = np.array([SCALAR[name](values[s:e]) for s, e in zip(starts, ends)])
+        got = aggregators.lookup(name).reduce(Segments(values, starts))
+        assert np.allclose(got, expected, equal_nan=True)
 
     def test_unknown_name_raises(self):
         with pytest.raises(aggregators.UnknownAggregator):
-            aggregators.get_columnar("nope")
+            aggregators.lookup("nope")
         with pytest.raises(aggregators.UnknownAggregator):
-            aggregators.grouped("nope")
+            aggregators.get("nope")
 
     def test_dev_is_stable_for_large_offsets(self):
         """E[x²]-E[x]² would cancel to 0 here; the two-pass form must not."""
         offset = 1e8
         col = np.array([0.1, 0.2, 0.3, 0.4]) + offset
         expected = float(np.std(col))
-        matrix = col.reshape(-1, 1)
-        assert aggregators.get_columnar("dev")(matrix)[0] == pytest.approx(
-            expected, rel=1e-6
-        )
-        gdev = aggregators.grouped("dev")
-        assert gdev(col, np.array([0]))[0] == pytest.approx(expected, rel=1e-6)
+        dev = aggregators.lookup("dev").reduce
+        assert dev(Cells(np.zeros(4, np.intp), col, np.array([4.0])))[0] == \
+            pytest.approx(expected, rel=1e-6)
+        assert dev(Segments(col, np.array([0])))[0] == pytest.approx(expected, rel=1e-6)
 
 
 class TestDeleteBeforeIndexPrune:

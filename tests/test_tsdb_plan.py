@@ -3,14 +3,11 @@
 The query API was redesigned (builder, batched ``run_many``,
 expression queries) but *not* changed: every redesigned surface must
 return byte-identical results to the seed query path —
-``execute_query`` over per-query match + direct scans, exactly what the
+``execute_plan`` over per-query match + direct scans, exactly what the
 seed ``TSDB.run`` did.  This suite pins that equivalence on single and
 sharded stores for n ∈ {1, 2, 4, 7}, plus the semantics of the new
 surfaces themselves.
 """
-
-import importlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +21,13 @@ from repro.tsdb import (
     ShardedTSDB,
     TSDB,
     aggregators,
-    execute_query,
     expr,
     select,
 )
-from repro.tsdb.plan import ScanPlan, aggregate_across
+from repro.tsdb.plan import ScanPlan, aggregate_across, execute_plan
 from repro.tsdb.series import SeriesSlice
+from test_aggregators import bucket_oracle, dense_oracle
+from test_query_throughput import COLUMNAR, seed_run as frozen_seed_run
 
 SHARD_COUNTS = (1, 2, 4, 7)
 METRICS = ("air.co2.ppm", "air.no2.ugm3", "weather.temperature.c",
@@ -45,7 +43,7 @@ def seed_run(db: TSDB, query: Query):
     everything new is measured against it.
     """
     matched = db._match(query.metric, query.tags)
-    return execute_query(
+    return execute_plan(
         query,
         matched,
         lambda key: db._stores[key].scan(query.start, query.end),
@@ -485,14 +483,10 @@ def test_property_pushdown_equivalence(seed, n_shards, agg, downsample, rate,
 
 # ---------------------------------------------------------------------------
 # Scatter aggregation == the dense columnar definition, byte for byte
+# (quantiles: the stated rule, which a lone series obeys as it is)
 # ---------------------------------------------------------------------------
 
 _SPECIALS = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])
-
-#: A lone series is its own median / percentile in the planner; numpy's
-#: interpolation, run on a one-row matrix, makes NaN of ±inf (inf − inf)
-#: and 0.0 of −0.0, so the dense form is not the reference there.
-_LONE_IS_ITSELF = ("median", "p50", "p90", "p95", "p99")
 
 
 @st.composite
@@ -537,17 +531,6 @@ def _dense(slices):
     return all_ts, matrix
 
 
-def _columnar(agg, matrix):
-    """``agg(matrix)`` as the row-order fold it is for any matrix of two
-    columns or more.  numpy reduces a lone column as a contiguous vector
-    — pairwise, unrolled — so one instant of eight series or more would
-    sum differently from the same instant inside a wider window; the
-    planner adds row by row whatever the window holds."""
-    if matrix.shape[1] == 1:
-        return agg(np.hstack([matrix, matrix]))[:1]
-    return agg(matrix)
-
-
 def _assert_bytes(got: SeriesSlice, all_ts, values, what):
     assert got.timestamps.tobytes() == all_ts.tobytes(), what
     assert got.values.dtype == np.float64, what
@@ -558,9 +541,9 @@ def _assert_bytes(got: SeriesSlice, all_ts, values, what):
 @settings(max_examples=200, deadline=None)
 @given(slices=_slice_groups(), shared=st.booleans())
 def test_property_scatter_equals_dense_columnar(slices, shared):
-    """``aggregate_across`` returns the bytes of
-    ``get_columnar(name)(matrix)`` for every registered aggregator
-    (as :func:`_columnar` reads a one-instant matrix).
+    """``aggregate_across`` returns the bytes of the dense oracle for
+    every registered aggregator (as ``dense_oracle`` reads a one-instant
+    matrix; quantiles by the stated rule, which a lone series obeys).
 
     This is what a fold that regroups additions fails: summing each
     instant's time-sorted points with ``np.add.reduceat`` is ``first +
@@ -570,16 +553,12 @@ def test_property_scatter_equals_dense_columnar(slices, shared):
     rows = [s for s in slices if len(s) > 0]
     cache = {} if shared else None  # a batch's panels share one alignment
     for name in aggregators.names():
-        agg = aggregators.get_columnar(name)
-        got = aggregate_across(slices, agg, align_cache=cache)
+        got = aggregate_across(slices, name, align_cache=cache)
         if not rows:
             assert len(got) == 0
             continue
         all_ts, matrix = _dense(rows)
-        if len(rows) == 1 and name in _LONE_IS_ITSELF:
-            _assert_bytes(got, all_ts, rows[0].values, name)
-        else:
-            _assert_bytes(got, all_ts, _columnar(agg, matrix), name)
+        _assert_bytes(got, all_ts, dense_oracle(name, matrix), name)
 
 
 def test_fold_adds_in_row_order_at_reduceat_width():
@@ -592,8 +571,8 @@ def test_fold_adds_in_row_order_at_reduceat_width():
               for _ in range(40)]
     all_ts, matrix = _dense(slices)
     for name in ("avg", "sum", "dev"):
-        agg = aggregators.get_columnar(name)
-        _assert_bytes(aggregate_across(slices, agg), all_ts, agg(matrix), name)
+        _assert_bytes(aggregate_across(slices, name), all_ts,
+                      COLUMNAR[name](matrix), name)
 
 
 def test_lone_negative_zero_folds_like_a_group():
@@ -604,13 +583,12 @@ def test_lone_negative_zero_folds_like_a_group():
     sibling = SeriesSlice(np.array([30], np.int64), np.array([1.0]))
     empty = SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
     for name in ("avg", "sum"):
-        agg = aggregators.get_columnar(name)
-        alone = aggregate_across([lone, empty], agg)
-        beside = aggregate_across([lone, sibling], agg)
+        alone = aggregate_across([lone, empty], name)
+        beside = aggregate_across([lone, sibling], name)
         assert alone.values.tobytes() == np.array([0.0, 2.5]).tobytes()
         assert alone.values.tobytes() == beside.values[:2].tobytes()
     for name in ("min", "max", "first", "last", "median", "p95"):
-        alone = aggregate_across([lone, empty], aggregators.get_columnar(name))
+        alone = aggregate_across([lone, empty], name)
         assert alone.values.tobytes() == lone.values.tobytes()
 
 
@@ -649,7 +627,7 @@ def _nan_layouts(draw):
 @settings(max_examples=200, deadline=None)
 @given(layout=_nan_layouts())
 def test_property_both_mask_branches_equal_dense_columnar(layout):
-    """Every aggregator ≡ ``get_columnar(name)(matrix)`` as bytes on
+    """Every aggregator ≡ the dense oracle as bytes on
     NaN-free, all-NaN-column and mixed cells — through the branch the
     data picks, and, where nothing is NaN, through the masking branch
     too (the one a NaN anywhere else in the window would pick)."""
@@ -659,24 +637,19 @@ def test_property_both_mask_branches_equal_dense_columnar(layout):
     _, matrix = _dense(slices)
     _, aligned = align(slices)
     has_nan = bool(np.isnan(np.concatenate([s.values for s in slices])).any())
-    assert aligned.nan_free == (not has_nan)
+    assert (aligned.finite is None) == (not has_nan)  # no mask without a NaN
     assert has_nan == {"none": False, "column": True}.get(nans, has_nan)
     # what align hands over is each column's cells, counted
-    counted = np.bincount(aligned.col, minlength=aligned.n_cols)
+    counted = np.bincount(aligned.col, minlength=aligned.n)
     assert aligned.sizes.tobytes() == counted.astype(np.float64).tobytes()
-    masking = aggregators.Cells(
-        aligned.lengths, aligned.col, aligned.values, aligned.n_cols,
-        aligned.sizes)
-    masking.nan_free = False  # force the masks, whatever the data holds
+    masking = aggregators.Cells(aligned.col, aligned.values, aligned.sizes)
+    masking.finite = ~np.isnan(masking.values)  # force the masks, whatever the data
     for name in aggregators.names():
-        agg = aggregators.get_columnar(name)
-        want = _columnar(agg, matrix)
+        want = dense_oracle(name, matrix)
         for what, cells in (("aligned", aligned), ("masking", masking)):
-            got = aggregators.reduce_cells(agg, cells)
+            got = aggregators.lookup(name).reduce(cells)
             assert got.dtype == np.float64, (name, what)
             assert got.tobytes() == want.tobytes(), (name, what, got, want)
-    assert ("finite" in aligned.__dict__) == (not aligned.nan_free)
-    assert "finite" in masking.__dict__
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -703,9 +676,8 @@ def test_property_delta_window_equals_full_window_across_a_nan(layout, cut_at):
     assert np.isnan(np.concatenate([s.values for s in full])).any()
     assert not np.isnan(np.concatenate([s.values for s in delta])).any()
     for name in aggregators.names():
-        agg = aggregators.get_columnar(name)
-        a = aggregate_across(full, agg).between(int(cut), None)
-        b = aggregate_across(delta, agg)
+        a = aggregate_across(full, name).between(int(cut), None)
+        b = aggregate_across(delta, name)
         _assert_bytes(b, a.timestamps, a.values, name)
     from repro.tsdb.downsample import Downsample, apply_many
 
@@ -722,10 +694,10 @@ def test_property_delta_window_equals_full_window_across_a_nan(layout, cut_at):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), nans=st.sampled_from((0.0, 0.05, 0.5)))
 def test_property_grouped_forms_equal_the_scalar_per_segment(seed, nans):
-    """Every ``reduceat`` form, through both branches: a NaN-free column
-    reduces to the bytes the masking branch gives it (forced by a NaN
-    in a segment of its own, in front), and the exact aggregators to
-    the scalar definition segment by segment."""
+    """Every aggregator over segments, through both branches: a NaN-free
+    column reduces to the bytes the masking branch gives it (forced by a
+    NaN in a segment of its own, in front), and each segment to the
+    bucket oracle on its own values."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 60))
     values = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3, 8, n)
@@ -736,37 +708,21 @@ def test_property_grouped_forms_equal_the_scalar_per_segment(seed, nans):
     ends = np.r_[starts[1:], n]
     guarded, guarded_starts = np.r_[np.nan, values], np.r_[0, starts + 1]
     for name in aggregators.names():
-        grouped = aggregators.grouped(name)
-        if grouped is None:
-            continue
-        got = grouped(values, starts)
+        reduce = aggregators.lookup(name).reduce
+        got = reduce(aggregators.Segments(values, starts))
         assert got.dtype == np.float64 and got.shape == starts.shape, name
-        masked = grouped(guarded, guarded_starts)
+        masked = reduce(aggregators.Segments(guarded, guarded_starts))
         assert np.isnan(masked[0]) or name == "count", name
         assert got.tobytes() == masked[1:].tobytes(), (name, got, masked)
-        if name in ("count", "min", "max", "first", "last"):
-            scalar = aggregators.get(name)
-            want = np.array([scalar(values[a:b]) for a, b in zip(starts, ends)])
-            assert got.tobytes() == want.tobytes(), (name, got, want)
+        want = np.array([bucket_oracle(name, values[a:b]) for a, b in zip(starts, ends)])
+        assert got.tobytes() == want.tobytes(), (name, got, want)
 
 
-@pytest.fixture(scope="module")
-def frozen_seed_run():
-    """The frozen seed executor of ``benchmarks/test_query_throughput.py``
-    (np.unique union + dense NaN matrix + one scan per query and key)."""
-    import sys
-
-    bench_dir = str(Path(__file__).resolve().parents[1] / "benchmarks")
-    sys.path.insert(0, bench_dir)
-    try:
-        return importlib.import_module("test_query_throughput").seed_run
-    finally:
-        sys.path.remove(bench_dir)
-
-
-def test_unaligned_workload_equals_frozen_seed_executor(frozen_seed_run):
-    """Every engine ≡ the frozen seed executor, as bytes, on feeds that
-    never share a second (offsets 0…6 s, 1 % two minutes late)."""
+def test_unaligned_workload_equals_frozen_seed_executor():
+    """Every engine ≡ the frozen seed executor of
+    ``benchmarks/test_query_throughput.py`` (np.unique union + dense NaN
+    matrix + one scan per query and key), as bytes, on feeds that never
+    share a second (offsets 0…6 s, 1 % two minutes late)."""
     rng = np.random.default_rng(2017)
     n_series, rows = 4 * 13, 240
     series = np.tile(np.arange(n_series), rows)

@@ -28,20 +28,20 @@ def db():
 
 class TestAggregators:
     def test_avg_ignores_nan(self):
-        assert aggregators.avg(np.array([1.0, np.nan, 3.0])) == 2.0
+        assert aggregators.get("avg")(np.array([1.0, np.nan, 3.0])) == 2.0
 
     def test_all_nan_yields_nan(self):
-        assert np.isnan(aggregators.avg(np.array([np.nan])))
+        assert np.isnan(aggregators.get("avg")(np.array([np.nan])))
 
     def test_count(self):
-        assert aggregators.count(np.array([1.0, np.nan, 3.0])) == 2.0
-        assert aggregators.count(np.array([])) == 0.0
+        assert aggregators.get("count")(np.array([1.0, np.nan, 3.0])) == 2.0
+        assert aggregators.get("count")(np.array([])) == 0.0
 
     def test_sum_empty_is_zero(self):
-        assert aggregators.total(np.array([])) == 0.0
+        assert aggregators.get("sum")(np.array([])) == 0.0
 
     def test_percentile(self):
-        p95 = aggregators.percentile(95.0)
+        p95 = aggregators.get("p95")
         vals = np.arange(1.0, 101.0)
         assert p95(vals) == pytest.approx(95.05, abs=0.5)
 
@@ -55,8 +55,8 @@ class TestAggregators:
 
     def test_first_last(self):
         vals = np.array([5.0, 1.0, 9.0])
-        assert aggregators.first(vals) == 5.0
-        assert aggregators.last(vals) == 9.0
+        assert aggregators.get("first")(vals) == 5.0
+        assert aggregators.get("last")(vals) == 9.0
 
 
 class TestDownsampleSpec:
