@@ -85,7 +85,8 @@ test-cold:
 
 # The import-graph gate: fresh-interpreter checks that a store process
 # (tsdb / serve / replication, the e2e fixture, the CLI parser) loads no
-# domain model and no scipy, and that the root name table resolves.
+# domain model, that nothing loads scipy or networkx, and that the root
+# name table resolves.
 test-imports:
 	$(PYTHON) -m pytest -q tests/test_import_graph.py
 

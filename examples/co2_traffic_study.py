@@ -45,7 +45,7 @@ def main() -> None:
 
     study = correlation_study(co2.values[:n], jam.values[:n], cadence_s=HOUR)
     print("== correlation scan (Fig. 5 verdict) ==")
-    print(f"  Pearson r  {study.pearson_r:+.3f} (p={study.pearson_p:.2g})")
+    print(f"  Pearson r  {study.pearson_r:+.3f}")
     print(f"  Spearman   {study.spearman_rho:+.3f}")
     print(f"  best lag   {study.best_lag_s / 3600:+.0f} h -> r {study.best_lag_r:+.3f}")
     verdict = ("NO apparent correlation" if study.no_apparent_correlation

@@ -27,7 +27,7 @@ __version__ = "1.0.0"
 
 #: Every subpackage, resolved on first attribute access (PEP 562): a
 #: process imports what it runs, so ``import repro.tsdb`` loads the
-#: store and not the domain model (``core`` -> ``analytics`` -> scipy).
+#: store and not the domain model (``core`` -> ``analytics``, ...).
 _SUBPACKAGES = (
     "analytics",
     "core",

@@ -21,7 +21,6 @@ from .calibration import (
 from .dispersion import (
     GaussianPlume,
     StabilityClass,
-    field_uncertainty,
     interpolate_field,
 )
 from .co2_dynamics import (
@@ -55,11 +54,8 @@ from .outliers import (
 )
 from .patterns import (
     AnomalousPeriod,
-    TrendEstimate,
     WeeklyProfile,
     anomalous_days,
-    pattern_summary,
-    trend,
     weekly_profile,
 )
 
@@ -84,12 +80,10 @@ __all__ = [
     "OverpassComparison",
     "ground_against_satellite",
     "StabilityClass",
-    "field_uncertainty",
     "interpolate_field",
     "NetworkCalibration",
     "OutlierReport",
     "StuckRun",
-    "TrendEstimate",
     "WeeklyProfile",
     "accuracy",
     "anomalous_days",
@@ -107,11 +101,9 @@ __all__ = [
     "fit_colocation",
     "gap_report",
     "interpolate_gaps",
-    "pattern_summary",
     "propagate_network",
     "rolling_mad_outliers",
     "stuck_values",
     "sub_index",
-    "trend",
     "weekly_profile",
 ]

@@ -26,7 +26,6 @@ class CorrelationStudy:
     """Fig. 5's headline numbers."""
 
     pearson_r: float
-    pearson_p: float
     spearman_rho: float
     best_lag_s: int
     best_lag_r: float
@@ -39,6 +38,22 @@ class CorrelationStudy:
         return abs(self.pearson_r) < 0.5 and abs(self.best_lag_r) < 0.5
 
 
+def _correlation(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.corrcoef(x, y)[0, 1])
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks
+    (the "average" tie rule)."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def correlation_study(
     co2: np.ndarray,
     jam: np.ndarray,
@@ -48,12 +63,9 @@ def correlation_study(
     """Correlate CO2 against the traffic jam factor, scanning lags.
 
     Lags are scanned in both directions (traffic leading or trailing) so
-    a delayed response cannot masquerade as "no correlation".
+    a delayed response cannot masquerade as "no correlation".  Spearman's
+    rho is the Pearson correlation of the two series' average ranks.
     """
-    # Imported here, not at module level: scipy.stats is ~0.8 s and
-    # ~70 MB that no process importing repro.core for a store pays.
-    from scipy import stats
-
     co2 = np.asarray(co2, dtype=float)
     jam = np.asarray(jam, dtype=float)
     if co2.shape != jam.shape:
@@ -62,11 +74,11 @@ def correlation_study(
     x, y = co2[mask], jam[mask]
     if x.size < 10:
         raise ValueError(f"need >= 10 aligned samples, got {x.size}")
-    pearson_r, pearson_p = stats.pearsonr(x, y)
-    spearman_rho = stats.spearmanr(x, y).statistic
+    pearson_r = _correlation(x, y)
+    spearman_rho = _correlation(_average_ranks(x), _average_ranks(y))
 
     max_lag = max_lag_s // cadence_s
-    best_lag, best_r = 0, float(pearson_r)
+    best_lag, best_r = 0, pearson_r
     for lag in range(-max_lag, max_lag + 1):
         if lag == 0:
             continue
@@ -77,13 +89,12 @@ def correlation_study(
         m = np.isfinite(a) & np.isfinite(b)
         if m.sum() < 10:
             continue
-        r = float(np.corrcoef(a[m], b[m])[0, 1])
+        r = _correlation(a[m], b[m])
         if abs(r) > abs(best_r):
             best_lag, best_r = lag, r
     return CorrelationStudy(
-        pearson_r=float(pearson_r),
-        pearson_p=float(pearson_p),
-        spearman_rho=float(spearman_rho),
+        pearson_r=pearson_r,
+        spearman_rho=spearman_rho,
         best_lag_s=best_lag * cadence_s,
         best_lag_r=best_r,
         n=int(x.size),

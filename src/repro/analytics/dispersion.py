@@ -194,36 +194,3 @@ def interpolate_field(
             den += w_bg
             grid.add(center, num / den)
     return grid
-
-
-def field_uncertainty(
-    sensor_values: dict[str, tuple[GeoPoint, float]],
-    region: BoundingBox,
-    *,
-    rows: int = 24,
-    cols: int = 24,
-) -> Grid:
-    """Leave-one-out cross-validation error mapped over the region.
-
-    Each cell's uncertainty is the LOO prediction error of its nearest
-    sensor — a practical "how much can I trust the map here" layer for
-    the decision-support dashboards.
-    """
-    if len(sensor_values) < 3:
-        raise ValueError("need >= 3 sensors for leave-one-out uncertainty")
-    loo_errors: dict[str, float] = {}
-    for name, (loc, value) in sensor_values.items():
-        others = {k: v for k, v in sensor_values.items() if k != name}
-        est_grid = interpolate_field(others, BoundingBox.around(loc, 10.0), rows=1, cols=1)
-        est = float(est_grid.mean_field()[0, 0])
-        loo_errors[name] = abs(est - value)
-    grid = Grid(region, rows=rows, cols=cols)
-    for r in range(rows):
-        for c in range(cols):
-            center = grid.cell_center(r, c)
-            nearest = min(
-                sensor_values.items(),
-                key=lambda kv: center.distance_to(kv[1][0]),
-            )[0]
-            grid.add(center, loo_errors[nearest])
-    return grid

@@ -1,4 +1,4 @@
-"""Pattern understanding: profiles, trends, anomalous periods.
+"""Pattern understanding: weekly profiles and anomalous periods.
 
 Paper §2.4 lists "understanding of patterns" among the ongoing analyses,
 and the citizens' demo lets attendees "browse historic data in the
@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .imputation import diurnal_profile
 
 
 @dataclass(frozen=True)
@@ -42,36 +40,6 @@ def weekly_profile(values: np.ndarray, timestamps: np.ndarray) -> WeeklyProfile:
     occupied = counts > 0
     matrix[occupied] = sums[occupied] / counts[occupied]
     return WeeklyProfile(matrix.reshape(7, 24))
-
-
-@dataclass(frozen=True)
-class TrendEstimate:
-    """Robust long-term trend (Theil-Sen)."""
-
-    slope_per_day: float
-    intercept: float
-    significant: bool
-
-
-def trend(values: np.ndarray, timestamps: np.ndarray, alpha: float = 0.05) -> TrendEstimate:
-    """Theil-Sen slope with Mann-Kendall-style significance.
-
-    Robust to the spikes and gaps a low-cost network produces.
-    """
-    from scipy import stats  # deferred: see co2_dynamics.correlation_study
-
-    v = np.asarray(values, dtype=float)
-    ts = np.asarray(timestamps, dtype=float)
-    mask = np.isfinite(v)
-    if mask.sum() < 8:
-        raise ValueError("need >= 8 finite samples for a trend")
-    days = (ts[mask] - ts[mask][0]) / 86400.0
-    slope, intercept, lo, hi = stats.theilslopes(v[mask], days, alpha=alpha)
-    return TrendEstimate(
-        slope_per_day=float(slope),
-        intercept=float(intercept),
-        significant=not (lo <= 0.0 <= hi),
-    )
 
 
 @dataclass(frozen=True)
@@ -121,26 +89,3 @@ def anomalous_days(
     ]
     out.sort(key=lambda a: -abs(a.z_score))
     return out
-
-
-def pattern_summary(values: np.ndarray, timestamps: np.ndarray) -> dict:
-    """One-call bundle for dashboard "pattern" panels."""
-    prof = diurnal_profile(np.asarray(values, float), np.asarray(timestamps), 24)
-    weekly = weekly_profile(values, timestamps)
-    try:
-        t = trend(values, timestamps)
-        trend_dict = {
-            "slope_per_day": t.slope_per_day,
-            "significant": t.significant,
-        }
-    except ValueError:
-        trend_dict = {"slope_per_day": float("nan"), "significant": False}
-    return {
-        "diurnal_peak_hour": int(np.nanargmax(prof)) if np.isfinite(prof).any() else None,
-        "diurnal_amplitude": float(np.nanmax(prof) - np.nanmin(prof))
-        if np.isfinite(prof).any()
-        else None,
-        "weekday_weekend_ratio": weekly.weekday_vs_weekend_ratio(),
-        "trend": trend_dict,
-        "anomalous_days": len(anomalous_days(values, timestamps)),
-    }

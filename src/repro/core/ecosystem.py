@@ -249,21 +249,6 @@ class CityEcosystem:
         """Pull all Table 1 feeds for a window into the TSDB."""
         return self.harmonizer.sync(start, end)
 
-    def apply_adr(self) -> dict[str, tuple[int, int]]:
-        """Apply the network server's ADR recommendations to devices.
-
-        Real LoRaWAN networks push data-rate changes in downlinks; the
-        simulator applies them directly.  Returns ``{node: (old_sf,
-        new_sf)}`` for every device whose spreading factor changed.
-        """
-        changed: dict[str, tuple[int, int]] = {}
-        for node_id, node in self.nodes.items():
-            recommended = self.network_server.adr_recommendation(node_id)
-            if recommended is not None and recommended != node.device.sf:
-                changed[node_id] = (node.device.sf, recommended)
-                node.device.set_sf(recommended)
-        return changed
-
     def inject_pollution(self, injection: PollutionInjection) -> None:
         """Demo scenario hook: synthetic pollution event."""
         self.environment.inject(injection)

@@ -118,10 +118,6 @@ class ImpactAssessment:
     impacts: tuple[LocationImpact, ...]
 
     @property
-    def improved_locations(self) -> list[LocationImpact]:
-        return [i for i in self.impacts if i.improved]
-
-    @property
     def spillover_locations(self) -> list[LocationImpact]:
         """Locations that got *worse* — the evasion cost."""
         return [i for i in self.impacts if i.no2_delta > 0.25]

@@ -7,7 +7,6 @@ from .actors import (
     DeadLetter,
     SupervisionDirective,
     SupervisorStrategy,
-    Terminated,
 )
 from .alarms import Alarm, AlarmKind, AlarmLog, Severity
 from .app import (
@@ -58,7 +57,6 @@ __all__ = [
     "Severity",
     "SupervisionDirective",
     "SupervisorStrategy",
-    "Terminated",
     "TtnMqttBridge",
     "TwinConfig",
     "UPLINK_FILTER",

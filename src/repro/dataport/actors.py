@@ -56,13 +56,6 @@ class DeadLetter:
     reason: str
 
 
-@dataclass(frozen=True)
-class Terminated:
-    """Sent to watchers when an actor stops."""
-
-    ref: "ActorRef"
-
-
 class Actor:
     """Base class; subclass and override :meth:`receive`.
 
@@ -132,28 +125,8 @@ class ActorContext:
     def spawn(self, factory: Callable[[], Actor], name: str) -> ActorRef:
         return self._system._spawn(factory, name, parent=self._cell)
 
-    def children(self) -> list[ActorRef]:
-        return [c.ref for c in self._cell.children.values()]
-
     def stop(self, ref: ActorRef | None = None) -> None:
         self._system.stop(ref or self.self_ref)
-
-    def watch(self, ref: ActorRef) -> None:
-        """Receive a :class:`Terminated` message when ``ref`` stops."""
-        cell = self._system._cells.get(ref.path)
-        if cell is not None:
-            cell.watchers.append(self.self_ref)
-
-    def schedule_tell(
-        self, delay_s: int, message: Any, to: ActorRef | None = None
-    ) -> EventHandle:
-        """Deliver ``message`` to ``to`` (default self) after ``delay_s``."""
-        target = to or self.self_ref
-        handle = self._system.scheduler.call_after(
-            delay_s, lambda now: target.tell(message)
-        )
-        self._cell.timers.append(handle)
-        return handle
 
     def schedule_tell_every(
         self, interval_s: int, message: Any, to: ActorRef | None = None
@@ -175,7 +148,6 @@ class _Cell:
         "actor",
         "parent",
         "children",
-        "watchers",
         "stopped",
         "restart_times",
         "timers",
@@ -192,7 +164,6 @@ class _Cell:
         self.actor: Actor | None = None
         self.parent = parent
         self.children: dict[str, _Cell] = {}
-        self.watchers: list[ActorRef] = []
         self.stopped = False
         self.restart_times: list[int] = []
         self.timers: list[EventHandle] = []
@@ -338,8 +309,6 @@ class ActorSystem:
                 cell.actor.post_stop()
             except Exception:
                 pass
-        for watcher in cell.watchers:
-            watcher.tell(Terminated(cell.ref))
         if cell.parent is not None:
             cell.parent.children.pop(cell.ref.name, None)
         del self._cells[ref.path]
@@ -356,11 +325,3 @@ class ActorSystem:
 
     def actor_count(self) -> int:
         return len(self._cells)
-
-    def tree(self) -> dict:
-        """Nested dict of the live hierarchy (for Fig. 3/8 renderers)."""
-
-        def walk(cell: _Cell) -> dict:
-            return {name: walk(child) for name, child in sorted(cell.children.items())}
-
-        return walk(self._root)

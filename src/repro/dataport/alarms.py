@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 
 class Severity(enum.IntEnum):
@@ -50,9 +49,6 @@ class Alarm:
         return (self.kind, self.source)
 
 
-AlarmListener = Callable[[Alarm], None]
-
-
 class AlarmLog:
     """Active-alarm registry with dedup, clearing, and history.
 
@@ -65,10 +61,6 @@ class AlarmLog:
         self._active: dict[tuple[AlarmKind, str], Alarm] = {}
         self.history: list[Alarm] = []
         self.suppressed = 0
-        self._listeners: list[AlarmListener] = []
-
-    def on_alarm(self, listener: AlarmListener) -> None:
-        self._listeners.append(listener)
 
     def raise_alarm(self, alarm: Alarm) -> bool:
         """Register an alarm; returns True when it is a *new* incident."""
@@ -77,20 +69,11 @@ class AlarmLog:
             return False
         self._active[alarm.key] = alarm
         self.history.append(alarm)
-        for listener in self._listeners:
-            listener(alarm)
         return True
 
     def clear(self, kind: AlarmKind, source: str) -> bool:
         """Mark an incident resolved; returns True when it was active."""
         return self._active.pop((kind, source), None) is not None
-
-    def clear_source(self, source: str) -> int:
-        """Clear every active alarm of one source (e.g. node recovered)."""
-        keys = [k for k in self._active if k[1] == source]
-        for k in keys:
-            del self._active[k]
-        return len(keys)
 
     # -- views -----------------------------------------------------------
     def active(
@@ -108,12 +91,6 @@ class AlarmLog:
 
     def is_active(self, kind: AlarmKind, source: str) -> bool:
         return (kind, source) in self._active
-
-    def counts_by_kind(self) -> dict[AlarmKind, int]:
-        out: dict[AlarmKind, int] = {}
-        for a in self._active.values():
-            out[a.kind] = out.get(a.kind, 0) + 1
-        return out
 
     def __len__(self) -> int:
         return len(self._active)

@@ -56,12 +56,6 @@ class BoundingBox:
         return GeoPoint((self.south + self.north) / 2.0, (self.west + self.east) / 2.0)
 
     @property
-    def width_m(self) -> float:
-        """East-west extent measured along the box's central latitude."""
-        mid = (self.south + self.north) / 2.0
-        return haversine_m(mid, self.west, mid, self.east)
-
-    @property
     def height_m(self) -> float:
         return haversine_m(self.south, self.west, self.north, self.west)
 
@@ -69,14 +63,6 @@ class BoundingBox:
         return (
             self.south <= point.lat <= self.north
             and self.west <= point.lon <= self.east
-        )
-
-    def intersects(self, other: "BoundingBox") -> bool:
-        return not (
-            other.north < self.south
-            or other.south > self.north
-            or other.east < self.west
-            or other.west > self.east
         )
 
     def expanded(self, pad_deg: float) -> "BoundingBox":

@@ -79,11 +79,3 @@ class Grid:
         with np.errstate(invalid="ignore"):
             out = np.where(self.counts > 0, self.values / np.maximum(self.counts, 1), np.nan)
         return out
-
-    def coverage(self) -> float:
-        """Fraction of cells holding at least one sample."""
-        return float((self.counts > 0).mean())
-
-    def nonempty_cells(self) -> list[tuple[int, int]]:
-        rows, cols = np.nonzero(self.counts)
-        return list(zip(rows.tolist(), cols.tolist()))

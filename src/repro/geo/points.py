@@ -48,10 +48,6 @@ class GeoPoint:
         lat, lon = destination_point(self.lat, self.lon, bearing_deg, distance_m)
         return GeoPoint(lat, lon, self.alt)
 
-    def as_lonlat(self) -> tuple[float, float]:
-        """GeoJSON-ordered ``(lon, lat)`` tuple."""
-        return (self.lon, self.lat)
-
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance between two lat/lon pairs, in metres."""

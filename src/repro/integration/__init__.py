@@ -1,6 +1,6 @@
 """External data integration: connectors for every Table 1 source class."""
 
-from .base import Connector, Observation, SourceType, validate_batch
+from .base import Connector, Observation, SourceType
 from .catalog import TABLE1, Catalog, SourceDescriptor, render_table1
 from .citygml import (
     Building,
@@ -11,7 +11,6 @@ from .citygml import (
     write_citygml,
 )
 from .harmonize import (
-    AlignedFrame,
     EXT_PREFIX,
     Harmonizer,
     SyncReport,
@@ -33,7 +32,6 @@ from .oco2 import Oco2Connector, REPEAT_CYCLE_S, SOUNDING_SIGMA_PPM
 from .traffic_counts import CountingCampaign, MunicipalCountsConnector
 
 __all__ = [
-    "AlignedFrame",
     "Building",
     "Catalog",
     "CityGmlError",
@@ -64,6 +62,5 @@ __all__ = [
     "observation_tags",
     "parse_citygml",
     "render_table1",
-    "validate_batch",
     "write_citygml",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Protocol
 
 from ..geo import GeoPoint
 
@@ -67,17 +67,3 @@ class Connector(Protocol):
     def cadence_s(self) -> int | None:
         """Nominal sampling period, or None for irregular sources."""
         ...
-
-
-def validate_batch(observations: Iterable[Observation]) -> list[Observation]:
-    """Check time-ordering and non-empty source names; returns the list."""
-    out = list(observations)
-    for i, obs in enumerate(out):
-        if not obs.source:
-            raise ValueError(f"observation {i} has an empty source name")
-        if i > 0 and obs.timestamp < out[i - 1].timestamp:
-            raise ValueError(
-                f"observations out of order at index {i}: "
-                f"{obs.timestamp} < {out[i - 1].timestamp}"
-            )
-    return out

@@ -92,9 +92,6 @@ class Catalog:
         needed = {d.source_type for d in TABLE1}
         return needed - self.covered_types()
 
-    def is_complete(self) -> bool:
-        return not self.missing_types()
-
 
 def render_table1(catalog: Catalog | None = None) -> str:
     """Render Table 1 as fixed-width text, optionally with live status."""

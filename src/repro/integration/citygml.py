@@ -79,13 +79,6 @@ class CityModel:
         points = [p for b in self.buildings for p in b.footprint]
         return BoundingBox.of_points(points)
 
-    def nearest_building(self, point: GeoPoint) -> Building:
-        if not self.buildings:
-            raise ValueError("empty city model")
-        return min(
-            self.buildings, key=lambda b: b.centroid.distance_to(point)
-        )
-
     def buildings_within(self, point: GeoPoint, radius_m: float) -> list[Building]:
         return [
             b

@@ -5,18 +5,15 @@ deliver observations at wildly different cadences (5 min jam factors,
 hourly station averages, 16-day satellite passes, annual statistics) and
 geometries (points, swaths, city-wide aggregates).  The harmonizer
 writes them all into the TSDB under a uniform ``ext.*`` metric namespace
-with provenance tags, and can produce *aligned frames* — a common time
-grid across chosen series — for cross-source analytics such as the
-CO2-vs-traffic study (Fig. 5).
+with provenance tags, where cross-source analytics such as the
+CO2-vs-traffic study (Fig. 5) query them like any other series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..tsdb import Downsample, Query, TimeSeriesStore
+from ..tsdb import TimeSeriesStore
 from .base import Connector, Observation
 
 #: External observations live under this metric prefix.
@@ -79,85 +76,3 @@ class Harmonizer:
             report.points_written += len(observations)
             report.per_source[connector.name] = len(observations)
         return report
-
-    def aligned_frame(
-        self,
-        series: list[tuple[str, dict[str, str]]],
-        start: int,
-        end: int,
-        cadence_s: int,
-        aggregator: str = "avg",
-    ) -> "AlignedFrame":
-        """Resample several series onto one shared time grid.
-
-        ``series`` is a list of ``(metric, tag_filters)``.  Each series is
-        downsampled to ``cadence_s`` buckets with linear gap fill — the
-        "standard methods" the paper applies to missing data before
-        correlation analysis.
-        """
-        ds = Downsample(width=cadence_s, agg=aggregator)
-        columns: list[np.ndarray] = []
-        names: list[str] = []
-        grid = None
-        for metric, tags in series:
-            result = self.db.run(
-                Query(
-                    metric,
-                    start,
-                    end,
-                    tags=tags,
-                    aggregator=aggregator,
-                    downsample=f"{cadence_s}s-{aggregator}-linear",
-                )
-            )
-            sl = result.single().slice
-            if grid is None:
-                grid = sl.timestamps
-            values = sl.values
-            if len(sl) != len(grid) or not np.array_equal(sl.timestamps, grid):
-                # Align onto the first series' grid.
-                values = np.interp(
-                    grid.astype(float),
-                    sl.timestamps.astype(float),
-                    sl.values,
-                    left=np.nan,
-                    right=np.nan,
-                ) if len(sl) else np.full(len(grid), np.nan)
-            columns.append(values)
-            names.append(metric)
-        if grid is None:
-            grid = np.empty(0, dtype=np.int64)
-        return AlignedFrame(
-            timestamps=grid,
-            columns={n: c for n, c in zip(names, columns)},
-        )
-
-
-@dataclass
-class AlignedFrame:
-    """Several series on one time grid (a tiny dataframe)."""
-
-    timestamps: np.ndarray
-    columns: dict[str, np.ndarray]
-
-    def __len__(self) -> int:
-        return int(self.timestamps.shape[0])
-
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
-    def complete_rows(self) -> np.ndarray:
-        """Boolean mask of rows where every column is finite."""
-        if not self.columns:
-            return np.zeros(len(self), dtype=bool)
-        mask = np.ones(len(self), dtype=bool)
-        for col in self.columns.values():
-            mask &= np.isfinite(col)
-        return mask
-
-    def correlation(self, a: str, b: str) -> float:
-        """Pearson correlation between two columns over complete rows."""
-        mask = np.isfinite(self.columns[a]) & np.isfinite(self.columns[b])
-        if mask.sum() < 3:
-            return float("nan")
-        return float(np.corrcoef(self.columns[a][mask], self.columns[b][mask])[0, 1])

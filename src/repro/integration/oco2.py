@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geo import BoundingBox, GeoPoint, Grid
+from ..geo import BoundingBox, GeoPoint
 from ..sensors.environment import UrbanEnvironment
 from ..simclock import DAY, HOUR
 from .base import Observation, SourceType
@@ -112,12 +112,3 @@ class Oco2Connector:
                     )
                 )
         return out
-
-    def grid_overpass(self, overpass: int, rows: int = 8, cols: int = 8) -> Grid:
-        """Rasterize one pass for large-scale model coupling (Table 1:
-        "coupling to large-scale modeling and validation")."""
-        grid = Grid(self.region, rows=rows, cols=cols)
-        for obs in self.fetch(overpass, overpass):
-            if obs.location is not None:
-                grid.add(obs.location, obs.value)
-        return grid

@@ -8,7 +8,6 @@ from .airtime import (
     DutyCycle,
     InvalidSpreadingFactor,
     airtime_s,
-    bitrate_bps,
     symbol_time_s,
     validate_sf,
 )
@@ -22,7 +21,6 @@ from .frames import (
     ReceivedUplink,
     Uplink,
     decode_measurements,
-    decode_measurements_batch,
     encode_measurements,
 )
 from .gateway import Gateway, RadioPlane
@@ -37,7 +35,6 @@ from .radio import (
     NOISE_FLOOR_DBM,
     LinkBudget,
     PropagationModel,
-    best_sf_for_distance,
 )
 
 __all__ = [
@@ -65,10 +62,7 @@ __all__ = [
     "TransmitResult",
     "Uplink",
     "airtime_s",
-    "best_sf_for_distance",
-    "bitrate_bps",
     "decode_measurements",
-    "decode_measurements_batch",
     "encode_measurements",
     "symbol_time_s",
     "uplink_from_json",

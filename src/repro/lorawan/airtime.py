@@ -75,12 +75,6 @@ def airtime_s(
     return t_preamble + n_payload * t_sym
 
 
-def bitrate_bps(sf: int, bandwidth_hz: int = BANDWIDTH_HZ) -> float:
-    """Nominal PHY bitrate for the SF."""
-    validate_sf(sf)
-    return sf * bandwidth_hz / (2**sf) * 4 / (4 + CODING_RATE)
-
-
 @dataclass
 class DutyCycle:
     """EU868 duty-cycle accounting for one device (default 1 %).
@@ -101,11 +95,6 @@ class DutyCycle:
     def _prune(self, now: float) -> None:
         horizon = now - self.window_s
         self._sends = [(t, a) for (t, a) in self._sends if t >= horizon]
-
-    def used(self, now: float) -> float:
-        """Fraction of the window already consumed."""
-        self._prune(now)
-        return sum(a for _, a in self._sends) / self.window_s
 
     def can_send(self, now: float, airtime: float) -> bool:
         self._prune(now)

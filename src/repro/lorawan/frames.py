@@ -23,27 +23,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 _STRUCT = struct.Struct(">HHHHhHHHH")
-
-#: Structured dtype mirroring ``_STRUCT`` so many payloads decode in one
-#: ``np.frombuffer`` instead of one ``struct.unpack`` per frame.
-_BATCH_DTYPE = np.dtype(
-    [
-        ("co2", ">u2"),
-        ("no2", ">u2"),
-        ("pm10", ">u2"),
-        ("pm25", ">u2"),
-        ("temp", ">i2"),
-        ("pres", ">u2"),
-        ("hum", ">u2"),
-        ("batt", ">u2"),
-        ("seq", ">u2"),
-    ]
-)
 
 PAYLOAD_SIZE = _STRUCT.size  # 18 bytes
 #: PHY payload = MHDR(1) + FHDR(7) + FPort(1) + app payload + MIC(4).
@@ -68,17 +49,6 @@ class Measurements:
     battery_v: float
     sequence: int = 0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "co2_ppm": self.co2_ppm,
-            "no2_ugm3": self.no2_ugm3,
-            "pm10_ugm3": self.pm10_ugm3,
-            "pm25_ugm3": self.pm25_ugm3,
-            "temperature_c": self.temperature_c,
-            "pressure_hpa": self.pressure_hpa,
-            "humidity_pct": self.humidity_pct,
-            "battery_v": self.battery_v,
-        }
 
 
 def _clamp_u16(value: float) -> int:
@@ -122,41 +92,6 @@ def decode_measurements(payload: bytes) -> Measurements:
         battery_v=batt / 1000.0,
         sequence=seq,
     )
-
-
-def decode_measurements_batch(
-    payloads: Sequence[bytes] | bytes,
-) -> dict[str, np.ndarray]:
-    """Vectorized codec: decode many payloads into columnar arrays.
-
-    Accepts a sequence of 18-byte payloads or one pre-concatenated
-    buffer.  Returns the :meth:`Measurements.as_dict` fields as parallel
-    float arrays plus an int ``"sequence"`` column — ready to feed a
-    :class:`~repro.tsdb.batch.BatchBuilder` without per-frame Python.
-    """
-    if isinstance(payloads, (bytes, bytearray, memoryview)):
-        buf = bytes(payloads)
-        if len(buf) % PAYLOAD_SIZE:
-            raise PayloadError(
-                f"buffer length {len(buf)} is not a multiple of {PAYLOAD_SIZE}"
-            )
-    else:
-        payloads = list(payloads)  # tolerate generators: consumed twice below
-        if any(len(p) != PAYLOAD_SIZE for p in payloads):
-            raise PayloadError(f"every payload must be {PAYLOAD_SIZE} bytes")
-        buf = b"".join(payloads)
-    raw = np.frombuffer(buf, dtype=_BATCH_DTYPE)
-    return {
-        "co2_ppm": raw["co2"].astype(np.float64),
-        "no2_ugm3": raw["no2"] / 10.0,
-        "pm10_ugm3": raw["pm10"] / 10.0,
-        "pm25_ugm3": raw["pm25"] / 10.0,
-        "temperature_c": raw["temp"] / 100.0,
-        "pressure_hpa": raw["pres"] / 10.0,
-        "humidity_pct": raw["hum"] / 100.0,
-        "battery_v": raw["batt"] / 1000.0,
-        "sequence": raw["seq"].astype(np.int64),
-    }
 
 
 @dataclass(frozen=True, slots=True)

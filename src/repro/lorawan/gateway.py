@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geo import GeoPoint
-from .airtime import SENSITIVITY_DBM, airtime_s
+from .airtime import airtime_s
 from .frames import GatewayReception, Uplink
 from .radio import DEFAULT_TX_POWER_DBM, PropagationModel
 
@@ -138,27 +138,3 @@ class RadioPlane:
             else:
                 self.collisions += 1
         return survivors
-
-    def coverage_report(
-        self, locations: list[GeoPoint], sf: int = 12
-    ) -> dict[str, float]:
-        """Deterministic coverage check: fraction of ``locations`` whose
-        best gateway link closes at the given SF (no shadowing)."""
-        if not locations:
-            return {"covered_fraction": 0.0, "mean_best_rssi_dbm": float("nan")}
-        covered = 0
-        best_rssis: list[float] = []
-        for loc in locations:
-            best = -999.0
-            for gw in self._gateways.values():
-                budget = self.model.evaluate(
-                    loc.distance_to(gw.location), sf, rng=None
-                )
-                best = max(best, budget.rssi_dbm)
-            best_rssis.append(best)
-            if best >= SENSITIVITY_DBM[sf]:
-                covered += 1
-        return {
-            "covered_fraction": covered / len(locations),
-            "mean_best_rssi_dbm": float(np.mean(best_rssis)),
-        }

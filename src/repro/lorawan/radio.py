@@ -34,11 +34,6 @@ class LinkBudget:
     sf: int
     received: bool
 
-    @property
-    def margin_db(self) -> float:
-        """How far above (positive) the sensitivity floor the link sits."""
-        return self.rssi_dbm - SENSITIVITY_DBM[self.sf]
-
 
 @dataclass(frozen=True)
 class PropagationModel:
@@ -92,29 +87,3 @@ class PropagationModel:
             sf=sf,
             received=received,
         )
-
-    def max_range_m(self, sf: int, tx_power_dbm: float = DEFAULT_TX_POWER_DBM) -> float:
-        """Deterministic (no-shadowing) range where RSSI hits sensitivity."""
-        validate_sf(sf)
-        max_loss = tx_power_dbm - SENSITIVITY_DBM[sf]
-        return 10.0 ** ((max_loss - self.pl0_db) / (10.0 * self.exponent))
-
-
-def best_sf_for_distance(
-    model: PropagationModel,
-    distance_m: float,
-    tx_power_dbm: float = DEFAULT_TX_POWER_DBM,
-    margin_db: float = 10.0,
-) -> int | None:
-    """Smallest SF (fastest data rate) whose deterministic link budget
-    keeps ``margin_db`` of headroom; None when even SF12 cannot reach.
-
-    This is the essence of ADR: close nodes use SF7 (short airtime), far
-    nodes fall back to SF12.
-    """
-    for sf in (7, 8, 9, 10, 11, 12):
-        budget = model.evaluate(distance_m, sf, tx_power_dbm, rng=None)
-        if budget.rssi_dbm >= SENSITIVITY_DBM[sf] + margin_db:
-            return sf
-    last = model.evaluate(distance_m, 12, tx_power_dbm, rng=None)
-    return 12 if last.received else None

@@ -112,10 +112,6 @@ class Broker:
             )
         session.will = None
 
-    def is_connected(self, client_id: str) -> bool:
-        s = self._sessions.get(client_id)
-        return bool(s and s.connected)
-
     # -- pub/sub ---------------------------------------------------------
     def publish(
         self, topic: str, payload: bytes | str, *, qos: int = 0, retain: bool = False
@@ -221,10 +217,6 @@ class Client:
     def __init__(self, broker: Broker, session: _Session) -> None:
         self._broker = broker
         self._session = session
-
-    @property
-    def client_id(self) -> str:
-        return self._session.client_id
 
     @property
     def connected(self) -> bool:

@@ -28,7 +28,6 @@ from ..simclock import Scheduler
 from ..tsdb.batch import PointBatch
 from ..tsdb.interface import TimeSeriesStore
 from ..tsdb.model import SeriesKey
-from ..tsdb.query import Query, QueryResult
 from ..tsdb.retention import RolledUp
 from .policy import CityPolicy
 from .queue import AsyncBatchQueue, Backpressure
@@ -38,7 +37,7 @@ class CityIngress:
     """Store-shaped enqueue side of one city's fan-in lane.
 
     Quacks like the write surface of a :class:`TimeSeriesStore` (``put``
-    / ``put_point`` / ``put_batch`` / ``put_many``), so the dataport's
+    / ``put_batch``), so the dataport's
     ``BatchingTsdbWriter`` — and any other producer — plugs in
     unchanged.  Every accepted series is namespaced to the city: keys
     missing a ``city`` tag gain ``city=<name>`` (keys that already carry
@@ -86,14 +85,6 @@ class CityIngress:
         batch = PointBatch.for_series(metric, [timestamp], [value], tags)
         self.put_batch(batch)
         return self._stamp_key(batch.keys[0])
-
-    def put_point(self, point) -> SeriesKey:
-        return self.put(
-            point.key.metric, point.timestamp, point.value, point.key.tag_dict()
-        )
-
-    def put_many(self, points) -> int:
-        return self.put_batch(PointBatch.from_points(points))
 
     # -- backpressure ----------------------------------------------------
     @property
@@ -295,58 +286,8 @@ class RegionalHub:
         return total
 
     # ------------------------------------------------------------------
-    # Regional queries
-    # ------------------------------------------------------------------
-    def query_cities(
-        self,
-        metric: str,
-        start: int,
-        end: int,
-        *,
-        aggregator: str = "avg",
-        downsample: str | None = None,
-        rate: bool = False,
-        group_by: tuple[str, ...] = (),
-    ) -> dict[str, QueryResult]:
-        """One query per registered city, planned as a single batch.
-
-        The regional ops convenience: N city-scoped queries over the
-        same metric go through ``store.run_many`` together — shared
-        series matching and scans — instead of N independent ``run()``
-        calls.
-        (Dashboard *panels* batch separately via
-        ``Dashboard.prefetch_results``, which also covers non-per-city
-        panels.)  Returns city → result in registration order.
-        """
-        queries = [
-            Query(
-                metric,
-                start,
-                end,
-                tags={"city": city},
-                aggregator=aggregator,
-                downsample=downsample,
-                rate=rate,
-                group_by=tuple(group_by),
-            )
-            for city in self.cities
-        ]
-        results = self.store.run_many(queries)
-        return dict(zip(self.cities, results))
-
-    # ------------------------------------------------------------------
     # Per-city retention
     # ------------------------------------------------------------------
-    def enforce_retention(self, now: int) -> dict[str, RolledUp]:
-        """Run every lane's retention (or tier) policy now; returns
-        per-city results."""
-        out: dict[str, RolledUp] = {}
-        for city, lane in self._lanes.items():
-            if lane.policy.retention is None and lane.policy.tiers is None:
-                continue
-            out[city] = self._enforce_lane_retention(lane, now)
-        return out
-
     def _enforce_lane_retention(self, lane: _CityLane, now: int) -> RolledUp:
         # Flush the lane first (throttle suspended): enforcing while
         # pre-cutoff stragglers sit in the queue would roll the stored

@@ -160,10 +160,6 @@ class AsyncBatchQueue:
         return self._depth
 
     @property
-    def depth_batches(self) -> int:
-        return len(self._batches)
-
-    @property
     def spill_pending_points(self) -> int:
         """Points parked on disk, not yet recovered by a drain."""
         return self._spill_pending
@@ -172,18 +168,6 @@ class AsyncBatchQueue:
     def backlog_points(self) -> int:
         """Everything a drain could still deliver (memory + spill)."""
         return self._depth + self._spill_pending
-
-    def spill_files(self) -> tuple[Path, ...]:
-        """Paths of pending spill segments, oldest first.
-
-        Spill segments are ordinary segment files, so they double as a
-        replication source: a
-        :meth:`~repro.replication.ReplicationLog.append_segment` per
-        path ships a lane's parked backlog to a follower without
-        draining it locally first.  The paths remain owned by this
-        queue — a later drain still consumes (and deletes) them.
-        """
-        return tuple(path for path, _ in self._spill_segments)
 
     def is_empty(self) -> bool:
         return self.backlog_points == 0

@@ -30,7 +30,7 @@ CRC the WAL reader uses, and a drained region spill segment
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable
 
 from ..tsdb.batch import PointBatch
 from ..tsdb.interface import StoreWrapper
@@ -113,12 +113,6 @@ class ReplicationLog:
         with self._lock:
             return self._cursors.get(follower, self._trimmed_locked())
 
-    @property
-    def follower_cursors(self) -> Mapping[str, int]:
-        """Snapshot of every registered follower's acked cursor."""
-        with self._lock:
-            return dict(self._cursors)
-
     def register_follower(self, follower: str) -> None:
         """Make a follower's cursor count toward the trim floor *before*
         its first ack — otherwise records acked by faster followers in
@@ -128,13 +122,6 @@ class ReplicationLog:
         """
         with self._lock:
             self._cursors.setdefault(follower, self._trimmed_locked())
-
-    def forget_follower(self, follower: str) -> None:
-        """Drop a follower's cursor (it no longer holds records back)
-        and trim to the remaining followers' floor."""
-        with self._lock:
-            if self._cursors.pop(follower, None) is not None:
-                self._trim_locked()
 
     def __len__(self) -> int:
         """Records retained (appended but not yet acknowledged)."""

@@ -156,10 +156,6 @@ class Channel:
             reading = round(reading / self.spec.resolution) * self.spec.resolution
         return float(min(self.spec.upper, max(self.spec.lower, reading)))
 
-    def expected_error_at(self, elapsed_days: float) -> float:
-        """Deterministic (bias) part of the error for a nominal reading."""
-        return self.offset + self.drift_rate * elapsed_days
-
 
 def make_channels(
     specs: dict[str, ChannelSpec], rng: np.random.Generator

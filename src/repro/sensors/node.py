@@ -30,8 +30,6 @@ class SamplingPolicy(Protocol):
 
     def next_interval(self, battery: Battery) -> int: ...
 
-    def describe(self) -> str: ...
-
 
 #: Called after every transmission attempt: (node, result, now).
 TransmitObserver = Callable[["SensorNode", TransmitResult, int], None]

@@ -128,8 +128,3 @@ class Battery:
             raise ValueError("airtime_s must be >= 0")
         self._charge_mas -= self.spec.tx_current_ma * airtime_s
         self._clamp()
-
-    def idle_days_remaining(self) -> float:
-        """Days until empty at pure sleep current (no sampling, no sun)."""
-        per_day = self.spec.sleep_current_ma * 86400.0
-        return self._charge_mas / per_day if per_day > 0 else float("inf")

@@ -27,9 +27,6 @@ class FixedInterval:
     def next_interval(self, battery: Battery) -> int:
         return self.interval_s
 
-    def describe(self) -> str:
-        return f"fixed({self.interval_s}s)"
-
 
 @dataclass(frozen=True)
 class BatteryAdaptive:
@@ -51,9 +48,3 @@ class BatteryAdaptive:
         if battery.is_low:
             return self.base_interval_s * self.low_factor
         return self.base_interval_s
-
-    def describe(self) -> str:
-        return (
-            f"adaptive(base={self.base_interval_s}s, "
-            f"low x{self.low_factor}, critical x{self.critical_factor})"
-        )

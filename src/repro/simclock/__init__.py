@@ -18,12 +18,9 @@ from .clock import (
 )
 from .scheduler import EventHandle, Scheduler
 from .sun import (
-    daylight_fraction,
-    is_daylight,
     solar_declination_deg,
     solar_elevation_deg,
     solar_irradiance_wm2,
-    sunrise_sunset,
 )
 
 __all__ = [
@@ -38,15 +35,12 @@ __all__ = [
     "SimClock",
     "day_of_week",
     "day_of_year",
-    "daylight_fraction",
     "floor_to",
     "from_datetime",
     "hour_of_day",
-    "is_daylight",
     "is_weekend",
     "solar_declination_deg",
     "solar_elevation_deg",
     "solar_irradiance_wm2",
-    "sunrise_sunset",
     "to_datetime",
 ]

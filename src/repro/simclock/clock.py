@@ -47,13 +47,6 @@ class SimClock:
         """Current simulated time as epoch seconds."""
         return self._now
 
-    def advance(self, seconds: int) -> int:
-        """Move time forward by ``seconds`` (must be >= 0)."""
-        if seconds < 0:
-            raise ClockError(f"cannot advance by negative time: {seconds}")
-        self._now += int(seconds)
-        return self._now
-
     def advance_to(self, timestamp: int) -> int:
         """Jump to an absolute time at or after the current time."""
         if timestamp < self._now:

@@ -102,11 +102,6 @@ class Scheduler:
         """Number of queued, non-cancelled events."""
         return sum(1 for e in self._queue if not e.cancelled)
 
-    def peek(self) -> int | None:
-        """Timestamp of the next runnable event, or None when empty."""
-        self._drop_cancelled()
-        return self._queue[0].when if self._queue else None
-
     def step(self) -> bool:
         """Run the next event, advancing the clock to it.
 

@@ -3,8 +3,8 @@
 Fig. 4 of the paper analyses battery charging: solar panels charge
 "during daytime, and [charging] is affected by weather conditions", and
 the right-hand panel flags whether a node "could have been charged by
-sunlight since the previous package".  Reproducing that needs sunrise /
-sunset and solar elevation as functions of date and latitude — at
+sunlight since the previous package".  Reproducing that needs solar
+elevation as a function of date, time and latitude — at
 Trondheim's 63.4 N the day length swings from ~4.5 h in December to ~20.5 h
 in June, which dominates the battery dynamics.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .clock import DAY, HOUR, day_of_year, hour_of_day
+from .clock import day_of_year, hour_of_day
 
 
 def solar_declination_deg(timestamp: int) -> float:
@@ -42,47 +42,6 @@ def solar_elevation_deg(timestamp: int, lat: float, lon: float) -> float:
         decl
     ) * math.cos(hour_angle)
     return math.degrees(math.asin(max(-1.0, min(1.0, sin_elev))))
-
-
-def is_daylight(timestamp: int, lat: float, lon: float) -> bool:
-    """True when the sun is above the horizon at the location."""
-    return solar_elevation_deg(timestamp, lat, lon) > 0.0
-
-
-def daylight_fraction(timestamp: int, lat: float) -> float:
-    """Fraction of this 24 h day with the sun above the horizon.
-
-    Handles polar day/night by clamping the hour-angle cosine.
-    """
-    decl = math.radians(solar_declination_deg(timestamp))
-    phi = math.radians(lat)
-    cos_h0 = -math.tan(phi) * math.tan(decl)
-    if cos_h0 <= -1.0:
-        return 1.0  # midnight sun
-    if cos_h0 >= 1.0:
-        return 0.0  # polar night
-    h0 = math.acos(cos_h0)  # sunrise hour angle, radians
-    return h0 / math.pi
-
-
-def sunrise_sunset(timestamp: int, lat: float, lon: float) -> tuple[int, int] | None:
-    """(sunrise, sunset) epoch seconds for the UTC day containing ``timestamp``.
-
-    Returns ``None`` during polar night; during midnight sun the whole day
-    is returned.  Times are approximate (no equation of time).
-    """
-    frac = daylight_fraction(timestamp, lat)
-    day_start = timestamp - (timestamp % DAY)
-    if frac <= 0.0:
-        return None
-    if frac >= 1.0:
-        return (day_start, day_start + DAY)
-    # Local solar noon in UTC seconds-of-day.
-    noon = (12.0 - lon / 15.0) % 24.0 * HOUR
-    half = frac * 12.0 * HOUR
-    rise = int(day_start + noon - half)
-    set_ = int(day_start + noon + half)
-    return (rise, set_)
 
 
 def solar_irradiance_wm2(

@@ -2,24 +2,19 @@
 
 from .graph import FlowGraph, FlowGraphError
 from .operators import (
-    BatchSink,
     Event,
-    EventBatch,
     Filter,
     Map,
     Operator,
     Segmenter,
     Sink,
     Source,
-    StoreSink,
     TumblingWindow,
     chain,
 )
 
 __all__ = [
-    "BatchSink",
     "Event",
-    "EventBatch",
     "Filter",
     "FlowGraph",
     "FlowGraphError",
@@ -28,7 +23,6 @@ __all__ = [
     "Segmenter",
     "Sink",
     "Source",
-    "StoreSink",
     "TumblingWindow",
     "chain",
 ]

@@ -2,16 +2,16 @@
 
 The demo lets attendees "change the dependency of the data flow to
 evaluate the flexibility of the data stream analysis" — a
-:class:`FlowGraph` holds named operators as a DAG (networkx digraph
-underneath), supports connect/disconnect at runtime, validates
-acyclicity, and can bind sources to MQTT topics for automation.
+:class:`FlowGraph` holds named operators as a DAG (a successor map,
+ordered by the stdlib's :mod:`graphlib`), supports connect/disconnect at
+runtime, validates acyclicity, and can bind sources to MQTT topics for
+automation.
 """
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable
-
-import networkx as nx
 
 from ..mqtt import Broker, Message
 from .operators import Event, Operator
@@ -26,36 +26,46 @@ class FlowGraph:
 
     def __init__(self, name: str = "flow") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
         self._stages: dict[str, Operator] = {}
+        self._successors: dict[str, set[str]] = {}
 
     # -- construction -----------------------------------------------------
     def add(self, stage_name: str, operator: Operator) -> Operator:
         if stage_name in self._stages:
             raise FlowGraphError(f"duplicate stage name: {stage_name}")
         self._stages[stage_name] = operator
-        self._graph.add_node(stage_name)
+        self._successors[stage_name] = set()
         return operator
 
     def connect(self, upstream: str, downstream: str) -> None:
         """Add an edge; refuses cycles."""
         up = self._stage(upstream)
         down = self._stage(downstream)
-        self._graph.add_edge(upstream, downstream)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(upstream, downstream)
+        self._successors[upstream].add(downstream)
+        try:
+            self._sorter().prepare()
+        except CycleError:
+            self._successors[upstream].remove(downstream)
             raise FlowGraphError(
                 f"edge {upstream} -> {downstream} would create a cycle"
-            )
+            ) from None
         up.to(down)
 
     def disconnect(self, upstream: str, downstream: str) -> None:
         up = self._stage(upstream)
         down = self._stage(downstream)
-        if not self._graph.has_edge(upstream, downstream):
+        if downstream not in self._successors[upstream]:
             raise FlowGraphError(f"no edge {upstream} -> {downstream}")
-        self._graph.remove_edge(upstream, downstream)
+        self._successors[upstream].remove(downstream)
         up.disconnect(down)
+
+    def _sorter(self) -> TopologicalSorter:
+        sorter = TopologicalSorter()
+        for name, successors in self._successors.items():
+            sorter.add(name)
+            for successor in successors:
+                sorter.add(successor, name)
+        return sorter
 
     def _stage(self, name: str) -> Operator:
         try:
@@ -103,28 +113,25 @@ class FlowGraph:
 
     # -- introspection -----------------------------------------------------------
     def roots(self) -> list[str]:
-        return sorted(n for n in self._graph if self._graph.in_degree(n) == 0)
+        fed = {s for successors in self._successors.values() for s in successors}
+        return sorted(n for n in self._successors if n not in fed)
 
     def leaves(self) -> list[str]:
-        return sorted(n for n in self._graph if self._graph.out_degree(n) == 0)
+        return sorted(n for n, successors in self._successors.items() if not successors)
 
     def topological_order(self) -> list[str]:
-        return list(nx.topological_sort(self._graph))
+        return list(self._sorter().static_order())
 
     def edges(self) -> list[tuple[str, str]]:
-        return sorted(self._graph.edges())
-
-    def stage_stats(self) -> dict[str, dict[str, int]]:
-        return {
-            name: {"received": op.received, "emitted": op.emitted}
-            for name, op in sorted(self._stages.items())
-        }
+        return sorted(
+            (u, v) for u, successors in self._successors.items() for v in successors
+        )
 
     def describe(self) -> str:
         """ASCII rendering of the DAG in topological order."""
         lines = [f"flow graph '{self.name}':"]
         for name in self.topological_order():
-            succ = sorted(self._graph.successors(name))
+            succ = sorted(self._successors[name])
             arrow = f" -> {', '.join(succ)}" if succ else " (sink)"
             op = self._stages[name]
             lines.append(

@@ -6,22 +6,14 @@ Operators are push-based: an upstream stage calls ``emit`` on its
 downstream stages; chains compose operators; windows and segmenters
 group events by event time.  Events are ``(timestamp, value)`` pairs
 with an optional tag dict.
-
-The pipeline moves in two granularities: single :class:`Event` objects
-(``push``/``emit``) and columnar :class:`EventBatch` blocks
-(``push_batch``/``emit_batch``).  Operators that have a vectorized form
-process whole batches in numpy; the base class falls back to per-event
-processing, so batch and scalar stages compose freely in one chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
-
-from ..tsdb.batch import run_boundaries
 
 
 @dataclass(frozen=True)
@@ -31,57 +23,6 @@ class Event:
     timestamp: int
     value: float
     tags: dict = field(default_factory=dict, hash=False, compare=False)
-
-
-@dataclass(frozen=True)
-class EventBatch:
-    """Many stream elements in columnar form (shared tag dict).
-
-    Rows keep arrival order; timestamps need not be sorted (windows and
-    segmenters apply the same event-time rules as for single events).
-    """
-
-    timestamps: np.ndarray  # int64, parallel to values
-    values: np.ndarray  # float64
-    tags: dict = field(default_factory=dict, hash=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "timestamps", np.asarray(self.timestamps, dtype=np.int64)
-        )
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.timestamps.shape != self.values.shape or self.timestamps.ndim != 1:
-            raise ValueError(
-                "expected parallel 1-D columns, got "
-                f"{self.timestamps.shape} and {self.values.shape}"
-            )
-
-    def __len__(self) -> int:
-        return int(self.timestamps.shape[0])
-
-    def __iter__(self) -> Iterator[Event]:
-        for t, v in zip(self.timestamps.tolist(), self.values.tolist()):
-            yield Event(int(t), float(v), dict(self.tags))
-
-    @classmethod
-    def from_events(cls, events: Iterable[Event], tags: dict | None = None) -> "EventBatch":
-        """Columnarize events.  A batch carries one shared tag dict, so
-        the events must agree on tags (pass ``tags`` to override); a
-        mixed-tag stream would silently lose information otherwise."""
-        events = list(events)
-        if tags is None:
-            distinct = {tuple(sorted(e.tags.items())) for e in events}
-            if len(distinct) > 1:
-                raise ValueError(
-                    "events carry differing tags; pass an explicit "
-                    "tags= or batch them per tag set"
-                )
-            tags = events[0].tags if events else {}
-        return cls(
-            np.array([e.timestamp for e in events], dtype=np.int64),
-            np.array([e.value for e in events], dtype=np.float64),
-            dict(tags),
-        )
 
 
 class Operator:
@@ -111,31 +52,13 @@ class Operator:
         self.received += 1
         self.process(event)
 
-    def push_batch(self, batch: EventBatch) -> None:
-        """Feed a columnar batch into this stage."""
-        self.received += len(batch)
-        self.process_batch(batch)
-
     def process(self, event: Event) -> None:
         self.emit(event)
-
-    def process_batch(self, batch: EventBatch) -> None:
-        """Batch hook; the default falls back to per-event processing so
-        non-vectorized operators stay correct inside batch chains."""
-        for event in batch:
-            self.process(event)
 
     def emit(self, event: Event) -> None:
         self.emitted += 1
         for op in self._downstream:
             op.push(event)
-
-    def emit_batch(self, batch: EventBatch) -> None:
-        if len(batch) == 0:
-            return
-        self.emitted += len(batch)
-        for op in self._downstream:
-            op.push_batch(batch)
 
     def flush(self) -> None:
         """Propagate end-of-stream (windows emit partial buckets)."""
@@ -144,82 +67,32 @@ class Operator:
 
 
 class Source(Operator):
-    """Entry point; also accepts bulk iterables and columnar batches."""
-
-    def push_many(self, events: Iterable[Event]) -> int:
-        n = 0
-        for e in events:
-            self.push(e)
-            n += 1
-        return n
+    """Entry point of a chain or flow graph."""
 
 
 class Map(Operator):
-    """Apply ``fn(event) -> event`` to every element.
+    """Apply ``fn(event) -> event`` to every element."""
 
-    ``vector_fn(timestamps, values) -> (timestamps, values)`` is the
-    optional columnar form; when given, whole batches transform in one
-    numpy call (and ``fn`` handles any stray single events).
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[Event], Event],
-        name: str | None = None,
-        *,
-        vector_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-        | None = None,
-    ) -> None:
+    def __init__(self, fn: Callable[[Event], Event], name: str | None = None) -> None:
         super().__init__(name)
         self._fn = fn
-        self._vector_fn = vector_fn
 
     def process(self, event: Event) -> None:
         self.emit(self._fn(event))
 
-    def process_batch(self, batch: EventBatch) -> None:
-        if self._vector_fn is None:
-            super().process_batch(batch)
-            return
-        ts, vals = self._vector_fn(batch.timestamps, batch.values)
-        self.emit_batch(EventBatch(ts, vals, batch.tags))
-
 
 class Filter(Operator):
-    """Keep only events where ``predicate(event)`` is true.
-
-    ``vector_predicate(timestamps, values) -> bool mask`` enables the
-    columnar path: one mask per batch instead of one call per event.
-    """
+    """Keep only events where ``predicate(event)`` is true."""
 
     def __init__(
-        self,
-        predicate: Callable[[Event], bool],
-        name: str | None = None,
-        *,
-        vector_predicate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+        self, predicate: Callable[[Event], bool], name: str | None = None
     ) -> None:
         super().__init__(name)
         self._predicate = predicate
-        self._vector_predicate = vector_predicate
 
     def process(self, event: Event) -> None:
         if self._predicate(event):
             self.emit(event)
-
-    def process_batch(self, batch: EventBatch) -> None:
-        if self._vector_predicate is None:
-            super().process_batch(batch)
-            return
-        mask = np.asarray(
-            self._vector_predicate(batch.timestamps, batch.values), dtype=bool
-        )
-        if mask.all():
-            self.emit_batch(batch)
-        elif mask.any():
-            self.emit_batch(
-                EventBatch(batch.timestamps[mask], batch.values[mask], batch.tags)
-            )
 
 
 class TumblingWindow(Operator):
@@ -253,26 +126,6 @@ class TumblingWindow(Operator):
             self._close()
             self._bucket_start = bucket
         self._values.append(event.value)
-
-    def process_batch(self, batch: EventBatch) -> None:
-        if len(batch) == 0:
-            return
-        buckets = (batch.timestamps // self.width_s) * self.width_s
-        # Late events fold into the window that is open when they arrive
-        # (same rule as the per-event path): clamp to the running max of
-        # the open-window start.
-        if self._bucket_start is not None:
-            np.maximum(buckets, self._bucket_start, out=buckets)
-        np.maximum.accumulate(buckets, out=buckets)
-        if self._bucket_start is None:
-            self._bucket_start = int(buckets[0])
-        starts, ends = run_boundaries(buckets)
-        for s, e in zip(starts, ends):
-            bucket = int(buckets[s])
-            if bucket > self._bucket_start:
-                self._close()
-                self._bucket_start = bucket
-            self._values.extend(batch.values[s:e].tolist())
 
     def _close(self) -> None:
         if self._bucket_start is not None and self._values:
@@ -353,100 +206,6 @@ class Sink(Operator):
 
     def timestamps(self) -> np.ndarray:
         return np.array([e.timestamp for e in self.events], dtype=np.int64)
-
-
-class BatchSink(Operator):
-    """Terminal stage collecting columnar chunks (no per-event objects).
-
-    The batch-path counterpart of :class:`Sink`: single events become
-    one-row chunks, batches are stored as-is, and the collected columns
-    concatenate on read.
-    """
-
-    def __init__(self, name: str | None = None) -> None:
-        super().__init__(name)
-        self._chunks: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def __len__(self) -> int:
-        return sum(c[0].shape[0] for c in self._chunks)
-
-    def process(self, event: Event) -> None:
-        self._chunks.append(
-            (
-                np.array([event.timestamp], dtype=np.int64),
-                np.array([event.value], dtype=np.float64),
-            )
-        )
-
-    def process_batch(self, batch: EventBatch) -> None:
-        if len(batch):
-            self._chunks.append((batch.timestamps, batch.values))
-
-    def timestamps(self) -> np.ndarray:
-        if not self._chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([c[0] for c in self._chunks])
-
-    def values(self) -> np.ndarray:
-        if not self._chunks:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate([c[1] for c in self._chunks])
-
-
-class StoreSink(Operator):
-    """Terminal stage writing the stream into a time-series store.
-
-    ``store`` is anything exposing ``put_batch`` — a
-    :class:`~repro.tsdb.TSDB`, a :class:`~repro.tsdb.ShardedTSDB`, or a
-    regional :class:`~repro.region.CityIngress` lane — so a stream
-    pipeline can feed the regional fan-in layer in columnar form.
-    Buffering delegates to the dataport's
-    :class:`~repro.dataport.app.BatchingTsdbWriter` (one batch flushed
-    every ``flush_every`` rows and on end-of-stream), so there is a
-    single accumulate-and-flush implementation in the codebase.
-    """
-
-    def __init__(
-        self,
-        store,
-        metric: str,
-        tags: dict | None = None,
-        *,
-        flush_every: int = 4096,
-        name: str | None = None,
-    ) -> None:
-        super().__init__(name)
-        from ..dataport.app import BatchingTsdbWriter
-
-        self.store = store
-        self.metric = metric
-        self.tags = dict(tags or {})
-        self.flush_every = flush_every
-        self._writer = BatchingTsdbWriter(store, max_pending=flush_every)
-
-    @property
-    def written(self) -> int:
-        return self._writer.written
-
-    def process(self, event: Event) -> None:
-        self._writer.add(
-            self.metric, event.timestamp, event.value, {**self.tags, **event.tags}
-        )
-
-    def process_batch(self, batch: EventBatch) -> None:
-        if len(batch):
-            self._writer.add_series(
-                self.metric, batch.timestamps, batch.values,
-                {**self.tags, **batch.tags},
-            )
-
-    def flush_writes(self) -> int:
-        """Push buffered rows to the store; returns rows written."""
-        return self._writer.flush()
-
-    def flush(self) -> None:
-        self.flush_writes()
-        super().flush()
 
 
 def chain(*operators: Operator) -> tuple[Operator, Operator]:

@@ -13,7 +13,7 @@ from typing import Mapping
 from .batch import PointBatch
 from .catalog import SeriesCatalog
 from .interface import StoreApi
-from .model import DataPoint, SeriesKey
+from .model import SeriesKey
 from .series import SeriesStore
 
 
@@ -27,8 +27,8 @@ class TSDB(StoreApi):
       (the hot ingest path; :meth:`put` is the degenerate single-point
       case of the same store machinery),
     - :meth:`run` executes a :class:`Query`,
-    - :meth:`suggest_metrics` / :meth:`suggest_tag_values` /
-      :meth:`tag_keys` / :meth:`tag_values` / :meth:`cardinality` back
+    - :meth:`suggest_tag_values` / :meth:`tag_values` /
+      :meth:`cardinality` back
       dashboard autocomplete and capacity planning (the
       :class:`~repro.tsdb.catalog.SeriesCatalog` metadata surface),
     - :meth:`last` serves "current value" dashboard panels.
@@ -75,11 +75,6 @@ class TSDB(StoreApi):
         self._store_for(key).append(timestamp, value)
         self._puts += 1
         return key
-
-    def put_point(self, point: DataPoint) -> SeriesKey:
-        self._store_for(point.key).append(point.timestamp, point.value)
-        self._puts += 1
-        return point.key
 
     def put_batch(self, batch: PointBatch) -> int:
         """Write a columnar batch: group by series key, one sorted merge

@@ -17,9 +17,9 @@ other than ``catalog``, ``_series`` and the three whole-store counts.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
-from .batch import BatchBuilder, PointBatch
+from .batch import PointBatch
 from .catalog import MergedCatalog, SeriesCatalog
 from .model import DataPoint, SeriesKey
 from .plan import ExprQuery, ExprResult, QueryBuilder, run_batch, select as _select
@@ -39,9 +39,8 @@ class TimeSeriesStore(Protocol):
 
     Writes are three primitives + derived: ``put_batch``,
     ``delete_before`` and ``delete_series_before`` are what a store (or
-    a wrapper around one) implements; ``put``, ``put_point``,
-    ``put_series`` and ``put_many`` are :class:`StoreApi`'s, in terms of
-    ``put_batch``.
+    a wrapper around one) implements; ``put`` and ``put_series`` are
+    :class:`StoreApi`'s, in terms of ``put_batch``.
 
     Reads are the same shape: a store supplies its ``catalog`` (which
     series are live, and the counters of when that changed), the keyed
@@ -67,8 +66,6 @@ class TimeSeriesStore(Protocol):
         tags: Mapping[str, str] | None = None,
     ) -> SeriesKey: ...
 
-    def put_point(self, point: DataPoint) -> SeriesKey: ...
-
     def put_series(
         self,
         metric: str,
@@ -76,8 +73,6 @@ class TimeSeriesStore(Protocol):
         values,
         tags: Mapping[str, str] | None = None,
     ) -> SeriesKey: ...
-
-    def put_many(self, points: Iterable[DataPoint]) -> int: ...
 
     # -- reads: the primitives (catalog, keyed lookup, three counts) -----
     @property
@@ -101,11 +96,7 @@ class TimeSeriesStore(Protocol):
 
     def series_for_metric(self, metric: str) -> list[SeriesKey]: ...
 
-    def suggest_metrics(self, prefix: str = "") -> list[str]: ...
-
     def suggest_tag_values(self, metric: str, tag_key: str) -> list[str]: ...
-
-    def tag_keys(self, metric: str) -> list[str]: ...
 
     def tag_values(self, metric: str, tag_key: str) -> list[str]: ...
 
@@ -164,15 +155,8 @@ class StoreApi:
     def series_for_metric(self, metric: str) -> list[SeriesKey]:
         return self.catalog.series(metric)
 
-    def suggest_metrics(self, prefix: str = "") -> list[str]:
-        return [m for m in self.metrics() if m.startswith(prefix)]
-
     def suggest_tag_values(self, metric: str, tag_key: str) -> list[str]:
         return self.tag_values(metric, tag_key)
-
-    def tag_keys(self, metric: str) -> list[str]:
-        """Tag keys appearing on any live series of ``metric``, sorted."""
-        return self.catalog.tag_keys(metric)
 
     def tag_values(self, metric: str, tag_key: str) -> list[str]:
         """Distinct live values of one tag key under ``metric``, sorted."""
@@ -270,11 +254,7 @@ class StoreApi:
         tags: Mapping[str, str] | None = None,
     ) -> SeriesKey:
         """Write one data point, creating the series on first sight."""
-        return self.put_point(
-            DataPoint(SeriesKey.make(metric, tags), int(timestamp), float(value))
-        )
-
-    def put_point(self, point: DataPoint) -> SeriesKey:
+        point = DataPoint(SeriesKey.make(metric, tags), int(timestamp), float(value))
         self.put_batch(PointBatch.from_points([point]))
         return point.key
 
@@ -289,19 +269,6 @@ class StoreApi:
         batch = PointBatch.for_series(metric, timestamps, values, tags)
         self.put_batch(batch)
         return batch.keys[0]
-
-    #: put_many flushes its builder at this size so streaming a huge
-    #: iterable stays bounded-memory while keeping batch overhead tiny.
-    _PUT_MANY_CHUNK = 65_536
-
-    def put_many(self, points: Iterable[DataPoint]) -> int:
-        builder = BatchBuilder()
-        n = 0
-        for p in points:
-            builder.add_point(p)
-            if len(builder) >= self._PUT_MANY_CHUNK:
-                n += self.put_batch(builder.build())
-        return n + self.put_batch(builder.build())
 
     def run(self, query: Query) -> QueryResult:
         """Execute a query; see :class:`~repro.tsdb.query.Query`.

@@ -256,9 +256,6 @@ class ExprQuery:
                 f"{sorted(bound - names)}"
             )
 
-    def operand_map(self) -> dict[str, Query]:
-        return dict(self.operands)
-
 
 def expr(formula: str, **operands: Query | QueryBuilder) -> ExprQuery:
     """Combine sub-queries arithmetically: ``expr("a - b", a=..., b=...)``.

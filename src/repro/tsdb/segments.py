@@ -657,14 +657,6 @@ class SegmentStats:
     comment_blocks: int
     points: int
 
-    @property
-    def points_per_batch(self) -> float:
-        """Mean batch-block granularity; low values mean a fragmented
-        WAL of many small appends — the compaction signal."""
-        if not self.batch_blocks:
-            return 0.0
-        return self.points / self.batch_blocks
-
 
 def segment_stats(
     path: str | os.PathLike[str], *, strict: bool = False

@@ -218,10 +218,6 @@ class SeriesStore:
             return None
         return int(self._ts[self._n - 1]), float(self._vals[self._n - 1])
 
-    def first_timestamp(self) -> int | None:
-        self._compact()
-        return int(self._ts[0]) if self._n else None
-
     def delete_before(self, cutoff: int) -> int:
         """Drop points strictly older than ``cutoff``; returns count dropped."""
         self._compact()
@@ -252,23 +248,3 @@ def _merge_last_wins(
     keep = np.ones(merged_ts.shape[0], dtype=bool)
     keep[:-1] = merged_ts[1:] != merged_ts[:-1]
     return merged_ts[keep], merged_vals[keep]
-
-
-def merge_slices(slices: list[SeriesSlice]) -> SeriesSlice:
-    """Union several sorted slices into one sorted slice.
-
-    Duplicate timestamps across slices keep the value from the later slice
-    in the argument list.  Used when grouping series for aggregation.
-    """
-    if not slices:
-        return SeriesSlice(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    if len(slices) == 1:
-        return slices[0]
-    ts = np.concatenate([s.timestamps for s in slices])
-    vals = np.concatenate([s.values for s in slices])
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    vals = vals[order]
-    keep = np.ones(ts.shape[0], dtype=bool)
-    keep[:-1] = ts[1:] != ts[:-1]
-    return SeriesSlice(ts[keep], vals[keep])

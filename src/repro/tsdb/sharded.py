@@ -33,7 +33,7 @@ from .batch import PointBatch
 from .catalog import MergedCatalog
 from .database import TSDB
 from .interface import StoreApi
-from .model import DataPoint, SeriesKey
+from .model import SeriesKey
 from .series import SeriesStore
 
 
@@ -106,10 +106,6 @@ class ShardedTSDB(StoreApi):
         """Index of the shard owning ``key``."""
         return shard_for_key(key, len(self._shards))
 
-    def shard_for(self, metric: str, tags: Mapping[str, str] | None = None) -> int:
-        """Owning shard for a (metric, tags) combination."""
-        return self.shard_of(SeriesKey.make(metric, tags))
-
     # ------------------------------------------------------------------
     # Writes (route per series)
     # ------------------------------------------------------------------
@@ -123,10 +119,17 @@ class ShardedTSDB(StoreApi):
         if self.catalog.max_tag_values is not None and key not in shard._stores:
             self.catalog.check_add(key)
 
-    def put_point(self, point: DataPoint) -> SeriesKey:
-        shard = self._shards[self.shard_of(point.key)]
-        self._admit(point.key, shard)
-        return shard.put_point(point)
+    def put(
+        self,
+        metric: str,
+        timestamp: int,
+        value: float,
+        tags: Mapping[str, str] | None = None,
+    ) -> SeriesKey:
+        key = SeriesKey.make(metric, tags)
+        shard = self._shards[self.shard_of(key)]
+        self._admit(key, shard)
+        return shard.put(metric, int(timestamp), float(value), tags)
 
     def put_batch(self, batch: PointBatch) -> int:
         """Route a columnar batch: one shard-local column write per series.
@@ -140,8 +143,7 @@ class ShardedTSDB(StoreApi):
             shard.put_column(key, ts, vals)
         return len(batch)
 
-    # put comes from StoreApi (→ put_point); put_series / put_many too
-    # (→ put_batch).
+    # put_series comes from StoreApi (→ put_batch).
 
     # ------------------------------------------------------------------
     # Reads: ``catalog`` above and these; StoreApi derives every other

@@ -9,7 +9,7 @@ touches it:
 - **keyed operations** (``_series`` — and through it every keyed read:
   ``series_slice``, ``series_latest``, both series generations —
   ``put_batch`` — and through it every derived write: ``put``,
-  ``put_point``, ``put_series``, ``put_many`` — ``delete_series_before``)
+  ``put_series`` — ``delete_series_before``)
   hash-route exactly like the store does, so they page in only the
   owning shards — an exact read of one series costs one shard's replay,
   not N;
@@ -100,7 +100,7 @@ class ColdShardPager(StoreApi):
         self._page_in(self.shard_of(key))
         return self._db._series(key)
 
-    # put / put_point / put_series / put_many are StoreApi's, so they
+    # put / put_series are StoreApi's, so they
     # land here and page only the shards their batch touches.
     def put_batch(self, batch: PointBatch) -> int:
         # Page the owning shards *before* writing: replaying the snapshot

@@ -53,7 +53,7 @@ class DurableStore(StoreWrapper):
     Reads and introspection delegate untouched; each of the three write
     primitives appends its block first, then commits, under one lock so
     the WAL's order equals the store's commit order.  Every other write
-    (``put``, ``put_point``, ``put_series``, ``put_many``) is
+    (``put``, ``put_series``) is
     :class:`~repro.tsdb.interface.StoreApi`'s, in terms of
     :meth:`put_batch` — so it is journaled as a batch block too.
     """

@@ -132,12 +132,6 @@ def encode_request(
     }
 
 
-def request_to_json(
-    queries: Sequence[Query | QueryBuilder | ExprQuery], **dumps_kwargs
-) -> str:
-    return json.dumps(encode_request(queries), **dumps_kwargs)
-
-
 def _decode_timestamp(obj: Mapping, field: str) -> int:
     """A ``start``/``end`` value as an exact integer timestamp.
 
@@ -322,11 +316,6 @@ def response_to_json(
     # here instead of unparseable output at some client.
     dumps_kwargs.setdefault("allow_nan", False)
     return json.dumps(encode_response(results), **dumps_kwargs)
-
-
-def error_to_json(exc: BaseException, **dumps_kwargs) -> str:
-    dumps_kwargs.setdefault("allow_nan", False)
-    return json.dumps(encode_error(exc), **dumps_kwargs)
 
 
 # -- reply text ------------------------------------------------------------
@@ -738,21 +727,22 @@ def execute_catalog_request(store, req: CatalogRequest) -> dict:
     (:class:`InvalidName` on a malformed tag key, for example) — the
     caller decides between :func:`encode_error` and propagation.
     """
+    catalog = store.catalog
     body: dict = {"op": req.op}
     if req.op == "metrics":
-        body["values"] = store.metrics()
+        body["values"] = catalog.metrics()
     elif req.op == "tag_keys":
         body["metric"] = req.metric
-        body["values"] = store.tag_keys(req.metric)
+        body["values"] = catalog.tag_keys(req.metric)
     elif req.op == "tag_values":
         body["metric"] = req.metric
         body["key"] = req.key
-        body["values"] = store.tag_values(req.metric, req.key)
+        body["values"] = catalog.tag_values(req.metric, req.key)
     else:  # cardinality
         body["metric"] = req.metric
         if req.tags:
             body["tags"] = dict(req.tags)
-        body["count"] = store.cardinality(req.metric, dict(req.tags) or None)
+        body["count"] = catalog.cardinality(req.metric, dict(req.tags) or None)
     return {"version": WIRE_VERSION, "catalog": body}
 
 

@@ -13,7 +13,6 @@ from .dashboard import (
     Panel,
     TextPanel,
     TimeseriesPanel,
-    build_regional_dashboard,
 )
 from .network_map import render_svg_map, render_text_map, to_geojson
 from .render import (
@@ -40,7 +39,6 @@ __all__ = [
     "TimeseriesPanel",
     "WallDisplay",
     "attach_sensor_values",
-    "build_regional_dashboard",
     "city_model_geojson",
     "horizontal_bar",
     "render_alarm_panel",

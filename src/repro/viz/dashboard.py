@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..analytics.aqi import caqi
-from ..tsdb import METRIC_CO2, ExprQuery, Query, TimeSeriesStore, expr
+from ..tsdb import ExprQuery, Query, TimeSeriesStore
 from .render import horizontal_bar, value_color
 from .timeseries import Chart
 
@@ -29,10 +29,7 @@ class TimeseriesPanel:
     query: Query | ExprQuery
 
     def _result(self, db: TimeSeriesStore):
-        run_many = getattr(db, "run_many", None)
-        if run_many is not None:
-            return run_many([self.query])[0]
-        return db.run(self.query)
+        return db.run_many([self.query])[0]
 
     def render_text(
         self, db: TimeSeriesStore, width: int = 72, result=None
@@ -191,10 +188,7 @@ class Dashboard:
         ]
         if not bound:
             return {}
-        run_many = getattr(self.db, "run_many", None)
-        if run_many is None:  # store without the v2 query surface
-            return {i: self.db.run(q) for i, q in bound}
-        results = run_many([q for _, q in bound])
+        results = self.db.run_many([q for _, q in bound])
         return {i: r for (i, _), r in zip(bound, results)}
 
     def _render_panels(
@@ -258,98 +252,7 @@ def batch_prefetch(dashboards: list["Dashboard"]) -> list[dict[int, object]]:
                     (di, pi, panel.query)
                 )
     for store, items in by_store.values():
-        run_many = getattr(store, "run_many", None)
-        if run_many is None:
-            results = [store.run(q) for _, _, q in items]
-        else:
-            results = run_many([q for _, _, q in items])
+        results = store.run_many([q for _, _, q in items])
         for (di, pi, _), res in zip(items, results):
             out[di][pi] = res
     return out
-
-
-# ----------------------------------------------------------------------
-# Regional view (multi-city fan-in)
-# ----------------------------------------------------------------------
-def _fanin_health_text(hub) -> str:
-    """Tabulate per-lane queue/backpressure counters from the hub."""
-    snapshot = hub.stats_snapshot()
-    header = (
-        f"{'city':<12} {'policy':<11} {'depth':>7} {'spill':>7} "
-        f"{'stall':>7} {'drop':>7} {'flushed':>9}"
-    )
-    lines = [header]
-    for city, s in snapshot["cities"].items():
-        lines.append(
-            f"{city:<12} {s['policy']:<11} {s['queue_depth_points']:>7} "
-            f"{s['spill_pending_points']:>7} {s['stalled_points']:>7} "
-            f"{s['dropped_points']:>7} {s['flushed_points']:>9}"
-        )
-    hub_s = snapshot["hub"]
-    lines.append(
-        f"hub: {hub_s['flushed_points']} points / {hub_s['flushes']} flushes "
-        f"every {hub_s['flush_interval_s']}s ({hub_s['ticks']} ticks)"
-    )
-    return "\n".join(lines)
-
-
-def build_regional_dashboard(
-    hub,
-    start: int,
-    end: int,
-    *,
-    metric: str = METRIC_CO2,
-    downsample: str | None = "1h-avg",
-) -> Dashboard:
-    """The regional operations view: per-city panels over the fan-in hub.
-
-    ``hub`` is a :class:`~repro.region.RegionalHub` (duck-typed: needs
-    ``store``, ``cities`` and ``stats_snapshot()``, so viz stays
-    import-independent of the region layer).  One chart + one gauge row
-    per registered city, a cross-city comparison chart grouped by the
-    ``city`` tag, and a fan-in health panel with queue depth / drop /
-    spill / stall counters per lane.
-    """
-    dash = Dashboard(f"Regional fan-in — {len(hub.cities)} cities", hub.store)
-    dash.add(
-        TimeseriesPanel(
-            f"{metric} by city",
-            Query(
-                metric,
-                start,
-                end,
-                downsample=downsample,
-                group_by=("city",),
-            ),
-        )
-    )
-    # Expression panel: each city's enhancement over the regional
-    # baseline — the grouped operand broadcasts against the ungrouped
-    # one, and both sub-queries share scans with the panels above.
-    dash.add(
-        TimeseriesPanel(
-            f"{metric} enhancement over regional baseline",
-            expr(
-                "city - baseline",
-                city=Query(
-                    metric, start, end, downsample=downsample,
-                    group_by=("city",),
-                ),
-                baseline=Query(metric, start, end, downsample=downsample),
-            ),
-        )
-    )
-    for city in hub.cities:
-        dash.add(
-            TimeseriesPanel(
-                f"{city}: {metric}",
-                Query(
-                    metric, start, end, tags={"city": city}, downsample=downsample
-                ),
-            )
-        )
-        dash.add(
-            GaugePanel(f"{city}: latest {metric}", metric, tags={"city": city})
-        )
-    dash.add(TextPanel("Fan-in health", lambda db: _fanin_health_text(hub)))
-    return dash

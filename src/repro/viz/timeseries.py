@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..tsdb import ResultSeries
-from .render import SvgDocument, TextCanvas, sparkline
+from .render import SvgDocument, TextCanvas
 
 _SERIES_COLORS = ("steelblue", "#e67e22", "#2ecc71", "#9b59b6", "#e74c3c",
                   "#16a085")
@@ -135,10 +135,3 @@ class Chart:
                 margin_l + 6 + 150 * i, margin_t - 8, label[:22], size=10, fill=color
             )
         return svg.render()
-
-    def spark(self, width: int = 40) -> str:
-        """One-line summary of the first series."""
-        if not self.series:
-            return ""
-        _, _, vs = self.series[0]
-        return sparkline(vs, width)

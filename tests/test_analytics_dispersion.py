@@ -6,7 +6,6 @@ import pytest
 from repro.analytics import (
     GaussianPlume,
     StabilityClass,
-    field_uncertainty,
     interpolate_field,
 )
 from repro.geo import BoundingBox, GeoPoint, TRONDHEIM
@@ -155,13 +154,3 @@ class TestFieldInterpolation:
         )
         corner = grid.mean_field()[0, 0]  # ~14 km from the sensors
         assert corner == pytest.approx(30.0, abs=6.0)
-
-    def test_uncertainty_layer(self):
-        grid = field_uncertainty(self.sensors(), self.region(), rows=8, cols=8)
-        field = grid.mean_field()
-        assert np.nanmin(field) >= 0.0
-        assert np.isfinite(field).all()
-
-    def test_uncertainty_needs_three_sensors(self):
-        with pytest.raises(ValueError):
-            field_uncertainty({"a": (TRONDHEIM, 10.0)}, self.region())

@@ -4,6 +4,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.analytics import (
     anomalous_days,
@@ -15,9 +17,7 @@ from repro.analytics import (
     diurnal_comparison,
     estimate_depletion,
     factor_attribution,
-    pattern_summary,
     sub_index,
-    trend,
     weekly_profile,
 )
 from repro.geo import TRONDHEIM
@@ -123,6 +123,26 @@ class TestCo2Dynamics:
         with pytest.raises(ValueError):
             correlation_study(np.ones(5), np.ones(5), 300)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, 7.25])] * 2),
+            min_size=10,
+            max_size=80,
+        )
+    )
+    def test_spearman_averages_tied_ranks_like_scipy(self, pairs):
+        stats = pytest.importorskip("scipy.stats")
+        x, y = (np.array(col) for col in zip(*pairs))
+        assume(np.unique(x).size > 1 and np.unique(y).size > 1)
+        study = correlation_study(x, y, cadence_s=1, max_lag_s=0)
+        assert study.spearman_rho == pytest.approx(
+            stats.spearmanr(x, y).statistic, abs=1e-12
+        )
+        assert study.pearson_r == pytest.approx(
+            stats.pearsonr(x, y).statistic, abs=1e-12
+        )
+
     def test_factor_attribution_shows_complex_dynamics(self, week_of_data):
         """Adding weather + daily harmonics must explain much more
         variance than traffic alone (the paper's conclusion)."""
@@ -199,24 +219,6 @@ class TestPatterns:
         # Traffic: weekdays busier than weekends.
         assert profile.weekday_vs_weekend_ratio() > 1.1
 
-    def test_trend_detects_slope(self):
-        ts = np.arange(0, 30 * DAY, HOUR, dtype=np.int64)
-        rng = np.random.default_rng(12)
-        v = 100.0 + (ts / DAY) * 2.0 + rng.normal(0, 1.0, ts.size)
-        t = trend(v, ts)
-        assert t.slope_per_day == pytest.approx(2.0, rel=0.05)
-        assert t.significant
-
-    def test_trend_flat_not_significant(self):
-        ts = np.arange(0, 30 * DAY, HOUR, dtype=np.int64)
-        rng = np.random.default_rng(13)
-        v = 100.0 + rng.normal(0, 1.0, ts.size)
-        assert not trend(v, ts).significant
-
-    def test_trend_needs_samples(self):
-        with pytest.raises(ValueError):
-            trend(np.ones(4), np.arange(4))
-
     def test_anomalous_days_found(self):
         ts = np.arange(0, 30 * DAY, HOUR, dtype=np.int64)
         rng = np.random.default_rng(14)
@@ -227,15 +229,3 @@ class TestPatterns:
         assert found
         assert found[0].day_start == 10 * DAY
         assert found[0].z_score > 2.5
-
-    def test_pattern_summary_bundle(self, week_of_data):
-        ts, co2, *_ = week_of_data
-        summary = pattern_summary(co2, ts)
-        assert set(summary) == {
-            "diurnal_peak_hour",
-            "diurnal_amplitude",
-            "weekday_weekend_ratio",
-            "trend",
-            "anomalous_days",
-        }
-        assert summary["diurnal_amplitude"] > 0

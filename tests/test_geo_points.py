@@ -39,9 +39,6 @@ class TestGeoPoint:
     def test_hashable(self):
         assert len({GeoPoint(1.0, 2.0), GeoPoint(1.0, 2.0)}) == 1
 
-    def test_as_lonlat_order(self):
-        assert GeoPoint(63.0, 10.0).as_lonlat() == (10.0, 63.0)
-
     def test_distance_to_self_is_zero(self):
         assert TRONDHEIM.distance_to(TRONDHEIM) == 0.0
 

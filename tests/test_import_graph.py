@@ -2,8 +2,9 @@
 
 A store process (``repro serve`` / ``follow`` / ``query --connect`` /
 ``compact``, every e2e benchmark trial) must not load the paper's domain
-model, and nothing loads scipy until one of the three statistics that
-use it is called.  One stray top-level ``import`` silently undoes that,
+model, and nothing loads scipy or networkx: the statistics and the
+flow graph are numpy and stdlib.  One stray top-level ``import`` silently
+undoes that,
 so every case here runs in a fresh interpreter and asserts on
 ``sys.modules`` — counts of what was loaded, never wall-clock time.
 """
@@ -26,26 +27,20 @@ E2E_FIXTURE = (
     "import repro.dataport, repro.lorawan, repro.mqtt, repro.replication, "
     "repro.serve, repro.simclock, repro.tsdb"
 )
-DOMAIN = "import repro.core, repro.analytics"
 
-#: A fixed study input; the expected numbers were recorded with scipy
-#: imported at module level, before the import moved into the functions.
-STATISTICS = """
+#: A fixed study input; the expected numbers were recorded with
+#: scipy.stats computing them.
+CORRELATION = """
 import numpy as np
-from repro.analytics import correlation_study, trend
+from repro.analytics import correlation_study
 rng = np.random.default_rng(5)
 t = np.arange(200) * 3600
 jam = rng.uniform(0.0, 10.0, 200)
 co2 = 400.0 + 0.01 * (t / 3600.0) + 0.8 * jam + rng.normal(0.0, 5.0, 200)
+s = correlation_study(co2, jam, cadence_s=3600)
+result = [s.pearson_r, s.spearman_rho, s.best_lag_s, s.n]
 """
-CORRELATION = (
-    STATISTICS + "s = correlation_study(co2, jam, cadence_s=3600)\n"
-    "result = [s.pearson_r, s.pearson_p, s.spearman_rho, s.best_lag_s, s.n]"
-)
-TREND = (
-    STATISTICS + "tr = trend(co2, t)\n"
-    "result = [tr.slope_per_day, tr.intercept, tr.significant]"
-)
+DOMAIN = "import repro.core, repro.analytics" + CORRELATION
 
 
 def _loaded(code: str) -> dict:
@@ -87,7 +82,9 @@ def _under(modules: list[str], prefix: str) -> list[str]:
             ["scipy", "repro.core", "repro.analytics"],
             id="cli-parser",
         ),
-        pytest.param(DOMAIN, ["scipy"], id="domain-model"),
+        pytest.param(DOMAIN, ["scipy", "networkx"], id="domain-model"),
+        pytest.param("import repro.streams", ["networkx", "scipy", "repro.tsdb"],
+                     id="streams"),
     ],
 )
 def test_import_loads_nothing_it_does_not_run(code, forbidden):
@@ -96,23 +93,10 @@ def test_import_loads_nothing_it_does_not_run(code, forbidden):
     assert not stray, f"{code!r} loaded {stray}"
 
 
-@pytest.mark.parametrize(
-    "code, expected",
-    [
-        pytest.param(
-            CORRELATION,
-            [0.3731767460535891, 5.259002067214443e-08, 0.3841041026025651, 0, 200],
-            id="correlation_study",
-        ),
-        pytest.param(
-            TREND, [0.08249815425094817, 404.5453975375439, False], id="trend"
-        ),
-    ],
-)
-def test_scipy_loads_on_first_statistic_with_the_same_numbers(code, expected):
-    out = _loaded(code)
-    assert _under(out["modules"], "scipy.stats")
-    assert out["result"] == pytest.approx(expected, rel=1e-12)
+def test_correlation_study_keeps_its_numbers():
+    assert _loaded(CORRELATION)["result"] == pytest.approx(
+        [0.3731767460535891, 0.3841041026025651, 0, 200], rel=1e-12
+    )
 
 
 class TestRootNameTable:

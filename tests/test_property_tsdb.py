@@ -10,27 +10,25 @@ from hypothesis import strategies as st
 from repro.tsdb import (
     ColdShardPager,
     DataPoint,
-    Downsample,
     Query,
-    RetentionPolicy,
     SeriesKey,
-    SeriesStore,
     ShardedTSDB,
     TSDB,
-    TierPolicy,
     dumps,
-    format_point,
     load,
-    parse_line,
-    shard_for_key,
 )
+from repro.tsdb.downsample import Downsample
+from repro.tsdb.persistence import format_point, parse_line
+from repro.tsdb.retention import RetentionPolicy
+from repro.tsdb.series import SeriesSlice, SeriesStore
+from repro.tsdb.sharded import shard_for_key
+from repro.tsdb.tier import TierPolicy
 from repro.tsdb import aggregators
 from repro.tsdb.downsample import (
     FillPolicy,
     apply as apply_downsample,
     apply_many as downsample_many,
 )
-from repro.tsdb.series import SeriesSlice
 from test_query_throughput import SCALAR
 
 timestamps = st.integers(min_value=0, max_value=2**40)

@@ -26,17 +26,9 @@ from repro.core import (
 from repro.dataport import BatchingTsdbWriter
 from repro.region import AsyncBatchQueue, Backpressure, CityIngress, CityPolicy, RegionalHub
 from repro.simclock import HOUR, Scheduler, SimClock
-from repro.streams import EventBatch, Source, StoreSink
-from repro.tsdb import (
-    Downsample,
-    PointBatch,
-    Query,
-    RetentionPolicy,
-    ShardedTSDB,
-    TSDB,
-    dumps,
-)
-from repro.viz import build_regional_dashboard
+from repro.tsdb import PointBatch, Query, ShardedTSDB, TSDB, dumps
+from repro.tsdb.downsample import Downsample
+from repro.tsdb.retention import RetentionPolicy
 
 CITIES = ("trondheim", "vejle", "bergen", "aarhus")
 METRICS = ("air.co2.ppm", "air.no2.ugm3", "weather.temperature.c")
@@ -250,9 +242,12 @@ class TestBackpressure:
 
 class TestPerCityRetention:
     def test_scoped_retention_prunes_only_its_city(self):
+        ts = np.arange(0, 8 * 3600, 600, dtype=np.int64)
+        vals = np.linspace(380.0, 420.0, ts.size)
+        now = int(ts[-1])
         scheduler = Scheduler(SimClock(start=0))
         store = ShardedTSDB(3)
-        hub = RegionalHub(store, scheduler, flush_interval_s=60)
+        hub = RegionalHub(store, scheduler, flush_interval_s=now)
         pol_a = CityPolicy(
             "trondheim",
             retention=RetentionPolicy(
@@ -261,17 +256,15 @@ class TestPerCityRetention:
         )
         pol_b = CityPolicy("vejle")  # no retention: full history kept
         a, b = hub.register_city(pol_a), hub.register_city(pol_b)
-        ts = np.arange(0, 8 * 3600, 600, dtype=np.int64)
-        vals = np.linspace(380.0, 420.0, ts.size)
         a.put_batch(PointBatch.for_series("air.co2.ppm", ts, vals, {"node": "a"}))
         b.put_batch(PointBatch.for_series("air.co2.ppm", ts, vals, {"node": "b"}))
         # A shared, city-less series must never be touched by city policies.
         hub.drain_all()
         store.put_series("traffic.jam_factor", ts, vals, {"road": "e6"})
 
-        now = int(ts[-1])
-        results = hub.enforce_retention(now)
-        assert set(results) == {"trondheim"}
+        hub.start()
+        scheduler.run_until(now)  # one tick: flush, then each lane's policy
+        assert hub.stats.retention_runs == 1  # vejle has no policy
         cutoff = now - 3600
 
         (key_a,) = [
@@ -291,7 +284,7 @@ class TestPerCityRetention:
         # Rollup series exists, tagged with the city, holding the old data.
         rollup_keys = store.series_for_metric("air.co2.ppm.rollup")
         assert [k.tag("city") for k in rollup_keys] == ["trondheim"]
-        assert results["trondheim"].rolled_points == len(
+        assert hub.city_stats("trondheim")["retention_rolled"] == len(
             store.series_slice(rollup_keys[0])
         )
 
@@ -302,7 +295,8 @@ class TestPerCityRetention:
         and last-write-wins overwrites the correct bucket average."""
         scheduler = Scheduler(SimClock(start=0))
         store = TSDB()
-        hub = RegionalHub(store, scheduler, flush_interval_s=60)
+        now = 2 * 3600
+        hub = RegionalHub(store, scheduler, flush_interval_s=now)
         policy = CityPolicy(
             "trondheim",
             max_flush_points=6,  # throttled: backlog builds up
@@ -319,8 +313,8 @@ class TestPerCityRetention:
                     "air.co2.ppm", ts[i : i + 1], vals[i : i + 1], {"node": "a"}
                 )
             )
-        now = 2 * 3600
-        hub.enforce_retention(now)
+        hub.start()
+        scheduler.run_until(now)  # the tick's pump moves 6 of the 12 points
         (rollup_key,) = store.series_for_metric("air.co2.ppm.rollup")
         sl = store.series_slice(rollup_key)
         # One bucket holding the average of ALL twelve points — not just
@@ -386,80 +380,3 @@ class TestEcosystemWiring:
     def test_cli_rejects_duplicate_cities(self):
         with pytest.raises(SystemExit):
             cli_main(["run", "--cities", "vejle,vejle", "--hours", "1"])
-
-
-class TestStreamsBridge:
-    def test_store_sink_feeds_a_fanin_lane(self):
-        scheduler = Scheduler(SimClock(start=0))
-        store = TSDB()
-        hub = RegionalHub(store, scheduler, flush_interval_s=10)
-        ingress = hub.register_city(CityPolicy("vejle"))
-        source = Source()
-        sink = StoreSink(ingress, "air.co2.ppm", {"node": "s1"}, flush_every=50)
-        source.to(sink)
-        source.push_batch(
-            EventBatch(np.arange(100, dtype=np.int64), np.full(100, 415.0))
-        )
-        sink.flush()
-        hub.drain_all()
-        assert store.exact_point_count() == 100
-        (key,) = store.series_for_metric("air.co2.ppm")
-        assert key.tag("city") == "vejle"  # lane namespacing applied
-        assert key.tag("node") == "s1"
-
-
-class TestRegionalQueries:
-    def test_query_cities_matches_per_city_runs(self):
-        """The batched per-city helper returns exactly what N separate
-        city-scoped run() calls would, in registration order."""
-        scheduler = Scheduler(SimClock(start=0))
-        store = ShardedTSDB(3)
-        hub = RegionalHub(store, scheduler, flush_interval_s=10)
-        for city in ("trondheim", "vejle", "bergen"):
-            ingress = hub.register_city(CityPolicy(city))
-            for batch in city_traffic(city, seed=7, n_batches=5):
-                ingress.put_batch(batch)
-        hub.drain_all()
-        results = hub.query_cities(
-            "air.co2.ppm", 0, 10**6, downsample="5m-avg", group_by=("node",)
-        )
-        assert list(results) == hub.cities
-        for city, res in results.items():
-            ref = store.run(
-                Query(
-                    "air.co2.ppm", 0, 10**6, tags={"city": city},
-                    downsample="5m-avg", group_by=("node",),
-                )
-            )
-            assert res.scanned_points == ref.scanned_points
-            assert len(res) == len(ref)
-            for sa, sb in zip(res, ref):
-                assert dict(sa.group_tags) == dict(sb.group_tags)
-                assert np.array_equal(sa.timestamps, sb.timestamps)
-                assert np.array_equal(sa.values, sb.values, equal_nan=True)
-
-
-class TestRegionalDashboard:
-    def test_renders_per_city_panels_and_health(self):
-        scheduler = Scheduler(SimClock(start=0))
-        store = TSDB()
-        hub = RegionalHub(store, scheduler, flush_interval_s=10)
-        for city in ("trondheim", "vejle"):
-            ingress = hub.register_city(CityPolicy(city))
-            ingress.put_batch(
-                PointBatch.for_series(
-                    "air.co2.ppm",
-                    np.arange(0, 7200, 600, dtype=np.int64),
-                    np.linspace(390, 430, 12),
-                    {"node": "n1"},
-                )
-            )
-        hub.drain_all()
-        dash = build_regional_dashboard(hub, 0, 7200)
-        text = dash.render_text()
-        assert "Regional fan-in — 2 cities" in text
-        assert "trondheim" in text and "vejle" in text
-        assert "Fan-in health" in text
-        assert "air.co2.ppm by city" in text
-        html = dash.render_html()
-        assert "Fan-in health" in html

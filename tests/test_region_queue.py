@@ -196,7 +196,7 @@ class TestSpill:
 
     def test_spill_segments_are_binary(self, tmp_path):
         """Spill now writes binary columnar segments, not text lines."""
-        from repro.tsdb import detect_format
+        from repro.tsdb.persistence import detect_format
 
         q = AsyncBatchQueue(10, Backpressure.SPILL, spill_dir=tmp_path)
         q.offer(make_batch(0, 10))

@@ -51,9 +51,6 @@ from repro.replication import (
 from repro.replication.faults import FaultPlan, FaultProxy
 from repro.tsdb import (
     BatchBuilder,
-    DataPoint,
-    DeleteBefore,
-    DeleteSeriesBefore,
     DurableStore,
     PointBatch,
     Query,
@@ -62,10 +59,10 @@ from repro.tsdb import (
     TSDB,
     dumps,
     load,
-    parse_series_key,
 )
+from repro.tsdb.persistence import DeleteBefore, DeleteSeriesBefore
+from repro.tsdb.segments import decode_block, decode_frame, parse_series_key
 from repro.tsdb import segments
-from repro.tsdb.segments import decode_block, decode_frame
 
 # Tight timings so a full fault schedule replays in well under a second
 # per example; generous waits only where a test would otherwise hang.
@@ -145,7 +142,7 @@ class TestReplicationLog:
         assert log.acked_seq == 4 and len(log) == 2
         log.ack(6, follower="slow")
         assert len(log) == 0
-        assert log.follower_cursors == {"fast": 6, "slow": 6}
+        assert log.acked_for("fast") == log.acked_for("slow") == 6
 
     def test_register_before_ack_holds_records(self):
         log = ReplicationLog()
@@ -162,17 +159,6 @@ class TestReplicationLog:
         assert len(log) == 1
         log.ack(2, follower="late")
         assert len(log) == 0
-
-    def test_forget_follower_releases_its_hold(self):
-        log = ReplicationLog()
-        for i in range(4):
-            log.append_batch(small_batch(i))
-        log.register_follower("gone")
-        log.ack(4, follower="default")
-        assert len(log) == 4  # "gone" never acked anything
-        log.forget_follower("gone")
-        assert len(log) == 0
-        assert "gone" not in log.follower_cursors
 
     def test_unknown_follower_reads_trim_floor(self):
         log = ReplicationLog()
@@ -240,7 +226,7 @@ class TestReplicationLog:
         q = AsyncBatchQueue(3, Backpressure.SPILL, spill_dir=tmp_path)
         for i in range(4):  # 4 batches x 2 points: overflows into spill
             assert q.offer(small_batch(i))
-        spills = q.spill_files()
+        spills = sorted(tmp_path.glob("spill-*.seg"))
         assert spills, "expected an overflow spill segment"
         log = ReplicationLog()
         teed = sum(log.append_segment(p) for p in spills)
@@ -253,10 +239,8 @@ class TestReplicatedStore:
     def test_every_write_surface_tees_its_block(self):
         primary = ReplicatedStore(TSDB())
         primary.put("m", 10, 1.0, {"n": "a"})
-        primary.put_point(DataPoint.make("m", 20, 2.0, {"n": "a"}))
         primary.put_batch(small_batch(1))
         primary.put_series("m", [30, 40], [3.0, 4.0], {"n": "b"})
-        primary.put_many([DataPoint.make("m", 50, 5.0, {"n": "c"})])
         primary.delete_before(15)
         primary.delete_series_before(parse_series_key("m{n=b}"), 35)
         replayed = replay_log(primary.log.pending_after(0))
@@ -274,7 +258,6 @@ class TestReplicatedStore:
     def test_empty_batch_is_not_logged(self):
         primary = ReplicatedStore(TSDB())
         primary.put_batch(PointBatch.empty())
-        primary.put_many([])
         assert primary.log.last_seq == 0
 
 

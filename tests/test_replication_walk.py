@@ -30,16 +30,8 @@ from repro.replication import (
     FollowerStats,
     encode_record,
 )
-from repro.tsdb import (
-    BatchBuilder,
-    DeleteBefore,
-    DeleteSeriesBefore,
-    PointBatch,
-    SeriesKey,
-    TSDB,
-    dumps,
-    segments,
-)
+from repro.tsdb import BatchBuilder, PointBatch, SeriesKey, TSDB, dumps, segments
+from repro.tsdb.persistence import DeleteBefore, DeleteSeriesBefore
 from repro.tsdb.segments import (
     BLOCK_BATCH,
     BLOCK_MARKER,

@@ -43,7 +43,8 @@ from repro.serve import (
     TenantPolicy,
 )
 from repro.serve.cache import ResultCache, cached_series_text, series_text
-from repro.tsdb import Query, SeriesKey, ShardedTSDB, TSDB, expr, wire
+from repro.tsdb import Query, SeriesKey, ShardedTSDB, TSDB, wire
+from repro.tsdb.plan import expr
 
 
 def _seeded(store, n=12, nodes="ab"):
@@ -589,7 +590,7 @@ class TestCatalogService:
                                   tags={"node": "a"}))
                 assert len(got.series) == 1
                 # The guard also covers expression operands.
-                from repro.tsdb import expr
+                from repro.tsdb.plan import expr
                 e = expr("a + b",
                          a=Query("air.co2.ppm", 0, 4000,
                                  tags={"node": "*"}),

@@ -38,9 +38,9 @@ from repro.tsdb import (
     SeriesKey,
     ShardedTSDB,
     TSDB,
-    expr,
     wire,
 )
+from repro.tsdb.plan import expr
 from repro.tsdb.interface import StoreWrapper
 from test_serve import _VALUES, _raw_lines, _wall_panels, live_server
 

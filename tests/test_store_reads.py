@@ -55,8 +55,8 @@ _QUERIES = [
 #: What StoreApi derives; a store or wrapper that lists one of these
 #: itself has forked the read path again.
 _DERIVED_READS = (
-    "series_count", "metrics", "series_for_metric", "suggest_metrics",
-    "suggest_tag_values", "tag_keys", "tag_values", "cardinality",
+    "series_count", "metrics", "series_for_metric",
+    "suggest_tag_values", "tag_values", "cardinality",
     "catalog_generation", "metric_generation", "_match", "last",
     "series_generation", "series_reshape_generation", "series_latest",
     "series_slice", "iter_series", "iter_points", "run", "run_many", "select",
@@ -124,7 +124,6 @@ def _layout_reads(db) -> dict:
         "point_count": db.point_count,
         "exact_point_count": db.exact_point_count(),
         "metrics": db.metrics(),
-        "suggest_metrics": db.suggest_metrics("air."),
         "run_many": wire.encode_response(db.run_many(_QUERIES)),
         "run": wire.encode_response([db.run(_QUERIES[0])]),
         "select": wire.encode_response(
@@ -138,7 +137,7 @@ def _layout_reads(db) -> dict:
     }
     for m in _METRICS + ("no.such.metric",):
         reads["series_for_metric", m] = db.series_for_metric(m)
-        reads["tag_keys", m] = db.tag_keys(m)
+        reads["catalog.tag_keys", m] = db.catalog.tag_keys(m)
         reads["tag_values", m] = db.tag_values(m, "node")
         reads["suggest_tag_values", m] = db.suggest_tag_values(m, "city")
         reads["cardinality", m] = db.cardinality(m)

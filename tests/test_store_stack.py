@@ -2,7 +2,7 @@
 
 ``CachingStore(DurableStore(ReplicatedStore(store)))`` is the supported
 order.  Whatever entry point a write comes in by — the derived
-``put`` / ``put_point`` / ``put_series`` / ``put_many``, the dataport's
+``put`` / ``put_series``, the dataport's
 ``BatchingTsdbWriter``, a retention pass — it reaches each layer as one
 of the three primitives (``put_batch``, ``delete_before``,
 ``delete_series_before``), so:
@@ -28,11 +28,9 @@ from repro.serve import CachingStore
 from repro.tsdb import (
     ColdShardPager,
     DataPoint,
-    Downsample,
     DurableStore,
     PointBatch,
     Query,
-    RetentionPolicy,
     SeriesKey,
     ShardedTSDB,
     TSDB,
@@ -40,6 +38,8 @@ from repro.tsdb import (
     load,
     wire,
 )
+from repro.tsdb.downsample import Downsample
+from repro.tsdb.retention import RetentionPolicy
 from repro.tsdb import segments
 from repro.tsdb.segments import SEGMENT_MAGIC
 
@@ -58,10 +58,8 @@ _column = st.lists(st.tuples(_ts, _val), max_size=6)
 
 _op = st.one_of(
     st.tuples(st.just("put"), _row),
-    st.tuples(st.just("put_point"), _row),
     st.tuples(st.just("put_batch"), _rows),
     st.tuples(st.just("put_series"), _series, _column),
-    st.tuples(st.just("put_many"), _rows),
     st.tuples(st.just("writer_flush"), _rows),
     st.tuples(st.just("delete_before"), _ts),
     st.tuples(st.just("delete_series_before"), _series, _ts),
@@ -92,8 +90,6 @@ def _apply(db, op) -> None:
     if kind == "put":
         series, ts, val = op[1]
         db.put(series[0], ts, val, _tags(series))
-    elif kind == "put_point":
-        db.put_point(_point(op[1]))
     elif kind == "put_batch":
         db.put_batch(PointBatch.from_points([_point(r) for r in op[1]]))
     elif kind == "put_series":
@@ -101,8 +97,6 @@ def _apply(db, op) -> None:
         db.put_series(
             series[0], [t for t, _ in column], [v for _, v in column], _tags(series)
         )
-    elif kind == "put_many":
-        db.put_many(_point(r) for r in op[1])
     elif kind == "writer_flush":
         writer = BatchingTsdbWriter(db)
         for series, ts, val in op[1]:
@@ -201,5 +195,5 @@ def test_a_batch_too_large_for_one_record_is_split_once_for_wal_and_log(
 def test_wrappers_do_not_redeclare_the_derived_writes(wrapper):
     """The derived writes exist once, in ``StoreApi``; a wrapper that
     declared its own would fork the write path again."""
-    for name in ("put", "put_point", "put_series", "put_many"):
+    for name in ("put", "put_series"):
         assert name not in vars(wrapper)

@@ -1,5 +1,10 @@
 """Tests for stream operators and flow graphs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,21 +23,22 @@ from repro.streams import (
 )
 
 
-def events(pairs):
-    return [Event(t, v) for t, v in pairs]
+def feed(source, pairs):
+    for t, v in pairs:
+        source.push(Event(t, v))
 
 
 class TestOperators:
     def test_map(self):
         src, sink = Source(), Sink()
         chain(src, Map(lambda e: Event(e.timestamp, e.value * 2)), sink)
-        src.push_many(events([(0, 1.0), (1, 2.0)]))
+        feed(src, [(0, 1.0), (1, 2.0)])
         assert sink.values().tolist() == [2.0, 4.0]
 
     def test_filter(self):
         src, sink = Source(), Sink()
         chain(src, Filter(lambda e: e.value > 1.0), sink)
-        src.push_many(events([(0, 0.5), (1, 2.0), (2, 1.5)]))
+        feed(src, [(0, 0.5), (1, 2.0), (2, 1.5)])
         assert sink.values().tolist() == [2.0, 1.5]
 
     def test_counters(self):
@@ -40,7 +46,7 @@ class TestOperators:
         f = Filter(lambda e: e.value > 1.0)
         sink = Sink()
         chain(src, f, sink)
-        src.push_many(events([(0, 0.5), (1, 2.0)]))
+        feed(src, [(0, 0.5), (1, 2.0)])
         assert src.received == 2
         assert f.received == 2
         assert f.emitted == 1
@@ -68,7 +74,7 @@ class TestTumblingWindow:
     def test_aggregates_per_bucket(self):
         src, sink = Source(), Sink()
         chain(src, TumblingWindow(10, np.mean), sink)
-        src.push_many(events([(0, 1.0), (5, 3.0), (10, 10.0), (20, 7.0)]))
+        feed(src, [(0, 1.0), (5, 3.0), (10, 10.0), (20, 7.0)])
         src.flush()
         assert sink.timestamps().tolist() == [0, 10, 20]
         assert sink.values().tolist() == [2.0, 10.0, 7.0]
@@ -84,16 +90,25 @@ class TestTumblingWindow:
     def test_bucket_alignment(self):
         src, sink = Source(), Sink()
         chain(src, TumblingWindow(300), sink)
-        src.push_many(events([(299, 1.0), (300, 2.0)]))
+        feed(src, [(299, 1.0), (300, 2.0)])
         src.flush()
         assert sink.timestamps().tolist() == [0, 300]
 
     def test_custom_aggregate(self):
         src, sink = Source(), Sink()
         chain(src, TumblingWindow(10, np.max), sink)
-        src.push_many(events([(0, 1.0), (5, 9.0), (12, 2.0)]))
+        feed(src, [(0, 1.0), (5, 9.0), (12, 2.0)])
         src.flush()
         assert sink.values()[0] == 9.0
+
+    def test_late_events_fold_into_open_window(self):
+        window, sink = TumblingWindow(60, aggregate=np.sum), Sink()
+        window.to(sink)
+        feed(window, [(0, 1.0), (61, 2.0), (30, 4.0), (122, 8.0)])
+        window.flush()
+        # 30 arrives after the [60,120) window opened -> folds into it.
+        assert sink.timestamps().tolist() == [0, 60, 120]
+        assert sink.values().tolist() == [1.0, 6.0, 8.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -107,7 +122,7 @@ class TestSegmenter:
         seg = Segmenter(max_gap_s=600, on_segment=closed.append)
         sink = Sink()
         chain(src, seg, sink)
-        src.push_many(events([(0, 1.0), (300, 2.0), (5000, 3.0), (5300, 4.0)]))
+        feed(src, [(0, 1.0), (300, 2.0), (5000, 3.0), (5300, 4.0)])
         src.flush()
         assert len(closed) == 2
         assert [e.value for e in closed[0]] == [1.0, 2.0]
@@ -116,7 +131,7 @@ class TestSegmenter:
     def test_segment_ids_tagged(self):
         src, sink = Source(), Sink()
         chain(src, Segmenter(600), sink)
-        src.push_many(events([(0, 1.0), (5000, 2.0)]))
+        feed(src, [(0, 1.0), (5000, 2.0)])
         src.flush()
         assert [e.tags["segment"] for e in sink.events] == [0, 1]
 
@@ -124,7 +139,7 @@ class TestSegmenter:
         src, sink = Source(), Sink()
         seg = Segmenter(600)
         chain(src, seg, sink)
-        src.push_many(events([(i * 300, float(i)) for i in range(10)]))
+        feed(src, [(i * 300, float(i)) for i in range(10)])
         src.flush()
         assert seg.segments_closed == 1
 
@@ -221,6 +236,35 @@ class TestFlowGraph:
     def test_stage_stats(self):
         g = self.build()
         g.push("src", Event(0, 1.0))
-        stats = g.stage_stats()
-        assert stats["src"]["received"] == 1
-        assert stats["out"]["received"] == 1
+        lines = g.describe().splitlines()
+        assert "  src [Source: in=1 out=1] -> double" in lines
+        assert "  out [Sink: in=1 out=0] (sink)" in lines
+
+    def test_runs_without_networkx(self):
+        """The graph is stdlib-only: a process that cannot import
+        networkx builds, orders, refuses a cycle and runs a flow."""
+        script = """
+import sys
+sys.modules["networkx"] = None
+from repro.streams import Event, FlowGraph, FlowGraphError, Map, Sink, Source
+g = FlowGraph("t")
+g.add("src", Source())
+g.add("double", Map(lambda e: Event(e.timestamp, 2 * e.value)))
+g.add("out", Sink())
+g.connect("src", "double")
+g.connect("double", "out")
+try:
+    g.connect("out", "src")
+except FlowGraphError:
+    pass
+g.push("src", Event(0, 21.0))
+print(g.topological_order(), g.stage("out").values().tolist())
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['src', 'double', 'out'] [42.0]"

@@ -15,11 +15,11 @@ from repro.tsdb import (
     PointBatch,
     Query,
     SeriesKey,
-    SeriesStore,
     TSDB,
     aggregators,
     dumps,
 )
+from repro.tsdb.series import SeriesStore
 from repro.tsdb.aggregators import Cells, Segments
 from test_query_throughput import SCALAR
 
@@ -145,7 +145,7 @@ class TestPutBatchEquivalence:
             DataPoint.make("m", t, float(t), {"n": "x"}) for t in [5, 1, 3, 1]
         ]
         db = TSDB()
-        assert db.put_many(points) == 4
+        assert db.put_batch(PointBatch.from_points(points)) == 4
         sl = db.run(Query("m", 0, 10)).single()
         assert sl.timestamps.tolist() == [1, 3, 5]
         assert sl.values.tolist() == [1.0, 3.0, 5.0]  # second t=1 write won

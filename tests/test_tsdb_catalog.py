@@ -20,18 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tsdb import (
-    CardinalityLimitError,
-    RetentionPolicy,
-    PerShardRetention,
-    SeriesCatalog,
-    SeriesKey,
-    ShardedTSDB,
-    TSDB,
-    dumps,
-    load,
-    snapshot,
-)
+from repro.tsdb import SeriesKey, ShardedTSDB, TSDB, dumps, load, snapshot
+from repro.tsdb.catalog import CardinalityLimitError, SeriesCatalog
+from repro.tsdb.retention import PerShardRetention, RetentionPolicy
 
 
 def _key(metric, **tags):
@@ -342,7 +333,7 @@ def _seed(store):
 def _catalog_view(store):
     return {
         m: {
-            k: store.tag_values(m, k) for k in store.tag_keys(m)
+            k: store.tag_values(m, k) for k in store.catalog.tag_keys(m)
         }
         for m in store.metrics()
     }

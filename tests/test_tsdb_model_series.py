@@ -6,8 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.tsdb import DataPoint, InvalidName, SeriesKey, SeriesStore, merge_slices
-from repro.tsdb.model import validate_name
+from repro.tsdb import DataPoint, SeriesKey
+from repro.tsdb.model import InvalidName, validate_name
+from repro.tsdb.series import SeriesStore
 
 
 class TestValidateName:
@@ -159,25 +160,3 @@ class TestSeriesStore:
         assert dropped == 5
         assert s.scan().timestamps.tolist() == [50, 60, 70, 80, 90]
         assert s.delete_before(0) == 0
-
-    def test_first_timestamp(self):
-        s = SeriesStore()
-        assert s.first_timestamp() is None
-        s.append(42, 1.0)
-        assert s.first_timestamp() == 42
-
-
-class TestMergeSlices:
-    def test_empty(self):
-        assert merge_slices([]).is_empty()
-
-    def test_union_keeps_later_slice_on_ties(self):
-        s1 = SeriesStore()
-        s1.append(10, 1.0)
-        s1.append(20, 2.0)
-        s2 = SeriesStore()
-        s2.append(20, 99.0)
-        s2.append(30, 3.0)
-        merged = merge_slices([s1.scan(), s2.scan()])
-        assert merged.timestamps.tolist() == [10, 20, 30]
-        assert merged.values.tolist() == [1.0, 99.0, 3.0]

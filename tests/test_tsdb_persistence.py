@@ -6,24 +6,26 @@ import pytest
 
 from repro.tsdb import (
     DataPoint,
-    DeleteBefore,
-    Downsample,
     LogCorruption,
     LogWriter,
     Query,
-    RetentionPolicy,
     ShardedTSDB,
     TSDB,
     dumps,
+    load,
+    snapshot,
+)
+from repro.tsdb.downsample import Downsample
+from repro.tsdb.persistence import (
+    DeleteBefore,
     format_delete_before,
     format_point,
     iter_entries,
     iter_log,
-    load,
     parse_entry,
     parse_line,
-    snapshot,
 )
+from repro.tsdb.retention import RetentionPolicy
 
 
 def make_point(metric="m", ts=100, val=1.5, tags=None):

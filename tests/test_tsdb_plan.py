@@ -14,17 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.tsdb import (
-    ExprQuery,
-    Query,
-    QueryError,
-    ShardedTSDB,
-    TSDB,
-    aggregators,
-    expr,
-    select,
-)
-from repro.tsdb.plan import ScanPlan, aggregate_across, execute_plan
+from repro.tsdb import ExprQuery, Query, QueryError, ShardedTSDB, TSDB, aggregators
+from repro.tsdb.plan import ScanPlan, aggregate_across, execute_plan, expr, select
 from repro.tsdb.series import SeriesSlice
 from test_aggregators import bucket_oracle, dense_oracle
 from test_query_throughput import COLUMNAR, seed_run as frozen_seed_run

@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.tsdb import (
-    Downsample,
-    FillPolicy,
-    InvalidDownsampleSpec,
-    Query,
-    QueryError,
-    TSDB,
-    aggregators,
-)
+from repro.tsdb import Query, QueryError, TSDB, aggregators
+from repro.tsdb.downsample import Downsample, FillPolicy, InvalidDownsampleSpec
 
 
 @pytest.fixture
@@ -220,10 +213,6 @@ class TestRate:
 class TestIntrospection:
     def test_metrics_listing(self, db):
         assert db.metrics() == ["air.co2.ppm"]
-
-    def test_suggest_metrics(self, db):
-        assert db.suggest_metrics("air") == ["air.co2.ppm"]
-        assert db.suggest_metrics("zzz") == []
 
     def test_suggest_tag_values(self, db):
         assert db.suggest_tag_values("air.co2.ppm", "city") == ["trondheim", "vejle"]

@@ -26,8 +26,6 @@ from repro.dataport import BatchingTsdbWriter
 from repro.tsdb import (
     BatchBuilder,
     DataPoint,
-    DeleteBefore,
-    DeleteSeriesBefore,
     DurableStore,
     LogWriter,
     PointBatch,
@@ -38,14 +36,15 @@ from repro.tsdb import (
     ShardedTSDB,
     TSDB,
     convert_log,
-    detect_format,
     dumps,
-    iter_batches,
-    iter_segments,
     load,
-    parse_series_key,
-    segment_point_count,
     snapshot,
+)
+from repro.tsdb.persistence import (
+    DeleteBefore,
+    DeleteSeriesBefore,
+    detect_format,
+    iter_batches,
 )
 from repro.tsdb.segments import (
     SEGMENT_MAGIC,
@@ -53,6 +52,9 @@ from repro.tsdb.segments import (
     decode_batch,
     encode_batch,
     frame_batch,
+    iter_segments,
+    parse_series_key,
+    segment_point_count,
 )
 
 
@@ -994,13 +996,8 @@ class TestOneWalker:
         import dataclasses
         import inspect
 
-        from repro.tsdb import (
-            ColdShardPager,
-            Compactor,
-            compact_dir,
-            compact_log,
-            segment_stats,
-        )
+        from repro.tsdb import ColdShardPager, compact_log, segment_stats
+        from repro.tsdb.tier import Compactor, compact_dir
         from repro.tsdb.segments import _iter_blocks
 
         readers = (

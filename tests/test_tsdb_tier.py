@@ -28,8 +28,6 @@ from hypothesis import strategies as st
 
 from repro.tsdb import (
     ColdShardPager,
-    CompactionPolicy,
-    Compactor,
     DataPoint,
     DurableStore,
     PointBatch,
@@ -37,18 +35,15 @@ from repro.tsdb import (
     SeriesKey,
     ShardedTSDB,
     TSDB,
-    Tier,
-    TierPolicy,
-    compact_dir,
     compact_log,
     convert_log,
-    detect_format,
     dumps,
     load,
     segment_stats,
-    shard_for_key,
 )
-from repro.tsdb.persistence import LogWriter
+from repro.tsdb.persistence import LogWriter, detect_format
+from repro.tsdb.sharded import shard_for_key
+from repro.tsdb.tier import CompactionPolicy, Compactor, Tier, TierPolicy, compact_dir
 from repro.tsdb.segments import SEGMENT_MAGIC, SegmentWriter
 from repro.tsdb.tier.compact import COMPACT_TMP_SUFFIX
 
@@ -346,7 +341,7 @@ class TestDurableStore:
         wal = tmp_path / "wal"
         store = DurableStore(TSDB(), wal)
         store.put("air.co2", 100, 400.0, {"node": "n1"})
-        store.put_point(DataPoint(_key("air.co2", "n2"), 110, 401.0))
+        store.put("air.co2", 110, 401.0, {"node": "n2"})
         store.put_batch(
             PointBatch.from_points(
                 [DataPoint(_key("air.no2", "n1"), t, float(t)) for t in range(5)]
@@ -354,7 +349,9 @@ class TestDurableStore:
         )
         store.put_series("weather.temp", [0, 60, 120], [1.0, 2.0, 3.0],
                          {"node": "n3"})
-        store.put_many([DataPoint(_key("air.co2", "n1"), 150, 402.0)])
+        store.put_batch(
+            PointBatch.from_points([DataPoint(_key("air.co2", "n1"), 150, 402.0)])
+        )
         store.delete_before(50)
         store.delete_series_before(_key("air.no2", "n1"), 3)
         store.close()
@@ -477,8 +474,8 @@ class TestColdShardPager:
         assert sl.values[0] == 999.0
 
     def test_derived_keyed_writes_page_only_owning_shards(self, snapshot_dir):
-        # put_series / put_many are keyed writes: they reach the pager's
-        # put_batch and page the shards their series route to, no more.
+        # put_series / put_batch are keyed writes: they page the shards
+        # their series route to, no more.
         pager = ColdShardPager(snapshot_dir)
         key = _key("air.co2", "n1")
         pager.put_series("air.co2", [5000, 5060], [1.0, 2.0], {"node": "n1"})
@@ -489,14 +486,14 @@ class TestColdShardPager:
             DataPoint(_key("air.no2", "n2"), 5000, 1.0),
             DataPoint(_key("weather.temp", "n3"), 5000, 2.0),
         ]
-        assert pager.put_many(points) == 2
+        assert pager.put_batch(PointBatch.from_points(points)) == 2
         assert pager.resident_shards == tuple(
             sorted({pager.shard_of(p.key) for p in points})
         )
         assert len(pager.resident_shards) < pager.num_shards
         # Paging late changes nothing: the same write on an eager restore.
         eager = ShardedTSDB.restore_from_dir(snapshot_dir)
-        eager.put_many(points)
+        eager.put_batch(PointBatch.from_points(points))
         assert dumps(pager, format="binary") == dumps(eager, format="binary")
 
     def test_global_query_pages_everything(self, snapshot_dir):
@@ -693,7 +690,8 @@ class TestCityPolicyTiers:
 
         day = 86400
         now = 30 * day
-        hub = RegionalHub(TSDB(), Scheduler(SimClock(start=0)))
+        scheduler = Scheduler(SimClock(start=0))
+        hub = RegionalHub(TSDB(), scheduler, flush_interval_s=now)
         ingress = hub.register_city(CityPolicy(
             city="trondheim",
             tiers=TierPolicy.parse("1d:5m-avg:.5m", "10d:1h-avg:.1h"),
@@ -706,9 +704,9 @@ class TestCityPolicyTiers:
             )
             for t in range(0, now, 1800)
         ]))
-        hub.pump(now=now)
-        rolled = hub.enforce_retention(now)
-        assert rolled["trondheim"].dropped_points > 0
+        hub.start()
+        scheduler.run_until(now)  # one tick: flush, then the tier pass
+        assert hub.stats.retention_runs == 1
         assert sorted(hub.store.metrics()) == [
             "air.co2", "air.co2.1h", "air.co2.5m"
         ]

@@ -15,16 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tsdb import (
-    Query,
-    RemoteQueryError,
-    TSDB,
-    WIRE_VERSION,
-    WireError,
-    expr,
-    handle_request,
-    select,
-)
+from repro.tsdb import Query, TSDB, WireError
+from repro.tsdb.plan import expr, select
+from repro.tsdb.wire import RemoteQueryError, WIRE_VERSION, handle_request
 from repro.tsdb import wire
 
 names = st.from_regex(r"[A-Za-z0-9][A-Za-z0-9._\-]{0,8}", fullmatch=True)
@@ -72,7 +65,7 @@ def assert_same_query(a: Query, b: Query):
 @settings(max_examples=100, deadline=None)
 @given(qs=st.lists(queries(), max_size=4))
 def test_request_round_trip(qs):
-    text = wire.request_to_json(qs)
+    text = json.dumps(wire.encode_request(qs))
     decoded = wire.decode_request(text)
     assert len(decoded) == len(qs)
     for a, b in zip(qs, decoded):
@@ -84,7 +77,7 @@ def test_request_round_trip(qs):
 def test_expr_request_round_trip(q, formula_ops):
     names_used = {"a - b": ("a", "b"), "a / b": ("a", "b"), "-a + 2": ("a",)}
     e = expr(formula_ops, **{name: q for name in names_used[formula_ops]})
-    (decoded,) = wire.decode_request(wire.request_to_json([e]))
+    (decoded,) = wire.decode_request(json.dumps(wire.encode_request([e])))
     assert decoded.formula == e.formula
     for (na, qa), (nb, qb) in zip(e.operands, decoded.operands):
         assert na == nb
@@ -184,7 +177,7 @@ class TestHandleRequest:
             Query("air.co2.ppm", 0, 4000, downsample="10m-avg"),
             Query("air.co2.ppm", 0, 4000, group_by=("node",)),
         ]
-        response = handle_request(db, wire.request_to_json(qs))
+        response = handle_request(db, json.dumps(wire.encode_request(qs)))
         direct = wire.encode_response(db.run_many(qs))
         assert response == direct
         # and the whole response survives a JSON round trip
@@ -378,8 +371,9 @@ class TestErrorResponses:
 
     def test_error_response_survives_json(self, db):
         response = handle_request(db, {"version": 99})
-        assert json.loads(wire.error_to_json(
-            WireError(response["error"]["message"]))) is not None
+        assert json.loads(json.dumps(
+            wire.encode_error(WireError(response["error"]["message"])),
+            allow_nan=False)) is not None
         assert json.loads(json.dumps(response, allow_nan=False)) == response
 
     def test_decode_response_raises_remote_error(self):
@@ -391,7 +385,7 @@ class TestErrorResponses:
 
     def test_good_request_unaffected(self, db):
         qs = [Query("air.co2.ppm", 0, 4000)]
-        response = handle_request(db, wire.request_to_json(qs))
+        response = handle_request(db, json.dumps(wire.encode_request(qs)))
         assert "error" not in response
         assert wire.decode_response(response)
 
