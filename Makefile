@@ -10,7 +10,7 @@ test:
 # every engine, through the wrapper stack and the pager, plus the suites
 # of everything derived from the primitives (catalog, tier, serving).
 test-store:
-	$(PYTHON) -m pytest -q tests/test_store_stack.py tests/test_store_reads.py tests/test_tsdb_sharded.py tests/test_tsdb_catalog.py tests/test_tsdb_tier.py tests/test_serve.py
+	$(PYTHON) -m pytest -q tests/test_store_stack.py tests/test_store_reads.py tests/test_metric_counters.py tests/test_tsdb_sharded.py tests/test_tsdb_catalog.py tests/test_tsdb_tier.py tests/test_serve.py
 
 # The sharded-equivalence gate: fixed-seed, fully deterministic.
 test-sharded:
@@ -39,9 +39,11 @@ test-query:
 # replies (a holding client ≡ the dict codec; an unchanged dashboard
 # costs look-ups, as counts), and what one refresh request costs as
 # counts (validators read once, one planned batch of deltas, nothing
-# inserted into the result cache).
+# inserted into the result cache, one counter per metric on a hit), and
+# the per-metric short-cut ≡ the per-series check under interleaved
+# writes on every store layout.
 serve-test:
-	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_conditional.py tests/test_refresh_costs.py tests/test_tsdb_wire.py
+	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_conditional.py tests/test_refresh_costs.py tests/test_metric_counters.py tests/test_tsdb_wire.py
 
 # The catalog gate: postings-index matching byte-identical to the
 # brute-force scan under random ingest/retention/restore interleavings

@@ -12,16 +12,24 @@ intercepted: the three primitives pass through to the layers below.
 
 Correctness comes from generation validators, not timers:
 
-- an entry remembers the **metric generation** (series created/removed
-  under the metric) and every matched series' **write generation** at
-  capture time;
-- any ``put``/``put_batch``/``delete_*`` touching a cached series bumps
-  its generation, so the next lookup sees the mismatch, drops the
-  entry, and re-executes — exact per-series invalidation without a
-  reverse index;
+- an entry remembers the metric's **write counter** (every mutation of
+  any series of the metric, every series created or removed under it),
+  the **metric generation** (series created/removed under the metric)
+  and every matched series' **write generation** at capture time;
+- while the metric's write counter holds still, the entry holds without
+  a look at any series — the common case, a dashboard re-polled between
+  writes, costs one counter read per metric;
+- once it has moved, the per-series check decides exactly: any
+  ``put``/``put_batch``/``delete_*`` touching a cached series bumps its
+  generation, so the lookup sees the mismatch, drops the entry, and
+  re-executes, while an entry none of whose series was written (another
+  node, another city's series of the same metric) still hits —
+  per-series invalidation without a reverse index;
 - validators are captured *before* execution and re-checked *after*;
   if a concurrent write lands mid-run the result is returned but never
-  cached (a stale result can never be stamped fresh).
+  cached (a stale result can never be stamped fresh).  Every counter
+  moves before the columns it counts change, so the bracket holds for
+  the metric counter exactly as for the series ones.
 
 Hits return the very result object the underlying store produced, so
 cached responses are byte-identical to uncached ``run_many`` output —
@@ -30,11 +38,12 @@ cached result holds the same arrays.
 
 Validators are read through a :class:`ValidatorView`: one request's
 look-ups and captures share one view (a 12-panel dashboard over four
-metrics resolves each of its 100 series once, not once per panel), its
-inserts a second, fresh one.  The rule that keeps this exact is the
-view's lifetime — **one phase of one request**: made before the
-execution or after it, a local, never kept on an object and never
-carried across the execution it brackets.  The refresher
+metrics with nothing written since reads four counters and resolves no
+series; one whose metrics were written resolves each of its 100 series
+once, not once per panel), its inserts a second, fresh one.  The rule
+that keeps this exact is the view's lifetime — **one phase of one
+request**: made before the execution or after it, a local, never kept
+on an object and never carried across the execution it brackets.  The refresher
 (:mod:`repro.serve.refresh`) reads its validators the same way.
 
 The reply *text* is cached the same way, with no second cache:
@@ -204,17 +213,18 @@ class CacheStats:
 
 
 class ValidatorView:
-    """The five reads validators are made of, each made once.
+    """The seven reads validators are made of, each made once.
 
     What :meth:`ResultCache.capture` / ``_holds`` and the refresher's
-    ``_capture`` / ``_holds`` ask of "the store" — ``_match``,
-    ``metric_generation``, ``series_generation``,
+    ``_capture`` / ``_holds`` ask of "the store" — ``_match``, the three
+    metric counters (``metric_generation``, ``metric_write_generation``,
+    ``metric_reshape_generation``), ``series_generation``,
     ``series_reshape_generation``, ``series_latest`` — answered over
-    ``store`` with one underlying read per filter, per metric and per
-    series key (the last three share one ``_series(key)`` resolution,
-    instead of one walk down the wrapper stack per read per panel; the
-    counters are read off the resolved series, so they are never older
-    than the view).
+    ``store`` with one underlying read per filter, per metric counter
+    and per series key (the last three share one ``_series(key)``
+    resolution, instead of one walk down the wrapper stack per read per
+    panel; the counters are read off the resolved series, so they are
+    never older than the view).
 
     **A view lives for one phase of one request**: it is a local, made
     before an execution *or* after it, never stored on ``self`` and never
@@ -229,7 +239,7 @@ class ValidatorView:
     def __init__(self, store) -> None:
         self._store = store
         self._matches: dict[tuple, list] = {}
-        self._metric_generations: dict[str, int] = {}
+        self._counters: dict[tuple[str, str], int] = {}  # (read, metric) -> value
         self._resolved: dict = {}  # series key -> SeriesStore | None
 
     def _match(self, metric: str, tags) -> list:
@@ -239,13 +249,21 @@ class ValidatorView:
             matched = self._matches[mk] = self._store._match(metric, tags)
         return matched
 
+    def _counter(self, read: str, metric: str) -> int:
+        try:
+            return self._counters[read, metric]
+        except KeyError:
+            value = self._counters[read, metric] = getattr(self._store, read)(metric)
+            return value
+
     def metric_generation(self, metric: str) -> int:
-        gen = self._metric_generations.get(metric)
-        if gen is None:
-            gen = self._metric_generations[metric] = (
-                self._store.metric_generation(metric)
-            )
-        return gen
+        return self._counter("metric_generation", metric)
+
+    def metric_write_generation(self, metric: str) -> int:
+        return self._counter("metric_write_generation", metric)
+
+    def metric_reshape_generation(self, metric: str) -> int:
+        return self._counter("metric_reshape_generation", metric)
 
     def _series(self, key):
         try:
@@ -260,8 +278,9 @@ class ValidatorView:
     series_latest = StoreApi.series_latest
 
 
-#: (metric generation, ((series key, series generation), ...)) — the
-#: state of the world a cached result was computed against.
+#: (metric write counter, metric generation, ((series key, series
+#: generation), ...)) — the state of the world a cached result was
+#: computed against.
 _Validators = tuple
 
 
@@ -291,20 +310,27 @@ class ResultCache:
     def capture(self, store, q: Query) -> _Validators:
         """Snapshot the validators a result for ``q`` would depend on.
 
-        Taken *before* executing the query: the matched series set and
-        each member's generation.  New series that would change the
-        match set bump the metric generation, so the pair
-        (metric generation, per-series generations) is exactly "nothing
-        this query can observe has changed".
+        Taken *before* executing the query: the metric's counters, then
+        the matched series set and each member's generation.  New
+        series that would change the match set bump the metric
+        generation, so the pair (metric generation, per-series
+        generations) is exactly "nothing this query can observe has
+        changed"; the write counter, read first, is the short-cut that
+        says the same for the whole metric at once.
         """
+        writes = store.metric_write_generation(q.metric)
+        metric_gen = store.metric_generation(q.metric)
         matched = store._match(q.metric, q.tags)
         return (
-            store.metric_generation(q.metric),
+            writes,
+            metric_gen,
             tuple((key, store.series_generation(key)) for key in matched),
         )
 
     def _holds(self, store, q: Query, validators: _Validators) -> bool:
-        metric_gen, series_gens = validators
+        writes, metric_gen, series_gens = validators
+        if store.metric_write_generation(q.metric) == writes:
+            return True
         if store.metric_generation(q.metric) != metric_gen:
             return False
         return all(
@@ -315,7 +341,9 @@ class ResultCache:
         """A still-valid cached answer for ``request``, or None.
 
         Invalid entries (a touched series was written or deleted, or
-        the metric's series set changed) are dropped on sight.
+        the metric's series set changed) are dropped on sight — by
+        whichever of two lane workers that saw the same one gets there
+        first.
         """
         key = self._key(request)
         entry = self._entries.use(key)
@@ -324,7 +352,7 @@ class ResultCache:
             return None
         answer, validators = entry
         if not self._holds(store, request, validators):
-            del self._entries[key]
+            self._entries.pop(key, None)
             self.stats.invalidated += 1
             self.stats.misses += 1
             return None

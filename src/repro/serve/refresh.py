@@ -13,6 +13,15 @@ The boundary is exact, not heuristic:
   both hold, history below ``B = min(last timestamp over matched
   series)`` cannot change: any new append lands strictly after its own
   series' last point, hence strictly after ``B``.
+- the metric's reshape counter
+  (:meth:`~repro.tsdb.interface.StoreApi.metric_reshape_generation`)
+  moves with every series reshape and every series created or removed
+  under the metric, so while it holds still both of the above do, and
+  the check reads that one counter instead of one per matched series;
+  only once it has moved (a reshape anywhere under the metric — another
+  city's backfill, say) are the per-series counters compared.  The
+  validators are read once, before the panel's full run; a refresh
+  compares against them and reads only ``B`` afresh.
 - downsample buckets are epoch-aligned and (for the ``none``/``zero``
   fill policies) computed from their own bucket's points only, so
   buckets strictly below ``floor((B+1)/w)*w`` are final and the delta
@@ -133,8 +142,9 @@ class _PanelState:
     start: int
     end: int
     boundary: int  # min last-timestamp over sources, before the run
-    metric_gen: int
-    reshape_gens: tuple  # ((series key, reshape generation), ...)
+    #: (metric reshape counter, metric generation, ((series key, reshape
+    #: generation), ...)), read before the panel's last full run.
+    validators: tuple
     result: QueryResult
     #: Per series label: (leading points below the cut this result was
     #: spliced at, where their ``dps`` entries end in the series' text,
@@ -246,21 +256,37 @@ class IncrementalRefresher:
         self.stats = RefreshStats()
 
     # -- validators (``store``: a ValidatorView, one phase old) ----------
-    def _capture(self, store, q: Query):
-        """(metric gen, reshape gens, boundary) before an execution."""
+    @staticmethod
+    def _capture(store, q: Query) -> tuple:
+        """The panel's validators before a full run: the metric's
+        counters, then each matched series' reshape generation."""
+        reshapes = store.metric_reshape_generation(q.metric)
+        metric_gen = store.metric_generation(q.metric)
         matched = store._match(q.metric, q.tags)
-        gens = tuple(
+        return reshapes, metric_gen, tuple(
             (key, store.series_reshape_generation(key)) for key in matched
         )
+
+    @staticmethod
+    def _boundary(store, q: Query) -> int | None:
+        """Min last timestamp over the matched series; None when nothing
+        matches or a matched series is empty."""
         boundary: int | None = None
-        for key in matched:
+        for key in store._match(q.metric, q.tags):
             latest = store.series_latest(key)
             if latest is None:
-                return store.metric_generation(q.metric), gens, None
+                return None
             boundary = latest[0] if boundary is None else min(boundary, latest[0])
-        return store.metric_generation(q.metric), gens, boundary
+        return boundary
 
-    def _holds(self, store, q: Query, metric_gen: int, reshape_gens: tuple) -> bool:
+    @staticmethod
+    def _holds(store, q: Query, validators: tuple) -> bool:
+        """Nothing the panel's kept prefix depends on was reshaped: the
+        metric's reshape counter held still, or — once it has moved —
+        the match set and every matched series' reshape generation."""
+        reshapes, metric_gen, reshape_gens = validators
+        if store.metric_reshape_generation(q.metric) == reshapes:
+            return True
         if store.metric_generation(q.metric) != metric_gen:
             return False
         return all(
@@ -316,7 +342,7 @@ class IncrementalRefresher:
             after = ValidatorView(self._store)
             for (key, d), delta in zip(deltas.items(), ran):
                 q = panels[key]
-                if self._holds(after, q, d.st.metric_gen, d.st.reshape_gens):
+                if self._holds(after, q, d.st.validators):
                     results[key] = self._splice_panel(key, d, q, delta)
                 else:
                     # A reshaping write raced the delta scans; the splice
@@ -344,7 +370,7 @@ class IncrementalRefresher:
             return None
         if not self._window_advances(st, query, width):
             return None
-        if not self._holds(before, query, st.metric_gen, st.reshape_gens):
+        if not self._holds(before, query, st.validators):
             self._panels.pop(key, None)
             self.stats.invalidated += 1
             return None
@@ -394,8 +420,7 @@ class IncrementalRefresher:
             rate=False,
             group_by=query.group_by,
         )
-        _, _, boundary_now = self._capture(before, query)
-        return _Delta(st, delta_q, cut, trim_lo, boundary_now)
+        return _Delta(st, delta_q, cut, trim_lo, self._boundary(before, query))
 
     def _window_advances(
         self, st: _PanelState, q: Query, width: int | None
@@ -419,24 +444,21 @@ class IncrementalRefresher:
         """One panel from scratch, through the store's own ``run_many``
         (the result cache, on a server), inside its own bracket."""
         remember = _splice_shape(query)[1]
-        metric_gen, reshape_gens, boundary = self._capture(
-            ValidatorView(self._store), query
-        )
+        before = ValidatorView(self._store)
+        validators = self._capture(before, query)
+        boundary = self._boundary(before, query)
         result = self._store.run_many([query])[0]
         self.stats.full_runs += 1
         if (
             remember
             and boundary is not None
-            and self._holds(
-                ValidatorView(self._store), query, metric_gen, reshape_gens
-            )
+            and self._holds(ValidatorView(self._store), query, validators)
         ):
             self._keep(key, _PanelState(
                 start=int(query.start),
                 end=int(query.end),
                 boundary=boundary,
-                metric_gen=metric_gen,
-                reshape_gens=reshape_gens,
+                validators=validators,
                 result=result,
                 final_text={},
             ))
@@ -511,8 +533,7 @@ class IncrementalRefresher:
             start=int(query.start),
             end=int(query.end),
             boundary=boundary,
-            metric_gen=st.metric_gen,
-            reshape_gens=st.reshape_gens,
+            validators=st.validators,
             result=result,
             final_text=final_text,
         ))

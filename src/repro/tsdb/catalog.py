@@ -50,7 +50,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .model import SeriesKey, validate_name
 
-__all__ = ["CardinalityLimitError", "MergedCatalog", "SeriesCatalog"]
+__all__ = ["CardinalityLimitError", "MergedCatalog", "MetricCounters", "SeriesCatalog"]
 
 
 class CardinalityLimitError(ValueError):
@@ -92,6 +92,31 @@ class _MetricIndex:
         self.by_value: dict[str, dict[str, set[SeriesKey]]] = {}
 
 
+class MetricCounters:
+    """The two mutation counters of one metric, shared by the catalog
+    and every :class:`~repro.tsdb.series.SeriesStore` of the metric.
+
+    - ``writes`` moves on every mutation of any series of the metric and
+      on every series created or removed under it;
+    - ``reshapes`` moves on every mutation that is not a pure append
+      (out-of-order or duplicate write, retention delete) and on every
+      create or remove.
+
+    A series store bumps them where it bumps its own ``generation`` /
+    ``reshape_generation`` — before its columns change — so "the metric
+    counter held still" implies "every series counter under it held
+    still", and a validator may stop there.  Like the series counters
+    they move beside, they are bumped by one writer at a time (in the
+    store stack, under the journal's lock).
+    """
+
+    __slots__ = ("writes", "reshapes")
+
+    def __init__(self) -> None:
+        self.writes = 0
+        self.reshapes = 0
+
+
 class SeriesCatalog:
     """Inverted tag index over one store's live series.
 
@@ -107,10 +132,12 @@ class SeriesCatalog:
         self.max_tag_values = max_tag_values
         self._metrics: dict[str, _MetricIndex] = {}
         self._generation = 0
-        # metric -> count of series created/removed under it.  Beside
-        # the postings, not in them: a metric's index is pruned with its
-        # last series, and a re-created metric must not repeat a value.
+        # metric -> count of series created/removed under it, and the
+        # metric's write / reshape counters.  Beside the postings, not
+        # in them: a metric's index is pruned with its last series, and
+        # a re-created metric must not repeat a value.
         self._metric_generations: dict[str, int] = defaultdict(int)
+        self._metric_counters: dict[str, MetricCounters] = {}
 
     # ------------------------------------------------------------------
     # Maintenance (the store's index/unindex hooks)
@@ -129,6 +156,32 @@ class SeriesCatalog:
         """Counter of series added/removed under ``metric`` (monotonic,
         also across the metric being emptied and created again)."""
         return self._metric_generations.get(metric, 0)
+
+    def metric_counters(self, metric: str) -> MetricCounters:
+        """The counter cell of ``metric`` (made on first ask, never
+        pruned): what the owning store hands each new series store."""
+        counters = self._metric_counters.get(metric)
+        if counters is None:
+            counters = self._metric_counters[metric] = MetricCounters()
+        return counters
+
+    def metric_write_generation(self, metric: str) -> int:
+        """``metric``'s :attr:`MetricCounters.writes`; 0 if never seen."""
+        counters = self._metric_counters.get(metric)
+        return 0 if counters is None else counters.writes
+
+    def metric_reshape_generation(self, metric: str) -> int:
+        """``metric``'s :attr:`MetricCounters.reshapes`; 0 if never seen."""
+        counters = self._metric_counters.get(metric)
+        return 0 if counters is None else counters.reshapes
+
+    def _bump(self, metric: str) -> None:
+        """A series was created or removed under ``metric``."""
+        self._generation += 1
+        self._metric_generations[metric] += 1
+        counters = self.metric_counters(metric)
+        counters.writes += 1
+        counters.reshapes += 1
 
     def __len__(self) -> int:
         return sum(len(idx.keys) for idx in self._metrics.values())
@@ -173,8 +226,7 @@ class SeriesCatalog:
         for k, v in key.tags:
             idx.by_key.setdefault(k, set()).add(key)
             idx.by_value.setdefault(k, {}).setdefault(v, set()).add(key)
-        self._generation += 1
-        self._metric_generations[key.metric] += 1
+        self._bump(key.metric)
 
     def discard(self, key: SeriesKey) -> None:
         """Unindex a dead series, pruning emptied postings (idempotent).
@@ -204,8 +256,7 @@ class SeriesCatalog:
                     del idx.by_value[k]
         if not idx.keys:
             del self._metrics[key.metric]
-        self._generation += 1
-        self._metric_generations[key.metric] += 1
+        self._bump(key.metric)
 
     # ------------------------------------------------------------------
     # Metadata API (the /api/suggest surface)
@@ -333,6 +384,15 @@ class MergedCatalog:
         does — the same validity signal the single store provides.
         """
         return sum(part.metric_generation(metric) for part in self._parts)
+
+    def metric_write_generation(self, metric: str) -> int:
+        """Write counter of a metric, summed over shards (monotonic, and
+        still for as long as every shard's is)."""
+        return sum(part.metric_write_generation(metric) for part in self._parts)
+
+    def metric_reshape_generation(self, metric: str) -> int:
+        """Reshape counter of a metric, summed over shards."""
+        return sum(part.metric_reshape_generation(metric) for part in self._parts)
 
     def __len__(self) -> int:
         return sum(len(part) for part in self._parts)

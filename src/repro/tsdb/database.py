@@ -59,7 +59,7 @@ class TSDB(StoreApi):
             # Index first: the catalog's guard may reject the series,
             # and a rejected series must leave no trace anywhere.
             self.catalog.add(key)
-            store = SeriesStore()
+            store = SeriesStore(self.catalog.metric_counters(key.metric))
             self._stores[key] = store
         return store
 

@@ -108,6 +108,10 @@ class TimeSeriesStore(Protocol):
 
     def metric_generation(self, metric: str) -> int: ...
 
+    def metric_write_generation(self, metric: str) -> int: ...
+
+    def metric_reshape_generation(self, metric: str) -> int: ...
+
     def series_generation(self, key: SeriesKey) -> int: ...
 
     def series_reshape_generation(self, key: SeriesKey) -> int: ...
@@ -183,6 +187,23 @@ class StoreApi:
         this metric is valid only while this value holds still.
         """
         return self.catalog.metric_generation(metric)
+
+    def metric_write_generation(self, metric: str) -> int:
+        """Counter of every mutation of any series of ``metric``, and of
+        every series created or removed under it.
+
+        While it holds still, so do :meth:`metric_generation` and every
+        :meth:`series_generation` under the metric: a validator of a
+        result over this metric holds without reading any series.
+        """
+        return self.catalog.metric_write_generation(metric)
+
+    def metric_reshape_generation(self, metric: str) -> int:
+        """Counter of every non-append mutation of any series of
+        ``metric``, and of every series created or removed under it —
+        :meth:`metric_write_generation`'s twin for
+        :meth:`series_reshape_generation`."""
+        return self.catalog.metric_reshape_generation(metric)
 
     def _match(self, metric: str, tags: Mapping[str, str]) -> list[SeriesKey]:
         """Series matching a filter, in canonical sorted order.

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import MetricCounters
+
 
 @dataclass(frozen=True, slots=True)
 class SeriesSlice:
@@ -69,16 +71,20 @@ class SeriesStore:
       duplicate writes, retention deletes) — "may data I already saw
       have changed?".  While it holds still, history is append-only and
       previously computed prefixes of this series are final.
+
+    Each bump also moves the same counter of the metric's
+    :class:`~repro.tsdb.catalog.MetricCounters` (``writes`` /
+    ``reshapes``), at the same point: before the columns change.
     """
 
     __slots__ = (
         "_ts", "_vals", "_n", "_tail_ts", "_tail_vals", "_dirty",
-        "generation", "reshape_generation",
+        "generation", "reshape_generation", "_metric",
     )
 
     _INITIAL = 256
 
-    def __init__(self) -> None:
+    def __init__(self, metric: MetricCounters | None = None) -> None:
         self._ts = np.empty(self._INITIAL, dtype=np.int64)
         self._vals = np.empty(self._INITIAL, dtype=np.float64)
         self._n = 0
@@ -87,6 +93,7 @@ class SeriesStore:
         self._dirty = False
         self.generation = 0
         self.reshape_generation = 0
+        self._metric = MetricCounters() if metric is None else metric
 
     def __len__(self) -> int:
         self._compact()
@@ -101,6 +108,7 @@ class SeriesStore:
         """Add a point; out-of-order and duplicate timestamps are allowed."""
         timestamp = int(timestamp)
         self.generation += 1
+        self._metric.writes += 1
         if self._n > 0 and not self._tail_ts and timestamp > int(self._ts[self._n - 1]):
             self._append_sorted(timestamp, float(value))
             return
@@ -110,6 +118,7 @@ class SeriesStore:
         # Out-of-order or duplicate timestamp: already-seen data may be
         # overwritten once the tail merges in.
         self.reshape_generation += 1
+        self._metric.reshapes += 1
         self._tail_ts.append(timestamp)
         self._tail_vals.append(float(value))
         self._dirty = True
@@ -148,6 +157,7 @@ class SeriesStore:
         if n == 0:
             return 0
         self.generation += 1
+        self._metric.writes += 1
         in_order = n == 1 or bool(np.all(ts[1:] > ts[:-1]))
         if (
             in_order
@@ -166,6 +176,7 @@ class SeriesStore:
         # an internally unordered batch that still lands entirely past
         # the sorted region also takes this path).
         self.reshape_generation += 1
+        self._metric.reshapes += 1
         # Slow path: one stable merge of sorted region + tail + batch.
         merged_ts, merged_vals = _merge_last_wins(
             [self._ts[: self._n], np.asarray(self._tail_ts, dtype=np.int64), ts],
@@ -227,6 +238,8 @@ class SeriesStore:
             return 0
         self.generation += 1
         self.reshape_generation += 1
+        self._metric.writes += 1
+        self._metric.reshapes += 1
         self._ts = self._ts[lo : self._n].copy()
         self._vals = self._vals[lo : self._n].copy()
         self._n -= lo

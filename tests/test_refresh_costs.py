@@ -10,7 +10,10 @@ appended before each refresh, and counting wrappers around what a
 refresh request should do *once*: resolve a series (before the scans,
 for the scan, after them), match a filter, plan the deltas, parse a
 downsample spec — and what it should not do at all: insert a delta into
-the result cache, whose entries no later request can ask for.
+the result cache, whose entries no later request can ask for.  A plain
+request served from the cache, and an append-only refresh, check one
+counter per metric and read no series' own counters unless something
+under the metric was written (reshaped).
 Every count is deterministic; the replies are checked against the
 innermost store.
 """
@@ -23,7 +26,7 @@ import pytest
 import repro.tsdb.interface as interface_module
 from repro.replication import ReplicatedStore
 from repro.serve import CachingStore, IncrementalRefresher
-from repro.serve.cache import ResultCache
+from repro.serve.cache import ResultCache, ValidatorView
 from repro.tsdb import BatchBuilder, DurableStore, Query, ShardedTSDB, wire
 from repro.tsdb.catalog import MergedCatalog
 from repro.tsdb.downsample import Downsample
@@ -60,6 +63,9 @@ class _Counts:
         self.planned: list[int] = []  # planner batches, by size
         self.cache_batches: list[int] = []  # batches through the cache
         self.inserts = 0
+        self.generations: Counter = Counter()  # series key -> generation reads
+        self.reshapes: Counter = Counter()  # series key -> reshape reads
+        self.counters: Counter = Counter()  # (counter, metric) -> catalog reads
         real_series = ShardedTSDB._series
         real_match = MergedCatalog.match
         real_plan = interface_module.run_unique_batch
@@ -86,6 +92,28 @@ class _Counts:
             self.inserts += 1
             return real_insert(cache, *args)
 
+        def per_series(name, seen):
+            real = getattr(ValidatorView, name)
+
+            def read(view, key):
+                seen[key] += 1
+                return real(view, key)
+
+            monkeypatch.setattr(ValidatorView, name, read)
+
+        def per_metric(counter):
+            real = getattr(MergedCatalog, f"metric_{counter}_generation")
+
+            def read(catalog, metric):
+                self.counters[counter, metric] += 1
+                return real(catalog, metric)
+
+            monkeypatch.setattr(MergedCatalog, f"metric_{counter}_generation", read)
+
+        per_series("series_generation", self.generations)
+        per_series("series_reshape_generation", self.reshapes)
+        per_metric("write")
+        per_metric("reshape")
         monkeypatch.setattr(ShardedTSDB, "_series", _series)
         monkeypatch.setattr(MergedCatalog, "match", match)
         monkeypatch.setattr(interface_module, "run_unique_batch", run_unique_batch)
@@ -98,6 +126,9 @@ class _Counts:
         self.planned.clear()
         self.cache_batches.clear()
         self.inserts = 0
+        self.generations.clear()
+        self.reshapes.clear()
+        self.counters.clear()
 
 
 @pytest.fixture
@@ -113,7 +144,8 @@ def stack(tmp_path):
     caching = CachingStore(
         DurableStore(ReplicatedStore(inner), tmp_path / "wal.seg"))
     caching.put_batch(builder.build())
-    return inner, caching, (HISTORY_MINUTES - 1) * MINUTE
+    yield inner, caching, (HISTORY_MINUTES - 1) * MINUTE
+    caching.wrapped.close()
 
 
 def test_a_refresh_reads_each_validator_once_and_plans_once(stack, monkeypatch):
@@ -172,7 +204,7 @@ def test_a_cache_only_panel_runs_nothing(stack, monkeypatch):
     assert _series_of([again]) == _series_of([inner.run(raw)])
 
 
-def test_a_cached_plain_request_resolves_each_series_once(stack, monkeypatch):
+def test_a_cached_plain_request_reads_one_counter_per_metric(stack, monkeypatch):
     _, caching, end = stack
     queries = _dashboard(0, end)
     first = caching.run_many(queries)
@@ -180,10 +212,76 @@ def test_a_cached_plain_request_resolves_each_series_once(stack, monkeypatch):
     again = caching.run_many(queries)
     assert all(a.series is b.series for a, b in zip(first, again))
     assert counts.planned == [] and counts.inserts == 0
-    # one look-up per distinct series, not one per panel (parent: 3 each)
-    assert len(counts.resolved) == SERIES
-    assert set(counts.resolved.values()) == {1}
+    # nothing written since: no series resolved, no generation read
+    # (per-series validation alone: 100 resolutions, 300 reads)
+    assert counts.resolved == {} and counts.generations == {}
+    # one write counter read per metric, for the request's one view
+    assert counts.counters == Counter({("write", m): 1 for m in METRICS})
     assert caching.cache.stats.hits == 12
+
+
+def test_a_write_sends_only_its_metrics_panels_to_the_series(stack, monkeypatch):
+    inner, caching, end = stack
+    queries = _dashboard(0, end)
+    first = caching.run_many(queries)
+    written = METRICS[0]
+    caching.put_batch(_minute(end + MINUTE, (written,), NODES[3:4]))
+    counts = _Counts(monkeypatch)
+    again = caching.run_many(queries)
+    # the three panels over the written metric fall back to the
+    # per-series check, and each matched the written node: re-run
+    stats = caching.cache.stats
+    assert stats.hits == 9 and stats.invalidated == 3
+    assert counts.planned == [3] and counts.inserts == 3
+    for q, a, b in zip(queries, first, again):
+        assert (a.series is b.series) == (q.metric != written)
+    # every other panel hit on its metric's counter: nothing of theirs
+    # resolved (per-series validation alone: all 75 of their series)
+    a_series = set(inner.series_for_metric(written))
+    assert set(counts.resolved) <= a_series
+    assert set(counts.generations) <= a_series
+    assert _series_of(again) == _series_of(inner.run_many(queries))
+
+
+def test_another_citys_write_still_hits_through_the_fallback(stack, monkeypatch):
+    inner, caching, end = stack
+    written = METRICS[0]
+    vejle = {"city": "vejle", "node": "v-01"}
+    caching.put(written, 0, 1.0, vejle)
+    queries = _dashboard(0, end)
+    first = caching.run_many(queries)
+    caching.put(written, MINUTE, 2.0, vejle)
+    counts = _Counts(monkeypatch)
+    again = caching.run_many(queries)
+    # the city=trondheim entries are not recomputed: all twelve hit
+    assert all(a.series is b.series for a, b in zip(first, again))
+    assert caching.cache.stats.hits == 12
+    assert caching.cache.stats.invalidated == 0 and counts.planned == []
+    # only the written metric's panels read their series, each once per
+    # panel through one resolution (per-series validation alone: all 100)
+    trondheim = inner._match(written, CITY)
+    assert counts.resolved == Counter({key: 1 for key in trondheim})
+    assert counts.generations == Counter({key: 3 for key in trondheim})
+
+
+def test_an_append_only_refresh_reads_no_series_reshape_counter(stack, monkeypatch):
+    inner, caching, end = stack
+    refresher = IncrementalRefresher(caching)
+    refresher.run_many(_dashboard(0, end))
+    counts = _Counts(monkeypatch)
+    for i in range(1, 4):
+        end += MINUTE
+        caching.put_batch(_minute(end, METRICS, NODES))
+        counts.reset()
+        got = refresher.run_many(_dashboard(0, end))
+        assert refresher.stats.incremental_runs == 12 * i
+        # both brackets hold on the metric's reshape counter: one read
+        # per metric before the deltas, one after (per-series validation: 600
+        # reshape reads, 300 of them to build a tuple nobody kept)
+        assert counts.reshapes == {}
+        assert counts.counters == Counter(
+            {("reshape", m): 2 for m in METRICS})
+        assert _series_of(got) == _series_of(inner.run_many(_dashboard(0, end)))
 
 
 def test_refreshes_leave_the_result_cache_to_plain_requests(stack):

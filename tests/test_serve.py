@@ -152,6 +152,25 @@ class TestCachingStore:
         assert cache.stats.skipped == 1
         assert cache.lookup(store, q) is None
 
+    def test_a_stale_entry_dropped_meanwhile_is_a_plain_miss(self, store):
+        """Two lane workers may validate the same stale entry; the one
+        that drops it second must answer a miss, not raise KeyError."""
+        cache = ResultCache()
+        q = Query("air.co2.ppm", 0, 10_000)
+        cache.insert(store, q, cache.capture(store, q), store.run_many([q])[0])
+        store.put("air.co2.ppm", 9000, 1.0,
+                  {"node": "a", "city": "trondheim"})
+        holds = cache._holds
+
+        def holds_while_the_other_worker_drops(s, request, validators):
+            cache._entries.pop(cache._key(request))
+            return holds(s, request, validators)
+
+        cache._holds = holds_while_the_other_worker_drops
+        assert cache.lookup(store, q) is None
+        assert len(cache) == 0
+        assert cache.stats.invalidated == 1 and cache.stats.misses == 1
+
     def test_lru_eviction(self, store):
         caching = CachingStore(store, capacity=2)
         qs = [Query("air.co2.ppm", 0, 1000 * i) for i in (1, 2, 3)]

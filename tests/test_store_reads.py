@@ -11,7 +11,9 @@ seen:
   paged ``ColdShardPager``;
 - ``metric_generation`` / ``catalog_generation`` never stand still
   across a change of the series set and never repeat, also when a
-  metric is emptied by retention and created again;
+  metric is emptied by retention and created again (the metric's write
+  and reshape counters, equal on every layout, are pinned further in
+  ``tests/test_metric_counters.py``);
 - no engine or wrapper lists a derived read of its own.
 """
 
@@ -57,7 +59,8 @@ _QUERIES = [
 _DERIVED_READS = (
     "series_count", "metrics", "series_for_metric",
     "suggest_tag_values", "tag_values", "cardinality",
-    "catalog_generation", "metric_generation", "_match", "last",
+    "catalog_generation", "metric_generation", "metric_write_generation",
+    "metric_reshape_generation", "_match", "last",
     "series_generation", "series_reshape_generation", "series_latest",
     "series_slice", "iter_series", "iter_points", "run", "run_many", "select",
 )
@@ -163,6 +166,8 @@ def _history_reads(db) -> dict:
     }
     for m in _METRICS + ("no.such.metric",):
         reads["metric_generation", m] = db.metric_generation(m)
+        reads["metric_write_generation", m] = db.metric_write_generation(m)
+        reads["metric_reshape_generation", m] = db.metric_reshape_generation(m)
     for key in _KEYS:
         reads["series_generation", key] = db.series_generation(key)
         reads["series_reshape_generation", key] = db.series_reshape_generation(key)
