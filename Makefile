@@ -20,9 +20,9 @@ test-sharded:
 test-region:
 	$(PYTHON) -m pytest -q tests/test_region_queue.py tests/test_region_hub.py
 
-# The persistence-format gate: binary/text round-trip equivalence
-# (text is the import / export codec; the live journal is binary),
-# codec properties, corruption recovery, spill adoption, and the
+# The persistence-format gate: segment round-trip equivalence to the
+# live store (the one durable format), codec properties, corruption
+# recovery, a wrong magic refused and never rewritten, and the
 # dataport writer's write-ahead flush through DurableStore.
 test-persist:
 	$(PYTHON) -m pytest -q tests/test_tsdb_segments.py tests/test_tsdb_persistence.py
@@ -60,8 +60,9 @@ test-replication:
 	$(PYTHON) -m pytest -q tests/test_replication.py
 
 # The tiered-storage gate: compact(log) restores byte-identical to
-# replay(log) under random op interleavings (hypothesis, binary journals
-# and legacy text logs, single + sharded), crash-safe swap-in, cold-shard paging equivalence,
+# replay(log) under random op interleavings (hypothesis, single +
+# sharded), crash-safe swap-in, a non-segment refused and left as it
+# is, cold-shard paging equivalence,
 # and the retention policy: tiers and drop, bucket-aligned, one batch
 # per stage (journaled through DurableStore, the one journal).
 test-tier:
@@ -105,9 +106,8 @@ bench-sharded:
 bench-region:
 	$(PYTHON) -m pytest -q benchmarks/test_region_fanin.py -s --bench-record
 
-# WAL append / replay / snapshot-restore, the text import / export
-# codec vs the binary journal;
-# gates the >=10x binary speedup and records the persistence section.
+# WAL append / replay / snapshot-restore and WAL bytes of the segment
+# format; asserts restore == live and records the persistence section.
 bench-persist:
 	$(PYTHON) -m pytest -q benchmarks/test_persistence.py -s --bench-record
 

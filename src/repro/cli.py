@@ -22,8 +22,8 @@ the system without writing code:
 - ``follow``      — run a hot-standby replica: apply shipped segment
   blocks into a local store, promote to a read-write primary on
   SIGUSR1 (optionally serving queries), shut down cleanly on SIGTERM;
-- ``convert-log`` — migrate a WAL/snapshot between the text line
-  protocol and binary columnar segments.
+- ``compact``     — rewrite a WAL/snapshot segment (or a sharded
+  snapshot directory) as its compacted form, in place.
 """
 
 from __future__ import annotations
@@ -385,8 +385,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         replicate_to = _parse_connect(args.replicate_to, flag="--replicate-to")
         log = ReplicationLog()
         # The simulated history predates the tee: bootstrap the log from
-        # a binary snapshot so the follower converges on the full store.
-        log.append_segment(io.BytesIO(dumps(store, format="binary")))
+        # a snapshot so the follower converges on the full store.
+        log.append_segment(io.BytesIO(dumps(store)))
         store = ReplicatedStore(store, log)
     durable = None
     if args.wal:
@@ -395,7 +395,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         # The journal's base is the simulated window; every later write
         # appends, so replaying the file rebuilds the served store.
-        snapshot(store, args.wal, format="binary")
+        snapshot(store, args.wal)
         store = durable = DurableStore(store, args.wal)
     policy = TenantPolicy(
         max_pending=args.max_pending,
@@ -532,7 +532,7 @@ def cmd_follow(args: argparse.Namespace) -> int:
             if args.snapshot_on_promote:
                 from .tsdb import snapshot
 
-                n = snapshot(store, args.snapshot_on_promote, format="binary")
+                n = snapshot(store, args.snapshot_on_promote)
                 print(f"snapshot: {n} points -> {args.snapshot_on_promote}",
                       flush=True)
             if args.serve_port is not None:
@@ -553,51 +553,22 @@ def cmd_follow(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_convert_log(args: argparse.Namespace) -> int:
-    """Migrate a WAL or snapshot between durability formats.
-
-    The source format is auto-detected, so this upgrades pre-segment
-    text logs to binary (``--to binary``, the default) and turns
-    segments back into human-readable lines for debugging
-    (``--to text``).  ``--lenient`` skips corrupt lines/blocks — the
-    recovery path for a log damaged by an unclean shutdown.
-    """
-    from .tsdb import LogCorruption, SegmentCorruption, convert_log
-
-    try:
-        points, markers = convert_log(
-            args.src, args.dst, format=args.to, strict=not args.lenient
-        )
-    except FileNotFoundError as exc:
-        raise SystemExit(f"convert-log: {exc}")
-    except (LogCorruption, SegmentCorruption) as exc:
-        raise SystemExit(
-            f"convert-log: {args.src} is corrupt ({exc}); rerun with --lenient "
-            "to skip damaged entries"
-        )
-    except ValueError as exc:  # e.g. src == dst
-        raise SystemExit(f"convert-log: {exc}")
-    print(
-        f"converted {args.src} -> {args.dst} [{args.to}]: "
-        f"{points} points, {markers} retention markers"
-    )
-    return 0
-
-
 def cmd_compact(args: argparse.Namespace) -> int:
     """Rewrite a WAL/snapshot (or a sharded snapshot directory) in place.
 
-    Replays the log leniently, resolves retention markers against the
-    data, and atomically swaps in a snapshot with few large sorted
-    blocks — restoring the compacted file is byte-identical to replaying
-    the original, just much cheaper.  With ``--max-blocks`` /
-    ``--max-markers`` the rewrite is conditional on the trigger policy
-    (files already compact are left untouched); by default it always
-    runs.
+    Replays the log (skipping damaged blocks with ``--lenient``),
+    resolves retention markers against the data, and atomically swaps in
+    a snapshot with few large sorted blocks — restoring the compacted
+    file is byte-identical to replaying the original, just much cheaper.
+    With ``--max-blocks`` / ``--max-markers`` the rewrite is conditional
+    on the trigger policy (files already compact are left untouched); by
+    default it always runs.  A file without the segment magic is not a
+    segment: it is refused (exit 1) and left as it is.
     """
     from pathlib import Path
 
-    from .tsdb import LogCorruption, SegmentCorruption
+    from .tsdb import SegmentCorruption
+    from .tsdb.segments import SEGMENT_MAGIC
     from .tsdb.tier import CompactionPolicy, compact_dir, compact_log
 
     policy = None
@@ -641,7 +612,9 @@ def cmd_compact(args: argparse.Namespace) -> int:
             _report(result)
     except FileNotFoundError as exc:
         raise SystemExit(f"compact: {exc}")
-    except (LogCorruption, SegmentCorruption) as exc:
+    except SegmentCorruption as exc:
+        if exc.offset < len(SEGMENT_MAGIC):  # not a segment: nothing to skip
+            raise SystemExit(f"compact: {args.path} is not a segment ({exc})")
         raise SystemExit(
             f"compact: {args.path} is corrupt ({exc}); rerun with --lenient "
             "to skip damaged entries"
@@ -836,20 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot-on-promote", default=None, metavar="PATH",
         help="write a binary snapshot of the promoted store to PATH")
     p_follow.set_defaults(func=cmd_follow)
-
-    p_conv = sub.add_parser(
-        "convert-log",
-        help="migrate a WAL/snapshot between text and binary segment formats",
-    )
-    p_conv.add_argument("src", help="source log (format auto-detected)")
-    p_conv.add_argument("dst", help="destination file (truncated)")
-    p_conv.add_argument(
-        "--to", choices=("binary", "text"), default="binary",
-        help="target format (default: binary columnar segments)")
-    p_conv.add_argument(
-        "--lenient", action="store_true",
-        help="skip corrupt lines/blocks instead of failing")
-    p_conv.set_defaults(func=cmd_convert_log)
 
     p_compact = sub.add_parser(
         "compact",

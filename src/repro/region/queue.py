@@ -15,10 +15,9 @@ Three policies govern what happens when the queue is full:
 - ``drop-oldest`` — the oldest queued rows are evicted to make room,
   with exact drop accounting (newest data always wins);
 - ``spill``       — the oldest queued batches overflow to disk as
-  binary columnar segments (:mod:`repro.tsdb.segments`; whole-column
-  encode, no per-point objects) and are recovered, in order, on drain.
-  Legacy line-protocol spill files from older processes are still
-  adopted and replayed on restart.
+  columnar segments (:mod:`repro.tsdb.segments`; whole-column encode,
+  no per-point objects) and are recovered, in order, on drain; a
+  restarted lane adopts the segments a previous process left behind.
 
 All transitions are synchronous and deterministic: there are no threads,
 only scheduler ticks, so queue behaviour replays identically run-to-run.
@@ -33,8 +32,13 @@ from pathlib import Path
 
 from ..backpressure import Backpressure
 from ..tsdb.batch import PointBatch
-from ..tsdb.persistence import SegmentWriter, detect_format, iter_batches
-from ..tsdb.segments import segment_point_count
+from ..tsdb.segments import (
+    SEGMENT_MAGIC,
+    SegmentCorruption,
+    SegmentWriter,
+    iter_segments,
+    segment_point_count,
+)
 
 
 @dataclass
@@ -66,9 +70,8 @@ class QueueStats:
         return asdict(self)
 
 
-#: Spill segments this queue owns: ``spill-<seq>.seg`` (binary) or the
-#: legacy ``spill-<seq>.log`` (text, pre-segment processes).
-_SPILL_FILE_RE = re.compile(r"^spill-(\d+)\.(seg|log)$")
+#: Spill segments this queue owns: ``spill-<seq>.seg``.
+_SPILL_FILE_RE = re.compile(r"^spill-(\d+)\.seg$")
 
 
 class AsyncBatchQueue:
@@ -110,14 +113,16 @@ class AsyncBatchQueue:
         """Crash recovery: segments a previous process left in the spill
         directory become pending spill (oldest first) rather than being
         appended to under reused names and replayed as phantom data.
-        Both binary ``.seg`` segments and legacy line-protocol ``.log``
-        segments (spilled before the columnar format landed) are
-        adopted — the read side auto-detects per file.  Only files
-        matching the exact ``spill-<seq>`` naming are touched; anything
-        else in the directory (an operator's backup copy, say) is left
-        alone rather than crashing lane construction.  Adopted rows
-        count as offered+accepted+spilled so the conservation invariant
-        keeps holding exactly.
+        Only files matching the exact ``spill-<seq>.seg`` naming are
+        touched; anything else in the directory (an operator's backup
+        copy, say) is left alone rather than crashing lane construction.
+        A file whose magic is wrong is not a segment: it is left in
+        place, never adopted and never deleted, and its seq is never
+        reused.  A file shorter than the magic and a prefix of it (a
+        crash at creation) holds nothing and is dropped, as is a
+        segment with no rows.  Adopted rows count as
+        offered+accepted+spilled so the conservation invariant keeps
+        holding exactly.
         """
         leftovers = sorted(
             (p for p in self._spill_dir.iterdir() if _SPILL_FILE_RE.match(p.name)),
@@ -126,17 +131,19 @@ class AsyncBatchQueue:
         for path in leftovers:
             # strict=False: a segment torn by the very crash we are
             # recovering from must yield its clean prefix, not kill the
-            # lane at construction time.  Binary segments count rows by
-            # a framing walk (no columnar decode — that happens once, at
-            # drain); only legacy text files need a full parse.
-            if detect_format(path) == "binary":
+            # lane at construction time.  Rows are counted by a framing
+            # walk (no columnar decode — that happens once, at drain).
+            try:
                 n = segment_point_count(path, strict=False)
-            else:
-                n = sum(
-                    len(b)
-                    for b in iter_batches(path, strict=False)
-                    if isinstance(b, PointBatch)
-                )
+            except SegmentCorruption:
+                # Wrong magic: not a segment, so neither adopted nor
+                # deleted — unless the file stops inside the magic (a
+                # crash at creation), which holds nothing.
+                with open(path, "rb") as fh:
+                    head = fh.read(len(SEGMENT_MAGIC))
+                if not SEGMENT_MAGIC.startswith(head):
+                    continue
+                n = 0
             if n == 0:
                 path.unlink()
                 continue
@@ -301,11 +308,10 @@ class AsyncBatchQueue:
 
     @staticmethod
     def _read_segment(path: Path) -> PointBatch:
-        """Recover one spill segment as a batch (format auto-detected,
-        so legacy text segments replay alongside binary ones; lenient,
-        so a crash-torn tail yields the clean prefix)."""
+        """Recover one spill segment as a batch (lenient, so a
+        crash-torn tail yields the clean prefix)."""
         batches = [
-            b for b in iter_batches(path, strict=False) if isinstance(b, PointBatch)
+            b for b in iter_segments(path, strict=False) if isinstance(b, PointBatch)
         ]
         path.unlink()
         return PointBatch.concat(batches)

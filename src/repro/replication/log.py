@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Callable
 from ..tsdb.batch import PointBatch
 from ..tsdb.interface import StoreWrapper
 from ..tsdb.model import SeriesKey
-from ..tsdb.persistence import iter_batches
 from ..tsdb.segments import (
     BLOCK_MARKER,
     DeleteBefore,
@@ -44,6 +43,7 @@ from ..tsdb.segments import (
     encode_marker,
     frame_batch,
     frame_block,
+    iter_segments,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -159,13 +159,13 @@ class ReplicationLog:
     def append_segment(self, source, *, strict: bool = True) -> int:
         """Tee an existing segment file (e.g. a region lane's
         ``spill-<seq>.seg``) into the log, block by block; returns the
-        number of records appended.  The format is auto-detected and
-        blocks are re-framed from their decoded form, so a legacy text
-        spill replays identically and a lenient read (``strict=False``)
-        skips damaged blocks exactly as a local drain would.
+        number of records appended.  Blocks are re-framed from their
+        decoded form, so a lenient read (``strict=False``) skips damaged
+        blocks exactly as a local drain would; a source without the
+        segment magic raises, strict or lenient.
         """
         appended = 0
-        for item in iter_batches(source, strict=strict):
+        for item in iter_segments(source, strict=strict):
             if isinstance(item, PointBatch):
                 self.append_batch(item)
             elif isinstance(item, DeleteSeriesBefore):

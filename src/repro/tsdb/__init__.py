@@ -10,10 +10,9 @@ through one batched planner (:mod:`~repro.tsdb.plan`) on single and
 sharded stores, and speaks a versioned OpenTSDB-style JSON wire format
 (:mod:`~repro.tsdb.wire`).
 Persistence is an append-only WAL
-with snapshot compaction in binary columnar segments (see
-:mod:`~repro.tsdb.segments`; a human-readable line protocol survives as
-the import / export codec, and every read auto-detects it) — and
-retention optionally rolls old raw data up into coarser series.
+with snapshot compaction in columnar segments, the one durable format
+(see :mod:`~repro.tsdb.segments`) — and retention optionally rolls old
+raw data up into coarser series.
 
 This module re-exports what other packages, the benchmarks and the
 examples import; everything else is imported from its submodule.
@@ -35,7 +34,7 @@ from .model import (
     DataPoint,
     SeriesKey,
 )
-from .persistence import LogCorruption, LogWriter, convert_log, dumps, load, snapshot
+from .persistence import dumps, load, snapshot
 from .plan import ExprQuery
 from .query import Query, QueryError, ResultSeries
 from .segments import SegmentCorruption, SegmentWriter, segment_stats
@@ -49,8 +48,6 @@ __all__ = [
     "DataPoint",
     "DurableStore",
     "ExprQuery",
-    "LogCorruption",
-    "LogWriter",
     "METRIC_BATTERY",
     "METRIC_CO2",
     "METRIC_HUMIDITY",
@@ -72,7 +69,6 @@ __all__ = [
     "TimeSeriesStore",
     "WireError",
     "compact_log",
-    "convert_log",
     "dumps",
     "load",
     "run_boundaries",

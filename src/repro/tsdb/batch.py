@@ -158,15 +158,6 @@ class PointBatch:
             self.values[lo:hi],
         )
 
-    def iter_points(self) -> Iterator[DataPoint]:
-        """Row-wise view (the per-point shim over the columnar data)."""
-        for i in range(len(self)):
-            yield DataPoint(
-                self.keys[int(self.key_idx[i])],
-                int(self.timestamps[i]),
-                float(self.values[i]),
-            )
-
     @classmethod
     def concat(cls, batches: Sequence["PointBatch"]) -> "PointBatch":
         """Concatenate batches, re-encoding the key dictionaries."""

@@ -138,8 +138,6 @@ class TimeSeriesStore(Protocol):
         self, start: int | None = None, end: int | None = None
     ) -> Iterator[tuple[SeriesKey, SeriesSlice]]: ...
 
-    def iter_points(self) -> Iterator[DataPoint]: ...
-
 
 class StoreApi:
     """Store-agnostic convenience surface, mixed into every store.
@@ -345,12 +343,6 @@ class StoreApi:
         for metric in self.metrics():
             for key in self.series_for_metric(metric):
                 yield key, self.series_slice(key, start, end)
-
-    def iter_points(self) -> Iterator[DataPoint]:
-        """Every stored point, series by series, time-sorted within each."""
-        for key, sl in self.iter_series():
-            for ts, val in zip(sl.timestamps.tolist(), sl.values.tolist()):
-                yield DataPoint(key, int(ts), float(val))
 
 
 class StoreWrapper(StoreApi):

@@ -1,9 +1,8 @@
-"""Binary columnar segment format: durability at batch granularity.
+"""Columnar segment format: durability at batch granularity.
 
-The line protocol in :mod:`~repro.tsdb.persistence` formats and parses
-every point through Python string machinery — at columnar ingest rates
-(~10M pts/s) the log costs more than the ingest itself.  This module
-persists data the way the hot path moves it: whole
+The one durable format: the journal, snapshots, compaction, the region
+spill and the replication log all write and read it.  It persists data
+the way the hot path moves it: whole
 :class:`~repro.tsdb.batch.PointBatch` columns, encoded and decoded with
 ``ndarray.tobytes``/``np.frombuffer`` and no per-point Python objects.
 
@@ -25,8 +24,8 @@ Block types:
     i64[n_rows] ts deltas        (delta[0] = ts[0]; decode = cumsum)
     f64[n_rows] values           (raw IEEE-754 bits)
 
-``0x02`` **marker** — a typed control block, the binary twin of the
-text protocol's ``!delete_before`` / ``!delete_series_before`` lines::
+``0x02`` **marker** — a typed control block, the durable form of
+``delete_before`` / ``delete_series_before``::
 
     u8 kind (1 = delete_before, 2 = delete_series_before) · i64 cutoff
     u8 has_exclude · u16 len · utf-8 tail
@@ -39,11 +38,11 @@ corruption never goes undetected.  ``strict=False`` recovery is
 prefix-preserving: damaged *payload* bytes lose exactly that block (the
 intact length prefix lets the reader skip it); a damaged *length* field
 is indistinguishable from a torn tail, so recovery keeps every block up
-to the damage and stops — the same contract as the text protocol's
-lenient mode, at block rather than line granularity.  Row order inside
-a batch block is preserved exactly, so replay keeps last-write-wins
-semantics and markers interleave with batch blocks at their original
-positions.
+to the damage and stops.  A missing or wrong magic is not damage to
+skip: the file is not a segment, and every reader refuses it, strict
+or lenient.  Row order inside a batch block is preserved exactly, so
+replay keeps last-write-wins semantics and markers interleave with
+batch blocks at their original positions.
 """
 
 from __future__ import annotations
@@ -93,11 +92,8 @@ MAX_RECORD_BYTES = 256 << 20
 
 @dataclass(frozen=True, slots=True)
 class DeleteBefore:
-    """Replayable retention marker: drop points older than ``cutoff``.
-
-    Shared by both durability formats — the text protocol renders it as
-    a ``!delete_before`` line, the segment format as a marker block.
-    """
+    """Replayable retention marker: drop points older than ``cutoff``
+    (marker kind 1)."""
 
     cutoff: int
     exclude_suffix: str | None = None
@@ -111,8 +107,7 @@ class DeleteSeriesBefore:
     The durable twin of ``TimeSeriesStore.delete_series_before`` —
     per-city retention policies and the replication stream both need
     scoped deletions to survive replay, not just the store-wide
-    :class:`DeleteBefore`.  Text form ``!delete_series_before``, binary
-    form marker kind 2.
+    :class:`DeleteBefore` (marker kind 2).
     """
 
     key: SeriesKey
@@ -469,7 +464,7 @@ class SegmentWriter:
     ) -> None:
         """Append a retention marker block (flushes immediately — a
         buffered marker lost in a crash would resurrect deleted points
-        on replay, exactly as in the text protocol)."""
+        on replay)."""
         marker = DeleteBefore(int(cutoff), exclude_suffix)
         self._emit([_frame(_BLOCK_MARKER, encode_marker(marker))], 0)
 

@@ -50,9 +50,8 @@ def shard_for_key(key: SeriesKey, num_shards: int) -> int:
 
 
 #: Per-shard snapshot files inside a directory: ``shard-<i>-of-<n>.seg``
-#: (what :meth:`ShardedTSDB.snapshot_to_dir` writes) or a legacy
-#: ``.log`` (text line protocol; restore still reads it).
-_SHARD_FILE_RE = re.compile(r"^shard-(\d+)-of-(\d+)\.(log|seg)$")
+#: (what :meth:`ShardedTSDB.snapshot_to_dir` writes).
+_SHARD_FILE_RE = re.compile(r"^shard-(\d+)-of-(\d+)\.seg$")
 
 
 class ShardedTSDB(StoreApi):
@@ -186,13 +185,12 @@ class ShardedTSDB(StoreApi):
     def snapshot_to_dir(self, directory: str | Path) -> int:
         """Snapshot every shard into ``<dir>/shard-<i>-of-<n>.seg``.
 
-        Each file is a normal binary WAL of one shard.  Shards are
+        Each file is a normal segment WAL of one shard.  Shards are
         written as ``.tmp`` files that are renamed into place — and any
-        previous snapshot's files (a legacy ``.log`` *or* another shard
-        count) removed — only after *every* shard succeeded, so a
-        mid-snapshot failure (disk full) leaves the prior snapshot
-        restorable instead of a half-replaced mixed directory.  Returns
-        total points written.
+        previous snapshot's files of another shard count removed — only
+        after *every* shard succeeded, so a mid-snapshot failure (disk
+        full) leaves the prior snapshot restorable instead of a
+        half-replaced mixed directory.  Returns total points written.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -212,9 +210,9 @@ class ShardedTSDB(StoreApi):
             name = f"shard-{i}-of-{n}.seg"
             (directory / f"{name}.tmp").replace(directory / name)
             keep.add(name)
-        # Drop every other snapshot file — legacy text AND other shard
-        # counts — so the directory always holds exactly one restorable
-        # snapshot (restore_from_dir rejects mixed counts/duplicates).
+        # Drop every other shard count's files, so the directory always
+        # holds exactly one restorable snapshot (restore_from_dir rejects
+        # mixed counts/duplicates).
         for path in directory.iterdir():
             if _SHARD_FILE_RE.match(path.name) and path.name not in keep:
                 path.unlink()
@@ -224,12 +222,10 @@ class ShardedTSDB(StoreApi):
     def restore_from_dir(cls, directory: str | Path) -> "ShardedTSDB":
         """Rebuild a sharded store from :meth:`snapshot_to_dir` output.
 
-        The shard count comes from the file names and each file's format
-        is auto-detected, so text and binary snapshots (or a mix, as
-        after a partial migration) restore identically.  Every restored
-        series is verified to hash-route to the shard it was found in,
-        so a renamed or misplaced file fails loudly instead of silently
-        corrupting routing.
+        The shard count comes from the file names; each file replays as
+        a segment.  Every restored series is verified to hash-route to
+        the shard it was found in, so a renamed or misplaced file fails
+        loudly instead of silently corrupting routing.
         """
         n, files = scan_snapshot_dir(directory)
         db = cls(n)
@@ -265,7 +261,7 @@ def scan_snapshot_dir(directory: str | Path) -> tuple[int, dict[int, Path]]:
         files[int(m.group(1))] = path
         counts.add(int(m.group(2)))
     if not files:
-        raise FileNotFoundError(f"no shard-*.log|seg snapshot files in {directory}")
+        raise FileNotFoundError(f"no shard-*.seg snapshot files in {directory}")
     if len(counts) != 1:
         raise ValueError(f"inconsistent shard counts in {directory}: {counts}")
     (n,) = counts

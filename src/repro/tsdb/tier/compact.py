@@ -8,11 +8,13 @@ sorted batch blocks, duplicates collapsed, markers *resolved* (their
 deletions applied and the markers themselves gone), so replay cost
 tracks live data instead.
 
-The rewrite generalizes the lenient-read/clean-write pass of
-:func:`~repro.tsdb.persistence.convert_log`: replay the log into a
+The rewrite is a lenient read and a clean write: replay the log into a
 fresh store (leniently by default — a torn tail makes a WAL *more*
-worth compacting, not un-compactable), snapshot that store in the same
-format, and atomically swap the snapshot in.
+worth compacting, not un-compactable), snapshot that store, and
+atomically swap the snapshot in.  Lenient skips damaged *blocks*; a
+file without the segment magic is not a segment at all, so compaction
+refuses it (:class:`~repro.tsdb.segments.SegmentCorruption`) and leaves
+it byte-identical rather than rewriting it as an empty snapshot.
 
 Crash safety is the snapshot ``.tmp`` protocol: the replacement is
 written to ``<name>.compact.tmp``, flushed and fsynced, then
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..database import TSDB
-from ..persistence import detect_format, load, snapshot
+from ..persistence import load, snapshot
 from ..segments import SegmentStats, segment_stats
 
 __all__ = [
@@ -134,27 +136,26 @@ def compact_log(
 
     The output is exactly what :func:`~repro.tsdb.persistence.snapshot`
     of the replayed store produces — sorted canonical series order,
-    deduplicated, retention markers applied and dropped — in the same
-    format as the source (upgrading a text log is
-    :func:`~repro.tsdb.persistence.convert_log`'s job).
-    Lenient by default: a damaged block or torn tail compacts to the
-    recoverable prefix, same as restart recovery would read.
+    deduplicated, retention markers applied and dropped.  Lenient by
+    default: a damaged block or torn tail compacts to the recoverable
+    prefix, same as restart recovery would read.  A source without the
+    segment magic (a damaged first byte, a 0-byte file) raises
+    :class:`~repro.tsdb.segments.SegmentCorruption` before anything is
+    written, strict or lenient.
 
     Crash-safe: stages into ``<name>.compact.tmp`` (fsynced), then
     atomically ``os.replace``s it over the source; stale staging files
     from an earlier crash are removed first, never trusted.
     """
     path = Path(path)
-    fmt = detect_format(path)
-    before = segment_stats(path, strict=False) if fmt == "binary" else None
-    size_before = path.stat().st_size
+    before = segment_stats(path, strict=False)  # refuses a non-segment
     db = TSDB()
     load(path, strict=strict, into=db)
 
     stage = _stage_path(path)
     stage.unlink(missing_ok=True)  # a crashed predecessor's leftovers
     try:
-        points = snapshot(db, stage, format=fmt)
+        points = snapshot(db, stage)
         _fsync_path(stage)
         os.replace(stage, path)
     except BaseException:
@@ -162,14 +163,14 @@ def compact_log(
         raise
     _fsync_dir(path.parent)
 
-    after = segment_stats(path, strict=True) if fmt == "binary" else None
+    after = segment_stats(path, strict=True)
     return CompactionResult(
         path=path,
-        bytes_before=size_before,
-        bytes_after=path.stat().st_size,
-        blocks_before=before.blocks if before is not None else 0,
-        blocks_after=after.blocks if after is not None else 0,
-        markers_resolved=before.marker_blocks if before is not None else 0,
+        bytes_before=before.size_bytes,
+        bytes_after=after.size_bytes,
+        blocks_before=before.blocks,
+        blocks_after=after.blocks,
+        markers_resolved=before.marker_blocks,
         points=points,
     )
 
@@ -180,9 +181,9 @@ class Compactor:
 
     The background-maintenance unit: poll :meth:`maybe_compact` (cheap —
     a framing walk, no column decodes) from a timer loop and the WAL
-    gets rewritten only when the policy says it is worth it.  Only
-    meaningful for binary logs; text logs report no stats and never
-    trigger (compact them explicitly via :func:`compact_log`).
+    gets rewritten only when the policy says it is worth it.  A file
+    without the segment magic raises from :meth:`stats` and is never
+    rewritten.
     """
 
     path: Path
@@ -196,8 +197,8 @@ class Compactor:
 
     def stats(self) -> SegmentStats | None:
         """Current fragmentation stats; ``None`` when the file is
-        missing or not a binary segment (nothing to walk)."""
-        if not self.path.exists() or detect_format(self.path) != "binary":
+        missing (nothing to walk)."""
+        if not self.path.exists():
             return None
         return segment_stats(self.path, strict=False)
 
@@ -206,7 +207,7 @@ class Compactor:
         return stats is not None and self.policy.should_compact(stats)
 
     def compact(self) -> CompactionResult:
-        """Compact unconditionally (same-format rewrite)."""
+        """Compact unconditionally."""
         result = compact_log(self.path, strict=self.strict)
         self.runs += 1
         self.last_result = result
@@ -237,10 +238,9 @@ def compact_dir(
     _, files = scan_snapshot_dir(directory)
     out: dict[int, CompactionResult] = {}
     for index, path in sorted(files.items()):
-        if policy is not None:
-            if detect_format(path) != "binary":
-                continue
-            if not policy.should_compact(segment_stats(path, strict=False)):
-                continue
+        if policy is not None and not policy.should_compact(
+            segment_stats(path, strict=False)
+        ):
+            continue
         out[index] = compact_log(path, strict=strict)
     return out

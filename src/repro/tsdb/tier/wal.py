@@ -13,10 +13,10 @@ the same frames :class:`~repro.replication.ReplicatedStore` logs (for a
 batch, literally the same ``bytes`` objects: :meth:`DurableStore.put_batch`
 frames once and carries the frames down the call).
 Replaying the WAL rebuilds the store; compacting it (see
-:mod:`.compact`) keeps that replay proportional to live data.  A legacy
-text log is not a journal: convert it first (``repro convert-log``) —
-pointing a ``DurableStore`` at one fails in ``SegmentWriter`` ("not a
-segment file; refusing to append").
+:mod:`.compact`) keeps that replay proportional to live data.  A file
+without the segment magic is not a journal: pointing a ``DurableStore``
+at one fails in ``SegmentWriter`` ("not a segment file; refusing to
+append").
 
 Compacting a *live* WAL needs the writer out of the way: the compactor
 replaces the file under ``os.replace``, and an open append handle would
@@ -38,8 +38,7 @@ from typing import TYPE_CHECKING, Iterator
 from ..batch import PointBatch
 from ..interface import StoreWrapper
 from ..model import SeriesKey
-from ..persistence import SegmentWriter
-from ..segments import carried_frames
+from ..segments import SegmentWriter, carried_frames
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..interface import TimeSeriesStore

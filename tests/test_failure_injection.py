@@ -153,7 +153,7 @@ class TestDataLayerResilience:
 
         eco = make_eco(city="vejle", with_faults=True, seed=61)
         eco.run(4 * HOUR)
-        path = tmp_path / "snap.log"
+        path = tmp_path / "snap.seg"
         n = snapshot(eco.db, path)
         restored = load(path)
         assert restored.point_count == n

@@ -195,15 +195,13 @@ class TestSpill:
         assert drained_timestamps(q.drain()) == list(range(25))
 
     def test_spill_segments_are_binary(self, tmp_path):
-        """Spill now writes binary columnar segments, not text lines."""
-        from repro.tsdb.persistence import detect_format
-
+        """Spill writes columnar segments."""
         q = AsyncBatchQueue(10, Backpressure.SPILL, spill_dir=tmp_path)
         q.offer(make_batch(0, 10))
         q.offer(make_batch(10, 10))  # first batch spills
         (seg,) = list(tmp_path.iterdir())
         assert seg.suffix == ".seg"
-        assert detect_format(seg) == "binary"
+        assert seg.read_bytes().startswith(SEGMENT_MAGIC)
 
     def test_binary_leftover_segments_adopted_on_restart(self, tmp_path):
         """Crash recovery in the binary format: a new queue adopts the
@@ -280,10 +278,11 @@ class TestSpill:
             assert list(spill.iterdir()) == []
 
     def test_unrelated_files_in_spill_dir_are_ignored(self, tmp_path):
-        """Files not matching the spill-<seq> naming (operator backups,
-        editor droppings) must not crash lane construction or be
-        adopted/deleted."""
+        """Files not matching the spill-<seq>.seg naming (operator
+        backups, editor droppings, a ``.log`` of another format) must not
+        crash lane construction or be adopted/deleted."""
         (tmp_path / "spill-backup.log").write_text("m 1 2.0\n")
+        (tmp_path / "spill-00000000.log").write_text("m 1 2.0\n")
         (tmp_path / "notes.txt").write_text("keep me\n")
         q = AsyncBatchQueue(10, Backpressure.SPILL, spill_dir=tmp_path)
         assert q.spill_pending_points == 0
@@ -292,25 +291,46 @@ class TestSpill:
         while not q.is_empty():
             q.drain()
         survivors = {p.name for p in tmp_path.iterdir()}
-        assert survivors == {"spill-backup.log", "notes.txt"}
+        assert survivors == {"spill-backup.log", "spill-00000000.log", "notes.txt"}
 
-    def test_legacy_text_segments_adopted_alongside_binary(self, tmp_path):
-        """A spill dir left by a pre-segment process (text .log files)
-        mixes with new binary spill: adoption orders by sequence number
-        and auto-detects each file's format."""
-        from repro.tsdb import LogWriter
+    def test_wrong_magic_segment_is_left_in_place(self, tmp_path):
+        """A ``spill-<seq>.seg`` whose magic is damaged is not a segment:
+        it is neither adopted nor deleted, its seq is never reused, the
+        lane still constructs and conservation holds.  A file cut short
+        inside the magic (a crash at creation) holds nothing and is
+        dropped."""
+        q1 = AsyncBatchQueue(8, Backpressure.SPILL, spill_dir=tmp_path)
+        q1.offer(make_batch(0, 8))
+        q1.offer(make_batch(8, 8))  # spills 8 points as spill-00000000.seg
+        del q1  # "crash"
+        damaged = tmp_path / "spill-00000000.seg"
+        raw = bytearray(damaged.read_bytes())
+        raw[0] ^= 0xFF
+        damaged.write_bytes(bytes(raw))
+        (tmp_path / "spill-00000001.seg").write_bytes(b"")
+        (tmp_path / "spill-00000002.seg").write_bytes(SEGMENT_MAGIC[:3])
 
-        with LogWriter(tmp_path / "spill-00000000.log") as w:
-            w.write_many(list(make_batch(0, 5).iter_points()))
-        q = AsyncBatchQueue(10, Backpressure.SPILL, spill_dir=tmp_path)
-        assert q.spill_pending_points == 5  # legacy segment adopted
-        q.offer(make_batch(100, 10))
-        q.offer(make_batch(110, 10))  # spills as binary under the next seq
+        q = AsyncBatchQueue(8, Backpressure.SPILL, spill_dir=tmp_path)
+        assert q.spill_pending_points == 0
+        assert q.stats.offered_points == q.stats.accepted_points == 0
+        assert [p.name for p in tmp_path.iterdir()] == [damaged.name]
+        q.offer(make_batch(100, 8))
+        q.offer(make_batch(108, 8))  # spills under a fresh seq
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "spill-00000000.seg", "spill-00000003.seg",
+        ]
         out = []
         while not q.is_empty():
             out.extend(drained_timestamps(q.drain()))
-        assert out == list(range(5)) + list(range(100, 120))
-        assert list(tmp_path.iterdir()) == []
+        assert out == list(range(100, 116))
+        assert q.stats.accepted_points == (
+            q.stats.drained_points
+            + q.stats.dropped_points
+            + q.depth_points
+            + q.spill_pending_points
+        )
+        assert damaged.read_bytes() == bytes(raw)
+        assert [p.name for p in tmp_path.iterdir()] == [damaged.name]
 
 
 # -- hypothesis: invariants under arbitrary operation sequences ----------

@@ -54,6 +54,7 @@ from repro.tsdb import (
     DurableStore,
     PointBatch,
     Query,
+    SegmentCorruption,
     SegmentWriter,
     ShardedTSDB,
     TSDB,
@@ -191,33 +192,29 @@ class TestReplicationLog:
         assert dumps(replayed) == dumps(load(path))
 
     @pytest.mark.parametrize("strict", [True, False])
-    def test_append_segment_tees_a_legacy_text_spill(self, tmp_path, strict):
-        """A pre-segment ``spill-<n>.log`` and its ``convert_log``
-        binary twin append the same records, and a follower fed either
-        log equals a bare store."""
-        from repro.tsdb import LogWriter, convert_log
-
-        text, binary = tmp_path / "spill-0.log", tmp_path / "spill-0.seg"
+    def test_append_segment_refuses_a_non_segment(self, tmp_path, strict):
+        """A spill segment tees records that a follower turns into the
+        bare store, strict or lenient; the same bytes with a damaged
+        magic are not a segment, so they raise and append nothing."""
+        path = tmp_path / "spill-0.seg"
         bare = TSDB()
-        with LogWriter(text) as w:
+        with SegmentWriter(path) as w:
             for i in (1, 2, 3):
                 w.write_batch(small_batch(i))
                 bare.put_batch(small_batch(i))
                 if i == 2:
                     w.delete_before(150)
                     bare.delete_before(150)
-        convert_log(text, binary)
-        logs = []
-        for path in (text, binary):
-            log = ReplicationLog()
-            assert log.append_segment(path, strict=strict) == 3
-            logs.append(log)
-        assert logs[0].pending_after(0) == logs[1].pending_after(0)
-        for log in logs:
-            follower = ship(ReplicatedStore(TSDB(), log), Follower())
-            assert dumps(follower.store, format="binary") == dumps(
-                bare, format="binary"
-            )
+        log = ReplicationLog()
+        assert log.append_segment(path, strict=strict) == 4
+        follower = ship(ReplicatedStore(TSDB(), log), Follower())
+        assert dumps(follower.store) == dumps(bare)
+        damaged = tmp_path / "spill-1.seg"
+        damaged.write_bytes(b"\x00" + path.read_bytes()[1:])
+        log = ReplicationLog()
+        with pytest.raises(SegmentCorruption, match="magic"):
+            log.append_segment(damaged, strict=strict)
+        assert log.last_seq == 0
 
     def test_append_segment_ships_region_spill_files(self, tmp_path):
         """A region lane's parked spill segments are directly shippable."""
@@ -244,8 +241,8 @@ class TestReplicatedStore:
         primary.delete_before(15)
         primary.delete_series_before(parse_series_key("m{n=b}"), 35)
         replayed = replay_log(primary.log.pending_after(0))
-        assert dumps(replayed, format="binary") == dumps(
-            primary.wrapped, format="binary"
+        assert dumps(replayed) == dumps(
+            primary.wrapped
         )
 
     def test_reads_and_introspection_delegate(self):
@@ -307,8 +304,8 @@ class TestShipperFollower:
             primary.put_batch(small_batch(i))
         primary.delete_before(250)
         follower = ship(primary, Follower(shards=shards))
-        assert dumps(follower.store, format="binary") == dumps(
-            primary.wrapped, format="binary"
+        assert dumps(follower.store) == dumps(
+            primary.wrapped
         )
         assert follower.stats.gaps == 0 and follower.stats.corrupt_frames == 0
 
@@ -363,9 +360,9 @@ class TestShipperFollower:
             "records_applied": records,
             "points_applied": 100,
         }
-        state = dumps(primary.wrapped, format="binary")
-        assert dumps(follower.store, format="binary") == state
-        assert dumps(load(durable.wal_path), format="binary") == state
+        state = dumps(primary.wrapped)
+        assert dumps(follower.store) == state
+        assert dumps(load(durable.wal_path)) == state
 
     def test_wait_caught_up_never_waits_past_its_deadline(self, monkeypatch):
         """The event's recheck interval is a safety net, not a floor: a
@@ -439,10 +436,10 @@ class TestShipperFollower:
             shipper.start()
             await shipper.wait_caught_up(timeout=10)
             store = follower.promote()
-            frozen = dumps(store, format="binary")
+            frozen = dumps(store)
             primary.put_batch(small_batch(99))  # primary keeps writing
             await asyncio.sleep(0.05)
-            assert dumps(store, format="binary") == frozen
+            assert dumps(store) == frozen
             assert follower.promote() is store  # idempotent
             await shipper.stop()
             await follower.stop()
@@ -512,11 +509,11 @@ class TestFaultInjectionProperty:
             ops=lambda p: [apply_op(p, op) for op in ops],
         )
         reference = build_reference(ops)
-        assert dumps(follower.store, format="binary") == dumps(
-            reference, format="binary"
+        assert dumps(follower.store) == dumps(
+            reference
         )
-        assert dumps(primary.wrapped, format="binary") == dumps(
-            reference, format="binary"
+        assert dumps(primary.wrapped) == dumps(
+            reference
         )
         # Zero acknowledged loss: nothing acked beyond what was applied.
         assert primary.log.acked_seq <= follower.applied_seq
@@ -570,8 +567,8 @@ class TestFaultInjectionProperty:
         store, applied = asyncio.run(_run())
         assert 0 <= applied <= len(ops)
         reference = build_reference(ops[:applied])
-        assert dumps(store, format="binary") == dumps(
-            reference, format="binary"
+        assert dumps(store) == dumps(
+            reference
         )
         # Zero acknowledged loss: every acked record survived promotion.
         assert primary.log.acked_seq <= applied
@@ -681,8 +678,8 @@ def test_two_process_failover(tmp_path):
         )
 
         # The promote-time snapshot reloads into the same bytes.
-        assert dumps(load(snap_path), format="binary") == dumps(
-            primary.wrapped, format="binary"
+        assert dumps(load(snap_path)) == dumps(
+            primary.wrapped
         )
 
         proc.send_signal(signal.SIGTERM)

@@ -152,7 +152,7 @@ def reference(stream: bytes) -> tuple[bytes, int, dict]:
             store.delete_before(item.cutoff, exclude_suffix=item.exclude_suffix)
         applied = seq
         stats.records_applied += 1
-    return dumps(store, format="binary"), applied, stats.as_dict()
+    return dumps(store), applied, stats.as_dict()
 
 
 async def feed(follower: Follower, chunks: list[bytes]) -> list[int]:
@@ -198,7 +198,7 @@ def run_segmented(stream: bytes, cuts: list[int]) -> tuple[bytes, int, dict, lis
         await follower.start()
         acks = await feed(follower, chunks)
         return (
-            dumps(follower.store, format="binary"),
+            dumps(follower.store),
             follower.applied_seq,
             follower.stats.as_dict(),
             acks,
@@ -260,6 +260,4 @@ def test_a_promote_between_two_records_of_one_buffer_applies_nothing_after_it():
     assert follower.stats.records_applied == 1
     only_first = TSDB()
     only_first.put_batch(decode_block(*decode_frame(first)))
-    assert dumps(follower.store, format="binary") == dumps(
-        only_first, format="binary"
-    )
+    assert dumps(follower.store) == dumps(only_first)

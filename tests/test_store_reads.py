@@ -62,7 +62,7 @@ _DERIVED_READS = (
     "catalog_generation", "metric_generation", "metric_write_generation",
     "metric_reshape_generation", "_match", "last",
     "series_generation", "series_reshape_generation", "series_latest",
-    "series_slice", "iter_series", "iter_points", "run", "run_many", "select",
+    "series_slice", "iter_series", "run", "run_many", "select",
 )
 
 
@@ -136,7 +136,6 @@ def _layout_reads(db) -> dict:
         "iter_series[range]": [
             (k, _columns(sl)) for k, sl in db.iter_series(5_000, 15_000)
         ],
-        "iter_points": list(db.iter_points()),
     }
     for m in _METRICS + ("no.such.metric",):
         reads["series_for_metric", m] = db.series_for_metric(m)

@@ -134,10 +134,10 @@ def test_every_write_entry_point_reaches_wal_log_and_store_alike(
     wal_bytes = durable.wal_path.read_bytes()
     frames = b"".join(frame for _, frame in replicated.log.pending_after(0))
     assert wal_bytes == SEGMENT_MAGIC + frames
-    state = dumps(inner, format="binary")
-    assert dumps(bare, format="binary") == state
-    assert dumps(load(durable.wal_path), format="binary") == state
-    assert dumps(load(io.BytesIO(SEGMENT_MAGIC + frames)), format="binary") == state
+    state = dumps(inner)
+    assert dumps(bare) == state
+    assert dumps(load(durable.wal_path)) == state
+    assert dumps(load(io.BytesIO(SEGMENT_MAGIC + frames))) == state
 
 
 def test_a_batch_too_large_for_one_record_is_split_once_for_wal_and_log(
@@ -166,13 +166,13 @@ def test_a_batch_too_large_for_one_record_is_split_once_for_wal_and_log(
             for i in range(8)
         ]
     )
-    committed = dumps(inner, format="binary")
+    committed = dumps(inner)
     logged = len(replicated.log)
     for layer in (durable, replicated):
         with pytest.raises(ValueError, match="key dictionary"):
             layer.put_batch(wide)
     assert "_frames" not in vars(wide)
-    assert dumps(inner, format="binary") == committed
+    assert dumps(inner) == committed
     assert len(replicated.log) == logged
     durable.close()
 
@@ -184,9 +184,9 @@ def test_a_batch_too_large_for_one_record_is_split_once_for_wal_and_log(
     assert durable.wal_path.read_bytes() == SEGMENT_MAGIC + frames
     bare = TSDB()
     bare.put_batch(batch)
-    state = dumps(bare, format="binary")
-    assert dumps(inner, format="binary") == state
-    assert dumps(load(durable.wal_path), format="binary") == state
+    state = dumps(bare)
+    assert dumps(inner) == state
+    assert dumps(load(durable.wal_path)) == state
 
 
 @pytest.mark.parametrize(

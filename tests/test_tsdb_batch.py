@@ -188,15 +188,6 @@ class TestPointBatch:
         db.put_batch(cat)
         assert db.series_count == 2
 
-    def test_iter_points_roundtrip(self):
-        batch = PointBatch.for_series("m", [1, 2], [1.0, 2.0], {"n": "a"})
-        pts = list(batch.iter_points())
-        assert pts == [
-            DataPoint.make("m", 1, 1.0, {"n": "a"}),
-            DataPoint.make("m", 2, 2.0, {"n": "a"}),
-        ]
-        assert len(PointBatch.from_points(pts)) == 2
-
     def test_builder_names_a_series_once_but_keys_each_batch_afresh(self):
         """``clear`` drops the points and the batch's key dictionary
         (it is written into every block) — not the interned names."""

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tsdb import SeriesKey, ShardedTSDB, TSDB, dumps, load, snapshot
+from repro.tsdb import SeriesKey, ShardedTSDB, TSDB, dumps, load
 from repro.tsdb.catalog import CardinalityLimitError, SeriesCatalog
 from repro.tsdb.retention import RetentionPolicy
 
@@ -129,9 +129,7 @@ _del_series = st.tuples(
     st.sampled_from(_CITIES),
     st.integers(min_value=0, max_value=10),
 ).map(lambda t: ("delete_series",) + t)
-_roundtrip = st.sampled_from(["text", "binary"]).map(
-    lambda f: ("roundtrip", f)
-)
+_roundtrip = st.just(("roundtrip",))
 
 _FILTERS = (
     {},
@@ -181,9 +179,7 @@ def test_match_equals_brute_force_scan(shards, ops):
                 _key(metric, node=node, city=city), cutoff
             )
         else:  # roundtrip: the restored store must rebuild the catalog
-            data = dumps(store, format=op[1])
-            buf = io.BytesIO(data) if op[1] == "binary" else io.StringIO(data)
-            store = load(buf, into=_fresh(shards))
+            store = load(io.BytesIO(dumps(store)), into=_fresh(shards))
         _check_equivalence(store)
     # The store kinds agree with each other because each agrees with
     # the same brute-force reference; pin the sorted contract directly.
@@ -338,13 +334,11 @@ def _catalog_view(store):
 
 
 class TestCatalogRebuild:
-    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("fmt", ["binary"])  # the one durable format
     @pytest.mark.parametrize("shards", [0, 4])
     def test_dumps_load_rebuilds_catalog(self, fmt, shards):
         store = _seed(_fresh(shards))
-        data = dumps(store, format=fmt)
-        buf = io.BytesIO(data) if fmt == "binary" else io.StringIO(data)
-        restored = load(buf, into=_fresh(shards))
+        restored = load(io.BytesIO(dumps(store)), into=_fresh(shards))
         assert _catalog_view(restored) == _catalog_view(store)
         assert "m.doomed" not in restored.metrics()
         for metric in store.metrics():
@@ -352,14 +346,10 @@ class TestCatalogRebuild:
                 metric, {"node": "*"}
             )
 
-    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("fmt", ["binary"])  # the one durable format
     def test_restore_from_dir_rebuilds_catalog(self, fmt, tmp_path):
         store = _seed(ShardedTSDB(3))
-        if fmt == "binary":
-            store.snapshot_to_dir(tmp_path)
-        else:  # a legacy text directory: restore still adopts it
-            for i, shard in enumerate(store.shards):
-                snapshot(shard, tmp_path / f"shard-{i}-of-3.log", format="text")
+        store.snapshot_to_dir(tmp_path)
         restored = ShardedTSDB.restore_from_dir(tmp_path)
         assert _catalog_view(restored) == _catalog_view(store)
         assert restored.cardinality("air.co2.ppm") == store.cardinality(

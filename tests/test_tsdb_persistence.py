@@ -1,4 +1,4 @@
-"""Tests for TSDB persistence (line protocol, WAL, snapshot, markers)."""
+"""Tests for TSDB persistence (snapshot, dumps, marker replay)."""
 
 import io
 
@@ -6,23 +6,23 @@ import pytest
 
 from repro.tsdb import (
     DataPoint,
-    LogCorruption,
-    LogWriter,
+    PointBatch,
     Query,
+    SegmentCorruption,
+    SegmentWriter,
     ShardedTSDB,
     TSDB,
     dumps,
     load,
     snapshot,
 )
-from repro.tsdb.persistence import (
-    DeleteBefore,
-    format_delete_before,
-    format_point,
-    iter_entries,
-    iter_log,
-    parse_entry,
-    parse_line,
+from repro.tsdb.persistence import DeleteBefore, DeleteSeriesBefore
+from repro.tsdb.segments import (
+    SEGMENT_MAGIC,
+    decode_marker,
+    encode_marker,
+    iter_segments,
+    parse_series_key,
 )
 
 
@@ -30,82 +30,9 @@ def make_point(metric="m", ts=100, val=1.5, tags=None):
     return DataPoint.make(metric, ts, val, tags or {"node": "a"})
 
 
-class TestLineProtocol:
-    def test_format_and_parse_round_trip(self):
-        p = make_point(val=3.14159, tags={"node": "ctt-01", "city": "vejle"})
-        line = format_point(p)
-        parsed = parse_line(line)
-        assert parsed == p
-
-    def test_format_without_tags(self):
-        p = DataPoint.make("m", 1, 2.0)
-        assert format_point(p) == "m 1 2.0"
-
-    def test_parse_skips_blank_and_comments(self):
-        assert parse_line("") is None
-        assert parse_line("   ") is None
-        assert parse_line("# a comment") is None
-
-    def test_parse_errors(self):
-        for bad in ("m", "m 1", "m xx 1.0", "m 1 abc", "m 1 2.0 notag"):
-            with pytest.raises(LogCorruption):
-                parse_line(bad, lineno=7)
-
-    def test_corruption_carries_lineno(self):
-        with pytest.raises(LogCorruption) as exc:
-            parse_line("garbage", lineno=42)
-        assert exc.value.lineno == 42
-
-    def test_float_precision_survives(self):
-        p = DataPoint.make("m", 1, 0.1 + 0.2)
-        assert parse_line(format_point(p)).value == p.value
-
-
-class TestLogWriterAndLoad:
-    def test_wal_round_trip(self, tmp_path):
-        path = tmp_path / "wal.log"
-        points = [make_point(ts=i, val=float(i)) for i in range(50)]
-        with LogWriter(path) as writer:
-            writer.comment("header")
-            n = writer.write_many(points)
-        assert n == 50
-        db = load(path)
-        assert db.point_count == 50
-
-    def test_append_mode(self, tmp_path):
-        path = tmp_path / "wal.log"
-        with LogWriter(path) as w:
-            w.write(make_point(ts=1))
-        with LogWriter(path) as w:
-            w.write(make_point(ts=2))
-        assert load(path).point_count == 2
-
-    def test_load_strict_raises_on_corruption(self, tmp_path):
-        path = tmp_path / "wal.log"
-        path.write_text("m 1 2.0\nGARBAGE LINE\nm 3 4.0\n")
-        with pytest.raises(LogCorruption):
-            load(path)
-
-    def test_load_lenient_skips_corruption(self, tmp_path):
-        path = tmp_path / "wal.log"
-        path.write_text("m 1 2.0\nGARBAGE LINE\nm 3 4.0\n")
-        db = load(path, strict=False)
-        assert db.point_count == 2
-
-    def test_truncated_tail_recovery(self, tmp_path):
-        """Simulates an unclean shutdown cutting the last line short."""
-        path = tmp_path / "wal.log"
-        path.write_text("m 1 2.0\nm 2 3.0\nm 3 4")  # last line has no value sep
-        db = load(path, strict=False)
-        assert db.point_count == 3  # "m 3 4" actually parses: value=4
-        path.write_text("m 1 2.0\nm 2 3.0\nm 3")  # truly truncated
-        db = load(path, strict=False)
-        assert db.point_count == 2
-
-    def test_iter_log_from_handle(self):
-        buf = io.StringIO("m 1 2.0\nm 2 3.0\n")
-        points = list(iter_log(buf))
-        assert [p.timestamp for p in points] == [1, 2]
+def write_points(writer, points):
+    """One batch block holding ``points``, in order."""
+    writer.write_batch(PointBatch.from_points(points))
 
 
 class TestSnapshot:
@@ -114,7 +41,7 @@ class TestSnapshot:
         for i in range(20):
             db.put("a.b", i, float(i), {"n": "x"})
             db.put("c.d", i, float(-i))
-        path = tmp_path / "snap.log"
+        path = tmp_path / "snap.seg"
         n = snapshot(db, path)
         assert n == 40
         restored = load(path)
@@ -125,48 +52,52 @@ class TestSnapshot:
         db = TSDB()
         db.put("m", 1, 1.0)
         db.put("m", 1, 2.0)  # overwrite
-        path = tmp_path / "snap.log"
+        path = tmp_path / "snap.seg"
         assert snapshot(db, path) == 1
         assert load(path).run(Query("m", 0, 10)).single().values.tolist() == [2.0]
 
     def test_dumps_round_trip(self):
         db = TSDB()
         db.put("m", 1, 1.0, {"a": "b"})
-        text = dumps(db)
-        restored = load(io.StringIO(text))
+        blob = dumps(db)
+        assert blob.startswith(SEGMENT_MAGIC)
+        restored = load(io.BytesIO(blob))
         assert restored.point_count == 1
 
 
 class TestDeleteBeforeMarkers:
     """Replay of logs where retention markers interleave with batch
-    blocks — the seed suite never exercised this, and it is exactly the
-    path that depends on the index pruning of ``TSDB.delete_before``
-    (dead series must not leave ``_by_metric``/``_by_tag`` entries
+    blocks — the path that depends on the index pruning of
+    ``TSDB.delete_before`` (dead series must not leave catalog postings
     behind when a restore re-applies retention)."""
 
     def test_marker_round_trip(self):
-        for marker in (DeleteBefore(500), DeleteBefore(500, ".rollup")):
-            assert parse_entry(format_delete_before(marker)) == marker
+        key = parse_series_key("m{node=a}")
+        for marker in (
+            DeleteBefore(500),
+            DeleteBefore(500, ".rollup"),
+            DeleteBefore(500, ""),
+            DeleteSeriesBefore(key, -7),
+        ):
+            assert decode_marker(encode_marker(marker)) == marker
 
     def test_marker_parse_errors(self):
+        good = encode_marker(DeleteBefore(5, ".rollup"))
         for bad in (
-            "!delete_after 5",
-            "!delete_before",
-            "!delete_before xx",
-            "!delete_before 5 6 7",
-            "!delete_before 5 keep=.rollup",
-            "!delete_before 5 exclude=",
+            good[:5],  # truncated head
+            good[:-1],  # truncated tail
+            b"\x07" + good[1:],  # unknown kind
+            encode_marker(DeleteBefore(5, "x"))[:-1] + b"\xff",  # bad utf-8
         ):
-            with pytest.raises(LogCorruption):
-                parse_entry(bad, lineno=3)
+            with pytest.raises(ValueError):
+                decode_marker(bad)
 
     def test_writer_emits_replayable_marker(self, tmp_path):
-        path = tmp_path / "wal.log"
-        with LogWriter(path) as w:
-            w.write(make_point(ts=1))
-            w.write(make_point(ts=2))
+        path = tmp_path / "wal.seg"
+        with SegmentWriter(path) as w:
+            write_points(w, [make_point(ts=1), make_point(ts=2)])
             w.delete_before(2)
-        entries = list(iter_entries(path))
+        entries = list(iter_segments(path))
         assert entries[-1] == DeleteBefore(2)
         assert w.written == 2  # markers are not points
         assert load(path).exact_point_count() == 1
@@ -175,19 +106,20 @@ class TestDeleteBeforeMarkers:
         """Log = batch block · marker · batch block · marker: the replay
         must apply each deletion at its position in the stream, so
         points re-written *after* a marker survive it."""
-        path = tmp_path / "wal.log"
-        with LogWriter(path) as w:
+        path = tmp_path / "wal.seg"
+        with SegmentWriter(path) as w:
             # batch block 1: two series, out of order
-            w.write_many(
+            write_points(
+                w,
                 [
                     make_point("m.a", ts, float(ts), {"node": "a"})
                     for ts in (30, 10, 20)
-                ]
+                ],
             )
-            w.write_many([make_point("m.b", ts, 1.0, {"node": "b"}) for ts in (5, 15)])
+            write_points(w, [make_point("m.b", ts, 1.0, {"node": "b"}) for ts in (5, 15)])
             w.delete_before(20)  # drops every point with ts < 20
             # batch block 2: m.a gets older data back-filled post-marker
-            w.write_many([make_point("m.a", 12, 99.0, {"node": "a"})])
+            write_points(w, [make_point("m.a", 12, 99.0, {"node": "a"})])
             w.delete_before(11)
         db = load(path)
         # Live-process reference: same operations applied directly.
@@ -205,61 +137,75 @@ class TestDeleteBeforeMarkers:
         assert sl.values.tolist() == [99.0, 20.0, 30.0]
 
     def test_replay_prunes_emptied_series_from_indexes(self, tmp_path):
-        """Guards the PR 1 index-prune fix under restore: a series fully
-        deleted by a marker must vanish from the metric and tag indexes
-        of the replayed database, not just lose its points."""
-        path = tmp_path / "wal.log"
-        with LogWriter(path) as w:
-            w.write_many([make_point("dead.metric", ts, 1.0, {"node": "x"}) for ts in (1, 2)])
-            w.write_many([make_point("live.metric", ts, 2.0, {"node": "y"}) for ts in (1, 200)])
+        """Guards the index-prune fix under restore: a series fully
+        deleted by a marker must vanish from the catalog postings of the
+        replayed database, not just lose its points."""
+        path = tmp_path / "wal.seg"
+        with SegmentWriter(path) as w:
+            write_points(
+                w, [make_point("dead.metric", ts, 1.0, {"node": "x"}) for ts in (1, 2)]
+            )
+            write_points(
+                w, [make_point("live.metric", ts, 2.0, {"node": "y"}) for ts in (1, 200)]
+            )
             w.delete_before(100)
-        db = load(path)
-        assert db.metrics() == ["live.metric"]
-        assert db.suggest_tag_values("dead.metric", "node") == []
-        assert db.series_count == 1
-        # The pruned state round-trips: snapshot of the replay is clean.
-        assert "dead.metric" not in dumps(db)
+        for db in (load(path), load(path, into=ShardedTSDB(3))):
+            assert db.metrics() == ["live.metric"]
+            assert db.suggest_tag_values("dead.metric", "node") == []
+            assert db.catalog.match("dead.metric", {"node": "*"}) == []
+            assert db.series_count == 1
+            # The pruned state round-trips: snapshot of the replay is clean.
+            assert b"dead.metric" not in dumps(db)
 
     def test_replay_marker_exclude_suffix(self, tmp_path):
         """Rollup series named in the marker's exclude= survive replayed
         retention, exactly as under the live ``delete_before`` primitive."""
-        path = tmp_path / "wal.log"
-        with LogWriter(path) as w:
-            w.write_many([make_point("m.raw", ts, 1.0) for ts in (10, 20)])
-            w.write_many([make_point("m.raw.rollup", 0, 1.5)])
+        path = tmp_path / "wal.seg"
+        with SegmentWriter(path) as w:
+            write_points(w, [make_point("m.raw", ts, 1.0) for ts in (10, 20)])
+            write_points(w, [make_point("m.raw.rollup", 0, 1.5)])
             w.delete_before(1_000, exclude_suffix=".rollup")
-        db = load(path)
-        assert db.metrics() == ["m.raw.rollup"]
+        assert list(iter_segments(path))[-1] == DeleteBefore(1_000, ".rollup")
+        for db in (load(path), load(path, into=ShardedTSDB(2))):
+            assert db.metrics() == ["m.raw.rollup"]
 
     def test_replay_into_sharded_store(self, tmp_path):
-        """The same marker log replays identically into a sharded store
-        (retention fans out, index pruning happens per shard)."""
-        path = tmp_path / "wal.log"
-        with LogWriter(path) as w:
+        """Batches interleaved with markers replay identically into a
+        sharded store (retention fans out, index pruning happens per
+        shard), for any shard count."""
+        path = tmp_path / "wal.seg"
+        with SegmentWriter(path) as w:
             for i in range(40):
-                w.write(make_point(f"m.{i % 5}", i, float(i), {"node": f"n{i % 3}"}))
+                write_points(
+                    w, [make_point(f"m.{i % 5}", i, float(i), {"node": f"n{i % 3}"})]
+                )
             w.delete_before(25)
-            for i in range(10):
-                w.write(make_point(f"m.{i % 5}", 100 + i, float(i), {"node": "n9"}))
+            write_points(
+                w,
+                [make_point(f"m.{i % 5}", 100 + i, float(i), {"node": "n9"}) for i in range(10)],
+            )
+            w.delete_series_before(parse_series_key("m.0{node=n9}"), 105)
+            w.delete_before(30, exclude_suffix=".4")
         single = load(path)
-        sharded = load(path, into=ShardedTSDB(3))
-        assert dumps(sharded) == dumps(single)
-        assert sharded.metrics() == single.metrics()
-
-    def test_iter_log_still_yields_only_points(self, tmp_path):
-        """Back-compat: point-level consumers skip markers silently."""
-        path = tmp_path / "wal.log"
-        with LogWriter(path) as w:
-            w.write(make_point(ts=1))
-            w.delete_before(5)
-            w.write(make_point(ts=9))
-        assert [p.timestamp for p in iter_log(path)] == [1, 9]
+        for n in (1, 3, 7):
+            sharded = load(path, into=ShardedTSDB(n))
+            assert dumps(sharded) == dumps(single)
+            assert sharded.metrics() == single.metrics()
 
     def test_lenient_mode_skips_corrupt_markers(self, tmp_path):
-        path = tmp_path / "wal.log"
-        path.write_text("m 1 2.0\n!delete_before notanumber\nm 9 3.0\n")
-        with pytest.raises(LogCorruption):
+        """A damaged marker block fails a strict replay and is skipped by
+        a lenient one: the batch blocks around it both replay."""
+        path = tmp_path / "wal.seg"
+        with SegmentWriter(path) as w:
+            write_points(w, [make_point(ts=1)])
+        marker_at = path.stat().st_size
+        with SegmentWriter(path) as w:
+            w.delete_before(5)
+            write_points(w, [make_point(ts=9)])
+        raw = bytearray(path.read_bytes())
+        raw[marker_at + 9 + 3] ^= 0xFF  # a cutoff byte under the block's CRC
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SegmentCorruption, match="checksum"):
             load(path)
         db = load(path, strict=False)
-        assert db.exact_point_count() == 2
-
+        assert db.exact_point_count() == 2  # the marker never applied

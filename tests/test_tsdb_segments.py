@@ -1,20 +1,23 @@
-"""Binary columnar segment persistence: codec, equivalence, recovery.
+"""Columnar segment persistence: codec, equivalence, recovery.
 
-Pins the new durability fast path to the text line protocol:
+The segment format is the one durable format; this suite pins it:
 
 - the batch/marker codec round-trips bit-exactly (hypothesis: arbitrary
   metrics, tags, out-of-order timestamps, duplicate keys, NaN values);
-- a store restored from a binary WAL/snapshot is byte-identical (via
-  ``dumps``) to one restored from the equivalent text log, for single
-  and sharded stores and with interleaved retention markers;
+- a store restored from a WAL/snapshot is byte-identical (via
+  ``dumps``) to the live store that wrote it, for single and sharded
+  stores and with interleaved retention markers;
 - per-block CRCs turn corruption into per-block loss under
-  ``strict=False`` and loud failure under ``strict=True``;
-- the dataport WAL hook and the CLI ``convert-log`` migration replay
-  losslessly.
+  ``strict=False`` and loud failure under ``strict=True``; a wrong
+  magic is not a segment and is refused either way, never rewritten;
+- the dataport WAL hook replays losslessly;
+- no reader, writer or option of a second format comes back.
 """
 
 import io
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,6 @@ from repro.tsdb import (
     BatchBuilder,
     DataPoint,
     DurableStore,
-    LogWriter,
     PointBatch,
     Query,
     SegmentCorruption,
@@ -35,17 +37,12 @@ from repro.tsdb import (
     SeriesKey,
     ShardedTSDB,
     TSDB,
-    convert_log,
+    compact_log,
     dumps,
     load,
     snapshot,
 )
-from repro.tsdb.persistence import (
-    DeleteBefore,
-    DeleteSeriesBefore,
-    detect_format,
-    iter_batches,
-)
+from repro.tsdb.persistence import DeleteBefore, DeleteSeriesBefore
 from repro.tsdb.segments import (
     SEGMENT_MAGIC,
     carried_frames,
@@ -85,6 +82,11 @@ def assert_batches_equal(a: PointBatch, b: PointBatch) -> None:
     assert np.array_equal(a.key_idx, b.key_idx)
     assert np.array_equal(a.timestamps, b.timestamps)
     assert a.values.tobytes() == b.values.tobytes()
+
+
+def stored_timestamps(db) -> list[int]:
+    """Every stored timestamp, series by series, time-sorted within each."""
+    return [int(t) for _, sl in db.iter_series() for t in sl.timestamps]
 
 
 class TestCodec:
@@ -257,9 +259,7 @@ class TestCorruptionRecovery:
         for source in sources(path):
             recovered = load(source, strict=False)
             assert recovered.exact_point_count() == 5  # block 1 survives
-            assert sorted(p.timestamp for p in recovered.iter_points()) == list(
-                range(5)
-            )
+            assert sorted(stored_timestamps(recovered)) == list(range(5))
 
     def test_append_after_torn_tail_truncates_and_stays_readable(self, tmp_path):
         """Reopening a WAL whose last block was torn by a crash must
@@ -275,44 +275,43 @@ class TestCorruptionRecovery:
             )
         db = load(path)  # strict: the file is clean again
         assert db.exact_point_count() == 15  # 2 clean blocks + 5 new
-        assert sorted(p.timestamp for p in db.iter_points())[-1] == 504
+        assert sorted(stored_timestamps(db))[-1] == 504
 
     def test_corrupt_magic_recovers_without_decode_crash(self, tmp_path):
-        """A damaged magic mis-detects the file as text; the recovery
-        contract must still hold: LogCorruption (handled corruption),
-        never a raw UnicodeDecodeError, and lenient load survives."""
+        """A damaged magic makes the file not a segment: replay raises
+        SegmentCorruption naming the magic (never a decode crash, never
+        an empty store), strict or lenient, and neither compaction nor
+        ``repro compact --lenient`` rewrites the file."""
         path = self.three_block_file(tmp_path)
         raw = bytearray(path.read_bytes())
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
-        assert detect_format(path) == "text"
-        from repro.tsdb import LogCorruption
-
-        with pytest.raises(LogCorruption):
-            load(path)
-        load(path, strict=False)  # recovers (no crash); garbage skipped
-        # convert-log --lenient ends with its friendly error path too.
-        assert (
-            cli_main(
-                ["convert-log", "--lenient", str(path), str(tmp_path / "o.seg")]
-            )
-            == 0
-        )
+        for strict in (True, False):
+            with pytest.raises(SegmentCorruption, match="magic"):
+                load(path, strict=strict)
+            with pytest.raises(SegmentCorruption, match="magic"):
+                compact_log(path, strict=strict)
+        with pytest.raises(SystemExit, match="magic"):
+            cli_main(["compact", "--lenient", str(path)])
+        assert path.read_bytes() == bytes(raw)
 
     def test_corrupt_magic_binary_handle_recovers_too(self):
-        """The same corrupt-magic recovery contract holds for a
-        binary-mode *handle*, not just a path: bytes lines must not hit
-        the str line parser and crash with TypeError."""
+        """The same contract holds for a binary-mode *handle*, not just
+        a path: a wrong magic raises, strict or lenient, and tees
+        nothing into a replication log."""
+        from repro.replication import ReplicationLog
+
         db = TSDB()
         db.put("m", 1, 2.0)
-        blob = bytearray(dumps(db, format="binary"))
+        blob = bytearray(dumps(db))
         blob[0] ^= 0xFF
-        from repro.tsdb import LogCorruption
-
-        with pytest.raises(LogCorruption):
-            load(io.BytesIO(bytes(blob)))
-        recovered = load(io.BytesIO(bytes(blob)), strict=False)
-        assert recovered.point_count == 0  # nothing parseable, no crash
+        log = ReplicationLog()
+        for strict in (True, False):
+            with pytest.raises(SegmentCorruption, match="magic"):
+                load(io.BytesIO(bytes(blob)), strict=strict)
+            with pytest.raises(SegmentCorruption, match="magic"):
+                log.append_segment(io.BytesIO(bytes(blob)), strict=strict)
+        assert log.last_seq == 0
 
     def test_wal_write_failure_rolls_back_torn_frame(self, tmp_path):
         """A write that dies mid-frame (disk full) must not leave torn
@@ -337,14 +336,21 @@ class TestCorruptionRecovery:
         assert sum(len(b) for b in items) == 2 * len(mixed_batch())
 
     def test_empty_file_is_not_a_segment(self, tmp_path):
+        """A 0-byte file (a crash before the magic landed) is not a
+        segment: every read raises, strict or lenient, and compaction
+        leaves it as it is."""
         path = tmp_path / "empty.seg"
         path.touch()
         for strict in (True, False):
             for source in sources(path):
-                with pytest.raises(SegmentCorruption):
+                with pytest.raises(SegmentCorruption, match="magic"):
                     list(iter_segments(source, strict=strict))
-        assert detect_format(path) == "text"  # empty text log loads empty
-        assert load(path).point_count == 0
+            for source in sources(path):
+                with pytest.raises(SegmentCorruption, match="magic"):
+                    load(source, strict=strict)
+            with pytest.raises(SegmentCorruption, match="magic"):
+                compact_log(path, strict=strict)
+        assert path.read_bytes() == b""
 
 
 def reference_ops(db):
@@ -360,7 +366,7 @@ def reference_ops(db):
 
 def write_reference_wal(writer) -> None:
     """The same workload as :func:`reference_ops`, as a WAL stream: one
-    batch per run of puts, a marker per deletion (either writer)."""
+    batch per run of puts, a marker per deletion."""
     writer.write_batch(
         PointBatch.from_points(
             DataPoint.make(f"m.{i % 4}", (i * 7) % 50, float(i), {"node": f"n{i % 3}"})
@@ -376,26 +382,13 @@ def write_reference_wal(writer) -> None:
     writer.delete_before(8, exclude_suffix=".rollup")
 
 
-def text_snapshot_dir(db: ShardedTSDB, directory) -> None:
-    """A legacy text snapshot directory (what ``snapshot_to_dir`` wrote
-    before it became binary-only): one ``.log`` per shard."""
-    directory.mkdir(parents=True, exist_ok=True)
-    n = db.num_shards
-    for i, shard in enumerate(db.shards):
-        snapshot(shard, directory / f"shard-{i}-of-{n}.log", format="text")
-
-
 class TestFormatEquivalence:
-    def test_wal_replay_matches_text_and_live(self, tmp_path):
+    def test_wal_replay_matches_live(self, tmp_path):
         live = TSDB()
         reference_ops(live)
-        with LogWriter(tmp_path / "wal.log") as w:
-            write_reference_wal(w)
         with SegmentWriter(tmp_path / "wal.seg") as w:
             write_reference_wal(w)
-        from_text = load(tmp_path / "wal.log")
-        from_binary = load(tmp_path / "wal.seg")
-        assert dumps(from_binary) == dumps(from_text) == dumps(live)
+        assert dumps(load(tmp_path / "wal.seg")) == dumps(live)
 
     @pytest.mark.parametrize("shards", [1, 3, 7])
     def test_replay_into_sharded_store(self, tmp_path, shards):
@@ -410,28 +403,27 @@ class TestFormatEquivalence:
     def test_sharded_snapshot_dir_round_trip(self, tmp_path, shards):
         db = ShardedTSDB(shards)
         reference_ops(db)
-        text_snapshot_dir(db, tmp_path / "text")
-        db.snapshot_to_dir(tmp_path / "bin")
-        assert all(p.suffix == ".seg" for p in (tmp_path / "bin").iterdir())
-        from_text = ShardedTSDB.restore_from_dir(tmp_path / "text")
-        from_bin = ShardedTSDB.restore_from_dir(tmp_path / "bin")
-        assert dumps(from_bin) == dumps(from_text) == dumps(db)
-        # iter_points order is canonical and identical across formats.
-        assert [str(p.key) for p in from_bin.iter_points()] == [
-            str(p.key) for p in from_text.iter_points()
+        db.snapshot_to_dir(tmp_path)
+        assert all(p.suffix == ".seg" for p in tmp_path.iterdir())
+        restored = ShardedTSDB.restore_from_dir(tmp_path)
+        assert dumps(restored) == dumps(db)
+        # iter_series order is canonical: a function of the data alone.
+        assert [str(k) for k, _ in restored.iter_series()] == [
+            str(k) for k, _ in db.iter_series()
         ]
 
-    def test_mixed_format_snapshot_restores(self, tmp_path):
-        """A partially migrated snapshot dir (some shards converted to
-        .seg, some still .log) restores by per-file auto-detection."""
+    def test_non_segment_files_in_snapshot_dir_are_left_alone(self, tmp_path):
+        """Only ``shard-<i>-of-<n>.seg`` belongs to a snapshot: a file of
+        any other name (a ``.log`` copy, say) is neither read by a
+        restore nor removed by a re-snapshot."""
         db = ShardedTSDB(2)
         reference_ops(db)
-        text_snapshot_dir(db, tmp_path)
-        convert_log(
-            tmp_path / "shard-0-of-2.log", tmp_path / "shard-0-of-2.seg"
-        )
-        (tmp_path / "shard-0-of-2.log").unlink()
+        stray = tmp_path / "shard-0-of-3.log"
+        stray.write_text("m 1 2.0\n")
+        db.snapshot_to_dir(tmp_path)
         assert dumps(ShardedTSDB.restore_from_dir(tmp_path)) == dumps(db)
+        db.snapshot_to_dir(tmp_path)
+        assert stray.read_text() == "m 1 2.0\n"
 
     def test_failed_resnapshot_preserves_prior_snapshot(self, tmp_path, monkeypatch):
         """A mid-snapshot failure (disk full on one shard) must leave
@@ -441,7 +433,9 @@ class TestFormatEquivalence:
 
         db = ShardedTSDB(2)
         reference_ops(db)
-        text_snapshot_dir(db, tmp_path)
+        db.snapshot_to_dir(tmp_path)
+        prior = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        db.put("m.late", 1, 1.0)  # the next snapshot would differ
         real_snapshot = pmod.snapshot
 
         def failing_snapshot(store, path, **kw):
@@ -453,19 +447,10 @@ class TestFormatEquivalence:
         with pytest.raises(OSError):
             db.snapshot_to_dir(tmp_path)
         monkeypatch.undo()
-        # The old text snapshot is whole and restorable; no .tmp litter.
-        assert {p.suffix for p in tmp_path.iterdir()} == {".log"}
-        assert dumps(ShardedTSDB.restore_from_dir(tmp_path)) == dumps(db)
-
-    def test_resnapshot_in_other_format_replaces_stale_twins(self, tmp_path):
-        """Snapshotting over a legacy text snapshot must not leave the
-        old ``.log`` files behind as duplicates."""
-        db = ShardedTSDB(2)
-        reference_ops(db)
-        text_snapshot_dir(db, tmp_path)
-        db.snapshot_to_dir(tmp_path)
-        assert {p.suffix for p in tmp_path.iterdir()} == {".seg"}
-        assert dumps(ShardedTSDB.restore_from_dir(tmp_path)) == dumps(db)
+        # The old snapshot is whole and restorable; no .tmp litter.
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == prior
+        restored = ShardedTSDB.restore_from_dir(tmp_path)
+        assert "m.late" not in restored.metrics()
 
     def test_resnapshot_with_other_shard_count_replaces_stale_files(self, tmp_path):
         """Re-snapshotting with a different shard count removes the old
@@ -482,22 +467,22 @@ class TestFormatEquivalence:
         assert dumps(ShardedTSDB.restore_from_dir(tmp_path)) == dumps(small)
 
     def test_duplicate_shard_files_fail_loudly(self, tmp_path):
+        """The same shard under two spellings of its index."""
         db = ShardedTSDB(2)
         reference_ops(db)
-        text_snapshot_dir(db, tmp_path)
-        convert_log(
-            tmp_path / "shard-0-of-2.log", tmp_path / "shard-0-of-2.seg"
+        db.snapshot_to_dir(tmp_path)
+        (tmp_path / "shard-00-of-2.seg").write_bytes(
+            (tmp_path / "shard-0-of-2.seg").read_bytes()
         )
         with pytest.raises(ValueError, match="duplicate"):
             ShardedTSDB.restore_from_dir(tmp_path)
 
-    def test_snapshot_queries_match_across_formats(self, tmp_path):
+    def test_snapshot_queries_match_live(self, tmp_path):
         db = TSDB()
         reference_ops(db)
-        snapshot(db, tmp_path / "s.log", format="text")
-        snapshot(db, tmp_path / "s.seg", format="binary")
+        snapshot(db, tmp_path / "s.seg")
         q = Query("m.0", 0, 100, tags={"node": "*"}, downsample="10s-avg")
-        a = load(tmp_path / "s.log").run(q).single()
+        a = db.run(q).single()
         b = load(tmp_path / "s.seg").run(q).single()
         assert np.array_equal(a.timestamps, b.timestamps)
         assert a.values.tobytes() == b.values.tobytes()
@@ -505,86 +490,9 @@ class TestFormatEquivalence:
     def test_dumps_binary_round_trip(self):
         db = TSDB()
         reference_ops(db)
-        blob = dumps(db, format="binary")
+        blob = dumps(db)
         assert isinstance(blob, bytes) and blob.startswith(SEGMENT_MAGIC)
         assert dumps(load(io.BytesIO(blob))) == dumps(db)
-
-    def test_iter_batches_text_chunks_at_markers(self, tmp_path):
-        path = tmp_path / "wal.log"
-        with LogWriter(path) as w:
-            w.write(make_point(ts=1))
-            w.delete_before(2)
-            w.write(make_point(ts=3))
-        items = list(iter_batches(path))
-        kinds = [type(i).__name__ for i in items]
-        assert kinds == ["PointBatch", "DeleteBefore", "PointBatch"]
-
-
-class TestConvertLog:
-    def build_text_log(self, path):
-        with LogWriter(path) as w:
-            write_reference_wal(w)
-
-    def test_text_to_binary_and_back(self, tmp_path):
-        self.build_text_log(tmp_path / "wal.log")
-        convert_log(tmp_path / "wal.log", tmp_path / "wal.seg", format="binary")
-        convert_log(tmp_path / "wal.seg", tmp_path / "back.log", format="text")
-        ref = dumps(load(tmp_path / "wal.log"))
-        assert dumps(load(tmp_path / "wal.seg")) == ref
-        assert dumps(load(tmp_path / "back.log")) == ref
-
-    def test_counts(self, tmp_path):
-        self.build_text_log(tmp_path / "wal.log")
-        points, markers = convert_log(tmp_path / "wal.log", tmp_path / "wal.seg")
-        assert points == 80 and markers == 2
-
-    def test_lenient_skips_damage(self, tmp_path):
-        path = tmp_path / "wal.log"
-        path.write_text("m 1 2.0\nGARBAGE\nm 3 4.0\n")
-        from repro.tsdb import LogCorruption
-
-        with pytest.raises(LogCorruption):
-            convert_log(path, tmp_path / "wal.seg")
-        points, _ = convert_log(path, tmp_path / "wal.seg", strict=False)
-        assert points == 2
-
-    def test_cli_subcommand(self, tmp_path, capsys):
-        self.build_text_log(tmp_path / "wal.log")
-        rc = cli_main(
-            ["convert-log", str(tmp_path / "wal.log"), str(tmp_path / "wal.seg")]
-        )
-        assert rc == 0
-        assert "80 points" in capsys.readouterr().out
-        assert detect_format(tmp_path / "wal.seg") == "binary"
-        assert dumps(load(tmp_path / "wal.seg")) == dumps(load(tmp_path / "wal.log"))
-
-    def test_refuses_same_source_and_destination(self, tmp_path):
-        """src == dst would truncate the source before reading it."""
-        path = tmp_path / "wal.log"
-        self.build_text_log(path)
-        before = path.read_bytes()
-        with pytest.raises(ValueError, match="same file"):
-            convert_log(path, path, format="text")
-        assert path.read_bytes() == before  # untouched
-        with pytest.raises(SystemExit, match="same file"):
-            cli_main(["convert-log", str(path), str(path), "--to", "text"])
-
-    def test_missing_source_leaves_no_stub(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            convert_log(tmp_path / "nope.log", tmp_path / "out.seg")
-        assert not (tmp_path / "out.seg").exists()
-
-    def test_cli_corrupt_without_lenient_fails(self, tmp_path):
-        (tmp_path / "wal.log").write_text("m 1 2.0\nGARBAGE\n")
-        with pytest.raises(SystemExit, match="lenient"):
-            cli_main(
-                ["convert-log", str(tmp_path / "wal.log"), str(tmp_path / "o.seg")]
-            )
-        rc = cli_main(
-            ["convert-log", "--lenient", str(tmp_path / "wal.log"),
-             str(tmp_path / "o.seg")]
-        )
-        assert rc == 0
 
 
 class TestDataportWalHook:
@@ -675,29 +583,25 @@ class TestCodecProperties:
     @given(point_rows, st.integers(min_value=0, max_value=2**40))
     @settings(max_examples=60, deadline=None)
     def test_wal_equivalence_with_marker(self, rows, cutoff):
-        """Text and binary WALs carrying the same stream (with a
-        retention marker in the middle) restore identical stores."""
-        finite_rows = [
-            (m, t, v if v == v and abs(v) != float("inf") else 0.5, tags)
-            for m, t, v, tags in rows
-        ]
-        text_buf, bin_buf = io.StringIO(), io.BytesIO()
-        tw, bw = LogWriter(text_buf), SegmentWriter(bin_buf)
-        half = len(finite_rows) // 2
+        """A WAL carrying a stream with a retention marker in the middle
+        restores the store the live process built from the same
+        operations (NaN and infinities included)."""
+        half = len(rows) // 2
         before, after = (
             PointBatch.from_points(DataPoint.make(m, t, v, tags) for m, t, v, tags in part)
-            for part in (finite_rows[:half], finite_rows[half:])
+            for part in (rows[:half], rows[half:])
         )
-        for writers in (tw, bw):
-            writers.write_batch(before)
-            writers.delete_before(cutoff)
-            writers.write_batch(after)
-            writers.flush()
-        text_buf.seek(0)
-        bin_buf.seek(0)
-        a = load(text_buf, format="text")
-        b = load(bin_buf, format="binary")
-        assert dumps(a) == dumps(b)
+        buf = io.BytesIO()
+        writer = SegmentWriter(buf)
+        writer.write_batch(before)
+        writer.delete_before(cutoff)
+        writer.write_batch(after)
+        live = TSDB()
+        live.put_batch(before)
+        live.delete_before(cutoff)
+        live.put_batch(after)
+        buf.seek(0)
+        assert dumps(load(buf)) == dumps(live)
 
     @given(point_rows)
     @settings(max_examples=60, deadline=None)
@@ -708,13 +612,13 @@ class TestCodecProperties:
             v = val if val == val and abs(val) != float("inf") else -1.0
             builder.add(metric, ts, v, tags)
         db.put_batch(builder.build())
-        blob = dumps(db, format="binary")
+        blob = dumps(db)
         assert dumps(load(io.BytesIO(blob))) == dumps(db)
 
 
 class TestDeleteSeriesBeforeMarker:
     """The per-series retention marker (scoped retention's WAL footprint)
-    round-trips both durability formats and replays its deletion."""
+    round-trips the segment format and replays its deletion."""
 
     def reference(self):
         db = TSDB()
@@ -734,21 +638,10 @@ class TestDeleteSeriesBeforeMarker:
         items = list(iter_segments(path))
         assert items[1] == DeleteSeriesBefore(key, 15)
 
-    def test_text_round_trip(self, tmp_path):
-        path = tmp_path / "wal.log"
-        _, key = self.reference()
-        with LogWriter(path) as w:
-            w.write(make_point(ts=1))
-            w.delete_series_before(key, 15)
-        items = list(iter_batches(path))
-        assert items[1] == DeleteSeriesBefore(key, 15)
-
-    @pytest.mark.parametrize("fmt,cls", [("text", LogWriter),
-                                         ("binary", SegmentWriter)])
-    def test_replay_applies_the_scoped_deletion(self, tmp_path, fmt, cls):
+    def test_replay_applies_the_scoped_deletion(self, tmp_path):
         live, key = self.reference()
-        path = tmp_path / ("wal.log" if fmt == "text" else "wal.seg")
-        with cls(path) as w:
+        path = tmp_path / "wal.seg"
+        with SegmentWriter(path) as w:
             w.write_batch(
                 PointBatch.from_points(
                     [
@@ -761,25 +654,20 @@ class TestDeleteSeriesBeforeMarker:
             w.delete_series_before(key, 15)
         assert dumps(load(path)) == dumps(live)
 
-    def test_convert_log_preserves_series_markers(self, tmp_path):
-        live, key = self.reference()
-        src = tmp_path / "wal.log"
-        with LogWriter(src) as w:
-            w.write(DataPoint.make("m", 10, 1.0, {"node": "a"}))
-            w.write(DataPoint.make("m", 20, 2.0, {"node": "a"}))
-            w.write(DataPoint.make("m", 10, 3.0, {"node": "b"}))
-            w.delete_series_before(key, 15)
-        points, markers = convert_log(src, tmp_path / "wal.seg")
-        assert (points, markers) == (3, 1)
-        assert dumps(load(tmp_path / "wal.seg")) == dumps(live)
+    def test_marker_rejects_garbage_key(self, tmp_path):
+        """A series marker whose key does not parse (CRC intact: written
+        that way) fails a strict read and is skipped by a lenient one."""
+        from repro.tsdb.segments import BLOCK_MARKER, frame_block
 
-    def test_text_marker_rejects_garbage_key(self, tmp_path):
-        path = tmp_path / "wal.log"
-        path.write_text("m 1 2.0\n!delete_series_before 5 not{a}key{\n")
-        from repro.tsdb import LogCorruption
-
-        with pytest.raises(LogCorruption):
-            list(iter_batches(path))
+        raw = b"not{a}key{"
+        garbage = struct.pack("<bqBH", 2, 15, 0, len(raw)) + raw  # kind 2
+        path = tmp_path / "wal.seg"
+        with SegmentWriter(path) as w:
+            w.write_batch(PointBatch.from_points([make_point(ts=1)]))
+        with open(path, "ab") as fh:
+            fh.write(frame_block(BLOCK_MARKER, garbage))
+        with pytest.raises(SegmentCorruption, match="series"):
+            list(iter_segments(path))
         assert load(path, strict=False).exact_point_count() == 1
 
 
@@ -988,21 +876,29 @@ class TestOneWalker:
             else:
                 assert a == b
 
-    def test_no_reader_forks_and_one_writer_entry_point(self):
-        """The options this format once carried stay gone: no ``mmap``
-        switch on any reader (one framing walk), no per-point surface
-        on ``SegmentWriter`` (``write_batch`` is the data entry point),
-        no ``format`` on the two paths that only ever write segments."""
+    def test_no_reader_forks_and_one_writer_entry_point(self, tmp_path):
+        """The options and twins this format once carried stay gone: no
+        ``mmap`` switch on any reader (one framing walk), no per-point
+        surface on ``SegmentWriter`` (``write_batch`` is the data entry
+        point), no ``format`` on any path that writes or reads (``dumps``
+        keeps it only as a one-value vestige), no second format's names,
+        no ``convert-log`` — and every consumer reads its source through
+        the one framing walk and nothing else."""
         import dataclasses
         import inspect
 
-        from repro.tsdb import ColdShardPager, compact_log, segment_stats
+        import repro.tsdb
+        from repro.cli import build_parser
+        from repro.region.queue import AsyncBatchQueue
+        from repro.replication import ReplicationLog
+        from repro.tsdb import ColdShardPager, persistence, segment_stats
+        from repro.tsdb.interface import StoreApi, TimeSeriesStore
         from repro.tsdb.tier import Compactor, compact_dir
         from repro.tsdb.segments import _iter_blocks
 
         readers = (
             iter_segments, _iter_blocks, segment_point_count, segment_stats,
-            iter_batches, load, ShardedTSDB.restore_from_dir, compact_log,
+            load, ShardedTSDB.restore_from_dir, compact_log,
             Compactor, compact_dir, ColdShardPager,
         )  # fmt: skip
         for fn in readers:
@@ -1011,5 +907,63 @@ class TestOneWalker:
         for name in ("write", "write_many", "_pending", "_pending_frames"):
             assert not hasattr(SegmentWriter, name)
         assert "_pending" not in vars(SegmentWriter(io.BytesIO()))
-        for fn in (ShardedTSDB.snapshot_to_dir, compact_log):
+        for fn in (ShardedTSDB.snapshot_to_dir, compact_log, load, snapshot):
             assert "format" not in inspect.signature(fn).parameters, fn
+        with pytest.raises(ValueError, match="format"):
+            dumps(TSDB(), format="text")
+
+        text_names = {
+            "LogWriter", "LogCorruption", "MARKER_PREFIX", "convert_log",
+            "detect_format", "iter_batches", "iter_entries", "iter_log",
+            "format_point", "format_delete_before", "format_delete_series_before",
+            "parse_entry", "parse_line", "_coerce_format", "_write_format",
+        }  # fmt: skip
+        assert not text_names & set(vars(persistence))
+        assert not text_names & set(vars(repro.tsdb))
+        for cls in (StoreApi, TimeSeriesStore, PointBatch):
+            assert not hasattr(cls, "iter_points"), cls
+        (commands,) = (
+            a.choices for a in build_parser()._actions if a.dest == "command"
+        )
+        assert "convert-log" not in commands and len(commands) == 10
+
+        # Every consumer opens its source for reading only inside the
+        # framing walk, and each one reads it.
+        opened: list[str] = []
+        real_open = io.open
+
+        def watching_open(file, mode="r", *args, **kwargs):
+            if "r" in mode and "+" not in mode and Path(file).parent == tmp_path:
+                opened.append(sys._getframe(1).f_code.co_name)
+            return real_open(file, mode, *args, **kwargs)
+
+        def reads(consume) -> list[str]:
+            opened.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("builtins.open", watching_open)
+                mp.setattr(io, "open", watching_open)
+                consume()
+            return list(opened)
+
+        db = TSDB()
+        reference_ops(db)
+        wal = tmp_path / "wal.seg"
+        with SegmentWriter(wal) as w:
+            write_reference_wal(w)
+        spill = tmp_path / "spill-00000000.seg"
+        spill.write_bytes(dumps(db))
+
+        def adopt_and_drain():
+            queue = AsyncBatchQueue(10, "spill", spill_dir=tmp_path)
+            assert queue.spill_pending_points == db.exact_point_count()
+            assert len(queue.drain()) == db.exact_point_count()
+
+        consumers = {
+            "load": lambda: load(wal),
+            "spill adoption": adopt_and_drain,
+            "append_segment": lambda: ReplicationLog().append_segment(wal),
+            "compact_log": lambda: compact_log(wal),
+        }
+        for name, consume in consumers.items():
+            walks = reads(consume)
+            assert walks and set(walks) == {"_iter_blocks"}, (name, walks)

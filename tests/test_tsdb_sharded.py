@@ -221,7 +221,7 @@ class TestInterface:
 
     def test_load_into_sharded(self, tmp_path):
         single, sharded = build_pair(3)
-        path = tmp_path / "snap.log"
+        path = tmp_path / "snap.seg"
         from repro.tsdb import snapshot
 
         snapshot(single, path)

@@ -3,13 +3,14 @@
 The subsystem's contracts, in the order they stack:
 
 - **Compaction equivalence** (hypothesis-pinned): for *any* interleaving
-  of puts and retention markers, in either durability format, single or
-  sharded, restoring the compacted log is **byte-identical** (via
-  ``dumps``) to replaying the original — compaction may only change
-  replay *cost*, never replay *result*;
+  of puts and retention markers, single or sharded, restoring the
+  compacted log is **byte-identical** (via ``dumps``) to replaying the
+  original — compaction may only change replay *cost*, never replay
+  *result*;
 - **Crash safety**: a crash mid-compaction leaves the original WAL
   intact plus a stale ``.compact.tmp`` the next run removes — never a
-  half-written log;
+  half-written log; a file that is not a segment (wrong magic, 0 bytes)
+  is refused and left byte-identical, never rewritten;
 - **Cold-shard paging**: keyed operations replay exactly the owning
   shard; a fully paged :class:`ColdShardPager` equals an eager
   ``restore_from_dir`` byte-for-byte;
@@ -37,16 +38,15 @@ from repro.tsdb import (
     DurableStore,
     PointBatch,
     Query,
+    SegmentCorruption,
     SeriesKey,
     ShardedTSDB,
     TSDB,
     compact_log,
-    convert_log,
     dumps,
     load,
     segment_stats,
 )
-from repro.tsdb.persistence import LogWriter, detect_format
 from repro.tsdb.sharded import shard_for_key
 from repro.tsdb.downsample import Downsample, apply as apply_downsample
 from repro.tsdb.retention import RetentionPolicy, Tier
@@ -90,7 +90,7 @@ def _key(metric: str, node: str) -> SeriesKey:
 
 
 def _one(key: SeriesKey, ts: int, val: float) -> PointBatch:
-    """A single-point batch: one flush-sized block in either writer."""
+    """A single-point batch: one flush-sized block."""
     return PointBatch.from_points([DataPoint(key, ts, val)])
 
 
@@ -124,31 +124,25 @@ def _apply_ops(db, ops) -> None:
 class TestCompactionEquivalence:
     """compact(log) restores byte-identical to replay(log)."""
 
-    @given(ops=ops_lists, fmt=st.sampled_from(["binary", "text"]))
+    @given(ops=ops_lists)
     @settings(max_examples=60, deadline=None)
-    def test_single_store_any_interleaving(self, tmp_path_factory, ops, fmt):
-        wal = tmp_path_factory.mktemp("tier") / ("w.seg" if fmt == "binary" else "w.log")
-        writer = SegmentWriter(wal) if fmt == "binary" else LogWriter(wal)
-        _write_ops(writer, ops)
-        expected = dumps(load(wal, strict=False), format="binary")
+    def test_single_store_any_interleaving(self, tmp_path_factory, ops):
+        wal = tmp_path_factory.mktemp("tier") / "w.seg"
+        _write_ops(SegmentWriter(wal), ops)
+        expected = dumps(load(wal, strict=False))
 
         result = compact_log(wal)
-        assert dumps(load(wal), format="binary") == expected
-        # The compacted file stays in the source format...
+        assert dumps(load(wal)) == expected
         assert result.path == wal
-        if fmt == "binary":
-            # ...and every retention marker got resolved away.
-            assert segment_stats(wal, strict=True).marker_blocks == 0
+        # Every retention marker got resolved away.
+        assert segment_stats(wal, strict=True).marker_blocks == 0
 
-    @given(ops=ops_lists, n=st.sampled_from([1, 2, 4, 7]),
-           fmt=st.sampled_from(["binary", "text"]))
+    @given(ops=ops_lists, n=st.sampled_from([1, 2, 4, 7]))
     @settings(max_examples=40, deadline=None)
-    def test_sharded_any_interleaving(self, tmp_path_factory, ops, n, fmt):
+    def test_sharded_any_interleaving(self, tmp_path_factory, ops, n):
         directory = tmp_path_factory.mktemp("tier-sharded")
-        ext = "seg" if fmt == "binary" else "log"
-        cls = SegmentWriter if fmt == "binary" else LogWriter
         writers = [
-            cls(directory / f"shard-{i}-of-{n}.{ext}") for i in range(n)
+            SegmentWriter(directory / f"shard-{i}-of-{n}.seg") for i in range(n)
         ]
         # Route ops exactly as the sharded store would: keyed ops to the
         # owning shard's WAL, global markers to every shard's.
@@ -169,16 +163,16 @@ class TestCompactionEquivalence:
             w.close()
 
         expected = dumps(
-            ShardedTSDB.restore_from_dir(directory), format="binary"
+            ShardedTSDB.restore_from_dir(directory)
         )
         results = compact_dir(directory)
         assert set(results) == set(range(n))
         restored = ShardedTSDB.restore_from_dir(directory)
-        assert dumps(restored, format="binary") == expected
+        assert dumps(restored) == expected
         # Replaying ops directly agrees too (routing fidelity).
         direct = ShardedTSDB(n)
         _apply_ops(direct, ops)
-        assert dumps(direct, format="binary") == expected
+        assert dumps(direct) == expected
 
     def test_marker_heavy_log_shrinks(self, tmp_path):
         wal = tmp_path / "w.seg"
@@ -194,21 +188,6 @@ class TestCompactionEquivalence:
         assert result.bytes_ratio > 5.0
         assert result.points == 100  # only the points the marker spared
 
-    def test_text_to_binary_migration(self, tmp_path):
-        wal = tmp_path / "w.log"
-        with LogWriter(wal) as w:
-            for i in range(20):
-                w.write(DataPoint(_key("air.co2", "n1"), i, float(i)))
-        expected = dumps(load(wal), format="binary")
-        # Upgrading is convert_log's job; compaction keeps the format.
-        seg = tmp_path / "w.seg"
-        convert_log(wal, seg)
-        compact_log(seg)
-        assert segment_stats(seg, strict=True).batch_blocks == 1
-        assert dumps(load(seg), format="binary") == expected
-        compact_log(wal)
-        assert detect_format(wal) == "text"
-        assert dumps(load(wal), format="binary") == expected
 
 
 class TestCompactionCrashSafety:
@@ -243,13 +222,13 @@ class TestCompactionCrashSafety:
     def test_stale_tmp_from_dead_predecessor_is_discarded(self, tmp_path):
         wal = tmp_path / "w.seg"
         self._fragmented(wal)
-        expected = dumps(load(wal), format="binary")
+        expected = dumps(load(wal))
         # A predecessor crashed between staging and rename: its torn
         # .compact.tmp must never be trusted, only removed.
         stage = tmp_path / ("w.seg" + COMPACT_TMP_SUFFIX)
         stage.write_bytes(b"RSEG\x00\x01\r\ngarbage torn tail")
         compact_log(wal)
-        assert dumps(load(wal), format="binary") == expected
+        assert dumps(load(wal)) == expected
         assert not stage.exists()
 
     def test_torn_tail_compacts_to_recoverable_prefix(self, tmp_path):
@@ -277,10 +256,56 @@ class TestCompactionCrashSafety:
             expected = TSDB()
             for i in survivors:
                 expected.put("air.co2", i, float(i), {"node": "n1"})
-            recoverable = dumps(expected, format="binary")
-            assert dumps(load(wal, strict=False), format="binary") == recoverable
+            recoverable = dumps(expected)
+            assert dumps(load(wal, strict=False)) == recoverable
             compact_log(wal)  # lenient by default: recovers, then rewrites
-            assert dumps(load(wal, strict=True), format="binary") == recoverable
+            assert dumps(load(wal, strict=True)) == recoverable
+
+
+class TestCompactionRefusesNonSegments:
+    """A source without the segment magic is not a damaged segment to
+    recover from: compaction raises, strict or lenient, and the file
+    stays byte-identical (it used to be rewritten as an empty text
+    snapshot that the journal then refused to reopen)."""
+
+    def _flipped_magic(self, tmp_path):
+        wal = tmp_path / "w.seg"
+        store = DurableStore(TSDB(), wal)
+        for i in range(1_000):
+            store.put("air.co2", i, float(i), {"node": f"n{i % 4}"})
+        store.close()
+        raw = bytearray(wal.read_bytes())
+        raw[3] ^= 0x01  # one flipped bit of the magic
+        wal.write_bytes(bytes(raw))
+        return wal
+
+    def _empty(self, tmp_path):
+        wal = tmp_path / "w.seg"
+        wal.touch()  # a crash before the magic landed
+        return wal
+
+    @pytest.mark.parametrize("make", ["_flipped_magic", "_empty"])
+    def test_compact_log_raises_and_leaves_the_file(self, tmp_path, make):
+        wal = getattr(self, make)(tmp_path)
+        before = wal.read_bytes()
+        for strict in (False, True):  # the default is lenient
+            with pytest.raises(SegmentCorruption, match="magic"):
+                compact_log(wal, strict=strict)
+            assert wal.read_bytes() == before
+        assert not list(tmp_path.glob("*" + COMPACT_TMP_SUFFIX))
+
+    @pytest.mark.parametrize("make", ["_flipped_magic", "_empty"])
+    def test_cli_exits_1_naming_the_magic(self, tmp_path, make):
+        from repro.cli import main as cli_main
+
+        wal = getattr(self, make)(tmp_path)
+        before = wal.read_bytes()
+        for argv in (["compact", "--lenient", str(wal)], ["compact", str(wal)]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            message = str(exc.value.code)  # a str code exits with status 1
+            assert "magic" in message and "--lenient" not in message
+            assert wal.read_bytes() == before
 
 
 class TestCompactorPolicy:
@@ -309,13 +334,25 @@ class TestCompactorPolicy:
         )
         assert not c.should_compact()  # tiny files never trigger
 
-    def test_text_logs_never_trigger(self, tmp_path):
+    def test_non_segment_files_never_compact(self, tmp_path):
+        """A trigger poll over a file that is not a segment raises
+        instead of reading it as empty, and the file stays as it is; so
+        does a policy sweep over a directory holding one."""
         wal = tmp_path / "w.log"
-        with LogWriter(wal) as w:
-            for i in range(100):
-                w.write(DataPoint(_key("air.co2", "n1"), i, float(i)))
+        wal.write_text("air.co2 1 2.0 node=n1\n" * 100)
         c = Compactor(wal, policy=CompactionPolicy(max_blocks=1))
-        assert c.stats() is None and c.maybe_compact() is None
+        with pytest.raises(SegmentCorruption, match="magic"):
+            c.maybe_compact()
+        assert c.runs == 0
+        assert Compactor(tmp_path / "missing.seg").stats() is None
+        directory = tmp_path / "dir"
+        ShardedTSDB(2).snapshot_to_dir(directory)
+        shard = directory / "shard-1-of-2.seg"
+        shard.write_bytes(b"X" + shard.read_bytes()[1:])
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        with pytest.raises(SegmentCorruption, match="magic"):
+            compact_dir(directory, policy=CompactionPolicy(max_blocks=1))
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -362,9 +399,9 @@ class TestDurableStore:
         store.delete_before(50)
         store.delete_series_before(_key("air.no2", "n1"), 3)
         store.close()
-        assert detect_format(wal) == fmt
-        assert dumps(load(wal, strict=True), format="binary") == dumps(
-            store.wrapped, format="binary"
+        assert wal.read_bytes().startswith(SEGMENT_MAGIC)
+        assert dumps(load(wal, strict=True)) == dumps(
+            store.wrapped
         )
 
     def test_wal_precedes_commit(self, tmp_path):
@@ -395,8 +432,8 @@ class TestDurableStore:
         for i in range(100, 110):
             store.put("air.co2", i, float(i), {"node": "n1"})
         store.close()
-        assert dumps(load(wal), format="binary") == dumps(
-            store.wrapped, format="binary"
+        assert dumps(load(wal)) == dumps(
+            store.wrapped
         )
 
     def test_writes_during_suspend_block_until_reopen(self, tmp_path):
@@ -501,7 +538,7 @@ class TestColdShardPager:
         # Paging late changes nothing: the same write on an eager restore.
         eager = ShardedTSDB.restore_from_dir(snapshot_dir)
         eager.put_batch(PointBatch.from_points(points))
-        assert dumps(pager, format="binary") == dumps(eager, format="binary")
+        assert dumps(pager) == dumps(eager)
 
     def test_global_query_pages_everything(self, snapshot_dir):
         pager = ColdShardPager(snapshot_dir)
@@ -514,8 +551,8 @@ class TestColdShardPager:
 
     def test_fully_paged_pager_equals_eager_restore(self, snapshot_dir):
         pager = ColdShardPager(snapshot_dir)
-        assert dumps(pager, format="binary") == dumps(
-            ShardedTSDB.restore_from_dir(snapshot_dir), format="binary"
+        assert dumps(pager) == dumps(
+            ShardedTSDB.restore_from_dir(snapshot_dir)
         )
 
     def test_match_delegates_with_full_key_set(self, snapshot_dir):
@@ -624,10 +661,10 @@ class TestRollupTiers:
         db = self._aged_store(now=now)
         policy = self._policy()
         policy.enforce(db, now)
-        state = dumps(db, format="binary")
+        state = dumps(db)
         second = policy.enforce(db, now)
         assert second.rolled_points == 0 and second.dropped_points == 0
-        assert dumps(db, format="binary") == state
+        assert dumps(db) == state
 
     @pytest.mark.parametrize("fmt", ["binary"])  # the one journal format
     def test_wal_replay_reproduces_tiered_state(self, tmp_path, fmt):
@@ -638,9 +675,9 @@ class TestRollupTiers:
         self._aged_store(db=store, now=now)
         self._policy().enforce(store, now)
         store.close()
-        assert detect_format(wal) == fmt
-        assert dumps(load(wal, strict=True), format="binary") == dumps(
-            store.wrapped, format="binary"
+        assert wal.read_bytes().startswith(SEGMENT_MAGIC)
+        assert dumps(load(wal, strict=True)) == dumps(
+            store.wrapped
         )
 
     def test_tiering_replicates_through_the_log(self):
@@ -667,8 +704,8 @@ class TestRollupTiers:
                                        exclude_suffix=item.exclude_suffix)
             else:
                 follower.put_batch(item)
-        assert dumps(follower, format="binary") == dumps(
-            primary.wrapped, format="binary"
+        assert dumps(follower) == dumps(
+            primary.wrapped
         )
 
     def test_sharded_store_supported(self):
@@ -738,8 +775,8 @@ class TestRetention:
                     db.put("air.co2", t, float(t), {"node": node})
         report = RetentionPolicy(max_age=1234).enforce(pass_db, now=5000)
         assert report.dropped_points == primitive_db.delete_before(5000 - 1234)
-        assert dumps(pass_db, format="binary") == dumps(
-            primitive_db, format="binary"
+        assert dumps(pass_db) == dumps(
+            primitive_db
         )
 
     def test_max_age_drops_the_coarsest_tier(self):
@@ -830,8 +867,8 @@ class TestRetention:
         store.close()
         assert report.rolled[0] > 20 and report.rolled[1] > 0
         assert segment_stats(wal).batch_blocks == 1 + 2  # ingest + 2 stages
-        assert dumps(load(wal, strict=True), format="binary") == dumps(
-            store.wrapped, format="binary"
+        assert dumps(load(wal, strict=True)) == dumps(
+            store.wrapped
         )
 
 

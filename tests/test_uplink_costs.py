@@ -225,11 +225,11 @@ def test_steady_state_uplink_costs(stack, monkeypatch):
 
     # Bytes: standby ≡ primary ≡ WAL replay, and the last uplink of
     # every node is what the store returns.
-    primary = dumps(stack.inner, format="binary")
-    assert dumps(stack.follower.store, format="binary") == primary
+    primary = dumps(stack.inner)
+    assert dumps(stack.follower.store) == primary
     replayed = ShardedTSDB(4)
     load(stack.durable.wal_path, into=replayed)
-    assert dumps(replayed, format="binary") == primary
+    assert dumps(replayed) == primary
     for node, now, co2 in sent[-NODES:]:
         assert stack.follower.store.series_latest(co2_key[node]) == (now, co2)
 
