@@ -466,6 +466,24 @@ class TestFormatEquivalence:
         }
         assert dumps(ShardedTSDB.restore_from_dir(tmp_path)) == dumps(small)
 
+    def test_resnapshot_in_other_format_replaces_stale_twins(self, tmp_path):
+        """Twins of a shard file in another form — the same shard under
+        another spelling of its index, a crashed snapshot's ``.tmp``
+        staging file — are replaced by a re-snapshot, not left behind
+        as duplicates that a restore would refuse."""
+        db = ShardedTSDB(2)
+        reference_ops(db)
+        db.snapshot_to_dir(tmp_path)
+        (tmp_path / "shard-00-of-2.seg").write_bytes(
+            (tmp_path / "shard-0-of-2.seg").read_bytes()
+        )
+        (tmp_path / "shard-1-of-2.seg.tmp").write_bytes(b"torn")
+        db.snapshot_to_dir(tmp_path)
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "shard-0-of-2.seg", "shard-1-of-2.seg",
+        }
+        assert dumps(ShardedTSDB.restore_from_dir(tmp_path)) == dumps(db)
+
     def test_duplicate_shard_files_fail_loudly(self, tmp_path):
         """The same shard under two spellings of its index."""
         db = ShardedTSDB(2)
@@ -493,6 +511,45 @@ class TestFormatEquivalence:
         blob = dumps(db)
         assert isinstance(blob, bytes) and blob.startswith(SEGMENT_MAGIC)
         assert dumps(load(io.BytesIO(blob))) == dumps(db)
+
+    def test_iter_batches_text_chunks_at_markers(self, tmp_path):
+        """The journal of a durable store splits its points at each
+        retention call: the marker block sits between the batches written
+        before and after it, and the WAL replays to the live state."""
+        live = TSDB()
+        store = DurableStore(TSDB(), tmp_path / "wal.seg")
+        for db in (live, store):
+            db.put("m", 1, 1.0, {"node": "a"})
+            db.put("m", 3, 3.0, {"node": "a"})
+            db.delete_before(2)
+            db.put("m", 2, 2.0, {"node": "a"})
+        store.close()
+        items = list(iter_segments(tmp_path / "wal.seg"))
+        assert [type(i).__name__ for i in items] == [
+            "PointBatch", "PointBatch", "DeleteBefore", "PointBatch",
+        ]
+        assert items[2] == DeleteBefore(2)
+        assert dumps(load(tmp_path / "wal.seg")) == dumps(live)
+
+
+class TestConvertLog:
+    """Rewriting a damaged log into a clean one is ``compact_log``."""
+
+    def test_lenient_skips_damage(self, tmp_path):
+        path = tmp_path / "wal.seg"
+        with SegmentWriter(path) as w:
+            for ts in (1, 2, 3):
+                w.write_batch(PointBatch.from_points([make_point(ts=ts)]))
+        raw = bytearray(path.read_bytes())
+        block = (len(raw) - len(SEGMENT_MAGIC)) // 3
+        raw[len(SEGMENT_MAGIC) + block + 20] ^= 0xFF  # block 2's payload
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SegmentCorruption, match="checksum"):
+            compact_log(path, strict=True)
+        assert path.read_bytes() == bytes(raw)  # a failed rewrite writes nothing
+        result = compact_log(path, strict=False)
+        assert result.points == 2
+        assert stored_timestamps(load(path)) == [1, 3]  # strict: clean again
 
 
 class TestDataportWalHook:
@@ -637,6 +694,21 @@ class TestDeleteSeriesBeforeMarker:
             w.delete_series_before(key, 15)
         items = list(iter_segments(path))
         assert items[1] == DeleteSeriesBefore(key, 15)
+
+    def test_text_round_trip(self, tmp_path):
+        """The marker carries its key as the key's text form: a key with
+        several tags lands in the file as ``str(key)`` and parses back to
+        the same key, cutoff sign included."""
+        text = "air.co2.ppm{city=vejle,node=ctt-01}"
+        key = parse_series_key(text)
+        assert str(key) == text
+        path = tmp_path / "wal.seg"
+        with SegmentWriter(path) as w:
+            w.delete_series_before(key, -15)
+        assert text.encode("utf-8") in path.read_bytes()
+        (marker,) = iter_segments(path)
+        assert marker == DeleteSeriesBefore(key, -15)
+        assert str(marker.key) == text
 
     def test_replay_applies_the_scoped_deletion(self, tmp_path):
         live, key = self.reference()
