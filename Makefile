@@ -7,7 +7,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # The store-surface gate: every write and read the protocol names, on
-# every engine, through the wrapper stack and the pager, plus the suites
+# every engine and through the wrapper stack, plus the suites
 # of everything derived from the primitives (catalog, tier, serving).
 test-store:
 	$(PYTHON) -m pytest -q tests/test_store_stack.py tests/test_store_reads.py tests/test_metric_counters.py tests/test_tsdb_sharded.py tests/test_tsdb_catalog.py tests/test_tsdb_tier.py tests/test_serve.py

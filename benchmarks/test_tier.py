@@ -1,17 +1,11 @@
-"""Tiered-storage benchmarks: compaction payoff, cold-start paging.
+"""Tiered-storage benchmark: the compaction payoff.
 
-Records the ``tier`` section of ``BENCH_ingest.json``:
-
-- **compaction** — a marker-heavy aged WAL (small per-cadence blocks,
-  periodic retention markers as rollup tiers age data out) is compacted
-  and the *replay cost* measured before and after; the acceptance gate
-  is a ≥5x replay-time reduction — the whole point of the subsystem is
-  that restart cost tracks live data, not write history;
-- **cold_query** — time-to-first-answer for one keyed series read from
-  a cold 4-shard snapshot: eager ``restore_from_dir`` (replays all
-  shards) vs :class:`ColdShardPager` (replays exactly the owning
-  shard), plus the pager's paged-RAM footprint (``resident_points``)
-  against the full archive.
+Records the ``tier`` section of ``BENCH_ingest.json``: a marker-heavy
+aged WAL (small per-cadence blocks, periodic retention markers as rollup
+tiers age data out) is compacted and the *replay cost* measured before
+and after; the acceptance gate is a ≥5x replay-time reduction — the
+whole point of the subsystem is that restart cost tracks live data, not
+write history.
 """
 
 from __future__ import annotations
@@ -23,11 +17,9 @@ import pytest
 import bench_io
 from bench_io import update_section
 from repro.tsdb import (
-    ColdShardPager,
     DataPoint,
     PointBatch,
     SeriesKey,
-    ShardedTSDB,
     compact_log,
     load,
     segment_stats,
@@ -110,7 +102,7 @@ def test_compaction_replay_cost(aged_wal):
             "replay_speedup": round(replay_speedup, 1),
         },
     }
-    update_section("tier", section, merge=True)
+    update_section("tier", section)
     print(f"\nBENCH_tier: {before.blocks} -> {after.blocks} blocks, "
           f"{result.bytes_ratio:.1f}x smaller, replay "
           f"{replay_before_s * 1e3:.0f} -> {replay_after_s * 1e3:.0f} ms "
@@ -121,53 +113,3 @@ def test_compaction_replay_cost(aged_wal):
             f"(gate {GATE_REPLAY_SPEEDUP}x)"
         )
 
-
-def test_cold_query_paging(tmp_path_factory):
-    """Pager vs eager restore: latency to the first keyed answer
-    from a cold snapshot, and how much of the archive stays on disk."""
-    directory = tmp_path_factory.mktemp("tier-bench-cold")
-    db = ShardedTSDB(4)
-    for s in range(N_SERIES):
-        key = _series_key(s)
-        for tick in range(POINTS_PER_SERIES):
-            db.put(key.metric, tick * CADENCE_S, float(tick % 17),
-                   key.tag_dict())
-    db.snapshot_to_dir(directory)
-    total_points = db.point_count
-    probe = _series_key(0)
-
-    def eager_query():
-        store = ShardedTSDB.restore_from_dir(directory)
-        return store.series_slice(probe)
-
-    def paged_query():
-        pager = ColdShardPager(directory)
-        return pager.series_slice(probe), pager
-
-    eager_s, eager_slice = _best_of(eager_query)
-    paged_s, (paged_slice, pager) = _best_of(paged_query)
-    assert len(paged_slice) == len(eager_slice) == POINTS_PER_SERIES
-    resident = pager.resident_points
-    assert resident < total_points  # only the probe's shard is in RAM
-
-    section = {
-        "cold_query": {
-            "shards": 4,
-            "archive_points": total_points,
-            "eager_restore_ms": round(eager_s * 1e3, 1),
-            "paged_ms": round(paged_s * 1e3, 1),
-            "speedup": round(eager_s / paged_s, 1),
-            "resident_points": resident,
-            "resident_fraction": round(resident / total_points, 3),
-        },
-    }
-    update_section("tier", section, merge=True)
-    print(f"\nBENCH_tier cold query: eager {eager_s * 1e3:.0f} ms vs "
-          f"paged {paged_s * 1e3:.0f} ms ({eager_s / paged_s:.1f}x), "
-          f"resident {resident:,}/{total_points:,} points")
-    # The pager must beat replaying the whole archive (wall clock: make
-    # bench* / CI only) and keep most of it out of RAM (1 shard of 4
-    # resident, modulo hash imbalance).
-    if bench_io.recording:
-        assert paged_s < eager_s
-    assert resident / total_points < 0.5

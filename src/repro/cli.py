@@ -215,6 +215,16 @@ def _flag_queries(args: argparse.Namespace, start: int, end: int) -> list:
         raise SystemExit(f"query: {exc}")
 
 
+def _connect_only(command: str, flags: dict) -> None:
+    """Refuse flags that only mean something to a remote server (value
+    ``None`` = not given): without ``--connect`` they would be ignored."""
+    given = [flag for flag, value in flags.items() if value is not None]
+    if given:
+        raise SystemExit(
+            f"{command}: --connect HOST:PORT is required by {', '.join(given)}"
+        )
+
+
 def _parse_connect(spec: str, *, flag: str = "--connect") -> tuple[str, int]:
     host, sep, port = spec.rpartition(":")
     if not sep or not host:
@@ -247,6 +257,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     from .tsdb import WireError, wire
 
+    if not args.connect:
+        _connect_only("query", {"--start": args.start, "--end": args.end,
+                                "--tenant": args.tenant,
+                                "--refresh": args.refresh or None})
     # Validate the request before paying for the simulation: a bad wire
     # file should fail in milliseconds, not after N simulated hours.
     queries = None
@@ -309,6 +323,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
     from .tsdb import wire
 
+    if not args.connect:
+        _connect_only("catalog", {"--tenant": args.tenant})
     if args.key and args.cardinality:
         raise SystemExit("catalog: --key and --cardinality are exclusive")
     if (args.key or args.cardinality) and not args.metric:
@@ -676,8 +692,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_wall)
     p_wall.set_defaults(func=cmd_wall)
 
+    # table1 simulates no window and builds no store: no --hours / --shards.
     p_t1 = sub.add_parser("table1", help="external-source catalog status")
-    common(p_t1)
+    p_t1.add_argument("--city", default="trondheim",
+                      choices=("trondheim", "vejle"))
+    p_t1.add_argument("--seed", type=int, default=0)
     p_t1.set_defaults(func=cmd_table1)
 
     p_query = sub.add_parser(

@@ -134,7 +134,7 @@ class CityEcosystem:
 
         # -- backend: network server -> MQTT -> dataport ---------------------
         self.network_server = NetworkServer()
-        self.broker = Broker(np.random.default_rng([seed, 2]))
+        self.broker = Broker()
         self.bridge = TtnMqttBridge(self.network_server, self.broker, deployment.city)
         self.dataport = Dataport(
             self.broker,

@@ -2,19 +2,17 @@
 
 The CTT pipeline is event-driven: TTN pushes uplinks over MQTT, the
 dataport and storage writers subscribe.  This module reproduces the broker
-semantics the system depends on — topic-filter routing, QoS 0/1 delivery,
-retained messages, and last-will — as a synchronous in-process message
-bus.  "Network" unreliability is injected per-client via a drop
-probability so QoS 1 redelivery is actually exercised.
+semantics the system depends on — topic-filter routing, QoS 0/1
+validation, retained messages, subscribe/unsubscribe — as a synchronous
+in-process message bus.  Delivery runs to completion inside
+:meth:`Broker.publish` and loses nothing.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .topics import topic_matches, validate_filter, validate_topic
 
@@ -42,81 +40,36 @@ class Subscription:
     handler: MessageHandler
 
 
-@dataclass
-class _Session:
-    client_id: str
-    subscriptions: dict[str, Subscription] = field(default_factory=dict)
-    connected: bool = False
-    will: Message | None = None
-    # QoS 1 in-flight messages awaiting ack: mid -> message
-    inflight: dict[int, Message] = field(default_factory=dict)
-    delivered: int = 0
-    dropped: int = 0
-    drop_probability: float = 0.0
-
-
 class MqttError(RuntimeError):
-    """Protocol misuse (publishing while disconnected, bad QoS, ...)."""
+    """Protocol misuse (an unsupported QoS)."""
 
 
 class Broker:
-    """Synchronous in-process broker with QoS 0/1, retain, and wills.
+    """Synchronous in-process broker with QoS 0/1 and retain.
 
     Delivery is immediate and run-to-completion inside :meth:`publish`
-    (matching how an event-driven pipeline behaves under light load);
-    QoS 1 messages that a lossy client "misses" stay in-flight and are
-    redelivered by :meth:`redeliver`, normally driven by the simulation
-    scheduler.
+    (matching how an event-driven pipeline behaves under light load): a
+    handler's return is its ack, so no message is ever left in flight.
     """
 
-    def __init__(self, rng: np.random.Generator | None = None) -> None:
-        self._sessions: dict[str, _Session] = {}
+    def __init__(self) -> None:
+        # client id -> that client's subscriptions, by filter
+        self._sessions: dict[str, dict[str, Subscription]] = {}
         self._retained: dict[str, Message] = {}
         self._mid = itertools.count(1)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
         self.published = 0
 
-    # -- connection lifecycle -------------------------------------------
-    def connect(
-        self,
-        client_id: str,
-        *,
-        clean_session: bool = True,
-        will: Message | None = None,
-        drop_probability: float = 0.0,
-    ) -> "Client":
-        """Attach a client; reconnecting with ``clean_session=False`` keeps
-        subscriptions and in-flight QoS 1 messages."""
-        if not 0.0 <= drop_probability < 1.0:
-            raise MqttError(f"drop_probability out of range: {drop_probability}")
-        session = self._sessions.get(client_id)
-        if session is None or clean_session:
-            session = _Session(client_id=client_id)
-            self._sessions[client_id] = session
-        session.connected = True
-        session.will = will
-        session.drop_probability = drop_probability
-        return Client(self, session)
+    def connect(self, client_id: str) -> "Client":
+        """Attach a client; connecting again under the same id starts a
+        fresh session (the old handle's subscriptions no longer match)."""
+        subscriptions: dict[str, Subscription] = {}
+        self._sessions[client_id] = subscriptions
+        return Client(self, subscriptions)
 
-    def disconnect(self, client_id: str, *, graceful: bool = True) -> None:
-        session = self._sessions.get(client_id)
-        if session is None or not session.connected:
-            return
-        session.connected = False
-        if not graceful and session.will is not None:
-            self.publish(
-                session.will.topic,
-                session.will.payload,
-                qos=session.will.qos,
-                retain=session.will.retain,
-            )
-        session.will = None
-
-    # -- pub/sub ---------------------------------------------------------
     def publish(
         self, topic: str, payload: bytes | str, *, qos: int = 0, retain: bool = False
     ) -> Message:
-        """Route one message to all matching, connected subscribers."""
+        """Route one message to every client with a matching subscription."""
         validate_topic(topic)
         if qos not in (0, 1):
             raise MqttError(f"unsupported QoS: {qos} (broker supports 0 and 1)")
@@ -131,59 +84,11 @@ class Broker:
             else:
                 self._retained.pop(topic, None)  # empty retained payload clears
 
-        for session in self._sessions.values():
-            if not session.connected:
-                continue
-            sub = _best_match(session, topic)
-            if sub is None:
-                continue
-            self._deliver(session, sub, msg)
-        return msg
-
-    def _deliver(self, session: _Session, sub: Subscription, msg: Message) -> None:
-        effective_qos = min(msg.qos, sub.qos)
-        lost = (
-            session.drop_probability > 0.0
-            and self._rng.random() < session.drop_probability
-        )
-        if lost:
-            session.dropped += 1
-            if effective_qos >= 1:
-                session.inflight[msg.mid] = msg
-            return
-        sub.handler(msg)
-        session.delivered += 1
-        # QoS 1: handler return == ack in this in-process model.
-
-    def redeliver(self, client_id: str | None = None) -> int:
-        """Retry undelivered QoS 1 messages; returns how many got through."""
-        sessions = (
-            [self._sessions[client_id]]
-            if client_id is not None
-            else list(self._sessions.values())
-        )
-        delivered = 0
-        for session in sessions:
-            if not session.connected or not session.inflight:
-                continue
-            for mid in sorted(session.inflight):
-                msg = session.inflight[mid]
-                sub = _best_match(session, msg.topic)
-                if sub is None:
-                    del session.inflight[mid]
-                    continue
-                lost = (
-                    session.drop_probability > 0.0
-                    and self._rng.random() < session.drop_probability
-                )
-                if lost:
-                    session.dropped += 1
-                    continue
+        for subscriptions in self._sessions.values():
+            sub = _best_match(subscriptions, topic)
+            if sub is not None:
                 sub.handler(msg)
-                session.delivered += 1
-                delivered += 1
-                del session.inflight[mid]
-        return delivered
+        return msg
 
     def retained_for(self, filter_: str) -> list[Message]:
         validate_filter(filter_)
@@ -195,16 +100,20 @@ class Broker:
         return {
             "published": self.published,
             "sessions": len(self._sessions),
-            "connected": sum(1 for s in self._sessions.values() if s.connected),
             "retained": len(self._retained),
-            "inflight": sum(len(s.inflight) for s in self._sessions.values()),
+            # Always 0: nothing is ever in flight.  Kept only because the
+            # frozen benchmarks/e2e workloads.py reads it.
+            "inflight": 0,
         }
 
 
-def _best_match(session: _Session, topic: str) -> Subscription | None:
-    """Most specific matching subscription (spec: deliver once per client)."""
+def _best_match(
+    subscriptions: dict[str, Subscription], topic: str
+) -> Subscription | None:
+    """The matching subscription with the highest QoS, the earliest on a
+    tie (spec: deliver once per client, however many filters match)."""
     best: Subscription | None = None
-    for sub in session.subscriptions.values():
+    for sub in subscriptions.values():
         if topic_matches(sub.filter, topic):
             if best is None or sub.qos > best.qos:
                 best = sub
@@ -214,43 +123,25 @@ def _best_match(session: _Session, topic: str) -> Subscription | None:
 class Client:
     """Handle bound to one broker session."""
 
-    def __init__(self, broker: Broker, session: _Session) -> None:
+    def __init__(
+        self, broker: Broker, subscriptions: dict[str, Subscription]
+    ) -> None:
         self._broker = broker
-        self._session = session
-
-    @property
-    def connected(self) -> bool:
-        return self._session.connected
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "delivered": self._session.delivered,
-            "dropped": self._session.dropped,
-            "inflight": len(self._session.inflight),
-        }
+        self._subscriptions = subscriptions
 
     def subscribe(self, filter_: str, handler: MessageHandler, *, qos: int = 0) -> None:
         """Register a handler; retained messages replay immediately."""
         validate_filter(filter_)
         if qos not in (0, 1):
             raise MqttError(f"unsupported QoS: {qos}")
-        if not self._session.connected:
-            raise MqttError("subscribe on a disconnected client")
-        self._session.subscriptions[filter_] = Subscription(filter_, qos, handler)
+        self._subscriptions[filter_] = Subscription(filter_, qos, handler)
         for msg in self._broker.retained_for(filter_):
             handler(msg)
-            self._session.delivered += 1
 
     def unsubscribe(self, filter_: str) -> bool:
-        return self._session.subscriptions.pop(filter_, None) is not None
+        return self._subscriptions.pop(filter_, None) is not None
 
     def publish(
         self, topic: str, payload: bytes | str, *, qos: int = 0, retain: bool = False
     ) -> Message:
-        if not self._session.connected:
-            raise MqttError("publish on a disconnected client")
         return self._broker.publish(topic, payload, qos=qos, retain=retain)
-
-    def disconnect(self, *, graceful: bool = True) -> None:
-        self._broker.disconnect(self._session.client_id, graceful=graceful)

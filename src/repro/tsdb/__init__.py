@@ -39,12 +39,11 @@ from .plan import ExprQuery
 from .query import Query, QueryError, ResultSeries
 from .segments import SegmentCorruption, SegmentWriter, segment_stats
 from .sharded import ShardedTSDB
-from .tier import ColdShardPager, DurableStore, compact_log
+from .tier import DurableStore, compact_log
 from .wire import WireError
 
 __all__ = [
     "BatchBuilder",
-    "ColdShardPager",
     "DataPoint",
     "DurableStore",
     "ExprQuery",

@@ -4,8 +4,8 @@ Scaling past a single in-process store means partitioning: series keys
 hash-route to one of N independent :class:`~repro.tsdb.database.TSDB`
 shards, writes land shard-local (the columnar batch regroups per series
 via :meth:`~repro.tsdb.batch.PointBatch.by_series`, so each shard sees
-one `extend_batch` per touched series), and retention, snapshots, paging
-and replication work shard by shard.
+one `extend_batch` per touched series), and retention, snapshots and
+replication work shard by shard.
 
 This is a partitioning layer, not a second query engine: a series lives
 entirely in exactly one shard, filters match in the merged catalog, and
@@ -231,7 +231,12 @@ class ShardedTSDB(StoreApi):
         db = cls(n)
         for i, shard in enumerate(db._shards):
             persistence.load(files[i], into=shard)
-            validate_shard_routing(shard, i, n)
+            for key in shard._stores:
+                if shard_for_key(key, n) != i:
+                    raise ValueError(
+                        f"series {key} found in shard {i} but routes to "
+                        f"shard {shard_for_key(key, n)}; snapshot files moved?"
+                    )
         return db
 
     def __repr__(self) -> str:
@@ -244,8 +249,8 @@ def scan_snapshot_dir(directory: str | Path) -> tuple[int, dict[int, Path]]:
 
     Returns ``(shard_count, {shard_index: file})`` after the same checks
     ``restore_from_dir`` applies: no duplicates, one consistent count,
-    no missing shards.  Shared with the cold-shard pager and directory
-    compaction, which need the layout without replaying anything.
+    no missing shards.  Shared with directory compaction, which needs
+    the layout without replaying anything.
     """
     directory = Path(directory)
     files: dict[int, Path] = {}
@@ -270,13 +275,3 @@ def scan_snapshot_dir(directory: str | Path) -> tuple[int, dict[int, Path]]:
         raise ValueError(f"snapshot in {directory} is missing shards {missing}")
     return n, files
 
-
-def validate_shard_routing(shard: TSDB, index: int, num_shards: int) -> None:
-    """Fail loudly if any series in ``shard`` hash-routes elsewhere —
-    the renamed/misplaced-snapshot-file guard every restore path runs."""
-    for key in shard._stores:
-        if shard_for_key(key, num_shards) != index:
-            raise ValueError(
-                f"series {key} found in shard {index} but routes to "
-                f"shard {shard_for_key(key, num_shards)}; snapshot files moved?"
-            )

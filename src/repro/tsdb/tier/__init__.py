@@ -1,13 +1,11 @@
-"""Tiered storage: compaction, cold-shard paging, the journal.
+"""Tiered storage: compaction and the journal.
 
-The three mechanisms that make history *cheap to keep* (ROADMAP item 3),
-layered on the CRC-framed segment format:
+The two mechanisms that make history *cheap to keep*, layered on the
+CRC-framed segment format:
 
 - :mod:`.compact` — rewrite a fragmented WAL as its live data
   (sorted, deduplicated, retention markers resolved), atomically and
   crash-safely, with a trigger policy for background maintenance;
-- :mod:`.pager` — replay cold shards from a snapshot directory on
-  first touch, instead of eagerly at startup;
 - :mod:`.wal` — the journal: the one write-through wrapper that gives
   a live store a compactable WAL.
 
@@ -24,11 +22,9 @@ from .compact import (
     compact_dir,
     compact_log,
 )
-from .pager import ColdShardPager
 from .wal import DurableStore
 
 __all__ = [
-    "ColdShardPager",
     "CompactionPolicy",
     "CompactionResult",
     "Compactor",

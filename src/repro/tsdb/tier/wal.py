@@ -94,8 +94,8 @@ class DurableStore(StoreWrapper):
     def suspend_wal(self) -> Iterator[Path]:
         """Close the writer, yield the WAL path, reopen on exit.
 
-        The critical section for in-place WAL maintenance (compaction,
-        conversion): concurrent writers block until the journal is back
+        The critical section for in-place WAL maintenance (compaction):
+        concurrent writers block until the journal is back
         in append mode, so every mutation is journaled exactly once.
         """
         with self._lock:

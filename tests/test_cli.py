@@ -22,6 +22,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--city", "oslo"])
 
+    @pytest.mark.parametrize("flag", ["--hours", "--shards"])
+    def test_table1_takes_no_window_flags(self, flag):
+        # table1 simulates no window and builds no store.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["table1", flag, "4"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "air.co2.ppm", "--start", "0"],
+        ["query", "air.co2.ppm", "--end", "10"],
+        ["query", "air.co2.ppm", "--tenant", "x"],
+        ["query", "air.co2.ppm", "--refresh"],
+        ["catalog", "--tenant", "x"],
+    ])
+    def test_connect_only_flags_refused_locally(self, argv):
+        # Refused before anything is simulated, naming --connect.
+        with pytest.raises(SystemExit, match="--connect HOST:PORT is required by"):
+            main(argv)
+
 
 class TestCommands:
     def test_run(self, capsys):

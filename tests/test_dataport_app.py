@@ -36,7 +36,7 @@ class Pipeline:
         self.gateway = Gateway("gw-0", TRONDHEIM.destination(0.0, 300.0))
         self.plane.add_gateway(self.gateway)
         self.ns = NetworkServer()
-        self.broker = Broker(np.random.default_rng(seed + 1))
+        self.broker = Broker()
         self.bridge = TtnMqttBridge(self.ns, self.broker, "trondheim")
         self.db = TSDB()
         self.dataport = Dataport(

@@ -89,15 +89,12 @@ class TestTsdbEdges:
 
 
 class TestMqttEdges:
-    def test_redeliver_without_sessions(self):
-        assert Broker().redeliver() == 0
-
     def test_reconnect_clean_session_drops_subscriptions(self):
         broker = Broker()
         got = []
-        c1 = broker.connect("c", clean_session=False)
+        c1 = broker.connect("c")
         c1.subscribe("t", got.append)
-        broker.connect("c", clean_session=True)  # wipes state
+        broker.connect("c")  # every session is clean: wipes state
         broker.publish("t", b"x")
         assert got == []
 

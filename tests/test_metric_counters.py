@@ -10,7 +10,7 @@ only then fall back to the per-series check.  So, under hypothesis-drawn
 interleavings of every kind of write — in-order, out-of-order and
 duplicate batches, single puts, both deletes, a series emptied and
 created again, the retention pass — on ``TSDB``, ``ShardedTSDB(n)`` for
-n ∈ {1, 2, 4, 7} and a ``ColdShardPager``, each under
+n ∈ {1, 2, 4, 7}, each under
 ``CachingStore(DurableStore(ReplicatedStore(store)))``:
 
 - each counter moved exactly when a series of its metric changed
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro.replication import ReplicatedStore
 from repro.serve import CachingStore, IncrementalRefresher
 from repro.tsdb import (
-    ColdShardPager,
     DataPoint,
     DurableStore,
     PointBatch,
@@ -62,19 +61,13 @@ _POLICIES = (
 #: later requests hit (or invalidate) instead of missing on a new key.
 _FAR = 10**6
 _LAYOUTS = ("TSDB", "ShardedTSDB(1)", "ShardedTSDB(2)", "ShardedTSDB(4)",
-            "ShardedTSDB(7)", "ColdShardPager")
+            "ShardedTSDB(7)")
 
 
-def _inner(layout: str, directory: Path):
+def _inner(layout: str):
     if layout == "TSDB":
         return TSDB()
-    if layout != "ColdShardPager":
-        return ShardedTSDB(int(layout[len("ShardedTSDB("):-1]))
-    seed = ShardedTSDB(3)
-    seed.put("m.a", 0, 1.0, {"node": "n0", "city": "x"})
-    seed.put("m.b", 5, 2.0, {"node": "n2", "city": "y"})
-    seed.snapshot_to_dir(directory / "snap")
-    return ColdShardPager(directory / "snap")
+    return ShardedTSDB(int(layout[len("ShardedTSDB("):-1]))
 
 
 def _panels(end: int) -> list[Query]:
@@ -174,7 +167,7 @@ def _step(data, db, now: int) -> int:
 def test_the_short_cut_is_the_per_series_check(layout, data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        inner = _inner(layout, tmp)
+        inner = _inner(layout)
         durable = DurableStore(ReplicatedStore(inner), tmp / "wal.seg")
         caching = CachingStore(durable)
         refresher = IncrementalRefresher(caching)

@@ -1,12 +1,10 @@
 """Tests for the in-process MQTT broker."""
 
-import numpy as np
 import pytest
 
 from repro.mqtt import (
     Broker,
     InvalidTopic,
-    Message,
     MqttError,
     join,
     topic_matches,
@@ -93,22 +91,6 @@ class TestBrokerBasics:
         broker.publish("t", b"x")
         assert got == []
 
-    def test_disconnected_client_not_delivered(self):
-        broker = Broker()
-        client = broker.connect("c1")
-        got = []
-        client.subscribe("t", got.append)
-        client.disconnect()
-        broker.publish("t", b"x")
-        assert got == []
-
-    def test_publish_on_disconnected_client_raises(self):
-        broker = Broker()
-        client = broker.connect("c1")
-        client.disconnect()
-        with pytest.raises(MqttError):
-            client.publish("t", b"x")
-
     def test_deliver_once_per_client_even_with_overlapping_subs(self):
         broker = Broker()
         client = broker.connect("c1")
@@ -117,6 +99,12 @@ class TestBrokerBasics:
         client.subscribe("a/+", got.append)
         broker.publish("a/b", b"x")
         assert len(got) == 1
+        # With different QoS, the one delivery goes through the highest.
+        got0, got1 = [], []
+        client.subscribe("b/#", got0.append, qos=0)
+        client.subscribe("b/+", got1.append, qos=1)
+        broker.publish("b/c", b"x", qos=1)
+        assert got0 == [] and len(got1) == 1
 
     def test_qos_validation(self):
         broker = Broker()
@@ -127,9 +115,9 @@ class TestBrokerBasics:
         broker = Broker()
         broker.connect("c1")
         broker.publish("t", b"x")
-        stats = broker.stats()
-        assert stats["published"] == 1
-        assert stats["connected"] == 1
+        assert broker.stats() == {
+            "published": 1, "sessions": 1, "retained": 0, "inflight": 0,
+        }
 
 
 class TestRetained:
@@ -153,68 +141,3 @@ class TestRetained:
         broker.publish("s", b"v1", retain=True)
         broker.publish("s", b"", retain=True)
         assert broker.retained_for("s") == []
-
-
-class TestWills:
-    def test_will_fires_on_ungraceful_disconnect(self):
-        broker = Broker()
-        watcher = broker.connect("watcher")
-        got = []
-        watcher.subscribe("wills/#", got.append)
-        broker.connect("dev", will=Message("wills/dev", b"gone"))
-        broker.disconnect("dev", graceful=False)
-        assert [m.payload for m in got] == [b"gone"]
-
-    def test_no_will_on_graceful_disconnect(self):
-        broker = Broker()
-        watcher = broker.connect("watcher")
-        got = []
-        watcher.subscribe("wills/#", got.append)
-        broker.connect("dev", will=Message("wills/dev", b"gone"))
-        broker.disconnect("dev", graceful=True)
-        assert got == []
-
-
-class TestQos1Redelivery:
-    def test_lossy_client_eventually_gets_qos1(self):
-        broker = Broker(rng=np.random.default_rng(42))
-        client = broker.connect("lossy", drop_probability=0.9)
-        got = []
-        client.subscribe("t", got.append, qos=1)
-        broker.publish("t", b"important", qos=1)
-        # Retry until the message lands (bounded to prove termination).
-        for _ in range(200):
-            if got:
-                break
-            broker.redeliver("lossy")
-        assert len(got) == 1
-        assert client.stats["inflight"] == 0
-
-    def test_qos0_lost_forever(self):
-        broker = Broker(rng=np.random.default_rng(0))
-        client = broker.connect("lossy", drop_probability=1.0 - 1e-12)
-        got = []
-        client.subscribe("t", got.append, qos=0)
-        broker.publish("t", b"meh", qos=0)
-        broker.redeliver("lossy")
-        assert got == []
-        assert client.stats["dropped"] >= 1
-
-    def test_effective_qos_is_min_of_pub_and_sub(self):
-        broker = Broker(rng=np.random.default_rng(1))
-        client = broker.connect("lossy", drop_probability=0.999999)
-        got = []
-        client.subscribe("t", got.append, qos=0)  # subscriber only wants QoS 0
-        broker.publish("t", b"x", qos=1)
-        assert client.stats["inflight"] == 0  # no redelivery state kept
-
-    def test_persistent_session_keeps_subscriptions(self):
-        broker = Broker()
-        client = broker.connect("c1", clean_session=False)
-        got = []
-        client.subscribe("t", got.append)
-        broker.disconnect("c1")
-        broker.publish("t", b"missed")  # offline: not delivered, not queued (sub QoS 0)
-        client2 = broker.connect("c1", clean_session=False)
-        broker.publish("t", b"online again")
-        assert [m.payload for m in got] == [b"online again"]

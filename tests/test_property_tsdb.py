@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.tsdb import (
-    ColdShardPager,
     Query,
     SeriesKey,
     ShardedTSDB,
@@ -432,15 +431,6 @@ def _assert_still_the_snapshots(held) -> None:
                 sl.timestamps[:1] += 1
 
 
-@pytest.fixture(scope="module")
-def preloaded_snapshot_dir(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("snap")
-    db = ShardedTSDB(4)
-    _preload(_ThroughStore(db))
-    db.snapshot_to_dir(directory)
-    return directory
-
-
 class TestScanIsASnapshot:
     """Nothing below ``_n`` is written in place, so the view a scan
     hands out equals, for as long as it is held, the copy it replaced —
@@ -461,23 +451,6 @@ class TestScanIsASnapshot:
     def test_series_slice_through_a_store(self, make, ops):
         target = _ThroughStore(make())
         held = _drive_and_hold(target, ops, _preload(target))
-        _assert_still_the_snapshots(held)
-
-    @given(ops=_snapshot_ops)
-    @settings(max_examples=40, deadline=None)
-    def test_series_slice_through_a_pager(self, preloaded_snapshot_dir, ops):
-        """Views taken while one shard is resident outlive the paging
-        in of the others (a global read pages everything) and every
-        later write; the pager never drops a resident shard, so that is
-        all a held view can meet there."""
-        pager = ColdShardPager(preloaded_snapshot_dir)
-        target = _ThroughStore(pager)
-        first = target.scan(0, None, None)
-        held = [(first, first.timestamps.copy(), first.values.copy())]
-        assert len(pager.resident_shards) == 1
-        held += _drive_and_hold(target, ops, [_SNAP_PRELOAD * 10] * len(_SNAP_KEYS))
-        pager.metrics()
-        assert len(pager.resident_shards) == 4
         _assert_still_the_snapshots(held)
 
     @pytest.mark.parametrize("policy", [

@@ -7,8 +7,8 @@ seen:
 
 - every read returns identical values *and order* on a bare ``TSDB``,
   on ``ShardedTSDB(n)`` for n ∈ {1, 2, 4, 7}, through
-  ``CachingStore(DurableStore(ReplicatedStore(store)))`` and on a fully
-  paged ``ColdShardPager``;
+  ``CachingStore(DurableStore(ReplicatedStore(store)))`` and on a
+  ``ShardedTSDB`` restored from a snapshot directory;
 - ``metric_generation`` / ``catalog_generation`` never stand still
   across a change of the series set and never repeat, also when a
   metric is emptied by retention and created again (the metric's write
@@ -24,7 +24,6 @@ import pytest
 from repro.replication import ReplicatedStore
 from repro.serve import CachingStore
 from repro.tsdb import (
-    ColdShardPager,
     DataPoint,
     DurableStore,
     PointBatch,
@@ -213,12 +212,10 @@ def test_every_read_is_identical_on_every_store_layout(tmp_path, seed):
     durable.close()
     assert recreated  # the emptied metrics came back
 
-    # Paged in shard by shard from a snapshot: the same store again.
+    # Restored shard by shard from a snapshot: the same store again.
     others["ShardedTSDB(4)"].snapshot_to_dir(tmp_path / "snap")
-    pager = ColdShardPager(tmp_path / "snap")
-    eager = ShardedTSDB.restore_from_dir(tmp_path / "snap")
-    _assert_same(_layout_reads(pager), _layout_reads(bare), "pager")
-    _assert_same(_history_reads(pager), _history_reads(eager), "pager")
+    restored = ShardedTSDB.restore_from_dir(tmp_path / "snap")
+    _assert_same(_layout_reads(restored), _layout_reads(bare), "restored")
 
 
 @pytest.mark.parametrize("n", _SHARD_COUNTS)
@@ -266,7 +263,7 @@ def test_last_iterates_in_canonical_order_for_any_layout(tmp_path, n):
 
 
 @pytest.mark.parametrize(
-    "cls", [TSDB, ShardedTSDB, ColdShardPager, DurableStore, ReplicatedStore]
+    "cls", [TSDB, ShardedTSDB, DurableStore, ReplicatedStore]
 )
 def test_stores_do_not_redeclare_the_derived_reads(cls):
     """The derived reads exist once, in ``StoreApi``; a store that

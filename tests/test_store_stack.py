@@ -26,7 +26,6 @@ from repro.dataport import BatchingTsdbWriter
 from repro.replication import ReplicatedStore
 from repro.serve import CachingStore
 from repro.tsdb import (
-    ColdShardPager,
     DataPoint,
     DurableStore,
     PointBatch,
@@ -190,7 +189,7 @@ def test_a_batch_too_large_for_one_record_is_split_once_for_wal_and_log(
 
 
 @pytest.mark.parametrize(
-    "wrapper", [DurableStore, ReplicatedStore, CachingStore, ColdShardPager]
+    "wrapper", [DurableStore, ReplicatedStore, CachingStore]
 )
 def test_wrappers_do_not_redeclare_the_derived_writes(wrapper):
     """The derived writes exist once, in ``StoreApi``; a wrapper that

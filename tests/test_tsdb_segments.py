@@ -955,7 +955,11 @@ class TestOneWalker:
         point), no ``format`` on any path that writes or reads (``dumps``
         keeps it only as a one-value vestige), no second format's names,
         no ``convert-log`` — and every consumer reads its source through
-        the one framing walk and nothing else."""
+        the one framing walk and nothing else.  Nor do the features no
+        journey reached come back: no cold-shard pager (so the store
+        layer's one ``__getattr__`` pass-through is ``StoreWrapper``'s)
+        and no lossy-network model on the broker."""
+        import ast
         import dataclasses
         import inspect
 
@@ -963,7 +967,10 @@ class TestOneWalker:
         from repro.cli import build_parser
         from repro.region.queue import AsyncBatchQueue
         from repro.replication import ReplicationLog
-        from repro.tsdb import ColdShardPager, persistence, segment_stats
+        from repro.mqtt import Broker, Client
+        from repro.replication import ReplicatedStore
+        from repro.serve import CachingStore
+        from repro.tsdb import persistence, segment_stats
         from repro.tsdb.interface import StoreApi, TimeSeriesStore
         from repro.tsdb.tier import Compactor, compact_dir
         from repro.tsdb.segments import _iter_blocks
@@ -971,7 +978,7 @@ class TestOneWalker:
         readers = (
             iter_segments, _iter_blocks, segment_point_count, segment_stats,
             load, ShardedTSDB.restore_from_dir, compact_log,
-            Compactor, compact_dir, ColdShardPager,
+            Compactor, compact_dir,
         )  # fmt: skip
         for fn in readers:
             assert "mmap" not in inspect.signature(fn).parameters, fn
@@ -998,6 +1005,27 @@ class TestOneWalker:
             a.choices for a in build_parser()._actions if a.dest == "command"
         )
         assert "convert-log" not in commands and len(commands) == 10
+
+        assert "ColdShardPager" not in vars(repro.tsdb)
+        store_layer = {
+            *Path(repro.tsdb.__file__).parent.rglob("*.py"),
+            *(Path(inspect.getsourcefile(c)) for c in (CachingStore, ReplicatedStore)),
+        }
+        getattrs = []
+        for path in store_layer:
+            for node in ast.parse(path.read_text()).body:
+                body = node.body if isinstance(node, ast.ClassDef) else [node]
+                getattrs += [
+                    getattr(node, "name", path.name) for f in body
+                    if isinstance(f, ast.FunctionDef) and f.name == "__getattr__"
+                ]
+        assert getattrs == ["StoreWrapper"]
+        for name in ("redeliver", "disconnect", "connected"):
+            assert not hasattr(Broker, name) and not hasattr(Client, name), name
+        assert not inspect.signature(Broker).parameters
+        assert list(inspect.signature(Broker.connect).parameters) == [
+            "self", "client_id",
+        ]
 
         # Every consumer opens its source for reading only inside the
         # framing walk, and each one reads it.

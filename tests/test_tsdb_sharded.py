@@ -241,8 +241,8 @@ class TestPerShardPersistence:
             assert dumps(back) == dumps(orig)
 
     def test_snapshot_restore_query_leave_no_thread_behind(self, tmp_path):
-        """Nothing ever closes a restored store (the pager, ``repro
-        serve`` and ``compact`` never call ``close()``), so none of
+        """Nothing ever closes a restored store (``repro serve`` and
+        ``compact`` never call ``close()``), so none of
         these may start a thread that outlives the call."""
         _, sharded = build_pair(4)
         before = set(threading.enumerate())

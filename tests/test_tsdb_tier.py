@@ -1,4 +1,4 @@
-"""Tiered storage engine tests: compaction, cold paging, the retention policy.
+"""Tiered storage engine tests: compaction, the journal, the retention policy.
 
 The subsystem's contracts, in the order they stack:
 
@@ -11,9 +11,6 @@ The subsystem's contracts, in the order they stack:
   intact plus a stale ``.compact.tmp`` the next run removes — never a
   half-written log; a file that is not a segment (wrong magic, 0 bytes)
   is refused and left byte-identical, never rewritten;
-- **Cold-shard paging**: keyed operations replay exactly the owning
-  shard; a fully paged :class:`ColdShardPager` equals an eager
-  ``restore_from_dir`` byte-for-byte;
 - **The retention policy**: tiers and drop, bucket-aligned, one batch
   per stage.  The raw→5m→1h→drop cascade rolls only complete buckets
   (every rolled bucket equals the downsample of its raw points,
@@ -33,7 +30,6 @@ from hypothesis import strategies as st
 
 from repro.tsdb import (
     BatchBuilder,
-    ColdShardPager,
     DataPoint,
     DurableStore,
     PointBatch,
@@ -459,126 +455,6 @@ class TestDurableStore:
         assert written.is_set()
         store.close()
         assert load(store.wal_path).point_count == 1
-
-
-class TestColdShardPager:
-    @pytest.fixture()
-    def snapshot_dir(self, tmp_path):
-        db = ShardedTSDB(4)
-        for metric in _METRICS:
-            for node in _NODES:
-                for t in range(25):
-                    db.put(metric, t * 60, float(t), {"node": node})
-        db.snapshot_to_dir(tmp_path)
-        self.eager = db
-        return tmp_path
-
-    def test_keyed_read_pages_only_owning_shard(self, snapshot_dir):
-        pager = ColdShardPager(snapshot_dir)
-        assert pager.resident_shards == ()
-        assert pager.resident_points == 0
-        key = _key("air.co2", "n1")
-        sl = pager.series_slice(key)
-        owner = pager.shard_of(key)
-        assert pager.resident_shards == (owner,)
-        assert np.array_equal(
-            sl.timestamps, self.eager.series_slice(key).timestamps
-        )
-        # Footprint tracks only the resident shard.
-        assert 0 < pager.resident_points < self.eager.point_count
-
-    @pytest.mark.parametrize(
-        "read",
-        [
-            "series_slice",
-            "series_latest",
-            "series_generation",
-            "series_reshape_generation",
-        ],
-    )
-    def test_every_keyed_read_pages_only_owning_shard(self, snapshot_dir, read):
-        # All four enter through the pager's one keyed lookup, _series.
-        pager = ColdShardPager(snapshot_dir)
-        eager = ShardedTSDB.restore_from_dir(snapshot_dir)
-        key = _key("air.no2", "n3")
-        got, want = getattr(pager, read)(key), getattr(eager, read)(key)
-        assert pager.resident_shards == (pager.shard_of(key),)
-        if read == "series_slice":
-            got, want = got.values.tolist(), want.values.tolist()
-        assert got == want
-
-    def test_keyed_write_pages_before_committing(self, snapshot_dir):
-        pager = ColdShardPager(snapshot_dir)
-        key = _key("air.co2", "n1")
-        # Overwrite a snapshotted timestamp on a *cold* shard: if the
-        # shard paged in after the write, replay would resurrect the
-        # snapshotted value over the fresh one.
-        pager.put("air.co2", 0, 999.0, {"node": "n1"})
-        sl = pager.series_slice(key, 0, 0)
-        assert sl.values[0] == 999.0
-
-    def test_derived_keyed_writes_page_only_owning_shards(self, snapshot_dir):
-        # put_series / put_batch are keyed writes: they page the shards
-        # their series route to, no more.
-        pager = ColdShardPager(snapshot_dir)
-        key = _key("air.co2", "n1")
-        pager.put_series("air.co2", [5000, 5060], [1.0, 2.0], {"node": "n1"})
-        assert pager.resident_shards == (pager.shard_of(key),)
-
-        pager = ColdShardPager(snapshot_dir)
-        points = [
-            DataPoint(_key("air.no2", "n2"), 5000, 1.0),
-            DataPoint(_key("weather.temp", "n3"), 5000, 2.0),
-        ]
-        assert pager.put_batch(PointBatch.from_points(points)) == 2
-        assert pager.resident_shards == tuple(
-            sorted({pager.shard_of(p.key) for p in points})
-        )
-        assert len(pager.resident_shards) < pager.num_shards
-        # Paging late changes nothing: the same write on an eager restore.
-        eager = ShardedTSDB.restore_from_dir(snapshot_dir)
-        eager.put_batch(PointBatch.from_points(points))
-        assert dumps(pager) == dumps(eager)
-
-    def test_global_query_pages_everything(self, snapshot_dir):
-        pager = ColdShardPager(snapshot_dir)
-        got = pager.run(Query("air.co2", 0, 10_000, tags={"node": "*"}))
-        assert pager.resident_shards == (0, 1, 2, 3)
-        want = self.eager.run(Query("air.co2", 0, 10_000, tags={"node": "*"}))
-        assert sorted(s.source_series for s in got.series) == sorted(
-            s.source_series for s in want.series
-        )
-
-    def test_fully_paged_pager_equals_eager_restore(self, snapshot_dir):
-        pager = ColdShardPager(snapshot_dir)
-        assert dumps(pager) == dumps(
-            ShardedTSDB.restore_from_dir(snapshot_dir)
-        )
-
-    def test_match_delegates_with_full_key_set(self, snapshot_dir):
-        pager = ColdShardPager(snapshot_dir)
-        keys = pager._match("air.co2", {"node": "n1|n2"})
-        assert len(keys) == 2 and pager.resident_shards == (0, 1, 2, 3)
-
-    def test_private_probes_never_page(self, snapshot_dir):
-        pager = ColdShardPager(snapshot_dir)
-        with pytest.raises(AttributeError):
-            pager._no_such_private_thing
-        repr(pager)
-        assert pager.resident_shards == ()
-
-    def test_misrouted_shard_file_detected_on_page_in(self, tmp_path):
-        db = ShardedTSDB(2)
-        for node in _NODES:
-            db.put("air.co2", 0, 1.0, {"node": node})
-        db.snapshot_to_dir(tmp_path)
-        a = (tmp_path / "shard-0-of-2.seg").read_bytes()
-        b = (tmp_path / "shard-1-of-2.seg").read_bytes()
-        (tmp_path / "shard-0-of-2.seg").write_bytes(b)
-        (tmp_path / "shard-1-of-2.seg").write_bytes(a)
-        pager = ColdShardPager(tmp_path)
-        with pytest.raises(ValueError, match="routes to"):
-            pager.metrics()
 
 
 class TestRollupTiers:
