@@ -36,8 +36,10 @@ test-query:
 # The serving-layer gate: cache/refresh results byte-identical to
 # uncached run_many, live asyncio server survives malformed requests,
 # per-tenant admission control, wire error paths, and conditional
-# replies (a holding client ≡ the dict codec; an unchanged dashboard
-# costs look-ups, as counts), and what one refresh request costs as
+# replies (a holding client ≡ encode_response, the columnar dict form,
+# with tails spliced as base64 text; an unchanged dashboard costs
+# look-ups, a cold reply no call per point, as counts), and what one
+# refresh request costs as
 # counts (validators read once, one planned batch of deltas, nothing
 # inserted into the result cache, one counter per metric on a hit), and
 # the per-metric short-cut ≡ the per-series check under interleaved

@@ -29,6 +29,7 @@ the system without writing code:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 # Each command imports its own subsystem when it runs: the parser, and
@@ -235,8 +236,50 @@ def _parse_connect(spec: str, *, flag: str = "--connect") -> tuple[str, int]:
         raise SystemExit(f"bad {flag} port {port!r}")
 
 
+def _point_value(v: float) -> float | str | None:
+    """A value as RFC 8259 JSON can carry it: NaN is null, ±inf a string."""
+    if v != v:
+        return None
+    if v in (math.inf, -math.inf):
+        return "Infinity" if v > 0 else "-Infinity"
+    return v
+
+
+def _print_reply(response) -> int:
+    """Print a wire reply as decoded points, the one printer of local
+    and remote ``repro query``; returns the exit code."""
+    import json
+
+    from .tsdb import wire
+
+    try:
+        results = wire.decode_response(response)
+    except wire.RemoteQueryError as exc:
+        error = {"type": exc.error_type, "message": exc.message}
+        print(json.dumps({"error": error}, indent=2))
+        return 1
+    entries = []
+    for res in results:
+        entry: dict = {} if res.expr is None else {"expr": res.expr}
+        entry["series"] = [
+            {
+                "metric": s.metric,
+                "tags": s.tags,
+                "points": [
+                    [t, _point_value(v)]
+                    for t, v in zip(s.timestamps.tolist(), s.values.tolist())
+                ],
+            }
+            for s in res.series
+        ]
+        entry["scannedPoints"] = res.scanned_points
+        entries.append(entry)
+    print(json.dumps({"results": entries}, indent=2, allow_nan=False))
+    return 0
+
+
 def cmd_query(args: argparse.Namespace) -> int:
-    """Batched queries as wire JSON, local or over the network.
+    """Batched queries as decoded points, local or over the network.
 
     Two input modes, both executed through ``run_many`` as one batch:
 
@@ -248,11 +291,11 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     With ``--connect HOST:PORT`` nothing is simulated locally: the
     batch is shipped to a running ``repro serve`` endpoint through the
-    client SDK and the server's raw JSON reply is printed.  Flag-built
+    client SDK.  Either way the wire reply is decoded and printed by one
+    printer, each series as ``[timestamp, value]`` points.  Flag-built
     queries then need absolute ``--start``/``--end`` timestamps
     (the remote store's clock, not ours).
     """
-    import json
     from pathlib import Path
 
     from .tsdb import WireError, wire
@@ -289,16 +332,15 @@ def cmd_query(args: argparse.Namespace) -> int:
                 response = client.request(queries, refresh=args.refresh)
         except OSError as exc:
             raise SystemExit(f"query: cannot reach {host}:{port}: {exc}")
-        print(json.dumps(response, indent=2))
-        return 0 if "error" not in response else 1
+        return _print_reply(response)
 
     eco, city = _build(args.city, args.hours, args.seed, args.shards)
     if queries is None:
         end = eco.now
         queries = _flag_queries(args, end - args.hours * HOUR, end)
-    results = city.db.run_many(queries)
-    print(json.dumps(wire.encode_response(results), indent=2))
-    return 0
+    return _print_reply(
+        wire.handle_request(city.db, wire.encode_request(queries))
+    )
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -701,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_query = sub.add_parser(
         "query",
-        help="batch-execute queries over a simulated city (wire JSON out)",
+        help="batch-execute queries over a simulated city (decoded points out)",
     )
     common(p_query)
     p_query.add_argument(

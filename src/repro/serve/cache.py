@@ -46,18 +46,17 @@ request**: made before the execution or after it, a local, never kept
 on an object and never carried across the execution it brackets.  The refresher
 (:mod:`repro.serve.refresh`) reads its validators the same way.
 
-The reply *text* is cached the same way, with no second cache:
-:func:`series_text` keeps a result series' encoded JSON on the series
-object itself, so the text of a cached result lives exactly as long as
-its entry does — dropped with it on eviction or invalidation — and a
-hit costs the server a ``bytes.join``.
-
-So is what a conditional reply needs (a client that says what it holds
-is answered *not modified* or *the tail*, see :mod:`repro.serve.server`):
-:func:`series_tag` keeps a 16-byte content digest beside the text, made
-once per series object, and :func:`entry_validator` names an entry's
-whole ``series`` array by the digests of its members — so a hit by a
-holding client costs a few look-ups and one short hash, never a pass
+A reply is encoded from the result's columns each time it is sent
+(:func:`~repro.tsdb.wire.encode_response_json`: one ``tobytes`` and one
+base64 per column, nothing per point), so no reply text is kept.  What
+a conditional reply needs (a client that says what it holds is answered
+*not modified* or *the tail*, see :mod:`repro.serve.server`) is kept:
+:func:`series_tag` leaves a 16-byte content digest of a series' head
+and column bytes on the series object itself, made once per series
+object — so it lives exactly as long as the cached result that holds
+the series — and :func:`entry_validator` names an entry's whole
+``series`` array by the digests of its members, so a hit by a holding
+client costs a few look-ups and one short hash, never a pass
 over the reply.  The validator is a *content* digest rather than a
 per-process serial: it needs no state, it survives a reconnect, a
 server restart and a failover to a byte-identical follower, and a
@@ -77,38 +76,11 @@ from ..tsdb.plan import _canonical_key
 from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.wire import CatalogRequest
 
-#: Where a series keeps its encoded text, the digest of that text and
-#: (a spliced series) what it was spliced from: the instance dict, not
-#: dataclass fields, so equality, hash and repr do not see them.
-_TEXT_ATTR = "_wire_json"
+#: Where a series keeps its digest and (a spliced series) what it was
+#: spliced from: the instance dict, not dataclass fields, so equality,
+#: hash and repr do not see them.
 _TAG_ATTR = "_wire_tag"
 _TAIL_ATTR = "_wire_tail"
-
-
-def cached_series_text(s: ResultSeries) -> bytes | None:
-    """The text :func:`series_text` left on ``s``, if any."""
-    return s.__dict__.get(_TEXT_ATTR)
-
-
-def remember_series_text(s: ResultSeries, text: bytes) -> None:
-    """Attach ``text`` — which must equal ``wire.series_json(s)``."""
-    s.__dict__[_TEXT_ATTR] = text
-
-
-def series_text(s: ResultSeries) -> bytes:
-    """``wire.series_json(s)``, encoded once per series object.
-
-    Planner results are immutable, and ``run_batch`` re-wraps a cached
-    :class:`QueryResult` per request but shares its ``series`` tuple, so
-    the series are the objects to remember on.  Two lane workers may
-    encode the same series at once; both store the same bytes, so the
-    last writer winning needs no lock.
-    """
-    text = cached_series_text(s)
-    if text is None:
-        text = wire.series_json(s)
-        remember_series_text(s, text)
-    return text
 
 
 def cached_series_tag(s: ResultSeries) -> bytes | None:
@@ -116,24 +88,24 @@ def cached_series_tag(s: ResultSeries) -> bytes | None:
     return s.__dict__.get(_TAG_ATTR)
 
 
-def text_digest(text: bytes):
-    """The running hash :func:`series_tag` is the ``digest()`` of; the
-    refresher carries one over a spliced series' final prefix."""
-    return blake2b(text, digest_size=16)
-
-
-def remember_series_tag(s: ResultSeries, tag: bytes) -> None:
-    """Attach ``tag`` — which must equal ``text_digest(series_text(s))``'s."""
-    s.__dict__[_TAG_ATTR] = tag
-
-
 def series_tag(s: ResultSeries) -> bytes:
-    """A 16-byte digest of ``series_text(s)``, taken once per series
-    object and dropped with it, like the text it names."""
+    """A 16-byte digest of ``s``'s head and column bytes — equal for two
+    series only if their wire text is — taken once per series object.
+
+    Planner results are immutable, and ``run_batch`` re-wraps a cached
+    :class:`QueryResult` per request but shares its ``series`` tuple, so
+    the series are the objects to remember on.  Two lane workers may
+    digest the same series at once; both store the same bytes, so the
+    last writer winning needs no lock.
+    """
     tag = cached_series_tag(s)
     if tag is None:
-        tag = text_digest(series_text(s)).digest()
-        remember_series_tag(s, tag)
+        # the head as ``repr`` text: as exact as its JSON, a third the cost
+        head = (s.metric, tuple(sorted(s.group_tags.items())))
+        digest = blake2b(repr(head).encode(), digest_size=16)
+        for column in wire.columns(s.timestamps, s.values):
+            digest.update(column)
+        tag = s.__dict__[_TAG_ATTR] = digest.digest()
     return tag
 
 
@@ -147,23 +119,21 @@ def entry_validator(series: Sequence[ResultSeries]) -> str:
     return _validator([series_tag(s) for s in series])
 
 
-def remember_series_tail(
-    s: ResultSeries, prev_tag: bytes, kept: int, tail: bytes
-) -> None:
-    """Note that ``s``'s ``dps`` are the first ``kept`` entries of the
-    series whose :func:`series_tag` is ``prev_tag``, then ``tail``
-    (:func:`~repro.tsdb.wire.dps_json` text)."""
-    s.__dict__[_TAIL_ATTR] = (prev_tag, kept, tail)
+def remember_series_tail(s: ResultSeries, prev_tag: bytes, kept: int) -> None:
+    """Note that ``s``'s first ``kept`` points are those of the series
+    whose :func:`series_tag` is ``prev_tag``."""
+    s.__dict__[_TAIL_ATTR] = (prev_tag, kept - kept % 3)
 
 
-def entry_tail(series: Sequence[ResultSeries], held: str) -> bytes | None:
-    """The *tail* form of an entry for a client holding ``held``, or
-    None unless every series was spliced from the array ``held`` names
-    (same series, same order)."""
+def entry_tail(series: Sequence[ResultSeries], held: str) -> list[int] | None:
+    """The *tail* form of an entry for a client holding ``held`` — per
+    series, how many leading points (a multiple of 3) the client keeps
+    — or None unless every series was spliced from the array ``held``
+    names (same series, same order)."""
     tails = [s.__dict__.get(_TAIL_ATTR) for s in series]
     if None in tails or _validator([t[0] for t in tails]) != held:
         return None
-    return wire.tail_json([(kept, tail) for _, kept, tail in tails])
+    return [keep for _, keep in tails]
 
 
 class BoundedLRU(OrderedDict):

@@ -58,17 +58,25 @@ HELD_PANELS = 256
 class _Held:
     """The last reply entry received for one panel shape."""
 
-    __slots__ = ("validator", "series", "decoded")
+    __slots__ = ("validator", "series", "decoded", "_grown")
 
-    def __init__(
-        self,
-        validator: str,
-        series: list,
-        decoded: tuple[WireSeries, ...] | None = None,
-    ) -> None:
+    def __init__(self, validator: str, series: list, grown=None) -> None:
         self.validator = validator
         self.series = series  # the entry's parsed ``series``, handed out
-        self.decoded = decoded  # ``wire.decode_series(series)``, once asked for
+        self.decoded: tuple[WireSeries, ...] | None = None  # once asked for
+        #: (the decoded series this entry grew from, its ``tail`` array)
+        self._grown = grown
+
+    def decode(self) -> tuple[WireSeries, ...]:
+        """``wire.decode_series(self.series)``, decoded once — and for
+        an entry that grew from decoded series, only its tail."""
+        if self.decoded is None:
+            if self._grown is None:
+                self.decoded = wire.decode_series(self.series)
+            else:
+                self.decoded = wire.extend_series(*self._grown)
+            self._grown = None
+        return self.decoded
 
 
 def _windowless(q: dict) -> dict:
@@ -92,9 +100,9 @@ def _extend(held: _Held, tails, validator: str) -> _Held | None:
     """What ``held`` becomes under a *tail* entry's ``tail`` array, or
     None if that does not fit it.
 
-    Every changed series gets a **new** ``dps`` dict — the held one's
-    first ``keep`` entries, then the tail's — because the held series
-    have been handed out.
+    Every series is a **new** dict — the held one with each column
+    spliced as text (:func:`~repro.tsdb.wire.splice_column`), nothing
+    decoded — because the held series have been handed out.
     """
     if not isinstance(tails, list) or len(tails) != len(held.series):
         return None
@@ -102,26 +110,24 @@ def _extend(held: _Held, tails, validator: str) -> _Held | None:
     for prev, t in zip(held.series, tails):
         if not isinstance(t, dict) or not isinstance(prev, dict):
             return None
-        keep, tail, dps = t.get("keep"), t.get("dps"), prev.get("dps")
+        keep, t_tail, v_tail = t.get("keep"), t.get("t"), t.get("v")
+        t_held, v_held = prev.get("t"), prev.get("v")
         if (
             type(keep) is not int
-            or not isinstance(tail, dict)
-            or not isinstance(dps, dict)
-            or not 0 <= keep <= len(dps)
+            or type(t_tail) is not str
+            or type(v_tail) is not str
+            or type(t_held) is not str
+            or type(v_held) is not str
+            or len(t_tail) != len(v_tail)
         ):
             return None
-        if keep == len(dps) and not tail:
-            series.append(prev)
-            continue
-        dps = dps.copy()
-        for _ in range(len(dps) - keep):
-            dps.popitem()
-        dps.update(tail)
-        series.append({**prev, "dps": dps})
-    decoded = None
-    if held.decoded is not None:
-        decoded = wire.extend_series(held.decoded, tails)
-    return _Held(validator, series, decoded)
+        t_now = wire.splice_column(t_held, keep, t_tail)
+        v_now = wire.splice_column(v_held, keep, v_tail)
+        if t_now is None or v_now is None:
+            return None
+        series.append({**prev, "t": t_now, "v": v_now})
+    grown = None if held.decoded is None else (held.decoded, tails)
+    return _Held(validator, series, grown)
 
 
 class QueryClient:
@@ -227,13 +233,17 @@ class QueryClient:
             try:
                 self._answered = self._resolve(response, was_held)
             except WireError:
-                # A server that lies must not poison later replies.
-                self._held.clear()
-                self.close()
+                self._distrust()
                 raise
             for shape, held in zip(shapes, self._answered):
                 self._held.put(shape, held)
         return response
+
+    def _distrust(self) -> None:
+        """A server that lies must not poison later replies: forget
+        what is held and drop the connection."""
+        self._held.clear()
+        self.close()
 
     @staticmethod
     def _resolve(response: dict, was_held: list[_Held | None]) -> list[_Held]:
@@ -360,11 +370,13 @@ class QueryClient:
             held = by_series.get(id(series))
             if held is None:  # not an entry of a reply ``request`` resolved
                 return wire.decode_series(series)
-            if held.decoded is None:
-                held.decoded = wire.decode_series(series)
-            return held.decoded
+            return held.decode()
 
-        return wire.decode_response(response, decode_series=decode_series)
+        try:
+            return wire.decode_response(response, decode_series=decode_series)
+        except WireError:
+            self._distrust()
+            raise
 
     def run(self, query: Query | QueryBuilder | ExprQuery) -> WireResult:
         """Execute a single query remotely."""

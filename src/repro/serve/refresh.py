@@ -80,20 +80,13 @@ about the bracket alone.  A request that names one panel shape twice
 (two windows) is cut at the repeat, so the later entry sees the state
 the earlier one left.
 
-The reply text is spliced the same way.  Once a reply has encoded the
-previous result (:func:`~repro.serve.cache.series_text` leaves the text
-on each series), an incremental run keeps that text up to the end of
-the final prefix, encodes only the points that became final since the
-last cut plus the delta, and leaves the assembled text on the new
-series for the reply path to find.  Where there is nothing to extend —
-a full run, a moved window start, a result nobody encoded — the series
-carries no text and the reply path encodes it from scratch.
-
-Beside the text, a spliced series notes what it was spliced *from*
+A spliced series also notes what it was spliced *from*
 (:func:`~repro.serve.cache.remember_series_tail`: the previous series'
-content digest, how many of its points were kept, the delta's ``dps``
-text), when a conditional reply has ever named the previous series — so
-a client that says it holds the previous reply is sent the tail alone.
+content digest and how many of its points were kept), when a
+conditional reply has ever named the previous series — so a client
+that says it holds the previous reply is sent the tail alone, from the
+last multiple of three kept points on, the cut its base64 columns can
+be spliced at as text (:func:`~repro.tsdb.wire.splice_column`).
 """
 
 from __future__ import annotations
@@ -102,7 +95,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..tsdb import wire
 from ..tsdb.downsample import FillPolicy
 from ..tsdb.plan import ExprQuery, ExprResult, run_batch
 from ..tsdb.query import Query, QueryResult, ResultSeries
@@ -111,11 +103,7 @@ from .cache import (
     BoundedLRU,
     ValidatorView,
     cached_series_tag,
-    cached_series_text,
-    remember_series_tag,
     remember_series_tail,
-    remember_series_text,
-    text_digest,
 )
 
 
@@ -146,10 +134,6 @@ class _PanelState:
     #: generation), ...)), read before the panel's last full run.
     validators: tuple
     result: QueryResult
-    #: Per series label: (leading points below the cut this result was
-    #: spliced at, where their ``dps`` entries end in the series' text,
-    #: the running digest of the text up to there).
-    final_text: dict
 
 
 def _panel_key(q: Query) -> tuple:
@@ -182,43 +166,6 @@ def _splice(
         np.concatenate([ts[a:b], delta.timestamps]),
         np.concatenate([cached.values[a:b], delta.values]),
     )
-
-
-def _splice_text(
-    prev: ResultSeries, known: tuple | None, kept: int, delta: SeriesSlice,
-) -> tuple[bytes, tuple, bytes, bytes] | None:
-    """Text of ``prev``'s first ``kept`` points followed by the delta's.
-
-    ``known`` — (points, where their ``dps`` entries end in ``prev``'s
-    text, the running digest of the text up to there) — says how much of
-    ``prev``'s text is already the encoding of a final prefix; only the
-    ``kept - known[0]`` points that became final since are encoded, and
-    hashed, beside the delta.  Returns the text of the spliced series,
-    its own ``known``, the delta's ``dps`` text and the digest of the
-    whole text (what :func:`~repro.serve.cache.series_tag` would hash
-    it to in one go), or None when ``prev`` was never encoded (nobody
-    replies with these results).
-    """
-    text = cached_series_text(prev)
-    if text is None:
-        return None
-    if known is not None and known[0] <= kept:
-        n, end, digest = known
-        final = text[:end]
-        digest = digest.copy()  # the state's own is never touched
-    else:
-        n, final = 0, wire.series_head_json(prev)
-        digest = text_digest(final)
-    newly_final = wire.dps_json(prev.timestamps[n:kept], prev.values[n:kept])
-    if newly_final:
-        added = (b", " if n else b"") + newly_final
-        final += added
-        digest.update(added)
-    tail = wire.dps_json(delta.timestamps, delta.values)
-    rest = (b", " if kept and tail else b"") + tail + wire.SERIES_JSON_TAIL
-    whole = digest.copy()
-    whole.update(rest)
-    return final + rest, (kept, len(final), digest), tail, whole.digest()
 
 
 @dataclass
@@ -385,7 +332,7 @@ class IncrementalRefresher:
             # The whole window is final history already in cache (this
             # branch implies query.end == st.end, see the boundary
             # arithmetic in the module docstring).
-            series, final_text = st.result.series, st.final_text
+            series = st.result.series
             if trim_lo is not None:
                 series = tuple(
                     ResultSeries(
@@ -396,10 +343,9 @@ class IncrementalRefresher:
                     )
                     for s in series
                 )
-                final_text = {}
             out = QueryResult(query=query, series=series, scanned_points=0)
             self.stats.cache_only_runs += 1
-            self._remember(key, st, query, out, st.boundary, final_text)
+            self._remember(key, st, query, out, st.boundary)
             return out
         floor_start = (
             query.start if width is None else (query.start // width) * width
@@ -460,7 +406,6 @@ class IncrementalRefresher:
                 boundary=boundary,
                 validators=validators,
                 result=result,
-                final_text={},
             ))
         else:
             self._panels.pop(key, None)
@@ -480,7 +425,6 @@ class IncrementalRefresher:
             tuple(sorted(s.group_tags.items())): s for s in st.result.series
         }
         series = []
-        final_text = {}
         for s in delta.series:
             label = tuple(sorted(s.group_tags.items()))
             prev = cached_by_label.get(label)
@@ -497,17 +441,11 @@ class IncrementalRefresher:
             )
             series.append(out_s)
             if prev is not None and trim_lo is None:
-                kept = len(spliced) - len(s.slice)
-                extended = _splice_text(
-                    prev, st.final_text.get(label), kept, s.slice
-                )
-                if extended is not None:
-                    text, final_text[label], tail, tag = extended
-                    remember_series_text(out_s, text)
-                    remember_series_tag(out_s, tag)
-                    prev_tag = cached_series_tag(prev)
-                    if prev_tag is not None:  # some client may hold prev
-                        remember_series_tail(out_s, prev_tag, kept, tail)
+                prev_tag = cached_series_tag(prev)
+                if prev_tag is not None:  # some client may hold prev
+                    remember_series_tail(
+                        out_s, prev_tag, len(spliced) - len(s.slice)
+                    )
         out = QueryResult(
             query=query,
             series=tuple(series),
@@ -517,7 +455,7 @@ class IncrementalRefresher:
         boundary = (
             st.boundary if plan.boundary_now is None else plan.boundary_now
         )
-        self._remember(key, st, query, out, boundary, final_text)
+        self._remember(key, st, query, out, boundary)
         return out
 
     def _remember(
@@ -527,7 +465,6 @@ class IncrementalRefresher:
         query: Query,
         result: QueryResult,
         boundary: int,
-        final_text: dict,
     ) -> None:
         self._keep(key, _PanelState(
             start=int(query.start),
@@ -535,7 +472,6 @@ class IncrementalRefresher:
             boundary=boundary,
             validators=st.validators,
             result=result,
-            final_text=final_text,
         ))
 
     def _keep(self, key: tuple, state: _PanelState) -> None:

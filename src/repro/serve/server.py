@@ -17,11 +17,15 @@ optional envelope fields stripped before decoding:
   *full* (``"series": [...]``, what every request without ``held``
   gets, byte for byte), *not modified* (``"notModified": true`` — the
   held ``series`` are still the answer) or, on the ``refresh`` path,
-  *tail* (``"tail": [{"keep": k, "dps": {...}}, ...]``, one element per
-  held series: keep its first ``k`` ``dps`` entries, append these).
+  *tail* (``"tail": [{"keep": k, "t": ..., "v": ...}, ...]``, one
+  element per held series: keep the first ``k`` values of its columns,
+  ``k`` a multiple of 3, and append these — as base64 text, the first
+  ``k * 32 // 3`` characters of each held column followed by the tail's,
+  see :func:`~repro.tsdb.wire.splice_column`).
   ``scannedPoints`` (and an expression's ``expr``) are sent in every
-  form.  A validator is an opaque string naming the text of an entry's
-  ``series`` array (see :func:`~repro.serve.cache.entry_validator`).
+  form.  A validator is an opaque string naming the content of an
+  entry's ``series`` array (see
+  :func:`~repro.serve.cache.entry_validator`).
 
 A payload carrying a ``"catalog"`` object instead of ``"queries"`` is a
 series-metadata lookup (the ``/api/suggest`` surface — see
@@ -49,11 +53,12 @@ The region's third, ``spill``, goes to disk segments there; a lane has
 no disk to spill to, so a server refuses it rather than grow without
 bound under its name.
 
-Query execution is offloaded to a thread pool (numpy scans release the
-GIL), and so is reply encoding: the executor thread hands back the
-finished reply text — joined from per-series JSON that
-:func:`~repro.serve.cache.series_text` encodes once per result series —
-and the loop thread only splices in the request id and writes.  The
+Query execution is offloaded to worker threads (numpy scans release
+the GIL; a closed loop of requests stays on one thread, see
+:class:`_Threads`), and so is reply encoding: the worker thread hands
+back the finished reply text — one base64 per result column, see
+:func:`~repro.tsdb.wire.encode_response_json` — and the loop thread
+only splices in the request id and writes.  The
 event loop stays responsive while lanes execute concurrently.
 """
 
@@ -62,6 +67,7 @@ from __future__ import annotations
 import asyncio
 import json
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..backpressure import Backpressure
@@ -70,13 +76,7 @@ from ..tsdb.catalog import CardinalityLimitError
 from ..tsdb.model import InvalidName
 from ..tsdb.plan import ExprQuery
 from ..tsdb.query import QueryError
-from .cache import (
-    CachingStore,
-    CatalogCache,
-    entry_tail,
-    entry_validator,
-    series_text,
-)
+from .cache import CachingStore, CatalogCache, entry_tail, entry_validator
 from .refresh import IncrementalRefresher
 
 #: Longest validator a request may name in ``held`` (ours are 32 chars).
@@ -137,6 +137,43 @@ class _Job:
         self.writer = writer
         self.write_lock = write_lock
         self.forms: list[str] = []  # the form of each result entry sent
+
+
+class _Threads:
+    """The threads lane jobs run on: one single-thread executor per job
+    in flight, the most recently idle one first.
+
+    An executor goes back on the stack, on the loop thread, as soon as
+    its job's result arrives — before the reply is written — so a client
+    that sends its next request the moment a reply lands finds the same
+    thread waiting.  A shared pool starts a new thread whenever the last
+    one has not yet got the GIL back to mark itself idle, and every
+    thread that has planned a cold dashboard keeps a malloc arena of its
+    scratch (≈ 17 MB on the e2e wall): peak RSS would follow how fast
+    clients are, not how many requests run at once.
+    """
+
+    def __init__(self) -> None:
+        self._idle: list[ThreadPoolExecutor] = []
+        self._all: list[ThreadPoolExecutor] = []
+
+    async def run(self, fn, *args):
+        executor = self._idle.pop() if self._idle else None
+        if executor is None:
+            executor = ThreadPoolExecutor(1, thread_name_prefix="query")
+            self._all.append(executor)
+        try:
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(executor, fn, *args)
+        finally:
+            self._idle.append(executor)
+
+    def shutdown(self) -> None:
+        """Let every thread exit once its job (if any) is done."""
+        for executor in self._all:
+            executor.shutdown(wait=False)
+        self._idle.clear()
+        self._all.clear()
 
 
 class _Lane:
@@ -202,6 +239,7 @@ class QueryServer:
         self._default_policy = default_policy or TenantPolicy()
         self._tenant_policies = dict(tenant_policies or {})
         self._lanes: dict[str, _Lane] = {}
+        self._threads = _Threads()
         self._server: asyncio.Server | None = None
         self._stopping = False
         self.requests = 0
@@ -263,6 +301,7 @@ class QueryServer:
                 except asyncio.CancelledError:
                     pass
             lane.workers.clear()
+        self._threads.shutdown()
 
     def stats(self) -> dict:
         return {
@@ -325,7 +364,7 @@ class QueryServer:
             try:
                 if lane.depth() < lane.policy.max_pending:
                     lane.not_full.set()
-                response = await loop.run_in_executor(None, self._execute, job)
+                response = await self._threads.run(self._execute, job)
                 await self._reply(job, response)
             except Exception as exc:
                 # A reply that cannot be written must not take the
@@ -357,7 +396,6 @@ class QueryServer:
             forms: list[str] = []
             text = wire.encode_response_json(
                 run_many(queries),
-                series_json=series_text,
                 held=job.held,
                 validator=entry_validator,
                 tail=entry_tail if job.refresh else None,

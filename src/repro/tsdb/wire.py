@@ -7,7 +7,7 @@ The shape mirrors OpenTSDB's ``/api/query``:
 
 .. code-block:: json
 
-    {"version": 1, "queries": [
+    {"version": 2, "queries": [
         {"metric": "air.co2.ppm", "start": 0, "end": 3600,
          "tags": {"city": "trondheim"}, "aggregator": "avg",
          "downsample": "5m-avg", "rate": false, "groupBy": ["node"]},
@@ -16,33 +16,45 @@ The shape mirrors OpenTSDB's ``/api/query``:
     ]}
 
 and the response carries one entry per request query, each with its
-result series as ``dps`` maps (timestamp → value, NaN encoded as
-``null``) plus scanned-point accounting:
+result series as two *columns* plus scanned-point accounting:
 
 .. code-block:: json
 
-    {"version": 1, "results": [
+    {"version": 2, "results": [
         {"series": [{"metric": "air.co2.ppm", "tags": {"node": "ctt-01"},
-                     "dps": {"0": 412.5, "300": null}}],
+                     "t": "AAAAAAAAAAAsAQAAAAAAAA==",
+                     "v": "AAAAAACIeUAAAAAAAAD4fw=="}],
          "scannedPoints": 1234}
     ]}
 
+``t`` is the base64 of the series' timestamps as little-endian ``<i8``,
+``v`` that of its values as little-endian ``<f8`` (above: ``0 → 408.5``,
+``300 → NaN``).  Timestamps are raw, not deltas — at eight bytes a value
+deltas save nothing, and raw columns keep base64 *concatenable*: three
+values are 24 bytes, which base64 writes as 32 characters with no
+padding, so the first ``k`` values of a column (``k`` a multiple of 3)
+are the first ``k * 32 // 3`` characters of its text.  Every NaN is
+sent as the one quiet NaN (``0x7ff8000000000000``), so equal results
+are equal bytes; ``±inf`` and ``-0.0`` travel as their bits.  An
+encoder never walks points in Python: a series costs one ``tobytes``
+and one ``base64`` per column.
+
 A serving layer may answer a client that says what it still holds with
 less than that — an entry whose ``series`` are replaced by
-``"notModified": true`` or by the ``"tail"`` to append — see
+``"notModified": true`` or by the ``"tail"`` to append, one
+``{"keep": k, "t": ..., "v": ...}`` per series — see
 :func:`encode_response_json`; a client puts such entries back into the
-form above before decoding.
+form above (:func:`splice_column`, string slicing only) before decoding.
 
-Floats round-trip exactly (Python's JSON float repr is shortest
-round-trip); NaN encodes as ``null`` and ``±inf`` as the strings
-``"Infinity"`` / ``"-Infinity"`` so the emitted text is always valid
-RFC 8259 JSON (``response_to_json`` enforces this with
-``allow_nan=False``).  Unknown versions and unknown fields are rejected
-loudly so format drift cannot pass silently.
+Unknown versions and unknown fields are rejected loudly so format drift
+cannot pass silently, and a reply is decoded strictly: bad base64, a
+column whose length is not whole values, ``t`` and ``v`` of different
+lengths and timestamps that do not strictly increase are all
+:class:`WireError`.
 
 :func:`handle_request` is the one-call server side: decode →
 ``run_many`` → encode.  Failures come back as a versioned *error
-response* — ``{"version": 1, "error": {"type": ..., "message": ...}}``
+response* — ``{"version": 2, "error": {"type": ..., "message": ...}}``
 — never as an exception, so one malformed query cannot kill a server
 connection; :func:`decode_response` surfaces such a payload to clients
 as :class:`RemoteQueryError`.
@@ -50,8 +62,8 @@ as :class:`RemoteQueryError`.
 
 from __future__ import annotations
 
+import base64
 import json
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -63,7 +75,7 @@ from .plan import ExprQuery, ExprResult, QueryBuilder
 from .query import Query, QueryError, QueryResult
 
 #: Current (and only) wire format version.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 
 class WireError(ValueError):
@@ -232,52 +244,41 @@ def decode_request(request: str | bytes | Mapping) -> list[Query | ExprQuery]:
 # Responses
 # ---------------------------------------------------------------------------
 
+#: The one NaN a column carries, whatever NaN the store computed.
+_NAN = np.float64(np.nan)
 
-def _encode_value(v: float) -> float | str | None:
-    """NaN → null, ±inf → "Infinity"/"-Infinity", else the float.
-
-    ``json.dumps`` would happily emit bare ``Infinity`` tokens — valid
-    Python, invalid JSON per RFC 8259 — so infinities go over the wire
-    as strings and :func:`decode_response` maps them back exactly.
-    """
-    if math.isnan(v):
-        return None
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
-    return float(v)
+#: Base64 characters per three values (24 bytes, no padding).
+_GROUP_CHARS = 32
 
 
-def _decode_value(v) -> float:
-    """Inverse of :func:`_encode_value` (strict about string spellings)."""
-    if v is None:
-        return math.nan
-    if isinstance(v, str):
-        if v == "Infinity":
-            return math.inf
-        if v == "-Infinity":
-            return -math.inf
-        raise WireError(f"unexpected string value {v!r} in dps")
-    if isinstance(v, bool):
-        raise WireError("unexpected boolean value in dps")
-    return float(v)
+def columns(timestamps: np.ndarray, values: np.ndarray) -> tuple[bytes, bytes]:
+    """Two columns as little-endian bytes: ``<i8`` timestamps and
+    ``<f8`` values, every NaN the canonical one."""
+    nan = np.isnan(values)
+    if nan.any():
+        values = np.where(nan, _NAN, values)
+    return (
+        np.asarray(timestamps, dtype="<i8").tobytes(),
+        np.asarray(values, dtype="<f8").tobytes(),
+    )
 
 
-def _encode_dps(timestamps: np.ndarray, values: np.ndarray) -> dict:
-    return {
-        str(int(ts)): _encode_value(val)
-        for ts, val in zip(timestamps.tolist(), values.tolist())
-    }
+def encode_columns(
+    timestamps: np.ndarray, values: np.ndarray
+) -> tuple[bytes, bytes]:
+    """The ``t`` and ``v`` text of two columns: the base64 of
+    :func:`columns`, ASCII bytes."""
+    t, v = columns(timestamps, values)
+    return base64.b64encode(t), base64.b64encode(v)
 
 
-def _encode_series_head(s) -> dict:
+def _series_head(s) -> dict:
     return {"metric": s.metric, "tags": dict(sorted(s.group_tags.items()))}
 
 
 def _encode_series(s) -> dict:
-    return {
-        **_encode_series_head(s),
-        "dps": _encode_dps(s.timestamps, s.values),
-    }
+    t, v = encode_columns(s.timestamps, s.values)
+    return {**_series_head(s), "t": t.decode(), "v": v.decode()}
 
 
 def encode_response(
@@ -309,64 +310,28 @@ def encode_error(exc: BaseException) -> dict:
     }
 
 
-def response_to_json(
-    results: Sequence[QueryResult | ExprResult], **dumps_kwargs
-) -> str:
-    # allow_nan=False makes leaking a non-finite float a loud codec bug
-    # here instead of unparseable output at some client.
-    dumps_kwargs.setdefault("allow_nan", False)
-    return json.dumps(encode_response(results), **dumps_kwargs)
-
-
 # -- reply text ------------------------------------------------------------
 #
-# The same responses as JSON *text*, assembled from per-series pieces so a
-# server can encode a result series once and join it into every reply that
-# carries it.  ``json.dumps(encode_response(...), allow_nan=False)`` is the
-# reference: each piece is made by ``json.dumps`` itself and the pieces are
-# joined with its default ``", "`` / ``": "`` separators, so every function
-# here returns exactly the bytes the reference would.
-
-#: What closes a series' text after its last ``dps`` entry.
-SERIES_JSON_TAIL = b"}}"
+# The same responses as JSON *text*, without building the dicts:
+# ``json.dumps(encode_response(...), allow_nan=False).encode()`` is the
+# reference, and since base64 needs no JSON escaping a column goes into
+# the text as it comes out of ``b64encode``.
 
 
-def series_json(s) -> bytes:
-    """JSON text of one result series."""
-    return json.dumps(_encode_series(s), allow_nan=False).encode()
-
-
-def series_head_json(s) -> bytes:
-    """:func:`series_json` up to and including its ``dps`` map's ``{``.
-
-    With :func:`dps_json` and :data:`SERIES_JSON_TAIL`, the three pieces
-    a splice reassembles a series' text from:
-    ``series_json(s) == series_head_json(s) + dps_json(ts, vals) + TAIL``.
-    """
-    head = json.dumps(_encode_series_head(s), allow_nan=False)
-    return head[:-1].encode() + b', "dps": {'
-
-
-def dps_json(timestamps: np.ndarray, values: np.ndarray) -> bytes:
-    """The entries of a ``dps`` map without its braces (empty: ``b""``)."""
-    return json.dumps(
-        _encode_dps(timestamps, values), allow_nan=False
-    )[1:-1].encode()
-
-
-def tail_json(tails: Sequence[tuple[int, bytes]]) -> bytes:
-    """The elements of a *tail* entry's ``tail`` array, one ``(keep,
-    dps_json text)`` pair per series: keep that many leading ``dps``
-    entries of the series held, then append these."""
-    return b", ".join(
-        [b'{"keep": %d, "dps": {%s}}' % (keep, dps) for keep, dps in tails]
-    )
+def _series_parts(s, keep: int | None = None) -> list[bytes]:
+    """Pieces of a series' text or, with ``keep``, of its tail element:
+    the series' points from ``keep`` on."""
+    if keep is None:
+        t, v = encode_columns(s.timestamps, s.values)
+        head = json.dumps(_series_head(s)).encode()
+        return [head[:-1], b', "t": "', t, b'", "v": "', v, b'"}']
+    t, v = encode_columns(s.timestamps[keep:], s.values[keep:])
+    return [b'{"keep": %d, "t": "' % keep, t, b'", "v": "', v, b'"}']
 
 
 def encode_response_json(
     results: Sequence[QueryResult | ExprResult],
     *,
-    series_json=series_json,
     held: Sequence[str | None] | None = None,
     validator=None,
     tail=None,
@@ -374,53 +339,56 @@ def encode_response_json(
 ) -> bytes:
     """``run_many`` output as the JSON text of its wire response.
 
-    ``series_json`` maps one result series to its text; a serving layer
-    passes a memoising one.
-
     ``held`` makes the reply conditional: aligned with ``results``, it
     names per entry the ``series`` array the client says it still holds
     (None: nothing).  ``validator`` maps an entry's series to the name
-    of their text, and the reply gains ``"validators"``, aligned with
+    of their content, and the reply gains ``"validators"``, aligned with
     ``"results"``.  An entry whose validator equals what is held is
     answered ``"notModified": true`` in place of its ``"series"``;
     otherwise ``tail`` (if given) maps ``(series, held validator)`` to
-    :func:`tail_json` text when the series extend the held ones, and the
-    entry carries ``"tail"``; otherwise it is the full entry.  ``expr``
-    and ``scannedPoints`` are sent in every form.  ``forms``, if given,
-    receives each entry's form: ``"full"``, ``"not_modified"`` or
-    ``"tail"``.
+    one ``keep`` per series when the series extend the held ones — each
+    series' first ``keep`` points (a multiple of 3) are the held
+    series', the rest is sent — and the entry carries ``"tail"``;
+    otherwise it is the full entry.  ``expr`` and ``scannedPoints`` are
+    sent in every form.  ``forms``, if given, receives each entry's
+    form: ``"full"``, ``"not_modified"`` or ``"tail"``.
     """
-    entries = []
+    out = [b'{"version": %d, "results": [' % WIRE_VERSION]
     validators = []
     for i, res in enumerate(results):
-        head = b"{"
+        if i:
+            out.append(b", ")
+        out.append(b"{")
         if isinstance(res, ExprResult):
-            head = b'{"expr": %s, ' % json.dumps(res.expr.formula).encode()
-        form, body = "full", None
+            out.append(b'"expr": %s, ' % json.dumps(res.expr.formula).encode())
+        form, keeps = "full", None
         if held is not None:
             name = validator(res.series)
             validators.append(name)
             if name == held[i]:
-                form, body = "not_modified", b'"notModified": true'
+                form = "not_modified"
             elif tail is not None and held[i] is not None:
-                tails = tail(res.series, held[i])
-                if tails is not None:
-                    form, body = "tail", b'"tail": [%s]' % tails
-        if body is None:
-            body = b'"series": [%s]' % b", ".join(
-                [series_json(s) for s in res.series]
-            )
+                keeps = tail(res.series, held[i])
+                if keeps is not None:
+                    form = "tail"
+        if form == "not_modified":
+            out.append(b'"notModified": true')
+        else:
+            out.append(b'"tail": [' if keeps is not None else b'"series": [')
+            for j, s in enumerate(res.series):
+                if j:
+                    out.append(b", ")
+                out += _series_parts(s, None if keeps is None else keeps[j])
+            out.append(b"]")
         if forms is not None:
             forms.append(form)
-        entries.append(
-            b'%s%s, "scannedPoints": %d}' % (head, body, int(res.scanned_points))
-        )
-    return b'{"version": %d, "results": [%s]%s}' % (
-        WIRE_VERSION,
-        b", ".join(entries),
-        b"" if held is None
-        else b', "validators": %s' % json.dumps(validators).encode(),
-    )
+        out.append(b', "scannedPoints": %d}' % int(res.scanned_points))
+    out.append(b"]")
+    if held is not None:
+        out.append(b', "validators": %s' % json.dumps(validators).encode())
+    out.append(b"}")
+    # one join: the reply is the only large buffer made
+    return b"".join(out)
 
 
 def reply_line(response: bytes | Mapping, id_json: bytes | None = None) -> bytes:
@@ -435,12 +403,26 @@ def reply_line(response: bytes | Mapping, id_json: bytes | None = None) -> bytes
         response = json.dumps(response, allow_nan=False).encode()
     if id_json is None:
         return response + b"\n"
-    return b'%s, "id": %s}\n' % (response[:-1], id_json)
+    return b"".join((memoryview(response)[:-1], b', "id": ', id_json, b"}\n"))
+
+
+# -- columns on the client -------------------------------------------------
+
+
+def splice_column(held: str, keep: int, tail: str) -> str | None:
+    """The text of a column's first ``keep`` values followed by the
+    values ``tail`` is the text of — exactly what encoding the whole
+    column would give, and no decode — or None unless ``keep`` is a
+    multiple of 3 no larger than what ``held`` holds."""
+    cut = keep // 3 * _GROUP_CHARS
+    if keep % 3 or not 0 <= cut <= len(held):
+        return None
+    return held[:cut] + tail
 
 
 @dataclass(frozen=True)
 class WireSeries:
-    """One decoded result series (client-side view)."""
+    """One decoded result series (client-side view, read-only arrays)."""
 
     metric: str
     tags: dict
@@ -466,37 +448,48 @@ class WireResult:
         return iter(self.series)
 
 
-def decode_series(series: Sequence[Mapping]) -> tuple[WireSeries, ...]:
-    """One entry's ``series`` array as numpy-backed series."""
-    return tuple(
-        _wire_series(
-            str(s.get("metric", "")),
-            s.get("tags", {}),
-            *_decode_dps(s.get("dps", {})),
-        )
-        for s in series
-    )
-
-
-def _decode_dps(dps: Mapping) -> tuple[np.ndarray, np.ndarray]:
+def _column(text, dtype: str, field: str) -> np.ndarray:
+    """One column's text as a read-only array (strict)."""
+    if not isinstance(text, str):
+        raise WireError(f"{field!r} must be a base64 string")
     try:
-        return (
-            np.array([int(k) for k in dps], dtype=np.int64),
-            np.array([_decode_value(v) for v in dps.values()], dtype=np.float64),
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise WireError(f"{field!r} is not base64: {exc}") from None
+    if len(raw) % 8:
+        raise WireError(
+            f"{field!r} holds {len(raw)} bytes, not whole 8-byte values"
         )
-    except WireError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise WireError(f"malformed dps entry: {exc}") from None
+    return np.frombuffer(raw, dtype)
 
 
 def _wire_series(
     metric: str, tags: Mapping, ts: np.ndarray, vals: np.ndarray
 ) -> WireSeries:
-    order = np.argsort(ts, kind="stable")
-    return WireSeries(
-        metric=metric, tags=dict(tags), timestamps=ts[order], values=vals[order]
-    )
+    if ts.shape != vals.shape:
+        raise WireError(
+            f"'t' holds {ts.shape[0]} values and 'v' {vals.shape[0]}"
+        )
+    if not (ts[1:] > ts[:-1]).all():
+        raise WireError("'t' is not strictly increasing")
+    ts.setflags(write=False)
+    vals.setflags(write=False)
+    return WireSeries(metric=metric, tags=dict(tags), timestamps=ts, values=vals)
+
+
+def decode_series(series: Sequence[Mapping]) -> tuple[WireSeries, ...]:
+    """One entry's ``series`` array as numpy-backed series."""
+    out = []
+    for s in series:
+        if not isinstance(s, Mapping):
+            raise WireError("a series must be an object")
+        out.append(_wire_series(
+            str(s.get("metric", "")),
+            s.get("tags", {}),
+            _column(s.get("t"), "<i8", "t"),
+            _column(s.get("v"), "<f8", "v"),
+        ))
+    return tuple(out)
 
 
 def extend_series(
@@ -505,19 +498,19 @@ def extend_series(
     """:func:`decode_series` of the series a *tail* entry describes,
     decoding only the tail: each of ``prev`` cut to its first ``keep``
     points, followed by the tail's."""
-    out = []
-    for held, t in zip(prev, tails):
-        ts, vals = _decode_dps(t["dps"])
-        keep = t["keep"]
-        out.append(
-            _wire_series(
-                held.metric,
-                held.tags,
-                np.concatenate([held.timestamps[:keep], ts]),
-                np.concatenate([held.values[:keep], vals]),
-            )
+    return tuple(
+        _wire_series(
+            held.metric,
+            held.tags,
+            np.concatenate(
+                [held.timestamps[: t["keep"]], _column(t["t"], "<i8", "t")]
+            ),
+            np.concatenate(
+                [held.values[: t["keep"]], _column(t["v"], "<f8", "v")]
+            ),
         )
-    return tuple(out)
+        for held, t in zip(prev, tails)
+    )
 
 
 def decode_response(
@@ -570,7 +563,7 @@ def handle_request(store, request: str | bytes | Mapping) -> dict:
 
     Never raises for a bad *request*: malformed JSON, version
     mismatches, and invalid queries come back as
-    ``{"version": 1, "error": ...}`` (see :func:`encode_error`), so a
+    ``{"version": 2, "error": ...}`` (see :func:`encode_error`), so a
     server loop can always answer on the same connection.  Store-side
     faults (bugs) still propagate — the serving layer decides whether
     to translate those into ``InternalError`` replies.
@@ -639,7 +632,7 @@ def encode_catalog_request(
 
     .. code-block:: json
 
-        {"version": 1, "catalog": {"op": "tag_values",
+        {"version": 2, "catalog": {"op": "tag_values",
                                    "metric": "air.co2.ppm",
                                    "key": "node"}}
     """

@@ -196,8 +196,8 @@ def _panels(end: int) -> list[Query]:
     ]
 
 
-def _reply(results) -> list[bytes]:
-    return [wire.series_json(s) for r in results for s in r.series]
+def _reply(results) -> list:
+    return [r["series"] for r in wire.encode_response(results)["results"]]
 
 
 def test_a_delta_of_one_series_is_the_full_window_for_quantiles():

@@ -106,3 +106,58 @@ class TestCatalogCommand:
                      "--metric", "air.co2.ppm", "--key", "bad|key"]) == 1
         reply = json.loads(capsys.readouterr().out)
         assert reply["error"]["type"] == "InvalidName"
+
+
+class TestQueryCommand:
+    def test_local_and_remote_print_the_same_points(self, tmp_path, capsys):
+        """One request file, run on a simulated store and through a
+        server over the same store: one printer, the same text."""
+        from repro.cli import _build
+        from repro.tsdb import Query, wire
+        from repro.tsdb.plan import expr
+        from test_serve import live_server
+
+        eco, city = _build("vejle", 1, 0)
+        start, end = eco.now - 3600, eco.now
+        by_node = Query("air.co2.ppm", start, end, tags={"city": "vejle"},
+                        downsample="10m-avg", group_by=("node",))
+        request = tmp_path / "req.json"
+        request.write_text(json.dumps(wire.encode_request([
+            by_node,
+            Query("air.co2.ppm", start, end, downsample="5m-max-nan"),
+            expr("a * 2", a=by_node),
+        ])))
+
+        assert main(["query", "--request", str(request),
+                     "--city", "vejle", "--hours", "1"]) == 0
+        local = capsys.readouterr().out
+        with live_server(city.db) as server:
+            host, port = server.address
+            assert main(["query", "--request", str(request),
+                         "--connect", f"{host}:{port}"]) == 0
+        assert capsys.readouterr().out == local
+
+        results = json.loads(local)["results"]
+        assert [r.get("expr") for r in results] == [None, None, "a * 2"]
+        (series, *_) = results[0]["series"]
+        assert series["tags"]["node"] and series["points"]
+        assert all(len(p) == 2 and isinstance(p[0], int)
+                   for p in series["points"])
+        assert None in [v for _, v in results[1]["series"][0]["points"]]
+
+    def test_an_in_band_error_is_printed_and_exits_1(self, tmp_path, capsys):
+        from repro.tsdb import wire
+
+        request = tmp_path / "req.json"
+        request.write_text(json.dumps({
+            "version": wire.WIRE_VERSION,
+            "queries": [{"expr": "a + b", "operands": {
+                "a": {"metric": "air.co2.ppm", "start": 0, "end": 10,
+                      "groupBy": ["node"]},
+                "b": {"metric": "air.co2.ppm", "start": 0, "end": 10,
+                      "groupBy": ["city"]}}}],
+        }))
+        code = main(["query", "--request", str(request),
+                     "--city", "vejle", "--hours", "1"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1 and out["error"]["type"] == "QueryError"

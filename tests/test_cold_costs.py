@@ -286,11 +286,17 @@ def test_one_nan_is_masked_where_it_is_and_nowhere_else(monkeypatch):
     monkeypatch.undo()
     # and away from the NaN not a bit differs from the clean history
     want = wire.encode_response(clean.run_many(_wall()))
+
+    def points(series) -> dict:
+        return dict(zip(series.timestamps.tolist(),
+                        series.values.view("<u8").tolist()))
+
     differing = [
         (i, j, t)
-        for i, (a, b) in enumerate(zip(reply["results"], want["results"]))
-        for j, (sa, sb) in enumerate(zip(a["series"], b["series"]))
-        for t in sa["dps"] if sa["dps"][t] != sb["dps"].get(t)
+        for i, (a, b) in enumerate(zip(wire.decode_response(reply),
+                                       wire.decode_response(want)))
+        for j, (sa, sb) in enumerate(zip(a.series, b.series))
+        for t, v in points(sa).items() if v != points(sb).get(t)
     ]
     # only the NaN's own bucket, only in the three panels that read it
     # (an hour's maximum deviation need not move)

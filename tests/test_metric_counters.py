@@ -179,7 +179,7 @@ def test_the_short_cut_is_the_per_series_check(layout, data):
                 _assert_counters_moved_exactly(before, _history(caching))
                 panels = _panels(data.draw(st.sampled_from((now, now + 25, _FAR))))
                 got = caching.run_many(panels)
-                assert wire.response_to_json(got) == wire.response_to_json(
+                assert wire.encode_response_json(got) == wire.encode_response_json(
                     inner.run_many(panels))
                 assert _series_json(refresher.run_many(panels)) == _series_json(
                     inner.run_many(panels))

@@ -14,10 +14,11 @@ Three correctness contracts, in increasing integration order:
   concurrent clients the same bytes the store produces, survives
   malformed requests without dropping the connection, and applies
   per-tenant admission control;
-- the encode-once reply path: every reply **line** is byte-identical to
+- the columnar reply path: every reply **line** is byte-identical to
   ``json.dumps`` of the dict codec on the innermost store (hypothesis,
-  hits / misses / refreshes / expressions / errors), and the encoded
-  text dies with the cache entry or panel state that holds it.
+  hits / misses / refreshes / expressions / errors), and the digest a
+  reply leaves on a series dies with the cache entry or panel state
+  that holds it.
 """
 
 import asyncio
@@ -42,7 +43,12 @@ from repro.serve import (
     QueryServer,
     TenantPolicy,
 )
-from repro.serve.cache import ResultCache, cached_series_text, series_text
+from repro.serve.cache import (
+    ResultCache,
+    cached_series_tag,
+    entry_tail,
+    entry_validator,
+)
 from repro.tsdb import Query, SeriesKey, ShardedTSDB, TSDB, wire
 from repro.tsdb.plan import expr
 
@@ -57,7 +63,7 @@ def _seeded(store, n=12, nodes="ab"):
 
 def _same_bytes(a, b):
     """Results are interchangeable iff their wire encodings are equal."""
-    return wire.response_to_json([a]) == wire.response_to_json([b])
+    return wire.encode_response_json([a]) == wire.encode_response_json([b])
 
 
 def _same_series(a, b):
@@ -132,7 +138,8 @@ class TestCachingStore:
         for round_no in range(6):
             got = caching.run_many(qs)
             want = mirror.run_many(qs)
-            assert wire.response_to_json(got) == wire.response_to_json(want)
+            assert (wire.encode_response_json(got)
+                    == wire.encode_response_json(want))
             ts = 4000 + round_no * 300
             node = "ab"[round_no % 2]
             for s in (store, mirror):
@@ -229,22 +236,37 @@ class TestIncrementalRefresher:
         assert _same_series(out, db.run_many([q])[0])
 
     def test_incremental_run_extends_the_encoded_text(self):
-        """Once a reply has encoded a panel, the next incremental runs
-        hand over spliced text — equal to a from-scratch encode — and a
-        panel nobody encodes gets none."""
+        """Once a reply has named a panel, the next incremental runs are
+        answered with a tail, and the held columns spliced with it as
+        text are a from-scratch encode; a panel nobody named gets none."""
         db = _seeded(TSDB())
         refresher = IncrementalRefresher(db)
         unread = IncrementalRefresher(db)
+        held = None
         for round_no, end in enumerate((4000, 5000, 6000, 6000, 7000)):
             q = Query("air.co2.ppm", 0, end, downsample="10m-avg",
                       group_by=("node",))
             (res,) = refresher.run_many([q])
-            for s in res.series:
-                # full run: nothing to extend; later runs: spliced text
-                assert (cached_series_text(s) is None) == (round_no == 0)
-                assert series_text(s) == wire.series_json(s)
-            assert all(cached_series_text(s) is None
-                       for s in unread.run(q).series)
+            forms = []
+            reply = json.loads(wire.encode_response_json(
+                [res], held=[held and held[0]], validator=entry_validator,
+                tail=entry_tail, forms=forms))
+            (want,) = wire.encode_response([db.run(q)])["results"]
+            # full run: nothing to extend; later runs: a tail (or, once
+            # nothing was written, not modified)
+            assert forms == [["full", "tail", "tail", "not_modified",
+                              "tail"][round_no]]
+            (entry,) = reply["results"]
+            if forms == ["tail"]:
+                entry["series"] = [
+                    {**prev, **{c: wire.splice_column(prev[c], t["keep"], t[c])
+                                for c in "tv"}}
+                    for prev, t in zip(held[1], entry.pop("tail"))]
+            elif forms == ["not_modified"]:
+                entry["series"] = held[1]
+            assert entry["series"] == want["series"]
+            held = (reply["validators"][0], entry["series"])
+            assert entry_tail(unread.run(q).series, held[0]) is None
             db.put("air.co2.ppm", end + 100, 500.0 + round_no,
                    {"node": "ab"[round_no % 2], "city": "trondheim"})
         assert refresher.stats.full_runs == 1
@@ -264,8 +286,9 @@ class TestIncrementalRefresher:
         for agg in ("avg", "sum"):
             q = Query("m", 0, 20, aggregator=agg)
             got, want = refresher.run(q).single(), db.run(q).single()
-            assert b'"15": 0.0' in wire.series_json(want)
-            assert wire.series_json(got) == wire.series_json(want)
+            assert want.values[-1] == 0.0 and not np.signbit(want.values[-1])
+            assert (wire.columns(got.timestamps, got.values)
+                    == wire.columns(want.timestamps, want.values))
         assert refresher.stats.incremental_runs == 2
 
     def test_one_instant_delta_equals_full_window_bytes(self):
@@ -287,8 +310,8 @@ class TestIncrementalRefresher:
                 db.put("m", t, v, {"node": node})
             for agg in ("avg", "sum", "dev"):
                 q = Query("m", 0, t + 5, aggregator=agg)
-                got, want = refresher.run(q).single(), db.run(q).single()
-                assert wire.series_json(got) == wire.series_json(want)
+                got, want = refresher.run(q), db.run(q)
+                assert _same_series(got, want)
         assert refresher.stats.incremental_runs == 60
 
     @settings(max_examples=60, deadline=None)
@@ -919,7 +942,7 @@ _REQUEST_IDS = st.one_of(
 _VALUES = st.one_of(
     st.integers(-5, 5).map(float),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
-    st.sampled_from((math.nan, math.inf, -math.inf)),
+    st.sampled_from((math.nan, math.inf, -math.inf, -0.0)),
 )
 
 
@@ -1025,42 +1048,44 @@ def test_property_reply_lines_equal_dumps_of_the_dict_codec(make_store, data):
                     exchange(sock, file, *last)
 
 
-class TestEncodedTextLifetime:
-    """The text lives on the result series, so the memory bound stays
-    "capacity × result size": nothing outlives its entry or state."""
+class TestSeriesTagLifetime:
+    """The digest a conditional reply takes lives on the result series,
+    so the memory bound stays "capacity × result size": nothing outlives
+    its entry or state."""
 
     @staticmethod
     def _encode(results):
-        wire.encode_response_json(results, series_json=series_text)
+        wire.encode_response_json(results, held=[None] * len(results),
+                                  validator=entry_validator)
         return [weakref.ref(s) for res in results for s in res.series]
 
     @staticmethod
-    def _with_text(refs):
+    def _with_tag(refs):
         gc.collect()
-        return sum(r() is not None and cached_series_text(r()) is not None
+        return sum(r() is not None and cached_series_tag(r()) is not None
                    for r in refs)
 
-    def test_text_dies_with_its_cache_entry(self, store):
+    def test_tag_dies_with_its_cache_entry(self, store):
         caching = CachingStore(store, capacity=2)
         qs = [Query("air.co2.ppm", 0, 1000 * i, group_by=("node",))
               for i in (1, 2, 3, 4)]
         refs = [self._encode(caching.run_many([q])) for q in qs]
         assert all(len(r) == 2 for r in refs)  # two series per result
-        # evicted: only the newest `capacity` results still hold text
-        assert [self._with_text(r) for r in refs] == [0, 0, 2, 2]
+        # evicted: only the newest `capacity` results still hold a tag
+        assert [self._with_tag(r) for r in refs] == [0, 0, 2, 2]
         # invalidated: a write to a matched series drops the entry on the
-        # next lookup, and its text with it
+        # next lookup, and its tag with it
         store.put("air.co2.ppm", 100, 1.0, {"node": "a", "city": "trondheim"})
         refs.append(self._encode(caching.run_many([qs[3]])))
-        assert [self._with_text(r) for r in refs] == [0, 0, 2, 0, 2]
-        # ... and a hit re-uses the text instead of encoding again
+        assert [self._with_tag(r) for r in refs] == [0, 0, 2, 0, 2]
+        # ... and a hit re-uses the tag instead of digesting again
         (hit,) = caching.run_many([qs[3]])
-        assert all(cached_series_text(s) is not None for s in hit.series)
+        assert all(cached_series_tag(s) is not None for s in hit.series)
         caching.cache.clear()
         del hit
-        assert sum(self._with_text(r) for r in refs) == 0
+        assert sum(self._with_tag(r) for r in refs) == 0
 
-    def test_text_dies_with_its_panel_state(self):
+    def test_tag_dies_with_its_panel_state(self):
         db = _seeded(TSDB())
         refresher = IncrementalRefresher(db)
         refs = []
@@ -1071,11 +1096,11 @@ class TestEncodedTextLifetime:
             db.put("air.co2.ppm", end + 100, 500.0,
                    {"node": "a", "city": "trondheim"})
         assert refresher.stats.incremental_runs == 2
-        # each replaced state took its result's text with it
-        assert [self._with_text(r) for r in refs] == [0, 0, 2]
+        # each replaced state took its result's tags with it
+        assert [self._with_tag(r) for r in refs] == [0, 0, 2]
         # an out-of-order write drops the state outright on the next run
         db.put("air.co2.ppm", 150, 7.0, {"node": "a", "city": "trondheim"})
         refresher.run(Query("air.co2.ppm", 0, 7000, downsample="10m-avg",
                             group_by=("node",)))
         assert refresher.stats.invalidated == 1
-        assert self._with_text(refs[2]) == 0
+        assert self._with_tag(refs[2]) == 0

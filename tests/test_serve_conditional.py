@@ -2,25 +2,32 @@
 answers *not modified* or *the tail*, and nobody can tell.
 
 - **equivalence** (hypothesis, the op grammar of
-  ``test_property_reply_lines_equal_dumps_of_the_dict_codec``): whatever
-  is appended, written late, retained away, churned, repeated or slid
-  between requests, the dict a holding :class:`QueryClient` returns is
-  ``wire.handle_request`` on the innermost store — as a dict and as
-  ``json.dumps`` bytes, so ``dps`` order survives the splice — for a
-  long-lived client, one that reconnects before every request, one whose
-  held table evicts, and one that only ever calls ``run_many``;
+  ``test_property_reply_lines_equal_dumps_of_the_dict_codec``, over
+  ``TSDB`` and ``ShardedTSDB(1/2/4/7)`` under the full store stack):
+  whatever is appended, written late, retained away, churned, repeated
+  or slid between requests, the dict a holding :class:`QueryClient`
+  returns is ``wire.handle_request`` on the innermost store — as a dict
+  and as ``json.dumps`` bytes, so the column text survives the splice —
+  for a long-lived client, one that reconnects before every request,
+  one whose held table evicts, and one that only ever calls
+  ``run_many``, whose arrays are the inner store's bit for bit;
 - **costs as counts**: an unchanged 12-panel dashboard is answered in
   under 2 KB with nothing encoded, digested or decoded, a grown one in
-  proportion to the delta;
+  proportion to the delta and with no base64 decoded, and a cold reply
+  costs one column encode per series and no call per point;
 - **a server that lies** gets a :class:`WireError`, an empty held table
   and a closed connection — and the client works afterwards;
 - the refresher's panel table evicts, the envelope fields are checked.
 """
 
+import base64
+import contextlib
 import json
 import socket
+import sys
+import tempfile
 import threading
-from hashlib import blake2b
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,10 +36,12 @@ from hypothesis import strategies as st
 
 import repro.serve.cache as cache_module
 import repro.serve.client as client_module
+from repro.replication import ReplicatedStore
 from repro.serve import CachingStore, IncrementalRefresher, QueryClient
-from repro.serve.cache import BoundedLRU, entry_validator, series_tag, series_text
+from repro.serve.cache import BoundedLRU, entry_tail, entry_validator
 from repro.tsdb import (
     BatchBuilder,
+    DurableStore,
     Query,
     QueryError,
     SeriesKey,
@@ -40,9 +49,10 @@ from repro.tsdb import (
     TSDB,
     wire,
 )
-from repro.tsdb.plan import expr
+from repro.tsdb.plan import ExprResult, expr
 from repro.tsdb.interface import StoreWrapper
 from test_serve import _VALUES, _raw_lines, _wall_panels, live_server
+from test_tsdb_wire import bits
 
 
 def _reference(inner, queries, got, refresh):
@@ -57,17 +67,38 @@ def _reference(inner, queries, got, refresh):
 
 
 def _same_decoded(got, want, *, scanned: bool):
+    """Decoded results ``got`` are the store's results ``want``: labels,
+    and both columns bit for bit (−0.0 and ±inf included, NaN canonical)."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.expr == w.expr
+        assert g.expr == (w.expr.formula if isinstance(w, ExprResult) else None)
         if scanned:
             assert g.scanned_points == w.scanned_points
         assert len(g.series) == len(w.series)
         for a, b in zip(g.series, w.series):
-            assert (a.metric, a.tags) == (b.metric, b.tags)
-            assert a.timestamps.dtype == b.timestamps.dtype
-            assert np.array_equal(a.timestamps, b.timestamps)
-            assert np.array_equal(a.values, b.values, equal_nan=True)
+            assert (a.metric, a.tags) == (b.metric, b.group_tags)
+            assert a.timestamps.dtype == np.int64
+            assert a.timestamps.tobytes() == b.timestamps.astype("<i8").tobytes()
+            assert a.values.view("<u8").tolist() == bits(b.values)
+            assert not (a.timestamps.flags.writeable or a.values.flags.writeable)
+
+
+@contextlib.contextmanager
+def _stack(inner):
+    """``DurableStore(ReplicatedStore(inner))``: the stack a server puts
+    its ``CachingStore`` on, journaling to a scratch WAL."""
+    with tempfile.TemporaryDirectory() as scratch:
+        durable = DurableStore(ReplicatedStore(inner), Path(scratch) / "wal.seg")
+        try:
+            yield durable
+        finally:
+            durable.close()
+
+
+def _make_inner(layout, draw):
+    if layout == "single":
+        return TSDB()
+    return ShardedTSDB(draw(st.sampled_from((1, 2, 4, 7))))
 
 
 # -- equivalence ------------------------------------------------------------
@@ -86,14 +117,13 @@ _OPS = {
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
 @pytest.mark.parametrize("mix", list(_OPS))
-@pytest.mark.parametrize("make_store", [TSDB, lambda: ShardedTSDB(4)],
-                         ids=["single", "sharded"])
+@pytest.mark.parametrize("layout", ["single", "sharded"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_property_holding_clients_return_the_dict_codec(make_store, mix, data):
+def test_property_holding_clients_return_the_dict_codec(layout, mix, data):
     ops, refreshes = _OPS[mix]
-    inner = make_store()
     draw = data.draw
+    inner = _make_inner(layout, draw)
     now, nodes, window, picks, last = 0, ["a", "b"], (0, 0), [], None
     turn = 0
 
@@ -118,9 +148,10 @@ def test_property_holding_clients_return_the_dict_codec(make_store, mix, data):
                 decoding.run_many(queries, refresh=refresh)
         else:
             _same_decoded(decoding.run_many(queries, refresh=refresh),
-                          wire.decode_response(want), scanned=not refresh)
+                          inner.run_many(queries), scanned=not refresh)
 
-    with live_server(inner, cache_capacity=3) as server:
+    with _stack(inner) as stack, \
+            live_server(stack, cache_capacity=3) as server:
         host, port = server.address
         forgetful = QueryClient(host, port)
         forgetful._held = BoundedLRU(2)  # a request's four panels never fit
@@ -134,21 +165,21 @@ def test_property_holding_clients_return_the_dict_codec(make_store, mix, data):
                 if op == "append":
                     for _ in range(draw(st.integers(1, 6))):
                         now += draw(st.integers(1, 9))
-                        inner.put("m", now, draw(_VALUES),
+                        stack.put("m", now, draw(_VALUES),
                                   {"node": draw(st.sampled_from(nodes))})
                 elif op == "late":  # out of order, or a duplicate instant
-                    inner.put("m", draw(st.integers(0, now)), draw(_VALUES),
+                    stack.put("m", draw(st.integers(0, now)), draw(_VALUES),
                               {"node": draw(st.sampled_from(nodes))})
                 elif op == "retention":
-                    inner.delete_before(draw(st.integers(0, now + 1)))
+                    stack.delete_before(draw(st.integers(0, now + 1)))
                 elif op == "churn":
                     if draw(st.booleans()):
                         nodes.append(f"n{len(nodes)}")
                         now += 1
-                        inner.put("m", now, draw(_VALUES),
+                        stack.put("m", now, draw(_VALUES),
                                   {"node": nodes[-1]})
                     else:  # a whole series goes away
-                        inner.delete_series_before(
+                        stack.delete_series_before(
                             SeriesKey.make(
                                 "m", {"node": draw(st.sampled_from(nodes))}),
                             now + 1)
@@ -237,31 +268,41 @@ class _Costs:
     """Counting wrappers around what an unchanged reply must not do."""
 
     def __init__(self, monkeypatch) -> None:
-        self.series_encoded = 0
+        self.series_encoded = 0  # column encodes: a series or a tail
+        self.columns_read = 0  # column bytes made: to encode or digest
         self.bytes_digested = 0
-        self.points_decoded = 0
-        real_series_json = wire.series_json
+        self.decodes = 0
+        self.bytes_decoded = 0
+        real_encode_columns = wire.encode_columns
+        real_columns = wire.columns
         real_blake2b = cache_module.blake2b
-        real_decode_value = wire._decode_value
+        real_b64decode = base64.b64decode
 
-        def series_json(s):
+        def encode_columns(ts, vals):
             self.series_encoded += 1
-            return real_series_json(s)
+            return real_encode_columns(ts, vals)
+
+        def columns(ts, vals):
+            self.columns_read += 1
+            return real_columns(ts, vals)
 
         def blake2b(data, **kwargs):
             self.bytes_digested += len(data)
             return real_blake2b(data, **kwargs)
 
-        def decode_value(v):
-            self.points_decoded += 1
-            return real_decode_value(v)
+        def b64decode(text, **kwargs):
+            self.decodes += 1
+            self.bytes_decoded += len(text)
+            return real_b64decode(text, **kwargs)
 
-        monkeypatch.setattr(wire, "series_json", series_json)
+        monkeypatch.setattr(wire, "encode_columns", encode_columns)
+        monkeypatch.setattr(wire, "columns", columns)
         monkeypatch.setattr(cache_module, "blake2b", blake2b)
-        monkeypatch.setattr(wire, "_decode_value", decode_value)
+        monkeypatch.setattr(base64, "b64decode", b64decode)
 
     def reset(self) -> None:
-        self.series_encoded = self.bytes_digested = self.points_decoded = 0
+        self.series_encoded = self.columns_read = self.bytes_digested = 0
+        self.decodes = self.bytes_decoded = 0
 
 
 def _delta(after: dict, before: dict) -> dict:
@@ -283,8 +324,11 @@ class TestCosts:
             first = client.request(queries)
             full_line = tap.lines[-1]
             assert len(full_line) > 200_000
+            # one column encode per series; its bytes made once to
+            # encode and once to digest
             assert costs.series_encoded == series
-            assert costs.bytes_digested > len(full_line) - 2_000
+            assert costs.columns_read == 2 * series
+            assert costs.decodes == 0  # ``request`` decodes nothing
             assert server.stats()["replies"] == {
                 "full": 12, "not_modified": 0, "tail": 0,
                 "bytes": len(full_line)}
@@ -294,9 +338,9 @@ class TestCosts:
             second = client.request(queries)
             line = tap.lines[-1]
             after = server.stats()
-            assert len(line) < 2_000 and b'"dps"' not in line
+            assert len(line) < 2_000 and b'"series"' not in line
             assert line.count(b'"notModified": true') == 12
-            assert costs.series_encoded == 0
+            assert costs.series_encoded == costs.columns_read == 0
             # the entry validators alone: sixteen bytes per series
             assert costs.bytes_digested == 16 * series
             assert _delta(after["cache"], before["cache"]) == {
@@ -326,12 +370,11 @@ class TestCosts:
             # run_many keeps what it decoded beside what it holds
             costs.reset()
             decoded = client.run_many(queries)
-            assert costs.points_decoded == sum(
-                len(s) for res in decoded for s in res)
+            assert costs.decodes == 2 * series
             costs.reset()
             again = client.run_many(queries)
-            assert costs.points_decoded == 0
-            _same_decoded(again, wire.decode_response(raw), scanned=True)
+            assert costs.decodes == 0
+            _same_decoded(again, inner.run_many(queries), scanned=True)
             assert all(a.series is b.series for a, b in zip(decoded, again))
 
     def test_grown_dashboard_costs_its_tail(self, history, monkeypatch):
@@ -360,43 +403,82 @@ class TestCosts:
                 "full": 0, "not_modified": 9, "tail": 3, "bytes": len(line)}
             assert _delta(after["refresh"], before["refresh"])[
                 "incremental_runs"] == 12
-            # only the three panels of that metric were re-encoded, and
-            # the splice encoded their new text without ``series_json``
-            assert costs.series_encoded == 0
+            # only the three panels of that metric were encoded: a tail
+            # per series, and the client spliced them as text, decoding
+            # nothing — although it holds decoded series to extend
+            assert costs.series_encoded == 1 + 1 + len(NODES)
+            assert costs.decodes == 0
 
             want = _reference(inner, _dashboard(0, end), grown, True)
             assert grown.pop("id") and grown == want
             assert json.dumps(grown) == json.dumps(want)
-            # new ``dps`` dicts for the series of the three panels that
-            # came as a tail, and only those; what was handed out before
-            # is left as it was
+            # new series dicts for the three panels that came as a tail,
+            # and only those; what was handed out before is left as it was
             rebuilt = changed = 0
             for old, new in zip(held["results"], grown["results"]):
                 if old["series"] is new["series"]:
                     continue
                 for a, b in zip(old["series"], new["series"]):
                     rebuilt += 1
-                    assert a["dps"] is not b["dps"]
-                    if a["dps"] != b["dps"]:
+                    assert a is not b
+                    if a != b:
                         changed += 1
-                        assert len(b["dps"]) == len(a["dps"]) + 1
+                        for c in "tv":
+                            assert (len(base64.b64decode(b[c]))
+                                    == len(base64.b64decode(a[c])) + 8)
             assert rebuilt == 1 + 1 + len(NODES)
             # the two ungrouped series and the one node's own
             assert changed == 3
 
-            # ... and run_many decodes the tail alone
+            # ... and run_many decodes tails alone: not modified since
+            # ``grown``, it decodes the tails ``grown`` brought
+            tails = 1 + 1 + len(NODES)
             costs.reset()
-            decoded = client.run_many(_dashboard(0, end), refresh=True)
-            assert costs.points_decoded == 0  # not modified since ``grown``
+            client.run_many(_dashboard(0, end), refresh=True)
+            assert costs.decodes == 2 * tails
+            assert costs.bytes_decoded < 2 * tails * 64
+            costs.reset()
+            client.run_many(_dashboard(0, end), refresh=True)
+            assert costs.decodes == 0
             end += MINUTE
             inner.put_batch(_minute(end))
+            costs.reset()
             decoded = client.run_many(_dashboard(0, end), refresh=True)
-            assert costs.points_decoded <= 2 * 4 * (1 + 1 + len(NODES))
-            _same_decoded(
-                decoded,
-                wire.decode_response(wire.handle_request(
-                    inner, wire.encode_request(_dashboard(0, end)))),
-                scanned=False)
+            series = 4 * (1 + 1 + len(NODES))
+            assert costs.decodes == 2 * series
+            # up to two kept points before the delta's: a few values a
+            # column, not the 288 it holds
+            assert costs.bytes_decoded < 2 * series * 64
+            _same_decoded(decoded, inner.run_many(_dashboard(0, end)),
+                          scanned=False)
+
+    def test_a_cold_reply_costs_no_call_per_point(self, history):
+        """Encoding a cold 12-panel reply makes the same calls over a
+        day of points as over a quarter of one: nothing per point."""
+        inner = ShardedTSDB(4)
+        inner.put_batch(history)
+        end = (HISTORY_MINUTES - 1) * MINUTE
+
+        def calls(start) -> int:
+            results = inner.run_many(_dashboard(start, end))
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event in ("call", "c_call")
+
+            sys.setprofile(profile)
+            try:
+                wire.encode_response_json(
+                    results, held=[None] * len(results),
+                    validator=entry_validator)
+            finally:
+                sys.setprofile(None)
+            assert sum(len(s) for r in results for s in r.series) > 500
+            return count
+
+        calls(0)  # first use: whatever is set up once
+        assert calls(0) == calls(end * 3 // 4)
 
 
 # -- a server that lies -----------------------------------------------------
@@ -436,9 +518,20 @@ class _ScriptedServer:
         assert not self._thread.is_alive()
 
 
-def _series(n: int) -> dict:
+def _b64(values, dtype) -> str:
+    return base64.b64encode(np.array(values, dtype).tobytes()).decode()
+
+
+def _series(n: int, **columns) -> dict:
+    """A series of ``n`` points, ``t == v == 0 .. n-1``, or the columns
+    given, as a server would send them."""
     return {"metric": "m", "tags": {},
-            "dps": {str(t): float(t) for t in range(n)}}
+            "t": _b64(range(n), "<i8"), "v": _b64(range(n), "<f8"),
+            **columns}
+
+
+def _tail(keep, t=(), v=()) -> dict:
+    return {"keep": keep, "t": _b64(t, "<i8"), "v": _b64(v, "<f8")}
 
 
 def _reply(*entries: dict, validators) -> dict:
@@ -450,21 +543,26 @@ _FULL = _reply({"series": [_series(3)], "scannedPoints": 3},
                validators=["v1"])
 
 
+def _full(*series: dict) -> dict:
+    return _reply({"series": list(series), "scannedPoints": 3},
+                  validators=["v9"])
+
+
 @pytest.mark.parametrize("hold_first, lie", [
     (False, _reply({"notModified": True, "scannedPoints": 0},
                    validators=["v1"])),
     (True, _reply({"notModified": True, "scannedPoints": 0},
                   validators=["someone-else's"])),
-    (False, _reply({"tail": [{"keep": 0, "dps": {}}], "scannedPoints": 0},
+    (False, _reply({"tail": [_tail(0)], "scannedPoints": 0},
                    validators=["v2"])),
-    (True, _reply({"tail": [{"keep": 4, "dps": {"9": 9.0}}],
-                   "scannedPoints": 1}, validators=["v2"])),
-    (True, _reply({"tail": [{"keep": True, "dps": {"9": 9.0}}],
-                   "scannedPoints": 1}, validators=["v2"])),
-    (True, _reply({"tail": [{"keep": 3, "dps": {"9": "nine"}}],
+    (True, _reply({"tail": [_tail(6, [9], [9.0])], "scannedPoints": 1},
+                  validators=["v2"])),
+    (True, _reply({"tail": [_tail(True, [9], [9.0])], "scannedPoints": 1},
+                  validators=["v2"])),
+    (True, _reply({"tail": [{**_tail(3, [9], [9.0]), "v": "!!!!!!!!!!!="}],
                    "scannedPoints": 1}, validators=["v2"])),
     (True, _reply({"tail": [], "scannedPoints": 1}, validators=["v2"])),
-    (True, _reply({"tail": [{"keep": 3, "dps": {}}] * 2, "scannedPoints": 1},
+    (True, _reply({"tail": [_tail(3)] * 2, "scannedPoints": 1},
                   validators=["v2"])),
     (True, _reply({"scannedPoints": 1}, validators=["v2"])),
     (True, _reply({"series": [_series(3)], "scannedPoints": 3},
@@ -473,10 +571,22 @@ _FULL = _reply({"series": [_series(3)], "scannedPoints": 3},
                   validators=[7])),
     (True, {"version": wire.WIRE_VERSION,
             "results": [{"series": [_series(3)], "scannedPoints": 3}]}),
+    (False, _full(_series(3, t="AAAA AAAAAAA"))),
+    (True, _full(_series(3, v=base64.b64encode(bytes(20)).decode()))),
+    (False, _full(_series(3, v=_b64([1.0, 2.0], "<f8")))),
+    (True, _full(_series(3, t=_b64([0, 2, 2], "<i8")))),
+    (True, _reply({"tail": [_tail(2, [9], [9.0])], "scannedPoints": 1},
+                  validators=["v2"])),
+    (True, _reply({"tail": [_tail(3, [9, 10], [9.0])], "scannedPoints": 1},
+                  validators=["v2"])),
+    (True, _reply({"tail": [_tail(3, [1], [9.0])], "scannedPoints": 1},
+                  validators=["v2"])),
 ], ids=["unheld-not-modified", "not-modified-other-validator", "unheld-tail",
         "oversize-keep", "boolean-keep", "bad-tail-value", "short-tail",
         "long-tail", "no-form", "short-validators", "non-string-validator",
-        "no-validators"])
+        "no-validators", "bad-base64", "ragged-column", "t-v-mismatch",
+        "non-increasing-t", "keep-not-a-multiple-of-3", "tail-t-v-mismatch",
+        "tail-goes-back-in-time"])
 def test_a_lying_server_is_a_wire_error_and_the_client_recovers(
         hold_first, lie):
     q = Query("m", 0, 10)
@@ -505,14 +615,28 @@ def test_a_lying_server_is_a_wire_error_and_the_client_recovers(
         server.close()
 
 
+def test_a_version_1_request_is_answered_in_band_naming_version_2():
+    db = TSDB()
+    db.put("m", 0, 1.0, {"node": "a"})
+    payload = {**wire.encode_request([Query("m", 0, 10)]), "version": 1}
+    with live_server(db) as server:
+        (line,) = _raw_lines(server.address,
+                             json.dumps(payload).encode() + b"\n")
+    error = json.loads(line)["error"]
+    assert error["type"] == "WireError"
+    assert "unsupported wire version 1" in error["message"]
+    assert "speaks 2" in error["message"]
+
+
 def test_a_tail_extends_what_is_held_and_leaves_it_alone():
     """The client-side splice on its own, against a scripted server:
-    ``keep`` drops the non-final suffix, the tail is appended, and the
-    series handed out before are not touched."""
+    ``keep`` drops the non-final suffix, the tail is appended — both by
+    slicing text — and the series handed out before are not touched."""
     q = Query("m", 0, 10)
     server = _ScriptedServer(
-        _FULL,
-        _reply({"tail": [{"keep": 2, "dps": {"2": 2.5, "3": None}}],
+        _reply({"series": [_series(4)], "scannedPoints": 4},
+               validators=["v1"]),
+        _reply({"tail": [_tail(3, [3, 4], [2.5, np.nan])],
                 "scannedPoints": 2}, validators=["v2"]))
     client = QueryClient(*server.address, retries=0)
     try:
@@ -522,37 +646,38 @@ def test_a_tail_extends_what_is_held_and_leaves_it_alone():
         client.close()
         server.close()
     assert held == [{"metric": "m", "tags": {},
-                     "dps": {"0": 0.0, "1": 1.0, "2": 2.5, "3": None}}]
-    assert list(held[0]["dps"]) == ["0", "1", "2", "3"]
-    assert list(first.series[0].values) == [0.0, 1.0, 2.0]
+                     "t": _b64([0, 1, 2, 3, 4], "<i8"),
+                     "v": _b64([0.0, 1.0, 2.0, 2.5, np.nan], "<f8")}]
+    assert list(first.series[0].values) == [0.0, 1.0, 2.0, 3.0]
     assert client._held.use(client_module._panel_shape(
         wire.encode_query(q))).validator == "v2"
 
 
 def test_a_tail_decodes_only_its_tail(monkeypatch):
     q = Query("m", 0, 10)
+    tail = _tail(3, [3, 4], [2.5, np.nan])
     server = _ScriptedServer(
-        _FULL,
-        _reply({"tail": [{"keep": 2, "dps": {"2": 2.5, "3": None}}],
-                "scannedPoints": 2}, validators=["v2"]))
+        _reply({"series": [_series(4)], "scannedPoints": 4},
+               validators=["v1"]),
+        _reply({"tail": [tail], "scannedPoints": 2}, validators=["v2"]))
     client = QueryClient(*server.address, retries=0)
     decoded = []
-    real = wire._decode_value
-    monkeypatch.setattr(
-        wire, "_decode_value", lambda v: decoded.append(v) or real(v))
+    real = base64.b64decode
+    monkeypatch.setattr(base64, "b64decode",
+                        lambda text, **kw: decoded.append(text) or real(text, **kw))
     try:
         client.run_many([q])
-        assert decoded == [0.0, 1.0, 2.0]
+        assert decoded == [_series(4)["t"], _series(4)["v"]]
         del decoded[:]
         (result,) = client.run_many([q])
     finally:
         client.close()
         server.close()
-    assert decoded == [2.5, None]
-    assert list(result.series[0].timestamps) == [0, 1, 2, 3]
+    assert decoded == [tail["t"], tail["v"]]
+    assert list(result.series[0].timestamps) == [0, 1, 2, 3, 4]
     assert result.series[0].timestamps.dtype == np.int64
     np.testing.assert_array_equal(
-        result.series[0].values, [0.0, 1.0, 2.5, np.nan])
+        result.series[0].values, [0.0, 1.0, 2.0, 2.5, np.nan])
     assert result.scanned_points == 2
 
 
@@ -598,55 +723,79 @@ def _refreshed(refresher, panels, *, one_at_a_time: bool):
             else refresher.run_many([q])[0] for q in panels]
 
 
-def _assert_refresh_is_exact(inner, refresher, panels, *, one_at_a_time=False):
+def _assert_refresh_is_exact(inner, refresher, panels, *, one_at_a_time=False,
+                             holds=None):
     """The refreshed reply, encoded the way the server encodes it, is
     the dict codec on the innermost store — as a dict and as bytes
     (``scannedPoints`` aside: a refresh reports the delta's) — and every
-    series' carried text and digest are what a from-scratch encoding
-    and a one-shot hash of it give."""
+    entry's validator is that of a from-scratch result.  With ``holds``
+    (panel shape → validator and series, carried between calls) the
+    reply is the one a holding client gets, put back together the way
+    :class:`QueryClient` does it: held series, or held columns spliced
+    with the tail as text."""
+    shapes = [client_module._panel_shape(wire.encode_query(q)) for q in panels]
+    held = [None] * len(panels)
+    if holds is not None:
+        held = [holds.get(shape, (None,))[0] for shape in shapes]
     try:
         results = _refreshed(refresher, panels, one_at_a_time=one_at_a_time)
     except QueryError as exc:
         results = wire.encode_error(exc)
     # asked afterwards: a write may land in the middle of the refresh
-    want = wire.handle_request(inner, wire.encode_request(panels))
+    fresh = wire.handle_request(inner, wire.encode_request(panels))
     if isinstance(results, dict):
-        assert want == results
+        assert fresh == results
         return
     got = json.loads(wire.encode_response_json(
-        results, series_json=series_text, held=[None] * len(panels),
-        validator=entry_validator))
-    assert len(got.pop("validators")) == len(panels)
-    assert "error" not in want
-    for ours, theirs in zip(want["results"], got["results"]):
+        results, held=held, validator=entry_validator, tail=entry_tail))
+    validators = got.pop("validators")
+    assert "error" not in fresh
+    for i, entry in enumerate(got["results"]):
+        if entry.pop("notModified", False):
+            entry["series"] = holds[shapes[i]][1]
+        elif "tail" in entry:
+            entry["series"] = [
+                {**prev, **{c: wire.splice_column(prev[c], t["keep"], t[c])
+                            for c in "tv"}}
+                for prev, t in zip(holds[shapes[i]][1], entry.pop("tail"))]
+        entry["scannedPoints"] = entry.pop("scannedPoints")  # key order
+    if holds is not None:
+        for shape, validator, entry in zip(shapes, validators, got["results"]):
+            holds[shape] = (validator, entry["series"])
+    for ours, theirs in zip(fresh["results"], got["results"]):
         ours["scannedPoints"] = theirs["scannedPoints"]
-    assert got == want
+    assert got == fresh
     assert (json.dumps(got, allow_nan=False)
-            == json.dumps(want, allow_nan=False))
-    for res in results:
-        for s in res.series:
-            assert series_text(s) == wire.series_json(s)
-            assert series_tag(s) == blake2b(
-                series_text(s), digest_size=16).digest()
+            == json.dumps(fresh, allow_nan=False))
+    assert validators == [entry_validator(res.series)
+                          for res in inner.run_many(panels)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
-@pytest.mark.parametrize("make_store", [TSDB, lambda: ShardedTSDB(4)],
-                         ids=["single", "sharded"])
+@pytest.mark.parametrize("layout", ["single", "sharded"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_property_batch_refresh_is_per_panel_refresh_is_from_scratch(
-        make_store, data):
+        layout, data):
     """After every step, whatever it was — an append, a late write,
     retention, churn, nothing, a slid window — one batched refresh of
     the request ≡ a second refresher asked one panel at a time ≡
-    ``run_many`` on the innermost store.  The request may name one
-    panel shape twice (two windows) and carries expression panels whose
-    operands are sibling panels."""
-    inner = make_store()
+    ``run_many`` on the innermost store, for a client holding nothing
+    and for one holding its last reply (answered with tails).  The
+    request may name one panel shape twice (two windows) and carries
+    expression panels whose operands are sibling panels.  Both
+    refreshers run on ``CachingStore(DurableStore(ReplicatedStore(·)))``
+    and every write goes through that stack."""
     draw = data.draw
-    batch = IncrementalRefresher(CachingStore(inner, capacity=3))
-    single = IncrementalRefresher(CachingStore(inner, capacity=3))
+    inner = _make_inner(layout, draw)
+    with _stack(inner) as stack:
+        _refresh_steps(inner, stack, draw)
+
+
+def _refresh_steps(inner, stack, draw):
+    batch = IncrementalRefresher(CachingStore(stack, capacity=3))
+    single = IncrementalRefresher(CachingStore(stack, capacity=3))
+    holds: dict = {}
     now, nodes, window = 0, ["a", "b"], (0, 0)
     picks, twice = [0, 1, 4, 5, 6], None
     ops = (("append",) * 4 + ("slide",) * 2
@@ -656,20 +805,20 @@ def test_property_batch_refresh_is_per_panel_refresh_is_from_scratch(
         if op == "append":
             for _ in range(draw(st.integers(1, 6))):
                 now += draw(st.integers(1, 9))
-                inner.put("m", now, draw(_VALUES),
+                stack.put("m", now, draw(_VALUES),
                           {"node": draw(st.sampled_from(nodes))})
         elif op == "late":  # out of order, or a duplicate instant
-            inner.put("m", draw(st.integers(0, now)), draw(_VALUES),
+            stack.put("m", draw(st.integers(0, now)), draw(_VALUES),
                       {"node": draw(st.sampled_from(nodes))})
         elif op == "retention":
-            inner.delete_before(draw(st.integers(0, now + 1)))
+            stack.delete_before(draw(st.integers(0, now + 1)))
         elif op == "churn":
             if draw(st.booleans()):
                 nodes.append(f"n{len(nodes)}")
-                inner.put("m", draw(st.integers(0, now + 1)), draw(_VALUES),
+                stack.put("m", draw(st.integers(0, now + 1)), draw(_VALUES),
                           {"node": nodes[-1]})
             else:  # a whole series goes away
-                inner.delete_series_before(
+                stack.delete_series_before(
                     SeriesKey.make(
                         "m", {"node": draw(st.sampled_from(nodes))}),
                     now + 1)
@@ -691,7 +840,7 @@ def test_property_batch_refresh_is_per_panel_refresh_is_from_scratch(
             lo = min(window[0] + twice, window[1])
             panels.append(Query("m", lo, window[1], downsample="10s-avg",
                                 group_by=("node",)))
-        _assert_refresh_is_exact(inner, batch, panels)
+        _assert_refresh_is_exact(inner, batch, panels, holds=holds)
         _assert_refresh_is_exact(inner, single, panels, one_at_a_time=True)
 
 

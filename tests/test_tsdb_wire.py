@@ -2,11 +2,12 @@
 
 Requests must decode back to the queries that encoded them (hypothesis
 over the whole Query parameter space), responses must carry every
-timestamp/value bit-exactly through JSON text (floats round-trip via
-shortest-repr; NaN travels as null), and the strict version/field
-checking must reject drift loudly.
+timestamp/value bit-exactly through JSON text (two base64 columns;
+every NaN travels as the one quiet NaN, ±inf and −0.0 as their bits),
+and the strict version/field/column checking must reject drift loudly.
 """
 
+import base64
 import json
 import math
 
@@ -19,6 +20,21 @@ from repro.tsdb import Query, TSDB, WireError
 from repro.tsdb.plan import expr, select
 from repro.tsdb.wire import RemoteQueryError, WIRE_VERSION, handle_request
 from repro.tsdb import wire
+
+#: The bits of the one NaN a column carries.
+CANONICAL_NAN = 0x7FF8000000000000
+
+
+def bits(values) -> list[int]:
+    """A value column's bits, every NaN the canonical one."""
+    out = np.asarray(values, dtype="<f8").view("<u8").copy()
+    out[np.isnan(values)] = CANONICAL_NAN
+    return out.tolist()
+
+
+def b64(values, dtype) -> str:
+    return base64.b64encode(np.array(values, dtype).tobytes()).decode()
+
 
 names = st.from_regex(r"[A-Za-z0-9][A-Za-z0-9._\-]{0,8}", fullmatch=True)
 tag_values = st.one_of(
@@ -90,7 +106,8 @@ def test_expr_request_round_trip(q, formula_ops):
     data=st.data(),
 )
 def test_response_value_round_trip(ts, data):
-    """Every float bit (including NaN and ±inf) survives JSON text."""
+    """Every float bit (±inf and −0.0 included) survives JSON text;
+    every NaN arrives as the canonical one."""
     values = data.draw(
         st.lists(
             st.floats(allow_nan=True, allow_infinity=True, width=64),
@@ -102,12 +119,14 @@ def test_response_value_round_trip(ts, data):
         db.put_series("m", np.array(sorted(ts), np.int64),
                       np.array(values, np.float64))
     res = db.run_many([Query("m", 0, 2**40)])
-    text = wire.response_to_json(res)
+    text = wire.encode_response_json(res)
     (decoded,) = wire.decode_response(text)
     (got,) = decoded.series
     want = res[0].single()
+    assert got.timestamps.dtype == np.int64
     assert np.array_equal(got.timestamps, want.timestamps)
-    assert np.array_equal(got.values, want.values, equal_nan=True)
+    assert got.values.view("<u8").tolist() == bits(want.values)
+    assert not (got.timestamps.flags.writeable or got.values.flags.writeable)
     assert decoded.scanned_points == res[0].scanned_points
 
 
@@ -119,9 +138,10 @@ def test_response_value_round_trip(ts, data):
     data=st.data(),
 )
 def test_reply_text_equals_dumps_of_the_dict_codec(ts, split, tags, data):
-    """The bytes-level encoder is ``json.dumps`` of the dict codec, in
-    pieces: a series from head + dps entries + tail at any split, an
-    entry and a response from series texts, a line from either form."""
+    """The bytes-level encoder is ``json.dumps`` of the dict codec: a
+    series is its head and two base64 columns, any cut of a column at a
+    multiple of 3 values splices back into the whole as text, and a
+    response and a line come out the same from either form."""
     values = data.draw(
         st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
                  min_size=len(ts), max_size=len(ts)))
@@ -137,16 +157,20 @@ def test_reply_text_equals_dumps_of_the_dict_codec(ts, split, tags, data):
     def dumps(obj):
         return json.dumps(obj, allow_nan=False).encode()
 
-    for s in results[0].series:
-        whole = wire.series_json(s)
-        assert whole == dumps(wire.encode_response(results)
-                              ["results"][0]["series"][0])
-        cut = min(split, len(s))
-        pieces = [wire.dps_json(s.timestamps[:cut], s.values[:cut]),
-                  wire.dps_json(s.timestamps[cut:], s.values[cut:])]
-        assert whole == (wire.series_head_json(s)
-                         + b", ".join(p for p in pieces if p)
-                         + wire.SERIES_JSON_TAIL)
+    for s, encoded in zip(results[0].series,
+                          wire.encode_response(results)["results"][0]["series"]):
+        t, v = (c.decode() for c in wire.encode_columns(s.timestamps, s.values))
+        assert encoded == {"metric": s.metric, "tags": s.group_tags,
+                           "t": t, "v": v}
+        assert len(base64.b64decode(t)) == len(base64.b64decode(v)) == 8 * len(s)
+        cut = min(split, len(s)) // 3 * 3
+        head = wire.encode_columns(s.timestamps[:cut], s.values[:cut])
+        rest = wire.encode_columns(s.timestamps[cut:], s.values[cut:])
+        assert wire.splice_column(head[0].decode(), cut, rest[0].decode()) == t
+        assert wire.splice_column(v, cut, rest[1].decode()) == v
+        # a cut off the 3-value grid, or past what is held, is refused
+        assert wire.splice_column(t, cut + 1, "") is None
+        assert wire.splice_column(t, len(s) // 3 * 3 + 3, "") is None
     for batch in (results, results[:1], []):
         response = wire.encode_response(batch)
         text = wire.encode_response_json(batch)
@@ -199,17 +223,29 @@ class TestHandleRequest:
         response = handle_request(db, request)
         (entry,) = response["results"]
         assert entry["expr"] == "a - b"
-        assert all(v == -10.0 for v in entry["series"][0]["dps"].values())
+        (decoded,) = wire.decode_response(response)
+        assert decoded.expr == "a - b"
+        assert list(decoded.series[0].values) == [-10.0] * 12
 
-    def test_nan_encodes_as_null(self, db):
+    def test_nan_encodes_as_one_quiet_nan(self, db):
         request = wire.encode_request(
             [Query("air.co2.ppm", 0, 7200, downsample="10m-avg-nan")]
         )
         response = handle_request(db, request)
-        dps = response["results"][0]["series"][0]["dps"]
-        assert None in dps.values()  # the gap buckets
         (decoded,) = wire.decode_response(response)
-        assert math.isnan(decoded.series[0].values[-1])
+        values = decoded.series[0].values
+        assert math.isnan(values[-1])  # the gap buckets
+        assert {b for b in values.view("<u8").tolist()
+                if b >> 52 & 0x7FF == 0x7FF} == {CANONICAL_NAN}
+        # NaNs of any sign and payload are sent as the one NaN, so equal
+        # results are equal bytes
+        odd = np.array([0xFFF8000000000000, 0x7FF8000000000001,
+                        0x7FF8000000000000], "<u8").view("<f8")
+        other = TSDB()
+        other.put_series("m", np.arange(3, dtype=np.int64), odd)
+        res = other.run_many([Query("m", 0, 10)])
+        (series,) = wire.encode_response(res)["results"][0]["series"]
+        assert series["v"] == b64([CANONICAL_NAN] * 3, "<u8")
 
 
 class TestStrictness:
@@ -254,12 +290,25 @@ class TestStrictness:
                 )
 
     def test_malformed_dps_rejected(self):
-        bad = {"version": WIRE_VERSION, "results": [
-            {"series": [{"metric": "m", "tags": {}, "dps": {"abc": 1.0}}],
-             "scannedPoints": 0},
-        ]}
-        with pytest.raises(WireError):
-            wire.decode_response(bad)
+        """Data points whose columns do not decode to two equal-length
+        arrays with strictly increasing timestamps are rejected."""
+        good = {"t": b64([0, 10, 20], "<i8"), "v": b64([1.0, 2.0, 3.0], "<f8")}
+        for columns, match in (
+            ({"t": "AAAA AAAAAAA"}, "not base64"),
+            ({"t": "AAAAAAAAAAA"}, "not base64"),
+            ({"v": base64.b64encode(bytes(20)).decode()}, "8-byte"),
+            ({"v": b64([1.0, 2.0], "<f8")}, "3 values and 'v' 2"),
+            ({"t": b64([0, 20, 10], "<i8")}, "strictly increasing"),
+            ({"t": b64([0, 10, 10], "<i8")}, "strictly increasing"),
+            ({"t": [0, 10, 20]}, "base64 string"),
+            ({"v": None}, "base64 string"),
+        ):
+            bad = {"version": WIRE_VERSION, "results": [
+                {"series": [{"metric": "m", "tags": {}, **good, **columns}],
+                 "scannedPoints": 0},
+            ]}
+            with pytest.raises(WireError, match=match):
+                wire.decode_response(bad)
 
     def test_nested_expressions_rejected(self):
         inner = {"expr": "a", "operands": {
@@ -313,7 +362,7 @@ class TestStrictness:
 
 
 class TestInfinityEncoding:
-    """±inf travels as explicit strings; NaN as null; never bare tokens."""
+    """±inf travels as its bits inside base64 text: never a bare token."""
 
     def _db_with(self, *values):
         db = TSDB()
@@ -324,27 +373,31 @@ class TestInfinityEncoding:
     def test_response_json_is_rfc8259_valid(self):
         db = self._db_with(1.0, math.inf, -math.inf, 2.5)
         res = db.run_many([Query("m", 0, 100)])
-        text = wire.response_to_json(res)
+        text = wire.encode_response_json(res)
         # stdlib strict parsing: would fail on bare Infinity/NaN tokens
         payload = json.loads(text, parse_constant=lambda t: pytest.fail(
             f"bare non-finite token {t!r} in wire JSON"))
-        dps = payload["results"][0]["series"][0]["dps"]
-        assert dps["10"] == "Infinity"
-        assert dps["20"] == "-Infinity"
+        (series,) = payload["results"][0]["series"]
+        assert series["v"] == b64([1.0, math.inf, -math.inf, 2.5], "<f8")
 
     def test_infinity_round_trip(self):
         db = self._db_with(math.inf, -math.inf)
         res = db.run_many([Query("m", 0, 100)])
-        (decoded,) = wire.decode_response(wire.response_to_json(res))
+        (decoded,) = wire.decode_response(wire.encode_response_json(res))
         assert list(decoded.series[0].values) == [math.inf, -math.inf]
 
     def test_unknown_value_spellings_rejected(self):
+        """A value column is base64 of whole ``<f8`` values: the v1
+        spellings, the URL-safe alphabet and unpadded text are not."""
         base = {"version": WIRE_VERSION, "results": [
-            {"series": [{"metric": "m", "tags": {}, "dps": {"0": None}}],
+            {"series": [{"metric": "m", "tags": {}, "t": b64([0], "<i8"),
+                         "v": b64([math.inf], "<f8")}],
              "scannedPoints": 0}]}
-        for bad in ("inf", "+Infinity", "NaN", True):
+        wire.decode_response(base)
+        for bad in ("inf", "+Infinity", "NaN", "Infinity", True,
+                    "AAAAAAAA8H8", "AAAAAAAA8H-_", b64([math.inf], "<f4")):
             payload = json.loads(json.dumps(base))
-            payload["results"][0]["series"][0]["dps"]["0"] = bad
+            payload["results"][0]["series"][0]["v"] = bad
             with pytest.raises(WireError):
                 wire.decode_response(payload)
 
