@@ -38,12 +38,15 @@ test-query:
 # per-tenant admission control, wire error paths, and conditional
 # replies (a holding client ≡ encode_response, the columnar dict form,
 # with tails spliced as base64 text; an unchanged dashboard costs
-# look-ups, a cold reply no call per point, as counts), and what one
-# refresh request costs as
-# counts (validators read once, one planned batch of deltas, nothing
-# inserted into the result cache, one counter per metric on a hit), and
-# the per-metric short-cut ≡ the per-series check under interleaved
-# writes on every store layout.
+# look-ups, a cold reply no call per point, as counts); the plain
+# splice path (a plain reply built from held buckets plus head and tail
+# edges ≡ inner.run_many, scannedPoints included, under hypothesis on
+# every store layout, and with two clients sliding one wall at once);
+# what one refresh or moved-window plain request costs as counts
+# (validators read once, one planned batch of edges, no delta inserted
+# into the result cache, one counter per metric on a hit); and the
+# per-metric short-cut ≡ the per-series check under interleaved writes
+# on every store layout.
 serve-test:
 	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_conditional.py tests/test_refresh_costs.py tests/test_metric_counters.py tests/test_tsdb_wire.py
 

@@ -10,8 +10,9 @@ usable on its own:
   timers), plus :class:`CatalogCache`, the same discipline applied to
   series-metadata answers;
 - :mod:`~repro.serve.refresh` — :class:`IncrementalRefresher`,
-  steady-state dashboard refresh that rescans only past the splice
-  boundary append-only writes cannot have changed;
+  per-panel state that answers a moved window from its held buckets,
+  rescanning only the edges append-only writes can have changed (the
+  server's plain and ``refresh`` requests alike);
 - :mod:`~repro.serve.server` — :class:`QueryServer`, the asyncio TCP
   endpoint (newline-delimited JSON) with per-tenant admission control
   reusing the region layer's ``block`` / ``drop-oldest`` policies;

@@ -177,6 +177,7 @@ class CacheStats:
     invalidated: int = 0  # entries dropped on a validator mismatch
     evicted: int = 0  # entries dropped by LRU capacity pressure
     skipped: int = 0  # results not cached (write raced the execution)
+    spliced: int = 0  # misses answered from held panel state plus edges
 
     def as_dict(self) -> dict:
         return asdict(self)

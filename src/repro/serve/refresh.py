@@ -2,8 +2,9 @@
 
 A dashboard panel is the same query re-run with a sliding window.  A
 steady-state store is append-only — points arrive with timestamps past
-each series' maximum — so everything the previous refresh computed
-below a *splice boundary* is final and only the tail needs rescanning.
+each series' maximum — so everything the previous answer computed
+below a *splice boundary* is final and only the window's edges need
+rescanning.
 
 The boundary is exact, not heuristic:
 
@@ -20,40 +21,47 @@ The boundary is exact, not heuristic:
   the check reads that one counter instead of one per matched series;
   only once it has moved (a reshape anywhere under the metric — another
   city's backfill, say) are the per-series counters compared.  The
-  validators are read once, before the panel's full run; a refresh
+  validators are read once, before the panel's full run; a later answer
   compares against them and reads only ``B`` afresh.
 - downsample buckets are epoch-aligned and (for the ``none``/``zero``
   fill policies) computed from their own bucket's points only, so
-  buckets strictly below ``floor((B+1)/w)*w`` are final and the delta
-  query re-runs from that bucket boundary.
+  buckets strictly below the *cut* ``floor((B+1)/w)*w`` are final and
+  the *tail* query re-runs from that bucket boundary.
 
-The spliced series are byte-identical to a full re-run: the delta is
-the *same* query over ``[splice, end]`` through the same planner, and
-the kept prefix is the previous run's output for instants the store
+**The head rule.**  A window start that moved forward to ``s`` cuts
+only the bucket ``s`` falls in.  A bucket reads only its own points,
+and an instant folds only its own cells (the
+:mod:`~repro.tsdb.aggregators` docstring; ``execute_plan`` aggregates
+across series at each instant *before* it downsamples), so every held
+bucket at or above ``ceil_w(s)`` was never cut by the old start either
+and is kept.  Off the grid, the *head* query re-runs ``[s, ceil_w(s) -
+1]``; a head that reaches the cut leaves nothing to keep, and the panel
+runs in full.
+
+The spliced series are byte-identical to a full re-run: head and tail
+are the *same* query over their ranges through the same planner, and
+the kept middle is the previous answer's output for instants the store
 guarantees unchanged.  ``rate`` queries and the ``previous``/``linear``
-fills couple values across the boundary and always take the full path,
-as does any validator mismatch (out-of-order write, retention delete,
-series churn, window moving backwards).
+fills couple values across buckets and always take the full path, as
+does any validator mismatch (out-of-order write, retention delete,
+series churn) and a window that moved back or whose end shrank.
 
-``scanned_points`` on an incremental result counts only the points the
-*delta* actually scanned — that asymmetry is the speedup being
-measured; the series content is what is guaranteed identical.
-
-A refresh request is one batch, in three phases
-(:meth:`IncrementalRefresher._refresh`; ``run(q)`` is the batch of one):
+A **refresh** request (``run_many(queries)``; ``run(q)`` is the batch
+of one) is one batch, in three phases
+(:meth:`IncrementalRefresher._refresh`):
 
 - **A — classify** every panel against a *before*
   :class:`~repro.serve.cache.ValidatorView`: is there state, may the
   shape be spliced, does the window advance, do the validators hold,
-  where is the cut, what is the boundary now.  A panel comes out
-  *cache-only* (answered here), *delta* or *full*.
-- **B — execute** all delta queries of the request as **one** planned
+  where are the cut and the head, what is the boundary now.  A panel
+  comes out *cache-only* (nothing to scan), *delta* (a head, a tail or
+  both) or *full*.
+- **B — execute** all edge queries of the request as **one** planned
   batch on the store *under* the result cache (``_run_uncached_batch``,
   the hook ``CachingStore`` itself runs on a miss): one match per
-  filter, one covering scan per touched series, one shared alignment —
-  and nothing inserted into the result cache, where a delta's
-  ``(cut, end)`` key could only evict what plain requests are served
-  from.
+  filter, one covering scan per touched series — and nothing inserted
+  into the result cache, where an edge's window could only evict what
+  plain requests are served from.
 - **C — validate** every delta panel against a fresh *after* view, then
   splice and remember; a panel whose validators no longer hold is
   dropped, counted ``invalidated`` and run in full.
@@ -65,33 +73,55 @@ panel — a reshaping write anywhere in the window sends every panel that
 reads the series down the full path — and it is only sound because no
 view outlives its phase.
 
-Full runs stay one panel at a time, each inside its own bracket and
-*through* the caching store (a first refresh may be answered by what a
-plain request cached): a bracket per panel sends one panel down the
-full path again when a write races it, a bracket around twelve sends
-twelve.  Memory is no longer the reason.  When a scan copied its
-columns and a batch kept every filter's alignment until its last panel,
-twelve full panels planned as one batch read ``dashboard_live``
-``peak_rss_mb`` 186 → 215, outside its 8 % bound; now that a batch
-holds views and one filter's cells (:func:`~repro.tsdb.plan.run_unique_batch`)
-the same variant reads 153.7 → 154.4 MB over six pairs, journey
-unchanged — so batching the full runs is open again, as an argument
-about the bracket alone.  A request that names one panel shape twice
-(two windows) is cut at the repeat, so the later entry sees the state
-the earlier one left.
+A refresh's full runs stay one panel at a time, each inside its own
+bracket and *through* the caching store (a first refresh may be
+answered by what a plain request cached): a bracket per panel sends one
+panel down the full path again when a write races it, a bracket around
+twelve sends twelve.  A request that names one panel shape twice (two
+windows) is cut at the repeat, so the later entry sees the state the
+earlier one left.  ``scanned_points`` on a refreshed result counts only
+the points its edges scanned; :class:`RefreshStats` counts refresh
+requests only.
+
+A **plain** request (``run_many(queries, plain=True)``, what the server
+runs for a request without ``refresh``) shares the panel state and is
+answered as the result cache alone would answer it, byte for byte:
+
+1. exact hits come from the result cache first, through one view, as
+   :class:`~repro.serve.cache.CachingStore` serves them;
+2. the misses whose panel shape has state are classified (phase A);
+3. their edge queries and every other miss run as **one** planned
+   batch under the result cache, inside one bracket — a wall's avg and
+   dev panels still share one alignment — and the misses that ran in
+   full seed panel state through the ``_capture`` / ``_boundary``
+   bracket;
+4. after the batch every answer, spliced or full, goes into the result
+   cache with validators read before it, so an exact repeat is a hit,
+   not a splice; a splice counts as a miss and as
+   :attr:`~repro.serve.cache.CacheStats.spliced`.  A delta whose
+   validators failed after the batch runs in full in a bracket of its
+   own.
+
+A plain answer's ``scanned_points`` is what a fresh run scans — the
+matched series' points in ``[start, end]``: the edges' own counts plus
+the points under the kept buckets, counted from scan views (a
+searchsorted pair per series, nothing copied or rescanned) on the
+*before* side of the bracket, where those points are already final.
 
 A spliced series also notes what it was spliced *from*
 (:func:`~repro.serve.cache.remember_series_tail`: the previous series'
-content digest and how many of its points were kept), when a
-conditional reply has ever named the previous series — so a client
-that says it holds the previous reply is sent the tail alone, from the
-last multiple of three kept points on, the cut its base64 columns can
-be spliced at as text (:func:`~repro.tsdb.wire.splice_column`).
+content digest and how many of its points were kept), when its start
+did not move and a conditional reply has ever named the previous
+series — so a client that says it holds the previous reply is sent the
+tail alone, from the last multiple of three kept points on, the cut its
+base64 columns can be spliced at as text
+(:func:`~repro.tsdb.wire.splice_column`).  Only refresh replies are
+sent in that form.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -102,6 +132,7 @@ from ..tsdb.series import SeriesSlice
 from .cache import (
     BoundedLRU,
     ValidatorView,
+    _freeze,
     cached_series_tag,
     remember_series_tail,
 )
@@ -109,7 +140,7 @@ from .cache import (
 
 @dataclass
 class RefreshStats:
-    """Cumulative refresher accounting."""
+    """Cumulative refresher accounting (refresh requests only)."""
 
     full_runs: int = 0
     incremental_runs: int = 0
@@ -117,7 +148,7 @@ class RefreshStats:
     invalidated: int = 0  # panel state dropped on a validator mismatch
     evicted: int = 0  # panel state dropped as the least recently refreshed
     batches: int = 0  # refresh requests executed
-    delta_queries: int = 0  # queries handed to the planner for deltas
+    delta_queries: int = 0  # edge queries handed to the planner
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -125,7 +156,7 @@ class RefreshStats:
 
 @dataclass
 class _PanelState:
-    """What the last refresh of one panel knew."""
+    """What the last answer for one panel shape knew."""
 
     start: int
     end: int
@@ -149,34 +180,63 @@ def _panel_key(q: Query) -> tuple:
     )
 
 
-def _splice(
-    cached: SeriesSlice, delta: SeriesSlice, lo: int | None, cut: int
-) -> SeriesSlice:
-    """Cached instants in ``[lo, cut)`` followed by the delta's.
+def _label(s: ResultSeries) -> tuple:
+    return tuple(sorted(s.group_tags.items()))
 
-    ``lo=None`` keeps the cached prefix untrimmed (the window start did
-    not move, so the cached head is already exactly the query's head —
+
+def _by_label(result: QueryResult | None) -> dict[tuple, SeriesSlice]:
+    return {} if result is None else {_label(s): s.slice for s in result.series}
+
+
+def _splice(
+    head: SeriesSlice | None,
+    held: SeriesSlice,
+    tail: SeriesSlice | None,
+    keep_from: int | None,
+    cut: int,
+) -> SeriesSlice:
+    """The head's instants, the held ones in ``[keep_from, cut)``, then
+    the tail's.
+
+    ``keep_from=None`` keeps the held prefix untrimmed (the window start
+    did not move, so the held head is already exactly the query's head —
     trimming at an unaligned start would drop a leading bucket whose
     epoch-aligned timestamp sits before it).
     """
-    ts = cached.timestamps
-    a = 0 if lo is None else int(np.searchsorted(ts, lo, side="left"))
+    ts = held.timestamps
+    a = 0 if keep_from is None else int(np.searchsorted(ts, keep_from, side="left"))
     b = int(np.searchsorted(ts, cut, side="left"))
+    parts = [
+        part
+        for part in (head, SeriesSlice(ts[a:b], held.values[a:b]), tail)
+        if part is not None
+    ]
     return SeriesSlice(
-        np.concatenate([ts[a:b], delta.timestamps]),
-        np.concatenate([cached.values[a:b], delta.values]),
+        np.concatenate([part.timestamps for part in parts]),
+        np.concatenate([part.values for part in parts]),
     )
 
 
 @dataclass
 class _Delta:
-    """Phase A's plan for one panel that will be spliced."""
+    """Phase A's plan for one panel that will be spliced: the held
+    buckets in ``[keep_from, cut)`` between two optional edge queries
+    (neither: the panel is cache-only)."""
 
     st: _PanelState
-    query: Query  # the panel's query over ``[cut, end]``
+    head: Query | None  # the panel's query over [start, keep_from - 1]
+    tail: Query | None  # the panel's query over [cut, end]
+    keep_from: int | None  # where the held buckets start; None: unmoved
     cut: int
-    trim_lo: int | None  # the window start, when it moved
-    boundary_now: int | None  # min last-timestamp over sources, before the run
+    boundary: int  # min last-timestamp over sources, before the run
+
+    @property
+    def edges(self) -> tuple[Query | None, Query | None]:
+        return self.head, self.tail
+
+    @property
+    def cache_only(self) -> bool:
+        return self.head is None and self.tail is None
 
 
 def _splice_shape(q: Query) -> tuple[int | None, bool]:
@@ -188,19 +248,38 @@ def _splice_shape(q: Query) -> tuple[int | None, bool]:
     return (None if ds is None else ds.width), splice_safe
 
 
+def _scanned(result: QueryResult | None) -> int:
+    return 0 if result is None else result.scanned_points
+
+
+class _Plain:
+    """The refresher as ``run_batch`` sees it on a plain request."""
+
+    def __init__(self, refresher: IncrementalRefresher) -> None:
+        self._run_unique_batch = refresher._run_plain
+
+
 class IncrementalRefresher:
     """Per-panel incremental execution over one store.
 
     ``run_many(queries)`` always returns the same series a fresh
     ``store.run_many(queries)`` would; it is a refresher, not a snapshot
     — the incremental path merely avoids rescanning finalized history.
-    One instance serves many panels (state is keyed per panel shape).
+    ``run_many(queries, plain=True)`` (over a
+    :class:`~repro.serve.cache.CachingStore`) returns the very answers,
+    ``scanned_points`` included, its result cache would.  One instance
+    serves many panels (state is keyed per panel shape).
     """
 
     def __init__(self, store, *, max_panels: int = 256) -> None:
         self._store = store
         self._panels: BoundedLRU = BoundedLRU(max_panels)  # key -> _PanelState
+        self._plain = _Plain(self)
         self.stats = RefreshStats()
+
+    def clear(self) -> None:
+        """Forget every panel's state: the next answer for each runs in full."""
+        self._panels.clear()
 
     # -- validators (``store``: a ValidatorView, one phase old) ----------
     @staticmethod
@@ -228,7 +307,7 @@ class IncrementalRefresher:
 
     @staticmethod
     def _holds(store, q: Query, validators: tuple) -> bool:
-        """Nothing the panel's kept prefix depends on was reshaped: the
+        """Nothing the panel's kept buckets depend on was reshaped: the
         metric's reshape counter held still, or — once it has moved —
         the match set and every matched series' reshape generation."""
         reshapes, metric_gen, reshape_gens = validators
@@ -241,19 +320,30 @@ class IncrementalRefresher:
             for key, gen in reshape_gens
         )
 
+    @staticmethod
+    def _points(store, q: Query, lo: int, hi: int) -> int:
+        """The matched series' points in ``[lo, hi]``, from scan views."""
+        n = 0
+        for key in store._match(q.metric, q.tags):
+            series = store._series(key)
+            if series is not None:
+                n += len(series.scan(lo, hi))
+        return n
+
     # -- execution -------------------------------------------------------
     def run_many(
-        self, queries: list[Query | ExprQuery]
+        self, queries: list[Query | ExprQuery], *, plain: bool = False
     ) -> list[QueryResult | ExprResult]:
-        """One ``refresh`` request, refreshed as one batch.
+        """One request, executed as one batch: a ``refresh`` request, or
+        with ``plain`` a plain one (see the module docstring).
 
         The shared planner dedups the batch and evaluates expression
-        panels over their refreshed operands, as it does for any store.
+        panels over their operands, as it does for any store.
         """
-        return run_batch(self, queries)
+        return run_batch(self._plain if plain else self, queries)
 
     def run(self, query: Query) -> QueryResult:
-        """The batch of one."""
+        """The refresh batch of one."""
         return self._run_unique_batch([query])[0]
 
     def _run_unique_batch(self, queries: list[Query]) -> list[QueryResult]:
@@ -273,40 +363,124 @@ class IncrementalRefresher:
     def _refresh(self, panels: dict[tuple, Query]) -> list[QueryResult]:
         """Distinct panels in the three phases of the module docstring."""
         results: dict[tuple, QueryResult] = {}
-        deltas: dict[tuple, _Delta] = {}
         before = ValidatorView(self._store)
+        deltas: dict[tuple, _Delta] = {}
         for key, q in panels.items():
-            plan = self._classify(before, key, q)
-            if isinstance(plan, _Delta):
+            plan = self._classify(before, key, q, self.stats)
+            if plan is not None:
                 deltas[key] = plan
-            elif plan is not None:
-                results[key] = plan
-        if deltas:
-            self.stats.delta_queries += len(deltas)
-            ran = self._store._run_uncached_batch(
-                [d.query for d in deltas.values()]
+        ran, _ = self._run_batch(list(deltas.values()), [], self.stats)
+        after = ValidatorView(self._store)
+        for (key, d), (head, tail) in zip(deltas.items(), ran):
+            q = panels[key]
+            if not d.cache_only and not self._holds(after, q, d.st.validators):
+                # A reshaping write raced the edge scans; the splice
+                # would mix epochs.  Drop the state, recompute below.
+                self._panels.pop(key, None)
+                self.stats.invalidated += 1
+                continue
+            if d.cache_only:
+                self.stats.cache_only_runs += 1
+            else:
+                self.stats.incremental_runs += 1
+            results[key] = self._splice_panel(
+                key, d, q, head, tail, _scanned(head) + _scanned(tail), self.stats
             )
-            after = ValidatorView(self._store)
-            for (key, d), delta in zip(deltas.items(), ran):
-                q = panels[key]
-                if self._holds(after, q, d.st.validators):
-                    results[key] = self._splice_panel(key, d, q, delta)
-                else:
-                    # A reshaping write raced the delta scans; the splice
-                    # would mix epochs.  Drop the state, recompute below.
-                    self._panels.pop(key, None)
-                    self.stats.invalidated += 1
         for key, q in panels.items():
             if key not in results:
                 results[key] = self._run_full(key, q)
         return [results[key] for key in panels]
 
+    def _run_plain(self, queries: list[Query]) -> list[QueryResult]:
+        """A plain request's distinct queries: exact hits first, then
+        the misses, one bracket at a time (module docstring, 1–4)."""
+        cache = self._store.cache
+        results: list[QueryResult | None] = [None] * len(queries)
+        before = ValidatorView(self._store)
+        misses: list[int] = []
+        for i, q in enumerate(queries):
+            results[i] = cache.lookup(before, q)
+            if results[i] is None:
+                misses.append(i)
+        stats = RefreshStats()  # a plain request is not a refresh
+        while misses:
+            misses = self._plain_misses(before, queries, misses, results, stats)
+            before = ValidatorView(self._store)
+        return results  # type: ignore[return-value]
+
+    def _plain_misses(
+        self,
+        before: ValidatorView,
+        queries: list[Query],
+        misses: list[int],
+        results: list,
+        stats: RefreshStats,
+    ) -> list[int]:
+        """One bracket around one batch: the misses' edges and full
+        runs.  Returns the deltas whose validators failed after it."""
+        cache = self._store.cache
+        deltas: dict[int, _Delta] = {}
+        seeds: dict[int, tuple] = {}  # full run -> (validators, boundary)
+        kept: dict[int, int] = {}  # delta -> points under its kept buckets
+        for i in misses:
+            q = queries[i]
+            plan = self._classify(before, _panel_key(q), q, stats)
+            if plan is not None:
+                deltas[i] = plan
+                lo = q.start if plan.head is None else plan.keep_from
+                hi = min(plan.cut - 1, q.end)
+                kept[i] = self._points(before, q, lo, hi)
+            elif _splice_shape(q)[1]:
+                seeds[i] = (self._capture(before, q), self._boundary(before, q))
+        validators = {i: cache.capture(before, queries[i]) for i in misses}
+        fulls = [i for i in misses if i not in deltas]
+        edges, ran = self._run_batch(
+            list(deltas.values()), [queries[i] for i in fulls], stats
+        )
+        after = ValidatorView(self._store)
+        retry: list[int] = []
+        for (i, d), (head, tail) in zip(deltas.items(), edges):
+            q = queries[i]
+            key = _panel_key(q)
+            if not d.cache_only and not self._holds(after, q, d.st.validators):
+                self._panels.pop(key, None)
+                retry.append(i)
+                continue
+            scanned = kept[i] + _scanned(head) + _scanned(tail)
+            results[i] = self._splice_panel(key, d, q, head, tail, scanned, stats)
+            cache.stats.spliced += 1
+        for i, result in zip(fulls, ran):
+            q = queries[i]
+            results[i] = result
+            self._seed(after, _panel_key(q), q, seeds.get(i), result, stats)
+        for i in misses:
+            if i not in retry and cache.insert(
+                after, queries[i], validators[i], results[i]
+            ):
+                _freeze(results[i])
+        return retry
+
+    def _run_batch(
+        self, deltas: list[_Delta], fulls: list[Query], stats: RefreshStats
+    ) -> tuple[list[tuple], list[QueryResult]]:
+        """Phase B: every delta's edge queries, then ``fulls``, as one
+        planned batch under the result cache.  Returns each delta's
+        (head, tail) results and the full runs' results."""
+        batch = [q for d in deltas for q in d.edges if q is not None]
+        stats.delta_queries += len(batch)
+        batch += fulls
+        ran = iter(self._store._run_uncached_batch(batch) if batch else ())
+        edges = [
+            tuple(None if q is None else next(ran) for q in d.edges)
+            for d in deltas
+        ]
+        return edges, list(ran)
+
     def _classify(
-        self, before: ValidatorView, key: tuple, query: Query
-    ) -> QueryResult | _Delta | None:
-        """Phase A for one panel: its result when the cached window
-        already covers the query's, its delta plan when a tail has to
-        be scanned, None when it must run in full."""
+        self, before: ValidatorView, key: tuple, query: Query, stats: RefreshStats
+    ) -> _Delta | None:
+        """Phase A for one panel: its splice plan, or None when it must
+        run in full."""
         st = self._panels.get(key)
         if st is None:
             return None
@@ -315,166 +489,134 @@ class IncrementalRefresher:
             # Never stateful for rate/previous/linear panels.
             self._panels.pop(key, None)
             return None
-        if not self._window_advances(st, query, width):
+        if not self._window_advances(st, query):
             return None
         if not self._holds(before, query, st.validators):
             self._panels.pop(key, None)
-            self.stats.invalidated += 1
+            stats.invalidated += 1
             return None
-        # Instants <= C are final *and* covered by the cached window.
+        # Instants <= C are final *and* covered by the held window.
         C = min(st.boundary, st.end)
-        if width is None:
-            cut = C + 1
-        else:
-            cut = ((C + 1) // width) * width
-        trim_lo = query.start if query.start > st.start else None
-        if cut > query.end:
-            # The whole window is final history already in cache (this
-            # branch implies query.end == st.end, see the boundary
-            # arithmetic in the module docstring).
-            series = st.result.series
-            if trim_lo is not None:
-                series = tuple(
-                    ResultSeries(
-                        metric=s.metric,
-                        group_tags=s.group_tags,
-                        slice=s.slice.between(trim_lo, None),
-                        source_series=s.source_series,
-                    )
-                    for s in series
-                )
-            out = QueryResult(query=query, series=series, scanned_points=0)
-            self.stats.cache_only_runs += 1
-            self._remember(key, st, query, out, st.boundary)
-            return out
-        floor_start = (
-            query.start if width is None else (query.start // width) * width
-        )
-        if cut <= floor_start:
-            # A lagging series pins the boundary at/before the window
-            # start; the delta would be the whole window anyway (and
-            # under downsampling would wrongly pull in points below
-            # ``start``), so just recompute.
+        cut = C + 1 if width is None else ((C + 1) // width) * width
+        start = query.start
+        if start == st.start:
+            keep_from = None
+            lo = start if width is None else (start // width) * width
+        else:  # the head rule: keep from the first bucket s cannot cut
+            keep_from = lo = start if width is None else -(-start // width) * width
+        if min(cut, query.end + 1) <= lo:
+            # Nothing held is kept: a lagging series pins the boundary at
+            # or before the window's first whole bucket, or the head
+            # reaches the cut.
             return None
-        delta_q = Query(
-            query.metric,
-            cut,
-            query.end,
-            tags=dict(query.tags),
-            aggregator=query.aggregator,
-            downsample=query.downsample,
-            rate=False,
-            group_by=query.group_by,
+        head = replace(query, end=lo - 1) if lo > start else None
+        tail = replace(query, start=cut) if cut <= query.end else None
+        boundary = None if tail is None else self._boundary(before, query)
+        return _Delta(
+            st, head, tail, keep_from, cut,
+            st.boundary if boundary is None else boundary,
         )
-        return _Delta(st, delta_q, cut, trim_lo, self._boundary(before, query))
 
-    def _window_advances(
-        self, st: _PanelState, q: Query, width: int | None
-    ) -> bool:
-        """Can the cached window slide to the query's window exactly?
-
-        The window may only move forward; a moved *start* additionally
-        requires bucket alignment under downsampling, because the first
-        bucket of a range is truncated at ``start`` and therefore only
-        start-independent when ``start`` sits on a bucket boundary.
-        """
-        if q.end < st.end or q.start < st.start:
-            return False
-        if q.start == st.start:
-            return True
-        if width is None:
-            return True
-        return q.start % width == 0 and st.start % width == 0
+    @staticmethod
+    def _window_advances(st: _PanelState, q: Query) -> bool:
+        """Does the query's window cover the held one's end from a start
+        no earlier than the held start?  (A moved start may sit off the
+        bucket grid: the head rule re-runs the bucket it cuts.)"""
+        return q.end >= st.end and q.start >= st.start
 
     def _run_full(self, key: tuple, query: Query) -> QueryResult:
-        """One panel from scratch, through the store's own ``run_many``
-        (the result cache, on a server), inside its own bracket."""
-        remember = _splice_shape(query)[1]
+        """One refresh panel from scratch, through the store's own
+        ``run_many`` (the result cache, on a server), inside its own
+        bracket."""
         before = ValidatorView(self._store)
-        validators = self._capture(before, query)
-        boundary = self._boundary(before, query)
+        seed = None
+        if _splice_shape(query)[1]:
+            seed = (self._capture(before, query), self._boundary(before, query))
         result = self._store.run_many([query])[0]
         self.stats.full_runs += 1
-        if (
-            remember
-            and boundary is not None
-            and self._holds(ValidatorView(self._store), query, validators)
+        self._seed(
+            ValidatorView(self._store), key, query, seed, result, self.stats
+        )
+        return result
+
+    def _seed(
+        self,
+        after: ValidatorView,
+        key: tuple,
+        query: Query,
+        seed: tuple | None,
+        result: QueryResult,
+        stats: RefreshStats,
+    ) -> None:
+        """Keep a full run's result as the panel's state when its
+        ``(validators, boundary)`` seed, read before the run, still holds."""
+        if seed is not None and seed[1] is not None and self._holds(
+            after, query, seed[0]
         ):
             self._keep(key, _PanelState(
                 start=int(query.start),
                 end=int(query.end),
-                boundary=boundary,
-                validators=validators,
+                boundary=seed[1],
+                validators=seed[0],
                 result=result,
-            ))
-        else:
-            self._panels.pop(key, None)
-            if remember and boundary is not None:
-                # A write raced the run; an empty/partial match
-                # (boundary None) is just "nothing to remember".
-                self.stats.invalidated += 1
-        return result
+            ), stats)
+            return
+        self._panels.pop(key, None)
+        if seed is not None and seed[1] is not None:
+            # A write raced the run; an empty/partial match (boundary
+            # None) is just "nothing to remember".
+            stats.invalidated += 1
 
     def _splice_panel(
-        self, key: tuple, plan: _Delta, query: Query, delta: QueryResult
-    ) -> QueryResult:
-        """Phase C for one panel whose validators held: the cached
-        prefix below the cut, then the delta."""
-        st, cut, trim_lo = plan.st, plan.cut, plan.trim_lo
-        cached_by_label = {
-            tuple(sorted(s.group_tags.items())): s for s in st.result.series
-        }
-        series = []
-        for s in delta.series:
-            label = tuple(sorted(s.group_tags.items()))
-            prev = cached_by_label.get(label)
-            spliced = (
-                s.slice
-                if prev is None
-                else _splice(prev.slice, s.slice, trim_lo, cut)
-            )
-            out_s = ResultSeries(
-                metric=s.metric,
-                group_tags=s.group_tags,
-                slice=spliced,
-                source_series=s.source_series,
-            )
-            series.append(out_s)
-            if prev is not None and trim_lo is None:
-                prev_tag = cached_series_tag(prev)
-                if prev_tag is not None:  # some client may hold prev
-                    remember_series_tail(
-                        out_s, prev_tag, len(spliced) - len(s.slice)
-                    )
-        out = QueryResult(
-            query=query,
-            series=tuple(series),
-            scanned_points=delta.scanned_points,
-        )
-        self.stats.incremental_runs += 1
-        boundary = (
-            st.boundary if plan.boundary_now is None else plan.boundary_now
-        )
-        self._remember(key, st, query, out, boundary)
-        return out
-
-    def _remember(
         self,
         key: tuple,
-        st: _PanelState,
+        plan: _Delta,
         query: Query,
-        result: QueryResult,
-        boundary: int,
-    ) -> None:
+        head: QueryResult | None,
+        tail: QueryResult | None,
+        scanned: int,
+        stats: RefreshStats,
+    ) -> QueryResult:
+        """Phase C for one panel whose validators held: the head, the
+        held buckets in ``[keep_from, cut)``, then the tail."""
+        st = plan.st
+        if head is None and tail is None and plan.keep_from is None:
+            # The held answer is the answer: the same series objects, so
+            # a client holding them is answered *not modified*.
+            series = st.result.series
+        else:
+            heads, tails = _by_label(head), _by_label(tail)
+            out = []
+            for prev in st.result.series:
+                label = _label(prev)
+                t = tails.get(label)
+                spliced = ResultSeries(
+                    metric=prev.metric,
+                    group_tags=prev.group_tags,
+                    slice=_splice(
+                        heads.get(label), prev.slice, t, plan.keep_from, plan.cut
+                    ),
+                    source_series=prev.source_series,
+                )
+                out.append(spliced)
+                if t is not None and plan.keep_from is None:
+                    prev_tag = cached_series_tag(prev)
+                    if prev_tag is not None:  # some client may hold prev
+                        remember_series_tail(
+                            spliced, prev_tag, len(spliced) - len(t)
+                        )
+            series = tuple(out)
+        result = QueryResult(query=query, series=series, scanned_points=scanned)
         self._keep(key, _PanelState(
             start=int(query.start),
             end=int(query.end),
-            boundary=boundary,
+            boundary=plan.boundary,
             validators=st.validators,
             result=result,
-        ))
+        ), stats)
+        return result
 
-    def _keep(self, key: tuple, state: _PanelState) -> None:
-        """Remember ``state`` as the most recently refreshed panel; past
-        ``max_panels`` the least recently refreshed is forgotten."""
-        self.stats.evicted += self._panels.put(key, state)
+    def _keep(self, key: tuple, state: _PanelState, stats: RefreshStats) -> None:
+        """Remember ``state`` as the most recently answered panel; past
+        ``max_panels`` the least recently answered is forgotten."""
+        stats.evicted += self._panels.put(key, state)

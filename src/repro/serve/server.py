@@ -7,9 +7,14 @@ optional envelope fields stripped before decoding:
 - ``"tenant"``: admission-control lane (defaults to ``"public"``);
 - ``"id"``: opaque correlation value echoed on the reply, so clients
   may pipeline requests;
-- ``"refresh"`` (a JSON boolean): route the batch through the server's
-  :class:`~repro.serve.refresh.IncrementalRefresher` (steady-state
-  dashboard polling) instead of the result cache;
+- ``"refresh"`` (a JSON boolean): answer as a refresh — each entry's
+  ``scannedPoints`` counts what its edges scanned, and the *tail* form
+  below may be sent.  Every request runs through the server's
+  :class:`~repro.serve.refresh.IncrementalRefresher`: a plain one
+  (``refresh`` absent or false) is answered from the result cache when
+  it names a cached window exactly, and otherwise from the panel's held
+  buckets plus its head and tail edges, byte-identical to a fresh run
+  (``scannedPoints`` included) and inserted into the result cache;
 - ``"held"``: a list aligned with ``"queries"`` — per query, the
   validator of the reply entry the client still holds for that panel,
   or ``null``.  The reply then carries ``"validators"``, aligned with
@@ -211,9 +216,10 @@ class QueryServer:
     """The serving layer: a TSDB behind an asyncio TCP endpoint.
 
     Wraps the store in a :class:`CachingStore` (generation-validated
-    result cache) and keeps one :class:`IncrementalRefresher` for
-    ``refresh``-flagged requests.  ``port=0`` binds an ephemeral port —
-    read :attr:`address` after :meth:`start`.
+    result cache) and keeps one :class:`IncrementalRefresher` over it,
+    whose panel state plain and ``refresh``-flagged requests share.
+    ``port=0`` binds an ephemeral port — read :attr:`address` after
+    :meth:`start`.
     """
 
     def __init__(
@@ -390,12 +396,9 @@ class QueryServer:
                 return self._serve_catalog(job.payload)
             queries = wire.decode_request(job.payload)
             self._guard_match_cardinality(queries, tenant=job.tenant)
-            run_many = (
-                self.refresher.run_many if job.refresh else self.caching.run_many
-            )
             forms: list[str] = []
             text = wire.encode_response_json(
-                run_many(queries),
+                self.refresher.run_many(queries, plain=not job.refresh),
                 held=job.held,
                 validator=entry_validator,
                 tail=entry_tail if job.refresh else None,

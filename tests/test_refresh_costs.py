@@ -13,17 +13,21 @@ downsample spec — and what it should not do at all: insert a delta into
 the result cache, whose entries no later request can ask for.  A plain
 request served from the cache, and an append-only refresh, check one
 counter per metric and read no series' own counters unless something
-under the metric was written (reshaped).
+under the metric was written (reshaped).  A plain request whose window
+start moved plans one batch of edges and aligns no more points than the
+window's first and last buckets hold.
 Every count is deterministic; the replies are checked against the
 innermost store.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.tsdb.interface as interface_module
+import repro.tsdb.plan as plan_module
 from repro.replication import ReplicatedStore
 from repro.serve import CachingStore, IncrementalRefresher
 from repro.serve.cache import ResultCache, ValidatorView
@@ -308,3 +312,64 @@ def test_refreshes_leave_the_result_cache_to_plain_requests(stack):
     again = caching.run_many(plain)
     assert caching.cache.stats.hits == hits + 6
     assert all(a.series is b.series for a, b in zip(first, again))
+
+
+class _Aligned:
+    """Counts the planner's alignments and the points they align."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = self.points = 0
+        real = plan_module.align
+
+        def align(slices):
+            self.calls += 1
+            self.points += sum(len(s) for s in slices)
+            return real(slices)
+
+        monkeypatch.setattr(plan_module, "align", align)
+
+
+def _edge_points(inner, q) -> int:
+    """The matched points in the window's first and last buckets."""
+    width = q.parsed_downsample().width
+    head_end = -(-q.start // width) * width - 1
+    tail_start = (q.end + 1) // width * width
+    points = inner.run(replace(q, end=head_end)).scanned_points
+    if tail_start <= q.end:
+        points += inner.run(replace(q, start=tail_start)).scanned_points
+    return points
+
+
+def test_a_moved_plain_wall_plans_its_edges_only(stack, monkeypatch):
+    inner, caching, end = stack
+    refresher = IncrementalRefresher(caching)
+    # a first plain request: one batch, one alignment per filter
+    aligned = _Aligned(monkeypatch)
+    counts = _Counts(monkeypatch)
+    refresher.run_many(_dashboard(0, end), plain=True)
+    assert counts.planned == [12] and counts.inserts == 12
+    assert aligned.calls == len(METRICS)
+    assert caching.cache.stats.misses == 12 and caching.cache.stats.spliced == 0
+
+    # the start moved one minute, off every bucket grid: one planned
+    # batch of head and tail edges, aligning what those buckets hold
+    moved = _dashboard(MINUTE, end)
+    aligned.calls = aligned.points = 0
+    counts.reset()
+    got = refresher.run_many(moved, plain=True)
+    assert len(counts.planned) == 1 and counts.cache_batches == []
+    assert 0 < aligned.points <= sum(_edge_points(inner, q) for q in moved)
+    assert caching.cache.stats.spliced == 12 and counts.inserts == 12
+    assert (wire.encode_response_json(got)
+            == wire.encode_response_json(inner.run_many(moved)))
+    assert refresher.stats.batches == 0  # plain requests are not refreshes
+
+    # the identical request: a result-cache hit, the same series objects,
+    # one write counter read per metric and no series resolved
+    counts.reset()
+    again = refresher.run_many(moved, plain=True)
+    assert counts.planned == [] and counts.inserts == 0
+    assert counts.resolved == {} and counts.reshapes == {}
+    assert counts.counters == Counter({("write", m): 1 for m in METRICS})
+    assert all(a.series is b.series for a, b in zip(got, again))
+    assert caching.cache.stats.hits == 12 and caching.cache.stats.spliced == 12

@@ -345,7 +345,7 @@ class TestCosts:
             assert costs.bytes_digested == 16 * series
             assert _delta(after["cache"], before["cache"]) == {
                 "hits": 12, "misses": 0, "invalidated": 0, "evicted": 0,
-                "skipped": 0}
+                "skipped": 0, "spliced": 0}
             assert _delta(after["replies"], before["replies"]) == {
                 "full": 0, "not_modified": 12, "tail": 0, "bytes": len(line)}
 
