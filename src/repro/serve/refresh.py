@@ -38,6 +38,31 @@ and is kept.  Off the grid, the *head* query re-runs ``[s, ceil_w(s) -
 1]``; a head that reaches the cut leaves nothing to keep, and the panel
 runs in full.
 
+**The quiet rule.**  A panel's state also keeps its metric's write
+counter (:meth:`~repro.tsdb.interface.StoreApi.metric_write_generation`),
+read on the *before* side of the held answer's bracket.  While it reads
+the same, nothing under the metric was written since: the held answer
+is still a fresh run's over the whole held window, and the held ``B``
+still bounds every last point from below, so it is not read again.
+When the query's end is the held end, the cut is ``end + 1`` — every
+held bucket is kept and there is no tail — provided the head, if any,
+ends at or below ``B``; otherwise (and when the end moved) the cut is
+the boundary rule's over the held ``B``.  A quiet ``refresh`` of an
+unchanged window is therefore cache-only: the same series objects,
+answered *not modified*.
+
+It is sound for the reason a result-cache hit is — the counter is
+monotonic, never pruned, and bumped before the columns change — plus
+one argument for a write that races phase B.  An append lands past its
+series' last point, so past ``B``: never in a head that ends at or below
+``B``, and — with no tail — only in kept buckets or past the window, so
+the reply is a fresh run's from before it.  (Keeping buckets past ``B``
+beside a head above ``B``, or beside a tail, would let one write that
+catches a lagging series up land in an edge *and* in a kept bucket: a
+reply no fresh run gives.)  A reshape fails ``_holds`` on the *after*
+side, as for any panel.  Since the state keeps the counter read before
+the batch, the next request sees it moved and takes the boundary path.
+
 The spliced series are byte-identical to a full re-run: head and tail
 are the *same* query over their ranges through the same planner, and
 the kept middle is the previous answer's output for instants the store
@@ -52,10 +77,10 @@ of one) is one batch, in three phases
 
 - **A — classify** every panel against a *before*
   :class:`~repro.serve.cache.ValidatorView`: is there state, may the
-  shape be spliced, does the window advance, do the validators hold,
-  where are the cut and the head, what is the boundary now.  A panel
-  comes out *cache-only* (nothing to scan), *delta* (a head, a tail or
-  both) or *full*.
+  shape be spliced, does the window advance, do the validators hold, is
+  it quiet, where are the cut and the head, what is the boundary now.
+  A panel comes out *cache-only* (nothing to scan), *delta* (a head, a
+  tail or both) or *full*.
 - **B — execute** all edge queries of the request as **one** planned
   batch on the store *under* the result cache (``_run_uncached_batch``,
   the hook ``CachingStore`` itself runs on a miss): one match per
@@ -165,6 +190,7 @@ class _PanelState:
     #: generation), ...)), read before the panel's last full run.
     validators: tuple
     result: QueryResult
+    writes: int  # the metric's write counter, before the answer's run
 
 
 def _panel_key(q: Query) -> tuple:
@@ -229,6 +255,7 @@ class _Delta:
     keep_from: int | None  # where the held buckets start; None: unmoved
     cut: int
     boundary: int  # min last-timestamp over sources, before the run
+    writes: int  # the metric's write counter, before the run
 
     @property
     def edges(self) -> tuple[Query | None, Query | None]:
@@ -291,6 +318,16 @@ class IncrementalRefresher:
         matched = store._match(q.metric, q.tags)
         return reshapes, metric_gen, tuple(
             (key, store.series_reshape_generation(key)) for key in matched
+        )
+
+    @classmethod
+    def _seed_of(cls, store, q: Query) -> tuple:
+        """What a full run's panel state is seeded from, read before the
+        run: (validators, boundary, write counter)."""
+        return (
+            cls._capture(store, q),
+            cls._boundary(store, q),
+            store.metric_write_generation(q.metric),
         )
 
     @staticmethod
@@ -420,7 +457,7 @@ class IncrementalRefresher:
         runs.  Returns the deltas whose validators failed after it."""
         cache = self._store.cache
         deltas: dict[int, _Delta] = {}
-        seeds: dict[int, tuple] = {}  # full run -> (validators, boundary)
+        seeds: dict[int, tuple] = {}  # full run -> its _seed_of
         kept: dict[int, int] = {}  # delta -> points under its kept buckets
         for i in misses:
             q = queries[i]
@@ -431,7 +468,7 @@ class IncrementalRefresher:
                 hi = min(plan.cut - 1, q.end)
                 kept[i] = self._points(before, q, lo, hi)
             elif _splice_shape(q)[1]:
-                seeds[i] = (self._capture(before, q), self._boundary(before, q))
+                seeds[i] = self._seed_of(before, q)
         validators = {i: cache.capture(before, queries[i]) for i in misses}
         fulls = [i for i in misses if i not in deltas]
         edges, ran = self._run_batch(
@@ -495,15 +532,23 @@ class IncrementalRefresher:
             self._panels.pop(key, None)
             stats.invalidated += 1
             return None
-        # Instants <= C are final *and* covered by the held window.
-        C = min(st.boundary, st.end)
-        cut = C + 1 if width is None else ((C + 1) // width) * width
         start = query.start
         if start == st.start:
             keep_from = None
             lo = start if width is None else (start // width) * width
         else:  # the head rule: keep from the first bucket s cannot cut
             keep_from = lo = start if width is None else -(-start // width) * width
+        writes = before.metric_write_generation(query.metric)
+        quiet = writes == st.writes  # nothing under the metric written since
+        if quiet and query.end == st.end and lo <= max(start, st.boundary + 1):
+            # The quiet rule: the held answer is the whole window's; the
+            # head, if any, ends at or below the boundary, out of reach
+            # of an append racing the scans.
+            cut = st.end + 1
+        else:
+            # Instants <= C are final *and* covered by the held window.
+            C = min(st.boundary, st.end)
+            cut = C + 1 if width is None else ((C + 1) // width) * width
         if min(cut, query.end + 1) <= lo:
             # Nothing held is kept: a lagging series pins the boundary at
             # or before the window's first whole bucket, or the head
@@ -511,10 +556,11 @@ class IncrementalRefresher:
             return None
         head = replace(query, end=lo - 1) if lo > start else None
         tail = replace(query, start=cut) if cut <= query.end else None
-        boundary = None if tail is None else self._boundary(before, query)
+        # (a quiet panel's held boundary still holds)
+        boundary = None if quiet or tail is None else self._boundary(before, query)
         return _Delta(
             st, head, tail, keep_from, cut,
-            st.boundary if boundary is None else boundary,
+            st.boundary if boundary is None else boundary, writes,
         )
 
     @staticmethod
@@ -531,7 +577,7 @@ class IncrementalRefresher:
         before = ValidatorView(self._store)
         seed = None
         if _splice_shape(query)[1]:
-            seed = (self._capture(before, query), self._boundary(before, query))
+            seed = self._seed_of(before, query)
         result = self._store.run_many([query])[0]
         self.stats.full_runs += 1
         self._seed(
@@ -548,8 +594,8 @@ class IncrementalRefresher:
         result: QueryResult,
         stats: RefreshStats,
     ) -> None:
-        """Keep a full run's result as the panel's state when its
-        ``(validators, boundary)`` seed, read before the run, still holds."""
+        """Keep a full run's result as the panel's state when its seed
+        (:meth:`_seed_of`, read before the run) still holds."""
         if seed is not None and seed[1] is not None and self._holds(
             after, query, seed[0]
         ):
@@ -559,6 +605,7 @@ class IncrementalRefresher:
                 boundary=seed[1],
                 validators=seed[0],
                 result=result,
+                writes=seed[2],
             ), stats)
             return
         self._panels.pop(key, None)
@@ -613,6 +660,7 @@ class IncrementalRefresher:
             boundary=plan.boundary,
             validators=st.validators,
             result=result,
+            writes=plan.writes,
         ), stats)
         return result
 

@@ -15,7 +15,9 @@ request served from the cache, and an append-only refresh, check one
 counter per metric and read no series' own counters unless something
 under the metric was written (reshaped).  A plain request whose window
 start moved plans one batch of edges and aligns no more points than the
-window's first and last buckets hold.
+window's first and last buckets hold; with nothing written under a
+panel's metric since its held answer (a *quiet* panel) that batch holds
+its head alone, and no series' last point is read.
 Every count is deterministic; the replies are checked against the
 innermost store.
 """
@@ -35,6 +37,7 @@ from repro.tsdb import BatchBuilder, DurableStore, Query, ShardedTSDB, wire
 from repro.tsdb.catalog import MergedCatalog
 from repro.tsdb.downsample import Downsample
 from test_serve_conditional import METRICS, MINUTE, _minute
+from test_serve_splice import _heads
 
 NODES = tuple(f"ctt-{i:02d}" for i in range(25))
 SERIES = len(METRICS) * len(NODES)
@@ -69,6 +72,7 @@ class _Counts:
         self.inserts = 0
         self.generations: Counter = Counter()  # series key -> generation reads
         self.reshapes: Counter = Counter()  # series key -> reshape reads
+        self.latest: Counter = Counter()  # series key -> series_latest reads
         self.counters: Counter = Counter()  # (counter, metric) -> catalog reads
         real_series = ShardedTSDB._series
         real_match = MergedCatalog.match
@@ -116,6 +120,7 @@ class _Counts:
 
         per_series("series_generation", self.generations)
         per_series("series_reshape_generation", self.reshapes)
+        per_series("series_latest", self.latest)
         per_metric("write")
         per_metric("reshape")
         monkeypatch.setattr(ShardedTSDB, "_series", _series)
@@ -132,6 +137,7 @@ class _Counts:
         self.inserts = 0
         self.generations.clear()
         self.reshapes.clear()
+        self.latest.clear()
         self.counters.clear()
 
 
@@ -281,10 +287,12 @@ def test_an_append_only_refresh_reads_no_series_reshape_counter(stack, monkeypat
         assert refresher.stats.incremental_runs == 12 * i
         # both brackets hold on the metric's reshape counter: one read
         # per metric before the deltas, one after (per-series validation: 600
-        # reshape reads, 300 of them to build a tuple nobody kept)
+        # reshape reads, 300 of them to build a tuple nobody kept); the
+        # write counter is read once per metric, before: the quiet check
         assert counts.reshapes == {}
         assert counts.counters == Counter(
-            {("reshape", m): 2 for m in METRICS})
+            {**{("reshape", m): 2 for m in METRICS},
+             **{("write", m): 1 for m in METRICS}})
         assert _series_of(got) == _series_of(inner.run_many(_dashboard(0, end)))
 
 
@@ -352,7 +360,8 @@ def test_a_moved_plain_wall_plans_its_edges_only(stack, monkeypatch):
     assert caching.cache.stats.misses == 12 and caching.cache.stats.spliced == 0
 
     # the start moved one minute, off every bucket grid: one planned
-    # batch of head and tail edges, aligning what those buckets hold
+    # batch of edges, aligning at most what the window's first and last
+    # buckets hold
     moved = _dashboard(MINUTE, end)
     aligned.calls = aligned.points = 0
     counts.reset()
@@ -373,3 +382,64 @@ def test_a_moved_plain_wall_plans_its_edges_only(stack, monkeypatch):
     assert counts.counters == Counter({("write", m): 1 for m in METRICS})
     assert all(a.series is b.series for a, b in zip(got, again))
     assert caching.cache.stats.hits == 12 and caching.cache.stats.spliced == 12
+
+
+def test_a_quiet_moved_plain_wall_plans_its_heads_only(stack, monkeypatch):
+    inner, caching, end = stack
+    refresher = IncrementalRefresher(caching)
+    refresher.run_many(_dashboard(0, end), plain=True)
+    counts = _Counts(monkeypatch)
+    edges: list[list[Query]] = []
+    real = CachingStore._run_uncached_batch
+
+    def uncached(store, queries):
+        edges.append(list(queries))
+        return real(store, queries)
+
+    monkeypatch.setattr(CachingStore, "_run_uncached_batch", uncached)
+    for j in range(1, 4):
+        # the start moved a minute, the end stayed, nothing was written
+        moved = _dashboard(j * MINUTE, end)
+        counts.reset()
+        edges.clear()
+        got = refresher.run_many(moved, plain=True)
+        # one planned batch of twelve heads and no tail (parent: 24
+        # edges, a head and a tail per panel)
+        assert counts.planned == [12]
+        assert edges == [_heads(moved)]
+        # no boundary read (parent: 300 series_latest reads, 25 per panel)
+        assert counts.latest == {}
+        assert caching.cache.stats.spliced == 12 * j and counts.inserts == 12
+        assert (wire.encode_response_json(got)
+                == wire.encode_response_json(inner.run_many(moved)))
+
+
+def test_a_quiet_refresh_of_an_unchanged_window_is_cache_only(stack, monkeypatch):
+    inner, caching, end = stack
+    refresher = IncrementalRefresher(caching)
+    queries = _dashboard(0, end)
+    first = refresher.run_many(queries)
+    counts = _Counts(monkeypatch)
+    again = refresher.run_many(queries)
+    # nothing written: every panel is answered from its held state, the
+    # same series objects, so a holding client is answered *not
+    # modified* (parent: 12 tail queries over the last buckets)
+    assert counts.planned == [] and counts.cache_batches == []
+    assert refresher.stats.delta_queries == 0
+    assert refresher.stats.cache_only_runs == 12
+    assert all(a.series is b.series for a, b in zip(first, again))
+    assert counts.latest == {} and counts.resolved == {}
+    assert sum(r.scanned_points for r in again) == 0
+
+    # a write under one metric: its three panels take the boundary path
+    # (a tail each), the other nine stay cache-only
+    written = METRICS[0]
+    caching.put_batch(_minute(end + MINUTE, (written,), NODES))
+    counts.reset()
+    third = refresher.run_many(queries)
+    assert counts.planned == [3] and refresher.stats.delta_queries == 3
+    assert refresher.stats.cache_only_runs == 12 + 9
+    for q, a, b in zip(queries, again, third):
+        assert (a.series is b.series) == (q.metric != written)
+    assert set(counts.latest) == set(inner._match(written, CITY))
+    assert _series_of(third) == _series_of(inner.run_many(queries))

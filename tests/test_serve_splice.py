@@ -8,25 +8,39 @@ from held buckets plus head and tail edges, and nobody can tell.
   windows of one panel shape in one request, expression panels
   included — and whatever was appended, written late, deleted or
   churned in between, the reply text is ``encode_response_json`` of
-  the innermost store's ``run_many``, ``scannedPoints`` included;
+  the innermost store's ``run_many``, ``scannedPoints`` included; rounds
+  of requests with nothing written between them are drawn explicitly,
+  so *quiet* panels (held buckets kept to the held end) run on every
+  layout, and so is one window asked before and after an append inside
+  it, which a quiet panel must not be taken for;
+- **a write racing a quiet splice**: an append past the boundary or a
+  late point, landed inside the request's bracket, leaves a reply that
+  a fresh run gives on one side of the write, keeps the raced splice
+  out of the result cache, and is seen by the next request; a lagging
+  series caught up mid-splice is answered a fresh run too (no held
+  bucket past the boundary is kept beside an edge the write can reach);
 - **concurrent panel state**: two clients sliding the same twelve
   panels on one server at once, with and without a writer between
   rounds, are each answered what the innermost store answers.
 """
 
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import QueryClient, QueryServer
+from repro.serve import CachingStore, IncrementalRefresher, QueryClient, QueryServer
+from repro.serve.cache import ValidatorView
 from repro.serve.server import _Job
 from repro.tsdb import Query, QueryError, SeriesKey, ShardedTSDB, TSDB, wire
 from test_serve import _VALUES, _wall_panels, live_server
 from test_serve_conditional import (
     HISTORY_MINUTES,
+    METRICS,
     MINUTE,
+    NODES,
     _dashboard,
     _make_inner,
     _minute,
@@ -41,6 +55,12 @@ def _panels(start, end):
     return [*_wall_panels(start, end),
             Query("m", start, end, aggregator="max", downsample="30s-max",
                   group_by=("node",))]
+
+
+#: ``_panels``' shapes a splice may answer, leaving out the one that errs
+#: the whole request (mismatched labels): no ``rate``, no metric never
+#: written.
+_SPLICEABLE = (0, 1, 2, 4, 5, 6, 9)
 
 
 def _slide(draw, window, now):
@@ -80,10 +100,25 @@ def test_property_plain_replies_are_the_inner_stores(layout, data):
     with _stack(inner) as stack:
         server = QueryServer(
             stack, cache_capacity=draw(st.sampled_from((1, 3, 128))))
+
+        def ask(queries=None):
+            """A plain request: ``queries``, or shapes over the slid window."""
+            nonlocal window
+            if queries is None:
+                window = _slide(draw, window, now)
+                pool = _panels(*window)
+                queries = [pool[i] for i in draw(st.lists(
+                    st.integers(0, len(pool) - 1), min_size=1, max_size=5))]
+                if draw(st.booleans()):  # a second window of some shapes
+                    other = _panels(*_slide(draw, window, now))
+                    queries += [other[i] for i in draw(st.lists(
+                        st.integers(0, len(other) - 1), max_size=3))]
+            assert _plain(server, queries) == _inner_reply(inner, queries)
+
         for _ in range(draw(st.integers(3, 25))):
             op = draw(st.sampled_from(
-                ("append",) * 4 + ("request",) * 6
-                + ("late", "retention", "churn")))
+                ("append",) * 4 + ("request",) * 4 + ("quiet",) * 2
+                + ("late", "retention", "churn", "fill")))
             if op == "append":
                 for _ in range(draw(st.integers(1, 12))):
                     now += draw(st.integers(1, 9))
@@ -104,16 +139,158 @@ def test_property_plain_replies_are_the_inner_stores(layout, data):
                         SeriesKey.make(
                             "m", {"node": draw(st.sampled_from(nodes))}),
                         now + 1)
-            else:
-                window = _slide(draw, window, now)
+            elif op == "fill":  # one window, before and after an append in it
+                window = (min(window[0], now), now + draw(st.integers(1, 5)))
                 pool = _panels(*window)
                 queries = [pool[i] for i in draw(st.lists(
-                    st.integers(0, len(pool) - 1), min_size=1, max_size=5))]
-                if draw(st.booleans()):  # a second window of some shapes
-                    other = _panels(*_slide(draw, window, now))
-                    queries += [other[i] for i in draw(st.lists(
-                        st.integers(0, len(other) - 1), max_size=3))]
-                assert _plain(server, queries) == _inner_reply(inner, queries)
+                    st.sampled_from(_SPLICEABLE), min_size=1, max_size=5))]
+                ask(queries)
+                now = draw(st.integers(now + 1, window[1]))
+                stack.put("m", now, draw(_VALUES),
+                          {"node": draw(st.sampled_from(nodes))})
+                ask(queries)
+            elif op == "quiet":  # a round with nothing written between
+                for _ in range(draw(st.integers(2, 4))):
+                    ask()
+            else:
+                ask()
+
+
+# -- a write racing a quiet splice ------------------------------------------
+
+def _encoded(results) -> bytes:
+    return wire.encode_response_json(results)
+
+
+def _heads(queries) -> list[Query]:
+    """Each query over the bucket its start cuts."""
+    out = []
+    for q in queries:
+        width = q.parsed_downsample().width
+        out.append(replace(q, end=-(-q.start // width) * width - 1))
+    return out
+
+
+@pytest.mark.parametrize("make_store", [TSDB, lambda: ShardedTSDB(4)],
+                         ids=["single", "sharded"])
+@pytest.mark.parametrize("when", ["before_scans", "after_scans"])
+@pytest.mark.parametrize("write", ["append", "late"])
+def test_a_write_racing_a_quiet_splice(history, make_store, when, write,  # noqa: F811
+                                       monkeypatch):
+    """Nothing written since the held answer: a moved start re-runs its
+    heads alone and keeps every held bucket, the last one included.  A
+    write lands in that last bucket inside the request's bracket — in
+    the store's ``_run_uncached_batch``, before the heads' scans or
+    after them:
+
+    - an *append* past the boundary (a pure append: no reshape) misses
+      the kept bucket, so the reply is a fresh run's *before* the write;
+      the cache refuses it (the series' generation moved), and the next
+      request sees the counter moved and re-runs the written panels'
+      tails from the boundary cut;
+    - a *late* point (out of order: a reshape) fails the after-bracket,
+      so the written panels are re-run in full in a bracket of their own
+      and the reply is a fresh run's *after* the write; the raced splice
+      is never cached, what is cached is that re-run.
+    """
+    inner = make_store()
+    inner.put_batch(history)
+    last = (HISTORY_MINUTES - 1) * MINUTE  # every series' last point
+    end = last + 10 * MINUTE  # the held end, past the boundary
+    written = METRICS[0]
+    t = {"append": last + 30, "late": last - 30}[write]
+    batches, pending = [], [when]
+    real = CachingStore._run_uncached_batch
+    with _stack(inner) as stack:
+        caching = CachingStore(stack)
+        refresher = IncrementalRefresher(caching)
+        refresher.run_many(_dashboard(0, end), plain=True)  # seeds panel state
+
+        def land():
+            pending.clear()
+            caching.put(written, t, -1.0, {"city": "trondheim", "node": NODES[3]})
+
+        def uncached(store, queries):
+            batches.append(list(queries))
+            if pending == ["before_scans"]:
+                land()
+            out = real(store, queries)
+            if pending:
+                land()
+            return out
+
+        monkeypatch.setattr(CachingStore, "_run_uncached_batch", uncached)
+        moved = _dashboard(MINUTE, end)
+        before = _encoded(inner.run_many(moved))
+        got = refresher.run_many(moved, plain=True)
+        after = _encoded(inner.run_many(moved))
+        assert before != after  # the write is in the window
+        assert batches[0] == _heads(moved)  # a quiet wall: heads, no tail
+        ours = [q.metric == written for q in moved]
+        view = ValidatorView(caching)
+        cached = [caching.cache.lookup(view, q) for q in moved]
+        if write == "append":
+            assert _encoded(got) == before
+            assert len(batches) == 1
+            assert caching.cache.stats.skipped == sum(ours)
+            assert [c is None for c in cached] == ours
+        else:
+            assert _encoded(got) == after
+            # the written panels again, in full, after the write
+            assert batches[1:] == [[q for q, o in zip(moved, ours) if o]]
+            assert caching.cache.stats.skipped == 0
+        assert all(c is None or c.series is g.series
+                   for c, g in zip(cached, got))
+
+        # the next request: the append's panels take the boundary path
+        # (their counter moved), the late point's were re-seeded after it
+        moved = _dashboard(2 * MINUTE, end)
+        batches.clear()
+        got = refresher.run_many(moved, plain=True)
+        assert _encoded(got) == _encoded(inner.run_many(moved))
+        want = []
+        for q, head in zip(moved, _heads(moved)):
+            want.append(head)
+            if write == "append" and q.metric == written:
+                width = q.parsed_downsample().width
+                want.append(replace(q, start=(last + 1) // width * width))
+        assert batches == [want]
+
+
+@pytest.mark.parametrize("moved", ["start", "end"])
+def test_a_lagging_series_caught_up_mid_splice(moved, monkeypatch):
+    """A series that stopped early pins the boundary far below the held
+    end.  A quiet panel keeps held buckets past the boundary only where
+    no racing write can reach them *and* an edge: the end did not move
+    and the head (if any) ends at or below the boundary.  Here it does
+    not — the head or the tail lies past the lagging series' last point
+    — and one batch that catches the series up lands between the reads
+    before the scans and the scans, in the edge and in the buckets above
+    the boundary at once; the reply is still a fresh run's."""
+    inner = TSDB()
+    for t in range(0, 601, 10):
+        inner.put("m", t, float(t % 70), {"node": "a"})
+        if t <= 200:
+            inner.put("m", t, float(t % 30), {"node": "b"})
+    caching = CachingStore(inner)
+    refresher = IncrementalRefresher(caching)
+    panel = Query("m", 0, 600, downsample="60s-avg")
+    refresher.run_many([panel], plain=True)  # boundary 200, held end 600
+    query = {"start": replace(panel, start=330),  # head [330, 359]
+             "end": replace(panel, end=660)}[moved]  # tail past the cut
+    catch_up = [340, 350, 370, 380] if moved == "start" else [590, 610]
+    real = CachingStore._run_uncached_batch
+
+    def uncached(store, queries):
+        while catch_up:
+            inner.put("m", catch_up.pop(0), -5.0, {"node": "b"})
+        return real(store, queries)
+
+    monkeypatch.setattr(CachingStore, "_run_uncached_batch", uncached)
+    before = _encoded(inner.run_many([query]))
+    got = _encoded(refresher.run_many([query], plain=True))
+    after = _encoded(inner.run_many([query]))
+    assert before != after and got == after
 
 
 # -- concurrent panel state -------------------------------------------------
