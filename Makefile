@@ -42,13 +42,15 @@ test-query:
 # splice path, tests/test_serve_splice.py (a plain reply built from
 # held buckets plus head and tail edges ≡ inner.run_many, scannedPoints
 # included, under hypothesis on every store layout with quiet rounds
-# drawn — nothing written, heads only — a write racing a quiet splice,
-# and two clients sliding one wall at once); what one refresh or
-# moved-window plain request costs as counts (validators read once, one
-# planned batch of edges — heads alone when nothing was written — no
-# delta inserted into the result cache, one counter per metric on a
-# hit); and the per-metric short-cut ≡ the per-series check under
-# interleaved writes on every store layout.
+# drawn — nothing written, heads only — a start sliding a minute at a
+# time across the bucket grid with writes between the moves, a write
+# racing a quiet splice, and two clients sliding one wall at once); what
+# one refresh or moved-window plain request costs as counts (validators
+# read once, one planned batch of edges — heads alone when nothing was
+# written, and then no scan view beyond theirs while the start stays in
+# the last head's bucket — no delta inserted into the result cache, one
+# counter per metric on a hit); and the per-metric short-cut ≡ the
+# per-series check under interleaved writes on every store layout.
 serve-test:
 	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_conditional.py tests/test_serve_splice.py tests/test_refresh_costs.py tests/test_metric_counters.py tests/test_tsdb_wire.py
 

@@ -129,9 +129,15 @@ answered as the result cache alone would answer it, byte for byte:
 
 A plain answer's ``scanned_points`` is what a fresh run scans — the
 matched series' points in ``[start, end]``: the edges' own counts plus
-the points under the kept buckets, counted from scan views (a
-searchsorted pair per series, nothing copied or rescanned) on the
-*before* side of the bracket, where those points are already final.
+the points under the kept buckets.  When the panel is quiet and has no
+tail, the kept buckets run to the held end, so those are read off the
+state: the held answer's ``scanned_points`` (kept as ``points``; a
+refresh splice keeps none), less its head's count when the kept buckets
+start where its head ended — a start that moved on inside the bucket a
+head was scanned in counts nothing.  Otherwise they are counted from
+scan views (a searchsorted pair per series, nothing copied or
+rescanned) on the *before* side of the bracket, where those points are
+already final.
 
 A spliced series also notes what it was spliced *from*
 (:func:`~repro.serve.cache.remember_series_tail`: the previous series'
@@ -191,6 +197,12 @@ class _PanelState:
     validators: tuple
     result: QueryResult
     writes: int  # the metric's write counter, before the answer's run
+    #: The matched points in [start, end] — a plain answer's (or a full
+    #: run's) scanned_points; None after a refresh splice.
+    points: int | None
+    #: (the last second of a plain answer's scanned head, the matched
+    #: points in [start, that second]); None without one.
+    head: tuple[int, int] | None
 
 
 def _panel_key(q: Query) -> tuple:
@@ -230,8 +242,8 @@ def _splice(
     epoch-aligned timestamp sits before it).
     """
     ts = held.timestamps
-    a = 0 if keep_from is None else int(np.searchsorted(ts, keep_from, side="left"))
-    b = int(np.searchsorted(ts, cut, side="left"))
+    a = 0 if keep_from is None else int(ts.searchsorted(keep_from, side="left"))
+    b = int(ts.searchsorted(cut, side="left"))
     parts = [
         part
         for part in (head, SeriesSlice(ts[a:b], held.values[a:b]), tail)
@@ -367,6 +379,19 @@ class IncrementalRefresher:
                 n += len(series.scan(lo, hi))
         return n
 
+    def _kept(self, store, q: Query, d: _Delta) -> int:
+        """The matched points under a delta's kept buckets."""
+        st = d.st
+        lo = q.start if d.head is None else d.keep_from
+        if d.tail is None and d.writes == st.writes and st.points is not None:
+            # Quiet, and no tail: the kept buckets run to the held end,
+            # and the held window still holds ``st.points`` points.
+            if lo == st.start:
+                return st.points
+            if st.head is not None and lo - 1 == st.head[0]:
+                return st.points - st.head[1]
+        return self._points(store, q, lo, min(d.cut - 1, q.end))
+
     # -- execution -------------------------------------------------------
     def run_many(
         self, queries: list[Query | ExprQuery], *, plain: bool = False
@@ -421,7 +446,8 @@ class IncrementalRefresher:
             else:
                 self.stats.incremental_runs += 1
             results[key] = self._splice_panel(
-                key, d, q, head, tail, _scanned(head) + _scanned(tail), self.stats
+                key, d, q, head, tail, _scanned(head) + _scanned(tail),
+                self.stats, points=None,
             )
         for key, q in panels.items():
             if key not in results:
@@ -464,9 +490,7 @@ class IncrementalRefresher:
             plan = self._classify(before, _panel_key(q), q, stats)
             if plan is not None:
                 deltas[i] = plan
-                lo = q.start if plan.head is None else plan.keep_from
-                hi = min(plan.cut - 1, q.end)
-                kept[i] = self._points(before, q, lo, hi)
+                kept[i] = self._kept(before, q, plan)
             elif _splice_shape(q)[1]:
                 seeds[i] = self._seed_of(before, q)
         validators = {i: cache.capture(before, queries[i]) for i in misses}
@@ -484,7 +508,9 @@ class IncrementalRefresher:
                 retry.append(i)
                 continue
             scanned = kept[i] + _scanned(head) + _scanned(tail)
-            results[i] = self._splice_panel(key, d, q, head, tail, scanned, stats)
+            results[i] = self._splice_panel(
+                key, d, q, head, tail, scanned, stats, points=scanned
+            )
             cache.stats.spliced += 1
         for i, result in zip(fulls, ran):
             q = queries[i]
@@ -606,6 +632,8 @@ class IncrementalRefresher:
                 validators=seed[0],
                 result=result,
                 writes=seed[2],
+                points=result.scanned_points,
+                head=None,
             ), stats)
             return
         self._panels.pop(key, None)
@@ -623,6 +651,8 @@ class IncrementalRefresher:
         tail: QueryResult | None,
         scanned: int,
         stats: RefreshStats,
+        *,
+        points: int | None,
     ) -> QueryResult:
         """Phase C for one panel whose validators held: the head, the
         held buckets in ``[keep_from, cut)``, then the tail."""
@@ -661,6 +691,9 @@ class IncrementalRefresher:
             validators=st.validators,
             result=result,
             writes=plan.writes,
+            points=points,
+            head=None if points is None or head is None else (
+                plan.head.end, head.scanned_points),
         ), stats)
         return result
 

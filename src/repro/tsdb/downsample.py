@@ -127,7 +127,7 @@ def apply_many(
     seg_bucket = bucket[starts]
     reduce = aggregators.lookup(ds.agg).reduce
     seg_vals = reduce(aggregators.Segments(vals, starts)) if n else vals
-    seg_bounds = np.searchsorted(starts, bounds)
+    seg_bounds = starts.searchsorted(bounds)
 
     if sparse:
         # No gap filling: only occupied buckets are emitted, so work is

@@ -29,8 +29,11 @@ this module adds everything around it:
   filter's are made.  A result owns its columns: where a plan would
   hand a scan through unchanged it is copied out, once;
 - :func:`execute_plan` — the seed scan → rate → group-by → aggregate →
-  downsample plan, in stages (:func:`group_keys`,
-  :func:`aggregate_across`, one downsample pass over the groups);
+  downsample plan, in two stages: the per-instant fold
+  (:func:`group_keys`, :func:`aggregate_across`), then
+  :func:`downsampled` (one pass over the groups), which also buckets a
+  window's instants trimmed at any later start exactly as a run over
+  that sub-window would;
 - :class:`ScanPlan` / :func:`align` — the physical helpers: one
   covering-range scan per touched series for a whole batch, one argsort
   alignment per group of slices (every point's column in the timestamp
@@ -348,7 +351,7 @@ def _evaluate_expr(
         env: dict[str, np.ndarray] = {}
         for name, s in parts.items():
             col = np.full(union.shape[0], np.nan)
-            col[np.searchsorted(union, s.timestamps)] = s.values
+            col[union.searchsorted(s.timestamps)] = s.values
             env[name] = col
         values = evaluate(env)
         if values.shape != union.shape:  # constant-dominated formula
@@ -489,6 +492,19 @@ def _owned(column: np.ndarray) -> np.ndarray:
     return column if column.flags.writeable else column.copy()
 
 
+def downsampled(query: Query, reduced: list[SeriesSlice]) -> list[SeriesSlice]:
+    """The downsample stage of :func:`execute_plan`: the groups'
+    instants bucketed over ``[query.start, query.end]`` in one pass —
+    or, undownsampled, as columns the result owns."""
+    ds = query.parsed_downsample()
+    if ds is not None:
+        return downsample_many(reduced, ds, query.start, query.end)
+    # A result owns its columns.  Undownsampled, a lone series is still
+    # the scan's view of the store's (read-only marks it): kept in a
+    # result cache it would pin the whole buffer.
+    return [SeriesSlice(_owned(sl.timestamps), _owned(sl.values)) for sl in reduced]
+
+
 def execute_plan(
     query: Query,
     matched: Sequence[SeriesKey],
@@ -496,7 +512,11 @@ def execute_plan(
     *,
     align_cache: dict | None = None,
 ) -> QueryResult:
-    """The group-by → aggregate → downsample plan over scanned slices.
+    """The group-by → aggregate → downsample plan over scanned slices, in
+    two stages: each group's fold across its series at every instant
+    (rate applied), then :func:`downsampled`.  An instant's value reads
+    only that instant's cells, so it is the same in any window that
+    holds the instant.
 
     ``matched`` is the set of series the query touches and ``scan``
     produces each one's time-sorted slice; everything downstream of the
@@ -521,16 +541,6 @@ def execute_plan(
         aggregate_across(slices, query.aggregator, align_cache=align_cache)
         for slices in prepared
     ]
-    ds = query.parsed_downsample()
-    if ds is not None:  # all groups in one pass
-        reduced = downsample_many(reduced, ds, query.start, query.end)
-    else:
-        # A result owns its columns.  Undownsampled, a lone series is
-        # still the scan's view of the store's (read-only marks it):
-        # kept in a result cache it would pin the whole buffer.
-        reduced = [
-            SeriesSlice(_owned(sl.timestamps), _owned(sl.values)) for sl in reduced
-        ]
     series_out = [
         ResultSeries(
             metric=query.metric,
@@ -538,7 +548,7 @@ def execute_plan(
             slice=combined,
             source_series=tuple(keys),
         )
-        for (label, keys), combined in zip(groups, reduced)
+        for (label, keys), combined in zip(groups, downsampled(query, reduced))
     ]
     if not series_out:
         series_out.append(ResultSeries(query.metric, {}, _empty_slice(), ()))

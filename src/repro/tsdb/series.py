@@ -39,8 +39,8 @@ class SeriesSlice:
         """View of the points with ``start <= t <= end`` (``None`` = open);
         the slice itself when that is all of them."""
         ts = self.timestamps
-        a = 0 if start is None else int(np.searchsorted(ts, start, side="left"))
-        b = ts.shape[0] if end is None else int(np.searchsorted(ts, end, side="right"))
+        a = 0 if start is None else int(ts.searchsorted(start, side="left"))
+        b = ts.shape[0] if end is None else int(ts.searchsorted(end, side="right"))
         if a == 0 and b == ts.shape[0]:
             return self
         return SeriesSlice(ts[a:b], self.values[a:b])
@@ -215,8 +215,8 @@ class SeriesStore:
         not a copy — whoever keeps points past the request copies them."""
         self._compact()
         ts = self._ts[: self._n]
-        lo = 0 if start is None else int(np.searchsorted(ts, start, side="left"))
-        hi = self._n if end is None else int(np.searchsorted(ts, end, side="right"))
+        lo = 0 if start is None else int(ts.searchsorted(start, side="left"))
+        hi = self._n if end is None else int(ts.searchsorted(end, side="right"))
         ts, vals = ts[lo:hi], self._vals[lo:hi]
         ts.setflags(write=False)
         vals.setflags(write=False)
@@ -233,7 +233,7 @@ class SeriesStore:
         """Drop points strictly older than ``cutoff``; returns count dropped."""
         self._compact()
         ts = self._ts[: self._n]
-        lo = int(np.searchsorted(ts, cutoff, side="left"))
+        lo = int(ts.searchsorted(cutoff, side="left"))
         if lo == 0:
             return 0
         self.generation += 1

@@ -17,7 +17,9 @@ under the metric was written (reshaped).  A plain request whose window
 start moved plans one batch of edges and aligns no more points than the
 window's first and last buckets hold; with nothing written under a
 panel's metric since its held answer (a *quiet* panel) that batch holds
-its head alone, and no series' last point is read.
+its head alone, and no series' last point is read.  A start that moves
+on inside the bucket its last head was scanned in counts the kept
+buckets' points off the held answer: no scan view beyond the heads'.
 Every count is deterministic; the replies are checked against the
 innermost store.
 """
@@ -36,6 +38,7 @@ from repro.serve.cache import ResultCache, ValidatorView
 from repro.tsdb import BatchBuilder, DurableStore, Query, ShardedTSDB, wire
 from repro.tsdb.catalog import MergedCatalog
 from repro.tsdb.downsample import Downsample
+from repro.tsdb.series import SeriesStore
 from test_serve_conditional import METRICS, MINUTE, _minute
 from test_serve_splice import _heads
 
@@ -74,11 +77,13 @@ class _Counts:
         self.reshapes: Counter = Counter()  # series key -> reshape reads
         self.latest: Counter = Counter()  # series key -> series_latest reads
         self.counters: Counter = Counter()  # (counter, metric) -> catalog reads
+        self.views = 0  # series scan views opened, planner and refresher
         real_series = ShardedTSDB._series
         real_match = MergedCatalog.match
         real_plan = interface_module.run_unique_batch
         real_cached = CachingStore._run_unique_batch
         real_insert = ResultCache.insert
+        real_scan = SeriesStore.scan
 
         def _series(store, key):
             self.resolved[key] += 1
@@ -99,6 +104,10 @@ class _Counts:
         def insert(cache, *args):
             self.inserts += 1
             return real_insert(cache, *args)
+
+        def scan(series, *args):
+            self.views += 1
+            return real_scan(series, *args)
 
         def per_series(name, seen):
             real = getattr(ValidatorView, name)
@@ -128,6 +137,7 @@ class _Counts:
         monkeypatch.setattr(interface_module, "run_unique_batch", run_unique_batch)
         monkeypatch.setattr(CachingStore, "_run_unique_batch", cached)
         monkeypatch.setattr(ResultCache, "insert", insert)
+        monkeypatch.setattr(SeriesStore, "scan", scan)
 
     def reset(self) -> None:
         self.resolved.clear()
@@ -139,6 +149,7 @@ class _Counts:
         self.reshapes.clear()
         self.latest.clear()
         self.counters.clear()
+        self.views = 0
 
 
 @pytest.fixture
@@ -410,6 +421,28 @@ def test_a_quiet_moved_plain_wall_plans_its_heads_only(stack, monkeypatch):
         # no boundary read (parent: 300 series_latest reads, 25 per panel)
         assert counts.latest == {}
         assert caching.cache.stats.spliced == 12 * j and counts.inserts == 12
+        assert (wire.encode_response_json(got)
+                == wire.encode_response_json(inner.run_many(moved)))
+
+
+def test_a_plain_wall_moved_inside_its_buckets_counts_no_kept_points(
+        stack, monkeypatch):
+    inner, caching, end = stack
+    refresher = IncrementalRefresher(caching)
+    refresher.run_many(_dashboard(0, end), plain=True)
+    refresher.run_many(_dashboard(MINUTE, end), plain=True)  # scans the heads
+    counts = _Counts(monkeypatch)
+    for j in range(2, 5):
+        moved = _dashboard(j * MINUTE, end)
+        counts.reset()
+        got = refresher.run_many(moved, plain=True)
+        # one planned batch of twelve heads, and no scan view but their
+        # covering scans: the kept buckets' points are the held answer's
+        # less the last head's (before: 400 views, 300 of them to count
+        # the kept buckets' points)
+        assert counts.planned == [12] and counts.cache_batches == []
+        assert counts.views == SERIES
+        assert counts.latest == {} and counts.inserts == 12
         assert (wire.encode_response_json(got)
                 == wire.encode_response_json(inner.run_many(moved)))
 

@@ -24,8 +24,11 @@ from held buckets plus head and tail edges, and nobody can tell.
   rounds, are each answered what the innermost store answers.
 """
 
+import json
 import threading
 from dataclasses import replace
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +157,111 @@ def test_property_plain_replies_are_the_inner_stores(layout, data):
                     ask()
             else:
                 ask()
+
+
+# -- a start sliding through the bucket grid --------------------------------
+
+#: One "minute" of the sliding property: a start moves by ``STEP``
+#: seconds, so it crosses a 60 s bucket every sixth move and a 120 s one
+#: every twelfth.
+STEP = 10
+
+
+def _sliding(start, end):
+    """Splice-safe panels over two bucket widths: folds and order
+    statistics across series, per node, and a gap-filled count."""
+    return [
+        Query("m", start, end, downsample="60s-avg"),
+        Query("m", start, end, aggregator="dev", downsample="120s-max"),
+        Query("m", start, end, downsample="60s-avg", group_by=("node",)),
+        Query("m", start, end, aggregator="count", downsample="60s-sum-zero"),
+        Query("m", start, end, aggregator="p95", downsample="120s-first"),
+    ]
+
+
+def _series_only(reply: bytes | dict) -> list:
+    if isinstance(reply, dict):
+        return [reply]
+    return [r["series"] for r in json.loads(reply)["results"]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
+@pytest.mark.parametrize("layout", ["single", "sharded"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_property_a_sliding_start_is_answered_as_the_inner_store(layout, data):
+    """A start sliding a minute at a time — inside a bucket (the kept
+    points counted off the held answer), onto the bucket grid, across
+    it, now and then back — with writes drawn between the moves: an
+    append, a late point, a retention delete, a series whose last point
+    lags the start.  Every plain reply
+    is the innermost store's, ``scannedPoints`` included; a ``refresh``
+    request, drawn in between, sharing the panel state, answers its
+    series."""
+    draw = data.draw
+    inner = _make_inner(layout, draw)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes, now = ["a", "b", "c"], 900
+    with _stack(inner) as stack:
+        for node in nodes:
+            ts = np.arange(0, now + 1, STEP)
+            values = rng.normal(400.0, 25.0, ts.shape[0])
+            odd = rng.random(ts.shape[0]) < 0.1
+            values[odd] = rng.choice([np.nan, -0.0, np.inf, -np.inf], int(odd.sum()))
+            for t, v in zip(ts.tolist(), values.tolist()):
+                stack.put("m", t, v, {"node": node})
+        server = QueryServer(
+            stack, cache_capacity=draw(st.sampled_from((1, 128))))
+        # an end past the last point, or below it on both bucket grids
+        # (no write then needs a tail: only the validators tell a bucket
+        # a late point or a delete reshaped)
+        start = draw(st.integers(0, 20)) * STEP
+        end = draw(st.sampled_from((now + 5 * STEP, 719, 479)))
+
+        def ask():
+            queries = _sliding(start, end)
+            if draw(st.integers(0, 4)) == 0:  # a refresh shares the state
+                payload = wire.encode_request(queries)
+                got = server._execute(
+                    _Job(payload, True, None, None, "public", None, None))
+                assert _series_only(got) == _series_only(
+                    _inner_reply(inner, queries))
+            else:
+                assert _plain(server, queries) == _inner_reply(inner, queries)
+
+        ask()
+        for _ in range(draw(st.integers(4, 24))):
+            op = draw(st.sampled_from(
+                ("minute",) * 8 + ("grid", "across", "back", "end")
+                + ("append", "late", "retention", "lag")))
+            if op == "minute":
+                start += STEP
+            elif op in ("grid", "across"):  # onto the next 60 s bucket
+                start = start // 60 * 60 + 60 + (STEP if op == "across" else 0)
+            elif op == "back":  # a full run, its state seeded afresh
+                start = max(0, start - draw(st.integers(1, 12)) * STEP)
+            elif op == "end":
+                end += draw(st.sampled_from((0, STEP, 120)))
+            elif op == "append":
+                now += STEP
+                for node in draw(st.lists(st.sampled_from(nodes), min_size=1,
+                                          unique=True)):
+                    stack.put("m", now, draw(_VALUES), {"node": node})
+                continue
+            elif op == "late":  # out of order, or a duplicate instant
+                stack.put("m", draw(st.integers(max(0, start - 60), now)),
+                          draw(_VALUES), {"node": draw(st.sampled_from(nodes))})
+                continue
+            elif op == "retention":
+                stack.delete_before(draw(st.integers(0, start + 60)))
+                continue
+            else:  # a new series whose last point lies before the start
+                nodes.append(f"n{len(nodes)}")
+                stack.put("m", draw(st.integers(0, start)), draw(_VALUES),
+                          {"node": nodes[-1]})
+                continue
+            end = max(start, end)
+            ask()
 
 
 # -- a write racing a quiet splice ------------------------------------------

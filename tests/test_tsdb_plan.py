@@ -753,3 +753,70 @@ def test_unaligned_workload_equals_frozen_seed_executor():
                 assert a.source_series == b.source_series
                 assert a.timestamps.tobytes() == b.timestamps.tobytes()
                 assert a.values.tobytes() == b.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The per-instant stage: a window's instants, trimmed, are any sub-window's
+# ---------------------------------------------------------------------------
+
+
+def _instants_store() -> TSDB:
+    """Three groups over ``[5, 95]`` (30 s buckets): ``a`` three series on
+    shared and offset instants, with NaN, ±0.0 and ±inf (an instant
+    whose every cell is NaN included); ``b`` two series, one of which
+    stops at 40, so a window trimmed past it is a lone series (its
+    siblings fall away); ``c`` a lone series throughout."""
+    rng = np.random.default_rng(35)
+    db = TSDB()
+    layout = {
+        ("a", 0): np.arange(5, 96, 5),
+        ("a", 1): np.arange(5, 96, 10),
+        ("a", 2): np.arange(7, 96, 10),
+        ("b", 0): np.arange(5, 96, 5),
+        ("b", 1): np.arange(5, 41, 5),
+        ("c", 0): np.arange(10, 96, 15),
+    }
+    for (group, i), ts in layout.items():
+        values = rng.choice((-1.0, 1.0), ts.shape[0]) * 10.0 ** rng.uniform(
+            -3, 8, ts.shape[0])
+        values[rng.random(ts.shape[0]) < 0.3] = rng.choice(_SPECIALS)
+        values[ts == 45] = np.nan  # every cell of one instant
+        values[ts == 25] = -0.0
+        for t, v in zip(ts.tolist(), values.tolist()):
+            db.put("m", t, v, {"grp": group, "i": str(i)})
+    return db
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
+def test_trimmed_instants_downsample_to_the_planners_sub_window():
+    """``execute_plan``'s two stages compose over any later start: for
+    every aggregator × downsample aggregator (fill ``none`` and
+    ``zero``, the splice-safe ones), a window's per-instant values — its
+    query undownsampled — trimmed at any instant and run through
+    :func:`downsampled` are the planner's downsampled answer for the
+    window from that instant on, byte for byte."""
+    from repro.tsdb.downsample import Downsample
+    from repro.tsdb.plan import downsampled
+
+    db = _instants_store()
+    start, end = 5, 95
+    # off every instant, at the -0.0 and the all-NaN instants, past where
+    # group b's second series stops, on the grid, at an offset series'
+    # own instant
+    cuts = (6, 25, 41, 45, 60, 67, 90)
+    fills = [Downsample.parse(f"30s-avg-{fill}").fill for fill in ("none", "zero")]
+    for name in aggregators.names():
+        held = db.run(Query("m", start, end, aggregator=name, group_by=("grp",)))
+        assert [dict(s.group_tags) for s in held.series] == [
+            {"grp": "a"}, {"grp": "b"}, {"grp": "c"}]
+        queries = [Query("m", cut, end, aggregator=name,
+                         downsample=Downsample(30, agg, fill), group_by=("grp",))
+                   for agg in aggregators.names() for fill in fills for cut in cuts]
+        for q, want in zip(queries, db.run_many(queries)):
+            got = downsampled(q, [s.slice.between(q.start, None)
+                                  for s in held.series])
+            assert len(got) == len(want.series)
+            for a, b in zip(got, want.series):
+                what = (name, q.downsample, q.start, dict(b.group_tags))
+                assert a.timestamps.tobytes() == b.timestamps.tobytes(), what
+                assert a.values.tobytes() == b.values.tobytes(), what
