@@ -49,15 +49,22 @@ test-query:
 # read once, one planned batch of edges — heads alone when nothing was
 # written, and then no scan view beyond theirs while the start stays in
 # the last head's bucket — no delta inserted into the result cache, one
-# counter per metric on a hit); and the per-metric short-cut ≡ the
-# per-series check under interleaved writes on every store layout.
+# counter per metric on a hit; a live refresh of an unchanged series set
+# matches no filter, walks no postings, looks no series up and reads
+# each series' last point once per filter, and one new series
+# re-resolves its own filter alone, once); and the per-metric short-cut
+# ≡ the per-series check under interleaved writes on every store layout.
 serve-test:
 	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_conditional.py tests/test_serve_splice.py tests/test_refresh_costs.py tests/test_metric_counters.py tests/test_tsdb_wire.py
 
 # The catalog gate: postings-index matching byte-identical to the
 # brute-force scan under random ingest/retention/restore interleavings
-# (hypothesis), cardinality guard-rails, catalog rebuild on every
-# restore path, catalog wire/CLI surface.
+# (hypothesis), each filter asked twice so the second answer is its kept
+# resolution (keys, group partitions ≡ a brute-force partition, column
+# stores ≡ the store's own look-ups), no absent store kept when a match
+# lands between a series' indexing and its storing, cardinality
+# guard-rails, catalog rebuild on every restore path, catalog wire/CLI
+# surface.
 test-catalog:
 	$(PYTHON) -m pytest -q tests/test_tsdb_catalog.py tests/test_tsdb_wire.py tests/test_serve.py
 

@@ -65,12 +65,12 @@ re-computed series that came out the same is still *not modified*.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from hashlib import blake2b
 from typing import Sequence
 
 from ..tsdb import wire
+from ..tsdb.catalog import BoundedLRU, Resolution
 from ..tsdb.interface import StoreApi, StoreWrapper
 from ..tsdb.plan import _canonical_key
 from ..tsdb.query import Query, QueryResult, ResultSeries
@@ -136,38 +136,6 @@ def entry_tail(series: Sequence[ResultSeries], held: str) -> list[int] | None:
     return [keep for _, keep in tails]
 
 
-class BoundedLRU(OrderedDict):
-    """A mapping that forgets its least recently used key past
-    ``capacity`` — the one LRU body under the result caches, the
-    refresher's panel table and the client's held replies."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        super().__init__()
-        self.capacity = int(capacity)
-
-    def use(self, key):
-        """The value under ``key``, now the most recently used; None
-        when absent (or dropped by another thread meanwhile)."""
-        try:
-            self.move_to_end(key)
-            return self[key]
-        except KeyError:
-            return None
-
-    def put(self, key, value) -> int:
-        """Set ``key`` as the most recently used; returns how many
-        older keys were evicted to make room."""
-        self.pop(key, None)  # re-inserted at the recent end
-        self[key] = value
-        evicted = 0
-        while len(self) > self.capacity:
-            self.popitem(last=False)
-            evicted += 1
-        return evicted
-
-
 @dataclass
 class CacheStats:
     """Cumulative cache accounting."""
@@ -184,18 +152,21 @@ class CacheStats:
 
 
 class ValidatorView:
-    """The seven reads validators are made of, each made once.
+    """The reads validators are made of, each made once.
 
     What :meth:`ResultCache.capture` / ``_holds`` and the refresher's
-    ``_capture`` / ``_holds`` ask of "the store" — ``_match``, the three
-    metric counters (``metric_generation``, ``metric_write_generation``,
-    ``metric_reshape_generation``), ``series_generation``,
-    ``series_reshape_generation``, ``series_latest`` — answered over
-    ``store`` with one underlying read per filter, per metric counter
-    and per series key (the last three share one ``_series(key)``
-    resolution, instead of one walk down the wrapper stack per read per
-    panel; the counters are read off the resolved series, so they are
-    never older than the view).
+    ``_capture`` / ``_holds`` / splice boundary ask of "the store" —
+    ``_match``, the three metric counters (``metric_generation``,
+    ``metric_write_generation``, ``metric_reshape_generation``),
+    ``series_generation``, ``series_reshape_generation``,
+    ``series_latest`` and :meth:`boundary` — answered over ``store``
+    with one underlying read per filter, per metric counter and per
+    series key.  A filter is one ``_resolve``: the catalog's kept
+    resolution, its keys *and* their column stores, so the per-series
+    reads look no series up down the wrapper stack; they read the
+    resolved series, so their counters are never older than the view.
+    A filter's boundary is read once per view, however many panels
+    share the filter.
 
     **A view lives for one phase of one request**: it is a local, made
     before an execution *or* after it, never stored on ``self`` and never
@@ -209,16 +180,39 @@ class ValidatorView:
 
     def __init__(self, store) -> None:
         self._store = store
-        self._matches: dict[tuple, list] = {}
+        self._filters: dict[tuple, Resolution] = {}
+        self._boundaries: dict[tuple, int | None] = {}  # filter -> boundary
         self._counters: dict[tuple[str, str], int] = {}  # (read, metric) -> value
         self._resolved: dict = {}  # series key -> SeriesStore | None
 
-    def _match(self, metric: str, tags) -> list:
-        mk = (metric, tuple(sorted(tags.items())))
-        matched = self._matches.get(mk)
-        if matched is None:
-            matched = self._matches[mk] = self._store._match(metric, tags)
-        return matched
+    def _resolve(self, metric: str, tags) -> Resolution:
+        fk = (metric, tuple(sorted(tags.items())))
+        r = self._filters.get(fk)
+        if r is None:
+            r = self._filters[fk] = self._store._resolve(metric, tags)
+            self._resolved.update(zip(r.keys, r.stores))
+        return r
+
+    def _match(self, metric: str, tags) -> tuple:
+        return self._resolve(metric, tags).keys
+
+    def boundary(self, metric: str, tags) -> int | None:
+        """Min last timestamp over the filter's series; None when
+        nothing matches or a matched series is empty."""
+        fk = (metric, tuple(sorted(tags.items())))
+        try:
+            return self._boundaries[fk]
+        except KeyError:
+            pass
+        boundary: int | None = None
+        for key in self._resolve(metric, tags).keys:
+            latest = self.series_latest(key)
+            if latest is None:
+                boundary = None
+                break
+            boundary = latest[0] if boundary is None else min(boundary, latest[0])
+        self._boundaries[fk] = boundary
+        return boundary
 
     def _counter(self, read: str, metric: str) -> int:
         try:

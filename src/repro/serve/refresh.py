@@ -22,7 +22,11 @@ The boundary is exact, not heuristic:
   only once it has moved (a reshape anywhere under the metric — another
   city's backfill, say) are the per-series counters compared.  The
   validators are read once, before the panel's full run; a later answer
-  compares against them and reads only ``B`` afresh.
+  compares against them and reads only ``B`` afresh — once per filter
+  per phase (:meth:`~repro.serve.cache.ValidatorView.boundary`), so the
+  panels of a wall that share a filter share one read of each matched
+  series' last point, off the column stores the catalog's kept
+  resolution of the filter holds.
 - downsample buckets are epoch-aligned and (for the ``none``/``zero``
   fill policies) computed from their own bucket's points only, so
   buckets strictly below the *cut* ``floor((B+1)/w)*w`` are final and
@@ -66,7 +70,14 @@ the batch, the next request sees it moved and takes the boundary path.
 The spliced series are byte-identical to a full re-run: head and tail
 are the *same* query over their ranges through the same planner, and
 the kept middle is the previous answer's output for instants the store
-guarantees unchanged.  ``rate`` queries and the ``previous``/``linear``
+guarantees unchanged.  Held, head and tail series are paired by
+position.  That is exact because the validators that let a panel splice
+fix its match set: they hold only while the metric generation does
+(read directly, or implied by the reshape counter, which every series
+creation and removal moves), and a bracket whose two sides hold saw no
+series created or removed in between.  So the edges matched the held
+answer's keys, formed its groups and listed them in the same label
+order.  ``rate`` queries and the ``previous``/``linear``
 fills couple values across buckets and always take the full path, as
 does any validator mismatch (out-of-order write, retention delete,
 series churn) and a window that moved back or whose end shrank.
@@ -118,7 +129,7 @@ answered as the result cache alone would answer it, byte for byte:
 3. their edge queries and every other miss run as **one** planned
    batch under the result cache, inside one bracket — a wall's avg and
    dev panels still share one alignment — and the misses that ran in
-   full seed panel state through the ``_capture`` / ``_boundary``
+   full seed panel state through the ``_capture`` / boundary
    bracket;
 4. after the batch every answer, spliced or full, goes into the result
    cache with validators read before it, so an exact repeat is a hit,
@@ -218,12 +229,10 @@ def _panel_key(q: Query) -> tuple:
     )
 
 
-def _label(s: ResultSeries) -> tuple:
-    return tuple(sorted(s.group_tags.items()))
-
-
-def _by_label(result: QueryResult | None) -> dict[tuple, SeriesSlice]:
-    return {} if result is None else {_label(s): s.slice for s in result.series}
+def _slices(result: QueryResult | None, n: int) -> list[SeriesSlice | None]:
+    """An edge result's series by position (see ``_splice_panel``), or
+    ``n`` times None for an edge not run."""
+    return [None] * n if result is None else [s.slice for s in result.series]
 
 
 def _splice(
@@ -338,21 +347,9 @@ class IncrementalRefresher:
         run: (validators, boundary, write counter)."""
         return (
             cls._capture(store, q),
-            cls._boundary(store, q),
+            store.boundary(q.metric, q.tags),
             store.metric_write_generation(q.metric),
         )
-
-    @staticmethod
-    def _boundary(store, q: Query) -> int | None:
-        """Min last timestamp over the matched series; None when nothing
-        matches or a matched series is empty."""
-        boundary: int | None = None
-        for key in store._match(q.metric, q.tags):
-            latest = store.series_latest(key)
-            if latest is None:
-                return None
-            boundary = latest[0] if boundary is None else min(boundary, latest[0])
-        return boundary
 
     @staticmethod
     def _holds(store, q: Query, validators: tuple) -> bool:
@@ -583,7 +580,9 @@ class IncrementalRefresher:
         head = replace(query, end=lo - 1) if lo > start else None
         tail = replace(query, start=cut) if cut <= query.end else None
         # (a quiet panel's held boundary still holds)
-        boundary = None if quiet or tail is None else self._boundary(before, query)
+        boundary = (
+            None if quiet or tail is None else before.boundary(query.metric, query.tags)
+        )
         return _Delta(
             st, head, tail, keep_from, cut,
             st.boundary if boundary is None else boundary, writes,
@@ -655,24 +654,24 @@ class IncrementalRefresher:
         points: int | None,
     ) -> QueryResult:
         """Phase C for one panel whose validators held: the head, the
-        held buckets in ``[keep_from, cut)``, then the tail."""
+        held buckets in ``[keep_from, cut)``, then the tail — paired by
+        position.  The validators that held fix the match set, so the
+        edges formed the held answer's groups in the held order."""
         st = plan.st
         if head is None and tail is None and plan.keep_from is None:
             # The held answer is the answer: the same series objects, so
             # a client holding them is answered *not modified*.
             series = st.result.series
         else:
-            heads, tails = _by_label(head), _by_label(tail)
+            n = len(st.result.series)
             out = []
-            for prev in st.result.series:
-                label = _label(prev)
-                t = tails.get(label)
+            for prev, h, t in zip(
+                st.result.series, _slices(head, n), _slices(tail, n), strict=True
+            ):
                 spliced = ResultSeries(
                     metric=prev.metric,
                     group_tags=prev.group_tags,
-                    slice=_splice(
-                        heads.get(label), prev.slice, t, plan.keep_from, plan.cut
-                    ),
+                    slice=_splice(h, prev.slice, t, plan.keep_from, plan.cut),
                     source_series=prev.source_series,
                 )
                 out.append(spliced)

@@ -38,6 +38,14 @@ answers, and :meth:`MergedCatalog.check_add` gives the routing layer a
 store-wide guard check with single-store semantics (a per-shard limit
 would admit up to N values *per shard*).
 
+Both catalogs also keep what a read needs of one filter, resolved once
+per series set (:meth:`SeriesCatalog.resolve`): a :class:`Resolution`
+holds the matched keys, their group-by partitions and — filled in by
+the store, through its ``_series`` — their column stores.  It is
+validated by the metric's generation, read before matching, so a
+dashboard that re-asks the same filters between series creations
+matches and groups each of them once, not once per panel per request.
+
 Catalog state is never persisted: it is a pure function of the live
 series set, rebuilt deterministically by WAL/snapshot replay (text or
 binary) through the same index/unindex hooks the live process used.
@@ -45,12 +53,154 @@ binary) through the same index/unindex hooks the live process used.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Iterable, Mapping, Sequence
+from collections import OrderedDict, defaultdict
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import SeriesKey, validate_name
 
-__all__ = ["CardinalityLimitError", "MergedCatalog", "MetricCounters", "SeriesCatalog"]
+__all__ = [
+    "BoundedLRU",
+    "CardinalityLimitError",
+    "MergedCatalog",
+    "MetricCounters",
+    "Resolution",
+    "SeriesCatalog",
+    "group_keys",
+]
+
+#: How many filters' resolutions a catalog keeps: a constant, like the
+#: refresher's panel table, and far more than one dashboard wall names.
+RESOLUTIONS = 256
+
+
+class BoundedLRU(OrderedDict):
+    """A mapping that forgets its least recently used key past
+    ``capacity`` — the one LRU body under the catalogs' resolutions,
+    the result caches, the refresher's panel table and the client's
+    held replies."""
+
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        super().__init__()
+        self.capacity = int(capacity)
+
+    def use(self, key):
+        """The value under ``key``, now the most recently used; None
+        when absent (or dropped by another thread meanwhile)."""
+        try:
+            self.move_to_end(key)
+            return self[key]
+        except KeyError:
+            return None
+
+    def put(self, key, value) -> int:
+        """Set ``key`` as the most recently used; returns how many
+        older keys were evicted to make room."""
+        self.pop(key, None)  # re-inserted at the recent end
+        self[key] = value
+        evicted = 0
+        while len(self) > self.capacity:
+            self.popitem(last=False)
+            evicted += 1
+        return evicted
+
+
+def group_keys(
+    group_by: Sequence[str], keys: Iterable[SeriesKey]
+) -> list[tuple[tuple[tuple[str, str], ...], tuple[SeriesKey, ...]]]:
+    """Partition keys into group-by labels: ``(label, keys)`` pairs in
+    label order, the keys sorted per group.
+
+    A pure function of the key set — independent of the order ``keys``
+    arrive in and of which shard each key lives on, so every store
+    layout forms the same groups.
+    """
+    names = sorted(group_by)
+    groups: dict[tuple, list[SeriesKey]] = defaultdict(list)
+    for key in keys:
+        groups[tuple((g, key.tag(g, "")) for g in names)].append(key)
+    return sorted(
+        (label, tuple(sorted(members, key=str))) for label, members in groups.items()
+    )
+
+
+class Resolution:
+    """One filter resolved under one series set: the matched ``keys``
+    in canonical order, their :func:`group_keys` partition per
+    ``group_by`` (made on first ask) and their column ``stores``.
+
+    A catalog keeps it while the metric's generation reads
+    ``generation``: no series was created or removed under the metric,
+    so the keys, their groups and each key's store are all still
+    those.  ``stores`` is None until a store resolved them
+    (:meth:`with_stores`).
+    """
+
+    __slots__ = ("generation", "keys", "stores", "_groups")
+
+    def __init__(
+        self,
+        generation: int,
+        keys: tuple[SeriesKey, ...],
+        stores: tuple | None = None,
+        groups: dict | None = None,
+    ) -> None:
+        self.generation = generation
+        self.keys = keys
+        self.stores = stores
+        self._groups: dict = {} if groups is None else groups
+
+    def groups(self, group_by: Sequence[str]) -> list:
+        """:func:`group_keys` of the keys, made once per ``group_by``."""
+        group_by = tuple(group_by)
+        groups = self._groups.get(group_by)
+        if groups is None:
+            groups = self._groups[group_by] = group_keys(group_by, self.keys)
+        return groups
+
+    def with_stores(self, lookup: Callable) -> "Resolution":
+        """This resolution with every key's column store, looked up
+        through ``lookup`` (a store's ``_series``) once and kept.
+
+        An absent store is never kept: ``TSDB._store_for`` indexes a
+        key before it stores it, so a reader can match a key whose
+        store does not exist yet, and no later series creation would
+        move the generation that keeps a None.  Such a look-up is
+        answered by a copy that only this caller holds.
+        """
+        if self.stores is not None:
+            return self
+        stores = tuple(map(lookup, self.keys))
+        if None in stores:
+            return Resolution(self.generation, self.keys, stores, self._groups)
+        self.stores = stores
+        return self
+
+
+class _Resolving:
+    """The filter memo of both catalogs, over their own ``match`` and
+    ``metric_generation``."""
+
+    def __init__(self) -> None:
+        self._resolutions: BoundedLRU = BoundedLRU(RESOLUTIONS)
+
+    def resolve(self, metric: str, tags: Mapping[str, str]) -> Resolution:
+        """:meth:`match` as a :class:`Resolution`, kept for the
+        :data:`RESOLUTIONS` most recently resolved filters and reused
+        while the metric's generation holds still.
+
+        The generation is read *before* matching: a series created or
+        removed while the match runs moves it past the value the entry
+        keeps, so the next resolution matches again.
+        """
+        filter_key = (metric, tuple(sorted(tags.items())))
+        generation = self.metric_generation(metric)
+        entry = self._resolutions.use(filter_key)
+        if entry is None or entry.generation != generation:
+            entry = Resolution(generation, tuple(self.match(metric, tags)))
+            self._resolutions.put(filter_key, entry)
+        return entry
 
 
 class CardinalityLimitError(ValueError):
@@ -117,7 +267,7 @@ class MetricCounters:
         self.reshapes = 0
 
 
-class SeriesCatalog:
+class SeriesCatalog(_Resolving):
     """Inverted tag index over one store's live series.
 
     Mutation (:meth:`add` / :meth:`discard`) is O(tags) per series and
@@ -129,6 +279,7 @@ class SeriesCatalog:
     def __init__(self, max_tag_values: int | None = None) -> None:
         if max_tag_values is not None and max_tag_values <= 0:
             raise ValueError("max_tag_values must be positive")
+        super().__init__()
         self.max_tag_values = max_tag_values
         self._metrics: dict[str, _MetricIndex] = {}
         self._generation = 0
@@ -346,7 +497,7 @@ class SeriesCatalog:
         return sorted(self._match_set(metric, tags), key=str)
 
 
-class MergedCatalog:
+class MergedCatalog(_Resolving):
     """Read-only union view over per-shard catalogs.
 
     Series hash-route to exactly one shard, so the per-shard answers
@@ -367,6 +518,7 @@ class MergedCatalog:
             raise ValueError("MergedCatalog needs at least one part")
         if max_tag_values is not None and max_tag_values <= 0:
             raise ValueError("max_tag_values must be positive")
+        super().__init__()
         self._parts = tuple(parts)
         self.max_tag_values = max_tag_values
 

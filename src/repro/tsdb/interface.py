@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from .batch import PointBatch
-from .catalog import MergedCatalog, SeriesCatalog
+from .catalog import MergedCatalog, Resolution, SeriesCatalog
 from .model import DataPoint, SeriesKey
 from .plan import ExprQuery, ExprResult, QueryBuilder, run_batch, select as _select
 from .plan import run_unique_batch
@@ -182,7 +182,8 @@ class StoreApi:
         """Counter of series created/removed under ``metric``.
 
         A cached match set (and therefore grouping) for any filter on
-        this metric is valid only while this value holds still.
+        this metric is valid only while this value holds still — the
+        rule the catalog's own memo (:meth:`_resolve`) keeps.
         """
         return self.catalog.metric_generation(metric)
 
@@ -211,9 +212,19 @@ class StoreApi:
         postings, and ``key.matches`` runs only over the narrowed pool
         as a final exactness check — O(result), not O(series-under-
         metric), deterministic regardless of set iteration order, and
-        identical to the single store's for any shard count.
+        identical to the single store's for any shard count.  The keys
+        of :meth:`_resolve`.
         """
-        return self.catalog.match(metric, tags)
+        return list(self.catalog.resolve(metric, tags).keys)
+
+    def _resolve(self, metric: str, tags: Mapping[str, str]) -> Resolution:
+        """One filter resolved: the catalog's kept
+        :class:`~repro.tsdb.catalog.Resolution` (matched keys, their
+        groups), with each key's column store looked up through
+        ``_series`` once per entry — every wrapper reaches the same
+        catalog and the same stores, so one resolution serves them all
+        until a series is created or removed under the metric."""
+        return self.catalog.resolve(metric, tags).with_stores(self._series)
 
     # -- derived reads: one series (self._series) ------------------------
     def series_generation(self, key: SeriesKey) -> int:
@@ -315,9 +326,9 @@ class StoreApi:
         self, queries: Sequence[Query], parallel: bool | None = None
     ) -> list[QueryResult]:
         """Execution hook behind ``run_many``: the planner's shared
-        executor over this store's catalog and series columns."""
+        executor over this store's resolved filters."""
         # ``parallel`` is ignored: the frozen benchmarks/e2e ScanProxy passes it.
-        return run_unique_batch(queries, self._match, self.series_slice)
+        return run_unique_batch(queries, self._resolve)
 
     def _run_uncached_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
         """``_run_unique_batch`` below any result cache.  A store keeps

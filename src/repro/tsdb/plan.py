@@ -13,12 +13,14 @@ this module adds everything around it:
   deduplicates queries, dispatches to the store's execution hook, and
   evaluates expressions over the batch results;
 - :func:`run_unique_batch` — the one executor behind that hook on both
-  stores: each distinct filter matches once, each touched series is
+  stores: each distinct filter is resolved once, each touched series is
   scanned once over its covering range, and every query runs
   :func:`execute_plan` over the shared scans.  A store supplies only
-  how it matches and how it scans one series, so
-  :class:`~repro.tsdb.sharded.ShardedTSDB` (merged catalog, scan routed
-  to the owning shard) and :class:`~repro.tsdb.database.TSDB` execute
+  how it resolves a filter — its catalog's kept
+  :class:`~repro.tsdb.catalog.Resolution`: the matched keys, their
+  groups, their column stores — so
+  :class:`~repro.tsdb.sharded.ShardedTSDB` (merged catalog, stores of
+  the owning shards) and :class:`~repro.tsdb.database.TSDB` execute
   the *same* code over the same slices — results are bit-identical
   for any shard count.  What a batch holds: the scans for its whole
   length — they are read-only views of the stores' columns
@@ -29,8 +31,9 @@ this module adds everything around it:
   filter's are made.  A result owns its columns: where a plan would
   hand a scan through unchanged it is copied out, once;
 - :func:`execute_plan` — the seed scan → rate → group-by → aggregate →
-  downsample plan, in two stages: the per-instant fold
-  (:func:`group_keys`, :func:`aggregate_across`), then
+  downsample plan, in two stages: the per-instant fold over the
+  :func:`~repro.tsdb.catalog.group_keys` partition
+  (:func:`aggregate_across`), then
   :func:`downsampled` (one pass over the groups), which also buckets a
   window's instants trimmed at any later start exactly as a run over
   that sub-window would;
@@ -49,13 +52,13 @@ from __future__ import annotations
 
 import ast
 import operator
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import aggregators
+from .catalog import Resolution
 from .downsample import Downsample, apply_many as downsample_many
 from .model import SeriesKey
 from .query import Query, QueryError, QueryResult, ResultSeries, compute_rate
@@ -376,22 +379,6 @@ def _evaluate_expr(
 # ---------------------------------------------------------------------------
 
 
-def group_keys(
-    query: Query, matched: Sequence[SeriesKey]
-) -> dict[tuple[tuple[str, str], ...], list[SeriesKey]]:
-    """Partition matched keys into group-by labels; keys sorted per group.
-
-    A pure function of the key set — independent of the order ``matched``
-    arrived in and of which shard each key lives on, so every store
-    layout forms the same groups.
-    """
-    groups: dict[tuple, list[SeriesKey]] = defaultdict(list)
-    for key in matched:
-        label = tuple((g, key.tag(g, "")) for g in sorted(query.group_by))
-        groups[label].append(key)
-    return {label: sorted(keys, key=str) for label, keys in groups.items()}
-
-
 def align(slices: list[SeriesSlice]) -> tuple[np.ndarray, aggregators.Cells]:
     """Align non-empty slices on the union of their timestamps.
 
@@ -451,9 +438,14 @@ def aggregate_across(
 
     Timestamps are the union of all input timestamps; at each instant the
     aggregator sees the values of every series that has a point exactly
-    there.  (OpenTSDB interpolates; our feeds are bucket-aligned by the
-    ingest pipeline, so exact alignment is the common case and
-    interpolation is left to downsample fill policies.)
+    there, and nothing else: a series without a point at that second is
+    absent from the fold, not interpolated.  Feeds are *not* aligned on
+    a shared second — on the paper's own pipeline
+    (``trondheim_deployment()``) every instant holds exactly one
+    series — so a downsampled cross-series panel folds single points
+    and then downsamples them.  (OpenTSDB downsamples each series first
+    and interpolates across series; moving to that order is ROADMAP
+    item 2, and this function does not attempt it.)
 
     ``name`` is a registered aggregator; it reduces the aligned points
     as :class:`~repro.tsdb.aggregators.Cells` — for the folds, bit for
@@ -507,7 +499,7 @@ def downsampled(query: Query, reduced: list[SeriesSlice]) -> list[SeriesSlice]:
 
 def execute_plan(
     query: Query,
-    matched: Sequence[SeriesKey],
+    groups: Sequence[tuple[tuple, Sequence[SeriesKey]]],
     scan: Callable[[SeriesKey], SeriesSlice],
     *,
     align_cache: dict | None = None,
@@ -518,15 +510,15 @@ def execute_plan(
     only that instant's cells, so it is the same in any window that
     holds the instant.
 
-    ``matched`` is the set of series the query touches and ``scan``
-    produces each one's time-sorted slice; everything downstream of the
-    scan is store-layout-independent.  Every store runs its queries
-    through these same stages, so results are bit-identical regardless
-    of how series are partitioned: groups form from the key set alone
-    and slices always aggregate in sorted key order.
+    ``groups`` is :func:`~repro.tsdb.catalog.group_keys` of the series
+    the query touches, under ``query.group_by``, and ``scan`` produces
+    each one's time-sorted slice; everything downstream of the scan is
+    store-layout-independent.  Every store runs its queries through
+    these same stages, so results are bit-identical regardless of how
+    series are partitioned: groups form from the key set alone and
+    slices always aggregate in sorted key order.
     """
     scanned = 0
-    groups = sorted(group_keys(query, matched).items())
     prepared: list[list[SeriesSlice]] = []
     for _, keys in groups:
         slices: list[SeriesSlice] = []
@@ -614,31 +606,16 @@ def _filter_key(q: Query) -> tuple:
     return (q.metric, tuple(sorted(q.tags.items())))
 
 
-def match_batch(
-    match: Callable[[str, Mapping[str, str]], list],
-    queries: Sequence[Query],
-) -> list[list]:
-    """Matched series per query, computing each distinct filter once."""
-    cache: dict[tuple, list] = {}
-    out: list[list] = []
-    for q in queries:
-        mk = _filter_key(q)
-        if mk not in cache:
-            cache[mk] = match(q.metric, q.tags)
-        out.append(cache[mk])
-    return out
-
-
 def run_unique_batch(
     queries: Sequence[Query],
-    match: Callable[[str, Mapping[str, str]], list[SeriesKey]],
-    scan: Callable[[SeriesKey, int, int], SeriesSlice],
+    resolve: Callable[[str, Mapping[str, str]], Resolution],
 ) -> list[QueryResult]:
-    """Execute deduplicated queries over shared matching and scans.
+    """Execute deduplicated queries over shared resolutions and scans.
 
     The executor behind every store's ``_run_unique_batch`` hook: each
-    distinct (metric, tags) filter goes through ``match`` once, each
-    touched series through ``scan`` once over the covering range of
+    distinct (metric, tags) filter goes through ``resolve`` once — its
+    keys, groups and column stores, kept by the catalog across batches
+    — each touched series is scanned once over the covering range of
     every query that needs it, and panels aggregating the same slices
     share one alignment.  Results align with ``queries``.
 
@@ -648,22 +625,35 @@ def run_unique_batch(
     at a time, in order of first appearance, and each filter's
     alignments are dropped before the next one's are made.
     """
-    matches = match_batch(match, queries)
-    scans = ScanPlan()
     by_filter: dict[tuple, list[int]] = {}
-    for i, (q, keys) in enumerate(zip(queries, matches)):
+    for i, q in enumerate(queries):
         by_filter.setdefault(_filter_key(q), []).append(i)
-        for key in keys:
-            scans.need(key, q.start, q.end)
+    scans = ScanPlan()
+    stores: dict = {}  # series key -> its column store (None: absent)
+    resolved: list[Resolution] = []
+    for members in by_filter.values():
+        first = queries[members[0]]
+        r = resolve(first.metric, first.tags)
+        resolved.append(r)
+        lo = min(queries[i].start for i in members)
+        hi = max(queries[i].end for i in members)
+        for key, store in zip(r.keys, r.stores):
+            stores[key] = store
+            scans.need(key, lo, hi)
+
+    def scan(key: SeriesKey, lo: int, hi: int) -> SeriesSlice:
+        store = stores[key]
+        return _empty_slice() if store is None else store.scan(lo, hi)
+
     scans.resolve(scan)
     results: list[QueryResult | None] = [None] * len(queries)
-    for members in by_filter.values():
+    for r, members in zip(resolved, by_filter.values()):
         align_cache: dict = {}  # the previous filter's dies here
         for i in members:
             q = queries[i]
             results[i] = execute_plan(
                 q,
-                matches[i],
+                r.groups(q.group_by),
                 lambda key, q=q: scans.slice_for(key, q.start, q.end),
                 align_cache=align_cache,
             )

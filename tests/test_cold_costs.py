@@ -21,6 +21,7 @@ import repro.tsdb.aggregators as aggregators_module
 import repro.tsdb.plan as plan_module
 from repro.serve import CachingStore
 from repro.tsdb import BatchBuilder, Query, ShardedTSDB, TSDB, wire
+from repro.tsdb.series import SeriesStore
 from test_refresh_costs import CITY, NODES, _dashboard
 from test_serve_conditional import METRICS
 
@@ -80,20 +81,21 @@ def _assert_own_columns(results, db) -> None:
 
 def test_scans_copy_nothing_and_results_own_their_columns(db, monkeypatch):
     scanned = []
-    real = ShardedTSDB.series_slice
+    real = SeriesStore.scan
 
-    def series_slice(store, key, start=None, end=None):
-        sl = real(store, key, start, end)
-        scanned.append((key, sl))
+    def scan(series, start=None, end=None):
+        sl = real(series, start, end)
+        scanned.append((series, sl))
         return sl
 
-    monkeypatch.setattr(ShardedTSDB, "series_slice", series_slice)
+    monkeypatch.setattr(SeriesStore, "scan", scan)
     results = db.run_many(_wall(60))
     # one scan per distinct touched series, each a read-only window on
     # the series' own columns: bytes copied by scans, 0 (parent: all)
     assert len(scanned) == len(METRICS) * len(NODES)
-    for key, sl in scanned:
-        series = db._series(key)
+    touched = [db._series(key) for m in METRICS for key in db.series_for_metric(m)]
+    assert {id(series) for series, _ in scanned} == set(map(id, touched))
+    for series, sl in scanned:
         assert len(sl) == POINTS - 1
         assert np.shares_memory(sl.timestamps, series._ts)
         assert np.shares_memory(sl.values, series._vals)

@@ -7,10 +7,13 @@ The serving stack from public constructors::
 
 with the e2e wall (12 panels over 4 metrics x 25 nodes) and one minute
 appended before each refresh, and counting wrappers around what a
-refresh request should do *once*: resolve a series (before the scans,
-for the scan, after them), match a filter, plan the deltas, parse a
+refresh request should do *once*: read a series' last point (once per
+filter, however many panels share it), plan the deltas, parse a
 downsample spec — and what it should not do at all: insert a delta into
-the result cache, whose entries no later request can ask for.  A plain
+the result cache, whose entries no later request can ask for, or match
+a filter, walk the catalog's postings or look a series up while no
+series was created or removed under its metric (the catalog keeps each
+filter's resolution; one new series re-resolves its filter alone, once).  A plain
 request served from the cache, and an append-only refresh, check one
 counter per metric and read no series' own counters unless something
 under the metric was written (reshaped).  A plain request whose window
@@ -36,7 +39,7 @@ from repro.replication import ReplicatedStore
 from repro.serve import CachingStore, IncrementalRefresher
 from repro.serve.cache import ResultCache, ValidatorView
 from repro.tsdb import BatchBuilder, DurableStore, Query, ShardedTSDB, wire
-from repro.tsdb.catalog import MergedCatalog
+from repro.tsdb.catalog import MergedCatalog, SeriesCatalog
 from repro.tsdb.downsample import Downsample
 from repro.tsdb.series import SeriesStore
 from test_serve_conditional import METRICS, MINUTE, _minute
@@ -70,6 +73,7 @@ class _Counts:
     def __init__(self, monkeypatch) -> None:
         self.resolved: Counter = Counter()  # series key -> _series calls
         self.matched: Counter = Counter()  # filter -> catalog matches
+        self.postings = 0  # per-shard postings walks (SeriesCatalog._match_set)
         self.planned: list[int] = []  # planner batches, by size
         self.cache_batches: list[int] = []  # batches through the cache
         self.inserts = 0
@@ -80,6 +84,7 @@ class _Counts:
         self.views = 0  # series scan views opened, planner and refresher
         real_series = ShardedTSDB._series
         real_match = MergedCatalog.match
+        real_match_set = SeriesCatalog._match_set
         real_plan = interface_module.run_unique_batch
         real_cached = CachingStore._run_unique_batch
         real_insert = ResultCache.insert
@@ -93,9 +98,13 @@ class _Counts:
             self.matched[metric, tuple(sorted(tags.items()))] += 1
             return real_match(catalog, metric, tags)
 
-        def run_unique_batch(queries, match, scan):
+        def match_set(catalog, metric, tags):
+            self.postings += 1
+            return real_match_set(catalog, metric, tags)
+
+        def run_unique_batch(queries, resolve):
             self.planned.append(len(queries))
-            return real_plan(queries, match, scan)
+            return real_plan(queries, resolve)
 
         def cached(store, queries):
             self.cache_batches.append(len(queries))
@@ -134,6 +143,7 @@ class _Counts:
         per_metric("reshape")
         monkeypatch.setattr(ShardedTSDB, "_series", _series)
         monkeypatch.setattr(MergedCatalog, "match", match)
+        monkeypatch.setattr(SeriesCatalog, "_match_set", match_set)
         monkeypatch.setattr(interface_module, "run_unique_batch", run_unique_batch)
         monkeypatch.setattr(CachingStore, "_run_unique_batch", cached)
         monkeypatch.setattr(ResultCache, "insert", insert)
@@ -142,6 +152,7 @@ class _Counts:
     def reset(self) -> None:
         self.resolved.clear()
         self.matched.clear()
+        self.postings = 0
         self.planned.clear()
         self.cache_batches.clear()
         self.inserts = 0
@@ -190,12 +201,10 @@ def test_a_refresh_reads_each_validator_once_and_plans_once(stack, monkeypatch):
         caching.put_batch(_minute(end, METRICS, NODES))
         counts.reset()
         got = refresher.run_many(_dashboard(0, end))
-        # before the scans, for the scan, after them (parent: 21 each)
-        assert len(counts.resolved) == SERIES
-        assert max(counts.resolved.values()) <= 3
-        # the before view and the planner (parent: 12 each)
-        assert len(counts.matched) == len(METRICS)
-        assert max(counts.matched.values()) <= 3
+        # the series set is unchanged: every filter and its stores come
+        # from the catalog's kept resolutions (parent: each series looked
+        # up twice, each filter matched twice)
+        assert counts.resolved == {} and counts.matched == {}
         # one planned batch of twelve deltas, under the result cache
         assert counts.planned == [12]
         assert counts.cache_batches == []
@@ -209,6 +218,45 @@ def test_a_refresh_reads_each_validator_once_and_plans_once(stack, monkeypatch):
         assert _series_of(got) == _series_of(inner.run_many(_dashboard(0, end)))
     assert len(caching.cache) == 12
     assert caching.cache.stats.misses == 12 and caching.cache.stats.evicted == 0
+
+
+def test_a_live_refresh_resolves_each_filter_once_per_series_set(
+        stack, monkeypatch):
+    inner, caching, end = stack
+    refresher = IncrementalRefresher(caching)
+    refresher.run_many(_dashboard(0, end))
+    every = [key for metric in METRICS for key in inner.series_for_metric(metric)]
+    counts = _Counts(monkeypatch)
+    for _ in range(3):
+        end += MINUTE
+        caching.put_batch(_minute(end, METRICS, NODES))
+        counts.reset()
+        got = refresher.run_many(_dashboard(0, end))
+        assert refresher.stats.incremental_runs % 12 == 0
+        # no postings walked (parent: 32, two matches per filter, each
+        # over four shards)
+        assert counts.postings == 0
+        # one boundary per filter: each series' last point read once
+        # (parent: 300 reads, once per panel)
+        assert counts.latest == Counter(every)
+        assert _series_of(got) == _series_of(inner.run_many(_dashboard(0, end)))
+
+    # one new series under one metric: its filter alone is matched again,
+    # once, and only its series are looked up, once each (parent: that
+    # filter matched 9 times and every other twice, 60 postings walks,
+    # 384 series look-ups)
+    written = METRICS[0]
+    end += MINUTE
+    caching.put_batch(_minute(end, METRICS, NODES))
+    caching.put(written, end, 1.0, {**CITY, "node": "ctt-99"})
+    grown = inner.series_for_metric(written)
+    counts.reset()
+    got = refresher.run_many(_dashboard(0, end))
+    assert counts.matched == Counter({(written, tuple(CITY.items())): 1})
+    assert counts.postings == inner.num_shards
+    assert counts.resolved == Counter(grown)
+    assert refresher.stats.full_runs == 12 + 3
+    assert _series_of(got) == _series_of(inner.run_many(_dashboard(0, end)))
 
 
 def test_a_cache_only_panel_runs_nothing(stack, monkeypatch):

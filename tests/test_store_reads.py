@@ -59,7 +59,7 @@ _DERIVED_READS = (
     "series_count", "metrics", "series_for_metric",
     "suggest_tag_values", "tag_values", "cardinality",
     "catalog_generation", "metric_generation", "metric_write_generation",
-    "metric_reshape_generation", "_match", "last",
+    "metric_reshape_generation", "_match", "_resolve", "last",
     "series_generation", "series_reshape_generation", "series_latest",
     "series_slice", "iter_series", "run", "run_many", "select",
 )

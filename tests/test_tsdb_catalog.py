@@ -7,7 +7,12 @@ postings index is byte-identical to the brute-force scan it replaced —
 The hypothesis property here drives both single and sharded stores
 through random interleavings of ingest, retention, targeted deletes,
 and full persistence round-trips, checking equivalence after every
-step.  Around it: unit tests for the index bookkeeping (idempotence,
+step — twice per filter, so the second answer comes from the filter's
+kept resolution (:meth:`~repro.tsdb.catalog.SeriesCatalog.resolve`),
+whose group partitions and column stores are checked against a
+brute-force partition and the store's own look-ups.  A race test pins
+the one rule the memo adds: a store that does not exist yet is never
+kept.  Around it: unit tests for the index bookkeeping (idempotence,
 empty-bucket pruning), the cardinality guard-rails (atomic rejection,
 single-vs-sharded consistency, re-admission after retention), the
 retention/unindex contract, deterministic ordering, and catalog
@@ -20,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tsdb import SeriesKey, ShardedTSDB, TSDB, dumps, load
+from repro.tsdb import Query, SeriesKey, ShardedTSDB, TSDB, dumps, load
 from repro.tsdb.catalog import CardinalityLimitError, SeriesCatalog
 from repro.tsdb.retention import RetentionPolicy
 
@@ -148,12 +153,40 @@ def _fresh(shards: int):
     return TSDB() if shards == 0 else ShardedTSDB(shards)
 
 
+_GROUP_BYS = ((), ("node",), ("city",), ("node", "city"), ("absent",))
+
+
+def _brute_groups(keys, group_by):
+    """The group-by partition by hand: a label per distinct combination
+    of the group tags (a missing tag reads ""), labels sorted, each
+    group's keys in ``keys``' (canonical) order."""
+    def label(key):
+        tags = dict(key.tags)
+        return tuple((g, tags.get(g, "")) for g in sorted(group_by))
+
+    return [
+        (lab, tuple(k for k in keys if label(k) == lab))
+        for lab in sorted({label(k) for k in keys})
+    ]
+
+
 def _check_equivalence(store):
     for metric in _METRICS + ("no.such.metric",):
         for tags in _FILTERS:
-            assert store._match(metric, tags) == _brute_match(
-                store, metric, tags
-            ), f"divergence on {metric!r} {tags!r}"
+            want = _brute_match(store, metric, tags)
+            for _ in range(2):  # the second answer is a kept resolution's
+                assert store._match(metric, tags) == want, (
+                    f"divergence on {metric!r} {tags!r}"
+                )
+                resolved = store._resolve(metric, tags)
+                assert list(resolved.keys) == want
+                assert len(resolved.stores) == len(want)
+                for key, series in zip(want, resolved.stores):
+                    assert series is store._series(key) is not None
+                for group_by in _GROUP_BYS:
+                    assert resolved.groups(group_by) == _brute_groups(
+                        want, group_by
+                    ), f"groups of {metric!r} {tags!r} by {group_by!r}"
 
 
 @given(
@@ -187,6 +220,42 @@ def test_match_equals_brute_force_scan(shards, ops):
         for tags in _FILTERS:
             got = store._match(metric, tags)
             assert got == sorted(got, key=str)
+
+
+@pytest.mark.parametrize("shards", [0, 1, 4])
+def test_a_match_between_indexing_and_storing_keeps_no_absent_store(
+    shards, monkeypatch
+):
+    """``TSDB._store_for`` indexes a new key before it stores it, so a
+    reader in between matches a key whose store does not exist yet.
+    The metric generation has already moved for that key, so a
+    resolution that kept the absent store would hide the series from
+    every later reader; once stored, it must be seen."""
+    store = _fresh(shards)
+    store.put("m.a", 0, 1.0, {"node": "n0"})
+    query = Query("m.a", 0, 10, aggregator="sum", group_by=("node",))
+    real_add = SeriesCatalog.add
+    between = []
+
+    def add(catalog, key):
+        real_add(catalog, key)
+        if key.tag("node") == "n1":  # indexed, not stored yet
+            between.append((store._resolve("m.a", {}), store.run(query)))
+
+    monkeypatch.setattr(SeriesCatalog, "add", add)
+    store.put("m.a", 5, 2.0, {"node": "n1"})
+    monkeypatch.undo()
+    ((resolved, result),) = between
+    assert [k.tag("node") for k in resolved.keys] == ["n0", "n1"]
+    assert resolved.stores[1] is None
+    assert [len(s) for s in result.series] == [1, 0]
+
+    for _ in range(2):  # and the next reader again, from the kept entry
+        result = store.run(query)
+        assert [(s.group_tags["node"], s.values.tolist()) for s in result] == [
+            ("n0", [1.0]), ("n1", [2.0])]
+        resolved = store._resolve("m.a", {})
+        assert all(series is not None for series in resolved.stores)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.tsdb import ExprQuery, Query, QueryError, ShardedTSDB, TSDB, aggregators
+from repro.tsdb.catalog import group_keys
 from repro.tsdb.plan import ScanPlan, aggregate_across, execute_plan, expr, select
 from repro.tsdb.series import SeriesSlice
 from test_aggregators import bucket_oracle, dense_oracle
@@ -36,7 +37,7 @@ def seed_run(db: TSDB, query: Query):
     matched = db._match(query.metric, query.tags)
     return execute_plan(
         query,
-        matched,
+        group_keys(query.group_by, matched),
         lambda key: db._stores[key].scan(query.start, query.end),
     )
 
