@@ -22,12 +22,13 @@ test-region:
 
 # The persistence-format gate: segment round-trip equivalence to the
 # live store (the one durable format), codec properties, corruption
-# recovery, a wrong magic refused and never rewritten, and the
+# recovery, a wrong magic refused and never rewritten, a snapshot that
+# fails part-way leaving the previous one as it was, and the
 # dataport writer's write-ahead flush through DurableStore.
 test-persist:
 	$(PYTHON) -m pytest -q tests/test_tsdb_segments.py tests/test_tsdb_persistence.py
 
-# The query-engine gate: builder/run_many/expression results on single
+# The query-engine gate: run/run_many/expression results on single
 # and sharded stores byte-identical to the seed run() path, plus wire
 # codec round-trips.
 test-query:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..integration.oco2 import Oco2Connector
-from ..tsdb import METRIC_CO2, TimeSeriesStore
+from ..tsdb import METRIC_CO2, Query, TimeSeriesStore
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ def ground_against_satellite(
     Background defaults to the 10th percentile of the whole network
     series over the window (a standard enhancement baseline).
     """
-    res = (
-        db.select(METRIC_CO2).where(city=city_tag).range(start, end).run().single()
-    )
+    res = db.run(
+        Query(METRIC_CO2, int(start), int(end), tags={"city": city_tag})
+    ).single()
     if len(res) < 10:
         raise ValueError("not enough network CO2 data in the window")
     if background_ppm is None:

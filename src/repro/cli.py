@@ -22,8 +22,8 @@ the system without writing code:
 - ``follow``      — run a hot-standby replica: apply shipped segment
   blocks into a local store, promote to a read-write primary on
   SIGUSR1 (optionally serving queries), shut down cleanly on SIGTERM;
-- ``compact``     — rewrite a WAL/snapshot segment (or a sharded
-  snapshot directory) as its compacted form, in place.
+- ``compact``     — rewrite a WAL/snapshot segment file as its compacted
+  form, in place.
 """
 
 from __future__ import annotations
@@ -612,7 +612,7 @@ def cmd_follow(args: argparse.Namespace) -> int:
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
-    """Rewrite a WAL/snapshot (or a sharded snapshot directory) in place.
+    """Rewrite a WAL/snapshot segment file in place.
 
     Replays the log (skipping damaged blocks with ``--lenient``),
     resolves retention markers against the data, and atomically swaps in
@@ -621,13 +621,14 @@ def cmd_compact(args: argparse.Namespace) -> int:
     With ``--max-blocks`` / ``--max-markers`` the rewrite is conditional
     on the trigger policy (files already compact are left untouched); by
     default it always runs.  A file without the segment magic is not a
-    segment: it is refused (exit 1) and left as it is.
+    segment, and a directory is not a file: either is refused (exit 1)
+    and left as it is.
     """
     from pathlib import Path
 
     from .tsdb import SegmentCorruption
     from .tsdb.segments import SEGMENT_MAGIC
-    from .tsdb.tier import CompactionPolicy, compact_dir, compact_log
+    from .tsdb.tier import CompactionPolicy, compact_log
 
     policy = None
     if args.max_blocks is not None or args.max_markers is not None:
@@ -638,36 +639,21 @@ def cmd_compact(args: argparse.Namespace) -> int:
             ),
         )
 
-    def _report(result) -> None:
-        print(
-            f"compacted {result.path}: {result.blocks_before} -> "
-            f"{result.blocks_after} blocks, {result.bytes_before} -> "
-            f"{result.bytes_after} bytes ({result.bytes_ratio:.2f}x), "
-            f"{result.markers_resolved} markers resolved, "
-            f"{result.points} points"
-        )
-
     path = Path(args.path)
+    if path.is_dir():
+        raise SystemExit(f"compact: {path} is a directory, not a segment file")
     try:
-        if path.is_dir():
-            results = compact_dir(path, policy=policy, strict=not args.lenient)
-            if not results:
-                print(f"{path}: all shards already compact")
-            for _, result in sorted(results.items()):
-                _report(result)
-        else:
-            if policy is not None:
-                from .tsdb.tier import Compactor
+        if policy is not None:
+            from .tsdb.tier import Compactor
 
-                result = Compactor(
-                    path, policy=policy, strict=not args.lenient
-                ).maybe_compact()
-                if result is None:
-                    print(f"{path}: already compact")
-                    return 0
-            else:
-                result = compact_log(path, strict=not args.lenient)
-            _report(result)
+            result = Compactor(
+                path, policy=policy, strict=not args.lenient
+            ).maybe_compact()
+            if result is None:
+                print(f"{path}: already compact")
+                return 0
+        else:
+            result = compact_log(path, strict=not args.lenient)
     except FileNotFoundError as exc:
         raise SystemExit(f"compact: {exc}")
     except SegmentCorruption as exc:
@@ -679,6 +665,13 @@ def cmd_compact(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"compact: {exc}")
+    print(
+        f"compacted {result.path}: {result.blocks_before} -> "
+        f"{result.blocks_after} blocks, {result.bytes_before} -> "
+        f"{result.bytes_after} bytes ({result.bytes_ratio:.2f}x), "
+        f"{result.markers_resolved} markers resolved, "
+        f"{result.points} points"
+    )
     return 0
 
 
@@ -873,12 +866,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compact = sub.add_parser(
         "compact",
-        help="rewrite a WAL/snapshot (or sharded snapshot dir) as its "
-             "compacted form, in place",
+        help="rewrite a WAL/snapshot segment file as its compacted form, "
+             "in place",
     )
     p_compact.add_argument(
-        "path",
-        help="log file or snapshot directory (shard files found by name)")
+        "path", help="WAL or snapshot segment file")
     p_compact.add_argument(
         "--max-blocks", type=int, default=None, metavar="N",
         help="only compact files carrying more than N blocks "

@@ -176,8 +176,6 @@ class Dataport:
         scheduler: Scheduler,
         *,
         config: TwinConfig | None = None,
-        node_locations: dict[str, tuple[float, float]] | None = None,
-        node_city: dict[str, str] | None = None,
         batch_window_s: int = 0,
         max_pending_points: int = 10_000,
     ) -> None:
@@ -187,8 +185,10 @@ class Dataport:
         self.system = ActorSystem(scheduler)
         self.stats = DataportStats()
         self.healthy = True  # flipped by failure-injection tests
-        self.node_locations = dict(node_locations or {})
-        self.node_city = dict(node_city or {})
+        # Filled by register_sensor / register_gateway (and, for a
+        # node's city, its first uplink's topic).
+        self.node_locations: dict[str, tuple[float, float]] = {}
+        self.node_city: dict[str, str] = {}
         # Hop 5 write path: with batch_window_s == 0 every uplink flushes
         # its (columnar) batch immediately, so points are visible to
         # queries as soon as the uplink is processed; with a positive

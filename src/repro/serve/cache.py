@@ -82,6 +82,11 @@ from ..tsdb.wire import CatalogRequest
 _TAG_ATTR = "_wire_tag"
 _TAIL_ATTR = "_wire_tail"
 
+#: Panel shapes kept at each end of a connection: the server's
+#: refresher keeps this many panels' state, a client this many panels'
+#: last reply entries.
+HELD_PANELS = 256
+
 
 def cached_series_tag(s: ResultSeries) -> bytes | None:
     """The digest :func:`series_tag` left on ``s``, if any."""

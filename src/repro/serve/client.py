@@ -18,7 +18,7 @@ JSON protocol of :mod:`repro.serve.server`:
   *Server-answered* errors
   (:class:`~repro.tsdb.wire.RemoteQueryError`) are never retried — the
   request itself is bad;
-- **batched multi-query calls** — :meth:`run_many` ships a whole
+- **batched multi-query calls** — :meth:`request` ships a whole
   dashboard as one request line, so the server plans it as one batch;
 - **replies proportional to what changed** — the client keeps the last
   reply entry per panel *shape* (the query minus its window) and says
@@ -30,10 +30,14 @@ JSON protocol of :mod:`repro.serve.server`:
   none of this.  A pre-``held`` server answers such a request with its
   in-band ``unknown request fields`` error.
 
-Usage::
+Replies come back as their JSON; :func:`~repro.tsdb.wire.decode_response`
+turns one into numpy-backed results (and raises
+:class:`~repro.tsdb.wire.RemoteQueryError` for an in-band error)::
 
     with QueryClient(host, port, tenant="dashboard") as client:
-        results = client.run_many(panel_queries, refresh=True)
+        results = wire.decode_response(
+            client.request(panel_queries, refresh=True)
+        )
 """
 
 from __future__ import annotations
@@ -45,38 +49,20 @@ import time
 from typing import Callable, Sequence
 
 from ..tsdb import wire
-from ..tsdb.plan import ExprQuery, QueryBuilder
+from ..tsdb.plan import ExprQuery
 from ..tsdb.query import Query
-from ..tsdb.wire import RemoteQueryError, WireError, WireResult, WireSeries
-from .cache import BoundedLRU
-
-#: Panel shapes a client keeps the last reply entry of (the server-side
-#: refresher's ``max_panels``).
-HELD_PANELS = 256
+from ..tsdb.wire import RemoteQueryError, WireError
+from .cache import HELD_PANELS, BoundedLRU
 
 
 class _Held:
     """The last reply entry received for one panel shape."""
 
-    __slots__ = ("validator", "series", "decoded", "_grown")
+    __slots__ = ("validator", "series")
 
-    def __init__(self, validator: str, series: list, grown=None) -> None:
+    def __init__(self, validator: str, series: list) -> None:
         self.validator = validator
         self.series = series  # the entry's parsed ``series``, handed out
-        self.decoded: tuple[WireSeries, ...] | None = None  # once asked for
-        #: (the decoded series this entry grew from, its ``tail`` array)
-        self._grown = grown
-
-    def decode(self) -> tuple[WireSeries, ...]:
-        """``wire.decode_series(self.series)``, decoded once — and for
-        an entry that grew from decoded series, only its tail."""
-        if self.decoded is None:
-            if self._grown is None:
-                self.decoded = wire.decode_series(self.series)
-            else:
-                self.decoded = wire.extend_series(*self._grown)
-            self._grown = None
-        return self.decoded
 
 
 def _windowless(q: dict) -> dict:
@@ -126,8 +112,7 @@ def _extend(held: _Held, tails, validator: str) -> _Held | None:
         if t_now is None or v_now is None:
             return None
         series.append({**prev, "t": t_now, "v": v_now})
-    grown = None if held.decoded is None else (held.decoded, tails)
-    return _Held(validator, series, grown)
+    return _Held(validator, series)
 
 
 class QueryClient:
@@ -169,7 +154,6 @@ class QueryClient:
         self._file = None
         self._next_id = 0
         self._held: BoundedLRU = BoundedLRU(HELD_PANELS)  # shape -> _Held
-        self._answered: list[_Held] = []  # per result of the last reply
 
     # -- connection lifecycle --------------------------------------------
     def connect(self) -> None:
@@ -206,7 +190,7 @@ class QueryClient:
     # -- calls -----------------------------------------------------------
     def request(
         self,
-        queries: Sequence[Query | QueryBuilder | ExprQuery],
+        queries: Sequence[Query | ExprQuery],
         *,
         refresh: bool = False,
     ) -> dict:
@@ -228,14 +212,13 @@ class QueryClient:
         was_held = [self._held.use(shape) for shape in shapes]
         envelope["held"] = [h and h.validator for h in was_held]
         response = self._call(envelope)
-        self._answered = []
         if isinstance(response, dict) and "results" in response:
             try:
-                self._answered = self._resolve(response, was_held)
+                now_held = self._resolve(response, was_held)
             except WireError:
                 self._distrust()
                 raise
-            for shape, held in zip(shapes, self._answered):
+            for shape, held in zip(shapes, now_held):
                 self._held.put(shape, held)
         return response
 
@@ -348,40 +331,6 @@ class QueryClient:
         assert last_error is not None
         raise last_error
 
-    def run_many(
-        self,
-        queries: Sequence[Query | QueryBuilder | ExprQuery],
-        *,
-        refresh: bool = False,
-    ) -> list[WireResult]:
-        """Execute a batch remotely; results align with the input order.
-
-        Raises :class:`RemoteQueryError` when the server answers with a
-        wire error response (bad query, overload drop, server fault).
-
-        Decoded series are kept beside the held replies and shared
-        between calls (an unchanged panel decodes nothing, a grown one
-        its tail): their arrays are **read-only**.
-        """
-        response = self.request(queries, refresh=refresh)
-        by_series = {id(held.series): held for held in self._answered}
-
-        def decode_series(series) -> tuple[WireSeries, ...]:
-            held = by_series.get(id(series))
-            if held is None:  # not an entry of a reply ``request`` resolved
-                return wire.decode_series(series)
-            return held.decode()
-
-        try:
-            return wire.decode_response(response, decode_series=decode_series)
-        except WireError:
-            self._distrust()
-            raise
-
-    def run(self, query: Query | QueryBuilder | ExprQuery) -> WireResult:
-        """Execute a single query remotely."""
-        return self.run_many([query])[0]
-
     # -- catalog metadata ------------------------------------------------
     def catalog_request(
         self,
@@ -394,25 +343,6 @@ class QueryClient:
         """One catalog call; returns the raw (JSON-decoded) response."""
         return self._call(
             wire.encode_catalog_request(op, metric=metric, key=key, tags=tags)
-        )
-
-    def catalog(
-        self,
-        op: str,
-        *,
-        metric: str | None = None,
-        key: str | None = None,
-        tags: dict | None = None,
-    ) -> list | int:
-        """Series-metadata lookup: the remote suggest/cardinality surface.
-
-        ``op`` is one of ``metrics``, ``tag_keys``, ``tag_values``,
-        ``cardinality``; the first three return sorted string lists,
-        the last an integer.  Raises :class:`RemoteQueryError` on an
-        in-band error (malformed request, guard-rail rejection).
-        """
-        return wire.decode_catalog_response(
-            self.catalog_request(op, metric=metric, key=key, tags=tags)
         )
 
 

@@ -172,6 +172,7 @@ from ..tsdb.plan import ExprQuery, ExprResult, run_batch
 from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.series import SeriesSlice
 from .cache import (
+    HELD_PANELS,
     BoundedLRU,
     ValidatorView,
     _freeze,
@@ -319,9 +320,9 @@ class IncrementalRefresher:
     serves many panels (state is keyed per panel shape).
     """
 
-    def __init__(self, store, *, max_panels: int = 256) -> None:
+    def __init__(self, store) -> None:
         self._store = store
-        self._panels: BoundedLRU = BoundedLRU(max_panels)  # key -> _PanelState
+        self._panels: BoundedLRU = BoundedLRU(HELD_PANELS)  # key -> _PanelState
         self._plain = _Plain(self)
         self.stats = RefreshStats()
 
@@ -698,5 +699,5 @@ class IncrementalRefresher:
 
     def _keep(self, key: tuple, state: _PanelState, stats: RefreshStats) -> None:
         """Remember ``state`` as the most recently answered panel; past
-        ``max_panels`` the least recently answered is forgotten."""
+        ``HELD_PANELS`` the least recently answered is forgotten."""
         stats.evicted += self._panels.put(key, state)

@@ -231,14 +231,13 @@ class QueryServer:
         default_policy: TenantPolicy | None = None,
         tenant_policies: dict[str, TenantPolicy] | None = None,
         cache_capacity: int = 128,
-        catalog_cache_capacity: int = 256,
         max_match_series: int | None = None,
     ) -> None:
         if max_match_series is not None and max_match_series <= 0:
             raise ValueError("max_match_series must be positive")
         self.caching = CachingStore(store, capacity=cache_capacity)
         self.refresher = IncrementalRefresher(self.caching)
-        self.catalog_cache = CatalogCache(catalog_cache_capacity)
+        self.catalog_cache = CatalogCache()
         self.max_match_series = max_match_series
         self._host = host
         self._port = port

@@ -4,11 +4,10 @@ Data model: points are ``(metric, timestamp, value, tags)``; a series is
 one metric + tag combination.  Queries support tag filtering (exact,
 ``*``, ``a|b``), cross-series aggregation, group-by, rate, and
 downsampling with gap-fill policies; the declarative :class:`Query`
-surface (plus the fluent :func:`~repro.tsdb.plan.select` builder and
-:func:`~repro.tsdb.plan.expr` arithmetic expression queries) executes
-through one batched planner (:mod:`~repro.tsdb.plan`) on single and
-sharded stores, and speaks a versioned OpenTSDB-style JSON wire format
-(:mod:`~repro.tsdb.wire`).
+surface (plus :func:`~repro.tsdb.plan.expr` arithmetic expression
+queries) executes through one batched planner (:mod:`~repro.tsdb.plan`)
+on single and sharded stores, and speaks a versioned OpenTSDB-style
+JSON wire format (:mod:`~repro.tsdb.wire`).
 Persistence is an append-only WAL
 with snapshot compaction in columnar segments, the one durable format
 (see :mod:`~repro.tsdb.segments`) — and retention optionally rolls old

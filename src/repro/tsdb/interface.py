@@ -22,8 +22,7 @@ from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
 from .batch import PointBatch
 from .catalog import MergedCatalog, Resolution, SeriesCatalog
 from .model import DataPoint, SeriesKey
-from .plan import ExprQuery, ExprResult, QueryBuilder, run_batch, select as _select
-from .plan import run_unique_batch
+from .plan import ExprQuery, ExprResult, run_batch, run_unique_batch
 from .query import Query, QueryResult
 from .series import SeriesSlice, SeriesStore
 
@@ -129,10 +128,8 @@ class TimeSeriesStore(Protocol):
     def run(self, query: Query) -> QueryResult: ...
 
     def run_many(
-        self, queries: Sequence[Query | QueryBuilder | ExprQuery]
+        self, queries: Sequence[Query | ExprQuery]
     ) -> list[QueryResult | ExprResult]: ...
-
-    def select(self, metric: str) -> QueryBuilder: ...
 
     def iter_series(
         self, start: int | None = None, end: int | None = None
@@ -310,15 +307,15 @@ class StoreApi:
         return self.run_many([query])[0]
 
     def run_many(
-        self, queries: Sequence[Query | QueryBuilder | ExprQuery]
+        self, queries: Sequence[Query | ExprQuery]
     ) -> list[QueryResult | ExprResult]:
         """Plan and execute a batch of queries together.
 
         The dashboard entry point: all queries plan as one batch —
         duplicate queries execute once and distinct queries share
         series matching and physical scans, on either store.
-        Accepts :class:`Query`, fluent builders, and :func:`expr`
-        expression queries; results align with the input order.
+        Accepts :class:`Query` and :func:`expr` expression queries;
+        results align with the input order.
         """
         return run_batch(self, queries)
 
@@ -335,12 +332,6 @@ class StoreApi:
         none, so here they are one hook; the serving layer's
         ``CachingStore`` answers with what it runs on a miss."""
         return self._run_unique_batch(queries)
-
-    def select(self, metric: str) -> QueryBuilder:
-        """Start a fluent query builder bound to this store:
-        ``store.select("air.co2.ppm").where(node="*").range(t0, t1).run()``.
-        """
-        return _select(metric, store=self)
 
     def iter_series(
         self, start: int | None = None, end: int | None = None

@@ -13,12 +13,13 @@ A source without the segment magic is not a segment and is refused,
 strict or lenient: lenient recovery skips damaged *blocks* of a
 segment, it never guesses at another format.  ``load`` replays into a
 fresh :class:`TSDB` (or, via ``into=``, any
-:class:`~repro.tsdb.interface.TimeSeriesStore`, e.g. one shard of a
-:class:`~repro.tsdb.sharded.ShardedTSDB`).
+:class:`~repro.tsdb.interface.TimeSeriesStore`, e.g. a
+:class:`~repro.tsdb.sharded.ShardedTSDB` of any shard count).
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 from typing import TYPE_CHECKING
@@ -72,11 +73,22 @@ def snapshot(db: "TimeSeriesStore", path: str | os.PathLike[str]) -> int:
     order is canonical (metric, then key), so a sharded store snapshots
     byte-identically to a single store with the same contents.  Whole
     series columns stream into segment blocks.
+
+    The segment is written to ``<path>.tmp`` and renamed over ``path``
+    after its last block, so a snapshot that fails part-way leaves the
+    previous file at ``path`` as it was (and no ``.tmp`` behind).
     """
-    with SegmentWriter(path, append=False) as writer:
-        writer.comment("repro.tsdb snapshot")
-        _snapshot_columns(db, writer)
-        return writer.written
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with SegmentWriter(tmp, append=False) as writer:
+            writer.comment("repro.tsdb snapshot")
+            _snapshot_columns(db, writer)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+    return writer.written
 
 
 def _snapshot_columns(db: "TimeSeriesStore", writer: SegmentWriter) -> None:

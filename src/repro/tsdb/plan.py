@@ -3,9 +3,6 @@
 The declarative surface (:class:`~repro.tsdb.query.Query`) is unchanged;
 this module adds everything around it:
 
-- :func:`select` / :class:`QueryBuilder` — fluent, immutable query
-  construction (``store.select("air.co2.ppm").where(city="trondheim",
-  node="*").range(t0, t1).downsample("5m-avg").rate().group_by("node")``);
 - :func:`expr` / :class:`ExprQuery` — expression queries combining
   sub-queries arithmetically (``expr("a - b", a=..., b=...)`` for
   CO2-minus-baseline style dashboard panels);
@@ -44,22 +41,22 @@ this module adds everything around it:
   no NaN mask where no value is NaN — the alignment hands each column's
   point count over, see :mod:`~repro.tsdb.aggregators`).
 
-The one-shot entry points (``store.run``, ``QueryBuilder.run``) are thin
-shims over this planner: a single query is just a batch of one.
+The one-shot entry point, ``store.run``, is a thin shim over this
+planner: a single query is just a batch of one.
 """
 
 from __future__ import annotations
 
 import ast
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import aggregators
 from .catalog import Resolution
-from .downsample import Downsample, apply_many as downsample_many
+from .downsample import apply_many as downsample_many
 from .model import SeriesKey
 from .query import Query, QueryError, QueryResult, ResultSeries, compute_rate
 from .series import SeriesSlice
@@ -67,99 +64,6 @@ from .series import SeriesSlice
 
 def _empty_slice() -> SeriesSlice:
     return SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
-
-
-# ---------------------------------------------------------------------------
-# Fluent builder
-# ---------------------------------------------------------------------------
-
-
-def select(metric: str, *, store: object | None = None) -> QueryBuilder:
-    """Start a fluent query builder (optionally bound to a store).
-
-    ``store.select(metric)`` is the bound form; the unbound form builds
-    queries for :func:`run_batch` / ``run_many`` / :func:`expr`.
-    """
-    return QueryBuilder(_store=store, _metric=metric)
-
-
-@dataclass(frozen=True)
-class QueryBuilder:
-    """Immutable fluent builder over :class:`Query`.
-
-    Every method returns a *new* builder, so partial builders can be
-    shared and forked (one base per dashboard, one fork per panel).
-    ``build()`` validates eagerly through ``Query.__post_init__``;
-    ``run()`` executes through the planner on the bound store.
-    """
-
-    _store: object | None = None
-    _metric: str | None = None
-    _start: int | None = None
-    _end: int | None = None
-    _tags: tuple[tuple[str, str], ...] = ()
-    _aggregator: str = "avg"
-    _downsample: str | Downsample | None = None
-    _rate: bool = False
-    _group_by: tuple[str, ...] = ()
-
-    def where(
-        self, tags: Mapping[str, str] | None = None, **more: str
-    ) -> QueryBuilder:
-        """Add tag filters (``"*"`` and ``"a|b"`` supported); merges."""
-        merged = dict(self._tags)
-        merged.update(tags or {})
-        merged.update(more)
-        return replace(self, _tags=tuple(sorted(merged.items())))
-
-    def range(self, start: int, end: int) -> QueryBuilder:
-        """Inclusive epoch-second time range."""
-        return replace(self, _start=int(start), _end=int(end))
-
-    def aggregate(self, name: str) -> QueryBuilder:
-        """Cross-series aggregator (``"avg"``, ``"p95"``, ...)."""
-        return replace(self, _aggregator=name)
-
-    agg = aggregate
-
-    def downsample(self, spec: str | Downsample) -> QueryBuilder:
-        """Downsample spec, e.g. ``"5m-avg"`` or ``"1h-max-nan"``."""
-        return replace(self, _downsample=spec)
-
-    def rate(self, enabled: bool = True) -> QueryBuilder:
-        """Emit the per-second first derivative (counter metrics)."""
-        return replace(self, _rate=bool(enabled))
-
-    def group_by(self, *keys: str) -> QueryBuilder:
-        """Tag keys whose value combinations each get their own series."""
-        return replace(self, _group_by=self._group_by + tuple(keys))
-
-    def build(self) -> Query:
-        """Materialize the declarative :class:`Query` (validates)."""
-        if self._metric is None:
-            raise QueryError("builder has no metric; start from select(metric)")
-        if self._start is None or self._end is None:
-            raise QueryError("builder has no time range; call .range(start, end)")
-        return Query(
-            self._metric,
-            self._start,
-            self._end,
-            tags=dict(self._tags),
-            aggregator=self._aggregator,
-            downsample=self._downsample,
-            rate=self._rate,
-            group_by=self._group_by,
-        )
-
-    def run(self, store: object | None = None):
-        """Build and execute on ``store`` (or the bound store)."""
-        target = store if store is not None else self._store
-        if target is None:
-            raise QueryError(
-                "builder is not bound to a store; use store.select(...) or "
-                "pass one to run(store)"
-            )
-        return run_batch(target, [self.build()])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +167,17 @@ class ExprQuery:
             )
 
 
-def expr(formula: str, **operands: Query | QueryBuilder) -> ExprQuery:
+def expr(formula: str, **operands: Query) -> ExprQuery:
     """Combine sub-queries arithmetically: ``expr("a - b", a=..., b=...)``.
 
-    Operands are :class:`Query` or (unbound) builders; the planner runs
-    them inside the same batch as everything else, so an expression's
-    sub-queries share matching and scans with sibling dashboard panels.
+    Operands are :class:`Query`; the planner runs them inside the same
+    batch as everything else, so an expression's sub-queries share
+    matching and scans with sibling dashboard panels.
     """
-    normalized = tuple(
-        (name, _as_query(sub)) for name, sub in sorted(operands.items())
-    )
-    return ExprQuery(formula, normalized)
-
-
-def _as_query(obj: Query | QueryBuilder) -> Query:
-    if isinstance(obj, Query):
-        return obj
-    if isinstance(obj, QueryBuilder):
-        return obj.build()
-    raise QueryError(
-        f"expected Query or QueryBuilder, got {type(obj).__name__}"
-    )
+    for sub in operands.values():
+        if not isinstance(sub, Query):
+            raise QueryError(f"expected Query, got {type(sub).__name__}")
+    return ExprQuery(formula, tuple(sorted(operands.items())))
 
 
 @dataclass(frozen=True)
@@ -682,11 +576,11 @@ def _canonical_key(q: Query) -> tuple:
 
 def run_batch(
     store: object,
-    queries: Sequence[Query | QueryBuilder | ExprQuery],
+    queries: Sequence[Query | ExprQuery],
 ) -> list[QueryResult | ExprResult]:
     """Plan and execute a batch of queries together.
 
-    Accepts a mix of :class:`Query`, builders, and :class:`ExprQuery`;
+    Accepts a mix of :class:`Query` and :class:`ExprQuery`;
     duplicate queries (including expression operands equal to sibling
     panels) execute once.  Execution goes through the store's
     ``_run_unique_batch`` hook — :func:`run_unique_batch` on both
@@ -708,8 +602,6 @@ def run_batch(
         return i
 
     for item in queries:
-        if isinstance(item, QueryBuilder):
-            item = item.build()
         if isinstance(item, Query):
             specs.append(("q", item, intern(item)))
         elif isinstance(item, ExprQuery):
@@ -718,7 +610,7 @@ def run_batch(
             )
         else:
             raise QueryError(
-                "run_many items must be Query, QueryBuilder, or ExprQuery; "
+                "run_many items must be Query or ExprQuery; "
                 f"got {type(item).__name__}"
             )
 

@@ -136,13 +136,12 @@ class QueryResult:
         return all(len(s) == 0 for s in self.series)
 
 
-def compute_rate(slice_: SeriesSlice, counter_reset_as_zero: bool = True) -> SeriesSlice:
+def compute_rate(slice_: SeriesSlice) -> SeriesSlice:
     """Per-second first derivative of a sorted slice.
 
     Emits one point per consecutive pair, timestamped at the later point.
-    Negative deltas (counter resets) become 0 when
-    ``counter_reset_as_zero`` is set, mirroring OpenTSDB's counter
-    handling; otherwise they pass through.
+    Negative deltas (counter resets) become 0, mirroring OpenTSDB's
+    counter handling.
     """
     if len(slice_) < 2:
         return SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
@@ -151,6 +150,5 @@ def compute_rate(slice_: SeriesSlice, counter_reset_as_zero: bool = True) -> Ser
     valid = dt > 0
     rate = np.full(dv.shape, np.nan)
     rate[valid] = dv[valid] / dt[valid]
-    if counter_reset_as_zero:
-        rate = np.where(rate < 0, 0.0, rate)
+    rate = np.where(rate < 0, 0.0, rate)
     return SeriesSlice(slice_.timestamps[1:][valid], rate[valid])

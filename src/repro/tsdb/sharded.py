@@ -4,8 +4,11 @@ Scaling past a single in-process store means partitioning: series keys
 hash-route to one of N independent :class:`~repro.tsdb.database.TSDB`
 shards, writes land shard-local (the columnar batch regroups per series
 via :meth:`~repro.tsdb.batch.PointBatch.by_series`, so each shard sees
-one `extend_batch` per touched series), and retention, snapshots and
-replication work shard by shard.
+one `extend_batch` per touched series), and retention works shard by
+shard.  A snapshot is one file whatever the shard count:
+:func:`~repro.tsdb.persistence.snapshot` writes the same bytes a single
+store with the same contents would, and ``load(path, into=ShardedTSDB(m))``
+restores it into any shard count.
 
 This is a partitioning layer, not a second query engine: a series lives
 entirely in exactly one shard, filters match in the merged catalog, and
@@ -17,18 +20,15 @@ retention results are byte-identical for any shard count
 this for n ∈ {1, 2, 4, 7}).
 
 Routing uses CRC-32 of the canonical key string: stable across
-processes and Python's per-run hash randomization, which is what lets a
-snapshot taken by one process be restored shard-by-shard in another.
+processes and Python's per-run hash randomization, so a writer and a
+reader in different processes agree on every series' owner.
 """
 
 from __future__ import annotations
 
-import re
 import zlib
-from pathlib import Path
 from typing import Mapping
 
-from . import persistence
 from .batch import PointBatch
 from .catalog import MergedCatalog
 from .database import TSDB
@@ -47,11 +47,6 @@ def shard_for_key(key: SeriesKey, num_shards: int) -> int:
     if num_shards <= 0:
         raise ValueError("num_shards must be positive")
     return zlib.crc32(str(key).encode("utf-8")) % num_shards
-
-
-#: Per-shard snapshot files inside a directory: ``shard-<i>-of-<n>.seg``
-#: (what :meth:`ShardedTSDB.snapshot_to_dir` writes).
-_SHARD_FILE_RE = re.compile(r"^shard-(\d+)-of-(\d+)\.seg$")
 
 
 class ShardedTSDB(StoreApi):
@@ -179,99 +174,7 @@ class ShardedTSDB(StoreApi):
         """Single-series retention, routed to the owning shard."""
         return self._shards[self.shard_of(key)].delete_series_before(key, cutoff)
 
-    # ------------------------------------------------------------------
-    # Persistence (one snapshot file per shard)
-    # ------------------------------------------------------------------
-    def snapshot_to_dir(self, directory: str | Path) -> int:
-        """Snapshot every shard into ``<dir>/shard-<i>-of-<n>.seg``.
-
-        Each file is a normal segment WAL of one shard.  Shards are
-        written as ``.tmp`` files that are renamed into place — and any
-        previous snapshot's files of another shard count removed — only
-        after *every* shard succeeded, so a mid-snapshot failure (disk
-        full) leaves the prior snapshot restorable instead of a
-        half-replaced mixed directory.  Returns total points written.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        n = len(self._shards)
-
-        try:
-            total = sum(
-                persistence.snapshot(shard, directory / f"shard-{i}-of-{n}.seg.tmp")
-                for i, shard in enumerate(self._shards)
-            )
-        except BaseException:
-            for i in range(n):
-                (directory / f"shard-{i}-of-{n}.seg.tmp").unlink(missing_ok=True)
-            raise
-        keep = set()
-        for i in range(n):
-            name = f"shard-{i}-of-{n}.seg"
-            (directory / f"{name}.tmp").replace(directory / name)
-            keep.add(name)
-        # Drop every other shard count's files, so the directory always
-        # holds exactly one restorable snapshot (restore_from_dir rejects
-        # mixed counts/duplicates).
-        for path in directory.iterdir():
-            if _SHARD_FILE_RE.match(path.name) and path.name not in keep:
-                path.unlink()
-        return total
-
-    @classmethod
-    def restore_from_dir(cls, directory: str | Path) -> "ShardedTSDB":
-        """Rebuild a sharded store from :meth:`snapshot_to_dir` output.
-
-        The shard count comes from the file names; each file replays as
-        a segment.  Every restored series is verified to hash-route to
-        the shard it was found in, so a renamed or misplaced file fails
-        loudly instead of silently corrupting routing.
-        """
-        n, files = scan_snapshot_dir(directory)
-        db = cls(n)
-        for i, shard in enumerate(db._shards):
-            persistence.load(files[i], into=shard)
-            for key in shard._stores:
-                if shard_for_key(key, n) != i:
-                    raise ValueError(
-                        f"series {key} found in shard {i} but routes to "
-                        f"shard {shard_for_key(key, n)}; snapshot files moved?"
-                    )
-        return db
-
     def __repr__(self) -> str:
         per_shard = ",".join(str(sh.series_count) for sh in self._shards)
         return f"ShardedTSDB(num_shards={len(self._shards)}, series=[{per_shard}])"
-
-
-def scan_snapshot_dir(directory: str | Path) -> tuple[int, dict[int, Path]]:
-    """Discover and validate a :meth:`ShardedTSDB.snapshot_to_dir` layout.
-
-    Returns ``(shard_count, {shard_index: file})`` after the same checks
-    ``restore_from_dir`` applies: no duplicates, one consistent count,
-    no missing shards.  Shared with directory compaction, which needs
-    the layout without replaying anything.
-    """
-    directory = Path(directory)
-    files: dict[int, Path] = {}
-    counts: set[int] = set()
-    for path in directory.iterdir():
-        m = _SHARD_FILE_RE.match(path.name)
-        if m is None:
-            continue
-        if int(m.group(1)) in files:
-            raise ValueError(
-                f"duplicate snapshot files for shard {m.group(1)} in {directory}"
-            )
-        files[int(m.group(1))] = path
-        counts.add(int(m.group(2)))
-    if not files:
-        raise FileNotFoundError(f"no shard-*.seg snapshot files in {directory}")
-    if len(counts) != 1:
-        raise ValueError(f"inconsistent shard counts in {directory}: {counts}")
-    (n,) = counts
-    if sorted(files) != list(range(n)):
-        missing = sorted(set(range(n)) - set(files))
-        raise ValueError(f"snapshot in {directory} is missing shards {missing}")
-    return n, files
 

@@ -15,13 +15,7 @@ store's own protocol, so under the journal the aged state survives
 restart and replicates.
 """
 
-from .compact import (
-    CompactionPolicy,
-    CompactionResult,
-    Compactor,
-    compact_dir,
-    compact_log,
-)
+from .compact import CompactionPolicy, CompactionResult, Compactor, compact_log
 from .wal import DurableStore
 
 __all__ = [
@@ -29,6 +23,5 @@ __all__ = [
     "CompactionResult",
     "Compactor",
     "DurableStore",
-    "compact_dir",
     "compact_log",
 ]

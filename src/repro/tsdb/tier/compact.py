@@ -41,7 +41,6 @@ __all__ = [
     "CompactionResult",
     "Compactor",
     "compact_log",
-    "compact_dir",
 ]
 
 #: Suffix of the crash-safe staging file next to the log being compacted.
@@ -219,28 +218,3 @@ class Compactor:
             return None
         return self.compact()
 
-
-def compact_dir(
-    directory: str | os.PathLike[str],
-    *,
-    policy: CompactionPolicy | None = None,
-    strict: bool = False,
-) -> dict[int, CompactionResult]:
-    """Compact every shard file of a ``snapshot_to_dir`` layout.
-
-    With a ``policy``, each shard is checked independently and only
-    fragmented ones rewrite (the background-maintenance mode); without
-    one, every shard compacts.  Returns per-shard results keyed by
-    shard index (policy-skipped shards absent).
-    """
-    from ..sharded import scan_snapshot_dir
-
-    _, files = scan_snapshot_dir(directory)
-    out: dict[int, CompactionResult] = {}
-    for index, path in sorted(files.items()):
-        if policy is not None and not policy.should_compact(
-            segment_stats(path, strict=False)
-        ):
-            continue
-        out[index] = compact_log(path, strict=strict)
-    return out

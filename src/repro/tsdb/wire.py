@@ -71,7 +71,7 @@ import numpy as np
 
 from .catalog import CardinalityLimitError
 from .model import InvalidName
-from .plan import ExprQuery, ExprResult, QueryBuilder
+from .plan import ExprQuery, ExprResult
 from .query import Query, QueryError, QueryResult
 
 #: Current (and only) wire format version.
@@ -109,10 +109,8 @@ _EXPR_FIELDS = {"expr", "operands"}
 # ---------------------------------------------------------------------------
 
 
-def encode_query(q: Query | QueryBuilder | ExprQuery) -> dict:
+def encode_query(q: Query | ExprQuery) -> dict:
     """One query as its wire dict (sub-queries of expressions recurse)."""
-    if isinstance(q, QueryBuilder):
-        q = q.build()
     if isinstance(q, ExprQuery):
         return {
             "expr": q.formula,
@@ -135,7 +133,7 @@ def encode_query(q: Query | QueryBuilder | ExprQuery) -> dict:
 
 
 def encode_request(
-    queries: Sequence[Query | QueryBuilder | ExprQuery],
+    queries: Sequence[Query | ExprQuery],
 ) -> dict:
     """A ``run_many`` batch as a versioned wire request dict."""
     return {
@@ -463,64 +461,33 @@ def _column(text, dtype: str, field: str) -> np.ndarray:
     return np.frombuffer(raw, dtype)
 
 
-def _wire_series(
-    metric: str, tags: Mapping, ts: np.ndarray, vals: np.ndarray
-) -> WireSeries:
-    if ts.shape != vals.shape:
-        raise WireError(
-            f"'t' holds {ts.shape[0]} values and 'v' {vals.shape[0]}"
-        )
-    if not (ts[1:] > ts[:-1]).all():
-        raise WireError("'t' is not strictly increasing")
-    ts.setflags(write=False)
-    vals.setflags(write=False)
-    return WireSeries(metric=metric, tags=dict(tags), timestamps=ts, values=vals)
-
-
 def decode_series(series: Sequence[Mapping]) -> tuple[WireSeries, ...]:
     """One entry's ``series`` array as numpy-backed series."""
     out = []
     for s in series:
         if not isinstance(s, Mapping):
             raise WireError("a series must be an object")
-        out.append(_wire_series(
-            str(s.get("metric", "")),
-            s.get("tags", {}),
-            _column(s.get("t"), "<i8", "t"),
-            _column(s.get("v"), "<f8", "v"),
+        ts = _column(s.get("t"), "<i8", "t")
+        vals = _column(s.get("v"), "<f8", "v")
+        if ts.shape != vals.shape:
+            raise WireError(
+                f"'t' holds {ts.shape[0]} values and 'v' {vals.shape[0]}"
+            )
+        if not (ts[1:] > ts[:-1]).all():
+            raise WireError("'t' is not strictly increasing")
+        ts.setflags(write=False)
+        vals.setflags(write=False)
+        out.append(WireSeries(
+            metric=str(s.get("metric", "")),
+            tags=dict(s.get("tags", {})),
+            timestamps=ts,
+            values=vals,
         ))
     return tuple(out)
 
 
-def extend_series(
-    prev: Sequence[WireSeries], tails: Sequence[Mapping]
-) -> tuple[WireSeries, ...]:
-    """:func:`decode_series` of the series a *tail* entry describes,
-    decoding only the tail: each of ``prev`` cut to its first ``keep``
-    points, followed by the tail's."""
-    return tuple(
-        _wire_series(
-            held.metric,
-            held.tags,
-            np.concatenate(
-                [held.timestamps[: t["keep"]], _column(t["t"], "<i8", "t")]
-            ),
-            np.concatenate(
-                [held.values[: t["keep"]], _column(t["v"], "<f8", "v")]
-            ),
-        )
-        for held, t in zip(prev, tails)
-    )
-
-
-def decode_response(
-    response: str | bytes | Mapping, *, decode_series=decode_series
-) -> list[WireResult]:
-    """A wire response back into numpy-backed client results.
-
-    ``decode_series`` maps one entry's ``series`` array to its decoded
-    series; a client that holds replies passes a memoising one.
-    """
+def decode_response(response: str | bytes | Mapping) -> list[WireResult]:
+    """A wire response back into numpy-backed client results."""
     if isinstance(response, (str, bytes)):
         try:
             response = json.loads(response)
@@ -752,41 +719,3 @@ def handle_catalog_request(store, request: str | bytes | Mapping) -> dict:
     except (WireError, QueryError, InvalidName, CardinalityLimitError) as exc:
         return encode_error(exc)
 
-
-def decode_catalog_response(response: str | bytes | Mapping) -> list | int:
-    """A catalog wire response into its payload (client side).
-
-    Returns the ``values`` list for the listing ops or the ``count``
-    integer for ``cardinality``; an in-band error response raises
-    :class:`RemoteQueryError` exactly like :func:`decode_response`.
-    """
-    if isinstance(response, (str, bytes)):
-        try:
-            response = json.loads(response)
-        except json.JSONDecodeError as exc:
-            raise WireError(f"response is not valid JSON: {exc}") from None
-    if not isinstance(response, Mapping):
-        raise WireError("response must be a JSON object")
-    if response.get("version") != WIRE_VERSION:
-        raise WireError(
-            f"unsupported wire version {response.get('version')!r}"
-        )
-    error = response.get("error")
-    if error is not None:
-        if not isinstance(error, Mapping):
-            raise WireError("'error' must be an object")
-        raise RemoteQueryError(
-            str(error.get("type", "Error")), str(error.get("message", ""))
-        )
-    body = response.get("catalog")
-    if not isinstance(body, Mapping):
-        raise WireError("catalog response must carry a 'catalog' object")
-    if "count" in body:
-        count = body["count"]
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise WireError(f"'count' must be an integer, got {count!r}")
-        return count
-    values = body.get("values")
-    if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
-        raise WireError("catalog response needs 'values' or 'count'")
-    return [str(v) for v in values]

@@ -161,3 +161,29 @@ class TestQueryCommand:
                      "--city", "vejle", "--hours", "1"])
         out = json.loads(capsys.readouterr().out)
         assert code == 1 and out["error"]["type"] == "QueryError"
+
+
+class TestCompactCommand:
+    def test_a_directory_is_refused_as_not_a_segment_file(
+            self, tmp_path, capsys):
+        from repro.tsdb import TSDB, snapshot
+
+        db = TSDB()
+        db.put("air.co2.ppm", 0, 400.0, {"node": "a"})
+        shard = tmp_path / "shard-0-of-1.seg"
+        snapshot(db, shard)
+        before = shard.read_bytes()
+        for argv in (["compact", str(tmp_path)],
+                     ["compact", "--max-blocks", "1", str(tmp_path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            # a str code exits with status 1
+            assert str(exc.value.code) == (
+                f"compact: {tmp_path} is a directory, not a segment file")
+        assert [p.name for p in tmp_path.iterdir()] == [shard.name]
+        assert shard.read_bytes() == before
+
+        with pytest.raises(SystemExit) as exc:
+            main(["compact", "--help"])
+        assert exc.value.code == 0
+        assert "director" not in capsys.readouterr().out

@@ -406,6 +406,18 @@ def _raw_exchange(address, *lines):
     return [json.loads(reply) for reply in _raw_lines(address, *lines)]
 
 
+def _decoded(client, queries, *, refresh=False):
+    """One request's reply through the client-side decoder (an in-band
+    error raises :class:`~repro.tsdb.wire.RemoteQueryError`)."""
+    return wire.decode_response(client.request(queries, refresh=refresh))
+
+
+def _catalog(client, op, **kwargs):
+    """One catalog reply's payload: its ``values``, or its ``count``."""
+    body = client.catalog_request(op, **kwargs)["catalog"]
+    return body["count"] if "count" in body else body["values"]
+
+
 def _pipelined_exchange(address, *lines):
     """Send every line up front, then collect one reply per line."""
     with socket.create_connection(address, timeout=10) as sock, \
@@ -538,8 +550,8 @@ class TestQueryServer:
         want = store.run_many([q])[0]
         with live_server(store) as server:
             with QueryClient(*server.address) as client:
-                first = client.run_many([q], refresh=True)
-                second = client.run_many([q], refresh=True)
+                first = _decoded(client, [q], refresh=True)
+                second = _decoded(client, [q], refresh=True)
             stats = server.stats()
         assert stats["refresh"]["full_runs"] == 1
         assert (stats["refresh"]["incremental_runs"]
@@ -553,7 +565,7 @@ class TestQueryServer:
             with QueryClient(*server.address, retries=3) as client:
                 with pytest.raises(wire.RemoteQueryError) as err:
                     client.request = _bad_version_request.__get__(client)
-                    client.run_many([Query("air.co2.ppm", 0, 100)])
+                    _decoded(client, [Query("air.co2.ppm", 0, 100)])
             stats = server.stats()
         assert err.value.error_type == "WireError"
         assert stats["requests"] == 1  # one answer, zero retries
@@ -565,7 +577,7 @@ class TestQueryServer:
         client = QueryClient("127.0.0.1", dead_port, retries=1,
                              backoff=0.001, timeout=0.5)
         with pytest.raises(OSError):
-            client.run_many([Query("m", 0, 1)])
+            client.request([Query("m", 0, 1)])
 
 
 def _bad_version_request(self, queries, *, refresh=False):
@@ -584,24 +596,24 @@ class TestCatalogService:
     def test_catalog_over_the_wire(self, store):
         with live_server(store) as server:
             with QueryClient(*server.address) as c:
-                assert c.catalog("metrics") == ["air.co2.ppm"]
-                assert c.catalog("tag_keys", metric="air.co2.ppm") == [
+                assert _catalog(c, "metrics") == ["air.co2.ppm"]
+                assert _catalog(c, "tag_keys", metric="air.co2.ppm") == [
                     "city", "node"]
-                assert c.catalog(
-                    "tag_values", metric="air.co2.ppm", key="node"
+                assert _catalog(
+                    c, "tag_values", metric="air.co2.ppm", key="node"
                 ) == ["a", "b"]
-                assert c.catalog(
-                    "cardinality", metric="air.co2.ppm",
+                assert _catalog(
+                    c, "cardinality", metric="air.co2.ppm",
                     tags={"node": "*"},
                 ) == 2
-                assert c.catalog("tag_keys", metric="no.such.metric") == []
+                assert _catalog(c, "tag_keys", metric="no.such.metric") == []
 
     def test_catalog_cache_hits_then_invalidates(self, store):
         with live_server(store) as server:
             with QueryClient(*server.address) as c:
                 for _ in range(3):
-                    assert c.catalog(
-                        "tag_values", metric="air.co2.ppm", key="node"
+                    assert _catalog(
+                        c, "tag_values", metric="air.co2.ppm", key="node"
                     ) == ["a", "b"]
                 stats = server.stats()["catalog_cache"]
                 assert stats["hits"] == 2 and stats["misses"] == 1
@@ -609,17 +621,17 @@ class TestCatalogService:
                 # the cached answer must be dropped, not served stale.
                 store.put("air.co2.ppm", 0, 400.0,
                           {"node": "z", "city": "trondheim"})
-                assert c.catalog(
-                    "tag_values", metric="air.co2.ppm", key="node"
+                assert _catalog(
+                    c, "tag_values", metric="air.co2.ppm", key="node"
                 ) == ["a", "b", "z"]
                 assert server.stats()["catalog_cache"]["invalidated"] == 1
 
     def test_whole_catalog_answers_track_any_metric_change(self, store):
         with live_server(store) as server:
             with QueryClient(*server.address) as c:
-                assert c.catalog("metrics") == ["air.co2.ppm"]
+                assert _catalog(c, "metrics") == ["air.co2.ppm"]
                 store.put("weather.temperature.c", 0, 3.0, {"city": "x"})
-                assert c.catalog("metrics") == [
+                assert _catalog(c, "metrics") == [
                     "air.co2.ppm", "weather.temperature.c"]
 
     def test_malformed_catalog_request_answered_in_band(self, store):
@@ -632,19 +644,19 @@ class TestCatalogService:
             assert reply["error"]["type"] == "WireError"
             # ... and the connection stays usable afterwards.
             with QueryClient(*server.address) as c:
-                assert c.catalog("metrics") == ["air.co2.ppm"]
+                assert _catalog(c, "metrics") == ["air.co2.ppm"]
 
     def test_max_match_series_guards_queries(self, store):
         with live_server(store, max_match_series=1) as server:
             with QueryClient(*server.address) as c:
                 wide = Query("air.co2.ppm", 0, 4000, tags={"node": "*"})
                 with pytest.raises(wire.RemoteQueryError) as err:
-                    c.run(wide)
+                    _decoded(c, [wide])
                 assert err.value.error_type == "CardinalityLimitError"
                 assert "matches 2 series" in err.value.message
                 # Narrow queries under the limit still execute.
-                got = c.run(Query("air.co2.ppm", 0, 4000,
-                                  tags={"node": "a"}))
+                (got,) = _decoded(c, [Query("air.co2.ppm", 0, 4000,
+                                            tags={"node": "a"})])
                 assert len(got.series) == 1
                 # The guard also covers expression operands.
                 from repro.tsdb.plan import expr
@@ -654,7 +666,7 @@ class TestCatalogService:
                          b=Query("air.co2.ppm", 0, 4000,
                                  tags={"node": "a"}))
                 with pytest.raises(wire.RemoteQueryError) as err:
-                    c.run(e)
+                    _decoded(c, [e])
                 assert err.value.error_type == "CardinalityLimitError"
 
     def test_per_tenant_limit_overrides_server_wide(self, store):
@@ -669,27 +681,27 @@ class TestCatalogService:
                          tenant_policies=policies) as server:
             with QueryClient(*server.address, tenant="tight") as c:
                 with pytest.raises(wire.RemoteQueryError) as err:
-                    c.run(wide)
+                    _decoded(c, [wide])
                 assert err.value.error_type == "CardinalityLimitError"
                 assert "tenant's 1-series limit" in err.value.message
             # The capped tenant can still run narrow queries...
             with QueryClient(*server.address, tenant="tight") as c:
-                got = c.run(Query("air.co2.ppm", 0, 4000,
-                                  tags={"node": "a"}))
+                (got,) = _decoded(c, [Query("air.co2.ppm", 0, 4000,
+                                            tags={"node": "a"})])
                 assert len(got.series) == 1
             # ...and other tenants are untouched by its cap.
             with QueryClient(*server.address, tenant="loose") as c:
-                assert c.run(wide).scanned_points == 24
+                assert _decoded(c, [wide])[0].scanned_points == 24
             with QueryClient(*server.address) as c:
-                assert c.run(wide).scanned_points == 24
+                assert _decoded(c, [wide])[0].scanned_points == 24
         # A looser tenant limit also relaxes a tight server-wide one.
         with live_server(store, max_match_series=1,
                          tenant_policies=policies) as server:
             with QueryClient(*server.address, tenant="loose") as c:
-                assert c.run(wide).scanned_points == 24
+                assert _decoded(c, [wide])[0].scanned_points == 24
             with QueryClient(*server.address) as c:
                 with pytest.raises(wire.RemoteQueryError) as err:
-                    c.run(wide)
+                    _decoded(c, [wide])
                 assert "server's 1-series limit" in err.value.message
 
     def test_ingest_guard_error_type_matches_wire_contract(self):
@@ -801,7 +813,7 @@ class TestGracefulStop:
         with live_server(store) as server:
             address = server.address
             with QueryClient(*address, retries=0) as c:
-                c.run(Query("air.co2.ppm", 0, 4000))
+                _decoded(c, [Query("air.co2.ppm", 0, 4000)])
         # After teardown the listener is gone.
         with pytest.raises(OSError):
             socket.create_connection(address, timeout=0.5).close()

@@ -9,14 +9,17 @@ answers *not modified* or *the tail*, and nobody can tell.
   returns is ``wire.handle_request`` on the innermost store — as a dict
   and as ``json.dumps`` bytes, so the column text survives the splice —
   for a long-lived client, one that reconnects before every request,
-  one whose held table evicts, and one that only ever calls
-  ``run_many``, whose arrays are the inner store's bit for bit;
+  one whose held table evicts, and one whose replies go through
+  ``wire.decode_response``, whose arrays are the inner store's bit for
+  bit;
 - **costs as counts**: an unchanged 12-panel dashboard is answered in
   under 2 KB with nothing encoded, digested or decoded, a grown one in
   proportion to the delta and with no base64 decoded, and a cold reply
   costs one column encode per series and no call per point;
-- **a server that lies** gets a :class:`WireError`, an empty held table
-  and a closed connection — and the client works afterwards;
+- **a server that lies** gets a :class:`WireError` — from the client,
+  with an empty held table and a closed connection, when the reply does
+  not fit what was sent; from the decoder when its columns are bad —
+  and the client works afterwards;
 - the refresher's panel table evicts, the envelope fields are checked.
 """
 
@@ -145,10 +148,11 @@ def test_property_holding_clients_return_the_dict_codec(layout, mix, data):
         want = wire.handle_request(inner, wire.encode_request(queries))
         if "error" in want:
             with pytest.raises(wire.RemoteQueryError):
-                decoding.run_many(queries, refresh=refresh)
+                wire.decode_response(decoding.request(queries, refresh=refresh))
         else:
-            _same_decoded(decoding.run_many(queries, refresh=refresh),
-                          inner.run_many(queries), scanned=not refresh)
+            _same_decoded(
+                wire.decode_response(decoding.request(queries, refresh=refresh)),
+                inner.run_many(queries), scanned=not refresh)
 
     with _stack(inner) as stack, \
             live_server(stack, cache_capacity=3) as server:
@@ -272,7 +276,6 @@ class _Costs:
         self.columns_read = 0  # column bytes made: to encode or digest
         self.bytes_digested = 0
         self.decodes = 0
-        self.bytes_decoded = 0
         real_encode_columns = wire.encode_columns
         real_columns = wire.columns
         real_blake2b = cache_module.blake2b
@@ -292,7 +295,6 @@ class _Costs:
 
         def b64decode(text, **kwargs):
             self.decodes += 1
-            self.bytes_decoded += len(text)
             return real_b64decode(text, **kwargs)
 
         monkeypatch.setattr(wire, "encode_columns", encode_columns)
@@ -302,7 +304,7 @@ class _Costs:
 
     def reset(self) -> None:
         self.series_encoded = self.columns_read = self.bytes_digested = 0
-        self.decodes = self.bytes_decoded = 0
+        self.decodes = 0
 
 
 def _delta(after: dict, before: dict) -> dict:
@@ -367,15 +369,9 @@ class TestCosts:
             assert b"validators" not in raw
             assert json.loads(raw) == second
 
-            # run_many keeps what it decoded beside what it holds
-            costs.reset()
-            decoded = client.run_many(queries)
-            assert costs.decodes == 2 * series
-            costs.reset()
-            again = client.run_many(queries)
-            assert costs.decodes == 0
-            _same_decoded(again, inner.run_many(queries), scanned=True)
-            assert all(a.series is b.series for a, b in zip(decoded, again))
+            # the reply put back together decodes to the store's results
+            _same_decoded(wire.decode_response(second),
+                          inner.run_many(queries), scanned=True)
 
     def test_grown_dashboard_costs_its_tail(self, history, monkeypatch):
         inner = ShardedTSDB(4)
@@ -385,7 +381,7 @@ class TestCosts:
         with live_server(inner) as server, \
                 QueryClient(*server.address) as client:
             tap = client._file = _Tap(client._file)
-            client.run_many(_dashboard(0, end), refresh=True)
+            client.request(_dashboard(0, end), refresh=True)
             full_line = tap.lines[-1]
             held = client.request(_dashboard(0, end), refresh=True)
             assert tap.lines[-1].count(b'"notModified": true') == 12
@@ -405,7 +401,7 @@ class TestCosts:
                 "incremental_runs"] == 12
             # only the three panels of that metric were encoded: a tail
             # per series, and the client spliced them as text, decoding
-            # nothing — although it holds decoded series to extend
+            # nothing
             assert costs.series_encoded == 1 + 1 + len(NODES)
             assert costs.decodes == 0
 
@@ -430,25 +426,12 @@ class TestCosts:
             # the two ungrouped series and the one node's own
             assert changed == 3
 
-            # ... and run_many decodes tails alone: not modified since
-            # ``grown``, it decodes the tails ``grown`` brought
-            tails = 1 + 1 + len(NODES)
-            costs.reset()
-            client.run_many(_dashboard(0, end), refresh=True)
-            assert costs.decodes == 2 * tails
-            assert costs.bytes_decoded < 2 * tails * 64
-            costs.reset()
-            client.run_many(_dashboard(0, end), refresh=True)
-            assert costs.decodes == 0
+            # every minute grown onto what is held decodes to the
+            # store's results
             end += MINUTE
             inner.put_batch(_minute(end))
-            costs.reset()
-            decoded = client.run_many(_dashboard(0, end), refresh=True)
-            series = 4 * (1 + 1 + len(NODES))
-            assert costs.decodes == 2 * series
-            # up to two kept points before the delta's: a few values a
-            # column, not the 288 it holds
-            assert costs.bytes_decoded < 2 * series * 64
+            decoded = wire.decode_response(
+                client.request(_dashboard(0, end), refresh=True))
             _same_decoded(decoded, inner.run_many(_dashboard(0, end)),
                           scanned=False)
 
@@ -548,39 +531,39 @@ def _full(*series: dict) -> dict:
                   validators=["v9"])
 
 
-@pytest.mark.parametrize("hold_first, lie", [
+@pytest.mark.parametrize("hold_first, lie, found_by", [
     (False, _reply({"notModified": True, "scannedPoints": 0},
-                   validators=["v1"])),
+                   validators=["v1"]), "client"),
     (True, _reply({"notModified": True, "scannedPoints": 0},
-                  validators=["someone-else's"])),
+                  validators=["someone-else's"]), "client"),
     (False, _reply({"tail": [_tail(0)], "scannedPoints": 0},
-                   validators=["v2"])),
+                   validators=["v2"]), "client"),
     (True, _reply({"tail": [_tail(6, [9], [9.0])], "scannedPoints": 1},
-                  validators=["v2"])),
+                  validators=["v2"]), "client"),
     (True, _reply({"tail": [_tail(True, [9], [9.0])], "scannedPoints": 1},
-                  validators=["v2"])),
+                  validators=["v2"]), "client"),
     (True, _reply({"tail": [{**_tail(3, [9], [9.0]), "v": "!!!!!!!!!!!="}],
-                   "scannedPoints": 1}, validators=["v2"])),
-    (True, _reply({"tail": [], "scannedPoints": 1}, validators=["v2"])),
+                   "scannedPoints": 1}, validators=["v2"]), "decoder"),
+    (True, _reply({"tail": [], "scannedPoints": 1}, validators=["v2"]), "client"),
     (True, _reply({"tail": [_tail(3)] * 2, "scannedPoints": 1},
-                  validators=["v2"])),
-    (True, _reply({"scannedPoints": 1}, validators=["v2"])),
+                  validators=["v2"]), "client"),
+    (True, _reply({"scannedPoints": 1}, validators=["v2"]), "client"),
     (True, _reply({"series": [_series(3)], "scannedPoints": 3},
-                  validators=[])),
+                  validators=[]), "client"),
     (True, _reply({"series": [_series(3)], "scannedPoints": 3},
-                  validators=[7])),
+                  validators=[7]), "client"),
     (True, {"version": wire.WIRE_VERSION,
-            "results": [{"series": [_series(3)], "scannedPoints": 3}]}),
-    (False, _full(_series(3, t="AAAA AAAAAAA"))),
-    (True, _full(_series(3, v=base64.b64encode(bytes(20)).decode()))),
-    (False, _full(_series(3, v=_b64([1.0, 2.0], "<f8")))),
-    (True, _full(_series(3, t=_b64([0, 2, 2], "<i8")))),
+            "results": [{"series": [_series(3)], "scannedPoints": 3}]}, "client"),
+    (False, _full(_series(3, t="AAAA AAAAAAA")), "decoder"),
+    (True, _full(_series(3, v=base64.b64encode(bytes(20)).decode())), "decoder"),
+    (False, _full(_series(3, v=_b64([1.0, 2.0], "<f8"))), "decoder"),
+    (True, _full(_series(3, t=_b64([0, 2, 2], "<i8"))), "decoder"),
     (True, _reply({"tail": [_tail(2, [9], [9.0])], "scannedPoints": 1},
-                  validators=["v2"])),
+                  validators=["v2"]), "client"),
     (True, _reply({"tail": [_tail(3, [9, 10], [9.0])], "scannedPoints": 1},
-                  validators=["v2"])),
+                  validators=["v2"]), "client"),
     (True, _reply({"tail": [_tail(3, [1], [9.0])], "scannedPoints": 1},
-                  validators=["v2"])),
+                  validators=["v2"]), "decoder"),
 ], ids=["unheld-not-modified", "not-modified-other-validator", "unheld-tail",
         "oversize-keep", "boolean-keep", "bad-tail-value", "short-tail",
         "long-tail", "no-form", "short-validators", "non-string-validator",
@@ -588,7 +571,12 @@ def _full(*series: dict) -> dict:
         "non-increasing-t", "keep-not-a-multiple-of-3", "tail-t-v-mismatch",
         "tail-goes-back-in-time"])
 def test_a_lying_server_is_a_wire_error_and_the_client_recovers(
-        hold_first, lie):
+        hold_first, lie, found_by):
+    """A reply that does not fit what was sent is the client's to refuse:
+    it forgets what it holds and drops the connection.  Bad column bytes
+    — whole or in a tail, which the client splices as text — are the
+    decoder's to find; the client holds them under the lie's validator
+    until the next full reply replaces them."""
     q = Query("m", 0, 10)
     script = ([_FULL] if hold_first else []) + [lie, _FULL, _reply(
         {"notModified": True, "scannedPoints": 0}, validators=["v1"])]
@@ -596,15 +584,18 @@ def test_a_lying_server_is_a_wire_error_and_the_client_recovers(
     client = QueryClient(*server.address, retries=0)
     try:
         if hold_first:
-            client.run_many([q])  # holds the reply, decoded
+            client.request([q])  # holds the reply
             assert len(client._held) == 1
         with pytest.raises(wire.WireError) as err:
-            client.run_many([q])
+            wire.decode_response(client.request([q]))
         assert not isinstance(err.value, KeyError)
-        assert len(client._held) == 0 and client._sock is None
-        # usable afterwards, holding nothing it was lied to about
+        if found_by == "decoder":
+            held = lie["validators"]
+        else:
+            assert len(client._held) == 0 and client._sock is None
+            held = [None]
         again = client.request([q])
-        assert server.requests[-1]["held"] == [None]
+        assert server.requests[-1]["held"] == held
         assert again["results"] == _FULL["results"]
         unchanged = client.request([q])
         assert server.requests[-1]["held"] == ["v1"]
@@ -613,6 +604,20 @@ def test_a_lying_server_is_a_wire_error_and_the_client_recovers(
     finally:
         client.close()
         server.close()
+
+
+def test_the_client_answers_json_and_the_wire_decodes_it():
+    """One form per call: the client returns replies as their JSON
+    (``request`` / ``catalog_request``) and :func:`wire.decode_response`
+    is the one decoder — no decoded twins, no decode-once cache."""
+    import inspect
+
+    assert not {"run", "run_many", "catalog"} & set(vars(QueryClient))
+    assert list(client_module._Held.__slots__) == ["validator", "series"]
+    for name in ("extend_series", "decode_catalog_response"):
+        assert not hasattr(wire, name), name
+    assert list(inspect.signature(wire.decode_response).parameters) == [
+        "response"]
 
 
 def test_a_version_1_request_is_answered_in_band_naming_version_2():
@@ -640,7 +645,7 @@ def test_a_tail_extends_what_is_held_and_leaves_it_alone():
                 "scannedPoints": 2}, validators=["v2"]))
     client = QueryClient(*server.address, retries=0)
     try:
-        (first,) = client.run_many([q])
+        (first,) = wire.decode_response(client.request([q]))
         held = client.request([q])["results"][0]["series"]  # scripted: tail
     finally:
         client.close()
@@ -651,34 +656,6 @@ def test_a_tail_extends_what_is_held_and_leaves_it_alone():
     assert list(first.series[0].values) == [0.0, 1.0, 2.0, 3.0]
     assert client._held.use(client_module._panel_shape(
         wire.encode_query(q))).validator == "v2"
-
-
-def test_a_tail_decodes_only_its_tail(monkeypatch):
-    q = Query("m", 0, 10)
-    tail = _tail(3, [3, 4], [2.5, np.nan])
-    server = _ScriptedServer(
-        _reply({"series": [_series(4)], "scannedPoints": 4},
-               validators=["v1"]),
-        _reply({"tail": [tail], "scannedPoints": 2}, validators=["v2"]))
-    client = QueryClient(*server.address, retries=0)
-    decoded = []
-    real = base64.b64decode
-    monkeypatch.setattr(base64, "b64decode",
-                        lambda text, **kw: decoded.append(text) or real(text, **kw))
-    try:
-        client.run_many([q])
-        assert decoded == [_series(4)["t"], _series(4)["v"]]
-        del decoded[:]
-        (result,) = client.run_many([q])
-    finally:
-        client.close()
-        server.close()
-    assert decoded == [tail["t"], tail["v"]]
-    assert list(result.series[0].timestamps) == [0, 1, 2, 3, 4]
-    assert result.series[0].timestamps.dtype == np.int64
-    np.testing.assert_array_equal(
-        result.series[0].values, [0.0, 1.0, 2.0, 2.5, np.nan])
-    assert result.scanned_points == 2
 
 
 # -- the refresher's panel table --------------------------------------------

@@ -415,16 +415,6 @@ class TestCatalogRebuild:
                 metric, {"node": "*"}
             )
 
-    @pytest.mark.parametrize("fmt", ["binary"])  # the one durable format
-    def test_restore_from_dir_rebuilds_catalog(self, fmt, tmp_path):
-        store = _seed(ShardedTSDB(3))
-        store.snapshot_to_dir(tmp_path)
-        restored = ShardedTSDB.restore_from_dir(tmp_path)
-        assert _catalog_view(restored) == _catalog_view(store)
-        assert restored.cardinality("air.co2.ppm") == store.cardinality(
-            "air.co2.ppm"
-        )
-
 
 # ---------------------------------------------------------------------------
 # Deterministic ordering (satellite: alternation + pinned sort)

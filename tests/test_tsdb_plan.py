@@ -1,7 +1,7 @@
 """Golden equivalence suite for the v2 query engine.
 
-The query API was redesigned (builder, batched ``run_many``,
-expression queries) but *not* changed: every redesigned surface must
+The query API was redesigned (batched ``run_many``, expression
+queries) but *not* changed: every redesigned surface must
 return byte-identical results to the seed query path —
 ``execute_plan`` over per-query match + direct scans, exactly what the
 seed ``TSDB.run`` did.  This suite pins that equivalence on single and
@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.tsdb.plan
 from repro.tsdb import ExprQuery, Query, QueryError, ShardedTSDB, TSDB, aggregators
 from repro.tsdb.catalog import group_keys
-from repro.tsdb.plan import ScanPlan, aggregate_across, execute_plan, expr, select
+from repro.tsdb.plan import ScanPlan, aggregate_across, execute_plan, expr
 from repro.tsdb.series import SeriesSlice
 from test_aggregators import bucket_oracle, dense_oracle
 from test_query_throughput import COLUMNAR, seed_run as frozen_seed_run
@@ -127,7 +128,7 @@ QUERIES = [
 
 
 class TestShimEquivalence:
-    """run / the bound builder are thin shims over the planner."""
+    """run (a batch of one) is a thin shim over the planner."""
 
     def test_single_store_run_matches_seed(self, stores):
         single, _ = stores
@@ -137,13 +138,13 @@ class TestShimEquivalence:
     def test_query_helper_matches_seed(self, stores):
         single, _ = stores
         q = QUERIES[1]
-        res = single.select(q.metric).where(q.tags).range(q.start, q.end).run()
+        res = single.run(Query(q.metric, q.start, q.end, tags=q.tags))
         assert_results_identical(res, seed_run(single, q))
 
     def test_query_range_matches_seed(self, stores):
         single, _ = stores
         q = QUERIES[0]
-        rs = single.select(q.metric).range(q.start, q.end).run().single()
+        rs = single.run(Query(q.metric, q.start, q.end)).single()
         ref = seed_run(single, q).single()
         assert np.array_equal(rs.timestamps, ref.timestamps)
         assert np.array_equal(rs.values, ref.values, equal_nan=True)
@@ -218,69 +219,6 @@ class TestRunManyBatching:
         single, _ = stores
         with pytest.raises(QueryError):
             single.run_many(["air.co2.ppm"])
-
-
-class TestBuilder:
-    def test_builder_builds_equivalent_query(self):
-        q = (
-            select("air.co2.ppm")
-            .where(city="trondheim", node="*")
-            .range(0, 3600)
-            .downsample("5m-avg")
-            .rate()
-            .group_by("node")
-            .build()
-        )
-        assert q == Query(
-            "air.co2.ppm", 0, 3600,
-            tags={"city": "trondheim", "node": "*"},
-            downsample="5m-avg", rate=True, group_by=("node",),
-        )
-
-    def test_builder_is_immutable_and_forkable(self):
-        base = select("air.co2.ppm").range(0, 100)
-        a = base.where(node="a")
-        b = base.where(node="b").aggregate("max")
-        assert base.build().tags == {}
-        assert a.build().tags == {"node": "a"}
-        assert b.build().aggregator == "max"
-
-    def test_bound_builder_runs_through_planner(self, stores):
-        single, _ = stores
-        q = Query("air.co2.ppm", 0, 400_000, tags={"city": "vejle"})
-        res = (
-            single.select("air.co2.ppm").where(city="vejle")
-            .range(0, 400_000).run()
-        )
-        assert_results_identical(res, seed_run(single, q))
-
-    def test_sharded_builder_identical_to_single(self, stores):
-        single, shardeds = stores
-        for sharded in shardeds:
-            res = (
-                sharded.select("weather.temperature.c").where(node="ctt-03")
-                .range(0, 400_000).downsample("15m-avg").run()
-            )
-            ref = (
-                single.select("weather.temperature.c").where(node="ctt-03")
-                .range(0, 400_000).downsample("15m-avg").run()
-            )
-            assert_results_identical(res, ref)
-
-    def test_unbound_builder_requires_store(self):
-        with pytest.raises(QueryError):
-            select("m").range(0, 1).run()
-
-    def test_builder_missing_range(self):
-        with pytest.raises(QueryError):
-            select("m").build()
-
-    def test_builders_accepted_by_run_many(self, stores):
-        single, _ = stores
-        b = select("air.co2.ppm").range(0, 400_000)
-        q = Query("air.co2.ppm", 0, 400_000)
-        a, ref = single.run_many([b, q])
-        assert a.series is ref.series
 
 
 class TestFailFast:
@@ -392,14 +330,14 @@ class TestExpressions:
             with pytest.raises(QueryError):
                 ExprQuery(bad, (("a", Query("m", 0, 1)),))
 
-    def test_builders_as_operands(self, db):
-        e = expr(
-            "hi - lo",
-            hi=select("co2").range(0, 600).aggregate("max"),
-            lo=select("co2").range(0, 600).aggregate("min"),
-        )
-        res = db.run_many([e])[0].single()
-        assert np.allclose(res.values, 100.0)
+    def test_non_query_operands_rejected(self, db):
+        """A ``Query`` is the one way to write a query: an operand of
+        any other type dies at construction, and no store offers a
+        second, fluent form."""
+        with pytest.raises(QueryError, match="expected Query"):
+            expr("a - b", a=Query("co2", 0, 600), b="co2")
+        assert not hasattr(db, "select")
+        assert not {"select", "QueryBuilder"} & set(vars(repro.tsdb.plan))
 
     def test_sharded_expr_identical_to_single(self, db):
         sharded = ShardedTSDB(4)

@@ -400,100 +400,69 @@ class TestFormatEquivalence:
         assert sharded.metrics() == single.metrics()
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_sharded_snapshot_dir_round_trip(self, tmp_path, shards):
+    def test_sharded_snapshot_round_trip(self, tmp_path, shards):
         db = ShardedTSDB(shards)
         reference_ops(db)
-        db.snapshot_to_dir(tmp_path)
-        assert all(p.suffix == ".seg" for p in tmp_path.iterdir())
-        restored = ShardedTSDB.restore_from_dir(tmp_path)
+        snapshot(db, tmp_path / "snap.seg")
+        restored = load(tmp_path / "snap.seg", into=ShardedTSDB(shards))
         assert dumps(restored) == dumps(db)
         # iter_series order is canonical: a function of the data alone.
         assert [str(k) for k, _ in restored.iter_series()] == [
             str(k) for k, _ in db.iter_series()
         ]
 
-    def test_non_segment_files_in_snapshot_dir_are_left_alone(self, tmp_path):
-        """Only ``shard-<i>-of-<n>.seg`` belongs to a snapshot: a file of
-        any other name (a ``.log`` copy, say) is neither read by a
-        restore nor removed by a re-snapshot."""
-        db = ShardedTSDB(2)
-        reference_ops(db)
-        stray = tmp_path / "shard-0-of-3.log"
-        stray.write_text("m 1 2.0\n")
-        db.snapshot_to_dir(tmp_path)
-        assert dumps(ShardedTSDB.restore_from_dir(tmp_path)) == dumps(db)
-        db.snapshot_to_dir(tmp_path)
-        assert stray.read_text() == "m 1 2.0\n"
-
     def test_failed_resnapshot_preserves_prior_snapshot(self, tmp_path, monkeypatch):
-        """A mid-snapshot failure (disk full on one shard) must leave
-        the previous snapshot restorable: no good files deleted, no
-        duplicate twins left behind."""
-        from repro.tsdb import persistence as pmod
-
+        """A snapshot that fails part-way (disk full, a store that
+        raises mid-iteration) leaves the previous snapshot whole and
+        restorable, and no ``.tmp`` behind."""
         db = ShardedTSDB(2)
         reference_ops(db)
-        db.snapshot_to_dir(tmp_path)
-        prior = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        path = tmp_path / "snap.seg"
+        snapshot(db, path)
+        prior = path.read_bytes()
+        want = dumps(load(path))
         db.put("m.late", 1, 1.0)  # the next snapshot would differ
-        real_snapshot = pmod.snapshot
+        series = db.iter_series
 
-        def failing_snapshot(store, path, **kw):
-            if "shard-1-" in str(path):
-                raise OSError(28, "No space left on device")
-            return real_snapshot(store, path, **kw)
+        def failing_iter_series(*args):
+            for i, item in enumerate(series(*args)):
+                if i == 2:
+                    raise OSError(28, "No space left on device")
+                yield item
 
-        monkeypatch.setattr(pmod, "snapshot", failing_snapshot)
+        monkeypatch.setattr(db, "iter_series", failing_iter_series)
         with pytest.raises(OSError):
-            db.snapshot_to_dir(tmp_path)
-        monkeypatch.undo()
-        # The old snapshot is whole and restorable; no .tmp litter.
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == prior
-        restored = ShardedTSDB.restore_from_dir(tmp_path)
-        assert "m.late" not in restored.metrics()
+            snapshot(db, path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == prior
+        assert dumps(load(path)) == want
 
     def test_resnapshot_with_other_shard_count_replaces_stale_files(self, tmp_path):
-        """Re-snapshotting with a different shard count removes the old
-        count's files, keeping the directory single-snapshot restorable."""
+        """Re-snapshotting a store of another shard count over a
+        snapshot replaces it whole: one file, the new store's."""
         big = ShardedTSDB(4)
         reference_ops(big)
-        big.snapshot_to_dir(tmp_path)
+        big.put("m.big", 1, 1.0)
+        path = tmp_path / "snap.seg"
+        snapshot(big, path)
         small = ShardedTSDB(2)
         reference_ops(small)
-        small.snapshot_to_dir(tmp_path)
-        assert {p.name for p in tmp_path.iterdir()} == {
-            "shard-0-of-2.seg", "shard-1-of-2.seg",
-        }
-        assert dumps(ShardedTSDB.restore_from_dir(tmp_path)) == dumps(small)
+        snapshot(small, path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert dumps(load(path, into=ShardedTSDB(4))) == dumps(small)
 
     def test_resnapshot_in_other_format_replaces_stale_twins(self, tmp_path):
-        """Twins of a shard file in another form — the same shard under
-        another spelling of its index, a crashed snapshot's ``.tmp``
-        staging file — are replaced by a re-snapshot, not left behind
-        as duplicates that a restore would refuse."""
+        """A crashed snapshot's torn ``.tmp`` staging file is not
+        trusted: the next snapshot writes over it and renames it into
+        place, leaving the one snapshot file."""
         db = ShardedTSDB(2)
         reference_ops(db)
-        db.snapshot_to_dir(tmp_path)
-        (tmp_path / "shard-00-of-2.seg").write_bytes(
-            (tmp_path / "shard-0-of-2.seg").read_bytes()
-        )
-        (tmp_path / "shard-1-of-2.seg.tmp").write_bytes(b"torn")
-        db.snapshot_to_dir(tmp_path)
-        assert {p.name for p in tmp_path.iterdir()} == {
-            "shard-0-of-2.seg", "shard-1-of-2.seg",
-        }
-        assert dumps(ShardedTSDB.restore_from_dir(tmp_path)) == dumps(db)
-
-    def test_duplicate_shard_files_fail_loudly(self, tmp_path):
-        """The same shard under two spellings of its index."""
-        db = ShardedTSDB(2)
-        reference_ops(db)
-        db.snapshot_to_dir(tmp_path)
-        (tmp_path / "shard-00-of-2.seg").write_bytes(
-            (tmp_path / "shard-0-of-2.seg").read_bytes()
-        )
-        with pytest.raises(ValueError, match="duplicate"):
-            ShardedTSDB.restore_from_dir(tmp_path)
+        path = tmp_path / "snap.seg"
+        snapshot(db, path)
+        (tmp_path / "snap.seg.tmp").write_bytes(b"torn")
+        snapshot(db, path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert dumps(load(path)) == dumps(db)
 
     def test_snapshot_queries_match_live(self, tmp_path):
         db = TSDB()
@@ -972,13 +941,12 @@ class TestOneWalker:
         from repro.serve import CachingStore
         from repro.tsdb import persistence, segment_stats
         from repro.tsdb.interface import StoreApi, TimeSeriesStore
-        from repro.tsdb.tier import Compactor, compact_dir
+        from repro.tsdb.tier import Compactor
         from repro.tsdb.segments import _iter_blocks
 
         readers = (
             iter_segments, _iter_blocks, segment_point_count, segment_stats,
-            load, ShardedTSDB.restore_from_dir, compact_log,
-            Compactor, compact_dir,
+            load, compact_log, Compactor,
         )  # fmt: skip
         for fn in readers:
             assert "mmap" not in inspect.signature(fn).parameters, fn
@@ -986,7 +954,7 @@ class TestOneWalker:
         for name in ("write", "write_many", "_pending", "_pending_frames"):
             assert not hasattr(SegmentWriter, name)
         assert "_pending" not in vars(SegmentWriter(io.BytesIO()))
-        for fn in (ShardedTSDB.snapshot_to_dir, compact_log, load, snapshot):
+        for fn in (compact_log, load, snapshot):
             assert "format" not in inspect.signature(fn).parameters, fn
         with pytest.raises(ValueError, match="format"):
             dumps(TSDB(), format="text")
@@ -1007,6 +975,15 @@ class TestOneWalker:
         assert "convert-log" not in commands and len(commands) == 10
 
         assert "ColdShardPager" not in vars(repro.tsdb)
+        # One snapshot layout: a file (``snapshot`` / ``load(into=)``),
+        # whatever the shard count — no per-shard directory.
+        import repro.tsdb.sharded
+        import repro.tsdb.tier
+
+        for name in ("snapshot_to_dir", "restore_from_dir"):
+            assert not hasattr(ShardedTSDB, name), name
+        assert "scan_snapshot_dir" not in vars(repro.tsdb.sharded)
+        assert "compact_dir" not in vars(repro.tsdb.tier)
         store_layer = {
             *Path(repro.tsdb.__file__).parent.rglob("*.py"),
             *(Path(inspect.getsourcefile(c)) for c in (CachingStore, ReplicatedStore)),

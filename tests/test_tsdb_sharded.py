@@ -24,6 +24,7 @@ from repro.tsdb import (
     TSDB,
     dumps,
     load,
+    snapshot,
 )
 from repro.tsdb.downsample import Downsample
 from repro.tsdb.retention import RetentionPolicy, Tier
@@ -161,13 +162,12 @@ class TestEquivalence:
     def test_query_convenience_wrappers(self, n):
         single, sharded = build_pair(n)
         a, b = (
-            db.select("air.co2.ppm").where(city="vejle").range(0, 400_000).run()
+            db.run(Query("air.co2.ppm", 0, 400_000, tags={"city": "vejle"}))
             for db in (single, sharded)
         )
         assert_results_identical(a, b)
         ra, rb = (
-            db.select("air.co2.ppm").range(0, 400_000).downsample("5m-avg")
-            .run().single()
+            db.run(Query("air.co2.ppm", 0, 400_000, downsample="5m-avg")).single()
             for db in (single, sharded)
         )
         assert np.array_equal(ra.timestamps, rb.timestamps)
@@ -222,62 +222,46 @@ class TestInterface:
     def test_load_into_sharded(self, tmp_path):
         single, sharded = build_pair(3)
         path = tmp_path / "snap.seg"
-        from repro.tsdb import snapshot
-
         snapshot(single, path)
         restored = load(path, into=ShardedTSDB(3))
         assert dumps(restored) == dumps(sharded)
 
 
-class TestPerShardPersistence:
-    def test_snapshot_restore_round_trip(self, tmp_path):
-        _, sharded = build_pair(4)
-        total = sharded.snapshot_to_dir(tmp_path / "snap")
-        assert total == sharded.exact_point_count()
-        restored = ShardedTSDB.restore_from_dir(tmp_path / "snap")
-        assert restored.num_shards == 4
-        assert dumps(restored) == dumps(sharded)
-        for orig, back in zip(sharded.shards, restored.shards):
-            assert dumps(back) == dumps(orig)
-
-    def test_snapshot_restore_query_leave_no_thread_behind(self, tmp_path):
-        """Nothing ever closes a restored store (``repro serve`` and
-        ``compact`` never call ``close()``), so none of
-        these may start a thread that outlives the call."""
-        _, sharded = build_pair(4)
-        before = set(threading.enumerate())
-        sharded.snapshot_to_dir(tmp_path / "snap")
-        restored = ShardedTSDB.restore_from_dir(tmp_path / "snap")
-        restored.run_many(QUERIES)
-        assert set(threading.enumerate()) == before
-
-    def test_restore_detects_misrouted_files(self, tmp_path):
-        _, sharded = build_pair(4)
-        snap = tmp_path / "snap"
-        sharded.snapshot_to_dir(snap)
-        # Swap two non-empty shard files: routing validation must fire.
-        files = sorted(
-            p for p in snap.iterdir() if p.stat().st_size > 40
+def _catalog_answers(db) -> dict:
+    """Every catalog question, asked of one store."""
+    return {
+        metric: (
+            db.series_for_metric(metric),
+            db.cardinality(metric),
+            db.cardinality(metric, {"city": "vejle"}),
+            {
+                key: db.tag_values(metric, key)
+                for key in db.catalog.tag_keys(metric)
+            },
         )
-        assert len(files) >= 2, "workload should populate at least two shards"
-        a, b = files[0], files[1]
-        tmp = a.read_bytes()
-        a.write_bytes(b.read_bytes())
-        b.write_bytes(tmp)
-        with pytest.raises(ValueError, match="routes to"):
-            ShardedTSDB.restore_from_dir(snap)
+        for metric in db.metrics()
+    }
 
-    def test_restore_missing_shard_fails(self, tmp_path):
-        _, sharded = build_pair(4)
-        snap = tmp_path / "snap"
-        sharded.snapshot_to_dir(snap)
-        (snap / "shard-2-of-4.seg").unlink()
-        with pytest.raises(ValueError, match="missing shards"):
-            ShardedTSDB.restore_from_dir(snap)
 
-    def test_restore_empty_dir_fails(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            ShardedTSDB.restore_from_dir(tmp_path)
+@pytest.mark.parametrize("m", SHARD_COUNTS)
+@pytest.mark.parametrize("n", SHARD_COUNTS)
+def test_snapshot_restores_into_any_shard_count(tmp_path, n, m):
+    """One snapshot file, written from any shard count, restores into
+    any other: the same bytes, the same catalog, every series on its
+    hash shard — and nothing on the way leaves a thread behind
+    (``repro serve`` and ``compact`` never close a restored store)."""
+    _, sharded = build_pair(n)
+    path = tmp_path / "snap.seg"
+    before = set(threading.enumerate())
+    assert snapshot(sharded, path) == sharded.exact_point_count()
+    restored = load(path, into=ShardedTSDB(m))
+    restored.run_many(QUERIES)
+    assert set(threading.enumerate()) == before
+    assert dumps(restored) == dumps(sharded)
+    assert _catalog_answers(restored) == _catalog_answers(sharded)
+    for i, shard in enumerate(restored.shards):
+        for key, _ in shard.iter_series():
+            assert shard_for_key(key, m) == i
 
 
 class TestShardLocality:

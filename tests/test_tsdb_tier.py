@@ -43,10 +43,9 @@ from repro.tsdb import (
     load,
     segment_stats,
 )
-from repro.tsdb.sharded import shard_for_key
 from repro.tsdb.downsample import Downsample, apply as apply_downsample
 from repro.tsdb.retention import RetentionPolicy, Tier
-from repro.tsdb.tier import CompactionPolicy, Compactor, compact_dir
+from repro.tsdb.tier import CompactionPolicy, Compactor
 from repro.tsdb.segments import SEGMENT_MAGIC, SegmentWriter
 from repro.tsdb.tier.compact import COMPACT_TMP_SUFFIX
 
@@ -136,35 +135,15 @@ class TestCompactionEquivalence:
     @given(ops=ops_lists, n=st.sampled_from([1, 2, 4, 7]))
     @settings(max_examples=40, deadline=None)
     def test_sharded_any_interleaving(self, tmp_path_factory, ops, n):
-        directory = tmp_path_factory.mktemp("tier-sharded")
-        writers = [
-            SegmentWriter(directory / f"shard-{i}-of-{n}.seg") for i in range(n)
-        ]
-        # Route ops exactly as the sharded store would: keyed ops to the
-        # owning shard's WAL, global markers to every shard's.
-        for op in ops:
-            if op[0] == "put":
-                _, metric, node, ts, val = op
-                key = _key(metric, node)
-                w = writers[shard_for_key(key, n)]
-                w.write_batch(_one(key, ts, val))
-            elif op[0] == "delete_before":
-                for w in writers:
-                    w.delete_before(op[1])
-            else:
-                _, metric, node, ts = op
-                key = _key(metric, node)
-                writers[shard_for_key(key, n)].delete_series_before(key, ts)
-        for w in writers:
-            w.close()
+        """A sharded store's journal is one WAL, whatever the shard
+        count: compacting it restores into ``ShardedTSDB(n)`` as the
+        original replays."""
+        wal = tmp_path_factory.mktemp("tier-sharded") / "w.seg"
+        _write_ops(SegmentWriter(wal), ops)
+        expected = dumps(load(wal, strict=False, into=ShardedTSDB(n)))
 
-        expected = dumps(
-            ShardedTSDB.restore_from_dir(directory)
-        )
-        results = compact_dir(directory)
-        assert set(results) == set(range(n))
-        restored = ShardedTSDB.restore_from_dir(directory)
-        assert dumps(restored) == expected
+        compact_log(wal)
+        assert dumps(load(wal, into=ShardedTSDB(n))) == expected
         # Replaying ops directly agrees too (routing fidelity).
         direct = ShardedTSDB(n)
         _apply_ops(direct, ops)
@@ -332,23 +311,15 @@ class TestCompactorPolicy:
 
     def test_non_segment_files_never_compact(self, tmp_path):
         """A trigger poll over a file that is not a segment raises
-        instead of reading it as empty, and the file stays as it is; so
-        does a policy sweep over a directory holding one."""
+        instead of reading it as empty, and the file stays as it is."""
         wal = tmp_path / "w.log"
         wal.write_text("air.co2 1 2.0 node=n1\n" * 100)
         c = Compactor(wal, policy=CompactionPolicy(max_blocks=1))
         with pytest.raises(SegmentCorruption, match="magic"):
             c.maybe_compact()
         assert c.runs == 0
+        assert wal.read_text() == "air.co2 1 2.0 node=n1\n" * 100
         assert Compactor(tmp_path / "missing.seg").stats() is None
-        directory = tmp_path / "dir"
-        ShardedTSDB(2).snapshot_to_dir(directory)
-        shard = directory / "shard-1-of-2.seg"
-        shard.write_bytes(b"X" + shard.read_bytes()[1:])
-        before = {p.name: p.read_bytes() for p in directory.iterdir()}
-        with pytest.raises(SegmentCorruption, match="magic"):
-            compact_dir(directory, policy=CompactionPolicy(max_blocks=1))
-        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -357,22 +328,6 @@ class TestCompactorPolicy:
             CompactionPolicy(max_marker_blocks=0)
         with pytest.raises(ValueError):
             CompactionPolicy(min_bytes=-1)
-
-    def test_compact_dir_with_policy_skips_compact_shards(self, tmp_path):
-        db = ShardedTSDB(2)
-        for i in range(20):
-            db.put("air.co2", i, float(i), {"node": f"n{i % 4}"})
-        db.snapshot_to_dir(tmp_path)
-        # Fragment exactly one shard with appended per-point blocks.
-        key = next(
-            k for k in (_key("air.co2", n) for n in _NODES)
-            if shard_for_key(k, 2) == 0
-        )
-        with SegmentWriter(tmp_path / "shard-0-of-2.seg", append=True) as w:
-            for i in range(40):
-                w.write_batch(_one(key, 100 + i, float(i)))
-        results = compact_dir(tmp_path, policy=CompactionPolicy(max_blocks=8))
-        assert set(results) == {0}
 
 
 class TestDurableStore:

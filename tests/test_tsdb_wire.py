@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tsdb import Query, TSDB, WireError
-from repro.tsdb.plan import expr, select
+from repro.tsdb.plan import expr
 from repro.tsdb.wire import RemoteQueryError, WIRE_VERSION, handle_request
 from repro.tsdb import wire
 
@@ -329,10 +329,6 @@ class TestStrictness:
                 }],
             })
 
-    def test_builders_encode_like_their_query(self):
-        b = select("m").range(0, 100).where(node="a").downsample("5m-avg")
-        assert wire.encode_query(b) == wire.encode_query(b.build())
-
     def test_boolean_timestamps_rejected(self):
         """``True`` is an ``int`` to Python but not to the wire format."""
         for bad in (
@@ -472,20 +468,20 @@ class TestCatalogCodec:
     def test_handle_answers_from_store(self, db):
         r = wire.handle_catalog_request(
             db, wire.encode_catalog_request("metrics"))
-        assert wire.decode_catalog_response(r) == [
+        assert r["catalog"]["values"] == [
             "air.co2.ppm", "weather.temperature.c"]
         r = wire.handle_catalog_request(
             db,
             wire.encode_catalog_request(
                 "tag_values", metric="air.co2.ppm", key="node"),
         )
-        assert wire.decode_catalog_response(r) == ["a", "b", "c"]
+        assert r["catalog"]["values"] == ["a", "b", "c"]
         r = wire.handle_catalog_request(
             db,
             wire.encode_catalog_request(
                 "cardinality", metric="air.co2.ppm", tags={"node": "a|b"}),
         )
-        assert wire.decode_catalog_response(r) == 2
+        assert r["catalog"]["count"] == 2
 
     def test_response_echoes_identifying_fields(self, db):
         r = wire.handle_catalog_request(
@@ -540,19 +536,3 @@ class TestCatalogCodec:
                 "tag_values", metric="air.co2.ppm", key="bad|key"),
         )
         assert r["error"]["type"] == "InvalidName"
-        with pytest.raises(RemoteQueryError) as err:
-            wire.decode_catalog_response(r)
-        assert err.value.error_type == "InvalidName"
-
-    def test_decode_response_strictness(self):
-        with pytest.raises(WireError):
-            wire.decode_catalog_response({"version": 99})
-        with pytest.raises(WireError):
-            wire.decode_catalog_response(
-                {"version": WIRE_VERSION, "catalog": []})
-        with pytest.raises(WireError):
-            wire.decode_catalog_response(
-                {"version": WIRE_VERSION, "catalog": {"values": "oops"}})
-        with pytest.raises(WireError):
-            wire.decode_catalog_response(
-                {"version": WIRE_VERSION, "catalog": {"count": True}})
