@@ -264,6 +264,30 @@ def test_snapshot_restores_into_any_shard_count(tmp_path, n, m):
             assert shard_for_key(key, m) == i
 
 
+class TestPerShardPersistence:
+    def test_snapshot_restore_round_trip(self, tmp_path):
+        _, sharded = build_pair(4)
+        path = tmp_path / "snap.seg"
+        total = snapshot(sharded, path)
+        assert total == sharded.exact_point_count()
+        restored = load(path, into=ShardedTSDB(4))
+        assert restored.num_shards == 4
+        assert dumps(restored) == dumps(sharded)
+        for orig, back in zip(sharded.shards, restored.shards):
+            assert dumps(back) == dumps(orig)
+
+    def test_snapshot_restore_query_leave_no_thread_behind(self, tmp_path):
+        """Nothing ever closes a restored store (``repro serve`` and
+        ``compact`` never call ``close()``), so none of
+        these may start a thread that outlives the call."""
+        _, sharded = build_pair(4)
+        before = set(threading.enumerate())
+        snapshot(sharded, tmp_path / "snap.seg")
+        restored = load(tmp_path / "snap.seg", into=ShardedTSDB(4))
+        restored.run_many(QUERIES)
+        assert set(threading.enumerate()) == before
+
+
 class TestShardLocality:
     def test_put_batch_routes_columns_not_points(self):
         """A batch touching k series does k column writes, all shard-local."""
