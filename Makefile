@@ -39,21 +39,23 @@ test-query:
 # per-tenant admission control, wire error paths, and conditional
 # replies (a holding client ≡ encode_response, the columnar dict form,
 # with tails spliced as base64 text; an unchanged dashboard costs
-# look-ups, a cold reply no call per point, as counts); the plain
-# splice path, tests/test_serve_splice.py (a plain reply built from
-# held buckets plus head and tail edges ≡ inner.run_many, scannedPoints
-# included, under hypothesis on every store layout with quiet rounds
-# drawn — nothing written, heads only — a start sliding a minute at a
-# time across the bucket grid with writes between the moves, a write
-# racing a quiet splice, and two clients sliding one wall at once); what
-# one refresh or moved-window plain request costs as counts (validators
-# read once, one planned batch of edges — heads alone when nothing was
-# written, and then no scan view beyond theirs while the start stays in
+# look-ups, a cold reply no call per point, as counts; a request that
+# still sends "refresh" gets the same bytes); the one request path,
+# tests/test_serve_splice.py (a reply built from held buckets plus head
+# and tail edges ≡ inner.run_many, scannedPoints included, under
+# hypothesis on every store layout with quiet rounds drawn — nothing
+# written, heads only — and live rounds — start fixed, a write, the end
+# moved — a start sliding a minute at a time across the bucket grid
+# with writes between the moves, a write racing a quiet splice, and two
+# clients sliding one wall at once); what one live or moved-window
+# request costs as counts (validators read once, one planned batch of
+# edges — heads alone when nothing was written, and then no scan view beyond theirs while the start stays in
 # the last head's bucket — no delta inserted into the result cache, one
 # counter per metric on a hit; a live refresh of an unchanged series set
 # matches no filter, walks no postings, looks no series up and reads
-# each series' last point once per filter, and one new series
-# re-resolves its own filter alone, once); and the per-metric short-cut
+# each series' last point once per filter, one new series re-resolves
+# its own filter alone, once, and a live wall opens no scan view for
+# its kept buckets until its cut crosses one); and the per-metric short-cut
 # ≡ the per-series check under interleaved writes on every store layout.
 serve-test:
 	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_conditional.py tests/test_serve_splice.py tests/test_refresh_costs.py tests/test_metric_counters.py tests/test_tsdb_wire.py

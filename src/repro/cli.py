@@ -302,8 +302,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     if not args.connect:
         _connect_only("query", {"--start": args.start, "--end": args.end,
-                                "--tenant": args.tenant,
-                                "--refresh": args.refresh or None})
+                                "--tenant": args.tenant})
     # Validate the request before paying for the simulation: a bad wire
     # file should fail in milliseconds, not after N simulated hours.
     queries = None
@@ -329,7 +328,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             queries = _flag_queries(args, args.start, args.end)
         try:
             with QueryClient(host, port, tenant=args.tenant) as client:
-                response = client.request(queries, refresh=args.refresh)
+                response = client.request(queries)
         except OSError as exc:
             raise SystemExit(f"query: cannot reach {host}:{port}: {exc}")
         return _print_reply(response)
@@ -774,10 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--tenant", default=None, metavar="NAME",
         help="admission-control lane on the server (with --connect)")
-    p_query.add_argument(
-        "--refresh", action="store_true",
-        help="route through the server's incremental refresher "
-             "(with --connect)")
     p_query.set_defaults(func=cmd_query)
 
     p_cat = sub.add_parser(

@@ -11,8 +11,8 @@ usable on its own:
   series-metadata answers;
 - :mod:`~repro.serve.refresh` — :class:`IncrementalRefresher`,
   per-panel state that answers a moved window from its held buckets,
-  rescanning only the edges append-only writes can have changed (the
-  server's plain and ``refresh`` requests alike);
+  rescanning only the edges append-only writes can have changed (every
+  request the server answers);
 - :mod:`~repro.serve.server` — :class:`QueryServer`, the asyncio TCP
   endpoint (newline-delimited JSON) with per-tenant admission control
   reusing the region layer's ``block`` / ``drop-oldest`` policies;

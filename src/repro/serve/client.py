@@ -24,20 +24,18 @@ JSON protocol of :mod:`repro.serve.server`:
   reply entry per panel *shape* (the query minus its window) and says
   so: every query request carries the ``"held"`` envelope field, one
   validator or ``null`` per query.  The server answers an entry it can
-  tell is unchanged with ``"notModified": true`` and, on the refresh
-  path, one that only grew with its ``"tail"``; the client puts the
-  held series back, so callers see whole replies of the usual shape and
-  none of this.  A pre-``held`` server answers such a request with its
-  in-band ``unknown request fields`` error.
+  tell is unchanged with ``"notModified": true`` and one that only
+  grew with its ``"tail"``; the client puts the held series back, so
+  callers see whole replies of the usual shape and none of this.  A
+  pre-``held`` server answers such a request with its in-band
+  ``unknown request fields`` error.
 
 Replies come back as their JSON; :func:`~repro.tsdb.wire.decode_response`
 turns one into numpy-backed results (and raises
 :class:`~repro.tsdb.wire.RemoteQueryError` for an in-band error)::
 
     with QueryClient(host, port, tenant="dashboard") as client:
-        results = wire.decode_response(
-            client.request(panel_queries, refresh=True)
-        )
+        results = wire.decode_response(client.request(panel_queries))
 """
 
 from __future__ import annotations
@@ -205,9 +203,8 @@ class QueryClient:
         below it, is shared with the client's held copy and with later
         replies for the same panel: **read-only**.
         """
+        # ``refresh`` is ignored: the frozen benchmarks/e2e workloads pass it.
         envelope = wire.encode_request(queries)
-        if refresh:
-            envelope["refresh"] = True
         shapes = [_panel_shape(q) for q in envelope["queries"]]
         was_held = [self._held.use(shape) for shape in shapes]
         envelope["held"] = [h and h.validator for h in was_held]

@@ -23,7 +23,7 @@ The boundary is exact, not heuristic:
   city's backfill, say) are the per-series counters compared.  The
   validators are read once, before the panel's full run; a later answer
   compares against them and reads only ``B`` afresh — once per filter
-  per phase (:meth:`~repro.serve.cache.ValidatorView.boundary`), so the
+  per step (:meth:`~repro.serve.cache.ValidatorView.boundary`), so the
   panels of a wall that share a filter share one read of each matched
   series' last point, off the column stores the catalog's kept
   resolution of the filter holds.
@@ -51,16 +51,17 @@ still bounds every last point from below, so it is not read again.
 When the query's end is the held end, the cut is ``end + 1`` — every
 held bucket is kept and there is no tail — provided the head, if any,
 ends at or below ``B``; otherwise (and when the end moved) the cut is
-the boundary rule's over the held ``B``.  A quiet ``refresh`` of an
-unchanged window is therefore cache-only: the same series objects,
-answered *not modified*.
+the boundary rule's over the held ``B``.  A quiet panel asked for an
+unchanged window (one the result cache no longer holds) is therefore
+cache-only: the same series objects, answered *not modified*.
 
 It is sound for the reason a result-cache hit is — the counter is
 monotonic, never pruned, and bumped before the columns change — plus
-one argument for a write that races phase B.  An append lands past its
-series' last point, so past ``B``: never in a head that ends at or below
-``B``, and — with no tail — only in kept buckets or past the window, so
-the reply is a fresh run's from before it.  (Keeping buckets past ``B``
+one argument for a write that races the edge scans (step 3 below).  An
+append lands past its series' last point, so past ``B``: never in a
+head that ends at or below ``B``, and — with no tail — only in kept
+buckets or past the window, so the reply is a fresh run's from before
+it.  (Keeping buckets past ``B``
 beside a head above ``B``, or beside a tail, would let one write that
 catches a lagging series up land in an edge *and* in a kept bucket: a
 reply no fresh run gives.)  A reshape fails ``_holds`` on the *after*
@@ -82,73 +83,58 @@ fills couple values across buckets and always take the full path, as
 does any validator mismatch (out-of-order write, retention delete,
 series churn) and a window that moved back or whose end shrank.
 
-A **refresh** request (``run_many(queries)``; ``run(q)`` is the batch
-of one) is one batch, in three phases
-(:meth:`IncrementalRefresher._refresh`):
-
-- **A — classify** every panel against a *before*
-  :class:`~repro.serve.cache.ValidatorView`: is there state, may the
-  shape be spliced, does the window advance, do the validators hold, is
-  it quiet, where are the cut and the head, what is the boundary now.
-  A panel comes out *cache-only* (nothing to scan), *delta* (a head, a
-  tail or both) or *full*.
-- **B — execute** all edge queries of the request as **one** planned
-  batch on the store *under* the result cache (``_run_uncached_batch``,
-  the hook ``CachingStore`` itself runs on a miss): one match per
-  filter, one covering scan per touched series — and nothing inserted
-  into the result cache, where an edge's window could only evict what
-  plain requests are served from.
-- **C — validate** every delta panel against a fresh *after* view, then
-  splice and remember; a panel whose validators no longer hold is
-  dropped, counted ``invalidated`` and run in full.
-
-The capture-before / check-after bracket is therefore per *batch*, not
-per panel: every scan of phase B lies between the reads of A and the
-reads of C.  That is strictly more conservative than a bracket per
-panel — a reshaping write anywhere in the window sends every panel that
-reads the series down the full path — and it is only sound because no
-view outlives its phase.
-
-A refresh's full runs stay one panel at a time, each inside its own
-bracket and *through* the caching store (a first refresh may be
-answered by what a plain request cached): a bracket per panel sends one
-panel down the full path again when a write races it, a bracket around
-twelve sends twelve.  A request that names one panel shape twice (two
-windows) is cut at the repeat, so the later entry sees the state the
-earlier one left.  ``scanned_points`` on a refreshed result counts only
-the points its edges scanned; :class:`RefreshStats` counts refresh
-requests only.
-
-A **plain** request (``run_many(queries, plain=True)``, what the server
-runs for a request without ``refresh``) shares the panel state and is
-answered as the result cache alone would answer it, byte for byte:
+A request (``run_many(queries)``; ``run(q)`` is the batch of one) is
+answered as the result cache alone would answer it, byte for byte
+(:meth:`IncrementalRefresher._run_unique_batch`):
 
 1. exact hits come from the result cache first, through one view, as
    :class:`~repro.serve.cache.CachingStore` serves them;
-2. the misses whose panel shape has state are classified (phase A);
-3. their edge queries and every other miss run as **one** planned
-   batch under the result cache, inside one bracket — a wall's avg and
-   dev panels still share one alignment — and the misses that ran in
-   full seed panel state through the ``_capture`` / boundary
-   bracket;
-4. after the batch every answer, spliced or full, goes into the result
-   cache with validators read before it, so an exact repeat is a hit,
-   not a splice; a splice counts as a miss and as
-   :attr:`~repro.serve.cache.CacheStats.spliced`.  A delta whose
-   validators failed after the batch runs in full in a bracket of its
-   own.
+2. **classify** every miss whose panel shape has state against that
+   *before* :class:`~repro.serve.cache.ValidatorView`: may the shape be
+   spliced, does the window advance, do the validators hold, is it
+   quiet, where are the cut and the head, what is the boundary now.  A
+   panel comes out *cache-only* (nothing to scan), *delta* (a head, a
+   tail or both) or *full*;
+3. **execute** every delta's edge queries and every full miss as
+   **one** planned batch on the store *under* the result cache
+   (``_run_uncached_batch``): one match per filter, one covering scan
+   per touched series — a wall's avg and dev panels still share one
+   alignment — and no edge inserted into the result cache, where its
+   window could only evict what requests are served from;
+4. **validate** every delta against a fresh *after* view, then splice
+   and remember; the full runs seed panel state through the
+   ``_capture`` / boundary bracket.  A delta whose validators no longer
+   hold is dropped, counted ``invalidated`` and run in full in a
+   bracket of its own;
+5. every answer, spliced or full, goes into the result cache with
+   validators read before it, so an exact repeat is a hit, not a
+   splice; a splice counts as a miss and as
+   :attr:`~repro.serve.cache.CacheStats.spliced`.
 
-A plain answer's ``scanned_points`` is what a fresh run scans — the
-matched series' points in ``[start, end]``: the edges' own counts plus
-the points under the kept buckets.  When the panel is quiet and has no
-tail, the kept buckets run to the held end, so those are read off the
-state: the held answer's ``scanned_points`` (kept as ``points``; a
-refresh splice keeps none), less its head's count when the kept buckets
-start where its head ended — a start that moved on inside the bucket a
-head was scanned in counts nothing.  Otherwise they are counted from
-scan views (a searchsorted pair per series, nothing copied or
-rescanned) on the *before* side of the bracket, where those points are
-already final.
+The capture-before / check-after bracket is therefore per *batch*, not
+per panel: every scan of step 3 lies between the reads of step 2 and
+those of step 4.  That is strictly more conservative than a bracket per
+panel — a reshaping write anywhere in the window sends every panel that
+reads the series down the full path — and it is only sound because no
+view outlives its step.  :class:`RefreshStats` counts the panel-state
+work of every request; a result-cache hit does none.
+
+An answer's ``scanned_points`` is what a fresh run scans — the matched
+series' points in ``[start, end]``: the edges' own counts plus the
+points under the kept buckets.  Those are the difference of two
+*prefix counts* (the matched points from the held start up to an
+instant), each read off the state where it holds one, else counted
+from the nearest one it holds through scan views (a searchsorted pair
+per series, nothing copied or rescanned) on the *before* side of the
+bracket — never more than one view per series.  The state holds the
+held answer's own ``scanned_points`` (to the held end), while the
+panel is quiet, and the counts up to where its head ended and up to its
+cut, each where it lies at or below the boundary: points below the
+boundary are final for the reason kept buckets are, so those hold for
+as long as the validators do.  A start that moved on inside the bucket
+its last head was scanned in counts nothing, and neither does a live
+panel — start fixed, a minute written, the end moved — whose cut did
+not move; one whose cut crossed a bucket counts the crossed buckets.
 
 A spliced series also notes what it was spliced *from*
 (:func:`~repro.serve.cache.remember_series_tail`: the previous series'
@@ -157,8 +143,7 @@ did not move and a conditional reply has ever named the previous
 series — so a client that says it holds the previous reply is sent the
 tail alone, from the last multiple of three kept points on, the cut its
 base64 columns can be spliced at as text
-(:func:`~repro.tsdb.wire.splice_column`).  Only refresh replies are
-sent in that form.
+(:func:`~repro.tsdb.wire.splice_column`).
 """
 
 from __future__ import annotations
@@ -174,6 +159,7 @@ from ..tsdb.series import SeriesSlice
 from .cache import (
     HELD_PANELS,
     BoundedLRU,
+    CachingStore,
     ValidatorView,
     _freeze,
     cached_series_tag,
@@ -183,14 +169,15 @@ from .cache import (
 
 @dataclass
 class RefreshStats:
-    """Cumulative refresher accounting (refresh requests only)."""
+    """Cumulative panel-state accounting over every request (a
+    result-cache hit does no panel-state work and counts nowhere)."""
 
-    full_runs: int = 0
-    incremental_runs: int = 0
+    full_runs: int = 0  # misses run in full
+    incremental_runs: int = 0  # misses spliced from held buckets and edges
     cache_only_runs: int = 0  # window advanced, but nothing to rescan
     invalidated: int = 0  # panel state dropped on a validator mismatch
-    evicted: int = 0  # panel state dropped as the least recently refreshed
-    batches: int = 0  # refresh requests executed
+    evicted: int = 0  # panel state dropped as the least recently answered
+    batches: int = 0  # requests executed
     delta_queries: int = 0  # edge queries handed to the planner
 
     def as_dict(self) -> dict:
@@ -209,12 +196,10 @@ class _PanelState:
     validators: tuple
     result: QueryResult
     writes: int  # the metric's write counter, before the answer's run
-    #: The matched points in [start, end] — a plain answer's (or a full
-    #: run's) scanned_points; None after a refresh splice.
-    points: int | None
-    #: (the last second of a plain answer's scanned head, the matched
-    #: points in [start, that second]); None without one.
-    head: tuple[int, int] | None
+    points: int  # the matched points in [start, end]: the scanned_points
+    #: instant x -> the matched points in [start, x - 1], for x - 1 at or
+    #: below the boundary: final while the validators hold.
+    counts: dict[int, int]
 
 
 def _panel_key(q: Query) -> tuple:
@@ -267,7 +252,7 @@ def _splice(
 
 @dataclass
 class _Delta:
-    """Phase A's plan for one panel that will be spliced: the held
+    """Step 2's plan for one panel that will be spliced: the held
     buckets in ``[keep_from, cut)`` between two optional edge queries
     (neither: the panel is cache-only)."""
 
@@ -301,36 +286,27 @@ def _scanned(result: QueryResult | None) -> int:
     return 0 if result is None else result.scanned_points
 
 
-class _Plain:
-    """The refresher as ``run_batch`` sees it on a plain request."""
-
-    def __init__(self, refresher: IncrementalRefresher) -> None:
-        self._run_unique_batch = refresher._run_plain
-
-
 class IncrementalRefresher:
-    """Per-panel incremental execution over one store.
+    """Per-panel incremental execution over one
+    :class:`~repro.serve.cache.CachingStore`.
 
-    ``run_many(queries)`` always returns the same series a fresh
-    ``store.run_many(queries)`` would; it is a refresher, not a snapshot
-    — the incremental path merely avoids rescanning finalized history.
-    ``run_many(queries, plain=True)`` (over a
-    :class:`~repro.serve.cache.CachingStore`) returns the very answers,
-    ``scanned_points`` included, its result cache would.  One instance
-    serves many panels (state is keyed per panel shape).
+    ``run_many(queries)`` returns the very answers, ``scanned_points``
+    included, the store's result cache would — and so the same series a
+    fresh ``run_many`` on the store under it would; the incremental path
+    merely avoids rescanning finalized history.  One instance serves
+    many panels (state is keyed per panel shape).
     """
 
-    def __init__(self, store) -> None:
+    def __init__(self, store: CachingStore) -> None:
         self._store = store
         self._panels: BoundedLRU = BoundedLRU(HELD_PANELS)  # key -> _PanelState
-        self._plain = _Plain(self)
         self.stats = RefreshStats()
 
     def clear(self) -> None:
         """Forget every panel's state: the next answer for each runs in full."""
         self._panels.clear()
 
-    # -- validators (``store``: a ValidatorView, one phase old) ----------
+    # -- validators (``store``: a ValidatorView, one step old) -----------
     @staticmethod
     def _capture(store, q: Query) -> tuple:
         """The panel's validators before a full run: the metric's
@@ -378,83 +354,49 @@ class IncrementalRefresher:
         return n
 
     def _kept(self, store, q: Query, d: _Delta) -> int:
-        """The matched points under a delta's kept buckets."""
+        """The matched points under a delta's kept buckets, ``[lo, hi)``:
+        prefix counts the state holds where they spare a scan view."""
         st = d.st
         lo = q.start if d.head is None else d.keep_from
-        if d.tail is None and d.writes == st.writes and st.points is not None:
-            # Quiet, and no tail: the kept buckets run to the held end,
-            # and the held window still holds ``st.points`` points.
-            if lo == st.start:
-                return st.points
-            if st.head is not None and lo - 1 == st.head[0]:
-                return st.points - st.head[1]
-        return self._points(store, q, lo, min(d.cut - 1, q.end))
+        hi = min(d.cut, q.end + 1)
+        known = {**st.counts, st.start: 0}
+        if d.writes == st.writes:  # quiet: the held window holds its points
+            known[st.end + 1] = st.points
+
+        def prefix(x: int) -> int:
+            """The points in [st.start, x - 1], from the nearest known."""
+            near = min(known, key=lambda k: abs(k - x))
+            if near < x:
+                return known[near] + self._points(store, q, near, x - 1)
+            if near > x:
+                return known[near] - self._points(store, q, x, near - 1)
+            return known[near]
+
+        if lo in known:
+            return prefix(hi) - known[lo]
+        if hi in known:
+            return known[hi] - prefix(lo)
+        return self._points(store, q, lo, hi - 1)
 
     # -- execution -------------------------------------------------------
     def run_many(
-        self, queries: list[Query | ExprQuery], *, plain: bool = False
+        self, queries: list[Query | ExprQuery]
     ) -> list[QueryResult | ExprResult]:
-        """One request, executed as one batch: a ``refresh`` request, or
-        with ``plain`` a plain one (see the module docstring).
+        """One request, executed as one batch (see the module docstring).
 
         The shared planner dedups the batch and evaluates expression
         panels over their operands, as it does for any store.
         """
-        return run_batch(self._plain if plain else self, queries)
+        return run_batch(self, queries)
 
     def run(self, query: Query) -> QueryResult:
-        """The refresh batch of one."""
-        return self._run_unique_batch([query])[0]
+        """The batch of one."""
+        return self.run_many([query])[0]
 
     def _run_unique_batch(self, queries: list[Query]) -> list[QueryResult]:
+        """A request's distinct queries: exact hits first, then the
+        misses, one bracket at a time (module docstring, 1–5)."""
         self.stats.batches += 1
-        results: list[QueryResult] = []
-        panels: dict[tuple, Query] = {}
-        for q in queries:
-            key = _panel_key(q)
-            if key in panels:
-                # One shape asked for twice (two windows): the later
-                # entry sees the state the earlier one leaves.
-                results += self._refresh(panels)
-                panels = {}
-            panels[key] = q
-        return results + self._refresh(panels)
-
-    def _refresh(self, panels: dict[tuple, Query]) -> list[QueryResult]:
-        """Distinct panels in the three phases of the module docstring."""
-        results: dict[tuple, QueryResult] = {}
-        before = ValidatorView(self._store)
-        deltas: dict[tuple, _Delta] = {}
-        for key, q in panels.items():
-            plan = self._classify(before, key, q, self.stats)
-            if plan is not None:
-                deltas[key] = plan
-        ran, _ = self._run_batch(list(deltas.values()), [], self.stats)
-        after = ValidatorView(self._store)
-        for (key, d), (head, tail) in zip(deltas.items(), ran):
-            q = panels[key]
-            if not d.cache_only and not self._holds(after, q, d.st.validators):
-                # A reshaping write raced the edge scans; the splice
-                # would mix epochs.  Drop the state, recompute below.
-                self._panels.pop(key, None)
-                self.stats.invalidated += 1
-                continue
-            if d.cache_only:
-                self.stats.cache_only_runs += 1
-            else:
-                self.stats.incremental_runs += 1
-            results[key] = self._splice_panel(
-                key, d, q, head, tail, _scanned(head) + _scanned(tail),
-                self.stats, points=None,
-            )
-        for key, q in panels.items():
-            if key not in results:
-                results[key] = self._run_full(key, q)
-        return [results[key] for key in panels]
-
-    def _run_plain(self, queries: list[Query]) -> list[QueryResult]:
-        """A plain request's distinct queries: exact hits first, then
-        the misses, one bracket at a time (module docstring, 1–4)."""
         cache = self._store.cache
         results: list[QueryResult | None] = [None] * len(queries)
         before = ValidatorView(self._store)
@@ -463,29 +405,28 @@ class IncrementalRefresher:
             results[i] = cache.lookup(before, q)
             if results[i] is None:
                 misses.append(i)
-        stats = RefreshStats()  # a plain request is not a refresh
         while misses:
-            misses = self._plain_misses(before, queries, misses, results, stats)
+            misses = self._run_misses(before, queries, misses, results)
             before = ValidatorView(self._store)
         return results  # type: ignore[return-value]
 
-    def _plain_misses(
+    def _run_misses(
         self,
         before: ValidatorView,
         queries: list[Query],
         misses: list[int],
         results: list,
-        stats: RefreshStats,
     ) -> list[int]:
         """One bracket around one batch: the misses' edges and full
         runs.  Returns the deltas whose validators failed after it."""
         cache = self._store.cache
+        stats = self.stats
         deltas: dict[int, _Delta] = {}
         seeds: dict[int, tuple] = {}  # full run -> its _seed_of
         kept: dict[int, int] = {}  # delta -> points under its kept buckets
         for i in misses:
             q = queries[i]
-            plan = self._classify(before, _panel_key(q), q, stats)
+            plan = self._classify(before, _panel_key(q), q)
             if plan is not None:
                 deltas[i] = plan
                 kept[i] = self._kept(before, q, plan)
@@ -494,7 +435,7 @@ class IncrementalRefresher:
         validators = {i: cache.capture(before, queries[i]) for i in misses}
         fulls = [i for i in misses if i not in deltas]
         edges, ran = self._run_batch(
-            list(deltas.values()), [queries[i] for i in fulls], stats
+            list(deltas.values()), [queries[i] for i in fulls]
         )
         after = ValidatorView(self._store)
         retry: list[int] = []
@@ -502,18 +443,23 @@ class IncrementalRefresher:
             q = queries[i]
             key = _panel_key(q)
             if not d.cache_only and not self._holds(after, q, d.st.validators):
+                # A reshaping write raced the edge scans; the splice
+                # would mix epochs.  Drop the state, run it in full.
                 self._panels.pop(key, None)
+                stats.invalidated += 1
                 retry.append(i)
                 continue
-            scanned = kept[i] + _scanned(head) + _scanned(tail)
-            results[i] = self._splice_panel(
-                key, d, q, head, tail, scanned, stats, points=scanned
-            )
+            if d.cache_only:
+                stats.cache_only_runs += 1
+            else:
+                stats.incremental_runs += 1
+            results[i] = self._splice_panel(key, d, q, head, tail, kept[i])
             cache.stats.spliced += 1
+        stats.full_runs += len(fulls)
         for i, result in zip(fulls, ran):
             q = queries[i]
             results[i] = result
-            self._seed(after, _panel_key(q), q, seeds.get(i), result, stats)
+            self._seed(after, _panel_key(q), q, seeds.get(i), result)
         for i in misses:
             if i not in retry and cache.insert(
                 after, queries[i], validators[i], results[i]
@@ -522,13 +468,13 @@ class IncrementalRefresher:
         return retry
 
     def _run_batch(
-        self, deltas: list[_Delta], fulls: list[Query], stats: RefreshStats
+        self, deltas: list[_Delta], fulls: list[Query]
     ) -> tuple[list[tuple], list[QueryResult]]:
-        """Phase B: every delta's edge queries, then ``fulls``, as one
+        """Step 3: every delta's edge queries, then ``fulls``, as one
         planned batch under the result cache.  Returns each delta's
         (head, tail) results and the full runs' results."""
         batch = [q for d in deltas for q in d.edges if q is not None]
-        stats.delta_queries += len(batch)
+        self.stats.delta_queries += len(batch)
         batch += fulls
         ran = iter(self._store._run_uncached_batch(batch) if batch else ())
         edges = [
@@ -538,9 +484,9 @@ class IncrementalRefresher:
         return edges, list(ran)
 
     def _classify(
-        self, before: ValidatorView, key: tuple, query: Query, stats: RefreshStats
+        self, before: ValidatorView, key: tuple, query: Query
     ) -> _Delta | None:
-        """Phase A for one panel: its splice plan, or None when it must
+        """Step 2 for one panel: its splice plan, or None when it must
         run in full."""
         st = self._panels.get(key)
         if st is None:
@@ -554,7 +500,7 @@ class IncrementalRefresher:
             return None
         if not self._holds(before, query, st.validators):
             self._panels.pop(key, None)
-            stats.invalidated += 1
+            self.stats.invalidated += 1
             return None
         start = query.start
         if start == st.start:
@@ -596,21 +542,6 @@ class IncrementalRefresher:
         bucket grid: the head rule re-runs the bucket it cuts.)"""
         return q.end >= st.end and q.start >= st.start
 
-    def _run_full(self, key: tuple, query: Query) -> QueryResult:
-        """One refresh panel from scratch, through the store's own
-        ``run_many`` (the result cache, on a server), inside its own
-        bracket."""
-        before = ValidatorView(self._store)
-        seed = None
-        if _splice_shape(query)[1]:
-            seed = self._seed_of(before, query)
-        result = self._store.run_many([query])[0]
-        self.stats.full_runs += 1
-        self._seed(
-            ValidatorView(self._store), key, query, seed, result, self.stats
-        )
-        return result
-
     def _seed(
         self,
         after: ValidatorView,
@@ -618,13 +549,13 @@ class IncrementalRefresher:
         query: Query,
         seed: tuple | None,
         result: QueryResult,
-        stats: RefreshStats,
     ) -> None:
         """Keep a full run's result as the panel's state when its seed
         (:meth:`_seed_of`, read before the run) still holds."""
         if seed is not None and seed[1] is not None and self._holds(
             after, query, seed[0]
         ):
+            points = result.scanned_points
             self._keep(key, _PanelState(
                 start=int(query.start),
                 end=int(query.end),
@@ -632,15 +563,15 @@ class IncrementalRefresher:
                 validators=seed[0],
                 result=result,
                 writes=seed[2],
-                points=result.scanned_points,
-                head=None,
-            ), stats)
+                points=points,
+                counts={int(query.end) + 1: points} if query.end <= seed[1] else {},
+            ))
             return
         self._panels.pop(key, None)
         if seed is not None and seed[1] is not None:
             # A write raced the run; an empty/partial match (boundary
             # None) is just "nothing to remember".
-            stats.invalidated += 1
+            self.stats.invalidated += 1
 
     def _splice_panel(
         self,
@@ -649,12 +580,9 @@ class IncrementalRefresher:
         query: Query,
         head: QueryResult | None,
         tail: QueryResult | None,
-        scanned: int,
-        stats: RefreshStats,
-        *,
-        points: int | None,
+        kept: int,
     ) -> QueryResult:
-        """Phase C for one panel whose validators held: the head, the
+        """Step 4 for one panel whose validators held: the head, the
         held buckets in ``[keep_from, cut)``, then the tail — paired by
         position.  The validators that held fix the match set, so the
         edges formed the held answer's groups in the held order."""
@@ -683,7 +611,15 @@ class IncrementalRefresher:
                             spliced, prev_tag, len(spliced) - len(t)
                         )
             series = tuple(out)
+        lead = _scanned(head)
+        scanned = lead + kept + _scanned(tail)
         result = QueryResult(query=query, series=series, scanned_points=scanned)
+        # The prefix counts this answer measured that lie at or below the
+        # boundary: where the head ended, and the cut.
+        counts = {} if head is None else {plan.keep_from: lead}
+        hi = min(plan.cut, query.end + 1)
+        if hi - 1 <= plan.boundary:
+            counts[hi] = lead + kept
         self._keep(key, _PanelState(
             start=int(query.start),
             end=int(query.end),
@@ -691,13 +627,12 @@ class IncrementalRefresher:
             validators=st.validators,
             result=result,
             writes=plan.writes,
-            points=points,
-            head=None if points is None or head is None else (
-                plan.head.end, head.scanned_points),
-        ), stats)
+            points=scanned,
+            counts=counts,
+        ))
         return result
 
-    def _keep(self, key: tuple, state: _PanelState, stats: RefreshStats) -> None:
+    def _keep(self, key: tuple, state: _PanelState) -> None:
         """Remember ``state`` as the most recently answered panel; past
         ``HELD_PANELS`` the least recently answered is forgotten."""
-        stats.evicted += self._panels.put(key, state)
+        self.stats.evicted += self._panels.put(key, state)

@@ -7,26 +7,25 @@ optional envelope fields stripped before decoding:
 - ``"tenant"``: admission-control lane (defaults to ``"public"``);
 - ``"id"``: opaque correlation value echoed on the reply, so clients
   may pipeline requests;
-- ``"refresh"`` (a JSON boolean): answer as a refresh — each entry's
-  ``scannedPoints`` counts what its edges scanned, and the *tail* form
-  below may be sent.  Every request runs through the server's
-  :class:`~repro.serve.refresh.IncrementalRefresher`: a plain one
-  (``refresh`` absent or false) is answered from the result cache when
-  it names a cached window exactly, and otherwise from the panel's held
-  buckets plus its head and tail edges, byte-identical to a fresh run
-  (``scannedPoints`` included) and inserted into the result cache;
+- ``"refresh"``: accepted for older clients when it is a JSON boolean,
+  and ignored.  Every request runs through the server's
+  :class:`~repro.serve.refresh.IncrementalRefresher`: it is answered
+  from the result cache when it names a cached window exactly, and
+  otherwise from the panel's held buckets plus its head and tail edges,
+  byte-identical to a fresh run (``scannedPoints`` included) and
+  inserted into the result cache;
 - ``"held"``: a list aligned with ``"queries"`` — per query, the
   validator of the reply entry the client still holds for that panel,
   or ``null``.  The reply then carries ``"validators"``, aligned with
   ``"results"``, and an entry may come back in one of three forms:
   *full* (``"series": [...]``, what every request without ``held``
   gets, byte for byte), *not modified* (``"notModified": true`` — the
-  held ``series`` are still the answer) or, on the ``refresh`` path,
-  *tail* (``"tail": [{"keep": k, "t": ..., "v": ...}, ...]``, one
-  element per held series: keep the first ``k`` values of its columns,
-  ``k`` a multiple of 3, and append these — as base64 text, the first
-  ``k * 32 // 3`` characters of each held column followed by the tail's,
-  see :func:`~repro.tsdb.wire.splice_column`).
+  held ``series`` are still the answer) or *tail* (``"tail": [{"keep":
+  k, "t": ..., "v": ...}, ...]``, one element per held series: keep the
+  first ``k`` values of its columns, ``k`` a multiple of 3, and append
+  these — as base64 text, the first ``k * 32 // 3`` characters of each
+  held column followed by the tail's, see
+  :func:`~repro.tsdb.wire.splice_column`).
   ``scannedPoints`` (and an expression's ``expr``) are sent in every
   form.  A validator is an opaque string naming the content of an
   entry's ``series`` array (see
@@ -127,15 +126,12 @@ class _Job:
     """One admitted request: payload in, one reply line out."""
 
     __slots__ = (
-        "payload", "refresh", "held", "id_json", "tenant", "writer",
-        "write_lock", "forms",
+        "payload", "held", "id_json", "tenant", "writer", "write_lock",
+        "forms",
     )
 
-    def __init__(
-        self, payload, refresh, held, id_json, tenant, writer, write_lock
-    ):
+    def __init__(self, payload, held, id_json, tenant, writer, write_lock):
         self.payload = payload
-        self.refresh = refresh
         self.held = held  # what the client holds per query, or None
         self.id_json = id_json  # the request id's JSON text, or None
         self.tenant = tenant
@@ -217,7 +213,7 @@ class QueryServer:
 
     Wraps the store in a :class:`CachingStore` (generation-validated
     result cache) and keeps one :class:`IncrementalRefresher` over it,
-    whose panel state plain and ``refresh``-flagged requests share.
+    whose panel state every request shares.
     ``port=0`` binds an ephemeral port — read :attr:`address` after
     :meth:`start`.
     """
@@ -397,10 +393,10 @@ class QueryServer:
             self._guard_match_cardinality(queries, tenant=job.tenant)
             forms: list[str] = []
             text = wire.encode_response_json(
-                self.refresher.run_many(queries, plain=not job.refresh),
+                self.refresher.run_many(queries),
                 held=job.held,
                 validator=entry_validator,
-                tail=entry_tail if job.refresh else None,
+                tail=entry_tail,
                 forms=forms,
             )
             job.forms = forms  # only a reply that was encoded counts
@@ -529,7 +525,7 @@ class QueryServer:
             payload = dict(payload)
             tenant = payload.pop("tenant", "public")
             request_id = payload.pop("id", None)
-            refresh = payload.pop("refresh", False)
+            refresh = payload.pop("refresh", False)  # accepted, ignored
             held = payload.pop("held", None)
             if not isinstance(tenant, str) or not tenant:
                 bad = "'tenant' must be a non-empty string"
@@ -551,12 +547,12 @@ class QueryServer:
                 except (ValueError, RecursionError) as exc:
                     bad = f"'id' cannot be echoed as JSON: {exc}"
         if bad is not None:
-            stub = _Job(None, False, None, None, "public", writer, write_lock)
+            stub = _Job(None, None, None, "public", writer, write_lock)
             asyncio.get_running_loop().create_task(
                 self._reply(stub, wire.encode_error(wire.WireError(bad)))
             )
             return None
-        return _Job(payload, refresh, held, id_json, tenant, writer, write_lock)
+        return _Job(payload, held, id_json, tenant, writer, write_lock)
 
 
 def _well_formed_held(held, queries) -> bool:

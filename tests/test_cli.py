@@ -33,13 +33,19 @@ class TestParser:
         ["query", "air.co2.ppm", "--start", "0"],
         ["query", "air.co2.ppm", "--end", "10"],
         ["query", "air.co2.ppm", "--tenant", "x"],
-        ["query", "air.co2.ppm", "--refresh"],
         ["catalog", "--tenant", "x"],
     ])
     def test_connect_only_flags_refused_locally(self, argv):
         # Refused before anything is simulated, naming --connect.
         with pytest.raises(SystemExit, match="--connect HOST:PORT is required by"):
             main(argv)
+
+    @pytest.mark.parametrize("connect", [[], ["--connect", "127.0.0.1:1"]])
+    def test_query_refresh_is_an_unknown_option(self, connect):
+        # Every request runs one path on the server: there is no mode to ask for.
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "air.co2.ppm", "--refresh", *connect])
+        assert exc.value.code == 2
 
 
 class TestCommands:

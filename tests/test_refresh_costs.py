@@ -62,8 +62,9 @@ def _dashboard(start: int, end: int, metrics=METRICS) -> list[Query]:
     return out
 
 
-def _series_of(results) -> list:
-    return [r["series"] for r in wire.encode_response(results)["results"]]
+def _reply(results) -> bytes:
+    """The reply text, ``scannedPoints`` included."""
+    return wire.encode_response_json(results)
 
 
 class _Counts:
@@ -180,44 +181,63 @@ def stack(tmp_path):
     caching.wrapped.close()
 
 
+def _open_bucket(q: Query, last: int) -> Query:
+    """``q`` from the bucket the last point of every series, ``last``,
+    lies in: a tail from the boundary cut."""
+    width = q.parsed_downsample().width
+    return replace(q, start=(last + 1) // width * width)
+
+
 def test_a_refresh_reads_each_validator_once_and_plans_once(stack, monkeypatch):
     inner, caching, end = stack
     refresher = IncrementalRefresher(caching)
     counts = _Counts(monkeypatch)
 
-    # the first refresh: every panel in full, through the result cache,
-    # never more than one panel's scans held at a time
+    # the first request: every panel in full, as one planned batch under
+    # the result cache, and every answer inserted into it
     refresher.run_many(_dashboard(0, end))
-    assert counts.cache_batches == [1] * 12
-    assert counts.planned == [1] * 12
+    assert counts.cache_batches == []
+    assert counts.planned == [12]
     assert counts.inserts == 12
     assert refresher.stats.as_dict() == {
         "full_runs": 12, "incremental_runs": 0, "cache_only_runs": 0,
         "invalidated": 0, "evicted": 0, "batches": 1, "delta_queries": 0}
 
+    edges: list[list[Query]] = []
+    real = CachingStore._run_uncached_batch
+
+    def uncached(store, queries):
+        edges.append(list(queries))
+        return real(store, queries)
+
+    monkeypatch.setattr(CachingStore, "_run_uncached_batch", uncached)
     parses = Downsample.parse.cache_info().misses
     for i in range(1, 4):
         end += MINUTE
         caching.put_batch(_minute(end, METRICS, NODES))
         counts.reset()
+        edges.clear()
         got = refresher.run_many(_dashboard(0, end))
         # the series set is unchanged: every filter and its stores come
         # from the catalog's kept resolutions (parent: each series looked
         # up twice, each filter matched twice)
         assert counts.resolved == {} and counts.matched == {}
-        # one planned batch of twelve deltas, under the result cache
+        # one planned batch of twelve deltas, under the result cache;
+        # the answers, not the deltas, go into it
         assert counts.planned == [12]
         assert counts.cache_batches == []
-        assert counts.inserts == 0
+        assert counts.inserts == 12
         assert Downsample.parse.cache_info().misses == parses
         assert refresher.stats.batches == 1 + i
         assert refresher.stats.delta_queries == 12 * i
         assert refresher.stats.incremental_runs == 12 * i
         # the delta is the open bucket, not the six-hour window
-        assert max(r.scanned_points for r in got) <= 61 * len(NODES)
-        assert _series_of(got) == _series_of(inner.run_many(_dashboard(0, end)))
-    assert len(caching.cache) == 12
-    assert caching.cache.stats.misses == 12 and caching.cache.stats.evicted == 0
+        assert edges == [[_open_bucket(q, end - MINUTE)
+                          for q in _dashboard(0, end)]]
+        assert _reply(got) == _reply(inner.run_many(_dashboard(0, end)))
+    assert len(caching.cache) == 12 * 4
+    assert caching.cache.stats.misses == 12 * 4
+    assert caching.cache.stats.evicted == 0
 
 
 def test_a_live_refresh_resolves_each_filter_once_per_series_set(
@@ -239,7 +259,7 @@ def test_a_live_refresh_resolves_each_filter_once_per_series_set(
         # one boundary per filter: each series' last point read once
         # (parent: 300 reads, once per panel)
         assert counts.latest == Counter(every)
-        assert _series_of(got) == _series_of(inner.run_many(_dashboard(0, end)))
+        assert _reply(got) == _reply(inner.run_many(_dashboard(0, end)))
 
     # one new series under one metric: its filter alone is matched again,
     # once, and only its series are looked up, once each (parent: that
@@ -256,21 +276,70 @@ def test_a_live_refresh_resolves_each_filter_once_per_series_set(
     assert counts.postings == inner.num_shards
     assert counts.resolved == Counter(grown)
     assert refresher.stats.full_runs == 12 + 3
-    assert _series_of(got) == _series_of(inner.run_many(_dashboard(0, end)))
+    assert _reply(got) == _reply(inner.run_many(_dashboard(0, end)))
+
+
+def test_a_live_refresh_counts_its_kept_points_off_the_panel_state(
+        stack, monkeypatch):
+    """A live wall — the start fixed, a minute written, the end moved —
+    counts the points under its kept buckets off the panel state: the
+    last answer's points below its cut, final since.  A refresh whose
+    cut did not move opens no scan view for them; one whose cut crossed
+    a bucket opens views over the crossed buckets alone (parent: a view
+    per matched series per panel over every kept bucket, 300 a wall)."""
+    inner, caching, end = stack
+    refresher = IncrementalRefresher(caching)
+    refresher.run_many(_dashboard(0, end))
+    end += MINUTE  # the first splice counts from the full run's window
+    caching.put_batch(_minute(end, METRICS, NODES))
+    refresher.run_many(_dashboard(0, end))
+    views: list[tuple[int, int]] = []
+    real = SeriesStore.scan
+
+    def scan(series, lo=None, hi=None):
+        views.append((lo, hi))
+        return real(series, lo, hi)
+
+    monkeypatch.setattr(SeriesStore, "scan", scan)
+
+    def cut(q: Query, last: int) -> int:
+        width = q.parsed_downsample().width
+        return (last + 1) // width * width
+
+    for crossed in (True, False):
+        last, end = end, end + MINUTE
+        caching.put_batch(_minute(end, METRICS, NODES))
+        views.clear()
+        got = refresher.run_many(_dashboard(0, end))
+        seen = list(views)
+        assert _reply(got) == _reply(inner.run_many(_dashboard(0, end)))
+        # the tails' covering scans: one view per series, to the end
+        assert sum(hi == end for _, hi in seen) == SERIES
+        kept = Counter(view for view in seen if view[1] != end)
+        want: Counter = Counter()
+        for q in _dashboard(0, end):
+            was, now = cut(q, last - MINUTE), cut(q, last)
+            assert (was != now) == crossed  # 21 600 s: both grids at once
+            if was != now:
+                want[was, now - 1] += len(NODES)
+        assert kept == want
 
 
 def test_a_cache_only_panel_runs_nothing(stack, monkeypatch):
     inner, caching, end = stack
     refresher = IncrementalRefresher(caching)
     raw = Query(METRICS[0], 0, end, tags=CITY)
-    refresher.run(raw)
+    first = refresher.run(raw)
+    caching.cache.clear()  # the result cache forgot the answer; the panel not
     counts = _Counts(monkeypatch)
     again = refresher.run(raw)
     assert counts.planned == [] and counts.cache_batches == []
-    assert again.scanned_points == 0
+    # a fresh run's count, read off the panel state (parent: 0, the
+    # delta's)
+    assert again.scanned_points == first.scanned_points
     assert refresher.stats.cache_only_runs == 1
     assert refresher.stats.batches == 2 and refresher.stats.delta_queries == 0
-    assert _series_of([again]) == _series_of([inner.run(raw)])
+    assert _reply([again]) == _reply([inner.run(raw)])
 
 
 def test_a_cached_plain_request_reads_one_counter_per_metric(stack, monkeypatch):
@@ -309,7 +378,7 @@ def test_a_write_sends_only_its_metrics_panels_to_the_series(stack, monkeypatch)
     a_series = set(inner.series_for_metric(written))
     assert set(counts.resolved) <= a_series
     assert set(counts.generations) <= a_series
-    assert _series_of(again) == _series_of(inner.run_many(queries))
+    assert _reply(again) == _reply(inner.run_many(queries))
 
 
 def test_another_citys_write_still_hits_through_the_fallback(stack, monkeypatch):
@@ -347,38 +416,40 @@ def test_an_append_only_refresh_reads_no_series_reshape_counter(stack, monkeypat
         # both brackets hold on the metric's reshape counter: one read
         # per metric before the deltas, one after (per-series validation: 600
         # reshape reads, 300 of them to build a tuple nobody kept); the
-        # write counter is read once per metric, before: the quiet check
+        # write counter is read once per metric on each side too: the
+        # result-cache look-up and the quiet check before, the inserts
+        # after
         assert counts.reshapes == {}
         assert counts.counters == Counter(
             {**{("reshape", m): 2 for m in METRICS},
-             **{("write", m): 1 for m in METRICS}})
-        assert _series_of(got) == _series_of(inner.run_many(_dashboard(0, end)))
+             **{("write", m): 2 for m in METRICS}})
+        assert _reply(got) == _reply(inner.run_many(_dashboard(0, end)))
 
 
-def test_refreshes_leave_the_result_cache_to_plain_requests(stack):
-    """At the parent every delta was inserted under a ``(cut, end)`` key
-    no later request can equal: eleven refreshes evicted every entry the
-    plain dashboards were being served from."""
-    _, caching, end = stack
+def test_a_live_refresh_caches_its_answers_and_no_edge(stack, monkeypatch):
+    """Every answer enters the result cache under its own window, so a
+    second client asking the same live wall is served by look-ups; no
+    edge does (an older parent inserted every delta under a ``(cut,
+    end)`` key no request can equal)."""
+    inner, caching, end = stack
     refresher = IncrementalRefresher(caching)
-    plain = _dashboard(0, end, METRICS[:2])  # six panels, cached
-    live = METRICS[2:]  # the refreshed panels' metrics: what gets written
-    first = caching.run_many(plain)
-    refresher.run_many(_dashboard(0, end, live))
-    assert len(caching.cache) == 12
-    misses = caching.cache.stats.misses
-    for _ in range(20):
+    refresher.run_many(_dashboard(0, end))
+    counts = _Counts(monkeypatch)
+    for i in range(1, 4):
         end += MINUTE
-        caching.put_batch(_minute(end, live, NODES))
-        refresher.run_many(_dashboard(0, end, live))
-    assert refresher.stats.incremental_runs == 20 * 6
-    assert len(caching.cache) == 12
-    assert caching.cache.stats.misses == misses
-    assert caching.cache.stats.evicted == 0
-    hits = caching.cache.stats.hits
-    again = caching.run_many(plain)
-    assert caching.cache.stats.hits == hits + 6
-    assert all(a.series is b.series for a, b in zip(first, again))
+        caching.put_batch(_minute(end, METRICS, NODES))
+        counts.reset()
+        got = refresher.run_many(_dashboard(0, end))
+        assert counts.planned == [12] and counts.inserts == 12
+        assert caching.cache.stats.spliced == 12 * i
+        counts.reset()
+        again = refresher.run_many(_dashboard(0, end))  # a second client
+        assert counts.planned == [] and counts.inserts == 0
+        assert all(a.series is b.series for a, b in zip(got, again))
+        assert caching.cache.stats.hits == 12 * i
+    assert len(caching.cache) == 12 * 4
+    assert refresher.stats.incremental_runs == 12 * 3
+    assert _reply(again) == _reply(inner.run_many(_dashboard(0, end)))
 
 
 class _Aligned:
@@ -413,7 +484,7 @@ def test_a_moved_plain_wall_plans_its_edges_only(stack, monkeypatch):
     # a first plain request: one batch, one alignment per filter
     aligned = _Aligned(monkeypatch)
     counts = _Counts(monkeypatch)
-    refresher.run_many(_dashboard(0, end), plain=True)
+    refresher.run_many(_dashboard(0, end))
     assert counts.planned == [12] and counts.inserts == 12
     assert aligned.calls == len(METRICS)
     assert caching.cache.stats.misses == 12 and caching.cache.stats.spliced == 0
@@ -424,18 +495,17 @@ def test_a_moved_plain_wall_plans_its_edges_only(stack, monkeypatch):
     moved = _dashboard(MINUTE, end)
     aligned.calls = aligned.points = 0
     counts.reset()
-    got = refresher.run_many(moved, plain=True)
+    got = refresher.run_many(moved)
     assert len(counts.planned) == 1 and counts.cache_batches == []
     assert 0 < aligned.points <= sum(_edge_points(inner, q) for q in moved)
     assert caching.cache.stats.spliced == 12 and counts.inserts == 12
-    assert (wire.encode_response_json(got)
-            == wire.encode_response_json(inner.run_many(moved)))
-    assert refresher.stats.batches == 0  # plain requests are not refreshes
+    assert _reply(got) == _reply(inner.run_many(moved))
+    assert refresher.stats.batches == 2  # every request is one
 
     # the identical request: a result-cache hit, the same series objects,
     # one write counter read per metric and no series resolved
     counts.reset()
-    again = refresher.run_many(moved, plain=True)
+    again = refresher.run_many(moved)
     assert counts.planned == [] and counts.inserts == 0
     assert counts.resolved == {} and counts.reshapes == {}
     assert counts.counters == Counter({("write", m): 1 for m in METRICS})
@@ -446,7 +516,7 @@ def test_a_moved_plain_wall_plans_its_edges_only(stack, monkeypatch):
 def test_a_quiet_moved_plain_wall_plans_its_heads_only(stack, monkeypatch):
     inner, caching, end = stack
     refresher = IncrementalRefresher(caching)
-    refresher.run_many(_dashboard(0, end), plain=True)
+    refresher.run_many(_dashboard(0, end))
     counts = _Counts(monkeypatch)
     edges: list[list[Query]] = []
     real = CachingStore._run_uncached_batch
@@ -461,7 +531,7 @@ def test_a_quiet_moved_plain_wall_plans_its_heads_only(stack, monkeypatch):
         moved = _dashboard(j * MINUTE, end)
         counts.reset()
         edges.clear()
-        got = refresher.run_many(moved, plain=True)
+        got = refresher.run_many(moved)
         # one planned batch of twelve heads and no tail (parent: 24
         # edges, a head and a tail per panel)
         assert counts.planned == [12]
@@ -469,21 +539,20 @@ def test_a_quiet_moved_plain_wall_plans_its_heads_only(stack, monkeypatch):
         # no boundary read (parent: 300 series_latest reads, 25 per panel)
         assert counts.latest == {}
         assert caching.cache.stats.spliced == 12 * j and counts.inserts == 12
-        assert (wire.encode_response_json(got)
-                == wire.encode_response_json(inner.run_many(moved)))
+        assert _reply(got) == _reply(inner.run_many(moved))
 
 
 def test_a_plain_wall_moved_inside_its_buckets_counts_no_kept_points(
         stack, monkeypatch):
     inner, caching, end = stack
     refresher = IncrementalRefresher(caching)
-    refresher.run_many(_dashboard(0, end), plain=True)
-    refresher.run_many(_dashboard(MINUTE, end), plain=True)  # scans the heads
+    refresher.run_many(_dashboard(0, end))
+    refresher.run_many(_dashboard(MINUTE, end))  # scans the heads
     counts = _Counts(monkeypatch)
     for j in range(2, 5):
         moved = _dashboard(j * MINUTE, end)
         counts.reset()
-        got = refresher.run_many(moved, plain=True)
+        got = refresher.run_many(moved)
         # one planned batch of twelve heads, and no scan view but their
         # covering scans: the kept buckets' points are the held answer's
         # less the last head's (before: 400 views, 300 of them to count
@@ -491,8 +560,7 @@ def test_a_plain_wall_moved_inside_its_buckets_counts_no_kept_points(
         assert counts.planned == [12] and counts.cache_batches == []
         assert counts.views == SERIES
         assert counts.latest == {} and counts.inserts == 12
-        assert (wire.encode_response_json(got)
-                == wire.encode_response_json(inner.run_many(moved)))
+        assert _reply(got) == _reply(inner.run_many(moved))
 
 
 def test_a_quiet_refresh_of_an_unchanged_window_is_cache_only(stack, monkeypatch):
@@ -500,27 +568,31 @@ def test_a_quiet_refresh_of_an_unchanged_window_is_cache_only(stack, monkeypatch
     refresher = IncrementalRefresher(caching)
     queries = _dashboard(0, end)
     first = refresher.run_many(queries)
+    caching.cache.clear()  # the result cache forgot the wall; its panels not
     counts = _Counts(monkeypatch)
     again = refresher.run_many(queries)
     # nothing written: every panel is answered from its held state, the
     # same series objects, so a holding client is answered *not
-    # modified* (parent: 12 tail queries over the last buckets)
+    # modified* (an older parent: 12 tail queries over the last buckets)
     assert counts.planned == [] and counts.cache_batches == []
     assert refresher.stats.delta_queries == 0
     assert refresher.stats.cache_only_runs == 12
     assert all(a.series is b.series for a, b in zip(first, again))
     assert counts.latest == {} and counts.resolved == {}
-    assert sum(r.scanned_points for r in again) == 0
+    # fresh runs' counts, read off the panel state (parent: 0, the deltas')
+    assert [r.scanned_points for r in again] == [
+        r.scanned_points for r in first]
 
     # a write under one metric: its three panels take the boundary path
-    # (a tail each), the other nine stay cache-only
+    # (a tail each), the other nine hit what the cache-only runs inserted
     written = METRICS[0]
     caching.put_batch(_minute(end + MINUTE, (written,), NODES))
     counts.reset()
     third = refresher.run_many(queries)
     assert counts.planned == [3] and refresher.stats.delta_queries == 3
-    assert refresher.stats.cache_only_runs == 12 + 9
+    assert refresher.stats.cache_only_runs == 12
+    assert caching.cache.stats.hits == 9
     for q, a, b in zip(queries, again, third):
         assert (a.series is b.series) == (q.metric != written)
     assert set(counts.latest) == set(inner._match(written, CITY))
-    assert _series_of(third) == _series_of(inner.run_many(queries))
+    assert _reply(third) == _reply(inner.run_many(queries))

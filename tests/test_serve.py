@@ -6,10 +6,10 @@ Three correctness contracts, in increasing integration order:
   to uncached ``run_many`` and invalidation is exact: a write to a
   matched series (on any shard) drops precisely the entries it can
   affect, a raced write is never stamped fresh;
-- :class:`~repro.serve.refresh.IncrementalRefresher` output equals a
-  full re-scan under arbitrary interleavings of appends and window
-  slides (hypothesis), while actually taking the incremental path in
-  steady state;
+- :class:`~repro.serve.refresh.IncrementalRefresher` output is
+  byte-identical to a full re-scan, ``scannedPoints`` included, under
+  arbitrary interleavings of appends and window slides (hypothesis),
+  while actually taking the incremental path in steady state;
 - the asyncio :class:`~repro.serve.server.QueryServer` serves N
   concurrent clients the same bytes the store produces, survives
   malformed requests without dropping the connection, and applies
@@ -44,6 +44,7 @@ from repro.serve import (
     TenantPolicy,
 )
 from repro.serve.cache import (
+    HELD_PANELS,
     ResultCache,
     cached_series_tag,
     entry_tail,
@@ -64,17 +65,6 @@ def _seeded(store, n=12, nodes="ab"):
 def _same_bytes(a, b):
     """Results are interchangeable iff their wire encodings are equal."""
     return wire.encode_response_json([a]) == wire.encode_response_json([b])
-
-
-def _same_series(a, b):
-    """Series-content equality through the wire encoding.
-
-    ``scannedPoints`` is excluded: an incremental refresh honestly
-    reports only the points its delta scanned — the *series* are what
-    is guaranteed byte-identical.
-    """
-    return (wire.encode_response([a])["results"][0]["series"]
-            == wire.encode_response([b])["results"][0]["series"])
 
 
 @pytest.fixture(params=["single", "sharded"])
@@ -192,7 +182,7 @@ class TestCachingStore:
 class TestIncrementalRefresher:
     def test_steady_state_takes_incremental_path(self):
         db = _seeded(TSDB())
-        refresher = IncrementalRefresher(db)
+        refresher = IncrementalRefresher(CachingStore(db))
         q1 = Query("air.co2.ppm", 0, 4000, downsample="10m-avg")
         full = refresher.run(q1)
         db.put("air.co2.ppm", 4500, 500.0, {"node": "a", "city": "trondheim"})
@@ -200,32 +190,37 @@ class TestIncrementalRefresher:
         inc = refresher.run(q2)
         assert refresher.stats.full_runs == 1
         assert refresher.stats.incremental_runs == 1
-        assert inc.scanned_points < full.scanned_points
-        assert _same_series(inc, db.run_many([q2])[0])
+        # a fresh run's count over the grown window, not the delta's
+        assert inc.scanned_points == full.scanned_points + 1
+        assert _same_bytes(inc, db.run_many([q2])[0])
 
     def test_unchanged_window_is_cache_only(self):
         db = _seeded(TSDB())
-        refresher = IncrementalRefresher(db)
+        caching = CachingStore(db)
+        refresher = IncrementalRefresher(caching)
         # end == the newest point: everything in-window is final history
         q = Query("air.co2.ppm", 0, 3300)
         first = refresher.run(q)
+        assert refresher.run(q) is first  # an exact repeat: a cache hit
+        caching.cache.clear()  # the result cache forgot it; the panel not
         second = refresher.run(q)
         assert refresher.stats.cache_only_runs == 1
-        assert second.scanned_points == 0
-        assert _same_series(first, second)
+        assert second.series is first.series
+        # a fresh run's count, off the panel state
+        assert second.scanned_points == first.scanned_points
+        assert _same_bytes(first, second)
 
     def test_rate_always_runs_full(self):
         db = _seeded(TSDB())
-        refresher = IncrementalRefresher(db)
-        q = Query("air.co2.ppm", 0, 4000, rate=True)
-        refresher.run(q)
-        refresher.run(q)
+        refresher = IncrementalRefresher(CachingStore(db))
+        refresher.run(Query("air.co2.ppm", 0, 4000, rate=True))
+        refresher.run(Query("air.co2.ppm", 0, 5000, rate=True))
         assert refresher.stats.full_runs == 2
         assert refresher.stats.incremental_runs == 0
 
     def test_out_of_order_write_invalidates(self):
         db = _seeded(TSDB())
-        refresher = IncrementalRefresher(db)
+        refresher = IncrementalRefresher(CachingStore(db))
         refresher.run(Query("air.co2.ppm", 0, 4000))
         # Lands *before* the series maximum: history is no longer final.
         db.put("air.co2.ppm", 150, 7.0, {"node": "a", "city": "trondheim"})
@@ -233,15 +228,15 @@ class TestIncrementalRefresher:
         out = refresher.run(q)
         assert refresher.stats.invalidated == 1
         assert refresher.stats.incremental_runs == 0
-        assert _same_series(out, db.run_many([q])[0])
+        assert _same_bytes(out, db.run_many([q])[0])
 
     def test_incremental_run_extends_the_encoded_text(self):
         """Once a reply has named a panel, the next incremental runs are
         answered with a tail, and the held columns spliced with it as
         text are a from-scratch encode; a panel nobody named gets none."""
         db = _seeded(TSDB())
-        refresher = IncrementalRefresher(db)
-        unread = IncrementalRefresher(db)
+        refresher = IncrementalRefresher(CachingStore(db))
+        unread = IncrementalRefresher(CachingStore(db))
         held = None
         for round_no, end in enumerate((4000, 5000, 6000, 6000, 7000)):
             q = Query("air.co2.ppm", 0, end, downsample="10m-avg",
@@ -279,7 +274,7 @@ class TestIncrementalRefresher:
         db = TSDB()
         for node in "ab":
             db.put("m", 12, 1.0, {"node": node})
-        refresher = IncrementalRefresher(db)
+        refresher = IncrementalRefresher(CachingStore(db))
         for agg in ("avg", "sum"):
             refresher.run(Query("m", 0, 20, aggregator=agg))
         db.put("m", 15, -0.0, {"node": "a"})
@@ -301,7 +296,7 @@ class TestIncrementalRefresher:
         for t in (10, 20):
             for node, v in zip(nodes, 10.0 ** rng.uniform(-3, 8, 25)):
                 db.put("m", t, v, {"node": node})
-        refresher = IncrementalRefresher(db)
+        refresher = IncrementalRefresher(CachingStore(db))
         for agg in ("avg", "sum", "dev"):
             refresher.run(Query("m", 0, 20, aggregator=agg))
         for _ in range(20):  # enough draws that regrouping moves an ulp
@@ -311,7 +306,7 @@ class TestIncrementalRefresher:
             for agg in ("avg", "sum", "dev"):
                 q = Query("m", 0, t + 5, aggregator=agg)
                 got, want = refresher.run(q), db.run(q)
-                assert _same_series(got, want)
+                assert _same_bytes(got, want)
         assert refresher.stats.incremental_runs == 60
 
     @settings(max_examples=60, deadline=None)
@@ -320,7 +315,7 @@ class TestIncrementalRefresher:
         """Any append/slide interleaving: refresher ≡ fresh run_many —
         including a start slid off the bucket grid (the head rule)."""
         db = TSDB()
-        refresher = IncrementalRefresher(db)
+        refresher = IncrementalRefresher(CachingStore(db))
         agg = data.draw(st.sampled_from(("avg", "count", "max", "dev")))
         downsample = data.draw(
             st.sampled_from((None, "10s-avg", "10s-avg-zero", "10s-count")))
@@ -341,7 +336,7 @@ class TestIncrementalRefresher:
                       downsample=downsample, group_by=group_by)
             got = refresher.run(q)
             want = db.run_many([q])[0]
-            assert _same_series(got, want)
+            assert _same_bytes(got, want)
 
 
 # -- live-server integration ------------------------------------------------
@@ -406,10 +401,10 @@ def _raw_exchange(address, *lines):
     return [json.loads(reply) for reply in _raw_lines(address, *lines)]
 
 
-def _decoded(client, queries, *, refresh=False):
+def _decoded(client, queries):
     """One request's reply through the client-side decoder (an in-band
     error raises :class:`~repro.tsdb.wire.RemoteQueryError`)."""
-    return wire.decode_response(client.request(queries, refresh=refresh))
+    return wire.decode_response(client.request(queries))
 
 
 def _catalog(client, op, **kwargs):
@@ -466,8 +461,8 @@ class TestQueryServer:
     def test_malformed_lines_keep_connection_usable(self, store):
         request = wire.encode_request([Query("air.co2.ppm", 0, 4000)])
         good = json.dumps({**request, "id": 7}) + "\n"
-        # envelope fields are checked, not coerced: each of these used
-        # to turn the refresh path *on*
+        # envelope fields are checked, not coerced, though a well-formed
+        # ``refresh`` is ignored
         bad_refresh = [json.dumps({**request, "refresh": value}) + "\n"
                        for value in ("false", "no", [0], 1, None)]
         bad_held = [json.dumps({**request, "held": value}) + "\n"
@@ -502,10 +497,11 @@ class TestQueryServer:
         assert all("results" in r for r in served)
         assert [len(r.get("validators", ())) for r in served] == [1, 1, 0]
         assert served[2]["id"] == 7
-        # only the one that asked is a refresh; the plain request before
-        # it left the panel state it is answered from
-        assert stats["refresh"]["batches"] == 1
-        assert stats["refresh"]["full_runs"] == 0
+        # three requests run, one path: the first misses and runs in
+        # full, the other two hit the result cache whatever they say
+        assert stats["refresh"]["batches"] == 3
+        assert stats["refresh"]["full_runs"] == 1
+        assert stats["cache"]["hits"] == 2
 
     def test_store_fault_answers_internal_error(self):
         class ExplodingStore(TSDB):
@@ -546,19 +542,57 @@ class TestQueryServer:
             main(["serve", "--backpressure", "spill"])
 
     def test_refresh_flag_routes_through_refresher(self, store):
+        """Every request runs the refresher's one path: a v2 request that
+        still says ``"refresh": true`` gets the bytes the same request
+        without it gets, spliced or not (at the parent a refresh reply's
+        ``scannedPoints`` counted only what its delta scanned)."""
         q = Query("air.co2.ppm", 0, 4000, downsample="10m-avg")
-        want = store.run_many([q])[0]
+        grown = wire.encode_request(
+            [Query("air.co2.ppm", 0, 5000, downsample="10m-avg")])
+        request = wire.encode_request([q])
         with live_server(store) as server:
-            with QueryClient(*server.address) as client:
-                first = _decoded(client, [q], refresh=True)
-                second = _decoded(client, [q], refresh=True)
-            stats = server.stats()
-        assert stats["refresh"]["full_runs"] == 1
-        assert (stats["refresh"]["incremental_runs"]
-                + stats["refresh"]["cache_only_runs"]) == 1
-        for decoded in (first[0], second[0]):
-            assert list(decoded.series[0].values) == \
-                list(want.series[0].slice.values)
+            assert len(set(_raw_lines(server.address, *(
+                json.dumps({**request, "refresh": flag}) + "\n"
+                for flag in (True, False))))) == 1
+            store.put("air.co2.ppm", 4500, 500.0,
+                      {"node": "a", "city": "trondheim"})
+            replies = []
+            for flag in (True, False):
+                server.caching.cache.clear()  # answered from panel state
+                replies += _raw_lines(
+                    server.address,
+                    json.dumps({**grown, "refresh": flag}) + "\n")
+            stats = server.stats()["refresh"]
+        want = json.dumps(wire.handle_request(store, grown)).encode() + b"\n"
+        assert replies == [want, want]
+        assert (stats["full_runs"], stats["incremental_runs"],
+                stats["cache_only_runs"]) == (1, 1, 1)
+
+    def test_plain_requests_report_their_panel_state_work(self, store):
+        """``stats()["refresh"]`` counts the panel-state work of every
+        request (at the parent a request without ``refresh`` counted it
+        nowhere: all of these read 0)."""
+        def panel(end, width=600):
+            return Query("air.co2.ppm", 0, end, downsample=f"{width}s-avg")
+
+        with live_server(store) as server, \
+                QueryClient(*server.address) as client:
+            client.request([panel(4000)])  # seeds the panel state
+            store.put("air.co2.ppm", 4500, 500.0,
+                      {"node": "a", "city": "trondheim"})
+            client.request([panel(5000)])  # spliced
+            # out of order: the held buckets are no longer final
+            store.put("air.co2.ppm", 150, 7.0,
+                      {"node": "a", "city": "trondheim"})
+            client.request([panel(6000)])
+            # one shape past what the panel table holds
+            client.request([panel(4000, width)
+                            for width in range(1, HELD_PANELS + 2)])
+            stats = server.stats()["refresh"]
+        assert stats["incremental_runs"] == 1
+        assert stats["invalidated"] == 1
+        assert stats["evicted"] == 2
+        assert stats["batches"] == 4
 
     def test_client_remote_error_not_retried(self, store):
         with live_server(store) as server:
@@ -580,7 +614,7 @@ class TestQueryServer:
             client.request([Query("m", 0, 1)])
 
 
-def _bad_version_request(self, queries, *, refresh=False):
+def _bad_version_request(self, queries):
     """A client whose wire version drifted: server must answer in-band."""
     envelope = wire.encode_request(queries)
     envelope["version"] = 99
@@ -884,8 +918,8 @@ class TestReplyPath:
         assert stats["requests"] == 2 and stats["errors"] == 1
 
     def test_refresh_serves_expression_panels(self, store):
-        """``refresh=True`` used to hand ``ExprQuery`` panels to
-        ``IncrementalRefresher.run`` and answer ``InternalError``."""
+        """The refresher once handed ``ExprQuery`` panels to
+        ``IncrementalRefresher.run`` and answered ``InternalError``."""
         def panels(end):
             a = Query("air.co2.ppm", 0, end, tags={"node": "a"},
                       downsample="10m-avg")
@@ -898,11 +932,11 @@ class TestReplyPath:
         with live_server(store) as server:
             with QueryClient(*server.address) as c:
                 for end in (4000, 5000, 6000):
-                    refreshed = c.request(panels(end), refresh=True)
+                    refreshed = c.request(panels(end))
+                    refreshed.pop("id")
                     assert refreshed["results"][0]["expr"] == "a - b"
-                    assert series(refreshed) == series(c.request(panels(end)))
-                    assert series(refreshed) == series(
-                        wire.encode_response(store.run_many(panels(end))))
+                    assert refreshed == wire.encode_response(
+                        store.run_many(panels(end)))
                     store.put("air.co2.ppm", end + 100, 450.0,
                               {"node": "a", "city": "trondheim"})
             refresh = server.stats()["refresh"]
@@ -992,10 +1026,9 @@ def _wall_panels(start, end):
 @given(data=st.data())
 def test_property_reply_lines_equal_dumps_of_the_dict_codec(make_store, data):
     """Every reply line is the bytes ``json.dumps`` of the dict codec
-    gives on the innermost store — hits, misses, refreshes, expressions
+    gives on the innermost store — hits, misses, splices, expressions
     and errors — whatever was written, deleted, evicted or slid between
-    requests.  A refreshed reply reports the delta's ``scannedPoints``
-    by design, so those are read from the reply before comparing."""
+    requests, with or without the ignored ``refresh`` field."""
     inner = make_store()
     draw = data.draw
     now, nodes, window, picks, last = 0, ["a", "b"], (0, 0), [], None
@@ -1009,10 +1042,6 @@ def test_property_reply_lines_equal_dumps_of_the_dict_codec(make_store, data):
         sock.sendall(json.dumps(envelope).encode() + b"\n")
         line = file.readline()
         want = wire.handle_request(inner, payload)
-        if refresh and "results" in want:
-            for ours, theirs in zip(want["results"],
-                                    json.loads(line)["results"]):
-                ours["scannedPoints"] = theirs["scannedPoints"]
         if request_id is not _ABSENT and request_id is not None:
             want = {**want, "id": request_id}
         assert line == json.dumps(want, allow_nan=False).encode() + b"\n"
@@ -1104,7 +1133,8 @@ class TestSeriesTagLifetime:
 
     def test_tag_dies_with_its_panel_state(self):
         db = _seeded(TSDB())
-        refresher = IncrementalRefresher(db)
+        # a result cache of one: it holds no answer the panel state lets go
+        refresher = IncrementalRefresher(CachingStore(db, capacity=1))
         refs = []
         for end in (4000, 5000, 6000):  # full, then two incremental runs
             q = Query("air.co2.ppm", 0, end, downsample="10m-avg",

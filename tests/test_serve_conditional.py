@@ -58,25 +58,20 @@ from test_serve import _VALUES, _raw_lines, _wall_panels, live_server
 from test_tsdb_wire import bits
 
 
-def _reference(inner, queries, got, refresh):
+def _reference(inner, queries):
     """The reply a raw-socket client would have parsed, ``id`` aside:
-    the dict codec on the innermost store, with a refreshed reply's
-    ``scannedPoints`` (the delta's, by design) read from ``got``."""
-    want = wire.handle_request(inner, wire.encode_request(queries))
-    if refresh and "results" in want:
-        for ours, theirs in zip(want["results"], got["results"]):
-            ours["scannedPoints"] = theirs["scannedPoints"]
-    return want
+    the dict codec on the innermost store."""
+    return wire.handle_request(inner, wire.encode_request(queries))
 
 
-def _same_decoded(got, want, *, scanned: bool):
-    """Decoded results ``got`` are the store's results ``want``: labels,
-    and both columns bit for bit (−0.0 and ±inf included, NaN canonical)."""
+def _same_decoded(got, want):
+    """Decoded results ``got`` are the store's results ``want``: counts,
+    labels, and both columns bit for bit (−0.0 and ±inf included, NaN
+    canonical)."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.expr == (w.expr.formula if isinstance(w, ExprResult) else None)
-        if scanned:
-            assert g.scanned_points == w.scanned_points
+        assert g.scanned_points == w.scanned_points
         assert len(g.series) == len(w.series)
         for a, b in zip(g.series, w.series):
             assert (a.metric, a.tags) == (b.metric, b.group_tags)
@@ -107,8 +102,9 @@ def _make_inner(layout, draw):
 # -- equivalence ------------------------------------------------------------
 
 #: The op grammar of the raw-socket property test, and its steady state
-#: alone (append, ask again with ``refresh``) — where the tail is the
-#: common answer rather than one in forty.
+#: alone (append, ask again) — where the tail is the common answer rather
+#: than one in forty.  Each request draws whether it still sends the
+#: ignored ``refresh`` field.
 _OPS = {
     "everything": (("append",) * 4 + ("request",) * 6
                    + ("late", "retention", "churn", "repeat"),
@@ -141,7 +137,7 @@ def test_property_holding_clients_return_the_dict_codec(layout, mix, data):
                 client.close()
             got = client.request(queries, refresh=refresh)
             assert got.pop("id") == client._next_id
-            want = _reference(inner, queries, got, refresh)
+            want = _reference(inner, queries)
             assert got == want, name
             assert (json.dumps(got, allow_nan=False)
                     == json.dumps(want, allow_nan=False)), name
@@ -152,7 +148,7 @@ def test_property_holding_clients_return_the_dict_codec(layout, mix, data):
         else:
             _same_decoded(
                 wire.decode_response(decoding.request(queries, refresh=refresh)),
-                inner.run_many(queries), scanned=not refresh)
+                inner.run_many(queries))
 
     with _stack(inner) as stack, \
             live_server(stack, cache_capacity=3) as server:
@@ -370,8 +366,7 @@ class TestCosts:
             assert json.loads(raw) == second
 
             # the reply put back together decodes to the store's results
-            _same_decoded(wire.decode_response(second),
-                          inner.run_many(queries), scanned=True)
+            _same_decoded(wire.decode_response(second), inner.run_many(queries))
 
     def test_grown_dashboard_costs_its_tail(self, history, monkeypatch):
         inner = ShardedTSDB(4)
@@ -381,9 +376,9 @@ class TestCosts:
         with live_server(inner) as server, \
                 QueryClient(*server.address) as client:
             tap = client._file = _Tap(client._file)
-            client.request(_dashboard(0, end), refresh=True)
+            client.request(_dashboard(0, end))
             full_line = tap.lines[-1]
-            held = client.request(_dashboard(0, end), refresh=True)
+            held = client.request(_dashboard(0, end))
             assert tap.lines[-1].count(b'"notModified": true') == 12
 
             # one more minute, for one node of one metric
@@ -391,7 +386,7 @@ class TestCosts:
             inner.put_batch(_minute(end, METRICS[:1], NODES[:1]))
             costs.reset()
             before = server.stats()
-            grown = client.request(_dashboard(0, end), refresh=True)
+            grown = client.request(_dashboard(0, end))
             line = tap.lines[-1]
             after = server.stats()
             assert len(line) < 0.05 * len(full_line)
@@ -405,7 +400,7 @@ class TestCosts:
             assert costs.series_encoded == 1 + 1 + len(NODES)
             assert costs.decodes == 0
 
-            want = _reference(inner, _dashboard(0, end), grown, True)
+            want = _reference(inner, _dashboard(0, end))
             assert grown.pop("id") and grown == want
             assert json.dumps(grown) == json.dumps(want)
             # new series dicts for the three panels that came as a tail,
@@ -431,9 +426,8 @@ class TestCosts:
             end += MINUTE
             inner.put_batch(_minute(end))
             decoded = wire.decode_response(
-                client.request(_dashboard(0, end), refresh=True))
-            _same_decoded(decoded, inner.run_many(_dashboard(0, end)),
-                          scanned=False)
+                client.request(_dashboard(0, end)))
+            _same_decoded(decoded, inner.run_many(_dashboard(0, end)))
 
     def test_a_cold_reply_costs_no_call_per_point(self, history):
         """Encoding a cold 12-panel reply makes the same calls over a
@@ -671,7 +665,7 @@ def test_refresher_panel_table_evicts_the_least_recently_refreshed():
     def shape(i, end):
         return Query(f"m{i}", 0, end)
 
-    refresher = IncrementalRefresher(db)
+    refresher = IncrementalRefresher(CachingStore(db))
     for i in range(257):
         refresher.run(shape(i, 200))
     assert refresher.stats.full_runs == 257
@@ -679,10 +673,10 @@ def test_refresher_panel_table_evicts_the_least_recently_refreshed():
     db.put("m256", 180, 21.0, {"node": "a"})
     newest = refresher.run(shape(256, 300))
     assert refresher.stats.incremental_runs == 1
-    assert newest.scanned_points == 1  # the delta, not the window
-    assert (wire.encode_response([newest])["results"][0]["series"]
-            == wire.encode_response(
-                [db.run(shape(256, 300))])["results"][0]["series"])
+    # a fresh run's count: the window's four points, not the delta's one
+    assert newest.scanned_points == 4
+    assert (wire.encode_response([newest])
+            == wire.encode_response([db.run(shape(256, 300))]))
     refresher.run(shape(1, 300))  # still remembered ...
     assert refresher.stats.incremental_runs == 2
     refresher.run(shape(0, 300))  # ... the oldest was not
@@ -703,9 +697,9 @@ def _refreshed(refresher, panels, *, one_at_a_time: bool):
 def _assert_refresh_is_exact(inner, refresher, panels, *, one_at_a_time=False,
                              holds=None):
     """The refreshed reply, encoded the way the server encodes it, is
-    the dict codec on the innermost store — as a dict and as bytes
-    (``scannedPoints`` aside: a refresh reports the delta's) — and every
-    entry's validator is that of a from-scratch result.  With ``holds``
+    the dict codec on the innermost store — as a dict and as bytes,
+    ``scannedPoints`` included — and every entry's validator is that of
+    a from-scratch result.  With ``holds``
     (panel shape → validator and series, carried between calls) the
     reply is the one a holding client gets, put back together the way
     :class:`QueryClient` does it: held series, or held columns spliced
@@ -739,8 +733,6 @@ def _assert_refresh_is_exact(inner, refresher, panels, *, one_at_a_time=False,
     if holds is not None:
         for shape, validator, entry in zip(shapes, validators, got["results"]):
             holds[shape] = (validator, entry["series"])
-    for ours, theirs in zip(fresh["results"], got["results"]):
-        ours["scannedPoints"] = theirs["scannedPoints"]
     assert got == fresh
     assert (json.dumps(got, allow_nan=False)
             == json.dumps(fresh, allow_nan=False))

@@ -1,9 +1,9 @@
-"""The plain splice path: a plain request whose window moved is answered
-from held buckets plus head and tail edges, and nobody can tell.
+"""The splice path: a request whose window moved is answered from held
+buckets plus head and tail edges, and nobody can tell.
 
 - **equivalence** (hypothesis, over ``TSDB`` and ``ShardedTSDB(1/2/4/7)``
   under ``CachingStore(DurableStore(ReplicatedStore(·)))``, driven
-  through the server's plain path): whatever window the next request
+  through the server's one request path): whatever window the next request
   names — moved forward, backward, off the bucket grid, shrunk, or two
   windows of one panel shape in one request, expression panels
   included — and whatever was appended, written late, deleted or
@@ -12,7 +12,10 @@ from held buckets plus head and tail edges, and nobody can tell.
   of requests with nothing written between them are drawn explicitly,
   so *quiet* panels (held buckets kept to the held end) run on every
   layout, and so is one window asked before and after an append inside
-  it, which a quiet panel must not be taken for;
+  it, which a quiet panel must not be taken for, and live rounds — the
+  start fixed, a write, the end moved to it, ask again — whose cuts
+  cross the bucket grid, so the kept points counted off the panel state
+  are checked against a fresh run's;
 - **a write racing a quiet splice**: an append past the boundary or a
   late point, landed inside the request's bracket, leaves a reply that
   a fresh run gives on one side of the write, keeps the raced splice
@@ -24,7 +27,6 @@ from held buckets plus head and tail edges, and nobody can tell.
   rounds, are each answered what the innermost store answers.
 """
 
-import json
 import threading
 from dataclasses import replace
 
@@ -82,7 +84,7 @@ def _slide(draw, window, now):
 def _plain(server, queries) -> bytes | dict:
     """What the server's executor answers a plain request with."""
     payload = wire.encode_request(queries)
-    return server._execute(_Job(payload, False, None, None, "public", None, None))
+    return server._execute(_Job(payload, None, None, "public", None, None))
 
 
 def _inner_reply(inner, queries) -> bytes | dict:
@@ -121,7 +123,7 @@ def test_property_plain_replies_are_the_inner_stores(layout, data):
         for _ in range(draw(st.integers(3, 25))):
             op = draw(st.sampled_from(
                 ("append",) * 4 + ("request",) * 4 + ("quiet",) * 2
-                + ("late", "retention", "churn", "fill")))
+                + ("live",) * 2 + ("late", "retention", "churn", "fill")))
             if op == "append":
                 for _ in range(draw(st.integers(1, 12))):
                     now += draw(st.integers(1, 9))
@@ -155,6 +157,17 @@ def test_property_plain_replies_are_the_inner_stores(layout, data):
             elif op == "quiet":  # a round with nothing written between
                 for _ in range(draw(st.integers(2, 4))):
                     ask()
+            elif op == "live":  # start fixed: write, move the end, ask
+                shapes = draw(st.lists(
+                    st.sampled_from(_SPLICEABLE), min_size=1, max_size=5))
+                for _ in range(draw(st.integers(2, 8))):
+                    now += draw(st.integers(1, 9))
+                    for node in draw(st.lists(st.sampled_from(nodes),
+                                              min_size=1, unique=True)):
+                        stack.put("m", now, draw(_VALUES), {"node": node})
+                    window = (window[0], max(window[1], now))
+                    pool = _panels(*window)
+                    ask([pool[i] for i in shapes])
             else:
                 ask()
 
@@ -179,12 +192,6 @@ def _sliding(start, end):
     ]
 
 
-def _series_only(reply: bytes | dict) -> list:
-    if isinstance(reply, dict):
-        return [reply]
-    return [r["series"] for r in json.loads(reply)["results"]]
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
 @pytest.mark.parametrize("layout", ["single", "sharded"])
 @settings(max_examples=30, deadline=None)
@@ -194,10 +201,8 @@ def test_property_a_sliding_start_is_answered_as_the_inner_store(layout, data):
     points counted off the held answer), onto the bucket grid, across
     it, now and then back — with writes drawn between the moves: an
     append, a late point, a retention delete, a series whose last point
-    lags the start.  Every plain reply
-    is the innermost store's, ``scannedPoints`` included; a ``refresh``
-    request, drawn in between, sharing the panel state, answers its
-    series."""
+    lags the start.  Every reply is the innermost store's,
+    ``scannedPoints`` included."""
     draw = data.draw
     inner = _make_inner(layout, draw)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -220,14 +225,7 @@ def test_property_a_sliding_start_is_answered_as_the_inner_store(layout, data):
 
         def ask():
             queries = _sliding(start, end)
-            if draw(st.integers(0, 4)) == 0:  # a refresh shares the state
-                payload = wire.encode_request(queries)
-                got = server._execute(
-                    _Job(payload, True, None, None, "public", None, None))
-                assert _series_only(got) == _series_only(
-                    _inner_reply(inner, queries))
-            else:
-                assert _plain(server, queries) == _inner_reply(inner, queries)
+            assert _plain(server, queries) == _inner_reply(inner, queries)
 
         ask()
         for _ in range(draw(st.integers(4, 24))):
@@ -312,7 +310,7 @@ def test_a_write_racing_a_quiet_splice(history, make_store, when, write,  # noqa
     with _stack(inner) as stack:
         caching = CachingStore(stack)
         refresher = IncrementalRefresher(caching)
-        refresher.run_many(_dashboard(0, end), plain=True)  # seeds panel state
+        refresher.run_many(_dashboard(0, end))  # seeds panel state
 
         def land():
             pending.clear()
@@ -330,7 +328,7 @@ def test_a_write_racing_a_quiet_splice(history, make_store, when, write,  # noqa
         monkeypatch.setattr(CachingStore, "_run_uncached_batch", uncached)
         moved = _dashboard(MINUTE, end)
         before = _encoded(inner.run_many(moved))
-        got = refresher.run_many(moved, plain=True)
+        got = refresher.run_many(moved)
         after = _encoded(inner.run_many(moved))
         assert before != after  # the write is in the window
         assert batches[0] == _heads(moved)  # a quiet wall: heads, no tail
@@ -354,7 +352,7 @@ def test_a_write_racing_a_quiet_splice(history, make_store, when, write,  # noqa
         # (their counter moved), the late point's were re-seeded after it
         moved = _dashboard(2 * MINUTE, end)
         batches.clear()
-        got = refresher.run_many(moved, plain=True)
+        got = refresher.run_many(moved)
         assert _encoded(got) == _encoded(inner.run_many(moved))
         want = []
         for q, head in zip(moved, _heads(moved)):
@@ -383,7 +381,7 @@ def test_a_lagging_series_caught_up_mid_splice(moved, monkeypatch):
     caching = CachingStore(inner)
     refresher = IncrementalRefresher(caching)
     panel = Query("m", 0, 600, downsample="60s-avg")
-    refresher.run_many([panel], plain=True)  # boundary 200, held end 600
+    refresher.run_many([panel])  # boundary 200, held end 600
     query = {"start": replace(panel, start=330),  # head [330, 359]
              "end": replace(panel, end=660)}[moved]  # tail past the cut
     catch_up = [340, 350, 370, 380] if moved == "start" else [590, 610]
@@ -396,7 +394,7 @@ def test_a_lagging_series_caught_up_mid_splice(moved, monkeypatch):
 
     monkeypatch.setattr(CachingStore, "_run_uncached_batch", uncached)
     before = _encoded(inner.run_many([query]))
-    got = _encoded(refresher.run_many([query], plain=True))
+    got = _encoded(refresher.run_many([query]))
     after = _encoded(inner.run_many([query]))
     assert before != after and got == after
 
