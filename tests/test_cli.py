@@ -33,6 +33,7 @@ class TestParser:
         ["query", "air.co2.ppm", "--start", "0"],
         ["query", "air.co2.ppm", "--end", "10"],
         ["query", "air.co2.ppm", "--tenant", "x"],
+        ["query", "air.co2.ppm", "--start", "0", "--end", "10"],
         ["catalog", "--tenant", "x"],
     ])
     def test_connect_only_flags_refused_locally(self, argv):
