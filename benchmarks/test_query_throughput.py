@@ -243,12 +243,6 @@ def _seed_execute_query(query, matched, scan):
 
 def seed_run(db, query: Query) -> QueryResult:
     """The seed one-shot path, for single or sharded stores."""
-    if isinstance(db, ShardedTSDB):
-        slices = {}
-        for sh in db.shards:
-            for key in sh._match(query.metric, query.tags):
-                slices[key] = sh._stores[key].scan(query.start, query.end)
-        return _seed_execute_query(query, list(slices), slices.__getitem__)
     matched = db._match(query.metric, query.tags)
     return _seed_execute_query(
         query,

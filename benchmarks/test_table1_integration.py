@@ -67,7 +67,7 @@ def test_table1_harmonized_into_one_store(history_ecosystem):
     # Provenance survives harmonization.
     stypes = set()
     for metric in ext_metrics:
-        stypes.update(eco.db.suggest_tag_values(metric, "stype"))
+        stypes.update(eco.db.tag_values(metric, "stype"))
     assert "official_air_quality" in stypes
     assert "traffic_flow" in stypes
 

@@ -31,14 +31,12 @@ the (N+1)-th distinct value of one tag key under one metric with a
 misbehaving ingester (a node id leaking a timestamp into a tag, say)
 fails loudly instead of silently exploding the index.
 
-:class:`MergedCatalog` is the read-only union view over the per-shard
-catalogs of a :class:`~repro.tsdb.sharded.ShardedTSDB`: series are
-disjoint across shards, so every answer is a merge of per-shard
-answers, and :meth:`MergedCatalog.check_add` gives the routing layer a
-store-wide guard check with single-store semantics (a per-shard limit
-would admit up to N values *per shard*).
+A store keeps one catalog, whatever its layout: a
+:class:`~repro.tsdb.sharded.ShardedTSDB` partitions its series' column
+stores, not their index, so every answer, counter and the guard are
+the single store's.
 
-Both catalogs also keep what a read needs of one filter, resolved once
+The catalog also keeps what a read needs of one filter, resolved once
 per series set (:meth:`SeriesCatalog.resolve`): a :class:`Resolution`
 holds the matched keys, their group-by partitions and — filled in by
 the store, through its ``_series`` — their column stores.  It is
@@ -47,8 +45,8 @@ dashboard that re-asks the same filters between series creations
 matches and groups each of them once, not once per panel per request.
 
 Catalog state is never persisted: it is a pure function of the live
-series set, rebuilt deterministically by WAL/snapshot replay (text or
-binary) through the same index/unindex hooks the live process used.
+series set, rebuilt deterministically by WAL/snapshot replay through
+the same index/unindex hooks the live process used.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ from .model import SeriesKey, validate_name
 __all__ = [
     "BoundedLRU",
     "CardinalityLimitError",
-    "MergedCatalog",
     "MetricCounters",
     "Resolution",
     "SeriesCatalog",
@@ -178,31 +175,6 @@ class Resolution:
         return self
 
 
-class _Resolving:
-    """The filter memo of both catalogs, over their own ``match`` and
-    ``metric_generation``."""
-
-    def __init__(self) -> None:
-        self._resolutions: BoundedLRU = BoundedLRU(RESOLUTIONS)
-
-    def resolve(self, metric: str, tags: Mapping[str, str]) -> Resolution:
-        """:meth:`match` as a :class:`Resolution`, kept for the
-        :data:`RESOLUTIONS` most recently resolved filters and reused
-        while the metric's generation holds still.
-
-        The generation is read *before* matching: a series created or
-        removed while the match runs moves it past the value the entry
-        keeps, so the next resolution matches again.
-        """
-        filter_key = (metric, tuple(sorted(tags.items())))
-        generation = self.metric_generation(metric)
-        entry = self._resolutions.use(filter_key)
-        if entry is None or entry.generation != generation:
-            entry = Resolution(generation, tuple(self.match(metric, tags)))
-            self._resolutions.put(filter_key, entry)
-        return entry
-
-
 class CardinalityLimitError(ValueError):
     """A cardinality guard-rail tripped.
 
@@ -267,7 +239,7 @@ class MetricCounters:
         self.reshapes = 0
 
 
-class SeriesCatalog(_Resolving):
+class SeriesCatalog:
     """Inverted tag index over one store's live series.
 
     Mutation (:meth:`add` / :meth:`discard`) is O(tags) per series and
@@ -279,7 +251,6 @@ class SeriesCatalog(_Resolving):
     def __init__(self, max_tag_values: int | None = None) -> None:
         if max_tag_values is not None and max_tag_values <= 0:
             raise ValueError("max_tag_values must be positive")
-        super().__init__()
         self.max_tag_values = max_tag_values
         self._metrics: dict[str, _MetricIndex] = {}
         self._generation = 0
@@ -289,6 +260,7 @@ class SeriesCatalog(_Resolving):
         # a re-created metric must not repeat a value.
         self._metric_generations: dict[str, int] = defaultdict(int)
         self._metric_counters: dict[str, MetricCounters] = {}
+        self._resolutions: BoundedLRU = BoundedLRU(RESOLUTIONS)
 
     # ------------------------------------------------------------------
     # Maintenance (the store's index/unindex hooks)
@@ -341,25 +313,6 @@ class SeriesCatalog(_Resolving):
         idx = self._metrics.get(key.metric)
         return idx is not None and key in idx.keys
 
-    def check_add(self, key: SeriesKey) -> None:
-        """Raise :class:`CardinalityLimitError` if ``key`` would not fit.
-
-        Pure check, no mutation — the atomicity half of :meth:`add`,
-        also used standalone by routing layers that guard before
-        dispatching to per-shard catalogs.
-        """
-        if self.max_tag_values is None:
-            return
-        idx = self._metrics.get(key.metric)
-        for k, v in key.tags:
-            values = idx.by_value.get(k) if idx is not None else None
-            if values is not None and v in values:
-                continue
-            if len(values or ()) >= self.max_tag_values:
-                raise CardinalityLimitError.for_tag_value(
-                    key.metric, k, v, self.max_tag_values
-                )
-
     def add(self, key: SeriesKey) -> None:
         """Index a newly created series (idempotent).
 
@@ -370,7 +323,13 @@ class SeriesCatalog(_Resolving):
         idx = self._metrics.get(key.metric)
         if idx is not None and key in idx.keys:
             return
-        self.check_add(key)
+        if self.max_tag_values is not None:
+            for k, v in key.tags:
+                values = idx.by_value.get(k, ()) if idx is not None else ()
+                if v not in values and len(values) >= self.max_tag_values:
+                    raise CardinalityLimitError.for_tag_value(
+                        key.metric, k, v, self.max_tag_values
+                    )
         if idx is None:
             idx = self._metrics[key.metric] = _MetricIndex()
         idx.keys.add(key)
@@ -489,136 +448,25 @@ class SeriesCatalog(_Resolving):
 
         The store's ``_match`` resolves here: postings narrowing plus
         the ``matches`` exactness check, with output order pinned to
-        the key string — deterministic, and identical across single and
-        sharded stores for any shard count.
+        the key string — deterministic whatever the sets' order.
         """
         if not tags:
             return self.series(metric)
         return sorted(self._match_set(metric, tags), key=str)
 
+    def resolve(self, metric: str, tags: Mapping[str, str]) -> Resolution:
+        """:meth:`match` as a :class:`Resolution`, kept for the
+        :data:`RESOLUTIONS` most recently resolved filters and reused
+        while the metric's generation holds still.
 
-class MergedCatalog(_Resolving):
-    """Read-only union view over per-shard catalogs.
-
-    Series hash-route to exactly one shard, so the per-shard answers
-    are disjoint and every merged answer is a plain union — metadata
-    queries and matching over a :class:`~repro.tsdb.sharded.ShardedTSDB`
-    return byte-identical results to a single store holding the same
-    series.  Carries the store-wide cardinality guard (the per-shard
-    catalogs run unlimited; see :meth:`check_add`).
-    """
-
-    def __init__(
-        self,
-        parts: Sequence[SeriesCatalog],
-        *,
-        max_tag_values: int | None = None,
-    ) -> None:
-        if not parts:
-            raise ValueError("MergedCatalog needs at least one part")
-        if max_tag_values is not None and max_tag_values <= 0:
-            raise ValueError("max_tag_values must be positive")
-        super().__init__()
-        self._parts = tuple(parts)
-        self.max_tag_values = max_tag_values
-
-    @property
-    def generation(self) -> int:
-        """Sum of the per-shard generations (monotonic, changes exactly
-        when any shard's series set does)."""
-        return sum(part.generation for part in self._parts)
-
-    def metric_generation(self, metric: str) -> int:
-        """Create/remove counter for a metric, summed over shards.
-
-        Each shard's counter is monotonic, so the sum is monotonic and
-        changes exactly when any shard's series set for the metric
-        does — the same validity signal the single store provides.
+        The generation is read *before* matching: a series created or
+        removed while the match runs moves it past the value the entry
+        keeps, so the next resolution matches again.
         """
-        return sum(part.metric_generation(metric) for part in self._parts)
-
-    def metric_write_generation(self, metric: str) -> int:
-        """Write counter of a metric, summed over shards (monotonic, and
-        still for as long as every shard's is)."""
-        return sum(part.metric_write_generation(metric) for part in self._parts)
-
-    def metric_reshape_generation(self, metric: str) -> int:
-        """Reshape counter of a metric, summed over shards."""
-        return sum(part.metric_reshape_generation(metric) for part in self._parts)
-
-    def __len__(self) -> int:
-        return sum(len(part) for part in self._parts)
-
-    def __contains__(self, key: SeriesKey) -> bool:
-        return any(key in part for part in self._parts)
-
-    def check_add(self, key: SeriesKey) -> None:
-        """Store-wide guard check for a series about to be routed.
-
-        A value already live on *any* shard is always admissible; a new
-        value counts against the union of distinct values across shards
-        — exactly the single store's semantics, which a per-shard limit
-        could not reproduce (each shard sees only its own value subset).
-        """
-        if self.max_tag_values is None:
-            return
-        for k, v in key.tags:
-            distinct: set[str] = set()
-            present = False
-            for part in self._parts:
-                idx = part._metrics.get(key.metric)
-                values = idx.by_value.get(k) if idx is not None else None
-                if values is None:
-                    continue
-                if v in values:
-                    present = True
-                    break
-                distinct.update(values)
-            if not present and len(distinct) >= self.max_tag_values:
-                raise CardinalityLimitError.for_tag_value(
-                    key.metric, k, v, self.max_tag_values
-                )
-
-    # ------------------------------------------------------------------
-    # Metadata API (unions of disjoint per-shard answers)
-    # ------------------------------------------------------------------
-    def metrics(self) -> list[str]:
-        return sorted(set().union(*(part._metrics.keys() for part in self._parts)))
-
-    def tag_keys(self, metric: str) -> list[str]:
-        keys: set[str] = set()
-        for part in self._parts:
-            keys.update(part.tag_keys(metric))
-        return sorted(keys)
-
-    def tag_values(self, metric: str, tag_key: str) -> list[str]:
-        validate_name(tag_key, "tag key")
-        values: set[str] = set()
-        for part in self._parts:
-            values.update(part.tag_values(metric, tag_key))
-        return sorted(values)
-
-    def series(self, metric: str) -> list[SeriesKey]:
-        return _merge_sorted(part.series(metric) for part in self._parts)
-
-    def cardinality(
-        self, metric: str, tags: Mapping[str, str] | None = None
-    ) -> int:
-        # Shards are disjoint: counts sum exactly.
-        return sum(part.cardinality(metric, tags) for part in self._parts)
-
-    def match(self, metric: str, tags: Mapping[str, str]) -> list[SeriesKey]:
-        return _merge_sorted(part.match(metric, tags) for part in self._parts)
-
-
-def _merge_sorted(parts: Iterable[list[SeriesKey]]) -> list[SeriesKey]:
-    """Merge disjoint, individually sorted key lists into one sorted list.
-
-    Timsort exploits the presorted runs, so this is close to a k-way
-    merge without the bookkeeping.
-    """
-    merged: list[SeriesKey] = []
-    for part in parts:
-        merged.extend(part)
-    merged.sort(key=str)
-    return merged
+        filter_key = (metric, tuple(sorted(tags.items())))
+        generation = self.metric_generation(metric)
+        entry = self._resolutions.use(filter_key)
+        if entry is None or entry.generation != generation:
+            entry = Resolution(generation, tuple(self.match(metric, tags)))
+            self._resolutions.put(filter_key, entry)
+        return entry

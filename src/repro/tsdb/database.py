@@ -8,7 +8,7 @@ cross-series aggregation → (optional) downsample.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, MutableMapping
 
 from .batch import PointBatch
 from .catalog import SeriesCatalog
@@ -27,9 +27,8 @@ class TSDB(StoreApi):
       (the hot ingest path; :meth:`put` is the degenerate single-point
       case of the same store machinery),
     - :meth:`run` executes a :class:`Query`,
-    - :meth:`suggest_tag_values` / :meth:`tag_values` /
-      :meth:`cardinality` back
-      dashboard autocomplete and capacity planning (the
+    - :meth:`tag_values` / :meth:`cardinality` back dashboard
+      autocomplete and capacity planning (the
       :class:`~repro.tsdb.catalog.SeriesCatalog` metadata surface),
     - :meth:`last` serves "current value" dashboard panels.
 
@@ -42,7 +41,7 @@ class TSDB(StoreApi):
     """
 
     def __init__(self, *, max_tag_values: int | None = None) -> None:
-        self._stores: dict[SeriesKey, SeriesStore] = {}
+        self._stores: MutableMapping[SeriesKey, SeriesStore] = {}
         # The inverted tag index: metric -> tag key -> tag value ->
         # series postings, maintained on every index/unindex path, so
         # matching and the metadata API are O(result), not O(series).
@@ -90,8 +89,8 @@ class TSDB(StoreApi):
     def put_column(self, key: SeriesKey, timestamps, values) -> int:
         """Bulk-write one series' parallel columns under a prebuilt key.
 
-        The primitive under :meth:`put_batch`; shard routers call it
-        directly so a regrouped batch lands without re-encoding.
+        The primitive under :meth:`put_batch`: a regrouped batch lands
+        without re-encoding.
         """
         n = self._store_for(key).extend_batch(timestamps, values)
         self._puts += n

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from .batch import PointBatch
-from .catalog import MergedCatalog, Resolution, SeriesCatalog
+from .catalog import Resolution, SeriesCatalog
 from .model import DataPoint, SeriesKey
 from .plan import ExprQuery, ExprResult, run_batch, run_unique_batch
 from .query import Query, QueryResult
@@ -75,7 +75,7 @@ class TimeSeriesStore(Protocol):
 
     # -- reads: the primitives (catalog, keyed lookup, three counts) -----
     @property
-    def catalog(self) -> SeriesCatalog | MergedCatalog: ...
+    def catalog(self) -> SeriesCatalog: ...
 
     def _series(self, key: SeriesKey) -> SeriesStore | None: ...
 
@@ -94,8 +94,6 @@ class TimeSeriesStore(Protocol):
     def metrics(self) -> list[str]: ...
 
     def series_for_metric(self, metric: str) -> list[SeriesKey]: ...
-
-    def suggest_tag_values(self, metric: str, tag_key: str) -> list[str]: ...
 
     def tag_values(self, metric: str, tag_key: str) -> list[str]: ...
 
@@ -153,9 +151,6 @@ class StoreApi:
 
     def series_for_metric(self, metric: str) -> list[SeriesKey]:
         return self.catalog.series(metric)
-
-    def suggest_tag_values(self, metric: str, tag_key: str) -> list[str]:
-        return self.tag_values(metric, tag_key)
 
     def tag_values(self, metric: str, tag_key: str) -> list[str]:
         """Distinct live values of one tag key under ``metric``, sorted."""

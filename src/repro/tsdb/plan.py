@@ -15,12 +15,13 @@ this module adds everything around it:
   :func:`execute_plan` over the shared scans.  A store supplies only
   how it resolves a filter — its catalog's kept
   :class:`~repro.tsdb.catalog.Resolution`: the matched keys, their
-  groups, their column stores — so
-  :class:`~repro.tsdb.sharded.ShardedTSDB` (merged catalog, stores of
-  the owning shards) and :class:`~repro.tsdb.database.TSDB` execute
-  the *same* code over the same slices — results are bit-identical
-  for any shard count.  What a batch holds: the scans for its whole
-  length — they are read-only views of the stores' columns
+  groups, their column stores — and
+  :class:`~repro.tsdb.sharded.ShardedTSDB` is a
+  :class:`~repro.tsdb.database.TSDB` with one catalog whose stores
+  live in N shards, so both execute the *same* code over the same
+  slices — results are bit-identical for any shard count.  What a
+  batch holds: the scans for its whole length — they are read-only
+  views of the stores' columns
   (:meth:`~repro.tsdb.series.SeriesStore.scan`), nothing to free — and
   the alignments of **one filter at a time**: only queries with the
   same filter can share one, so the batch runs filter by filter and a

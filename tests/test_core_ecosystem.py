@@ -69,11 +69,11 @@ class TestEcosystem:
             assert stats["end_to_end_rate"] > 0.8
 
     def test_database_is_shared(self, eco):
-        cities = eco.db.suggest_tag_values(METRIC_CO2, "city")
+        cities = eco.db.tag_values(METRIC_CO2, "city")
         assert cities == ["trondheim", "vejle"]
 
     def test_twelve_and_two_nodes_report(self, eco):
-        trd = eco.db.suggest_tag_values(METRIC_CO2, "node")
+        trd = eco.db.tag_values(METRIC_CO2, "node")
         assert len([n for n in trd if n.startswith("ctt-tr")]) == 12
         assert len([n for n in trd if n.startswith("ctt-vj")]) == 2
 

@@ -88,8 +88,8 @@ class TestEndToEnd:
     def test_tags_carry_node_and_city(self):
         p = Pipeline(n_nodes=2)
         p.run(HOUR)
-        assert p.db.suggest_tag_values(METRIC_CO2, "node") == ["ctt-00", "ctt-01"]
-        assert p.db.suggest_tag_values(METRIC_CO2, "city") == ["trondheim"]
+        assert p.db.tag_values(METRIC_CO2, "node") == ["ctt-00", "ctt-01"]
+        assert p.db.tag_values(METRIC_CO2, "city") == ["trondheim"]
 
     def test_twins_track_every_node(self):
         p = Pipeline(n_nodes=3)

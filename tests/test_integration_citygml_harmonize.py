@@ -130,9 +130,9 @@ class TestHarmonizer:
     def test_provenance_tags(self):
         env, db, h = self.make()
         h.sync(ts(6, 14, 0), ts(6, 14, 2))
-        sources = db.suggest_tag_values("ext.no2_ugm3", "source")
+        sources = db.tag_values("ext.no2_ugm3", "source")
         assert sources == ["nilu_NO1"]
-        stypes = db.suggest_tag_values("ext.jam_factor", "stype")
+        stypes = db.tag_values("ext.jam_factor", "stype")
         assert stypes == ["traffic_flow"]
 
     def test_correlation_no2_traffic_positive(self):

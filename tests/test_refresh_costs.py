@@ -39,7 +39,7 @@ from repro.replication import ReplicatedStore
 from repro.serve import CachingStore, IncrementalRefresher
 from repro.serve.cache import ResultCache, ValidatorView
 from repro.tsdb import BatchBuilder, DurableStore, Query, ShardedTSDB, wire
-from repro.tsdb.catalog import MergedCatalog, SeriesCatalog
+from repro.tsdb.catalog import SeriesCatalog
 from repro.tsdb.downsample import Downsample
 from repro.tsdb.series import SeriesStore
 from test_serve_conditional import METRICS, MINUTE, _minute
@@ -74,17 +74,17 @@ class _Counts:
     def __init__(self, monkeypatch) -> None:
         self.resolved: Counter = Counter()  # series key -> _series calls
         self.matched: Counter = Counter()  # filter -> catalog matches
-        self.postings = 0  # per-shard postings walks (SeriesCatalog._match_set)
+        self.postings = 0  # postings walks (SeriesCatalog._match_set)
         self.planned: list[int] = []  # planner batches, by size
         self.cache_batches: list[int] = []  # batches through the cache
         self.inserts = 0
         self.generations: Counter = Counter()  # series key -> generation reads
         self.reshapes: Counter = Counter()  # series key -> reshape reads
         self.latest: Counter = Counter()  # series key -> series_latest reads
-        self.counters: Counter = Counter()  # (counter, metric) -> catalog reads
+        self.counters: Counter = Counter()  # (counter, metric) -> counter-cell reads
         self.views = 0  # series scan views opened, planner and refresher
         real_series = ShardedTSDB._series
-        real_match = MergedCatalog.match
+        real_match = SeriesCatalog.match
         real_match_set = SeriesCatalog._match_set
         real_plan = interface_module.run_unique_batch
         real_cached = CachingStore._run_unique_batch
@@ -129,13 +129,13 @@ class _Counts:
             monkeypatch.setattr(ValidatorView, name, read)
 
         def per_metric(counter):
-            real = getattr(MergedCatalog, f"metric_{counter}_generation")
+            real = getattr(SeriesCatalog, f"metric_{counter}_generation")
 
             def read(catalog, metric):
                 self.counters[counter, metric] += 1
                 return real(catalog, metric)
 
-            monkeypatch.setattr(MergedCatalog, f"metric_{counter}_generation", read)
+            monkeypatch.setattr(SeriesCatalog, f"metric_{counter}_generation", read)
 
         per_series("series_generation", self.generations)
         per_series("series_reshape_generation", self.reshapes)
@@ -143,7 +143,7 @@ class _Counts:
         per_metric("write")
         per_metric("reshape")
         monkeypatch.setattr(ShardedTSDB, "_series", _series)
-        monkeypatch.setattr(MergedCatalog, "match", match)
+        monkeypatch.setattr(SeriesCatalog, "match", match)
         monkeypatch.setattr(SeriesCatalog, "_match_set", match_set)
         monkeypatch.setattr(interface_module, "run_unique_batch", run_unique_batch)
         monkeypatch.setattr(CachingStore, "_run_unique_batch", cached)
@@ -272,8 +272,10 @@ def test_a_live_refresh_resolves_each_filter_once_per_series_set(
     grown = inner.series_for_metric(written)
     counts.reset()
     got = refresher.run_many(_dashboard(0, end))
+    # one catalog, whatever the shard count: one match walks its postings
+    # once
     assert counts.matched == Counter({(written, tuple(CITY.items())): 1})
-    assert counts.postings == inner.num_shards
+    assert counts.postings == 1
     assert counts.resolved == Counter(grown)
     assert refresher.stats.full_runs == 12 + 3
     assert _reply(got) == _reply(inner.run_many(_dashboard(0, end)))
@@ -356,6 +358,29 @@ def test_a_cached_plain_request_reads_one_counter_per_metric(stack, monkeypatch)
     # one write counter read per metric, for the request's one view
     assert counts.counters == Counter({("write", m): 1 for m in METRICS})
     assert caching.cache.stats.hits == 12
+
+
+def test_an_exact_repeat_reads_each_metric_counter_from_one_cell(
+        stack, monkeypatch):
+    """A sharded store keeps one catalog, so a metric's write counter is
+    one cell however many shards its series land on: an exact repeat of
+    the wall is answered from the result cache with one read of it per
+    metric."""
+    inner, caching, end = stack
+    assert isinstance(inner.catalog, SeriesCatalog)
+    for metric in METRICS:
+        keys = inner.series_for_metric(metric)
+        assert len({inner.shard_of(key) for key in keys}) == inner.num_shards
+        cell = inner.catalog.metric_counters(metric)
+        assert all(inner._series(key)._metric is cell for key in keys)
+    refresher = IncrementalRefresher(caching)
+    first = refresher.run_many(_dashboard(0, end))
+    counts = _Counts(monkeypatch)
+    again = refresher.run_many(_dashboard(0, end))
+    assert all(a.series is b.series for a, b in zip(first, again))
+    assert caching.cache.stats.hits == 12 and counts.planned == []
+    assert counts.counters == Counter({("write", m): 1 for m in METRICS})
+    assert counts.resolved == {} and counts.matched == {}
 
 
 def test_a_write_sends_only_its_metrics_panels_to_the_series(stack, monkeypatch):

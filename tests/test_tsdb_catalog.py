@@ -263,14 +263,17 @@ def test_a_match_between_indexing_and_storing_keeps_no_absent_store(
 # ---------------------------------------------------------------------------
 
 
+def _guarded(shards: int, limit: int):
+    """A store with the guard armed: ``TSDB`` for 0 shards, else sharded."""
+    if shards == 0:
+        return TSDB(max_tag_values=limit)
+    return ShardedTSDB(shards, max_tag_values=limit)
+
+
 class TestCardinalityGuard:
     @pytest.mark.parametrize("shards", [0, 1, 3, 4])
     def test_limit_is_store_wide(self, shards):
-        store = (
-            TSDB(max_tag_values=3)
-            if shards == 0
-            else ShardedTSDB(shards, max_tag_values=3)
-        )
+        store = _guarded(shards, 3)
         for i in range(3):
             store.put("m.a", 1, 1.0, {"node": f"n{i}"})
         with pytest.raises(CardinalityLimitError) as exc:
@@ -279,50 +282,44 @@ class TestCardinalityGuard:
         # Existing values stay writable; other metrics are unaffected.
         store.put("m.a", 2, 2.0, {"node": "n0"})
         store.put("m.b", 1, 1.0, {"node": "n3"})
-        assert store.suggest_tag_values("m.a", "node") == ["n0", "n1", "n2"]
+        assert store.tag_values("m.a", "node") == ["n0", "n1", "n2"]
 
     @pytest.mark.parametrize("shards", [0, 4])
     def test_rejection_is_atomic(self, shards):
-        store = (
-            TSDB(max_tag_values=1)
-            if shards == 0
-            else ShardedTSDB(shards, max_tag_values=1)
-        )
+        store = _guarded(shards, 1)
         store.put("m.a", 1, 1.0, {"node": "n0"})
         before = store.exact_point_count()
         with pytest.raises(CardinalityLimitError):
             store.put("m.a", 5, 9.0, {"node": "n1"})
         assert store.exact_point_count() == before
         assert store.series_count == 1
-        assert store.suggest_tag_values("m.a", "node") == ["n0"]
+        assert store.tag_values("m.a", "node") == ["n0"]
         assert _key("m.a", node="n1") not in store.catalog
 
     def test_batch_keeps_rows_admitted_before_the_trip(self):
-        store = TSDB(max_tag_values=2)
         from repro.tsdb import BatchBuilder
 
-        builder = BatchBuilder()
-        for i in range(4):
-            builder.add("m.a", i, float(i), {"node": f"n{i}"})
-        with pytest.raises(CardinalityLimitError):
-            store.put_batch(builder.build())
-        # Same at-least-once boundary as WAL replay: earlier series stay.
-        assert store.suggest_tag_values("m.a", "node") == ["n0", "n1"]
+        for shards in (0, 4):
+            store = _guarded(shards, 2)
+            builder = BatchBuilder()
+            for i in range(4):
+                builder.add("m.a", i, float(i), {"node": f"n{i}"})
+            with pytest.raises(CardinalityLimitError):
+                store.put_batch(builder.build())
+            # Same at-least-once boundary as WAL replay: earlier series stay.
+            assert store.tag_values("m.a", "node") == ["n0", "n1"]
+            assert store.write_count == 2
 
     @pytest.mark.parametrize("shards", [0, 4])
     def test_retention_frees_values_for_readmission(self, shards):
-        store = (
-            TSDB(max_tag_values=2)
-            if shards == 0
-            else ShardedTSDB(shards, max_tag_values=2)
-        )
+        store = _guarded(shards, 2)
         store.put("m.a", 1, 1.0, {"node": "old"})
         store.put("m.a", 100, 1.0, {"node": "live"})
         with pytest.raises(CardinalityLimitError):
             store.put("m.a", 100, 1.0, {"node": "new"})
         store.delete_before(50)  # empties and unindexes node=old
         store.put("m.a", 100, 1.0, {"node": "new"})
-        assert store.suggest_tag_values("m.a", "node") == ["live", "new"]
+        assert store.tag_values("m.a", "node") == ["live", "new"]
 
     def test_unlimited_by_default(self):
         store = TSDB()

@@ -229,7 +229,7 @@ class TestDeleteBeforeMarkers:
             w.delete_before(100)
         for db in (load(path), load(path, into=ShardedTSDB(3))):
             assert db.metrics() == ["live.metric"]
-            assert db.suggest_tag_values("dead.metric", "node") == []
+            assert db.tag_values("dead.metric", "node") == []
             assert db.catalog.match("dead.metric", {"node": "*"}) == []
             assert db.series_count == 1
             # The pruned state round-trips: snapshot of the replay is clean.

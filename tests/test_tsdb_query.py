@@ -215,7 +215,7 @@ class TestIntrospection:
         assert db.metrics() == ["air.co2.ppm"]
 
     def test_suggest_tag_values(self, db):
-        assert db.suggest_tag_values("air.co2.ppm", "city") == ["trondheim", "vejle"]
+        assert db.tag_values("air.co2.ppm", "city") == ["trondheim", "vejle"]
 
     def test_last(self, db):
         latest = db.last("air.co2.ppm", {"node": "a"})

@@ -4,14 +4,19 @@ For randomized workloads (out-of-order, duplicate, multi-metric/tag
 points, mixed ingestion APIs), every observable of ``ShardedTSDB(n)`` —
 queries, aggregation, downsampling, retention, snapshots, suggestions —
 must be byte-identical to a single-store ``TSDB`` fed the same stream,
-for n ∈ {1, 2, 4, 7}.  All randomness is seeded: the suite is fully
-deterministic (the CI sharded-equivalence step relies on that).
+for n ∈ {1, 2, 4, 7}.  All randomness is seeded and the hypothesis
+property is derandomized: the suite is fully deterministic (the CI
+sharded-equivalence step relies on that).
 """
 
+import io
 import threading
+from collections import ChainMap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataport.app import BatchingTsdbWriter
 from repro.tsdb import (
@@ -26,6 +31,7 @@ from repro.tsdb import (
     load,
     snapshot,
 )
+from repro.tsdb.catalog import CardinalityLimitError
 from repro.tsdb.downsample import Downsample
 from repro.tsdb.retention import RetentionPolicy, Tier
 from repro.tsdb.sharded import shard_for_key
@@ -121,8 +127,8 @@ class TestEquivalence:
         assert sharded.metrics() == single.metrics()
         for metric in single.metrics():
             assert sharded.series_for_metric(metric) == single.series_for_metric(metric)
-            assert sharded.suggest_tag_values(metric, "node") == (
-                single.suggest_tag_values(metric, "node")
+            assert sharded.tag_values(metric, "node") == (
+                single.tag_values(metric, "node")
             )
 
     def test_queries_identical(self, n):
@@ -174,16 +180,33 @@ class TestEquivalence:
         assert np.array_equal(ra.values, rb.values, equal_nan=True)
 
 
+def shard_columns(shard) -> dict:
+    """One shard's series: key -> the bytes of its two columns."""
+    columns = {}
+    for key, store in shard.items():
+        scan = store.scan()
+        columns[key] = (scan.timestamps.tobytes(), scan.values.tobytes())
+    return columns
+
+
+def assert_partitioned(db) -> None:
+    """Every key in shard i hashes to i, and the shards partition the
+    catalog's series."""
+    seen = []
+    for i, shard in enumerate(db.shards):
+        for key in shard:
+            assert shard_for_key(key, db.num_shards) == i
+            seen.append(key)
+    every = [key for metric in db.metrics() for key in db.series_for_metric(metric)]
+    assert len(seen) == len(every)
+    assert set(seen) == set(every)
+
+
 class TestRouting:
     def test_every_series_lands_on_its_hash_shard(self):
         _, sharded = build_pair(4)
-        seen = 0
-        for i, shard in enumerate(sharded.shards):
-            for metric in shard.metrics():
-                for key in shard.series_for_metric(metric):
-                    assert shard_for_key(key, 4) == i
-                    seen += 1
-        assert seen == sharded.series_count
+        assert_partitioned(sharded)
+        assert sharded.series_count > 4
 
     def test_routing_is_instance_independent(self):
         a, b = ShardedTSDB(7), ShardedTSDB(7)
@@ -259,9 +282,11 @@ def test_snapshot_restores_into_any_shard_count(tmp_path, n, m):
     assert set(threading.enumerate()) == before
     assert dumps(restored) == dumps(sharded)
     assert _catalog_answers(restored) == _catalog_answers(sharded)
-    for i, shard in enumerate(restored.shards):
-        for key, _ in shard.iter_series():
-            assert shard_for_key(key, m) == i
+    assert_partitioned(restored)
+    # every series restores with equal columns, on the shard its hash names
+    assert shard_columns(ChainMap(*restored.shards)) == (
+        shard_columns(ChainMap(*sharded.shards))
+    )
 
 
 class TestPerShardPersistence:
@@ -273,8 +298,9 @@ class TestPerShardPersistence:
         restored = load(path, into=ShardedTSDB(4))
         assert restored.num_shards == 4
         assert dumps(restored) == dumps(sharded)
+        # each shard restores the same keys with equal columns
         for orig, back in zip(sharded.shards, restored.shards):
-            assert dumps(back) == dumps(orig)
+            assert shard_columns(back) == shard_columns(orig)
 
     def test_snapshot_restore_query_leave_no_thread_behind(self, tmp_path):
         """Nothing ever closes a restored store (``repro serve`` and
@@ -302,10 +328,106 @@ class TestShardLocality:
         db.put_batch(builder.build())
         assert db.series_count == 5
         # Each series is wholly owned by one shard.
-        owners = {}
-        for i, shard in enumerate(db.shards):
-            for key in shard.series_for_metric("m.a"):
-                assert key not in owners
-                owners[key] = i
-        assert len(owners) == 5
+        assert_partitioned(db)
 
+
+
+# ---------------------------------------------------------------------------
+# The cardinality guard and the counters under a random op stream
+# ---------------------------------------------------------------------------
+
+_GUARD_METRICS = ("m.a", "m.b", "m.a.rollup")
+_GUARD_TAGS = st.fixed_dictionaries(
+    {"node": st.sampled_from(("n0", "n1", "n2", "n3", "n4"))},
+    optional={"city": st.sampled_from(("x", "y", "z"))},
+)
+_GUARD_ROWS = st.tuples(
+    st.sampled_from(_GUARD_METRICS),
+    st.integers(0, 40).map(lambda t: t * 10),
+    st.floats(-5.0, 5.0, allow_nan=False),
+    _GUARD_TAGS,
+)
+_GUARD_OPS = st.one_of(
+    st.tuples(st.just("put"), _GUARD_ROWS),
+    st.tuples(st.just("put_batch"), st.lists(_GUARD_ROWS, max_size=12)),
+    st.tuples(
+        st.just("delete_before"),
+        st.integers(0, 45).map(lambda t: t * 10),
+        st.sampled_from((None, ".rollup")),
+    ),
+    st.tuples(
+        st.just("delete_series_before"),
+        st.sampled_from(_GUARD_METRICS),
+        _GUARD_TAGS,
+        st.integers(0, 45).map(lambda t: t * 10),
+    ),
+    st.tuples(st.just("reload")),
+)
+
+
+def _apply(db, op, make):
+    """One op on one store: ``(outcome, store)``, the outcome either the
+    op's return value or the text of the guard error it raised."""
+    kind = op[0]
+    try:
+        if kind == "put":
+            metric, ts, value, tags = op[1]
+            return db.put(metric, ts, value, tags), db
+        if kind == "put_batch":
+            builder = BatchBuilder()
+            for metric, ts, value, tags in op[1]:
+                builder.add(metric, ts, value, tags)
+            return db.put_batch(builder.build()), db
+        if kind == "delete_before":
+            return db.delete_before(op[1], exclude_suffix=op[2]), db
+        if kind == "delete_series_before":
+            return db.delete_series_before(SeriesKey.make(op[1], op[2]), op[3]), db
+        return None, load(io.BytesIO(dumps(db)), into=make())
+    except CardinalityLimitError as exc:
+        return ("refused", str(exc)), db
+
+
+def _observables(db) -> dict:
+    """What a reader can ask a store: its catalog's answers, every
+    counter, and its snapshot bytes."""
+    return {
+        "catalog": _catalog_answers(db),
+        "counts": (
+            db.series_count,
+            db.point_count,
+            db.exact_point_count(),
+            db.write_count,
+        ),
+        "generations": (
+            db.catalog_generation(),
+            {
+                m: (
+                    db.metric_generation(m),
+                    db.metric_write_generation(m),
+                    db.metric_reshape_generation(m),
+                )
+                for m in _GUARD_METRICS
+            },
+        ),
+        "dumps": dumps(db),
+    }
+
+
+@pytest.mark.parametrize("n", SHARD_COUNTS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(limit=st.sampled_from((1, 2, 3)), ops=st.lists(_GUARD_OPS, max_size=25))
+def test_the_guard_and_counters_are_the_single_stores(n, limit, ops):
+    """``ShardedTSDB(n, max_tag_values=k)`` against ``TSDB(max_tag_values=k)``
+    under the same writes, retention and snapshot reloads: the same
+    writes accepted, a refused write refused with the same text, and
+    after every op the same catalog answers, generations, counters and
+    snapshot bytes.  ``derandomize`` keeps the suite deterministic."""
+    single = TSDB(max_tag_values=limit)
+    sharded = ShardedTSDB(n, max_tag_values=limit)
+    for op in ops:
+        want, single = _apply(single, op, lambda: TSDB(max_tag_values=limit))
+        got, sharded = _apply(
+            sharded, op, lambda: ShardedTSDB(n, max_tag_values=limit)
+        )
+        assert got == want
+        assert _observables(sharded) == _observables(single)
