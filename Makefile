@@ -55,8 +55,14 @@ test-query:
 # matches no filter, walks no postings, looks no series up and reads
 # each series' last point once per filter, one new series re-resolves
 # its own filter alone, once, and a live wall opens no scan view for
-# its kept buckets until its cut crosses one); and the per-metric short-cut
-# ≡ the per-series check under interleaved writes on every store layout.
+# its kept buckets until its cut crosses one); the split at the result
+# cache (an all-hit request answered on the loop thread with no worker
+# job, in a worker's bytes; eleven hits and a miss make one worker job,
+# every count once; a write between the look-up and run phases caches
+# nothing stale); the house property driven through the look-up phase and, only when a miss
+# is left, the run phase, exact repeats drawn; and the per-metric
+# short-cut ≡ the per-series check under interleaved writes on every
+# store layout.
 serve-test:
 	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_conditional.py tests/test_serve_splice.py tests/test_refresh_costs.py tests/test_metric_counters.py tests/test_tsdb_wire.py
 

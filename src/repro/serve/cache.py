@@ -42,9 +42,14 @@ metrics with nothing written since reads four counters and resolves no
 series; one whose metrics were written resolves each of its 100 series
 once, not once per panel), its inserts a second, fresh one.  The rule
 that keeps this exact is the view's lifetime — **one phase of one
-request**: made before the execution or after it, a local, never kept
-on an object and never carried across the execution it brackets.  The refresher
-(:mod:`repro.serve.refresh`) reads its validators the same way.
+request**: made before the execution or after it and never carried
+across the execution it brackets.  The refresher
+(:mod:`repro.serve.refresh`) reads its validators the same way; its
+*before* view is made by the request's look-up phase and travels with
+the request (:class:`~repro.serve.refresh.Request`) to its run phase —
+in the server, from the event-loop thread to a worker thread — which
+reads it only before it executes.  The hop carries the view, never an
+execution, so the rule holds.
 
 A reply is encoded from the result's columns each time it is sent
 (:func:`~repro.tsdb.wire.encode_response_json`: one ``tobytes`` and one
@@ -173,9 +178,11 @@ class ValidatorView:
     A filter's boundary is read once per view, however many panels
     share the filter.
 
-    **A view lives for one phase of one request**: it is a local, made
-    before an execution *or* after it, never stored on ``self`` and never
-    kept across the execution it brackets.  That is the whole
+    **A view lives for one phase of one request**: it is made before an
+    execution *or* after it, held by that request alone (a local, or
+    the refresher's per-request :class:`~repro.serve.refresh.Request`
+    between its look-up and its run phase, across a thread hop) and
+    never kept across the execution it brackets.  That is the whole
     correctness argument — capture-before / check-after still brackets
     every scan of the request; what a view remembers is only what was
     read within its own side of the bracket, and a read made earlier on

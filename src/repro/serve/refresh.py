@@ -84,8 +84,12 @@ does any validator mismatch (out-of-order write, retention delete,
 series churn) and a window that moved back or whose end shrank.
 
 A request (``run_many(queries)``; ``run(q)`` is the batch of one) is
-answered as the result cache alone would answer it, byte for byte
-(:meth:`IncrementalRefresher._run_unique_batch`):
+answered as the result cache alone would answer it, byte for byte, in
+two phases — :meth:`IncrementalRefresher.look_up` (step 1) and
+:meth:`~IncrementalRefresher.finish` (steps 2–5, then the results
+assembled).  ``run_many`` runs both on the calling thread; the server
+runs the first on its event-loop thread and sends only a request with a
+miss left to a worker thread for the second:
 
 1. exact hits come from the result cache first, through one view, as
    :class:`~repro.serve.cache.CachingStore` serves them;
@@ -112,12 +116,16 @@ answered as the result cache alone would answer it, byte for byte
    :attr:`~repro.serve.cache.CacheStats.spliced`.
 
 The capture-before / check-after bracket is therefore per *batch*, not
-per panel: every scan of step 3 lies between the reads of step 2 and
-those of step 4.  That is strictly more conservative than a bracket per
-panel — a reshaping write anywhere in the window sends every panel that
-reads the series down the full path — and it is only sound because no
-view outlives its step.  :class:`RefreshStats` counts the panel-state
-work of every request; a result-cache hit does none.
+per panel: every scan of step 3 lies between the reads of steps 1–2
+and those of step 4.  That is strictly more conservative than a bracket
+per panel — a reshaping write anywhere in the window sends every panel
+that reads the series down the full path — and it is only sound because
+no view outlives its step.  Step 1's view is step 2's: it may cross
+from the loop thread to a worker with its :class:`Request`, but never
+an execution, so a write landing between the phases lands on the
+*before* side, where an earlier read is the more conservative one.
+:class:`RefreshStats` counts the panel-state work of every request; a
+result-cache hit does none.
 
 An answer's ``scanned_points`` is what a fresh run scans — the matched
 series' points in ``[start, end]``: the edges' own counts plus the
@@ -153,7 +161,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ..tsdb.downsample import FillPolicy
-from ..tsdb.plan import ExprQuery, ExprResult, run_batch
+from ..tsdb.plan import Batch, ExprQuery, ExprResult
 from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.series import SeriesSlice
 from .cache import (
@@ -286,6 +294,29 @@ def _scanned(result: QueryResult | None) -> int:
     return 0 if result is None else result.scanned_points
 
 
+class Request:
+    """One request between its two phases
+    (:meth:`IncrementalRefresher.look_up`, then
+    :meth:`~IncrementalRefresher.finish`): its batch, the results found
+    so far (None: a miss) and the look-up's *before* view, which the
+    run phase brackets its execution with."""
+
+    __slots__ = ("batch", "results", "before")
+
+    def __init__(
+        self, batch: Batch, results: list, before: ValidatorView
+    ) -> None:
+        self.batch = batch
+        self.results = results
+        self.before = before
+
+    @property
+    def answered(self) -> bool:
+        """Did the result cache answer every query?  Then
+        :meth:`~IncrementalRefresher.finish` only assembles."""
+        return all(r is not None for r in self.results)
+
+
 class IncrementalRefresher:
     """Per-panel incremental execution over one
     :class:`~repro.serve.cache.CachingStore`.
@@ -382,43 +413,54 @@ class IncrementalRefresher:
     def run_many(
         self, queries: list[Query | ExprQuery]
     ) -> list[QueryResult | ExprResult]:
-        """One request, executed as one batch (see the module docstring).
+        """One request, executed as one batch (see the module docstring):
+        its look-up phase, then its run phase, on the calling thread.
 
         The shared planner dedups the batch and evaluates expression
         panels over their operands, as it does for any store.
         """
-        return run_batch(self, queries)
+        return self.finish(self.look_up(queries))
 
     def run(self, query: Query) -> QueryResult:
         """The batch of one."""
         return self.run_many([query])[0]
 
-    def _run_unique_batch(self, queries: list[Query]) -> list[QueryResult]:
-        """A request's distinct queries: exact hits first, then the
-        misses, one bracket at a time (module docstring, 1–5)."""
+    def look_up(self, queries: list[Query | ExprQuery]) -> Request:
+        """A request's look-up phase: dedup, then the exact hits from
+        the result cache, through one view (module docstring, 1).
+
+        Scans nothing; what is left is :meth:`finish`'s, which may run
+        on another thread.
+        """
+        batch = Batch(queries)
         self.stats.batches += 1
         cache = self._store.cache
-        results: list[QueryResult | None] = [None] * len(queries)
         before = ValidatorView(self._store)
-        misses: list[int] = []
-        for i, q in enumerate(queries):
-            results[i] = cache.lookup(before, q)
-            if results[i] is None:
-                misses.append(i)
+        results = [cache.lookup(before, q) for q in batch.queries]
+        return Request(batch, results, before)
+
+    def finish(self, request: Request) -> list[QueryResult | ExprResult]:
+        """A request's run phase: the misses, one bracket at a time
+        (module docstring, 2–5), then the request's results assembled,
+        expression panels included."""
+        batch, results = request.batch, request.results
+        misses = [i for i, r in enumerate(results) if r is None]
+        before = request.before
         while misses:
-            misses = self._run_misses(before, queries, misses, results)
+            misses = self._run_misses(before, batch, misses, results)
             before = ValidatorView(self._store)
-        return results  # type: ignore[return-value]
+        return batch.assemble(results)
 
     def _run_misses(
         self,
         before: ValidatorView,
-        queries: list[Query],
+        batch: Batch,
         misses: list[int],
         results: list,
     ) -> list[int]:
         """One bracket around one batch: the misses' edges and full
         runs.  Returns the deltas whose validators failed after it."""
+        queries = batch.queries
         cache = self._store.cache
         stats = self.stats
         deltas: dict[int, _Delta] = {}

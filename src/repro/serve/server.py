@@ -57,13 +57,21 @@ The region's third, ``spill``, goes to disk segments there; a lane has
 no disk to spill to, so a server refuses it rather than grow without
 bound under its name.
 
-Query execution is offloaded to worker threads (numpy scans release
-the GIL; a closed loop of requests stays on one thread, see
-:class:`_Threads`), and so is reply encoding: the worker thread hands
-back the finished reply text — one base64 per result column, see
-:func:`~repro.tsdb.wire.encode_response_json` — and the loop thread
-only splices in the request id and writes.  The
-event loop stays responsive while lanes execute concurrently.
+A request's path splits at the result cache
+(:meth:`~repro.serve.refresh.IncrementalRefresher.look_up` /
+:meth:`~repro.serve.refresh.IncrementalRefresher.finish`).  The event
+loop's thread decodes it, applies the cardinality guard and looks every
+query up; a request the cache answers whole — every panel *hit*, the
+wall a dashboard re-polls between writes — is assembled, encoded and
+written there, with no thread hop.  Only a request with a miss left, or
+an expression panel to evaluate (and a catalog request), crosses to a
+worker thread, once: scans release the GIL, and a closed loop of
+requests stays on one thread (see :class:`_Threads`).  The worker runs
+the misses, evaluates the expressions and encodes the reply —
+one base64 per result column, see
+:func:`~repro.tsdb.wire.encode_response_json` — and hands back the
+finished text; the loop thread splices in the request id and writes.
+The event loop stays responsive while lanes execute concurrently.
 """
 
 from __future__ import annotations
@@ -73,6 +81,8 @@ import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from ..backpressure import Backpressure
 from ..tsdb import wire
@@ -81,7 +91,7 @@ from ..tsdb.model import InvalidName
 from ..tsdb.plan import ExprQuery
 from ..tsdb.query import QueryError
 from .cache import CachingStore, CatalogCache, entry_tail, entry_validator
-from .refresh import IncrementalRefresher
+from .refresh import IncrementalRefresher, Request
 
 #: Longest validator a request may name in ``held`` (ours are 32 chars).
 _MAX_VALIDATOR_CHARS = 64
@@ -141,8 +151,10 @@ class _Job:
 
 
 class _Threads:
-    """The threads lane jobs run on: one single-thread executor per job
-    in flight, the most recently idle one first.
+    """The threads a request's run phase goes to when the result cache
+    did not answer it whole: one single-thread executor per job in
+    flight, the most recently idle one first.  An all-hit request makes
+    no job and wakes no thread.
 
     An executor goes back on the stack, on the loop thread, as soon as
     its job's result arrives — before the reply is written — so a client
@@ -365,7 +377,13 @@ class QueryServer:
             try:
                 if lane.depth() < lane.policy.max_pending:
                     lane.not_full.set()
-                response = await self._threads.run(self._execute, job)
+                response = self._look_up(job)
+                if callable(response):  # work left: the one thread hop
+                    response = await self._threads.run(response)
+                elif lane.queue:
+                    # answered on the loop thread with more queued: let
+                    # the other lanes and connections in first
+                    await asyncio.sleep(0)
                 await self._reply(job, response)
             except Exception as exc:
                 # A reply that cannot be written must not take the
@@ -380,33 +398,47 @@ class QueryServer:
                 lane.in_flight -= 1
 
     # -- execution -------------------------------------------------------
-    def _execute(self, job: _Job) -> bytes | dict:
-        """Runs on the executor thread: decode → run → encode, total.
+    def _look_up(self, job: _Job) -> bytes | dict | Callable[[], bytes | dict]:
+        """Runs on the loop thread: decode, guard and the exact hits
+        (:meth:`IncrementalRefresher.look_up`).
 
-        Results come back as finished response text; errors and catalog
-        answers as their (small) dicts.
+        A request the result cache answers whole is assembled and
+        encoded here, and its reply returned; otherwise — a miss left,
+        an expression panel to evaluate, or a catalog request — what is
+        left to run on a worker thread.  Results come back as finished
+        response text; errors and catalog answers as their (small) dicts.
         """
-        try:
-            if isinstance(job.payload, dict) and "catalog" in job.payload:
-                return self._serve_catalog(job.payload)
+        if isinstance(job.payload, dict) and "catalog" in job.payload:
+            return partial(_answered, self._serve_catalog, job.payload)
+
+        def start() -> bytes | dict | Callable[[], bytes | dict]:
             queries = wire.decode_request(job.payload)
             self._guard_match_cardinality(queries, tenant=job.tenant)
-            forms: list[str] = []
-            text = wire.encode_response_json(
-                self.refresher.run_many(queries),
-                held=job.held,
-                validator=entry_validator,
-                tail=entry_tail,
-                forms=forms,
-            )
-            job.forms = forms  # only a reply that was encoded counts
-            return text
-        except (
-            wire.WireError, QueryError, InvalidName, CardinalityLimitError
-        ) as exc:
-            return wire.encode_error(exc)
-        except Exception as exc:  # store fault: answer, don't die
-            return _error_dict("InternalError", f"{type(exc).__name__}: {exc}")
+            request = self.refresher.look_up(queries)
+            # an expression is evaluated as the results are assembled:
+            # numpy work as large as its operands' series, where a plain
+            # panel's assembly is a re-wrap, so it goes where scans go
+            if request.answered and not any(
+                isinstance(q, ExprQuery) for q in queries
+            ):
+                return self._encode(job, request)
+            return partial(_answered, self._encode, job, request)
+
+        return _answered(start)
+
+    def _encode(self, job: _Job, request: Request) -> bytes:
+        """The request's run phase (only assembly when every query hit)
+        and its reply text."""
+        forms: list[str] = []
+        text = wire.encode_response_json(
+            self.refresher.finish(request),
+            held=job.held,
+            validator=entry_validator,
+            tail=entry_tail,
+            forms=forms,
+        )
+        job.forms = forms  # only a reply that was encoded counts
+        return text
 
     def _serve_catalog(self, payload: dict) -> dict:
         """Catalog metadata request, served through the catalog cache."""
@@ -432,11 +464,11 @@ class QueryServer:
         :class:`TenantPolicy` carries its own ``max_match_series`` is
         held to that per-lane limit instead of the server-wide one.
         """
-        limit = self.max_match_series
+        limit, scope = self.max_match_series, "server's"
         if tenant is not None:
             policy = self._tenant_policies.get(tenant, self._default_policy)
             if policy.max_match_series is not None:
-                limit = policy.max_match_series
+                limit, scope = policy.max_match_series, "tenant's"
         if limit is None:
             return
         seen: set = set()
@@ -453,7 +485,6 @@ class QueryServer:
                 seen.add(probe)
                 matched = self.caching.cardinality(sub.metric, sub.tags)
                 if matched > limit:
-                    scope = "tenant's" if limit != self.max_match_series else "server's"
                     raise CardinalityLimitError(
                         f"query on metric {sub.metric!r} matches {matched} "
                         f"series, over the {scope} {limit}-series limit "
@@ -553,6 +584,18 @@ class QueryServer:
             )
             return None
         return _Job(payload, held, id_json, tenant, writer, write_lock)
+
+
+def _answered(fn, *args) -> bytes | dict | Callable[[], bytes | dict]:
+    """``fn(*args)``, or the error response for what it raised."""
+    try:
+        return fn(*args)
+    except (
+        wire.WireError, QueryError, InvalidName, CardinalityLimitError
+    ) as exc:
+        return wire.encode_error(exc)
+    except Exception as exc:  # store fault: answer, don't die
+        return _error_dict("InternalError", f"{type(exc).__name__}: {exc}")
 
 
 def _well_formed_held(held, queries) -> bool:

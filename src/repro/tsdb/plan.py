@@ -7,8 +7,8 @@ this module adds everything around it:
   sub-queries arithmetically (``expr("a - b", a=..., b=...)`` for
   CO2-minus-baseline style dashboard panels);
 - :func:`run_batch` — the batched executor behind ``store.run_many``:
-  deduplicates queries, dispatches to the store's execution hook, and
-  evaluates expressions over the batch results;
+  deduplicates queries (:class:`Batch`), dispatches to the store's
+  execution hook, and evaluates expressions over the batch results;
 - :func:`run_unique_batch` — the one executor behind that hook on both
   stores: each distinct filter is resolved once, each touched series is
   scanned once over its covering range, and every query runs
@@ -575,6 +575,64 @@ def _canonical_key(q: Query) -> tuple:
     )
 
 
+class Batch:
+    """One ``run_many`` request, deduplicated: the distinct queries to
+    execute, and how to assemble the request's results from theirs.
+
+    Duplicate queries (including expression operands equal to sibling
+    panels) appear once in :attr:`queries`.
+    """
+
+    __slots__ = ("queries", "_specs")
+
+    def __init__(self, items: Sequence[Query | ExprQuery]) -> None:
+        self.queries: list[Query] = []
+        index: dict[tuple, int] = {}
+
+        def intern(q: Query) -> int:
+            ck = _canonical_key(q)
+            i = index.get(ck)
+            if i is None:
+                i = index[ck] = len(self.queries)
+                self.queries.append(q)
+            return i
+
+        specs: list[tuple] = []
+        for item in items:
+            if isinstance(item, Query):
+                specs.append((item, intern(item)))
+            elif isinstance(item, ExprQuery):
+                specs.append(
+                    (item, {name: intern(sub) for name, sub in item.operands})
+                )
+            else:
+                raise QueryError(
+                    "run_many items must be Query or ExprQuery; "
+                    f"got {type(item).__name__}"
+                )
+        self._specs = specs
+
+    def assemble(
+        self, results: Sequence[QueryResult]
+    ) -> list[QueryResult | ExprResult]:
+        """The request's results, in its order, from those of
+        :attr:`queries`: expressions evaluated over their operands."""
+        out: list[QueryResult | ExprResult] = []
+        for item, ref in self._specs:
+            if isinstance(ref, int):
+                res = results[ref]
+                if res.query is not item:
+                    res = QueryResult(item, res.series, res.scanned_points)
+                out.append(res)
+            else:
+                out.append(
+                    _evaluate_expr(
+                        item, {name: results[i] for name, i in ref.items()}
+                    )
+                )
+        return out
+
+
 def run_batch(
     store: object,
     queries: Sequence[Query | ExprQuery],
@@ -583,51 +641,11 @@ def run_batch(
 
     Accepts a mix of :class:`Query` and :class:`ExprQuery`;
     duplicate queries (including expression operands equal to sibling
-    panels) execute once.  Execution goes through the store's
-    ``_run_unique_batch`` hook — :func:`run_unique_batch` on both
+    panels) execute once (:class:`Batch`).  Execution goes through the
+    store's ``_run_unique_batch`` hook — :func:`run_unique_batch` on both
     :class:`~repro.tsdb.database.TSDB` and
     :class:`~repro.tsdb.sharded.ShardedTSDB`, the result cache on the
     serving wrappers.  Results align with the input order.
     """
-    specs: list[tuple] = []
-    flat: list[Query] = []
-    index: dict[tuple, int] = {}
-
-    def intern(q: Query) -> int:
-        ck = _canonical_key(q)
-        i = index.get(ck)
-        if i is None:
-            i = len(flat)
-            index[ck] = i
-            flat.append(q)
-        return i
-
-    for item in queries:
-        if isinstance(item, Query):
-            specs.append(("q", item, intern(item)))
-        elif isinstance(item, ExprQuery):
-            specs.append(
-                ("expr", item, {name: intern(sub) for name, sub in item.operands})
-            )
-        else:
-            raise QueryError(
-                "run_many items must be Query or ExprQuery; "
-                f"got {type(item).__name__}"
-            )
-
-    flat_results = store._run_unique_batch(flat)
-
-    out: list[QueryResult | ExprResult] = []
-    for kind, item, ref in specs:
-        if kind == "q":
-            res = flat_results[ref]
-            if res.query is not item:
-                res = QueryResult(item, res.series, res.scanned_points)
-            out.append(res)
-        else:
-            out.append(
-                _evaluate_expr(
-                    item, {name: flat_results[i] for name, i in ref.items()}
-                )
-            )
-    return out
+    batch = Batch(queries)
+    return batch.assemble(store._run_unique_batch(batch.queries))

@@ -50,6 +50,7 @@ from repro.serve.cache import (
     entry_tail,
     entry_validator,
 )
+from repro.serve.server import _Job
 from repro.tsdb import Query, SeriesKey, ShardedTSDB, TSDB, wire
 from repro.tsdb.plan import expr
 
@@ -738,6 +739,21 @@ class TestCatalogService:
                     _decoded(c, [wide])
                 assert "server's 1-series limit" in err.value.message
 
+    def test_a_tenant_limit_equal_to_the_servers_is_named_the_tenants(self):
+        """The error names where the limit came from, not whether it
+        differs from the server-wide one (at the parent a tenant limit
+        of 10 on a server whose limit is 10 was called the server's)."""
+        store = _seeded(TSDB(), n=1, nodes="abcdefghijkl")
+        wide = Query("air.co2.ppm", 0, 4000, tags={"node": "*"})
+        policies = {"capped": TenantPolicy(max_match_series=10)}
+        with live_server(store, max_match_series=10,
+                         tenant_policies=policies) as server:
+            for tenant, scope in (("capped", "tenant's"), (None, "server's")):
+                with QueryClient(*server.address, tenant=tenant) as c:
+                    with pytest.raises(wire.RemoteQueryError) as err:
+                        _decoded(c, [wide])
+                assert f"over the {scope} 10-series limit" in err.value.message
+
     def test_ingest_guard_error_type_matches_wire_contract(self):
         # The ingest-side guard raises the same error type the server
         # reports, so clients key on one name for both guard-rails.
@@ -973,6 +989,147 @@ class TestReplyPath:
         assert all(isinstance(r, dict) for r in replies), replies
         assert stats["requests"] == len(replies) == 4 * 5 * 5
         assert stats["errors"] == sum("error" in r for r in replies) == 40
+
+
+def _co2_wall(end):
+    """Twelve panels over the ``store`` fixture's metric: folds across
+    series and per node at four bucket widths."""
+    return [
+        Query("air.co2.ppm", 0, end, aggregator=agg, downsample=f"{w}m-{agg}",
+              group_by=group_by)
+        for w in (5, 10, 15, 30)
+        for agg, group_by in (("avg", ()), ("max", ()), ("avg", ("node",)))
+    ]
+
+
+class TestLoopThreadAnswers:
+    """A request the result cache answers whole never leaves the event
+    loop's thread: it is looked up, encoded and sent there.  Only a
+    request with a miss left crosses to a worker thread, once."""
+
+    @staticmethod
+    def _count_jobs(server):
+        """Wrap ``server._threads.run``: the list of jobs it was handed."""
+        jobs = []
+        real = server._threads.run
+
+        async def run(fn, *args):
+            jobs.append(fn)
+            return await real(fn, *args)
+
+        server._threads.run = run
+        return jobs
+
+    def test_an_all_hit_request_makes_no_worker_job(self, store):
+        """Its bytes are the worker's answer to the same request (at the
+        parent the repeat was a second worker job)."""
+        qs = _co2_wall(4000)
+        line = _request_line(qs, id=3)
+        with live_server(store) as server:
+            jobs = self._count_jobs(server)
+            (by_worker,) = _raw_lines(server.address, line)  # every panel misses
+            assert len(jobs) == 1
+            executors = list(server._threads._all)
+            before = server.stats()
+            (on_loop,) = _raw_lines(server.address, line)  # every panel hits
+            after = server.stats()
+            assert len(jobs) == 1
+            assert server._threads._all == executors  # no thread made either
+        assert on_loop == by_worker
+        assert on_loop == json.dumps(
+            {**wire.handle_request(store, wire.encode_request(qs)), "id": 3},
+            allow_nan=False).encode() + b"\n"
+        delta = {k: after["cache"][k] - before["cache"][k]
+                 for k in ("hits", "misses")}
+        assert delta == {"hits": 12, "misses": 0}
+        assert after["refresh"]["batches"] - before["refresh"]["batches"] == 1
+
+    def test_an_all_hit_expression_is_evaluated_on_a_worker(self, store):
+        """Its operands all hit, but evaluating it is numpy work the
+        size of its series: one worker job, every count once."""
+        a = Query("air.co2.ppm", 0, 4000, tags={"node": "a"},
+                  downsample="5m-avg")
+        qs = [*_co2_wall(4000), expr("a - b", a=a, b=_co2_wall(4000)[0])]
+        with live_server(store) as server:
+            _raw_lines(server.address, _request_line(qs))
+            jobs = self._count_jobs(server)
+            before = server.stats()
+            (reply,) = _raw_lines(server.address, _request_line(qs))
+            after = server.stats()
+        assert len(jobs) == 1
+        assert json.loads(reply) == wire.handle_request(
+            store, wire.encode_request(qs))
+        delta = {k: after["cache"][k] - before["cache"][k]
+                 for k in ("hits", "misses")}
+        assert delta == {"hits": 13, "misses": 0}  # the operand b is a panel
+        assert after["refresh"]["batches"] - before["refresh"]["batches"] == 1
+
+    def test_eleven_hits_and_a_miss_make_one_worker_job(
+            self, store, monkeypatch):
+        """The look-ups run on the loop thread, the miss on a worker, and
+        every count once (at the parent every look-up ran on the worker)."""
+        wall = _co2_wall(4000)
+        looked_up_on = []
+        real_lookup = ResultCache.lookup
+
+        def lookup(cache, *args):
+            looked_up_on.append(threading.current_thread().name)
+            return real_lookup(cache, *args)
+
+        with live_server(store) as server:
+            _raw_lines(server.address, _request_line(wall[:11]))
+            jobs = self._count_jobs(server)
+            monkeypatch.setattr(ResultCache, "lookup", lookup)
+            before = server.stats()
+            (reply,) = _raw_lines(server.address, _request_line(wall))
+            after = server.stats()
+        assert len(jobs) == 1
+        assert len(looked_up_on) == 12
+        assert not any(name.startswith("query") for name in looked_up_on)
+        delta = {k: after["cache"][k] - before["cache"][k]
+                 for k in ("hits", "misses")}
+        assert delta == {"hits": 11, "misses": 1}
+        assert after["refresh"]["batches"] - before["refresh"]["batches"] == 1
+        assert after["refresh"]["full_runs"] - before["refresh"]["full_runs"] == 1
+        assert json.loads(reply) == wire.handle_request(
+            store, wire.encode_request(wall))
+
+    def test_a_write_between_the_phases_caches_nothing_stale(self, store):
+        """The look-up phase answers the hits; a write lands; the run
+        phase answers the miss.  Each entry is a fresh run's on one side
+        of the write, and later requests see the write everywhere."""
+        server = QueryServer(store)
+        hit = Query("air.co2.ppm", 0, 4000, downsample="10m-avg")
+        missed = Query("air.co2.ppm", 0, 4000, group_by=("node",))
+        both = [hit, missed]
+        _finish(server._look_up(_job([hit])))
+        assert isinstance(server._look_up(_job([hit])), bytes)  # now cached
+
+        def fresh():
+            return wire.handle_request(store, wire.encode_request(both))
+
+        answer = server._look_up(_job(both))
+        assert callable(answer)  # a miss left for the run phase
+        old = fresh()
+        store.put("air.co2.ppm", 3000, 900.0,
+                  {"node": "a", "city": "trondheim"})
+        new = fresh()
+        assert all(a != b for a, b in zip(old["results"], new["results"]))
+        got = json.loads(answer())
+        assert got["results"][0] == old["results"][0]  # looked up before it
+        assert got["results"][1] in (old["results"][1], new["results"][1])
+        for _ in range(2):  # neither the cache nor a panel kept a stale answer
+            assert json.loads(_finish(server._look_up(_job(both)))) == new
+
+
+def _job(queries):
+    """A plain request as the server's lane hands it over."""
+    return _Job(wire.encode_request(queries), None, None, "public", None, None)
+
+
+def _finish(answer):
+    """A look-up phase's answer, or what a worker thread makes of it."""
+    return answer() if callable(answer) else answer
 
 
 _ABSENT = object()  # no "id" key at all, as opposed to "id": null

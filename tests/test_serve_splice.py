@@ -7,7 +7,10 @@ buckets plus head and tail edges, and nobody can tell.
   names — moved forward, backward, off the bucket grid, shrunk, or two
   windows of one panel shape in one request, expression panels
   included — and whatever was appended, written late, deleted or
-  churned in between, the reply text is ``encode_response_json`` of
+  churned in between, the reply text — from the server's look-up phase
+  and, when a miss is left, its run phase, with exact repeats drawn so
+  replies the look-up phase answers whole are held to it too — is
+  ``encode_response_json`` of
   the innermost store's ``run_many``, ``scannedPoints`` included; rounds
   of requests with nothing written between them are drawn explicitly,
   so *quiet* panels (held buckets kept to the held end) run on every
@@ -38,9 +41,8 @@ from hypothesis import strategies as st
 
 from repro.serve import CachingStore, IncrementalRefresher, QueryClient, QueryServer
 from repro.serve.cache import ValidatorView
-from repro.serve.server import _Job
 from repro.tsdb import Query, QueryError, SeriesKey, ShardedTSDB, TSDB, wire
-from test_serve import _VALUES, _wall_panels, live_server
+from test_serve import _VALUES, _finish, _job, _wall_panels, live_server
 from test_serve_conditional import (
     HISTORY_MINUTES,
     METRICS,
@@ -82,9 +84,10 @@ def _slide(draw, window, now):
 
 
 def _plain(server, queries) -> bytes | dict:
-    """What the server's executor answers a plain request with."""
-    payload = wire.encode_request(queries)
-    return server._execute(_Job(payload, None, None, "public", None, None))
+    """What the server answers a plain request with: its look-up phase,
+    as the loop thread runs it, then — only if a miss is left — the run
+    phase a worker thread would run."""
+    return _finish(server._look_up(_job(queries)))
 
 
 def _inner_reply(inner, queries) -> bytes | dict:
@@ -118,7 +121,10 @@ def test_property_plain_replies_are_the_inner_stores(layout, data):
                     other = _panels(*_slide(draw, window, now))
                     queries += [other[i] for i in draw(st.lists(
                         st.integers(0, len(other) - 1), max_size=3))]
-            assert _plain(server, queries) == _inner_reply(inner, queries)
+            want = _inner_reply(inner, queries)
+            assert _plain(server, queries) == want
+            if draw(st.booleans()):  # an exact repeat: hits, where still cached
+                assert _plain(server, queries) == want
 
         for _ in range(draw(st.integers(3, 25))):
             op = draw(st.sampled_from(
@@ -225,7 +231,10 @@ def test_property_a_sliding_start_is_answered_as_the_inner_store(layout, data):
 
         def ask():
             queries = _sliding(start, end)
-            assert _plain(server, queries) == _inner_reply(inner, queries)
+            want = _inner_reply(inner, queries)
+            assert _plain(server, queries) == want
+            if draw(st.booleans()):  # an exact repeat: hits, where still cached
+                assert _plain(server, queries) == want
 
         ask()
         for _ in range(draw(st.integers(4, 24))):
