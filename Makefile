@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-cold test-store test-sharded test-region test-persist test-query test-catalog test-replication test-tier test-uplink test-imports serve-test bench bench-sharded bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e bench-pairs lint loc
+.PHONY: test test-cold test-store test-region test-persist test-query test-catalog test-replication test-tier test-uplink test-imports serve-test bench bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e bench-pairs lint loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -10,11 +10,7 @@ test:
 # every engine and through the wrapper stack, plus the suites
 # of everything derived from the primitives (catalog, tier, serving).
 test-store:
-	$(PYTHON) -m pytest -q tests/test_store_stack.py tests/test_store_reads.py tests/test_metric_counters.py tests/test_tsdb_sharded.py tests/test_tsdb_catalog.py tests/test_tsdb_tier.py tests/test_serve.py
-
-# The sharded-equivalence gate: fixed-seed, fully deterministic.
-test-sharded:
-	$(PYTHON) -m pytest -q tests/test_tsdb_sharded.py
+	$(PYTHON) -m pytest -q tests/test_store_stack.py tests/test_store_reads.py tests/test_metric_counters.py tests/test_tsdb_catalog.py tests/test_tsdb_tier.py tests/test_serve.py
 
 # The fan-in gate: queue invariants + N-city/merged-dataport equivalence.
 test-region:
@@ -28,9 +24,8 @@ test-region:
 test-persist:
 	$(PYTHON) -m pytest -q tests/test_tsdb_segments.py tests/test_tsdb_persistence.py
 
-# The query-engine gate: run/run_many/expression results on single
-# and sharded stores byte-identical to the seed run() path, plus wire
-# codec round-trips.
+# The query-engine gate: run/run_many results byte-identical to the
+# seed run() path, plus wire codec round-trips.
 test-query:
 	$(PYTHON) -m pytest -q tests/test_tsdb_plan.py tests/test_tsdb_wire.py
 
@@ -85,9 +80,8 @@ test-replication:
 	$(PYTHON) -m pytest -q tests/test_replication.py
 
 # The tiered-storage gate: compact(log) restores byte-identical to
-# replay(log) under random op interleavings (hypothesis, single +
-# sharded), crash-safe swap-in, a non-segment refused and left as it
-# is, cold-shard paging equivalence,
+# replay(log) under random op interleavings (hypothesis), crash-safe
+# swap-in, a non-segment refused and left as it is,
 # and the retention policy: tiers and drop, bucket-aligned, one batch
 # per stage (journaled through DurableStore, the one journal).
 test-tier:
@@ -124,9 +118,6 @@ test-imports:
 bench:
 	$(PYTHON) -m pytest -q benchmarks/test_ingest_throughput.py -s --bench-record
 
-bench-sharded:
-	$(PYTHON) -m pytest -q benchmarks/test_ingest_throughput.py -k sharded -s --bench-record
-
 # 1/2/4-city fan-in throughput, recorded into BENCH_ingest.json.
 bench-region:
 	$(PYTHON) -m pytest -q benchmarks/test_region_fanin.py -s --bench-record
@@ -136,7 +127,7 @@ bench-region:
 bench-persist:
 	$(PYTHON) -m pytest -q benchmarks/test_persistence.py -s --bench-record
 
-# 12-panel dashboard workload, seed vs batched planner, 1/4/8 shards;
+# 12-panel dashboard workload, seed vs batched planner;
 # gates the >=2x batched speedup and records the query section.
 bench-query:
 	$(PYTHON) -m pytest -q benchmarks/test_query_throughput.py -s --bench-record

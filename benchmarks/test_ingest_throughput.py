@@ -18,14 +18,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.tsdb import BatchBuilder, Query, ShardedTSDB, TSDB, dumps, run_boundaries
+from repro.tsdb import BatchBuilder, Query, TSDB, dumps, run_boundaries
 
 N_POINTS = 1_000_000
 N_NODES = 25
 METRICS = ["air.co2.ppm", "air.no2.ugm3", "air.pm10.ugm3", "weather.temperature.c"]
 N_SERIES = N_NODES * len(METRICS)
 import bench_io  # noqa: E402
-from bench_io import update_section, update_top_level  # noqa: E402
+from bench_io import update_top_level  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ FLUSH_SIZE = 100_000
 
 def columnar_ingest(db, series_idx, ts, values, tag_cache, flush=FLUSH_SIZE) -> float:
     """Ingest the workload in dataport-sized columnar flushes; returns
-    elapsed seconds.  ``db`` is any TimeSeriesStore (single or sharded)."""
+    elapsed seconds.  ``db`` is any TimeSeriesStore."""
     n = ts.shape[0]
     t0 = time.perf_counter()
     for lo in range(0, n, flush):
@@ -71,16 +71,6 @@ def columnar_ingest(db, series_idx, ts, values, tag_cache, flush=FLUSH_SIZE) -> 
             builder.add_series(metric, chunk_ts[s:e], chunk_vals[s:e], tags)
         db.put_batch(builder.build())
     return time.perf_counter() - t0
-
-
-def median_query_latency_ms(db, query, repeats: int = 3) -> tuple[float, int]:
-    latencies = []
-    res = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        res = db.run(query)
-        latencies.append(time.perf_counter() - t0)
-    return sorted(latencies)[len(latencies) // 2] * 1e3, res.scanned_points
 
 
 def test_batch_ingest_at_least_5x_faster_than_per_point(workload):
@@ -155,62 +145,6 @@ def test_batch_ingest_at_least_5x_faster_than_per_point(workload):
           f"query {query_ms:.1f} ms")
     if bench_io.recording:  # a wall-clock gate: make bench* / CI only
         assert speedup >= 5.0, f"batch path only {speedup:.1f}x faster"
-
-
-def test_sharded_ingest_and_query(workload):
-    """Sharded-engine trajectory: columnar ingest and fan-out query
-    latency at 1/2/4/8 shards, recorded next to the single-store numbers
-    in ``BENCH_ingest.json``.  Correctness is asserted against a
-    single-store reference on the same workload."""
-    series_idx, ts, values = workload
-    n = ts.shape[0]
-    tag_cache = [series_tags(s) for s in range(N_SERIES)]
-
-    reference = TSDB()
-    single_s = columnar_ingest(reference, series_idx, ts, values, tag_cache)
-    probe_metric, probe_tags = tag_cache[0]
-    probe_q = Query(probe_metric, 0, int(ts.max()), tags=probe_tags)
-    ref_probe = reference.run(probe_q).single()
-    city_q = Query(
-        METRICS[0], 0, int(ts.max()), tags={"city": "trondheim"}, downsample="5m-avg"
-    )
-    single_query_ms, _ = median_query_latency_ms(reference, city_q)
-
-    per_shard_count = {}
-    for shards in (1, 2, 4, 8):
-        db = ShardedTSDB(shards)
-        secs = columnar_ingest(db, series_idx, ts, values, tag_cache)
-
-        # Equivalence: identical state and identical query output.
-        assert db.exact_point_count() == reference.exact_point_count()
-        probe = db.run(probe_q).single()
-        assert np.array_equal(probe.timestamps, ref_probe.timestamps)
-        assert np.array_equal(probe.values, ref_probe.values)
-
-        query_ms, scanned = median_query_latency_ms(db, city_q)
-        per_shard_count[str(shards)] = {
-            "ingest_seconds": round(secs, 3),
-            "ingest_points_per_sec": round(n / secs),
-            "query_median_latency_ms": round(query_ms, 2),
-            "query_scanned_points": scanned,
-        }
-        print(f"BENCH_sharded[{shards}]: ingest {n / secs:,.0f} pts/s, "
-              f"query {query_ms:.1f} ms")
-
-    update_section("sharded", {
-        "flush_size": FLUSH_SIZE,
-        "single_store_ingest_seconds": round(single_s, 3),
-        "single_store_query_median_latency_ms": round(single_query_ms, 2),
-        "shards": per_shard_count,
-    })
-
-    # Routing overhead stays bounded: sharded ingest must remain within
-    # 3x of the single store (it is the same columnar path + crc32).
-    worst = max(v["ingest_seconds"] for v in per_shard_count.values())
-    if bench_io.recording:  # a wall-clock gate: make bench* / CI only
-        assert worst <= max(3.0 * single_s, single_s + 1.0), (
-            f"sharded ingest regressed: {worst:.3f}s vs single {single_s:.3f}s"
-        )
 
 
 def test_small_batch_equivalence_snapshot():

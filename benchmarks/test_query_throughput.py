@@ -8,17 +8,15 @@ records the ``query`` section of ``BENCH_ingest.json``:
 
 - *seed_sequential*: one query at a time through a frozen replica of
   the seed execution path (per-call match + scans, hash-based unique
-  timestamp union, serial shard fan-out) — the pre-redesign baseline
+  timestamp union) — the pre-redesign baseline
   the acceptance gate measures against;
 - *sequential*: one ``run()`` per panel on today's engine — the shims
   share the planner's faster exact kernels but plan each call alone;
 - *batched*: one ``run_many`` over all panels — shared matching, one
-  scan per touched series, one alignment shared across panels; the
-  same executor on the single and the sharded store.
+  scan per touched series, one alignment shared across panels.
 
-Gate: on the 4-shard store, batched ``run_many`` must beat the
-sequential seed path by ≥2× — while every path returns byte-identical
-results (asserted here on every shard count).
+Gate: batched ``run_many`` must beat the sequential seed path by ≥2× —
+while every path returns byte-identical results.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import pytest
 from repro.tsdb import (
     BatchBuilder,
     Query,
-    ShardedTSDB,
     TSDB,
     run_boundaries,
 )
@@ -47,7 +44,6 @@ METRICS = ["air.co2.ppm", "air.no2.ugm3", "air.pm10.ugm3", "weather.temperature.
 N_SERIES = N_NODES * len(METRICS)
 import bench_io  # noqa: E402
 from bench_io import update_section  # noqa: E402
-SHARD_COUNTS = (1, 4, 8)
 FLUSH_SIZE = 100_000
 REPEATS = 5
 
@@ -187,8 +183,8 @@ for _alias, _name in (("mean", "avg"), ("std", "dev")):
 
 # ---------------------------------------------------------------------------
 # Frozen seed baseline: the pre-planner query path, verbatim.
-# One scan per (query, key), np.unique timestamp unions, serial shard
-# fan-out — what `run()` executed before this redesign.  Kept here (not
+# One scan per (query, key), np.unique timestamp unions — what `run()`
+# executed before this redesign.  Kept here (not
 # in the library) so the benchmark always measures the same baseline.
 # ---------------------------------------------------------------------------
 
@@ -242,7 +238,7 @@ def _seed_execute_query(query, matched, scan):
 
 
 def seed_run(db, query: Query) -> QueryResult:
-    """The seed one-shot path, for single or sharded stores."""
+    """The seed one-shot path."""
     matched = db._match(query.metric, query.tags)
     return _seed_execute_query(
         query,
@@ -299,8 +295,7 @@ def dashboard_queries(t_max: int) -> list[Query]:
 
     Per metric: the city-wide mean, the city-wide spread (same series
     and window — the batch shares their alignment work), and the
-    per-node breakdown (single-series groups — pushed down whole into
-    the owning shards).
+    per-node breakdown (single-series groups).
     """
     panels: list[Query] = []
     for metric in METRICS:
@@ -377,47 +372,13 @@ def test_batched_dashboard_beats_sequential(workload):
           f"batched {batch_single_s * 1e3:.1f} ms "
           f"({seed_single_s / batch_single_s:.2f}x vs seed)")
 
-    speedup_at_4 = None
-    for shards in SHARD_COUNTS:
-        db = ShardedTSDB(shards)
-        ingest(db, series_idx, ts, values)
-
-        # The seed model: one query at a time, serial fan-out, no reuse.
-        seed_s, seed_results = median_seconds(
-            lambda: [seed_run(db, q) for q in panels]
-        )
-        # Today's one-shot shims (each call plans alone).
-        seq_s, seq_results = median_seconds(
-            lambda: [db.run(q) for q in panels]
-        )
-        batch_s, batch_results = median_seconds(
-            lambda: db.run_many(panels)
-        )
-
-        assert_identical(seq_results, seed_results)
-        assert_identical(batch_results, seed_results)
-        assert_identical(seed_results, reference)
-
-        speedup = seed_s / batch_s
-        if shards == 4:
-            speedup_at_4 = speedup
-        report["stores"][f"sharded_{shards}"] = {
-            "seed_sequential_ms": round(seed_s * 1e3, 2),
-            "sequential_ms": round(seq_s * 1e3, 2),
-            "batched_ms": round(batch_s * 1e3, 2),
-            "batched_speedup_vs_seed": round(speedup, 2),
-        }
-        print(f"BENCH_query[{shards} shards]: seed {seed_s * 1e3:.1f} ms, "
-              f"sequential {seq_s * 1e3:.1f} ms, "
-              f"batched {batch_s * 1e3:.1f} ms ({speedup:.2f}x vs seed)")
-
     update_section("query", report)
 
-    # The acceptance gate: batched multi-query execution on the 4-shard
-    # store beats N sequential seed run() calls by >=2x (wall clock:
-    # make bench* / CI only).
+    # The acceptance gate: batched multi-query execution beats N
+    # sequential seed run() calls by >=2x (wall clock: make bench* / CI
+    # only).
+    speedup = seed_single_s / batch_single_s
     if bench_io.recording:
-        assert speedup_at_4 is not None and speedup_at_4 >= 2.0, (
-            f"batched dashboard only {speedup_at_4:.2f}x faster than the seed "
-            "path on 4 shards"
+        assert speedup >= 2.0, (
+            f"batched dashboard only {speedup:.2f}x faster than the seed path"
         )

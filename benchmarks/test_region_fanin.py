@@ -1,10 +1,10 @@
-"""Regional fan-in throughput: 1/2/4 cities into one sharded store.
+"""Regional fan-in throughput: 1/2/4 cities into one store.
 
 Extends ``BENCH_ingest.json`` with a ``region_fanin`` section so
 successive PRs can track what the queue/hub layer costs on top of the
 raw columnar path: per-city batches enter through ``CityIngress`` lanes
-(bounded queues, block backpressure), hub ticks drain them into a
-4-shard regional store, and the recorded number is end-to-end points/s
+(bounded queues, block backpressure), hub ticks drain them into the
+regional store, and the recorded number is end-to-end points/s
 through the whole fan-in machinery.
 
 Correctness rides along: every configuration must land *all* points
@@ -21,7 +21,7 @@ import pytest
 
 from repro.region import CityPolicy, RegionalHub
 from repro.simclock import Scheduler, SimClock
-from repro.tsdb import PointBatch, ShardedTSDB
+from repro.tsdb import PointBatch, TSDB
 
 POINTS_PER_CITY = 200_000
 BATCH_ROWS = 10_000
@@ -53,7 +53,7 @@ def test_fanin_throughput(n_cities):
     total = n_cities * POINTS_PER_CITY
 
     scheduler = Scheduler(SimClock(start=0))
-    store = ShardedTSDB(4)
+    store = TSDB()
     hub = RegionalHub(store, scheduler, flush_interval_s=60)
     lanes = {
         c: hub.register_city(CityPolicy(c, queue_capacity=4 * BATCH_ROWS))
@@ -80,7 +80,7 @@ def test_fanin_throughput(n_cities):
 
     pts_per_sec = total / elapsed
     update_section("region_fanin", {
-        "store": "sharded-4",
+        "store": "tsdb",
         "points_per_city": POINTS_PER_CITY,
         "cities": {str(n_cities): {
             "seconds": round(elapsed, 3),

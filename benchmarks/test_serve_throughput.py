@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.serve import QueryClient, QueryServer
-from repro.tsdb import BatchBuilder, Query, ShardedTSDB, run_boundaries, wire
+from repro.tsdb import TSDB, BatchBuilder, Query, run_boundaries, wire
 
 N_POINTS = 1_000_000
 N_NODES = 25
@@ -75,7 +75,7 @@ def dashboard_queries(t_max: int) -> list[Query]:
 
 @pytest.fixture(scope="module")
 def store():
-    """The 1M-point arrival-ordered ingest workload on 4 shards."""
+    """The 1M-point arrival-ordered ingest workload."""
     rng = np.random.default_rng(2017)
     rows_per_series = N_POINTS // N_SERIES
     base = np.repeat(np.arange(rows_per_series, dtype=np.int64) * 60, N_SERIES)
@@ -85,7 +85,7 @@ def store():
     ts[late] -= 120
     values = rng.normal(400.0, 25.0, size=ts.shape[0])
 
-    db = ShardedTSDB(4)
+    db = TSDB()
     tag_cache = [series_tags(s) for s in range(N_SERIES)]
     n = ts.shape[0]
     for lo in range(0, n, FLUSH_SIZE):

@@ -49,15 +49,13 @@ def _deployment(city: str):
     raise SystemExit(f"unknown city {city!r}; pick 'trondheim' or 'vejle'")
 
 
-def _build(
-    city: str, hours: int, seed: int, shards: int = 0
-) -> tuple:
+def _build(city: str, hours: int, seed: int) -> tuple:
     """Simulate ``city`` for ``hours``; returns ``(ecosystem, city)``."""
     from .core import CttEcosystem, EcosystemConfig
 
     eco = CttEcosystem(
         [_deployment(city)],
-        config=EcosystemConfig(seed=seed, tsdb_shards=shards),
+        config=EcosystemConfig(seed=seed),
     )
     eco.start()
     eco.run(hours * HOUR)
@@ -67,10 +65,9 @@ def _build(
 def cmd_run(args: argparse.Namespace) -> int:
     if args.cities:
         return _run_region(args)
-    eco, city = _build(args.city, args.hours, args.seed, args.shards)
+    eco, city = _build(args.city, args.hours, args.seed)
     stats = city.delivery_stats()
-    store = f"sharded tsdb ({args.shards} shards)" if args.shards else "tsdb"
-    print(f"{args.city}: {args.hours} simulated hour(s), store: {store}")
+    print(f"{args.city}: {args.hours} simulated hour(s), store: tsdb")
     for key, value in stats.items():
         print(f"  {key:>22}: {value}")
     return 0
@@ -109,7 +106,6 @@ def _run_region_inner(args, names: list[str], spill_dir: str | None) -> int:
         [_deployment(name) for name in names],
         config=EcosystemConfig(
             seed=args.seed,
-            tsdb_shards=args.shards,
             cities=policies,
             region_spill_dir=spill_dir,
         ),
@@ -117,10 +113,9 @@ def _run_region_inner(args, names: list[str], spill_dir: str | None) -> int:
     eco.start()
     eco.run(args.hours * HOUR)
     eco.flush_region()
-    store = f"sharded tsdb ({args.shards} shards)" if args.shards else "tsdb"
     print(
         f"regional fan-in: {len(names)} cities, {args.hours} simulated "
-        f"hour(s), store: {store}, backpressure: {args.backpressure}, "
+        f"hour(s), store: tsdb, backpressure: {args.backpressure}, "
         f"queue depth: {args.queue_depth}"
     )
     for name in names:
@@ -147,7 +142,7 @@ def _run_region_inner(args, names: list[str], spill_dir: str | None) -> int:
 def cmd_dashboard(args: argparse.Namespace) -> int:
     from .core import build_air_quality_dashboard
 
-    eco, city = _build(args.city, args.hours, args.seed, args.shards)
+    eco, city = _build(args.city, args.hours, args.seed)
     start = eco.now - args.hours * HOUR
     dash = build_air_quality_dashboard(city, start, eco.now)
     print(dash.render_text())
@@ -157,7 +152,7 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
 def cmd_wall(args: argparse.Namespace) -> int:
     from .core import build_wall_display
 
-    eco, city = _build(args.city, args.hours, args.seed, args.shards)
+    eco, city = _build(args.city, args.hours, args.seed)
     start = eco.now - args.hours * HOUR
     print(build_wall_display(city, start, eco.now).render_text())
     return 0
@@ -260,7 +255,7 @@ def _print_reply(response) -> int:
         return 1
     entries = []
     for res in results:
-        entry: dict = {} if res.expr is None else {"expr": res.expr}
+        entry: dict = {}
         entry["series"] = [
             {
                 "metric": s.metric,
@@ -333,7 +328,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             raise SystemExit(f"query: cannot reach {host}:{port}: {exc}")
         return _print_reply(response)
 
-    eco, city = _build(args.city, args.hours, args.seed, args.shards)
+    eco, city = _build(args.city, args.hours, args.seed)
     if queries is None:
         end = eco.now
         queries = _flag_queries(args, end - args.hours * HOUR, end)
@@ -394,7 +389,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise SystemExit(f"catalog: cannot reach {host}:{port}: {exc}")
     else:
-        eco, city = _build(args.city, args.hours, args.seed, args.shards)
+        eco, city = _build(args.city, args.hours, args.seed)
         request = wire.encode_catalog_request(
             op, metric=args.metric, key=args.key, tags=tags
         )
@@ -432,7 +427,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.compact_every is not None and not args.wal:
         raise SystemExit("serve: --compact-every requires --wal PATH")
 
-    eco, city = _build(args.city, args.hours, args.seed, args.shards)
+    eco, city = _build(args.city, args.hours, args.seed)
     store = city.db
     replicate_to = None
     if args.replicate_to:
@@ -546,7 +541,7 @@ def cmd_follow(args: argparse.Namespace) -> int:
 
     Listens for shipper connections (``repro serve --replicate-to`` or
     any :class:`~repro.replication.SegmentShipper`) and applies records
-    into a local single or sharded store.  Signals drive the lifecycle:
+    into a local store.  Signals drive the lifecycle:
 
     - ``SIGUSR1`` — promote: stop replicating, optionally write a
       binary snapshot (``--snapshot-on-promote``), and, with
@@ -561,7 +556,7 @@ def cmd_follow(args: argparse.Namespace) -> int:
     from .replication import Follower
 
     host, port = _parse_connect(args.listen, flag="--listen")
-    follower = Follower(host=host, port=port, shards=args.shards)
+    follower = Follower(host=host, port=port)
 
     async def _main() -> None:
         fh, fp = await follower.start()
@@ -700,8 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("trondheim", "vejle"))
         p.add_argument("--hours", type=int, default=6)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="partition the TSDB across N shards (0 = single store)")
 
     p_run = sub.add_parser("run", help="simulate and print pipeline stats")
     common(p_run)
@@ -726,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_wall)
     p_wall.set_defaults(func=cmd_wall)
 
-    # table1 simulates no window and builds no store: no --hours / --shards.
+    # table1 simulates no window and builds no store: no --hours.
     p_t1 = sub.add_parser("table1", help="external-source catalog status")
     p_t1.add_argument("--city", default="trondheim",
                       choices=("trondheim", "vejle"))
@@ -848,9 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--listen", default="127.0.0.1:4252", metavar="HOST:PORT",
         help="address to accept shipper connections on "
              "(port 0 = ephemeral; default: 127.0.0.1:4252)")
-    p_follow.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="apply into a sharded store with N shards (0 = single store)")
     p_follow.add_argument(
         "--serve-port", type=int, default=None, metavar="PORT",
         help="after promotion, serve queries on this port (0 = ephemeral)")

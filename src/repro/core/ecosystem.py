@@ -42,7 +42,7 @@ from ..sensors import (
     random_fault_plan,
 )
 from ..simclock import DAY, Scheduler, SimClock
-from ..tsdb import TSDB, ShardedTSDB, TimeSeriesStore
+from ..tsdb import TSDB, TimeSeriesStore
 from .deployment import CityDeployment
 
 
@@ -59,8 +59,6 @@ class EcosystemConfig:
     power_spec: PowerSpec = field(default_factory=PowerSpec)
     twin_config: TwinConfig = field(default_factory=TwinConfig)
     watchdog_interval_s: int = 60
-    #: Number of TSDB shards; 0 keeps the single in-process store.
-    tsdb_shards: int = 0
     #: Per-city fan-in policies.  Non-empty routes every dataport's hop-5
     #: writes through a :class:`~repro.region.RegionalHub` (bounded
     #: queues + backpressure) instead of straight into the store;
@@ -71,12 +69,6 @@ class EcosystemConfig:
     #: Directory for spill-to-disk backpressure segments (required only
     #: when a city policy uses ``Backpressure.SPILL``).
     region_spill_dir: str | None = None
-
-    def build_store(self) -> TimeSeriesStore:
-        """The shared measurement store this config calls for."""
-        if self.tsdb_shards > 0:
-            return ShardedTSDB(self.tsdb_shards)
-        return TSDB()
 
     @property
     def regional(self) -> bool:
@@ -306,7 +298,7 @@ class CttEcosystem:
             SimClock(start=start_time if start_time is not None else CTT_EPOCH)
         )
         self.config = config or EcosystemConfig()
-        self.db = self.config.build_store()
+        self.db = TSDB()
         #: The regional fan-in hub; None when dataports write directly.
         self.hub: RegionalHub | None = None
         if self.config.regional:

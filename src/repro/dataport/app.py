@@ -73,9 +73,8 @@ class BatchingTsdbWriter:
     database as one :meth:`~repro.tsdb.TSDB.put_batch` per flush —
     either when the dataport's scheduler tick fires, or when the buffer
     hits ``max_pending`` under burst load.  ``db`` is any
-    :class:`~repro.tsdb.TimeSeriesStore` — the single-process
-    :class:`~repro.tsdb.TSDB` or a :class:`~repro.tsdb.ShardedTSDB`
-    (the batch boundary is exactly the shard-routing boundary).
+    :class:`~repro.tsdb.TimeSeriesStore` — a :class:`~repro.tsdb.TSDB`
+    or a wrapper stacked on one.
 
     The writer mutates the store it is handed and nothing else: for a
     write-ahead log, hand it a :class:`~repro.tsdb.tier.DurableStore`,

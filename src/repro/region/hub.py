@@ -6,8 +6,8 @@ analytics consume.  :class:`RegionalHub` is that fan-in point.  Each
 registered city gets a :class:`CityIngress` — a store-shaped enqueue
 endpoint its dataport's ``BatchingTsdbWriter`` writes to — backed by a
 bounded :class:`~repro.region.queue.AsyncBatchQueue`.  The hub drains
-queues into the regional :class:`~repro.tsdb.TimeSeriesStore` (single
-or sharded) on scheduler ticks and enforces each city's retention
+queues into the regional :class:`~repro.tsdb.TimeSeriesStore` on
+scheduler ticks and enforces each city's retention
 policy scoped to its ``city=<name>`` series.
 
 Semantics are pinned to the direct path: the ingress preserves per-city
@@ -15,7 +15,7 @@ batch order and the store's last-write-wins merge is order-based within
 one series, and a series belongs to exactly one city — so a fan-in run
 produces *byte-identical* store contents to a single dataport ingesting
 the same traffic (the equivalence suite in ``tests/test_region_hub.py``
-asserts this at 4 cities over a sharded store).
+asserts this at 4 cities).
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ class CityIngress:
     ``BatchingTsdbWriter`` — and any other producer — plugs in
     unchanged.  Every accepted series is namespaced to the city: keys
     missing a ``city`` tag gain ``city=<name>`` (keys that already carry
-    one, e.g. stamped by the dataport, pass through untouched), which
-    layers cleanly on the CRC-32 shard routing because the tag is part
-    of the canonical key string.
+    one, e.g. stamped by the dataport, pass through untouched).
 
     Under ``block`` backpressure a refused batch is *stalled* here (in
     producer territory, outside the bounded queue) and retried on hub

@@ -9,7 +9,7 @@ length-prefixed TCP protocol — at-least-once delivery, sequence-based
 dedup, bounded in-flight window, exponential backoff + jitter on
 reconnect, catch-up replay from the follower's acked high-water mark
 after any disconnect.  The follower applies blocks idempotently into
-its own single or sharded store and can be promoted into a read-write
+its own store and can be promoted into a read-write
 primary (``python -m repro follow``).
 
 :mod:`repro.replication.faults` is the deterministic fault-injection

@@ -48,7 +48,6 @@ from ..tsdb.segments import (
     decode_block,
     decode_frame,
 )
-from ..tsdb.sharded import ShardedTSDB
 from .shipper import REPLICATION_MAGIC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -135,23 +134,17 @@ class _Connection(asyncio.Protocol):
 class Follower:
     """Hot-standby replica: one listening socket, one store, one cursor.
 
-    ``store`` defaults to a fresh single :class:`TSDB`; pass ``shards``
-    to build a :class:`ShardedTSDB` instead (the follower applies the
-    same blocks either way — the store protocol hides the layout, and
-    the equivalence suite pins both byte-identical to the primary).
+    ``store`` defaults to a fresh :class:`TSDB`.
     """
 
     store: "TimeSeriesStore | None" = None
     host: str = "127.0.0.1"
     port: int = 0
-    shards: int = 0
     stats: FollowerStats = field(default_factory=FollowerStats)
 
     def __post_init__(self) -> None:
         if self.store is None:
-            self.store = ShardedTSDB(self.shards) if self.shards else TSDB()
-        elif self.shards:
-            raise ValueError("pass store= or shards=, not both")
+            self.store = TSDB()
         self.applied_seq = 0
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[_Connection] = set()

@@ -253,7 +253,7 @@ class ReplicatedStore(StoreWrapper):
     unacknowledged write is allowed to be lost, and logging it would
     instead *invent* it on the follower.
 
-    Wrap the innermost real store (single or sharded).  Note the
+    Wrap the innermost real store.  Note the
     at-ingest cardinality guard-rail is the one write surface that can
     fail *mid-batch* (rows admitted before the rejected series stay
     written); run replicated primaries without ``max_tag_values`` or

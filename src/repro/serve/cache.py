@@ -6,8 +6,8 @@ the series they touch.  :class:`CachingStore` wraps any
 :class:`~repro.tsdb.interface.TimeSeriesStore` — as the outermost layer
 of the store stack — and intercepts the batched execution hook, so
 ``run_many`` (and therefore the wire layer's ``handle_request``) sees
-cache hits per *unique* query while expression recomposition, dedup,
-and result ordering stay in the shared planner.  Writes are not
+cache hits per *unique* query while dedup and result ordering stay in
+the shared planner.  Writes are not
 intercepted: the three primitives pass through to the layers below.
 
 Correctness comes from generation validators, not timers:

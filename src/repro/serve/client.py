@@ -47,7 +47,6 @@ import time
 from typing import Callable, Sequence
 
 from ..tsdb import wire
-from ..tsdb.plan import ExprQuery
 from ..tsdb.query import Query
 from ..tsdb.wire import RemoteQueryError, WireError
 from .cache import HELD_PANELS, BoundedLRU
@@ -188,7 +187,7 @@ class QueryClient:
     # -- calls -----------------------------------------------------------
     def request(
         self,
-        queries: Sequence[Query | ExprQuery],
+        queries: Sequence[Query],
         *,
         refresh: bool = False,
     ) -> dict:
@@ -265,10 +264,9 @@ class QueryClient:
                     "reply this client does not hold"
                 )
             # a fresh entry in the full form's key order
-            full = {"expr": entry["expr"]} if "expr" in entry else {}
-            full["series"] = held.series
+            full = {"series": held.series}
             for key, value in entry.items():
-                if key not in ("expr", "notModified", "tail"):
+                if key not in ("notModified", "tail"):
                     full[key] = value
             results[i] = full
             now_held.append(held)

@@ -161,7 +161,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ..tsdb.downsample import FillPolicy
-from ..tsdb.plan import Batch, ExprQuery, ExprResult
+from ..tsdb.plan import Batch
 from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.series import SeriesSlice
 from .cache import (
@@ -410,14 +410,10 @@ class IncrementalRefresher:
         return self._points(store, q, lo, hi - 1)
 
     # -- execution -------------------------------------------------------
-    def run_many(
-        self, queries: list[Query | ExprQuery]
-    ) -> list[QueryResult | ExprResult]:
+    def run_many(self, queries: list[Query]) -> list[QueryResult]:
         """One request, executed as one batch (see the module docstring):
         its look-up phase, then its run phase, on the calling thread.
-
-        The shared planner dedups the batch and evaluates expression
-        panels over their operands, as it does for any store.
+        The shared planner dedups the batch, as it does for any store.
         """
         return self.finish(self.look_up(queries))
 
@@ -425,7 +421,7 @@ class IncrementalRefresher:
         """The batch of one."""
         return self.run_many([query])[0]
 
-    def look_up(self, queries: list[Query | ExprQuery]) -> Request:
+    def look_up(self, queries: list[Query]) -> Request:
         """A request's look-up phase: dedup, then the exact hits from
         the result cache, through one view (module docstring, 1).
 
@@ -439,10 +435,9 @@ class IncrementalRefresher:
         results = [cache.lookup(before, q) for q in batch.queries]
         return Request(batch, results, before)
 
-    def finish(self, request: Request) -> list[QueryResult | ExprResult]:
+    def finish(self, request: Request) -> list[QueryResult]:
         """A request's run phase: the misses, one bracket at a time
-        (module docstring, 2–5), then the request's results assembled,
-        expression panels included."""
+        (module docstring, 2–5), then the request's results assembled."""
         batch, results = request.batch, request.results
         misses = [i for i, r in enumerate(results) if r is None]
         before = request.before

@@ -26,9 +26,8 @@ optional envelope fields stripped before decoding:
   these — as base64 text, the first ``k * 32 // 3`` characters of each
   held column followed by the tail's, see
   :func:`~repro.tsdb.wire.splice_column`).
-  ``scannedPoints`` (and an expression's ``expr``) are sent in every
-  form.  A validator is an opaque string naming the content of an
-  entry's ``series`` array (see
+  ``scannedPoints`` is sent in every form.  A validator is an opaque
+  string naming the content of an entry's ``series`` array (see
   :func:`~repro.serve.cache.entry_validator`).
 
 A payload carrying a ``"catalog"`` object instead of ``"queries"`` is a
@@ -63,11 +62,11 @@ A request's path splits at the result cache
 loop's thread decodes it, applies the cardinality guard and looks every
 query up; a request the cache answers whole — every panel *hit*, the
 wall a dashboard re-polls between writes — is assembled, encoded and
-written there, with no thread hop.  Only a request with a miss left, or
-an expression panel to evaluate (and a catalog request), crosses to a
-worker thread, once: scans release the GIL, and a closed loop of
-requests stays on one thread (see :class:`_Threads`).  The worker runs
-the misses, evaluates the expressions and encodes the reply —
+written there, with no thread hop.  Only a request with a miss left
+(and a catalog request) crosses to a worker thread, once: scans
+release the GIL, and a closed loop of requests stays on one thread
+(see :class:`_Threads`).  The worker runs the misses and encodes the
+reply —
 one base64 per result column, see
 :func:`~repro.tsdb.wire.encode_response_json` — and hands back the
 finished text; the loop thread splices in the request id and writes.
@@ -88,7 +87,6 @@ from ..backpressure import Backpressure
 from ..tsdb import wire
 from ..tsdb.catalog import CardinalityLimitError
 from ..tsdb.model import InvalidName
-from ..tsdb.plan import ExprQuery
 from ..tsdb.query import QueryError
 from .cache import CachingStore, CatalogCache, entry_tail, entry_validator
 from .refresh import IncrementalRefresher, Request
@@ -404,8 +402,7 @@ class QueryServer:
 
         A request the result cache answers whole is assembled and
         encoded here, and its reply returned; otherwise — a miss left,
-        an expression panel to evaluate, or a catalog request — what is
-        left to run on a worker thread.  Results come back as finished
+        or a catalog request — what is left to run on a worker thread.  Results come back as finished
         response text; errors and catalog answers as their (small) dicts.
         """
         if isinstance(job.payload, dict) and "catalog" in job.payload:
@@ -415,12 +412,7 @@ class QueryServer:
             queries = wire.decode_request(job.payload)
             self._guard_match_cardinality(queries, tenant=job.tenant)
             request = self.refresher.look_up(queries)
-            # an expression is evaluated as the results are assembled:
-            # numpy work as large as its operands' series, where a plain
-            # panel's assembly is a re-wrap, so it goes where scans go
-            if request.answered and not any(
-                isinstance(q, ExprQuery) for q in queries
-            ):
+            if request.answered:
                 return self._encode(job, request)
             return partial(_answered, self._encode, job, request)
 
@@ -473,24 +465,18 @@ class QueryServer:
             return
         seen: set = set()
         for q in queries:
-            subs = (
-                tuple(sub for _, sub in q.operands)
-                if isinstance(q, ExprQuery)
-                else (q,)
-            )
-            for sub in subs:
-                probe = (sub.metric, tuple(sorted(sub.tags.items())))
-                if probe in seen:
-                    continue
-                seen.add(probe)
-                matched = self.caching.cardinality(sub.metric, sub.tags)
-                if matched > limit:
-                    raise CardinalityLimitError(
-                        f"query on metric {sub.metric!r} matches {matched} "
-                        f"series, over the {scope} {limit}-series limit "
-                        f"(narrow the tag filter)",
-                        limit=limit,
-                    )
+            probe = (q.metric, tuple(sorted(q.tags.items())))
+            if probe in seen:
+                continue
+            seen.add(probe)
+            matched = self.caching.cardinality(q.metric, q.tags)
+            if matched > limit:
+                raise CardinalityLimitError(
+                    f"query on metric {q.metric!r} matches {matched} "
+                    f"series, over the {scope} {limit}-series limit "
+                    f"(narrow the tag filter)",
+                    limit=limit,
+                )
 
     async def _reply(self, job: _Job, response: bytes | dict) -> None:
         if isinstance(response, dict) and "error" in response:

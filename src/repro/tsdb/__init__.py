@@ -4,10 +4,9 @@ Data model: points are ``(metric, timestamp, value, tags)``; a series is
 one metric + tag combination.  Queries support tag filtering (exact,
 ``*``, ``a|b``), cross-series aggregation, group-by, rate, and
 downsampling with gap-fill policies; the declarative :class:`Query`
-surface (plus :func:`~repro.tsdb.plan.expr` arithmetic expression
-queries) executes through one batched planner (:mod:`~repro.tsdb.plan`)
-on single and sharded stores, and speaks a versioned OpenTSDB-style
-JSON wire format (:mod:`~repro.tsdb.wire`).
+surface executes through one batched planner (:mod:`~repro.tsdb.plan`)
+and speaks a versioned OpenTSDB-style JSON wire format
+(:mod:`~repro.tsdb.wire`).
 Persistence is an append-only WAL
 with snapshot compaction in columnar segments, the one durable format
 (see :mod:`~repro.tsdb.segments`) — and retention optionally rolls old
@@ -18,7 +17,7 @@ examples import; everything else is imported from its submodule.
 """
 
 from .batch import BatchBuilder, PointBatch, run_boundaries
-from .database import TSDB
+from .database import TSDB, ShardedTSDB
 from .interface import TimeSeriesStore
 from .model import (
     METRIC_BATTERY,
@@ -34,10 +33,8 @@ from .model import (
     SeriesKey,
 )
 from .persistence import dumps, load, snapshot
-from .plan import ExprQuery
 from .query import Query, QueryError, ResultSeries
 from .segments import SegmentCorruption, SegmentWriter, segment_stats
-from .sharded import ShardedTSDB
 from .tier import DurableStore, compact_log
 from .wire import WireError
 
@@ -45,7 +42,6 @@ __all__ = [
     "BatchBuilder",
     "DataPoint",
     "DurableStore",
-    "ExprQuery",
     "METRIC_BATTERY",
     "METRIC_CO2",
     "METRIC_HUMIDITY",

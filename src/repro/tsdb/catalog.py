@@ -20,7 +20,7 @@ and :meth:`SeriesCatalog.match` only runs the full
 :meth:`~repro.tsdb.model.SeriesKey.matches` predicate over the already
 narrowed candidate set as a final exactness check.  Match output is
 pinned to canonical (sorted key-string) order, so results are
-deterministic and identical for a single store and any shard count.
+deterministic.
 
 The same postings answer the metadata API dashboards need for
 autocomplete (:meth:`metrics`, :meth:`tag_keys`, :meth:`tag_values`)
@@ -30,11 +30,6 @@ the (N+1)-th distinct value of one tag key under one metric with a
 :class:`CardinalityLimitError` — *before* any state changes — so a
 misbehaving ingester (a node id leaking a timestamp into a tag, say)
 fails loudly instead of silently exploding the index.
-
-A store keeps one catalog, whatever its layout: a
-:class:`~repro.tsdb.sharded.ShardedTSDB` partitions its series' column
-stores, not their index, so every answer, counter and the guard are
-the single store's.
 
 The catalog also keeps what a read needs of one filter, resolved once
 per series set (:meth:`SeriesCatalog.resolve`): a :class:`Resolution`
@@ -110,8 +105,7 @@ def group_keys(
     label order, the keys sorted per group.
 
     A pure function of the key set — independent of the order ``keys``
-    arrive in and of which shard each key lives on, so every store
-    layout forms the same groups.
+    arrive in.
     """
     names = sorted(group_by)
     groups: dict[tuple, list[SeriesKey]] = defaultdict(list)

@@ -3,9 +3,9 @@
 PR 1 made :class:`~repro.tsdb.batch.PointBatch` the unit of flow through
 the ingest pipeline; this module makes the *store* pluggable.  Everything
 downstream of the dataport — persistence, retention, dashboards,
-analytics — talks to a :class:`TimeSeriesStore`, so the single-process
-:class:`~repro.tsdb.database.TSDB` and the hash-partitioned
-:class:`~repro.tsdb.sharded.ShardedTSDB` are interchangeable.
+analytics — talks to a :class:`TimeSeriesStore`, so the store
+(:class:`~repro.tsdb.database.TSDB`) and the wrappers stacked on it are
+interchangeable.
 
 :class:`StoreApi` is the concrete half: convenience methods every store
 gets for free, implemented purely in terms of the protocol surface —
@@ -22,14 +22,14 @@ from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
 from .batch import PointBatch
 from .catalog import Resolution, SeriesCatalog
 from .model import DataPoint, SeriesKey
-from .plan import ExprQuery, ExprResult, run_batch, run_unique_batch
+from .plan import run_batch, run_unique_batch
 from .query import Query, QueryResult
 from .series import SeriesSlice, SeriesStore
 
 
 @runtime_checkable
 class TimeSeriesStore(Protocol):
-    """Structural interface shared by :class:`TSDB` and :class:`ShardedTSDB`.
+    """Structural interface of :class:`TSDB` and every wrapper around one.
 
     The dataport's :class:`~repro.dataport.app.BatchingTsdbWriter`,
     persistence (``snapshot``/``dumps``/``load(into=...)``), retention
@@ -125,9 +125,7 @@ class TimeSeriesStore(Protocol):
 
     def run(self, query: Query) -> QueryResult: ...
 
-    def run_many(
-        self, queries: Sequence[Query | ExprQuery]
-    ) -> list[QueryResult | ExprResult]: ...
+    def run_many(self, queries: Sequence[Query]) -> list[QueryResult]: ...
 
     def iter_series(
         self, start: int | None = None, end: int | None = None
@@ -203,9 +201,8 @@ class StoreApi:
         intersect, ``"a|b"`` alternations union, ``"*"`` uses has-key
         postings, and ``key.matches`` runs only over the narrowed pool
         as a final exactness check — O(result), not O(series-under-
-        metric), deterministic regardless of set iteration order, and
-        identical to the single store's for any shard count.  The keys
-        of :meth:`_resolve`.
+        metric), and deterministic regardless of set iteration order.
+        The keys of :meth:`_resolve`.
         """
         return list(self.catalog.resolve(metric, tags).keys)
 
@@ -301,16 +298,13 @@ class StoreApi:
         """
         return self.run_many([query])[0]
 
-    def run_many(
-        self, queries: Sequence[Query | ExprQuery]
-    ) -> list[QueryResult | ExprResult]:
+    def run_many(self, queries: Sequence[Query]) -> list[QueryResult]:
         """Plan and execute a batch of queries together.
 
         The dashboard entry point: all queries plan as one batch —
         duplicate queries execute once and distinct queries share
-        series matching and physical scans, on either store.
-        Accepts :class:`Query` and :func:`expr` expression queries;
-        results align with the input order.
+        series matching and physical scans.  Results align with the
+        input order.
         """
         return run_batch(self, queries)
 
@@ -334,8 +328,8 @@ class StoreApi:
         """All series in canonical order (metric, then key string).
 
         The iteration order is a function of the *data*, not of the
-        store layout, so snapshots of a sharded store are byte-identical
-        to snapshots of a single store holding the same points.
+        order it was written in, so two stores holding the same points
+        snapshot to the same bytes.
         """
         for metric in self.metrics():
             for key in self.series_for_metric(metric):

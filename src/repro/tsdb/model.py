@@ -30,8 +30,8 @@ def validate_name(name: str, what: str = "name") -> str:
 class SeriesKey:
     """Canonical identity of one time series: metric + sorted tag pairs.
 
-    ``str(key)`` is the canonical text ``metric{k=v,...}`` — what shard
-    routing hashes and both durability codecs write — formatted on
+    ``str(key)`` is the canonical text ``metric{k=v,...}`` — what both
+    durability codecs write — formatted on
     first use and kept on the key (``_text``: not part of its identity,
     so equality, hash and ``repr`` never see it).
     """

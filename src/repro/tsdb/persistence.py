@@ -13,8 +13,7 @@ A source without the segment magic is not a segment and is refused,
 strict or lenient: lenient recovery skips damaged *blocks* of a
 segment, it never guesses at another format.  ``load`` replays into a
 fresh :class:`TSDB` (or, via ``into=``, any
-:class:`~repro.tsdb.interface.TimeSeriesStore`, e.g. a
-:class:`~repro.tsdb.sharded.ShardedTSDB` of any shard count).
+:class:`~repro.tsdb.interface.TimeSeriesStore`).
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ def load(
     deletion at its position in the stream, so replay interleaves batch
     blocks and retention exactly as the live process did — including
     the index pruning of series the deletion emptied.  ``into`` defaults
-    to a fresh single-store :class:`TSDB`; pass any store (e.g. a
-    :class:`~repro.tsdb.sharded.ShardedTSDB`) to replay into it.
+    to a fresh :class:`TSDB`; pass any store (e.g. a
+    :class:`~repro.tsdb.tier.DurableStore`) to replay into it.
     """
     db: "TimeSeriesStore" = into if into is not None else TSDB()
     for item in iter_segments(source, strict=strict):
@@ -70,8 +69,8 @@ def snapshot(db: "TimeSeriesStore", path: str | os.PathLike[str]) -> int:
     Returns the number of points written.  Snapshots are normal WALs, so
     ``load`` restores them; they are smaller than the raw WAL because
     overwritten duplicates are gone.  Works on any store — the iteration
-    order is canonical (metric, then key), so a sharded store snapshots
-    byte-identically to a single store with the same contents.  Whole
+    order is canonical (metric, then key), so two stores with the same
+    contents snapshot byte-identically.  Whole
     series columns stream into segment blocks.
 
     The segment is written to ``<path>.tmp`` and renamed over ``path``

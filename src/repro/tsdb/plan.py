@@ -3,23 +3,15 @@
 The declarative surface (:class:`~repro.tsdb.query.Query`) is unchanged;
 this module adds everything around it:
 
-- :func:`expr` / :class:`ExprQuery` — expression queries combining
-  sub-queries arithmetically (``expr("a - b", a=..., b=...)`` for
-  CO2-minus-baseline style dashboard panels);
 - :func:`run_batch` — the batched executor behind ``store.run_many``:
-  deduplicates queries (:class:`Batch`), dispatches to the store's
-  execution hook, and evaluates expressions over the batch results;
-- :func:`run_unique_batch` — the one executor behind that hook on both
-  stores: each distinct filter is resolved once, each touched series is
-  scanned once over its covering range, and every query runs
-  :func:`execute_plan` over the shared scans.  A store supplies only
-  how it resolves a filter — its catalog's kept
-  :class:`~repro.tsdb.catalog.Resolution`: the matched keys, their
-  groups, their column stores — and
-  :class:`~repro.tsdb.sharded.ShardedTSDB` is a
-  :class:`~repro.tsdb.database.TSDB` with one catalog whose stores
-  live in N shards, so both execute the *same* code over the same
-  slices — results are bit-identical for any shard count.  What a
+  deduplicates queries (:class:`Batch`) and dispatches to the store's
+  execution hook;
+- :func:`run_unique_batch` — the one executor behind that hook: each
+  distinct filter is resolved once, each touched series is scanned once
+  over its covering range, and every query runs :func:`execute_plan`
+  over the shared scans.  A store supplies only how it resolves a
+  filter — its catalog's kept :class:`~repro.tsdb.catalog.Resolution`:
+  the matched keys, their groups, their column stores.  What a
   batch holds: the scans for its whole length — they are read-only
   views of the stores' columns
   (:meth:`~repro.tsdb.series.SeriesStore.scan`), nothing to free — and
@@ -48,10 +40,7 @@ planner: a single query is just a batch of one.
 
 from __future__ import annotations
 
-import ast
-import operator
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,208 +54,6 @@ from .series import SeriesSlice
 
 def _empty_slice() -> SeriesSlice:
     return SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
-
-
-# ---------------------------------------------------------------------------
-# Expression queries: arithmetic over sub-query results
-# ---------------------------------------------------------------------------
-
-_BIN_OPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.Mod: operator.mod,
-    ast.Pow: operator.pow,
-}
-_UNARY_OPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
-
-
-def _compile_formula(formula: str):
-    """Parse a formula into (referenced names, evaluator).
-
-    Only arithmetic over named sub-queries and numeric constants is
-    allowed — no calls, attributes, subscripts, or comparisons — so a
-    formula arriving over the wire cannot execute anything.
-    """
-    try:
-        tree = ast.parse(formula, mode="eval")
-    except SyntaxError as exc:
-        raise QueryError(f"malformed expression {formula!r}: {exc}") from None
-    names: set[str] = set()
-
-    def check(node: ast.AST) -> None:
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and type(node.op) in _BIN_OPS:
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
-            check(node.operand)
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, (int, float))
-            and not isinstance(node.value, bool)
-        ):
-            pass
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        else:
-            raise QueryError(
-                f"expression {formula!r}: only +, -, *, /, %, ** over named "
-                "sub-queries and numeric constants are allowed"
-            )
-
-    check(tree)
-    if not names:
-        raise QueryError(f"expression {formula!r} references no sub-queries")
-
-    def evaluate(env: Mapping[str, np.ndarray]) -> np.ndarray:
-        def ev(node: ast.AST):
-            if isinstance(node, ast.Expression):
-                return ev(node.body)
-            if isinstance(node, ast.BinOp):
-                return _BIN_OPS[type(node.op)](ev(node.left), ev(node.right))
-            if isinstance(node, ast.UnaryOp):
-                return _UNARY_OPS[type(node.op)](ev(node.operand))
-            if isinstance(node, ast.Constant):
-                return node.value
-            return env[node.id]  # ast.Name; validated above
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(ev(tree), dtype=np.float64)
-
-    return names, evaluate
-
-
-@dataclass(frozen=True)
-class ExprQuery:
-    """A formula over named sub-queries, e.g. ``a - b``.
-
-    Build via :func:`expr`.  Missing instants are NaN before the
-    arithmetic, so gaps propagate instead of silently zero-filling.
-    Grouped operands must agree on their group labels; single-series
-    operands broadcast across the groups (per-node CO2 minus the
-    city-wide baseline in one expression).
-    """
-
-    formula: str
-    operands: tuple[tuple[str, Query], ...]
-
-    def __post_init__(self) -> None:
-        names, _ = _compile_formula(self.formula)
-        bound = {name for name, _ in self.operands}
-        if names - bound:
-            raise QueryError(
-                f"expression {self.formula!r} references unbound operands: "
-                f"{sorted(names - bound)}"
-            )
-        if bound - names:
-            raise QueryError(
-                f"expression {self.formula!r} never uses operands: "
-                f"{sorted(bound - names)}"
-            )
-
-
-def expr(formula: str, **operands: Query) -> ExprQuery:
-    """Combine sub-queries arithmetically: ``expr("a - b", a=..., b=...)``.
-
-    Operands are :class:`Query`; the planner runs them inside the same
-    batch as everything else, so an expression's sub-queries share
-    matching and scans with sibling dashboard panels.
-    """
-    for sub in operands.values():
-        if not isinstance(sub, Query):
-            raise QueryError(f"expected Query, got {type(sub).__name__}")
-    return ExprQuery(formula, tuple(sorted(operands.items())))
-
-
-@dataclass(frozen=True)
-class ExprResult:
-    """All series produced by one expression query."""
-
-    expr: ExprQuery
-    series: tuple[ResultSeries, ...]
-    scanned_points: int
-
-    def __len__(self) -> int:
-        return len(self.series)
-
-    def __iter__(self) -> Iterator[ResultSeries]:
-        return iter(self.series)
-
-    def single(self) -> ResultSeries:
-        if len(self.series) != 1:
-            raise QueryError(
-                f"expected exactly one result series, got {len(self.series)}"
-            )
-        return self.series[0]
-
-    def is_empty(self) -> bool:
-        return all(len(s) == 0 for s in self.series)
-
-
-def _evaluate_expr(
-    eq: ExprQuery, results: Mapping[str, QueryResult]
-) -> ExprResult:
-    """Combine operand results through the formula, label by label."""
-    names, evaluate = _compile_formula(eq.formula)
-    ordered = sorted(names)
-    per_op: dict[str, dict[tuple, ResultSeries]] = {}
-    for name in ordered:
-        per_op[name] = {
-            tuple(sorted(s.group_tags.items())): s for s in results[name].series
-        }
-    # Operands producing one ungrouped series broadcast; all others must
-    # agree on the exact label set.
-    label_sets = {name: set(per_op[name]) for name in ordered}
-    labeled = [name for name in ordered if label_sets[name] != {()}]
-    if labeled:
-        base = label_sets[labeled[0]]
-        for name in labeled[1:]:
-            if label_sets[name] != base:
-                raise QueryError(
-                    f"expression {eq.formula!r}: operands {labeled[0]!r} and "
-                    f"{name!r} have mismatched group labels"
-                )
-        out_labels = sorted(base)
-    else:
-        out_labels = [()]
-
-    out_series: list[ResultSeries] = []
-    for label in out_labels:
-        parts = {
-            name: (
-                per_op[name][label]
-                if label_sets[name] != {()}
-                else per_op[name][()]
-            )
-            for name in ordered
-        }
-        union = np.unique(
-            np.concatenate([s.timestamps for s in parts.values()])
-        ) if parts else np.empty(0, np.int64)
-        env: dict[str, np.ndarray] = {}
-        for name, s in parts.items():
-            col = np.full(union.shape[0], np.nan)
-            col[union.searchsorted(s.timestamps)] = s.values
-            env[name] = col
-        values = evaluate(env)
-        if values.shape != union.shape:  # constant-dominated formula
-            values = np.broadcast_to(values, union.shape).astype(np.float64)
-        sources = tuple(
-            sorted({k for s in parts.values() for k in s.source_series}, key=str)
-        )
-        out_series.append(
-            ResultSeries(
-                metric=eq.formula,
-                group_tags=dict(label),
-                slice=SeriesSlice(union, values),
-                source_series=sources,
-            )
-        )
-    scanned = sum(results[name].scanned_points for name in ordered)
-    return ExprResult(eq, tuple(out_series), scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +194,8 @@ def execute_plan(
 
     ``groups`` is :func:`~repro.tsdb.catalog.group_keys` of the series
     the query touches, under ``query.group_by``, and ``scan`` produces
-    each one's time-sorted slice; everything downstream of the scan is
-    store-layout-independent.  Every store runs its queries through
-    these same stages, so results are bit-identical regardless of how
-    series are partitioned: groups form from the key set alone and
-    slices always aggregate in sorted key order.
+    each one's time-sorted slice.  Groups form from the key set alone
+    and slices always aggregate in sorted key order.
     """
     scanned = 0
     prepared: list[list[SeriesSlice]] = []
@@ -577,75 +361,46 @@ def _canonical_key(q: Query) -> tuple:
 
 class Batch:
     """One ``run_many`` request, deduplicated: the distinct queries to
-    execute, and how to assemble the request's results from theirs.
-
-    Duplicate queries (including expression operands equal to sibling
-    panels) appear once in :attr:`queries`.
-    """
+    execute, and how to assemble the request's results from theirs."""
 
     __slots__ = ("queries", "_specs")
 
-    def __init__(self, items: Sequence[Query | ExprQuery]) -> None:
+    def __init__(self, items: Sequence[Query]) -> None:
         self.queries: list[Query] = []
+        self._specs: list[tuple[Query, int]] = []
         index: dict[tuple, int] = {}
-
-        def intern(q: Query) -> int:
-            ck = _canonical_key(q)
+        for item in items:
+            if not isinstance(item, Query):
+                raise QueryError(
+                    f"run_many items must be Query; got {type(item).__name__}"
+                )
+            ck = _canonical_key(item)
             i = index.get(ck)
             if i is None:
                 i = index[ck] = len(self.queries)
-                self.queries.append(q)
-            return i
+                self.queries.append(item)
+            self._specs.append((item, i))
 
-        specs: list[tuple] = []
-        for item in items:
-            if isinstance(item, Query):
-                specs.append((item, intern(item)))
-            elif isinstance(item, ExprQuery):
-                specs.append(
-                    (item, {name: intern(sub) for name, sub in item.operands})
-                )
-            else:
-                raise QueryError(
-                    "run_many items must be Query or ExprQuery; "
-                    f"got {type(item).__name__}"
-                )
-        self._specs = specs
-
-    def assemble(
-        self, results: Sequence[QueryResult]
-    ) -> list[QueryResult | ExprResult]:
+    def assemble(self, results: Sequence[QueryResult]) -> list[QueryResult]:
         """The request's results, in its order, from those of
-        :attr:`queries`: expressions evaluated over their operands."""
-        out: list[QueryResult | ExprResult] = []
-        for item, ref in self._specs:
-            if isinstance(ref, int):
-                res = results[ref]
-                if res.query is not item:
-                    res = QueryResult(item, res.series, res.scanned_points)
-                out.append(res)
-            else:
-                out.append(
-                    _evaluate_expr(
-                        item, {name: results[i] for name, i in ref.items()}
-                    )
-                )
+        :attr:`queries`: each re-wrapped around the request's own query."""
+        out: list[QueryResult] = []
+        for item, i in self._specs:
+            res = results[i]
+            if res.query is not item:
+                res = QueryResult(item, res.series, res.scanned_points)
+            out.append(res)
         return out
 
 
-def run_batch(
-    store: object,
-    queries: Sequence[Query | ExprQuery],
-) -> list[QueryResult | ExprResult]:
+def run_batch(store: object, queries: Sequence[Query]) -> list[QueryResult]:
     """Plan and execute a batch of queries together.
 
-    Accepts a mix of :class:`Query` and :class:`ExprQuery`;
-    duplicate queries (including expression operands equal to sibling
-    panels) execute once (:class:`Batch`).  Execution goes through the
-    store's ``_run_unique_batch`` hook — :func:`run_unique_batch` on both
-    :class:`~repro.tsdb.database.TSDB` and
-    :class:`~repro.tsdb.sharded.ShardedTSDB`, the result cache on the
-    serving wrappers.  Results align with the input order.
+    Duplicate queries execute once (:class:`Batch`).  Execution goes
+    through the store's ``_run_unique_batch`` hook —
+    :func:`run_unique_batch` on :class:`~repro.tsdb.database.TSDB`, the
+    result cache on the serving wrappers.  Results align with the input
+    order.
     """
     batch = Batch(queries)
     return batch.assemble(store._run_unique_batch(batch.queries))

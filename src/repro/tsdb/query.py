@@ -65,6 +65,22 @@ class Query:
             raise QueryError(f"metric must be a non-empty string: {self.metric!r}")
         if self.end < self.start:
             raise QueryError(f"end ({self.end}) precedes start ({self.start})")
+        # plain loops and an exact-dict fast path: this runs for every
+        # query a request decodes
+        if type(self.tags) is not dict and not isinstance(self.tags, Mapping):
+            raise QueryError(f"tags must map strings to strings: {self.tags!r}")
+        for k, v in self.tags.items():
+            if not (isinstance(k, str) and isinstance(v, str)):
+                raise QueryError(f"tags must map strings to strings: {self.tags!r}")
+        if not isinstance(self.group_by, (list, tuple)):
+            raise QueryError(
+                f"group_by must be a list or tuple of tag keys: {self.group_by!r}"
+            )
+        for g in self.group_by:
+            if not isinstance(g, str):
+                raise QueryError(
+                    f"group_by must be a list or tuple of tag keys: {self.group_by!r}"
+                )
         try:
             aggregators.lookup(self.aggregator)
         except aggregators.UnknownAggregator as exc:

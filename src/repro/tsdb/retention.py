@@ -28,9 +28,7 @@ one ``delete_series_before`` per series it drops from.  Durability and
 replication are the store's business: hand the pass a
 :class:`~repro.tsdb.tier.DurableStore` /
 :class:`~repro.replication.ReplicatedStore` stack and every rollup and
-deletion is journaled and shipped in the order it was applied.  A
-rollup is written under its own key, so on a sharded store it lands in
-whichever shard that key routes to — where queries look for it.
+deletion is journaled and shipped in the order it was applied.
 
 Late-arriving raw points older than their tier cutoff land in raw, and
 the next pass rolls them into a bucket that may already exist:

@@ -2,7 +2,7 @@
 
 The wire format is the stable outer skin of the query engine: dashboards
 (or a future HTTP endpoint) speak JSON, the planner speaks
-:class:`~repro.tsdb.query.Query` / :class:`~repro.tsdb.plan.ExprQuery`.
+:class:`~repro.tsdb.query.Query`.
 The shape mirrors OpenTSDB's ``/api/query``:
 
 .. code-block:: json
@@ -10,9 +10,7 @@ The shape mirrors OpenTSDB's ``/api/query``:
     {"version": 2, "queries": [
         {"metric": "air.co2.ppm", "start": 0, "end": 3600,
          "tags": {"city": "trondheim"}, "aggregator": "avg",
-         "downsample": "5m-avg", "rate": false, "groupBy": ["node"]},
-        {"expr": "a - b", "operands": {"a": {"metric": "..."},
-                                       "b": {"metric": "..."}}}
+         "downsample": "5m-avg", "rate": false, "groupBy": ["node"]}
     ]}
 
 and the response carries one entry per request query, each with its
@@ -71,7 +69,6 @@ import numpy as np
 
 from .catalog import CardinalityLimitError
 from .model import InvalidName
-from .plan import ExprQuery, ExprResult
 from .query import Query, QueryError, QueryResult
 
 #: Current (and only) wire format version.
@@ -101,7 +98,6 @@ _QUERY_FIELDS = {
     "metric", "start", "end", "tags", "aggregator", "downsample", "rate",
     "groupBy",
 }
-_EXPR_FIELDS = {"expr", "operands"}
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +105,8 @@ _EXPR_FIELDS = {"expr", "operands"}
 # ---------------------------------------------------------------------------
 
 
-def encode_query(q: Query | ExprQuery) -> dict:
-    """One query as its wire dict (sub-queries of expressions recurse)."""
-    if isinstance(q, ExprQuery):
-        return {
-            "expr": q.formula,
-            "operands": {name: encode_query(sub) for name, sub in q.operands},
-        }
+def encode_query(q: Query) -> dict:
+    """One query as its wire dict."""
     if not isinstance(q, Query):
         raise WireError(f"cannot encode {type(q).__name__} as a wire query")
     out: dict = {"metric": q.metric, "start": int(q.start), "end": int(q.end)}
@@ -132,9 +123,7 @@ def encode_query(q: Query | ExprQuery) -> dict:
     return out
 
 
-def encode_request(
-    queries: Sequence[Query | ExprQuery],
-) -> dict:
+def encode_request(queries: Sequence[Query]) -> dict:
     """A ``run_many`` batch as a versioned wire request dict."""
     return {
         "version": WIRE_VERSION,
@@ -164,27 +153,10 @@ def _decode_timestamp(obj: Mapping, field: str) -> int:
     )
 
 
-def decode_query(obj: Mapping) -> Query | ExprQuery:
+def decode_query(obj: Mapping) -> Query:
     """One wire dict back into a planner query (strict field checking)."""
     if not isinstance(obj, Mapping):
         raise WireError(f"query must be an object, got {type(obj).__name__}")
-    if "expr" in obj:
-        unknown = set(obj) - _EXPR_FIELDS
-        if unknown:
-            raise WireError(f"unknown expression fields: {sorted(unknown)}")
-        operands = obj.get("operands")
-        if not isinstance(operands, Mapping) or not operands:
-            raise WireError("expression needs a non-empty 'operands' object")
-        decoded_ops = []
-        for name, sub in sorted(operands.items()):
-            sub_q = decode_query(sub)
-            if isinstance(sub_q, ExprQuery):
-                raise WireError("nested expressions are not supported")
-            decoded_ops.append((str(name), sub_q))
-        try:
-            return ExprQuery(str(obj["expr"]), tuple(decoded_ops))
-        except QueryError as exc:
-            raise WireError(str(exc)) from None
     unknown = set(obj) - _QUERY_FIELDS
     if unknown:
         raise WireError(f"unknown query fields: {sorted(unknown)}")
@@ -214,7 +186,7 @@ def decode_query(obj: Mapping) -> Query | ExprQuery:
         raise WireError(str(exc)) from None
 
 
-def decode_request(request: str | bytes | Mapping) -> list[Query | ExprQuery]:
+def decode_request(request: str | bytes | Mapping) -> list[Query]:
     """A wire request (JSON text or already-parsed dict) into queries."""
     if isinstance(request, (str, bytes)):
         try:
@@ -279,18 +251,15 @@ def _encode_series(s) -> dict:
     return {**_series_head(s), "t": t.decode(), "v": v.decode()}
 
 
-def encode_response(
-    results: Sequence[QueryResult | ExprResult],
-) -> dict:
+def encode_response(results: Sequence[QueryResult]) -> dict:
     """``run_many`` output as a versioned wire response dict."""
-    entries = []
-    for res in results:
-        entry: dict = {}
-        if isinstance(res, ExprResult):
-            entry["expr"] = res.expr.formula
-        entry["series"] = [_encode_series(s) for s in res.series]
-        entry["scannedPoints"] = int(res.scanned_points)
-        entries.append(entry)
+    entries = [
+        {
+            "series": [_encode_series(s) for s in res.series],
+            "scannedPoints": int(res.scanned_points),
+        }
+        for res in results
+    ]
     return {"version": WIRE_VERSION, "results": entries}
 
 
@@ -328,7 +297,7 @@ def _series_parts(s, keep: int | None = None) -> list[bytes]:
 
 
 def encode_response_json(
-    results: Sequence[QueryResult | ExprResult],
+    results: Sequence[QueryResult],
     *,
     held: Sequence[str | None] | None = None,
     validator=None,
@@ -347,8 +316,8 @@ def encode_response_json(
     one ``keep`` per series when the series extend the held ones — each
     series' first ``keep`` points (a multiple of 3) are the held
     series', the rest is sent — and the entry carries ``"tail"``;
-    otherwise it is the full entry.  ``expr`` and ``scannedPoints`` are
-    sent in every form.  ``forms``, if given, receives each entry's
+    otherwise it is the full entry.  ``scannedPoints`` is sent in every
+    form.  ``forms``, if given, receives each entry's
     form: ``"full"``, ``"not_modified"`` or ``"tail"``.
     """
     out = [b'{"version": %d, "results": [' % WIRE_VERSION]
@@ -357,8 +326,6 @@ def encode_response_json(
         if i:
             out.append(b", ")
         out.append(b"{")
-        if isinstance(res, ExprResult):
-            out.append(b'"expr": %s, ' % json.dumps(res.expr.formula).encode())
         form, keeps = "full", None
         if held is not None:
             name = validator(res.series)
@@ -437,7 +404,6 @@ class WireResult:
 
     series: tuple[WireSeries, ...]
     scanned_points: int
-    expr: str | None = None
 
     def __len__(self) -> int:
         return len(self.series)
@@ -510,7 +476,6 @@ def decode_response(response: str | bytes | Mapping) -> list[WireResult]:
         WireResult(
             series=decode_series(entry.get("series", ())),
             scanned_points=int(entry.get("scannedPoints", 0)),
-            expr=entry.get("expr"),
         )
         for entry in response.get("results", ())
     ]

@@ -16,20 +16,20 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..analytics.aqi import caqi
-from ..tsdb import ExprQuery, Query, TimeSeriesStore
+from ..tsdb import Query, TimeSeriesStore
 from .render import horizontal_bar, value_color
 from .timeseries import Chart
 
 
 @dataclass
 class TimeseriesPanel:
-    """A line chart bound to one TSDB query (or expression query)."""
+    """A line chart bound to one TSDB query."""
 
     title: str
-    query: Query | ExprQuery
+    query: Query
 
     def _result(self, db: TimeSeriesStore):
-        return db.run_many([self.query])[0]
+        return db.run(self.query)
 
     def render_text(
         self, db: TimeSeriesStore, width: int = 72, result=None

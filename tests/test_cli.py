@@ -121,7 +121,6 @@ class TestQueryCommand:
         server over the same store: one printer, the same text."""
         from repro.cli import _build
         from repro.tsdb import Query, wire
-        from repro.tsdb.plan import expr
         from test_serve import live_server
 
         eco, city = _build("vejle", 1, 0)
@@ -132,7 +131,8 @@ class TestQueryCommand:
         request.write_text(json.dumps(wire.encode_request([
             by_node,
             Query("air.co2.ppm", start, end, downsample="5m-max-nan"),
-            expr("a * 2", a=by_node),
+            Query("air.co2.ppm", start, end, aggregator="sum",
+                  group_by=("city",)),
         ])))
 
         assert main(["query", "--request", str(request),
@@ -145,7 +145,7 @@ class TestQueryCommand:
         assert capsys.readouterr().out == local
 
         results = json.loads(local)["results"]
-        assert [r.get("expr") for r in results] == [None, None, "a * 2"]
+        assert [list(r) for r in results] == [["series", "scannedPoints"]] * 3
         (series, *_) = results[0]["series"]
         assert series["tags"]["node"] and series["points"]
         assert all(len(p) == 2 and isinstance(p[0], int)
@@ -153,21 +153,41 @@ class TestQueryCommand:
         assert None in [v for _, v in results[1]["series"][0]["points"]]
 
     def test_an_in_band_error_is_printed_and_exits_1(self, tmp_path, capsys):
+        from repro.tsdb import TSDB, wire
+        from test_serve import live_server
+
+        db = TSDB()
+        for node in ("a", "b"):
+            db.put("air.co2.ppm", 0, 400.0, {"node": node})
+        request = tmp_path / "req.json"
+        request.write_text(json.dumps({
+            "version": wire.WIRE_VERSION,
+            "queries": [{"metric": "air.co2.ppm", "start": 0, "end": 10,
+                         "tags": {"node": "*"}}],
+        }))
+        with live_server(db, max_match_series=1) as server:
+            host, port = server.address
+            code = main(["query", "--request", str(request),
+                         "--connect", f"{host}:{port}"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1 and out["error"]["type"] == "CardinalityLimitError"
+
+    def test_an_expr_request_is_refused_before_anything_runs(
+            self, tmp_path, capsys):
+        """The retired expression form is refused by the strict field
+        check, naming the fields, before the city is simulated."""
         from repro.tsdb import wire
 
         request = tmp_path / "req.json"
         request.write_text(json.dumps({
             "version": wire.WIRE_VERSION,
-            "queries": [{"expr": "a + b", "operands": {
-                "a": {"metric": "air.co2.ppm", "start": 0, "end": 10,
-                      "groupBy": ["node"]},
-                "b": {"metric": "air.co2.ppm", "start": 0, "end": 10,
-                      "groupBy": ["city"]}}}],
+            "queries": [{"expr": "a + 1", "operands": {
+                "a": {"metric": "air.co2.ppm", "start": 0, "end": 10}}}],
         }))
-        code = main(["query", "--request", str(request),
-                     "--city", "vejle", "--hours", "1"])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 1 and out["error"]["type"] == "QueryError"
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--request", str(request),
+                  "--city", "vejle", "--hours", "1"])
+        assert "unknown query fields: ['expr', 'operands']" in str(exc.value.code)
 
 
 class TestCompactCommand:

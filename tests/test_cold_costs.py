@@ -2,7 +2,7 @@
 
 The e2e wall (12 panels: per metric a 30 m average, an hourly maximum
 of the cross-node deviation and a per-node hourly average) over 4
-metrics x 25 nodes x 2 400 points on ``ShardedTSDB(4)``, nodes offset
+metrics x 25 nodes x 2 400 points on ``TSDB()``, nodes offset
 by 0-6 s so no two share a second, and counting wrappers around what a
 cold ``run_many`` should *not* do: copy the columns it scans, hold more
 than one filter's alignment, hand out a result that still points into
@@ -50,7 +50,7 @@ def _history(db, *, nan_at: int | None = None):
 
 @pytest.fixture
 def db():
-    return _history(ShardedTSDB(4))
+    return _history(TSDB())
 
 
 def _columns(db) -> list[np.ndarray]:
@@ -275,8 +275,8 @@ def test_nan_free_data_builds_no_mask(db, monkeypatch):
 
 
 def test_one_nan_is_masked_where_it_is_and_nowhere_else(monkeypatch):
-    db = _history(ShardedTSDB(4), nan_at=POINTS // 2)
-    clean = _history(ShardedTSDB(4))
+    db = _history(TSDB(), nan_at=POINTS // 2)
+    clean = _history(TSDB())
     counts = _MaskCounts(monkeypatch)
     results = db.run_many(_wall())
     reply = wire.encode_response(results)

@@ -9,8 +9,9 @@ metric's counter held still" as "every series under it held still" and
 only then fall back to the per-series check.  So, under hypothesis-drawn
 interleavings of every kind of write — in-order, out-of-order and
 duplicate batches, single puts, both deletes, a series emptied and
-created again, the retention pass — on ``TSDB``, ``ShardedTSDB(n)`` for
-n ∈ {1, 2, 4, 7}, each under
+created again, the retention pass — on ``TSDB`` and on ``ShardedTSDB(n)``
+(the frozen e2e's name for the same store) for n ∈ {1, 2, 4, 7}, each
+under
 ``CachingStore(DurableStore(ReplicatedStore(store)))``:
 
 - each counter moved exactly when a series of its metric changed

@@ -3,7 +3,7 @@
 The serving stack from public constructors::
 
     IncrementalRefresher(
-        CachingStore(DurableStore(ReplicatedStore(ShardedTSDB(4)))))
+        CachingStore(DurableStore(ReplicatedStore(TSDB()))))
 
 with the e2e wall (12 panels over 4 metrics x 25 nodes) and one minute
 appended before each refresh, and counting wrappers around what a
@@ -38,7 +38,7 @@ import repro.tsdb.plan as plan_module
 from repro.replication import ReplicatedStore
 from repro.serve import CachingStore, IncrementalRefresher
 from repro.serve.cache import ResultCache, ValidatorView
-from repro.tsdb import BatchBuilder, DurableStore, Query, ShardedTSDB, wire
+from repro.tsdb import BatchBuilder, DurableStore, Query, TSDB, wire
 from repro.tsdb.catalog import SeriesCatalog
 from repro.tsdb.downsample import Downsample
 from repro.tsdb.series import SeriesStore
@@ -83,7 +83,7 @@ class _Counts:
         self.latest: Counter = Counter()  # series key -> series_latest reads
         self.counters: Counter = Counter()  # (counter, metric) -> counter-cell reads
         self.views = 0  # series scan views opened, planner and refresher
-        real_series = ShardedTSDB._series
+        real_series = TSDB._series
         real_match = SeriesCatalog.match
         real_match_set = SeriesCatalog._match_set
         real_plan = interface_module.run_unique_batch
@@ -142,7 +142,7 @@ class _Counts:
         per_series("series_latest", self.latest)
         per_metric("write")
         per_metric("reshape")
-        monkeypatch.setattr(ShardedTSDB, "_series", _series)
+        monkeypatch.setattr(TSDB, "_series", _series)
         monkeypatch.setattr(SeriesCatalog, "match", match)
         monkeypatch.setattr(SeriesCatalog, "_match_set", match_set)
         monkeypatch.setattr(interface_module, "run_unique_batch", run_unique_batch)
@@ -166,7 +166,7 @@ class _Counts:
 
 @pytest.fixture
 def stack(tmp_path):
-    inner = ShardedTSDB(4)
+    inner = TSDB()
     builder = BatchBuilder()
     ts = np.arange(HISTORY_MINUTES, dtype=np.int64) * MINUTE
     for m, metric in enumerate(METRICS):
@@ -253,8 +253,7 @@ def test_a_live_refresh_resolves_each_filter_once_per_series_set(
         counts.reset()
         got = refresher.run_many(_dashboard(0, end))
         assert refresher.stats.incremental_runs % 12 == 0
-        # no postings walked (parent: 32, two matches per filter, each
-        # over four shards)
+        # no postings walked (re-matching walked 32: two matches per filter)
         assert counts.postings == 0
         # one boundary per filter: each series' last point read once
         # (parent: 300 reads, once per panel)
@@ -362,15 +361,15 @@ def test_a_cached_plain_request_reads_one_counter_per_metric(stack, monkeypatch)
 
 def test_an_exact_repeat_reads_each_metric_counter_from_one_cell(
         stack, monkeypatch):
-    """A sharded store keeps one catalog, so a metric's write counter is
-    one cell however many shards its series land on: an exact repeat of
-    the wall is answered from the result cache with one read of it per
+    """The store keeps one catalog, so a metric's write counter is one
+    cell shared by every series of the metric: an exact repeat of the
+    wall is answered from the result cache with one read of it per
     metric."""
     inner, caching, end = stack
     assert isinstance(inner.catalog, SeriesCatalog)
     for metric in METRICS:
         keys = inner.series_for_metric(metric)
-        assert len({inner.shard_of(key) for key in keys}) == inner.num_shards
+        assert len(keys) > 1
         cell = inner.catalog.metric_counters(metric)
         assert all(inner._series(key)._metric is cell for key in keys)
     refresher = IncrementalRefresher(caching)

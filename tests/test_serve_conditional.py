@@ -3,7 +3,8 @@ answers *not modified* or *the tail*, and nobody can tell.
 
 - **equivalence** (hypothesis, the op grammar of
   ``test_property_reply_lines_equal_dumps_of_the_dict_codec``, over
-  ``TSDB`` and ``ShardedTSDB(1/2/4/7)`` under the full store stack):
+  ``TSDB`` and the frozen e2e's ``ShardedTSDB(4)`` under the full store
+  stack):
   whatever is appended, written late, retained away, churned, repeated
   or slid between requests, the dict a holding :class:`QueryClient`
   returns is ``wire.handle_request`` on the innermost store — as a dict
@@ -52,7 +53,6 @@ from repro.tsdb import (
     TSDB,
     wire,
 )
-from repro.tsdb.plan import ExprResult, expr
 from repro.tsdb.interface import StoreWrapper
 from test_serve import _VALUES, _raw_lines, _wall_panels, live_server
 from test_tsdb_wire import bits
@@ -70,7 +70,6 @@ def _same_decoded(got, want):
     canonical)."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.expr == (w.expr.formula if isinstance(w, ExprResult) else None)
         assert g.scanned_points == w.scanned_points
         assert len(g.series) == len(w.series)
         for a, b in zip(g.series, w.series):
@@ -93,10 +92,8 @@ def _stack(inner):
             durable.close()
 
 
-def _make_inner(layout, draw):
-    if layout == "single":
-        return TSDB()
-    return ShardedTSDB(draw(st.sampled_from((1, 2, 4, 7))))
+def _make_inner(layout):
+    return TSDB() if layout == "single" else ShardedTSDB(4)
 
 
 # -- equivalence ------------------------------------------------------------
@@ -122,7 +119,7 @@ _OPS = {
 def test_property_holding_clients_return_the_dict_codec(layout, mix, data):
     ops, refreshes = _OPS[mix]
     draw = data.draw
-    inner = _make_inner(layout, draw)
+    inner = _make_inner(layout)
     now, nodes, window, picks, last = 0, ["a", "b"], (0, 0), [], None
     turn = 0
 
@@ -751,12 +748,11 @@ def test_property_batch_refresh_is_per_panel_refresh_is_from_scratch(
     the request ≡ a second refresher asked one panel at a time ≡
     ``run_many`` on the innermost store, for a client holding nothing
     and for one holding its last reply (answered with tails).  The
-    request may name one panel shape twice (two windows) and carries
-    expression panels whose operands are sibling panels.  Both
+    request may name one panel shape twice (two windows).  Both
     refreshers run on ``CachingStore(DurableStore(ReplicatedStore(·)))``
     and every write goes through that stack."""
     draw = data.draw
-    inner = _make_inner(layout, draw)
+    inner = _make_inner(layout)
     with _stack(inner) as stack:
         _refresh_steps(inner, stack, draw)
 
@@ -855,7 +851,7 @@ def test_a_write_between_the_phases_sends_its_panels_down_the_full_path(
 
     def panels(end):
         by_node = Query("m", 0, end, downsample="10s-avg", group_by=("node",))
-        return [by_node, Query("m", 0, end), expr("a * 2", a=by_node),
+        return [by_node, Query("m", 0, end),
                 Query("other", 0, end, downsample="10s-max")]
 
     _assert_refresh_is_exact(inner, refresher, panels(100))

@@ -1,12 +1,11 @@
 """The splice path: a request whose window moved is answered from held
 buckets plus head and tail edges, and nobody can tell.
 
-- **equivalence** (hypothesis, over ``TSDB`` and ``ShardedTSDB(1/2/4/7)``
-  under ``CachingStore(DurableStore(ReplicatedStore(·)))``, driven
+- **equivalence** (hypothesis, over ``TSDB`` and the frozen e2e's
+  ``ShardedTSDB(4)`` under ``CachingStore(DurableStore(ReplicatedStore(·)))``, driven
   through the server's one request path): whatever window the next request
   names — moved forward, backward, off the bucket grid, shrunk, or two
-  windows of one panel shape in one request, expression panels
-  included — and whatever was appended, written late, deleted or
+  windows of one panel shape in one request — and whatever was appended, written late, deleted or
   churned in between, the reply text — from the server's look-up phase
   and, when a miss is left, its run phase, with exact repeats drawn so
   replies the look-up phase answers whole are held to it too — is
@@ -64,9 +63,8 @@ def _panels(start, end):
                   group_by=("node",))]
 
 
-#: ``_panels``' shapes a splice may answer, leaving out the one that errs
-#: the whole request (mismatched labels): no ``rate``, no metric never
-#: written.
+#: ``_panels``' shapes a splice may answer: no ``rate``, no undownsampled
+#: tag filter, no metric never written.
 _SPLICEABLE = (0, 1, 2, 4, 5, 6, 9)
 
 
@@ -103,7 +101,7 @@ def _inner_reply(inner, queries) -> bytes | dict:
 @given(data=st.data())
 def test_property_plain_replies_are_the_inner_stores(layout, data):
     draw = data.draw
-    inner = _make_inner(layout, draw)
+    inner = _make_inner(layout)
     now, nodes, window = 0, ["a", "b"], (0, 0)
     with _stack(inner) as stack:
         server = QueryServer(
@@ -210,7 +208,7 @@ def test_property_a_sliding_start_is_answered_as_the_inner_store(layout, data):
     lags the start.  Every reply is the innermost store's,
     ``scannedPoints`` included."""
     draw = data.draw
-    inner = _make_inner(layout, draw)
+    inner = _make_inner(layout)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nodes, now = ["a", "b", "c"], 900
     with _stack(inner) as stack:

@@ -31,7 +31,6 @@ from repro.tsdb import (
     PointBatch,
     Query,
     SeriesKey,
-    ShardedTSDB,
     TSDB,
     dumps,
     load,
@@ -112,12 +111,12 @@ def _apply(db, op) -> None:
         ).enforce(db, op[2] + 3600, tags={"city": op[1]})
 
 
-@given(ops=_ops, n=st.sampled_from([1, 4]))
+@given(ops=_ops)
 @settings(max_examples=60, deadline=None)
 def test_every_write_entry_point_reaches_wal_log_and_store_alike(
-    tmp_path_factory, ops, n
+    tmp_path_factory, ops
 ):
-    inner = ShardedTSDB(n)
+    inner = TSDB()
     replicated = ReplicatedStore(inner)
     durable = DurableStore(replicated, tmp_path_factory.mktemp("stack") / "wal.seg")
     cached = CachingStore(durable)
@@ -146,7 +145,7 @@ def test_a_batch_too_large_for_one_record_is_split_once_for_wal_and_log(
     retains, also when a batch needs several — and none of them is
     larger than a record a follower accepts."""
     monkeypatch.setattr(segments, "MAX_RECORD_BYTES", 512)
-    inner = ShardedTSDB(4)
+    inner = TSDB()
     replicated = ReplicatedStore(inner)
     durable = DurableStore(replicated, tmp_path / "wal.seg")
     rows = [

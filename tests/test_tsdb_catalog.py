@@ -4,8 +4,7 @@ The catalog's one load-bearing promise is **equivalence**: for any
 store state and any tag filter, ``_match`` answered from the inverted
 postings index is byte-identical to the brute-force scan it replaced —
 ``sorted(k for k in all series of the metric if k.matches(tags))``.
-The hypothesis property here drives both single and sharded stores
-through random interleavings of ingest, retention, targeted deletes,
+The hypothesis property here drives the store through random interleavings of ingest, retention, targeted deletes,
 and full persistence round-trips, checking equivalence after every
 step — twice per filter, so the second answer comes from the filter's
 kept resolution (:meth:`~repro.tsdb.catalog.SeriesCatalog.resolve`),
@@ -14,7 +13,8 @@ brute-force partition and the store's own look-ups.  A race test pins
 the one rule the memo adds: a store that does not exist yet is never
 kept.  Around it: unit tests for the index bookkeeping (idempotence,
 empty-bucket pruning), the cardinality guard-rails (atomic rejection,
-single-vs-sharded consistency, re-admission after retention), the
+the same limits under the frozen e2e's ``ShardedTSDB`` name,
+re-admission after retention), the
 retention/unindex contract, deterministic ordering, and catalog
 rebuild on every restore path.
 """
@@ -190,7 +190,6 @@ def _check_equivalence(store):
 
 
 @given(
-    shards=st.sampled_from([0, 1, 2, 4, 7]),
     ops=st.lists(
         st.one_of(_puts, _del_before, _del_series, _roundtrip),
         min_size=1,
@@ -198,8 +197,8 @@ def _check_equivalence(store):
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_match_equals_brute_force_scan(shards, ops):
-    store = _fresh(shards)
+def test_match_equals_brute_force_scan(ops):
+    store = TSDB()
     for op in ops:
         if op[0] == "put":
             _, metric, node, city, ts = op
@@ -212,10 +211,9 @@ def test_match_equals_brute_force_scan(shards, ops):
                 _key(metric, node=node, city=city), cutoff
             )
         else:  # roundtrip: the restored store must rebuild the catalog
-            store = load(io.BytesIO(dumps(store)), into=_fresh(shards))
+            store = load(io.BytesIO(dumps(store)))
         _check_equivalence(store)
-    # The store kinds agree with each other because each agrees with
-    # the same brute-force reference; pin the sorted contract directly.
+    # Pin the sorted contract directly.
     for metric in _METRICS:
         for tags in _FILTERS:
             got = store._match(metric, tags)
@@ -264,7 +262,8 @@ def test_a_match_between_indexing_and_storing_keeps_no_absent_store(
 
 
 def _guarded(shards: int, limit: int):
-    """A store with the guard armed: ``TSDB`` for 0 shards, else sharded."""
+    """A store with the guard armed: ``TSDB`` for 0, else the frozen
+    e2e's ``ShardedTSDB(shards)`` name for it."""
     if shards == 0:
         return TSDB(max_tag_values=limit)
     return ShardedTSDB(shards, max_tag_values=limit)
@@ -363,7 +362,7 @@ class TestRetentionUnindex:
         assert store.tag_values("m.a", "node") == ["young"]
 
     def test_per_shard_retention_prunes_catalog(self):
-        store = ShardedTSDB(3)
+        store = TSDB()
         for i in range(9):
             store.put("m.a", 0, 1.0, {"node": f"old{i}"})
             store.put("m.a", 10_000, 1.0, {"node": f"young{i}"})

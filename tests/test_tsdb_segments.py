@@ -5,8 +5,8 @@ The segment format is the one durable format; this suite pins it:
 - the batch/marker codec round-trips bit-exactly (hypothesis: arbitrary
   metrics, tags, out-of-order timestamps, duplicate keys, NaN values);
 - a store restored from a WAL/snapshot is byte-identical (via
-  ``dumps``) to the live store that wrote it, for single and sharded
-  stores and with interleaved retention markers;
+  ``dumps``) to the live store that wrote it, with interleaved
+  retention markers;
 - per-block CRCs turn corruption into per-block loss under
   ``strict=False`` and loud failure under ``strict=True``; a wrong
   magic is not a segment and is refused either way, never rewritten;
@@ -415,7 +415,7 @@ class TestFormatEquivalence:
         """A snapshot that fails part-way (disk full, a store that
         raises mid-iteration) leaves the previous snapshot whole and
         restorable, and no ``.tmp`` behind."""
-        db = ShardedTSDB(2)
+        db = TSDB()
         reference_ops(db)
         path = tmp_path / "snap.seg"
         snapshot(db, path)
@@ -438,24 +438,24 @@ class TestFormatEquivalence:
         assert dumps(load(path)) == want
 
     def test_resnapshot_with_other_shard_count_replaces_stale_files(self, tmp_path):
-        """Re-snapshotting a store of another shard count over a
-        snapshot replaces it whole: one file, the new store's."""
-        big = ShardedTSDB(4)
+        """Re-snapshotting another store over a snapshot replaces it
+        whole: one file, the new store's."""
+        big = TSDB()
         reference_ops(big)
         big.put("m.big", 1, 1.0)
         path = tmp_path / "snap.seg"
         snapshot(big, path)
-        small = ShardedTSDB(2)
+        small = TSDB()
         reference_ops(small)
         snapshot(small, path)
         assert list(tmp_path.iterdir()) == [path]
-        assert dumps(load(path, into=ShardedTSDB(4))) == dumps(small)
+        assert dumps(load(path)) == dumps(small)
 
     def test_resnapshot_in_other_format_replaces_stale_twins(self, tmp_path):
         """A crashed snapshot's torn ``.tmp`` staging file is not
         trusted: the next snapshot writes over it and renames it into
         place, leaving the one snapshot file."""
-        db = ShardedTSDB(2)
+        db = TSDB()
         reference_ops(db)
         path = tmp_path / "snap.seg"
         snapshot(db, path)
@@ -732,7 +732,7 @@ class TestTornWriteRecoveryProperty:
 
     A WAL damaged at an arbitrary byte offset — truncated (torn write)
     or bit-flipped (media damage) — must recover precisely the blocks
-    the framing rules promise, on single and sharded stores alike:
+    the framing rules promise:
 
     - truncation keeps every block wholly inside the surviving prefix;
     - a flip under CRC cover (type byte, crc field, payload) loses
@@ -786,14 +786,9 @@ class TestTornWriteRecoveryProperty:
         return store
 
     def assert_recovers(self, raw, expected_items):
-        """Lenient recovery equals a replay of ``expected_items`` — on a
-        single store and byte-identically on a 3-shard store."""
+        """Lenient recovery equals a replay of ``expected_items``."""
         single = load(io.BytesIO(raw), strict=False)
         assert dumps(single) == dumps(self.replay(expected_items, TSDB()))
-        sharded = load(io.BytesIO(raw), strict=False, into=ShardedTSDB(3))
-        assert dumps(sharded) == dumps(
-            self.replay(expected_items, ShardedTSDB(3))
-        )
 
     @given(spec=block_specs, frac=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -975,15 +970,23 @@ class TestOneWalker:
         assert "convert-log" not in commands and len(commands) == 10
 
         assert "ColdShardPager" not in vars(repro.tsdb)
-        # One snapshot layout: a file (``snapshot`` / ``load(into=)``),
-        # whatever the shard count — no per-shard directory.
-        import repro.tsdb.sharded
+        # One snapshot layout: a file (``snapshot`` / ``load(into=)``) —
+        # no per-shard directory, and no partition to lay out: the
+        # sharded module is gone, ``ShardedTSDB`` is the plain store.
+        import importlib.util
+
+        import repro.tsdb.plan
         import repro.tsdb.tier
 
-        for name in ("snapshot_to_dir", "restore_from_dir"):
+        for name in ("snapshot_to_dir", "restore_from_dir", "shards",
+                     "shard_of", "num_shards"):
             assert not hasattr(ShardedTSDB, name), name
-        assert "scan_snapshot_dir" not in vars(repro.tsdb.sharded)
+        assert importlib.util.find_spec("repro.tsdb.sharded") is None
         assert "compact_dir" not in vars(repro.tsdb.tier)
+        # ... and one query form: no expression queries anywhere.
+        for name in ("expr", "ExprQuery", "ExprResult", "_evaluate_expr"):
+            assert name not in vars(repro.tsdb.plan), name
+            assert name not in vars(repro.tsdb), name
         store_layer = {
             *Path(repro.tsdb.__file__).parent.rglob("*.py"),
             *(Path(inspect.getsourcefile(c)) for c in (CachingStore, ReplicatedStore)),

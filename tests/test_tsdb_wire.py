@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tsdb import Query, TSDB, WireError
-from repro.tsdb.plan import expr
 from repro.tsdb.wire import RemoteQueryError, WIRE_VERSION, handle_request
 from repro.tsdb import wire
 
@@ -89,15 +88,21 @@ def test_request_round_trip(qs):
 
 
 @settings(max_examples=50, deadline=None)
-@given(q=queries(), formula_ops=st.sampled_from(("a - b", "a / b", "-a + 2")))
-def test_expr_request_round_trip(q, formula_ops):
-    names_used = {"a - b": ("a", "b"), "a / b": ("a", "b"), "-a + 2": ("a",)}
-    e = expr(formula_ops, **{name: q for name in names_used[formula_ops]})
-    (decoded,) = wire.decode_request(json.dumps(wire.encode_request([e])))
-    assert decoded.formula == e.formula
-    for (na, qa), (nb, qb) in zip(e.operands, decoded.operands):
-        assert na == nb
-        assert_same_query(qa, qb)
+@given(q=queries(), formula=st.sampled_from(("a - b", "a / b", "-a + 2")))
+def test_an_expr_query_is_refused_naming_its_fields(q, formula):
+    """The wire has one query form.  A version-2 request that still
+    sends the expression form ``{"expr", "operands"}`` is refused by the
+    strict field check, naming both fields, beside a plain query that
+    still decodes on its own."""
+    old = {"expr": formula, "operands": {"a": wire.encode_query(q)}}
+    request = {"version": WIRE_VERSION,
+               "queries": [wire.encode_query(q), old]}
+    with pytest.raises(WireError,
+                       match=r"unknown query fields: \['expr', 'operands'\]"):
+        wire.decode_request(json.dumps(request))
+    request["queries"].pop()
+    (decoded,) = wire.decode_request(json.dumps(request))
+    assert_same_query(q, decoded)
 
 
 @settings(max_examples=50, deadline=None)
@@ -151,8 +156,7 @@ def test_reply_text_equals_dumps_of_the_dict_codec(ts, split, tags, data):
                       np.array(values, np.float64), {"k": "v", **tags})
     q = Query("m", 0, 2**40, group_by=tuple(sorted(tags)))
     results = db.run_many(
-        [q, wire.decode_query({"expr": "a + 1", "operands": {
-            "a": wire.encode_query(q)}}), Query("absent", 0, 1)])
+        [q, Query("m", 0, 2**40, aggregator="count"), Query("absent", 0, 1)])
 
     def dumps(obj):
         return json.dumps(obj, allow_nan=False).encode()
@@ -208,6 +212,8 @@ class TestHandleRequest:
         assert json.loads(json.dumps(response)) == response
 
     def test_expression_over_the_wire(self, db):
+        """An expression query is answered in band: an error response
+        naming the fields, never an exception."""
         request = {
             "version": WIRE_VERSION,
             "queries": [{
@@ -221,11 +227,10 @@ class TestHandleRequest:
             }],
         }
         response = handle_request(db, request)
-        (entry,) = response["results"]
-        assert entry["expr"] == "a - b"
-        (decoded,) = wire.decode_response(response)
-        assert decoded.expr == "a - b"
-        assert list(decoded.series[0].values) == [-10.0] * 12
+        assert response["error"]["type"] == "WireError"
+        assert "'expr'" in response["error"]["message"]
+        with pytest.raises(RemoteQueryError, match="expr"):
+            wire.decode_response(response)
 
     def test_nan_encodes_as_one_quiet_nan(self, db):
         request = wire.encode_request(
@@ -313,7 +318,7 @@ class TestStrictness:
     def test_nested_expressions_rejected(self):
         inner = {"expr": "a", "operands": {
             "a": {"metric": "m", "start": 0, "end": 1}}}
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="unknown query fields"):
             wire.decode_request({
                 "version": WIRE_VERSION,
                 "queries": [{"expr": "x + 1", "operands": {"x": inner}}],

@@ -3,8 +3,8 @@
 The fixture-shaped stack from public constructors::
 
     NetworkServer -> TtnMqttBridge -> Broker -> Dataport(batch_window_s=0)
-        -> DurableStore(ReplicatedStore(ShardedTSDB(4)))
-        -> ReplicationLog -> SegmentShipper ~tcp~> Follower(ShardedTSDB(4))
+        -> DurableStore(ReplicatedStore(TSDB()))
+        -> ReplicationLog -> SegmentShipper ~tcp~> Follower(TSDB())
 
 with counting wrappers around the calls a steady-state uplink should
 *not* repeat: a series is named once (no ``SeriesKey.make``, no
@@ -41,7 +41,7 @@ from repro.tsdb import (
     DurableStore,
     PointBatch,
     SeriesKey,
-    ShardedTSDB,
+    TSDB,
     dumps,
     load,
     segments,
@@ -83,10 +83,10 @@ class Stack:
             target=self.loop.run_forever, name=LOOP_THREAD, daemon=True
         )
         self.thread.start()
-        self.inner = ShardedTSDB(4)
+        self.inner = TSDB()
         self.replicated = ReplicatedStore(self.inner)
         self.durable = DurableStore(self.replicated, wal_path)
-        self.follower = Follower(store=ShardedTSDB(4))
+        self.follower = Follower(store=TSDB())
         host, port = self.on_loop(self.follower.start())
         self.shipper = SegmentShipper(self.replicated.log, host, port, seed=0)
         self.network_server = NetworkServer()
@@ -227,7 +227,7 @@ def test_steady_state_uplink_costs(stack, monkeypatch):
     # every node is what the store returns.
     primary = dumps(stack.inner)
     assert dumps(stack.follower.store) == primary
-    replayed = ShardedTSDB(4)
+    replayed = TSDB()
     load(stack.durable.wal_path, into=replayed)
     assert dumps(replayed) == primary
     for node, now, co2 in sent[-NODES:]:
