@@ -25,9 +25,11 @@ test-persist:
 	$(PYTHON) -m pytest -q tests/test_tsdb_segments.py tests/test_tsdb_persistence.py
 
 # The query-engine gate: run/run_many results byte-identical to the
-# seed run() path, plus wire codec round-trips.
+# seed run() path, wire codec round-trips, and the one normalized query
+# identity (any spelling of a query is that query, exact-integer
+# windows, mistyped wire fields refused in band).
 test-query:
-	$(PYTHON) -m pytest -q tests/test_tsdb_plan.py tests/test_tsdb_wire.py
+	$(PYTHON) -m pytest -q tests/test_tsdb_plan.py tests/test_tsdb_wire.py tests/test_tsdb_query.py
 
 # The serving-layer gate: cache/refresh results byte-identical to
 # uncached run_many, live asyncio server survives malformed requests,

@@ -204,7 +204,7 @@ def _seed_aggregate_across(slices, agg):
 
 
 def _seed_execute_query(query, matched, scan):
-    ds = query.parsed_downsample()
+    ds = query.downsample
     agg = COLUMNAR[query.aggregator]
     groups = defaultdict(list)
     for key in matched:

@@ -77,7 +77,6 @@ from typing import Sequence
 from ..tsdb import wire
 from ..tsdb.catalog import BoundedLRU, Resolution
 from ..tsdb.interface import StoreApi, StoreWrapper
-from ..tsdb.plan import _canonical_key
 from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.wire import CatalogRequest
 
@@ -262,12 +261,13 @@ _Validators = tuple
 
 
 class ResultCache:
-    """LRU of :class:`QueryResult` keyed by the planner's canonical
-    query key, validated against store write generations on every hit.
+    """LRU of :class:`QueryResult` keyed by the :class:`Query` itself,
+    validated against store write generations on every hit.
 
-    The LRU body (look-up, insertion, eviction, :class:`CacheStats`) is
-    written against ``_key`` / :meth:`capture` / ``_holds``, three names
-    :class:`CatalogCache` overrides to share it.
+    The LRU body (look-up, insertion, eviction, :class:`CacheStats`)
+    keys on the request and is written against :meth:`capture` /
+    ``_holds``, two names :class:`CatalogCache` overrides to share it
+    over a hashable :class:`~repro.tsdb.wire.CatalogRequest`.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -281,8 +281,6 @@ class ResultCache:
     @property
     def capacity(self) -> int:
         return self._entries.capacity
-
-    _key = staticmethod(_canonical_key)
 
     def capture(self, store, q: Query) -> _Validators:
         """Snapshot the validators a result for ``q`` would depend on.
@@ -322,14 +320,13 @@ class ResultCache:
         whichever of two lane workers that saw the same one gets there
         first.
         """
-        key = self._key(request)
-        entry = self._entries.use(key)
+        entry = self._entries.use(request)
         if entry is None:
             self.stats.misses += 1
             return None
         answer, validators = entry
         if not self._holds(store, request, validators):
-            self._entries.pop(key, None)
+            self._entries.pop(request, None)
             self.stats.invalidated += 1
             self.stats.misses += 1
             return None
@@ -346,9 +343,7 @@ class ResultCache:
         if not self._holds(store, request, validators):
             self.stats.skipped += 1
             return False
-        self.stats.evicted += self._entries.put(
-            self._key(request), (answer, validators)
-        )
+        self.stats.evicted += self._entries.put(request, (answer, validators))
         return True
 
     def clear(self) -> None:
@@ -370,8 +365,6 @@ class CatalogCache(ResultCache):
 
     def __init__(self, capacity: int = 256) -> None:
         super().__init__(capacity)
-
-    _key = staticmethod(CatalogRequest.cache_key)
 
     def capture(self, store, req: CatalogRequest) -> _Validators:
         if req.op == "metrics":

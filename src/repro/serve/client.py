@@ -62,21 +62,14 @@ class _Held:
         self.series = series  # the entry's parsed ``series``, handed out
 
 
-def _windowless(q: dict) -> dict:
-    if "operands" in q:
-        return {
-            **q,
-            "operands": {k: _windowless(v) for k, v in q["operands"].items()},
-        }
-    return {k: v for k, v in q.items() if k not in ("start", "end")}
-
-
 def _panel_shape(encoded: dict) -> str:
     """Panel identity of an encoded query: everything but its window —
-    the client-side twin of :func:`repro.serve.refresh._panel_key`.
+    the client-side twin of :attr:`repro.tsdb.query.Query.panel`.
     (:func:`~repro.tsdb.wire.encode_query` emits its keys, tags and
     ``groupBy`` in one order, so the text needs no sorting.)"""
-    return json.dumps(_windowless(encoded))
+    return json.dumps(
+        {k: v for k, v in encoded.items() if k not in ("start", "end")}
+    )
 
 
 def _extend(held: _Held, tails, validator: str) -> _Held | None:

@@ -210,19 +210,6 @@ class _PanelState:
     counts: dict[int, int]
 
 
-def _panel_key(q: Query) -> tuple:
-    """Panel identity: the query minus its time window."""
-    ds = q.parsed_downsample()
-    return (
-        q.metric,
-        tuple(sorted(q.tags.items())),
-        q.aggregator,
-        None if ds is None else (ds.width, ds.agg, ds.fill.value),
-        bool(q.rate),
-        tuple(sorted(q.group_by)),
-    )
-
-
 def _slices(result: QueryResult | None, n: int) -> list[SeriesSlice | None]:
     """An edge result's series by position (see ``_splice_panel``), or
     ``n`` times None for an edge not run."""
@@ -283,7 +270,7 @@ class _Delta:
 
 def _splice_shape(q: Query) -> tuple[int | None, bool]:
     """(bucket width, may this panel be spliced at all)."""
-    ds = q.parsed_downsample()
+    ds = q.downsample
     splice_safe = not q.rate and (
         ds is None or ds.fill in (FillPolicy.NONE, FillPolicy.ZERO)
     )
@@ -330,7 +317,7 @@ class IncrementalRefresher:
 
     def __init__(self, store: CachingStore) -> None:
         self._store = store
-        self._panels: BoundedLRU = BoundedLRU(HELD_PANELS)  # key -> _PanelState
+        self._panels: BoundedLRU = BoundedLRU(HELD_PANELS)  # Query.panel -> _PanelState
         self.stats = RefreshStats()
 
     def clear(self) -> None:
@@ -463,7 +450,7 @@ class IncrementalRefresher:
         kept: dict[int, int] = {}  # delta -> points under its kept buckets
         for i in misses:
             q = queries[i]
-            plan = self._classify(before, _panel_key(q), q)
+            plan = self._classify(before, q)
             if plan is not None:
                 deltas[i] = plan
                 kept[i] = self._kept(before, q, plan)
@@ -478,11 +465,10 @@ class IncrementalRefresher:
         retry: list[int] = []
         for (i, d), (head, tail) in zip(deltas.items(), edges):
             q = queries[i]
-            key = _panel_key(q)
             if not d.cache_only and not self._holds(after, q, d.st.validators):
                 # A reshaping write raced the edge scans; the splice
                 # would mix epochs.  Drop the state, run it in full.
-                self._panels.pop(key, None)
+                self._panels.pop(q.panel, None)
                 stats.invalidated += 1
                 retry.append(i)
                 continue
@@ -490,13 +476,13 @@ class IncrementalRefresher:
                 stats.cache_only_runs += 1
             else:
                 stats.incremental_runs += 1
-            results[i] = self._splice_panel(key, d, q, head, tail, kept[i])
+            results[i] = self._splice_panel(d, q, head, tail, kept[i])
             cache.stats.spliced += 1
         stats.full_runs += len(fulls)
         for i, result in zip(fulls, ran):
             q = queries[i]
             results[i] = result
-            self._seed(after, _panel_key(q), q, seeds.get(i), result)
+            self._seed(after, q, seeds.get(i), result)
         for i in misses:
             if i not in retry and cache.insert(
                 after, queries[i], validators[i], results[i]
@@ -520,11 +506,10 @@ class IncrementalRefresher:
         ]
         return edges, list(ran)
 
-    def _classify(
-        self, before: ValidatorView, key: tuple, query: Query
-    ) -> _Delta | None:
+    def _classify(self, before: ValidatorView, query: Query) -> _Delta | None:
         """Step 2 for one panel: its splice plan, or None when it must
         run in full."""
+        key = query.panel
         st = self._panels.get(key)
         if st is None:
             return None
@@ -582,7 +567,6 @@ class IncrementalRefresher:
     def _seed(
         self,
         after: ValidatorView,
-        key: tuple,
         query: Query,
         seed: tuple | None,
         result: QueryResult,
@@ -593,18 +577,18 @@ class IncrementalRefresher:
             after, query, seed[0]
         ):
             points = result.scanned_points
-            self._keep(key, _PanelState(
-                start=int(query.start),
-                end=int(query.end),
+            self._keep(_PanelState(
+                start=query.start,
+                end=query.end,
                 boundary=seed[1],
                 validators=seed[0],
                 result=result,
                 writes=seed[2],
                 points=points,
-                counts={int(query.end) + 1: points} if query.end <= seed[1] else {},
+                counts={query.end + 1: points} if query.end <= seed[1] else {},
             ))
             return
-        self._panels.pop(key, None)
+        self._panels.pop(query.panel, None)
         if seed is not None and seed[1] is not None:
             # A write raced the run; an empty/partial match (boundary
             # None) is just "nothing to remember".
@@ -612,7 +596,6 @@ class IncrementalRefresher:
 
     def _splice_panel(
         self,
-        key: tuple,
         plan: _Delta,
         query: Query,
         head: QueryResult | None,
@@ -657,9 +640,9 @@ class IncrementalRefresher:
         hi = min(plan.cut, query.end + 1)
         if hi - 1 <= plan.boundary:
             counts[hi] = lead + kept
-        self._keep(key, _PanelState(
-            start=int(query.start),
-            end=int(query.end),
+        self._keep(_PanelState(
+            start=query.start,
+            end=query.end,
             boundary=plan.boundary,
             validators=st.validators,
             result=result,
@@ -669,7 +652,8 @@ class IncrementalRefresher:
         ))
         return result
 
-    def _keep(self, key: tuple, state: _PanelState) -> None:
-        """Remember ``state`` as the most recently answered panel; past
-        ``HELD_PANELS`` the least recently answered is forgotten."""
-        self.stats.evicted += self._panels.put(key, state)
+    def _keep(self, state: _PanelState) -> None:
+        """Remember ``state`` under its answer's panel, as the most
+        recently answered one; past ``HELD_PANELS`` the least recently
+        answered is forgotten."""
+        self.stats.evicted += self._panels.put(state.result.query.panel, state)

@@ -465,10 +465,9 @@ class QueryServer:
             return
         seen: set = set()
         for q in queries:
-            probe = (q.metric, tuple(sorted(q.tags.items())))
-            if probe in seen:
+            if q.filter in seen:
                 continue
-            seen.add(probe)
+            seen.add(q.filter)
             matched = self.caching.cardinality(q.metric, q.tags)
             if matched > limit:
                 raise CardinalityLimitError(

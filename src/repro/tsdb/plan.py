@@ -170,9 +170,8 @@ def downsampled(query: Query, reduced: list[SeriesSlice]) -> list[SeriesSlice]:
     """The downsample stage of :func:`execute_plan`: the groups'
     instants bucketed over ``[query.start, query.end]`` in one pass —
     or, undownsampled, as columns the result owns."""
-    ds = query.parsed_downsample()
-    if ds is not None:
-        return downsample_many(reduced, ds, query.start, query.end)
+    if query.downsample is not None:
+        return downsample_many(reduced, query.downsample, query.start, query.end)
     # A result owns its columns.  Undownsampled, a lone series is still
     # the scan's view of the store's (read-only marks it): kept in a
     # result cache it would pin the whole buffer.
@@ -279,12 +278,6 @@ class ScanPlan:
         return sub
 
 
-def _filter_key(q: Query) -> tuple:
-    """What a query matches series by: two queries with equal keys
-    touch the same series, and only those can share an alignment."""
-    return (q.metric, tuple(sorted(q.tags.items())))
-
-
 def run_unique_batch(
     queries: Sequence[Query],
     resolve: Callable[[str, Mapping[str, str]], Resolution],
@@ -292,7 +285,7 @@ def run_unique_batch(
     """Execute deduplicated queries over shared resolutions and scans.
 
     The executor behind every store's ``_run_unique_batch`` hook: each
-    distinct (metric, tags) filter goes through ``resolve`` once — its
+    distinct filter (:attr:`Query.filter`) goes through ``resolve`` once — its
     keys, groups and column stores, kept by the catalog across batches
     — each touched series is scanned once over the covering range of
     every query that needs it, and panels aggregating the same slices
@@ -306,7 +299,7 @@ def run_unique_batch(
     """
     by_filter: dict[tuple, list[int]] = {}
     for i, q in enumerate(queries):
-        by_filter.setdefault(_filter_key(q), []).append(i)
+        by_filter.setdefault(q.filter, []).append(i)
     scans = ScanPlan()
     stores: dict = {}  # series key -> its column store (None: absent)
     resolved: list[Resolution] = []
@@ -344,40 +337,26 @@ def run_unique_batch(
 # ---------------------------------------------------------------------------
 
 
-def _canonical_key(q: Query) -> tuple:
-    """Dedup identity of a query (spelling-insensitive where safe)."""
-    ds = q.parsed_downsample()
-    return (
-        q.metric,
-        tuple(sorted(q.tags.items())),
-        int(q.start),
-        int(q.end),
-        q.aggregator,
-        None if ds is None else (ds.width, ds.agg, ds.fill.value),
-        bool(q.rate),
-        tuple(sorted(q.group_by)),
-    )
-
-
 class Batch:
     """One ``run_many`` request, deduplicated: the distinct queries to
-    execute, and how to assemble the request's results from theirs."""
+    execute, and how to assemble the request's results from theirs.
+    Two queries are one when they are equal (:class:`Query` normalizes
+    its spelling)."""
 
     __slots__ = ("queries", "_specs")
 
     def __init__(self, items: Sequence[Query]) -> None:
         self.queries: list[Query] = []
         self._specs: list[tuple[Query, int]] = []
-        index: dict[tuple, int] = {}
+        index: dict[Query, int] = {}
         for item in items:
             if not isinstance(item, Query):
                 raise QueryError(
                     f"run_many items must be Query; got {type(item).__name__}"
                 )
-            ck = _canonical_key(item)
-            i = index.get(ck)
+            i = index.get(item)
             if i is None:
-                i = index[ck] = len(self.queries)
+                i = index[item] = len(self.queries)
                 self.queries.append(item)
             self._specs.append((item, i))
 

@@ -9,7 +9,8 @@ tag keys producing one output series per distinct tag value combination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -23,29 +24,58 @@ class QueryError(ValueError):
     """Malformed query specification."""
 
 
-@dataclass(frozen=True)
+def _timestamp(name: str, v) -> int:
+    """``start``/``end`` as an exact integer.
+
+    ``int()`` alone would silently reshape the range: ``True`` becomes
+    1 (bool is an int subclass) and ``3.9`` truncates to 3.  Integers
+    (numpy's too) and integral floats (clients that write every JSON
+    number as a float) are exact; everything else is refused.
+    """
+    if not isinstance(v, bool):
+        if isinstance(v, (int, np.integer)):
+            return int(v)
+        if isinstance(v, float) and v.is_integer():
+            return int(v)
+    raise QueryError(
+        f"{name!r} must be an integer timestamp, got {v!r} ({type(v).__name__})"
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class Query:
-    """Declarative query against the TSDB.
+    """Declarative query against the TSDB, normalized once at
+    construction: this is the one place that knows what identifies a
+    query.
 
     Parameters
     ----------
     metric:
         Metric name to read.
     start, end:
-        Inclusive epoch-second range.
+        Inclusive epoch-second range; stored as exact ``int``.
     tags:
         Tag filters; values support ``"*"`` and ``"a|b"`` alternation.
+        Stored as a read-only mapping sorted by key.
     aggregator:
         How to combine multiple matched series at each instant.
     downsample:
-        Optional spec string like ``"5m-avg"`` or a parsed
-        :class:`Downsample`.
+        Optional spec string like ``"5m-avg"`` or a :class:`Downsample`;
+        stored parsed, so ``"5m-avg"`` and ``"300s-avg"`` are the same
+        query.
     rate:
         Emit the per-second first derivative instead of raw values
         (used for counter metrics such as cumulative traffic counts).
     group_by:
         Tag keys whose distinct value combinations each produce their
-        own output series instead of being merged together.
+        own output series instead of being merged together.  Stored as
+        a sorted tuple.
+
+    Two identities are fields computed here: :attr:`filter` (the
+    metric and its sorted tag pairs: what the query matches series by)
+    and :attr:`panel` (the query minus its window).  Two queries are
+    equal when their panels and windows are, and the hash is taken
+    once.
     """
 
     metric: str
@@ -53,50 +83,89 @@ class Query:
     end: int
     tags: Mapping[str, str] = field(default_factory=dict)
     aggregator: str = "avg"
-    downsample: str | Downsample | None = None
+    downsample: Downsample | None = None
     rate: bool = False
-    group_by: Sequence[str] = ()
+    group_by: tuple[str, ...] = ()
+    filter: tuple = field(init=False, repr=False)
+    panel: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Fail fast: a malformed query should die where it was written,
         # not deep inside plan execution (or worse, inside a batch that
         # interleaves it with eleven healthy dashboard panels).
-        if not isinstance(self.metric, str) or not self.metric:
-            raise QueryError(f"metric must be a non-empty string: {self.metric!r}")
-        if self.end < self.start:
-            raise QueryError(f"end ({self.end}) precedes start ({self.start})")
+        metric, tags, group_by, ds = (
+            self.metric, self.tags, self.group_by, self.downsample
+        )
+        if not isinstance(metric, str) or not metric:
+            raise QueryError(f"metric must be a non-empty string: {metric!r}")
+        start, end = self.start, self.end
+        if type(start) is not int:
+            start = _timestamp("start", start)
+        if type(end) is not int:
+            end = _timestamp("end", end)
+        if end < start:
+            raise QueryError(f"end ({end}) precedes start ({start})")
         # plain loops and an exact-dict fast path: this runs for every
         # query a request decodes
-        if type(self.tags) is not dict and not isinstance(self.tags, Mapping):
-            raise QueryError(f"tags must map strings to strings: {self.tags!r}")
-        for k, v in self.tags.items():
+        if type(tags) is not dict and not isinstance(tags, Mapping):
+            raise QueryError(f"tags must map strings to strings: {tags!r}")
+        for k, v in tags.items():
             if not (isinstance(k, str) and isinstance(v, str)):
-                raise QueryError(f"tags must map strings to strings: {self.tags!r}")
-        if not isinstance(self.group_by, (list, tuple)):
+                raise QueryError(f"tags must map strings to strings: {tags!r}")
+        if not isinstance(group_by, (list, tuple)):
             raise QueryError(
-                f"group_by must be a list or tuple of tag keys: {self.group_by!r}"
+                f"group_by must be a list or tuple of tag keys: {group_by!r}"
             )
-        for g in self.group_by:
+        for g in group_by:
             if not isinstance(g, str):
                 raise QueryError(
-                    f"group_by must be a list or tuple of tag keys: {self.group_by!r}"
+                    f"group_by must be a list or tuple of tag keys: {group_by!r}"
                 )
+        if not isinstance(self.aggregator, str):
+            raise QueryError(f"aggregator must be a string: {self.aggregator!r}")
         try:
             aggregators.lookup(self.aggregator)
         except aggregators.UnknownAggregator as exc:
             raise QueryError(str(exc)) from None
-        if isinstance(self.downsample, str):
+        if isinstance(ds, str):
             try:
-                Downsample.parse(self.downsample)
+                ds = Downsample.parse(ds)
             except InvalidDownsampleSpec as exc:
                 raise QueryError(str(exc)) from None
+        elif ds is not None and not isinstance(ds, Downsample):
+            raise QueryError(
+                f"downsample must be a spec string like '5m-avg': {ds!r}"
+            )
+        if type(self.rate) is not bool:
+            raise QueryError(f"rate must be a boolean: {self.rate!r}")
+        pairs = tuple(sorted(tags.items()))
+        group_by = tuple(sorted(group_by))
+        filter_ = (metric, pairs)
+        panel = (filter_, self.aggregator, ds, self.rate, group_by)
+        # past the frozen __setattr__, in one call
+        self.__dict__.update(
+            start=start,
+            end=end,
+            tags=MappingProxyType(dict(pairs)),
+            downsample=ds,
+            group_by=group_by,
+            filter=filter_,
+            panel=panel,
+            _hash=hash((panel, start, end)),
+        )
 
-    def parsed_downsample(self) -> Downsample | None:
-        if self.downsample is None:
-            return None
-        if isinstance(self.downsample, Downsample):
-            return self.downsample
-        return Downsample.parse(self.downsample)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Query):
+            return NotImplemented
+        return (
+            self.start == other.start
+            and self.end == other.end
+            and self.panel == other.panel
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

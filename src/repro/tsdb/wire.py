@@ -109,17 +109,16 @@ def encode_query(q: Query) -> dict:
     """One query as its wire dict."""
     if not isinstance(q, Query):
         raise WireError(f"cannot encode {type(q).__name__} as a wire query")
-    out: dict = {"metric": q.metric, "start": int(q.start), "end": int(q.end)}
+    out: dict = {"metric": q.metric, "start": q.start, "end": q.end}
     if q.tags:
-        out["tags"] = {str(k): str(v) for k, v in sorted(q.tags.items())}
+        out["tags"] = dict(q.tags)
     out["aggregator"] = q.aggregator
     if q.downsample is not None:
-        ds = q.parsed_downsample()
-        out["downsample"] = ds.spec()
+        out["downsample"] = q.downsample.spec()
     if q.rate:
         out["rate"] = True
     if q.group_by:
-        out["groupBy"] = sorted(q.group_by)
+        out["groupBy"] = list(q.group_by)
     return out
 
 
@@ -131,30 +130,12 @@ def encode_request(queries: Sequence[Query]) -> dict:
     }
 
 
-def _decode_timestamp(obj: Mapping, field: str) -> int:
-    """A ``start``/``end`` value as an exact integer timestamp.
-
-    ``int()`` alone would silently reshape the query range: ``true``
-    becomes 1 (bool is an int subclass) and ``3.9`` truncates to 3.
-    Accept integers and integral floats (clients that serialize every
-    JSON number as a float still round-trip exactly); reject everything
-    else loudly.
-    """
-    v = obj[field]
-    if isinstance(v, bool):
-        raise WireError(f"{field!r} must be an integer timestamp, got {v!r}")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    raise WireError(
-        f"{field!r} must be an integer timestamp, got {v!r} "
-        f"({type(v).__name__})"
-    )
-
-
 def decode_query(obj: Mapping) -> Query:
-    """One wire dict back into a planner query (strict field checking)."""
+    """One wire dict back into a planner query (strict field checking).
+
+    The values go to :class:`Query` as JSON gave them: it owns what a
+    valid query is, and its :class:`QueryError` comes back as
+    :class:`WireError`."""
     if not isinstance(obj, Mapping):
         raise WireError(f"query must be an object, got {type(obj).__name__}")
     unknown = set(obj) - _QUERY_FIELDS
@@ -163,26 +144,18 @@ def decode_query(obj: Mapping) -> Query:
     for field in ("metric", "start", "end"):
         if field not in obj:
             raise WireError(f"query is missing required field {field!r}")
-    tags = obj.get("tags", {})
-    if not isinstance(tags, Mapping):
-        raise WireError("'tags' must be an object of tag filters")
-    group_by = obj.get("groupBy", ())
-    if isinstance(group_by, str) or not isinstance(group_by, Sequence):
-        raise WireError("'groupBy' must be a list of tag keys")
     try:
         return Query(
             metric=obj["metric"],
-            start=_decode_timestamp(obj, "start"),
-            end=_decode_timestamp(obj, "end"),
-            tags={str(k): str(v) for k, v in tags.items()},
-            aggregator=str(obj.get("aggregator", "avg")),
+            start=obj["start"],
+            end=obj["end"],
+            tags=obj.get("tags", {}),
+            aggregator=obj.get("aggregator", "avg"),
             downsample=obj.get("downsample"),
-            rate=bool(obj.get("rate", False)),
-            group_by=tuple(str(g) for g in group_by),
+            rate=obj.get("rate", False),
+            group_by=obj.get("groupBy", ()),
         )
-    except WireError:
-        raise
-    except (QueryError, TypeError, ValueError) as exc:
+    except QueryError as exc:
         raise WireError(str(exc)) from None
 
 
@@ -540,17 +513,14 @@ class CatalogRequest:
     """One decoded catalog request.
 
     ``tags`` is a canonically sorted tuple of pairs so the request is
-    hashable — the serving layer keys its catalog cache on
-    :meth:`cache_key` directly.
+    hashable — the serving layer keys its catalog cache on the request
+    itself.
     """
 
     op: str
     metric: str | None = None
     key: str | None = None
     tags: tuple[tuple[str, str], ...] = ()
-
-    def cache_key(self) -> tuple:
-        return (self.op, self.metric, self.key, self.tags)
 
 
 def encode_catalog_request(

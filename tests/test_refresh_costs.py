@@ -184,7 +184,7 @@ def stack(tmp_path):
 def _open_bucket(q: Query, last: int) -> Query:
     """``q`` from the bucket the last point of every series, ``last``,
     lies in: a tail from the boundary cut."""
-    width = q.parsed_downsample().width
+    width = q.downsample.width
     return replace(q, start=(last + 1) // width * width)
 
 
@@ -304,7 +304,7 @@ def test_a_live_refresh_counts_its_kept_points_off_the_panel_state(
     monkeypatch.setattr(SeriesStore, "scan", scan)
 
     def cut(q: Query, last: int) -> int:
-        width = q.parsed_downsample().width
+        width = q.downsample.width
         return (last + 1) // width * width
 
     for crossed in (True, False):
@@ -493,7 +493,7 @@ class _Aligned:
 
 def _edge_points(inner, q) -> int:
     """The matched points in the window's first and last buckets."""
-    width = q.parsed_downsample().width
+    width = q.downsample.width
     head_end = -(-q.start // width) * width - 1
     tail_start = (q.end + 1) // width * width
     points = inner.run(replace(q, end=head_end)).scanned_points

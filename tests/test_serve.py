@@ -160,7 +160,7 @@ class TestCachingStore:
         holds = cache._holds
 
         def holds_while_the_other_worker_drops(s, request, validators):
-            cache._entries.pop(cache._key(request))
+            cache._entries.pop(request)
             return holds(s, request, validators)
 
         cache._holds = holds_while_the_other_worker_drops
@@ -473,6 +473,24 @@ class TestQueryServer:
             )
         assert refused["error"]["type"] == "WireError"
         assert "'expr'" in refused["error"]["message"]
+        assert served == wire.handle_request(store, wire.encode_request([plain]))
+
+    def test_a_non_string_downsample_is_refused_in_band(self, store):
+        """``"downsample": 5`` is a bad request, not a server fault: an
+        in-band ``WireError`` naming the field (never ``InternalError``,
+        which tells a client to retry elsewhere), and the connection
+        then serves a plain query."""
+        plain = Query("air.co2.ppm", 0, 4000, tags={"node": "a"})
+        bad = {**wire.encode_query(plain), "downsample": 5}
+        with live_server(store) as server:
+            refused, served = _raw_exchange(
+                server.address,
+                json.dumps({"version": wire.WIRE_VERSION, "queries": [bad]})
+                + "\n",
+                _request_line([plain]),
+            )
+        assert refused["error"]["type"] == "WireError"
+        assert "downsample" in refused["error"]["message"]
         assert served == wire.handle_request(store, wire.encode_request([plain]))
 
     def test_malformed_lines_keep_connection_usable(self, store):

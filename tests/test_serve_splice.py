@@ -279,7 +279,7 @@ def _heads(queries) -> list[Query]:
     """Each query over the bucket its start cuts."""
     out = []
     for q in queries:
-        width = q.parsed_downsample().width
+        width = q.downsample.width
         out.append(replace(q, end=-(-q.start // width) * width - 1))
     return out
 
@@ -365,7 +365,7 @@ def test_a_write_racing_a_quiet_splice(history, make_store, when, write,  # noqa
         for q, head in zip(moved, _heads(moved)):
             want.append(head)
             if write == "append" and q.metric == written:
-                width = q.parsed_downsample().width
+                width = q.downsample.width
                 want.append(replace(q, start=(last + 1) // width * width))
         assert batches == [want]
 

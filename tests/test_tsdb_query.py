@@ -1,9 +1,14 @@
-"""Tests for TSDB queries: aggregation, downsampling, rate, group-by."""
+"""Tests for TSDB queries: aggregation, downsampling, rate, group-by,
+and the one normalized query identity."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.tsdb import Query, QueryError, TSDB, aggregators
+from repro.tsdb import Query, QueryError, TSDB, aggregators, wire
 from repro.tsdb.downsample import Downsample, FillPolicy, InvalidDownsampleSpec
 
 
@@ -234,3 +239,98 @@ class TestIntrospection:
         assert dropped == 21
         assert db.series_count == 0
         assert db.run(Query("air.co2.ppm", 0, 600)).is_empty()
+
+
+class TestQueryIdentity:
+    """A :class:`Query` is normalized once, at construction: its window
+    is exact integers, and spelling (tag order, ``group_by`` order, the
+    downsample's spelling) is not part of what it is."""
+
+    def test_a_fractional_window_is_refused(self):
+        """``int()`` truncation once made ``[0.5, 10]`` and ``[0, 10]``
+        share one dedup key, so a batch holding both answered the second
+        with the first's one point."""
+        with pytest.raises(QueryError, match="'start' must be an integer"):
+            Query("co2", 0.5, 10)
+        for bad in (True, 9.5, float("nan"), "10", None):
+            with pytest.raises(QueryError, match="'end' must be an integer"):
+                Query("co2", 0, bad)
+
+    def test_numpy_and_integral_float_windows_are_exact_ints(self):
+        q = Query("co2", np.int64(0), 10.0)
+        assert q == Query("co2", 0, 10)
+        assert hash(q) == hash(Query("co2", 0, 10))
+        assert type(q.start) is int and type(q.end) is int
+
+    def test_non_boolean_rate_and_non_string_downsample_are_refused(self):
+        for bad in ("false", 1, None):
+            with pytest.raises(QueryError, match="rate"):
+                Query("co2", 0, 10, rate=bad)
+        for bad in (5, ["5m-avg"], 300.0):
+            with pytest.raises(QueryError, match="downsample"):
+                Query("co2", 0, 10, downsample=bad)
+
+
+def _identity_db() -> TSDB:
+    db = TSDB()
+    for i, (node, city) in enumerate(
+        (("a", "x"), ("b", "x"), ("c", "y"), ("d", "y"))
+    ):
+        for t in range(0, 3600, 120):
+            db.put("co2", t + i, 400.0 + i + t / 60, {"node": node, "city": city})
+    return db
+
+
+_IDENTITY_DB = _identity_db()
+_SPELLINGS = ("5m-avg", "300s-avg", Downsample(300, "avg"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tags=st.dictionaries(
+        st.sampled_from(("node", "city")),
+        st.sampled_from(("a", "b|c", "*", "x", "y")),
+    ),
+    group_by=st.lists(st.sampled_from(("node", "city")), unique=True),
+    spellings=st.one_of(
+        st.just((None, None)),
+        st.tuples(st.sampled_from(_SPELLINGS), st.sampled_from(_SPELLINGS)),
+    ),
+    data=st.data(),
+)
+def test_every_spelling_of_one_query_is_that_query(tags, group_by, spellings, data):
+    """Any tag order, any ``group_by`` order and any spelling of one
+    downsample make equal queries with equal hashes; ``replace``
+    normalizes again; ``run_many`` over the pair runs one query, and
+    each answer is that query's run alone."""
+    items = list(tags.items())
+    shuffled = dict(data.draw(st.permutations(items)))
+    a = Query("co2", 0, 3599, tags=dict(items), downsample=spellings[0],
+              group_by=tuple(group_by))
+    b = Query("co2", 0, 3599, tags=shuffled, downsample=spellings[1],
+              group_by=list(data.draw(st.permutations(group_by))))
+    assert a == b and hash(a) == hash(b)
+    assert list(a.tags) == sorted(tags) and a.group_by == tuple(sorted(group_by))
+    end = data.draw(st.integers(0, 3599))
+    assert dataclasses.replace(a, end=end) == dataclasses.replace(b, end=end)
+    assert dataclasses.replace(a, end=end) == Query(
+        "co2", 0, end, tags=shuffled, downsample=spellings[1],
+        group_by=group_by)
+    assert dataclasses.replace(b, end=end).downsample == a.downsample
+    with pytest.raises(TypeError):
+        a.tags["node"] = "z"
+
+    ran = []
+    db = _IDENTITY_DB
+    run_unique = db._run_unique_batch
+    db._run_unique_batch = lambda qs: ran.append(len(qs)) or run_unique(qs)
+    try:
+        together = db.run_many([a, b])
+    finally:
+        del db._run_unique_batch
+    assert ran == [1]
+    assert [r.query for r in together] == [a, b]
+    assert together[0].query is a and together[1].query is b
+    alone = wire.encode_response_json(db.run_many([a]))
+    for res in together:
+        assert wire.encode_response_json([res]) == alone

@@ -67,24 +67,13 @@ def queries(draw):
     )
 
 
-def assert_same_query(a: Query, b: Query):
-    assert a.metric == b.metric
-    assert (a.start, a.end) == (b.start, b.end)
-    assert dict(a.tags) == dict(b.tags)
-    assert a.aggregator == b.aggregator
-    assert a.parsed_downsample() == b.parsed_downsample()
-    assert a.rate == b.rate
-    assert tuple(sorted(a.group_by)) == tuple(sorted(b.group_by))
-
-
 @settings(max_examples=100, deadline=None)
 @given(qs=st.lists(queries(), max_size=4))
 def test_request_round_trip(qs):
     text = json.dumps(wire.encode_request(qs))
     decoded = wire.decode_request(text)
     assert len(decoded) == len(qs)
-    for a, b in zip(qs, decoded):
-        assert_same_query(a, b)
+    assert decoded == qs
 
 
 @settings(max_examples=50, deadline=None)
@@ -102,7 +91,7 @@ def test_an_expr_query_is_refused_naming_its_fields(q, formula):
         wire.decode_request(json.dumps(request))
     request["queries"].pop()
     (decoded,) = wire.decode_request(json.dumps(request))
-    assert_same_query(q, decoded)
+    assert decoded == q
 
 
 @settings(max_examples=50, deadline=None)
@@ -436,6 +425,27 @@ class TestErrorResponses:
             wire.decode_response(response)
         assert err.value.error_type == "WireError"
         assert err.value.message == "nope"
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("rate", "false", "rate"),
+        ("tags", {"node": 1}, "tags"),
+        ("tags", {"node": None}, "tags"),
+        ("groupBy", ["node", 2], "group_by"),
+        ("downsample", 5, "downsample"),
+        ("downsample", ["5m-avg"], "downsample"),
+    ])
+    def test_a_mistyped_field_is_refused_in_band(self, db, field, value, named):
+        """The wire coerces nothing: a value ``Query`` refuses is an
+        in-band ``WireError`` naming the field — not a query for rate
+        ``"false"`` or node ``"1"``, and not an exception out of
+        ``handle_request``."""
+        bad = {"metric": "air.co2.ppm", "start": 0, "end": 4000, field: value}
+        request = {"version": WIRE_VERSION, "queries": [bad]}
+        with pytest.raises(WireError, match=named):
+            wire.decode_request(request)
+        response = handle_request(db, request)
+        assert response["error"]["type"] == "WireError"
+        assert named in response["error"]["message"]
 
     def test_good_request_unaffected(self, db):
         qs = [Query("air.co2.ppm", 0, 4000)]
