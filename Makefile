@@ -70,7 +70,7 @@ serve-test:
 # stores ≡ the store's own look-ups), no absent store kept when a match
 # lands between a series' indexing and its storing, cardinality
 # guard-rails, catalog rebuild on every restore path, catalog wire/CLI
-# surface.
+# surface (a non-string tag filter refused in band, as a query's is).
 test-catalog:
 	$(PYTHON) -m pytest -q tests/test_tsdb_catalog.py tests/test_tsdb_wire.py tests/test_serve.py
 

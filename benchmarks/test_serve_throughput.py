@@ -6,13 +6,13 @@ The ROADMAP item-1 workload: dashboard clients hammering one
 planner → cache → socket → decode) against the 1M-point ingest
 database, recording the ``serve`` section of ``BENCH_ingest.json``:
 
-- *cold_ms*: the full batch with an empty result cache and no
-  refresher panel state — every panel pays its scans;
+- *cold_ms*: the full batch with an empty result cache and no panel
+  state (``server.caching.clear()``) — every panel pays its scans;
 - *cached_ms*: the identical batch again — all panels answered from the
   generation-validated result cache (one JSON round trip, zero scans);
 - *incremental_ms*: steady-state dashboard polling — a minute of new
   points lands, the window slides, and the request is answered from the
-  refresher's held buckets (delta scan + splice, not a full re-scan);
+  panel state's held buckets (delta scan + splice, not a full re-scan);
 - *sustained queries/sec*: N concurrent clients replaying a cached
   panel as fast as the server answers.
 
@@ -166,8 +166,7 @@ def test_cached_refresh_beats_cold(store):
             # its scans ------------------------------------------------
             cold_samples, cold_reply = [], None
             for _ in range(REPEATS):
-                server.caching.cache.clear()
-                server.refresher.clear()
+                server.caching.clear()
                 t0 = time.perf_counter()
                 cold_reply = client.request(panels)
                 cold_samples.append(time.perf_counter() - t0)

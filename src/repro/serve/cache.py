@@ -2,12 +2,13 @@
 
 The serving layer's hot path: dashboards re-issue the same panel
 queries every few seconds, and most refreshes happen between writes to
-the series they touch.  :class:`CachingStore` wraps any
-:class:`~repro.tsdb.interface.TimeSeriesStore` — as the outermost layer
-of the store stack — and intercepts the batched execution hook, so
-``run_many`` (and therefore the wire layer's ``handle_request``) sees
-cache hits per *unique* query while dedup and result ordering stay in
-the shared planner.  Writes are not
+the series they touch.  :class:`ResultCache` keeps their answers, keyed
+by the :class:`~repro.tsdb.query.Query` itself; the serving store
+(:class:`~repro.serve.refresh.CachingStore`, the outermost layer of the
+store stack) looks every *unique* query of a request up in it before
+anything runs, so ``run_many`` (and therefore the wire layer's
+``handle_request``) is answered per query from the cache while dedup
+and result ordering stay in the shared planner.  Writes are not
 intercepted: the three primitives pass through to the layers below.
 
 Correctness comes from generation validators, not timers:
@@ -43,12 +44,12 @@ series; one whose metrics were written resolves each of its 100 series
 once, not once per panel), its inserts a second, fresh one.  The rule
 that keeps this exact is the view's lifetime — **one phase of one
 request**: made before the execution or after it and never carried
-across the execution it brackets.  The refresher
-(:mod:`repro.serve.refresh`) reads its validators the same way; its
-*before* view is made by the request's look-up phase and travels with
-the request (:class:`~repro.serve.refresh.Request`) to its run phase —
-in the server, from the event-loop thread to a worker thread — which
-reads it only before it executes.  The hop carries the view, never an
+across the execution it brackets.  The panel state
+(:mod:`repro.serve.refresh`) reads its validators the same way; a
+request's *before* view is made by its look-up phase and travels with
+it (:class:`~repro.serve.refresh.Request`) to its run phase — in the
+server, from the event-loop thread to a worker thread — which reads it
+only before it executes.  The hop carries the view, never an
 execution, so the rule holds.
 
 A reply is encoded from the result's columns each time it is sent
@@ -76,7 +77,7 @@ from typing import Sequence
 
 from ..tsdb import wire
 from ..tsdb.catalog import BoundedLRU, Resolution
-from ..tsdb.interface import StoreApi, StoreWrapper
+from ..tsdb.interface import StoreApi
 from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.wire import CatalogRequest
 
@@ -86,9 +87,9 @@ from ..tsdb.wire import CatalogRequest
 _TAG_ATTR = "_wire_tag"
 _TAIL_ATTR = "_wire_tail"
 
-#: Panel shapes kept at each end of a connection: the server's
-#: refresher keeps this many panels' state, a client this many panels'
-#: last reply entries.
+#: Panel shapes kept at each end of a connection: the serving store
+#: keeps this many panels' state, a client this many panels' last reply
+#: entries.
 HELD_PANELS = 256
 
 
@@ -154,7 +155,6 @@ class CacheStats:
     invalidated: int = 0  # entries dropped on a validator mismatch
     evicted: int = 0  # entries dropped by LRU capacity pressure
     skipped: int = 0  # results not cached (write raced the execution)
-    spliced: int = 0  # misses answered from held panel state plus edges
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -163,23 +163,23 @@ class CacheStats:
 class ValidatorView:
     """The reads validators are made of, each made once.
 
-    What :meth:`ResultCache.capture` / ``_holds`` and the refresher's
+    What :meth:`ResultCache.capture` / ``_holds`` and the panel state's
     ``_capture`` / ``_holds`` / splice boundary ask of "the store" —
-    ``_match``, the three metric counters (``metric_generation``,
+    ``_resolve``, the three metric counters (``metric_generation``,
     ``metric_write_generation``, ``metric_reshape_generation``),
     ``series_generation``, ``series_reshape_generation``,
     ``series_latest`` and :meth:`boundary` — answered over ``store``
     with one underlying read per filter, per metric counter and per
-    series key.  A filter is one ``_resolve``: the catalog's kept
-    resolution, its keys *and* their column stores, so the per-series
-    reads look no series up down the wrapper stack; they read the
-    resolved series, so their counters are never older than the view.
-    A filter's boundary is read once per view, however many panels
-    share the filter.
+    series key.  A filter is a :attr:`~repro.tsdb.query.Query.filter`,
+    and one ``_resolve``: the catalog's kept resolution, its keys *and*
+    their column stores, so the per-series reads look no series up down
+    the wrapper stack; they read the resolved series, so their counters
+    are never older than the view.  A filter's boundary is read once per
+    view, however many panels share the filter.
 
     **A view lives for one phase of one request**: it is made before an
     execution *or* after it, held by that request alone (a local, or
-    the refresher's per-request :class:`~repro.serve.refresh.Request`
+    the serving store's per-request :class:`~repro.serve.refresh.Request`
     between its look-up and its run phase, across a thread hop) and
     never kept across the execution it brackets.  That is the whole
     correctness argument — capture-before / check-after still brackets
@@ -196,33 +196,28 @@ class ValidatorView:
         self._counters: dict[tuple[str, str], int] = {}  # (read, metric) -> value
         self._resolved: dict = {}  # series key -> SeriesStore | None
 
-    def _resolve(self, metric: str, tags) -> Resolution:
-        fk = (metric, tuple(sorted(tags.items())))
-        r = self._filters.get(fk)
+    def _resolve(self, filter_: tuple) -> Resolution:
+        r = self._filters.get(filter_)
         if r is None:
-            r = self._filters[fk] = self._store._resolve(metric, tags)
+            r = self._filters[filter_] = self._store._resolve(filter_)
             self._resolved.update(zip(r.keys, r.stores))
         return r
 
-    def _match(self, metric: str, tags) -> tuple:
-        return self._resolve(metric, tags).keys
-
-    def boundary(self, metric: str, tags) -> int | None:
+    def boundary(self, filter_: tuple) -> int | None:
         """Min last timestamp over the filter's series; None when
         nothing matches or a matched series is empty."""
-        fk = (metric, tuple(sorted(tags.items())))
         try:
-            return self._boundaries[fk]
+            return self._boundaries[filter_]
         except KeyError:
             pass
         boundary: int | None = None
-        for key in self._resolve(metric, tags).keys:
+        for key in self._resolve(filter_).keys:
             latest = self.series_latest(key)
             if latest is None:
                 boundary = None
                 break
             boundary = latest[0] if boundary is None else min(boundary, latest[0])
-        self._boundaries[fk] = boundary
+        self._boundaries[filter_] = boundary
         return boundary
 
     def _counter(self, read: str, metric: str) -> int:
@@ -295,7 +290,7 @@ class ResultCache:
         """
         writes = store.metric_write_generation(q.metric)
         metric_gen = store.metric_generation(q.metric)
-        matched = store._match(q.metric, q.tags)
+        matched = store._resolve(q.filter).keys
         return (
             writes,
             metric_gen,
@@ -387,48 +382,3 @@ def _freeze(result: QueryResult) -> None:
     for s in result.series:
         s.timestamps.setflags(write=False)
         s.values.setflags(write=False)
-
-
-class CachingStore(StoreWrapper):
-    """A store wrapper serving ``run_many`` through a :class:`ResultCache`.
-
-    Overrides the planner's ``_run_unique_batch`` hook and nothing else:
-    per unique query the cache answers or the miss set executes as one
-    batch on the wrapped store (keeping shared matching/scans for the
-    misses).  Every primitive, write or read, passes through to the
-    wrapped store, so a ``CachingStore`` is a drop-in
-    :class:`TimeSeriesStore` and writes through it invalidate exactly the
-    entries they touch.  It is the outermost layer of the store stack:
-    ``CachingStore(DurableStore(ReplicatedStore(store)))``.
-    """
-
-    def __init__(self, store, *, capacity: int = 128) -> None:
-        super().__init__(store)
-        self.cache = ResultCache(capacity)
-
-    def _run_unique_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
-        results: list[QueryResult | None] = [None] * len(queries)
-        miss: list[int] = []
-        before = ValidatorView(self._store)
-        for i, q in enumerate(queries):
-            hit = self.cache.lookup(before, q)
-            if hit is not None:
-                results[i] = hit
-            else:
-                miss.append(i)
-        if miss:
-            miss_qs = [queries[i] for i in miss]
-            validators = [self.cache.capture(before, q) for q in miss_qs]
-            out = self._run_uncached_batch(miss_qs)
-            after = ValidatorView(self._store)
-            for i, q, v, res in zip(miss, miss_qs, validators, out):
-                results[i] = res
-                if self.cache.insert(after, q, v, res):
-                    _freeze(res)
-        return results  # type: ignore[return-value]
-
-    def _run_uncached_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
-        """What a miss costs: the batch on the wrapped store, nothing
-        looked up and nothing inserted (the refresher's deltas run
-        here — no later request can ask for a delta's window again)."""
-        return self._store._run_unique_batch(queries)

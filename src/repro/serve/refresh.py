@@ -1,10 +1,14 @@
-"""Incremental dashboard refresh: re-scan only what can have changed.
+"""The serving store: every request through the result cache and the
+panel state, re-scanning only what can have changed.
 
-A dashboard panel is the same query re-run with a sliding window.  A
-steady-state store is append-only — points arrive with timestamps past
-each series' maximum — so everything the previous answer computed
-below a *splice boundary* is final and only the window's edges need
-rescanning.
+:class:`CachingStore` wraps the store stack and owns a
+:class:`~repro.serve.cache.ResultCache`, a table of panel state keyed by
+:attr:`~repro.tsdb.query.Query.panel` and the :class:`RefreshStats` of
+that table.  A dashboard panel is the same query re-run with a sliding
+window.  A steady-state store is append-only — points arrive with
+timestamps past each series' maximum — so everything the previous
+answer computed below a *splice boundary* is final and only the
+window's edges need rescanning.
 
 The boundary is exact, not heuristic:
 
@@ -84,15 +88,14 @@ does any validator mismatch (out-of-order write, retention delete,
 series churn) and a window that moved back or whose end shrank.
 
 A request (``run_many(queries)``; ``run(q)`` is the batch of one) is
-answered as the result cache alone would answer it, byte for byte, in
-two phases — :meth:`IncrementalRefresher.look_up` (step 1) and
-:meth:`~IncrementalRefresher.finish` (steps 2–5, then the results
-assembled).  ``run_many`` runs both on the calling thread; the server
-runs the first on its event-loop thread and sends only a request with a
-miss left to a worker thread for the second:
+answered as a fresh run on the wrapped store would answer it, byte for
+byte, in two phases — :meth:`CachingStore.look_up` (step 1) and
+:meth:`~CachingStore.finish` (steps 2–5, then the results assembled).
+``run_many`` runs both on the calling thread; the server runs the first
+on its event-loop thread and sends only a request with a miss left to a
+worker thread for the second:
 
-1. exact hits come from the result cache first, through one view, as
-   :class:`~repro.serve.cache.CachingStore` serves them;
+1. exact hits come from the result cache first, through one view;
 2. **classify** every miss whose panel shape has state against that
    *before* :class:`~repro.serve.cache.ValidatorView`: may the shape be
    spliced, does the window advance, do the validators hold, is it
@@ -100,8 +103,8 @@ miss left to a worker thread for the second:
    panel comes out *cache-only* (nothing to scan), *delta* (a head, a
    tail or both) or *full*;
 3. **execute** every delta's edge queries and every full miss as
-   **one** planned batch on the store *under* the result cache
-   (``_run_uncached_batch``): one match per filter, one covering scan
+   **one** planned batch on the wrapped store (its
+   ``_run_unique_batch``): one match per filter, one covering scan
    per touched series — a wall's avg and dev panels still share one
    alignment — and no edge inserted into the result cache, where its
    window could only evict what requests are served from;
@@ -112,8 +115,8 @@ miss left to a worker thread for the second:
    bracket of its own;
 5. every answer, spliced or full, goes into the result cache with
    validators read before it, so an exact repeat is a hit, not a
-   splice; a splice counts as a miss and as
-   :attr:`~repro.serve.cache.CacheStats.spliced`.
+   splice; a splice counts as a cache miss and as an incremental or
+   cache-only run.
 
 The capture-before / check-after bracket is therefore per *batch*, not
 per panel: every scan of step 3 lies between the reads of steps 1–2
@@ -161,13 +164,14 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ..tsdb.downsample import FillPolicy
+from ..tsdb.interface import StoreWrapper
 from ..tsdb.plan import Batch
 from ..tsdb.query import Query, QueryResult, ResultSeries
 from ..tsdb.series import SeriesSlice
 from .cache import (
     HELD_PANELS,
     BoundedLRU,
-    CachingStore,
+    ResultCache,
     ValidatorView,
     _freeze,
     cached_series_tag,
@@ -283,10 +287,10 @@ def _scanned(result: QueryResult | None) -> int:
 
 class Request:
     """One request between its two phases
-    (:meth:`IncrementalRefresher.look_up`, then
-    :meth:`~IncrementalRefresher.finish`): its batch, the results found
-    so far (None: a miss) and the look-up's *before* view, which the
-    run phase brackets its execution with."""
+    (:meth:`CachingStore.look_up`, then :meth:`~CachingStore.finish`):
+    its batch, the results found so far (None: a miss) and the
+    look-up's *before* view, which the run phase brackets its execution
+    with."""
 
     __slots__ = ("batch", "results", "before")
 
@@ -300,28 +304,34 @@ class Request:
     @property
     def answered(self) -> bool:
         """Did the result cache answer every query?  Then
-        :meth:`~IncrementalRefresher.finish` only assembles."""
+        :meth:`~CachingStore.finish` only assembles."""
         return all(r is not None for r in self.results)
 
 
-class IncrementalRefresher:
-    """Per-panel incremental execution over one
-    :class:`~repro.serve.cache.CachingStore`.
+class CachingStore(StoreWrapper):
+    """The serving store: ``run_many`` through a
+    :class:`~repro.serve.cache.ResultCache` (:attr:`cache`) and the
+    panel state kept per panel shape (:attr:`stats` counts its work).
 
-    ``run_many(queries)`` returns the very answers, ``scanned_points``
-    included, the store's result cache would — and so the same series a
-    fresh ``run_many`` on the store under it would; the incremental path
-    merely avoids rescanning finalized history.  One instance serves
-    many panels (state is keyed per panel shape).
+    ``run_many(queries)`` is :meth:`look_up` then :meth:`finish` (the
+    module docstring) and returns, ``scanned_points`` included, what a
+    fresh ``run_many`` on the wrapped store would; misses run as one
+    batch on the wrapped store's ``_run_unique_batch``.  Every
+    primitive, write or read, passes through, so writes through it
+    invalidate exactly what they touch.  It is the outermost layer of
+    the store stack: ``CachingStore(DurableStore(ReplicatedStore(store)))``.
     """
 
-    def __init__(self, store: CachingStore) -> None:
-        self._store = store
+    def __init__(self, store, *, capacity: int = 128) -> None:
+        super().__init__(store)
+        self.cache = ResultCache(capacity)
         self._panels: BoundedLRU = BoundedLRU(HELD_PANELS)  # Query.panel -> _PanelState
         self.stats = RefreshStats()
 
     def clear(self) -> None:
-        """Forget every panel's state: the next answer for each runs in full."""
+        """Forget every cached answer and every panel's state: the next
+        answer for each runs in full."""
+        self.cache.clear()
         self._panels.clear()
 
     # -- validators (``store``: a ValidatorView, one step old) -----------
@@ -331,7 +341,7 @@ class IncrementalRefresher:
         counters, then each matched series' reshape generation."""
         reshapes = store.metric_reshape_generation(q.metric)
         metric_gen = store.metric_generation(q.metric)
-        matched = store._match(q.metric, q.tags)
+        matched = store._resolve(q.filter).keys
         return reshapes, metric_gen, tuple(
             (key, store.series_reshape_generation(key)) for key in matched
         )
@@ -342,7 +352,7 @@ class IncrementalRefresher:
         run: (validators, boundary, write counter)."""
         return (
             cls._capture(store, q),
-            store.boundary(q.metric, q.tags),
+            store.boundary(q.filter),
             store.metric_write_generation(q.metric),
         )
 
@@ -365,7 +375,7 @@ class IncrementalRefresher:
     def _points(store, q: Query, lo: int, hi: int) -> int:
         """The matched series' points in ``[lo, hi]``, from scan views."""
         n = 0
-        for key in store._match(q.metric, q.tags):
+        for key in store._resolve(q.filter).keys:
             series = store._series(key)
             if series is not None:
                 n += len(series.scan(lo, hi))
@@ -404,10 +414,6 @@ class IncrementalRefresher:
         """
         return self.finish(self.look_up(queries))
 
-    def run(self, query: Query) -> QueryResult:
-        """The batch of one."""
-        return self.run_many([query])[0]
-
     def look_up(self, queries: list[Query]) -> Request:
         """A request's look-up phase: dedup, then the exact hits from
         the result cache, through one view (module docstring, 1).
@@ -417,9 +423,8 @@ class IncrementalRefresher:
         """
         batch = Batch(queries)
         self.stats.batches += 1
-        cache = self._store.cache
         before = ValidatorView(self._store)
-        results = [cache.lookup(before, q) for q in batch.queries]
+        results = [self.cache.lookup(before, q) for q in batch.queries]
         return Request(batch, results, before)
 
     def finish(self, request: Request) -> list[QueryResult]:
@@ -443,7 +448,7 @@ class IncrementalRefresher:
         """One bracket around one batch: the misses' edges and full
         runs.  Returns the deltas whose validators failed after it."""
         queries = batch.queries
-        cache = self._store.cache
+        cache = self.cache
         stats = self.stats
         deltas: dict[int, _Delta] = {}
         seeds: dict[int, tuple] = {}  # full run -> its _seed_of
@@ -477,7 +482,6 @@ class IncrementalRefresher:
             else:
                 stats.incremental_runs += 1
             results[i] = self._splice_panel(d, q, head, tail, kept[i])
-            cache.stats.spliced += 1
         stats.full_runs += len(fulls)
         for i, result in zip(fulls, ran):
             q = queries[i]
@@ -494,12 +498,12 @@ class IncrementalRefresher:
         self, deltas: list[_Delta], fulls: list[Query]
     ) -> tuple[list[tuple], list[QueryResult]]:
         """Step 3: every delta's edge queries, then ``fulls``, as one
-        planned batch under the result cache.  Returns each delta's
+        planned batch on the wrapped store.  Returns each delta's
         (head, tail) results and the full runs' results."""
         batch = [q for d in deltas for q in d.edges if q is not None]
         self.stats.delta_queries += len(batch)
         batch += fulls
-        ran = iter(self._store._run_uncached_batch(batch) if batch else ())
+        ran = iter(self._store._run_unique_batch(batch) if batch else ())
         edges = [
             tuple(None if q is None else next(ran) for q in d.edges)
             for d in deltas
@@ -550,7 +554,7 @@ class IncrementalRefresher:
         tail = replace(query, start=cut) if cut <= query.end else None
         # (a quiet panel's held boundary still holds)
         boundary = (
-            None if quiet or tail is None else before.boundary(query.metric, query.tags)
+            None if quiet or tail is None else before.boundary(query.filter)
         )
         return _Delta(
             st, head, tail, keep_from, cut,
@@ -657,3 +661,9 @@ class IncrementalRefresher:
         recently answered one; past ``HELD_PANELS`` the least recently
         answered is forgotten."""
         self.stats.evicted += self._panels.put(state.result.query.panel, state)
+
+
+def IncrementalRefresher(store: CachingStore) -> CachingStore:
+    """``store`` itself: a :class:`CachingStore` keeps its own panel
+    state.  (A name the frozen e2e benchmark still calls.)"""
+    return store

@@ -9,9 +9,9 @@ optional envelope fields stripped before decoding:
   may pipeline requests;
 - ``"refresh"``: accepted for older clients when it is a JSON boolean,
   and ignored.  Every request runs through the server's
-  :class:`~repro.serve.refresh.IncrementalRefresher`: it is answered
-  from the result cache when it names a cached window exactly, and
-  otherwise from the panel's held buckets plus its head and tail edges,
+  :class:`~repro.serve.refresh.CachingStore`: it is answered from the
+  result cache when it names a cached window exactly, and otherwise
+  from the panel's held buckets plus its head and tail edges,
   byte-identical to a fresh run (``scannedPoints`` included) and
   inserted into the result cache;
 - ``"held"``: a list aligned with ``"queries"`` — per query, the
@@ -57,8 +57,8 @@ no disk to spill to, so a server refuses it rather than grow without
 bound under its name.
 
 A request's path splits at the result cache
-(:meth:`~repro.serve.refresh.IncrementalRefresher.look_up` /
-:meth:`~repro.serve.refresh.IncrementalRefresher.finish`).  The event
+(:meth:`~repro.serve.refresh.CachingStore.look_up` /
+:meth:`~repro.serve.refresh.CachingStore.finish`).  The event
 loop's thread decodes it, applies the cardinality guard and looks every
 query up; a request the cache answers whole — every panel *hit*, the
 wall a dashboard re-polls between writes — is assembled, encoded and
@@ -88,8 +88,8 @@ from ..tsdb import wire
 from ..tsdb.catalog import CardinalityLimitError
 from ..tsdb.model import InvalidName
 from ..tsdb.query import QueryError
-from .cache import CachingStore, CatalogCache, entry_tail, entry_validator
-from .refresh import IncrementalRefresher, Request
+from .cache import CatalogCache, entry_tail, entry_validator
+from .refresh import CachingStore, Request
 
 #: Longest validator a request may name in ``held`` (ours are 32 chars).
 _MAX_VALIDATOR_CHARS = 64
@@ -221,9 +221,9 @@ class _Lane:
 class QueryServer:
     """The serving layer: a TSDB behind an asyncio TCP endpoint.
 
-    Wraps the store in a :class:`CachingStore` (generation-validated
-    result cache) and keeps one :class:`IncrementalRefresher` over it,
-    whose panel state every request shares.
+    Wraps the store in one :class:`CachingStore` (a
+    generation-validated result cache and panel state), which every
+    request shares.
     ``port=0`` binds an ephemeral port — read :attr:`address` after
     :meth:`start`.
     """
@@ -242,7 +242,6 @@ class QueryServer:
         if max_match_series is not None and max_match_series <= 0:
             raise ValueError("max_match_series must be positive")
         self.caching = CachingStore(store, capacity=cache_capacity)
-        self.refresher = IncrementalRefresher(self.caching)
         self.catalog_cache = CatalogCache()
         self.max_match_series = max_match_series
         self._host = host
@@ -321,7 +320,7 @@ class QueryServer:
             "replies": dict(self.replies),
             "cache": self.caching.cache.stats.as_dict(),
             "catalog_cache": self.catalog_cache.stats.as_dict(),
-            "refresh": self.refresher.stats.as_dict(),
+            "refresh": self.caching.stats.as_dict(),
             "tenants": {
                 name: lane.stats() for name, lane in sorted(self._lanes.items())
             },
@@ -398,7 +397,7 @@ class QueryServer:
     # -- execution -------------------------------------------------------
     def _look_up(self, job: _Job) -> bytes | dict | Callable[[], bytes | dict]:
         """Runs on the loop thread: decode, guard and the exact hits
-        (:meth:`IncrementalRefresher.look_up`).
+        (:meth:`CachingStore.look_up`).
 
         A request the result cache answers whole is assembled and
         encoded here, and its reply returned; otherwise — a miss left,
@@ -411,7 +410,7 @@ class QueryServer:
         def start() -> bytes | dict | Callable[[], bytes | dict]:
             queries = wire.decode_request(job.payload)
             self._guard_match_cardinality(queries, tenant=job.tenant)
-            request = self.refresher.look_up(queries)
+            request = self.caching.look_up(queries)
             if request.answered:
                 return self._encode(job, request)
             return partial(_answered, self._encode, job, request)
@@ -423,7 +422,7 @@ class QueryServer:
         and its reply text."""
         forms: list[str] = []
         text = wire.encode_response_json(
-            self.refresher.finish(request),
+            self.caching.finish(request),
             held=job.held,
             validator=entry_validator,
             tail=entry_tail,

@@ -61,14 +61,14 @@ __all__ = [
 ]
 
 #: How many filters' resolutions a catalog keeps: a constant, like the
-#: refresher's panel table, and far more than one dashboard wall names.
+#: serving store's panel table, and far more than one dashboard wall names.
 RESOLUTIONS = 256
 
 
 class BoundedLRU(OrderedDict):
     """A mapping that forgets its least recently used key past
     ``capacity`` — the one LRU body under the catalogs' resolutions,
-    the result caches, the refresher's panel table and the client's
+    the result caches, the serving store's panel table and the client's
     held replies."""
 
     def __init__(self, capacity: int) -> None:
@@ -448,8 +448,10 @@ class SeriesCatalog:
             return self.series(metric)
         return sorted(self._match_set(metric, tags), key=str)
 
-    def resolve(self, metric: str, tags: Mapping[str, str]) -> Resolution:
-        """:meth:`match` as a :class:`Resolution`, kept for the
+    def resolve(self, filter_: tuple) -> Resolution:
+        """:meth:`match` of one filter — a
+        :attr:`~repro.tsdb.query.Query.filter`, ``(metric, sorted tag
+        pairs)`` — as a :class:`Resolution`, kept for the
         :data:`RESOLUTIONS` most recently resolved filters and reused
         while the metric's generation holds still.
 
@@ -457,10 +459,10 @@ class SeriesCatalog:
         removed while the match runs moves it past the value the entry
         keeps, so the next resolution matches again.
         """
-        filter_key = (metric, tuple(sorted(tags.items())))
+        metric, pairs = filter_
         generation = self.metric_generation(metric)
-        entry = self._resolutions.use(filter_key)
+        entry = self._resolutions.use(filter_)
         if entry is None or entry.generation != generation:
-            entry = Resolution(generation, tuple(self.match(metric, tags)))
-            self._resolutions.put(filter_key, entry)
+            entry = Resolution(generation, tuple(self.match(metric, dict(pairs))))
+            self._resolutions.put(filter_, entry)
         return entry

@@ -202,18 +202,20 @@ class StoreApi:
         postings, and ``key.matches`` runs only over the narrowed pool
         as a final exactness check — O(result), not O(series-under-
         metric), and deterministic regardless of set iteration order.
-        The keys of :meth:`_resolve`.
+        The keys of :meth:`_resolve`, for a raw ``(metric, tags)``.
         """
-        return list(self.catalog.resolve(metric, tags).keys)
+        filter_ = (metric, tuple(sorted(tags.items())))
+        return list(self.catalog.resolve(filter_).keys)
 
-    def _resolve(self, metric: str, tags: Mapping[str, str]) -> Resolution:
-        """One filter resolved: the catalog's kept
+    def _resolve(self, filter_: tuple) -> Resolution:
+        """One filter (a :attr:`~repro.tsdb.query.Query.filter`)
+        resolved: the catalog's kept
         :class:`~repro.tsdb.catalog.Resolution` (matched keys, their
         groups), with each key's column store looked up through
         ``_series`` once per entry — every wrapper reaches the same
         catalog and the same stores, so one resolution serves them all
         until a series is created or removed under the metric."""
-        return self.catalog.resolve(metric, tags).with_stores(self._series)
+        return self.catalog.resolve(filter_).with_stores(self._series)
 
     # -- derived reads: one series (self._series) ------------------------
     def series_generation(self, key: SeriesKey) -> int:
@@ -315,12 +317,6 @@ class StoreApi:
         executor over this store's resolved filters."""
         # ``parallel`` is ignored: the frozen benchmarks/e2e ScanProxy passes it.
         return run_unique_batch(queries, self._resolve)
-
-    def _run_uncached_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
-        """``_run_unique_batch`` below any result cache.  A store keeps
-        none, so here they are one hook; the serving layer's
-        ``CachingStore`` answers with what it runs on a miss."""
-        return self._run_unique_batch(queries)
 
     def iter_series(
         self, start: int | None = None, end: int | None = None

@@ -40,7 +40,7 @@ planner: a single query is just a batch of one.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -280,7 +280,7 @@ class ScanPlan:
 
 def run_unique_batch(
     queries: Sequence[Query],
-    resolve: Callable[[str, Mapping[str, str]], Resolution],
+    resolve: Callable[[tuple], Resolution],
 ) -> list[QueryResult]:
     """Execute deduplicated queries over shared resolutions and scans.
 
@@ -305,7 +305,7 @@ def run_unique_batch(
     resolved: list[Resolution] = []
     for members in by_filter.values():
         first = queries[members[0]]
-        r = resolve(first.metric, first.tags)
+        r = resolve(first.filter)
         resolved.append(r)
         lo = min(queries[i].start for i in members)
         hi = max(queries[i].end for i in members)

@@ -604,13 +604,15 @@ def decode_catalog_request(request: str | bytes | Mapping) -> CatalogRequest:
     if key is not None and not isinstance(key, str):
         raise WireError("'key' must be a string")
     tags = body.get("tags", {})
-    if not isinstance(tags, Mapping):
-        raise WireError("'tags' must be an object of tag filters")
+    # refused, as a query's tags are: never coerced to some other filter
+    if not isinstance(tags, Mapping) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in tags.items()
+    ):
+        raise WireError(
+            f"'tags' must be an object of tag filters, strings to strings: {tags!r}"
+        )
     return CatalogRequest(
-        op=op,
-        metric=metric,
-        key=key,
-        tags=tuple(sorted((str(k), str(v)) for k, v in tags.items())),
+        op=op, metric=metric, key=key, tags=tuple(sorted(tags.items()))
     )
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import CachingStore, IncrementalRefresher
+from repro.serve import CachingStore
 from repro.tsdb import Query, TSDB, aggregators, wire
 from repro.tsdb.aggregators import Cells, Segments
 from test_query_throughput import COLUMNAR
@@ -209,7 +209,7 @@ def test_a_delta_of_one_series_is_the_full_window_for_quantiles():
     for i in range(120):  # two hours, the last point at 7 199 s
         for node, value in (("a", 400.0 + i % 7), ("b", 380.0 + i % 5)):
             db.put("m", i * 60 + 59, value, {"node": node})
-    refresher = IncrementalRefresher(CachingStore(db))
+    refresher = CachingStore(db)
     end = 119 * 60 + 59
     assert _reply(refresher.run_many(_panels(end))) == _reply(db.run_many(_panels(end)))
     tail = [np.inf, -0.0, 2.5, -np.inf, 0.0, np.nan, np.inf, -0.0, np.inf, 1.5]

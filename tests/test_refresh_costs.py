@@ -2,8 +2,7 @@
 
 The serving stack from public constructors::
 
-    IncrementalRefresher(
-        CachingStore(DurableStore(ReplicatedStore(TSDB()))))
+    CachingStore(DurableStore(ReplicatedStore(TSDB())))
 
 with the e2e wall (12 panels over 4 metrics x 25 nodes) and one minute
 appended before each refresh, and counting wrappers around what a
@@ -36,7 +35,7 @@ import pytest
 import repro.tsdb.interface as interface_module
 import repro.tsdb.plan as plan_module
 from repro.replication import ReplicatedStore
-from repro.serve import CachingStore, IncrementalRefresher
+from repro.serve import CachingStore
 from repro.serve.cache import ResultCache, ValidatorView
 from repro.tsdb import BatchBuilder, DurableStore, Query, TSDB, wire
 from repro.tsdb.catalog import SeriesCatalog
@@ -62,6 +61,11 @@ def _dashboard(start: int, end: int, metrics=METRICS) -> list[Query]:
     return out
 
 
+def _spliced(caching) -> int:
+    """Misses answered from held panel state plus edges."""
+    return caching.stats.incremental_runs + caching.stats.cache_only_runs
+
+
 def _reply(results) -> bytes:
     """The reply text, ``scannedPoints`` included."""
     return wire.encode_response_json(results)
@@ -82,7 +86,7 @@ class _Counts:
         self.reshapes: Counter = Counter()  # series key -> reshape reads
         self.latest: Counter = Counter()  # series key -> series_latest reads
         self.counters: Counter = Counter()  # (counter, metric) -> counter-cell reads
-        self.views = 0  # series scan views opened, planner and refresher
+        self.views = 0  # series scan views opened, planner and panel state
         real_series = TSDB._series
         real_match = SeriesCatalog.match
         real_match_set = SeriesCatalog._match_set
@@ -190,34 +194,33 @@ def _open_bucket(q: Query, last: int) -> Query:
 
 def test_a_refresh_reads_each_validator_once_and_plans_once(stack, monkeypatch):
     inner, caching, end = stack
-    refresher = IncrementalRefresher(caching)
     counts = _Counts(monkeypatch)
 
     # the first request: every panel in full, as one planned batch under
     # the result cache, and every answer inserted into it
-    refresher.run_many(_dashboard(0, end))
+    caching.run_many(_dashboard(0, end))
     assert counts.cache_batches == []
     assert counts.planned == [12]
     assert counts.inserts == 12
-    assert refresher.stats.as_dict() == {
+    assert caching.stats.as_dict() == {
         "full_runs": 12, "incremental_runs": 0, "cache_only_runs": 0,
         "invalidated": 0, "evicted": 0, "batches": 1, "delta_queries": 0}
 
     edges: list[list[Query]] = []
-    real = CachingStore._run_uncached_batch
+    real = caching.wrapped._run_unique_batch
 
-    def uncached(store, queries):
+    def uncached(queries):
         edges.append(list(queries))
-        return real(store, queries)
+        return real(queries)
 
-    monkeypatch.setattr(CachingStore, "_run_uncached_batch", uncached)
+    monkeypatch.setattr(caching.wrapped, "_run_unique_batch", uncached)
     parses = Downsample.parse.cache_info().misses
     for i in range(1, 4):
         end += MINUTE
         caching.put_batch(_minute(end, METRICS, NODES))
         counts.reset()
         edges.clear()
-        got = refresher.run_many(_dashboard(0, end))
+        got = caching.run_many(_dashboard(0, end))
         # the series set is unchanged: every filter and its stores come
         # from the catalog's kept resolutions (parent: each series looked
         # up twice, each filter matched twice)
@@ -228,9 +231,9 @@ def test_a_refresh_reads_each_validator_once_and_plans_once(stack, monkeypatch):
         assert counts.cache_batches == []
         assert counts.inserts == 12
         assert Downsample.parse.cache_info().misses == parses
-        assert refresher.stats.batches == 1 + i
-        assert refresher.stats.delta_queries == 12 * i
-        assert refresher.stats.incremental_runs == 12 * i
+        assert caching.stats.batches == 1 + i
+        assert caching.stats.delta_queries == 12 * i
+        assert caching.stats.incremental_runs == 12 * i
         # the delta is the open bucket, not the six-hour window
         assert edges == [[_open_bucket(q, end - MINUTE)
                           for q in _dashboard(0, end)]]
@@ -243,16 +246,15 @@ def test_a_refresh_reads_each_validator_once_and_plans_once(stack, monkeypatch):
 def test_a_live_refresh_resolves_each_filter_once_per_series_set(
         stack, monkeypatch):
     inner, caching, end = stack
-    refresher = IncrementalRefresher(caching)
-    refresher.run_many(_dashboard(0, end))
+    caching.run_many(_dashboard(0, end))
     every = [key for metric in METRICS for key in inner.series_for_metric(metric)]
     counts = _Counts(monkeypatch)
     for _ in range(3):
         end += MINUTE
         caching.put_batch(_minute(end, METRICS, NODES))
         counts.reset()
-        got = refresher.run_many(_dashboard(0, end))
-        assert refresher.stats.incremental_runs % 12 == 0
+        got = caching.run_many(_dashboard(0, end))
+        assert caching.stats.incremental_runs % 12 == 0
         # no postings walked (re-matching walked 32: two matches per filter)
         assert counts.postings == 0
         # one boundary per filter: each series' last point read once
@@ -270,13 +272,13 @@ def test_a_live_refresh_resolves_each_filter_once_per_series_set(
     caching.put(written, end, 1.0, {**CITY, "node": "ctt-99"})
     grown = inner.series_for_metric(written)
     counts.reset()
-    got = refresher.run_many(_dashboard(0, end))
+    got = caching.run_many(_dashboard(0, end))
     # one catalog, whatever the shard count: one match walks its postings
     # once
     assert counts.matched == Counter({(written, tuple(CITY.items())): 1})
     assert counts.postings == 1
     assert counts.resolved == Counter(grown)
-    assert refresher.stats.full_runs == 12 + 3
+    assert caching.stats.full_runs == 12 + 3
     assert _reply(got) == _reply(inner.run_many(_dashboard(0, end)))
 
 
@@ -289,11 +291,10 @@ def test_a_live_refresh_counts_its_kept_points_off_the_panel_state(
     a bucket opens views over the crossed buckets alone (parent: a view
     per matched series per panel over every kept bucket, 300 a wall)."""
     inner, caching, end = stack
-    refresher = IncrementalRefresher(caching)
-    refresher.run_many(_dashboard(0, end))
+    caching.run_many(_dashboard(0, end))
     end += MINUTE  # the first splice counts from the full run's window
     caching.put_batch(_minute(end, METRICS, NODES))
-    refresher.run_many(_dashboard(0, end))
+    caching.run_many(_dashboard(0, end))
     views: list[tuple[int, int]] = []
     real = SeriesStore.scan
 
@@ -311,7 +312,7 @@ def test_a_live_refresh_counts_its_kept_points_off_the_panel_state(
         last, end = end, end + MINUTE
         caching.put_batch(_minute(end, METRICS, NODES))
         views.clear()
-        got = refresher.run_many(_dashboard(0, end))
+        got = caching.run_many(_dashboard(0, end))
         seen = list(views)
         assert _reply(got) == _reply(inner.run_many(_dashboard(0, end)))
         # the tails' covering scans: one view per series, to the end
@@ -328,18 +329,17 @@ def test_a_live_refresh_counts_its_kept_points_off_the_panel_state(
 
 def test_a_cache_only_panel_runs_nothing(stack, monkeypatch):
     inner, caching, end = stack
-    refresher = IncrementalRefresher(caching)
     raw = Query(METRICS[0], 0, end, tags=CITY)
-    first = refresher.run(raw)
+    first = caching.run(raw)
     caching.cache.clear()  # the result cache forgot the answer; the panel not
     counts = _Counts(monkeypatch)
-    again = refresher.run(raw)
+    again = caching.run(raw)
     assert counts.planned == [] and counts.cache_batches == []
     # a fresh run's count, read off the panel state (parent: 0, the
     # delta's)
     assert again.scanned_points == first.scanned_points
-    assert refresher.stats.cache_only_runs == 1
-    assert refresher.stats.batches == 2 and refresher.stats.delta_queries == 0
+    assert caching.stats.cache_only_runs == 1
+    assert caching.stats.batches == 2 and caching.stats.delta_queries == 0
     assert _reply([again]) == _reply([inner.run(raw)])
 
 
@@ -372,10 +372,9 @@ def test_an_exact_repeat_reads_each_metric_counter_from_one_cell(
         assert len(keys) > 1
         cell = inner.catalog.metric_counters(metric)
         assert all(inner._series(key)._metric is cell for key in keys)
-    refresher = IncrementalRefresher(caching)
-    first = refresher.run_many(_dashboard(0, end))
+    first = caching.run_many(_dashboard(0, end))
     counts = _Counts(monkeypatch)
-    again = refresher.run_many(_dashboard(0, end))
+    again = caching.run_many(_dashboard(0, end))
     assert all(a.series is b.series for a, b in zip(first, again))
     assert caching.cache.stats.hits == 12 and counts.planned == []
     assert counts.counters == Counter({("write", m): 1 for m in METRICS})
@@ -428,15 +427,14 @@ def test_another_citys_write_still_hits_through_the_fallback(stack, monkeypatch)
 
 def test_an_append_only_refresh_reads_no_series_reshape_counter(stack, monkeypatch):
     inner, caching, end = stack
-    refresher = IncrementalRefresher(caching)
-    refresher.run_many(_dashboard(0, end))
+    caching.run_many(_dashboard(0, end))
     counts = _Counts(monkeypatch)
     for i in range(1, 4):
         end += MINUTE
         caching.put_batch(_minute(end, METRICS, NODES))
         counts.reset()
-        got = refresher.run_many(_dashboard(0, end))
-        assert refresher.stats.incremental_runs == 12 * i
+        got = caching.run_many(_dashboard(0, end))
+        assert caching.stats.incremental_runs == 12 * i
         # both brackets hold on the metric's reshape counter: one read
         # per metric before the deltas, one after (per-series validation: 600
         # reshape reads, 300 of them to build a tuple nobody kept); the
@@ -456,23 +454,22 @@ def test_a_live_refresh_caches_its_answers_and_no_edge(stack, monkeypatch):
     edge does (an older parent inserted every delta under a ``(cut,
     end)`` key no request can equal)."""
     inner, caching, end = stack
-    refresher = IncrementalRefresher(caching)
-    refresher.run_many(_dashboard(0, end))
+    caching.run_many(_dashboard(0, end))
     counts = _Counts(monkeypatch)
     for i in range(1, 4):
         end += MINUTE
         caching.put_batch(_minute(end, METRICS, NODES))
         counts.reset()
-        got = refresher.run_many(_dashboard(0, end))
+        got = caching.run_many(_dashboard(0, end))
         assert counts.planned == [12] and counts.inserts == 12
-        assert caching.cache.stats.spliced == 12 * i
+        assert _spliced(caching) == 12 * i
         counts.reset()
-        again = refresher.run_many(_dashboard(0, end))  # a second client
+        again = caching.run_many(_dashboard(0, end))  # a second client
         assert counts.planned == [] and counts.inserts == 0
         assert all(a.series is b.series for a, b in zip(got, again))
         assert caching.cache.stats.hits == 12 * i
     assert len(caching.cache) == 12 * 4
-    assert refresher.stats.incremental_runs == 12 * 3
+    assert caching.stats.incremental_runs == 12 * 3
     assert _reply(again) == _reply(inner.run_many(_dashboard(0, end)))
 
 
@@ -504,14 +501,13 @@ def _edge_points(inner, q) -> int:
 
 def test_a_moved_plain_wall_plans_its_edges_only(stack, monkeypatch):
     inner, caching, end = stack
-    refresher = IncrementalRefresher(caching)
     # a first plain request: one batch, one alignment per filter
     aligned = _Aligned(monkeypatch)
     counts = _Counts(monkeypatch)
-    refresher.run_many(_dashboard(0, end))
+    caching.run_many(_dashboard(0, end))
     assert counts.planned == [12] and counts.inserts == 12
     assert aligned.calls == len(METRICS)
-    assert caching.cache.stats.misses == 12 and caching.cache.stats.spliced == 0
+    assert caching.cache.stats.misses == 12 and _spliced(caching) == 0
 
     # the start moved one minute, off every bucket grid: one planned
     # batch of edges, aligning at most what the window's first and last
@@ -519,64 +515,62 @@ def test_a_moved_plain_wall_plans_its_edges_only(stack, monkeypatch):
     moved = _dashboard(MINUTE, end)
     aligned.calls = aligned.points = 0
     counts.reset()
-    got = refresher.run_many(moved)
+    got = caching.run_many(moved)
     assert len(counts.planned) == 1 and counts.cache_batches == []
     assert 0 < aligned.points <= sum(_edge_points(inner, q) for q in moved)
-    assert caching.cache.stats.spliced == 12 and counts.inserts == 12
+    assert _spliced(caching) == 12 and counts.inserts == 12
     assert _reply(got) == _reply(inner.run_many(moved))
-    assert refresher.stats.batches == 2  # every request is one
+    assert caching.stats.batches == 2  # every request is one
 
     # the identical request: a result-cache hit, the same series objects,
     # one write counter read per metric and no series resolved
     counts.reset()
-    again = refresher.run_many(moved)
+    again = caching.run_many(moved)
     assert counts.planned == [] and counts.inserts == 0
     assert counts.resolved == {} and counts.reshapes == {}
     assert counts.counters == Counter({("write", m): 1 for m in METRICS})
     assert all(a.series is b.series for a, b in zip(got, again))
-    assert caching.cache.stats.hits == 12 and caching.cache.stats.spliced == 12
+    assert caching.cache.stats.hits == 12 and _spliced(caching) == 12
 
 
 def test_a_quiet_moved_plain_wall_plans_its_heads_only(stack, monkeypatch):
     inner, caching, end = stack
-    refresher = IncrementalRefresher(caching)
-    refresher.run_many(_dashboard(0, end))
+    caching.run_many(_dashboard(0, end))
     counts = _Counts(monkeypatch)
     edges: list[list[Query]] = []
-    real = CachingStore._run_uncached_batch
+    real = caching.wrapped._run_unique_batch
 
-    def uncached(store, queries):
+    def uncached(queries):
         edges.append(list(queries))
-        return real(store, queries)
+        return real(queries)
 
-    monkeypatch.setattr(CachingStore, "_run_uncached_batch", uncached)
+    monkeypatch.setattr(caching.wrapped, "_run_unique_batch", uncached)
     for j in range(1, 4):
         # the start moved a minute, the end stayed, nothing was written
         moved = _dashboard(j * MINUTE, end)
         counts.reset()
         edges.clear()
-        got = refresher.run_many(moved)
+        got = caching.run_many(moved)
         # one planned batch of twelve heads and no tail (parent: 24
         # edges, a head and a tail per panel)
         assert counts.planned == [12]
         assert edges == [_heads(moved)]
         # no boundary read (parent: 300 series_latest reads, 25 per panel)
         assert counts.latest == {}
-        assert caching.cache.stats.spliced == 12 * j and counts.inserts == 12
+        assert _spliced(caching) == 12 * j and counts.inserts == 12
         assert _reply(got) == _reply(inner.run_many(moved))
 
 
 def test_a_plain_wall_moved_inside_its_buckets_counts_no_kept_points(
         stack, monkeypatch):
     inner, caching, end = stack
-    refresher = IncrementalRefresher(caching)
-    refresher.run_many(_dashboard(0, end))
-    refresher.run_many(_dashboard(MINUTE, end))  # scans the heads
+    caching.run_many(_dashboard(0, end))
+    caching.run_many(_dashboard(MINUTE, end))  # scans the heads
     counts = _Counts(monkeypatch)
     for j in range(2, 5):
         moved = _dashboard(j * MINUTE, end)
         counts.reset()
-        got = refresher.run_many(moved)
+        got = caching.run_many(moved)
         # one planned batch of twelve heads, and no scan view but their
         # covering scans: the kept buckets' points are the held answer's
         # less the last head's (before: 400 views, 300 of them to count
@@ -589,18 +583,17 @@ def test_a_plain_wall_moved_inside_its_buckets_counts_no_kept_points(
 
 def test_a_quiet_refresh_of_an_unchanged_window_is_cache_only(stack, monkeypatch):
     inner, caching, end = stack
-    refresher = IncrementalRefresher(caching)
     queries = _dashboard(0, end)
-    first = refresher.run_many(queries)
+    first = caching.run_many(queries)
     caching.cache.clear()  # the result cache forgot the wall; its panels not
     counts = _Counts(monkeypatch)
-    again = refresher.run_many(queries)
+    again = caching.run_many(queries)
     # nothing written: every panel is answered from its held state, the
     # same series objects, so a holding client is answered *not
     # modified* (an older parent: 12 tail queries over the last buckets)
     assert counts.planned == [] and counts.cache_batches == []
-    assert refresher.stats.delta_queries == 0
-    assert refresher.stats.cache_only_runs == 12
+    assert caching.stats.delta_queries == 0
+    assert caching.stats.cache_only_runs == 12
     assert all(a.series is b.series for a, b in zip(first, again))
     assert counts.latest == {} and counts.resolved == {}
     # fresh runs' counts, read off the panel state (parent: 0, the deltas')
@@ -612,9 +605,9 @@ def test_a_quiet_refresh_of_an_unchanged_window_is_cache_only(stack, monkeypatch
     written = METRICS[0]
     caching.put_batch(_minute(end + MINUTE, (written,), NODES))
     counts.reset()
-    third = refresher.run_many(queries)
-    assert counts.planned == [3] and refresher.stats.delta_queries == 3
-    assert refresher.stats.cache_only_runs == 12
+    third = caching.run_many(queries)
+    assert counts.planned == [3] and caching.stats.delta_queries == 3
+    assert caching.stats.cache_only_runs == 12
     assert caching.cache.stats.hits == 9
     for q, a, b in zip(queries, again, third):
         assert (a.series is b.series) == (q.metric != written)

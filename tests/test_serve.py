@@ -2,12 +2,12 @@
 
 Three correctness contracts, in increasing integration order:
 
-- :class:`~repro.serve.cache.CachingStore` answers are **byte-identical**
+- :class:`~repro.serve.refresh.CachingStore` answers are **byte-identical**
   to uncached ``run_many`` and invalidation is exact: a write to a
   matched series (on any shard) drops precisely the entries it can
   affect, a raced write is never stamped fresh;
-- :class:`~repro.serve.refresh.IncrementalRefresher` output is
-  byte-identical to a full re-scan, ``scannedPoints`` included, under
+- its panel state's output (a moved window spliced from held buckets)
+  is byte-identical to a full re-scan, ``scannedPoints`` included, under
   arbitrary interleavings of appends and window slides (hypothesis),
   while actually taking the incremental path in steady state;
 - the asyncio :class:`~repro.serve.server.QueryServer` serves N
@@ -38,7 +38,6 @@ from hypothesis import strategies as st
 
 from repro.serve import (
     CachingStore,
-    IncrementalRefresher,
     QueryClient,
     QueryServer,
     TenantPolicy,
@@ -182,7 +181,7 @@ class TestCachingStore:
 class TestIncrementalRefresher:
     def test_steady_state_takes_incremental_path(self):
         db = _seeded(TSDB())
-        refresher = IncrementalRefresher(CachingStore(db))
+        refresher = CachingStore(db)
         q1 = Query("air.co2.ppm", 0, 4000, downsample="10m-avg")
         full = refresher.run(q1)
         db.put("air.co2.ppm", 4500, 500.0, {"node": "a", "city": "trondheim"})
@@ -197,14 +196,13 @@ class TestIncrementalRefresher:
     def test_unchanged_window_is_cache_only(self):
         db = _seeded(TSDB())
         caching = CachingStore(db)
-        refresher = IncrementalRefresher(caching)
         # end == the newest point: everything in-window is final history
         q = Query("air.co2.ppm", 0, 3300)
-        first = refresher.run(q)
-        assert refresher.run(q) is first  # an exact repeat: a cache hit
+        first = caching.run(q)
+        assert caching.run(q) is first  # an exact repeat: a cache hit
         caching.cache.clear()  # the result cache forgot it; the panel not
-        second = refresher.run(q)
-        assert refresher.stats.cache_only_runs == 1
+        second = caching.run(q)
+        assert caching.stats.cache_only_runs == 1
         assert second.series is first.series
         # a fresh run's count, off the panel state
         assert second.scanned_points == first.scanned_points
@@ -212,7 +210,7 @@ class TestIncrementalRefresher:
 
     def test_rate_always_runs_full(self):
         db = _seeded(TSDB())
-        refresher = IncrementalRefresher(CachingStore(db))
+        refresher = CachingStore(db)
         refresher.run(Query("air.co2.ppm", 0, 4000, rate=True))
         refresher.run(Query("air.co2.ppm", 0, 5000, rate=True))
         assert refresher.stats.full_runs == 2
@@ -220,7 +218,7 @@ class TestIncrementalRefresher:
 
     def test_out_of_order_write_invalidates(self):
         db = _seeded(TSDB())
-        refresher = IncrementalRefresher(CachingStore(db))
+        refresher = CachingStore(db)
         refresher.run(Query("air.co2.ppm", 0, 4000))
         # Lands *before* the series maximum: history is no longer final.
         db.put("air.co2.ppm", 150, 7.0, {"node": "a", "city": "trondheim"})
@@ -235,8 +233,8 @@ class TestIncrementalRefresher:
         answered with a tail, and the held columns spliced with it as
         text are a from-scratch encode; a panel nobody named gets none."""
         db = _seeded(TSDB())
-        refresher = IncrementalRefresher(CachingStore(db))
-        unread = IncrementalRefresher(CachingStore(db))
+        refresher = CachingStore(db)
+        unread = CachingStore(db)
         held = None
         for round_no, end in enumerate((4000, 5000, 6000, 6000, 7000)):
             q = Query("air.co2.ppm", 0, end, downsample="10m-avg",
@@ -274,7 +272,7 @@ class TestIncrementalRefresher:
         db = TSDB()
         for node in "ab":
             db.put("m", 12, 1.0, {"node": node})
-        refresher = IncrementalRefresher(CachingStore(db))
+        refresher = CachingStore(db)
         for agg in ("avg", "sum"):
             refresher.run(Query("m", 0, 20, aggregator=agg))
         db.put("m", 15, -0.0, {"node": "a"})
@@ -296,7 +294,7 @@ class TestIncrementalRefresher:
         for t in (10, 20):
             for node, v in zip(nodes, 10.0 ** rng.uniform(-3, 8, 25)):
                 db.put("m", t, v, {"node": node})
-        refresher = IncrementalRefresher(CachingStore(db))
+        refresher = CachingStore(db)
         for agg in ("avg", "sum", "dev"):
             refresher.run(Query("m", 0, 20, aggregator=agg))
         for _ in range(20):  # enough draws that regrouping moves an ulp
@@ -315,7 +313,7 @@ class TestIncrementalRefresher:
         """Any append/slide interleaving: refresher ≡ fresh run_many —
         including a start slid off the bucket grid (the head rule)."""
         db = TSDB()
-        refresher = IncrementalRefresher(CachingStore(db))
+        refresher = CachingStore(db)
         agg = data.draw(st.sampled_from(("avg", "count", "max", "dev")))
         downsample = data.draw(
             st.sampled_from((None, "10s-avg", "10s-avg-zero", "10s-count")))
@@ -1258,14 +1256,14 @@ class TestSeriesTagLifetime:
         # ... and a hit re-uses the tag instead of digesting again
         (hit,) = caching.run_many([qs[3]])
         assert all(cached_series_tag(s) is not None for s in hit.series)
-        caching.cache.clear()
+        caching.clear()  # the cached answers and the panel state
         del hit
         assert sum(self._with_tag(r) for r in refs) == 0
 
     def test_tag_dies_with_its_panel_state(self):
         db = _seeded(TSDB())
         # a result cache of one: it holds no answer the panel state lets go
-        refresher = IncrementalRefresher(CachingStore(db, capacity=1))
+        refresher = CachingStore(db, capacity=1)
         refs = []
         for end in (4000, 5000, 6000):  # full, then two incremental runs
             q = Query("air.co2.ppm", 0, end, downsample="10m-avg",

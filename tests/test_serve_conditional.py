@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 import repro.serve.cache as cache_module
 import repro.serve.client as client_module
 from repro.replication import ReplicatedStore
-from repro.serve import CachingStore, IncrementalRefresher, QueryClient
+from repro.serve import CachingStore, QueryClient
 from repro.serve.cache import BoundedLRU, entry_tail, entry_validator
 from repro.tsdb import (
     BatchBuilder,
@@ -340,7 +340,7 @@ class TestCosts:
             assert costs.bytes_digested == 16 * series
             assert _delta(after["cache"], before["cache"]) == {
                 "hits": 12, "misses": 0, "invalidated": 0, "evicted": 0,
-                "skipped": 0, "spliced": 0}
+                "skipped": 0}
             assert _delta(after["replies"], before["replies"]) == {
                 "full": 0, "not_modified": 12, "tail": 0, "bytes": len(line)}
 
@@ -662,7 +662,7 @@ def test_refresher_panel_table_evicts_the_least_recently_refreshed():
     def shape(i, end):
         return Query(f"m{i}", 0, end)
 
-    refresher = IncrementalRefresher(CachingStore(db))
+    refresher = CachingStore(db)
     for i in range(257):
         refresher.run(shape(i, 200))
     assert refresher.stats.full_runs == 257
@@ -758,8 +758,8 @@ def test_property_batch_refresh_is_per_panel_refresh_is_from_scratch(
 
 
 def _refresh_steps(inner, stack, draw):
-    batch = IncrementalRefresher(CachingStore(stack, capacity=3))
-    single = IncrementalRefresher(CachingStore(stack, capacity=3))
+    batch = CachingStore(stack, capacity=3)
+    single = CachingStore(stack, capacity=3)
     holds: dict = {}
     now, nodes, window = 0, ["a", "b"], (0, 0)
     picks, twice = [0, 1, 4, 5, 6], None
@@ -847,7 +847,7 @@ def test_a_write_between_the_phases_sends_its_panels_down_the_full_path(
             inner.put("m", t, float(t), {"node": node})
             inner.put("other", t, float(-t), {"node": node})
     middle = _WritesMidRequest(inner)
-    refresher = IncrementalRefresher(CachingStore(middle))
+    refresher = CachingStore(middle)
 
     def panels(end):
         by_node = Query("m", 0, end, downsample="10s-avg", group_by=("node",))

@@ -38,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import CachingStore, IncrementalRefresher, QueryClient, QueryServer
+from repro.serve import CachingStore, QueryClient, QueryServer
 from repro.serve.cache import ValidatorView
 from repro.tsdb import Query, QueryError, SeriesKey, ShardedTSDB, TSDB, wire
 from test_serve import _VALUES, _finish, _job, _wall_panels, live_server
@@ -293,8 +293,8 @@ def test_a_write_racing_a_quiet_splice(history, make_store, when, write,  # noqa
     """Nothing written since the held answer: a moved start re-runs its
     heads alone and keeps every held bucket, the last one included.  A
     write lands in that last bucket inside the request's bracket — in
-    the store's ``_run_uncached_batch``, before the heads' scans or
-    after them:
+    the wrapped store's ``_run_unique_batch``, before the heads' scans
+    or after them:
 
     - an *append* past the boundary (a pure append: no reshape) misses
       the kept bucket, so the reply is a fresh run's *before* the write;
@@ -313,26 +313,26 @@ def test_a_write_racing_a_quiet_splice(history, make_store, when, write,  # noqa
     written = METRICS[0]
     t = {"append": last + 30, "late": last - 30}[write]
     batches, pending = [], [when]
-    real = CachingStore._run_uncached_batch
     with _stack(inner) as stack:
-        caching = CachingStore(stack)
-        refresher = IncrementalRefresher(caching)
+        caching = refresher = CachingStore(stack)
         refresher.run_many(_dashboard(0, end))  # seeds panel state
 
         def land():
             pending.clear()
             caching.put(written, t, -1.0, {"city": "trondheim", "node": NODES[3]})
 
-        def uncached(store, queries):
+        real = stack._run_unique_batch
+
+        def uncached(queries):
             batches.append(list(queries))
             if pending == ["before_scans"]:
                 land()
-            out = real(store, queries)
+            out = real(queries)
             if pending:
                 land()
             return out
 
-        monkeypatch.setattr(CachingStore, "_run_uncached_batch", uncached)
+        monkeypatch.setattr(stack, "_run_unique_batch", uncached)
         moved = _dashboard(MINUTE, end)
         before = _encoded(inner.run_many(moved))
         got = refresher.run_many(moved)
@@ -385,22 +385,21 @@ def test_a_lagging_series_caught_up_mid_splice(moved, monkeypatch):
         inner.put("m", t, float(t % 70), {"node": "a"})
         if t <= 200:
             inner.put("m", t, float(t % 30), {"node": "b"})
-    caching = CachingStore(inner)
-    refresher = IncrementalRefresher(caching)
+    refresher = CachingStore(inner)
     panel = Query("m", 0, 600, downsample="60s-avg")
     refresher.run_many([panel])  # boundary 200, held end 600
     query = {"start": replace(panel, start=330),  # head [330, 359]
              "end": replace(panel, end=660)}[moved]  # tail past the cut
     catch_up = [340, 350, 370, 380] if moved == "start" else [590, 610]
-    real = CachingStore._run_uncached_batch
+    real = inner._run_unique_batch
 
-    def uncached(store, queries):
+    def uncached(queries):
         while catch_up:
             inner.put("m", catch_up.pop(0), -5.0, {"node": "b"})
-        return real(store, queries)
+        return real(queries)
 
-    monkeypatch.setattr(CachingStore, "_run_uncached_batch", uncached)
     before = _encoded(inner.run_many([query]))
+    monkeypatch.setattr(inner, "_run_unique_batch", uncached)
     got = _encoded(refresher.run_many([query]))
     after = _encoded(inner.run_many([query]))
     assert before != after and got == after
@@ -473,4 +472,5 @@ def test_two_clients_slide_one_wall_at_once(history, layout):  # noqa: F811
             for k, reply in enumerate(pair):
                 want = wire.encode_response(inner.run_many(growing(r, k)))
                 assert reply["results"] == want["results"], (r, k)
-        assert server.stats()["cache"]["spliced"] > 0
+        refresh = server.stats()["refresh"]
+        assert refresh["incremental_runs"] + refresh["cache_only_runs"] > 0

@@ -178,7 +178,7 @@ def _check_equivalence(store):
                 assert store._match(metric, tags) == want, (
                     f"divergence on {metric!r} {tags!r}"
                 )
-                resolved = store._resolve(metric, tags)
+                resolved = store._resolve((metric, tuple(sorted(tags.items()))))
                 assert list(resolved.keys) == want
                 assert len(resolved.stores) == len(want)
                 for key, series in zip(want, resolved.stores):
@@ -238,7 +238,7 @@ def test_a_match_between_indexing_and_storing_keeps_no_absent_store(
     def add(catalog, key):
         real_add(catalog, key)
         if key.tag("node") == "n1":  # indexed, not stored yet
-            between.append((store._resolve("m.a", {}), store.run(query)))
+            between.append((store._resolve(("m.a", ())), store.run(query)))
 
     monkeypatch.setattr(SeriesCatalog, "add", add)
     store.put("m.a", 5, 2.0, {"node": "n1"})
@@ -252,7 +252,7 @@ def test_a_match_between_indexing_and_storing_keeps_no_absent_store(
         result = store.run(query)
         assert [(s.group_tags["node"], s.values.tolist()) for s in result] == [
             ("n0", [1.0]), ("n1", [2.0])]
-        resolved = store._resolve("m.a", {})
+        resolved = store._resolve(("m.a", ()))
         assert all(series is not None for series in resolved.stores)
 
 

@@ -921,8 +921,10 @@ class TestOneWalker:
         no ``convert-log`` — and every consumer reads its source through
         the one framing walk and nothing else.  Nor do the features no
         journey reached come back: no cold-shard pager (so the store
-        layer's one ``__getattr__`` pass-through is ``StoreWrapper``'s)
-        and no lossy-network model on the broker."""
+        layer's one ``__getattr__`` pass-through is ``StoreWrapper``'s),
+        no lossy-network model on the broker, and no second serving
+        object: no hook under the result cache and no refresher apart
+        from the ``CachingStore``."""
         import ast
         import dataclasses
         import inspect
@@ -987,6 +989,18 @@ class TestOneWalker:
         for name in ("expr", "ExprQuery", "ExprResult", "_evaluate_expr"):
             assert name not in vars(repro.tsdb.plan), name
             assert name not in vars(repro.tsdb), name
+        # ... and one serving store: CachingStore answers every request
+        # through its result cache and its panel state, so no hook
+        # reaches under it and the refresher is the store itself.
+        from repro.serve import CacheStats, IncrementalRefresher, QueryServer
+
+        for cls in (StoreApi, CachingStore):
+            assert not hasattr(cls, "_run_uncached_batch"), cls
+        assert "_run_unique_batch" not in vars(CachingStore)
+        caching = CachingStore(TSDB())
+        assert IncrementalRefresher(caching) is caching
+        assert not hasattr(QueryServer(TSDB()), "refresher")
+        assert "spliced" not in CacheStats().as_dict()
         store_layer = {
             *Path(repro.tsdb.__file__).parent.rglob("*.py"),
             *(Path(inspect.getsourcefile(c)) for c in (CachingStore, ReplicatedStore)),

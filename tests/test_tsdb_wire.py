@@ -536,6 +536,12 @@ class TestCatalogCodec:
         ({"version": WIRE_VERSION,
           "catalog": {"op": "tag_keys", "metric": 5}},
          "'metric' must be a string"),
+        # a non-string tag filter is refused, as the query codec refuses
+        # it — not counted as node "1", "None" or "['a']"
+        *(({"version": WIRE_VERSION,
+            "catalog": {"op": "cardinality", "metric": "m",
+                        "tags": {"node": value}}},
+           "strings to strings") for value in (1, None, ["a"])),
     ])
     def test_strict_decode_rejections(self, request_obj, fragment):
         with pytest.raises(WireError) as err:
