@@ -40,7 +40,7 @@ test-query:
 # still sends "refresh" gets the same bytes); the one request path,
 # tests/test_serve_splice.py (a reply built from held buckets plus head
 # and tail edges ≡ inner.run_many, scannedPoints included, under
-# hypothesis on every store layout with quiet rounds drawn — nothing
+# hypothesis on the store stack with quiet rounds drawn — nothing
 # written, heads only — and live rounds — start fixed, a write, the end
 # moved — a start sliding a minute at a time across the bucket grid
 # with writes between the moves, a write racing a quiet splice, and two
@@ -58,8 +58,8 @@ test-query:
 # every count once; a write between the look-up and run phases caches
 # nothing stale); the house property driven through the look-up phase and, only when a miss
 # is left, the run phase, exact repeats drawn; and the per-metric
-# short-cut ≡ the per-series check under interleaved writes on every
-# store layout.
+# short-cut ≡ the per-series check under interleaved writes through
+# the store stack.
 serve-test:
 	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_conditional.py tests/test_serve_splice.py tests/test_refresh_costs.py tests/test_metric_counters.py tests/test_tsdb_wire.py
 
@@ -174,8 +174,9 @@ PAIRS ?= 10
 bench-pairs:
 	python3 -m benchmarks.pairs --parent $(PARENT) --workload $(W) --pairs $(PAIRS)
 
+# src/ and the replication fault harness that moved out of it.
 lint:
-	$(PYTHON) -m ruff check src/
+	$(PYTHON) -m ruff check src/ tests/replication_faults.py
 
 # The src/ line count ROADMAP's standing item tracks (it should go down).
 loc:

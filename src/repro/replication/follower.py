@@ -111,8 +111,6 @@ class _Connection(asyncio.Protocol):
             # One cumulative ack for everything this read completed
             # (a resend too: the shipper's window and retained log
             # must advance even when nothing applies).
-            if follower._applied_wake is not None:
-                follower._applied_wake.set()
             self.transport.write(_U64.pack(follower.applied_seq))
         if not healthy:
             self.transport.close()  # the shipper reconnects; catch-up heals
@@ -149,7 +147,6 @@ class Follower:
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[_Connection] = set()
         self._promoted = False
-        self._applied_wake: asyncio.Event | None = None
 
     @property
     def promoted(self) -> bool:
@@ -160,7 +157,6 @@ class Follower:
         """Bind and listen; returns the bound ``(host, port)``."""
         if self._server is not None:
             raise RuntimeError("follower already started")
-        self._applied_wake = asyncio.Event()
         self._server = await asyncio.get_running_loop().create_server(
             lambda: _Connection(self), self.host, self.port
         )
@@ -200,22 +196,6 @@ class Follower:
             connection.transport.close()
         assert self.store is not None
         return self.store
-
-    async def wait_applied(self, seq: int, timeout: float | None = None) -> None:
-        """Await the applied high-water mark reaching ``seq``."""
-        assert self._applied_wake is not None, "follower not started"
-        loop = asyncio.get_running_loop()
-        deadline = None if timeout is None else loop.time() + timeout
-        while self.applied_seq < seq:
-            if deadline is not None and loop.time() >= deadline:
-                raise TimeoutError(
-                    f"applied {self.applied_seq} < {seq} after {timeout}s"
-                )
-            self._applied_wake.clear()
-            if self.applied_seq >= seq:
-                break
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(self._applied_wake.wait(), 0.05)
 
     # -- applying what a connection has read ------------------------------
     def _apply_buffered(self, buf: bytearray) -> tuple[int, bool]:

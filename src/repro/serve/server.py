@@ -39,7 +39,8 @@ filter matches more series than the limit is rejected in-band with a
 ``CardinalityLimitError`` before a single point is scanned.
 
 Replies are one JSON line each: a wire response, a wire *error*
-response for anything malformed (the connection always stays usable —
+response for anything malformed — a line longer than
+:data:`MAX_LINE_BYTES` included (the connection always stays usable —
 that is the point of the ``handle_request`` bugfix underneath), or an
 ``InternalError`` response if the store itself faults.
 
@@ -93,6 +94,10 @@ from .refresh import CachingStore, Request
 
 #: Longest validator a request may name in ``held`` (ours are 32 chars).
 _MAX_VALIDATOR_CHARS = 64
+
+#: Longest request line the server reads, its newline not counted
+#: (asyncio's stream default); a longer one is answered in band.
+MAX_LINE_BYTES = 2**16
 
 
 @dataclass(frozen=True)
@@ -268,7 +273,8 @@ class QueryServer:
 
     async def start(self) -> tuple[str, int]:
         self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+            self._handle_connection, self._host, self._port,
+            limit=MAX_LINE_BYTES,
         )
         return self.address
 
@@ -502,8 +508,21 @@ class QueryServer:
         try:
             while not self._stopping:
                 try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # end of stream: the last line, if any
+                except asyncio.LimitOverrunError as exc:
+                    # Counted and answered like any other bad line; the
+                    # rest of it is skipped, so the connection lives on.
+                    self.requests += 1
+                    self._refuse(
+                        f"request line is over the {MAX_LINE_BYTES}-byte limit",
+                        writer, write_lock,
+                    )
+                    if await _skip_line(reader, exc.consumed):
+                        continue
+                    break
+                except ConnectionError:
                     break
                 if not line:
                     break
@@ -562,12 +581,31 @@ class QueryServer:
                 except (ValueError, RecursionError) as exc:
                     bad = f"'id' cannot be echoed as JSON: {exc}"
         if bad is not None:
-            stub = _Job(None, None, None, "public", writer, write_lock)
-            asyncio.get_running_loop().create_task(
-                self._reply(stub, wire.encode_error(wire.WireError(bad)))
-            )
+            self._refuse(bad, writer, write_lock)
             return None
         return _Job(payload, held, id_json, tenant, writer, write_lock)
+
+    def _refuse(self, message: str, writer, write_lock) -> None:
+        """Answer one request line with a ``WireError`` naming ``message``."""
+        stub = _Job(None, None, None, "public", writer, write_lock)
+        asyncio.get_running_loop().create_task(
+            self._reply(stub, wire.encode_error(wire.WireError(message)))
+        )
+
+
+async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> bool:
+    """Discard an over-limit line through its newline, starting with the
+    ``consumed`` bytes already buffered; False if the stream ends first."""
+    try:
+        while True:
+            await reader.readexactly(consumed)
+            try:
+                await reader.readuntil(b"\n")
+                return True
+            except asyncio.LimitOverrunError as exc:
+                consumed = exc.consumed
+    except (asyncio.IncompleteReadError, ConnectionError):
+        return False
 
 
 def _answered(fn, *args) -> bytes | dict | Callable[[], bytes | dict]:

@@ -1,7 +1,7 @@
 """Series catalog: inverted tag postings for O(result) series matching.
 
-ROADMAP item 4.  At fleet scale (millions of series across 100+ cities)
-query *matching* — not scanning — dominates planning: a ``node="*"`` or
+At fleet scale (millions of series across 100+ cities) query
+*matching* — not scanning — dominates planning: a ``node="*"`` or
 ``"a|b"`` filter used to linearly test every series under the metric.
 The catalog keeps inverted postings per metric::
 

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the replication wire.
+"""Deterministic fault injection for the replication wire (test tooling).
 
 The equivalence bar for replication ("promoted follower byte-identical
 to a from-scratch build of the acknowledged input") only means
@@ -34,6 +34,7 @@ flipped bytes.  This module supplies them on schedule:
   Follower→shipper bytes (handshake reply, acks) pass through
   untouched; connection attempts listed in ``refuse_connects`` are
   refused outright to exercise reconnect backoff.
+- :func:`wait_applied` — await a follower's applied high-water mark.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
-from .shipper import REPLICATION_MAGIC
+from repro.replication import REPLICATION_MAGIC, Follower
 
 _U32 = struct.Struct("<I")
 
@@ -330,4 +331,18 @@ class FaultProxy:
         # follower never acked it, so catch-up replay re-ships it.
 
 
-__all__ = ["FAULT_ACTIONS", "FaultPlan", "FaultProxy"]
+async def wait_applied(
+    follower: Follower, seq: int, timeout: float | None = None
+) -> None:
+    """Poll until ``follower`` has applied through ``seq``."""
+    loop = asyncio.get_running_loop()
+    deadline = None if timeout is None else loop.time() + timeout
+    while follower.applied_seq < seq:
+        if deadline is not None and loop.time() >= deadline:
+            raise TimeoutError(
+                f"applied {follower.applied_seq} < {seq} after {timeout}s"
+            )
+        await asyncio.sleep(0.001)
+
+
+__all__ = ["FAULT_ACTIONS", "FaultPlan", "FaultProxy", "wait_applied"]

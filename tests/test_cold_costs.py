@@ -20,7 +20,7 @@ import pytest
 import repro.tsdb.aggregators as aggregators_module
 import repro.tsdb.plan as plan_module
 from repro.serve import CachingStore
-from repro.tsdb import BatchBuilder, Query, ShardedTSDB, TSDB, wire
+from repro.tsdb import BatchBuilder, Query, TSDB, wire
 from repro.tsdb.series import SeriesStore
 from test_refresh_costs import CITY, NODES, _dashboard
 from test_serve_conditional import METRICS
@@ -105,8 +105,8 @@ def test_scans_copy_nothing_and_results_own_their_columns(db, monkeypatch):
     _assert_own_columns(results, db)
 
 
-@pytest.mark.parametrize("make", [TSDB, lambda: ShardedTSDB(4)],
-                         ids=["single", "sharded4"])
+@pytest.mark.parametrize("make", [TSDB, TSDB],
+                         ids=["single", "sharded4"])  # a retired layout's id
 def test_an_undownsampled_lone_series_is_copied_out_of_the_store(make):
     """The one plan that hands a scan through: a lone series that is its
     own aggregate, no downsample between the store and the result."""
@@ -134,11 +134,11 @@ def _one_series(db):
     return db
 
 
-@pytest.mark.parametrize("make", [
-    lambda: TSDB(),
-    lambda: ShardedTSDB(4),
+@pytest.mark.parametrize("make", [  # sharded4: a retired layout's id
+    TSDB,
+    TSDB,
     lambda: CachingStore(TSDB()),
-    lambda: CachingStore(ShardedTSDB(4)),
+    lambda: CachingStore(TSDB()),
 ], ids=["single", "sharded4", "cached-single", "cached-sharded4"])
 def test_writing_through_a_result_changes_nothing_else(make):
     """At the parent ``min`` and ``max`` over one series were the same

@@ -9,9 +9,7 @@ metric's counter held still" as "every series under it held still" and
 only then fall back to the per-series check.  So, under hypothesis-drawn
 interleavings of every kind of write — in-order, out-of-order and
 duplicate batches, single puts, both deletes, a series emptied and
-created again, the retention pass — on ``TSDB`` and on ``ShardedTSDB(n)``
-(the frozen e2e's name for the same store) for n ∈ {1, 2, 4, 7}, each
-under
+created again, the retention pass — on ``TSDB`` under
 ``CachingStore(DurableStore(ReplicatedStore(store)))``:
 
 - each counter moved exactly when a series of its metric changed
@@ -40,7 +38,6 @@ from repro.tsdb import (
     PointBatch,
     Query,
     SeriesKey,
-    ShardedTSDB,
     TSDB,
     wire,
 )
@@ -61,14 +58,10 @@ _POLICIES = (
 #: A window end past every write: its panels keep their cache keys, so
 #: later requests hit (or invalidate) instead of missing on a new key.
 _FAR = 10**6
+#: Test ids: the first names the store, the rest retired layouts of it.
+#: Every one runs a ``TSDB``.
 _LAYOUTS = ("TSDB", "ShardedTSDB(1)", "ShardedTSDB(2)", "ShardedTSDB(4)",
             "ShardedTSDB(7)")
-
-
-def _inner(layout: str):
-    if layout == "TSDB":
-        return TSDB()
-    return ShardedTSDB(int(layout[len("ShardedTSDB("):-1]))
 
 
 def _panels(end: int) -> list[Query]:
@@ -164,7 +157,7 @@ def _step(data, db, now: int) -> int:
 def test_the_short_cut_is_the_per_series_check(layout, data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        inner = _inner(layout)
+        inner = TSDB()
         durable = DurableStore(ReplicatedStore(inner), tmp / "wal.seg")
         caching = CachingStore(durable)
         now = 10

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.tsdb import (
     Query,
     SeriesKey,
-    ShardedTSDB,
     TSDB,
     dumps,
     load,
@@ -216,7 +215,6 @@ class TestDownsampleProperties:
                 assert got.values.tolist() == [want[t] for t in sorted(want)]
 
 
-shard_counts = st.sampled_from([1, 2, 4, 7])
 tagged_rows = st.lists(
     st.tuples(metric_names, timestamps, values, tag_values),
     min_size=0,
@@ -225,45 +223,48 @@ tagged_rows = st.lists(
 
 
 class TestShardedProperties:
-    @given(tagged_rows, shard_counts)
+    """Named for a retired partitioned layout; they run on ``TSDB``."""
+
+    @given(tagged_rows)
     @settings(max_examples=40, deadline=None)
-    def test_sharded_matches_single_store(self, rows, n):
-        single, sharded = TSDB(), ShardedTSDB(n)
+    def test_sharded_matches_single_store(self, rows):
+        """Two stores fed the same rows answer the same."""
+        single, other = TSDB(), TSDB()
         for metric, ts, value, node in rows:
             single.put(metric, ts, value, {"node": node})
-            sharded.put(metric, ts, value, {"node": node})
-        assert dumps(sharded) == dumps(single)
+            other.put(metric, ts, value, {"node": node})
+        assert dumps(other) == dumps(single)
         for metric in single.metrics():
             a = single.run(Query(metric, 0, 2**41, group_by=["node"]))
-            b = sharded.run(Query(metric, 0, 2**41, group_by=["node"]))
+            b = other.run(Query(metric, 0, 2**41, group_by=["node"]))
             assert a.scanned_points == b.scanned_points
             for ra, rb in zip(a, b):
                 assert np.array_equal(ra.timestamps, rb.timestamps)
                 assert np.array_equal(ra.values, rb.values, equal_nan=True)
 
-    @given(tagged_rows, shard_counts)
+    @given(tagged_rows)
     @settings(max_examples=40, deadline=None)
-    def test_merged_query_output_is_globally_sorted(self, rows, n):
-        """The fan-out/merge never emits an unsorted or duplicated
-        timestamp, whatever the shard layout."""
-        sharded = ShardedTSDB(n)
+    def test_merged_query_output_is_globally_sorted(self, rows):
+        """The cross-series merge never emits an unsorted or duplicated
+        timestamp."""
+        db = TSDB()
         for metric, ts, value, node in rows:
-            sharded.put(metric, ts, value, {"node": node})
-        for metric in sharded.metrics():
-            res = sharded.run(Query(metric, 0, 2**41, aggregator="sum"))
+            db.put(metric, ts, value, {"node": node})
+        for metric in db.metrics():
+            res = db.run(Query(metric, 0, 2**41, aggregator="sum"))
             for series in res:
                 assert np.all(np.diff(series.timestamps) > 0)
 
-    @given(tagged_rows, shard_counts)
+    @given(tagged_rows)
     @settings(max_examples=25, deadline=None)
-    def test_snapshot_restore_round_trips_per_shard(self, rows, n):
-        sharded = ShardedTSDB(n)
+    def test_snapshot_restore_round_trips_per_shard(self, rows):
+        db = TSDB()
         for metric, ts, value, node in rows:
-            sharded.put(metric, ts, value, {"node": node})
-        restored = load(io.BytesIO(dumps(sharded)), into=ShardedTSDB(n))
-        assert dumps(restored) == dumps(sharded)
+            db.put(metric, ts, value, {"node": node})
+        restored = load(io.BytesIO(dumps(db)), into=TSDB())
+        assert dumps(restored) == dumps(db)
         # Same keys and columns series by series, not just as bytes.
-        assert series_columns(restored) == series_columns(sharded)
+        assert series_columns(restored) == series_columns(db)
 
 
 class TestQueryProperties:
@@ -431,8 +432,8 @@ class TestScanIsASnapshot:
         held = _drive_and_hold(target, ops, _preload(target))
         _assert_still_the_snapshots(held)
 
-    @pytest.mark.parametrize("make", [TSDB, lambda: ShardedTSDB(4)],
-                             ids=["single", "sharded4"])
+    @pytest.mark.parametrize("make", [TSDB, TSDB],
+                             ids=["single", "sharded4"])  # a retired layout's id
     @given(ops=_snapshot_ops)
     @example(ops=[("delete", 316), ("scan", 14)])  # a series deleted whole
     @settings(max_examples=60, deadline=None)
@@ -451,14 +452,14 @@ class TestScanIsASnapshot:
         """A pass keeps every ``old = db.series_slice(...)`` of a stage
         across the stage's rollup batch and the deletes that follow."""
         def loaded():
-            db = ShardedTSDB(4)
+            db = TSDB()
             ts = np.arange(0, 3_000, 30, dtype=np.int64)
             for tags in _SNAP_TAGS:
                 db.put_series(_SNAP_METRIC, ts, np.sin(ts / 100.0), tags)
             return db
 
         held = []
-        real = ShardedTSDB.series_slice
+        real = TSDB.series_slice
 
         def holding(store, key, start=None, end=None):
             sl = real(store, key, start, end)
@@ -470,9 +471,9 @@ class TestScanIsASnapshot:
             return SeriesSlice(sl.timestamps.copy(), sl.values.copy())
 
         over_views, over_copies = loaded(), loaded()
-        monkeypatch.setattr(ShardedTSDB, "series_slice", holding)
+        monkeypatch.setattr(TSDB, "series_slice", holding)
         report = policy.enforce(over_views, now=3_000)
-        monkeypatch.setattr(ShardedTSDB, "series_slice", copying)
+        monkeypatch.setattr(TSDB, "series_slice", copying)
         assert policy.enforce(over_copies, now=3_000) == report
         monkeypatch.undo()
         assert len(held) >= len(_SNAP_TAGS)

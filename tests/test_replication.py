@@ -48,7 +48,6 @@ from repro.replication import (
     ReplicationLog,
     SegmentShipper,
 )
-from repro.replication.faults import FaultPlan, FaultProxy
 from repro.tsdb import (
     BatchBuilder,
     DurableStore,
@@ -56,7 +55,6 @@ from repro.tsdb import (
     Query,
     SegmentCorruption,
     SegmentWriter,
-    ShardedTSDB,
     TSDB,
     dumps,
     load,
@@ -64,6 +62,7 @@ from repro.tsdb import (
 from repro.tsdb.persistence import DeleteBefore, DeleteSeriesBefore
 from repro.tsdb.segments import decode_block, decode_frame, parse_series_key
 from repro.tsdb import segments
+from replication_faults import FaultPlan, FaultProxy, wait_applied
 
 # Tight timings so a full fault schedule replays in well under a second
 # per example; generous waits only where a test would otherwise hang.
@@ -285,7 +284,7 @@ def ship(
             if ops is not None:
                 ops(primary)
             await shipper.wait_caught_up(timeout=timeout)
-            await follower.wait_applied(primary.log.last_seq, timeout=timeout)
+            await wait_applied(follower, primary.log.last_seq, timeout=timeout)
         finally:
             await shipper.stop()
             if proxy is not None:
@@ -297,16 +296,16 @@ def ship(
 
 
 class TestShipperFollower:
-    @pytest.mark.parametrize("shards", [0, 3])
-    def test_clean_path_equivalence(self, shards):
+    @pytest.mark.parametrize("handed", [0, 3])  # 0: its own store
+    def test_clean_path_equivalence(self, handed):
         """Into the follower's own store, or one it is handed — the
-        frozen e2e hands it ``ShardedTSDB(n)``."""
+        frozen e2e hands it one."""
         primary = ReplicatedStore(TSDB())
         for i in range(8):
             primary.put_batch(small_batch(i))
         primary.delete_before(250)
         follower = ship(
-            primary, Follower(store=ShardedTSDB(shards)) if shards else Follower()
+            primary, Follower(store=TSDB()) if handed else Follower()
         )
         assert dumps(follower.store) == dumps(
             primary.wrapped
@@ -550,7 +549,7 @@ class TestFaultInjectionProperty:
                     apply_op(primary, op)
                 target = min(kill_after, len(ops))
                 try:
-                    await follower.wait_applied(target, timeout=10)
+                    await wait_applied(follower, target, timeout=10)
                 except TimeoutError:  # pragma: no cover - fault-timing
                     pass
                 # The kill: no graceful stop, the connection just dies.

@@ -4,7 +4,7 @@ Three correctness contracts, in increasing integration order:
 
 - :class:`~repro.serve.refresh.CachingStore` answers are **byte-identical**
   to uncached ``run_many`` and invalidation is exact: a write to a
-  matched series (on any shard) drops precisely the entries it can
+  matched series drops precisely the entries it can
   affect, a raced write is never stamped fresh;
 - its panel state's output (a moved window spliced from held buckets)
   is byte-identical to a full re-scan, ``scannedPoints`` included, under
@@ -49,8 +49,8 @@ from repro.serve.cache import (
     entry_tail,
     entry_validator,
 )
-from repro.serve.server import _Job
-from repro.tsdb import Query, SeriesKey, ShardedTSDB, TSDB, wire
+from repro.serve.server import MAX_LINE_BYTES, _Job
+from repro.tsdb import Query, SeriesKey, TSDB, wire
 
 
 def _seeded(store, n=12, nodes="ab"):
@@ -66,9 +66,9 @@ def _same_bytes(a, b):
     return wire.encode_response_json([a]) == wire.encode_response_json([b])
 
 
-@pytest.fixture(params=["single", "sharded"])
+@pytest.fixture(params=["single", "sharded"])  # "sharded": a retired layout's id
 def store(request):
-    return _seeded(TSDB() if request.param == "single" else ShardedTSDB(4))
+    return _seeded(TSDB())
 
 
 class TestCachingStore:
@@ -637,6 +637,27 @@ class TestQueryServer:
         assert err.value.error_type == "WireError"
         assert stats["requests"] == 1  # one answer, zero retries
 
+    def test_an_over_limit_line_is_answered_and_the_connection_lives(self):
+        """A request line longer than the server reads is one request
+        and one error, answered in band; the next line on the same
+        connection is served."""
+        wall = [Query("air.co2.ppm", 0, 4000 + i) for i in range(2000)]
+        huge = json.dumps(wire.encode_request(wall)) + "\n"
+        assert len(huge) > MAX_LINE_BYTES
+        good = json.dumps(wire.encode_request(wall[:1])) + "\n"
+        with live_server(_seeded(TSDB())) as server:
+            refused, served = _raw_exchange(server.address, huge, good)
+            with QueryClient(*server.address, retries=2) as client:
+                with pytest.raises(wire.RemoteQueryError) as err:
+                    _decoded(client, wall[:1000])
+                assert "results" in client.request(wall[:1])
+            stats = server.stats()
+        assert refused["error"]["type"] == "WireError"
+        assert f"{MAX_LINE_BYTES}-byte limit" in refused["error"]["message"]
+        assert "results" in served
+        assert err.value.error_type == "WireError"
+        assert (stats["requests"], stats["errors"]) == (4, 2)
+
     def test_client_exhausts_retries_against_dead_port(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -1150,8 +1171,8 @@ def _wall_panels(start, end):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
-@pytest.mark.parametrize("make_store", [TSDB, lambda: ShardedTSDB(4)],
-                         ids=["single", "sharded"])
+@pytest.mark.parametrize("make_store", [TSDB, TSDB],
+                         ids=["single", "sharded"])  # a retired layout's id
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_property_reply_lines_equal_dumps_of_the_dict_codec(make_store, data):

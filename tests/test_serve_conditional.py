@@ -3,8 +3,7 @@ answers *not modified* or *the tail*, and nobody can tell.
 
 - **equivalence** (hypothesis, the op grammar of
   ``test_property_reply_lines_equal_dumps_of_the_dict_codec``, over
-  ``TSDB`` and the frozen e2e's ``ShardedTSDB(4)`` under the full store
-  stack):
+  ``TSDB`` under the full store stack):
   whatever is appended, written late, retained away, churned, repeated
   or slid between requests, the dict a holding :class:`QueryClient`
   returns is ``wire.handle_request`` on the innermost store — as a dict
@@ -49,7 +48,6 @@ from repro.tsdb import (
     Query,
     QueryError,
     SeriesKey,
-    ShardedTSDB,
     TSDB,
     wire,
 )
@@ -92,10 +90,6 @@ def _stack(inner):
             durable.close()
 
 
-def _make_inner(layout):
-    return TSDB() if layout == "single" else ShardedTSDB(4)
-
-
 # -- equivalence ------------------------------------------------------------
 
 #: The op grammar of the raw-socket property test, and its steady state
@@ -113,13 +107,13 @@ _OPS = {
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
 @pytest.mark.parametrize("mix", list(_OPS))
-@pytest.mark.parametrize("layout", ["single", "sharded"])
+@pytest.mark.parametrize("layout", ["single", "sharded"])  # retired layouts' ids
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_property_holding_clients_return_the_dict_codec(layout, mix, data):
     ops, refreshes = _OPS[mix]
     draw = data.draw
-    inner = _make_inner(layout)
+    inner = TSDB()
     now, nodes, window, picks, last = 0, ["a", "b"], (0, 0), [], None
     turn = 0
 
@@ -307,7 +301,7 @@ def _delta(after: dict, before: dict) -> dict:
 class TestCosts:
     def test_unchanged_dashboard_costs_look_ups_not_a_reply(
             self, history, monkeypatch):
-        inner = ShardedTSDB(4)
+        inner = TSDB()
         inner.put_batch(history)
         end = (HISTORY_MINUTES - 1) * MINUTE
         queries = _dashboard(0, end)
@@ -366,7 +360,7 @@ class TestCosts:
             _same_decoded(wire.decode_response(second), inner.run_many(queries))
 
     def test_grown_dashboard_costs_its_tail(self, history, monkeypatch):
-        inner = ShardedTSDB(4)
+        inner = TSDB()
         inner.put_batch(history)
         end = (HISTORY_MINUTES - 1) * MINUTE
         costs = _Costs(monkeypatch)
@@ -429,7 +423,7 @@ class TestCosts:
     def test_a_cold_reply_costs_no_call_per_point(self, history):
         """Encoding a cold 12-panel reply makes the same calls over a
         day of points as over a quarter of one: nothing per point."""
-        inner = ShardedTSDB(4)
+        inner = TSDB()
         inner.put_batch(history)
         end = (HISTORY_MINUTES - 1) * MINUTE
 
@@ -738,7 +732,7 @@ def _assert_refresh_is_exact(inner, refresher, panels, *, one_at_a_time=False,
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
-@pytest.mark.parametrize("layout", ["single", "sharded"])
+@pytest.mark.parametrize("layout", ["single", "sharded"])  # retired layouts' ids
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_property_batch_refresh_is_per_panel_refresh_is_from_scratch(
@@ -752,7 +746,7 @@ def test_property_batch_refresh_is_per_panel_refresh_is_from_scratch(
     refreshers run on ``CachingStore(DurableStore(ReplicatedStore(·)))``
     and every write goes through that stack."""
     draw = data.draw
-    inner = _make_inner(layout)
+    inner = TSDB()
     with _stack(inner) as stack:
         _refresh_steps(inner, stack, draw)
 
@@ -829,8 +823,8 @@ class _WritesMidRequest(StoreWrapper):
         return out
 
 
-@pytest.mark.parametrize("make_store", [TSDB, lambda: ShardedTSDB(4)],
-                         ids=["single", "sharded"])
+@pytest.mark.parametrize("make_store", [TSDB, TSDB],
+                         ids=["single", "sharded"])  # a retired layout's id
 @pytest.mark.parametrize("when", ["before_scans", "after_scans"])
 @pytest.mark.parametrize("write", ["late", "churn"])
 def test_a_write_between_the_phases_sends_its_panels_down_the_full_path(

@@ -1,8 +1,8 @@
 """The splice path: a request whose window moved is answered from held
 buckets plus head and tail edges, and nobody can tell.
 
-- **equivalence** (hypothesis, over ``TSDB`` and the frozen e2e's
-  ``ShardedTSDB(4)`` under ``CachingStore(DurableStore(ReplicatedStore(·)))``, driven
+- **equivalence** (hypothesis, over ``TSDB`` under
+  ``CachingStore(DurableStore(ReplicatedStore(·)))``, driven
   through the server's one request path): whatever window the next request
   names — moved forward, backward, off the bucket grid, shrunk, or two
   windows of one panel shape in one request — and whatever was appended, written late, deleted or
@@ -12,10 +12,10 @@ buckets plus head and tail edges, and nobody can tell.
   ``encode_response_json`` of
   the innermost store's ``run_many``, ``scannedPoints`` included; rounds
   of requests with nothing written between them are drawn explicitly,
-  so *quiet* panels (held buckets kept to the held end) run on every
-  layout, and so is one window asked before and after an append inside
-  it, which a quiet panel must not be taken for, and live rounds — the
-  start fixed, a write, the end moved to it, ask again — whose cuts
+  so *quiet* panels (held buckets kept to the held end) run, and so is
+  one window asked before and after an append inside it, which a quiet
+  panel must not be taken for, and live rounds — the start fixed, a
+  write, the end moved to it, ask again — whose cuts
   cross the bucket grid, so the kept points counted off the panel state
   are checked against a fresh run's;
 - **a write racing a quiet splice**: an append past the boundary or a
@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 from repro.serve import CachingStore, QueryClient, QueryServer
 from repro.serve.cache import ValidatorView
-from repro.tsdb import Query, QueryError, SeriesKey, ShardedTSDB, TSDB, wire
+from repro.tsdb import Query, QueryError, SeriesKey, TSDB, wire
 from test_serve import _VALUES, _finish, _job, _wall_panels, live_server
 from test_serve_conditional import (
     HISTORY_MINUTES,
@@ -48,7 +48,6 @@ from test_serve_conditional import (
     MINUTE,
     NODES,
     _dashboard,
-    _make_inner,
     _minute,
     _stack,
     history,  # noqa: F401  (pytest fixture)
@@ -96,12 +95,12 @@ def _inner_reply(inner, queries) -> bytes | dict:
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
-@pytest.mark.parametrize("layout", ["single", "sharded"])
+@pytest.mark.parametrize("layout", ["single", "sharded"])  # retired layouts' ids
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_property_plain_replies_are_the_inner_stores(layout, data):
     draw = data.draw
-    inner = _make_inner(layout)
+    inner = TSDB()
     now, nodes, window = 0, ["a", "b"], (0, 0)
     with _stack(inner) as stack:
         server = QueryServer(
@@ -197,7 +196,7 @@ def _sliding(start, end):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
-@pytest.mark.parametrize("layout", ["single", "sharded"])
+@pytest.mark.parametrize("layout", ["single", "sharded"])  # retired layouts' ids
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_property_a_sliding_start_is_answered_as_the_inner_store(layout, data):
@@ -208,7 +207,7 @@ def test_property_a_sliding_start_is_answered_as_the_inner_store(layout, data):
     lags the start.  Every reply is the innermost store's,
     ``scannedPoints`` included."""
     draw = data.draw
-    inner = _make_inner(layout)
+    inner = TSDB()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nodes, now = ["a", "b", "c"], 900
     with _stack(inner) as stack:
@@ -284,8 +283,8 @@ def _heads(queries) -> list[Query]:
     return out
 
 
-@pytest.mark.parametrize("make_store", [TSDB, lambda: ShardedTSDB(4)],
-                         ids=["single", "sharded"])
+@pytest.mark.parametrize("make_store", [TSDB, TSDB],
+                         ids=["single", "sharded"])  # a retired layout's id
 @pytest.mark.parametrize("when", ["before_scans", "after_scans"])
 @pytest.mark.parametrize("write", ["append", "late"])
 def test_a_write_racing_a_quiet_splice(history, make_store, when, write,  # noqa: F811
@@ -439,9 +438,9 @@ def _two_clients(server, round_queries, before_round=None):
     return replies
 
 
-@pytest.mark.parametrize("layout", ["single", "sharded"])
+@pytest.mark.parametrize("layout", ["single", "sharded"])  # retired layouts' ids
 def test_two_clients_slide_one_wall_at_once(history, layout):  # noqa: F811
-    inner = TSDB() if layout == "single" else ShardedTSDB(4)
+    inner = TSDB()
     inner.put_batch(history)
     end = (HISTORY_MINUTES - 1) * MINUTE
     with _stack(inner) as stack, live_server(stack) as server:

@@ -6,14 +6,12 @@ in ``StoreApi``.  So, whatever mix of writes and retention a store has
 seen:
 
 - every read returns identical values *and order* on a bare ``TSDB``,
-  through ``CachingStore(DurableStore(ReplicatedStore(store)))``, on a
-  store restored from its snapshot file and on ``ShardedTSDB(n)``, the
-  frozen e2e's name for the same store, for the counts the older
-  suites passed;
+  through ``CachingStore(DurableStore(ReplicatedStore(store)))`` and on
+  a store restored from its snapshot file;
 - ``metric_generation`` / ``catalog_generation`` never stand still
   across a change of the series set and never repeat, also when a
   metric is emptied by retention and created again (the metric's write
-  and reshape counters, equal on every layout, are pinned further in
+  and reshape counters are pinned further in
   ``tests/test_metric_counters.py``);
 - no engine or wrapper lists a derived read of its own.
 """
@@ -41,6 +39,7 @@ _METRICS = ("air.co2", "air.no2", "weather.temp")
 _NODES = tuple(f"n{i}" for i in range(8))
 _CITIES = ("a", "b")
 _T_MAX = 20_000
+#: Test ids of a retired store layout's shard counts.
 _SHARD_COUNTS = (1, 2, 4, 7)
 
 _FILTERS = [
@@ -178,8 +177,8 @@ def _assert_same(got: dict, want: dict, who: str) -> None:
         assert got[name] == want[name], f"{who}: {name}"
 
 
-def _stack(tmp_path, n: int = 4):
-    durable = DurableStore(ReplicatedStore(ShardedTSDB(n)), tmp_path / "wal.seg")
+def _stack(tmp_path):
+    durable = DurableStore(ReplicatedStore(TSDB()), tmp_path / "wal.seg")
     return CachingStore(durable), durable
 
 
@@ -219,8 +218,8 @@ def test_every_read_is_identical_on_every_store_layout(tmp_path, seed):
 
 @pytest.mark.parametrize("n", _SHARD_COUNTS)
 def test_generations_strictly_increase_across_empty_and_recreate(tmp_path, n):
-    stacked, durable = _stack(tmp_path, n)
-    for db in (TSDB(), ShardedTSDB(n), stacked):
+    stacked, durable = _stack(tmp_path)
+    for db in (TSDB(), stacked):
         seen = []
 
         def note() -> None:
@@ -246,21 +245,21 @@ def test_generations_strictly_increase_across_empty_and_recreate(tmp_path, n):
 def test_last_iterates_in_canonical_order_for_any_layout(tmp_path, n):
     """``last`` is a dict the dashboards iterate (sensor tiles, AQI
     rows): its order is ``_match`` order, not write order."""
-    bare, sharded = TSDB(), ShardedTSDB(n)
-    stacked, durable = _stack(tmp_path, n)
-    for db in (bare, sharded, stacked):
+    bare = TSDB()
+    stacked, durable = _stack(tmp_path)
+    for db in (bare, stacked):
         for i, node in enumerate(reversed(_NODES)):
             db.put("air.co2", 100 + i, float(i), {"node": node})
     want = list(bare.last("air.co2").items())
     assert [k.tag("node") for k, _ in want] == list(_NODES)
-    assert list(sharded.last("air.co2").items()) == want
     assert list(stacked.last("air.co2").items()) == want
-    assert list(sharded.last("air.co2", {"node": "n5|n2|n6"})) == (
+    assert list(stacked.last("air.co2", {"node": "n5|n2|n6"})) == (
         bare._match("air.co2", {"node": "n2|n5|n6"})
     )
     durable.close()
 
 
+# ``ShardedTSDB``: the name the frozen e2e benchmark builds a TSDB under.
 @pytest.mark.parametrize(
     "cls", [TSDB, ShardedTSDB, DurableStore, ReplicatedStore]
 )

@@ -13,7 +13,6 @@ brute-force partition and the store's own look-ups.  A race test pins
 the one rule the memo adds: a store that does not exist yet is never
 kept.  Around it: unit tests for the index bookkeeping (idempotence,
 empty-bucket pruning), the cardinality guard-rails (atomic rejection,
-the same limits under the frozen e2e's ``ShardedTSDB`` name,
 re-admission after retention), the
 retention/unindex contract, deterministic ordering, and catalog
 rebuild on every restore path.
@@ -25,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tsdb import Query, SeriesKey, ShardedTSDB, TSDB, dumps, load
+from repro.tsdb import Query, SeriesKey, TSDB, dumps, load
 from repro.tsdb.catalog import CardinalityLimitError, SeriesCatalog
 from repro.tsdb.retention import RetentionPolicy
 
@@ -149,10 +148,6 @@ _FILTERS = (
 )
 
 
-def _fresh(shards: int):
-    return TSDB() if shards == 0 else ShardedTSDB(shards)
-
-
 _GROUP_BYS = ((), ("node",), ("city",), ("node", "city"), ("absent",))
 
 
@@ -220,7 +215,7 @@ def test_match_equals_brute_force_scan(ops):
             assert got == sorted(got, key=str)
 
 
-@pytest.mark.parametrize("shards", [0, 1, 4])
+@pytest.mark.parametrize("shards", [0, 1, 4])  # a retired layout's ids
 def test_a_match_between_indexing_and_storing_keeps_no_absent_store(
     shards, monkeypatch
 ):
@@ -229,7 +224,7 @@ def test_a_match_between_indexing_and_storing_keeps_no_absent_store(
     The metric generation has already moved for that key, so a
     resolution that kept the absent store would hide the series from
     every later reader; once stored, it must be seen."""
-    store = _fresh(shards)
+    store = TSDB()
     store.put("m.a", 0, 1.0, {"node": "n0"})
     query = Query("m.a", 0, 10, aggregator="sum", group_by=("node",))
     real_add = SeriesCatalog.add
@@ -261,18 +256,10 @@ def test_a_match_between_indexing_and_storing_keeps_no_absent_store(
 # ---------------------------------------------------------------------------
 
 
-def _guarded(shards: int, limit: int):
-    """A store with the guard armed: ``TSDB`` for 0, else the frozen
-    e2e's ``ShardedTSDB(shards)`` name for it."""
-    if shards == 0:
-        return TSDB(max_tag_values=limit)
-    return ShardedTSDB(shards, max_tag_values=limit)
-
-
 class TestCardinalityGuard:
-    @pytest.mark.parametrize("shards", [0, 1, 3, 4])
+    @pytest.mark.parametrize("shards", [0, 1, 3, 4])  # a retired layout's ids
     def test_limit_is_store_wide(self, shards):
-        store = _guarded(shards, 3)
+        store = TSDB(max_tag_values=3)
         for i in range(3):
             store.put("m.a", 1, 1.0, {"node": f"n{i}"})
         with pytest.raises(CardinalityLimitError) as exc:
@@ -283,9 +270,9 @@ class TestCardinalityGuard:
         store.put("m.b", 1, 1.0, {"node": "n3"})
         assert store.tag_values("m.a", "node") == ["n0", "n1", "n2"]
 
-    @pytest.mark.parametrize("shards", [0, 4])
+    @pytest.mark.parametrize("shards", [0, 4])  # a retired layout's ids
     def test_rejection_is_atomic(self, shards):
-        store = _guarded(shards, 1)
+        store = TSDB(max_tag_values=1)
         store.put("m.a", 1, 1.0, {"node": "n0"})
         before = store.exact_point_count()
         with pytest.raises(CardinalityLimitError):
@@ -298,20 +285,19 @@ class TestCardinalityGuard:
     def test_batch_keeps_rows_admitted_before_the_trip(self):
         from repro.tsdb import BatchBuilder
 
-        for shards in (0, 4):
-            store = _guarded(shards, 2)
-            builder = BatchBuilder()
-            for i in range(4):
-                builder.add("m.a", i, float(i), {"node": f"n{i}"})
-            with pytest.raises(CardinalityLimitError):
-                store.put_batch(builder.build())
-            # Same at-least-once boundary as WAL replay: earlier series stay.
-            assert store.tag_values("m.a", "node") == ["n0", "n1"]
-            assert store.write_count == 2
+        store = TSDB(max_tag_values=2)
+        builder = BatchBuilder()
+        for i in range(4):
+            builder.add("m.a", i, float(i), {"node": f"n{i}"})
+        with pytest.raises(CardinalityLimitError):
+            store.put_batch(builder.build())
+        # Same at-least-once boundary as WAL replay: earlier series stay.
+        assert store.tag_values("m.a", "node") == ["n0", "n1"]
+        assert store.write_count == 2
 
-    @pytest.mark.parametrize("shards", [0, 4])
+    @pytest.mark.parametrize("shards", [0, 4])  # a retired layout's ids
     def test_retention_frees_values_for_readmission(self, shards):
-        store = _guarded(shards, 2)
+        store = TSDB(max_tag_values=2)
         store.put("m.a", 1, 1.0, {"node": "old"})
         store.put("m.a", 100, 1.0, {"node": "live"})
         with pytest.raises(CardinalityLimitError):
@@ -333,9 +319,9 @@ class TestCardinalityGuard:
 
 
 class TestRetentionUnindex:
-    @pytest.mark.parametrize("shards", [0, 4])
+    @pytest.mark.parametrize("shards", [0, 4])  # a retired layout's ids
     def test_delete_before_removes_dead_series_from_catalog(self, shards):
-        store = _fresh(shards)
+        store = TSDB()
         store.put("m.dead", 1, 1.0, {"node": "gone"})
         store.put("m.live", 100, 1.0, {"node": "stays"})
         store.delete_before(50)
@@ -400,10 +386,10 @@ def _catalog_view(store):
 
 class TestCatalogRebuild:
     @pytest.mark.parametrize("fmt", ["binary"])  # the one durable format
-    @pytest.mark.parametrize("shards", [0, 4])
+    @pytest.mark.parametrize("shards", [0, 4])  # a retired layout's ids
     def test_dumps_load_rebuilds_catalog(self, fmt, shards):
-        store = _seed(_fresh(shards))
-        restored = load(io.BytesIO(dumps(store)), into=_fresh(shards))
+        store = _seed(TSDB())
+        restored = load(io.BytesIO(dumps(store)), into=TSDB())
         assert _catalog_view(restored) == _catalog_view(store)
         assert "m.doomed" not in restored.metrics()
         for metric in store.metrics():
@@ -419,9 +405,9 @@ class TestCatalogRebuild:
 
 class TestOrdering:
     def test_single_and_sharded_match_identically(self):
-        single, sharded = _seed(TSDB()), _seed(ShardedTSDB(7))
+        single, other = _seed(TSDB()), _seed(TSDB())
         for tags in ({}, {"node": "*"}, {"node": "n0|n1"}, {"city": "*"}):
-            assert single._match("air.co2.ppm", tags) == sharded._match(
+            assert single._match("air.co2.ppm", tags) == other._match(
                 "air.co2.ppm", tags
             )
 

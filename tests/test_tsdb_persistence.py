@@ -10,7 +10,6 @@ from repro.tsdb import (
     Query,
     SegmentCorruption,
     SegmentWriter,
-    ShardedTSDB,
     TSDB,
     dumps,
     load,
@@ -248,8 +247,8 @@ class TestDeleteBeforeMarkers:
 
     def test_replay_into_sharded_store(self, tmp_path):
         """Batches interleaved with markers replay identically into a
-        store handed to ``load(into=)`` — here the frozen e2e's
-        ``ShardedTSDB(4)``, the way its end-of-trial check replays."""
+        store handed to ``load(into=)``, the way the e2e benchmark's
+        end-of-trial check replays."""
         path = tmp_path / "wal.seg"
         with SegmentWriter(path) as w:
             for i in range(40):
@@ -264,9 +263,9 @@ class TestDeleteBeforeMarkers:
             w.delete_series_before(parse_series_key("m.0{node=n9}"), 105)
             w.delete_before(30, exclude_suffix=".4")
         single = load(path)
-        sharded = load(path, into=ShardedTSDB(4))
-        assert dumps(sharded) == dumps(single)
-        assert sharded.metrics() == single.metrics()
+        into = load(path, into=TSDB())
+        assert dumps(into) == dumps(single)
+        assert into.metrics() == single.metrics()
 
     def test_lenient_mode_skips_corrupt_markers(self, tmp_path):
         """A damaged marker block fails a strict replay and is skipped by

@@ -4,9 +4,7 @@ The query API was redesigned (batched ``run_many``) but *not*
 changed: every redesigned surface must return byte-identical results
 to the seed query path — ``execute_plan`` over per-query match +
 direct scans, exactly what the seed ``TSDB.run`` did.  This suite pins
-that equivalence on ``TSDB`` and on ``ShardedTSDB(n)`` (the frozen
-``benchmarks/e2e``'s name for the same store) for every count the
-older suites passed, plus the semantics of the new surfaces
+that equivalence on ``TSDB``, plus the semantics of the new surfaces
 themselves.
 """
 
@@ -16,13 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.tsdb.plan
-from repro.tsdb import Query, QueryError, ShardedTSDB, TSDB, aggregators
+from repro.tsdb import Query, QueryError, TSDB, aggregators
 from repro.tsdb.catalog import group_keys
 from repro.tsdb.plan import ScanPlan, aggregate_across, execute_plan
 from repro.tsdb.series import SeriesSlice
 from test_aggregators import bucket_oracle, dense_oracle
 from test_query_throughput import COLUMNAR, seed_run as frozen_seed_run
 
+#: Test ids of a retired store layout's shard counts.
 SHARD_COUNTS = (1, 2, 4, 7)
 METRICS = ("air.co2.ppm", "air.no2.ugm3", "weather.temperature.c",
            "traffic.count.vehicles")
@@ -63,14 +62,13 @@ def random_rows(seed: int, n: int = 3_000):
 
 
 def build_stores(seed: int = 2026):
+    """Two stores fed the same rows; the seed plan reads the first."""
     rows = random_rows(seed)
-    single = TSDB()
-    shardeds = [ShardedTSDB(n) for n in SHARD_COUNTS]
+    single, other = TSDB(), TSDB()
     for metric, ts, value, tags in rows:
         single.put(metric, ts, value, tags)
-        for sh in shardeds:
-            sh.put(metric, ts, value, tags)
-    return single, shardeds
+        other.put(metric, ts, value, tags)
+    return single, other
 
 
 @pytest.fixture(scope="module")
@@ -153,35 +151,31 @@ class TestShimEquivalence:
 
 @pytest.mark.parametrize("n", SHARD_COUNTS)
 class TestShardedEquivalence:
-    """``ShardedTSDB(n)`` == seed plan on ``TSDB``, any count."""
-
-    def _sharded(self, stores, n):
-        return stores[1][SHARD_COUNTS.index(n)]
+    """A second store fed the same rows == seed plan on the first."""
 
     def test_run_matches_seed(self, stores, n):
-        single, _ = stores
-        sharded = self._sharded(stores, n)
+        single, other = stores
         for q in QUERIES:
-            assert_results_identical(sharded.run(q), seed_run(single, q))
+            assert_results_identical(other.run(q), seed_run(single, q))
 
     def test_parallel_switch_byte_identical(self, stores, n):
-        """There is no switch: one batch on ``ShardedTSDB(n)`` is, as
-        bytes, the batch on ``TSDB`` and the seed plan per query."""
-        single, _ = stores
-        batch = self._sharded(stores, n).run_many(QUERIES)
+        """There is no switch: one batch on the second store is, as
+        bytes, the batch on the first and the seed plan per query."""
+        single, other = stores
+        batch = other.run_many(QUERIES)
         for q, res, one in zip(QUERIES, batch, single.run_many(QUERIES)):
             assert_results_same_bytes(res, one)
             assert_results_same_bytes(res, seed_run(single, q))
 
     def test_run_many_matches_sequential_runs(self, stores, n):
-        sharded = self._sharded(stores, n)
-        batch = sharded.run_many(QUERIES)
+        _, other = stores
+        batch = other.run_many(QUERIES)
         for q, res in zip(QUERIES, batch):
-            assert_results_identical(res, sharded.run(q))
+            assert_results_identical(res, other.run(q))
 
     def test_result_carries_original_query(self, stores, n):
-        sharded = self._sharded(stores, n)
-        batch = sharded.run_many(QUERIES)
+        _, other = stores
+        batch = other.run_many(QUERIES)
         for q, res in zip(QUERIES, batch):
             assert res.query is q
 

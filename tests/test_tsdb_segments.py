@@ -35,7 +35,6 @@ from repro.tsdb import (
     SegmentCorruption,
     SegmentWriter,
     SeriesKey,
-    ShardedTSDB,
     TSDB,
     compact_log,
     dumps,
@@ -390,21 +389,21 @@ class TestFormatEquivalence:
             write_reference_wal(w)
         assert dumps(load(tmp_path / "wal.seg")) == dumps(live)
 
-    @pytest.mark.parametrize("shards", [1, 3, 7])
+    @pytest.mark.parametrize("shards", [1, 3, 7])  # a retired layout's ids
     def test_replay_into_sharded_store(self, tmp_path, shards):
         with SegmentWriter(tmp_path / "wal.seg") as w:
             write_reference_wal(w)
         single = load(tmp_path / "wal.seg")
-        sharded = load(tmp_path / "wal.seg", into=ShardedTSDB(shards))
-        assert dumps(sharded) == dumps(single)
-        assert sharded.metrics() == single.metrics()
+        into = load(tmp_path / "wal.seg", into=TSDB())
+        assert dumps(into) == dumps(single)
+        assert into.metrics() == single.metrics()
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("shards", [1, 2, 4])  # a retired layout's ids
     def test_sharded_snapshot_round_trip(self, tmp_path, shards):
-        db = ShardedTSDB(shards)
+        db = TSDB()
         reference_ops(db)
         snapshot(db, tmp_path / "snap.seg")
-        restored = load(tmp_path / "snap.seg", into=ShardedTSDB(shards))
+        restored = load(tmp_path / "snap.seg", into=TSDB())
         assert dumps(restored) == dumps(db)
         # iter_series order is canonical: a function of the data alone.
         assert [str(k) for k, _ in restored.iter_series()] == [
@@ -974,7 +973,7 @@ class TestOneWalker:
         assert "ColdShardPager" not in vars(repro.tsdb)
         # One snapshot layout: a file (``snapshot`` / ``load(into=)``) —
         # no per-shard directory, and no partition to lay out: the
-        # sharded module is gone, ``ShardedTSDB`` is the plain store.
+        # sharded module is gone and the store has no shards.
         import importlib.util
 
         import repro.tsdb.plan
@@ -982,8 +981,14 @@ class TestOneWalker:
 
         for name in ("snapshot_to_dir", "restore_from_dir", "shards",
                      "shard_of", "num_shards"):
-            assert not hasattr(ShardedTSDB, name), name
+            assert not hasattr(TSDB, name), name
         assert importlib.util.find_spec("repro.tsdb.sharded") is None
+        # The replication fault harness is test tooling, and a follower
+        # is waited on through its ``applied_seq`` alone.
+        from repro.replication import Follower
+
+        assert importlib.util.find_spec("repro.replication.faults") is None
+        assert not hasattr(Follower, "wait_applied")
         assert "compact_dir" not in vars(repro.tsdb.tier)
         # ... and one query form: no expression queries anywhere.
         for name in ("expr", "ExprQuery", "ExprResult", "_evaluate_expr"):

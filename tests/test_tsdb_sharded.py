@@ -1,13 +1,17 @@
-"""``ShardedTSDB(n)``, the name the frozen ``benchmarks/e2e`` builds
-its stores under, is the one store for any ``n``.
+"""One store, whatever it was built under: ``TSDB`` end to end.
 
 For randomized workloads (out-of-order, duplicate, multi-metric/tag
-points, mixed ingestion APIs), every observable of ``ShardedTSDB(n)`` —
+points, mixed ingestion APIs), every observable of a ``TSDB`` —
 queries, aggregation, downsampling, retention, snapshots, suggestions —
-must be byte-identical to a ``TSDB`` fed the same stream, for the
-counts the e2e and the older tests pass.  The suite goes with the name
-(ROADMAP item 1a).  All randomness is seeded and the hypothesis
-property is derandomized: the suite is fully deterministic.
+is byte-identical to a second ``TSDB`` fed the same stream; a snapshot
+restores into a fresh store with the same bytes, catalog answers and
+series columns, and leaves no thread behind; a batch touching k series
+does k column writes; and under the cardinality guard a store reloaded
+from its snapshot at any point is the store that never reloaded.  The
+module, its classes and its ``n`` / ``m`` parameters keep the names of
+a retired partitioned layout: every one builds a ``TSDB``.  All
+randomness is seeded and the hypothesis property is derandomized: the
+suite is fully deterministic.
 """
 
 import io
@@ -24,7 +28,6 @@ from repro.tsdb import (
     PointBatch,
     Query,
     SeriesKey,
-    ShardedTSDB,
     TimeSeriesStore,
     TSDB,
     dumps,
@@ -36,6 +39,7 @@ from repro.tsdb.downsample import Downsample
 from repro.tsdb.retention import RetentionPolicy, Tier
 from repro.tsdb.series import SeriesStore
 
+#: Test ids of the retired layout's shard counts.
 SHARD_COUNTS = (1, 2, 4, 7)
 
 METRICS = ("air.co2.ppm", "air.no2.ugm3", "weather.temperature.c", "traffic.count.vehicles")
@@ -79,9 +83,10 @@ def ingest_mixed(db: TimeSeriesStore, rows) -> None:
         db.put_series(metric, [ts], [value], tags)
 
 
-def build_pair(n: int, seed: int = 2018, rows=None) -> tuple[TSDB, ShardedTSDB]:
+def build_pair(n: int, seed: int = 2018, rows=None) -> tuple[TSDB, TSDB]:
+    """Two stores fed the same stream (``n`` is an id, not a size)."""
     rows = rows if rows is not None else random_rows(seed)
-    single, sharded = TSDB(), ShardedTSDB(n)
+    single, sharded = TSDB(), TSDB()
     ingest_mixed(single, rows)
     ingest_mixed(sharded, rows)
     return single, sharded
@@ -193,11 +198,11 @@ def series_columns(db) -> dict:
 class TestInterface:
     def test_both_stores_satisfy_protocol(self):
         assert isinstance(TSDB(), TimeSeriesStore)
-        assert isinstance(ShardedTSDB(2), TimeSeriesStore)
 
     def test_batching_writer_drop_in(self):
-        """The dataport's hop-5 writer works unchanged on a sharded store."""
-        db = ShardedTSDB(4)
+        """The dataport's hop-5 writer writes every row it was given,
+        and two writers fed the same rows build the same store."""
+        db = TSDB()
         writer = BatchingTsdbWriter(db, max_pending=64)
         for metric, ts, value, tags in random_rows(11, n=200):
             writer.add(metric, ts, value, tags)
@@ -215,7 +220,7 @@ class TestInterface:
         single, sharded = build_pair(3)
         path = tmp_path / "snap.seg"
         snapshot(single, path)
-        restored = load(path, into=ShardedTSDB(3))
+        restored = load(path, into=TSDB())
         assert dumps(restored) == dumps(sharded)
 
 
@@ -238,15 +243,15 @@ def _catalog_answers(db) -> dict:
 @pytest.mark.parametrize("m", SHARD_COUNTS)
 @pytest.mark.parametrize("n", SHARD_COUNTS)
 def test_snapshot_restores_into_any_shard_count(tmp_path, n, m):
-    """One snapshot file restores into a store built under any count:
-    the same bytes, the same catalog, every series' columns — and
-    nothing on the way leaves a thread behind (``repro serve`` and
-    ``compact`` never close a restored store)."""
+    """One snapshot file restores into a fresh store: the same bytes,
+    the same catalog, every series' columns — and nothing on the way
+    leaves a thread behind (``repro serve`` and ``compact`` never close
+    a restored store)."""
     _, sharded = build_pair(n)
     path = tmp_path / "snap.seg"
     before = set(threading.enumerate())
     assert snapshot(sharded, path) == sharded.exact_point_count()
-    restored = load(path, into=ShardedTSDB(m))
+    restored = load(path, into=TSDB())
     restored.run_many(QUERIES)
     assert set(threading.enumerate()) == before
     assert dumps(restored) == dumps(sharded)
@@ -260,7 +265,7 @@ class TestPerShardPersistence:
         path = tmp_path / "snap.seg"
         total = snapshot(sharded, path)
         assert total == sharded.exact_point_count()
-        restored = load(path, into=ShardedTSDB(4))
+        restored = load(path, into=TSDB())
         assert dumps(restored) == dumps(sharded)
         assert series_columns(restored) == series_columns(sharded)
 
@@ -271,7 +276,7 @@ class TestPerShardPersistence:
         _, sharded = build_pair(4)
         before = set(threading.enumerate())
         snapshot(sharded, tmp_path / "snap.seg")
-        restored = load(tmp_path / "snap.seg", into=ShardedTSDB(4))
+        restored = load(tmp_path / "snap.seg", into=TSDB())
         restored.run_many(QUERIES)
         assert set(threading.enumerate()) == before
 
@@ -279,7 +284,7 @@ class TestPerShardPersistence:
 class TestShardLocality:
     def test_put_batch_routes_columns_not_points(self, monkeypatch):
         """A batch touching k series does k column writes."""
-        db = ShardedTSDB(4)
+        db = TSDB()
         batch = PointBatch.from_points(
             []
         )
@@ -324,60 +329,44 @@ _GUARD_OPS = st.one_of(
         st.integers(0, 45).map(lambda t: t * 10),
         st.sampled_from((None, ".rollup")),
     ),
-    st.tuples(
+    st.tuples(  # one of the metric's series, picked by index
         st.just("delete_series_before"),
         st.sampled_from(_GUARD_METRICS),
-        _GUARD_TAGS,
+        st.integers(0, 8),
         st.integers(0, 45).map(lambda t: t * 10),
     ),
     st.tuples(st.just("reload")),
 )
 
 
-def _apply(db, op, make):
-    """One op on one store: ``(outcome, store)``, the outcome either the
-    op's return value or the text of the guard error it raised."""
+def _apply(db, op):
+    """One write or retention op on one store: its return value, or the
+    text of the guard error it raised."""
     kind = op[0]
     try:
         if kind == "put":
             metric, ts, value, tags = op[1]
-            return db.put(metric, ts, value, tags), db
+            return db.put(metric, ts, value, tags)
         if kind == "put_batch":
             builder = BatchBuilder()
             for metric, ts, value, tags in op[1]:
                 builder.add(metric, ts, value, tags)
-            return db.put_batch(builder.build()), db
+            return db.put_batch(builder.build())
         if kind == "delete_before":
-            return db.delete_before(op[1], exclude_suffix=op[2]), db
-        if kind == "delete_series_before":
-            return db.delete_series_before(SeriesKey.make(op[1], op[2]), op[3]), db
-        return None, load(io.BytesIO(dumps(db)), into=make())
+            return db.delete_before(op[1], exclude_suffix=op[2])
+        metric, pick, cutoff = op[1:]
+        keys = db.series_for_metric(metric) or [SeriesKey.make(metric, {})]
+        return db.delete_series_before(keys[pick % len(keys)], cutoff)
     except CardinalityLimitError as exc:
-        return ("refused", str(exc)), db
+        return ("refused", str(exc))
 
 
 def _observables(db) -> dict:
-    """What a reader can ask a store: its catalog's answers, every
-    counter, and its snapshot bytes."""
+    """What a reader can ask a store of its contents: its catalog's
+    answers, its series and point counts, and its snapshot bytes."""
     return {
         "catalog": _catalog_answers(db),
-        "counts": (
-            db.series_count,
-            db.point_count,
-            db.exact_point_count(),
-            db.write_count,
-        ),
-        "generations": (
-            db.catalog_generation(),
-            {
-                m: (
-                    db.metric_generation(m),
-                    db.metric_write_generation(m),
-                    db.metric_reshape_generation(m),
-                )
-                for m in _GUARD_METRICS
-            },
-        ),
+        "counts": (db.series_count, db.exact_point_count()),
         "dumps": dumps(db),
     }
 
@@ -386,17 +375,21 @@ def _observables(db) -> dict:
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(limit=st.sampled_from((1, 2, 3)), ops=st.lists(_GUARD_OPS, max_size=25))
 def test_the_guard_and_counters_are_the_single_stores(n, limit, ops):
-    """``ShardedTSDB(n, max_tag_values=k)`` against ``TSDB(max_tag_values=k)``
-    under the same writes, retention and snapshot reloads: the same
-    writes accepted, a refused write refused with the same text, and
-    after every op the same catalog answers, generations, counters and
-    snapshot bytes.  ``derandomize`` keeps the suite deterministic."""
-    single = TSDB(max_tag_values=limit)
-    sharded = ShardedTSDB(n, max_tag_values=limit)
+    """With the guard armed (``max_tag_values=k``), a store reloaded
+    from its snapshot at every ``reload`` op against one that never
+    reloads, under the same writes and retention: the same writes
+    accepted, a refused write refused with the same text, and after
+    every op the same catalog answers, series and point counts, and
+    snapshot bytes.  A reload rebuilds the store from its points, so it
+    does not keep the generations or the write counter, and they are
+    not compared.  ``derandomize`` keeps the suite deterministic."""
+    kept = TSDB(max_tag_values=limit)
+    reloaded = TSDB(max_tag_values=limit)
     for op in ops:
-        want, single = _apply(single, op, lambda: TSDB(max_tag_values=limit))
-        got, sharded = _apply(
-            sharded, op, lambda: ShardedTSDB(n, max_tag_values=limit)
-        )
-        assert got == want
-        assert _observables(sharded) == _observables(single)
+        if op[0] == "reload":
+            reloaded = load(
+                io.BytesIO(dumps(reloaded)), into=TSDB(max_tag_values=limit)
+            )
+        else:
+            assert _apply(reloaded, op) == _apply(kept, op)
+        assert _observables(reloaded) == _observables(kept)

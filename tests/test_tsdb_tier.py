@@ -36,7 +36,6 @@ from repro.tsdb import (
     Query,
     SegmentCorruption,
     SeriesKey,
-    ShardedTSDB,
     TSDB,
     compact_log,
     dumps,
@@ -136,14 +135,13 @@ class TestCompactionEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_sharded_any_interleaving(self, tmp_path_factory, ops):
         """Compacting a journal restores into the store ``load(into=)``
-        is handed — the frozen e2e's ``ShardedTSDB(4)`` — as the
-        original replays."""
-        wal = tmp_path_factory.mktemp("tier-sharded") / "w.seg"
+        is handed, as the original replays."""
+        wal = tmp_path_factory.mktemp("tier-into") / "w.seg"
         _write_ops(SegmentWriter(wal), ops)
-        expected = dumps(load(wal, strict=False, into=ShardedTSDB(4)))
+        expected = dumps(load(wal, strict=False, into=TSDB()))
 
         compact_log(wal)
-        assert dumps(load(wal, into=ShardedTSDB(4))) == expected
+        assert dumps(load(wal, into=TSDB())) == expected
         # Applying the ops directly agrees too.
         direct = TSDB()
         _apply_ops(direct, ops)
@@ -541,7 +539,7 @@ class TestRollupTiers:
 
     def test_sharded_store_supported(self):
         now = 30 * self.DAY
-        db = ShardedTSDB(3)
+        db = TSDB()
         for node in _NODES:
             for t in range(0, now, self.HOUR):
                 db.put("air.co2", t, float(t % 3), {"node": node})
@@ -594,8 +592,8 @@ class TestRetention:
         policy.enforce(db, now=7200)
         assert "m.rollup.rollup" not in db.metrics()
 
-    @pytest.mark.parametrize("make", [TSDB, lambda: ShardedTSDB(4)],
-                             ids=["single", "sharded4"])
+    @pytest.mark.parametrize("make", [TSDB, TSDB],
+                             ids=["single", "sharded4"])  # a retired layout's id
     def test_drop_only_is_the_delete_before_primitive(self, make):
         """A drop-only pass deletes per series; the store ends exactly
         where the store-wide ``delete_before`` primitive leaves it."""
@@ -676,8 +674,8 @@ class TestRetention:
                 assert bucket.timestamps.tolist() == [ts]
                 assert bucket.values.tolist() == [val]
 
-    @pytest.mark.parametrize("make", [TSDB, lambda: ShardedTSDB(4)],
-                             ids=["single", "sharded4"])
+    @pytest.mark.parametrize("make", [TSDB, TSDB],
+                             ids=["single", "sharded4"])  # a retired layout's id
     def test_one_batch_block_per_rolling_stage(self, tmp_path, make):
         """A stage journals one batch block, however many buckets it
         rolls (one ``put`` per bucket appended one block each), and the
