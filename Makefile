@@ -8,9 +8,12 @@ test:
 
 # The store-surface gate: every write and read the protocol names, on
 # every engine and through the wrapper stack, plus the suites
-# of everything derived from the primitives (catalog, tier, serving).
+# of everything derived from the primitives (catalog, tier, serving),
+# the series store itself and a read or a put at every line of the
+# other's path on one series (one published state: nothing torn, lost
+# or raised).
 test-store:
-	$(PYTHON) -m pytest -q tests/test_store_stack.py tests/test_store_reads.py tests/test_metric_counters.py tests/test_tsdb_catalog.py tests/test_tsdb_tier.py tests/test_serve.py
+	$(PYTHON) -m pytest -q tests/test_store_stack.py tests/test_store_reads.py tests/test_metric_counters.py tests/test_tsdb_catalog.py tests/test_tsdb_tier.py tests/test_serve.py tests/test_tsdb_model_series.py tests/test_series_interleavings.py
 
 # The fan-in gate: queue invariants + N-city/merged-dataport equivalence.
 test-region:

@@ -97,7 +97,7 @@ def test_batch_ingest_at_least_5x_faster_than_per_point(workload):
     batch_s = columnar_ingest(batch_db, series_idx, ts, values, tag_cache)
 
     # --- equivalence: same database state ------------------------------
-    assert batch_db.exact_point_count() == per_point_db.exact_point_count()
+    assert batch_db.point_count == per_point_db.point_count
     probe_metric, probe_tags = tag_cache[0]
     q = Query(probe_metric, 0, int(ts.max()), tags=probe_tags)
     a = per_point_db.run(q).single()

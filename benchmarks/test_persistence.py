@@ -78,7 +78,7 @@ def test_segment_persistence_round_trips(workload, tmp_path):  # noqa: F811
     # --- snapshot + restore --------------------------------------------
     snap = tmp_path / "snap.seg"
     snap_s, points = timed(lambda: snapshot(db, snap))
-    assert points == db.exact_point_count()
+    assert points == db.point_count
     restore_s, restored = timed(lambda: load(snap))
     assert dumps(restored) == dumps(db), "restore equivalence broken"
 

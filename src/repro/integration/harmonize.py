@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..tsdb import TimeSeriesStore
+from ..tsdb import BatchBuilder, TimeSeriesStore
 from .base import Connector, Observation
 
 #: External observations live under this metric prefix.
@@ -61,17 +61,20 @@ class Harmonizer:
         return list(self._connectors)
 
     def sync(self, start: int, end: int) -> SyncReport:
-        """Fetch every connector for [start, end] and persist."""
+        """Fetch every connector for [start, end] and persist each
+        fetch as one batch."""
         report = SyncReport()
+        builder = BatchBuilder()
         for connector in self._connectors:
             observations = connector.fetch(start, end)
             for obs in observations:
-                self.db.put(
+                builder.add(
                     observation_metric(obs),
                     obs.timestamp,
                     obs.value,
                     observation_tags(obs),
                 )
+            self.db.put_batch(builder.build())
             report.observations += len(observations)
             report.points_written += len(observations)
             report.per_source[connector.name] = len(observations)

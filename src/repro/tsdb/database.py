@@ -22,10 +22,11 @@ class TSDB(StoreApi):
 
     The public surface is deliberately OpenTSDB-shaped:
 
-    - :meth:`put` writes one point (out-of-order tolerated),
     - :meth:`put_batch` / :meth:`put_series` move whole columnar batches
-      (the hot ingest path; :meth:`put` is the degenerate single-point
-      case of the same store machinery),
+      (the hot ingest path), each series' rows in one
+      :meth:`~repro.tsdb.series.SeriesStore.extend_batch`,
+    - :meth:`put` writes one point (out-of-order tolerated): the
+      one-row case of that same write,
     - :meth:`run` executes a :class:`Query`,
     - :meth:`tag_values` / :meth:`cardinality` back dashboard
       autocomplete and capacity planning (the
@@ -69,10 +70,10 @@ class TSDB(StoreApi):
         value: float,
         tags: Mapping[str, str] | None = None,
     ) -> SeriesKey:
-        """Write one data point, creating the series on first sight."""
+        """Write one data point, creating the series on first sight: a
+        one-row :meth:`put_column`."""
         key = SeriesKey.make(metric, tags)
-        self._store_for(key).append(timestamp, value)
-        self._puts += 1
+        self.put_column(key, (int(timestamp),), (float(value),))
         return key
 
     def put_batch(self, batch: PointBatch) -> int:
@@ -105,10 +106,7 @@ class TSDB(StoreApi):
 
     @property
     def point_count(self) -> int:
-        return sum(s.approximate_size for s in self._stores.values())
-
-    def exact_point_count(self) -> int:
-        """Point count with duplicates resolved (forces compaction)."""
+        """Points stored, duplicates resolved."""
         return sum(len(s) for s in self._stores.values())
 
     @property

@@ -10,7 +10,7 @@ interchangeable.
 :class:`StoreApi` is the concrete half: convenience methods every store
 gets for free, implemented purely in terms of the protocol surface —
 including every write other than the three primitives and every read
-other than ``catalog``, ``_series`` and the three whole-store counts.
+other than ``catalog``, ``_series`` and the two whole-store counts.
 :class:`StoreWrapper` is the one base of the layers stacked on a store
 (journal, replication tee, result cache).
 """
@@ -43,7 +43,7 @@ class TimeSeriesStore(Protocol):
 
     Reads are the same shape: a store supplies its ``catalog`` (which
     series are live, and the counters of when that changed), the keyed
-    lookup ``_series`` (a live series' columns, or None) and three whole-
+    lookup ``_series`` (a live series' columns, or None) and two whole-
     store counts; every other read is :class:`StoreApi`'s, over those.
     """
 
@@ -73,7 +73,7 @@ class TimeSeriesStore(Protocol):
         tags: Mapping[str, str] | None = None,
     ) -> SeriesKey: ...
 
-    # -- reads: the primitives (catalog, keyed lookup, three counts) -----
+    # -- reads: the primitives (catalog, keyed lookup, two counts) -------
     @property
     def catalog(self) -> SeriesCatalog: ...
 
@@ -81,8 +81,6 @@ class TimeSeriesStore(Protocol):
 
     @property
     def point_count(self) -> int: ...
-
-    def exact_point_count(self) -> int: ...
 
     @property
     def write_count(self) -> int: ...

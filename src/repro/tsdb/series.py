@@ -2,10 +2,13 @@
 
 Points arrive mostly in time order (live sensor feeds) but the store must
 also absorb out-of-order and duplicate timestamps (LoRaWAN retransmits,
-backfilled historic imports).  We keep two numpy-backed growable arrays
-plus a small unsorted tail; scans merge-sort the tail in on demand and
-deduplicate by keeping the *latest written* value per timestamp, matching
-OpenTSDB's overwrite semantics.
+backfilled historic imports).  A series is one sorted pair of numpy
+columns: an in-order write extends them, any other write merges into
+new ones, deduplicating by keeping the *latest written* value per
+timestamp (OpenTSDB's overwrite semantics).  Each write publishes the
+new state in one assignment, and a read unpacks it once and writes
+nothing, so a reader sees the whole state before a write or the whole
+state after it.
 """
 
 from __future__ import annotations
@@ -49,15 +52,23 @@ class SeriesSlice:
 class SeriesStore:
     """Append-optimized storage for one series.
 
-    **Nothing below ``_n`` is ever written in place.**  The sorted
-    region ``_ts[:_n]`` / ``_vals[:_n]`` only grows: an in-order append
-    or bulk extend writes at ``>= _n``, and everything that would change
-    what is already there — growth past capacity, merging the unsorted
-    tail or an out-of-order batch, a retention delete — builds new
-    arrays and *replaces* the columns.  A :meth:`scan` is therefore a
-    snapshot without a copy: a read-only view of the columns as they
-    were, equal for as long as it is held to the copy it could have
-    been (and keeping a superseded buffer alive for exactly that long).
+    **One published state.**  ``_cols`` is ``(timestamps, values, n)``:
+    the first ``n`` slots of two columns, sorted and duplicate-free.
+    Every write builds the next state and publishes it with one
+    assignment to ``_cols``; every read unpacks ``_cols`` once and
+    writes nothing.  A read beside a write therefore sees the whole old
+    state or the whole new one — never one state's timestamps with
+    another's values — and a write beside a read is neither lost nor
+    torn.  :meth:`append` is the one-row case of :meth:`extend_batch`.
+
+    **Nothing below ``n`` is ever written in place.**  An in-order
+    write fills the columns at ``>= n`` before it publishes the larger
+    ``n``; everything that would change what is already there — growth
+    past capacity, an out-of-order or duplicate write, a retention
+    delete — builds new arrays.  A :meth:`scan` is therefore a snapshot
+    without a copy: a read-only view of the columns as they were, equal
+    for as long as it is held to the copy it could have been (and
+    keeping a superseded buffer alive for exactly that long).
 
     Two monotonic counters make the store's mutation history observable
     without scanning it (the serving layer's cache/refresh validity
@@ -77,70 +88,29 @@ class SeriesStore:
     ``reshapes``), at the same point: before the columns change.
     """
 
-    __slots__ = (
-        "_ts", "_vals", "_n", "_tail_ts", "_tail_vals", "_dirty",
-        "generation", "reshape_generation", "_metric",
-    )
+    __slots__ = ("_cols", "generation", "reshape_generation", "_metric")
 
     _INITIAL = 256
 
     def __init__(self, metric: MetricCounters | None = None) -> None:
-        self._ts = np.empty(self._INITIAL, dtype=np.int64)
-        self._vals = np.empty(self._INITIAL, dtype=np.float64)
-        self._n = 0
-        self._tail_ts: list[int] = []
-        self._tail_vals: list[float] = []
-        self._dirty = False
+        self._cols: tuple[np.ndarray, np.ndarray, int] = (
+            np.empty(self._INITIAL, dtype=np.int64),
+            np.empty(self._INITIAL, dtype=np.float64),
+            0,
+        )
         self.generation = 0
         self.reshape_generation = 0
         self._metric = MetricCounters() if metric is None else metric
 
     def __len__(self) -> int:
-        self._compact()
-        return self._n
-
-    @property
-    def approximate_size(self) -> int:
-        """Point count without forcing a compaction."""
-        return self._n + len(self._tail_ts)
+        return self._cols[2]
 
     def append(self, timestamp: int, value: float) -> None:
         """Add a point; out-of-order and duplicate timestamps are allowed."""
-        timestamp = int(timestamp)
-        self.generation += 1
-        self._metric.writes += 1
-        if self._n > 0 and not self._tail_ts and timestamp > int(self._ts[self._n - 1]):
-            self._append_sorted(timestamp, float(value))
-            return
-        if self._n == 0 and not self._tail_ts:
-            self._append_sorted(timestamp, float(value))
-            return
-        # Out-of-order or duplicate timestamp: already-seen data may be
-        # overwritten once the tail merges in.
-        self.reshape_generation += 1
-        self._metric.reshapes += 1
-        self._tail_ts.append(timestamp)
-        self._tail_vals.append(float(value))
-        self._dirty = True
-        if len(self._tail_ts) >= 1024:
-            self._compact()
-
-    def _append_sorted(self, timestamp: int, value: float) -> None:
-        if self._n == self._ts.shape[0]:
-            self._grow()
-        self._ts[self._n] = timestamp
-        self._vals[self._n] = value
-        self._n += 1
-
-    def _grow(self, minimum: int | None = None) -> None:
-        cap = max(self._INITIAL, self._ts.shape[0] * 2)
-        if minimum is not None:
-            cap = max(cap, minimum)
-        self._ts = np.resize(self._ts, cap)
-        self._vals = np.resize(self._vals, cap)
+        self.extend_batch((int(timestamp),), (float(value),))
 
     def extend_batch(self, timestamps, values) -> int:
-        """Bulk-append a column of points with one sorted merge.
+        """Bulk-append a column of points.
 
         Accepts arbitrary order and duplicates; within the batch, later
         rows win on duplicate timestamps, and the whole batch wins over
@@ -158,91 +128,62 @@ class SeriesStore:
             return 0
         self.generation += 1
         self._metric.writes += 1
+        col_ts, col_vals, size = self._cols
         in_order = n == 1 or bool(np.all(ts[1:] > ts[:-1]))
-        if (
-            in_order
-            and not self._tail_ts
-            and (self._n == 0 or int(ts[0]) > int(self._ts[self._n - 1]))
-        ):
-            # Fast path: the batch extends the sorted region directly.
-            need = self._n + n
-            if need > self._ts.shape[0]:
-                self._grow(minimum=need)
-            self._ts[self._n : need] = ts
-            self._vals[self._n : need] = vals
-            self._n = need
+        if in_order and (size == 0 or int(ts[0]) > int(col_ts[size - 1])):
+            # The batch extends the sorted region: fill past ``size``
+            # (in place while it fits), then publish.
+            need = size + n
+            if need > col_ts.shape[0]:
+                cap = max(self._INITIAL, col_ts.shape[0] * 2, need)
+                col_ts = np.resize(col_ts, cap)
+                col_vals = np.resize(col_vals, cap)
+            col_ts[size:need] = ts
+            col_vals[size:need] = vals
+            self._cols = (col_ts, col_vals, need)
             return n
         # The merge may rewrite already-seen history (conservatively so:
         # an internally unordered batch that still lands entirely past
         # the sorted region also takes this path).
         self.reshape_generation += 1
         self._metric.reshapes += 1
-        # Slow path: one stable merge of sorted region + tail + batch.
         merged_ts, merged_vals = _merge_last_wins(
-            [self._ts[: self._n], np.asarray(self._tail_ts, dtype=np.int64), ts],
-            [self._vals[: self._n], np.asarray(self._tail_vals, dtype=np.float64), vals],
+            [col_ts[:size], ts], [col_vals[:size], vals]
         )
-        self._ts = merged_ts
-        self._vals = merged_vals
-        self._n = int(merged_ts.shape[0])
-        self._tail_ts.clear()
-        self._tail_vals.clear()
-        self._dirty = False
+        self._cols = (merged_ts, merged_vals, int(merged_ts.shape[0]))
         return n
-
-    def _compact(self) -> None:
-        """Merge the unsorted tail into the sorted arrays, deduplicating.
-
-        On duplicate timestamps the most recently written value wins
-        (OpenTSDB overwrite semantics); within the tail, later appends win.
-        """
-        if not self._dirty:
-            return
-        merged_ts, merged_vals = _merge_last_wins(
-            [self._ts[: self._n], np.asarray(self._tail_ts, dtype=np.int64)],
-            [self._vals[: self._n], np.asarray(self._tail_vals, dtype=np.float64)],
-        )
-        self._ts = merged_ts
-        self._vals = merged_vals
-        self._n = int(merged_ts.shape[0])
-        self._tail_ts.clear()
-        self._tail_vals.clear()
-        self._dirty = False
 
     def scan(self, start: int | None = None, end: int | None = None) -> SeriesSlice:
         """Sorted slice of points with ``start <= t <= end`` (inclusive):
         a read-only snapshot of the columns (see the class docstring),
         not a copy — whoever keeps points past the request copies them."""
-        self._compact()
-        ts = self._ts[: self._n]
+        ts, vals, n = self._cols
+        ts = ts[:n]
         lo = 0 if start is None else int(ts.searchsorted(start, side="left"))
-        hi = self._n if end is None else int(ts.searchsorted(end, side="right"))
-        ts, vals = ts[lo:hi], self._vals[lo:hi]
+        hi = n if end is None else int(ts.searchsorted(end, side="right"))
+        ts, vals = ts[lo:hi], vals[lo:hi]
         ts.setflags(write=False)
         vals.setflags(write=False)
         return SeriesSlice(ts, vals)
 
     def latest(self) -> tuple[int, float] | None:
         """Most recent ``(timestamp, value)`` or None when empty."""
-        self._compact()
-        if self._n == 0:
+        ts, vals, n = self._cols
+        if n == 0:
             return None
-        return int(self._ts[self._n - 1]), float(self._vals[self._n - 1])
+        return int(ts[n - 1]), float(vals[n - 1])
 
     def delete_before(self, cutoff: int) -> int:
         """Drop points strictly older than ``cutoff``; returns count dropped."""
-        self._compact()
-        ts = self._ts[: self._n]
-        lo = int(ts.searchsorted(cutoff, side="left"))
+        ts, vals, n = self._cols
+        lo = int(ts[:n].searchsorted(cutoff, side="left"))
         if lo == 0:
             return 0
         self.generation += 1
         self.reshape_generation += 1
         self._metric.writes += 1
         self._metric.reshapes += 1
-        self._ts = self._ts[lo : self._n].copy()
-        self._vals = self._vals[lo : self._n].copy()
-        self._n -= lo
+        self._cols = (ts[lo:n].copy(), vals[lo:n].copy(), n - lo)
         return lo
 
 

@@ -59,7 +59,7 @@ def _columns(db) -> list[np.ndarray]:
     for metric in db.metrics():
         for key in db.series_for_metric(metric):
             series = db._series(key)
-            out += [series._ts, series._vals]
+            out += series._cols[:2]
     return out
 
 
@@ -97,8 +97,9 @@ def test_scans_copy_nothing_and_results_own_their_columns(db, monkeypatch):
     assert {id(series) for series, _ in scanned} == set(map(id, touched))
     for series, sl in scanned:
         assert len(sl) == POINTS - 1
-        assert np.shares_memory(sl.timestamps, series._ts)
-        assert np.shares_memory(sl.values, series._vals)
+        ts, vals, _ = series._cols
+        assert np.shares_memory(sl.timestamps, ts)
+        assert np.shares_memory(sl.values, vals)
         assert not sl.timestamps.flags.writeable
         assert not sl.values.flags.writeable
     assert sum(len(r.series) for r in results) == len(METRICS) * (2 + len(NODES))

@@ -53,6 +53,12 @@ class TestTsdbEdges:
         res = db.run(Query("m", 0, 10, downsample="5m-avg"))
         assert res.single().values.tolist() == [1.0]
 
+    def test_a_refused_put_leaves_no_series(self):
+        db = TSDB()
+        with pytest.raises(ValueError):
+            db.put("m", 5, "not a number")
+        assert db.series_count == 0 and db.metrics() == []
+
     def test_query_exact_boundaries(self):
         db = TSDB()
         db.put("m", 10, 1.0)

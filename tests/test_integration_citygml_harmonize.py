@@ -13,12 +13,15 @@ from repro.integration import (
     HereTrafficConnector,
     NiluStation,
     generate_city_model,
+    observation_metric,
+    observation_tags,
     parse_citygml,
     write_citygml,
 )
 from repro.sensors import RoadSegment, UrbanEnvironment
 from repro.simclock import DAY, HOUR, from_datetime
-from repro.tsdb import TSDB, Query
+from repro.tsdb import TSDB, Query, dumps
+from repro.tsdb.interface import StoreWrapper
 
 
 def ts(month=6, day=14, hour=0):
@@ -126,6 +129,32 @@ class TestHarmonizer:
         assert set(report.per_source) == {"nilu:NO1", "here:traffic"}
         assert "ext.no2_ugm3" in db.metrics()
         assert "ext.jam_factor" in db.metrics()
+
+    def test_one_batch_per_connector_fetch(self):
+        """Each connector's fetch lands as one ``put_batch`` (not one
+        per observation), and the store ends as per-point puts leave it."""
+
+        class Counting(StoreWrapper):
+            def __init__(self, store):
+                super().__init__(store)
+                self.batches = []
+
+            def put_batch(self, batch):
+                self.batches.append(len(batch))
+                return self._store.put_batch(batch)
+
+        env, db, h = self.make()
+        counting = h.db = Counting(db)
+        report = h.sync(ts(6, 14, 0), ts(6, 14, 6))
+        assert counting.batches == list(report.per_source.values())
+        assert sum(counting.batches) == report.points_written > 2
+
+        _, per_point, again = self.make()
+        for connector in again.connectors:
+            for obs in connector.fetch(ts(6, 14, 0), ts(6, 14, 6)):
+                per_point.put(observation_metric(obs), obs.timestamp,
+                              obs.value, observation_tags(obs))
+        assert dumps(db) == dumps(per_point)
 
     def test_provenance_tags(self):
         env, db, h = self.make()

@@ -205,7 +205,8 @@ def test_the_counters_move_before_the_columns_change(monkeypatch, path):
                              db.metric_reshape_generation("m.a")))
                 super().__setitem__(index, value)
 
-        store._ts = store._ts.view(Watched)
+        ts, vals, n = store._cols
+        store._cols = (ts.view(Watched), vals, n)
         db.put_column(key, np.array([200, 300]), np.array([2.0, 3.0]))
         assert seen and seen[0] == ("write", writes + 1, reshapes)
     else:

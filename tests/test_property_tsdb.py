@@ -309,7 +309,7 @@ _SNAP_PRELOAD = 10  # points per series before the first operation
 _snapshot_ops = st.lists(
     st.tuples(
         st.sampled_from((
-            "append", "late", "extend", "unordered", "grow", "compact",
+            "append", "late", "extend", "unordered", "grow", "read",
             "delete", "scan", "scan",
         )),
         st.integers(0, 2**16),
@@ -334,8 +334,8 @@ class _BareSeries:
     def delete(self, i, cutoff):
         self.series[i].delete_before(cutoff)
 
-    def compact(self, i):
-        self.series[i]._compact()
+    def read(self, i):
+        self.series[i].latest()
 
     def scan(self, i, lo, hi):
         return self.series[i].scan(lo, hi)
@@ -356,8 +356,8 @@ class _ThroughStore:
     def delete(self, i, cutoff):
         self.db.delete_series_before(_SNAP_KEYS[i], cutoff)
 
-    def compact(self, i):
-        self.db.series_latest(_SNAP_KEYS[i])  # reads compact first
+    def read(self, i):
+        self.db.series_latest(_SNAP_KEYS[i])
 
     def scan(self, i, lo, hi):
         return self.db.series_slice(_SNAP_KEYS[i], lo, hi)
@@ -381,7 +381,7 @@ def _drive_and_hold(target, ops, top: list[int]) -> list:
         if kind == "append":
             top[i] += int(rng.integers(1, 100))
             target.append(i, top[i], float(rng.normal()))
-        elif kind == "late":  # at or below the newest: the unsorted tail
+        elif kind == "late":  # at or below the newest: a one-row merge
             target.append(i, int(rng.integers(0, top[i] + 1)), float(rng.normal()))
         elif kind in ("extend", "grow"):  # in order; grow: past capacity
             n = 300 if kind == "grow" else int(rng.integers(1, 20))
@@ -393,8 +393,8 @@ def _drive_and_hold(target, ops, top: list[int]) -> list:
             ts = rng.integers(0, top[i] + 200, n)
             top[i] = max(top[i], int(ts.max()))
             target.extend(i, ts, rng.normal(size=n))
-        elif kind == "compact":
-            target.compact(i)
+        elif kind == "read":
+            target.read(i)
         elif kind == "delete":
             target.delete(i, int(rng.integers(0, top[i] + 2)))
         else:
@@ -421,9 +421,9 @@ def _assert_still_the_snapshots(held) -> None:
 
 
 class TestScanIsASnapshot:
-    """Nothing below ``_n`` is written in place, so the view a scan
+    """Nothing below a series' ``n`` is written in place, so the view a scan
     hands out equals, for as long as it is held, the copy it replaced —
-    whatever is appended, merged, grown, compacted or deleted after."""
+    whatever is appended, merged, grown, read or deleted after."""
 
     @given(_snapshot_ops)
     @settings(max_examples=150, deadline=None)

@@ -79,7 +79,7 @@ class TestCityIngress:
         assert writer.written == 250
         assert writer.pending == 0
         hub.drain_all()
-        assert store.exact_point_count() == 250
+        assert store.point_count == 250
         (key,) = store.series_for_metric("air.co2.ppm")
         assert key.tag("city") == "trondheim"
 
@@ -207,7 +207,7 @@ class TestBackpressure:
         assert ingress.stalled_points > 0
         assert hub.queue("trondheim").stats.refused_offers > 0
         hub.drain_all()
-        assert store.exact_point_count() == produced  # zero loss
+        assert store.point_count == produced  # zero loss
         assert hub.queue("trondheim").stats.dropped_points == 0
 
     def test_drop_oldest_accounts_exactly_and_keeps_newest(self):
@@ -219,7 +219,7 @@ class TestBackpressure:
         hub.drain_all()
         stats = hub.queue("trondheim").stats
         assert stats.dropped_points > 0
-        assert store.exact_point_count() == produced - stats.dropped_points
+        assert store.point_count == produced - stats.dropped_points
         # The newest measurement always survives drop-oldest.
         sl = store.series_slice(store.series_for_metric("air.co2.ppm")[0])
         assert int(sl.timestamps[-1]) == produced - 1
@@ -235,7 +235,7 @@ class TestBackpressure:
         )
         assert hub.queue("trondheim").stats.spilled_points > 0
         hub.drain_all()
-        assert store.exact_point_count() == produced  # zero loss
+        assert store.point_count == produced  # zero loss
         assert hub.queue("trondheim").spill_pending_points == 0
 
 
@@ -267,7 +267,7 @@ class TestEcosystemWiring:
         regional.run(2 * HOUR)
         regional.flush_region()
 
-        assert regional.db.exact_point_count() > 0
+        assert regional.db.point_count > 0
         assert dumps(regional.db) == dumps(direct.db)
         for city in ("trondheim", "vejle"):
             assert regional.hub.city_stats(city)["flushed_points"] > 0

@@ -227,7 +227,7 @@ class TestReplicationLog:
         log = ReplicationLog()
         teed = sum(log.append_segment(p) for p in spills)
         assert teed > 0
-        spilled_points = sum(load(p).exact_point_count() for p in spills)
+        spilled_points = sum(load(p).point_count for p in spills)
         assert log.appended_points == spilled_points
 
 
@@ -247,7 +247,7 @@ class TestReplicatedStore:
     def test_reads_and_introspection_delegate(self):
         primary = ReplicatedStore(TSDB())
         primary.put_batch(small_batch(1))
-        assert primary.exact_point_count() == 2
+        assert primary.point_count == 2
         assert primary.run(Query("air.co2.ppm", 0, 10_000)).series
         assert isinstance(primary.wrapped, TSDB)
 

@@ -126,7 +126,6 @@ def _layout_reads(db) -> dict:
     reads: dict = {
         "series_count": db.series_count,
         "point_count": db.point_count,
-        "exact_point_count": db.exact_point_count(),
         "metrics": db.metrics(),
         "run_many": wire.encode_response(db.run_many(_QUERIES)),
         "run": wire.encode_response([db.run(_QUERIES[0])]),

@@ -274,10 +274,10 @@ class TestCardinalityGuard:
     def test_rejection_is_atomic(self, shards):
         store = TSDB(max_tag_values=1)
         store.put("m.a", 1, 1.0, {"node": "n0"})
-        before = store.exact_point_count()
+        before = store.point_count
         with pytest.raises(CardinalityLimitError):
             store.put("m.a", 5, 9.0, {"node": "n1"})
-        assert store.exact_point_count() == before
+        assert store.point_count == before
         assert store.series_count == 1
         assert store.tag_values("m.a", "node") == ["n0"]
         assert _key("m.a", node="n1") not in store.catalog

@@ -122,7 +122,7 @@ class TestSeriesStore:
     def test_duplicate_across_compactions(self):
         s = SeriesStore()
         s.append(10, 1.0)
-        _ = s.scan()  # force compaction
+        _ = s.scan()  # a read between the two writes
         s.append(10, 2.0)
         assert s.scan().values.tolist() == [2.0]
 
@@ -147,7 +147,7 @@ class TestSeriesStore:
 
     def test_len_and_growth(self):
         s = SeriesStore()
-        n = 3000  # crosses the initial capacity and tail-compaction limits
+        n = 3000  # crosses the initial capacity several times
         for i in range(n):
             s.append(i, float(i))
         assert len(s) == n

@@ -177,7 +177,7 @@ class TestDeleteBeforeMarkers:
         entries = list(iter_segments(path))
         assert entries[-1] == DeleteBefore(2)
         assert w.written == 2  # markers are not points
-        assert load(path).exact_point_count() == 1
+        assert load(path).point_count == 1
 
     def test_replay_interleaved_batches_and_markers(self, tmp_path):
         """Log = batch block · marker · batch block · marker: the replay
@@ -283,4 +283,4 @@ class TestDeleteBeforeMarkers:
         with pytest.raises(SegmentCorruption, match="checksum"):
             load(path)
         db = load(path, strict=False)
-        assert db.exact_point_count() == 2  # the marker never applied
+        assert db.point_count == 2  # the marker never applied

@@ -228,7 +228,7 @@ class TestCorruptionRecovery:
             items = list(iter_segments(source, strict=False))
             assert [b.timestamps.min() for b in items] == [0, 200]
         for source in sources(path):
-            assert load(source, strict=False).exact_point_count() == 10
+            assert load(source, strict=False).point_count == 10
 
     def test_truncated_tail_recovery(self, tmp_path):
         """Unclean shutdown: a half-written final block is dropped, the
@@ -241,7 +241,7 @@ class TestCorruptionRecovery:
                 with pytest.raises(SegmentCorruption, match="truncated"):
                     list(iter_segments(source))
             for source in sources(path):
-                assert load(source, strict=False).exact_point_count() == 10
+                assert load(source, strict=False).point_count == 10
 
     def test_corrupted_length_field_keeps_clean_prefix(self, tmp_path):
         """Header damage is CRC-detected; a bogus length can't be
@@ -257,7 +257,7 @@ class TestCorruptionRecovery:
                 list(iter_segments(source))
         for source in sources(path):
             recovered = load(source, strict=False)
-            assert recovered.exact_point_count() == 5  # block 1 survives
+            assert recovered.point_count == 5  # block 1 survives
             assert sorted(stored_timestamps(recovered)) == list(range(5))
 
     def test_append_after_torn_tail_truncates_and_stays_readable(self, tmp_path):
@@ -273,7 +273,7 @@ class TestCorruptionRecovery:
                 PointBatch.from_points([make_point(ts=500 + i) for i in range(5)])
             )
         db = load(path)  # strict: the file is clean again
-        assert db.exact_point_count() == 15  # 2 clean blocks + 5 new
+        assert db.point_count == 15  # 2 clean blocks + 5 new
         assert sorted(stored_timestamps(db))[-1] == 504
 
     def test_corrupt_magic_recovers_without_decode_crash(self, tmp_path):
@@ -571,10 +571,10 @@ class TestDataportWalHook:
         with pytest.raises(OSError):
             writer.flush()
         assert writer.pending == 10  # retained, not lost
-        assert db.exact_point_count() == 0  # store untouched too
+        assert db.point_count == 0  # store untouched too
         assert writer.flush() == 10  # retry succeeds
         store.close()
-        assert db.exact_point_count() == 10
+        assert db.point_count == 10
         assert dumps(load(store.wal_path)) == dumps(db)
 
 
@@ -708,7 +708,7 @@ class TestDeleteSeriesBeforeMarker:
             fh.write(frame_block(BLOCK_MARKER, garbage))
         with pytest.raises(SegmentCorruption, match="series"):
             list(iter_segments(path))
-        assert load(path, strict=False).exact_point_count() == 1
+        assert load(path, strict=False).point_count == 1
 
 
 # -- hypothesis: crash recovery under arbitrary torn writes ---------------
@@ -923,7 +923,8 @@ class TestOneWalker:
         layer's one ``__getattr__`` pass-through is ``StoreWrapper``'s),
         no lossy-network model on the broker, and no second serving
         object: no hook under the result cache and no refresher apart
-        from the ``CachingStore``."""
+        from the ``CachingStore``; no unsorted tail under a series, so
+        no compaction on read and no approximate point count."""
         import ast
         import dataclasses
         import inspect
@@ -1006,6 +1007,17 @@ class TestOneWalker:
         assert IncrementalRefresher(caching) is caching
         assert not hasattr(QueryServer(TSDB()), "refresher")
         assert "spliced" not in CacheStats().as_dict()
+        # ... and one published state per series: no unsorted tail for
+        # a read to merge in, so no read writes and every count is exact.
+        from repro.tsdb.series import SeriesStore
+
+        for name in ("_compact", "approximate_size", "_append_sorted"):
+            assert not hasattr(SeriesStore, name), name
+        assert SeriesStore.__slots__ == (
+            "_cols", "generation", "reshape_generation", "_metric",
+        )
+        for cls in (StoreApi, TimeSeriesStore, TSDB):
+            assert not hasattr(cls, "exact_point_count"), cls
         store_layer = {
             *Path(repro.tsdb.__file__).parent.rglob("*.py"),
             *(Path(inspect.getsourcefile(c)) for c in (CachingStore, ReplicatedStore)),
@@ -1054,8 +1066,8 @@ class TestOneWalker:
 
         def adopt_and_drain():
             queue = AsyncBatchQueue(10, "spill", spill_dir=tmp_path)
-            assert queue.spill_pending_points == db.exact_point_count()
-            assert len(queue.drain()) == db.exact_point_count()
+            assert queue.spill_pending_points == db.point_count
+            assert len(queue.drain()) == db.point_count
 
         consumers = {
             "load": lambda: load(wal),

@@ -127,7 +127,7 @@ class TestEquivalence:
     def test_counts_and_catalog(self, n):
         single, sharded = build_pair(n)
         assert sharded.series_count == single.series_count
-        assert sharded.exact_point_count() == single.exact_point_count()
+        assert sharded.point_count == single.point_count
         assert sharded.write_count == single.write_count
         assert sharded.metrics() == single.metrics()
         for metric in single.metrics():
@@ -250,7 +250,7 @@ def test_snapshot_restores_into_any_shard_count(tmp_path, n, m):
     _, sharded = build_pair(n)
     path = tmp_path / "snap.seg"
     before = set(threading.enumerate())
-    assert snapshot(sharded, path) == sharded.exact_point_count()
+    assert snapshot(sharded, path) == sharded.point_count
     restored = load(path, into=TSDB())
     restored.run_many(QUERIES)
     assert set(threading.enumerate()) == before
@@ -264,7 +264,7 @@ class TestPerShardPersistence:
         _, sharded = build_pair(4)
         path = tmp_path / "snap.seg"
         total = snapshot(sharded, path)
-        assert total == sharded.exact_point_count()
+        assert total == sharded.point_count
         restored = load(path, into=TSDB())
         assert dumps(restored) == dumps(sharded)
         assert series_columns(restored) == series_columns(sharded)
@@ -366,7 +366,7 @@ def _observables(db) -> dict:
     answers, its series and point counts, and its snapshot bytes."""
     return {
         "catalog": _catalog_answers(db),
-        "counts": (db.series_count, db.exact_point_count()),
+        "counts": (db.series_count, db.point_count),
         "dumps": dumps(db),
     }
 
