@@ -62,7 +62,10 @@ test-query:
 # nothing stale); the house property driven through the look-up phase and, only when a miss
 # is left, the run phase, exact repeats drawn; and the per-metric
 # short-cut ≡ the per-series check under interleaved writes through
-# the store stack.
+# the store stack; and a client that reads none of its replies stalls
+# no other client of its tenant (block and drop-oldest).  Its socket
+# timeouts bound it; in CI the test job's timeout-minutes (45) bounds
+# the whole run, so a wedged serving test fails instead of hanging.
 serve-test:
 	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_conditional.py tests/test_serve_splice.py tests/test_refresh_costs.py tests/test_metric_counters.py tests/test_tsdb_wire.py
 

@@ -421,11 +421,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import io
     import signal
+    from functools import partial
 
     from .serve import QueryServer, TenantPolicy
+    from .tsdb import TSDB
 
     if args.compact_every is not None and not args.wal:
         raise SystemExit("serve: --compact-every requires --wal PATH")
+    if args.compact_every is not None and not args.compact_every > 0:
+        raise SystemExit("serve: --compact-every must be positive")
+    try:  # refused before the simulation, in the server's own words
+        policy = TenantPolicy(
+            max_pending=args.max_pending,
+            backpressure=args.backpressure,
+            parallelism=args.parallelism,
+        )
+        make_server = partial(
+            QueryServer, host=args.host, port=args.port, default_policy=policy,
+            cache_capacity=args.cache_capacity,
+            max_match_series=args.max_match_series,
+        )
+        make_server(TSDB())  # an empty store stands in for the city
+    except ValueError as exc:
+        raise SystemExit(f"serve: {exc}")
 
     eco, city = _build(args.city, args.hours, args.seed)
     store = city.db
@@ -449,19 +467,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # appends, so replaying the file rebuilds the served store.
         snapshot(store, args.wal)
         store = durable = DurableStore(store, args.wal)
-    policy = TenantPolicy(
-        max_pending=args.max_pending,
-        backpressure=args.backpressure,
-        parallelism=args.parallelism,
-    )
-    server = QueryServer(
-        store,
-        host=args.host,
-        port=args.port,
-        default_policy=policy,
-        cache_capacity=args.cache_capacity,
-        max_match_series=args.max_match_series,
-    )
+    server = make_server(store)
 
     async def _main() -> None:
         shipper = None

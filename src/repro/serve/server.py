@@ -57,6 +57,12 @@ The region's third, ``spill``, goes to disk segments there; a lane has
 no disk to spill to, so a server refuses it rather than grow without
 bound under its name.
 
+A lane never waits on a client: it writes each reply line into the
+connection's buffer, and the connection reads its client's next line
+only once the client has read what is buffered.  A client that stops
+reading its replies stops being read, alone; its tenant's other clients
+are served.
+
 A request's path splits at the result cache
 (:meth:`~repro.serve.refresh.CachingStore.look_up` /
 :meth:`~repro.serve.refresh.CachingStore.finish`).  The event
@@ -78,7 +84,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -105,9 +110,12 @@ class TenantPolicy:
     """One tenant's admission contract with the query server.
 
     ``max_pending`` bounds the lane's queued-but-not-yet-running
-    requests; ``backpressure`` picks the overflow behaviour (``block``
-    or ``drop-oldest``, as in the region fan-in queues); ``parallelism``
-    is how many of the tenant's requests may execute concurrently;
+    requests; ``backpressure`` picks the overflow behaviour (``block``:
+    a full lane stops reading the submitting socket; ``drop-oldest``:
+    the oldest queued request is answered ``Overloaded``), and neither
+    waits on a client: one that does not read its replies stops being
+    read, alone; ``parallelism`` is how many of the tenant's requests
+    may execute concurrently;
     ``max_match_series`` caps how many series one of the tenant's
     queries may fan out over — it overrides the server-wide limit for
     this lane (tighter *or* looser), so one tenant's wildcard storms
@@ -138,18 +146,14 @@ class TenantPolicy:
 class _Job:
     """One admitted request: payload in, one reply line out."""
 
-    __slots__ = (
-        "payload", "held", "id_json", "tenant", "writer", "write_lock",
-        "forms",
-    )
+    __slots__ = ("payload", "held", "id_json", "tenant", "writer", "forms")
 
-    def __init__(self, payload, held, id_json, tenant, writer, write_lock):
+    def __init__(self, payload, held, id_json, tenant, writer):
         self.payload = payload
         self.held = held  # what the client holds per query, or None
         self.id_json = id_json  # the request id's JSON text, or None
         self.tenant = tenant
         self.writer = writer
-        self.write_lock = write_lock
         self.forms: list[str] = []  # the form of each result entry sent
 
 
@@ -193,32 +197,22 @@ class _Threads:
 
 
 class _Lane:
-    """Per-tenant request queue with explicit backpressure."""
+    """Per-tenant request queue with explicit backpressure; a job is
+    done once its reply is written, so ``queue.join()`` drains it."""
 
     def __init__(self, name: str, policy: TenantPolicy) -> None:
         self.name = name
         self.policy = policy
-        self.queue: deque[_Job] = deque()
+        self.queue: asyncio.Queue[_Job] = asyncio.Queue(policy.max_pending)
         self.workers: list[asyncio.Task] = []
-        self.has_work = asyncio.Event()
-        self.not_full = asyncio.Event()
-        self.not_full.set()
         self.admitted = 0
         self.dropped = 0
-        self.in_flight = 0  # popped from the queue, reply not yet sent
-
-    def depth(self) -> int:
-        return len(self.queue)
-
-    def idle(self) -> bool:
-        """Nothing queued and nothing executing: safe to cancel."""
-        return not self.queue and self.in_flight == 0
 
     def stats(self) -> dict:
         return {
             "admitted": self.admitted,
             "dropped": self.dropped,
-            "depth": self.depth(),
+            "depth": self.queue.qsize(),
             "policy": self.policy.backpressure.value,
         }
 
@@ -302,20 +296,16 @@ class QueryServer:
             await self._server.wait_closed()
             self._server = None
         if drain:
-            loop = asyncio.get_running_loop()
-            deadline = None if timeout is None else loop.time() + timeout
-            while any(not lane.idle() for lane in self._lanes.values()):
-                if deadline is not None and loop.time() >= deadline:
-                    break
-                await asyncio.sleep(0.005)
+            try:
+                async with asyncio.timeout(timeout):
+                    for lane in list(self._lanes.values()):
+                        await lane.queue.join()
+            except TimeoutError:
+                pass
         for lane in self._lanes.values():
             for task in lane.workers:
                 task.cancel()
-            for task in lane.workers:
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
+            await asyncio.gather(*lane.workers, return_exceptions=True)
             lane.workers.clear()
         self._threads.shutdown()
 
@@ -345,49 +335,42 @@ class QueryServer:
         return lane
 
     async def _admit(self, lane: _Lane, job: _Job) -> None:
-        policy = lane.policy
-        if lane.depth() >= policy.max_pending:
-            if policy.backpressure is Backpressure.BLOCK:
-                # Stop reading this connection until the lane drains —
-                # the submitting client feels it as TCP backpressure.
-                while lane.depth() >= policy.max_pending:
-                    lane.not_full.clear()
-                    await lane.not_full.wait()
-            else:  # DROP_OLDEST
-                oldest = lane.queue.popleft()
-                lane.dropped += 1
-                await self._reply(
-                    oldest,
-                    _error_dict(
-                        "Overloaded",
-                        f"dropped by drop-oldest admission "
-                        f"(tenant {lane.name!r} backlog "
-                        f"{policy.max_pending})",
-                    ),
-                )
-        lane.queue.append(job)
+        queue = lane.queue
+        if lane.policy.backpressure is Backpressure.BLOCK:
+            # A full lane stops reading this connection until a slot
+            # frees — the submitting client feels it as TCP backpressure.
+            await queue.put(job)
+        elif queue.full():  # DROP_OLDEST
+            oldest = queue.get_nowait()
+            queue.put_nowait(job)
+            queue.task_done()  # the oldest is answered below, at once
+            lane.dropped += 1
+            self._reply(
+                oldest,
+                _error_dict(
+                    "Overloaded",
+                    f"dropped by drop-oldest admission "
+                    f"(tenant {lane.name!r} backlog "
+                    f"{lane.policy.max_pending})",
+                ),
+            )
+        else:
+            queue.put_nowait(job)
         lane.admitted += 1
-        lane.has_work.set()
 
     async def _pump(self, lane: _Lane) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            while not lane.queue:
-                lane.has_work.clear()
-                await lane.has_work.wait()
-            job = lane.queue.popleft()
-            lane.in_flight += 1
+            job = await lane.queue.get()
             try:
-                if lane.depth() < lane.policy.max_pending:
-                    lane.not_full.set()
                 response = self._look_up(job)
                 if callable(response):  # work left: the one thread hop
                     response = await self._threads.run(response)
-                elif lane.queue:
+                elif not lane.queue.empty():
                     # answered on the loop thread with more queued: let
                     # the other lanes and connections in first
                     await asyncio.sleep(0)
-                await self._reply(job, response)
+                self._reply(job, response)
             except Exception as exc:
                 # A reply that cannot be written must not take the
                 # lane's worker with it: requests admitted later would
@@ -398,7 +381,7 @@ class QueryServer:
                     "exception": exc,
                 })
             finally:
-                lane.in_flight -= 1
+                lane.queue.task_done()
 
     # -- execution -------------------------------------------------------
     def _look_up(self, job: _Job) -> bytes | dict | Callable[[], bytes | dict]:
@@ -482,32 +465,28 @@ class QueryServer:
                     limit=limit,
                 )
 
-    async def _reply(self, job: _Job, response: bytes | dict) -> None:
+    def _reply(self, job: _Job, response: bytes | dict) -> None:
+        """Write one whole line; the connection's handler drains it."""
         if isinstance(response, dict) and "error" in response:
             self.errors += 1
         line = wire.reply_line(response, job.id_json)
-        async with job.write_lock:
-            if job.writer.is_closing():
-                return
-            # counted before the write: whoever reads this reply and
-            # then ``stats()`` finds it there
-            for form in job.forms:
-                self.replies[form] += 1
-            self.replies["bytes"] += len(line)
-            job.writer.write(line)
-            try:
-                await job.writer.drain()
-            except ConnectionError:
-                pass
+        if job.writer.is_closing():
+            return
+        # counted before the write: whoever reads this reply and then
+        # ``stats()`` finds it there
+        for form in job.forms:
+            self.replies[form] += 1
+        self.replies["bytes"] += len(line)
+        job.writer.write(line)
 
     # -- connections -----------------------------------------------------
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        write_lock = asyncio.Lock()
         try:
             while not self._stopping:
                 try:
+                    await writer.drain()  # a client not reading: not read
                     line = await reader.readuntil(b"\n")
                 except asyncio.IncompleteReadError as exc:
                     line = exc.partial  # end of stream: the last line, if any
@@ -517,7 +496,7 @@ class QueryServer:
                     self.requests += 1
                     self._refuse(
                         f"request line is over the {MAX_LINE_BYTES}-byte limit",
-                        writer, write_lock,
+                        writer,
                     )
                     if await _skip_line(reader, exc.consumed):
                         continue
@@ -533,7 +512,7 @@ class QueryServer:
                 # Counted here, on the loop thread, with ``errors``: one
                 # per request line, each of which gets exactly one reply.
                 self.requests += 1
-                job = self._parse_line(line, writer, write_lock)
+                job = self._parse_line(line, writer)
                 if job is None:
                     continue  # error already replied; connection lives on
                 await self._admit(self._lane(job.tenant), job)
@@ -544,7 +523,7 @@ class QueryServer:
             except ConnectionError:
                 pass
 
-    def _parse_line(self, line: bytes, writer, write_lock) -> "_Job | None":
+    def _parse_line(self, line: bytes, writer) -> "_Job | None":
         """Envelope parsing; replies with a wire error on junk input."""
         bad: str | None = None
         payload = None
@@ -581,15 +560,15 @@ class QueryServer:
                 except (ValueError, RecursionError) as exc:
                     bad = f"'id' cannot be echoed as JSON: {exc}"
         if bad is not None:
-            self._refuse(bad, writer, write_lock)
+            self._refuse(bad, writer)
             return None
-        return _Job(payload, held, id_json, tenant, writer, write_lock)
+        return _Job(payload, held, id_json, tenant, writer)
 
-    def _refuse(self, message: str, writer, write_lock) -> None:
+    def _refuse(self, message: str, writer) -> None:
         """Answer one request line with a ``WireError`` naming ``message``."""
-        stub = _Job(None, None, None, "public", writer, write_lock)
-        asyncio.get_running_loop().create_task(
-            self._reply(stub, wire.encode_error(wire.WireError(message)))
+        self._reply(
+            _Job(None, None, None, "public", writer),
+            wire.encode_error(wire.WireError(message)),
         )
 
 

@@ -214,3 +214,31 @@ class TestCompactCommand:
             main(["compact", "--help"])
         assert exc.value.code == 0
         assert "director" not in capsys.readouterr().out
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("argv, message", [
+        (["--parallelism", "0"], "parallelism must be positive"),
+        (["--max-pending", "-1"], "max_pending must be positive"),
+        (["--cache-capacity", "0"], "capacity must be positive"),
+        (["--max-match-series", "0"], "max_match_series must be positive"),
+        (["--compact-every", "0"], "--compact-every must be positive"),
+        (["--compact-every", "-1"], "--compact-every must be positive"),
+    ], ids=["parallelism", "max-pending", "cache-capacity", "max-match-series",
+            "compact-every-0", "compact-every-negative"])
+    def test_a_bad_setting_is_refused_before_the_city_is_simulated(
+            self, tmp_path, monkeypatch, argv, message):
+        """One ``serve: …`` line, exit 1, and no simulation (at the parent
+        the first four ended in a traceback after it, and a zero
+        ``--compact-every`` was accepted and spun)."""
+        import repro.cli
+
+        def simulate(*args):
+            raise AssertionError("the city was simulated")
+
+        monkeypatch.setattr(repro.cli, "_build", simulate)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0",
+                  "--wal", str(tmp_path / "serve.wal"), *argv])
+        assert str(exc.value.code) == f"serve: {message}"
+        assert not any(tmp_path.iterdir())

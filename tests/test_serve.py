@@ -564,6 +564,48 @@ class TestQueryServer:
         assert all(r["error"]["type"] == "Overloaded" for r in dropped)
         assert stats["tenants"]["public"]["dropped"] == len(dropped)
 
+    @pytest.mark.parametrize("backpressure", ["block", "drop-oldest"])
+    def test_a_client_that_reads_nothing_stalls_no_other(self, backpressure):
+        """Client A sends eight requests for a 400 000-point series and
+        reads nothing; client B, on A's tenant, is answered all the same
+        (at the parent the lane's worker waited for A to read, and B got
+        no reply under either policy).  Once A reads, each of its lines
+        has exactly one reply, results or ``Overloaded``, and the
+        server's counters agree with the replies seen."""
+        n = 400_000
+        store = _seeded(TSDB())
+        store.put_series("big", np.arange(n) * 10, np.ones(n), {"node": "a"})
+        big = "".join(_request_line([Query("big", 0, n * 10)], id=i)
+                      for i in range(8))
+        one_point = _request_line(
+            [Query("air.co2.ppm", 0, 1, tags={"node": "a"})], id="b")
+        policy = TenantPolicy(max_pending=2, backpressure=backpressure,
+                              parallelism=1)
+        with live_server(store, default_policy=policy) as server:
+            with socket.create_connection(server.address, timeout=30) as a, \
+                    a.makefile("rb") as a_file:
+                a.sendall(big.encode())
+                time.sleep(0.5)  # A's lines are in before B's
+                with socket.create_connection(server.address, timeout=5) as b, \
+                        b.makefile("rb") as b_file:
+                    b.sendall(one_point.encode())
+                    b_reply = json.loads(b_file.readline())
+                a_replies = [json.loads(a_file.readline()) for _ in range(8)]
+            stats = server.stats()
+        assert b_reply["id"] == "b"
+        assert b_reply["results"][0]["scannedPoints"] == 1
+        assert sorted(r["id"] for r in a_replies) == list(range(8))
+        dropped = [r for r in a_replies if "error" in r]
+        assert all(r["error"]["type"] == "Overloaded" for r in dropped)
+        assert all(len(r["results"][0]["series"]) == 1
+                   for r in a_replies if "error" not in r)
+        if backpressure == "block":
+            assert not dropped
+        assert stats["requests"] == 9
+        assert stats["errors"] == len(dropped)
+        assert stats["tenants"]["public"]["dropped"] == len(dropped)
+        assert stats["tenants"]["public"]["admitted"] == 9
+
     def test_spill_admission_is_refused(self):
         # The region's spill goes to disk; a lane has none, so the
         # server offers block / drop-oldest only.
@@ -1120,7 +1162,7 @@ class TestLoopThreadAnswers:
 
 def _job(queries):
     """A plain request as the server's lane hands it over."""
-    return _Job(wire.encode_request(queries), None, None, "public", None, None)
+    return _Job(wire.encode_request(queries), None, None, "public", None)
 
 
 def _finish(answer):

@@ -371,7 +371,9 @@ def _observables(db) -> dict:
     }
 
 
-@pytest.mark.parametrize("n", SHARD_COUNTS)
+# ``n`` is unused and the examples derandomized: ``[1]`` runs what its
+# retired ``[2]`` / ``[4]`` / ``[7]`` twins ran.
+@pytest.mark.parametrize("n", (1,))
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(limit=st.sampled_from((1, 2, 3)), ops=st.lists(_GUARD_OPS, max_size=25))
 def test_the_guard_and_counters_are_the_single_stores(n, limit, ops):
