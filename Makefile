@@ -30,7 +30,9 @@ test-persist:
 # The query-engine gate: run/run_many results byte-identical to the
 # seed run() path, wire codec round-trips, and the one normalized query
 # identity (any spelling of a query is that query, exact-integer
-# windows, mistyped wire fields refused in band).
+# windows, mistyped wire fields refused in band), and strict decoding
+# through a warm intern (a dict decodes as it would cold, whatever
+# twin of it was decoded first).
 test-query:
 	$(PYTHON) -m pytest -q tests/test_tsdb_plan.py tests/test_tsdb_wire.py tests/test_tsdb_query.py
 
@@ -39,7 +41,8 @@ test-query:
 # per-tenant admission control, wire error paths, and conditional
 # replies (a holding client ≡ encode_response, the columnar dict form,
 # with tails spliced as base64 text; an unchanged dashboard costs
-# look-ups, a cold reply no call per point, as counts; a request that
+# look-ups — no query built on the server, none encoded by the client,
+# nothing digested — and a cold reply no call per point, as counts; a request that
 # still sends "refresh" gets the same bytes); the one request path,
 # tests/test_serve_splice.py (a reply built from held buckets plus head
 # and tail edges ≡ inner.run_many, scannedPoints included, under
@@ -63,7 +66,8 @@ test-query:
 # is left, the run phase, exact repeats drawn; and the per-metric
 # short-cut ≡ the per-series check under interleaved writes through
 # the store stack; and a client that reads none of its replies stalls
-# no other client of its tenant (block and drop-oldest).  Its socket
+# no other client of its tenant (block and drop-oldest), and a client
+# that half-closes after its last line is still answered.  Its socket
 # timeouts bound it; in CI the test job's timeout-minutes (45) bounds
 # the whole run, so a wedged serving test fails instead of hanging.
 serve-test:

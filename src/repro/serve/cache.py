@@ -61,8 +61,11 @@ a conditional reply needs (a client that says what it holds is answered
 and column bytes on the series object itself, made once per series
 object — so it lives exactly as long as the cached result that holds
 the series — and :func:`entry_validator` names an entry's whole
-``series`` array by the digests of its members, so a hit by a holding
-client costs a few look-ups and one short hash, never a pass
+``series`` array by the digests of its members.  :func:`result_validator`
+keeps that name on the result object in turn, so it is computed once per
+cached result: a holding client's re-poll decodes to the same interned
+queries (:func:`~repro.tsdb.wire.decode_query`), is answered the cached
+results themselves, and reads each validator back — no hash and no pass
 over the reply.  The validator is a *content* digest rather than a
 per-process serial: it needs no state, it survives a reconnect, a
 server restart and a failover to a byte-identical follower, and a
@@ -86,6 +89,8 @@ from ..tsdb.wire import CatalogRequest
 #: hash and repr do not see them.
 _TAG_ATTR = "_wire_tag"
 _TAIL_ATTR = "_wire_tail"
+#: Where a result keeps its entry validator.
+_VALIDATOR_ATTR = "_wire_validator"
 
 #: Panel shapes kept at each end of a connection: the serving store
 #: keeps this many panels' state, a client this many panels' last reply
@@ -127,6 +132,18 @@ def entry_validator(series: Sequence[ResultSeries]) -> str:
     """The validator of one reply entry's ``series`` array: 32 hex
     characters, equal for two arrays only if their text is equal."""
     return _validator([series_tag(s) for s in series])
+
+
+def result_validator(res: QueryResult) -> str:
+    """:func:`entry_validator` of ``res.series``, taken once per result
+    object and kept on it, as :func:`series_tag` keeps its digest: a
+    result the cache answers again is the same object (a repeat of an
+    interned query, see :func:`~repro.tsdb.wire.decode_query`), so its
+    validator is named once for as long as the cache holds it."""
+    name = res.__dict__.get(_VALIDATOR_ATTR)
+    if name is None:
+        name = res.__dict__[_VALIDATOR_ATTR] = entry_validator(res.series)
+    return name
 
 
 def remember_series_tail(s: ResultSeries, prev_tag: bytes, kept: int) -> None:

@@ -21,9 +21,10 @@ JSON protocol of :mod:`repro.serve.server`:
 - **batched multi-query calls** — :meth:`request` ships a whole
   dashboard as one request line, so the server plans it as one batch;
 - **replies proportional to what changed** — the client keeps the last
-  reply entry per panel *shape* (the query minus its window) and says
-  so: every query request carries the ``"held"`` envelope field, one
-  validator or ``null`` per query.  The server answers an entry it can
+  reply entry per panel, keyed by :attr:`~repro.tsdb.query.Query.panel`
+  (the query minus its window), and says so: every query request
+  carries the ``"held"`` envelope field, one validator or ``null`` per
+  query.  The server answers an entry it can
   tell is unchanged with ``"notModified": true`` and one that only
   grew with its ``"tail"``; the client puts the held series back, so
   callers see whole replies of the usual shape and none of this.  A
@@ -53,7 +54,7 @@ from .cache import HELD_PANELS, BoundedLRU
 
 
 class _Held:
-    """The last reply entry received for one panel shape."""
+    """The last reply entry received for one panel."""
 
     __slots__ = ("validator", "series")
 
@@ -62,14 +63,21 @@ class _Held:
         self.series = series  # the entry's parsed ``series``, handed out
 
 
-def _panel_shape(encoded: dict) -> str:
-    """Panel identity of an encoded query: everything but its window —
-    the client-side twin of :attr:`repro.tsdb.query.Query.panel`.
-    (:func:`~repro.tsdb.wire.encode_query` emits its keys, tags and
-    ``groupBy`` in one order, so the text needs no sorting.)"""
-    return json.dumps(
-        {k: v for k, v in encoded.items() if k not in ("start", "end")}
-    )
+#: Where a query keeps its wire dict: the instance dict, which equality,
+#: hash and repr do not see.
+_WIRE_ATTR = "_wire_query"
+
+
+def _wire_query(q: Query) -> dict:
+    """``q``'s wire dict (:func:`~repro.tsdb.wire.encode_query`), made
+    once per query object and kept on it: a query is immutable, and a
+    dashboard re-polls the same objects.  Shared by every request that
+    sends ``q``, so read-only."""
+    encoded = q.__dict__.get(_WIRE_ATTR) if isinstance(q, Query) else None
+    if encoded is None:
+        encoded = wire.encode_query(q)  # WireError for a non-query
+        q.__dict__[_WIRE_ATTR] = encoded
+    return encoded
 
 
 def _extend(held: _Held, tails, validator: str) -> _Held | None:
@@ -143,7 +151,7 @@ class QueryClient:
         self._sock: socket.socket | None = None
         self._file = None
         self._next_id = 0
-        self._held: BoundedLRU = BoundedLRU(HELD_PANELS)  # shape -> _Held
+        self._held: BoundedLRU = BoundedLRU(HELD_PANELS)  # Query.panel -> _Held
 
     # -- connection lifecycle --------------------------------------------
     def connect(self) -> None:
@@ -196,9 +204,12 @@ class QueryClient:
         replies for the same panel: **read-only**.
         """
         # ``refresh`` is ignored: the frozen benchmarks/e2e workloads pass it.
-        envelope = wire.encode_request(queries)
-        shapes = [_panel_shape(q) for q in envelope["queries"]]
-        was_held = [self._held.use(shape) for shape in shapes]
+        envelope = {
+            "version": wire.WIRE_VERSION,
+            "queries": [_wire_query(q) for q in queries],
+        }
+        panels = [q.panel for q in queries]
+        was_held = [self._held.use(panel) for panel in panels]
         envelope["held"] = [h and h.validator for h in was_held]
         response = self._call(envelope)
         if isinstance(response, dict) and "results" in response:
@@ -207,8 +218,9 @@ class QueryClient:
             except WireError:
                 self._distrust()
                 raise
-            for shape, held in zip(shapes, now_held):
-                self._held.put(shape, held)
+            for panel, was, held in zip(panels, was_held, now_held):
+                if held is not was:  # else ``use`` made it the newest
+                    self._held.put(panel, held)
         return response
 
     def _distrust(self) -> None:

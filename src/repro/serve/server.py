@@ -61,7 +61,9 @@ A lane never waits on a client: it writes each reply line into the
 connection's buffer, and the connection reads its client's next line
 only once the client has read what is buffered.  A client that stops
 reading its replies stops being read, alone; its tenant's other clients
-are served.
+are served.  A connection closes only once every line it admitted is
+answered, so a client that half-closes after its last line still reads
+every reply.
 
 A request's path splits at the result cache
 (:meth:`~repro.serve.refresh.CachingStore.look_up` /
@@ -94,7 +96,7 @@ from ..tsdb import wire
 from ..tsdb.catalog import CardinalityLimitError
 from ..tsdb.model import InvalidName
 from ..tsdb.query import QueryError
-from .cache import CatalogCache, entry_tail, entry_validator
+from .cache import CatalogCache, entry_tail, result_validator
 from .refresh import CachingStore, Request
 
 #: Longest validator a request may name in ``held`` (ours are 32 chars).
@@ -143,10 +145,31 @@ class TenantPolicy:
             )
 
 
+class _Owed:
+    """The lines a connection has admitted and not yet answered, so that
+    its handler closes it only once each has its reply."""
+
+    __slots__ = ("count", "_settled")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self._settled: asyncio.Future | None = None
+
+    def paid(self) -> None:
+        self.count -= 1
+        if not self.count and self._settled is not None:
+            self._settled.set_result(None)
+
+    async def settled(self) -> None:
+        if self.count:
+            self._settled = asyncio.get_running_loop().create_future()
+            await self._settled
+
+
 class _Job:
     """One admitted request: payload in, one reply line out."""
 
-    __slots__ = ("payload", "held", "id_json", "tenant", "writer", "forms")
+    __slots__ = ("payload", "held", "id_json", "tenant", "writer", "forms", "owed")
 
     def __init__(self, payload, held, id_json, tenant, writer):
         self.payload = payload
@@ -155,6 +178,13 @@ class _Job:
         self.tenant = tenant
         self.writer = writer
         self.forms: list[str] = []  # the form of each result entry sent
+        self.owed: _Owed | None = None  # its connection's, once admitted
+
+    def settle(self) -> None:
+        """Its reply is written or will never be: the connection may
+        close as far as this job goes."""
+        if self.owed is not None:
+            self.owed.paid()
 
 
 class _Threads:
@@ -307,6 +337,8 @@ class QueryServer:
                 task.cancel()
             await asyncio.gather(*lane.workers, return_exceptions=True)
             lane.workers.clear()
+            while not lane.queue.empty():  # abandoned: never answered
+                lane.queue.get_nowait().settle()
         self._threads.shutdown()
 
     def stats(self) -> dict:
@@ -354,6 +386,7 @@ class QueryServer:
                     f"{lane.policy.max_pending})",
                 ),
             )
+            oldest.settle()
         else:
             queue.put_nowait(job)
         lane.admitted += 1
@@ -382,6 +415,7 @@ class QueryServer:
                 })
             finally:
                 lane.queue.task_done()
+                job.settle()
 
     # -- execution -------------------------------------------------------
     def _look_up(self, job: _Job) -> bytes | dict | Callable[[], bytes | dict]:
@@ -413,7 +447,7 @@ class QueryServer:
         text = wire.encode_response_json(
             self.caching.finish(request),
             held=job.held,
-            validator=entry_validator,
+            validator=result_validator,
             tail=entry_tail,
             forms=forms,
         )
@@ -483,6 +517,7 @@ class QueryServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        owed = _Owed()
         try:
             while not self._stopping:
                 try:
@@ -515,7 +550,13 @@ class QueryServer:
                 job = self._parse_line(line, writer)
                 if job is None:
                     continue  # error already replied; connection lives on
+                job.owed = owed
+                owed.count += 1
                 await self._admit(self._lane(job.tenant), job)
+            # End of stream (a client that half-closes after its last
+            # line still reads), or a stop: every admitted line is
+            # answered before the connection closes, which flushes it.
+            await owed.settled()
         finally:
             writer.close()
             try:

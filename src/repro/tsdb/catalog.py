@@ -79,12 +79,15 @@ class BoundedLRU(OrderedDict):
 
     def use(self, key):
         """The value under ``key``, now the most recently used; None
-        when absent (or dropped by another thread meanwhile)."""
-        try:
-            self.move_to_end(key)
-            return self[key]
-        except KeyError:
-            return None
+        when absent.  A miss raises nothing: on a dashboard whose
+        window moves, every look-up misses."""
+        value = self.get(key)
+        if value is not None:
+            try:
+                self.move_to_end(key)
+            except KeyError:  # dropped by another thread meanwhile
+                pass
+        return value
 
     def put(self, key, value) -> int:
         """Set ``key`` as the most recently used; returns how many

@@ -67,7 +67,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .catalog import CardinalityLimitError
+from .catalog import BoundedLRU, CardinalityLimitError
 from .model import InvalidName
 from .query import Query, QueryError, QueryResult
 
@@ -130,12 +130,66 @@ def encode_request(queries: Sequence[Query]) -> dict:
     }
 
 
+#: Decoded queries kept by :func:`decode_query`: four times the panels
+#: a serving store keeps state for (``serve.cache.HELD_PANELS``).
+INTERNED_QUERIES = 1024
+
+_interned: BoundedLRU = BoundedLRU(INTERNED_QUERIES)
+
+#: JSON's scalar types, each kept apart from the others in a key.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _typed_key(v):
+    """``v`` — parsed JSON — as a hashable key in which every value
+    carries its exact type: ``1``, ``1.0`` and ``true`` are equal in
+    Python but three different keys here.  An object keeps its key
+    order, and nested objects and lists their nesting.  Raises
+    :class:`TypeError` for a value of any other type (a tuple, a
+    mapping other than ``dict``)."""
+    t = type(v)
+    if t is dict:
+        values = v.values()
+    elif t is list:
+        values = v
+    elif t in _SCALARS:
+        return t, v
+    else:
+        raise TypeError(f"not a JSON value: {t.__name__}")
+    # scalars inline, as (type, value): one call per object or list
+    typed = tuple([(type(x), x) if type(x) in _SCALARS else _typed_key(x)
+                   for x in values])
+    return (t, tuple(v), typed) if t is dict else (t, typed)
+
+
 def decode_query(obj: Mapping) -> Query:
     """One wire dict back into a planner query (strict field checking).
 
     The values go to :class:`Query` as JSON gave them: it owns what a
     valid query is, and its :class:`QueryError` comes back as
-    :class:`WireError`."""
+    :class:`WireError`.
+
+    Decoded queries are interned: a dict equal, type for type, to one
+    decoded before returns that same :class:`Query` (immutable, so
+    shareable) without validating it again — a re-polled panel costs one
+    key and one look-up.  The key is the dict's values with their exact
+    JSON types, in key order, nested lists and objects included; a dict
+    with a value of any other type (or nested too deep to key) is
+    decoded uncached.  Only queries that decoded are kept (the last
+    :data:`INTERNED_QUERIES`), so a refused dict is refused every
+    time."""
+    try:
+        key = _typed_key(obj)
+    except (TypeError, RecursionError):
+        return _decode_query(obj)
+    q = _interned.use(key)
+    if q is None:
+        q = _decode_query(obj)
+        _interned.put(key, q)
+    return q
+
+
+def _decode_query(obj: Mapping) -> Query:
     if not isinstance(obj, Mapping):
         raise WireError(f"query must be an object, got {type(obj).__name__}")
     unknown = set(obj) - _QUERY_FIELDS
@@ -281,10 +335,11 @@ def encode_response_json(
 
     ``held`` makes the reply conditional: aligned with ``results``, it
     names per entry the ``series`` array the client says it still holds
-    (None: nothing).  ``validator`` maps an entry's series to the name
-    of their content, and the reply gains ``"validators"``, aligned with
-    ``"results"``.  An entry whose validator equals what is held is
-    answered ``"notModified": true`` in place of its ``"series"``;
+    (None: nothing).  ``validator`` maps a result to the name of its
+    series' content (a result iterates its series), and the reply gains
+    ``"validators"``, aligned with ``"results"``.  An entry whose
+    validator equals what is held is answered ``"notModified": true`` in
+    place of its ``"series"``;
     otherwise ``tail`` (if given) maps ``(series, held validator)`` to
     one ``keep`` per series when the series extend the held ones — each
     series' first ``keep`` points (a multiple of 3) are the held
@@ -301,7 +356,7 @@ def encode_response_json(
         out.append(b"{")
         form, keeps = "full", None
         if held is not None:
-            name = validator(res.series)
+            name = validator(res)
             validators.append(name)
             if name == held[i]:
                 form = "not_modified"

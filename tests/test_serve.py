@@ -606,6 +606,33 @@ class TestQueryServer:
         assert stats["tenants"]["public"]["dropped"] == len(dropped)
         assert stats["tenants"]["public"]["admitted"] == 9
 
+    @pytest.mark.parametrize("backpressure", ["block", "drop-oldest"])
+    def test_a_client_that_half_closes_is_still_answered(self, backpressure):
+        """A client sends its last lines, half-closes (``shutdown(SHUT_WR)``,
+        as ``nc -N`` does) and reads: every line it sent is answered
+        before the server closes.  At the parent the handler closed the
+        connection at end of stream and the lane's reply for the
+        400 000-point series was dropped: 0 bytes back, ``requests`` 1."""
+        n = 400_000
+        store = TSDB()
+        store.put_series("big", np.arange(n) * 10, np.ones(n), {"node": "a"})
+        store.put("small", 0, 1.0, {"node": "a"})
+        lines = (_request_line([Query("big", 0, n * 10)], id=1)
+                 + _request_line([Query("small", 0, 10)], id=2))
+        policy = TenantPolicy(backpressure=backpressure)
+        with live_server(store, default_policy=policy) as server:
+            with socket.create_connection(server.address, timeout=30) as sock, \
+                    sock.makefile("rb") as file:
+                sock.sendall(lines.encode())
+                sock.shutdown(socket.SHUT_WR)
+                replies = [json.loads(line) for line in file]
+            stats = server.stats()
+        assert sorted(r["id"] for r in replies) == [1, 2]
+        by_id = {r["id"]: r for r in replies}
+        assert by_id[1]["results"][0]["scannedPoints"] == n
+        assert by_id[2]["results"][0]["scannedPoints"] == 1
+        assert stats["requests"] == 2 and stats["errors"] == 0
+
     def test_spill_admission_is_refused(self):
         # The region's spill goes to disk; a lane has none, so the
         # server offers block / drop-oldest only.
@@ -963,6 +990,30 @@ class TestGracefulStop:
             await server.stop(drain=False)
 
         asyncio.run(run())  # returns promptly; nothing hangs
+
+    def test_hard_stop_releases_a_half_closed_connection(self):
+        """A connection waits for its admitted lines' replies once its
+        client half-closes; a hard stop abandons the queued ones, and
+        the handler must not wait for them forever."""
+        store = _seeded(_SlowStore())
+        policy = TenantPolicy(parallelism=1)
+        server = QueryServer(store, port=0, default_policy=policy)
+        line = _request_line([Query("air.co2.ppm", 0, 4000)]).encode()
+
+        async def run():
+            await server.start()
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(line * 4)
+            writer.write_eof()
+            while server.stats()["tenants"].get("public", {}).get("admitted", 0) < 4:
+                await asyncio.sleep(0.01)
+            await server.stop(drain=False)
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            _, stuck = await asyncio.wait(handlers, timeout=5)
+            writer.close()
+            return stuck
+
+        assert asyncio.run(run()) == set()
 
 
 # -- the encode-once reply path ---------------------------------------------

@@ -13,7 +13,8 @@ answers *not modified* or *the tail*, and nobody can tell.
   ``wire.decode_response``, whose arrays are the inner store's bit for
   bit;
 - **costs as counts**: an unchanged 12-panel dashboard is answered in
-  under 2 KB with nothing encoded, digested or decoded, a grown one in
+  under 2 KB with nothing encoded, digested or decoded and no query
+  built on the server or encoded by the client, a grown one in
   proportion to the delta and with no base64 decoded, and a cold reply
   costs one column encode per series and no call per point;
 - **a server that lies** gets a :class:`WireError` — from the client,
@@ -263,10 +264,14 @@ class _Costs:
         self.columns_read = 0  # column bytes made: to encode or digest
         self.bytes_digested = 0
         self.decodes = 0
+        self.queries_built = 0  # Query objects constructed
+        self.queries_encoded = 0  # wire.encode_query calls
         real_encode_columns = wire.encode_columns
         real_columns = wire.columns
         real_blake2b = cache_module.blake2b
         real_b64decode = base64.b64decode
+        real_post_init = Query.__post_init__
+        real_encode_query = wire.encode_query
 
         def encode_columns(ts, vals):
             self.series_encoded += 1
@@ -284,14 +289,24 @@ class _Costs:
             self.decodes += 1
             return real_b64decode(text, **kwargs)
 
+        def post_init(q):
+            self.queries_built += 1
+            real_post_init(q)
+
+        def encode_query(q):
+            self.queries_encoded += 1
+            return real_encode_query(q)
+
         monkeypatch.setattr(wire, "encode_columns", encode_columns)
         monkeypatch.setattr(wire, "columns", columns)
         monkeypatch.setattr(cache_module, "blake2b", blake2b)
         monkeypatch.setattr(base64, "b64decode", b64decode)
+        monkeypatch.setattr(Query, "__post_init__", post_init)
+        monkeypatch.setattr(wire, "encode_query", encode_query)
 
     def reset(self) -> None:
         self.series_encoded = self.columns_read = self.bytes_digested = 0
-        self.decodes = 0
+        self.decodes = self.queries_built = self.queries_encoded = 0
 
 
 def _delta(after: dict, before: dict) -> dict:
@@ -318,6 +333,7 @@ class TestCosts:
             assert costs.series_encoded == series
             assert costs.columns_read == 2 * series
             assert costs.decodes == 0  # ``request`` decodes nothing
+            assert costs.queries_encoded == 12  # each kept on its query
             assert server.stats()["replies"] == {
                 "full": 12, "not_modified": 0, "tail": 0,
                 "bytes": len(full_line)}
@@ -330,8 +346,11 @@ class TestCosts:
             assert len(line) < 2_000 and b'"series"' not in line
             assert line.count(b'"notModified": true') == 12
             assert costs.series_encoded == costs.columns_read == 0
-            # the entry validators alone: sixteen bytes per series
-            assert costs.bytes_digested == 16 * series
+            # each entry's validator is kept on its cached result, each
+            # decoded query interned, each query's wire dict kept
+            assert costs.bytes_digested == 0
+            assert costs.queries_built == 0
+            assert costs.queries_encoded == 0
             assert _delta(after["cache"], before["cache"]) == {
                 "hits": 12, "misses": 0, "invalidated": 0, "evicted": 0,
                 "skipped": 0}
@@ -639,8 +658,7 @@ def test_a_tail_extends_what_is_held_and_leaves_it_alone():
                      "t": _b64([0, 1, 2, 3, 4], "<i8"),
                      "v": _b64([0.0, 1.0, 2.0, 2.5, np.nan], "<f8")}]
     assert list(first.series[0].values) == [0.0, 1.0, 2.0, 3.0]
-    assert client._held.use(client_module._panel_shape(
-        wire.encode_query(q))).validator == "v2"
+    assert client._held.use(q.panel).validator == "v2"
 
 
 # -- the refresher's panel table --------------------------------------------
@@ -691,11 +709,11 @@ def _assert_refresh_is_exact(inner, refresher, panels, *, one_at_a_time=False,
     the dict codec on the innermost store — as a dict and as bytes,
     ``scannedPoints`` included — and every entry's validator is that of
     a from-scratch result.  With ``holds``
-    (panel shape → validator and series, carried between calls) the
+    (Query.panel → validator and series, carried between calls) the
     reply is the one a holding client gets, put back together the way
     :class:`QueryClient` does it: held series, or held columns spliced
     with the tail as text."""
-    shapes = [client_module._panel_shape(wire.encode_query(q)) for q in panels]
+    shapes = [q.panel for q in panels]
     held = [None] * len(panels)
     if holds is not None:
         held = [holds.get(shape, (None,))[0] for shape in shapes]

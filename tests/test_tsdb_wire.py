@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tsdb import Query, TSDB, WireError
+from repro.tsdb.catalog import BoundedLRU
 from repro.tsdb.wire import RemoteQueryError, WIRE_VERSION, handle_request
 from repro.tsdb import wire
 
@@ -92,6 +93,156 @@ def test_an_expr_query_is_refused_naming_its_fields(q, formula):
     request["queries"].pop()
     (decoded,) = wire.decode_request(json.dumps(request))
     assert decoded == q
+
+
+# -- the decode intern ------------------------------------------------------
+
+#: JSON values that are equal in Python across types (``1 == 1.0 ==
+#: True``), their string spellings, and nested shapes.
+_SWAPS = st.sampled_from([
+    1, 1.0, True, "1", None, 0, 0.0, False, "", "true", [], ["node"],
+    [["node"]], {"node": "1"}, {"node": 1}, {"node": True}, {"node": ["1"]},
+])
+
+
+def _retyped(v) -> list:
+    """JSON values equal to ``v`` in Python but of another type."""
+    if type(v) is bool:
+        return [int(v), float(v)]
+    if type(v) is int:
+        return [float(v)] + ([bool(v)] if v in (0, 1) else [])
+    if type(v) is float and v.is_integer():
+        return [int(v)] + ([bool(v)] if v in (0, 1) else [])
+    return []
+
+
+@st.composite
+def dicts_around_a_query(draw):
+    """A valid query's wire dict (its window sometimes at 0 or 1, which
+    equal ``false`` and ``true``), then variants of it: a field retyped
+    to an equal value of another JSON type, fields swapped for other
+    values, unknown fields added, fields dropped, nested lists and
+    mistyped values in ``tags``, and keys in the base's order or a
+    drawn one."""
+    base = wire.encode_query(draw(queries()))
+    if draw(st.booleans()):
+        base["start"] = draw(st.sampled_from((0, 1)))
+        base["end"] = base["start"] + draw(st.sampled_from((0, 1, 60)))
+    out = [base]
+    for _ in range(draw(st.integers(1, 6))):
+        d = dict(base)
+        for _ in range(draw(st.integers(1, 3))):
+            op = draw(st.sampled_from(
+                ("retype", "retype", "swap", "extra", "drop", "tags")))
+            retypable = sorted(k for k in d if _retyped(d[k]))
+            if op == "retype" and retypable:
+                field = draw(st.sampled_from(retypable))
+                d[field] = draw(st.sampled_from(_retyped(d[field])))
+            elif op == "swap":
+                d[draw(st.sampled_from(sorted(wire._QUERY_FIELDS)))] = draw(_SWAPS)
+            elif op == "extra":
+                d[draw(st.sampled_from(("expr", "Metric", "x")))] = draw(_SWAPS)
+            elif op == "drop" and d:
+                del d[draw(st.sampled_from(sorted(d)))]
+            elif op == "tags":
+                tags = d.get("tags")
+                d["tags"] = {**(tags if isinstance(tags, dict) else {}),
+                             draw(names): draw(st.one_of(
+                                 tag_values, _SWAPS, st.lists(names, max_size=2)))}
+        if draw(st.booleans()):  # else in the base's order, as a client sends it
+            d = {k: d[k] for k in draw(st.permutations(sorted(d)))}
+        out.append(d)
+    return out
+
+
+def _outcome(d):
+    """What decoding ``d`` gives: the query (and its repr, which shows
+    every normalized field), or the refusal and its message."""
+    try:
+        q = wire.decode_query(d)
+    except WireError as exc:
+        return "WireError", str(exc)
+    return q, repr(q)
+
+
+@pytest.fixture()
+def fresh_intern(monkeypatch):
+    """An empty intern for the test; the module's is put back after."""
+    monkeypatch.setattr(wire, "_interned", BoundedLRU(wire.INTERNED_QUERIES))
+
+
+def _cold(d):
+    """:func:`_outcome` through an empty intern."""
+    warm = wire._interned
+    wire._interned = BoundedLRU(wire.INTERNED_QUERIES)
+    try:
+        return _outcome(d)
+    finally:
+        wire._interned = warm
+
+
+@settings(max_examples=200, deadline=None)
+@given(dicts=dicts_around_a_query())
+def test_a_warm_intern_decodes_as_a_cold_one(dicts):
+    """Whatever was decoded before — a valid twin equal to a mistyped
+    dict in Python, the same fields in another order — decoding through
+    the warm intern gives what a cold decode gives: an equal query, or
+    the same ``WireError`` with the same message."""
+    warm = wire._interned
+    wire._interned = BoundedLRU(wire.INTERNED_QUERIES)
+    try:
+        for d in dicts:  # warm it with every twin that decodes
+            _outcome(d)
+        for d in dicts:
+            assert _outcome(d) == _cold(d)
+            assert _outcome(d) == _cold(d)  # a second ask is the same
+    finally:
+        wire._interned = warm
+
+
+class TestIntern:
+    @pytest.mark.parametrize("field,valid,refused,named", [
+        ("rate", True, 1, "rate"),
+        ("start", 1, True, "integer timestamp"),
+        ("tags", {"node": "1"}, {"node": 1}, "tags"),
+    ])
+    def test_a_mistyped_twin_is_refused_after_its_valid_twin(
+            self, fresh_intern, db, field, valid, refused, named):
+        """``1 == True`` and ``{"node": 1} == {"node": True}`` in
+        Python, but each refused dict stays refused in band, every time,
+        after its valid twin has been decoded and interned."""
+        good = {"metric": "air.co2.ppm", "start": 0, "end": 4000, field: valid}
+        bad = {**good, field: refused}
+        response = handle_request(db, {"version": WIRE_VERSION, "queries": [good]})
+        assert "error" not in response
+        q = wire.decode_query(good)
+        assert wire.decode_query(json.loads(json.dumps(good))) is q
+        for _ in range(2):
+            with pytest.raises(WireError, match=named):
+                wire.decode_query(bad)
+            response = handle_request(
+                db, {"version": WIRE_VERSION, "queries": [bad]})
+            assert response["error"]["type"] == "WireError"
+            assert named in response["error"]["message"]
+        assert len(wire._interned) == 1  # a refusal is never kept
+
+    def test_a_repeat_is_the_same_query_and_a_respelling_an_equal_one(
+            self, fresh_intern):
+        d = {"metric": "m", "start": 0, "end": 60, "tags": {"a": "1", "b": "2"}}
+        q = wire.decode_query(d)
+        assert wire.decode_query(json.loads(json.dumps(d))) is q
+        # another key order or an integral float: another key, an equal query
+        other = {"tags": {"b": "2", "a": "1"}, "end": 60.0, "start": 0,
+                 "metric": "m"}
+        assert wire.decode_query(other) == q
+        assert wire.decode_query(other) is not q
+        assert len(wire._interned) == 2
+
+    def test_a_value_of_no_json_type_is_decoded_uncached(self, fresh_intern):
+        d = {"metric": "m", "start": 0, "end": 60, "groupBy": ("node",)}
+        q = wire.decode_query(d)
+        assert wire.decode_query(d) == q and wire.decode_query(d) is not q
+        assert len(wire._interned) == 0
 
 
 @settings(max_examples=50, deadline=None)
