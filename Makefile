@@ -42,7 +42,12 @@ test-query:
 # replies (a holding client ≡ encode_response, the columnar dict form,
 # with tails spliced as base64 text; an unchanged dashboard costs
 # look-ups — no query built on the server, none encoded by the client,
-# nothing digested — and a cold reply no call per point, as counts; a request that
+# nothing digested — and a cold reply no call per point, as counts; a
+# slid wall costs its head — one small column encode per series, no
+# base64 decoded by the client, the same bytes digested over 6 h as over
+# 24 h — and a move onto the bucket grid answers its off-grid cuts in
+# full; a lying splice is refused; no validator a client holds ever
+# names two texts under the property, a sliding wall included; a request that
 # still sends "refresh" gets the same bytes); the one request path,
 # tests/test_serve_splice.py (a reply built from held buckets plus head
 # and tail edges ≡ inner.run_many, scannedPoints included, under

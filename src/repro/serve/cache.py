@@ -57,23 +57,35 @@ A reply is encoded from the result's columns each time it is sent
 base64 per column, nothing per point), so no reply text is kept.  What
 a conditional reply needs (a client that says what it holds is answered
 *not modified* or *the tail*, see :mod:`repro.serve.server`) is kept:
-:func:`series_tag` leaves a 16-byte content digest of a series' head
-and column bytes on the series object itself, made once per series
-object — so it lives exactly as long as the cached result that holds
-the series — and :func:`entry_validator` names an entry's whole
-``series`` array by the digests of its members.  :func:`result_validator`
-keeps that name on the result object in turn, so it is computed once per
-cached result: a holding client's re-poll decodes to the same interned
-queries (:func:`~repro.tsdb.wire.decode_query`), is answered the cached
-results themselves, and reads each validator back — no hash and no pass
-over the reply.  The validator is a *content* digest rather than a
-per-process serial: it needs no state, it survives a reconnect, a
-server restart and a failover to a byte-identical follower, and a
-re-computed series that came out the same is still *not modified*.
+:func:`series_tag` leaves a 16-byte tag of a series on the series object
+itself, made once per series object — so it lives exactly as long as the
+cached result that holds the series — and :func:`entry_validator` names
+an entry's whole ``series`` array by the tags of its members.
+:func:`result_validator` keeps that name on the result object in turn,
+so it is computed once per cached result: a holding client's re-poll
+decodes to the same interned queries
+(:func:`~repro.tsdb.wire.decode_query`), is answered the cached results
+themselves, and reads each validator back — no hash and no pass over the
+reply.
+
+A tag names a series' text; it is not a per-process serial.  A series
+spliced from one whose tag was known
+(:func:`remember_series_origin`) is named by a digest of the origin's
+tag, the kept run, the head count, the tail's length and its own head
+and tail column bytes; every other series by a digest of its head and
+whole columns (its content).  The two digests are domain-separated.
+Equal tags imply equal text, by any path and in any process; equal text
+no longer implies equal tags: a panel recomputed in full after an
+eviction, a restart or a failover is sent whole once, where a content
+digest alone could have answered it *not modified*.  A splice that
+changed no value keeps its origin's tag (:func:`remember_series_held`),
+so a panel whose edges came out the same is still *not modified*.  A
+slid or grown panel's tags cost its edges, not its history.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import asdict, dataclass
 from hashlib import blake2b
 from typing import Sequence
@@ -88,7 +100,9 @@ from ..tsdb.wire import CatalogRequest
 #: spliced from: the instance dict, not dataclass fields, so equality,
 #: hash and repr do not see them.
 _TAG_ATTR = "_wire_tag"
-_TAIL_ATTR = "_wire_tail"
+_ORIGIN_ATTR = "_wire_origin"
+#: A splice's four counts in its tag: ``a``, ``b``, ``h``, the tail's length.
+_SPLICE = struct.Struct("<4q")
 #: Where a result keeps its entry validator.
 _VALIDATOR_ATTR = "_wire_validator"
 
@@ -104,8 +118,16 @@ def cached_series_tag(s: ResultSeries) -> bytes | None:
 
 
 def series_tag(s: ResultSeries) -> bytes:
-    """A 16-byte digest of ``s``'s head and column bytes — equal for two
-    series only if their wire text is — taken once per series object.
+    """A 16-byte tag of ``s`` — equal for two series only if their wire
+    text is — taken once per series object.
+
+    A series spliced from one whose tag was known
+    (:func:`remember_series_origin`) is named by its splice: a digest of
+    the origin's tag, the kept run ``[a, b)``, the head count ``h``, the
+    tail's length and the head's and tail's own column bytes — its
+    edges, whatever the length of its history.  Every other series is
+    named by its content: a digest of its head and whole columns.  The
+    two digests are kept apart by their personalization.
 
     Planner results are immutable, and ``run_batch`` re-wraps a cached
     :class:`QueryResult` per request but shares its ``series`` tuple, so
@@ -115,10 +137,24 @@ def series_tag(s: ResultSeries) -> bytes:
     """
     tag = cached_series_tag(s)
     if tag is None:
-        # the head as ``repr`` text: as exact as its JSON, a third the cost
-        head = (s.metric, tuple(sorted(s.group_tags.items())))
-        digest = blake2b(repr(head).encode(), digest_size=16)
-        for column in wire.columns(s.timestamps, s.values):
+        origin = s.__dict__.get(_ORIGIN_ATTR)
+        if origin is None:
+            # the head as ``repr`` text: as exact as its JSON, a third the cost
+            head = (s.metric, tuple(sorted(s.group_tags.items())))
+            digest = blake2b(repr(head).encode(), digest_size=16)
+            columns = wire.columns(s.timestamps, s.values)
+        else:
+            prev_tag, a, b, h = origin
+            ts, vals = s.timestamps, s.values
+            rest = h + b - a
+            digest = blake2b(
+                prev_tag + _SPLICE.pack(a, b, h, len(ts) - rest),
+                digest_size=16, person=b"splice",
+            )
+            # the edges' own bytes (a splice's columns are fresh, so
+            # contiguous): equal bytes give equal text, NaN bits and all
+            columns = (ts[:h], vals[:h], ts[rest:], vals[rest:])
+        for column in columns:
             digest.update(column)
         tag = s.__dict__[_TAG_ATTR] = digest.digest()
     return tag
@@ -146,21 +182,48 @@ def result_validator(res: QueryResult) -> str:
     return name
 
 
-def remember_series_tail(s: ResultSeries, prev_tag: bytes, kept: int) -> None:
-    """Note that ``s``'s first ``kept`` points are those of the series
-    whose :func:`series_tag` is ``prev_tag``."""
-    s.__dict__[_TAIL_ATTR] = (prev_tag, kept - kept % 3)
+def remember_series_origin(
+    s: ResultSeries, prev_tag: bytes, a: int, b: int, h: int
+) -> None:
+    """Note that ``s`` is ``h`` points of its own, then the points
+    ``[a, b)`` of the series whose :func:`series_tag` is ``prev_tag``,
+    then points of its own."""
+    s.__dict__[_ORIGIN_ATTR] = (prev_tag, a, b, h)
 
 
-def entry_tail(series: Sequence[ResultSeries], held: str) -> list[int] | None:
-    """The *tail* form of an entry for a client holding ``held`` — per
-    series, how many leading points (a multiple of 3) the client keeps
-    — or None unless every series was spliced from the array ``held``
-    names (same series, same order)."""
-    tails = [s.__dict__.get(_TAIL_ATTR) for s in series]
-    if None in tails or _validator([t[0] for t in tails]) != held:
+def remember_series_held(s: ResultSeries, prev_tag: bytes) -> None:
+    """Note that ``s``'s text is that of the series whose
+    :func:`series_tag` is ``prev_tag``: ``s`` is named by that tag, and
+    is the whole of it spliced with nothing."""
+    s.__dict__[_TAG_ATTR] = prev_tag
+    remember_series_origin(s, prev_tag, 0, len(s), 0)
+
+
+def _cut(origin: tuple) -> tuple[int, int, int] | None:
+    """Where a splice's columns can be cut as base64 text: the held run
+    narrowed to ``[ceil3(a), floor3(b))`` and the head widened by what
+    that drops at its start — or None when the head then is not whole
+    groups of three or nothing is kept."""
+    _, a, b, h = origin
+    lo, hi = -(-a // 3) * 3, b // 3 * 3
+    if (h - a) % 3 or hi < lo:
         return None
-    return [keep for _, keep in tails]
+    return lo, hi, h + lo - a
+
+
+def entry_tail(
+    series: Sequence[ResultSeries], held: str
+) -> list[tuple[int, int, int]] | None:
+    """The *tail* form of an entry for a client holding ``held`` — per
+    series, the cut ``(a, b, h)`` of
+    :func:`~repro.tsdb.wire.encode_response_json` — or None unless every
+    series was spliced from the array ``held`` names (same series, same
+    order) at a cut its text allows."""
+    origins = [s.__dict__.get(_ORIGIN_ATTR) for s in series]
+    if None in origins or _validator([o[0] for o in origins]) != held:
+        return None
+    cuts = [_cut(o) for o in origins]
+    return None if None in cuts else cuts
 
 
 @dataclass

@@ -25,8 +25,10 @@ JSON protocol of :mod:`repro.serve.server`:
   (the query minus its window), and says so: every query request
   carries the ``"held"`` envelope field, one validator or ``null`` per
   query.  The server answers an entry it can
-  tell is unchanged with ``"notModified": true`` and one that only
-  grew with its ``"tail"``; the client puts the held series back, so
+  tell is unchanged with ``"notModified": true``, and one spliced from
+  the held one — grown, slid, or both — with its ``"tail"``: per series,
+  the held run to keep and the head and tail around it; the client
+  splices the held columns as text and puts the series back, so
   callers see whole replies of the usual shape and none of this.  A
   pre-``held`` server answers such a request with its in-band
   ``unknown request fields`` error.
@@ -80,6 +82,27 @@ def _wire_query(q: Query) -> dict:
     return encoded
 
 
+def _head(t: dict):
+    """A splice element's ``keep`` and head columns: an int ``keep`` and
+    no head, or a pair of ints and a ``"head"`` of two strings of equal
+    length — else None."""
+    keep, head = t.get("keep"), t.get("head")
+    if type(keep) is int:
+        return None if head is not None else (keep, "", "")
+    if (
+        type(keep) is not list
+        or len(keep) != 2
+        or type(keep[0]) is not int
+        or type(keep[1]) is not int
+        or type(head) is not dict
+    ):
+        return None
+    t_head, v_head = head.get("t"), head.get("v")
+    if type(t_head) is str and type(v_head) is str and len(t_head) == len(v_head):
+        return keep, t_head, v_head
+    return None
+
+
 def _extend(held: _Held, tails, validator: str) -> _Held | None:
     """What ``held`` becomes under a *tail* entry's ``tail`` array, or
     None if that does not fit it.
@@ -94,10 +117,10 @@ def _extend(held: _Held, tails, validator: str) -> _Held | None:
     for prev, t in zip(held.series, tails):
         if not isinstance(t, dict) or not isinstance(prev, dict):
             return None
-        keep, t_tail, v_tail = t.get("keep"), t.get("t"), t.get("v")
+        spec, t_tail, v_tail = _head(t), t.get("t"), t.get("v")
         t_held, v_held = prev.get("t"), prev.get("v")
         if (
-            type(keep) is not int
+            spec is None
             or type(t_tail) is not str
             or type(v_tail) is not str
             or type(t_held) is not str
@@ -105,8 +128,9 @@ def _extend(held: _Held, tails, validator: str) -> _Held | None:
             or len(t_tail) != len(v_tail)
         ):
             return None
-        t_now = wire.splice_column(t_held, keep, t_tail)
-        v_now = wire.splice_column(v_held, keep, v_tail)
+        keep, t_head, v_head = spec
+        t_now = wire.splice_column(t_held, keep, t_tail, t_head)
+        v_now = wire.splice_column(v_held, keep, v_tail, v_head)
         if t_now is None or v_now is None:
             return None
         series.append({**prev, "t": t_now, "v": v_now})

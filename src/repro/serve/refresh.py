@@ -147,14 +147,18 @@ its last head was scanned in counts nothing, and neither does a live
 panel — start fixed, a minute written, the end moved — whose cut did
 not move; one whose cut crossed a bucket counts the crossed buckets.
 
-A spliced series also notes what it was spliced *from*
-(:func:`~repro.serve.cache.remember_series_tail`: the previous series'
-content digest and how many of its points were kept), when its start
-did not move and a conditional reply has ever named the previous
-series — so a client that says it holds the previous reply is sent the
-tail alone, from the last multiple of three kept points on, the cut its
-base64 columns can be spliced at as text
-(:func:`~repro.tsdb.wire.splice_column`).
+Every spliced series also notes what it was spliced *from*, when a
+conditional reply has ever named the previous series
+(:func:`~repro.serve.cache.remember_series_origin`: the previous
+series' tag, the held run ``[a, b)`` it kept and its head count ``h``),
+whether the start moved, the end moved or both; a splice that changed no
+value is the previous series' text and keeps its tag
+(:func:`~repro.serve.cache.remember_series_held`).  A client that says
+it holds the previous reply is then sent the splice alone — the head,
+and the tail past the kept run, cut where its base64 columns can be
+spliced as text (:func:`~repro.tsdb.wire.splice_column`) — and the
+series is named by its edges
+(:func:`~repro.serve.cache.series_tag`).
 """
 
 from __future__ import annotations
@@ -175,7 +179,8 @@ from .cache import (
     ValidatorView,
     _freeze,
     cached_series_tag,
-    remember_series_tail,
+    remember_series_held,
+    remember_series_origin,
 )
 
 
@@ -226,9 +231,9 @@ def _splice(
     tail: SeriesSlice | None,
     keep_from: int | None,
     cut: int,
-) -> SeriesSlice:
+) -> tuple[SeriesSlice, int, int]:
     """The head's instants, the held ones in ``[keep_from, cut)``, then
-    the tail's.
+    the tail's; and the held positions ``a, b`` of that kept run.
 
     ``keep_from=None`` keeps the held prefix untrimmed (the window start
     did not move, so the held head is already exactly the query's head —
@@ -243,9 +248,26 @@ def _splice(
         for part in (head, SeriesSlice(ts[a:b], held.values[a:b]), tail)
         if part is not None
     ]
-    return SeriesSlice(
+    spliced = SeriesSlice(
         np.concatenate([part.timestamps for part in parts]),
         np.concatenate([part.values for part in parts]),
+    )
+    return spliced, a, b
+
+
+def _unchanged(new: SeriesSlice, held: SeriesSlice, a: int, b: int, h: int) -> bool:
+    """Is a splice (``h`` head points, the held ``[a, b)``, a tail) the
+    held series bit for bit?  Only its edges are compared: the kept run
+    must sit where it was held (``a == h``) in a series of the same
+    length."""
+    if a != h or len(new) != len(held):
+        return False
+    nv, hv, nt, ht = new.values, held.values, new.timestamps, held.timestamps
+    return (
+        nv[:h].tobytes() == hv[:h].tobytes()
+        and nv[b:].tobytes() == hv[b:].tobytes()
+        and nt[:h].tobytes() == ht[:h].tobytes()
+        and nt[b:].tobytes() == ht[b:].tobytes()
     )
 
 
@@ -621,19 +643,23 @@ class CachingStore(StoreWrapper):
             for prev, h, t in zip(
                 st.result.series, _slices(head, n), _slices(tail, n), strict=True
             ):
+                columns, a, b = _splice(h, prev.slice, t, plan.keep_from, plan.cut)
+                n_head = 0 if h is None else len(h)
+                prev_tag = cached_series_tag(prev)
+                unchanged = prev_tag is not None and _unchanged(
+                    columns, prev.slice, a, b, n_head
+                )
                 spliced = ResultSeries(
                     metric=prev.metric,
                     group_tags=prev.group_tags,
-                    slice=_splice(h, prev.slice, t, plan.keep_from, plan.cut),
+                    slice=prev.slice if unchanged else columns,
                     source_series=prev.source_series,
                 )
                 out.append(spliced)
-                if t is not None and plan.keep_from is None:
-                    prev_tag = cached_series_tag(prev)
-                    if prev_tag is not None:  # some client may hold prev
-                        remember_series_tail(
-                            spliced, prev_tag, len(spliced) - len(t)
-                        )
+                if unchanged:  # named as held: *not modified* to its holder
+                    remember_series_held(spliced, prev_tag)
+                elif prev_tag is not None:  # some client may hold prev
+                    remember_series_origin(spliced, prev_tag, a, b, n_head)
             series = tuple(out)
         lead = _scanned(head)
         scanned = lead + kept + _scanned(tail)

@@ -20,15 +20,18 @@ optional envelope fields stripped before decoding:
   ``"results"``, and an entry may come back in one of three forms:
   *full* (``"series": [...]``, what every request without ``held``
   gets, byte for byte), *not modified* (``"notModified": true`` — the
-  held ``series`` are still the answer) or *tail* (``"tail": [{"keep":
-  k, "t": ..., "v": ...}, ...]``, one element per held series: keep the
-  first ``k`` values of its columns, ``k`` a multiple of 3, and append
+  held ``series`` are still the answer) or *tail* (``"tail": [...]``,
+  one splice element per held series).  ``{"keep": k, "t": ...,
+  "v": ...}`` keeps the first ``k`` values of its columns and appends
   these — as base64 text, the first ``k * 32 // 3`` characters of each
-  held column followed by the tail's, see
-  :func:`~repro.tsdb.wire.splice_column`).
+  held column followed by the tail's; ``{"keep": [a, b], "head": {"t":
+  ..., "v": ...}, "t": ..., "v": ...}`` (a moved start) keeps the held
+  values ``[a, b)`` with the head's text before them and the tail's
+  after; ``k``, ``a``, ``b`` and the head's values are multiples of 3
+  (see :func:`~repro.tsdb.wire.splice_column`).
   ``scannedPoints`` is sent in every form.  A validator is an opaque
-  string naming the content of an entry's ``series`` array (see
-  :func:`~repro.serve.cache.entry_validator`).
+  string naming the text of an entry's ``series`` array: equal
+  validators, equal text (see :func:`~repro.serve.cache.series_tag`).
 
 A payload carrying a ``"catalog"`` object instead of ``"queries"`` is a
 series-metadata lookup (the ``/api/suggest`` surface — see

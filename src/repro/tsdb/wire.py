@@ -39,8 +39,13 @@ and one ``base64`` per column.
 
 A serving layer may answer a client that says what it still holds with
 less than that — an entry whose ``series`` are replaced by
-``"notModified": true`` or by the ``"tail"`` to append, one
-``{"keep": k, "t": ..., "v": ...}`` per series — see
+``"notModified": true`` or by a ``"tail"``, one splice element per
+series: ``{"keep": k, "t": ..., "v": ...}`` keeps the held values
+``[0, k)`` and appends these; ``{"keep": [a, b], "head": {"t": ...,
+"v": ...}, "t": ..., "v": ...}`` keeps the held values ``[a, b)``, puts
+the head's values (a multiple of 3) before them and appends these (a
+moved window start).  ``k``, ``a`` and ``b`` are multiples of 3; an int
+``k`` is the spelling of ``[0, k]`` with no head.  See
 :func:`encode_response_json`; a client puts such entries back into the
 form above (:func:`splice_column`, string slicing only) before decoding.
 
@@ -312,15 +317,30 @@ def encode_error(exc: BaseException) -> dict:
 # the text as it comes out of ``b64encode``.
 
 
-def _series_parts(s, keep: int | None = None) -> list[bytes]:
-    """Pieces of a series' text or, with ``keep``, of its tail element:
-    the series' points from ``keep`` on."""
-    if keep is None:
-        t, v = encode_columns(s.timestamps, s.values)
+def _series_parts(s, cut: tuple[int, int, int] | None = None) -> list[bytes]:
+    """Pieces of a series' text or, with ``cut = (a, b, h)``, of its
+    splice element: the series' first ``h`` points as the head, the held
+    run ``[a, b)`` kept, and its points from ``h + b - a`` on as the
+    tail — one column encode for head and tail together, since a head
+    of whole groups of three is whole base64 groups."""
+    ts, vals = s.timestamps, s.values
+    if cut is None:
+        t, v = encode_columns(ts, vals)
         head = json.dumps(_series_head(s)).encode()
         return [head[:-1], b', "t": "', t, b'", "v": "', v, b'"}']
-    t, v = encode_columns(s.timestamps[keep:], s.values[keep:])
-    return [b'{"keep": %d, "t": "' % keep, t, b'", "v": "', v, b'"}']
+    a, b, h = cut
+    rest = h + b - a
+    if not a and not h:
+        t, v = encode_columns(ts[rest:], vals[rest:])
+        return [b'{"keep": %d, "t": "' % b, t, b'", "v": "', v, b'"}']
+    t, v = encode_columns(
+        np.concatenate((ts[:h], ts[rest:])), np.concatenate((vals[:h], vals[rest:]))
+    )
+    c = h // 3 * _GROUP_CHARS
+    return [
+        b'{"keep": [%d, %d], "head": {"t": "' % (a, b), t[:c], b'", "v": "',
+        v[:c], b'"}, "t": "', t[c:], b'", "v": "', v[c:], b'"}',
+    ]
 
 
 def encode_response_json(
@@ -341,12 +361,16 @@ def encode_response_json(
     validator equals what is held is answered ``"notModified": true`` in
     place of its ``"series"``;
     otherwise ``tail`` (if given) maps ``(series, held validator)`` to
-    one ``keep`` per series when the series extend the held ones — each
-    series' first ``keep`` points (a multiple of 3) are the held
-    series', the rest is sent — and the entry carries ``"tail"``;
-    otherwise it is the full entry.  ``scannedPoints`` is sent in every
-    form.  ``forms``, if given, receives each entry's
-    form: ``"full"``, ``"not_modified"`` or ``"tail"``.
+    one cut ``(a, b, h)`` per series when the series are spliced from
+    the held ones — each series' points ``[h, h + b - a)`` are the held
+    series' ``[a, b)``; ``a``, ``b`` and ``h`` are multiples of 3 — and
+    the entry carries ``"tail"``: per series, its first ``h`` points as
+    the ``"head"`` and its points from ``h + b - a`` on as ``t``/``v``,
+    with ``"keep": [a, b]``, or ``"keep": b`` and no head when ``a`` and
+    ``h`` are 0 (a grown series).  Otherwise it is the full entry.
+    ``scannedPoints`` is sent in every form.  ``forms``, if given,
+    receives each entry's form: ``"full"``, ``"not_modified"`` or
+    ``"tail"``.
     """
     out = [b'{"version": %d, "results": [' % WIRE_VERSION]
     validators = []
@@ -354,24 +378,24 @@ def encode_response_json(
         if i:
             out.append(b", ")
         out.append(b"{")
-        form, keeps = "full", None
+        form, cuts = "full", None
         if held is not None:
             name = validator(res)
             validators.append(name)
             if name == held[i]:
                 form = "not_modified"
             elif tail is not None and held[i] is not None:
-                keeps = tail(res.series, held[i])
-                if keeps is not None:
+                cuts = tail(res.series, held[i])
+                if cuts is not None:
                     form = "tail"
         if form == "not_modified":
             out.append(b'"notModified": true')
         else:
-            out.append(b'"tail": [' if keeps is not None else b'"series": [')
+            out.append(b'"tail": [' if cuts is not None else b'"series": [')
             for j, s in enumerate(res.series):
                 if j:
                     out.append(b", ")
-                out += _series_parts(s, None if keeps is None else keeps[j])
+                out += _series_parts(s, None if cuts is None else cuts[j])
             out.append(b"]")
         if forms is not None:
             forms.append(form)
@@ -402,15 +426,20 @@ def reply_line(response: bytes | Mapping, id_json: bytes | None = None) -> bytes
 # -- columns on the client -------------------------------------------------
 
 
-def splice_column(held: str, keep: int, tail: str) -> str | None:
-    """The text of a column's first ``keep`` values followed by the
-    values ``tail`` is the text of — exactly what encoding the whole
-    column would give, and no decode — or None unless ``keep`` is a
-    multiple of 3 no larger than what ``held`` holds."""
-    cut = keep // 3 * _GROUP_CHARS
-    if keep % 3 or not 0 <= cut <= len(held):
+def splice_column(
+    held: str, keep: int | Sequence[int], tail: str, head: str = ""
+) -> str | None:
+    """The text of ``head``'s values, then the held column's values
+    ``[a, b)`` (``keep`` is ``[a, b]``, or an int ``b`` with ``a = 0``),
+    then the values ``tail`` is the text of — exactly what encoding the
+    whole column would give, and no decode — or None unless ``a`` and
+    ``b`` are multiples of 3 with ``0 <= a <= b`` and ``b`` no larger
+    than what ``held`` holds, and ``head`` is whole groups of 3 values."""
+    a, b = (0, keep) if isinstance(keep, int) else keep
+    lo, hi = a // 3 * _GROUP_CHARS, b // 3 * _GROUP_CHARS
+    if a % 3 or b % 3 or len(head) % _GROUP_CHARS or not 0 <= lo <= hi <= len(held):
         return None
-    return held[:cut] + tail
+    return head + held[lo:hi] + tail
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Conditional replies: the client says what it holds, the server
-answers *not modified* or *the tail*, and nobody can tell.
+answers *not modified* or *the tail* (with a head, for a moved start),
+and nobody can tell.
 
 - **equivalence** (hypothesis, the op grammar of
   ``test_property_reply_lines_equal_dumps_of_the_dict_codec``, over
@@ -11,12 +12,14 @@ answers *not modified* or *the tail*, and nobody can tell.
   for a long-lived client, one that reconnects before every request,
   one whose held table evicts, and one whose replies go through
   ``wire.decode_response``, whose arrays are the inner store's bit for
-  bit;
+  bit — and no validator a client holds ever names two texts;
 - **costs as counts**: an unchanged 12-panel dashboard is answered in
   under 2 KB with nothing encoded, digested or decoded and no query
   built on the server or encoded by the client, a grown one in
-  proportion to the delta and with no base64 decoded, and a cold reply
-  costs one column encode per series and no call per point;
+  proportion to the delta and with no base64 decoded, a slid one with
+  its heads — one small encode per series, nothing decoded, the same
+  bytes digested over 6 h as over 24 h — and a cold reply costs one
+  column encode per series and no call per point;
 - **a server that lies** gets a :class:`WireError` — from the client,
   with an empty held table and a closed connection, when the reply does
   not fit what was sent; from the decoder when its columns are bad —
@@ -93,30 +96,40 @@ def _stack(inner):
 
 # -- equivalence ------------------------------------------------------------
 
-#: The op grammar of the raw-socket property test, and its steady state
+#: The op grammar of the raw-socket property test, its steady state
 #: alone (append, ask again) — where the tail is the common answer rather
-#: than one in forty.  Each request draws whether it still sends the
-#: ignored ``refresh`` field.
+#: than one in forty — and a sliding wall (the start a few seconds on,
+#: the end sometimes too), where a head splice is.  Each request draws
+#: whether it still sends the ignored ``refresh`` field.
 _OPS = {
     "everything": (("append",) * 4 + ("request",) * 6
                    + ("late", "retention", "churn", "repeat"),
                    (True, True, False)),
     "steady": (("append",) * 4 + ("request",) * 4 + ("repeat",) * 2,
                (True,)),
+    "sliding": (("append",) * 3 + ("slide",) * 5 + ("repeat",) * 2,
+                (True,)),
 }
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
-@pytest.mark.parametrize("mix", list(_OPS))
-@pytest.mark.parametrize("layout", ["single", "sharded"])  # retired layouts' ids
+@pytest.mark.parametrize("mix", list(_OPS),
+                         ids=lambda mix: f"single-{mix}")  # the kept ids
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_property_holding_clients_return_the_dict_codec(layout, mix, data):
+def test_property_holding_clients_return_the_dict_codec(mix, data):
+    """... and no validator a client holds ever names two texts."""
     ops, refreshes = _OPS[mix]
     draw = data.draw
     inner = TSDB()
     now, nodes, window, picks, last = 0, ["a", "b"], (0, 0), [], None
     turn = 0
+    names: dict = {}  # validator -> the series text it named
+
+    def held_names(client):
+        for held in client._held.values():
+            text = json.dumps(held.series, allow_nan=False)
+            assert names.setdefault(held.validator, text) == text
 
     def exchange(clients, decoding, queries, refresh):
         nonlocal turn
@@ -133,6 +146,7 @@ def test_property_holding_clients_return_the_dict_codec(layout, mix, data):
             assert got == want, name
             assert (json.dumps(got, allow_nan=False)
                     == json.dumps(want, allow_nan=False)), name
+            held_names(client)
         want = wire.handle_request(inner, wire.encode_request(queries))
         if "error" in want:
             with pytest.raises(wire.RemoteQueryError):
@@ -152,6 +166,10 @@ def test_property_holding_clients_return_the_dict_codec(layout, mix, data):
                    ("forgetful", forgetful)]
         decoding = QueryClient(host, port)
         try:
+            if mix == "sliding":  # five minutes for the wall to slide over
+                for now in range(0, 300, 3):
+                    for node in nodes:
+                        stack.put("m", now, float(now % 7), {"node": node})
             for _ in range(draw(st.integers(3, 20))):
                 op = draw(st.sampled_from(ops))
                 if op == "append":
@@ -175,6 +193,13 @@ def test_property_holding_clients_return_the_dict_codec(layout, mix, data):
                             SeriesKey.make(
                                 "m", {"node": draw(st.sampled_from(nodes))}),
                             now + 1)
+                elif op == "slide" and last is not None:
+                    start = window[0] + draw(st.integers(1, 9))
+                    window = (start, max(start, window[1] + draw(
+                        st.sampled_from((0, 0, 1, 9)))))
+                    pool = _wall_panels(*window)
+                    last = ([pool[i] for i in picks], last[1])
+                    exchange(clients, decoding, *last)
                 elif op == "request" or last is None:
                     start = draw(st.sampled_from(  # mostly: stay put
                         (window[0], window[0], 0, max(0, now - 60),
@@ -281,9 +306,24 @@ class _Costs:
             self.columns_read += 1
             return real_columns(ts, vals)
 
-        def blake2b(data, **kwargs):
-            self.bytes_digested += len(data)
-            return real_blake2b(data, **kwargs)
+        costs = self
+
+        class blake2b:  # noqa: N801 - stands in for hashlib's
+            """Counts every byte digested, updates included."""
+
+            def __init__(self, data=b"", **kwargs):
+                costs.bytes_digested += memoryview(data).nbytes
+                self._digest = real_blake2b(data, **kwargs)
+
+            def update(self, data):
+                costs.bytes_digested += memoryview(data).nbytes
+                self._digest.update(data)
+
+            def digest(self):
+                return self._digest.digest()
+
+            def hexdigest(self):
+                return self._digest.hexdigest()
 
         def b64decode(text, **kwargs):
             self.decodes += 1
@@ -439,6 +479,76 @@ class TestCosts:
                 client.request(_dashboard(0, end)))
             _same_decoded(decoded, inner.run_many(_dashboard(0, end)))
 
+    def _slid(self, history, monkeypatch, start, moves):
+        """A holding client asks the wall over ``[start, end]``, then with
+        its start moved on by each of ``moves`` in turn: per move, the
+        reply line, the costs and the reply forms it took, and the full
+        line of the first ask."""
+        inner = TSDB()
+        inner.put_batch(history)
+        end = (HISTORY_MINUTES - 1) * MINUTE
+        costs = _Costs(monkeypatch)
+        steps = []
+        with live_server(inner) as server, \
+                QueryClient(*server.address) as client:
+            tap = client._file = _Tap(client._file)
+            client.request(_dashboard(start, end))
+            full_line = tap.lines[-1]
+            for move in moves:
+                start += move
+                costs.reset()
+                before = server.stats()
+                got = client.request(_dashboard(start, end))
+                forms = _delta(server.stats()["replies"], before["replies"])
+                steps.append((tap.lines[-1], dict(vars(costs)), forms))
+                want = _reference(inner, _dashboard(start, end))
+                assert got.pop("id") and got == want
+                assert json.dumps(got) == json.dumps(want)
+            # what is held after the moves decodes to the store's results
+            _same_decoded(wire.decode_response(client.request(
+                _dashboard(start, end))), inner.run_many(_dashboard(start, end)))
+        return full_line, steps
+
+    def test_slid_dashboard_costs_its_head(self, history, monkeypatch):
+        """A start moved one minute inside its buckets costs the wall's
+        head: each series' head bucket and the two values the kept run
+        leaves off the base64 grid, encoded once per series, spliced by
+        the client as text, and named by a digest of its edges alone —
+        the same bytes over a quarter of the history as over all of
+        it."""
+        series = 4 * (1 + len(NODES))  # the avg and per-node panels
+        digested = []
+        for start in (0, 18 * 60 * MINUTE):  # a day, and its last 6 h
+            full_line, [(line, costs, forms)] = self._slid(
+                history, monkeypatch, start, [MINUTE])
+            if not start:
+                assert len(line) < 0.05 * len(full_line)
+            # nothing in full: the avg and per-node panels' head buckets
+            # moved, and the dev panels' came out the same — held text,
+            # not modified
+            assert forms == {"full": 0, "not_modified": 4, "tail": 8,
+                             "bytes": len(line)}
+            assert line.count(b'"keep": [3, ') == series
+            assert costs["series_encoded"] == series
+            assert costs["decodes"] == 0
+            digested.append(costs["bytes_digested"])
+        assert digested[0] == digested[1] > 0
+
+    def test_a_move_onto_the_grid_answers_off_grid_cuts_in_full(
+            self, history, monkeypatch):
+        """A start moved onto the 5-minute grid, then 14 minutes on (15
+        minutes, off the 10-minute grid): the 5-minute panels keep the
+        held run from their third bucket with no head; the dev panels
+        drop two held buckets for a one-bucket head — not whole groups
+        of three, so their series go in full."""
+        _, [_, (line, costs, forms)] = self._slid(
+            history, monkeypatch, 0, [MINUTE, 14 * MINUTE])
+        assert forms == {"full": 4, "not_modified": 0, "tail": 8,
+                         "bytes": len(line)}
+        assert line.count(b'"keep": [3, ') == 4 * (1 + len(NODES))
+        assert line.count(b'"head": {"t": "", "v": ""}') == 4 * (1 + len(NODES))
+        assert costs["decodes"] == 0
+
     def test_a_cold_reply_costs_no_call_per_point(self, history):
         """Encoding a cold 12-panel reply makes the same calls over a
         day of points as over a quarter of one: nothing per point."""
@@ -521,6 +631,13 @@ def _tail(keep, t=(), v=()) -> dict:
     return {"keep": keep, "t": _b64(t, "<i8"), "v": _b64(v, "<f8")}
 
 
+def _head_tail(keep, head=((), ()), t=(), v=()) -> dict:
+    """A splice element with a head: ``head`` is its (t, v) values."""
+    return {"keep": keep, "head": {"t": _b64(head[0], "<i8"),
+                                   "v": _b64(head[1], "<f8")},
+            "t": _b64(t, "<i8"), "v": _b64(v, "<f8")}
+
+
 def _reply(*entries: dict, validators) -> dict:
     return {"version": wire.WIRE_VERSION, "results": list(entries),
             "validators": validators}
@@ -568,12 +685,26 @@ def _full(*series: dict) -> dict:
                   validators=["v2"]), "client"),
     (True, _reply({"tail": [_tail(3, [1], [9.0])], "scannedPoints": 1},
                   validators=["v2"]), "decoder"),
+    (True, _reply({"tail": [_head_tail([1, 3])], "scannedPoints": 1},
+                  validators=["v2"]), "client"),
+    (True, _reply({"tail": [_head_tail([0, 6])], "scannedPoints": 1},
+                  validators=["v2"]), "client"),
+    (True, _reply({"tail": [_head_tail([3, 0])], "scannedPoints": 1},
+                  validators=["v2"]), "client"),
+    (True, _reply({"tail": [_head_tail([0, 3], ([-1], [9.0]))],
+                   "scannedPoints": 1}, validators=["v2"]), "client"),
+    (True, _reply({"tail": [_head_tail([0, 3], ([-3, -2, -1], [9.0] * 6))],
+                   "scannedPoints": 1}, validators=["v2"]), "client"),
+    (False, _reply({"tail": [_head_tail([0, 3])], "scannedPoints": 0},
+                   validators=["v2"]), "client"),
 ], ids=["unheld-not-modified", "not-modified-other-validator", "unheld-tail",
         "oversize-keep", "boolean-keep", "bad-tail-value", "short-tail",
         "long-tail", "no-form", "short-validators", "non-string-validator",
         "no-validators", "bad-base64", "ragged-column", "t-v-mismatch",
         "non-increasing-t", "keep-not-a-multiple-of-3", "tail-t-v-mismatch",
-        "tail-goes-back-in-time"])
+        "tail-goes-back-in-time", "pair-keep-not-a-multiple-of-3",
+        "pair-keep-past-what-is-held", "pair-keep-backwards",
+        "head-not-whole-groups-of-3", "head-t-v-mismatch", "unheld-head"])
 def test_a_lying_server_is_a_wire_error_and_the_client_recovers(
         hold_first, lie, found_by):
     """A reply that does not fit what was sent is the client's to refuse:
@@ -661,6 +792,31 @@ def test_a_tail_extends_what_is_held_and_leaves_it_alone():
     assert client._held.use(q.panel).validator == "v2"
 
 
+def test_a_head_splice_moves_what_is_held_and_leaves_it_alone():
+    """A pair ``keep`` on its own: the head's text, the held values
+    ``[a, b)``, then the tail — by slicing text — and the series handed
+    out before are not touched."""
+    q = Query("m", 0, 10)
+    server = _ScriptedServer(
+        _reply({"series": [_series(7)], "scannedPoints": 7},
+               validators=["v1"]),
+        _reply({"tail": [_head_tail([3, 6], ([-3, -2, -1], [9.0] * 3),
+                                    [6, 7], [6.5, 7.5])],
+                "scannedPoints": 5}, validators=["v2"]))
+    client = QueryClient(*server.address, retries=0)
+    try:
+        first = client.request([q])["results"][0]["series"]
+        moved = client.request([q])["results"][0]["series"]
+    finally:
+        client.close()
+        server.close()
+    assert first == [_series(7)]
+    assert moved == [{"metric": "m", "tags": {},
+                      "t": _b64([-3, -2, -1, 3, 4, 5, 6, 7], "<i8"),
+                      "v": _b64([9.0] * 3 + [3.0, 4.0, 5.0, 6.5, 7.5], "<f8")}]
+    assert client._held.use(q.panel).validator == "v2"
+
+
 # -- the refresher's panel table --------------------------------------------
 
 def test_refresher_panel_table_evicts_the_least_recently_refreshed():
@@ -703,16 +859,28 @@ def _refreshed(refresher, panels, *, one_at_a_time: bool):
             else refresher.run_many([q])[0] for q in panels]
 
 
+def _spliced(held_series, tail):
+    """A *tail* entry's series: each held series' columns spliced as
+    text with its element's head and tail, as :class:`QueryClient`
+    does."""
+    return [
+        {**prev, **{c: wire.splice_column(
+            prev[c], t["keep"], t[c], t.get("head", {}).get(c, ""))
+            for c in "tv"}}
+        for prev, t in zip(held_series, tail)]
+
+
 def _assert_refresh_is_exact(inner, refresher, panels, *, one_at_a_time=False,
-                             holds=None):
+                             holds=None, names=None):
     """The refreshed reply, encoded the way the server encodes it, is
     the dict codec on the innermost store — as a dict and as bytes,
-    ``scannedPoints`` included — and every entry's validator is that of
-    a from-scratch result.  With ``holds``
+    ``scannedPoints`` included — and no validator names two texts, in
+    this reply or in any other that shared ``names`` (validator → the
+    text it named).  With ``holds``
     (Query.panel → validator and series, carried between calls) the
     reply is the one a holding client gets, put back together the way
     :class:`QueryClient` does it: held series, or held columns spliced
-    with the tail as text."""
+    with the head and tail as text."""
     shapes = [q.panel for q in panels]
     held = [None] * len(panels)
     if holds is not None:
@@ -734,10 +902,7 @@ def _assert_refresh_is_exact(inner, refresher, panels, *, one_at_a_time=False,
         if entry.pop("notModified", False):
             entry["series"] = holds[shapes[i]][1]
         elif "tail" in entry:
-            entry["series"] = [
-                {**prev, **{c: wire.splice_column(prev[c], t["keep"], t[c])
-                            for c in "tv"}}
-                for prev, t in zip(holds[shapes[i]][1], entry.pop("tail"))]
+            entry["series"] = _spliced(holds[shapes[i]][1], entry.pop("tail"))
         entry["scannedPoints"] = entry.pop("scannedPoints")  # key order
     if holds is not None:
         for shape, validator, entry in zip(shapes, validators, got["results"]):
@@ -745,8 +910,12 @@ def _assert_refresh_is_exact(inner, refresher, panels, *, one_at_a_time=False,
     assert got == fresh
     assert (json.dumps(got, allow_nan=False)
             == json.dumps(fresh, allow_nan=False))
-    assert validators == [entry_validator(res.series)
-                          for res in inner.run_many(panels)]
+    # a validator names its text, by content or by splice: equal
+    # validators, equal text (equal text may be named twice)
+    names = {} if names is None else names
+    for validator, entry in zip(validators, fresh["results"]):
+        text = json.dumps(entry["series"], allow_nan=False)
+        assert names.setdefault(validator, text) == text
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
@@ -773,6 +942,7 @@ def _refresh_steps(inner, stack, draw):
     batch = CachingStore(stack, capacity=3)
     single = CachingStore(stack, capacity=3)
     holds: dict = {}
+    names: dict = {}
     now, nodes, window = 0, ["a", "b"], (0, 0)
     picks, twice = [0, 1, 4, 5, 6], None
     ops = (("append",) * 4 + ("slide",) * 2
@@ -817,8 +987,10 @@ def _refresh_steps(inner, stack, draw):
             lo = min(window[0] + twice, window[1])
             panels.append(Query("m", lo, window[1], downsample="10s-avg",
                                 group_by=("node",)))
-        _assert_refresh_is_exact(inner, batch, panels, holds=holds)
-        _assert_refresh_is_exact(inner, single, panels, one_at_a_time=True)
+        _assert_refresh_is_exact(inner, batch, panels, holds=holds,
+                                 names=names)
+        _assert_refresh_is_exact(inner, single, panels, one_at_a_time=True,
+                                 names=names)
 
 
 class _WritesMidRequest(StoreWrapper):
@@ -866,7 +1038,8 @@ def test_a_write_between_the_phases_sends_its_panels_down_the_full_path(
         return [by_node, Query("m", 0, end),
                 Query("other", 0, end, downsample="10s-max")]
 
-    _assert_refresh_is_exact(inner, refresher, panels(100))
+    names: dict = {}
+    _assert_refresh_is_exact(inner, refresher, panels(100), names=names)
     assert refresher.stats.full_runs == 3
     for node in ("a", "b"):
         inner.put("m", 105, 1.0, {"node": node})
@@ -875,7 +1048,7 @@ def test_a_write_between_the_phases_sends_its_panels_down_the_full_path(
         "late": lambda: inner.put("m", 50, 99.0, {"node": "a"}),
         "churn": lambda: inner.put("m", 50, 99.0, {"node": "new"}),
     }[write])
-    _assert_refresh_is_exact(inner, refresher, panels(110))
+    _assert_refresh_is_exact(inner, refresher, panels(110), names=names)
     assert middle.before_scans is None and middle.after_scans is None
     assert refresher.stats.as_dict() == {
         "full_runs": 3 + 2, "incremental_runs": 1, "cache_only_runs": 0,
@@ -883,6 +1056,6 @@ def test_a_write_between_the_phases_sends_its_panels_down_the_full_path(
     # ... and what the full path remembered splices again
     for node in ("a", "b", "new")[:3 if write == "churn" else 2]:
         inner.put("m", 115, 3.0, {"node": node})
-    _assert_refresh_is_exact(inner, refresher, panels(120))
+    _assert_refresh_is_exact(inner, refresher, panels(120), names=names)
     assert refresher.stats.incremental_runs == 1 + 3
     assert refresher.stats.invalidated == 2

@@ -315,6 +315,12 @@ def test_reply_text_equals_dumps_of_the_dict_codec(ts, split, tags, data):
         # a cut off the 3-value grid, or past what is held, is refused
         assert wire.splice_column(t, cut + 1, "") is None
         assert wire.splice_column(t, len(s) // 3 * 3 + 3, "") is None
+        # a pair keeps [a, b) between a head and a tail
+        assert wire.splice_column(
+            t, [cut, cut], rest[0].decode(), head[0].decode()) == t
+        assert wire.splice_column(v, [0, cut], rest[1].decode()) == v
+        assert wire.splice_column(t, [3, 0], "") is None
+        assert wire.splice_column(t, [0, 0], "", "AAAA") is None  # a ragged head
     for batch in (results, results[:1], []):
         response = wire.encode_response(batch)
         text = wire.encode_response_json(batch)
