@@ -47,8 +47,8 @@ test-query:
 # base64 decoded by the client, the same bytes digested over 6 h as over
 # 24 h — and a move onto the bucket grid answers its off-grid cuts in
 # full; a lying splice is refused; no validator a client holds ever
-# names two texts under the property, a sliding wall included; a request that
-# still sends "refresh" gets the same bytes); the one request path,
+# names two texts under the property, a sliding wall included); the one
+# request path,
 # tests/test_serve_splice.py (a reply built from held buckets plus head
 # and tail edges ≡ inner.run_many, scannedPoints included, under
 # hypothesis on the store stack with quiet rounds drawn — nothing
@@ -70,9 +70,12 @@ test-query:
 # nothing stale); the house property driven through the look-up phase and, only when a miss
 # is left, the run phase, exact repeats drawn; and the per-metric
 # short-cut ≡ the per-series check under interleaved writes through
-# the store stack; and a client that reads none of its replies stalls
-# no other client of its tenant (block and drop-oldest), and a client
-# that half-closes after its last line is still answered.  Its socket
+# the store stack; and one request in flight per connection (every
+# pipelined line answered once and in order, under hypothesis over
+# several connections): a client that reads none of its replies holds
+# one reply and stalls no other client of its tenant (block and
+# drop-oldest), and a client that half-closes after its last line is
+# still answered.  Its socket
 # timeouts bound it; in CI the test job's timeout-minutes (45) bounds
 # the whole run, so a wedged serving test fails instead of hanging.
 serve-test:

@@ -27,7 +27,7 @@ protocol.  The pieces compose bottom-up and each is usable on its own:
 from .cache import CacheStats, CatalogCache, ResultCache
 from .client import QueryClient
 from .refresh import CachingStore, IncrementalRefresher, RefreshStats
-from .server import QueryServer, TenantPolicy, serve
+from .server import QueryServer, TenantPolicy
 
 __all__ = [
     "CacheStats",
@@ -39,5 +39,4 @@ __all__ = [
     "RefreshStats",
     "ResultCache",
     "TenantPolicy",
-    "serve",
 ]

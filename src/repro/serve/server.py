@@ -1,19 +1,13 @@
 """Asyncio TCP query server: newline-delimited JSON over the wire codec.
 
 One live store, many dashboard clients.  Each connection sends one JSON
-request per line — the :mod:`repro.tsdb.wire` request format plus four
-optional envelope fields stripped before decoding:
+request per line — the :mod:`repro.tsdb.wire` request format plus three
+optional envelope fields stripped before decoding — and its lines are
+answered one at a time, in order: the server reads a connection's next
+line only once the last one's reply is written.
 
 - ``"tenant"``: admission-control lane (defaults to ``"public"``);
-- ``"id"``: opaque correlation value echoed on the reply, so clients
-  may pipeline requests;
-- ``"refresh"``: accepted for older clients when it is a JSON boolean,
-  and ignored.  Every request runs through the server's
-  :class:`~repro.serve.refresh.CachingStore`: it is answered from the
-  result cache when it names a cached window exactly, and otherwise
-  from the panel's held buckets plus its head and tail edges,
-  byte-identical to a fresh run (``scannedPoints`` included) and
-  inserted into the result cache;
+- ``"id"``: opaque correlation value echoed on the reply;
 - ``"held"``: a list aligned with ``"queries"`` — per query, the
   validator of the reply entry the client still holds for that panel,
   or ``null``.  The reply then carries ``"validators"``, aligned with
@@ -43,7 +37,8 @@ filter matches more series than the limit is rejected in-band with a
 
 Replies are one JSON line each: a wire response, a wire *error*
 response for anything malformed — a line longer than
-:data:`MAX_LINE_BYTES` included (the connection always stays usable —
+:data:`MAX_LINE_BYTES` and a field the request format does not name
+(``"refresh"`` among them) included (the connection always stays usable —
 that is the point of the ``handle_request`` bugfix underneath), or an
 ``InternalError`` response if the store itself faults.
 
@@ -62,11 +57,19 @@ bound under its name.
 
 A lane never waits on a client: it writes each reply line into the
 connection's buffer, and the connection reads its client's next line
-only once the client has read what is buffered.  A client that stops
-reading its replies stops being read, alone; its tenant's other clients
-are served.  A connection closes only once every line it admitted is
-answered, so a client that half-closes after its last line still reads
-every reply.
+only once that line's reply is written and the client has read what is
+buffered.  So a connection holds at most one request admitted and
+unanswered, and one reply: a client that stops reading its replies
+stops being read, alone, and its tenant's other clients are served.  A
+client that half-closes after its last line still reads every reply,
+since each line is answered before the end of the stream is read.
+
+Every request runs through the server's
+:class:`~repro.serve.refresh.CachingStore`: it is answered from the
+result cache when it names a cached window exactly, and otherwise from
+the panel's held buckets plus its head and tail edges, byte-identical to
+a fresh run (``scannedPoints`` included) and inserted into the result
+cache.
 
 A request's path splits at the result cache
 (:meth:`~repro.serve.refresh.CachingStore.look_up` /
@@ -115,12 +118,13 @@ class TenantPolicy:
     """One tenant's admission contract with the query server.
 
     ``max_pending`` bounds the lane's queued-but-not-yet-running
-    requests; ``backpressure`` picks the overflow behaviour (``block``:
-    a full lane stops reading the submitting socket; ``drop-oldest``:
-    the oldest queued request is answered ``Overloaded``), and neither
-    waits on a client: one that does not read its replies stops being
-    read, alone; ``parallelism`` is how many of the tenant's requests
-    may execute concurrently;
+    requests — how many of the tenant's *connections* may wait, since a
+    connection has one request in flight; ``backpressure`` picks the
+    overflow behaviour (``block``: a full lane stops reading the
+    submitting socket; ``drop-oldest``: the oldest queued request is
+    answered ``Overloaded``), and neither waits on a client: one that
+    does not read its replies stops being read, alone; ``parallelism``
+    is how many of the tenant's requests may execute concurrently;
     ``max_match_series`` caps how many series one of the tenant's
     queries may fan out over — it overrides the server-wide limit for
     this lane (tighter *or* looser), so one tenant's wildcard storms
@@ -148,31 +152,11 @@ class TenantPolicy:
             )
 
 
-class _Owed:
-    """The lines a connection has admitted and not yet answered, so that
-    its handler closes it only once each has its reply."""
-
-    __slots__ = ("count", "_settled")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._settled: asyncio.Future | None = None
-
-    def paid(self) -> None:
-        self.count -= 1
-        if not self.count and self._settled is not None:
-            self._settled.set_result(None)
-
-    async def settled(self) -> None:
-        if self.count:
-            self._settled = asyncio.get_running_loop().create_future()
-            await self._settled
-
-
 class _Job:
     """One admitted request: payload in, one reply line out."""
 
-    __slots__ = ("payload", "held", "id_json", "tenant", "writer", "forms", "owed")
+    __slots__ = ("payload", "held", "id_json", "tenant", "writer", "forms",
+                 "settled")
 
     def __init__(self, payload, held, id_json, tenant, writer):
         self.payload = payload
@@ -181,13 +165,14 @@ class _Job:
         self.tenant = tenant
         self.writer = writer
         self.forms: list[str] = []  # the form of each result entry sent
-        self.owed: _Owed | None = None  # its connection's, once admitted
+        # its connection's handler waits on this, once admitted
+        self.settled: asyncio.Future | None = None
 
     def settle(self) -> None:
-        """Its reply is written or will never be: the connection may
-        close as far as this job goes."""
-        if self.owed is not None:
-            self.owed.paid()
+        """Its reply is written or will never be: its connection reads
+        its next line."""
+        if self.settled is not None and not self.settled.done():
+            self.settled.set_result(None)
 
 
 class _Threads:
@@ -304,13 +289,6 @@ class QueryServer:
             limit=MAX_LINE_BYTES,
         )
         return self.address
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
 
     async def stop(self, *, drain: bool = True, timeout: float | None = None) -> None:
         """Shut down gracefully: refuse new work, answer admitted work.
@@ -520,7 +498,7 @@ class QueryServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        owed = _Owed()
+        loop = asyncio.get_running_loop()
         try:
             while not self._stopping:
                 try:
@@ -553,13 +531,11 @@ class QueryServer:
                 job = self._parse_line(line, writer)
                 if job is None:
                     continue  # error already replied; connection lives on
-                job.owed = owed
-                owed.count += 1
+                # One line in flight: its reply is written (or abandoned
+                # by a hard stop) before the next line is read.
+                job.settled = loop.create_future()
                 await self._admit(self._lane(job.tenant), job)
-            # End of stream (a client that half-closes after its last
-            # line still reads), or a stop: every admitted line is
-            # answered before the connection closes, which flushes it.
-            await owed.settled()
+                await job.settled
         finally:
             writer.close()
             try:
@@ -582,12 +558,9 @@ class QueryServer:
             payload = dict(payload)
             tenant = payload.pop("tenant", "public")
             request_id = payload.pop("id", None)
-            refresh = payload.pop("refresh", False)  # accepted, ignored
             held = payload.pop("held", None)
             if not isinstance(tenant, str) or not tenant:
                 bad = "'tenant' must be a non-empty string"
-            elif not isinstance(refresh, bool):
-                bad = "'refresh' must be a JSON boolean"
             elif held is not None and not _well_formed_held(
                 held, payload.get("queries")
             ):
@@ -661,16 +634,3 @@ def _error_dict(error_type: str, message: str) -> dict:
         "version": wire.WIRE_VERSION,
         "error": {"type": error_type, "message": message},
     }
-
-
-async def serve(
-    store,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    **kwargs,
-) -> QueryServer:
-    """Start a :class:`QueryServer` and return it (tests/embedding)."""
-    server = QueryServer(store, host=host, port=port, **kwargs)
-    await server.start()
-    return server

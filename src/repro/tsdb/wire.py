@@ -703,8 +703,8 @@ def decode_catalog_request(request: str | bytes | Mapping) -> CatalogRequest:
 def execute_catalog_request(store, req: CatalogRequest) -> dict:
     """Answer a decoded catalog request against a store.
 
-    Echoes the operation's identifying fields so a pipelined client can
-    correlate replies without trusting line order.  Raises
+    Echoes the operation's identifying fields, so a reply names what it
+    answers.  Raises
     (:class:`InvalidName` on a malformed tag key, for example) — the
     caller decides between :func:`encode_error` and propagation.
     """

@@ -30,6 +30,7 @@ import socket
 import threading
 import time
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -421,6 +422,19 @@ def _pipelined_exchange(address, *lines):
         return [json.loads(file.readline()) for _ in lines]
 
 
+def _one_line_each(address, *lines):
+    """Send each line over a connection of its own, every line before
+    any reply is read; one reply per line, in the order sent."""
+    with contextlib.ExitStack() as stack:
+        socks = [stack.enter_context(socket.create_connection(address,
+                                                              timeout=10))
+                 for _ in lines]
+        for sock, line in zip(socks, lines):
+            sock.sendall(line.encode())
+        return [json.loads(stack.enter_context(sock.makefile("rb")).readline())
+                for sock in socks]
+
+
 class TestQueryServer:
     def test_concurrent_clients_get_store_bytes(self, store):
         qs = [
@@ -494,10 +508,10 @@ class TestQueryServer:
     def test_malformed_lines_keep_connection_usable(self, store):
         request = wire.encode_request([Query("air.co2.ppm", 0, 4000)])
         good = json.dumps({**request, "id": 7}) + "\n"
-        # envelope fields are checked, not coerced, though a well-formed
-        # ``refresh`` is ignored
+        # envelope fields are checked, not coerced, and ``refresh`` is a
+        # field the request format does not name, whatever its value
         bad_refresh = [json.dumps({**request, "refresh": value}) + "\n"
-                       for value in ("false", "no", [0], 1, None)]
+                       for value in (True, False, "false", 1, None)]
         bad_held = [json.dumps({**request, "held": value}) + "\n"
                     for value in ("abc", {"0": "abc"}, [], ["a", "b"], [7],
                                   [["a"]], ["x" * 65])]
@@ -514,24 +528,23 @@ class TestQueryServer:
                 *bad_held,
                 json.dumps({"version": wire.WIRE_VERSION, "held": [None],
                             "catalog": {"op": "metrics"}}) + "\n",
-                json.dumps({**request, "refresh": False, "held": [None]})
-                + "\n",
-                json.dumps({**request, "refresh": True, "held": ["x" * 64]})
-                + "\n",
+                json.dumps({**request, "held": [None]}) + "\n",
+                json.dumps({**request, "held": ["x" * 64]}) + "\n",
                 good,
             )
             stats = server.stats()
         errors, served = replies[:-3], replies[-3:]
         assert [r["error"]["type"] for r in errors] == ["WireError"] * 17
         for reply in errors[4:9]:
-            assert "'refresh'" in reply["error"]["message"]
+            assert reply["error"]["message"] == (
+                "unknown request fields: ['refresh']")
         for reply in errors[9:]:
             assert "'held'" in reply["error"]["message"]
         assert all("results" in r for r in served)
         assert [len(r.get("validators", ())) for r in served] == [1, 1, 0]
         assert served[2]["id"] == 7
         # three requests run, one path: the first misses and runs in
-        # full, the other two hit the result cache whatever they say
+        # full, the other two hit the result cache
         assert stats["refresh"]["batches"] == 3
         assert stats["refresh"]["full_runs"] == 1
         assert stats["cache"]["hits"] == 2
@@ -556,7 +569,7 @@ class TestQueryServer:
             [Query("air.co2.ppm", 0, 4000)])) + "\n"
         with live_server(_seeded(_SlowStore()),
                          default_policy=policy) as server:
-            replies = _pipelined_exchange(server.address, *([line] * 8))
+            replies = _one_line_each(server.address, *([line] * 8))
             stats = server.stats()
         dropped = [r for r in replies if "error" in r]
         served = [r for r in replies if "results" in r]
@@ -594,7 +607,7 @@ class TestQueryServer:
             stats = server.stats()
         assert b_reply["id"] == "b"
         assert b_reply["results"][0]["scannedPoints"] == 1
-        assert sorted(r["id"] for r in a_replies) == list(range(8))
+        assert [r["id"] for r in a_replies] == list(range(8))
         dropped = [r for r in a_replies if "error" in r]
         assert all(r["error"]["type"] == "Overloaded" for r in dropped)
         assert all(len(r["results"][0]["series"]) == 1
@@ -627,11 +640,41 @@ class TestQueryServer:
                 sock.shutdown(socket.SHUT_WR)
                 replies = [json.loads(line) for line in file]
             stats = server.stats()
-        assert sorted(r["id"] for r in replies) == [1, 2]
+        assert [r["id"] for r in replies] == [1, 2]
         by_id = {r["id"]: r for r in replies}
         assert by_id[1]["results"][0]["scannedPoints"] == n
         assert by_id[2]["results"][0]["scannedPoints"] == 1
         assert stats["requests"] == 2 and stats["errors"] == 0
+
+    def test_a_client_that_reads_nothing_holds_one_reply(self):
+        """A client pipelines eight requests for a 400 000-point series
+        and reads nothing: the server reads one line, answers it, and
+        reads no further while the reply waits (at the parent it read
+        all eight, ``requests`` 8, and buffered each reply a worker
+        finished, in any order).  Once the client reads, the ids come
+        back in the order sent."""
+        n = 400_000
+        store = TSDB()
+        store.put_series("big", np.arange(n) * 10, np.ones(n), {"node": "a"})
+        lines = "".join(_request_line([Query("big", 0, n * 10)], id=i)
+                        for i in range(8))
+        with live_server(store) as server:
+            with socket.create_connection(server.address, timeout=30) as sock, \
+                    sock.makefile("rb") as file:
+                sock.sendall(lines.encode())
+                deadline = time.monotonic() + 20
+                while (not server.stats()["replies"]["bytes"]
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                time.sleep(0.5)  # time for more lines, were any read
+                unread = server.stats()
+                replies = [json.loads(file.readline()) for _ in range(8)]
+            stats = server.stats()
+        assert unread["requests"] == 1
+        assert unread["replies"]["full"] == 1
+        assert [r["id"] for r in replies] == list(range(8))
+        assert all(r["results"][0]["scannedPoints"] == n for r in replies)
+        assert stats["requests"] == 8 and stats["errors"] == 0
 
     def test_spill_admission_is_refused(self):
         # The region's spill goes to disk; a lane has none, so the
@@ -643,27 +686,24 @@ class TestQueryServer:
         with pytest.raises(SystemExit):
             main(["serve", "--backpressure", "spill"])
 
-    def test_refresh_flag_routes_through_refresher(self, store):
-        """Every request runs the refresher's one path: a v2 request that
-        still says ``"refresh": true`` gets the bytes the same request
-        without it gets, spliced or not (at the parent a refresh reply's
-        ``scannedPoints`` counted only what its delta scanned)."""
+    def test_a_grown_window_is_spliced_over_the_wire(self, store):
+        """A request runs the refresher's one path: its repeat is the
+        same bytes, and a grown window the result cache no longer holds
+        is answered from the panel state — spliced, then cache-only —
+        in a fresh run's bytes, ``scannedPoints`` included."""
         q = Query("air.co2.ppm", 0, 4000, downsample="10m-avg")
         grown = wire.encode_request(
             [Query("air.co2.ppm", 0, 5000, downsample="10m-avg")])
-        request = wire.encode_request([q])
+        line = json.dumps(wire.encode_request([q])) + "\n"
         with live_server(store) as server:
-            assert len(set(_raw_lines(server.address, *(
-                json.dumps({**request, "refresh": flag}) + "\n"
-                for flag in (True, False))))) == 1
+            assert len(set(_raw_lines(server.address, line, line))) == 1
             store.put("air.co2.ppm", 4500, 500.0,
                       {"node": "a", "city": "trondheim"})
             replies = []
-            for flag in (True, False):
+            for _ in range(2):
                 server.caching.cache.clear()  # answered from panel state
-                replies += _raw_lines(
-                    server.address,
-                    json.dumps({**grown, "refresh": flag}) + "\n")
+                replies += _raw_lines(server.address,
+                                      json.dumps(grown) + "\n")
             stats = server.stats()["refresh"]
         want = json.dumps(wire.handle_request(store, grown)).encode() + b"\n"
         assert replies == [want, want]
@@ -735,6 +775,108 @@ class TestQueryServer:
                              backoff=0.001, timeout=0.5)
         with pytest.raises(OSError):
             client.request([Query("m", 0, 1)])
+
+
+def _client_lines(draw, tenant):
+    """One connection's lines on ``tenant``'s lane: (kind, request id,
+    line) each."""
+    def line(kind, i):
+        if kind == "junk":
+            return "not json\n"
+        envelope = {"id": i, "tenant": tenant}
+        if kind == "catalog":
+            return json.dumps({"version": wire.WIRE_VERSION,
+                               "catalog": {"op": "metrics"}, **envelope}) + "\n"
+        if kind == "unknown field":
+            envelope["refresh"] = True
+        query = Query("air.co2.ppm", 0, draw(st.sampled_from((1200, 4000))),
+                      downsample=draw(st.sampled_from((None, "10m-avg"))))
+        return _request_line([query], **envelope)
+
+    kinds = draw(st.lists(
+        st.sampled_from(("query",) * 3 + ("junk", "unknown field", "catalog")),
+        min_size=1, max_size=8))
+    return [(kind, i, line(kind, i)) for i, kind in enumerate(kinds)]
+
+
+def _reply_fits(kind, i, reply, may_drop):
+    """Is ``reply`` one that line ``i`` of ``kind`` may be answered?"""
+    if kind == "junk":
+        return reply["error"]["type"] == "WireError" and "id" not in reply
+    if reply.get("id") != i:
+        return False
+    if may_drop and reply.get("error", {}).get("type") == "Overloaded":
+        return True
+    if kind == "unknown field":
+        return reply["error"]["message"] == (
+            "unknown request fields: ['refresh']")
+    return ("catalog" if kind == "catalog" else "results") in reply
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_one_line_in_flight_per_connection(data):
+    """Several connections each pipeline a drawn mix of lines — queries,
+    malformed lines and catalog requests — and read their replies at a
+    drawn pace, then half-close: every line gets exactly one reply, in
+    the order sent, and no connection ever holds more than one line
+    admitted and unanswered."""
+    draw = data.draw
+    backpressure = draw(st.sampled_from(("block", "drop-oldest")))
+    policy = TenantPolicy(max_pending=draw(st.integers(1, 3)),
+                          backpressure=backpressure,
+                          parallelism=draw(st.integers(1, 2)))
+    # per connection: its lines, and how many replies it reads after each
+    clients = []
+    for _ in range(draw(st.integers(2, 4))):
+        lines = _client_lines(draw, draw(st.sampled_from(("public", "t1"))))
+        clients.append((lines, draw(st.lists(
+            st.integers(0, 2), min_size=len(lines), max_size=len(lines)))))
+    in_flight: dict = {}
+    peak = [0]
+    admit, settle = QueryServer._admit, _Job.settle
+
+    async def counted_admit(server, lane, job):
+        in_flight[job.writer] = in_flight.get(job.writer, 0) + 1
+        peak[0] = max(peak[0], in_flight[job.writer])
+        await admit(server, lane, job)
+
+    def counted_settle(job):
+        in_flight[job.writer] -= 1
+        settle(job)
+
+    def one_client(address, lines, pace, out):
+        with socket.create_connection(address, timeout=10) as sock, \
+                sock.makefile("rb") as file:
+            read = 0
+            for (_, i, line), n in zip(lines, pace):
+                sock.sendall(line.encode())
+                for _ in range(min(n, i + 1 - read)):
+                    out.append(json.loads(file.readline()))
+                    read += 1
+            sock.shutdown(socket.SHUT_WR)
+            out.extend(json.loads(reply) for reply in file)
+
+    replies = [[] for _ in clients]
+    with mock.patch.object(QueryServer, "_admit", counted_admit), \
+            mock.patch.object(_Job, "settle", counted_settle), \
+            live_server(_seeded(TSDB()), default_policy=policy) as server:
+        threads = [threading.Thread(target=one_client,
+                                    args=(server.address, *client, out))
+                   for client, out in zip(clients, replies)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        stats = server.stats()
+    for (lines, _), got in zip(clients, replies):
+        assert len(got) == len(lines)
+        for (kind, i, _), reply in zip(lines, got):
+            assert _reply_fits(kind, i, reply, backpressure == "drop-oldest")
+    assert peak[0] <= 1
+    assert not any(in_flight.values())
+    assert stats["requests"] == sum(len(lines) for lines, _ in clients)
 
 
 def _bad_version_request(self, queries):
@@ -992,9 +1134,9 @@ class TestGracefulStop:
         asyncio.run(run())  # returns promptly; nothing hangs
 
     def test_hard_stop_releases_a_half_closed_connection(self):
-        """A connection waits for its admitted lines' replies once its
-        client half-closes; a hard stop abandons the queued ones, and
-        the handler must not wait for them forever."""
+        """Half-closed connections wait for their admitted lines'
+        replies; a hard stop abandons the queued ones, and no handler
+        may wait for them forever."""
         store = _seeded(_SlowStore())
         policy = TenantPolicy(parallelism=1)
         server = QueryServer(store, port=0, default_policy=policy)
@@ -1002,15 +1144,21 @@ class TestGracefulStop:
 
         async def run():
             await server.start()
-            reader, writer = await asyncio.open_connection(*server.address)
-            writer.write(line * 4)
-            writer.write_eof()
+            writers = []
+            for _ in range(4):  # one running, three queued
+                _, writer = await asyncio.open_connection(*server.address)
+                writer.write(line)
+                writer.write_eof()
+                writers.append(writer)
             while server.stats()["tenants"].get("public", {}).get("admitted", 0) < 4:
                 await asyncio.sleep(0.01)
             await server.stop(drain=False)
             handlers = asyncio.all_tasks() - {asyncio.current_task()}
-            _, stuck = await asyncio.wait(handlers, timeout=5)
-            writer.close()
+            stuck = set()
+            if handlers:
+                _, stuck = await asyncio.wait(handlers, timeout=5)
+            for writer in writers:
+                writer.close()
             return stuck
 
         assert asyncio.run(run()) == set()
@@ -1270,18 +1418,16 @@ def _wall_panels(start, end):
 @given(data=st.data())
 def test_property_reply_lines_equal_dumps_of_the_dict_codec(make_store, data):
     """Every reply line is the bytes ``json.dumps`` of the dict codec
-    gives on the innermost store — hits, misses, splices and errors — whatever was written, deleted, evicted or slid between
-    requests, with or without the ignored ``refresh`` field."""
+    gives on the innermost store — hits, misses, splices and errors —
+    whatever was written, deleted, evicted or slid between requests."""
     inner = make_store()
     draw = data.draw
     now, nodes, window, picks, last = 0, ["a", "b"], (0, 0), [], None
 
-    def exchange(sock, file, payload, request_id, refresh):
+    def exchange(sock, file, payload, request_id):
         envelope = dict(payload)
         if request_id is not _ABSENT:
             envelope["id"] = request_id
-        if refresh:
-            envelope["refresh"] = True
         sock.sendall(json.dumps(envelope).encode() + b"\n")
         line = file.readline()
         want = wire.handle_request(inner, payload)
@@ -1330,8 +1476,7 @@ def test_property_reply_lines_equal_dumps_of_the_dict_codec(make_store, data):
                         picks = draw(st.lists(
                             st.integers(0, len(pool) - 1), max_size=4))
                     last = (wire.encode_request([pool[i] for i in picks]),
-                            draw(_REQUEST_IDS),
-                            draw(st.sampled_from((True, True, False))))
+                            draw(_REQUEST_IDS))
                     exchange(sock, file, *last)
                 else:  # the identical request again
                     exchange(sock, file, *last)
