@@ -28,7 +28,10 @@ test-persist:
 	$(PYTHON) -m pytest -q tests/test_tsdb_segments.py tests/test_tsdb_persistence.py
 
 # The query-engine gate: run/run_many results byte-identical to the
-# seed run() path, wire codec round-trips, and the one normalized query
+# seed run() path, the block executor byte-identical to the frozen seed
+# executor under hypothesis (0-30 series, empty or lagging ones, every
+# aggregator x downsample x fill, rate, NaN / +-inf / -0.0, several
+# windows of one filter in one batch), wire codec round-trips, and the one normalized query
 # identity (any spelling of a query is that query, exact-integer
 # windows, mistyped wire fields refused in band), and strict decoding
 # through a warm intern (a dict decodes as it would cold, whatever
@@ -116,13 +119,14 @@ test-uplink:
 	$(PYTHON) -m pytest -q tests/test_uplink_costs.py tests/test_replication_walk.py tests/test_replication.py tests/test_store_stack.py tests/test_dataport_app.py
 
 # The cold-path gate: what one cold dashboard batch costs as counts
-# (bytes copied by scans 0, one filter's alignment alive at a time,
+# (bytes copied by scans 0, one filter's block and alignment alive at a time,
 # traced peak below the bytes scanned, no NaN mask and no per-value
 # encode without a NaN, results that own their columns), a scan ≡ the
 # eager copy under any later write (hypothesis), and every aggregator on
 # cells and on segments ≡ the frozen numpy oracle (quantiles: the stated
 # rule) through both mask branches, with no series × instant matrix and
-# no per-bucket call.
+# no per-bucket call; and the block executor ≡ the frozen seed executor
+# under hypothesis (test_tsdb_plan.py).
 test-cold:
 	$(PYTHON) -m pytest -q tests/test_cold_costs.py tests/test_property_tsdb.py tests/test_tsdb_plan.py tests/test_tsdb_batch.py tests/test_aggregators.py
 

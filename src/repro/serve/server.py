@@ -223,8 +223,14 @@ class _Lane:
         self.policy = policy
         self.queue: asyncio.Queue[_Job] = asyncio.Queue(policy.max_pending)
         self.workers: list[asyncio.Task] = []
+        self.closed = False  # its workers are cancelled: a hard stop
         self.admitted = 0
         self.dropped = 0
+
+    def abandon(self) -> None:
+        """Settle every queued job unanswered: no worker will take it."""
+        while not self.queue.empty():
+            self.queue.get_nowait().settle()
 
     def stats(self) -> dict:
         return {
@@ -303,6 +309,14 @@ class QueryServer:
         """
         self._stopping = True
         if self._server is not None:
+            # Stop accepting first, and let a connection accepted just
+            # before attach to the server: closing the server under an
+            # accept in flight strands that connection's socket, which is
+            # then never closed.
+            loop = asyncio.get_running_loop()
+            for sock in self._server.sockets:
+                loop.remove_reader(sock)
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
             self._server = None
@@ -314,12 +328,12 @@ class QueryServer:
             except TimeoutError:
                 pass
         for lane in self._lanes.values():
+            lane.closed = True
             for task in lane.workers:
                 task.cancel()
             await asyncio.gather(*lane.workers, return_exceptions=True)
             lane.workers.clear()
-            while not lane.queue.empty():  # abandoned: never answered
-                lane.queue.get_nowait().settle()
+            lane.abandon()
         self._threads.shutdown()
 
     def stats(self) -> dict:
@@ -371,6 +385,10 @@ class QueryServer:
         else:
             queue.put_nowait(job)
         lane.admitted += 1
+        if lane.closed:
+            # A hard stop took a queued job out, which woke this put: no
+            # worker is left to answer it, or the next parked put it wakes.
+            lane.abandon()
 
     async def _pump(self, lane: _Lane) -> None:
         loop = asyncio.get_running_loop()

@@ -16,7 +16,7 @@ on whichever layout its caller holds:
   every cell in column ``i``, cells listed row (series) by row.  It
   folds with ``np.bincount``, ``ufunc.at`` and ``mean[col]``;
 - :class:`Segments` groups a bucket's points in time order (the batched
-  downsample, :func:`~repro.tsdb.downsample.apply_many`): group ``i`` is
+  downsample, :func:`~repro.tsdb.downsample.apply_block`): group ``i`` is
   the contiguous run from ``starts[i]``.  It folds with ``reduceat``
   and ``np.repeat``.
 

@@ -49,11 +49,14 @@ from __future__ import annotations
 from collections import OrderedDict, defaultdict
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .model import SeriesKey, validate_name
 
 __all__ = [
     "BoundedLRU",
     "CardinalityLimitError",
+    "Grouping",
     "MetricCounters",
     "Resolution",
     "SeriesCatalog",
@@ -119,10 +122,38 @@ def group_keys(
     )
 
 
+class Grouping:
+    """One ``group_by``'s partition of a resolution's keys: ``groups``
+    is :func:`group_keys` of them — ``(label, keys)`` pairs — and where
+    those keys sit among the resolution's: ``order`` lists their
+    positions group after group, group ``i`` holding
+    ``order[bounds[i]:bounds[i + 1]]``.
+
+    A planner's block lays the resolution's series out in key order, so
+    with these it regroups the block's runs in one gather — none at all
+    when ``in_key_order`` — and finds a group's runs between two bounds.
+    """
+
+    __slots__ = ("group_by", "groups", "order", "bounds", "in_key_order")
+
+    def __init__(self, group_by: tuple[str, ...], keys: Sequence[SeriesKey]) -> None:
+        self.group_by = group_by
+        self.groups = group_keys(group_by, keys)
+        position = {key: i for i, key in enumerate(keys)}
+        self.order = np.fromiter(
+            (position[key] for _, members in self.groups for key in members),
+            dtype=np.intp,
+            count=len(keys),
+        )
+        self.bounds = np.zeros(len(self.groups) + 1, dtype=np.intp)
+        np.cumsum([len(members) for _, members in self.groups], out=self.bounds[1:])
+        self.in_key_order = bool((self.order == np.arange(len(keys))).all())
+
+
 class Resolution:
     """One filter resolved under one series set: the matched ``keys``
-    in canonical order, their :func:`group_keys` partition per
-    ``group_by`` (made on first ask) and their column ``stores``.
+    in canonical order, their :class:`Grouping` per ``group_by`` (made
+    on first ask) and their column ``stores``.
 
     A catalog keeps it while the metric's generation reads
     ``generation``: no series was created or removed under the metric,
@@ -145,13 +176,14 @@ class Resolution:
         self.stores = stores
         self._groups: dict = {} if groups is None else groups
 
-    def groups(self, group_by: Sequence[str]) -> list:
-        """:func:`group_keys` of the keys, made once per ``group_by``."""
+    def groups(self, group_by: Sequence[str]) -> Grouping:
+        """The :class:`Grouping` of the keys under ``group_by``, made
+        once."""
         group_by = tuple(group_by)
-        groups = self._groups.get(group_by)
-        if groups is None:
-            groups = self._groups[group_by] = group_keys(group_by, self.keys)
-        return groups
+        grouping = self._groups.get(group_by)
+        if grouping is None:
+            grouping = self._groups[group_by] = Grouping(group_by, self.keys)
+        return grouping
 
     def with_stores(self, lookup: Callable) -> "Resolution":
         """This resolution with every key's column store, looked up

@@ -99,12 +99,8 @@ def apply_many(
     gap-filling policy, empty leading/trailing buckets are emitted too,
     which dashboards rely on for fixed-width windows.
 
-    The slices are laid end to end and cut into
-    :class:`~repro.tsdb.aggregators.Segments` wherever the bucket or the
-    slice changes, so a panel grouped by node reduces every node's
-    buckets in one pass, whatever the aggregator.  A segment's reduction
-    reads its own points only, so each slice's buckets are what they are
-    when it is downsampled alone.
+    The slices are trimmed to the bucket range, laid end to end and
+    handed to :func:`apply_block`.
     """
     if not slices:
         return []
@@ -116,9 +112,38 @@ def apply_many(
         lo = None if start is None else int(start // w) * w
         hi = None if end is None else end if sparse else int(end // w) * w + w - 1
         slices = [s.between(lo, hi) for s in slices]
-    bounds = np.cumsum([0] + [len(s) for s in slices])
-    bucket = np.concatenate([s.timestamps for s in slices]) // w
-    vals = np.concatenate([s.values for s in slices])
+    return apply_block(
+        np.concatenate([s.timestamps for s in slices]),
+        np.concatenate([s.values for s in slices]),
+        np.cumsum([0] + [len(s) for s in slices]),
+        ds,
+        start,
+        end,
+    )
+
+
+def apply_block(
+    timestamps: np.ndarray,
+    values: np.ndarray,
+    bounds: np.ndarray,
+    ds: Downsample,
+    start: int | None = None,
+    end: int | None = None,
+) -> list[SeriesSlice]:
+    """Downsample sorted runs laid end to end — run ``i`` is
+    ``timestamps[bounds[i]:bounds[i + 1]]`` — all buckets in one pass,
+    one slice per run.  Every point must lie in the bucket range of
+    ``start``/``end`` (as :func:`apply_many` trims it); ``start``/``end``
+    bound the gap-filled grid as there.
+
+    The points are cut into :class:`~repro.tsdb.aggregators.Segments`
+    wherever the bucket or the run changes, so a panel grouped by node
+    reduces every node's buckets in one pass, whatever the aggregator.
+    A segment's reduction reads its own points only, so each run's
+    buckets are what they are when it is downsampled alone.
+    """
+    w = ds.width
+    bucket = timestamps // w
     n = bucket.shape[0]
     edge = np.zeros(n + 1, dtype=bool)
     np.not_equal(bucket[1:], bucket[:-1], out=edge[1:n])
@@ -126,39 +151,45 @@ def apply_many(
     starts = np.flatnonzero(edge[:n])
     seg_bucket = bucket[starts]
     reduce = aggregators.lookup(ds.agg).reduce
-    seg_vals = reduce(aggregators.Segments(vals, starts)) if n else vals
+    seg_vals = reduce(aggregators.Segments(values, starts)) if n else values
     seg_bounds = starts.searchsorted(bounds)
 
-    if sparse:
+    if ds.fill is FillPolicy.NONE:
         # No gap filling: only occupied buckets are emitted, so work is
         # proportional to the number of points, not the time span.
         keep = ~np.isnan(seg_vals)
         out_ts, out_vals = seg_bucket[keep] * w, seg_vals[keep]
-        kept = np.concatenate([[0], np.cumsum(keep)])[seg_bounds]
+        kept = np.zeros(keep.shape[0] + 1, dtype=np.intp)
+        np.cumsum(keep, out=kept[1:])
+        kept = kept[seg_bounds]
         return [
             SeriesSlice(out_ts[a:b], out_vals[a:b])
             for a, b in zip(kept[:-1].tolist(), kept[1:].tolist())
         ]
     return [
-        _filled(s, seg_bucket[a:b], seg_vals[a:b], ds, start, end)
-        for s, a, b in zip(slices, seg_bounds[:-1], seg_bounds[1:])
+        _filled(timestamps[p:q], seg_bucket[a:b], seg_vals[a:b], ds, start, end)
+        for p, q, a, b in zip(
+            bounds[:-1].tolist(), bounds[1:].tolist(),
+            seg_bounds[:-1].tolist(), seg_bounds[1:].tolist(),
+        )
     ]
 
 
 def _filled(
-    s: SeriesSlice,
+    run: np.ndarray,
     seg_bucket: np.ndarray,
     seg_vals: np.ndarray,
     ds: Downsample,
     start: int | None,
     end: int | None,
 ) -> SeriesSlice:
-    """One slice's occupied buckets laid on its gap-filled grid."""
+    """One run's occupied buckets laid on its gap-filled grid (``run``:
+    its timestamps)."""
     w = ds.width
-    if len(s) == 0 and (start is None or end is None):
+    if run.shape[0] == 0 and (start is None or end is None):
         return SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
-    lo = s.timestamps[0] if start is None else start
-    hi = s.timestamps[-1] if end is None else end
+    lo = run[0] if start is None else start
+    hi = run[-1] if end is None else end
     first = int(lo // w)
     n_buckets = int(hi // w) - first + 1
     if n_buckets <= 0:

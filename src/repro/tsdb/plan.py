@@ -6,49 +6,46 @@ this module adds everything around it:
 - :func:`run_batch` — the batched executor behind ``store.run_many``:
   deduplicates queries (:class:`Batch`) and dispatches to the store's
   execution hook;
-- :func:`run_unique_batch` — the one executor behind that hook: each
-  distinct filter is resolved once, each touched series is scanned once
-  over its covering range, and every query runs :func:`execute_plan`
-  over the shared scans.  A store supplies only how it resolves a
-  filter — its catalog's kept :class:`~repro.tsdb.catalog.Resolution`:
-  the matched keys, their groups, their column stores.  What a
-  batch holds: the scans for its whole length — they are read-only
-  views of the stores' columns
-  (:meth:`~repro.tsdb.series.SeriesStore.scan`), nothing to free — and
-  the alignments of **one filter at a time**: only queries with the
-  same filter can share one, so the batch runs filter by filter and a
-  filter's cells, masks and concatenations die before the next
-  filter's are made.  A result owns its columns: where a plan would
-  hand a scan through unchanged it is copied out, once;
+- :func:`run_unique_batch` — the one executor behind that hook.  Each
+  distinct filter is resolved once — its catalog's kept
+  :class:`~repro.tsdb.catalog.Resolution`: the matched keys, their
+  groupings, their column stores — and its matched series are scanned
+  once over the covering range of its queries and laid end to end, in
+  key order, as one :class:`Block`.  Each distinct window of the filter
+  is that block cut in one pass over its points, and every query of the
+  filter and window folds from that one block (:func:`execute_plan`):
+  the work is numpy over the points, not Python per series.  What a
+  batch holds: the block of **one filter at a time** and what its
+  queries derive from it — its windows, rates, regroupings and
+  alignments — all dropped before the next filter's block is made;
 - :func:`execute_plan` — the seed scan → rate → group-by → aggregate →
-  downsample plan, in two stages: the per-instant fold over the
-  :func:`~repro.tsdb.catalog.group_keys` partition
-  (:func:`aggregate_across`), then
-  :func:`downsampled` (one pass over the groups), which also buckets a
-  window's instants trimmed at any later start exactly as a run over
-  that sub-window would;
-- :class:`ScanPlan` / :func:`align` — the physical helpers: one
-  covering-range scan per touched series for a whole batch, one argsort
-  alignment per group of slices (every point's column in the timestamp
-  union; the aggregators fold the points, no series×instant matrix, and
-  no NaN mask where no value is NaN — the alignment hands each column's
-  point count over, see :mod:`~repro.tsdb.aggregators`).
+  downsample plan over one block, in two stages: each group's fold
+  across its series at every instant (:func:`aggregate_across`), then
+  :func:`downsampled` (one pass over the groups laid end to end), which
+  also buckets a window's instants trimmed at any later start exactly
+  as a run over that sub-window would;
+- :func:`align` — the physical fold helper: one argsort alignment of a
+  group's points (every point's column in the timestamp union; the
+  aggregators fold the points, no series×instant matrix, and no NaN
+  mask where no value is NaN — the alignment hands each column's point
+  count over, see :mod:`~repro.tsdb.aggregators`).
 
-The one-shot entry point, ``store.run``, is a thin shim over this
-planner: a single query is just a batch of one.
+A block's columns are read-only and no result is a view of one: a
+result owns its columns.  The one-shot entry point, ``store.run``, is a
+thin shim over this planner: a single query is just a batch of one.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import aggregators
-from .catalog import Resolution
-from .downsample import apply_many as downsample_many
-from .model import SeriesKey
-from .query import Query, QueryError, QueryResult, ResultSeries, compute_rate
+from .catalog import Grouping, Resolution
+from .downsample import apply_block
+from .query import Query, QueryError, QueryResult, ResultSeries
 from .series import SeriesSlice
 
 
@@ -56,24 +53,159 @@ def _empty_slice() -> SeriesSlice:
     return SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
 
 
+def _offsets(lengths) -> np.ndarray:
+    """The bounds of runs of ``lengths`` laid end to end."""
+    return np.fromiter(
+        accumulate(lengths, initial=0), dtype=np.intp, count=len(lengths) + 1
+    )
+
+
+# ---------------------------------------------------------------------------
+# The physical layout: series laid end to end
+# ---------------------------------------------------------------------------
+
+
+class Block:
+    """Time-sorted runs laid end to end: run ``i`` is
+    ``timestamps[bounds[i]:bounds[i + 1]]``, with ``values`` beside.
+
+    The planner's block is a filter's matched series over one window,
+    run ``i`` the points of the filter's key ``i``.  Its columns are
+    read-only.  What the queries of one filter and window derive from
+    it — its runs in a grouping's order, a group's runs, the rates, the
+    alignment — is kept on the block the first time it is made, so
+    queries share it for as long as the block lives: one filter of one
+    batch.
+    """
+
+    __slots__ = ("timestamps", "values", "bounds", "_kept")
+
+    def __init__(
+        self, timestamps: np.ndarray, values: np.ndarray, bounds: np.ndarray
+    ) -> None:
+        timestamps.setflags(write=False)
+        values.setflags(write=False)
+        self.timestamps = timestamps
+        self.values = values
+        self.bounds = bounds
+        self._kept: dict = {}
+
+    @classmethod
+    def of(cls, slices: Sequence[SeriesSlice]) -> "Block":
+        """``slices`` laid end to end, one run each, copied once."""
+        if not slices:
+            empty = _empty_slice()
+            return cls(empty.timestamps, empty.values, _offsets(()))
+        return cls(
+            np.concatenate([s.timestamps for s in slices]),
+            np.concatenate([s.values for s in slices]),
+            _offsets([len(s) for s in slices]),
+        )
+
+    @classmethod
+    def scan(cls, stores: Sequence, start: int, end: int) -> "Block":
+        """Each column store scanned once over ``[start, end]`` (an
+        absent store, None, is an empty run)."""
+        return cls.of([
+            _empty_slice() if store is None else store.scan(start, end)
+            for store in stores
+        ])
+
+    def __len__(self) -> int:
+        return int(self.timestamps.shape[0])
+
+    def between(self, start: int, end: int) -> "Block":
+        """Every run's points with ``start <= t <= end``, in one pass
+        over the points.  A run is sorted, so what stays of it is the
+        scan of its series over ``[start, end]``."""
+        ts = self.timestamps
+        inside = ts >= start
+        inside &= ts <= end
+        before = np.zeros(ts.shape[0] + 1, dtype=np.intp)
+        np.cumsum(inside, out=before[1:])
+        return Block(ts[inside], self.values[inside], before[self.bounds])
+
+    def rated(self) -> "Block":
+        """Every run's per-second first derivative, in one pass — each
+        run's :func:`~repro.tsdb.query.compute_rate`: a point per pair
+        of consecutive points of one run, at the later one's instant, a
+        negative rate (a counter reset) 0."""
+        rated = self._kept.get("rate")
+        if rated is None:
+            ts, bounds = self.timestamps, self.bounds
+            n = ts.shape[0]
+            pair = np.ones(max(n - 1, 0), dtype=bool)  # (j, j + 1) in one run
+            cuts = bounds[1:-1]
+            pair[cuts[(cuts > 0) & (cuts < n)] - 1] = False
+            dt = np.diff(ts).astype(np.float64)
+            rate = np.diff(self.values)[pair] / dt[pair]
+            rated = self._kept["rate"] = Block(
+                ts[1:][pair],
+                np.where(rate < 0, 0.0, rate),
+                _offsets(np.maximum(np.diff(bounds) - 1, 0)),
+            )
+        return rated
+
+    def grouped(self, grouping: Grouping) -> "Block":
+        """The runs in ``grouping``'s order — group after group, a
+        group's in key order: this block, when that is its order."""
+        if grouping.in_key_order:
+            return self
+        key = ("grouped", grouping.group_by)
+        block = self._kept.get(key)
+        if block is None:
+            starts = self.bounds[grouping.order]
+            lengths = self.bounds[grouping.order + 1] - starts
+            bounds = _offsets(lengths)
+            at = np.repeat(starts - bounds[:-1], lengths)
+            at += np.arange(bounds[-1])
+            block = self._kept[key] = Block(
+                self.timestamps[at], self.values[at], bounds
+            )
+        return block
+
+    def runs(self, i: int, j: int) -> "Block":
+        """Runs ``i`` to ``j - 1`` as a block of their own, a view: this
+        block, when they are all of its runs."""
+        if i == 0 and j == self.bounds.shape[0] - 1:
+            return self
+        key = ("runs", i, j)
+        block = self._kept.get(key)
+        if block is None:
+            a, b = self.bounds[i], self.bounds[j]
+            block = self._kept[key] = Block(
+                self.timestamps[a:b], self.values[a:b], self.bounds[i:j + 1] - a
+            )
+        return block
+
+    def aligned(self) -> tuple[np.ndarray, aggregators.Cells]:
+        """:func:`align` of the block's points, made once."""
+        aligned = self._kept.get("aligned")
+        if aligned is None:
+            aligned = self._kept["aligned"] = align(self.timestamps, self.values)
+        return aligned
+
+
 # ---------------------------------------------------------------------------
 # The logical plan, factored into reusable stages
 # ---------------------------------------------------------------------------
 
 
-def align(slices: list[SeriesSlice]) -> tuple[np.ndarray, aggregators.Cells]:
-    """Align non-empty slices on the union of their timestamps.
+def align(
+    timestamps: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, aggregators.Cells]:
+    """Align runs of points laid end to end — a :class:`Block`'s
+    columns — on the union of their timestamps.
 
-    One stable argsort of the concatenated timestamps gives the sorted
-    union (a dedup mask over the sorted run) and, scattered back through
-    the permutation, every point's column in it — work proportional to
-    the points, where a (series, instant) matrix costs series × union
-    and is mostly NaN for feeds that never report on the same second.
-    Points stay in slice order, which is the order the folds add in.
+    One stable argsort of the timestamps gives the sorted union (a dedup
+    mask over the sorted run) and, scattered back through the
+    permutation, every point's column in it — work proportional to the
+    points, where a (series, instant) matrix costs series × union and is
+    mostly NaN for feeds that never report on the same second.  Points
+    stay in run order, which is the order the folds add in.
     """
-    ts = np.concatenate([s.timestamps for s in slices])
-    order = np.argsort(ts, kind="stable")
-    merged = ts[order]
+    order = np.argsort(timestamps, kind="stable")
+    merged = timestamps[order]
     first = np.empty(merged.shape[0], dtype=bool)
     first[0] = True
     np.not_equal(merged[1:], merged[:-1], out=first[1:])
@@ -88,35 +220,15 @@ def align(slices: list[SeriesSlice]) -> tuple[np.ndarray, aggregators.Cells]:
     col -= 1
     return all_ts, aggregators.Cells(
         col,
-        np.concatenate([s.values for s in slices]),
+        values,
         # Each instant's run in the sorted union is its column's cells.
         aggregators.segment_lengths(starts, merged.shape[0]),
     )
 
 
-def _aligned_for(
-    slices: list[SeriesSlice], align_cache: dict | None
-) -> tuple[np.ndarray, aggregators.Cells]:
-    """:func:`align`, memoized per batch when a cache is given.
-
-    Keys are slice identities; each entry pins its slices, so a freed
-    slice's address can never be reused by an object that would collide
-    with a live key (no false hits).  The cells keep what aggregators
-    derive from them, so panels over the same slices share that too.
-    """
-    if align_cache is None:
-        return align(slices)
-    key = tuple(map(id, slices))
-    entry = align_cache.get(key)
-    if entry is None:
-        entry = align_cache[key] = (list(slices), *align(slices))
-    return entry[1], entry[2]
-
-
-def aggregate_across(
-    slices: list[SeriesSlice], name: str, *, align_cache: dict | None = None
-) -> SeriesSlice:
-    """Combine several series into one by aggregating per timestamp.
+def aggregate_across(block: Block, name: str) -> SeriesSlice:
+    """Combine a block's runs — one group's series — into one series by
+    aggregating per timestamp.
 
     Timestamps are the union of all input timestamps; at each instant the
     aggregator sees the values of every series that has a point exactly
@@ -127,208 +239,153 @@ def aggregate_across(
     series — so a downsampled cross-series panel folds single points
     and then downsamples them.  (OpenTSDB downsamples each series first
     and interpolates across series; moving to that order is ROADMAP
-    item 2, and this function does not attempt it.)
+    item 3, and this function does not attempt it.)
 
     ``name`` is a registered aggregator; it reduces the aligned points
     as :class:`~repro.tsdb.aggregators.Cells` — for the folds, bit for
     bit the fold down the series × instant matrix, which is never built.
+    The alignment is the block's own (:meth:`Block.aligned`), so the
+    panels of one filter, window and group (a dashboard's ``avg`` and
+    ``dev`` panels, or its ``median`` and ``p95``) share it and what the
+    aggregators derive from it, and differ only in the final reduction.
 
-    ``align_cache`` is the batched executor's cross-query win: queries
-    in one batch that aggregate the *same* slice objects (a dashboard's
-    ``avg`` and ``dev`` panels, or its ``median`` and ``p95``) share the
-    alignment and what the aggregators derive from it, and differ only
-    in the final reduction.  Keys are slice identities, so the cache is
-    only valid while the batch holds its prepared slices — callers pass
-    a dict that lives as long as the queries that can share do
-    (:func:`run_unique_batch`: one filter).
-
-    A lone series that is its own aggregate comes back as it went in —
-    the scan's read-only view of the store, when that is what it was.
+    A block whose one non-empty run is its own aggregate comes back as
+    that run — the block's read-only columns.
     """
     agg = aggregators.lookup(name)
-    slices = [s for s in slices if len(s) > 0]
-    if not slices:
+    bounds = block.bounds
+    filled = int(np.count_nonzero(bounds[1:] != bounds[:-1]))
+    if filled == 0:
         return _empty_slice()
-    if len(slices) == 1 and agg.lone_is_itself:
+    if filled == 1 and agg.lone_is_itself:
         # Sound only where aggregating one series is the identity —
         # count (→ 1-where-finite) and dev (→ 0) take the full path, or
         # a group whose siblings fall away (rate on a 1-point series)
         # would return raw values instead.
-        only = slices[0]
-        if agg.adds_zero:
-            return SeriesSlice(only.timestamps, only.values + 0.0)
-        return only
-    all_ts, cells = _aligned_for(slices, align_cache)
+        values = block.values + 0.0 if agg.adds_zero else block.values
+        return SeriesSlice(block.timestamps, values)
+    all_ts, cells = block.aligned()
     return SeriesSlice(all_ts, agg.reduce(cells))
 
 
-def _owned(column: np.ndarray) -> np.ndarray:
-    return column if column.flags.writeable else column.copy()
-
-
-def downsampled(query: Query, reduced: list[SeriesSlice]) -> list[SeriesSlice]:
+def downsampled(query: Query, reduced: Block) -> list[SeriesSlice]:
     """The downsample stage of :func:`execute_plan`: the groups'
-    instants bucketed over ``[query.start, query.end]`` in one pass —
-    or, undownsampled, as columns the result owns."""
+    instants, one run per group and all inside ``[query.start,
+    query.end]``, bucketed over that range in one pass — or,
+    undownsampled, copied out one group at a time: a result owns its
+    columns, and a cached view would pin the whole block."""
+    ts, values, bounds = reduced.timestamps, reduced.values, reduced.bounds
     if query.downsample is not None:
-        return downsample_many(reduced, query.downsample, query.start, query.end)
-    # A result owns its columns.  Undownsampled, a lone series is still
-    # the scan's view of the store's (read-only marks it): kept in a
-    # result cache it would pin the whole buffer.
-    return [SeriesSlice(_owned(sl.timestamps), _owned(sl.values)) for sl in reduced]
-
-
-def execute_plan(
-    query: Query,
-    groups: Sequence[tuple[tuple, Sequence[SeriesKey]]],
-    scan: Callable[[SeriesKey], SeriesSlice],
-    *,
-    align_cache: dict | None = None,
-) -> QueryResult:
-    """The group-by → aggregate → downsample plan over scanned slices, in
-    two stages: each group's fold across its series at every instant
-    (rate applied), then :func:`downsampled`.  An instant's value reads
-    only that instant's cells, so it is the same in any window that
-    holds the instant.
-
-    ``groups`` is :func:`~repro.tsdb.catalog.group_keys` of the series
-    the query touches, under ``query.group_by``, and ``scan`` produces
-    each one's time-sorted slice.  Groups form from the key set alone
-    and slices always aggregate in sorted key order.
-    """
-    scanned = 0
-    prepared: list[list[SeriesSlice]] = []
-    for _, keys in groups:
-        slices: list[SeriesSlice] = []
-        for key in keys:
-            sl = scan(key)
-            scanned += len(sl)
-            if query.rate:
-                sl = compute_rate(sl)
-            slices.append(sl)
-        prepared.append(slices)
-    reduced = [
-        aggregate_across(slices, query.aggregator, align_cache=align_cache)
-        for slices in prepared
+        return apply_block(ts, values, bounds, query.downsample, query.start, query.end)
+    return [
+        SeriesSlice(ts[a:b].copy(), values[a:b].copy())
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
     ]
-    series_out = [
+
+
+def execute_plan(query: Query, grouping: Grouping, block: Block) -> QueryResult:
+    """The rate → group-by → aggregate → downsample plan over one block,
+    in two stages: each group's fold across its series at every instant
+    (rate applied per series first), then :func:`downsampled`.  An
+    instant's value reads only that instant's cells, so it is the same in
+    any window that holds the instant.
+
+    ``block`` holds the series ``query``'s filter matches over its
+    window, run ``i`` the points of the filter's key ``i``; ``grouping``
+    is the filter's :class:`~repro.tsdb.catalog.Grouping` under
+    ``query.group_by``.  Groups form from the key set alone, and a
+    group's series aggregate in key order.  Where no group holds more
+    than one non-empty series and the aggregator makes a lone series its
+    own aggregate (a per-node ``avg``, say), every group is its run:
+    the block, regrouped, is the reduction, with no pass per group.
+    """
+    scanned = len(block)
+    if not grouping.groups:
+        empty = ResultSeries(query.metric, {}, _empty_slice(), ())
+        return QueryResult(query=query, series=(empty,), scanned_points=scanned)
+    if query.rate:
+        block = block.rated()
+    runs = block.grouped(grouping)
+    agg = aggregators.lookup(query.aggregator)
+    edges = grouping.bounds  # group g holds runs edges[g] to edges[g + 1] - 1
+    # non-empty runs before each run bound, read at the group edges
+    filled = np.zeros(runs.bounds.shape[0], dtype=np.intp)
+    np.cumsum(runs.bounds[1:] != runs.bounds[:-1], out=filled[1:])
+    filled = filled[edges]
+    if agg.lone_is_itself and (filled[1:] - filled[:-1]).max() <= 1:
+        values = runs.values + 0.0 if agg.adds_zero else runs.values
+        reduced = Block(runs.timestamps, values, runs.bounds[edges])
+    else:
+        folds = [
+            aggregate_across(runs.runs(i, j), query.aggregator)
+            for i, j in zip(edges[:-1].tolist(), edges[1:].tolist())
+        ]
+        reduced = Block.of(folds) if len(folds) > 1 else Block(
+            folds[0].timestamps, folds[0].values, _offsets([len(folds[0])])
+        )
+    series = tuple(
         ResultSeries(
             metric=query.metric,
             group_tags=dict(label),
             slice=combined,
-            source_series=tuple(keys),
+            source_series=keys,
         )
-        for (label, keys), combined in zip(groups, downsampled(query, reduced))
-    ]
-    if not series_out:
-        series_out.append(ResultSeries(query.metric, {}, _empty_slice(), ()))
-    return QueryResult(query=query, series=tuple(series_out), scanned_points=scanned)
+        for (label, keys), combined in zip(grouping.groups, downsampled(query, reduced))
+    )
+    return QueryResult(query=query, series=series, scanned_points=scanned)
 
 
 # ---------------------------------------------------------------------------
-# Physical helpers: shared scans, and the one executor over them
+# The one executor: a block per filter
 # ---------------------------------------------------------------------------
 
 
-class ScanPlan:
-    """One physical scan per touched series for a whole query batch.
-
-    Queries register the ranges they need per key; ``resolve`` runs one
-    covering-range scan per key; ``slice_for`` hands each query its
-    sub-range.  Timestamps are strictly increasing, so the searchsorted
-    sub-range of the covering scan is bit-identical to a direct
-    ``scan(start, end)`` — sharing is invisible to results.
-    """
-
-    def __init__(self) -> None:
-        self._ranges: dict[SeriesKey, list[int]] = {}
-        self._scans: dict[SeriesKey, SeriesSlice] = {}
-        self._subslices: dict[tuple[SeriesKey, int, int], SeriesSlice] = {}
-
-    def need(self, key: SeriesKey, start: int, end: int) -> None:
-        bounds = self._ranges.get(key)
-        if bounds is None:
-            self._ranges[key] = [start, end]
-        else:
-            bounds[0] = min(bounds[0], start)
-            bounds[1] = max(bounds[1], end)
-
-    @property
-    def touched(self) -> int:
-        return len(self._ranges)
-
-    def resolve(
-        self, scanner: Callable[[SeriesKey, int, int], SeriesSlice]
-    ) -> None:
-        for key, (lo, hi) in self._ranges.items():
-            self._scans[key] = scanner(key, lo, hi)
-
-    def slice_for(self, key: SeriesKey, start: int, end: int) -> SeriesSlice:
-        """Sub-range of the covering scan; memoized so queries sharing a
-        (key, range) see the *same* slice object (which is what lets the
-        batch's alignment cache recognize shared aggregation work)."""
-        sl = self._scans[key]
-        lo, hi = self._ranges[key]
-        if lo == start and hi == end:
-            return sl
-        memo_key = (key, start, end)
-        sub = self._subslices.get(memo_key)
-        if sub is None:
-            sub = self._subslices[memo_key] = sl.between(start, end)
-        return sub
+def _run_filter(
+    queries: Sequence[Query],
+    members: list[int],
+    resolved: Resolution,
+    results: list,
+) -> None:
+    """Every query of one filter (``members``, indices into
+    ``queries``) from one block: the filter's series scanned over the
+    covering window, cut once per distinct window."""
+    lo = min(queries[i].start for i in members)
+    hi = max(queries[i].end for i in members)
+    windows = {(lo, hi): Block.scan(resolved.stores, lo, hi)}
+    for i in members:
+        q = queries[i]
+        block = windows.get((q.start, q.end))
+        if block is None:
+            block = windows[q.start, q.end] = windows[lo, hi].between(q.start, q.end)
+        results[i] = execute_plan(q, resolved.groups(q.group_by), block)
 
 
 def run_unique_batch(
     queries: Sequence[Query],
     resolve: Callable[[tuple], Resolution],
 ) -> list[QueryResult]:
-    """Execute deduplicated queries over shared resolutions and scans.
+    """Execute deduplicated queries, one filter at a time.
 
     The executor behind every store's ``_run_unique_batch`` hook: each
-    distinct filter (:attr:`Query.filter`) goes through ``resolve`` once — its
-    keys, groups and column stores, kept by the catalog across batches
-    — each touched series is scanned once over the covering range of
-    every query that needs it, and panels aggregating the same slices
-    share one alignment.  Results align with ``queries``.
+    distinct filter (:attr:`Query.filter`) goes through ``resolve`` once
+    — its keys, groupings and column stores, kept by the catalog across
+    batches — its series are scanned once, over the covering range of
+    its queries, into one :class:`Block`, and each of its queries runs
+    :func:`execute_plan` on that block cut to its window.  Results align
+    with ``queries``.
 
-    The scans are views and cost nothing to hold for the whole batch;
-    an alignment is as large as the points it aligns, and only queries
-    with the same filter can share one.  So the batch runs one filter
-    at a time, in order of first appearance, and each filter's
-    alignments are dropped before the next one's are made.
+    A block copies the points it holds, and what its queries derive
+    from it is as large as the points again; only queries of the same
+    filter can share either.  So the batch runs one filter at a time,
+    in order of first appearance, and a filter's block and all it kept
+    are dropped before the next filter's are made.
     """
     by_filter: dict[tuple, list[int]] = {}
     for i, q in enumerate(queries):
         by_filter.setdefault(q.filter, []).append(i)
-    scans = ScanPlan()
-    stores: dict = {}  # series key -> its column store (None: absent)
-    resolved: list[Resolution] = []
-    for members in by_filter.values():
-        first = queries[members[0]]
-        r = resolve(first.filter)
-        resolved.append(r)
-        lo = min(queries[i].start for i in members)
-        hi = max(queries[i].end for i in members)
-        for key, store in zip(r.keys, r.stores):
-            stores[key] = store
-            scans.need(key, lo, hi)
-
-    def scan(key: SeriesKey, lo: int, hi: int) -> SeriesSlice:
-        store = stores[key]
-        return _empty_slice() if store is None else store.scan(lo, hi)
-
-    scans.resolve(scan)
     results: list[QueryResult | None] = [None] * len(queries)
-    for r, members in zip(resolved, by_filter.values()):
-        align_cache: dict = {}  # the previous filter's dies here
-        for i in members:
-            q = queries[i]
-            results[i] = execute_plan(
-                q,
-                r.groups(q.group_by),
-                lambda key, q=q: scans.slice_for(key, q.start, q.end),
-                align_cache=align_cache,
-            )
+    for filter_, members in by_filter.items():
+        _run_filter(queries, members, resolve(filter_), results)
     return results  # type: ignore[return-value]
 
 

@@ -190,9 +190,9 @@ def test_a_batch_aligns_once_per_filter_and_holds_one_alignment(db, monkeypatch)
     alive_when_aligning: list[int] = []
     real = plan_module.align
 
-    def align(slices):
+    def align(timestamps, values):
         alive_when_aligning.append(sum(ref() is not None for ref in made))
-        all_ts, cells = real(slices)
+        all_ts, cells = real(timestamps, values)
         made.append(weakref.ref(cells))
         return all_ts, cells
 
@@ -248,8 +248,8 @@ class _MaskCounts:
         real_align = plan_module.align
         real_finite = aggregators_module._finite
 
-        def align(slices):
-            all_ts, cells = real_align(slices)
+        def align(timestamps, values):
+            all_ts, cells = real_align(timestamps, values)
             self.cells.append(cells)
             return all_ts, cells
 

@@ -356,13 +356,16 @@ def live_server(store, **kwargs):
         await stop.wait()
         await server.stop()
         # ``stop`` does not wait for connection handlers; let those whose
-        # client has hung up see it, so that closing the loop leaves no
-        # pending task (and its half-closed socket) to the collector.
-        handlers = asyncio.all_tasks() - {asyncio.current_task()}
-        if handlers:
+        # client has hung up see it, cancel the rest and wait for them too,
+        # so that each closes its socket before the loop is closed.  A
+        # connection accepted just before the listener closed starts its
+        # handler only after the accept's own task ends: wait again until
+        # no task is left.
+        while handlers := asyncio.all_tasks() - {asyncio.current_task()}:
             _, stuck = await asyncio.wait(handlers, timeout=1)
             for task in stuck:
                 task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
 
     thread = threading.Thread(
         target=lambda: loop.run_until_complete(main()), daemon=True)
@@ -1162,6 +1165,48 @@ class TestGracefulStop:
             return stuck
 
         assert asyncio.run(run()) == set()
+
+    def test_hard_stop_releases_a_handler_parked_on_a_full_block_lane(self):
+        """A ``block`` lane one deep: one request running, one queued and
+        two handlers parked on the full queue.  A hard stop takes the
+        queued one out, which wakes a parked put — into a lane whose
+        workers are gone (parent: two handlers still waiting 2 s later,
+        lane depth 1).  A job admitted after the workers are cancelled
+        is settled, so every handler ends within a second."""
+
+        class Slower(TSDB):
+            def _run_unique_batch(self, queries):
+                time.sleep(0.2)
+                return super()._run_unique_batch(queries)
+
+        store = _seeded(Slower())
+        policy = TenantPolicy(max_pending=1, parallelism=1)
+        server = QueryServer(store, port=0, default_policy=policy)
+        line = _request_line([Query("air.co2.ppm", 0, 4000)]).encode()
+
+        async def run():
+            await server.start()
+            writers = []
+            for _ in range(4):  # one running, one queued, two parked
+                _, writer = await asyncio.open_connection(*server.address)
+                writer.write(line)
+                writers.append(writer)
+            while server.requests < 4:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)  # the last put parks
+            assert server.stats()["tenants"]["public"]["depth"] == 1
+            await server.stop(drain=False)
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            _, stuck = await asyncio.wait(handlers, timeout=1)
+            depth = server.stats()["tenants"]["public"]["depth"]
+            for task in stuck:
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
+            for writer in writers:
+                writer.close()
+            return len(stuck), depth
+
+        assert asyncio.run(run()) == (0, 0)
 
 
 # -- the encode-once reply path ---------------------------------------------

@@ -179,9 +179,16 @@ def _check_equivalence(store):
                 for key, series in zip(want, resolved.stores):
                     assert series is store._series(key) is not None
                 for group_by in _GROUP_BYS:
-                    assert resolved.groups(group_by) == _brute_groups(
-                        want, group_by
-                    ), f"groups of {metric!r} {tags!r} by {group_by!r}"
+                    grouping = resolved.groups(group_by)
+                    what = f"groups of {metric!r} {tags!r} by {group_by!r}"
+                    assert grouping.groups == _brute_groups(want, group_by), what
+                    # the same keys as positions into the resolution's
+                    for (_, keys), lo, hi in zip(grouping.groups, grouping.bounds,
+                                                 grouping.bounds[1:]):
+                        assert tuple(want[p] for p in grouping.order[lo:hi]) \
+                            == keys, what
+                    assert grouping.in_key_order == (
+                        grouping.order.tolist() == list(range(len(want)))), what
 
 
 @given(

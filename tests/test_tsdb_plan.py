@@ -3,7 +3,8 @@
 The query API was redesigned (batched ``run_many``) but *not*
 changed: every redesigned surface must return byte-identical results
 to the seed query path — ``execute_plan`` over per-query match +
-direct scans, exactly what the seed ``TSDB.run`` did.  This suite pins
+direct scans, as the seed ``TSDB.run`` did — and to the frozen seed
+executor itself.  This suite pins
 that equivalence on ``TSDB``, plus the semantics of the new surfaces
 themselves.
 """
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 import repro.tsdb.plan
 from repro.tsdb import Query, QueryError, TSDB, aggregators
-from repro.tsdb.catalog import group_keys
-from repro.tsdb.plan import ScanPlan, aggregate_across, execute_plan
+from repro.tsdb.catalog import Resolution
+from repro.tsdb.plan import Block, aggregate_across, execute_plan
 from repro.tsdb.series import SeriesSlice
 from test_aggregators import bucket_oracle, dense_oracle
 from test_query_throughput import COLUMNAR, seed_run as frozen_seed_run
@@ -32,14 +33,16 @@ CITIES = ("trondheim", "vejle")
 def seed_run(db: TSDB, query: Query):
     """The seed one-shot path: per-query match + direct scans.
 
-    This is exactly what ``TSDB.run`` did before the planner existed;
-    everything new is measured against it.
+    What ``TSDB.run`` did before the planner shared anything: one
+    query's own match, and its own scan of each matched series over its
+    own window; the batch's covering blocks and windows are measured
+    against it.
     """
-    matched = db._match(query.metric, query.tags)
+    matched = tuple(db._match(query.metric, query.tags))
     return execute_plan(
         query,
-        group_keys(query.group_by, matched),
-        lambda key: db._stores[key].scan(query.start, query.end),
+        Resolution(0, matched).groups(query.group_by),
+        Block.scan([db._stores[key] for key in matched], query.start, query.end),
     )
 
 
@@ -269,25 +272,34 @@ class TestFailFast:
             Query("m", 0, 100, **bad)
 
 
-class TestScanPlan:
-    def test_covering_subslice_equals_direct_scan(self):
+class TestBlock:
+    def test_window_of_a_covering_block_equals_direct_scans(self):
+        """A window cut from a block scanned over the covering range is,
+        run by run, each series' direct scan over the window — series
+        empty in the window, lagging or absent included."""
         rng = np.random.default_rng(7)
         db = TSDB()
-        ts = np.sort(rng.choice(100_000, size=5_000, replace=False))
-        db.put_series("m", ts, rng.normal(size=ts.shape[0]))
-        (key,) = db.series_for_metric("m")
-        plan = ScanPlan()
+        for node, (lo, hi) in enumerate(
+                ((0, 100_000), (0, 50_000), (60_000, 100_000), (0, 100_000))):
+            ts = np.sort(rng.choice(np.arange(lo, hi), size=1_500, replace=False))
+            db.put_series("m", ts, rng.normal(size=ts.shape[0]),
+                          {"node": str(node)})
+        stores = [db._stores[key] for key in db.series_for_metric("m")]
+        stores.insert(2, None)  # matched, not stored yet
         windows = [(0, 100_000), (10_000, 20_000), (55_555, 55_556),
-                   (99_000, 100_000), (100_001, 200_000)]
+                   (49_000, 61_000), (99_000, 100_000), (100_001, 200_000)]
+        cover = Block.scan(stores, 0, 200_000)
         for lo, hi in windows:
-            plan.need(key, lo, hi)
-        plan.resolve(lambda k, lo, hi: db._stores[k].scan(lo, hi))
-        assert plan.touched == 1
-        for lo, hi in windows:
-            got = plan.slice_for(key, lo, hi)
-            want = db._stores[key].scan(lo, hi)
-            assert np.array_equal(got.timestamps, want.timestamps)
-            assert np.array_equal(got.values, want.values)
+            got = cover.between(lo, hi)
+            want = Block.scan(stores, lo, hi)
+            assert got.bounds.tobytes() == want.bounds.tobytes()
+            assert got.timestamps.tobytes() == want.timestamps.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+            for i, store in enumerate(stores):
+                a, b = got.bounds[i], got.bounds[i + 1]
+                direct = [] if store is None else store.scan(lo, hi).timestamps
+                assert np.array_equal(got.timestamps[a:b], direct)
+            assert not got.timestamps.flags.writeable
 
 
 @settings(max_examples=25, deadline=None)
@@ -387,9 +399,9 @@ def test_property_scatter_equals_dense_columnar(slices, shared):
     the row-order fold in the last ulp from nine series up.
     """
     rows = [s for s in slices if len(s) > 0]
-    cache = {} if shared else None  # a batch's panels share one alignment
+    block = Block.of(slices)  # shared: a batch's panels share one alignment
     for name in aggregators.names():
-        got = aggregate_across(slices, name, align_cache=cache)
+        got = aggregate_across(block if shared else Block.of(slices), name)
         if not rows:
             assert len(got) == 0
             continue
@@ -407,7 +419,7 @@ def test_fold_adds_in_row_order_at_reduceat_width():
               for _ in range(40)]
     all_ts, matrix = _dense(slices)
     for name in ("avg", "sum", "dev"):
-        _assert_bytes(aggregate_across(slices, name), all_ts,
+        _assert_bytes(aggregate_across(Block.of(slices), name), all_ts,
                       COLUMNAR[name](matrix), name)
 
 
@@ -419,12 +431,12 @@ def test_lone_negative_zero_folds_like_a_group():
     sibling = SeriesSlice(np.array([30], np.int64), np.array([1.0]))
     empty = SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
     for name in ("avg", "sum"):
-        alone = aggregate_across([lone, empty], name)
-        beside = aggregate_across([lone, sibling], name)
+        alone = aggregate_across(Block.of([lone, empty]), name)
+        beside = aggregate_across(Block.of([lone, sibling]), name)
         assert alone.values.tobytes() == np.array([0.0, 2.5]).tobytes()
         assert alone.values.tobytes() == beside.values[:2].tobytes()
     for name in ("min", "max", "first", "last", "median", "p95"):
-        alone = aggregate_across([lone, empty], name)
+        alone = aggregate_across(Block.of([lone, empty]), name)
         assert alone.values.tobytes() == lone.values.tobytes()
 
 
@@ -471,7 +483,8 @@ def test_property_both_mask_branches_equal_dense_columnar(layout):
 
     nans, slices = layout
     _, matrix = _dense(slices)
-    _, aligned = align(slices)
+    block = Block.of(slices)
+    _, aligned = align(block.timestamps, block.values)
     has_nan = bool(np.isnan(np.concatenate([s.values for s in slices])).any())
     assert (aligned.finite is None) == (not has_nan)  # no mask without a NaN
     assert has_nan == {"none": False, "column": True}.get(nans, has_nan)
@@ -512,8 +525,8 @@ def test_property_delta_window_equals_full_window_across_a_nan(layout, cut_at):
     assert np.isnan(np.concatenate([s.values for s in full])).any()
     assert not np.isnan(np.concatenate([s.values for s in delta])).any()
     for name in aggregators.names():
-        a = aggregate_across(full, name).between(int(cut), None)
-        b = aggregate_across(delta, name)
+        a = aggregate_across(Block.of(full), name).between(int(cut), None)
+        b = aggregate_across(Block.of(delta), name)
         _assert_bytes(b, a.timestamps, a.values, name)
     from repro.tsdb.downsample import Downsample, apply_many
 
@@ -655,10 +668,116 @@ def test_trimmed_instants_downsample_to_the_planners_sub_window():
                          downsample=Downsample(30, agg, fill), group_by=("grp",))
                    for agg in aggregators.names() for fill in fills for cut in cuts]
         for q, want in zip(queries, db.run_many(queries)):
-            got = downsampled(q, [s.slice.between(q.start, None)
-                                  for s in held.series])
+            got = downsampled(q, Block.of([s.slice.between(q.start, None)
+                                           for s in held.series]))
             assert len(got) == len(want.series)
             for a, b in zip(got, want.series):
                 what = (name, q.downsample, q.start, dict(b.group_tags))
                 assert a.timestamps.tobytes() == b.timestamps.tobytes(), what
                 assert a.values.tobytes() == b.values.tobytes(), what
+
+
+# ---------------------------------------------------------------------------
+# The block executor ≡ the frozen seed executor, as bytes
+# ---------------------------------------------------------------------------
+
+_CITIES = ("c0", "c1", "c2")
+_FILLS = ("", "-nan", "-zero", "-previous", "-linear")
+
+
+@st.composite
+def _block_batches(draw):
+    """A store of 0–30 series under one metric — three cities, some
+    series empty, short, lagging or starting late, values 1e-3…1e8 in
+    both signs with NaN, ±inf and −0.0 sprinkled in — and a batch of
+    1–6 queries of one filter, their windows drawn from three (so some
+    are equal and some differ), each with its own aggregator, downsample
+    (every aggregator × fill, or none), rate and group-by (none, by node:
+    lone series, by city: several series a group)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = draw(st.sampled_from((0.0, 0.1, 0.4)))
+    db = TSDB()
+    for i in range(draw(st.integers(0, 30))):
+        shape = draw(st.sampled_from(("full", "full", "lagging", "late",
+                                      "short", "empty")))
+        lo, hi = {"lagging": (0, 200), "late": (400, 600),
+                  "short": (0, 600)}.get(shape, (0, 600))
+        size = {"short": 1, "empty": 0}.get(shape, int(rng.integers(2, 40)))
+        ts = np.sort(rng.choice(np.arange(lo, hi), size=size, replace=False))
+        if shape == "empty":  # a series with points, none of them in any window
+            ts = np.array([5_000], np.int64)
+        values = rng.choice((-1.0, 1.0), ts.shape[0]) * 10.0 ** rng.uniform(
+            -3, 8, ts.shape[0])
+        odd = rng.random(ts.shape[0]) < special
+        values[odd] = rng.choice(_SPECIALS, int(odd.sum()))
+        db.put_series("m", ts.astype(np.int64), values,
+                      {"node": f"n{i:02d}", "city": _CITIES[i % 3]})
+    tags = draw(st.sampled_from(({}, {"city": "c1"}, {"city": "c0|c2"})))
+    windows = [tuple(sorted(draw(st.tuples(st.integers(0, 600),
+                                           st.integers(0, 600)))))
+               for _ in range(3)]
+    names = aggregators.names()
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        start, end = draw(st.sampled_from(windows))
+        ds = draw(st.one_of(st.none(), st.builds(
+            lambda w, agg, fill: f"{w}s-{agg}{fill}",
+            st.sampled_from((30, 60, 120)), st.sampled_from(names),
+            st.sampled_from(_FILLS))))
+        queries.append(Query(
+            "m", start, end, tags=tags, aggregator=draw(st.sampled_from(names)),
+            downsample=ds, rate=draw(st.booleans()),
+            group_by=draw(st.sampled_from(((), ("node",), ("city",))))))
+    return db, queries
+
+
+def _frozen_reference(db, query):
+    """The frozen seed executor (``benchmarks/test_query_throughput.py``)
+    with the rules the engine states beyond it: a group folds through the
+    dense oracle — ``COLUMNAR``, quantiles by the stated rule — and a lone
+    series passes through only where it is its own aggregate, adding
+    +0.0 under ``avg`` and ``sum`` (``count`` and ``dev`` fold it as a
+    group of one)."""
+    from unittest import mock
+
+    import test_query_throughput as frozen
+
+    name_of = {COLUMNAR[name]: name for name in aggregators.names()}
+
+    def aggregate_across(slices, agg):
+        rows = [s for s in slices if len(s) > 0]
+        if not rows:
+            return SeriesSlice(np.empty(0, np.int64), np.empty(0, np.float64))
+        name = name_of[agg]
+        if len(rows) == 1 and name not in ("count", "dev", "std"):
+            (lone,) = rows
+            adds_zero = name in ("avg", "mean", "sum")
+            return SeriesSlice(lone.timestamps,
+                               lone.values + 0.0 if adds_zero else lone.values)
+        all_ts, matrix = _dense(rows)
+        return SeriesSlice(all_ts, dense_oracle(name, matrix))
+
+    with mock.patch.object(frozen, "_seed_aggregate_across", aggregate_across):
+        return frozen.seed_run(db, query)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in numpy
+@settings(max_examples=300, deadline=None)
+@given(case=_block_batches())
+def test_property_block_executor_equals_frozen_seed_executor(case):
+    """One batch — each filter's series laid end to end once, cut per
+    window, rated, regrouped and folded on the block — is, query by
+    query, the frozen seed executor's answer (one match, one scan per
+    query and key, one fold and one downsample per group) as bytes,
+    ``scanned_points`` included.  Caught by, among others, a window cut
+    one point off at a series bound in :meth:`Block.between`."""
+    db, queries = case
+    for q, got in zip(queries, db.run_many(queries)):
+        want = _frozen_reference(db, q)
+        assert got.scanned_points == want.scanned_points, q
+        assert len(got) == len(want), q
+        for a, b in zip(got, want):
+            assert dict(a.group_tags) == dict(b.group_tags), q
+            assert a.source_series == b.source_series, q
+            assert a.timestamps.tobytes() == b.timestamps.tobytes(), q
+            assert a.values.tobytes() == b.values.tobytes(), (q, a.values, b.values)
