@@ -105,10 +105,11 @@ worker thread for the second:
 3. **execute** every delta's edge queries and every full miss as
    **one** planned batch on the wrapped store (its
    ``_run_unique_batch``): one match per filter, its series scanned
-   once over the covering range and laid end to end as one block — a
-   wall's avg and dev panels over one window still share one
-   alignment — and no edge inserted into the result cache, where its
-   window could only evict what requests are served from;
+   once per run of overlapping windows and laid end to end as a block
+   (a head and a tail apart are two) — a wall's avg and dev panels
+   over one window still share one alignment — and no edge inserted
+   into the result cache, where its window could only evict what
+   requests are served from;
 4. **validate** every delta against a fresh *after* view, then splice
    and remember; the full runs seed panel state through the
    ``_capture`` / boundary bracket.  A delta whose validators no longer

@@ -312,7 +312,12 @@ class QueryServer:
             # Stop accepting first, and let a connection accepted just
             # before attach to the server: closing the server under an
             # accept in flight strands that connection's socket, which is
-            # then never closed.
+            # then never closed.  This relies on the selector event loop:
+            # the listener accepts through a reader registered on its
+            # socket, and each accept queues a task that attaches the
+            # connection in its first step — queued before this task's
+            # own wake-up from sleep(0), so one yield lets it run.
+            # tests/test_serve.py::TestGracefulStop pins the race.
             loop = asyncio.get_running_loop()
             for sock in self._server.sockets:
                 loop.remove_reader(sock)

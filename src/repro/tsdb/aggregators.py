@@ -397,6 +397,11 @@ class Aggregator:
     #: What :func:`get` answers for no values at all (no group is empty).
     empty: float = np.nan
 
+    def lone(self, values: np.ndarray) -> np.ndarray:
+        """The aggregate of a lone series' ``values``, where
+        :attr:`lone_is_itself`: the values themselves, or ``0.0 +`` each."""
+        return values + 0.0 if self.adds_zero else values
+
 
 _AVG = Aggregator(avg, adds_zero=True)
 _DEV = Aggregator(dev, lone_is_itself=False)

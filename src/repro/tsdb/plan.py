@@ -10,14 +10,15 @@ this module adds everything around it:
   distinct filter is resolved once — its catalog's kept
   :class:`~repro.tsdb.catalog.Resolution`: the matched keys, their
   groupings, their column stores — and its matched series are scanned
-  once over the covering range of its queries and laid end to end, in
-  key order, as one :class:`Block`.  Each distinct window of the filter
-  is that block cut in one pass over its points, and every query of the
-  filter and window folds from that one block (:func:`execute_plan`):
-  the work is numpy over the points, not Python per series.  What a
-  batch holds: the block of **one filter at a time** and what its
-  queries derive from it — its windows, rates, regroupings and
-  alignments — all dropped before the next filter's block is made;
+  once per run of overlapping windows of its queries, over that run's
+  union, and laid end to end, in key order, as one :class:`Block`.
+  Each distinct window of the filter is that block, or that block cut
+  in one pass over its points, and every query of the filter and window
+  folds from that one block (:func:`execute_plan`): the work is numpy
+  over the points, not Python per series.  What a batch holds: the
+  blocks of **one filter at a time** and what its queries derive from
+  them — rates, regroupings and alignments — all dropped before the
+  next filter's blocks are made;
 - :func:`execute_plan` — the seed scan → rate → group-by → aggregate →
   downsample plan over one block, in two stages: each group's fold
   across its series at every instant (:func:`aggregate_across`), then
@@ -92,10 +93,11 @@ class Block:
 
     @classmethod
     def of(cls, slices: Sequence[SeriesSlice]) -> "Block":
-        """``slices`` laid end to end, one run each, copied once."""
-        if not slices:
-            empty = _empty_slice()
-            return cls(empty.timestamps, empty.values, _offsets(()))
+        """``slices`` laid end to end, one run each: copied once, or, for
+        one slice, its own columns."""
+        if len(slices) <= 1:
+            lone = slices[0] if slices else _empty_slice()
+            return cls(lone.timestamps, lone.values, _offsets([len(lone)] * len(slices)))
         return cls(
             np.concatenate([s.timestamps for s in slices]),
             np.concatenate([s.values for s in slices]),
@@ -262,21 +264,26 @@ def aggregate_across(block: Block, name: str) -> SeriesSlice:
         # count (→ 1-where-finite) and dev (→ 0) take the full path, or
         # a group whose siblings fall away (rate on a 1-point series)
         # would return raw values instead.
-        values = block.values + 0.0 if agg.adds_zero else block.values
-        return SeriesSlice(block.timestamps, values)
+        return SeriesSlice(block.timestamps, agg.lone(block.values))
     all_ts, cells = block.aligned()
     return SeriesSlice(all_ts, agg.reduce(cells))
 
 
-def downsampled(query: Query, reduced: Block) -> list[SeriesSlice]:
+def downsampled(
+    query: Query, reduced: Block | Sequence[SeriesSlice]
+) -> list[SeriesSlice]:
     """The downsample stage of :func:`execute_plan`: the groups'
     instants, one run per group and all inside ``[query.start,
-    query.end]``, bucketed over that range in one pass — or,
-    undownsampled, copied out one group at a time: a result owns its
-    columns, and a cached view would pin the whole block."""
-    ts, values, bounds = reduced.timestamps, reduced.values, reduced.bounds
+    query.end]``, bucketed over that range in one pass (``reduced`` a
+    block) — or, undownsampled, each group copied out once (``reduced``
+    a block or the groups' folds): a result owns its columns, and a
+    cached view would pin the whole block."""
     if query.downsample is not None:
-        return apply_block(ts, values, bounds, query.downsample, query.start, query.end)
+        return apply_block(reduced.timestamps, reduced.values, reduced.bounds,
+                           query.downsample, query.start, query.end)
+    if not isinstance(reduced, Block):
+        return [SeriesSlice(s.timestamps.copy(), s.values.copy()) for s in reduced]
+    ts, values, bounds = reduced.timestamps, reduced.values, reduced.bounds
     return [
         SeriesSlice(ts[a:b].copy(), values[a:b].copy())
         for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
@@ -297,7 +304,11 @@ def execute_plan(query: Query, grouping: Grouping, block: Block) -> QueryResult:
     group's series aggregate in key order.  Where no group holds more
     than one non-empty series and the aggregator makes a lone series its
     own aggregate (a per-node ``avg``, say), every group is its run:
-    the block, regrouped, is the reduction, with no pass per group.
+    the block, regrouped, is the reduction, with no pass per group —
+    :func:`aggregate_across`'s rule for a lone series
+    (:meth:`~repro.tsdb.aggregators.Aggregator.lone`), taken for every
+    group at once.  Otherwise each group folds on its own; undownsampled,
+    each fold is copied out once.
     """
     scanned = len(block)
     if not grouping.groups:
@@ -313,16 +324,13 @@ def execute_plan(query: Query, grouping: Grouping, block: Block) -> QueryResult:
     np.cumsum(runs.bounds[1:] != runs.bounds[:-1], out=filled[1:])
     filled = filled[edges]
     if agg.lone_is_itself and (filled[1:] - filled[:-1]).max() <= 1:
-        values = runs.values + 0.0 if agg.adds_zero else runs.values
-        reduced = Block(runs.timestamps, values, runs.bounds[edges])
+        reduced = Block(runs.timestamps, agg.lone(runs.values), runs.bounds[edges])
     else:
         folds = [
             aggregate_across(runs.runs(i, j), query.aggregator)
             for i, j in zip(edges[:-1].tolist(), edges[1:].tolist())
         ]
-        reduced = Block.of(folds) if len(folds) > 1 else Block(
-            folds[0].timestamps, folds[0].values, _offsets([len(folds[0])])
-        )
+        reduced = Block.of(folds) if query.downsample is not None else folds
     series = tuple(
         ResultSeries(
             metric=query.metric,
@@ -347,17 +355,27 @@ def _run_filter(
     results: list,
 ) -> None:
     """Every query of one filter (``members``, indices into
-    ``queries``) from one block: the filter's series scanned over the
-    covering window, cut once per distinct window."""
-    lo = min(queries[i].start for i in members)
-    hi = max(queries[i].end for i in members)
-    windows = {(lo, hi): Block.scan(resolved.stores, lo, hi)}
+    ``queries``) from the block of its window.  The filter's series are
+    scanned once per run of overlapping windows, over that run's union,
+    and each window is cut from it: nested windows (a wall's half-hourly
+    and hourly edges) share one scan, and windows apart (a sliding
+    wall's head and tail) each copy only their own points."""
+    windows = sorted({(queries[i].start, queries[i].end) for i in members})
+    blocks: dict[tuple[int, int], Block] = {}
+    k = 0
+    while k < len(windows):
+        lo, hi = windows[k]
+        j = k + 1
+        while j < len(windows) and windows[j][0] <= hi:
+            hi = max(hi, windows[j][1])
+            j += 1
+        union = Block.scan(resolved.stores, lo, hi)
+        for window in windows[k:j]:
+            blocks[window] = union if window == (lo, hi) else union.between(*window)
+        k = j
     for i in members:
         q = queries[i]
-        block = windows.get((q.start, q.end))
-        if block is None:
-            block = windows[q.start, q.end] = windows[lo, hi].between(q.start, q.end)
-        results[i] = execute_plan(q, resolved.groups(q.group_by), block)
+        results[i] = execute_plan(q, resolved.groups(q.group_by), blocks[q.start, q.end])
 
 
 def run_unique_batch(
@@ -369,16 +387,16 @@ def run_unique_batch(
     The executor behind every store's ``_run_unique_batch`` hook: each
     distinct filter (:attr:`Query.filter`) goes through ``resolve`` once
     — its keys, groupings and column stores, kept by the catalog across
-    batches — its series are scanned once, over the covering range of
-    its queries, into one :class:`Block`, and each of its queries runs
-    :func:`execute_plan` on that block cut to its window.  Results align
+    batches — its series are scanned into one :class:`Block` per run of
+    overlapping windows (:func:`_run_filter`), and each of its queries
+    runs :func:`execute_plan` on the block of its window.  Results align
     with ``queries``.
 
     A block copies the points it holds, and what its queries derive
     from it is as large as the points again; only queries of the same
     filter can share either.  So the batch runs one filter at a time,
-    in order of first appearance, and a filter's block and all it kept
-    are dropped before the next filter's are made.
+    in order of first appearance, and a filter's blocks and all they
+    kept are dropped before the next filter's are made.
     """
     by_filter: dict[tuple, list[int]] = {}
     for i, q in enumerate(queries):

@@ -29,6 +29,7 @@ import math
 import socket
 import threading
 import time
+import warnings
 import weakref
 from unittest import mock
 
@@ -1207,6 +1208,39 @@ class TestGracefulStop:
             return len(stuck), depth
 
         assert asyncio.run(run()) == (0, 0)
+
+    def test_a_connection_accepted_as_stop_begins_is_closed(self):
+        """The listener accepts a connection in the loop pass that also
+        wakes the task calling ``stop()``: the accepted connection's
+        transport is made one step later, by a task queued behind that
+        wake-up.  Closing the server first made that transport fail to
+        attach, half made, its socket never closed (parent: an
+        ``unclosed transport`` warning on every run).  ``stop()`` lets
+        it attach before closing, and its handler closes it."""
+        server = QueryServer(_seeded(TSDB()), port=0)
+
+        async def run():
+            await server.start()
+            # the handshake completes in the kernel: the listener is
+            # readable at the loop's next pass
+            client = socket.create_connection(server.address)
+            woken = asyncio.Event()
+            asyncio.get_running_loop().call_soon(woken.set)
+            # set() runs in the next pass before the listener's accept,
+            # so this task resumes ahead of the accepted connection's
+            await woken.wait()
+            await server.stop()
+            client.close()
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            if handlers:
+                await asyncio.wait(handlers, timeout=5)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            asyncio.run(run())
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
 
 # -- the encode-once reply path ---------------------------------------------

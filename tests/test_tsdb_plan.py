@@ -18,7 +18,7 @@ import repro.tsdb.plan
 from repro.tsdb import Query, QueryError, TSDB, aggregators
 from repro.tsdb.catalog import Resolution
 from repro.tsdb.plan import Block, aggregate_across, execute_plan
-from repro.tsdb.series import SeriesSlice
+from repro.tsdb.series import SeriesSlice, SeriesStore
 from test_aggregators import bucket_oracle, dense_oracle
 from test_query_throughput import COLUMNAR, seed_run as frozen_seed_run
 
@@ -272,34 +272,77 @@ class TestFailFast:
             Query("m", 0, 100, **bad)
 
 
+def _four_series() -> TSDB:
+    """Four series of ``m`` over ``[0, 100 000)``: a full one, one that
+    stops at 50 000, one that starts at 60 000, and another full one."""
+    rng = np.random.default_rng(7)
+    db = TSDB()
+    for node, (lo, hi) in enumerate(
+            ((0, 100_000), (0, 50_000), (60_000, 100_000), (0, 100_000))):
+        ts = np.sort(rng.choice(np.arange(lo, hi), size=1_500, replace=False))
+        db.put_series("m", ts, rng.normal(size=ts.shape[0]), {"node": str(node)})
+    return db
+
+
 class TestBlock:
-    def test_window_of_a_covering_block_equals_direct_scans(self):
-        """A window cut from a block scanned over the covering range is,
-        run by run, each series' direct scan over the window — series
-        empty in the window, lagging or absent included."""
-        rng = np.random.default_rng(7)
-        db = TSDB()
-        for node, (lo, hi) in enumerate(
-                ((0, 100_000), (0, 50_000), (60_000, 100_000), (0, 100_000))):
-            ts = np.sort(rng.choice(np.arange(lo, hi), size=1_500, replace=False))
-            db.put_series("m", ts, rng.normal(size=ts.shape[0]),
-                          {"node": str(node)})
+    def test_a_window_block_is_each_series_direct_scan(self):
+        """A filter's block over a window — scanned over it, or cut from
+        a block over a covering range — is, run by run, each series'
+        direct scan over the window (series empty in the window, lagging
+        or absent included), and a lone series' block is its scan, not a
+        copy."""
+        db = _four_series()
         stores = [db._stores[key] for key in db.series_for_metric("m")]
         stores.insert(2, None)  # matched, not stored yet
         windows = [(0, 100_000), (10_000, 20_000), (55_555, 55_556),
                    (49_000, 61_000), (99_000, 100_000), (100_001, 200_000)]
         cover = Block.scan(stores, 0, 200_000)
         for lo, hi in windows:
-            got = cover.between(lo, hi)
-            want = Block.scan(stores, lo, hi)
-            assert got.bounds.tobytes() == want.bounds.tobytes()
-            assert got.timestamps.tobytes() == want.timestamps.tobytes()
-            assert got.values.tobytes() == want.values.tobytes()
-            for i, store in enumerate(stores):
-                a, b = got.bounds[i], got.bounds[i + 1]
-                direct = [] if store is None else store.scan(lo, hi).timestamps
-                assert np.array_equal(got.timestamps[a:b], direct)
-            assert not got.timestamps.flags.writeable
+            for got in (Block.scan(stores, lo, hi), cover.between(lo, hi)):
+                assert got.bounds.shape == (len(stores) + 1,)
+                for i, store in enumerate(stores):
+                    a, b = got.bounds[i], got.bounds[i + 1]
+                    direct = (SeriesSlice(np.empty(0, np.int64), np.empty(0))
+                              if store is None else store.scan(lo, hi))
+                    assert got.timestamps[a:b].tobytes() == direct.timestamps.tobytes()
+                    assert got.values[a:b].tobytes() == direct.values.tobytes()
+                assert not got.timestamps.flags.writeable
+                assert not got.values.flags.writeable
+            lone = Block.scan(stores[:1], lo, hi)
+            ts, vals, _ = stores[0]._cols
+            assert len(lone) == 0 or (np.shares_memory(lone.timestamps, ts)
+                                      and np.shares_memory(lone.values, vals))
+
+    def test_a_batch_scans_each_run_of_overlapping_windows_once(self, monkeypatch):
+        """A filter's series are scanned once per run of overlapping
+        windows, over its union: a sliding wall's head and tail scan
+        their own windows, never the range between them; nested windows
+        and a full window beside its edges share one scan.  Each query
+        answers as its own scans do."""
+        db = _four_series()
+        head = Query("m", 10_000, 11_999, downsample="1m-avg")
+        head_1h = Query("m", 10_000, 14_399, downsample="1h-max")
+        tail = Query("m", 95_000, 100_000, downsample="1m-avg")
+        tail_dev = Query("m", 95_000, 100_000, aggregator="dev", group_by=("node",))
+        full = Query("m", 10_000, 100_000, downsample="1h-max", rate=True)
+        views: list[tuple[int, int]] = []
+        real = SeriesStore.scan
+
+        def scan(series, lo=None, hi=None):
+            views.append((lo, hi))
+            return real(series, lo, hi)
+
+        for batch, scans in (
+            ([head, head_1h, tail, tail_dev], [(10_000, 14_399), (95_000, 100_000)]),
+            ([tail, head, full], [(10_000, 100_000)]),
+        ):
+            views.clear()
+            monkeypatch.setattr(SeriesStore, "scan", scan)
+            results = db.run_many(batch)
+            monkeypatch.setattr(SeriesStore, "scan", real)
+            assert sorted(views) == sorted(scans * 4)
+            for q, res in zip(batch, results):
+                assert_results_identical(res, seed_run(db, q))
 
 
 @settings(max_examples=25, deadline=None)
@@ -691,9 +734,10 @@ def _block_batches(draw):
     series empty, short, lagging or starting late, values 1e-3…1e8 in
     both signs with NaN, ±inf and −0.0 sprinkled in — and a batch of
     1–6 queries of one filter, their windows drawn from three (so some
-    are equal and some differ), each with its own aggregator, downsample
-    (every aggregator × fill, or none), rate and group-by (none, by node:
-    lone series, by city: several series a group)."""
+    are equal, some overlap and some lie apart), each with its own
+    aggregator, downsample (every aggregator × fill, or none), rate and
+    group-by (none, by node: lone series, by city: several series a
+    group)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     special = draw(st.sampled_from((0.0, 0.1, 0.4)))
     db = TSDB()
@@ -770,7 +814,8 @@ def test_property_block_executor_equals_frozen_seed_executor(case):
     query, the frozen seed executor's answer (one match, one scan per
     query and key, one fold and one downsample per group) as bytes,
     ``scanned_points`` included.  Caught by, among others, a window cut
-    one point off at a series bound in :meth:`Block.between`."""
+    one point off at a series bound in :meth:`Block.between`, and a run
+    of overlapping windows scanned short of a wider earlier window."""
     db, queries = case
     for q, got in zip(queries, db.run_many(queries)):
         want = _frozen_reference(db, q)
