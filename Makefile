@@ -78,7 +78,9 @@ test-query:
 # several connections): a client that reads none of its replies holds
 # one reply and stalls no other client of its tenant (block and
 # drop-oldest), and a client that half-closes after its last line is
-# still answered.  Its socket
+# still answered; a tenant name leaves no task behind, a hard stop ends
+# every handler, running or waiting, and a pipelining client starves no
+# other tenant.  Its socket
 # timeouts bound it; in CI the test job's timeout-minutes (45) bounds
 # the whole run, so a wedged serving test fails instead of hanging.
 serve-test:

@@ -43,21 +43,22 @@ that is the point of the ``handle_request`` bugfix underneath), or an
 ``InternalError`` response if the store itself faults.
 
 Admission control uses two of the :class:`~repro.backpressure.Backpressure`
-policies of the region layer's fan-in queues per tenant lane, mapped
-onto a request queue:
+policies of the region layer's fan-in queues per tenant lane, a gate
+that runs ``parallelism`` requests at once while the rest wait, oldest first:
 
-- ``block``       — a full lane stops reading from the submitting
-  connection until a slot frees (TCP backpressure reaches the client);
-- ``drop-oldest`` — the oldest *queued* request is answered immediately
-  with an ``Overloaded`` error and the new one takes its place.
+- ``block``       — a waiting request waits its turn, its connection not
+  read meanwhile (TCP backpressure reaches the client);
+- ``drop-oldest`` — once ``max_pending`` wait, the oldest is answered at
+  once with an ``Overloaded`` error and the new one waits in its place.
 
 The region's third, ``spill``, goes to disk segments there; a lane has
 no disk to spill to, so a server refuses it rather than grow without
 bound under its name.
 
-A lane never waits on a client: it writes each reply line into the
-connection's buffer, and the connection reads its client's next line
-only once that line's reply is written and the client has read what is
+A request runs in the task of the connection that read it: the
+connection's handler waits its turn at the lane, answers the request,
+writes the reply line into the connection's buffer and lets the lane go,
+and reads the client's next line only once the client has read what is
 buffered.  So a connection holds at most one request admitted and
 unanswered, and one reply: a client that stops reading its replies
 stops being read, alone, and its tenant's other clients are served.  A
@@ -85,13 +86,15 @@ reply —
 one base64 per result column, see
 :func:`~repro.tsdb.wire.encode_response_json` — and hands back the
 finished text; the loop thread splices in the request id and writes.
-The event loop stays responsive while lanes execute concurrently.
+A handler holding a further pipelined line lets other connections in
+first: one client's burst starves no other tenant.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -117,14 +120,13 @@ MAX_LINE_BYTES = 2**16
 class TenantPolicy:
     """One tenant's admission contract with the query server.
 
-    ``max_pending`` bounds the lane's queued-but-not-yet-running
-    requests — how many of the tenant's *connections* may wait, since a
-    connection has one request in flight; ``backpressure`` picks the
-    overflow behaviour (``block``: a full lane stops reading the
-    submitting socket; ``drop-oldest``: the oldest queued request is
-    answered ``Overloaded``), and neither waits on a client: one that
-    does not read its replies stops being read, alone; ``parallelism``
-    is how many of the tenant's requests may execute concurrently;
+    ``parallelism`` is how many of the tenant's requests may execute
+    concurrently; ``backpressure`` picks what happens to the others
+    (``block``: every waiting connection waits its turn, and is not read
+    meanwhile; ``drop-oldest``: once ``max_pending`` requests wait, the
+    oldest waiting one is answered ``Overloaded``) — ``max_pending`` is
+    the ``drop-oldest`` bound.  Neither waits on a client: one that does
+    not read its replies stops being read, alone;
     ``max_match_series`` caps how many series one of the tenant's
     queries may fan out over — it overrides the server-wide limit for
     this lane (tighter *or* looser), so one tenant's wildcard storms
@@ -155,8 +157,7 @@ class TenantPolicy:
 class _Job:
     """One admitted request: payload in, one reply line out."""
 
-    __slots__ = ("payload", "held", "id_json", "tenant", "writer", "forms",
-                 "settled")
+    __slots__ = ("payload", "held", "id_json", "tenant", "writer", "forms")
 
     def __init__(self, payload, held, id_json, tenant, writer):
         self.payload = payload
@@ -165,14 +166,6 @@ class _Job:
         self.tenant = tenant
         self.writer = writer
         self.forms: list[str] = []  # the form of each result entry sent
-        # its connection's handler waits on this, once admitted
-        self.settled: asyncio.Future | None = None
-
-    def settle(self) -> None:
-        """Its reply is written or will never be: its connection reads
-        its next line."""
-        if self.settled is not None and not self.settled.done():
-            self.settled.set_result(None)
 
 
 class _Threads:
@@ -215,28 +208,58 @@ class _Threads:
 
 
 class _Lane:
-    """Per-tenant request queue with explicit backpressure; a job is
-    done once its reply is written, so ``queue.join()`` drains it."""
+    """One tenant's admission gate: at most ``parallelism`` requests
+    run, and the others wait their turn, oldest first, each in the task
+    of the connection that read it."""
 
-    def __init__(self, name: str, policy: TenantPolicy) -> None:
-        self.name = name
+    def __init__(self, policy: TenantPolicy) -> None:
         self.policy = policy
-        self.queue: asyncio.Queue[_Job] = asyncio.Queue(policy.max_pending)
-        self.workers: list[asyncio.Task] = []
-        self.closed = False  # its workers are cancelled: a hard stop
+        self.running = 0
+        self.waiting: deque[asyncio.Future] = deque()  # each: True = run
         self.admitted = 0
         self.dropped = 0
 
-    def abandon(self) -> None:
-        """Settle every queued job unanswered: no worker will take it."""
-        while not self.queue.empty():
-            self.queue.get_nowait().settle()
+    async def enter(self) -> bool:
+        """Take a slot, waiting for one while none is free; False if the
+        request was dropped while it waited."""
+        self.admitted += 1
+        if self.running < self.policy.parallelism:
+            self.running += 1
+            return True
+        if (self.policy.backpressure is Backpressure.DROP_OLDEST
+                and len(self.waiting) >= self.policy.max_pending
+                and self._wake(False)):
+            self.dropped += 1
+        turn = asyncio.get_running_loop().create_future()
+        self.waiting.append(turn)
+        try:
+            return await turn
+        except asyncio.CancelledError:
+            if not turn.cancelled() and turn.result():
+                self.leave()  # handed a slot it will not use: pass it on
+            elif turn in self.waiting:
+                self.waiting.remove(turn)
+            raise
+
+    def leave(self) -> None:
+        """Hand the slot to the oldest waiter, or free it."""
+        if not self._wake(True):
+            self.running -= 1
+
+    def _wake(self, run: bool) -> bool:
+        """Tell the oldest waiter still waiting ``run``; False if none."""
+        while self.waiting:
+            turn = self.waiting.popleft()
+            if not turn.done():
+                turn.set_result(run)
+                return True
+        return False
 
     def stats(self) -> dict:
         return {
             "admitted": self.admitted,
             "dropped": self.dropped,
-            "depth": self.queue.qsize(),
+            "depth": len(self.waiting),
             "policy": self.policy.backpressure.value,
         }
 
@@ -275,6 +298,9 @@ class QueryServer:
         self._threads = _Threads()
         self._server: asyncio.Server | None = None
         self._stopping = False
+        # the handlers holding an admitted request, running or waiting
+        self._busy: set[asyncio.Task] = set()
+        self._drained = asyncio.Event()  # set each time ``_busy`` empties
         self.requests = 0
         self.errors = 0
         #: Result entries sent, by form, and reply bytes written.
@@ -301,11 +327,11 @@ class QueryServer:
 
         Closing the listener stops new connections; the ``_stopping``
         flag stops live connections from submitting further requests.
-        With ``drain`` (the default) every job already admitted to a
-        lane — queued or executing — is answered before the workers are
-        cancelled, so a SIGTERM rollout never eats requests the server
-        accepted; ``timeout`` bounds the wait (then abandons the rest,
-        the old behaviour).  ``drain=False`` is the hard stop.
+        With ``drain`` (the default) every request already admitted to a
+        lane — waiting or running — is answered, so a SIGTERM rollout
+        never eats requests the server accepted; ``timeout`` bounds the
+        wait, then the handlers still holding one are cancelled.
+        ``drain=False`` is the hard stop: it cancels them at once.
         """
         self._stopping = True
         if self._server is not None:
@@ -325,20 +351,15 @@ class QueryServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if drain:
+        if drain and self._busy:
+            self._drained.clear()
             try:
                 async with asyncio.timeout(timeout):
-                    for lane in list(self._lanes.values()):
-                        await lane.queue.join()
+                    await self._drained.wait()
             except TimeoutError:
                 pass
-        for lane in self._lanes.values():
-            lane.closed = True
-            for task in lane.workers:
-                task.cancel()
-            await asyncio.gather(*lane.workers, return_exceptions=True)
-            lane.workers.clear()
-            lane.abandon()
+        for task in self._busy:
+            task.cancel()
         self._threads.shutdown()
 
     def stats(self) -> dict:
@@ -359,67 +380,42 @@ class QueryServer:
         lane = self._lanes.get(tenant)
         if lane is None:
             policy = self._tenant_policies.get(tenant, self._default_policy)
-            lane = self._lanes[tenant] = _Lane(tenant, policy)
-            for _ in range(policy.parallelism):
-                lane.workers.append(
-                    asyncio.get_running_loop().create_task(self._pump(lane))
-                )
+            lane = self._lanes[tenant] = _Lane(policy)
         return lane
 
-    async def _admit(self, lane: _Lane, job: _Job) -> None:
-        queue = lane.queue
-        if lane.policy.backpressure is Backpressure.BLOCK:
-            # A full lane stops reading this connection until a slot
-            # frees — the submitting client feels it as TCP backpressure.
-            await queue.put(job)
-        elif queue.full():  # DROP_OLDEST
-            oldest = queue.get_nowait()
-            queue.put_nowait(job)
-            queue.task_done()  # the oldest is answered below, at once
-            lane.dropped += 1
-            self._reply(
-                oldest,
-                _error_dict(
+    async def _serve(self, job: _Job) -> None:
+        """Admit ``job`` to its tenant's lane, answer it, and let the
+        lane go — all in the task of the connection that read it."""
+        lane = self._lane(job.tenant)
+        task = asyncio.current_task()
+        self._busy.add(task)
+        try:
+            if not await lane.enter():
+                self._reply(job, _error_dict(
                     "Overloaded",
-                    f"dropped by drop-oldest admission "
-                    f"(tenant {lane.name!r} backlog "
-                    f"{lane.policy.max_pending})",
-                ),
-            )
-            oldest.settle()
-        else:
-            queue.put_nowait(job)
-        lane.admitted += 1
-        if lane.closed:
-            # A hard stop took a queued job out, which woke this put: no
-            # worker is left to answer it, or the next parked put it wakes.
-            lane.abandon()
-
-    async def _pump(self, lane: _Lane) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            job = await lane.queue.get()
+                    f"dropped by drop-oldest admission (tenant "
+                    f"{job.tenant!r} backlog {lane.policy.max_pending})",
+                ))
+                return
             try:
                 response = self._look_up(job)
                 if callable(response):  # work left: the one thread hop
                     response = await self._threads.run(response)
-                elif not lane.queue.empty():
-                    # answered on the loop thread with more queued: let
-                    # the other lanes and connections in first
-                    await asyncio.sleep(0)
                 self._reply(job, response)
-            except Exception as exc:
-                # A reply that cannot be written must not take the
-                # lane's worker with it: requests admitted later would
-                # never be answered.
-                self.errors += 1
-                loop.call_exception_handler({
-                    "message": f"reply on lane {lane.name!r} failed",
-                    "exception": exc,
-                })
             finally:
-                lane.queue.task_done()
-                job.settle()
+                lane.leave()
+        except Exception as exc:
+            # A reply that cannot be written must not take the
+            # connection with it: it reads on.
+            self.errors += 1
+            asyncio.get_running_loop().call_exception_handler({
+                "message": f"reply on lane {job.tenant!r} failed",
+                "exception": exc,
+            })
+        finally:
+            self._busy.discard(task)
+            if not self._busy:
+                self._drained.set()
 
     # -- execution -------------------------------------------------------
     def _look_up(self, job: _Job) -> bytes | dict | Callable[[], bytes | dict]:
@@ -436,7 +432,8 @@ class QueryServer:
 
         def start() -> bytes | dict | Callable[[], bytes | dict]:
             queries = wire.decode_request(job.payload)
-            self._guard_match_cardinality(queries, tenant=job.tenant)
+            self._guard_match_cardinality(
+                queries, self._lane(job.tenant).policy)
             request = self.caching.look_up(queries)
             if request.answered:
                 return self._encode(job, request)
@@ -469,7 +466,7 @@ class QueryServer:
         self.catalog_cache.insert(self.caching, req, validators, response)
         return response
 
-    def _guard_match_cardinality(self, queries, *, tenant: str | None = None) -> None:
+    def _guard_match_cardinality(self, queries, policy: TenantPolicy) -> None:
         """Reject queries whose tag filter fans out over too many series.
 
         The serving-side guard-rail: a wildcard query over a
@@ -483,10 +480,8 @@ class QueryServer:
         held to that per-lane limit instead of the server-wide one.
         """
         limit, scope = self.max_match_series, "server's"
-        if tenant is not None:
-            policy = self._tenant_policies.get(tenant, self._default_policy)
-            if policy.max_match_series is not None:
-                limit, scope = policy.max_match_series, "tenant's"
+        if policy.max_match_series is not None:
+            limit, scope = policy.max_match_series, "tenant's"
         if limit is None:
             return
         seen: set = set()
@@ -521,11 +516,14 @@ class QueryServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        loop = asyncio.get_running_loop()
         try:
             while not self._stopping:
                 try:
                     await writer.drain()  # a client not reading: not read
+                    if b"\n" in reader._buffer:
+                        # a pipelined line is here already: let the other
+                        # connections in first (a closed loop never is)
+                        await asyncio.sleep(0)
                     line = await reader.readuntil(b"\n")
                 except asyncio.IncompleteReadError as exc:
                     line = exc.partial  # end of stream: the last line, if any
@@ -556,9 +554,9 @@ class QueryServer:
                     continue  # error already replied; connection lives on
                 # One line in flight: its reply is written (or abandoned
                 # by a hard stop) before the next line is read.
-                job.settled = loop.create_future()
-                await self._admit(self._lane(job.tenant), job)
-                await job.settled
+                await self._serve(job)
+        except asyncio.CancelledError:
+            pass  # a hard stop; ending cancelled, Python 3.11 logs an error
         finally:
             writer.close()
             try:

@@ -51,7 +51,7 @@ from repro.serve.cache import (
     entry_tail,
     entry_validator,
 )
-from repro.serve.server import MAX_LINE_BYTES, _Job
+from repro.serve.server import MAX_LINE_BYTES, _Job, _Lane
 from repro.tsdb import Query, SeriesKey, TSDB, wire
 
 
@@ -680,6 +680,68 @@ class TestQueryServer:
         assert all(r["results"][0]["scannedPoints"] == n for r in replies)
         assert stats["requests"] == 8 and stats["errors"] == 0
 
+    def test_a_tenant_leaves_no_task_behind(self):
+        """``tenant`` is client input, and each new name makes a lane.
+        After one request on each of 50 new tenants over one
+        connection, the loop holds no task beyond that connection's
+        handler (at the parent each lane started ``parallelism`` worker
+        tasks that lived until ``stop()``: 101 tasks here)."""
+        server = QueryServer(_seeded(TSDB()), port=0)
+        q = Query("air.co2.ppm", 0, 4000)
+
+        async def run():
+            await server.start()
+            reader, writer = await asyncio.open_connection(*server.address)
+            for i in range(50):
+                writer.write(
+                    _request_line([q], id=i, tenant=f"t{i}").encode())
+                assert json.loads(await reader.readline())["id"] == i
+            tasks = asyncio.all_tasks() - {asyncio.current_task()}
+            writer.close()
+            await server.stop()
+            await asyncio.wait(tasks, timeout=5)
+            return len(tasks), len(server.stats()["tenants"])
+
+        assert asyncio.run(run()) == (1, 50)
+
+    def test_a_pipelining_client_starves_no_other_tenant(self):
+        """Connection A on tenant ``a`` pipelines 200 lines the result
+        cache answers whole, on the loop thread; connection B on tenant
+        ``b`` sends one line once A's first reply is in.  B's reply is
+        written before A's last: a handler holding a further line lets
+        the other connections in between its requests."""
+        server = QueryServer(_seeded(TSDB()), port=0)
+        q = Query("air.co2.ppm", 0, 4000)
+        written: list = []
+        reply = QueryServer._reply
+
+        def logged_reply(self, job, response):
+            written.append(job.tenant)
+            reply(self, job, response)
+
+        async def run():
+            await server.start()
+            a_reader, a = await asyncio.open_connection(*server.address)
+            b_reader, b = await asyncio.open_connection(*server.address)
+            a.write(_request_line([q], tenant="a").encode())  # the miss
+            await a_reader.readline()
+            written.clear()
+            a.write(_request_line([q], tenant="a").encode() * 200)
+            await a_reader.readline()
+            b.write(_request_line([q], tenant="b").encode())
+            assert "results" in json.loads(await b_reader.readline())
+            for _ in range(199):
+                assert "results" in json.loads(await a_reader.readline())
+            a.close()
+            b.close()
+            await server.stop()
+
+        with mock.patch.object(QueryServer, "_reply", logged_reply):
+            asyncio.run(run())
+        assert written.count("a") == 200 and written.count("b") == 1
+        assert written.index("b") < len(written) - 1
+        assert server.stats()["cache"]["hits"] == 201
+
     def test_spill_admission_is_refused(self):
         # The region's spill goes to disk; a lane has none, so the
         # server offers block / drop-oldest only.
@@ -836,18 +898,24 @@ def test_property_one_line_in_flight_per_connection(data):
         lines = _client_lines(draw, draw(st.sampled_from(("public", "t1"))))
         clients.append((lines, draw(st.lists(
             st.integers(0, 2), min_size=len(lines), max_size=len(lines)))))
+    # per connection handler (the task that runs its requests): how many
+    # of its requests hold the gate, admitted and not let go
     in_flight: dict = {}
     peak = [0]
-    admit, settle = QueryServer._admit, _Job.settle
+    enter, leave = _Lane.enter, _Lane.leave
 
-    async def counted_admit(server, lane, job):
-        in_flight[job.writer] = in_flight.get(job.writer, 0) + 1
-        peak[0] = max(peak[0], in_flight[job.writer])
-        await admit(server, lane, job)
+    async def counted_enter(lane):
+        task = asyncio.current_task()
+        in_flight[task] = in_flight.get(task, 0) + 1
+        peak[0] = max(peak[0], in_flight[task])
+        if not await enter(lane):  # dropped: answered, never run
+            in_flight[task] -= 1
+            return False
+        return True
 
-    def counted_settle(job):
-        in_flight[job.writer] -= 1
-        settle(job)
+    def counted_leave(lane):
+        in_flight[asyncio.current_task()] -= 1
+        leave(lane)
 
     def one_client(address, lines, pace, out):
         with socket.create_connection(address, timeout=10) as sock, \
@@ -862,8 +930,8 @@ def test_property_one_line_in_flight_per_connection(data):
             out.extend(json.loads(reply) for reply in file)
 
     replies = [[] for _ in clients]
-    with mock.patch.object(QueryServer, "_admit", counted_admit), \
-            mock.patch.object(_Job, "settle", counted_settle), \
+    with mock.patch.object(_Lane, "enter", counted_enter), \
+            mock.patch.object(_Lane, "leave", counted_leave), \
             live_server(_seeded(TSDB()), default_policy=policy) as server:
         threads = [threading.Thread(target=one_client,
                                     args=(server.address, *client, out))
@@ -1168,12 +1236,10 @@ class TestGracefulStop:
         assert asyncio.run(run()) == set()
 
     def test_hard_stop_releases_a_handler_parked_on_a_full_block_lane(self):
-        """A ``block`` lane one deep: one request running, one queued and
-        two handlers parked on the full queue.  A hard stop takes the
-        queued one out, which wakes a parked put — into a lane whose
-        workers are gone (parent: two handlers still waiting 2 s later,
-        lane depth 1).  A job admitted after the workers are cancelled
-        is settled, so every handler ends within a second."""
+        """A ``block`` lane one deep: one request running and three
+        handlers waiting their turn past ``max_pending``.  A hard stop
+        ends every handler, running or waiting, within a second, and
+        the lane's ``depth`` (its waiting requests) reads 0."""
 
         class Slower(TSDB):
             def _run_unique_batch(self, queries):
@@ -1188,14 +1254,13 @@ class TestGracefulStop:
         async def run():
             await server.start()
             writers = []
-            for _ in range(4):  # one running, one queued, two parked
+            for _ in range(4):  # one running, three waiting
                 _, writer = await asyncio.open_connection(*server.address)
                 writer.write(line)
                 writers.append(writer)
             while server.requests < 4:
                 await asyncio.sleep(0.01)
-            await asyncio.sleep(0.05)  # the last put parks
-            assert server.stats()["tenants"]["public"]["depth"] == 1
+            assert server.stats()["tenants"]["public"]["depth"] == 3
             await server.stop(drain=False)
             handlers = asyncio.all_tasks() - {asyncio.current_task()}
             _, stuck = await asyncio.wait(handlers, timeout=1)
@@ -1252,7 +1317,7 @@ def _request_line(queries, **envelope):
 class TestReplyPath:
     def test_unechoable_id_is_answered_and_the_lane_survives(self, store):
         """``json.loads`` accepts ``{"id": NaN}``; echoing it used to
-        raise inside the lane worker, and two such lines left every
+        raise where the reply was written, and two such lines left every
         later request of the tenant admitted and never answered."""
         q = Query("air.co2.ppm", 0, 4000)
         bad = _request_line([q], id=7).replace('"id": 7', '"id": NaN')
@@ -1261,16 +1326,16 @@ class TestReplyPath:
                 server.address, bad, bad,
                 bad.replace("NaN", "[1, {\"x\": -Infinity}]"),
                 _request_line([q], id=7),
+                _request_line([q], id=8),
             )
-            workers = server._lanes["public"].workers
-            assert len(workers) == 2
-            assert not any(task.done() for task in workers)
         for reply in replies[:3]:
             assert reply["error"]["type"] == "WireError"
             assert "'id'" in reply["error"]["message"] and "id" not in reply
         assert replies[3]["id"] == 7 and "results" in replies[3]
+        # and the connection serves its next line
+        assert replies[4]["id"] == 8 and "results" in replies[4]
 
-    def test_lane_worker_outlives_a_reply_that_cannot_be_written(
+    def test_connection_outlives_a_reply_that_cannot_be_written(
             self, store, monkeypatch):
         calls = []
 
@@ -1290,11 +1355,13 @@ class TestReplyPath:
                 sock.sendall((_request_line([q], id=1)
                               + _request_line([q], id=2)).encode())
                 reply = json.loads(file.readline())
-            (worker,) = server._lanes["public"].workers
-            assert not worker.done()
-            stats = server.stats()
+                stats = server.stats()
+                # the connection serves its next line
+                sock.sendall(_request_line([q], id=3).encode())
+                after = json.loads(file.readline())
         assert reply["id"] == 2 and "results" in reply
         assert stats["requests"] == 2 and stats["errors"] == 1
+        assert after["id"] == 3 and "results" in after
 
     def test_requests_counts_every_reply_sent(self, store):
         """``requests`` and ``errors`` are both counted on the loop
