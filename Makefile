@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-cold test-store test-region test-persist test-query test-catalog test-replication test-tier test-uplink test-imports serve-test bench bench-region bench-persist bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e bench-pairs lint loc
+.PHONY: test test-cold test-store test-region test-persist test-query test-catalog test-replication test-tier test-uplink test-imports serve-test bench bench-region bench-query bench-serve bench-catalog bench-replication bench-tier bench-e2e bench-pairs lint loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -140,18 +140,13 @@ test-imports:
 	$(PYTHON) -m pytest -q tests/test_import_graph.py
 
 # Every bench* target passes --bench-record: only then do the benchmarks
-# rewrite BENCH_ingest.json (`make test` leaves the tree clean).
-bench:
-	$(PYTHON) -m pytest -q benchmarks/test_ingest_throughput.py -s --bench-record
+# rewrite BENCH_ingest.json (`make test` leaves the tree clean).  `bench`
+# runs every leg, as CI's bench job does.
+bench: bench-region bench-query bench-serve bench-catalog bench-replication bench-tier
 
 # 1/2/4-city fan-in throughput, recorded into BENCH_ingest.json.
 bench-region:
 	$(PYTHON) -m pytest -q benchmarks/test_region_fanin.py -s --bench-record
-
-# WAL append / replay / snapshot-restore and WAL bytes of the segment
-# format; asserts restore == live and records the persistence section.
-bench-persist:
-	$(PYTHON) -m pytest -q benchmarks/test_persistence.py -s --bench-record
 
 # 12-panel dashboard workload, seed vs batched planner;
 # gates the >=2x batched speedup and records the query section.

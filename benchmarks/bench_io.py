@@ -6,8 +6,8 @@ must be good neighbours: each updates **only its own section**, leaves
 every other key byte-for-byte untouched, and preserves key order (an
 existing section updates in its original position, a new one appends at
 the end — ``json.loads``/``dumps`` keep insertion order).  Route every
-write through :func:`update_section` / :func:`update_top_level` instead
-of hand-rolling the read-modify-write.
+write through :func:`update_section` instead of hand-rolling the
+read-modify-write.
 
 The file is rewritten only under ``pytest --bench-record`` (what the
 ``make bench*`` targets and CI's bench job pass); without it the
@@ -25,7 +25,7 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_ingest.json"
 #: Set once per session by ``benchmarks/conftest.py`` from ``--bench-record``.
 recording = False
 
-__all__ = ["RESULT_PATH", "read_results", "update_section", "update_top_level"]
+__all__ = ["RESULT_PATH", "read_results", "update_section"]
 
 
 def read_results(path: Path = RESULT_PATH) -> dict:
@@ -69,12 +69,3 @@ def update_section(
     _write(existing, path)
     return existing
 
-
-def update_top_level(payload: dict, *, path: Path = RESULT_PATH) -> dict:
-    """Update several top-level keys at once (the ingest benchmark owns
-    ``workload``/``per_point``/``batch``/...), same ordering contract as
-    :func:`update_section`."""
-    existing = read_results(path)
-    existing.update(payload)
-    _write(existing, path)
-    return existing

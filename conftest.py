@@ -3,9 +3,10 @@
 import sys
 from pathlib import Path
 
-# tests/ import the frozen seed executor and its aggregation oracle from
-# benchmarks/test_query_throughput.py, also when run without benchmarks/.
-sys.path.insert(0, str(Path(__file__).resolve().parent / "benchmarks"))
+# benchmarks/test_query_throughput.py times the frozen seed executor of
+# tests/seed_executor.py on the feed of tests/test_tsdb_batch.py, also
+# when run without tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent / "tests"))
 
 
 def pytest_addoption(parser):

@@ -55,6 +55,11 @@ The region's third, ``spill``, goes to disk segments there; a lane has
 no disk to spill to, so a server refuses it rather than grow without
 bound under its name.
 
+The lanes of ``"public"`` and of the tenants named in
+``tenant_policies`` live as long as the server; any other tenant name
+is client input, and its lane goes, counters included, once none of its
+requests runs or waits.
+
 A request runs in the task of the connection that read it: the
 connection's handler waits its turn at the lane, answers the request,
 writes the reply line into the connection's buffer and lets the lane go,
@@ -294,6 +299,7 @@ class QueryServer:
         self._port = port
         self._default_policy = default_policy or TenantPolicy()
         self._tenant_policies = dict(tenant_policies or {})
+        self._kept_lanes = {"public", *self._tenant_policies}
         self._lanes: dict[str, _Lane] = {}
         self._threads = _Threads()
         self._server: asyncio.Server | None = None
@@ -363,6 +369,8 @@ class QueryServer:
         self._threads.shutdown()
 
     def stats(self) -> dict:
+        """Server-wide counters, and one entry per live lane under
+        ``"tenants"`` (the module docstring says which lanes stay)."""
         return {
             "requests": self.requests,
             "errors": self.errors,
@@ -416,6 +424,9 @@ class QueryServer:
             self._busy.discard(task)
             if not self._busy:
                 self._drained.set()
+            if (job.tenant not in self._kept_lanes
+                    and not lane.running and not lane.waiting):
+                del self._lanes[job.tenant]
 
     # -- execution -------------------------------------------------------
     def _look_up(self, job: _Job) -> bytes | dict | Callable[[], bytes | dict]:

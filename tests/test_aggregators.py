@@ -3,7 +3,7 @@
 Every aggregator is written once over :class:`~repro.tsdb.aggregators.Groups`
 and runs on two layouts.  The oracle is the numpy definitions the seed
 aggregated with, frozen beside the seed executor
-(``benchmarks/test_query_throughput.py``): :class:`Cells` are held to
+(``tests/seed_executor.py``): :class:`Cells` are held to
 the dense (series × instant) column, :class:`Segments` to the bucket's
 own column, and the quantiles to the rule stated in the module
 docstring of :mod:`repro.tsdb.aggregators` — numpy's ``np.median`` /
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.serve import CachingStore
 from repro.tsdb import Query, TSDB, aggregators, wire
 from repro.tsdb.aggregators import Cells, Segments
-from test_query_throughput import COLUMNAR
+from seed_executor import COLUMNAR
 
 QUANTILES = ("median", "p50", "p90", "p95", "p99")
 _SPECIALS = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])

@@ -58,10 +58,6 @@ _POLICIES = (
 #: A window end past every write: its panels keep their cache keys, so
 #: later requests hit (or invalidate) instead of missing on a new key.
 _FAR = 10**6
-#: Test ids: the first names the store, the rest retired layouts of it.
-#: Every one runs a ``TSDB``.
-_LAYOUTS = ("TSDB", "ShardedTSDB(1)", "ShardedTSDB(2)", "ShardedTSDB(4)",
-            "ShardedTSDB(7)")
 
 
 def _panels(end: int) -> list[Query]:
@@ -151,10 +147,9 @@ def _step(data, db, now: int) -> int:
     return now
 
 
-@pytest.mark.parametrize("layout", _LAYOUTS)
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=75, deadline=None)
 @given(data=st.data())
-def test_the_short_cut_is_the_per_series_check(layout, data):
+def test_the_short_cut_is_the_per_series_check(data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         inner = TSDB()

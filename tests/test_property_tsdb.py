@@ -23,7 +23,7 @@ from repro.tsdb.downsample import (
     apply as apply_downsample,
     apply_many as downsample_many,
 )
-from test_query_throughput import SCALAR
+from seed_executor import SCALAR
 from test_tsdb_sharded import series_columns
 
 timestamps = st.integers(min_value=0, max_value=2**40)

@@ -18,10 +18,11 @@ from repro.tsdb import (
     TSDB,
     aggregators,
     dumps,
+    run_boundaries,
 )
 from repro.tsdb.series import SeriesStore
 from repro.tsdb.aggregators import Cells, Segments
-from test_query_throughput import SCALAR
+from seed_executor import SCALAR
 
 
 def random_points(rng, n, n_nodes=4, t_max=2_000):
@@ -38,6 +39,48 @@ def random_points(rng, n, n_nodes=4, t_max=2_000):
             )
         )
     return out
+
+
+#: A city feed: 25 nodes × 4 metrics, each series one per arrival round.
+FEED_METRICS = ("air.co2.ppm", "air.no2.ugm3", "air.pm10.ugm3",
+                "weather.temperature.c")
+FEED_SERIES = 25 * len(FEED_METRICS)
+
+
+def feed_tags(s: int) -> tuple[str, dict]:
+    return FEED_METRICS[s % len(FEED_METRICS)], {
+        "node": f"ctt-{s // len(FEED_METRICS):02d}", "city": "trondheim",
+    }
+
+
+def arrival_feed(rows_per_series: int, seed: int = 2017):
+    """Arrival-ordered (series, ts, value) columns: every series reports
+    once a minute, a small per-series phase offset, ~1 % of rows two
+    minutes late (LoRaWAN retransmits), so the dedup and out-of-order
+    paths run."""
+    rng = np.random.default_rng(seed)
+    base = np.repeat(np.arange(rows_per_series, dtype=np.int64) * 60, FEED_SERIES)
+    series_idx = np.tile(np.arange(FEED_SERIES, dtype=np.int64), rows_per_series)
+    ts = base + (series_idx % 7)
+    ts[rng.random(ts.shape[0]) < 0.01] -= 120
+    return series_idx, ts, rng.normal(400.0, 25.0, size=ts.shape[0])
+
+
+def feed_flushes(series_idx, ts, values, flush: int) -> list[PointBatch]:
+    """The feed as dataport-sized flushes: each flush's rows grouped by
+    series (stable, so arrival order holds within a series) and added
+    one series run at a time."""
+    batches = []
+    for lo in range(0, ts.shape[0], flush):
+        order = np.argsort(series_idx[lo:lo + flush], kind="stable")
+        chunk_series = series_idx[lo:lo + flush][order]
+        chunk_ts, chunk_vals = ts[lo:lo + flush][order], values[lo:lo + flush][order]
+        builder = BatchBuilder()
+        for a, b in zip(*run_boundaries(chunk_series)):
+            metric, tags = feed_tags(int(chunk_series[a]))
+            builder.add_series(metric, chunk_ts[a:b], chunk_vals[a:b], tags)
+        batches.append(builder.build())
+    return batches
 
 
 def db_from_puts(points):
@@ -139,6 +182,26 @@ class TestPutBatchEquivalence:
             assert sa.group_tags == sb.group_tags
             assert np.array_equal(sa.timestamps, sb.timestamps)
             assert np.allclose(sa.values, sb.values, equal_nan=True)
+
+    def test_feed_flushes_equal_per_point_puts(self):
+        """The city feed written one ``put`` per row in arrival order and
+        as columnar flushes holds the same points, and a probe series
+        reads the same columns back."""
+        series_idx, ts, values = arrival_feed(rows_per_series=200)
+        per_point_db = TSDB()
+        for s, t, v in zip(series_idx.tolist(), ts.tolist(), values.tolist()):
+            metric, tags = feed_tags(s)
+            per_point_db.put(metric, t, v, tags)
+        batch_db = TSDB()
+        for batch in feed_flushes(series_idx, ts, values, flush=2_000):
+            batch_db.put_batch(batch)
+        assert batch_db.point_count == per_point_db.point_count
+        probe_metric, probe_tags = feed_tags(0)
+        q = Query(probe_metric, 0, int(ts.max()), tags=probe_tags)
+        a = per_point_db.run(q).single()
+        b = batch_db.run(q).single()
+        assert np.array_equal(a.timestamps, b.timestamps)
+        assert np.allclose(a.values, b.values)
 
     def test_put_many_builds_one_batch(self):
         points = [

@@ -20,7 +20,7 @@ from repro.tsdb.catalog import Resolution
 from repro.tsdb.plan import Block, aggregate_across, execute_plan
 from repro.tsdb.series import SeriesSlice, SeriesStore
 from test_aggregators import bucket_oracle, dense_oracle
-from test_query_throughput import COLUMNAR, seed_run as frozen_seed_run
+from seed_executor import COLUMNAR, seed_run as frozen_seed_run
 
 #: Test ids of a retired store layout's shard counts.
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -611,10 +611,10 @@ def test_property_grouped_forms_equal_the_scalar_per_segment(seed, nans):
 
 
 def test_unaligned_workload_equals_frozen_seed_executor():
-    """Every engine ≡ the frozen seed executor of
-    ``benchmarks/test_query_throughput.py`` (np.unique union + dense NaN
-    matrix + one scan per query and key), as bytes, on feeds that never
-    share a second (offsets 0…6 s, 1 % two minutes late)."""
+    """Every engine ≡ the frozen seed executor of ``tests/seed_executor.py``
+    (np.unique union + dense NaN matrix + one scan per query and key), as
+    bytes, on feeds that never share a second (offsets 0…6 s, 1 % two
+    minutes late)."""
     rng = np.random.default_rng(2017)
     n_series, rows = 4 * 13, 240
     series = np.tile(np.arange(n_series), rows)
@@ -776,7 +776,7 @@ def _block_batches(draw):
 
 
 def _frozen_reference(db, query):
-    """The frozen seed executor (``benchmarks/test_query_throughput.py``)
+    """The frozen seed executor (``tests/seed_executor.py``)
     with the rules the engine states beyond it: a group folds through the
     dense oracle — ``COLUMNAR``, quantiles by the stated rule — and a lone
     series passes through only where it is its own aggregate, adding
@@ -784,7 +784,7 @@ def _frozen_reference(db, query):
     group of one)."""
     from unittest import mock
 
-    import test_query_throughput as frozen
+    import seed_executor as frozen
 
     name_of = {COLUMNAR[name]: name for name in aggregators.names()}
 

@@ -52,6 +52,7 @@ from repro.tsdb.segments import (
     parse_series_key,
     segment_point_count,
 )
+from test_tsdb_batch import arrival_feed, feed_flushes
 
 
 def make_point(metric="m", ts=100, val=1.5, tags=None):
@@ -409,6 +410,20 @@ class TestFormatEquivalence:
         assert [str(k) for k, _ in restored.iter_series()] == [
             str(k) for k, _ in db.iter_series()
         ]
+
+    def test_feed_flushes_replay_and_restore_equal_live(self, tmp_path):
+        """The city feed's flushes appended to a WAL replay to the store
+        the live process built from them, and a snapshot of that store
+        counts its points and restores it."""
+        series_idx, ts, values = arrival_feed(rows_per_series=200)
+        db = TSDB()
+        with SegmentWriter(tmp_path / "wal.seg") as w:
+            for batch in feed_flushes(series_idx, ts, values, flush=2_000):
+                w.write_batch(batch)
+                db.put_batch(batch)
+        assert dumps(load(tmp_path / "wal.seg")) == dumps(db)
+        assert snapshot(db, tmp_path / "snap.seg") == db.point_count
+        assert dumps(load(tmp_path / "snap.seg")) == dumps(db)
 
     def test_failed_resnapshot_preserves_prior_snapshot(self, tmp_path, monkeypatch):
         """A snapshot that fails part-way (disk full, a store that
